@@ -189,3 +189,86 @@ fn streamed_staging_uploads_once_and_hides_copy_time() {
         .counter_sum("cudasw.gpu_sim.h2d.hidden_seconds", &[]);
     assert!((hidden_metric - str_xfer.h2d_hidden_seconds).abs() < 1e-12);
 }
+
+/// FNV-1a over little-endian words: a dependency-free, stable digest.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn result(&mut self, r: &cudasw_core::SearchResult) {
+        for &s in &r.scores {
+            self.word(s as u32 as u64);
+        }
+        for phase in [&r.inter, &r.intra] {
+            self.word(u64::from(phase.launches));
+            self.word(phase.cells);
+            self.word(phase.global_transactions);
+            self.word(phase.seconds.to_bits());
+        }
+        self.word(r.transfer_seconds.to_bits());
+    }
+}
+
+/// Digest of every simulated number the four driver paths produce over the
+/// whole flag matrix, computed at the commit *before* the launch paths
+/// were merged into `cudasw_core::launch`. Scores, per-phase launches /
+/// cells / global transactions, and the bit patterns of the simulated
+/// kernel and transfer seconds all feed it, so any drift in allocation
+/// order, copy order, launch shape or float accumulation order on any
+/// path changes the constant.
+const PINNED_SIMULATED_DIGEST: u64 = 0x588a_bf19_56da_5b25;
+
+#[test]
+fn simulated_counts_are_pinned() {
+    let db = mixed_db();
+    let queries = [make_query(50, 19), make_query(37, 23)];
+    let policy = RecoveryPolicy::default();
+    let mut digest = Fnv::new();
+    for dc in DeviceKernelConfig::all_combinations() {
+        for intra in [
+            IntraKernelChoice::Original,
+            IntraKernelChoice::Improved(VariantConfig::improved()),
+        ] {
+            let cfg = CudaSwConfig {
+                intra,
+                ..config(dc)
+            };
+            let driver = || CudaSwDriver::new(DeviceSpec::tesla_c2050(), cfg.clone());
+            // Each path runs in its own capture scope: phase seconds are
+            // registry deltas, exact only against a fresh registry.
+            let (plain, _) = obs::capture(|| driver().search(&queries[0], &db).unwrap());
+            digest.result(&plain);
+            let (staged_results, _) = obs::capture(|| {
+                let mut d = driver();
+                let staged = d.stage_database(&db).unwrap();
+                queries.each_ref().map(|q| d.search_staged(q, &staged).unwrap())
+            });
+            for r in &staged_results {
+                digest.result(r);
+            }
+            for plan in [FaultPlan::none(), FaultPlan::none().with_oom(3)] {
+                let (rr, _) = obs::capture(|| {
+                    let mut d = driver();
+                    d.dev.inject_faults(plan.clone());
+                    d.search_resilient(&queries[0], &db, &policy).unwrap()
+                });
+                digest.result(&rr.result);
+                digest.word(rr.recovery.rechunks);
+            }
+        }
+    }
+    assert_eq!(
+        digest.0, PINNED_SIMULATED_DIGEST,
+        "simulated counts drifted: digest {:#018x}",
+        digest.0
+    );
+}
