@@ -250,7 +250,9 @@ fn simulated_counts_are_pinned() {
             let (staged_results, _) = obs::capture(|| {
                 let mut d = driver();
                 let staged = d.stage_database(&db).unwrap();
-                queries.each_ref().map(|q| d.search_staged(q, &staged).unwrap())
+                queries
+                    .each_ref()
+                    .map(|q| d.search_staged(q, &staged).unwrap())
             });
             for r in &staged_results {
                 digest.result(r);
