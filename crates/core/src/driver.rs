@@ -10,12 +10,16 @@
 //! The driver accounts inter-task and intra-task time separately, which is
 //! what Figure 5(b) plots, and accumulates host→device transfer time for
 //! the streamed-copy experiment of §VI.
+//!
+//! [`CudaSwDriver::search`] owns the partition, the per-search database
+//! uploads, the allocator mark and the per-search `streamed_h2d` session;
+//! every kernel is built and launched by the shared launch path in
+//! `launch.rs`, which is also where each [`DeviceKernelConfig`] kernel
+//! flag is read.
 
-use crate::balance::residue_balanced_bins;
-use crate::inter_task::{InterTaskKernel, TILE_COLS};
-use crate::intra_improved::{ImprovedIntraKernel, ImprovedParams, VariantConfig};
-use crate::intra_orig::{IntraPair, OriginalIntraKernel};
-use crate::seqstore::{pack_residues, GroupImage, ProfileImage, SeqImage};
+use crate::intra_improved::{ImprovedParams, VariantConfig};
+use crate::intra_orig::IntraPair;
+use crate::seqstore::GroupImage;
 use gpu_sim::stats::{LaunchStats, RunStats};
 use gpu_sim::{DeviceSpec, GpuDevice, GpuError};
 use obs::MetricsRegistry;
@@ -272,41 +276,26 @@ impl CudaSwDriver {
         let sp_search = obs::span("search", "phase");
         let metrics_before = obs::snapshot_metrics();
         self.dev.free_all();
-        let dc = self.config.device;
-        if dc.streamed_h2d {
+        let streamed = self.config.device.streamed_h2d;
+        if streamed {
             // §VII streamed copy: one stream session per search; every
             // kernel launch deposits overlap credit that hides the body
             // of subsequent H2D copies. Bytes moved are unchanged.
             self.dev.begin_h2d_stream();
         }
-        // §VII staging panel width for this device/config (0 = baseline).
-        let panel = if dc.boundary_staging || dc.shared_only {
-            InterTaskKernel::panel_cols(
-                self.config.inter_threads_per_block,
-                self.dev.spec.shared_mem_per_sm,
-            )
-        } else {
-            0
-        };
         let partition = db.partition(self.config.threshold);
         let fraction_long = partition.fraction_long();
         let mut scores = vec![0i32; db.len()];
-        let mut transfer_seconds = 0.0;
 
         // Stage the query artefacts once (profile for both kernels, packed
         // residues for the original intra kernel).
         let sp_stage = obs::span("stage_query", "phase");
         let packed = PackedProfile::build(&self.config.params.matrix, query);
-        let (profile, secs) = ProfileImage::upload(&mut self.dev, &packed)?;
-        transfer_seconds += secs;
-        let q_words = pack_residues(query);
-        let q_ptr = self.dev.alloc(q_words.len().max(1))?;
-        transfer_seconds += self.dev.copy_to_device(q_ptr, &q_words)?;
-        let q_tex = self.dev.bind_texture(q_ptr, q_words.len().max(1));
+        let (staged_query, mut transfer_seconds) = self.stage_query(query, &packed)?;
         sp_stage.end_with(&[]);
 
         // Inter-task: groups of `s` sequences, one launch per group, with
-        // per-group scratch released between launches.
+        // per-group images and scratch released between launches.
         let s = self.group_size();
         let sp_inter = obs::span("inter_task", "phase");
         let mark = self.dev.mark();
@@ -314,140 +303,31 @@ impl CudaSwDriver {
         for group in partition.groups(s) {
             let (gimg, secs) = GroupImage::upload(&mut self.dev, group)?;
             transfer_seconds += secs;
-            let max_cols = group.iter().map(|g| g.len()).max().unwrap_or(0);
-            // Staged order runs when boundary staging is on, or when the
-            // shared-memory-only kernel applies (whole group in one panel).
-            let use_panel = panel >= TILE_COLS
-                && (dc.boundary_staging || (dc.shared_only && max_cols <= panel));
-            let panel_cols = if use_panel { panel } else { 0 };
-            let boundary = self.dev.alloc(if panel_cols > 0 {
-                1 // staged order never touches the global boundary planes
-            } else {
-                InterTaskKernel::boundary_words(gimg.width, max_cols).max(1)
-            })?;
-            let edge_w = InterTaskKernel::edge_words(gimg.width, query.len(), panel_cols, max_cols);
-            let edge = if edge_w > 0 {
-                Some(self.dev.alloc(edge_w)?)
-            } else {
-                None
-            };
-            let kernel = InterTaskKernel {
-                group: &gimg,
-                profile: &profile,
-                gaps: self.config.params.gaps,
-                boundary,
-                max_cols,
-                threads_per_block: self.config.inter_threads_per_block,
-                panel_cols,
-                edge,
-            };
-            let blocks = kernel.grid_blocks();
-            let stats = self.dev.launch(&kernel, blocks, "inter_task")?;
-            if dc.streamed_h2d {
-                self.dev.add_h2d_overlap_credit(stats.seconds);
-            }
+            let (stats, group_scores) =
+                self.launch_inter_group(&gimg, &staged_query.profile, &mut transfer_seconds)?;
             note_phase_launch("inter", &stats);
-            let (raw, secs) = self.dev.copy_from_device(gimg.scores, gimg.width)?;
-            transfer_seconds += secs;
-            for (k, word) in raw.into_iter().enumerate() {
-                scores[offset + k] = word as i32;
-            }
+            scores[offset..offset + group.len()].copy_from_slice(&group_scores);
             offset += group.len();
             self.dev.free_to(mark);
         }
         sp_inter.end_with(&[]);
 
-        // Intra-task: one block per long sequence, one launch for all.
+        // Intra-task: every long sequence staged, then one launch for all.
         if !partition.long.is_empty() {
             let sp_intra = obs::span("intra_task", "phase");
-            let mut pairs = Vec::with_capacity(partition.long.len());
-            for seq in partition.long {
-                let (img, secs) = SeqImage::upload(&mut self.dev, seq)?;
-                transfer_seconds += secs;
-                pairs.push(IntraPair {
-                    tex: img.tex,
-                    len: img.len,
-                    score: img.score,
-                });
-            }
-            let max_len = partition.long.iter().map(|q| q.len()).max().unwrap_or(1);
-            let stats = match self.config.intra {
-                IntraKernelChoice::Original => {
-                    let wavefront = self.dev.alloc(OriginalIntraKernel::wavefront_words(
-                        pairs.len(),
-                        query.len(),
-                    ))?;
-                    let kernel = OriginalIntraKernel {
-                        pairs: &pairs,
-                        query: q_tex,
-                        query_len: query.len(),
-                        matrix: &self.config.params.matrix,
-                        gaps: self.config.params.gaps,
-                        wavefront,
-                        threads_per_block: 256,
-                        step_latency_cycles: self.dev.spec.global_latency_cycles as u64,
-                    };
-                    self.dev.launch(&kernel, pairs.len() as u32, "intra_orig")?
-                }
-                IntraKernelChoice::Improved(mut variant) => {
-                    // The shared-memory boundary only fits small sequences;
-                    // fall back transparently when it does not.
-                    if variant.boundary_in_shared {
-                        let needed =
-                            (4 * self.config.improved.threads_per_block as usize + 2 * max_len) * 4;
-                        if needed > self.dev.spec.shared_mem_per_sm as usize {
-                            variant.boundary_in_shared = false;
-                        }
-                    }
-                    if dc.pipeline_fusion {
-                        // §VII fusion: one fill/flush per alignment.
-                        variant.continuous_pipeline = true;
-                    }
-                    let boundary = self
-                        .dev
-                        .alloc(ImprovedIntraKernel::boundary_words(pairs.len(), max_len))?;
-                    let local_spill = self.dev.alloc(ImprovedIntraKernel::spill_words(
-                        pairs.len(),
-                        &self.config.improved,
-                    ))?;
-                    // SaLoBa residue balance: bins of pairs per block
-                    // instead of one block per pair.
-                    let schedule = if dc.balanced_intra {
-                        let lengths: Vec<usize> = pairs.iter().map(|p| p.len).collect();
-                        let bins = (self.dev.spec.sm_count as usize).min(pairs.len());
-                        Some(residue_balanced_bins(&lengths, bins))
-                    } else {
-                        None
-                    };
-                    let kernel = ImprovedIntraKernel {
-                        pairs: &pairs,
-                        profile: &profile,
-                        gaps: self.config.params.gaps,
-                        boundary,
-                        boundary_stride: max_len,
-                        local_spill,
-                        params: self.config.improved,
-                        variant,
-                        step_latency_cycles: 30,
-                        schedule: schedule.as_deref(),
-                    };
-                    let blocks = schedule.as_ref().map_or(pairs.len(), Vec::len) as u32;
-                    self.dev.launch(&kernel, blocks, "intra_improved")?
-                }
-            };
-            if dc.streamed_h2d {
-                self.dev.add_h2d_overlap_credit(stats.seconds);
-            }
+            let pairs = IntraPair::stage(&mut self.dev, partition.long, &mut transfer_seconds)?;
+            let (stats, long_scores) = self.launch_intra(
+                &pairs,
+                &staged_query,
+                "intra_improved",
+                &mut transfer_seconds,
+            )?;
             note_phase_launch("intra", &stats);
-            for (k, pair) in pairs.iter().enumerate() {
-                let (v, secs) = self.dev.copy_from_device(pair.score, 1)?;
-                transfer_seconds += secs;
-                scores[offset + k] = v[0] as i32;
-            }
+            scores[offset..].copy_from_slice(&long_scores);
             sp_intra.end_with(&[]);
         }
 
-        if dc.streamed_h2d {
+        if streamed {
             self.dev.end_h2d_stream();
         }
         // Phase accounting lives in the metrics registry; the RunStats

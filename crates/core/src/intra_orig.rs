@@ -14,12 +14,14 @@
 //! depend on this step's stores, so a store→load round-trip latency is
 //! charged per step (`step_latency_cycles`).
 
-use crate::seqstore::unpack_residue;
+use crate::seqstore::{unpack_residue, SeqImage};
 use crate::CELL_INSTRUCTIONS;
 use gpu_sim::{
-    BlockCtx, BlockKernel, DevicePtr, GpuError, LaunchConfig, TexRef, WarpAccess, WARP_SIZE,
+    BlockCtx, BlockKernel, DevicePtr, GpuDevice, GpuError, LaunchConfig, TexRef, WarpAccess,
+    WARP_SIZE,
 };
 use sw_align::{GapPenalties, ScoringMatrix};
+use sw_db::Sequence;
 
 const NEG: i32 = i32::MIN / 2;
 
@@ -33,6 +35,28 @@ pub struct IntraPair {
     pub len: usize,
     /// Output score word.
     pub score: DevicePtr,
+}
+
+impl IntraPair {
+    /// Upload one image per sequence, in order, adding each copy's H2D
+    /// seconds to `transfer_seconds`.
+    pub(crate) fn stage(
+        dev: &mut GpuDevice,
+        seqs: &[Sequence],
+        transfer_seconds: &mut f64,
+    ) -> Result<Vec<IntraPair>, GpuError> {
+        let mut pairs = Vec::with_capacity(seqs.len());
+        for seq in seqs {
+            let (img, secs) = SeqImage::upload(dev, seq)?;
+            *transfer_seconds += secs;
+            pairs.push(IntraPair {
+                tex: img.tex,
+                len: img.len,
+                score: img.score,
+            });
+        }
+        Ok(pairs)
+    }
 }
 
 /// The original wavefront kernel over a batch of long sequences.

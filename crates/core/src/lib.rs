@@ -38,6 +38,7 @@ pub mod extensions;
 pub mod inter_task;
 pub mod intra_improved;
 pub mod intra_orig;
+mod launch;
 pub mod model;
 pub mod multi_gpu;
 pub mod recovery;

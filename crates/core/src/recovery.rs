@@ -29,6 +29,11 @@
 //!   completed chunks, and produces a bit-identical
 //!   [`SearchResult`](crate::SearchResult).
 //!
+//! Both device phases (inter-task groups, intra-task chunks) run through
+//! one chunk loop, `run_phase`; one chunk attempt uploads the chunk's
+//! database images inside a chunk-scoped `streamed_h2d` session and hands
+//! them to the same launch path (`launch.rs`) every other search uses.
+//!
 //! Everything that happened is recorded in a [`RecoveryReport`] so callers
 //! (and the multi-GPU layer, which re-dispatches a dead device's shard to
 //! the survivors) can reason about what the numbers mean.
@@ -36,12 +41,11 @@
 use crate::checkpoint::{
     CheckpointFile, CheckpointPolicy, ChunkPhase, ChunkRecord, Intervals, LoadIssue,
 };
-use crate::driver::{CudaSwDriver, IntraKernelChoice, SearchResult};
-use crate::inter_task::InterTaskKernel;
-use crate::intra_improved::ImprovedIntraKernel;
-use crate::intra_orig::{IntraPair, OriginalIntraKernel};
-use crate::seqstore::{pack_residues, GroupImage, ProfileImage, SeqImage};
-use gpu_sim::{GpuError, LaunchStats, TexRef};
+use crate::driver::{note_phase_launch, phase_run_stats, CudaSwDriver, SearchResult};
+use crate::intra_orig::IntraPair;
+use crate::launch::StagedQuery;
+use crate::seqstore::GroupImage;
+use gpu_sim::{GpuError, LaunchStats};
 use sw_align::PackedProfile;
 use sw_db::{Database, Sequence};
 use sw_simd::{AdaptiveStats, Precision, QueryEngine};
@@ -432,7 +436,7 @@ fn append_chunk(
 /// How a failed attempt should be handled.
 enum Handling {
     Retry,
-    Rechunk,
+    Rechunk(GpuError),
     DeviceFailed(GpuError),
 }
 
@@ -460,7 +464,7 @@ fn classify(
         report.note_retry(&err, *attempt, policy);
         Handling::Retry
     } else if matches!(err, GpuError::OutOfMemory { .. }) && window > policy.min_group_size {
-        Handling::Rechunk
+        Handling::Rechunk(err)
     } else {
         Handling::DeviceFailed(err)
     }
@@ -491,6 +495,33 @@ fn protected_fallback_score(
             sw_simd::sw_striped_score(engine.params(), engine.query(), residues)
         }
     }
+}
+
+/// What one resilient search accumulates across staging, replay, both
+/// device phases and the CPU fallback.
+struct Run<'a> {
+    query: &'a [u8],
+    policy: &'a RecoveryPolicy,
+    log: Option<CheckpointFile>,
+    report: RecoveryReport,
+    /// Scores aligned with `db.sequences()` order.
+    scores: Vec<i32>,
+    transfer_seconds: f64,
+}
+
+/// One of the two chunked device phases of a resilient search.
+struct Phase<'a> {
+    kind: ChunkPhase,
+    /// The phase's sequences, in database order.
+    seqs: &'a [Sequence],
+    /// Index of `seqs[0]` in the result's score vector.
+    out_base: usize,
+    /// Fault-free chunk size; OOM re-chunking halves it.
+    window: usize,
+    /// Intervals of `seqs` a checkpoint replay covered.
+    replayed: Intervals,
+    /// Prefix of `seqs` the live chunk loop has completed or skipped.
+    done: usize,
 }
 
 impl CudaSwDriver {
@@ -532,15 +563,11 @@ impl CudaSwDriver {
         self.dev.set_integrity_checks(policy.integrity_checks);
         self.dev.set_watchdog_cycles(policy.watchdog_cycles);
         self.dev.free_all();
-        let mut report = RecoveryReport::default();
         let partition = db.partition(self.config.threshold);
         let fraction_long = partition.fraction_long();
-        let mut scores = vec![0i32; db.len()];
-        let mut transfer_seconds = 0.0;
-        let mut device_failed: Option<GpuError> = None;
 
         // --- Open the chunk-completion log, if asked for.
-        let mut log = ckpt.path.as_deref().and_then(|path| {
+        let log = ckpt.path.as_deref().and_then(|path| {
             let setup = format!("{:?}|{:?}", self.config, self.dev.spec);
             let fp = crate::checkpoint::run_fingerprint(&setup, query, db);
             match CheckpointFile::open(path, fp) {
@@ -566,22 +593,31 @@ impl CudaSwDriver {
                 }
             }
         });
+        let mut run = Run {
+            query,
+            policy,
+            log,
+            report: RecoveryReport::default(),
+            scores: vec![0i32; db.len()],
+            transfer_seconds: 0.0,
+        };
+        let mut device_failed: Option<GpuError> = None;
 
         // --- Stage the query artefacts (with transient retry; staging is
         // tiny, so an OOM here means the device is unusably full and goes
-        // down the failure path).
+        // down the failure path — there is no window to halve).
         let sp_stage = obs::span("stage_query", "phase");
+        let packed = PackedProfile::build(&self.config.params.matrix, query);
         let mut attempt = 0u32;
         let staged = loop {
-            match self.stage_query(query) {
-                Ok((profile, q_tex, secs)) => {
-                    transfer_seconds += secs;
-                    break Some((profile, q_tex));
+            match self.stage_query(query, &packed) {
+                Ok((staged, secs)) => {
+                    run.transfer_seconds += secs;
+                    break Some(staged);
                 }
-                Err(e) => match classify(e, &mut attempt, 0, policy, &mut report) {
+                Err(e) => match classify(e, &mut attempt, 0, policy, &mut run.report) {
                     Handling::Retry => self.dev.free_all(),
-                    Handling::Rechunk => unreachable!("window 0 never re-chunks"),
-                    Handling::DeviceFailed(e) => {
+                    Handling::Rechunk(e) | Handling::DeviceFailed(e) => {
                         device_failed = Some(e);
                         break None;
                     }
@@ -590,31 +626,45 @@ impl CudaSwDriver {
         };
         sp_stage.end_with(&[]);
 
+        let mut inter = Phase {
+            kind: ChunkPhase::Inter,
+            seqs: partition.short,
+            out_base: 0,
+            window: self.group_size(),
+            replayed: Intervals::default(),
+            done: 0,
+        };
+        // The fault-free intra chunk is "everything at once", exactly like
+        // `search`.
+        let mut intra = Phase {
+            kind: ChunkPhase::Intra,
+            seqs: partition.long,
+            out_base: partition.short.len(),
+            window: partition.long.len(),
+            replayed: Intervals::default(),
+            done: 0,
+        };
+
         // --- Replay the log: completed chunks contribute their scores,
         // transfer seconds and metrics deltas exactly as if they had just
         // run. Replayed *after* staging so the accumulation order matches
         // an uninterrupted run (bit-exactness needs identical order).
-        let mut inter_done_iv = Intervals::default();
-        let mut intra_done_iv = Intervals::default();
-        if let Some(log) = &log {
+        if let Some(log) = &run.log {
             let mut chunks = 0u64;
             let mut seqs = 0u64;
             for rec in log.records() {
-                let (base, phase_len, iv) = match rec.phase {
-                    ChunkPhase::Inter => (0, partition.short.len(), &mut inter_done_iv),
-                    ChunkPhase::Intra => (
-                        partition.short.len(),
-                        partition.long.len(),
-                        &mut intra_done_iv,
-                    ),
+                let phase = match rec.phase {
+                    ChunkPhase::Inter => &mut inter,
+                    ChunkPhase::Intra => &mut intra,
                 };
-                if rec.end > phase_len {
+                if rec.end > phase.seqs.len() {
                     continue; // fingerprint precludes this; stay safe
                 }
-                scores[base + rec.start..base + rec.end].copy_from_slice(&rec.scores);
-                transfer_seconds += rec.transfer_seconds;
+                run.scores[phase.out_base + rec.start..phase.out_base + rec.end]
+                    .copy_from_slice(&rec.scores);
+                run.transfer_seconds += rec.transfer_seconds;
                 obs::with(|o| o.metrics.merge(&rec.metrics));
-                iv.add(rec.start, rec.end);
+                phase.replayed.add(rec.start, rec.end);
                 chunks += 1;
                 seqs += (rec.end - rec.start) as u64;
             }
@@ -632,180 +682,12 @@ impl CudaSwDriver {
             }
         }
 
-        // --- Inter-task path: windowed group loop with retry + re-chunk,
-        // skipping intervals the replay already covered.
-        let mut short_done = 0usize;
-        let mut long_done = 0usize;
-        if let Some((profile, q_tex)) = &staged {
-            let sp_inter = obs::span("inter_task", "phase");
-            let mut window = self.group_size();
-            let mark = self.dev.mark();
-            let mut attempt = 0u32;
-            let mut fork: Option<MetricsFork> = None;
-            while short_done < partition.short.len() {
-                if let Some(covered) = inter_done_iv.covered_end(short_done) {
-                    short_done = covered;
-                    attempt = 0;
-                    continue;
-                }
-                let cap = inter_done_iv
-                    .next_start_after(short_done)
-                    .unwrap_or(partition.short.len());
-                let end = (short_done + window).min(cap);
-                let group = &partition.short[short_done..end];
-                if log.is_some() && fork.is_none() {
-                    fork = Some(MetricsFork::begin());
-                }
-                match self.run_inter_group(group, profile, &mut scores[short_done..end]) {
-                    Ok((stats, secs)) => {
-                        crate::driver::note_phase_launch("inter", &stats);
-                        transfer_seconds += secs;
-                        self.dev.free_to(mark);
-                        append_chunk(
-                            &mut log,
-                            fork.take(),
-                            ChunkPhase::Inter,
-                            short_done,
-                            end,
-                            &scores[short_done..end],
-                            secs,
-                        );
-                        short_done = end;
-                        attempt = 0;
-                    }
-                    Err(err @ GpuError::ChecksumMismatch { .. }) => {
-                        self.dev.free_to(mark);
-                        self.quarantine_chunk(
-                            &err,
-                            "inter",
-                            group,
-                            query,
-                            &mut scores[short_done..end],
-                            &mut report,
-                        );
-                        append_chunk(
-                            &mut log,
-                            fork.take(),
-                            ChunkPhase::Inter,
-                            short_done,
-                            end,
-                            &scores[short_done..end],
-                            0.0,
-                        );
-                        short_done = end;
-                        attempt = 0;
-                    }
-                    Err(e) => {
-                        self.dev.free_to(mark);
-                        match classify(e, &mut attempt, window, policy, &mut report) {
-                            Handling::Retry => {}
-                            Handling::Rechunk => {
-                                let new = (window / 2).max(policy.min_group_size);
-                                report.note_rechunk(window, new);
-                                window = new;
-                                attempt = 0;
-                            }
-                            Handling::DeviceFailed(e) => {
-                                device_failed = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            drop(fork);
-            sp_inter.end_with(&[]);
-
-            // --- Intra-task path: chunked with the same recovery. The
-            // fault-free chunk is "everything at once", exactly like
-            // `search`.
-            if device_failed.is_none() && !partition.long.is_empty() {
-                let sp_intra = obs::span("intra_task", "phase");
-                let mut window = partition.long.len();
-                let mark = self.dev.mark();
-                let mut attempt = 0u32;
-                let mut fork: Option<MetricsFork> = None;
-                while long_done < partition.long.len() {
-                    if let Some(covered) = intra_done_iv.covered_end(long_done) {
-                        long_done = covered;
-                        attempt = 0;
-                        continue;
-                    }
-                    let cap = intra_done_iv
-                        .next_start_after(long_done)
-                        .unwrap_or(partition.long.len());
-                    let end = (long_done + window).min(cap);
-                    let chunk = &partition.long[long_done..end];
-                    let out_base = partition.short.len() + long_done;
-                    let out_end = partition.short.len() + end;
-                    if log.is_some() && fork.is_none() {
-                        fork = Some(MetricsFork::begin());
-                    }
-                    match self.run_intra_chunk(
-                        chunk,
-                        query,
-                        profile,
-                        *q_tex,
-                        &mut scores[out_base..out_end],
-                    ) {
-                        Ok((stats, secs)) => {
-                            crate::driver::note_phase_launch("intra", &stats);
-                            transfer_seconds += secs;
-                            self.dev.free_to(mark);
-                            append_chunk(
-                                &mut log,
-                                fork.take(),
-                                ChunkPhase::Intra,
-                                long_done,
-                                end,
-                                &scores[out_base..out_end],
-                                secs,
-                            );
-                            long_done = end;
-                            attempt = 0;
-                        }
-                        Err(err @ GpuError::ChecksumMismatch { .. }) => {
-                            self.dev.free_to(mark);
-                            self.quarantine_chunk(
-                                &err,
-                                "intra",
-                                chunk,
-                                query,
-                                &mut scores[out_base..out_end],
-                                &mut report,
-                            );
-                            append_chunk(
-                                &mut log,
-                                fork.take(),
-                                ChunkPhase::Intra,
-                                long_done,
-                                end,
-                                &scores[out_base..out_end],
-                                0.0,
-                            );
-                            long_done = end;
-                            attempt = 0;
-                        }
-                        Err(e) => {
-                            self.dev.free_to(mark);
-                            match classify(e, &mut attempt, window, policy, &mut report) {
-                                Handling::Retry => {}
-                                Handling::Rechunk => {
-                                    let new = (window / 2).max(policy.min_group_size);
-                                    report.note_rechunk(window, new);
-                                    window = new;
-                                    attempt = 0;
-                                }
-                                Handling::DeviceFailed(e) => {
-                                    device_failed = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                drop(fork);
-                sp_intra.end_with(&[]);
+        // --- Device phases: inter-task groups, then intra-task chunks,
+        // through the one chunk loop.
+        if let Some(staged) = &staged {
+            device_failed = self.run_phase(&mut run, staged, &mut inter);
+            if device_failed.is_none() && !intra.seqs.is_empty() {
+                device_failed = self.run_phase(&mut run, staged, &mut intra);
             }
         }
 
@@ -824,266 +706,151 @@ impl CudaSwDriver {
             let engine = QueryEngine::new(self.config.params.clone(), query);
             let mut simd_stats = AdaptiveStats::default();
             let mut n = 0usize;
-            #[allow(clippy::needless_range_loop)] // index drives three slices, not one
-            for i in short_done..partition.short.len() {
-                if inter_done_iv.contains(i) {
-                    continue;
+            for phase in [&inter, &intra] {
+                for i in (phase.done..phase.seqs.len()).filter(|&i| !phase.replayed.contains(i)) {
+                    run.scores[phase.out_base + i] =
+                        protected_fallback_score(&engine, &phase.seqs[i].residues, &mut simd_stats);
+                    n += 1;
                 }
-                scores[i] = protected_fallback_score(
-                    &engine,
-                    &partition.short[i].residues,
-                    &mut simd_stats,
-                );
-                n += 1;
-            }
-            for j in long_done..partition.long.len() {
-                if intra_done_iv.contains(j) {
-                    continue;
-                }
-                scores[partition.short.len() + j] =
-                    protected_fallback_score(&engine, &partition.long[j].residues, &mut simd_stats);
-                n += 1;
             }
             sw_simd::record_stats(engine.kind(), &simd_stats);
-            report.note_cpu_fallback(n);
+            run.report.note_cpu_fallback(n);
             sp_cpu.end_with(&[("sequences", &n.to_string())]);
         }
 
         let delta = obs::snapshot_metrics().diff(&metrics_before);
-        let inter = crate::driver::phase_run_stats(&delta, "inter");
-        let intra = crate::driver::phase_run_stats(&delta, "intra");
+        let inter = phase_run_stats(&delta, "inter");
+        let intra = phase_run_stats(&delta, "intra");
         sp_search.end_with(&[("query_len", &query.len().to_string())]);
         Ok(ResilientSearchResult {
             result: SearchResult {
-                scores,
+                scores: run.scores,
                 inter,
                 intra,
-                transfer_seconds,
+                transfer_seconds: run.transfer_seconds,
                 fraction_long,
                 threshold: self.config.threshold,
                 query_len: query.len(),
             },
-            recovery: report,
+            recovery: run.report,
         })
     }
 
-    /// Quarantine a chunk whose transfer failed its end-to-end checksum:
-    /// the device data cannot be trusted, so the chunk's scores are
-    /// recomputed on the host with the verified striped oracle.
-    fn quarantine_chunk(
+    /// The one chunk loop: walk `phase.seqs` in windows, skipping intervals
+    /// a checkpoint replay already covered, with retry, OOM re-chunking,
+    /// checksum quarantine and chunk-completion logging. Leaves the live
+    /// prefix in `phase.done`; returns the error that took the device down,
+    /// if one did.
+    fn run_phase(
         &mut self,
-        err: &GpuError,
-        phase: &'static str,
+        run: &mut Run<'_>,
+        staged: &StagedQuery,
+        phase: &mut Phase<'_>,
+    ) -> Option<GpuError> {
+        let (label, span_name) = match phase.kind {
+            ChunkPhase::Inter => ("inter", "inter_task"),
+            ChunkPhase::Intra => ("intra", "intra_task"),
+        };
+        let sp = obs::span(span_name, "phase");
+        let mut window = phase.window;
+        let mark = self.dev.mark();
+        let mut attempt = 0u32;
+        let mut fork: Option<MetricsFork> = None;
+        let mut device_failed = None;
+        while phase.done < phase.seqs.len() {
+            let start = phase.done;
+            if let Some(covered) = phase.replayed.covered_end(start) {
+                phase.done = covered;
+                attempt = 0;
+                continue;
+            }
+            let cap = phase
+                .replayed
+                .next_start_after(start)
+                .unwrap_or(phase.seqs.len());
+            let end = (start + window).min(cap);
+            let chunk = &phase.seqs[start..end];
+            let out = &mut run.scores[phase.out_base + start..phase.out_base + end];
+            if run.log.is_some() && fork.is_none() {
+                fork = Some(MetricsFork::begin());
+            }
+            let attempted = self.run_chunk(phase.kind, chunk, staged);
+            self.dev.free_to(mark);
+            let secs = match attempted {
+                Ok((stats, chunk_scores, secs)) => {
+                    note_phase_launch(label, &stats);
+                    run.transfer_seconds += secs;
+                    out.copy_from_slice(&chunk_scores);
+                    secs
+                }
+                Err(err @ GpuError::ChecksumMismatch { .. }) => {
+                    // The device data cannot be trusted: recompute the
+                    // chunk on the host with the verified striped oracle.
+                    let sp = obs::span("quarantine_recompute", "integrity");
+                    cpu_scores(&self.config.params, run.query, chunk, out);
+                    run.report.note_quarantine(&err, label, chunk.len());
+                    sp.end_with(&[("phase", label), ("sequences", &chunk.len().to_string())]);
+                    0.0
+                }
+                Err(e) => {
+                    match classify(e, &mut attempt, window, run.policy, &mut run.report) {
+                        Handling::Retry => {}
+                        Handling::Rechunk(_) => {
+                            let new = (window / 2).max(run.policy.min_group_size);
+                            run.report.note_rechunk(window, new);
+                            window = new;
+                            attempt = 0;
+                        }
+                        Handling::DeviceFailed(e) => {
+                            device_failed = Some(e);
+                            break;
+                        }
+                    }
+                    continue;
+                }
+            };
+            append_chunk(&mut run.log, fork.take(), phase.kind, start, end, out, secs);
+            phase.done = end;
+            attempt = 0;
+        }
+        drop(fork);
+        sp.end_with(&[]);
+        device_failed
+    }
+
+    /// One chunk, one attempt: stage its sequences, launch, read the scores
+    /// back (the caller owns the allocator mark and rollback). Returns the
+    /// launch statistics, the chunk's scores and its transfer seconds.
+    fn run_chunk(
+        &mut self,
+        phase: ChunkPhase,
         chunk: &[Sequence],
-        query: &[u8],
-        out: &mut [i32],
-        report: &mut RecoveryReport,
-    ) {
-        let sp = obs::span("quarantine_recompute", "integrity");
-        cpu_scores(&self.config.params, query, chunk, out);
-        report.note_quarantine(err, phase, chunk.len());
-        sp.end_with(&[("phase", phase), ("sequences", &chunk.len().to_string())]);
-    }
-
-    /// Stage the query profile and packed residues (one attempt).
-    fn stage_query(&mut self, query: &[u8]) -> Result<(ProfileImage, TexRef, f64), GpuError> {
-        let packed = PackedProfile::build(&self.config.params.matrix, query);
-        let (profile, mut secs) = ProfileImage::upload(&mut self.dev, &packed)?;
-        let q_words = pack_residues(query);
-        let q_ptr = self.dev.alloc(q_words.len().max(1))?;
-        secs += self.dev.copy_to_device(q_ptr, &q_words)?;
-        let q_tex = self.dev.bind_texture(q_ptr, q_words.len().max(1));
-        Ok((profile, q_tex, secs))
-    }
-
-    /// One inter-task group: stage, launch, read scores (one attempt; the
-    /// caller owns the allocator mark and rollback).
-    fn run_inter_group(
-        &mut self,
-        group: &[Sequence],
-        profile: &ProfileImage,
-        out: &mut [i32],
-    ) -> Result<(LaunchStats, f64), GpuError> {
+        staged: &StagedQuery,
+    ) -> Result<(LaunchStats, Vec<i32>, f64), GpuError> {
         // §VII streamed copy on the resilient path is scoped to the chunk:
         // overlap credit never crosses a chunk boundary, so checkpoint
-        // replay (which skips whole chunks) stays bit-identical.
+        // replay (which skips whole chunks) stays bit-identical. SaLoBa
+        // bins are chunk-scoped the same way, so OOM re-chunking stays
+        // orthogonal.
         let streamed = self.config.device.streamed_h2d;
         if streamed {
             self.dev.begin_h2d_stream();
         }
-        let result = self.run_inter_group_attempt(group, profile, out);
+        let mut secs = 0.0;
+        let launched = match phase {
+            ChunkPhase::Inter => {
+                GroupImage::upload(&mut self.dev, chunk).and_then(|(gimg, h2d)| {
+                    secs += h2d;
+                    self.launch_inter_group(&gimg, &staged.profile, &mut secs)
+                })
+            }
+            ChunkPhase::Intra => IntraPair::stage(&mut self.dev, chunk, &mut secs)
+                .and_then(|pairs| self.launch_intra(&pairs, staged, "intra_improved", &mut secs)),
+        };
         if streamed {
             self.dev.end_h2d_stream();
         }
-        result
-    }
-
-    fn run_inter_group_attempt(
-        &mut self,
-        group: &[Sequence],
-        profile: &ProfileImage,
-        out: &mut [i32],
-    ) -> Result<(LaunchStats, f64), GpuError> {
-        let mut secs_total = 0.0;
-        let (gimg, secs) = GroupImage::upload(&mut self.dev, group)?;
-        secs_total += secs;
-        let max_cols = group.iter().map(|g| g.len()).max().unwrap_or(0);
-        let dc = self.config.device;
-        let panel = if dc.boundary_staging || dc.shared_only {
-            InterTaskKernel::panel_cols(
-                self.config.inter_threads_per_block,
-                self.dev.spec.shared_mem_per_sm,
-            )
-        } else {
-            0
-        };
-        let use_panel = panel >= crate::inter_task::TILE_COLS
-            && (dc.boundary_staging || (dc.shared_only && max_cols <= panel));
-        let panel_cols = if use_panel { panel } else { 0 };
-        let boundary = self.dev.alloc(if panel_cols > 0 {
-            1
-        } else {
-            InterTaskKernel::boundary_words(gimg.width, max_cols).max(1)
-        })?;
-        let edge_w =
-            InterTaskKernel::edge_words(gimg.width, profile.query_len, panel_cols, max_cols);
-        let edge = if edge_w > 0 {
-            Some(self.dev.alloc(edge_w)?)
-        } else {
-            None
-        };
-        let kernel = InterTaskKernel {
-            group: &gimg,
-            profile,
-            gaps: self.config.params.gaps,
-            boundary,
-            max_cols,
-            threads_per_block: self.config.inter_threads_per_block,
-            panel_cols,
-            edge,
-        };
-        let blocks = kernel.grid_blocks();
-        let stats = self.dev.launch(&kernel, blocks, "inter_task")?;
-        if dc.streamed_h2d {
-            self.dev.add_h2d_overlap_credit(stats.seconds);
-        }
-        let (raw, secs) = self.dev.copy_from_device(gimg.scores, gimg.width)?;
-        secs_total += secs;
-        for (k, word) in raw.into_iter().enumerate() {
-            out[k] = word as i32;
-        }
-        Ok((stats, secs_total))
-    }
-
-    /// One intra-task chunk: stage every sequence, launch one block per
-    /// pair, read scores (one attempt).
-    fn run_intra_chunk(
-        &mut self,
-        chunk: &[Sequence],
-        query: &[u8],
-        profile: &ProfileImage,
-        q_tex: TexRef,
-        out: &mut [i32],
-    ) -> Result<(LaunchStats, f64), GpuError> {
-        // Chunk-scoped stream session; see `run_inter_group`.
-        let streamed = self.config.device.streamed_h2d;
-        if streamed {
-            self.dev.begin_h2d_stream();
-        }
-        let result = self.run_intra_chunk_attempt(chunk, query, profile, q_tex, out);
-        if streamed {
-            self.dev.end_h2d_stream();
-        }
-        result
-    }
-
-    fn run_intra_chunk_attempt(
-        &mut self,
-        chunk: &[Sequence],
-        query: &[u8],
-        profile: &ProfileImage,
-        q_tex: TexRef,
-        out: &mut [i32],
-    ) -> Result<(LaunchStats, f64), GpuError> {
-        let mut secs_total = 0.0;
-        let mut pairs = Vec::with_capacity(chunk.len());
-        for seq in chunk {
-            let (img, secs) = SeqImage::upload(&mut self.dev, seq)?;
-            secs_total += secs;
-            pairs.push(IntraPair {
-                tex: img.tex,
-                len: img.len,
-                score: img.score,
-            });
-        }
-        let max_len = chunk.iter().map(|q| q.len()).max().unwrap_or(1);
-        let stats = match self.config.intra {
-            IntraKernelChoice::Original => {
-                let wavefront = self.dev.alloc(OriginalIntraKernel::wavefront_words(
-                    pairs.len(),
-                    query.len(),
-                ))?;
-                let kernel = OriginalIntraKernel {
-                    pairs: &pairs,
-                    query: q_tex,
-                    query_len: query.len(),
-                    matrix: &self.config.params.matrix,
-                    gaps: self.config.params.gaps,
-                    wavefront,
-                    threads_per_block: 256,
-                    step_latency_cycles: self.dev.spec.global_latency_cycles as u64,
-                };
-                self.dev.launch(&kernel, pairs.len() as u32, "intra_orig")?
-            }
-            IntraKernelChoice::Improved(mut variant) => {
-                if variant.boundary_in_shared {
-                    let needed =
-                        (4 * self.config.improved.threads_per_block as usize + 2 * max_len) * 4;
-                    if needed > self.dev.spec.shared_mem_per_sm as usize {
-                        variant.boundary_in_shared = false;
-                    }
-                }
-                if self.config.device.pipeline_fusion {
-                    variant.continuous_pipeline = true;
-                }
-                let boundary = self
-                    .dev
-                    .alloc(ImprovedIntraKernel::boundary_words(pairs.len(), max_len))?;
-                let local_spill = self.dev.alloc(ImprovedIntraKernel::spill_words(
-                    pairs.len(),
-                    &self.config.improved,
-                ))?;
-                // SaLoBa balance is chunk-scoped like everything else on
-                // the resilient path, so OOM re-chunking stays orthogonal.
-                let schedule = if self.config.device.balanced_intra {
-                    let lengths: Vec<usize> = pairs.iter().map(|p| p.len).collect();
-                    let bins = (self.dev.spec.sm_count as usize).min(pairs.len());
-                    Some(crate::balance::residue_balanced_bins(&lengths, bins))
-                } else {
-                    None
-                };
-                let kernel = ImprovedIntraKernel {
-                    pairs: &pairs,
-                    profile,
-                    gaps: self.config.params.gaps,
-                    boundary,
-                    boundary_stride: max_len,
-                    local_spill,
-                    params: self.config.improved,
-                    variant,
-                    step_latency_cycles: 30,
-                    schedule: schedule.as_deref(),
-                };
-                let blocks = schedule.as_ref().map_or(pairs.len(), Vec::len) as u32;
-                self.dev.launch(&kernel, blocks, "intra_improved")?
-            }
-        };
-        for (k, pair) in pairs.iter().enumerate() {
-            let (v, secs) = self.dev.copy_from_device(pair.score, 1)?;
-            secs_total += secs;
-            out[k] = v[0] as i32;
-        }
-        Ok((stats, secs_total))
+        launched.map(|(stats, scores)| (stats, scores, secs))
     }
 }
 
@@ -1249,6 +1016,27 @@ mod tests {
             RecoveryEvent::Rechunk { .. }
         ));
         assert!(!rr.recovery.degraded);
+    }
+
+    #[test]
+    fn oom_while_staging_the_query_degrades_to_the_cpu() {
+        let db = db();
+        let query = make_query(57, 33);
+        for alloc in [0, 1] {
+            // Allocs 0 and 1 are the query profile and the packed query:
+            // no window exists to halve yet, so the OOM must take the
+            // device-failed path to the CPU fallback, never abort.
+            let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c1060(), config());
+            driver.dev.inject_faults(FaultPlan::none().with_oom(alloc));
+            let rr = driver
+                .search_resilient(&query, &db, &RecoveryPolicy::default())
+                .unwrap();
+            assert_eq!(rr.result.scores, fault_free_scores(&query, &db));
+            assert_eq!(rr.recovery.rechunks, 0);
+            assert!(rr.recovery.degraded);
+            assert_eq!(rr.recovery.cpu_fallback_seqs, db.len() as u64);
+            assert_eq!(rr.result.inter.launches + rr.result.intra.launches, 0);
+        }
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! [`StagedDatabase`] handle; [`CudaSwDriver::search_staged`] then runs a
 //! whole search against the resident images, staging only the per-query
 //! artefacts (packed profile + packed query residues, two H2D transfers).
-//! Scores are identical to [`CudaSwDriver::search`] — the kernels see the
-//! same groups, the same profile, the same launch shapes; only the
-//! transfer accounting moves (database bytes live in
-//! [`StagedDatabase::staging_seconds`], not in every result).
+//! Scores are identical to [`CudaSwDriver::search`] — both go through the
+//! same launch path (`launch.rs`), so the kernels see the same groups, the
+//! same profile, the same launch shapes; only the transfer accounting
+//! moves (database bytes live in [`StagedDatabase::staging_seconds`], not
+//! in every result). This module owns what is specific to residency: the
+//! one-time uploads, the staged/query allocator marks, and a
+//! `streamed_h2d` session that lives as long as the staged database.
 //!
 //! The handle borrows nothing but is only valid while its allocations
 //! live: any call that resets the allocator ([`gpu_sim::GpuDevice::free_all`],
@@ -24,12 +27,9 @@
 //! longer matches the device state ([`GpuError::BadAccess`] would follow
 //! otherwise). The single-query path is unchanged.
 
-use crate::balance::residue_balanced_bins;
-use crate::driver::{CudaSwDriver, IntraKernelChoice, SearchResult};
-use crate::inter_task::{InterTaskKernel, TILE_COLS};
-use crate::intra_improved::ImprovedIntraKernel;
-use crate::intra_orig::{IntraPair, OriginalIntraKernel};
-use crate::seqstore::{pack_residues, GroupImage, ProfileImage, SeqImage};
+use crate::driver::{note_phase_launch, phase_run_stats, CudaSwDriver, SearchResult};
+use crate::intra_orig::IntraPair;
+use crate::seqstore::GroupImage;
 use gpu_sim::GpuError;
 use sw_align::PackedProfile;
 use sw_db::Database;
@@ -39,8 +39,6 @@ use sw_db::Database;
 struct StagedGroup {
     /// The uploaded interleaved image (residues, lengths, score buffer).
     img: GroupImage,
-    /// Longest sequence in the group (kernel parameter).
-    max_cols: usize,
     /// Index of the group's first sequence within the short partition.
     offset: usize,
 }
@@ -50,8 +48,6 @@ struct StagedGroup {
 pub struct StagedDatabase {
     groups: Vec<StagedGroup>,
     long: Vec<IntraPair>,
-    /// Longest intra-task sequence (kernel parameter).
-    max_long_len: usize,
     n_short: usize,
     threshold: usize,
     /// Allocator mark right after staging: per-query scratch is released
@@ -118,32 +114,16 @@ impl CudaSwDriver {
         for group in partition.groups(s) {
             let (img, secs) = GroupImage::upload(&mut self.dev, group)?;
             staging_seconds += secs;
-            groups.push(StagedGroup {
-                img,
-                max_cols: group.iter().map(|g| g.len()).max().unwrap_or(0),
-                offset,
-            });
+            groups.push(StagedGroup { img, offset });
             offset += group.len();
         }
-        let mut long = Vec::with_capacity(partition.long.len());
-        let mut max_long_len = 1usize;
-        for seq in partition.long {
-            let (img, secs) = SeqImage::upload(&mut self.dev, seq)?;
-            staging_seconds += secs;
-            max_long_len = max_long_len.max(img.len);
-            long.push(IntraPair {
-                tex: img.tex,
-                len: img.len,
-                score: img.score,
-            });
-        }
+        let long = IntraPair::stage(&mut self.dev, partition.long, &mut staging_seconds)?;
         obs::counter_add("cudasw.core.staged.databases", &[], 1.0);
         obs::counter_add("cudasw.core.staged.sequences", &[], db.len() as f64);
         sp.end_with(&[("sequences", &db.len().to_string())]);
         Ok(StagedDatabase {
             groups,
             long,
-            max_long_len,
             n_short: partition.short.len(),
             threshold: self.config.threshold,
             mark: self.dev.mark(),
@@ -202,73 +182,20 @@ impl CudaSwDriver {
         // Release the previous query's scratch, keep the database.
         self.dev.free_to(staged.mark);
         let mut scores = vec![0i32; staged.len()];
-        let mut transfer_seconds = 0.0;
 
         let sp_stage = obs::span("stage_query", "phase");
-        let (profile, secs) = ProfileImage::upload(&mut self.dev, packed)?;
-        transfer_seconds += secs;
-        let q_words = pack_residues(query);
-        let q_ptr = self.dev.alloc(q_words.len().max(1))?;
-        transfer_seconds += self.dev.copy_to_device(q_ptr, &q_words)?;
-        let q_tex = self.dev.bind_texture(q_ptr, q_words.len().max(1));
+        let (staged_query, mut transfer_seconds) = self.stage_query(query, packed)?;
         sp_stage.end_with(&[]);
         let query_mark = self.dev.mark();
 
         // Inter-task: one launch per resident group, per-launch scratch
         // (the boundary buffer) released between launches.
         let sp_inter = obs::span("inter_task", "phase");
-        let dc = self.config.device;
-        let panel = if dc.boundary_staging || dc.shared_only {
-            InterTaskKernel::panel_cols(
-                self.config.inter_threads_per_block,
-                self.dev.spec.shared_mem_per_sm,
-            )
-        } else {
-            0
-        };
         for group in &staged.groups {
-            let use_panel = panel >= TILE_COLS
-                && (dc.boundary_staging || (dc.shared_only && group.max_cols <= panel));
-            let panel_cols = if use_panel { panel } else { 0 };
-            let boundary = self.dev.alloc(if panel_cols > 0 {
-                1
-            } else {
-                InterTaskKernel::boundary_words(group.img.width, group.max_cols).max(1)
-            })?;
-            let edge_w = InterTaskKernel::edge_words(
-                group.img.width,
-                query.len(),
-                panel_cols,
-                group.max_cols,
-            );
-            let edge = if edge_w > 0 {
-                Some(self.dev.alloc(edge_w)?)
-            } else {
-                None
-            };
-            let kernel = InterTaskKernel {
-                group: &group.img,
-                profile: &profile,
-                gaps: self.config.params.gaps,
-                boundary,
-                max_cols: group.max_cols,
-                threads_per_block: self.config.inter_threads_per_block,
-                panel_cols,
-                edge,
-            };
-            let blocks = kernel.grid_blocks();
-            let stats = self.dev.launch(&kernel, blocks, "inter_task")?;
-            if dc.streamed_h2d {
-                self.dev.add_h2d_overlap_credit(stats.seconds);
-            }
-            crate::driver::note_phase_launch("inter", &stats);
-            let (raw, secs) = self
-                .dev
-                .copy_from_device(group.img.scores, group.img.width)?;
-            transfer_seconds += secs;
-            for (k, word) in raw.into_iter().enumerate() {
-                scores[group.offset + k] = word as i32;
-            }
+            let (stats, group_scores) =
+                self.launch_inter_group(&group.img, &staged_query.profile, &mut transfer_seconds)?;
+            note_phase_launch("inter", &stats);
+            scores[group.offset..group.offset + group_scores.len()].copy_from_slice(&group_scores);
             self.dev.free_to(query_mark);
         }
         sp_inter.end_with(&[]);
@@ -276,84 +203,21 @@ impl CudaSwDriver {
         // Intra-task: one launch over all resident long sequences.
         if !staged.long.is_empty() {
             let sp_intra = obs::span("intra_task", "phase");
-            let pairs = &staged.long;
-            let max_len = staged.max_long_len;
-            let stats = match self.config.intra {
-                IntraKernelChoice::Original => {
-                    let wavefront = self.dev.alloc(OriginalIntraKernel::wavefront_words(
-                        pairs.len(),
-                        query.len(),
-                    ))?;
-                    let kernel = OriginalIntraKernel {
-                        pairs,
-                        query: q_tex,
-                        query_len: query.len(),
-                        matrix: &self.config.params.matrix,
-                        gaps: self.config.params.gaps,
-                        wavefront,
-                        threads_per_block: 256,
-                        step_latency_cycles: self.dev.spec.global_latency_cycles as u64,
-                    };
-                    self.dev.launch(&kernel, pairs.len() as u32, "intra_orig")?
-                }
-                IntraKernelChoice::Improved(mut variant) => {
-                    // Same transparent shared-memory fallback as `search`.
-                    if variant.boundary_in_shared {
-                        let needed =
-                            (4 * self.config.improved.threads_per_block as usize + 2 * max_len) * 4;
-                        if needed > self.dev.spec.shared_mem_per_sm as usize {
-                            variant.boundary_in_shared = false;
-                        }
-                    }
-                    if dc.pipeline_fusion {
-                        variant.continuous_pipeline = true;
-                    }
-                    let boundary = self
-                        .dev
-                        .alloc(ImprovedIntraKernel::boundary_words(pairs.len(), max_len))?;
-                    let local_spill = self.dev.alloc(ImprovedIntraKernel::spill_words(
-                        pairs.len(),
-                        &self.config.improved,
-                    ))?;
-                    let schedule = if dc.balanced_intra {
-                        let lengths: Vec<usize> = pairs.iter().map(|p| p.len).collect();
-                        let bins = (self.dev.spec.sm_count as usize).min(pairs.len());
-                        Some(residue_balanced_bins(&lengths, bins))
-                    } else {
-                        None
-                    };
-                    let kernel = ImprovedIntraKernel {
-                        pairs,
-                        profile: &profile,
-                        gaps: self.config.params.gaps,
-                        boundary,
-                        boundary_stride: max_len,
-                        local_spill,
-                        params: self.config.improved,
-                        variant,
-                        step_latency_cycles: 30,
-                        schedule: schedule.as_deref(),
-                    };
-                    let blocks = schedule.as_ref().map_or(pairs.len(), Vec::len) as u32;
-                    self.dev.launch(&kernel, blocks, "intra_improved")?
-                }
-            };
-            if dc.streamed_h2d {
-                self.dev.add_h2d_overlap_credit(stats.seconds);
-            }
-            crate::driver::note_phase_launch("intra", &stats);
-            for (k, pair) in pairs.iter().enumerate() {
-                let (v, secs) = self.dev.copy_from_device(pair.score, 1)?;
-                transfer_seconds += secs;
-                scores[staged.n_short + k] = v[0] as i32;
-            }
+            let (stats, long_scores) = self.launch_intra(
+                &staged.long,
+                &staged_query,
+                "intra_improved",
+                &mut transfer_seconds,
+            )?;
+            note_phase_launch("intra", &stats);
+            scores[staged.n_short..].copy_from_slice(&long_scores);
             sp_intra.end_with(&[]);
         }
 
         self.dev.free_to(staged.mark);
         let delta = obs::snapshot_metrics().diff(&metrics_before);
-        let inter = crate::driver::phase_run_stats(&delta, "inter");
-        let intra = crate::driver::phase_run_stats(&delta, "intra");
+        let inter = phase_run_stats(&delta, "inter");
+        let intra = phase_run_stats(&delta, "intra");
         sp_search.end_with(&[("query_len", &query.len().to_string())]);
         Ok(SearchResult {
             scores,
@@ -370,7 +234,7 @@ impl CudaSwDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::CudaSwConfig;
+    use crate::driver::{CudaSwConfig, IntraKernelChoice};
     use crate::intra_improved::{ImprovedParams, VariantConfig};
     use gpu_sim::DeviceSpec;
     use sw_align::smith_waterman::sw_score;

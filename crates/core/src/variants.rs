@@ -6,11 +6,13 @@
 //! benches and the `repro` binary can run any variant over a workload
 //! with one call.
 
-use crate::intra_improved::{ImprovedIntraKernel, ImprovedParams, VariantConfig};
+use crate::driver::{CudaSwConfig, CudaSwDriver, IntraKernelChoice};
+use crate::intra_improved::{ImprovedParams, VariantConfig};
 use crate::intra_orig::IntraPair;
-use crate::seqstore::{ProfileImage, SeqImage};
-use gpu_sim::{DeviceSpec, GpuDevice, GpuError, LaunchStats};
-use sw_align::{PackedProfile, SwParams};
+use crate::launch::StagedQuery;
+use crate::seqstore::ProfileImage;
+use gpu_sim::{DeviceSpec, GpuError, LaunchStats, TexRef};
+use sw_align::PackedProfile;
 use sw_db::Sequence;
 
 /// One named kernel variant.
@@ -94,58 +96,36 @@ pub fn extension_stages() -> Vec<AblationStage> {
 }
 
 /// Stage `sequences` and `query` on a fresh device described by `spec` and
-/// run the improved kernel in `variant` mode. Returns the scores and the
-/// launch statistics.
+/// run the improved kernel in `variant` mode through the driver's launch
+/// path (so the shared-memory boundary falls back transparently when a
+/// sequence does not fit, same policy as every search). Returns the scores
+/// and the launch statistics.
 pub fn run_intra_variant(
     spec: &DeviceSpec,
     sequences: &[Sequence],
     query: &[u8],
     params: ImprovedParams,
-    mut variant: VariantConfig,
+    variant: VariantConfig,
 ) -> Result<(Vec<i32>, LaunchStats), GpuError> {
-    let sw = SwParams::cudasw_default();
-    // The shared-memory boundary only fits short sequences; fall back
-    // transparently when it does not (same policy as the driver).
-    if variant.boundary_in_shared {
-        let max_len = sequences.iter().map(|s| s.len()).max().unwrap_or(0);
-        let needed = (4 * params.threads_per_block as usize + 2 * max_len) * 4;
-        if needed > spec.shared_mem_per_sm as usize {
-            variant.boundary_in_shared = false;
-        }
-    }
-    let mut dev = GpuDevice::new(spec.clone());
-    let packed = PackedProfile::build(&sw.matrix, query);
-    let (profile, _) = ProfileImage::upload(&mut dev, &packed)?;
-    let mut pairs = Vec::with_capacity(sequences.len());
-    for s in sequences {
-        let (img, _) = SeqImage::upload(&mut dev, s)?;
-        pairs.push(IntraPair {
-            tex: img.tex,
-            len: img.len,
-            score: img.score,
-        });
-    }
-    let max_len = sequences.iter().map(|s| s.len()).max().unwrap_or(1);
-    let boundary = dev.alloc(ImprovedIntraKernel::boundary_words(pairs.len(), max_len))?;
-    let local_spill = dev.alloc(ImprovedIntraKernel::spill_words(pairs.len(), &params))?;
-    let kernel = ImprovedIntraKernel {
-        pairs: &pairs,
-        profile: &profile,
-        gaps: sw.gaps,
-        boundary,
-        boundary_stride: max_len,
-        local_spill,
-        params,
-        variant,
-        step_latency_cycles: 30,
-        schedule: None,
+    let mut driver = CudaSwDriver::new(
+        spec.clone(),
+        CudaSwConfig {
+            improved: params,
+            intra: IntraKernelChoice::Improved(variant),
+            ..CudaSwConfig::improved()
+        },
+    );
+    let packed = PackedProfile::build(&driver.config.params.matrix, query);
+    let (profile, _) = ProfileImage::upload(&mut driver.dev, &packed)?;
+    // The improved kernel never reads the packed residues: bind none.
+    let staged = StagedQuery {
+        q_tex: TexRef::new(profile.tex.base(), 0),
+        profile,
     };
-    let stats = dev.launch(&kernel, pairs.len() as u32, "intra_variant")?;
-    let mut scores = Vec::with_capacity(pairs.len());
-    for p in &pairs {
-        let (v, _) = dev.copy_from_device(p.score, 1)?;
-        scores.push(v[0] as i32);
-    }
+    let mut transfer_seconds = 0.0;
+    let pairs = IntraPair::stage(&mut driver.dev, sequences, &mut transfer_seconds)?;
+    let (stats, scores) =
+        driver.launch_intra(&pairs, &staged, "intra_variant", &mut transfer_seconds)?;
     Ok((scores, stats))
 }
 
@@ -154,6 +134,7 @@ mod tests {
     use super::*;
     use gpu_sim::DeviceSpec;
     use sw_align::smith_waterman::sw_score;
+    use sw_align::SwParams;
     use sw_db::synth::{database_with_lengths, make_query};
 
     #[test]

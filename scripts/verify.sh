@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo build --release --offline --workspace --examples
+# The repo benchmark is a standalone crate (own workspace, path
+# dependencies on ../crates/*): build it here so a library API change
+# that breaks it fails this gate, not the benchmark pipeline's run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --workspace
 
 # The paper-claims regression suite and the crash matrix, named
