@@ -66,8 +66,6 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::thread::Thread;
 use std::time::{Duration, Instant};
 use sw_db::Sequence;
 
@@ -399,52 +397,6 @@ pub fn search_protected_with_chunks(
     let claims: Vec<Mutex<Option<Claim>>> = (0..threads).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        if cfg.stall_after_ms > 0 {
-            let shared = &shared;
-            let queues = &queues;
-            let hearts = &hearts;
-            let claims = &claims;
-            let stall_after = Duration::from_millis(cfg.stall_after_ms);
-            let poll = Duration::from_millis(cfg.watchdog_poll_ms.max(1));
-            let watchdog = scope.spawn(move || {
-                let mut last: Vec<(u64, Instant)> = hearts
-                    .iter()
-                    .map(|h| (h.load(Ordering::Relaxed), Instant::now()))
-                    .collect();
-                loop {
-                    if shared.cancel_observed() || shared.remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    // One poll tick, cut short by `wake_watchdog` the
-                    // moment the search completes or is cancelled.
-                    std::thread::park_timeout(poll);
-                    for w in 0..threads {
-                        let beat = hearts[w].load(Ordering::Relaxed);
-                        if beat != last[w].0 {
-                            last[w] = (beat, Instant::now());
-                            continue;
-                        }
-                        if last[w].1.elapsed() < stall_after {
-                            continue;
-                        }
-                        // Silent worker holding a claim: hand its chunk to
-                        // a survivor (any queue works — stealing finds it).
-                        let mut claim = claims[w].lock();
-                        if let Some(c) = claim.as_mut() {
-                            if !c.redispatched {
-                                c.redispatched = true;
-                                queues[(w + 1) % threads].lock().push_back(c.range.clone());
-                                shared.redispatches.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-            });
-            // Published before any worker exists, so whichever worker ends
-            // the search always finds the handle to unpark.
-            let _ = shared.watchdog.set(watchdog.thread().clone());
-        }
-
         for w in 0..threads {
             let shared = &shared;
             let queues = &queues;
@@ -491,6 +443,47 @@ pub fn search_protected_with_chunks(
                 }
             });
         }
+
+        if cfg.stall_after_ms > 0 {
+            let shared = &shared;
+            let queues = &queues;
+            let hearts = &hearts;
+            let claims = &claims;
+            let stall_after = Duration::from_millis(cfg.stall_after_ms);
+            let poll = Duration::from_millis(cfg.watchdog_poll_ms.max(1));
+            scope.spawn(move || {
+                let mut last: Vec<(u64, Instant)> = hearts
+                    .iter()
+                    .map(|h| (h.load(Ordering::Relaxed), Instant::now()))
+                    .collect();
+                loop {
+                    if shared.cancel_observed() || shared.remaining.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
+                    std::thread::sleep(poll);
+                    for w in 0..threads {
+                        let beat = hearts[w].load(Ordering::Relaxed);
+                        if beat != last[w].0 {
+                            last[w] = (beat, Instant::now());
+                            continue;
+                        }
+                        if last[w].1.elapsed() < stall_after {
+                            continue;
+                        }
+                        // Silent worker holding a claim: hand its chunk to
+                        // a survivor (any queue works — stealing finds it).
+                        let mut claim = claims[w].lock();
+                        if let Some(c) = claim.as_mut() {
+                            if !c.redispatched {
+                                c.redispatched = true;
+                                queues[(w + 1) % threads].lock().push_back(c.range.clone());
+                                shared.redispatches.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                }
+            });
+        }
     });
 
     shared.finish(start, steals.into_inner())
@@ -531,9 +524,6 @@ struct RunShared<'a> {
     committed: Vec<AtomicBool>,
     slots: Vec<AtomicI32>,
     remaining: AtomicUsize,
-    /// The watchdog thread, parked between polls (multi-threaded runs
-    /// with stall detection only).
-    watchdog: OnceLock<Thread>,
     stats: Mutex<AdaptiveStats>,
     panics: AtomicU64,
     quarantined_chunks: AtomicU64,
@@ -560,7 +550,6 @@ impl<'a> RunShared<'a> {
             committed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             slots: (0..n).map(|_| AtomicI32::new(0)).collect(),
             remaining: AtomicUsize::new(n),
-            watchdog: OnceLock::new(),
             stats: Mutex::new(AdaptiveStats::default()),
             panics: AtomicU64::new(0),
             quarantined_chunks: AtomicU64::new(0),
@@ -577,25 +566,11 @@ impl<'a> RunShared<'a> {
         self.cancelled.load(Ordering::Acquire)
     }
 
-    /// Cut the watchdog's poll tick short: the search just ended (last
-    /// commit or cancellation), so nothing is left to watch and the scope
-    /// must not wait out the tick to join it.
-    fn wake_watchdog(&self) {
-        if let Some(watchdog) = self.watchdog.get() {
-            watchdog.unpark();
-        }
-    }
-
-    fn mark_cancelled(&self) {
-        self.cancelled.store(true, Ordering::Release);
-        self.wake_watchdog();
-    }
-
     /// Chunk-boundary cancellation poll.
     fn poll_cancel(&self) -> bool {
         if let Some(token) = self.cancel {
             if token.poll() {
-                self.mark_cancelled();
+                self.cancelled.store(true, Ordering::Release);
                 return true;
             }
         }
@@ -610,9 +585,7 @@ impl<'a> RunShared<'a> {
             .is_ok()
         {
             self.slots[i].store(score, Ordering::Release);
-            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.wake_watchdog();
-            }
+            self.remaining.fetch_sub(1, Ordering::AcqRel);
             true
         } else {
             self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
@@ -715,7 +688,7 @@ impl<'a> RunShared<'a> {
         match outcome {
             Ok(ChunkRun::Done) => true,
             Ok(ChunkRun::Cancelled) => {
-                self.mark_cancelled();
+                self.cancelled.store(true, Ordering::Release);
                 false
             }
             Err(_) => {

@@ -175,38 +175,3 @@ fn budget_starvation_under_chaos_stays_correct() {
         assert!(r.faults.forced_admissions > 0, "progress is guaranteed");
     }
 }
-
-/// The watchdog must not hold a finished search hostage for the rest of
-/// its poll tick: with a 10 s tick (and a 1 s stall threshold nothing here
-/// reaches), a 2-thread search of a small database returns as soon as its
-/// last sequence commits. One chunk is held for 100 ms by an injected
-/// stall so the watchdog is certainly inside its tick when that happens;
-/// a watchdog that sleeps the tick out unconditionally makes this take
-/// the full 10 s.
-#[test]
-fn finished_search_does_not_wait_out_the_watchdog_tick() {
-    let lens: Vec<usize> = (0..200).map(|i| 20 + (i * 7) % 60).collect();
-    let db = database_with_lengths("t", &lens, 29);
-    let query = make_query(48, 6);
-    let engine = QueryEngine::new(params(), &query);
-    let clean = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
-    let plan = HostFaultPlan::random(1, HostFaultRates::none())
-        .with_fault_at((100, 10), HostFaultKind::Stall)
-        .with_stall_ms(100);
-    let cfg = PoolConfig::new(2, Precision::Adaptive)
-        .with_fault_plan(plan)
-        .with_watchdog(1000, 10_000);
-    let start = std::time::Instant::now();
-    let r = run(&engine, db.sequences(), &cfg, &fixed_chunks(db.len(), 10));
-    let elapsed = start.elapsed();
-    assert_eq!(r.scores, clean.scores);
-    assert_eq!(r.faults.injected_stalls, 1, "the stall must fire");
-    assert_eq!(
-        r.faults.redispatches, 0,
-        "100 ms is under the stall threshold"
-    );
-    assert!(
-        elapsed < std::time::Duration::from_secs(1),
-        "search returned after {elapsed:?}: it waited on the watchdog tick"
-    );
-}
