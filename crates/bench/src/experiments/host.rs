@@ -14,8 +14,9 @@
 //! vectors in word-only mode on one thread — so the numbers directly
 //! answer "what did the native byte-mode backend buy over the old code".
 //! Every backend is additionally measured in both Lazy-F kernel modes
-//! (correction loop vs prefix scan), with the `cudasw.simd.lazy_f.*`
-//! counts carried per row for the measured before/after.
+//! (the default per-column choice between correction loop and prefix scan
+//! vs the scan forced on every column), with the `cudasw.simd.lazy_f.*`
+//! counts carried per row.
 //!
 //! Scores are asserted identical across every measured cell before any
 //! number is reported; a perf figure from diverging kernels is worthless.
@@ -51,7 +52,8 @@ pub struct HostBenchOpts {
 pub struct HostRow {
     /// Backend name (`avx2` / `sse2` / `neon` / `portable`).
     pub backend: String,
-    /// `adaptive` (byte first, word rerun) or `word` (exact 16-bit only).
+    /// `adaptive` (byte first, word from the overflow column) or `word`
+    /// (exact 16-bit only).
     pub precision: String,
     /// Lazy-F kernel mode (`correction-loop` or `prefix-scan`).
     pub kernel_mode: String,
@@ -63,7 +65,7 @@ pub struct HostRow {
     pub gcups: f64,
     /// Alignments resolved in byte mode (adaptive rows).
     pub byte_mode: u64,
-    /// Alignments re-run in word mode after overflow.
+    /// Alignments handed to word mode after byte overflow.
     pub word_fallbacks: u64,
     /// Lazy-F vector operations (byte + word passes) in the best pass.
     pub lazy_f: u64,

@@ -3,36 +3,51 @@
 //! [`ByteSimd`] and [`WordSimd`] describe the handful of SSE2-style vector
 //! operations the striped Smith-Waterman recurrence needs (saturating
 //! add/sub, max, lane shift, any-greater, horizontal max). [`sw_bytes`] and
-//! [`sw_words`] implement Farrar's kernel — including the Lazy-F correction
-//! loop — exactly once, generically over those traits; every backend (AVX2,
-//! SSE2, NEON, and the portable emulated vectors) instantiates the same
-//! kernel with its own vector type.
+//! [`sw_words`] implement Farrar's kernel exactly once per precision,
+//! generically over those traits; every backend (AVX2, SSE2, NEON, and the
+//! portable emulated vectors) instantiates the same kernel with its own
+//! vector type.
 //!
-//! [`sw_bytes_scan`] and [`sw_words_scan`] are the same kernels with the
-//! Lazy-F loop *deconstructed* à la Snytsar (arXiv:1909.00899): in the
-//! striped layout lane `k` covers the contiguous query chunk
-//! `[k·seg_len, (k+1)·seg_len)`, so the F value leaving lane `k`'s chunk
-//! feeds lane `k+1`'s — a linear recurrence in the (max, +) semiring with
-//! decay `seg_len × gap_extend` per lane step. A Kogge-Stone max-scan over
-//! the main loop's exit-F vector resolves every lane's exact incoming F in
-//! `log2(LANES)` steps; one repair pass over the segments then replaces
-//! the up-to-`LANES` passes of the correction loop.
+//! **One bounded Lazy-F repair.** In the striped layout lane `k` covers the
+//! contiguous query chunk `[k·seg_len, (k+1)·seg_len)`, so the F value
+//! leaving lane `k`'s chunk feeds lane `k+1`'s — a linear recurrence in the
+//! (max, +) semiring with decay `seg_len × gap_extend` per lane step. After
+//! each column's main loop the kernels look at the exit-F vector once:
+//!
+//! * no lane's F exceeds one chunk's decay: every carried F dies inside the
+//!   next chunk, so Farrar's correction loop with the SWAT-style early exit
+//!   ends within `seg_len + open/extend + 1` steps;
+//! * some lane's F is larger (a strong alignment column), or
+//!   `open == extend` (where the early exit is unsound): a Kogge-Stone
+//!   max-scan à la Snytsar (arXiv:1909.00899) resolves every lane's exact
+//!   incoming F in `log2(LANES)` steps and one repair pass applies it.
+//!
+//! Both routes reach the same fixpoint, so the choice is invisible in the
+//! scores; `force_scan` ([`crate::KernelMode::PrefixScan`]) takes the scan
+//! on every column.
+//!
+//! **Byte→word hand-off.** The byte kernel stops as soon as the running
+//! maximum *could* saturate during the next column's biased add — one
+//! column before anything does — so its H, E and maximum are still exact.
+//! It returns them de-striped as a [`Handoff`]; the word kernel re-stripes
+//! that to its own lane count and continues at the next column instead of
+//! column 0 (see [`Handoff`] for why floored E and padding rows are
+//! harmless).
 //!
 //! **Bit-identical scores by construction.** The lane count only changes the
 //! striped *layout* (`seg_len = ceil(m / LANES)`), never the arithmetic any
 //! H/E/F cell sees: the post-Lazy-F recurrence is exact, byte-mode overflow
 //! detection triggers on the running maximum (which is layout-independent),
 //! and word mode saturates at `i16::MAX` identically everywhere. The same
-//! argument makes the two kernel modes agree: saturating subtraction chains
+//! argument makes the two repair routes agree: saturating subtraction chains
 //! compose (`x ⊖ a ⊖ b = x ⊖ (a + b)`), so the scanned incoming-F values
 //! equal the correction loop's fixpoint exactly. The differential proptests
-//! in `tests/backend_differential.rs` and
-//! `tests/prefix_scan_differential.rs` pin both invariants.
+//! in `tests/backend_differential.rs`, `tests/prefix_scan_differential.rs`
+//! and `tests/handoff_differential.rs` pin these invariants.
 //!
-//! All kernels count Lazy-F repair iterations so the adaptive driver can
-//! report byte-mode and word-mode correction work separately per backend —
-//! the scan kernels additionally count their scan steps in the same
-//! counter, keeping the "repair work" comparison honest across modes.
+//! The kernels count the vector operations spent repairing F — scan steps
+//! and repair-loop steps alike — so the adaptive driver can report
+//! byte-mode and word-mode correction work separately per backend.
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_COLS};
 use sw_align::smith_waterman::SwParams;
@@ -87,6 +102,9 @@ pub trait ByteSimd: Copy + Send + Sync + 'static {
     /// Load `Self::LANES` lanes from `lanes` (lane 0 first).
     fn load(lanes: &[u8]) -> Self;
 
+    /// Store `Self::LANES` lanes into `out` (lane 0 first).
+    fn store(self, out: &mut [u8]);
+
     /// Lane-wise unsigned saturating addition (`paddusb`).
     fn sat_add(self, rhs: Self) -> Self;
 
@@ -104,7 +122,7 @@ pub trait ByteSimd: Copy + Send + Sync + 'static {
     fn shift(self) -> Self;
 
     /// Shift lanes towards higher indices by `n`, zero-filling the bottom
-    /// `n` lanes. Used by the prefix-scan kernels with power-of-two `n`;
+    /// `n` lanes. Used by the Lazy-F scan with power-of-two `n`;
     /// backends override the default (repeated [`shift`](Self::shift))
     /// with constant-shift instructions.
     #[inline(always)]
@@ -135,6 +153,9 @@ pub trait WordSimd: Copy + Send + Sync + 'static {
 
     /// Load `Self::LANES` lanes from `lanes` (lane 0 first).
     fn load(lanes: &[i16]) -> Self;
+
+    /// Store `Self::LANES` lanes into `out` (lane 0 first).
+    fn store(self, out: &mut [i16]);
 
     /// Lane-wise signed saturating addition (`paddsw`).
     fn sat_add(self, rhs: Self) -> Self;
@@ -309,13 +330,86 @@ impl<V: WordSimd> WordProfileOf<V> {
     }
 }
 
+/// Exact byte-mode state at the column where byte mode gave up, in query
+/// order so a kernel of any lane count can resume from it.
+///
+/// The byte kernel's overflow check fires while `H + score + bias` still
+/// fits eight bits for every cell of the column just finished, so nothing
+/// has saturated and H, E and the maximum are the true values. Two things
+/// differ from a word-mode run and neither can change a score: byte E is
+/// floored at zero, but an E at or below zero is inert under
+/// `H = max(…, 0)` and only decays further; and the padding rows beyond the
+/// query end (whose count depends on the lane count) hold whatever the
+/// other layout left there, but they come last in query order, so they never
+/// feed a real row and never exceed the running maximum. The default value
+/// is the zero state every alignment starts from.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Handoff {
+    /// Database columns already processed.
+    pub cols: usize,
+    /// H of the last processed column by query position; positions past
+    /// the end read as zero.
+    pub h: Vec<i16>,
+    /// E entering the next column by query position, floored at zero.
+    pub e: Vec<i16>,
+    /// Running maximum over the processed columns.
+    pub max: i16,
+}
+
+impl Handoff {
+    /// De-stripe the byte kernel's state after `cols` columns
+    /// (`pos = j + k·seg_len`). Kept out of line, and handed the reduced
+    /// maximum: a vector register live across these allocations would be
+    /// spilled for the whole column loop.
+    #[cold]
+    #[inline(never)]
+    fn at<V: ByteSimd>(cols: usize, h: &[V], e: &[V], max: u8) -> Self {
+        let seg_len = h.len();
+        let mut lanes = vec![0u8; V::LANES];
+        let mut destripe = |segments: &[V]| {
+            let mut out = vec![0i16; seg_len * V::LANES];
+            for (j, v) in segments.iter().enumerate() {
+                v.store(&mut lanes);
+                for (k, &x) in lanes.iter().enumerate() {
+                    out[j + k * seg_len] = x as i16;
+                }
+            }
+            out
+        };
+        Self {
+            cols,
+            h: destripe(h),
+            e: destripe(e),
+            max: max as i16,
+        }
+    }
+}
+
+/// Stripe query-order values into `seg_len` segment vectors; positions past
+/// the end of `values` are zero.
+fn restripe<V: WordSimd>(values: &[i16], seg_len: usize) -> Vec<V> {
+    let mut lanes = vec![0i16; V::LANES];
+    (0..seg_len)
+        .map(|j| {
+            for (k, slot) in lanes.iter_mut().enumerate() {
+                *slot = values.get(j + k * seg_len).copied().unwrap_or(0);
+            }
+            V::load(&lanes)
+        })
+        .collect()
+}
+
+/// Lane distances of the Kogge-Stone rounds; covers vectors of up to 32
+/// lanes (asserted at compile time in the kernels).
+const SCAN_STEPS: [usize; 5] = [1, 2, 4, 8, 16];
+
 /// Outcome of one byte-mode alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ByteKernelResult {
-    /// The exact score, or `None` when it saturated the 8-bit range and
-    /// the pair must be re-run in word mode.
-    pub score: Option<i32>,
-    /// Lazy-F repair iterations executed.
+    /// The exact score, or — once the running maximum could saturate the
+    /// 8-bit range — the state the word kernel resumes from.
+    pub score: Result<i32, Handoff>,
+    /// Lazy-F repair operations executed.
     pub lazy_f: u64,
 }
 
@@ -324,59 +418,77 @@ pub struct ByteKernelResult {
 pub struct WordKernelResult {
     /// Optimal local score (saturates at `i16::MAX`).
     pub score: i32,
-    /// Lazy-F repair iterations executed.
+    /// Lazy-F repair operations executed.
     pub lazy_f: u64,
 }
 
-/// Byte-mode striped Smith-Waterman against one database sequence.
-///
-/// Scores are kept non-negative by the profile bias; `score` is `None` as
-/// soon as the running maximum could saturate during the next column's
-/// biased add (the result would be a lower bound only).
-/// `#[inline(always)]` so backend-specific `#[target_feature]` wrappers can
-/// inline the whole kernel (and, transitively, the intrinsics) into a
-/// feature-enabled context — without that, every intrinsic call would stay
-/// an out-of-line function call and the vector win would evaporate.
-#[inline(always)]
+/// Byte-mode striped Smith-Waterman against one database sequence, with
+/// the correction loop and no cancellation.
 pub fn sw_bytes<V: ByteSimd>(
     gaps: &GapPenalties,
     profile: &ByteProfileOf<V>,
     db: &[u8],
 ) -> ByteKernelResult {
-    match sw_bytes_checked(gaps, profile, db, &NeverCancel) {
+    match sw_bytes_checked(gaps, profile, db, false, &NeverCancel) {
         Some(r) => r,
         // Unreachable: NeverCancel never cancels.
         None => ByteKernelResult {
-            score: Some(0),
+            score: Ok(0),
             lazy_f: 0,
         },
     }
 }
 
-/// [`sw_bytes`] with a cancellation probe polled every
+/// Byte-mode striped Smith-Waterman with a cancellation probe polled every
 /// [`CANCEL_CHECK_COLS`] columns; `None` means the alignment was abandoned
 /// mid-flight and produced no score.
+///
+/// Scores are kept non-negative by the profile bias; the result is a
+/// [`Handoff`] as soon as the running maximum could saturate during the
+/// next column's biased add. `force_scan` takes the scan route of the
+/// Lazy-F repair on every column (see the module docs).
+///
+/// `#[inline(always)]` so backend-specific `#[target_feature]` wrappers can
+/// inline the whole kernel (and, transitively, the intrinsics) into a
+/// feature-enabled context — without that, every intrinsic call would stay
+/// an out-of-line function call and the vector win would evaporate.
 #[inline(always)]
 pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
     gaps: &GapPenalties,
     profile: &ByteProfileOf<V>,
     db: &[u8],
+    force_scan: bool,
     check: &C,
 ) -> Option<ByteKernelResult> {
+    const { assert!(V::LANES <= 2 * SCAN_STEPS[4]) };
+    if profile.overflow_at() == 0 {
+        // Even the first column's biased add could saturate.
+        return Some(ByteKernelResult {
+            score: Err(Handoff::default()),
+            lazy_f: 0,
+        });
+    }
     let seg_len = profile.seg_len();
     let v_open = V::splat(gaps.open.clamp(0, 255) as u8);
     let v_extend = V::splat(gaps.extend.clamp(0, 255) as u8);
     let v_bias = V::splat(profile.bias());
+    let v_limit = V::splat(profile.overflow_at() - 1);
+    // One chunk's decay: `seg_len` extensions. u8 saturating subtraction
+    // composes (x ⊖ a ⊖ b = x ⊖ min(255, a + b)), so clamping at 255 loses
+    // nothing — any F minus 255 is 0 either way.
+    let chunk_decay = seg_len as u64 * gaps.extend.max(0) as u64;
+    let v_chunk = V::splat(chunk_decay.min(255) as u8);
+    // The repair's early exit is sound only for strictly affine gaps: with
+    // open == extend, a lazily-raised H generates an F chain exactly equal
+    // to the exit threshold, which the cutoff would drop. Those gap models
+    // always scan, and their one repair pass runs to the end.
+    let early_exit = gaps.open > gaps.extend;
+    let scan_always = force_scan || !early_exit;
     let mut h_store = vec![V::zero(); seg_len];
     let mut h_load = vec![V::zero(); seg_len];
     let mut e = vec![V::zero(); seg_len];
     let mut v_max = V::zero();
     let mut lazy_f = 0u64;
-    // Early exit is sound only for strictly affine gaps: with
-    // open == extend, a lazily-raised H generates an F chain exactly equal
-    // to the exit threshold, which the cutoff would drop. The outer loop
-    // bounds the full propagation at V::LANES wraps either way.
-    let early_exit = gaps.open > gaps.extend;
 
     for (col, &d) in db.iter().enumerate() {
         if col % CANCEL_CHECK_COLS == 0 && check.cancelled() {
@@ -400,12 +512,34 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
             v_h = h_load[j];
         }
         // Lazy-F: repair H values that should have been reached by F
-        // propagating across segment boundaries. A raised H also raises
-        // the next column's E (derived from the unrepaired H in the main
-        // loop).
-        'lazy_f: for _ in 0..V::LANES {
+        // propagating across segment boundaries. Lane k of `v_f` is the F
+        // leaving chunk k assuming zero F entered it. When one of them
+        // outlives a whole chunk, scan: after the Kogge-Stone rounds lane k
+        // holds max_{i<=k}(f_i − (k−i)·chunk_decay), the exact F leaving
+        // chunk k, and a single pass applies it. (A gap opened from an
+        // F-raised H scores F − open ≤ F − extend, so pure extension
+        // dominates and the scan needs no opening term.) Otherwise the
+        // correction loop's early exit ends it within a chunk.
+        let mut passes = V::LANES;
+        if scan_always || v_f.any_gt(v_chunk) {
+            // A literal step list, not `while step < LANES`: it must unroll
+            // so every `shift_lanes` sees a constant (the portable vectors
+            // otherwise fall back to a variable-length copy through memory).
+            for step in SCAN_STEPS {
+                if step < V::LANES {
+                    let decay = V::splat((step as u64 * chunk_decay).min(255) as u8);
+                    v_f = v_f.max(v_f.shift_lanes(step).sat_sub(decay));
+                    lazy_f += 1;
+                }
+            }
+            passes = 1;
+        }
+        'lazy_f: for _ in 0..passes {
+            // shift() hands lane k+1 its incoming F; lane 0 gets zero.
             v_f = v_f.shift();
             for j in 0..seg_len {
+                // A raised H also raises the next column's E (derived from
+                // the unrepaired H in the main loop).
                 let h = h_store[j].max(v_f);
                 h_store[j] = h;
                 v_max = v_max.max(h);
@@ -418,30 +552,26 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
             }
         }
         // Overflow check: once the running max could saturate during the
-        // next column's biased add, the result is a lower bound only.
-        if v_max.horizontal_max() >= profile.overflow_at() {
-            return Some(ByteKernelResult {
-                score: None,
-                lazy_f,
-            });
+        // next column's biased add, hand the still-exact state over.
+        if v_max.any_gt(v_limit) {
+            let score = Err(Handoff::at(col + 1, &h_store, &e, v_max.horizontal_max()));
+            return Some(ByteKernelResult { score, lazy_f });
         }
     }
     Some(ByteKernelResult {
-        score: Some(v_max.horizontal_max() as i32),
+        score: Ok(v_max.horizontal_max() as i32),
         lazy_f,
     })
 }
 
-/// Word-mode (exact) striped Smith-Waterman against one database sequence.
-///
-/// `#[inline(always)]` for the same reason as [`sw_bytes`].
-#[inline(always)]
+/// Word-mode (exact) striped Smith-Waterman against one database sequence,
+/// from column 0, with the correction loop and no cancellation.
 pub fn sw_words<V: WordSimd>(
     gaps: &GapPenalties,
     profile: &WordProfileOf<V>,
     db: &[u8],
 ) -> WordKernelResult {
-    match sw_words_checked(gaps, profile, db, &NeverCancel) {
+    match sw_words_checked(gaps, profile, db, false, &Handoff::default(), &NeverCancel) {
         Some(r) => r,
         // Unreachable: NeverCancel never cancels.
         None => WordKernelResult {
@@ -451,27 +581,41 @@ pub fn sw_words<V: WordSimd>(
     }
 }
 
-/// [`sw_words`] with a cancellation probe polled every
-/// [`CANCEL_CHECK_COLS`] columns; `None` means the alignment was abandoned.
+/// Word-mode striped Smith-Waterman continuing from `start` (the zero
+/// state, or what the byte kernel handed over), with a cancellation probe
+/// polled every [`CANCEL_CHECK_COLS`] columns; `None` means the alignment
+/// was abandoned.
+///
+/// Same Lazy-F repair as [`sw_bytes_checked`]; the i16 decay clamp at
+/// `i16::MAX` is equally lossless because any F value at or below zero is
+/// inert (H ≥ 0 always wins the max and E never reads F).
+///
+/// `#[inline(always)]` for the same reason as [`sw_bytes_checked`].
 #[inline(always)]
 pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
     gaps: &GapPenalties,
     profile: &WordProfileOf<V>,
     db: &[u8],
+    force_scan: bool,
+    start: &Handoff,
     check: &C,
 ) -> Option<WordKernelResult> {
+    const { assert!(V::LANES <= 2 * SCAN_STEPS[4]) };
     let seg_len = profile.seg_len();
     let v_open = V::splat(gaps.open as i16);
     let v_extend = V::splat(gaps.extend as i16);
-    let mut h_store = vec![V::zero(); seg_len];
-    let mut h_load = vec![V::zero(); seg_len];
-    let mut e = vec![V::zero(); seg_len];
-    let mut v_max = V::zero();
-    let mut lazy_f = 0u64;
+    let chunk_decay = seg_len as u64 * gaps.extend.max(0) as u64;
+    let v_chunk = V::splat(chunk_decay.min(i16::MAX as u64) as i16);
     // See the byte kernel for why the cutoff needs strictly affine gaps.
     let early_exit = gaps.open > gaps.extend;
+    let scan_always = force_scan || !early_exit;
+    let mut h_store: Vec<V> = restripe(&start.h, seg_len);
+    let mut h_load = vec![V::zero(); seg_len];
+    let mut e: Vec<V> = restripe(&start.e, seg_len);
+    let mut v_max = V::splat(start.max);
+    let mut lazy_f = 0u64;
 
-    for (col, &d) in db.iter().enumerate() {
+    for (col, &d) in db.iter().enumerate().skip(start.cols) {
         if col % CANCEL_CHECK_COLS == 0 && check.cancelled() {
             return None;
         }
@@ -487,7 +631,18 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
             v_f = v_f.sat_sub(v_extend).max(v_h.sat_sub(v_open));
             v_h = h_load[j];
         }
-        'lazy_f: for _ in 0..V::LANES {
+        let mut passes = V::LANES;
+        if scan_always || v_f.any_gt(v_chunk) {
+            for step in SCAN_STEPS {
+                if step < V::LANES {
+                    let decay = V::splat((step as u64 * chunk_decay).min(i16::MAX as u64) as i16);
+                    v_f = v_f.max(v_f.shift_lanes(step).sat_sub(decay));
+                    lazy_f += 1;
+                }
+            }
+            passes = 1;
+        }
+        'lazy_f: for _ in 0..passes {
             v_f = v_f.shift();
             for j in 0..seg_len {
                 let h = h_store[j].max(v_f);
@@ -499,203 +654,6 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
                 if early_exit && !v_f.any_gt(h.sat_sub(v_open)) {
                     break 'lazy_f;
                 }
-            }
-        }
-    }
-    Some(WordKernelResult {
-        score: v_max.horizontal_max() as i32,
-        lazy_f,
-    })
-}
-
-/// Byte-mode striped Smith-Waterman with the Lazy-F loop deconstructed
-/// into a prefix scan (Snytsar, arXiv:1909.00899).
-///
-/// Identical main loop to [`sw_bytes`]; the correction differs. Lane `k`
-/// of the main loop's exit-F vector holds the F value leaving query chunk
-/// `[k·seg_len, (k+1)·seg_len)` *assuming zero F entered the chunk*. The
-/// true incoming F of chunk `k` is `max_{i<k}(f_i − (k−1−i)·seg_len·g_ext)`
-/// — a max-scan in the (max, +) semiring, computed here Kogge-Stone style
-/// in `log2(LANES)` steps. One repair pass then applies it. Raised-H gap
-/// openings need no extra term: a gap opened from an F-raised H scores
-/// `F − g_open ≤ F − g_ext`, so pure extension dominates (exactly the
-/// invariant the correction loop's early exit relies on).
-///
-/// Counting: each scan step and each repair-pass segment bumps `lazy_f`,
-/// so the counter remains "vector operations spent repairing F" in both
-/// modes and the before/after is an honest comparison.
-///
-/// `#[inline(always)]` for the same reason as [`sw_bytes`].
-#[inline(always)]
-pub fn sw_bytes_scan<V: ByteSimd>(
-    gaps: &GapPenalties,
-    profile: &ByteProfileOf<V>,
-    db: &[u8],
-) -> ByteKernelResult {
-    match sw_bytes_scan_checked(gaps, profile, db, &NeverCancel) {
-        Some(r) => r,
-        // Unreachable: NeverCancel never cancels.
-        None => ByteKernelResult {
-            score: Some(0),
-            lazy_f: 0,
-        },
-    }
-}
-
-/// [`sw_bytes_scan`] with a cancellation probe polled every
-/// [`CANCEL_CHECK_COLS`] columns; `None` means the alignment was abandoned.
-#[inline(always)]
-pub fn sw_bytes_scan_checked<V: ByteSimd, C: ColumnCheck>(
-    gaps: &GapPenalties,
-    profile: &ByteProfileOf<V>,
-    db: &[u8],
-    check: &C,
-) -> Option<ByteKernelResult> {
-    let seg_len = profile.seg_len();
-    let v_open = V::splat(gaps.open.clamp(0, 255) as u8);
-    let v_extend = V::splat(gaps.extend.clamp(0, 255) as u8);
-    let v_bias = V::splat(profile.bias());
-    // Saturating per-chunk decays for each scan step: shifting by `s`
-    // lanes skips `s` chunks of `seg_len` extensions each. u8 saturating
-    // subtraction composes (x ⊖ a ⊖ b = x ⊖ min(255, a + b)), so clamping
-    // at 255 loses nothing — any F minus 255 is 0 either way.
-    let chunk_decay = seg_len as u64 * gaps.extend.max(0) as u64;
-    let mut h_store = vec![V::zero(); seg_len];
-    let mut h_load = vec![V::zero(); seg_len];
-    let mut e = vec![V::zero(); seg_len];
-    let mut v_max = V::zero();
-    let mut lazy_f = 0u64;
-    // See sw_bytes: the repair early exit needs strictly affine gaps.
-    let early_exit = gaps.open > gaps.extend;
-
-    for (col, &d) in db.iter().enumerate() {
-        if col % CANCEL_CHECK_COLS == 0 && check.cancelled() {
-            return None;
-        }
-        let mut v_f = V::zero();
-        let mut v_h = h_store[seg_len - 1].shift();
-        std::mem::swap(&mut h_store, &mut h_load);
-        for j in 0..seg_len {
-            v_h = v_h.sat_add(profile.get(d, j)).sat_sub(v_bias);
-            v_h = v_h.max(e[j]).max(v_f);
-            v_max = v_max.max(v_h);
-            h_store[j] = v_h;
-            e[j] = e[j].sat_sub(v_extend).max(v_h.sat_sub(v_open));
-            v_f = v_f.sat_sub(v_extend).max(v_h.sat_sub(v_open));
-            v_h = h_load[j];
-        }
-        // Kogge-Stone inclusive max-scan with decay: after all rounds,
-        // lane k holds max_{i<=k}(f_i − (k−i)·chunk_decay) — the exact
-        // F leaving chunk k with all upstream chunks accounted for.
-        let mut step = 1usize;
-        while step < V::LANES {
-            let decay = V::splat((step as u64 * chunk_decay).min(255) as u8);
-            v_f = v_f.max(v_f.shift_lanes(step).sat_sub(decay));
-            lazy_f += 1;
-            step <<= 1;
-        }
-        // Single repair pass: shift() hands lane k+1 its incoming F (lane
-        // 0 gets the zero-fill, same semantics as the correction loop).
-        v_f = v_f.shift();
-        for j in 0..seg_len {
-            let h = h_store[j].max(v_f);
-            h_store[j] = h;
-            v_max = v_max.max(h);
-            e[j] = e[j].max(h.sat_sub(v_open));
-            v_f = v_f.sat_sub(v_extend);
-            lazy_f += 1;
-            if early_exit && !v_f.any_gt(h.sat_sub(v_open)) {
-                break;
-            }
-        }
-        if v_max.horizontal_max() >= profile.overflow_at() {
-            return Some(ByteKernelResult {
-                score: None,
-                lazy_f,
-            });
-        }
-    }
-    Some(ByteKernelResult {
-        score: Some(v_max.horizontal_max() as i32),
-        lazy_f,
-    })
-}
-
-/// Word-mode striped Smith-Waterman with the prefix-scan Lazy-F
-/// deconstruction. See [`sw_bytes_scan`] for the formulation; the i16
-/// decay clamp at `i16::MAX` is equally lossless because any F value at
-/// or below zero is inert (H ≥ 0 always wins the max and E never reads F).
-///
-/// `#[inline(always)]` for the same reason as [`sw_bytes`].
-#[inline(always)]
-pub fn sw_words_scan<V: WordSimd>(
-    gaps: &GapPenalties,
-    profile: &WordProfileOf<V>,
-    db: &[u8],
-) -> WordKernelResult {
-    match sw_words_scan_checked(gaps, profile, db, &NeverCancel) {
-        Some(r) => r,
-        // Unreachable: NeverCancel never cancels.
-        None => WordKernelResult {
-            score: 0,
-            lazy_f: 0,
-        },
-    }
-}
-
-/// [`sw_words_scan`] with a cancellation probe polled every
-/// [`CANCEL_CHECK_COLS`] columns; `None` means the alignment was abandoned.
-#[inline(always)]
-pub fn sw_words_scan_checked<V: WordSimd, C: ColumnCheck>(
-    gaps: &GapPenalties,
-    profile: &WordProfileOf<V>,
-    db: &[u8],
-    check: &C,
-) -> Option<WordKernelResult> {
-    let seg_len = profile.seg_len();
-    let v_open = V::splat(gaps.open as i16);
-    let v_extend = V::splat(gaps.extend as i16);
-    let chunk_decay = seg_len as u64 * gaps.extend.max(0) as u64;
-    let mut h_store = vec![V::zero(); seg_len];
-    let mut h_load = vec![V::zero(); seg_len];
-    let mut e = vec![V::zero(); seg_len];
-    let mut v_max = V::zero();
-    let mut lazy_f = 0u64;
-    let early_exit = gaps.open > gaps.extend;
-
-    for (col, &d) in db.iter().enumerate() {
-        if col % CANCEL_CHECK_COLS == 0 && check.cancelled() {
-            return None;
-        }
-        let mut v_f = V::zero();
-        let mut v_h = h_store[seg_len - 1].shift();
-        std::mem::swap(&mut h_store, &mut h_load);
-        for j in 0..seg_len {
-            v_h = v_h.sat_add(profile.get(d, j));
-            v_h = v_h.max(e[j]).max(v_f).max(V::zero());
-            v_max = v_max.max(v_h);
-            h_store[j] = v_h;
-            e[j] = e[j].sat_sub(v_extend).max(v_h.sat_sub(v_open));
-            v_f = v_f.sat_sub(v_extend).max(v_h.sat_sub(v_open));
-            v_h = h_load[j];
-        }
-        let mut step = 1usize;
-        while step < V::LANES {
-            let decay = V::splat((step as u64 * chunk_decay).min(i16::MAX as u64) as i16);
-            v_f = v_f.max(v_f.shift_lanes(step).sat_sub(decay));
-            lazy_f += 1;
-            step <<= 1;
-        }
-        v_f = v_f.shift();
-        for j in 0..seg_len {
-            let h = h_store[j].max(v_f);
-            h_store[j] = h;
-            v_max = v_max.max(h);
-            e[j] = e[j].max(h.sat_sub(v_open));
-            v_f = v_f.sat_sub(v_extend);
-            lazy_f += 1;
-            if early_exit && !v_f.any_gt(h.sat_sub(v_open)) {
-                break;
             }
         }
     }

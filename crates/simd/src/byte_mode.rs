@@ -108,7 +108,7 @@ pub type ByteProfile = ByteProfileOf<U8x16>;
 /// Byte-mode result: `None` means the score saturated and word mode must
 /// be used.
 pub fn sw_striped_bytes(params: &SwParams, profile: &ByteProfile, db: &[u8]) -> Option<i32> {
-    sw_bytes(&params.gaps, profile, db).score
+    sw_bytes(&params.gaps, profile, db).score.ok()
 }
 
 /// Statistics of an adaptive (byte-first) alignment batch.
@@ -153,11 +153,12 @@ pub fn sw_striped_adaptive(
     let byte = sw_bytes(&params.gaps, byte_profile, db);
     stats.lazy_f_byte += byte.lazy_f;
     match byte.score {
-        Some(score) => {
+        Ok(score) => {
             stats.byte_mode += 1;
             score
         }
-        None => {
+        // The legacy driver restarts at column 0; `QueryEngine` resumes.
+        Err(_) => {
             stats.word_fallbacks += 1;
             let profile = striped_profile(params, query);
             sw_striped_with_stats(params, &profile, db, stats)

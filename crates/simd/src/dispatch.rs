@@ -12,10 +12,12 @@
 //!   never trusted — when that backend is unavailable.
 //!
 //! [`KernelMode`] selects how cross-segment F propagation is repaired in
-//! the striped kernels: the classic Lazy-F correction loop, or Snytsar's
-//! prefix-scan deconstruction (arXiv:1909.00899), which computes the exact
-//! lane-boundary F values in `log2(lanes)` scan steps and repairs in a
-//! single pass. Both produce bit-identical scores and overflow verdicts;
+//! the striped kernels. By default each column takes the classic Lazy-F
+//! correction loop unless its exit F outlives a chunk, in which case
+//! Snytsar's prefix scan (arXiv:1909.00899) computes the exact
+//! lane-boundary F values in `log2(lanes)` steps and repairs in a single
+//! pass; `prefix-scan` forces the scan on every column. Both produce
+//! bit-identical scores and overflow verdicts;
 //! `SW_KERNEL_MODE=correction-loop|prefix-scan` overrides the default.
 
 /// The host compute backends this build knows about.
@@ -148,15 +150,17 @@ impl std::fmt::Display for BackendKind {
 /// How the striped kernels repair cross-segment F propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
-    /// Farrar's Lazy-F correction loop: re-run the column up to
-    /// `lanes` times, shifting F one lane per pass, with the SWAT-style
-    /// early exit. The default and the long-standing baseline.
+    /// Farrar's Lazy-F correction loop with the SWAT-style early exit,
+    /// bounded: a column whose exit F outlives one chunk (or any column
+    /// when `open == extend`) takes the scan below instead. The default.
     #[default]
     CorrectionLoop,
-    /// Snytsar's deconstruction (arXiv:1909.00899): a Kogge-Stone max-scan
-    /// over the lane-boundary F values (decay `seg_len × gap_extend` per
-    /// lane step) yields every lane's exact incoming F at once, so a
-    /// single repair pass over the segments suffices.
+    /// Snytsar's deconstruction (arXiv:1909.00899) forced on every column:
+    /// a Kogge-Stone max-scan over the lane-boundary F values (decay
+    /// `seg_len × gap_extend` per lane step) yields every lane's exact
+    /// incoming F at once, so a single repair pass over the segments
+    /// suffices. Kept for the trajectory's second column and to drive the
+    /// scan route in the differential suites.
     PrefixScan,
 }
 

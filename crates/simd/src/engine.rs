@@ -19,14 +19,13 @@
 //! bumped inside worker threads would otherwise be lost.
 
 use crate::backend::{
-    sw_bytes, sw_bytes_checked, sw_bytes_scan, sw_bytes_scan_checked, sw_words, sw_words_checked,
-    sw_words_scan, sw_words_scan_checked, ByteKernelResult, ByteProfileOf, ByteSimd, WordProfileOf,
-    WordSimd,
+    sw_bytes_checked, sw_words_checked, Backend, ByteProfileOf, ColumnCheck, Handoff, NeverCancel,
+    WordProfileOf,
 };
-use crate::byte_mode::{AdaptiveStats, U8x16};
+use crate::byte_mode::AdaptiveStats;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::dispatch::{BackendKind, KernelMode};
-use crate::vector::I16x8;
+use crate::portable::PortableBackend;
 use sw_align::smith_waterman::SwParams;
 use sw_align::GapPenalties;
 
@@ -35,20 +34,20 @@ use sw_align::GapPenalties;
     feature = "native-simd",
     not(feature = "force-portable")
 ))]
-use crate::x86::{I16x16Avx, I16x8Sse, U8x16Sse, U8x32Avx};
+use crate::x86::{score_avx2, Avx2Backend, Sse2Backend};
 
 #[cfg(all(
     target_arch = "aarch64",
     feature = "native-simd",
     not(feature = "force-portable")
 ))]
-use crate::neon::{I16x8Neon, U8x16Neon};
+use crate::neon::NeonBackend;
 
 /// Which precision ladder to run per alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
-    /// Saturating byte mode first, exact word-mode re-run on overflow
-    /// (SSW/SWPS3 production strategy).
+    /// Saturating byte mode first; on overflow word mode takes over at the
+    /// overflow column (SSW/SWPS3 production strategy, minus the restart).
     Adaptive,
     /// Word mode only — the pre-backend behaviour, kept as the bench
     /// baseline and for callers that want deterministic per-pair cost.
@@ -56,38 +55,41 @@ pub enum Precision {
 }
 
 /// Byte + word profiles for one backend's vector types.
+pub(crate) struct Profiles<K: Backend> {
+    byte: ByteProfileOf<K::Byte>,
+    word: WordProfileOf<K::Word>,
+}
+
+impl<K: Backend> Profiles<K> {
+    fn build(params: &SwParams, query: &[u8]) -> Self {
+        Self {
+            byte: ByteProfileOf::build(params, query),
+            word: WordProfileOf::build(params, query),
+        }
+    }
+}
+
+/// The profiles of whichever backend the engine dispatched to.
 enum ProfileSet {
-    Portable {
-        byte: ByteProfileOf<U8x16>,
-        word: WordProfileOf<I16x8>,
-    },
+    Portable(Profiles<PortableBackend>),
     #[cfg(all(
         target_arch = "x86_64",
         feature = "native-simd",
         not(feature = "force-portable")
     ))]
-    Sse2 {
-        byte: ByteProfileOf<U8x16Sse>,
-        word: WordProfileOf<I16x8Sse>,
-    },
+    Sse2(Profiles<Sse2Backend>),
     #[cfg(all(
         target_arch = "x86_64",
         feature = "native-simd",
         not(feature = "force-portable")
     ))]
-    Avx2 {
-        byte: ByteProfileOf<U8x32Avx>,
-        word: WordProfileOf<I16x16Avx>,
-    },
+    Avx2(Profiles<Avx2Backend>),
     #[cfg(all(
         target_arch = "aarch64",
         feature = "native-simd",
         not(feature = "force-portable")
     ))]
-    Neon {
-        byte: ByteProfileOf<U8x16Neon>,
-        word: WordProfileOf<I16x8Neon>,
-    },
+    Neon(Profiles<NeonBackend>),
 }
 
 /// A query bound to a backend: build profiles once, score many sequences.
@@ -110,9 +112,7 @@ impl QueryEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `kind` is not available on this host/build — the
-    /// availability check is the safety gate for the `unsafe` intrinsic
-    /// calls inside the native backends.
+    /// See [`QueryEngine::with_backend_and_mode`].
     pub fn with_backend(params: SwParams, query: &[u8], kind: BackendKind) -> Self {
         Self::with_backend_and_mode(params, query, kind, KernelMode::detect())
     }
@@ -121,8 +121,12 @@ impl QueryEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `kind` is not available on this host/build (see
-    /// [`QueryEngine::with_backend`]).
+    /// Panics when `kind` is not available on this host/build — the
+    /// availability check is the safety gate for the `unsafe` intrinsic
+    /// calls inside the native backends — and when the gap penalties break
+    /// `open >= extend >= 0` (the fields are public, so
+    /// [`GapPenalties::new`] can be bypassed), which the Lazy-F early exit
+    /// and scan both rest on.
     pub fn with_backend_and_mode(
         params: SwParams,
         query: &[u8],
@@ -132,6 +136,11 @@ impl QueryEngine {
         assert!(
             kind.is_available(),
             "backend {kind} is not available on this host"
+        );
+        let GapPenalties { open, extend } = params.gaps;
+        assert!(
+            open >= extend && extend >= 0,
+            "gap penalties must satisfy open >= extend >= 0, got open {open}, extend {extend}"
         );
         obs::counter_add(
             "cudasw.simd.backend.selected",
@@ -144,32 +153,20 @@ impl QueryEngine {
                 feature = "native-simd",
                 not(feature = "force-portable")
             ))]
-            BackendKind::Sse2 => ProfileSet::Sse2 {
-                byte: ByteProfileOf::build(&params, query),
-                word: WordProfileOf::build(&params, query),
-            },
+            BackendKind::Sse2 => ProfileSet::Sse2(Profiles::build(&params, query)),
             #[cfg(all(
                 target_arch = "x86_64",
                 feature = "native-simd",
                 not(feature = "force-portable")
             ))]
-            BackendKind::Avx2 => ProfileSet::Avx2 {
-                byte: ByteProfileOf::build(&params, query),
-                word: WordProfileOf::build(&params, query),
-            },
+            BackendKind::Avx2 => ProfileSet::Avx2(Profiles::build(&params, query)),
             #[cfg(all(
                 target_arch = "aarch64",
                 feature = "native-simd",
                 not(feature = "force-portable")
             ))]
-            BackendKind::Neon => ProfileSet::Neon {
-                byte: ByteProfileOf::build(&params, query),
-                word: WordProfileOf::build(&params, query),
-            },
-            _ => ProfileSet::Portable {
-                byte: ByteProfileOf::build(&params, query),
-                word: WordProfileOf::build(&params, query),
-            },
+            BackendKind::Neon => ProfileSet::Neon(Profiles::build(&params, query)),
+            _ => ProfileSet::Portable(Profiles::build(&params, query)),
         };
         Self {
             kind,
@@ -203,68 +200,9 @@ impl QueryEngine {
     /// Score one database sequence, accumulating precision/Lazy-F counts
     /// into `stats`.
     pub fn score_with(&self, db: &[u8], precision: Precision, stats: &mut AdaptiveStats) -> i32 {
-        if self.query.is_empty() || db.is_empty() {
-            return 0;
-        }
-        let gaps = &self.params.gaps;
-        let mode = self.mode;
-        match &self.set {
-            ProfileSet::Portable { byte, word } => {
-                score_generic(gaps, byte, word, db, precision, mode, stats)
-            }
-            #[cfg(all(
-                target_arch = "x86_64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
-            ProfileSet::Sse2 { byte, word } => {
-                score_generic(gaps, byte, word, db, precision, mode, stats)
-            }
-            #[cfg(all(
-                target_arch = "x86_64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
-            ProfileSet::Avx2 { byte, word } => {
-                use crate::x86::{
-                    sw_bytes_avx2, sw_bytes_scan_avx2, sw_words_avx2, sw_words_scan_avx2,
-                };
-                // SAFETY (all four arms): `with_backend_and_mode` asserted
-                // AVX2 availability before this profile set was built.
-                match (precision, mode) {
-                    (Precision::Adaptive, KernelMode::CorrectionLoop) => {
-                        let b = unsafe { sw_bytes_avx2(gaps, byte, db) };
-                        finish_adaptive(b, stats, || {
-                            unsafe { sw_words_avx2(gaps, word, db) }.into_pair()
-                        })
-                    }
-                    (Precision::Adaptive, KernelMode::PrefixScan) => {
-                        let b = unsafe { sw_bytes_scan_avx2(gaps, byte, db) };
-                        finish_adaptive(b, stats, || {
-                            unsafe { sw_words_scan_avx2(gaps, word, db) }.into_pair()
-                        })
-                    }
-                    (Precision::Word, KernelMode::CorrectionLoop) => {
-                        let r = unsafe { sw_words_avx2(gaps, word, db) };
-                        stats.lazy_f_word += r.lazy_f;
-                        r.score
-                    }
-                    (Precision::Word, KernelMode::PrefixScan) => {
-                        let r = unsafe { sw_words_scan_avx2(gaps, word, db) };
-                        stats.lazy_f_word += r.lazy_f;
-                        r.score
-                    }
-                }
-            }
-            #[cfg(all(
-                target_arch = "aarch64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
-            ProfileSet::Neon { byte, word } => {
-                score_generic(gaps, byte, word, db, precision, mode, stats)
-            }
-        }
+        // NeverCancel never cancels, so the fallback is unreachable.
+        self.score_checked(db, precision, stats, &NeverCancel)
+            .unwrap_or(0)
     }
 
     /// Score one database sequence adaptively, discarding the stats.
@@ -276,8 +214,7 @@ impl QueryEngine {
     /// [`QueryEngine::score_with`] with cooperative cancellation: the
     /// kernels poll `cancel` every [`crate::cancel::CANCEL_CHECK_COLS`]
     /// database columns. On cancellation nothing leaks — no score is
-    /// returned and `stats` is left untouched (counts are accumulated
-    /// locally and merged only on success).
+    /// returned and `stats` is left untouched.
     pub fn score_with_cancel(
         &self,
         db: &[u8],
@@ -288,86 +225,65 @@ impl QueryEngine {
         if cancel.is_cancelled() {
             return Err(Cancelled);
         }
+        self.score_checked(db, precision, stats, cancel)
+            .ok_or(Cancelled)
+    }
+
+    /// The one scoring path: dispatch the ladder to the engine's backend.
+    /// Counts are accumulated locally and merged only on success, so an
+    /// abandoned alignment (`None`) leaves `stats` untouched.
+    fn score_checked<C: ColumnCheck>(
+        &self,
+        db: &[u8],
+        precision: Precision,
+        stats: &mut AdaptiveStats,
+        check: &C,
+    ) -> Option<i32> {
         if self.query.is_empty() || db.is_empty() {
-            return Ok(0);
+            return Some(0);
         }
         let gaps = &self.params.gaps;
-        let mode = self.mode;
+        let force_scan = self.mode == KernelMode::PrefixScan;
         let mut local = AdaptiveStats::default();
         let score = match &self.set {
-            ProfileSet::Portable { byte, word } => {
-                score_generic_cancel(gaps, byte, word, db, precision, mode, &mut local, cancel)
+            ProfileSet::Portable(p) => {
+                score_ladder(gaps, p, db, precision, force_scan, &mut local, check)
             }
             #[cfg(all(
                 target_arch = "x86_64",
                 feature = "native-simd",
                 not(feature = "force-portable")
             ))]
-            ProfileSet::Sse2 { byte, word } => {
-                score_generic_cancel(gaps, byte, word, db, precision, mode, &mut local, cancel)
+            ProfileSet::Sse2(p) => {
+                score_ladder(gaps, p, db, precision, force_scan, &mut local, check)
             }
             #[cfg(all(
                 target_arch = "x86_64",
                 feature = "native-simd",
                 not(feature = "force-portable")
             ))]
-            ProfileSet::Avx2 { byte, word } => {
-                use crate::x86::{
-                    sw_bytes_cancel_avx2, sw_bytes_scan_cancel_avx2, sw_words_cancel_avx2,
-                    sw_words_scan_cancel_avx2,
-                };
-                // SAFETY (all four arms): `with_backend_and_mode` asserted
-                // AVX2 availability before this profile set was built.
-                match (precision, mode) {
-                    (Precision::Adaptive, KernelMode::CorrectionLoop) => {
-                        let b = unsafe { sw_bytes_cancel_avx2(gaps, byte, db, cancel) };
-                        finish_adaptive_cancel(b, &mut local, || {
-                            unsafe { sw_words_cancel_avx2(gaps, word, db, cancel) }
-                                .map(IntoPair::into_pair)
-                        })
-                    }
-                    (Precision::Adaptive, KernelMode::PrefixScan) => {
-                        let b = unsafe { sw_bytes_scan_cancel_avx2(gaps, byte, db, cancel) };
-                        finish_adaptive_cancel(b, &mut local, || {
-                            unsafe { sw_words_scan_cancel_avx2(gaps, word, db, cancel) }
-                                .map(IntoPair::into_pair)
-                        })
-                    }
-                    (Precision::Word, KernelMode::CorrectionLoop) => {
-                        unsafe { sw_words_cancel_avx2(gaps, word, db, cancel) }.map(|r| {
-                            local.lazy_f_word += r.lazy_f;
-                            r.score
-                        })
-                    }
-                    (Precision::Word, KernelMode::PrefixScan) => {
-                        unsafe { sw_words_scan_cancel_avx2(gaps, word, db, cancel) }.map(|r| {
-                            local.lazy_f_word += r.lazy_f;
-                            r.score
-                        })
-                    }
-                }
-            }
+            // SAFETY: `with_backend_and_mode` asserted AVX2 availability
+            // before this profile set was built.
+            ProfileSet::Avx2(p) => unsafe {
+                score_avx2(gaps, p, db, precision, force_scan, &mut local, check)
+            },
             #[cfg(all(
                 target_arch = "aarch64",
                 feature = "native-simd",
                 not(feature = "force-portable")
             ))]
-            ProfileSet::Neon { byte, word } => {
-                score_generic_cancel(gaps, byte, word, db, precision, mode, &mut local, cancel)
+            ProfileSet::Neon(p) => {
+                score_ladder(gaps, p, db, precision, force_scan, &mut local, check)
             }
-        };
-        match score {
-            Some(s) => {
-                stats.merge(&local);
-                Ok(s)
-            }
-            None => Err(Cancelled),
-        }
+        }?;
+        stats.merge(&local);
+        Some(score)
     }
 
     /// Estimated per-worker scratch bytes one kernel invocation of this
-    /// engine needs (the H-store/H-load/E stripe buffers, byte and word
-    /// mode). The pool's memory-budget admission charges this plus a
+    /// engine needs: the H-store/H-load/E stripe buffers of byte and word
+    /// mode plus the two i16 hand-off buffers an overflowing byte pass
+    /// allocates. The pool's memory-budget admission charges this plus a
     /// per-sequence overhead for each in-flight chunk.
     pub fn working_set_bytes(&self) -> u64 {
         let m = self.query.len().max(1) as u64;
@@ -375,139 +291,47 @@ impl QueryEngine {
         let word_lanes = self.kind.word_lanes() as u64;
         let byte_row = m.div_ceil(byte_lanes).max(1) * byte_lanes;
         let word_row = m.div_ceil(word_lanes).max(1) * word_lanes * 2;
-        3 * (byte_row + word_row)
+        3 * (byte_row + word_row) + 2 * 2 * byte_row
     }
 }
 
-trait IntoPair {
-    fn into_pair(self) -> (i32, u64);
-}
-
-impl IntoPair for crate::backend::WordKernelResult {
-    fn into_pair(self) -> (i32, u64) {
-        (self.score, self.lazy_f)
-    }
-}
-
-/// Shared adaptive epilogue: account the byte pass, re-run in word mode on
-/// overflow.
+/// The precision ladder over one backend's generic kernels: the byte pass,
+/// then — on overflow, or from the zero state under [`Precision::Word`] —
+/// the word pass from wherever the byte pass stopped. `None` means the
+/// alignment was cancelled; `stats` may then hold partial counts.
+///
+/// `#[inline(always)]` so the AVX2 `#[target_feature]` wrapper inlines the
+/// kernels into a feature-enabled context.
 #[inline(always)]
-fn finish_adaptive(
-    byte: ByteKernelResult,
-    stats: &mut AdaptiveStats,
-    word: impl FnOnce() -> (i32, u64),
-) -> i32 {
-    stats.lazy_f_byte += byte.lazy_f;
-    match byte.score {
-        Some(score) => {
-            stats.byte_mode += 1;
-            score
-        }
-        None => {
-            stats.word_fallbacks += 1;
-            let (score, lazy_f) = word();
-            stats.lazy_f_word += lazy_f;
-            score
-        }
-    }
-}
-
-/// [`finish_adaptive`] lifted over cancellation: `None` anywhere means the
-/// alignment was abandoned and no score (or stat merge) may escape.
-#[inline(always)]
-fn finish_adaptive_cancel(
-    byte: Option<ByteKernelResult>,
-    stats: &mut AdaptiveStats,
-    word: impl FnOnce() -> Option<(i32, u64)>,
-) -> Option<i32> {
-    let byte = byte?;
-    stats.lazy_f_byte += byte.lazy_f;
-    match byte.score {
-        Some(score) => {
-            stats.byte_mode += 1;
-            Some(score)
-        }
-        None => {
-            stats.word_fallbacks += 1;
-            let (score, lazy_f) = word()?;
-            stats.lazy_f_word += lazy_f;
-            Some(score)
-        }
-    }
-}
-
-/// Cancellable variant of [`score_generic`] over the checked kernels.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // mirrors score_generic + the token
-fn score_generic_cancel<B: ByteSimd, W: WordSimd>(
+pub(crate) fn score_ladder<K: Backend, C: ColumnCheck>(
     gaps: &GapPenalties,
-    byte: &ByteProfileOf<B>,
-    word: &WordProfileOf<W>,
+    profiles: &Profiles<K>,
     db: &[u8],
     precision: Precision,
-    mode: KernelMode,
+    force_scan: bool,
     stats: &mut AdaptiveStats,
-    cancel: &CancelToken,
+    check: &C,
 ) -> Option<i32> {
-    match (precision, mode) {
-        (Precision::Adaptive, KernelMode::CorrectionLoop) => {
-            let b = sw_bytes_checked(gaps, byte, db, cancel);
-            finish_adaptive_cancel(b, stats, || {
-                sw_words_checked(gaps, word, db, cancel).map(IntoPair::into_pair)
-            })
+    let start = match precision {
+        Precision::Word => Handoff::default(),
+        Precision::Adaptive => {
+            let byte = sw_bytes_checked(gaps, &profiles.byte, db, force_scan, check)?;
+            stats.lazy_f_byte += byte.lazy_f;
+            match byte.score {
+                Ok(score) => {
+                    stats.byte_mode += 1;
+                    return Some(score);
+                }
+                Err(handoff) => {
+                    stats.word_fallbacks += 1;
+                    handoff
+                }
+            }
         }
-        (Precision::Adaptive, KernelMode::PrefixScan) => {
-            let b = sw_bytes_scan_checked(gaps, byte, db, cancel);
-            finish_adaptive_cancel(b, stats, || {
-                sw_words_scan_checked(gaps, word, db, cancel).map(IntoPair::into_pair)
-            })
-        }
-        (Precision::Word, KernelMode::CorrectionLoop) => sw_words_checked(gaps, word, db, cancel)
-            .map(|r| {
-                stats.lazy_f_word += r.lazy_f;
-                r.score
-            }),
-        (Precision::Word, KernelMode::PrefixScan) => sw_words_scan_checked(gaps, word, db, cancel)
-            .map(|r| {
-                stats.lazy_f_word += r.lazy_f;
-                r.score
-            }),
-    }
-}
-
-/// Mode-aware scoring over any backend's safe generic kernels (portable,
-/// SSE2, NEON — the AVX2 arm needs `target_feature` wrappers and is
-/// special-cased in [`QueryEngine::score_with`]).
-#[inline(always)]
-fn score_generic<B: ByteSimd, W: WordSimd>(
-    gaps: &GapPenalties,
-    byte: &ByteProfileOf<B>,
-    word: &WordProfileOf<W>,
-    db: &[u8],
-    precision: Precision,
-    mode: KernelMode,
-    stats: &mut AdaptiveStats,
-) -> i32 {
-    match (precision, mode) {
-        (Precision::Adaptive, KernelMode::CorrectionLoop) => {
-            let b = sw_bytes(gaps, byte, db);
-            finish_adaptive(b, stats, || sw_words(gaps, word, db).into_pair())
-        }
-        (Precision::Adaptive, KernelMode::PrefixScan) => {
-            let b = sw_bytes_scan(gaps, byte, db);
-            finish_adaptive(b, stats, || sw_words_scan(gaps, word, db).into_pair())
-        }
-        (Precision::Word, KernelMode::CorrectionLoop) => {
-            let r = sw_words(gaps, word, db);
-            stats.lazy_f_word += r.lazy_f;
-            r.score
-        }
-        (Precision::Word, KernelMode::PrefixScan) => {
-            let r = sw_words_scan(gaps, word, db);
-            stats.lazy_f_word += r.lazy_f;
-            r.score
-        }
-    }
+    };
+    let word = sw_words_checked(gaps, &profiles.word, db, force_scan, &start, check)?;
+    stats.lazy_f_word += word.lazy_f;
+    Some(word.score)
 }
 
 /// Publish a batch's adaptive-precision counters under `cudasw.simd.*`.
@@ -589,6 +413,27 @@ mod tests {
             assert_eq!(stats.word_fallbacks, 1, "{kind}");
             assert!(stats.lazy_f_byte > 0, "{kind}: byte pass ran first");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "open >= extend >= 0")]
+    fn gap_penalties_that_bypass_the_constructor_are_refused() {
+        let mut params = SwParams::cudasw_default();
+        params.gaps.extend = params.gaps.open + 1;
+        QueryEngine::with_backend(params, &[1, 2, 3], BackendKind::Portable);
+    }
+
+    #[test]
+    fn working_set_counts_stripes_and_hand_off_buffers() {
+        let query = make_query(100, 1);
+        let engine =
+            QueryEngine::with_backend(SwParams::cudasw_default(), &query, BackendKind::Portable);
+        // 16 byte lanes pad 100 to 112, 8 word lanes to 104: three stripe
+        // buffers per precision plus two i16 hand-off buffers.
+        assert_eq!(
+            engine.working_set_bytes(),
+            3 * (112 + 2 * 104) + 2 * 2 * 112
+        );
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! SSE implementation of Smith-Waterman using four cores of an Intel Xeon".
 //! This crate now plays that role for real: Farrar's *striped* kernel runs
 //! on the machine's native vector unit, selected at run time, with SSW-style
-//! adaptive precision (saturating 8-bit byte mode first, exact 16-bit
-//! word-mode re-run only for pairs that overflow) and a work-stealing
-//! thread pool sharding the database across cores. The defining striped-SW
-//! cost — the **Lazy-F** correction loop, "the need of SWPS3 to correct
-//! errors which are a result of a vertical traversal through the SW
-//! tables" — is counted *per precision mode* (byte-mode repair passes
-//! separately from word-mode), per backend.
+//! adaptive precision (saturating 8-bit byte mode first; pairs that
+//! overflow continue in exact 16-bit word mode from the overflow column)
+//! and a work-stealing thread pool sharding the database across cores. The
+//! defining striped-SW cost — the **Lazy-F** correction, "the need of SWPS3
+//! to correct errors which are a result of a vertical traversal through the
+//! SW tables" — is bounded per column and counted *per precision mode*
+//! (byte-mode repair operations separately from word-mode), per backend.
 //!
 //! Layout:
 //!
@@ -42,7 +42,7 @@
 //! Every implementation is validated against `sw_align::sw_score`; the
 //! differential proptests in `tests/backend_differential.rs` additionally
 //! pin byte mode, word mode, and every available backend to identical
-//! scores.
+//! scores, and `tests/handoff_differential.rs` the byte→word hand-off.
 
 // Crash-only discipline: library code may not panic through `unwrap` /
 // `expect` — every fallible path must recover or return a typed error.

@@ -35,6 +35,13 @@ impl ByteSimd for U8x16Neon {
     }
 
     #[inline(always)]
+    fn store(self, out: &mut [u8]) {
+        assert!(out.len() >= 16);
+        // SAFETY: unaligned store of 16 bytes; the bound is asserted above.
+        unsafe { vst1q_u8(out.as_mut_ptr(), self.0) }
+    }
+
+    #[inline(always)]
     fn sat_add(self, rhs: Self) -> Self {
         Self(vqaddq_u8(self.0, rhs.0))
     }
@@ -104,6 +111,13 @@ impl WordSimd for I16x8Neon {
         assert!(lanes.len() >= 8);
         // SAFETY: unaligned load of 8 words; the bound is asserted above.
         Self(unsafe { vld1q_s16(lanes.as_ptr()) })
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [i16]) {
+        assert!(out.len() >= 8);
+        // SAFETY: unaligned store of 8 words; the bound is asserted above.
+        unsafe { vst1q_s16(out.as_mut_ptr(), self.0) }
     }
 
     #[inline(always)]
@@ -190,8 +204,7 @@ mod tests {
         let pb = U8x16(b_vals);
         let store = |v: U8x16Neon| {
             let mut out = [0u8; 16];
-            // SAFETY: unaligned store of 16 bytes into a 16-byte array.
-            unsafe { vst1q_u8(out.as_mut_ptr(), v.0) };
+            ByteSimd::store(v, &mut out);
             out
         };
         assert_eq!(store(a.sat_add(b)), pa.sat_add(pb).0);
@@ -212,8 +225,7 @@ mod tests {
         let pb = I16x8(b_vals);
         let store = |v: I16x8Neon| {
             let mut out = [0i16; 8];
-            // SAFETY: unaligned store of 8 words into an 8-word array.
-            unsafe { vst1q_s16(out.as_mut_ptr(), v.0) };
+            WordSimd::store(v, &mut out);
             out
         };
         assert_eq!(store(a.sat_add(b)), pa.sat_add(pb).0);

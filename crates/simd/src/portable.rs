@@ -25,6 +25,11 @@ impl ByteSimd for U8x16 {
     }
 
     #[inline(always)]
+    fn store(self, out: &mut [u8]) {
+        out[..BYTE_LANES].copy_from_slice(&self.0);
+    }
+
+    #[inline(always)]
     fn sat_add(self, rhs: Self) -> Self {
         U8x16::sat_add(self, rhs)
     }
@@ -76,6 +81,11 @@ impl WordSimd for I16x8 {
         let mut out = [0i16; LANES];
         out.copy_from_slice(&lanes[..LANES]);
         Self(out)
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [i16]) {
+        out[..LANES].copy_from_slice(&self.0);
     }
 
     #[inline(always)]
@@ -148,7 +158,7 @@ mod tests {
         let byte_prof = ByteProfileOf::<U8x16>::build(&p, &q);
         let byte = sw_bytes(&p.gaps, &byte_prof, &d);
         let legacy_prof = ByteProfile::build(&p, &q);
-        assert_eq!(byte.score, sw_striped_bytes(&p, &legacy_prof, &d));
+        assert_eq!(byte.score.ok(), sw_striped_bytes(&p, &legacy_prof, &d));
 
         let word_prof = WordProfileOf::<I16x8>::build(&p, &q);
         let word = sw_words(&p.gaps, &word_prof, &d);

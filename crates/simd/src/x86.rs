@@ -10,11 +10,12 @@
 //! 1. every AVX2 intrinsic call below sits in an `unsafe` block whose
 //!    contract is "the dispatcher only selects [`Avx2Backend`] after
 //!    `is_x86_feature_detected!("avx2")` returned true" (enforced by
-//!    [`crate::engine::QueryEngine::with_backend`]);
-//! 2. the kernel entry points [`sw_bytes_avx2`] / [`sw_words_avx2`] carry
+//!    [`crate::engine::QueryEngine::with_backend_and_mode`]);
+//! 2. the one entry point `score_avx2` carries
 //!    `#[target_feature(enable = "avx2")]`, so the `#[inline(always)]`
-//!    generic kernel — and, transitively, the intrinsics — inline into a
-//!    feature-enabled context and compile to straight-line AVX2 code.
+//!    generic ladder and kernels — and, transitively, the intrinsics —
+//!    inline into a feature-enabled context and compile to straight-line
+//!    AVX2 code.
 //!
 //! The one non-obvious idiom is the 256-bit lane shift: `_mm256_slli_si256`
 //! shifts each 128-bit half independently, so the byte crossing the middle
@@ -27,12 +28,9 @@
     not(feature = "force-portable")
 ))]
 
-use crate::backend::{
-    sw_bytes, sw_bytes_checked, sw_bytes_scan, sw_bytes_scan_checked, sw_words, sw_words_checked,
-    sw_words_scan, sw_words_scan_checked, Backend, ByteKernelResult, ByteProfileOf, ByteSimd,
-    WordKernelResult, WordProfileOf, WordSimd,
-};
-use crate::cancel::CancelToken;
+use crate::backend::{Backend, ByteSimd, ColumnCheck, WordSimd};
+use crate::byte_mode::AdaptiveStats;
+use crate::engine::{score_ladder, Precision, Profiles};
 use core::arch::x86_64::*;
 use sw_align::GapPenalties;
 
@@ -57,6 +55,14 @@ impl ByteSimd for U8x16Sse {
         // SAFETY: SSE2 is baseline; `loadu` has no alignment requirement
         // and the bound is asserted above.
         Self(unsafe { _mm_loadu_si128(lanes.as_ptr() as *const __m128i) })
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [u8]) {
+        assert!(out.len() >= 16);
+        // SAFETY: SSE2 is baseline; `storeu` has no alignment requirement
+        // and the bound is asserted above.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, self.0) }
     }
 
     #[inline(always)]
@@ -148,6 +154,14 @@ impl WordSimd for I16x8Sse {
         // SAFETY: SSE2 is baseline; `loadu` has no alignment requirement
         // and the bound is asserted above.
         Self(unsafe { _mm_loadu_si128(lanes.as_ptr() as *const __m128i) })
+    }
+
+    #[inline(always)]
+    fn store(self, out: &mut [i16]) {
+        assert!(out.len() >= 8);
+        // SAFETY: SSE2 is baseline; `storeu` has no alignment requirement
+        // and the bound is asserted above.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, self.0) }
     }
 
     #[inline(always)]
@@ -268,6 +282,14 @@ impl ByteSimd for U8x32Avx {
     }
 
     #[inline(always)]
+    fn store(self, out: &mut [u8]) {
+        assert!(out.len() >= 32);
+        // SAFETY: AVX2 verified by the dispatcher; `storeu` is unaligned
+        // and the bound is asserted above.
+        unsafe { _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, self.0) }
+    }
+
+    #[inline(always)]
     fn sat_add(self, rhs: Self) -> Self {
         // SAFETY: AVX2 verified by the dispatcher.
         Self(unsafe { _mm256_adds_epu8(self.0, rhs.0) })
@@ -357,6 +379,14 @@ impl WordSimd for I16x16Avx {
     }
 
     #[inline(always)]
+    fn store(self, out: &mut [i16]) {
+        assert!(out.len() >= 16);
+        // SAFETY: AVX2 verified by the dispatcher; `storeu` is unaligned
+        // and the bound is asserted above.
+        unsafe { _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, self.0) }
+    }
+
+    #[inline(always)]
     fn sat_add(self, rhs: Self) -> Self {
         // SAFETY: AVX2 verified by the dispatcher.
         Self(unsafe { _mm256_adds_epi16(self.0, rhs.0) })
@@ -433,122 +463,23 @@ impl Backend for Avx2Backend {
     }
 }
 
-/// Byte-mode kernel compiled with AVX2 statically enabled.
+/// The whole precision ladder — byte pass, hand-off, word pass — compiled
+/// with AVX2 statically enabled.
 ///
 /// # Safety
 ///
 /// The executing CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
 #[target_feature(enable = "avx2")]
-pub unsafe fn sw_bytes_avx2(
+pub(crate) unsafe fn score_avx2<C: ColumnCheck>(
     gaps: &GapPenalties,
-    profile: &ByteProfileOf<U8x32Avx>,
+    profiles: &Profiles<Avx2Backend>,
     db: &[u8],
-) -> ByteKernelResult {
-    sw_bytes(gaps, profile, db)
-}
-
-/// Word-mode kernel compiled with AVX2 statically enabled.
-///
-/// # Safety
-///
-/// The executing CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
-#[target_feature(enable = "avx2")]
-pub unsafe fn sw_words_avx2(
-    gaps: &GapPenalties,
-    profile: &WordProfileOf<I16x16Avx>,
-    db: &[u8],
-) -> WordKernelResult {
-    sw_words(gaps, profile, db)
-}
-
-/// Byte-mode prefix-scan kernel compiled with AVX2 statically enabled.
-///
-/// # Safety
-///
-/// The executing CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
-#[target_feature(enable = "avx2")]
-pub unsafe fn sw_bytes_scan_avx2(
-    gaps: &GapPenalties,
-    profile: &ByteProfileOf<U8x32Avx>,
-    db: &[u8],
-) -> ByteKernelResult {
-    sw_bytes_scan(gaps, profile, db)
-}
-
-/// Word-mode prefix-scan kernel compiled with AVX2 statically enabled.
-///
-/// # Safety
-///
-/// The executing CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
-#[target_feature(enable = "avx2")]
-pub unsafe fn sw_words_scan_avx2(
-    gaps: &GapPenalties,
-    profile: &WordProfileOf<I16x16Avx>,
-    db: &[u8],
-) -> WordKernelResult {
-    sw_words_scan(gaps, profile, db)
-}
-
-/// Cancellable byte-mode kernel compiled with AVX2 statically enabled.
-///
-/// # Safety
-///
-/// The executing CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
-#[target_feature(enable = "avx2")]
-pub unsafe fn sw_bytes_cancel_avx2(
-    gaps: &GapPenalties,
-    profile: &ByteProfileOf<U8x32Avx>,
-    db: &[u8],
-    cancel: &CancelToken,
-) -> Option<ByteKernelResult> {
-    sw_bytes_checked(gaps, profile, db, cancel)
-}
-
-/// Cancellable word-mode kernel compiled with AVX2 statically enabled.
-///
-/// # Safety
-///
-/// The executing CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
-#[target_feature(enable = "avx2")]
-pub unsafe fn sw_words_cancel_avx2(
-    gaps: &GapPenalties,
-    profile: &WordProfileOf<I16x16Avx>,
-    db: &[u8],
-    cancel: &CancelToken,
-) -> Option<WordKernelResult> {
-    sw_words_checked(gaps, profile, db, cancel)
-}
-
-/// Cancellable byte-mode prefix-scan kernel compiled with AVX2 statically
-/// enabled.
-///
-/// # Safety
-///
-/// The executing CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
-#[target_feature(enable = "avx2")]
-pub unsafe fn sw_bytes_scan_cancel_avx2(
-    gaps: &GapPenalties,
-    profile: &ByteProfileOf<U8x32Avx>,
-    db: &[u8],
-    cancel: &CancelToken,
-) -> Option<ByteKernelResult> {
-    sw_bytes_scan_checked(gaps, profile, db, cancel)
-}
-
-/// Cancellable word-mode prefix-scan kernel compiled with AVX2 statically
-/// enabled.
-///
-/// # Safety
-///
-/// The executing CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
-#[target_feature(enable = "avx2")]
-pub unsafe fn sw_words_scan_cancel_avx2(
-    gaps: &GapPenalties,
-    profile: &WordProfileOf<I16x16Avx>,
-    db: &[u8],
-    cancel: &CancelToken,
-) -> Option<WordKernelResult> {
-    sw_words_scan_checked(gaps, profile, db, cancel)
+    precision: Precision,
+    force_scan: bool,
+    stats: &mut AdaptiveStats,
+    check: &C,
+) -> Option<i32> {
+    score_ladder(gaps, profiles, db, precision, force_scan, stats, check)
 }
 
 #[cfg(test)]
@@ -567,15 +498,13 @@ mod tests {
 
     fn store_b(v: U8x16Sse) -> [u8; 16] {
         let mut out = [0u8; 16];
-        // SAFETY: storeu is unaligned-safe and `out` is 16 bytes.
-        unsafe { _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, v.0) };
+        v.store(&mut out);
         out
     }
 
     fn store_w(v: I16x8Sse) -> [i16; 8] {
         let mut out = [0i16; 8];
-        // SAFETY: storeu is unaligned-safe and `out` is 16 bytes.
-        unsafe { _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, v.0) };
+        v.store(&mut out);
         out
     }
 
@@ -626,8 +555,7 @@ mod tests {
         let v = U8x32Avx::load(&vals);
         let shifted = ByteSimd::shift(v);
         let mut out = [0u8; 32];
-        // SAFETY: AVX2 checked above; storeu is unaligned-safe.
-        unsafe { _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, shifted.0) };
+        shifted.store(&mut out);
         assert_eq!(out[0], 0);
         assert_eq!(&out[1..32], &vals[0..31], "byte 15 must carry into lane 1");
 
@@ -638,8 +566,7 @@ mod tests {
         let v = I16x16Avx::load(&wvals);
         let shifted = WordSimd::shift(v);
         let mut wout = [0i16; 16];
-        // SAFETY: AVX2 checked above; storeu is unaligned-safe.
-        unsafe { _mm256_storeu_si256(wout.as_mut_ptr() as *mut __m256i, shifted.0) };
+        shifted.store(&mut wout);
         assert_eq!(wout[0], 0);
         assert_eq!(&wout[1..16], &wvals[0..15], "word 7 must carry into lane 1");
     }
@@ -687,14 +614,12 @@ mod tests {
         }
         let store_b32 = |v: U8x32Avx| {
             let mut out = [0u8; 32];
-            // SAFETY: AVX2 checked above; storeu is unaligned-safe.
-            unsafe { _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, v.0) };
+            v.store(&mut out);
             out
         };
         let store_w16 = |v: I16x16Avx| {
             let mut out = [0i16; 16];
-            // SAFETY: AVX2 checked above; storeu is unaligned-safe.
-            unsafe { _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, v.0) };
+            v.store(&mut out);
             out
         };
         for n in 0..=33 {

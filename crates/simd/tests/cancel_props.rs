@@ -122,6 +122,56 @@ fn cancellation_is_honored_at_the_next_checkpoint() {
     assert!(complete.scores[0] > 0, "sanity: the alignment scores");
 }
 
+/// A cancel landing inside a *resumed* word pass leaks nothing either. The
+/// subject opens with the query itself, so byte mode hands over before its
+/// second checkpoint: the byte pass polls once (column 0) and every later
+/// poll belongs to the word pass that continues from the hand-off.
+#[test]
+fn cancel_inside_a_resumed_word_pass_leaks_no_score_and_no_stats() {
+    let p = params();
+    let query = make_query(200, 3);
+    let mut d = query.clone();
+    d.extend(make_query(1000, 4));
+    for kind in BackendKind::available() {
+        for mode in KernelMode::ALL {
+            let engine = QueryEngine::with_backend_and_mode(p.clone(), &query, kind, mode);
+            let mut early = AdaptiveStats::default();
+            engine.score_with(&d[..CANCEL_CHECK_COLS], Precision::Adaptive, &mut early);
+            assert_eq!(
+                early.word_fallbacks, 1,
+                "hand-off before the second checkpoint"
+            );
+
+            let full = CancelToken::new();
+            let mut full_stats = AdaptiveStats::default();
+            let expected = engine
+                .score_with_cancel(&d, Precision::Adaptive, &mut full_stats, &full)
+                .unwrap_or_else(|e| panic!("uncancelled run must complete: {e}"));
+            let polls = full.polls();
+            assert_eq!(polls as usize, 1 + (d.len() - 1) / CANCEL_CHECK_COLS);
+
+            // Budgets 2..=polls trip at a checkpoint of the resumed pass.
+            for budget in 1..=polls + 1 {
+                let token = CancelToken::after_polls(budget);
+                let mut stats = AdaptiveStats::default();
+                let r = engine.score_with_cancel(&d, Precision::Adaptive, &mut stats, &token);
+                if budget <= polls {
+                    assert_eq!(r, Err(Cancelled), "{kind} / {mode} budget {budget}");
+                    assert_eq!(
+                        stats,
+                        AdaptiveStats::default(),
+                        "{kind} / {mode} leaked stats"
+                    );
+                    assert_eq!(token.polls(), budget, "stops at the tripping checkpoint");
+                } else {
+                    assert_eq!(r, Ok(expected), "{kind} / {mode}");
+                    assert_eq!(stats, full_stats, "{kind} / {mode}");
+                }
+            }
+        }
+    }
+}
+
 /// A token cancelled before the search starts yields `Cancelled` without
 /// scoring anything.
 #[test]

@@ -2,13 +2,16 @@
 //!
 //! Snytsar's deconstruction (arXiv:1909.00899) replaces the correction
 //! loop with a Kogge-Stone max-scan over the lane-boundary F values plus a
-//! single repair pass. The refactoring claim is *exactness*: for every
+//! single repair pass; the kernels take it on the columns whose F outlives
+//! a chunk, and `KernelMode::PrefixScan` forces it on every column. The
+//! claim is *exactness*: for every
 //! backend and every input, the scan mode must produce (1) the bit-exact
 //! score of the correction-loop mode and the scalar reference, and (2) the
 //! identical byte→word overflow verdict — the adaptive ladder may not
-//! change shape under a kernel-mode switch. On top of exactness, the scan
-//! must be *cheaper*: measurably fewer `lazy_f` vector operations on
-//! correction-heavy inputs.
+//! change shape under a kernel-mode switch. On top of exactness, the
+//! repair must be *bounded*: whichever route a column takes, it spends at
+//! most `seg_len + log2(LANES) + open/extend + 1` `lazy_f` vector
+//! operations.
 
 use proptest::prelude::*;
 use sw_align::smith_waterman::{sw_score, SwParams};
@@ -123,51 +126,50 @@ proptest! {
     }
 }
 
-/// Correction-heavy input: with `open == extend` the SWAT early exit is
-/// unsound and disabled, so the correction loop runs its full
-/// `LANES × seg_len` repair schedule every column — the worst case the
-/// deconstruction removes. The scan mode must agree on score and fallback
-/// while spending measurably fewer lazy-F vector operations
-/// (`log2(LANES) + seg_len` per column instead of `LANES × seg_len`).
+/// The repair is bounded per column in both modes. When no lane's exit F
+/// outlives a chunk the correction loop's early exit ends it within
+/// `seg_len + open/extend + 1` steps; otherwise — and always under
+/// `open == extend`, where that exit is unsound, or a forced scan — it
+/// costs `log2(LANES)` scan rounds plus one pass of `seg_len`. A
+/// self-alignment is the input that used to drive the loop towards its
+/// `LANES × seg_len` worst case.
 #[test]
-fn scan_spends_fewer_lazy_f_operations() {
-    let mut p = params();
-    p.gaps = sw_align::GapPenalties::new(2, 2).unwrap();
+fn lazy_f_per_column_is_bounded() {
     let q: Vec<u8> = (0..400).map(|i| (i % 20) as u8).collect();
-    let mut d = q.clone();
-    d[13] = (d[13] + 1) % 20;
-    let expected = sw_score(&p, &q, &d);
-    assert!(expected > 255, "case must exceed the byte range");
-    for kind in BackendKind::available() {
-        let (loop_score, loop_stats) = run(
-            &p,
-            &q,
-            &d,
-            kind,
-            KernelMode::CorrectionLoop,
-            Precision::Adaptive,
-        );
-        let (scan_score, scan_stats) = run(
-            &p,
-            &q,
-            &d,
-            kind,
-            KernelMode::PrefixScan,
-            Precision::Adaptive,
-        );
-        assert_eq!(loop_score, expected, "{kind} loop");
-        assert_eq!(scan_score, expected, "{kind} scan");
-        assert_eq!(scan_stats.word_fallbacks, 1, "{kind} scan must fall back");
-        assert_eq!(
-            scan_stats.word_fallbacks, loop_stats.word_fallbacks,
-            "{kind} fallback verdicts must agree"
-        );
-        let loop_total = loop_stats.lazy_f_byte + loop_stats.lazy_f_word;
-        let scan_total = scan_stats.lazy_f_byte + scan_stats.lazy_f_word;
-        assert!(
-            scan_total * 2 < loop_total,
-            "{kind}: scan must spend far fewer lazy-F ops (scan {scan_total} vs loop {loop_total})"
-        );
+    let cols = q.len() as u64;
+    for (open, extend) in [(10, 2), (2, 2)] {
+        let mut p = params();
+        p.gaps = sw_align::GapPenalties::new(open, extend).unwrap();
+        let expected = sw_score(&p, &q, &q);
+        for kind in BackendKind::available() {
+            let bound = |lanes: usize| {
+                let seg_len = q.len().div_ceil(lanes) as u64;
+                seg_len + lanes.ilog2() as u64 + (open / extend) as u64 + 1
+            };
+            for mode in KernelMode::ALL {
+                let (score, adaptive) = run(&p, &q, &q, kind, mode, Precision::Adaptive);
+                let (_, word) = run(&p, &q, &q, kind, mode, Precision::Word);
+                assert_eq!(score, expected, "{kind} / {mode}");
+                assert_eq!(adaptive.word_fallbacks, 1, "{kind} / {mode} must hand off");
+                // The byte pass and the resumed word pass share the columns.
+                let spent = [
+                    ("byte pass", adaptive.lazy_f_byte, bound(kind.byte_lanes())),
+                    (
+                        "resumed word pass",
+                        adaptive.lazy_f_word,
+                        bound(kind.word_lanes()),
+                    ),
+                    ("word-only run", word.lazy_f_word, bound(kind.word_lanes())),
+                ];
+                for (what, ops, per_column) in spent {
+                    assert!(
+                        ops > 0 && ops <= cols * per_column,
+                        "{kind} / {mode} gaps ({open},{extend}): {what} spent {ops} repair \
+                         ops over {cols} columns, bound {per_column} per column"
+                    );
+                }
+            }
+        }
     }
 }
 

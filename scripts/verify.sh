@@ -35,15 +35,20 @@ cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cud
 # Cross-feature matrix for the host SIMD backend: the emulated portable
 # path must keep building and passing with the native backends compiled
 # out, both ways of getting there. The prefix-scan differential suite is
-# named explicitly so the Lazy-F scan kernel is pinned score-identical to
-# the correction loop under every feature combination.
+# named explicitly so the Lazy-F scan route is pinned score-identical to
+# the correction loop under every feature combination, and the hand-off
+# suite because the byte→word hand-off re-stripes between lane widths
+# that differ per backend.
 cargo build -q --release --offline -p sw-simd --no-default-features
 cargo test -q --offline -p sw-simd --no-default-features
-cargo test -q --offline -p sw-simd --no-default-features --test prefix_scan_differential
+cargo test -q --offline -p sw-simd --no-default-features --test prefix_scan_differential \
+  --test handoff_differential
 cargo build -q --release --offline -p sw-simd --features force-portable
 cargo test -q --offline -p sw-simd --features force-portable
-cargo test -q --offline -p sw-simd --features force-portable --test prefix_scan_differential
-cargo test -q --offline -p sw-simd --test prefix_scan_differential --test pool_chunking
+cargo test -q --offline -p sw-simd --features force-portable --test prefix_scan_differential \
+  --test handoff_differential
+cargo test -q --offline -p sw-simd --test prefix_scan_differential --test handoff_differential \
+  --test pool_chunking
 
 # Crash-only host engine: the seeded host-fault matrix (>=3 seeds x
 # {panic, stall, alloc-fail}, chaos storms, budget starvation) and the
