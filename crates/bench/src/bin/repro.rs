@@ -14,6 +14,7 @@
 //! repro host-chaos [--seeds <a,b,c>] [--out <file.json>]
 //! repro serve-rt [--smoke] [--requests <n>] [--out <file.json>] [--baseline <file>]
 //! repro device-opt [--smoke] [--out <file.json>] [--baseline <file>]
+//! repro gate <doc.json> [--baseline <committed.json>]
 //! ```
 //!
 //! `--inject-faults <seed>` selects the random fault seed for the chaos
@@ -27,56 +28,51 @@
 //! count appears in the result table. Scores are bit-identical either
 //! way.
 //!
+//! `host`, `serve-rt` and `device-opt` record into the append-only
+//! trajectories (`BENCH_{host,serve,device}.json`, see
+//! `cudasw_bench::trajectory`) through one path: `--out` writes the run as
+//! an entry keyed by git rev (`+dirty` from a modified tree) + workload
+//! config + measuring host or device; `--baseline <file>` first merges it
+//! into that committed trajectory and compares it against the latest
+//! comparable entry. The entry's own gates always run. Exit code 0 is a
+//! pass, 1 a failed gate or an I/O error, 2 a usage error.
+//!
 //! `host` benchmarks the real host compute backend (runtime-dispatched
-//! SIMD, both Lazy-F kernel modes, work-stealing thread pool) in
-//! wall-clock time on the current machine over a Swissprot-shaped
+//! SIMD, both Lazy-F kernel modes, work-stealing thread pool) in *real*
+//! wall-clock seconds on the current machine over a Swissprot-shaped
 //! synthetic database (10⁵ sequences; `--db-size <n>` overrides,
-//! `--smoke` shrinks to CI scale on the same code path). With `--out` it
-//! writes the append-only `cudasw.bench.host/v2` trajectory document
-//! (`BENCH_host.json`), keyed by git rev + workload config. With
-//! `--baseline <file>` the fresh run is merged into that committed
-//! trajectory and gated: per-row GCUPS regressions against the latest
-//! comparable entry and (on hosts with ≥ 4 threads and a large database)
-//! the ≥ 1.5× thread-scaling floor both exit non-zero on failure. Unlike
-//! every other experiment these numbers are *real* seconds, not
-//! simulated ones.
+//! `--smoke` shrinks to CI scale on the same code path). Gates: per-row
+//! GCUPS regressions against the baseline and, at `n = min(4, hardware
+//! threads) ≥ 2` on a large database, the `0.75 × n` thread-scaling floor.
 //!
 //! `host-chaos` runs the crash-only host engine's seeded fault matrix
 //! (every seed × {panic, stall, alloc-fail} forced faults, plus a full
-//! chaos storm per seed) over the protected SIMD pool and gates on
-//! bit-identical scores with zero lost or duplicated sequences. With
-//! `--out` it writes the `cudasw.bench.host_chaos/v1` document
-//! (`BENCH_host_chaos.json`). Like `host`, this runs in real wall-clock
-//! time (injected stalls sleep real milliseconds).
+//! chaos storm per seed) over the protected SIMD pool, also in real time,
+//! and gates on bit-identical scores with zero lost or duplicated
+//! sequences; `--out` writes `BENCH_host_chaos.json`.
 //!
 //! `serve-rt` runs the wall-clock serving gateway (`sw-gateway`): real
 //! worker threads per shard lane, an in-process multi-tenant front-end,
 //! and a seeded open-loop load generator replaying steady, bursty and
-//! overload arrival schedules in real time (10⁵ requests per profile;
-//! `--smoke` shrinks to CI scale on the same code path). Latency is
-//! end-to-end wall time — front-end enqueue to response. With `--out` it
-//! writes the append-only `cudasw.bench.serve/v1` trajectory document
-//! (`BENCH_serve.json`), keyed by git rev + workload config +
-//! host_threads. With `--baseline <file>` the fresh run is merged into
-//! that committed trajectory and gated: shed and deadline-miss rates
-//! always, latency tails only on hosts with ≥ 4 hardware threads (a
-//! 1-core box time-slices the lanes and certifies nothing about tails).
+//! overload arrival schedules in real time (10⁵ requests per profile, CI
+//! scale with `--smoke`); latency is front-end enqueue to response.
+//! Gates against the baseline: shed and deadline-miss rates always,
+//! latency tails only on hosts with ≥ 4 hardware threads (a 1-core box
+//! time-slices the lanes and certifies nothing about tails).
 //!
 //! `device-opt` runs the §VII device-kernel optimization matrix
 //! (baseline, each optimization alone, all together) through the
 //! simulator on a trimmed Fermi and records the counted metric each
-//! optimization claims to move: inter-task global transactions
-//! (shared-memory staging), hidden stall cycles (cross-strip fusion),
-//! hidden H2D seconds (streamed copy), and intra-task block-cycle
-//! imbalance (SaLoBa balance), plus a CRC of the scores. The built-in
-//! invariant gates (score/byte/cell identity, the ≥ 4× staging
+//! optimization claims to move, plus a CRC of the scores. Gates: the
+//! invariants on every run (score/byte/cell identity, the ≥ 4× staging
 //! transaction cut, fusion hiding stalls the baseline exposes, the
-//! streamed-copy accounting identity, balance never worsening skew)
-//! always run and exit non-zero on failure. With `--out` it writes the
-//! append-only `cudasw.bench.device/v1` trajectory (`BENCH_device.json`),
-//! keyed by git rev + workload config + device; with `--baseline <file>`
-//! the fresh entry is additionally compared row-by-row against the
-//! latest comparable committed entry (GCUPs floor, transaction ceiling).
+//! streamed-copy accounting identity, balance never worsening skew) and,
+//! against the baseline, a per-row GCUPs floor and transaction ceiling.
+//!
+//! `gate` parses a written document — a trajectory, `BENCH_soak.json`
+//! (`--baseline`: availability at most 0.005 under the committed one),
+//! `BENCH_host_chaos.json` or a Chrome trace — and runs its schema's
+//! checks on typed values (`cudasw_bench::gate`), as `verify.sh` and CI do.
 //!
 //! `trace` runs any experiment under the observability recorder and dumps
 //! its span timeline as a Chrome `trace_event` JSON file — load it in
@@ -94,13 +90,17 @@
 //! anchors marked "functional" execute every DP cell through the
 //! simulator. See DESIGN.md §4–5 and EXPERIMENTS.md.
 
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::sync::OnceLock;
 
 use cudasw_bench::experiments::{
     ablation, chaos, device_opt, device_trajectory, extensions, fig2, fig3, fig5, fig6, fig7, host,
-    host_chaos, host_trajectory, integrity, multigpu, retune, serve, serve_rt, serve_trajectory,
-    soak, strips, table1, table2, validation,
+    host_chaos, integrity, multigpu, retune, serve, serve_rt, serve_trajectory, soak, strips,
+    table1, table2, validation,
 };
+use cudasw_bench::gate;
+use cudasw_bench::trajectory::{rev_key, Entry, Trajectory};
 use gpu_sim::DeviceSpec;
 
 /// Seed from `--inject-faults <seed>`; read by the chaos experiment.
@@ -112,96 +112,172 @@ static CHECKPOINT_DIR: OnceLock<String> = OnceLock::new();
 /// Set by `--resume`: keep existing checkpoint logs and replay them.
 static RESUME: OnceLock<bool> = OnceLock::new();
 
+/// Every experiment, in `repro all` order. The subcommands that take
+/// arguments of their own appear here with their CI-scale, no-file entry.
+const KNOWN: &[(&str, fn())] = &[
+    ("fig2", run_fig2),
+    ("fig3", run_fig3),
+    ("fig5", run_fig5),
+    ("fig6", run_fig6),
+    ("fig7", run_fig7),
+    ("table1", run_table1),
+    ("table2", run_table2),
+    ("ablation", run_ablation),
+    ("strips", run_strips),
+    ("retune", run_retune),
+    ("extensions", run_extensions),
+    ("multigpu", run_multigpu),
+    ("validation", run_validation),
+    ("chaos", run_chaos),
+    ("integrity", run_integrity),
+    ("serve", run_serve),
+    ("soak", run_soak_smoke),
+    ("serve-rt", run_serve_rt_smoke),
+    ("host", run_host_smoke),
+    ("host-chaos", run_host_chaos_smoke),
+    ("device-opt", run_device_opt_smoke),
+];
+
+/// A subcommand's entry point: its arguments, and its usage line.
+type Subcommand = fn(Vec<String>, &str);
+
+/// The subcommands that take arguments of their own, with their synopsis.
+const SUBCOMMANDS: &[(&str, &str, Subcommand)] = &[
+    (
+        "trace",
+        "<experiment> [--out <file.json>] [--metrics <file.prom>]",
+        run_trace,
+    ),
+    (
+        "host",
+        "[--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]",
+        run_host,
+    ),
+    ("soak", "[--smoke] [--out <file.json>]", run_soak),
+    (
+        "host-chaos",
+        "[--seeds <a,b,c>] [--out <file.json>]",
+        run_host_chaos,
+    ),
+    (
+        "serve-rt",
+        "[--smoke] [--requests <n>] [--out <file.json>] [--baseline <file>]",
+        run_serve_rt,
+    ),
+    (
+        "device-opt",
+        "[--smoke] [--out <file.json>] [--baseline <file>]",
+        run_device_opt,
+    ),
+    ("gate", "<doc.json> [--baseline <committed.json>]", run_gate),
+];
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--inject-faults") {
-        let seed = match args.get(pos + 1).map(|s| s.parse::<u64>()) {
-            Some(Ok(seed)) => seed,
-            _ => {
-                eprintln!("--inject-faults needs an integer seed");
-                std::process::exit(2);
-            }
-        };
+    if let Some(seed) = take_value(&mut args, "--inject-faults", "an integer seed") {
         FAULT_SEED.set(seed).expect("flag parsed once");
-        args.drain(pos..=pos + 1);
     }
-    if let Some(pos) = args.iter().position(|a| a == "--checkpoint") {
-        let Some(dir) = args.get(pos + 1).cloned() else {
-            eprintln!("--checkpoint needs a directory path");
-            std::process::exit(2);
-        };
+    if let Some(dir) = take_value(&mut args, "--checkpoint", "a directory path") {
         CHECKPOINT_DIR.set(dir).expect("flag parsed once");
-        args.drain(pos..=pos + 1);
     }
-    if let Some(pos) = args.iter().position(|a| a == "--resume") {
+    if take_flag(&mut args, "--resume") {
         RESUME.set(true).expect("flag parsed once");
-        args.remove(pos);
     }
-    let cmd = args.first().map(|s| s.as_str()).unwrap_or("help");
-    let known: &[(&str, fn())] = &[
-        ("fig2", run_fig2),
-        ("fig3", run_fig3),
-        ("fig5", run_fig5),
-        ("fig6", run_fig6),
-        ("fig7", run_fig7),
-        ("table1", run_table1),
-        ("table2", run_table2),
-        ("ablation", run_ablation),
-        ("strips", run_strips),
-        ("retune", run_retune),
-        ("extensions", run_extensions),
-        ("multigpu", run_multigpu),
-        ("validation", run_validation),
-        ("chaos", run_chaos),
-        ("integrity", run_integrity),
-        ("serve", run_serve),
-        ("soak", run_soak_smoke),
-        ("serve-rt", run_serve_rt_smoke),
-        ("host", run_host_smoke),
-        ("host-chaos", run_host_chaos_smoke),
-        ("device-opt", run_device_opt_smoke),
-    ];
-    match cmd {
+    let cmd = if args.is_empty() {
+        "help".to_string()
+    } else {
+        args.remove(0)
+    };
+    if let Some((name, synopsis, run)) = SUBCOMMANDS.iter().find(|(name, ..)| *name == cmd) {
+        return run(args, &format!("repro {name} {synopsis}"));
+    }
+    match cmd.as_str() {
         "all" => {
-            for (name, f) in known {
+            for (name, f) in KNOWN {
                 eprintln!("==> {name}");
                 run_with_report(name, *f);
             }
         }
-        "trace" => run_trace(&args[1..], known),
-        "host" => run_host(&args[1..]),
-        "soak" => run_soak(&args[1..]),
-        "serve-rt" => run_serve_rt(&args[1..]),
-        "host-chaos" => run_host_chaos(&args[1..]),
-        "device-opt" => run_device_opt(&args[1..]),
         "help" | "--help" | "-h" => {
             println!(
                 "usage: repro <experiment> [--inject-faults <seed>] [--checkpoint <dir>] [--resume]"
             );
-            println!("       repro trace <experiment> [--out <file.json>] [--metrics <file.prom>]");
-            println!(
-                "       repro host [--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]"
-            );
-            println!("       repro soak [--smoke] [--out <file.json>]");
-            println!("       repro host-chaos [--seeds <a,b,c>] [--out <file.json>]");
-            println!(
-                "       repro serve-rt [--smoke] [--requests <n>] [--out <file.json>] [--baseline <file>]"
-            );
-            println!("       repro device-opt [--smoke] [--out <file.json>] [--baseline <file>]");
-            println!("experiments: all, fig2, fig3, fig5, fig6, fig7, table1, table2,");
-            println!("             ablation, strips, retune, extensions, validation, chaos,");
-            println!("             integrity, serve, soak, host, host-chaos, serve-rt, device-opt");
+            for (name, synopsis, _) in SUBCOMMANDS {
+                println!("       repro {name} {synopsis}");
+            }
+            let names: Vec<&str> = KNOWN.iter().map(|(name, _)| *name).collect();
+            let lines: Vec<String> = names.chunks(8).map(|line| line.join(", ")).collect();
+            println!("experiments: all, {}", lines.join(",\n             "));
             println!("--inject-faults <seed>: fault seed for the chaos run (default 42)");
             println!("--checkpoint <dir>: write chunk-completion logs there during chaos");
             println!("--resume: replay existing logs in the checkpoint dir instead of wiping it");
         }
-        other => match known.iter().find(|(name, _)| *name == other) {
-            Some((name, f)) => run_with_report(name, *f),
-            None => {
-                eprintln!("unknown experiment {other:?}; try `repro help`");
-                std::process::exit(2);
-            }
-        },
+        other => run_with_report(other, known(other)),
+    }
+}
+
+/// Look an experiment up in [`KNOWN`]; an unknown name is a usage error.
+fn known(name: &str) -> fn() {
+    match KNOWN.iter().find(|(known, _)| *known == name) {
+        Some((_, f)) => *f,
+        None => usage_error(format!("unknown experiment {name:?}; try `repro help`")),
+    }
+}
+
+/// Remove `flag` from `args`; `true` when it was there.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let pos = args.iter().position(|a| a == flag);
+    pos.map(|pos| args.remove(pos)).is_some()
+}
+
+/// Remove `flag <value>` from `args` and parse the value. A missing or
+/// malformed value is a usage error: "`flag` needs `what`".
+fn take_value<T: FromStr>(args: &mut Vec<String>, flag: &str, what: &str) -> Option<T> {
+    let pos = args.iter().position(|a| a == flag)?;
+    let Some(value) = args.get(pos + 1).and_then(|v| v.parse().ok()) else {
+        usage_error(format!("{flag} needs {what}"));
+    };
+    args.drain(pos..=pos + 1);
+    Some(value)
+}
+
+/// Whatever the flags left behind is a usage error.
+fn expect_no_more(rest: &[String], usage: &str) {
+    if !rest.is_empty() {
+        usage_error(format!("unexpected arguments {rest:?}; usage: {usage}"));
+    }
+}
+
+/// Exit code 2.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// A gate or I/O failure: exit code 1.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
+fn write_or_fail(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        fail(format!("cannot write {path}: {e}"));
+    }
+}
+
+fn read_or_fail(what: &str, path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {what}{path}: {e}")))
+}
+
+/// Print `failures` under "`gate` FAILED:" and exit 1, if there are any.
+fn fail_if_any(gate: &str, failures: &[String]) {
+    if !failures.is_empty() {
+        eprintln!("{gate} FAILED:");
+        for f in failures {
+            eprintln!("  - {f}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -233,44 +309,18 @@ fn print_run_report(name: &str, run: &obs::Obs) {
 }
 
 /// `repro trace <experiment> [--out <file.json>] [--metrics <file.prom>]`
-fn run_trace(rest: &[String], known: &[(&str, fn())]) {
-    let mut rest: Vec<String> = rest.to_vec();
-    let mut out_path = "trace.json".to_string();
-    let mut prom_path: Option<String> = None;
-    if let Some(pos) = rest.iter().position(|a| a == "--out") {
-        match rest.get(pos + 1) {
-            Some(p) => out_path = p.clone(),
-            None => {
-                eprintln!("--out needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--metrics") {
-        match rest.get(pos + 1) {
-            Some(p) => prom_path = Some(p.clone()),
-            None => {
-                eprintln!("--metrics needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    let Some(exp) = rest.first() else {
-        eprintln!("usage: repro trace <experiment> [--out <file.json>] [--metrics <file.prom>]");
-        std::process::exit(2);
+fn run_trace(mut rest: Vec<String>, usage: &str) {
+    let out_path =
+        take_value(&mut rest, "--out", "a file path").unwrap_or_else(|| "trace.json".to_string());
+    let prom_path: Option<String> = take_value(&mut rest, "--metrics", "a file path");
+    let Some(name) = rest.first() else {
+        usage_error(format!("usage: {usage}"));
     };
-    let Some((name, f)) = known.iter().find(|(name, _)| name == exp) else {
-        eprintln!("unknown experiment {exp:?}; try `repro help`");
-        std::process::exit(2);
-    };
-    let ((), run) = obs::capture(*f);
-    let json = obs::chrome::to_chrome_json(&run.trace, run.clock);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
+    let ((), run) = obs::capture(known(name));
+    write_or_fail(
+        &out_path,
+        &obs::chrome::to_chrome_json(&run.trace, run.clock),
+    );
     print_run_report(name, &run);
     println!(
         "wrote {} spans + {} instants ({:.4}s simulated) to {out_path}",
@@ -279,11 +329,7 @@ fn run_trace(rest: &[String], known: &[(&str, fn())]) {
         run.clock,
     );
     if let Some(prom_path) = prom_path {
-        let text = obs::prom::to_prometheus_text(&run.metrics);
-        if let Err(e) = std::fs::write(&prom_path, &text) {
-            eprintln!("cannot write {prom_path}: {e}");
-            std::process::exit(1);
-        }
+        write_or_fail(&prom_path, &obs::prom::to_prometheus_text(&run.metrics));
         println!("wrote metrics snapshot to {prom_path}");
     }
 }
@@ -400,13 +446,17 @@ fn run_chaos() {
     if let Some(dir) = &ckpt {
         if !resume && dir.exists() {
             if let Err(e) = std::fs::remove_dir_all(dir) {
-                eprintln!("cannot clear checkpoint dir {}: {e}", dir.display());
-                std::process::exit(1);
+                fail(format!(
+                    "cannot clear checkpoint dir {}: {e}",
+                    dir.display()
+                ));
             }
         }
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create checkpoint dir {}: {e}", dir.display());
-            std::process::exit(1);
+            fail(format!(
+                "cannot create checkpoint dir {}: {e}",
+                dir.display()
+            ));
         }
     }
     let r = chaos::run_with_options(&DeviceSpec::tesla_c1060(), seed, 600, 64, ckpt.as_deref());
@@ -438,48 +488,25 @@ fn run_integrity() {
 
 /// `repro all` entry: the CI-scale chaos soak, no file output.
 fn run_soak_smoke() {
-    let r = soak::run(&DeviceSpec::tesla_c1060(), true);
-    r.table().print();
-    print_soak_summary(&r);
+    print_soak_result(&soak::run(&DeviceSpec::tesla_c1060(), true));
 }
 
 /// `repro soak [--smoke] [--out <file.json>]`
-fn run_soak(rest: &[String]) {
-    let mut rest: Vec<String> = rest.to_vec();
-    let mut out_path: Option<String> = None;
-    let mut smoke = false;
-    if let Some(pos) = rest.iter().position(|a| a == "--smoke") {
-        smoke = true;
-        rest.remove(pos);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--out") {
-        match rest.get(pos + 1) {
-            Some(p) => out_path = Some(p.clone()),
-            None => {
-                eprintln!("--out needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if !rest.is_empty() {
-        eprintln!("unexpected arguments {rest:?}; usage: repro soak [--smoke] [--out <file.json>]");
-        std::process::exit(2);
-    }
+fn run_soak(mut rest: Vec<String>, usage: &str) {
+    let smoke = take_flag(&mut rest, "--smoke");
+    let out_path: Option<String> = take_value(&mut rest, "--out", "a file path");
+    expect_no_more(&rest, usage);
     let (r, run) = obs::capture(|| soak::run(&DeviceSpec::tesla_c1060(), smoke));
-    r.table().print();
-    print_soak_summary(&r);
+    print_soak_result(&r);
     print_run_report("soak", &run);
     if let Some(out_path) = out_path {
-        if let Err(e) = std::fs::write(&out_path, r.to_json()) {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
+        write_or_fail(&out_path, &r.to_json());
         println!("wrote soak result ({}) to {out_path}", soak::SCHEMA);
     }
 }
 
-fn print_soak_summary(r: &soak::SoakResult) {
+fn print_soak_result(r: &soak::SoakResult) {
+    r.table().print();
     println!(
         "Soak held {:.2}% availability through {} injected GPU faults \
          ({} lane death(s), {} revival(s), {} breaker trip(s))\n\
@@ -498,50 +525,24 @@ fn print_soak_summary(r: &soak::SoakResult) {
 /// `repro all` entry: the host-lane fault matrix at CI scale, no file
 /// output.
 fn run_host_chaos_smoke() {
-    let r = host_chaos::run(&host_chaos::DEFAULT_SEEDS, 120, 64);
-    r.table().print();
-    print_host_chaos_summary(&r);
+    print_host_chaos_result(&host_chaos::run(&host_chaos::DEFAULT_SEEDS, 120, 64));
 }
 
 /// `repro host-chaos [--seeds <a,b,c>] [--out <file.json>]`
-fn run_host_chaos(rest: &[String]) {
-    let mut rest: Vec<String> = rest.to_vec();
-    let mut out_path: Option<String> = None;
-    let mut seeds: Vec<u64> = host_chaos::DEFAULT_SEEDS.to_vec();
-    if let Some(pos) = rest.iter().position(|a| a == "--seeds") {
-        match rest.get(pos + 1).map(|s| {
-            s.split(',')
-                .map(|x| x.trim().parse::<u64>())
-                .collect::<Result<Vec<u64>, _>>()
-        }) {
-            Some(Ok(list)) if !list.is_empty() => seeds = list,
-            _ => {
-                eprintln!("--seeds needs a comma-separated list of integers");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--out") {
-        match rest.get(pos + 1) {
-            Some(p) => out_path = Some(p.clone()),
-            None => {
-                eprintln!("--out needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if !rest.is_empty() {
-        eprintln!(
-            "unexpected arguments {rest:?}; usage: \
-             repro host-chaos [--seeds <a,b,c>] [--out <file.json>]"
-        );
-        std::process::exit(2);
-    }
+fn run_host_chaos(mut rest: Vec<String>, usage: &str) {
+    let seeds_what = "a comma-separated list of integers";
+    let seeds = match take_value::<String>(&mut rest, "--seeds", seeds_what) {
+        None => host_chaos::DEFAULT_SEEDS.to_vec(),
+        Some(list) => list
+            .split(',')
+            .map(|x| x.trim().parse::<u64>())
+            .collect::<Result<Vec<u64>, _>>()
+            .unwrap_or_else(|_| usage_error(format!("--seeds needs {seeds_what}"))),
+    };
+    let out_path: Option<String> = take_value(&mut rest, "--out", "a file path");
+    expect_no_more(&rest, usage);
     let (r, run) = obs::capture(|| host_chaos::run(&seeds, 120, 64));
-    r.table().print();
-    print_host_chaos_summary(&r);
+    print_host_chaos_result(&r);
     let m = &run.metrics;
     println!(
         "[run report] host-chaos: {} injected, {} panics caught, {} oracle recomputes, \
@@ -553,10 +554,7 @@ fn run_host_chaos(rest: &[String]) {
         m.counter_sum("cudasw.simd.pool.rechunks", &[]) as u64,
     );
     if let Some(out_path) = out_path {
-        if let Err(e) = std::fs::write(&out_path, r.to_json()) {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
+        write_or_fail(&out_path, &r.to_json());
         println!(
             "wrote host-chaos result ({}) to {out_path}",
             host_chaos::SCHEMA
@@ -564,7 +562,8 @@ fn run_host_chaos(rest: &[String]) {
     }
 }
 
-fn print_host_chaos_summary(r: &host_chaos::HostChaosResult) {
+fn print_host_chaos_result(r: &host_chaos::HostChaosResult) {
+    r.table().print();
     println!(
         "Host fault matrix: {} cells, {} injected faults, every cell bit-identical \
          to the clean run, zero lost or duplicated sequences.\n",
@@ -575,142 +574,91 @@ fn print_host_chaos_summary(r: &host_chaos::HostChaosResult) {
 
 /// `repro all` entry: the CI-scale host benchmark, no file output.
 fn run_host_smoke() {
-    let r = host::run(&host::HostBenchOpts {
+    print_host_result(&host::run(&host::HostBenchOpts {
         smoke: true,
         db_size: None,
-    });
-    r.table().print();
-    print_host_summary(&r);
+    }));
 }
 
-/// Short git revision of the working tree (for trajectory keying).
+/// The rev this run's trajectory entry is keyed by: short `HEAD`,
+/// `+dirty` when the working tree differs from it.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let head = git(&["rev-parse", "--short", "HEAD"]);
+    let porcelain = git(&["status", "--porcelain"]).unwrap_or_default();
+    rev_key(head.as_deref(), &porcelain)
+}
+
+/// The one gated-run path: load the committed trajectory, gate the fresh
+/// `entry` on its own and against its latest comparable entry,
+/// append it, write the merged document, then exit 1 if any gate failed.
+fn run_gated<E: Entry>(
+    entry: E,
+    out_path: Option<String>,
+    baseline_path: Option<String>,
+    gate: &str,
+) {
+    let mut trajectory = match &baseline_path {
+        Some(p) => Trajectory::<E>::parse(&read_or_fail("baseline ", p))
+            .unwrap_or_else(|e| fail(format!("cannot parse baseline {p}: {e}"))),
+        None => Trajectory::default(),
+    };
+    let mut failures = entry.standalone_gates();
+    let (config, on) = entry.workload();
+    match trajectory.baseline_for(&entry) {
+        Some(base) => {
+            println!(
+                "comparing against committed entry (rev {}, config {config}, {on})",
+                base.rev()
+            );
+            failures.extend(E::regressions(base, &entry));
+        }
+        None if baseline_path.is_some() => {
+            println!("no comparable committed entry (config {config}, {on}): recording only");
+        }
+        None => {}
+    }
+    trajectory.append(entry);
+    if let Some(out_path) = out_path {
+        write_or_fail(&out_path, &trajectory.to_json());
+        println!(
+            "wrote trajectory ({} entries, {}) to {out_path}",
+            trajectory.entries.len(),
+            E::SCHEMA
+        );
+    }
+    fail_if_any(gate, &failures);
+    let compared = baseline_path.map_or("", |_| " + committed-baseline comparison");
+    println!("{gate} passed (the entry's own gates{compared}).");
 }
 
 /// `repro host [--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]`
-fn run_host(rest: &[String]) {
-    let mut rest: Vec<String> = rest.to_vec();
-    let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut opts = host::HostBenchOpts::default();
-    if let Some(pos) = rest.iter().position(|a| a == "--smoke") {
-        opts.smoke = true;
-        rest.remove(pos);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--db-size") {
-        match rest.get(pos + 1).map(|s| s.parse::<usize>()) {
-            Some(Ok(n)) if n > 0 => opts.db_size = Some(n),
-            _ => {
-                eprintln!("--db-size needs a positive integer");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--out") {
-        match rest.get(pos + 1) {
-            Some(p) => out_path = Some(p.clone()),
-            None => {
-                eprintln!("--out needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--baseline") {
-        match rest.get(pos + 1) {
-            Some(p) => baseline_path = Some(p.clone()),
-            None => {
-                eprintln!("--baseline needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if !rest.is_empty() {
-        eprintln!(
-            "unexpected arguments {rest:?}; usage: \
-             repro host [--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]"
-        );
-        std::process::exit(2);
-    }
-    let (r, run) = obs::capture(|| host::run(&opts));
-    r.table().print();
-    print_host_summary(&r);
+fn run_host(mut rest: Vec<String>, usage: &str) {
+    let opts = host::HostBenchOpts {
+        smoke: take_flag(&mut rest, "--smoke"),
+        db_size: take_value::<NonZeroUsize>(&mut rest, "--db-size", "a positive integer")
+            .map(NonZeroUsize::get),
+    };
+    let out_path = take_value(&mut rest, "--out", "a file path");
+    let baseline_path = take_value(&mut rest, "--baseline", "a file path");
+    expect_no_more(&rest, usage);
+    let (mut r, run) = obs::capture(|| host::run(&opts));
+    print_host_result(&r);
     let selected = run.metrics.counter_sum("cudasw.simd.backend.selected", &[]);
     let reruns = run.metrics.counter_sum("cudasw.simd.word_mode.reruns", &[]);
     println!(
         "[run report] host: {} backend selections, {} word-mode reruns (real wall-clock run)",
         selected as u64, reruns as u64
     );
-
-    let entry = host_trajectory::TrajectoryEntry::from_result(&r, &git_rev());
-    let mut trajectory = match &baseline_path {
-        Some(p) => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read baseline {p}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match host_trajectory::Trajectory::parse(&text) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot parse baseline {p}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => host_trajectory::Trajectory::default(),
-    };
-
-    let mut failures: Vec<String> = Vec::new();
-    if let Some(base) = trajectory.baseline_for(&entry) {
-        println!(
-            "comparing against committed entry (rev {}, config {}, {} host threads)",
-            base.rev, base.config, base.host_threads
-        );
-        failures.extend(host_trajectory::regressions(base, &entry));
-    } else if baseline_path.is_some() {
-        println!(
-            "no comparable committed entry (config {}, {} host threads): recording only",
-            entry.config, entry.host_threads
-        );
-    }
-    failures.extend(host_trajectory::scaling_gate(&entry));
-    trajectory.append(entry);
-
-    if let Some(out_path) = out_path {
-        if let Err(e) = std::fs::write(&out_path, trajectory.to_json()) {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "wrote host trajectory ({} entries, {}) to {out_path}",
-            trajectory.entries.len(),
-            host_trajectory::SCHEMA
-        );
-    }
-    if !failures.is_empty() {
-        eprintln!("host perf gate FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    if baseline_path.is_some() {
-        println!("host perf gate passed (GCUPS regression + thread-scaling checks).");
-    }
+    r.rev = git_rev();
+    run_gated(r, out_path, baseline_path, "host perf gate");
 }
 
 /// `repro device-opt` inside `repro all`: smoke scale, invariant gates
@@ -718,125 +666,42 @@ fn run_host(rest: &[String]) {
 fn run_device_opt_smoke() {
     let r = device_opt::run(true);
     r.table().print();
-    let entry = device_trajectory::TrajectoryEntry::from_result(&r, &git_rev());
-    let failures = device_trajectory::invariant_gates(&entry);
-    if !failures.is_empty() {
-        eprintln!("device optimization invariant gates FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    fail_if_any(
+        "device optimization invariant gates",
+        &device_trajectory::invariant_gates(&r),
+    );
     println!("device optimization invariant gates passed (smoke scale).");
 }
 
 /// `repro device-opt [--smoke] [--out <file.json>] [--baseline <file>]`
-fn run_device_opt(rest: &[String]) {
-    let mut rest: Vec<String> = rest.to_vec();
-    let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut smoke = false;
-    if let Some(pos) = rest.iter().position(|a| a == "--smoke") {
-        smoke = true;
-        rest.remove(pos);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--out") {
-        match rest.get(pos + 1) {
-            Some(p) => out_path = Some(p.clone()),
-            None => {
-                eprintln!("--out needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--baseline") {
-        match rest.get(pos + 1) {
-            Some(p) => baseline_path = Some(p.clone()),
-            None => {
-                eprintln!("--baseline needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if !rest.is_empty() {
-        eprintln!(
-            "unexpected arguments {rest:?}; usage: \
-             repro device-opt [--smoke] [--out <file.json>] [--baseline <file>]"
-        );
-        std::process::exit(2);
-    }
-
-    let r = device_opt::run(smoke);
+fn run_device_opt(mut rest: Vec<String>, usage: &str) {
+    let smoke = take_flag(&mut rest, "--smoke");
+    let out_path = take_value(&mut rest, "--out", "a file path");
+    let baseline_path = take_value(&mut rest, "--baseline", "a file path");
+    expect_no_more(&rest, usage);
+    let mut r = device_opt::run(smoke);
     r.table().print();
-    let entry = device_trajectory::TrajectoryEntry::from_result(&r, &git_rev());
-
-    let mut trajectory = match &baseline_path {
-        Some(p) => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read baseline {p}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match device_trajectory::Trajectory::parse(&text) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot parse baseline {p}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => device_trajectory::Trajectory::default(),
-    };
-
+    r.rev = git_rev();
     // The counted per-optimization claims gate every run, baseline or not.
-    let mut failures = device_trajectory::invariant_gates(&entry);
-    if let Some(base) = trajectory.baseline_for(&entry) {
-        println!(
-            "comparing against committed entry (rev {}, config {}, device {})",
-            base.rev, base.config, base.device
-        );
-        failures.extend(device_trajectory::regressions(base, &entry));
-    } else if baseline_path.is_some() {
-        println!(
-            "no comparable committed entry (config {}, device {}): recording only",
-            entry.config, entry.device
-        );
-    }
-    trajectory.append(entry);
-
-    if let Some(out_path) = out_path {
-        if let Err(e) = std::fs::write(&out_path, trajectory.to_json()) {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "wrote device trajectory ({} entries, {}) to {out_path}",
-            trajectory.entries.len(),
-            device_trajectory::SCHEMA
-        );
-    }
-    if !failures.is_empty() {
-        eprintln!("device perf gate FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "device perf gate passed (score/byte identity + per-optimization counters{}).",
-        if baseline_path.is_some() {
-            " + committed-baseline comparison"
-        } else {
-            ""
-        }
-    );
+    run_gated(r, out_path, baseline_path, "device perf gate");
 }
 
-fn print_host_summary(r: &host::HostBenchResult) {
+/// `repro gate <doc.json> [--baseline <committed.json>]`
+fn run_gate(mut rest: Vec<String>, usage: &str) {
+    let baseline_path: Option<String> = take_value(&mut rest, "--baseline", "a file path");
+    let [doc_path] = rest.as_slice() else {
+        usage_error(format!("usage: {usage}"));
+    };
+    let doc = read_or_fail("", doc_path);
+    let baseline = baseline_path.map(|p| read_or_fail("baseline ", &p));
+    match gate::gate(&doc, baseline.as_deref()) {
+        Ok(summary) => println!("gate passed: {doc_path} ({summary})"),
+        Err(failures) => fail_if_any(&format!("gate on {doc_path}"), &failures),
+    }
+}
+
+fn print_host_result(r: &host::HostBenchResult) {
+    r.table().print();
     println!(
         "host has {} hardware thread(s); scaling beyond that is not measurable here.",
         r.host_threads
@@ -868,136 +733,39 @@ fn run_serve() {
 /// `repro all` entry: the CI-scale wall-clock serving run, no file
 /// output.
 fn run_serve_rt_smoke() {
-    let r = serve_rt::run(
-        &DeviceSpec::tesla_c1060(),
-        &serve_rt::ServeRtOpts {
-            smoke: true,
-            requests: None,
-        },
-    );
-    r.table().print();
-    print_serve_rt_summary(&r);
+    let smoke = serve_rt::ServeRtOpts {
+        smoke: true,
+        requests: None,
+    };
+    print_serve_rt_result(&serve_rt::run(&DeviceSpec::tesla_c1060(), &smoke));
 }
 
 /// `repro serve-rt [--smoke] [--requests <n>] [--out <file.json>]
 /// [--baseline <file>]`
-fn run_serve_rt(rest: &[String]) {
-    let mut rest: Vec<String> = rest.to_vec();
-    let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut opts = serve_rt::ServeRtOpts::default();
-    if let Some(pos) = rest.iter().position(|a| a == "--smoke") {
-        opts.smoke = true;
-        rest.remove(pos);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--requests") {
-        match rest.get(pos + 1).map(|s| s.parse::<usize>()) {
-            Some(Ok(n)) if n > 0 => opts.requests = Some(n),
-            _ => {
-                eprintln!("--requests needs a positive integer");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--out") {
-        match rest.get(pos + 1) {
-            Some(p) => out_path = Some(p.clone()),
-            None => {
-                eprintln!("--out needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = rest.iter().position(|a| a == "--baseline") {
-        match rest.get(pos + 1) {
-            Some(p) => baseline_path = Some(p.clone()),
-            None => {
-                eprintln!("--baseline needs a file path");
-                std::process::exit(2);
-            }
-        }
-        rest.drain(pos..=pos + 1);
-    }
-    if !rest.is_empty() {
-        eprintln!(
-            "unexpected arguments {rest:?}; usage: \
-             repro serve-rt [--smoke] [--requests <n>] [--out <file.json>] [--baseline <file>]"
-        );
-        std::process::exit(2);
-    }
-    let r = serve_rt::run(&DeviceSpec::tesla_c1060(), &opts);
-    r.table().print();
-    print_serve_rt_summary(&r);
-
-    let entry = serve_trajectory::ServeEntry::from_result(&r, &git_rev());
-    let mut trajectory = match &baseline_path {
-        Some(p) => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read baseline {p}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match serve_trajectory::ServeTrajectory::parse(&text) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot parse baseline {p}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => serve_trajectory::ServeTrajectory::default(),
+fn run_serve_rt(mut rest: Vec<String>, usage: &str) {
+    let opts = serve_rt::ServeRtOpts {
+        smoke: take_flag(&mut rest, "--smoke"),
+        requests: take_value::<NonZeroUsize>(&mut rest, "--requests", "a positive integer")
+            .map(NonZeroUsize::get),
     };
-
-    let mut failures: Vec<String> = Vec::new();
-    if let Some(base) = trajectory.baseline_for(&entry) {
+    let out_path = take_value(&mut rest, "--out", "a file path");
+    let baseline_path: Option<String> = take_value(&mut rest, "--baseline", "a file path");
+    expect_no_more(&rest, usage);
+    let mut r = serve_rt::run(&DeviceSpec::tesla_c1060(), &opts);
+    print_serve_rt_result(&r);
+    if baseline_path.is_some() && r.host_threads < serve_trajectory::LATENCY_GATE_MIN_THREADS {
         println!(
-            "comparing against committed entry (rev {}, config {}, {} host threads)",
-            base.rev, base.config, base.host_threads
-        );
-        failures.extend(serve_trajectory::regressions(base, &entry));
-        if entry.host_threads < serve_trajectory::LATENCY_GATE_MIN_THREADS {
-            println!(
-                "latency tail gate not applicable on {} host thread(s); \
-                 shed/deadline-miss rates gated only",
-                entry.host_threads
-            );
-        }
-    } else if baseline_path.is_some() {
-        println!(
-            "no comparable committed entry (config {}, {} host threads): recording only",
-            entry.config, entry.host_threads
+            "latency tail gate not applicable on {} host thread(s); \
+             shed/deadline-miss rates gated only",
+            r.host_threads
         );
     }
-    trajectory.append(entry);
-
-    if let Some(out_path) = out_path {
-        if let Err(e) = std::fs::write(&out_path, trajectory.to_json()) {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "wrote serve trajectory ({} entries, {}) to {out_path}",
-            trajectory.entries.len(),
-            serve_rt::SCHEMA
-        );
-    }
-    if !failures.is_empty() {
-        eprintln!("serve-rt SLO gate FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    if baseline_path.is_some() {
-        println!("serve-rt SLO gate passed (shed/deadline-miss regression checks).");
-    }
+    r.rev = git_rev();
+    run_gated(r, out_path, baseline_path, "serve-rt SLO gate");
 }
 
-fn print_serve_rt_summary(r: &serve_rt::ServeRtResult) {
+fn print_serve_rt_result(r: &serve_rt::ServeRtResult) {
+    r.table().print();
     for p in &r.profiles {
         println!(
             "  {}: {}/{} served, shed rate {:.1}%, miss rate {:.1}%, \

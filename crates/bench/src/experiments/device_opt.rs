@@ -50,9 +50,12 @@ pub struct DeviceOptRow {
     pub score_crc: u32,
 }
 
-/// The whole measured matrix.
+/// The whole measured matrix: one entry of the device trajectory (see
+/// [`super::device_trajectory`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceOptResult {
+    /// Git revision measured; empty until `repro` keys the run to record it.
+    pub rev: String,
     /// Stable workload key (`devopt-<mode>-<db>x<query>`).
     pub config: String,
     /// Device the matrix ran on.
@@ -236,6 +239,7 @@ pub fn run(smoke: bool) -> DeviceOptResult {
     }
 
     DeviceOptResult {
+        rev: String::new(),
         config: format!("devopt-{mode}-{}x{query_len}", db.len()),
         device: BENCH_DEVICE.to_string(),
         db_size: db.len(),

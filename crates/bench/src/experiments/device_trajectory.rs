@@ -1,15 +1,12 @@
-//! The device-optimization perf trajectory (`BENCH_device.json`, schema
-//! `cudasw.bench.device/v1`).
+//! The device-optimization schema of the perf trajectory
+//! (`BENCH_device.json`, `cudasw.bench.device/v1`): one entry per
+//! measured run of the §VII optimization matrix, keyed by `(git rev,
+//! workload config, device)`. The append-only document, the merge-by-key
+//! and the baseline lookup are [`crate::trajectory`]'s; this module is
+//! the schema's [`Entry`] impl and its two gate families:
 //!
-//! Like `BENCH_host.json` (see [`super::host_trajectory`]) the document
-//! is **append-only**: one entry per measured run of the §VII
-//! optimization matrix, keyed by `(git rev, workload config, device)`,
-//! so the committed file *is* the device-perf history of the repo.
-//!
-//! Two gate families read the trajectory in `verify.sh`:
-//!
-//! * **invariant gates** ([`invariant_gates`]) — properties every entry
-//!   must satisfy on its own, fresh or committed: identical score CRCs
+//! * **invariant gates** ([`invariant_gates`]) — properties every fresh
+//!   entry must satisfy on its own: the whole matrix present, identical score CRCs
 //!   and cell counts across the matrix, the counted per-optimization
 //!   claims (staging cuts global transactions ≥
 //!   [`STAGING_MIN_TRANSACTION_CUT`]×, fusion hides stalls the baseline
@@ -22,7 +19,8 @@
 //!   [`TRANSACTION_TOLERANCE`].
 
 use super::device_opt::{DeviceOptResult, DeviceOptRow};
-use obs::json::{escape, parse, Json};
+use crate::trajectory::{inline_object, num, quoted, rows, rows_array, text, Entry};
+use obs::json::Json;
 
 /// JSON schema tag of the trajectory document.
 pub const SCHEMA: &str = "cudasw.bench.device/v1";
@@ -56,167 +54,80 @@ pub const BALANCE_GATE_MIN_SKEW: f64 = 2.0;
 pub const ACCOUNTING_TOLERANCE: f64 = 1e-9;
 
 /// One measured run in the trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrajectoryEntry {
-    /// Git revision (short hash) the run was measured at.
-    pub rev: String,
-    /// Stable workload key (`devopt-<mode>-<db>x<query>`).
-    pub config: String,
-    /// Device the matrix ran on.
-    pub device: String,
-    /// Database sequences.
-    pub db_size: usize,
-    /// Query length.
-    pub query_len: usize,
-    /// DP cells of one database pass.
-    pub cells: u64,
-    /// One row per measured optimization configuration.
-    pub rows: Vec<DeviceOptRow>,
-}
+pub type TrajectoryEntry = DeviceOptResult;
 
-impl TrajectoryEntry {
-    /// Wrap a fresh measurement for the trajectory.
-    pub fn from_result(r: &DeviceOptResult, rev: &str) -> Self {
-        Self {
-            rev: rev.to_string(),
-            config: r.config.clone(),
-            device: r.device.clone(),
-            db_size: r.db_size,
-            query_len: r.query_len,
-            cells: r.cells,
-            rows: r.rows.clone(),
-        }
+impl Entry for TrajectoryEntry {
+    const SCHEMA: &'static str = SCHEMA;
+
+    fn rev(&self) -> &str {
+        &self.rev
     }
 
-    /// The key that decides replace-vs-append on merge.
-    fn key(&self) -> (String, String, String) {
-        (self.rev.clone(), self.config.clone(), self.device.clone())
+    fn workload(&self) -> (&str, String) {
+        (&self.config, format!("device {}", self.device))
     }
 
-    fn row(&self, label: &str) -> Option<&DeviceOptRow> {
-        self.rows.iter().find(|r| r.label == label)
-    }
-}
-
-/// The whole append-only document.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trajectory {
-    /// Entries in file order (oldest first).
-    pub entries: Vec<TrajectoryEntry>,
-}
-
-impl Trajectory {
-    /// Append a run, replacing a prior entry with the identical
-    /// `(rev, config, device)` key, never touching any other entry.
-    pub fn append(&mut self, entry: TrajectoryEntry) {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.key() == entry.key()) {
-            *existing = entry;
-        } else {
-            self.entries.push(entry);
-        }
-    }
-
-    /// Most recent committed entry comparable to `new` (same workload
-    /// config and device).
-    pub fn baseline_for<'a>(&'a self, new: &TrajectoryEntry) -> Option<&'a TrajectoryEntry> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.config == new.config && e.device == new.device)
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        let rows = self.rows.iter().map(|r| {
+            inline_object(&[
+                ("config", quoted(&r.label)),
+                ("gcups", format!("{:.4}", r.gcups)),
+                ("kernel_seconds", format!("{:.9}", r.kernel_seconds)),
+                ("cells", r.cells.to_string()),
+                (
+                    "inter_global_transactions",
+                    r.inter_global_transactions.to_string(),
+                ),
+                ("hidden_latency_cycles", r.hidden_latency_cycles.to_string()),
+                ("h2d_seconds", format!("{:.9}", r.h2d_seconds)),
+                ("h2d_hidden_seconds", format!("{:.9}", r.h2d_hidden_seconds)),
+                ("h2d_bytes", r.h2d_bytes.to_string()),
+                ("intra_imbalance", format!("{:.4}", r.intra_imbalance)),
+                ("score_crc", r.score_crc.to_string()),
+            ])
+        });
+        vec![
+            ("rev", quoted(&self.rev)),
+            ("config", quoted(&self.config)),
+            ("device", quoted(&self.device)),
+            ("db_size", self.db_size.to_string()),
+            ("query_len", self.query_len.to_string()),
+            ("cells", self.cells.to_string()),
+            ("rows", rows_array(rows)),
+        ]
     }
 
-    /// Serialize the document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&entry_to_json(e, "    "));
-            out.push_str(if i + 1 == self.entries.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(Self {
+            rev: text(v, "rev")?,
+            config: text(v, "config")?,
+            device: text(v, "device")?,
+            db_size: num(v, "db_size")? as usize,
+            query_len: num(v, "query_len")? as usize,
+            cells: num(v, "cells")? as u64,
+            rows: rows(v, "rows", row_from_json)?,
+        })
     }
 
-    /// Parse a trajectory file.
-    pub fn parse(text: &str) -> Result<Trajectory, String> {
-        let doc = parse(text)?;
-        match doc.get("schema").and_then(|s| s.as_str()) {
-            Some(s) if s == SCHEMA => {
-                let entries = doc
-                    .get("entries")
-                    .and_then(|e| e.as_arr())
-                    .ok_or("document without entries array")?;
-                Ok(Trajectory {
-                    entries: entries
-                        .iter()
-                        .map(entry_from_json)
-                        .collect::<Result<_, _>>()?,
-                })
-            }
-            Some(other) => Err(format!("unknown device bench schema {other:?}")),
-            None => Err("document has no schema field".to_string()),
-        }
+    /// The optimization matrix every entry holds: the baseline, each
+    /// optimization alone, all together.
+    fn missing_rows(&self) -> Vec<String> {
+        [
+            "none", "staging", "shared", "fusion", "stream", "balance", "all",
+        ]
+        .iter()
+        .filter(|label| self.row(label).is_none())
+        .map(|label| format!("matrix row {label:?} missing"))
+        .collect()
     }
-}
 
-fn entry_to_json(e: &TrajectoryEntry, indent: &str) -> String {
-    let mut out = format!("{indent}{{\n");
-    out.push_str(&format!("{indent}  \"rev\": \"{}\",\n", escape(&e.rev)));
-    out.push_str(&format!(
-        "{indent}  \"config\": \"{}\",\n",
-        escape(&e.config)
-    ));
-    out.push_str(&format!(
-        "{indent}  \"device\": \"{}\",\n",
-        escape(&e.device)
-    ));
-    out.push_str(&format!("{indent}  \"db_size\": {},\n", e.db_size));
-    out.push_str(&format!("{indent}  \"query_len\": {},\n", e.query_len));
-    out.push_str(&format!("{indent}  \"cells\": {},\n", e.cells));
-    out.push_str(&format!("{indent}  \"rows\": [\n"));
-    for (i, r) in e.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "{indent}    {{\"config\": \"{}\", \"gcups\": {:.4}, \
-             \"kernel_seconds\": {:.9}, \"cells\": {}, \
-             \"inter_global_transactions\": {}, \"hidden_latency_cycles\": {}, \
-             \"h2d_seconds\": {:.9}, \"h2d_hidden_seconds\": {:.9}, \
-             \"h2d_bytes\": {}, \"intra_imbalance\": {:.4}, \
-             \"score_crc\": {}}}{}\n",
-            escape(&r.label),
-            r.gcups,
-            r.kernel_seconds,
-            r.cells,
-            r.inter_global_transactions,
-            r.hidden_latency_cycles,
-            r.h2d_seconds,
-            r.h2d_hidden_seconds,
-            r.h2d_bytes,
-            r.intra_imbalance,
-            r.score_crc,
-            if i + 1 == e.rows.len() { "" } else { "," },
-        ));
+    fn standalone_gates(&self) -> Vec<String> {
+        invariant_gates(self)
     }
-    out.push_str(&format!("{indent}  ]\n"));
-    out.push_str(&format!("{indent}}}"));
-    out
-}
 
-fn num(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(|n| n.as_f64())
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn text(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(|s| s.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
+    fn regressions(baseline: &Self, new: &Self) -> Vec<String> {
+        regressions(baseline, new)
+    }
 }
 
 fn row_from_json(v: &Json) -> Result<DeviceOptRow, String> {
@@ -235,34 +146,12 @@ fn row_from_json(v: &Json) -> Result<DeviceOptRow, String> {
     })
 }
 
-fn entry_from_json(v: &Json) -> Result<TrajectoryEntry, String> {
-    let rows = v
-        .get("rows")
-        .and_then(|r| r.as_arr())
-        .ok_or("entry without rows array")?;
-    Ok(TrajectoryEntry {
-        rev: text(v, "rev")?,
-        config: text(v, "config")?,
-        device: text(v, "device")?,
-        db_size: num(v, "db_size")? as usize,
-        query_len: num(v, "query_len")? as usize,
-        cells: num(v, "cells")? as u64,
-        rows: rows.iter().map(row_from_json).collect::<Result<_, _>>()?,
-    })
-}
-
-/// The standalone counted gates every entry must satisfy. Returns
-/// human-readable failures (empty = pass).
+/// The standalone counted gates every fresh entry must satisfy. They read
+/// the measured values: the document rounds seconds to 1e-9, coarser than
+/// [`ACCOUNTING_TOLERANCE`]. Returns human-readable failures (empty =
+/// pass).
 pub fn invariant_gates(e: &TrajectoryEntry) -> Vec<String> {
-    let mut failures = Vec::new();
-    let required = [
-        "none", "staging", "shared", "fusion", "stream", "balance", "all",
-    ];
-    for label in required {
-        if e.row(label).is_none() {
-            failures.push(format!("matrix row {label:?} missing"));
-        }
-    }
+    let mut failures = e.missing_rows();
     if !failures.is_empty() {
         return failures;
     }
@@ -417,6 +306,8 @@ pub fn regressions(baseline: &TrajectoryEntry, new: &TrajectoryEntry) -> Vec<Str
 mod tests {
     use super::*;
 
+    type Trajectory = crate::trajectory::Trajectory<TrajectoryEntry>;
+
     fn sample_row(label: &str) -> DeviceOptRow {
         let (glob, hidden, h2d, h2d_hidden, imb) = match label {
             "none" => (40_000, 0, 0.004, 0.0, 3.2),
@@ -484,39 +375,6 @@ mod tests {
                 assert!((x.intra_imbalance - y.intra_imbalance).abs() < 1e-3);
             }
         }
-    }
-
-    #[test]
-    fn append_is_append_only_except_for_identical_keys() {
-        let mut t = Trajectory::default();
-        t.append(sample_entry("aaa"));
-        t.append(sample_entry("bbb"));
-        assert_eq!(t.entries.len(), 2);
-        // Same (rev, config, device): replaced in place.
-        let mut rerun = sample_entry("bbb");
-        rerun.rows[0].gcups = 3.1;
-        t.append(rerun);
-        assert_eq!(t.entries.len(), 2);
-        assert!((t.entries[1].rows[0].gcups - 3.1).abs() < 1e-9);
-        // A different config is a different key even at the same rev.
-        let mut smoke = sample_entry("bbb");
-        smoke.config = "devopt-smoke-168x160".to_string();
-        t.append(smoke);
-        assert_eq!(t.entries.len(), 3);
-    }
-
-    #[test]
-    fn baseline_matching_requires_config_and_device() {
-        let mut t = Trajectory::default();
-        t.append(sample_entry("aaa"));
-        let mut other_device = sample_entry("bbb");
-        other_device.device = "tesla-c1060".to_string();
-        assert!(t.baseline_for(&other_device).is_none());
-        let mut other_config = sample_entry("bbb");
-        other_config.config = "devopt-smoke-168x160".to_string();
-        assert!(t.baseline_for(&other_config).is_none());
-        let same = sample_entry("bbb");
-        assert_eq!(t.baseline_for(&same).map(|e| e.rev.as_str()), Some("aaa"));
     }
 
     #[test]

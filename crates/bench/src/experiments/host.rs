@@ -73,9 +73,12 @@ pub struct HostRow {
     pub steals: u64,
 }
 
-/// Everything `bench host` measured.
-#[derive(Debug, Clone)]
+/// Everything `bench host` measured: one entry of the host trajectory
+/// (see [`super::host_trajectory`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostBenchResult {
+    /// Git revision measured; empty until `repro` keys the run to record it.
+    pub rev: String,
     /// One row per measured cell.
     pub rows: Vec<HostRow>,
     /// DP cells of one database pass.
@@ -303,6 +306,7 @@ pub fn run(opts: &HostBenchOpts) -> HostBenchResult {
     }
 
     HostBenchResult {
+        rev: String::new(),
         rows,
         cells,
         db_size: w.db.len(),

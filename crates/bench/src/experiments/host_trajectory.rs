@@ -1,29 +1,27 @@
-//! The host-benchmark perf *trajectory* (`BENCH_host.json`, schema
-//! `cudasw.bench.host/v2`).
+//! The host-benchmark schema of the perf trajectory (`BENCH_host.json`,
+//! `cudasw.bench.host/v2`): one entry per measured `repro host` run,
+//! keyed by `(git rev, workload config, host_threads)`. The append-only
+//! document, the merge-by-key and the baseline lookup are
+//! [`crate::trajectory`]'s; this module is the schema's [`Entry`] impl
+//! and its gates. Legacy v1 documents (a snapshot each run overwrote)
+//! parse into a single `pre-v2` entry that every merge preserves.
 //!
-//! v1 was a snapshot: each run overwrote the file and history was lost in
-//! git archaeology. v2 is **append-only**: the document holds one entry
-//! per measured run, keyed by `(git rev, workload config, host_threads)`,
-//! so the committed file *is* the performance history of the repo. Legacy
-//! v1 documents parse into a single `pre-v2` entry and are preserved by
-//! every merge — old rows are never dropped, only a re-run of the same
-//! key replaces its own entry.
-//!
-//! Two gates read the trajectory in `verify.sh`:
-//!
-//! * **regression comparator** — the freshly measured entry is compared
-//!   against the most recent committed entry with the same config and
-//!   host thread count, row by row (backend × precision × kernel-mode ×
-//!   threads). A GCUPS drop beyond [`GCUPS_TOLERANCE`] fails.
-//! * **thread-scaling gate** — on the large synthetic database
-//!   (≥ [`SCALING_GATE_MIN_DB`] sequences), a host with ≥ 4 hardware
-//!   threads must show ≥ [`MIN_SCALING_AT_4`]× self-scaling at 4 threads
-//!   on its widest backend. The gate is conditional on the recorded
-//!   `host_threads`: a 1-core CI box cannot measure scaling and must not
-//!   fake a pass or a failure.
+//! * **regression comparator** ([`regressions`]) — the freshly measured
+//!   entry is compared against the most recent committed entry with the
+//!   same config and host thread count, row by row (backend × precision ×
+//!   kernel-mode × threads). A GCUPS drop beyond [`GCUPS_TOLERANCE`] fails.
+//! * **thread-scaling gate** ([`scaling_gate`]) — on the large synthetic
+//!   database (≥ [`SCALING_GATE_MIN_DB`] sequences), a host with
+//!   `n = min(4, host_threads) ≥ 2` hardware threads must show ≥
+//!   [`MIN_SCALING_PER_THREAD`]` × n` self-scaling on its widest backend.
+//!   The gate is conditional on the recorded `host_threads`: a 1-core CI
+//!   box cannot measure scaling and must not fake a pass or a failure.
+//! * **coverage** ([`Entry::missing_rows`]) — a v2 entry must hold a
+//!   `portable` backend row and a `prefix-scan` kernel-mode row.
 
 use super::host::{HostBenchResult, HostRow};
-use obs::json::{escape, parse, Json};
+use crate::trajectory::{inline_object, num, quoted, rows, rows_array, text, Entry};
+use obs::json::Json;
 
 /// JSON schema tag of the trajectory document.
 pub const SCHEMA: &str = "cudasw.bench.host/v2";
@@ -31,198 +29,121 @@ pub const SCHEMA: &str = "cudasw.bench.host/v2";
 /// Schema tag of the legacy single-snapshot document.
 pub const SCHEMA_V1: &str = "cudasw.bench.host/v1";
 
+/// Rev of the entry a legacy v1 document upgrades to.
+pub const LEGACY_REV: &str = "pre-v2";
+
 /// Allowed fractional GCUPS drop vs the committed baseline row before the
 /// comparator fails. Wall-clock on shared machines is noisy; 35% is far
 /// above run-to-run jitter but catches real regressions (the lazy-F loop
 /// reappearing, granularity collapsing).
 pub const GCUPS_TOLERANCE: f64 = 0.35;
 
-/// Minimum self-scaling at 4 threads demanded by the scaling gate.
-pub const MIN_SCALING_AT_4: f64 = 1.5;
+/// Minimum self-scaling per gated thread: the scaling gate demands
+/// `0.75 × n` at `n = min(`[`SCALING_GATE_MAX_THREADS`]`, host_threads)`.
+pub const MIN_SCALING_PER_THREAD: f64 = 0.75;
+
+/// Thread count beyond which the scaling gate stops asking for more.
+pub const SCALING_GATE_MAX_THREADS: usize = 4;
 
 /// The scaling gate only applies to entries measured on at least this many
 /// sequences — small databases legitimately collapse to one worker.
 pub const SCALING_GATE_MIN_DB: usize = 10_000;
 
 /// One measured run in the trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrajectoryEntry {
-    /// Git revision (short hash) the run was measured at.
-    pub rev: String,
-    /// Stable workload key (`swissprot-synth-<n>x<q>` or a legacy label).
-    pub config: String,
-    /// Database sequences.
-    pub db_size: usize,
-    /// Query length.
-    pub query_len: usize,
-    /// DP cells of one database pass.
-    pub cells: u64,
-    /// Hardware threads of the measuring host.
-    pub host_threads: usize,
-    /// Measured cells.
-    pub rows: Vec<HostRow>,
-    /// Per backend: 1-thread adaptive GCUPS over the emulated baseline.
-    pub speedup_vs_emulated: Vec<(String, f64)>,
-    /// Per backend: max-threads GCUPS over 1-thread GCUPS.
-    pub thread_scaling: Vec<(String, f64)>,
-    /// Per backend: correction-loop lazy-F ops over prefix-scan lazy-F ops.
-    pub lazy_f_delta: Vec<(String, f64)>,
-}
+pub type TrajectoryEntry = HostBenchResult;
 
-impl TrajectoryEntry {
-    /// Wrap a fresh measurement for the trajectory.
-    pub fn from_result(r: &HostBenchResult, rev: &str) -> Self {
-        Self {
-            rev: rev.to_string(),
-            config: r.config.clone(),
-            db_size: r.db_size,
-            query_len: r.query_len,
-            cells: r.cells,
-            host_threads: r.host_threads,
-            rows: r.rows.clone(),
-            speedup_vs_emulated: r.speedup_vs_emulated.clone(),
-            thread_scaling: r.thread_scaling.clone(),
-            lazy_f_delta: r.lazy_f_delta.clone(),
+impl Entry for TrajectoryEntry {
+    const SCHEMA: &'static str = SCHEMA;
+
+    fn rev(&self) -> &str {
+        &self.rev
+    }
+
+    fn workload(&self) -> (&str, String) {
+        (&self.config, format!("{} host threads", self.host_threads))
+    }
+
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        // Per-backend pairs are written sorted by name — the order the
+        // parser returns — so a document is a fixed point of parse → write.
+        let pairs = |pairs: &[(String, f64)]| {
+            let mut pairs: Vec<_> = pairs.iter().map(|(k, v)| (k, format!("{v:.3}"))).collect();
+            pairs.sort();
+            inline_object(&pairs)
+        };
+        let rows = self.rows.iter().map(|r| {
+            inline_object(&[
+                ("backend", quoted(&r.backend)),
+                ("precision", quoted(&r.precision)),
+                ("kernel_mode", quoted(&r.kernel_mode)),
+                ("threads", r.threads.to_string()),
+                ("seconds", format!("{:.6}", r.seconds)),
+                ("gcups", format!("{:.4}", r.gcups)),
+                ("byte_mode", r.byte_mode.to_string()),
+                ("word_fallbacks", r.word_fallbacks.to_string()),
+                ("lazy_f", r.lazy_f.to_string()),
+                ("steals", r.steals.to_string()),
+            ])
+        });
+        vec![
+            ("rev", quoted(&self.rev)),
+            ("config", quoted(&self.config)),
+            ("db_size", self.db_size.to_string()),
+            ("query_len", self.query_len.to_string()),
+            ("cells", self.cells.to_string()),
+            ("host_threads", self.host_threads.to_string()),
+            ("rows", rows_array(rows)),
+            ("speedup_vs_emulated", pairs(&self.speedup_vs_emulated)),
+            ("thread_scaling", pairs(&self.thread_scaling)),
+            ("lazy_f_delta", pairs(&self.lazy_f_delta)),
+        ]
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(Self {
+            rev: text(v, "rev")?,
+            config: text(v, "config")?,
+            lazy_f_delta: pairs_from_json(v.get("lazy_f_delta"))?,
+            ..measurement_from_json(v)?
+        })
+    }
+
+    /// Upgrade a legacy v1 snapshot into one trajectory entry. The v1
+    /// bench ran a uniform toy database, so the config label records that
+    /// shape — it will never match a Swissprot-shaped config, which keeps
+    /// the comparator from comparing across workloads.
+    fn from_legacy(schema: &str, doc: &Json) -> Option<Result<Self, String>> {
+        (schema == SCHEMA_V1).then(|| {
+            let mut entry = measurement_from_json(doc)?;
+            entry.rev = LEGACY_REV.to_string();
+            entry.config = format!("uniform-{}x{}", entry.db_size, entry.query_len);
+            Ok(entry)
+        })
+    }
+
+    /// Every v2 run measures the portable backend (the one every machine
+    /// has) and forces the prefix-scan kernel mode once; the upgraded v1
+    /// entry predates kernel modes.
+    fn missing_rows(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if !self.rows.iter().any(|r| r.backend == "portable") {
+            failures.push("no row with \"backend\": \"portable\"".to_string());
         }
-    }
-
-    /// The key that decides replace-vs-append on merge.
-    fn key(&self) -> (String, String, usize) {
-        (self.rev.clone(), self.config.clone(), self.host_threads)
-    }
-}
-
-/// The whole append-only document.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trajectory {
-    /// Entries in file order (oldest first).
-    pub entries: Vec<TrajectoryEntry>,
-}
-
-impl Trajectory {
-    /// Append a run, replacing a prior entry with the identical
-    /// `(rev, config, host_threads)` key (a re-run at the same revision),
-    /// never touching any other entry.
-    pub fn append(&mut self, entry: TrajectoryEntry) {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.key() == entry.key()) {
-            *existing = entry;
-        } else {
-            self.entries.push(entry);
+        if self.rev != LEGACY_REV && !self.rows.iter().any(|r| r.kernel_mode == "prefix-scan") {
+            failures.push("no row with \"kernel_mode\": \"prefix-scan\"".to_string());
         }
+        failures
     }
 
-    /// Most recent committed entry comparable to `new` (same workload
-    /// config and host thread count, different or same rev).
-    pub fn baseline_for<'a>(&'a self, new: &TrajectoryEntry) -> Option<&'a TrajectoryEntry> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.config == new.config && e.host_threads == new.host_threads)
+    fn standalone_gates(&self) -> Vec<String> {
+        let mut failures = self.missing_rows();
+        failures.extend(scaling_gate(self));
+        failures
     }
 
-    /// Serialize the v2 document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&entry_to_json(e, "    "));
-            out.push_str(if i + 1 == self.entries.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+    fn regressions(baseline: &Self, new: &Self) -> Vec<String> {
+        regressions(baseline, new)
     }
-
-    /// Parse a trajectory file: a v2 document, or a legacy v1 snapshot
-    /// (upgraded in place to a single `pre-v2` entry).
-    pub fn parse(text: &str) -> Result<Trajectory, String> {
-        let doc = parse(text)?;
-        match doc.get("schema").and_then(|s| s.as_str()) {
-            Some(s) if s == SCHEMA => {
-                let entries = doc
-                    .get("entries")
-                    .and_then(|e| e.as_arr())
-                    .ok_or("v2 document without entries array")?;
-                Ok(Trajectory {
-                    entries: entries
-                        .iter()
-                        .map(entry_from_json)
-                        .collect::<Result<_, _>>()?,
-                })
-            }
-            Some(s) if s == SCHEMA_V1 => Ok(Trajectory {
-                entries: vec![entry_from_v1(&doc)?],
-            }),
-            Some(other) => Err(format!("unknown host bench schema {other:?}")),
-            None => Err("document has no schema field".to_string()),
-        }
-    }
-}
-
-fn entry_to_json(e: &TrajectoryEntry, indent: &str) -> String {
-    let pair_obj = |pairs: &[(String, f64)]| -> String {
-        let mut s = String::from("{");
-        for (i, (name, v)) in pairs.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {v:.3}", escape(name)));
-        }
-        s.push('}');
-        s
-    };
-    let mut out = format!("{indent}{{\n");
-    out.push_str(&format!("{indent}  \"rev\": \"{}\",\n", escape(&e.rev)));
-    out.push_str(&format!(
-        "{indent}  \"config\": \"{}\",\n",
-        escape(&e.config)
-    ));
-    out.push_str(&format!("{indent}  \"db_size\": {},\n", e.db_size));
-    out.push_str(&format!("{indent}  \"query_len\": {},\n", e.query_len));
-    out.push_str(&format!("{indent}  \"cells\": {},\n", e.cells));
-    out.push_str(&format!(
-        "{indent}  \"host_threads\": {},\n",
-        e.host_threads
-    ));
-    out.push_str(&format!("{indent}  \"rows\": [\n"));
-    for (i, r) in e.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "{indent}    {{\"backend\": \"{}\", \"precision\": \"{}\", \
-             \"kernel_mode\": \"{}\", \"threads\": {}, \"seconds\": {:.6}, \
-             \"gcups\": {:.4}, \"byte_mode\": {}, \"word_fallbacks\": {}, \
-             \"lazy_f\": {}, \"steals\": {}}}{}\n",
-            r.backend,
-            r.precision,
-            r.kernel_mode,
-            r.threads,
-            r.seconds,
-            r.gcups,
-            r.byte_mode,
-            r.word_fallbacks,
-            r.lazy_f,
-            r.steals,
-            if i + 1 == e.rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str(&format!("{indent}  ],\n"));
-    out.push_str(&format!(
-        "{indent}  \"speedup_vs_emulated\": {},\n",
-        pair_obj(&e.speedup_vs_emulated)
-    ));
-    out.push_str(&format!(
-        "{indent}  \"thread_scaling\": {},\n",
-        pair_obj(&e.thread_scaling)
-    ));
-    out.push_str(&format!(
-        "{indent}  \"lazy_f_delta\": {}\n",
-        pair_obj(&e.lazy_f_delta)
-    ));
-    out.push_str(&format!("{indent}}}"));
-    out
 }
 
 fn pairs_from_json(v: Option<&Json>) -> Result<Vec<(String, f64)>, String> {
@@ -236,20 +157,7 @@ fn pairs_from_json(v: Option<&Json>) -> Result<Vec<(String, f64)>, String> {
     }
 }
 
-fn num(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(|n| n.as_f64())
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn text(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(|s| s.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn row_from_json(v: &Json, default_mode: &str) -> Result<HostRow, String> {
+fn row_from_json(v: &Json) -> Result<HostRow, String> {
     Ok(HostRow {
         backend: text(v, "backend")?,
         precision: text(v, "precision")?,
@@ -257,7 +165,7 @@ fn row_from_json(v: &Json, default_mode: &str) -> Result<HostRow, String> {
         kernel_mode: v
             .get("kernel_mode")
             .and_then(|s| s.as_str())
-            .unwrap_or(default_mode)
+            .unwrap_or("correction-loop")
             .to_string(),
         threads: num(v, "threads")? as usize,
         seconds: num(v, "seconds")?,
@@ -269,52 +177,19 @@ fn row_from_json(v: &Json, default_mode: &str) -> Result<HostRow, String> {
     })
 }
 
-fn entry_from_json(v: &Json) -> Result<TrajectoryEntry, String> {
-    let rows = v
-        .get("rows")
-        .and_then(|r| r.as_arr())
-        .ok_or("entry without rows array")?;
+/// The fields a v2 entry and a v1 document share; `rev`, `config` and
+/// `lazy_f_delta` (v2 only) are left empty for the caller.
+fn measurement_from_json(v: &Json) -> Result<TrajectoryEntry, String> {
     Ok(TrajectoryEntry {
-        rev: text(v, "rev")?,
-        config: text(v, "config")?,
+        rev: String::new(),
+        config: String::new(),
         db_size: num(v, "db_size")? as usize,
         query_len: num(v, "query_len")? as usize,
         cells: num(v, "cells")? as u64,
         host_threads: num(v, "host_threads")? as usize,
-        rows: rows
-            .iter()
-            .map(|r| row_from_json(r, "correction-loop"))
-            .collect::<Result<_, _>>()?,
+        rows: rows(v, "rows", row_from_json)?,
         speedup_vs_emulated: pairs_from_json(v.get("speedup_vs_emulated"))?,
         thread_scaling: pairs_from_json(v.get("thread_scaling"))?,
-        lazy_f_delta: pairs_from_json(v.get("lazy_f_delta"))?,
-    })
-}
-
-/// Upgrade a legacy v1 snapshot into one trajectory entry. The v1 bench
-/// ran a uniform toy database, so the config label records that shape —
-/// it will never match a Swissprot-shaped config, which keeps the
-/// comparator from comparing across workloads.
-fn entry_from_v1(doc: &Json) -> Result<TrajectoryEntry, String> {
-    let db_size = num(doc, "db_size")? as usize;
-    let query_len = num(doc, "query_len")? as usize;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_arr())
-        .ok_or("v1 document without rows array")?;
-    Ok(TrajectoryEntry {
-        rev: "pre-v2".to_string(),
-        config: format!("uniform-{db_size}x{query_len}"),
-        db_size,
-        query_len,
-        cells: num(doc, "cells")? as u64,
-        host_threads: num(doc, "host_threads")? as usize,
-        rows: rows
-            .iter()
-            .map(|r| row_from_json(r, "correction-loop"))
-            .collect::<Result<_, _>>()?,
-        speedup_vs_emulated: pairs_from_json(doc.get("speedup_vs_emulated"))?,
-        thread_scaling: pairs_from_json(doc.get("thread_scaling"))?,
         lazy_f_delta: Vec::new(),
     })
 }
@@ -350,14 +225,12 @@ pub fn regressions(baseline: &TrajectoryEntry, new: &TrajectoryEntry) -> Vec<Str
 }
 
 /// The conditional thread-scaling gate. Only entries that could measure
-/// scaling are gated: a large-enough database, ≥ 4 hardware threads on the
-/// measuring host, and a 4-thread row actually present. Returns failures
+/// scaling are gated: a large-enough database, `n = min(4, host_threads)`
+/// of at least 2, and an `n`-thread row actually present. Returns failures
 /// (empty = pass or not applicable).
 pub fn scaling_gate(entry: &TrajectoryEntry) -> Vec<String> {
-    if entry.db_size < SCALING_GATE_MIN_DB
-        || entry.host_threads < 4
-        || !entry.rows.iter().any(|r| r.threads >= 4)
-    {
+    let n = entry.host_threads.min(SCALING_GATE_MAX_THREADS);
+    if entry.db_size < SCALING_GATE_MIN_DB || n < 2 || !entry.rows.iter().any(|r| r.threads >= n) {
         return Vec::new();
     }
     let best = entry
@@ -365,9 +238,10 @@ pub fn scaling_gate(entry: &TrajectoryEntry) -> Vec<String> {
         .iter()
         .map(|(_, s)| *s)
         .fold(0.0f64, f64::max);
-    if best < MIN_SCALING_AT_4 {
+    let floor = MIN_SCALING_PER_THREAD * n as f64;
+    if best < floor {
         vec![format!(
-            "thread scaling {best:.2}x at 4 threads is below the {MIN_SCALING_AT_4}x gate \
+            "thread scaling {best:.2}x at {n} threads is below the {floor}x gate \
              (db_size {}, host_threads {})",
             entry.db_size, entry.host_threads
         )]
@@ -379,6 +253,8 @@ pub fn scaling_gate(entry: &TrajectoryEntry) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type Trajectory = crate::trajectory::Trajectory<TrajectoryEntry>;
 
     fn sample_row(backend: &str, mode: &str, threads: usize, gcups: f64) -> HostRow {
         HostRow {
@@ -441,26 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn append_is_append_only_except_for_identical_keys() {
-        let mut t = Trajectory::default();
-        t.append(sample_entry("aaa", 10.0));
-        // Different rev: appended, the old entry survives.
-        t.append(sample_entry("bbb", 12.0));
-        assert_eq!(t.entries.len(), 2);
-        // Same (rev, config, host_threads): replaced in place.
-        t.append(sample_entry("bbb", 13.0));
-        assert_eq!(t.entries.len(), 2);
-        assert_eq!(t.entries[0].rev, "aaa");
-        assert!((t.entries[1].rows[1].gcups - 13.0).abs() < 1e-9);
-        // A different config is a different key even at the same rev.
-        let mut other = sample_entry("bbb", 9.0);
-        other.config = "swissprot-synth-1500x128".to_string();
-        other.db_size = 1500;
-        t.append(other);
-        assert_eq!(t.entries.len(), 3);
-    }
-
-    #[test]
     fn v1_documents_upgrade_and_survive_a_merge() {
         // A faithful miniature of the legacy snapshot format.
         let v1 = r#"{
@@ -516,31 +372,22 @@ mod tests {
     }
 
     #[test]
-    fn baseline_matching_requires_config_and_host_threads() {
-        let mut t = Trajectory::default();
-        t.append(sample_entry("aaa", 15.0));
-        let mut other_host = sample_entry("bbb", 14.0);
-        other_host.host_threads = 1;
-        assert!(
-            t.baseline_for(&other_host).is_none(),
-            "1-core host has no 8-core baseline"
-        );
-        let mut other_config = sample_entry("bbb", 14.0);
-        other_config.config = "swissprot-synth-1500x128".to_string();
-        assert!(t.baseline_for(&other_config).is_none());
-        let same = sample_entry("bbb", 14.0);
-        assert_eq!(t.baseline_for(&same).map(|e| e.rev.as_str()), Some("aaa"));
-    }
-
-    #[test]
     fn scaling_gate_is_conditional_and_bites() {
-        // Applicable and passing.
+        // Applicable and passing: 3.0x at 4 of 8 threads.
         assert!(scaling_gate(&sample_entry("aaa", 15.0)).is_empty());
         // Applicable and failing: flat scaling on a big DB with 8 cores.
         let flat = sample_entry("bbb", 5.0);
         let failures = scaling_gate(&flat);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("below the 1.5x gate"));
+        assert!(failures[0].contains("at 4 threads is below the 3x gate"));
+        // A 2-thread host is gated at n = 2: 1.5x is the floor there.
+        let mut two = sample_entry("ccc", 7.5);
+        two.host_threads = 2;
+        assert!(scaling_gate(&two).is_empty());
+        two.thread_scaling[0].1 = 1.49;
+        let failures = scaling_gate(&two);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("at 2 threads is below the 1.5x gate"));
         // Not applicable: 1-core host cannot measure scaling.
         let mut one_core = sample_entry("ccc", 5.0);
         one_core.host_threads = 1;
@@ -553,5 +400,26 @@ mod tests {
         let mut no4 = sample_entry("eee", 5.0);
         no4.rows.retain(|r| r.threads < 4);
         assert!(scaling_gate(&no4).is_empty());
+    }
+
+    /// The committed `host_threads: 2` entry is the first one the scaling
+    /// gate can measure: it must be armed there, and pass.
+    #[test]
+    fn committed_two_thread_entry_arms_and_passes_the_scaling_gate() {
+        let t = Trajectory::parse(include_str!("../../../../BENCH_host.json")).unwrap();
+        let two = t
+            .entries
+            .iter()
+            .find(|e| e.host_threads == 2 && e.db_size >= SCALING_GATE_MIN_DB)
+            .expect("a committed large-database entry from a 2-thread host");
+        assert_eq!(scaling_gate(two), Vec::<String>::new());
+        let mut flat = two.clone();
+        for (_, s) in &mut flat.thread_scaling {
+            *s = 1.0;
+        }
+        assert_eq!(scaling_gate(&flat).len(), 1, "the gate is armed at n = 2");
+        for e in &t.entries {
+            assert_eq!(e.standalone_gates(), Vec::<String>::new(), "rev {}", e.rev);
+        }
     }
 }

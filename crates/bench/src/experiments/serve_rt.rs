@@ -92,9 +92,12 @@ pub struct ProfileRow {
     pub waves: u64,
 }
 
-/// The full benchmark result (all profiles, one host).
+/// The full benchmark result (all profiles, one host): one entry of the
+/// serving trajectory (see [`super::serve_trajectory`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeRtResult {
+    /// Git revision measured; empty until `repro` keys the run to record it.
+    pub rev: String,
     /// Stable workload key: database shape × schedule size.
     pub config: String,
     /// Hardware threads of the measuring host (gates are conditional on
@@ -239,6 +242,13 @@ fn run_profile(spec: &DeviceSpec, profile: LoadProfile, requests: usize) -> Prof
     }
 }
 
+/// The load profiles every run replays, one row each.
+pub const PROFILES: [LoadProfile; 3] = [
+    LoadProfile::Steady,
+    LoadProfile::Bursty,
+    LoadProfile::Overload,
+];
+
 /// Run the benchmark: all three profiles, one gateway each.
 pub fn run(spec: &DeviceSpec, opts: &ServeRtOpts) -> ServeRtResult {
     let requests = opts.requests.unwrap_or(if opts.smoke {
@@ -247,15 +257,12 @@ pub fn run(spec: &DeviceSpec, opts: &ServeRtOpts) -> ServeRtResult {
         FULL_REQUESTS
     });
     let db = serve_db();
-    let profiles = [
-        LoadProfile::Steady,
-        LoadProfile::Bursty,
-        LoadProfile::Overload,
-    ]
-    .into_iter()
-    .map(|p| run_profile(spec, p, requests))
-    .collect();
+    let profiles = PROFILES
+        .into_iter()
+        .map(|p| run_profile(spec, p, requests))
+        .collect();
     ServeRtResult {
+        rev: String::new(),
         config: format!("rt-mixed{}x16-32-r{requests}", db.len()),
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         devices: 2,

@@ -1,11 +1,11 @@
-//! The wall-clock serving trajectory (`BENCH_serve.json`, schema
-//! `cudasw.bench.serve/v1`).
-//!
-//! Same shape as the host-bench trajectory: **append-only**, one entry
-//! per measured run keyed by `(git rev, workload config, host_threads)`,
-//! so the committed file is the serving-SLO history of the repo. Wall
-//! latency depends on the measuring host, which is why `host_threads`
-//! is part of the key and why the gates are split:
+//! The wall-clock serving schema of the perf trajectory
+//! (`BENCH_serve.json`, `cudasw.bench.serve/v1`): one entry per measured
+//! `repro serve-rt` run, keyed by `(git rev, workload config,
+//! host_threads)`. The append-only document, the merge-by-key and the
+//! baseline lookup are [`crate::trajectory`]'s; this module is the
+//! schema's [`Entry`] impl and its gates. Wall latency depends on the
+//! measuring host, which is why `host_threads` is part of the key and
+//! why the gates are split:
 //!
 //! * **shed / deadline-miss regression guard** — always applies: these
 //!   rates are dominated by admission policy and scheduling, not raw
@@ -18,9 +18,12 @@
 //!   p99 may not grow past `baseline × (1 + `[`LATENCY_TOLERANCE`]`)`
 //!   (with a [`LATENCY_FLOOR_MS`] absolute floor under which jitter is
 //!   ignored).
+//! * **coverage** ([`Entry::missing_rows`]) — every entry holds a row
+//!   for each load profile in [`PROFILES`].
 
-use super::serve_rt::{ProfileRow, ServeRtResult, SCHEMA};
-use obs::json::{escape, parse, Json};
+use super::serve_rt::{ProfileRow, ServeRtResult, PROFILES, SCHEMA};
+use crate::trajectory::{inline_object, num, quoted, rows, rows_array, text, Entry};
+use obs::json::Json;
 
 /// Allowed absolute growth of shed rate / deadline-miss rate vs the
 /// committed baseline per profile. Far above run-to-run jitter at 10⁵
@@ -40,168 +43,77 @@ pub const LATENCY_FLOOR_MS: f64 = 5.0;
 pub const LATENCY_GATE_MIN_THREADS: usize = 4;
 
 /// One measured run in the trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeEntry {
-    /// Git revision (short hash) the run was measured at.
-    pub rev: String,
-    /// Stable workload key (database shape × schedule size).
-    pub config: String,
-    /// Hardware threads of the measuring host.
-    pub host_threads: usize,
-    /// gpu-sim device lanes.
-    pub devices: usize,
-    /// Database sequences.
-    pub db_size: usize,
-    /// Requests per profile.
-    pub requests_per_profile: usize,
-    /// One row per load profile.
-    pub profiles: Vec<ProfileRow>,
-}
+pub type ServeEntry = ServeRtResult;
 
-impl ServeEntry {
-    /// Wrap a fresh measurement for the trajectory.
-    pub fn from_result(r: &ServeRtResult, rev: &str) -> Self {
-        Self {
-            rev: rev.to_string(),
-            config: r.config.clone(),
-            host_threads: r.host_threads,
-            devices: r.devices,
-            db_size: r.db_size,
-            requests_per_profile: r.requests_per_profile,
-            profiles: r.profiles.clone(),
-        }
+impl Entry for ServeEntry {
+    const SCHEMA: &'static str = SCHEMA;
+
+    fn rev(&self) -> &str {
+        &self.rev
     }
 
-    /// The key that decides replace-vs-append on merge.
-    fn key(&self) -> (String, String, usize) {
-        (self.rev.clone(), self.config.clone(), self.host_threads)
-    }
-}
-
-/// The whole append-only document.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServeTrajectory {
-    /// Entries in file order (oldest first).
-    pub entries: Vec<ServeEntry>,
-}
-
-impl ServeTrajectory {
-    /// Append a run, replacing a prior entry with the identical
-    /// `(rev, config, host_threads)` key, never touching other entries.
-    pub fn append(&mut self, entry: ServeEntry) {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.key() == entry.key()) {
-            *existing = entry;
-        } else {
-            self.entries.push(entry);
-        }
+    fn workload(&self) -> (&str, String) {
+        (&self.config, format!("{} host threads", self.host_threads))
     }
 
-    /// Most recent committed entry comparable to `new` (same workload
-    /// config and host thread count).
-    pub fn baseline_for<'a>(&'a self, new: &ServeEntry) -> Option<&'a ServeEntry> {
-        self.entries
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        let profiles = self.profiles.iter().map(|p| {
+            inline_object(&[
+                ("profile", quoted(&p.profile)),
+                ("requests", p.requests.to_string()),
+                ("served", p.served.to_string()),
+                ("shed", p.shed.to_string()),
+                ("aborted", p.aborted.to_string()),
+                ("p50_ms", format!("{:.3}", p.p50_ms)),
+                ("p99_ms", format!("{:.3}", p.p99_ms)),
+                ("p999_ms", format!("{:.3}", p.p999_ms)),
+                ("shed_rate", format!("{:.4}", p.shed_rate)),
+                ("deadline_miss_rate", format!("{:.4}", p.deadline_miss_rate)),
+                ("queries_per_second", format!("{:.1}", p.queries_per_second)),
+                ("gcups", format!("{:.4}", p.gcups)),
+                ("wall_seconds", format!("{:.3}", p.wall_seconds)),
+                ("waves", p.waves.to_string()),
+            ])
+        });
+        vec![
+            ("rev", quoted(&self.rev)),
+            ("config", quoted(&self.config)),
+            ("host_threads", self.host_threads.to_string()),
+            ("devices", self.devices.to_string()),
+            ("db_size", self.db_size.to_string()),
+            (
+                "requests_per_profile",
+                self.requests_per_profile.to_string(),
+            ),
+            ("profiles", rows_array(profiles)),
+        ]
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(Self {
+            rev: text(v, "rev")?,
+            config: text(v, "config")?,
+            host_threads: num(v, "host_threads")? as usize,
+            devices: num(v, "devices")? as usize,
+            db_size: num(v, "db_size")? as usize,
+            requests_per_profile: num(v, "requests_per_profile")? as usize,
+            profiles: rows(v, "profiles", profile_from_json)?,
+        })
+    }
+
+    /// Every entry holds one row per load profile.
+    fn missing_rows(&self) -> Vec<String> {
+        PROFILES
             .iter()
-            .rev()
-            .find(|e| e.config == new.config && e.host_threads == new.host_threads)
+            .map(|profile| profile.as_str())
+            .filter(|name| !self.profiles.iter().any(|p| p.profile == *name))
+            .map(|name| format!("no row with \"profile\": \"{name}\""))
+            .collect()
     }
 
-    /// Serialize the v1 document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&entry_to_json(e, "    "));
-            out.push_str(if i + 1 == self.entries.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+    fn regressions(baseline: &Self, new: &Self) -> Vec<String> {
+        regressions(baseline, new)
     }
-
-    /// Parse a trajectory file.
-    pub fn parse(text: &str) -> Result<ServeTrajectory, String> {
-        let doc = parse(text)?;
-        match doc.get("schema").and_then(|s| s.as_str()) {
-            Some(s) if s == SCHEMA => {
-                let entries = doc
-                    .get("entries")
-                    .and_then(|e| e.as_arr())
-                    .ok_or("serve trajectory without entries array")?;
-                Ok(ServeTrajectory {
-                    entries: entries
-                        .iter()
-                        .map(entry_from_json)
-                        .collect::<Result<_, _>>()?,
-                })
-            }
-            Some(other) => Err(format!("unknown serve bench schema {other:?}")),
-            None => Err("document has no schema field".to_string()),
-        }
-    }
-}
-
-fn entry_to_json(e: &ServeEntry, indent: &str) -> String {
-    let mut out = format!("{indent}{{\n");
-    out.push_str(&format!("{indent}  \"rev\": \"{}\",\n", escape(&e.rev)));
-    out.push_str(&format!(
-        "{indent}  \"config\": \"{}\",\n",
-        escape(&e.config)
-    ));
-    out.push_str(&format!(
-        "{indent}  \"host_threads\": {},\n",
-        e.host_threads
-    ));
-    out.push_str(&format!("{indent}  \"devices\": {},\n", e.devices));
-    out.push_str(&format!("{indent}  \"db_size\": {},\n", e.db_size));
-    out.push_str(&format!(
-        "{indent}  \"requests_per_profile\": {},\n",
-        e.requests_per_profile
-    ));
-    out.push_str(&format!("{indent}  \"profiles\": [\n"));
-    for (i, p) in e.profiles.iter().enumerate() {
-        out.push_str(&format!(
-            "{indent}    {{\"profile\": \"{}\", \"requests\": {}, \"served\": {}, \
-             \"shed\": {}, \"aborted\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"p999_ms\": {:.3}, \"shed_rate\": {:.4}, \"deadline_miss_rate\": {:.4}, \
-             \"queries_per_second\": {:.1}, \"gcups\": {:.4}, \"wall_seconds\": {:.3}, \
-             \"waves\": {}}}{}\n",
-            escape(&p.profile),
-            p.requests,
-            p.served,
-            p.shed,
-            p.aborted,
-            p.p50_ms,
-            p.p99_ms,
-            p.p999_ms,
-            p.shed_rate,
-            p.deadline_miss_rate,
-            p.queries_per_second,
-            p.gcups,
-            p.wall_seconds,
-            p.waves,
-            if i + 1 == e.profiles.len() { "" } else { "," },
-        ));
-    }
-    out.push_str(&format!("{indent}  ]\n"));
-    out.push_str(&format!("{indent}}}"));
-    out
-}
-
-fn num(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(|n| n.as_f64())
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn text(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(|s| s.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
 fn profile_from_json(v: &Json) -> Result<ProfileRow, String> {
@@ -220,25 +132,6 @@ fn profile_from_json(v: &Json) -> Result<ProfileRow, String> {
         gcups: num(v, "gcups")?,
         wall_seconds: num(v, "wall_seconds")?,
         waves: num(v, "waves")? as u64,
-    })
-}
-
-fn entry_from_json(v: &Json) -> Result<ServeEntry, String> {
-    let profiles = v
-        .get("profiles")
-        .and_then(|p| p.as_arr())
-        .ok_or("entry without profiles array")?;
-    Ok(ServeEntry {
-        rev: text(v, "rev")?,
-        config: text(v, "config")?,
-        host_threads: num(v, "host_threads")? as usize,
-        devices: num(v, "devices")? as usize,
-        db_size: num(v, "db_size")? as usize,
-        requests_per_profile: num(v, "requests_per_profile")? as usize,
-        profiles: profiles
-            .iter()
-            .map(profile_from_json)
-            .collect::<Result<_, _>>()?,
     })
 }
 
@@ -289,6 +182,8 @@ pub fn regressions(baseline: &ServeEntry, new: &ServeEntry) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type ServeTrajectory = crate::trajectory::Trajectory<ServeEntry>;
 
     fn sample_profile(name: &str, shed_rate: f64, miss_rate: f64, p99_ms: f64) -> ProfileRow {
         let requests = 1000;
@@ -347,33 +242,6 @@ mod tests {
                 assert_eq!(x.waves, y.waves);
             }
         }
-    }
-
-    #[test]
-    fn append_replaces_only_identical_keys() {
-        let mut t = ServeTrajectory::default();
-        t.append(sample_entry("aaa", 8, 0.6));
-        t.append(sample_entry("bbb", 8, 0.61));
-        assert_eq!(t.entries.len(), 2);
-        t.append(sample_entry("bbb", 8, 0.63));
-        assert_eq!(t.entries.len(), 2, "same key replaces in place");
-        t.append(sample_entry("bbb", 1, 0.6));
-        assert_eq!(t.entries.len(), 3, "different host_threads is a new key");
-    }
-
-    #[test]
-    fn baseline_requires_config_and_host_threads() {
-        let mut t = ServeTrajectory::default();
-        t.append(sample_entry("aaa", 8, 0.6));
-        assert!(t.baseline_for(&sample_entry("bbb", 1, 0.6)).is_none());
-        let mut other = sample_entry("bbb", 8, 0.6);
-        other.config = "rt-mixed24x24-64-r1000".to_string();
-        assert!(t.baseline_for(&other).is_none());
-        assert_eq!(
-            t.baseline_for(&sample_entry("bbb", 8, 0.6))
-                .map(|e| e.rev.as_str()),
-            Some("aaa")
-        );
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //!   Table II).
 //!
 //! The `repro` binary drives everything: `repro all` regenerates the whole
-//! evaluation section.
+//! evaluation section; its benchmarks append to the committed
+//! `BENCH_*.json` documents through [`trajectory`], checked by [`gate`].
 
 pub mod experiments;
+pub mod gate;
 pub mod report;
+pub mod trajectory;
 pub mod workloads;
 
 pub use report::{Series, Table};

@@ -78,116 +78,92 @@ if [[ "$bad" -ne 0 ]]; then
   exit 1
 fi
 
-# Trace-export smoke: `repro trace` must produce a Chrome trace_event file.
+repro() {
+  cargo run -q --release --offline -p cudasw-bench --bin repro -- "$@"
+}
+
+# Every document a step below writes is checked by `repro gate <doc>`,
+# which parses it and runs its schema's checks on typed values
+# (crates/bench/src/gate.rs) — no grep over JSON text.
+
+# Trace-export smoke: `repro trace` must produce a valid Chrome
+# trace_event file and a Prometheus text dump.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-cargo run -q --release --offline -p cudasw-bench --bin repro -- \
-  trace table1 --out "$tmp/trace.json" --metrics "$tmp/metrics.prom" >/dev/null
-grep -q '"traceEvents"' "$tmp/trace.json"
+repro trace table1 --out "$tmp/trace.json" --metrics "$tmp/metrics.prom" >/dev/null
+repro gate "$tmp/trace.json"
 grep -q '^cudasw_' "$tmp/metrics.prom"
 
 # Checkpoint/resume smoke: a fresh chaos run writes per-shard logs, the
 # resumed rerun must replay at least one chunk and still pass its own
 # byte-for-byte score assertion.
-cargo run -q --release --offline -p cudasw-bench --bin repro -- \
-  chaos --checkpoint "$tmp/ckpt" >/dev/null
+repro chaos --checkpoint "$tmp/ckpt" >/dev/null
 ls "$tmp/ckpt"/*.ckpt >/dev/null
 # Capture, then grep: `grep -q` exits at first match and the closed pipe
 # would panic repro's report printer with a broken-pipe error.
-resume_out=$(cargo run -q --release --offline -p cudasw-bench --bin repro -- \
-  chaos --checkpoint "$tmp/ckpt" --resume)
+resume_out=$(repro chaos --checkpoint "$tmp/ckpt" --resume)
 grep -q 'chunks replayed' <<<"$resume_out"
 
 # Integrity smoke: one silent corruption must be detected, quarantined
 # and recomputed on the host oracle (asserted inside the experiment).
-cargo run -q --release --offline -p cudasw-bench --bin repro -- integrity >/dev/null
+repro integrity >/dev/null
 
 # Serving smoke: the steady scenario of the batch-scheduling service must
 # answer every request with zero sheds and non-zero throughput (asserted
 # inside the experiment).
-cargo run -q --release --offline -p cudasw-bench --bin repro -- serve >/dev/null
+repro serve >/dev/null
 
 # Host-backend smoke: the real wall-clock benchmark must run on this
 # machine's backends in both Lazy-F kernel modes (score equality is
 # asserted inside the experiment) and emit a well-formed append-only
-# cudasw.bench.host/v2 trajectory. Against the committed trajectory the
-# run is gated: per-row GCUPS regressions vs the latest comparable entry,
-# plus the >=1.5x thread-scaling floor on hosts that can measure it
-# (>=4 hardware threads and a large database) — `repro host` exits
-# non-zero if either gate fails.
+# cudasw.bench.host/v2 trajectory (portable and prefix-scan rows in every
+# entry). Against the committed trajectory the run is gated: per-row
+# GCUPS regressions vs the latest comparable entry, plus the 0.75 x n
+# thread-scaling floor at n = min(4, hardware threads) where n >= 2 and
+# the database is large — `repro host` exits non-zero if either fails.
 host_args=(host --smoke --out "$tmp/BENCH_host.json")
 if [[ -f BENCH_host.json ]]; then
   host_args+=(--baseline BENCH_host.json)
 fi
-cargo run -q --release --offline -p cudasw-bench --bin repro -- \
-  "${host_args[@]}" >/dev/null
-grep -q '"schema": "cudasw.bench.host/v2"' "$tmp/BENCH_host.json"
-grep -q '"backend": "portable"' "$tmp/BENCH_host.json"
-grep -q '"kernel_mode": "prefix-scan"' "$tmp/BENCH_host.json"
-grep -q '"gcups"' "$tmp/BENCH_host.json"
+repro "${host_args[@]}" >/dev/null
+repro gate "$tmp/BENCH_host.json"
 
 # Host-chaos gate: the seeded host-fault matrix (every seed x
 # {panic, stall, alloc-fail} forced faults plus a full chaos storm per
 # seed) over the protected SIMD pool. Bit-identical scores, zero lost or
 # duplicated sequences, and every recovery path provably taken are all
-# asserted inside the experiment; here the document schema and the
-# matrix liveness are pinned.
-cargo run -q --release --offline -p cudasw-bench --bin repro -- \
-  host-chaos --seeds 11,22,33 --out "$tmp/BENCH_host_chaos.json" >/dev/null
-grep -q '"schema": "cudasw.bench.host_chaos/v1"' "$tmp/BENCH_host_chaos.json"
-grep -q '"all_scores_match": true' "$tmp/BENCH_host_chaos.json"
-grep -q '"lost_sequences": 0' "$tmp/BENCH_host_chaos.json"
-if grep -q '"total_injected": 0,' "$tmp/BENCH_host_chaos.json"; then
-  echo "verify: host-chaos matrix never injected a fault" >&2
-  exit 1
-fi
+# asserted inside the experiment; the gate pins all_scores_match,
+# lost_sequences == 0 and total_injected > 0 in the document.
+repro host-chaos --seeds 11,22,33 --out "$tmp/BENCH_host_chaos.json" >/dev/null
+repro gate "$tmp/BENCH_host_chaos.json"
 
 # Chaos-soak gate: rolling faults across every lane (one full device loss
 # with revival included) plus the host-lane fault storm riding the hedges
-# and CPU fallbacks must hold the availability SLO, answer bit-identically
-# to the fault-free replay, and emit a well-formed cudasw.bench.soak/v1
-# document. Against the committed baseline, smoke availability may not
-# regress by more than half a percentage point.
-cargo run -q --release --offline -p cudasw-bench --bin repro -- \
-  soak --smoke --out "$tmp/BENCH_soak.json" >/dev/null
-grep -q '"schema": "cudasw.bench.soak/v1"' "$tmp/BENCH_soak.json"
-grep -q '"scores_match_reference": true' "$tmp/BENCH_soak.json"
-grep -q '"duplicate_answers": 0' "$tmp/BENCH_soak.json"
-grep -q '"host_injected_faults"' "$tmp/BENCH_soak.json"
-if grep -q '"host_injected_faults": 0,' "$tmp/BENCH_soak.json"; then
-  echo "verify: soak host-lane storm never landed" >&2
-  exit 1
-fi
+# and CPU fallbacks must hold the availability SLO and answer
+# bit-identically to the fault-free replay; the gate pins
+# scores_match_reference, duplicate_answers == 0, host_injected_faults > 0
+# and, against the committed baseline, smoke availability no more than
+# half a percentage point lower.
+repro soak --smoke --out "$tmp/BENCH_soak.json" >/dev/null
+soak_gate_args=(gate "$tmp/BENCH_soak.json")
 if [[ -f BENCH_soak.json ]]; then
-  base=$(sed -n 's/.*"availability": \([0-9.]*\).*/\1/p' BENCH_soak.json)
-  cur=$(sed -n 's/.*"availability": \([0-9.]*\).*/\1/p' "$tmp/BENCH_soak.json")
-  awk -v base="$base" -v cur="$cur" 'BEGIN {
-    if (cur + 0.005 < base) {
-      printf "verify: soak availability regressed: %.4f < baseline %.4f\n", cur, base
-      exit 1
-    }
-  }' >&2
+  soak_gate_args+=(--baseline BENCH_soak.json)
 fi
+repro "${soak_gate_args[@]}"
 
 # Wall-clock serving gate: the sw-gateway smoke (real lane worker
 # threads, open-loop load generator, end-to-end latency) must resolve
 # every request exactly once across all three profiles (asserted inside
 # the experiment) and emit a well-formed cudasw.bench.serve/v1
-# trajectory. Against the committed baseline the run is gated: shed and
-# deadline-miss rates always; latency tails only on hosts with >=4
-# hardware threads (`repro serve-rt` exits non-zero on failure).
+# trajectory (steady, bursty and overload rows in every entry). Against
+# the committed baseline the run is gated: shed and deadline-miss rates
+# always; latency tails only on hosts with >=4 hardware threads.
 serve_rt_args=(serve-rt --smoke --out "$tmp/BENCH_serve.json")
 if [[ -f BENCH_serve.json ]]; then
   serve_rt_args+=(--baseline BENCH_serve.json)
 fi
-cargo run -q --release --offline -p cudasw-bench --bin repro -- \
-  "${serve_rt_args[@]}" >/dev/null
-grep -q '"schema": "cudasw.bench.serve/v1"' "$tmp/BENCH_serve.json"
-grep -q '"profile": "steady"' "$tmp/BENCH_serve.json"
-grep -q '"profile": "bursty"' "$tmp/BENCH_serve.json"
-grep -q '"profile": "overload"' "$tmp/BENCH_serve.json"
-grep -q '"p999_ms"' "$tmp/BENCH_serve.json"
-grep -q '"deadline_miss_rate"' "$tmp/BENCH_serve.json"
+repro "${serve_rt_args[@]}" >/dev/null
+repro gate "$tmp/BENCH_serve.json"
 
 # Device-optimization gate: the §VII optimization matrix (boundary
 # staging, shared-only kernel, cross-strip fusion, streamed H2D, SaLoBa
@@ -202,12 +178,7 @@ device_args=(device-opt --smoke --out "$tmp/BENCH_device.json")
 if [[ -f BENCH_device.json ]]; then
   device_args+=(--baseline BENCH_device.json)
 fi
-cargo run -q --release --offline -p cudasw-bench --bin repro -- \
-  "${device_args[@]}" >/dev/null
-grep -q '"schema": "cudasw.bench.device/v1"' "$tmp/BENCH_device.json"
-grep -q '"config": "staging"' "$tmp/BENCH_device.json"
-grep -q '"hidden_latency_cycles"' "$tmp/BENCH_device.json"
-grep -q '"intra_imbalance"' "$tmp/BENCH_device.json"
-grep -q '"score_crc"' "$tmp/BENCH_device.json"
+repro "${device_args[@]}" >/dev/null
+repro gate "$tmp/BENCH_device.json"
 
 echo "verify: OK"
