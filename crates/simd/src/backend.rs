@@ -26,6 +26,15 @@
 //! scores; `force_scan` ([`crate::KernelMode::PrefixScan`]) takes the scan
 //! on every column.
 //!
+//! On either route the first `min(PEEL, seg_len)` repair steps of a column
+//! run before the early-exit test is consulted: on random subjects the
+//! tested loop leaves after one to five steps with geometrically falling
+//! odds, a branch no predictor learns. Steps past the old exit change
+//! nothing — the state there is the fixpoint and every F is the score of
+//! a real gap, so `max(H, F)` and `max(E, H ⊖ open)` return what they were
+//! given (DESIGN.md §14) — and a column still spends at most `max(PEEL,
+//! exit) ≤ seg_len + log2(LANES) + open/extend + 1` repair operations.
+//!
 //! **Byte→word hand-off.** The byte kernel stops as soon as the running
 //! maximum *could* saturate during the next column's biased add — one
 //! column before anything does — so its H, E and maximum are still exact.
@@ -46,8 +55,11 @@
 //! and `tests/handoff_differential.rs` pin these invariants.
 //!
 //! The kernels count the vector operations spent repairing F — scan steps
-//! and repair-loop steps alike — so the adaptive driver can report
-//! byte-mode and word-mode correction work separately per backend.
+//! and repair-loop steps alike, the untested prefix included — so the
+//! adaptive driver can report byte-mode and word-mode correction work
+//! separately per backend. The count is work executed, not time: the
+//! prefix raised it on random subjects (3.7 → 6.4 per thousand cells over
+//! the paper's query lengths) while the wall clock fell.
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_COLS};
 use sw_align::smith_waterman::SwParams;
@@ -385,19 +397,39 @@ impl Handoff {
     }
 }
 
-/// Stripe query-order values into `seg_len` segment vectors; positions past
-/// the end of `values` are zero.
-fn restripe<V: WordSimd>(values: &[i16], seg_len: usize) -> Vec<V> {
+/// Stripe query-order values into the segment vectors of `out`; positions
+/// past the end of `values` are zero.
+fn restripe<V: WordSimd>(values: &[i16], out: &mut [V]) {
+    let seg_len = out.len();
     let mut lanes = vec![0i16; V::LANES];
-    (0..seg_len)
-        .map(|j| {
-            for (k, slot) in lanes.iter_mut().enumerate() {
-                *slot = values.get(j + k * seg_len).copied().unwrap_or(0);
-            }
-            V::load(&lanes)
-        })
-        .collect()
+    for (j, v) in out.iter_mut().enumerate() {
+        for (k, slot) in lanes.iter_mut().enumerate() {
+            *slot = values.get(j + k * seg_len).copied().unwrap_or(0);
+        }
+        *v = V::load(&lanes);
+    }
 }
+
+/// One Lazy-F repair step at segment `j` for either vector trait; evaluates
+/// to the repaired H. A raised H also raises the next column's E, which
+/// the main loop derived from the unrepaired H.
+macro_rules! repair_step {
+    ($hs:ident, $e:ident, $j:ident, $v_f:ident, $v_max:ident, $v_open:ident, $v_extend:ident) => {{
+        let h = $hs[$j].max($v_f);
+        $hs[$j] = h;
+        $v_max = $v_max.max(h);
+        $e[$j] = $e[$j].max(h.sat_sub($v_open));
+        $v_f = $v_f.sat_sub($v_extend);
+        h
+    }};
+}
+
+/// Repair steps every column runs before its first early-exit test
+/// (fewer when the stripe is shorter). Of 1, 2, 3, 4, 6 and 8, 4 gave the
+/// best rate, or one within 3% of it, at each paper query length on AVX2,
+/// SSE2 and the portable vectors alike, so it is one constant and not one
+/// per lane count (EXPERIMENTS.md, "Host backend benchmark").
+const PEEL: usize = 4;
 
 /// Lane distances of the Kogge-Stone rounds; covers vectors of up to 32
 /// lanes (asserted at compile time in the kernels).
@@ -409,7 +441,9 @@ pub struct ByteKernelResult {
     /// The exact score, or — once the running maximum could saturate the
     /// 8-bit range — the state the word kernel resumes from.
     pub score: Result<i32, Handoff>,
-    /// Lazy-F repair operations executed.
+    /// Lazy-F repair vector operations executed, scan rounds and the
+    /// untested prefix included: per column at least `min(PEEL, seg_len)`
+    /// and at most `seg_len + log2(LANES) + open/extend + 1`.
     pub lazy_f: u64,
 }
 
@@ -418,7 +452,8 @@ pub struct ByteKernelResult {
 pub struct WordKernelResult {
     /// Optimal local score (saturates at `i16::MAX`).
     pub score: i32,
-    /// Lazy-F repair operations executed.
+    /// Lazy-F repair vector operations executed; same per-column bounds
+    /// as [`ByteKernelResult::lazy_f`].
     pub lazy_f: u64,
 }
 
@@ -484,9 +519,12 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
     // always scan, and their one repair pass runs to the end.
     let early_exit = gaps.open > gaps.extend;
     let scan_always = force_scan || !early_exit;
-    let mut h_store = vec![V::zero(); seg_len];
-    let mut h_load = vec![V::zero(); seg_len];
-    let mut e = vec![V::zero(); seg_len];
+    let peel = PEEL.min(seg_len);
+    // H-store, H-load and E share one buffer; the two H thirds trade
+    // places every column.
+    let mut state = vec![V::zero(); 3 * seg_len];
+    let (h_both, e) = state.split_at_mut(2 * seg_len);
+    let (mut h_store, mut h_load) = h_both.split_at_mut(seg_len);
     let mut v_max = V::zero();
     let mut lazy_f = 0u64;
 
@@ -500,16 +538,25 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
         // k+1 of segment 0 in query order).
         let mut v_h = h_store[seg_len - 1].shift();
         std::mem::swap(&mut h_store, &mut h_load);
+        // Four views of exactly `seg_len` vectors, cut once per column: the
+        // loop body is ten vector operations and no bounds checks. Loads
+        // precede stores because the thirds of `state` are not provably
+        // disjoint and the portable vectors only vectorise that way.
+        let row = &profile.vectors[d as usize * seg_len..][..seg_len];
+        let (hs, hl) = (&mut h_store[..seg_len], &h_load[..seg_len]);
+        let e = &mut e[..seg_len];
         for j in 0..seg_len {
             // Biased add, then remove the bias: H + w = (H +sat (w + bias))
             // -sat bias.
-            v_h = v_h.sat_add(profile.get(d, j)).sat_sub(v_bias);
-            v_h = v_h.max(e[j]).max(v_f);
+            let (e_j, h_next) = (e[j], hl[j]);
+            v_h = v_h.sat_add(row[j]).sat_sub(v_bias);
+            v_h = v_h.max(e_j).max(v_f);
             v_max = v_max.max(v_h);
-            h_store[j] = v_h;
-            e[j] = e[j].sat_sub(v_extend).max(v_h.sat_sub(v_open));
-            v_f = v_f.sat_sub(v_extend).max(v_h.sat_sub(v_open));
-            v_h = h_load[j];
+            hs[j] = v_h;
+            let opened = v_h.sat_sub(v_open);
+            e[j] = opened.max(e_j.sat_sub(v_extend));
+            v_f = opened.max(v_f.sat_sub(v_extend));
+            v_h = h_next;
         }
         // Lazy-F: repair H values that should have been reached by F
         // propagating across segment boundaries. Lane k of `v_f` is the F
@@ -534,27 +581,33 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
             }
             passes = 1;
         }
-        'lazy_f: for _ in 0..passes {
-            // shift() hands lane k+1 its incoming F; lane 0 gets zero.
-            v_f = v_f.shift();
-            for j in 0..seg_len {
-                // A raised H also raises the next column's E (derived from
-                // the unrepaired H in the main loop).
-                let h = h_store[j].max(v_f);
-                h_store[j] = h;
-                v_max = v_max.max(h);
-                e[j] = e[j].max(h.sat_sub(v_open));
-                v_f = v_f.sat_sub(v_extend);
-                lazy_f += 1;
-                if early_exit && !v_f.any_gt(h.sat_sub(v_open)) {
-                    break 'lazy_f;
+        // shift() hands lane k+1 its incoming F; lane 0 gets zero.
+        v_f = v_f.shift();
+        // The first `peel` steps run untested (see `PEEL`); after them a
+        // step runs only if the one before left an F that can raise an H.
+        let mut h = V::zero();
+        for j in 0..peel {
+            h = repair_step!(hs, e, j, v_f, v_max, v_open, v_extend);
+        }
+        let mut j = peel;
+        lazy_f += peel as u64;
+        while !early_exit || v_f.any_gt(h.sat_sub(v_open)) {
+            if j == seg_len {
+                passes -= 1;
+                if passes == 0 {
+                    break;
                 }
+                v_f = v_f.shift();
+                j = 0;
             }
+            h = repair_step!(hs, e, j, v_f, v_max, v_open, v_extend);
+            j += 1;
+            lazy_f += 1;
         }
         // Overflow check: once the running max could saturate during the
         // next column's biased add, hand the still-exact state over.
         if v_max.any_gt(v_limit) {
-            let score = Err(Handoff::at(col + 1, &h_store, &e, v_max.horizontal_max()));
+            let score = Err(Handoff::at(col + 1, hs, e, v_max.horizontal_max()));
             return Some(ByteKernelResult { score, lazy_f });
         }
     }
@@ -609,9 +662,12 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
     // See the byte kernel for why the cutoff needs strictly affine gaps.
     let early_exit = gaps.open > gaps.extend;
     let scan_always = force_scan || !early_exit;
-    let mut h_store: Vec<V> = restripe(&start.h, seg_len);
-    let mut h_load = vec![V::zero(); seg_len];
-    let mut e: Vec<V> = restripe(&start.e, seg_len);
+    let peel = PEEL.min(seg_len);
+    let mut state = vec![V::zero(); 3 * seg_len];
+    let (h_both, e) = state.split_at_mut(2 * seg_len);
+    let (mut h_store, mut h_load) = h_both.split_at_mut(seg_len);
+    restripe(&start.h, h_store);
+    restripe(&start.e, e);
     let mut v_max = V::splat(start.max);
     let mut lazy_f = 0u64;
 
@@ -622,14 +678,22 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
         let mut v_f = V::zero();
         let mut v_h = h_store[seg_len - 1].shift();
         std::mem::swap(&mut h_store, &mut h_load);
+        let row = &profile.vectors[d as usize * seg_len..][..seg_len];
+        let (hs, hl) = (&mut h_store[..seg_len], &h_load[..seg_len]);
+        let e = &mut e[..seg_len];
+        // Unlike the byte loop this one reads `e[j]` and `hl[j]` where they
+        // are used: with both held in registers the compiler joins E and F
+        // first and lengthens the F → H → F chain by a `max` (word mode
+        // measured 4% slower on AVX2 and 10–14% on SSE2 that way).
         for j in 0..seg_len {
-            v_h = v_h.sat_add(profile.get(d, j));
+            v_h = v_h.sat_add(row[j]);
             v_h = v_h.max(e[j]).max(v_f).max(V::zero());
             v_max = v_max.max(v_h);
-            h_store[j] = v_h;
-            e[j] = e[j].sat_sub(v_extend).max(v_h.sat_sub(v_open));
-            v_f = v_f.sat_sub(v_extend).max(v_h.sat_sub(v_open));
-            v_h = h_load[j];
+            hs[j] = v_h;
+            let opened = v_h.sat_sub(v_open);
+            e[j] = opened.max(e[j].sat_sub(v_extend));
+            v_f = opened.max(v_f.sat_sub(v_extend));
+            v_h = hl[j];
         }
         let mut passes = V::LANES;
         if scan_always || v_f.any_gt(v_chunk) {
@@ -642,19 +706,25 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
             }
             passes = 1;
         }
-        'lazy_f: for _ in 0..passes {
-            v_f = v_f.shift();
-            for j in 0..seg_len {
-                let h = h_store[j].max(v_f);
-                h_store[j] = h;
-                v_max = v_max.max(h);
-                e[j] = e[j].max(h.sat_sub(v_open));
-                v_f = v_f.sat_sub(v_extend);
-                lazy_f += 1;
-                if early_exit && !v_f.any_gt(h.sat_sub(v_open)) {
-                    break 'lazy_f;
+        v_f = v_f.shift();
+        let mut h = V::zero();
+        for j in 0..peel {
+            h = repair_step!(hs, e, j, v_f, v_max, v_open, v_extend);
+        }
+        let mut j = peel;
+        lazy_f += peel as u64;
+        while !early_exit || v_f.any_gt(h.sat_sub(v_open)) {
+            if j == seg_len {
+                passes -= 1;
+                if passes == 0 {
+                    break;
                 }
+                v_f = v_f.shift();
+                j = 0;
             }
+            h = repair_step!(hs, e, j, v_f, v_max, v_open, v_extend);
+            j += 1;
+            lazy_f += 1;
         }
     }
     Some(WordKernelResult {

@@ -113,18 +113,23 @@ pub fn sw_striped_bytes(params: &SwParams, profile: &ByteProfile, db: &[u8]) -> 
 
 /// Statistics of an adaptive (byte-first) alignment batch.
 ///
-/// Lazy-F repair iterations are counted **per precision mode**: byte-mode
+/// Lazy-F repair operations are counted **per precision mode**: byte-mode
 /// passes (including those of alignments that later overflowed) land in
-/// `lazy_f_byte`, word-mode re-run passes in `lazy_f_word`.
+/// `lazy_f_byte`, resumed word-mode passes in `lazy_f_word`. Both count
+/// vector operations executed — scan rounds, the untested prefix of
+/// `min(PEEL, seg_len)` steps every column runs ([`crate::backend`]) and
+/// the tested steps after it, at most `seg_len + log2(LANES) +
+/// open/extend + 1` per column. They measure work, not time: the prefix
+/// executes more operations than the tests it replaced, and is faster.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveStats {
     /// Alignments resolved in byte mode.
     pub byte_mode: u64,
     /// Alignments that overflowed and re-ran in word mode.
     pub word_fallbacks: u64,
-    /// Lazy-F repair iterations executed by byte-mode passes.
+    /// Lazy-F repair operations executed by byte-mode passes.
     pub lazy_f_byte: u64,
-    /// Lazy-F repair iterations executed by word-mode re-runs.
+    /// Lazy-F repair operations executed by resumed word-mode passes.
     pub lazy_f_word: u64,
 }
 

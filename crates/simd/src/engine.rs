@@ -280,18 +280,21 @@ impl QueryEngine {
         Some(score)
     }
 
-    /// Estimated per-worker scratch bytes one kernel invocation of this
-    /// engine needs: the H-store/H-load/E stripe buffers of byte and word
-    /// mode plus the two i16 hand-off buffers an overflowing byte pass
-    /// allocates. The pool's memory-budget admission charges this plus a
-    /// per-sequence overhead for each in-flight chunk.
+    /// Estimated peak scratch bytes one alignment of this engine holds:
+    /// each pass allocates one buffer of `3 × seg_len` vectors (H-store,
+    /// H-load, E), and an overflowing byte pass de-stripes H and E into
+    /// two i16 hand-off buffers before it returns. The byte buffer is
+    /// freed before the word pass allocates its own, so the peak is the
+    /// hand-off buffers plus the larger of the two stripe buffers. The
+    /// pool's memory-budget admission charges this plus a per-sequence
+    /// overhead for each in-flight chunk.
     pub fn working_set_bytes(&self) -> u64 {
         let m = self.query.len().max(1) as u64;
         let byte_lanes = self.kind.byte_lanes() as u64;
         let word_lanes = self.kind.word_lanes() as u64;
-        let byte_row = m.div_ceil(byte_lanes).max(1) * byte_lanes;
-        let word_row = m.div_ceil(word_lanes).max(1) * word_lanes * 2;
-        3 * (byte_row + word_row) + 2 * 2 * byte_row
+        let byte_row = m.div_ceil(byte_lanes) * byte_lanes;
+        let word_row = m.div_ceil(word_lanes) * word_lanes * 2;
+        3 * byte_row.max(word_row) + 2 * 2 * byte_row
     }
 }
 
@@ -428,12 +431,10 @@ mod tests {
         let query = make_query(100, 1);
         let engine =
             QueryEngine::with_backend(SwParams::cudasw_default(), &query, BackendKind::Portable);
-        // 16 byte lanes pad 100 to 112, 8 word lanes to 104: three stripe
-        // buffers per precision plus two i16 hand-off buffers.
-        assert_eq!(
-            engine.working_set_bytes(),
-            3 * (112 + 2 * 104) + 2 * 2 * 112
-        );
+        // 16 byte lanes pad 100 to 112, 8 word lanes to 104: the word
+        // pass's three-stripe buffer (the larger one; the byte pass's is
+        // gone by then) beside the two i16 hand-off buffers.
+        assert_eq!(engine.working_set_bytes(), 3 * (2 * 104) + 2 * 2 * 112);
     }
 
     #[test]

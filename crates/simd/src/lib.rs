@@ -42,7 +42,8 @@
 //! Every implementation is validated against `sw_align::sw_score`; the
 //! differential proptests in `tests/backend_differential.rs` additionally
 //! pin byte mode, word mode, and every available backend to identical
-//! scores, and `tests/handoff_differential.rs` the byte→word hand-off.
+//! scores, `tests/handoff_differential.rs` the byte→word hand-off, and
+//! `tests/peel_differential.rs` the untested Lazy-F prefix.
 
 // Crash-only discipline: library code may not panic through `unwrap` /
 // `expect` — every fallible path must recover or return a typed error.

@@ -11,7 +11,10 @@
 //! change shape under a kernel-mode switch. On top of exactness, the
 //! repair must be *bounded*: whichever route a column takes, it spends at
 //! most `seg_len + log2(LANES) + open/extend + 1` `lazy_f` vector
-//! operations.
+//! operations. The first `min(PEEL, seg_len)` steps of every column run
+//! without the early-exit test (`tests/peel_differential.rs`); they count
+//! too, and the bound holds unchanged because the prefix is never longer
+//! than the stripe: `max(PEEL, exit) ≤ seg_len + …`.
 
 use proptest::prelude::*;
 use sw_align::smith_waterman::{sw_score, SwParams};

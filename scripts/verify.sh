@@ -36,19 +36,20 @@ cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cud
 # path must keep building and passing with the native backends compiled
 # out, both ways of getting there. The prefix-scan differential suite is
 # named explicitly so the Lazy-F scan route is pinned score-identical to
-# the correction loop under every feature combination, and the hand-off
+# the correction loop under every feature combination, the hand-off
 # suite because the byte→word hand-off re-stripes between lane widths
-# that differ per backend.
+# that differ per backend, and the peel suite because the portable
+# instantiation of the column loop is the one the native runs never take.
 cargo build -q --release --offline -p sw-simd --no-default-features
 cargo test -q --offline -p sw-simd --no-default-features
 cargo test -q --offline -p sw-simd --no-default-features --test prefix_scan_differential \
-  --test handoff_differential
+  --test handoff_differential --test peel_differential
 cargo build -q --release --offline -p sw-simd --features force-portable
 cargo test -q --offline -p sw-simd --features force-portable
 cargo test -q --offline -p sw-simd --features force-portable --test prefix_scan_differential \
-  --test handoff_differential
+  --test handoff_differential --test peel_differential
 cargo test -q --offline -p sw-simd --test prefix_scan_differential --test handoff_differential \
-  --test pool_chunking
+  --test peel_differential --test pool_chunking
 
 # Crash-only host engine: the seeded host-fault matrix (>=3 seeds x
 # {panic, stall, alloc-fail}, chaos storms, budget starvation) and the
