@@ -1,14 +1,15 @@
 //! Criterion bench for the Figure 7 experiment: one GPU prediction per
-//! query-length extreme, plus the host-measured SWPS3 baseline.
+//! query-length extreme, plus the host-measured SWPS3-role baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use cudasw_bench::experiments::predict;
 use cudasw_bench::workloads;
 use cudasw_core::model::PredictedIntra;
 use gpu_sim::DeviceSpec;
+use sw_align::SwParams;
 use sw_db::catalog::PaperDb;
 use sw_db::synth::sample_lengths;
-use sw_simd::Swps3Driver;
+use sw_simd::{search_sequences, Precision, QueryEngine};
 
 fn bench(c: &mut Criterion) {
     let spec = DeviceSpec::tesla_c1060();
@@ -20,13 +21,13 @@ fn bench(c: &mut Criterion) {
             b.iter(|| predict(&spec, &lengths, qlen, 3072, PredictedIntra::Improved, false))
         });
     }
-    // SWPS3: real striped-SIMD work, so report cell throughput.
+    // SWPS3 role: real striped-SIMD work, so report cell throughput.
     let db = workloads::functional_db(PaperDb::Swissprot, 100);
     let query = workloads::query(567);
-    let driver = Swps3Driver::new(4);
+    let engine = QueryEngine::new(SwParams::cudasw_default(), &query);
     group.throughput(Throughput::Elements(db.total_cells(567)));
     group.bench_function("swps3_query_567_100seqs", |b| {
-        b.iter(|| driver.search(&query, &db))
+        b.iter(|| search_sequences(&engine, db.sequences(), 4, Precision::Adaptive))
     });
     group.finish();
 }

@@ -378,7 +378,7 @@ fn run_fig6() {
 }
 
 fn run_fig7() {
-    let r = fig7::run(3072, 400);
+    let r = fig7::run(3072, 4000);
     r.table().print();
     r.table_gains().print();
 }

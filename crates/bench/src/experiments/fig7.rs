@@ -9,15 +9,24 @@
 //! average of about four GCUPs or 25%."
 //!
 //! GPU curves are simulated (analytic, paper scale); the SWPS3 curve is
-//! *host-measured* wall-clock GCUPs of this workspace's striped SIMD
-//! implementation on a scaled database (see EXPERIMENTS.md for how the two
-//! time bases are compared).
+//! *host-measured* wall-clock GCUPs of this workspace's striped SIMD engine
+//! — [`QueryEngine`] on the SSE2 backend where the host has it, the
+//! like-for-like of the paper's SSE baseline — over a scaled database on
+//! the work-stealing pool (see EXPERIMENTS.md for how the two time bases
+//! are compared).
 
 use crate::experiments::{four_configs, predict};
 use crate::report::{series_table, Series, Table};
 use crate::workloads;
+use sw_align::SwParams;
 use sw_db::catalog::{paper_query_lengths, PaperDb};
-use sw_simd::Swps3Driver;
+use sw_simd::{
+    effective_workers, search_protected, BackendKind, PoolConfig, Precision, QueryEngine,
+};
+
+/// Worker threads requested for the CPU baseline (the paper's four Xeon
+/// cores); the pool clamps this to what the host can run.
+const SWPS3_THREADS: usize = 4;
 
 /// Figure 7's data.
 #[derive(Debug, Clone)]
@@ -58,8 +67,10 @@ impl Fig7Result {
 }
 
 /// Run Figure 7. `swps3_db_size` > 0 also measures the CPU baseline on a
-/// scaled functional database with 4 worker threads (0 skips it, e.g. in
-/// benches).
+/// scaled functional database of that many sequences (0 skips it, e.g. in
+/// benches). The watchdog is disarmed: a fault-free search would otherwise
+/// return on its poll tick, and a point of a few milliseconds would read
+/// as the tick.
 pub fn run(threshold: usize, swps3_db_size: usize) -> Fig7Result {
     let lengths = workloads::paper_scale_lengths(PaperDb::Swissprot);
     let queries = paper_query_lengths();
@@ -92,12 +103,23 @@ pub fn run(threshold: usize, swps3_db_size: usize) -> Fig7Result {
 
     let swps3 = if swps3_db_size > 0 {
         let db = workloads::functional_db(PaperDb::Swissprot, swps3_db_size);
-        let driver = Swps3Driver::new(4);
-        let mut s = Series::new("SWPS3 (4 cores, host-measured)");
+        let kind = if BackendKind::Sse2.is_available() {
+            BackendKind::Sse2
+        } else {
+            BackendKind::detect()
+        };
+        let cfg = PoolConfig::new(SWPS3_THREADS, Precision::Adaptive).with_watchdog(0, 1);
+        let mut s = Series::new(format!(
+            "SWPS3 role ({kind}, {} threads, host-measured)",
+            effective_workers(SWPS3_THREADS, db.len())
+        ));
         for &qlen in &queries {
             let query = workloads::query(qlen);
-            let r = driver.search(&query, &db);
-            s.push(qlen as f64, r.gcups());
+            let engine = QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind);
+            let r = search_protected(&engine, db.sequences(), &cfg)
+                .expect("no cancel token is configured");
+            sw_simd::record_stats(kind, &r.stats);
+            s.push(qlen as f64, db.total_cells(qlen) as f64 / r.seconds / 1.0e9);
         }
         Some(s)
     } else {

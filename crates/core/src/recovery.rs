@@ -15,14 +15,14 @@
 //!   [`GpuError::LaunchTimeout`] instead of burning simulated hours;
 //! * **device loss / persistent failure** — graceful degradation: every
 //!   not-yet-scored sequence is computed on the host CPU with the striped
-//!   SIMD kernel (`sw_simd::farrar`), and the result is flagged
+//!   SIMD engine (`sw_simd::QueryEngine`), and the result is flagged
 //!   [`RecoveryReport::degraded`];
 //! * **silent transfer corruption** — with
 //!   [`RecoveryPolicy::integrity_checks`] (the default) the device
 //!   verifies an end-to-end checksum on every transfer; a mismatch
 //!   quarantines the affected chunk, whose scores are recomputed on the
-//!   host with the verified scalar/striped oracle instead of trusting a
-//!   retry on a path that just corrupted data;
+//!   host SIMD engine instead of trusting a retry on a path that just
+//!   corrupted data;
 //! * **process crashes** — [`CudaSwDriver::search_resilient_checkpointed`]
 //!   appends every completed chunk to an on-disk log
 //!   ([`crate::checkpoint`]); a restarted search replays the log, skips
@@ -471,10 +471,11 @@ fn classify(
 }
 
 /// Score one CPU-fallback sequence with panic isolation: a panic inside
-/// the vectorized engine quarantines the sequence to the scalar-validated
-/// Farrar oracle (bit-identical scores), so the degraded path can never
-/// abort a search the device already failed. Stats are only merged for
-/// clean runs — a panicking engine's partial counts are discarded.
+/// the vectorized engine quarantines the sequence to the scalar oracle
+/// ([`sw_simd::oracle_score`], bit-identical scores by its clamp), so the
+/// degraded path can never abort a search the device already failed.
+/// Stats are only merged for clean runs — a panicking engine's partial
+/// counts are discarded.
 fn protected_fallback_score(
     engine: &QueryEngine,
     residues: &[u8],
@@ -492,7 +493,7 @@ fn protected_fallback_score(
         }
         Err(_) => {
             obs::counter_add("cudasw.core.recovery.cpu_fallback_panics", &[], 1.0);
-            sw_simd::sw_striped_score(engine.params(), engine.query(), residues)
+            sw_simd::oracle_score(engine.params(), engine.query(), residues)
         }
     }
 }
@@ -785,7 +786,7 @@ impl CudaSwDriver {
                 }
                 Err(err @ GpuError::ChecksumMismatch { .. }) => {
                     // The device data cannot be trusted: recompute the
-                    // chunk on the host with the verified striped oracle.
+                    // chunk on the host SIMD engine.
                     let sp = obs::span("quarantine_recompute", "integrity");
                     cpu_scores(&self.config.params, run.query, chunk, out);
                     run.report.note_quarantine(&err, label, chunk.len());

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sw_align::{Alphabet, SwParams};
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_db::{Database, Sequence};
-use sw_simd::farrar::sw_striped_score;
+use sw_simd::QueryEngine;
 
 fn config() -> CudaSwConfig {
     CudaSwConfig {
@@ -235,9 +235,10 @@ fn protein_seq(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The CPU fallback (Farrar striped SIMD) and the inter-task kernel
-    // must agree on every score, so degrading to the CPU never changes
-    // results. Inter-task only: threshold far above every length.
+    // The CPU fallback (a `QueryEngine` on the detected backend) and the
+    // inter-task kernel must agree on every score, so degrading to the CPU
+    // never changes results. Inter-task only: threshold far above every
+    // length.
     #[test]
     fn cpu_fallback_agrees_with_inter_task_kernel(
         query in protein_seq(40),
@@ -259,8 +260,9 @@ proptest! {
         };
         let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c1060(), cfg);
         let gpu = driver.search(&query, &db).unwrap().scores;
+        let fallback = QueryEngine::new(params, &query);
         for (i, seq) in db.sequences().iter().enumerate() {
-            prop_assert_eq!(gpu[i], sw_striped_score(&params, &query, &seq.residues));
+            prop_assert_eq!(gpu[i], fallback.score(&seq.residues));
         }
     }
 }

@@ -45,7 +45,7 @@ use cudasw_core::{
 };
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_db::Database;
-use sw_simd::{search_uncancelled, HostFaultPlan, PoolConfig, Precision, QueryEngine};
+use sw_simd::{search_protected, HostFaultPlan, PoolConfig, Precision, QueryEngine};
 
 /// One device lane: a driver bound to one database shard.
 struct Lane {
@@ -149,7 +149,9 @@ impl WaveExecutor {
     }
 
     /// Pool config for host-lane work: single worker (the service loop is
-    /// a deterministic discrete-event simulation), full fault domain.
+    /// a deterministic discrete-event simulation), full fault domain, and
+    /// no cancel token — so a `search_protected` under it never returns
+    /// `Err` and a host lane always has an answer.
     fn host_pool_config(&self) -> PoolConfig {
         PoolConfig::new(1, Precision::Adaptive).with_fault_plan(self.host_faults.clone())
     }
@@ -453,7 +455,7 @@ impl WaveExecutor {
         // The hedge runs inside the crash-only pool: panic quarantine,
         // admission, and any injected host faults, bit-identical scores.
         let engine = QueryEngine::new(params.clone(), &req.query);
-        let r = search_uncancelled(&engine, shard.sequences(), &self.host_pool_config());
+        let r = search_protected(&engine, shard.sequences(), &self.host_pool_config()).ok()?;
         sw_simd::record_stats(engine.kind(), &r.stats);
         Some(HedgeResult {
             scores: r.scores,
@@ -643,7 +645,8 @@ impl WaveExecutor {
             // runs in the crash-only pool — the service's last line of
             // defence must itself survive panics and pressure.
             let engine = QueryEngine::new(params.clone(), &req.query);
-            let r = search_uncancelled(&engine, shard.sequences(), &self.host_pool_config());
+            let r = search_protected(&engine, shard.sequences(), &self.host_pool_config())
+                .map_err(|_| GpuError::DeviceLost)?;
             for (j, &v) in r.scores.iter().enumerate() {
                 scores[q][dead + j * k] = v;
             }

@@ -2,11 +2,11 @@
 //!
 //! [`ByteSimd`] and [`WordSimd`] describe the handful of SSE2-style vector
 //! operations the striped Smith-Waterman recurrence needs (saturating
-//! add/sub, max, lane shift, any-greater, horizontal max). [`sw_bytes`] and
-//! [`sw_words`] implement Farrar's kernel exactly once per precision,
-//! generically over those traits; every backend (AVX2, SSE2, NEON, and the
-//! portable emulated vectors) instantiates the same kernel with its own
-//! vector type.
+//! add/sub, max, lane shift, any-greater, horizontal max).
+//! [`sw_bytes_checked`] and [`sw_words_checked`] implement Farrar's kernel
+//! exactly once per precision, generically over those traits; every backend
+//! (AVX2, SSE2, NEON, and the portable emulated vectors) instantiates the
+//! same kernel with its own vector type.
 //!
 //! **One bounded Lazy-F repair.** In the striped layout lane `k` covers the
 //! contiguous query chunk `[k·seg_len, (k+1)·seg_len)`, so the F value
@@ -69,8 +69,8 @@ use sw_align::GapPenalties;
 /// [`CANCEL_CHECK_COLS`] database columns.
 ///
 /// Two implementations exist: [`NeverCancel`], a compile-time constant
-/// `false` that lets the optimizer delete the check entirely (the plain
-/// kernels cost exactly what they did before cancellation existed), and
+/// `false` that lets the optimizer delete the check entirely (an
+/// uncancellable `score_with` pays nothing for cancellation existing), and
 /// [`CancelToken`], whose poll is one relaxed atomic load per checkpoint.
 pub trait ColumnCheck {
     /// True when the kernel should abandon this alignment.
@@ -457,23 +457,6 @@ pub struct WordKernelResult {
     pub lazy_f: u64,
 }
 
-/// Byte-mode striped Smith-Waterman against one database sequence, with
-/// the correction loop and no cancellation.
-pub fn sw_bytes<V: ByteSimd>(
-    gaps: &GapPenalties,
-    profile: &ByteProfileOf<V>,
-    db: &[u8],
-) -> ByteKernelResult {
-    match sw_bytes_checked(gaps, profile, db, false, &NeverCancel) {
-        Some(r) => r,
-        // Unreachable: NeverCancel never cancels.
-        None => ByteKernelResult {
-            score: Ok(0),
-            lazy_f: 0,
-        },
-    }
-}
-
 /// Byte-mode striped Smith-Waterman with a cancellation probe polled every
 /// [`CANCEL_CHECK_COLS`] columns; `None` means the alignment was abandoned
 /// mid-flight and produced no score.
@@ -617,23 +600,6 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
     })
 }
 
-/// Word-mode (exact) striped Smith-Waterman against one database sequence,
-/// from column 0, with the correction loop and no cancellation.
-pub fn sw_words<V: WordSimd>(
-    gaps: &GapPenalties,
-    profile: &WordProfileOf<V>,
-    db: &[u8],
-) -> WordKernelResult {
-    match sw_words_checked(gaps, profile, db, false, &Handoff::default(), &NeverCancel) {
-        Some(r) => r,
-        // Unreachable: NeverCancel never cancels.
-        None => WordKernelResult {
-            score: 0,
-            lazy_f: 0,
-        },
-    }
-}
-
 /// Word-mode striped Smith-Waterman continuing from `start` (the zero
 /// state, or what the byte kernel handed over), with a cancellation probe
 /// polled every [`CANCEL_CHECK_COLS`] columns; `None` means the alignment
@@ -731,4 +697,47 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
         score: v_max.horizontal_max() as i32,
         lazy_f,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::portable::{I16x8, U8x16};
+    use sw_align::alphabet::encode_protein;
+
+    #[test]
+    fn word_profile_layout_is_striped() {
+        let p = SwParams::cudasw_default();
+        let qc = encode_protein("MKVLAWGGSCMKVLAWG").unwrap(); // 17 residues
+        let prof = WordProfileOf::<I16x8>::build(&p, &qc);
+        assert_eq!(prof.seg_len(), 3);
+        // Element k of segment j covers query position j + k*3; positions
+        // past the query end carry the matrix minimum.
+        let a = 0u8; // 'A'
+        for (k, &val) in prof.get(a, 1).0.iter().enumerate() {
+            let pos = 1 + k * 3;
+            let expected = if pos < qc.len() {
+                p.matrix.score(a, qc[pos]) as i16
+            } else {
+                p.matrix.min_score() as i16
+            };
+            assert_eq!(val, expected, "lane {k}");
+        }
+    }
+
+    #[test]
+    fn byte_profile_bias_is_matrix_minimum() {
+        let p = SwParams::cudasw_default();
+        let q = encode_protein("MKV").unwrap();
+        let profile = ByteProfileOf::<U8x16>::build(&p, &q);
+        assert_eq!(profile.bias() as i32, -p.matrix.min_score());
+        assert_eq!(profile.seg_len(), 1);
+        // Biased scores: a real lane holds score + bias, padding holds 0.
+        let lanes = profile.get(q[0], 0).0;
+        assert_eq!(
+            lanes[0] as i32,
+            p.matrix.score(q[0], q[0]) + profile.bias() as i32
+        );
+        assert_eq!(lanes[3], 0);
+    }
 }

@@ -22,11 +22,10 @@ use crate::backend::{
     sw_bytes_checked, sw_words_checked, Backend, ByteProfileOf, ColumnCheck, Handoff, NeverCancel,
     WordProfileOf,
 };
-use crate::byte_mode::AdaptiveStats;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::dispatch::{BackendKind, KernelMode};
 use crate::portable::PortableBackend;
-use sw_align::smith_waterman::SwParams;
+use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_align::GapPenalties;
 
 #[cfg(all(
@@ -52,6 +51,49 @@ pub enum Precision {
     /// Word mode only — the pre-backend behaviour, kept as the bench
     /// baseline and for callers that want deterministic per-pair cost.
     Word,
+}
+
+/// Statistics of an adaptive (byte-first) alignment batch.
+///
+/// Lazy-F repair operations are counted **per precision mode**: byte-mode
+/// passes (including those of alignments that later overflowed) land in
+/// `lazy_f_byte`, resumed word-mode passes in `lazy_f_word`. Both count
+/// vector operations executed — scan rounds, the untested prefix of
+/// `min(PEEL, seg_len)` steps every column runs ([`crate::backend`]) and
+/// the tested steps after it, at most `seg_len + log2(LANES) +
+/// open/extend + 1` per column. They measure work, not time: the prefix
+/// executes more operations than the tests it replaced, and is faster.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdaptiveStats {
+    /// Alignments resolved in byte mode.
+    pub byte_mode: u64,
+    /// Alignments that overflowed and continued in word mode.
+    pub word_fallbacks: u64,
+    /// Lazy-F repair operations executed by byte-mode passes.
+    pub lazy_f_byte: u64,
+    /// Lazy-F repair operations executed by resumed word-mode passes.
+    pub lazy_f_word: u64,
+}
+
+impl AdaptiveStats {
+    /// Fold another batch's counts into this one.
+    pub fn merge(&mut self, other: &AdaptiveStats) {
+        self.byte_mode += other.byte_mode;
+        self.word_fallbacks += other.word_fallbacks;
+        self.lazy_f_byte += other.lazy_f_byte;
+        self.lazy_f_word += other.lazy_f_word;
+    }
+}
+
+/// The score a [`QueryEngine`] must return for `query` against `db`,
+/// computed by code that shares nothing with it: the scalar
+/// `sw_align::sw_score`, clamped at `i16::MAX` because that is where the
+/// engine's word mode saturates. The pool's quarantine and the device
+/// driver's CPU fallback recompute on it after a kernel panic, so a
+/// recomputed sequence is bit-identical to a fault-free one and a defect
+/// in the striped kernels cannot strike twice.
+pub fn oracle_score(params: &SwParams, query: &[u8], db: &[u8]) -> i32 {
+    sw_score(params, query, db).min(i16::MAX as i32)
 }
 
 /// Byte + word profiles for one backend's vector types.
@@ -376,7 +418,6 @@ pub fn record_stats(kind: BackendKind, stats: &AdaptiveStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sw_align::smith_waterman::sw_score;
     use sw_db::synth::make_query;
 
     #[test]
@@ -416,6 +457,31 @@ mod tests {
             assert_eq!(stats.word_fallbacks, 1, "{kind}");
             assert!(stats.lazy_f_byte > 0, "{kind}: byte pass ran first");
         }
+    }
+
+    #[test]
+    fn stats_merge_adds_all_fields() {
+        let mut a = AdaptiveStats {
+            byte_mode: 1,
+            word_fallbacks: 2,
+            lazy_f_byte: 3,
+            lazy_f_word: 4,
+        };
+        a.merge(&AdaptiveStats {
+            byte_mode: 10,
+            word_fallbacks: 20,
+            lazy_f_byte: 30,
+            lazy_f_word: 40,
+        });
+        assert_eq!(
+            a,
+            AdaptiveStats {
+                byte_mode: 11,
+                word_fallbacks: 22,
+                lazy_f_byte: 33,
+                lazy_f_word: 44,
+            }
+        );
     }
 
     #[test]

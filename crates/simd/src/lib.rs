@@ -22,27 +22,25 @@
 //! * [`x86`] / [`neon`] — `core::arch` backends: AVX2 (32×u8 / 16×i16,
 //!   `is_x86_feature_detected!`), SSE2 (16×u8 / 8×i16, x86-64 baseline),
 //!   NEON (16×u8 / 8×i16, AArch64 baseline);
-//! * [`vector`] / [`byte_mode`] — the portable emulated vectors (the
-//!   always-available fallback and the differential-test baseline) and the
-//!   legacy byte-mode entry points;
+//! * [`portable`] — the emulated [`U8x16`](portable::U8x16) /
+//!   [`I16x8`](portable::I16x8) vectors: the always-available fallback
+//!   backend and the differential-test baseline;
 //! * [`dispatch`] — [`BackendKind`]: runtime detection, `SW_SIMD_BACKEND`
 //!   override, `force-portable` pin;
 //! * [`engine`] — [`QueryEngine`]: profiles built once per query, scored
-//!   through the dispatched backend, with `cudasw.simd.*` metrics;
-//! * [`pool`] — work-stealing database sharding across threads;
-//! * [`farrar`] — word-mode entry points ([`sw_striped_score`] is the
-//!   scalar-validated reference oracle used across the workspace);
-//! * [`wozniak`] — Wozniak's anti-diagonal vectorization (no Lazy-F, but
-//!   sequential similarity lookups — the weakness the query profile fixes);
-//! * [`rognes`] — Rognes–Seeberg sequential vertical vectorization with a
-//!   query profile and the SWAT-like F-skip optimization;
-//! * [`swps3`] — the multi-threaded whole-database search driver in the
-//!   role SWPS3 plays in Figure 7.
+//!   through the dispatched backend, with `cudasw.simd.*` metrics — the
+//!   only way this crate scores a pair — and [`oracle_score`], the scalar
+//!   reference fault recovery recomputes on;
+//! * [`pool`] — work-stealing database sharding across threads, a fault
+//!   domain of its own ([`fault`], [`budget`], [`cancel`]). Engine plus
+//!   pool is the multi-threaded whole-database search in the role SWPS3
+//!   plays in Figure 7.
 //!
-//! Every implementation is validated against `sw_align::sw_score`; the
-//! differential proptests in `tests/backend_differential.rs` additionally
-//! pin byte mode, word mode, and every available backend to identical
-//! scores, `tests/handoff_differential.rs` the byte→word hand-off, and
+//! Every backend is validated against `sw_align::sw_score`: the
+//! differential proptests in `tests/backend_differential.rs` pin byte
+//! mode, word mode and every available backend to identical scores under
+//! random gap models, at `open == extend` and at the `i16` saturation
+//! boundary, `tests/handoff_differential.rs` the byte→word hand-off, and
 //! `tests/peel_differential.rs` the untested Lazy-F prefix.
 
 // Crash-only discipline: library code may not panic through `unwrap` /
@@ -52,33 +50,23 @@
 
 pub mod backend;
 pub mod budget;
-pub mod byte_mode;
 pub mod cancel;
 pub mod dispatch;
 pub mod engine;
-pub mod farrar;
 pub mod fault;
 pub mod neon;
 pub mod pool;
 pub mod portable;
-pub mod rognes;
-pub mod swps3;
-pub mod vector;
-pub mod wozniak;
 pub mod x86;
 
 pub use backend::{ColumnCheck, NeverCancel};
 pub use budget::{BudgetDenied, BudgetReservation, HostMemoryBudget};
-pub use byte_mode::{sw_striped_adaptive, AdaptiveStats, ByteProfile};
 pub use cancel::{CancelToken, Cancelled, CANCEL_CHECK_COLS};
 pub use dispatch::{BackendKind, KernelMode};
-pub use engine::{record_stats, Precision, QueryEngine};
-pub use farrar::{striped_profile, sw_striped, sw_striped_score, StripedProfile};
+pub use engine::{oracle_score, record_stats, AdaptiveStats, Precision, QueryEngine};
 pub use fault::{ChunkId, HostFaultInjector, HostFaultKind, HostFaultPlan, HostFaultRates};
 pub use pool::{
     effective_workers, length_aware_chunks, search_protected, search_protected_with_chunks,
-    search_sequences, search_uncancelled, search_with_cancel, search_with_chunks, HostSearchResult,
-    PoolConfig, PoolFaultReport, CHUNKS_PER_WORKER, MIN_SEQS_PER_WORKER, SEQ_ADMISSION_BYTES,
+    search_sequences, HostSearchResult, PoolConfig, PoolFaultReport, CHUNKS_PER_WORKER,
+    MIN_SEQS_PER_WORKER, SEQ_ADMISSION_BYTES,
 };
-pub use swps3::{Swps3Driver, Swps3Result};
-pub use vector::I16x8;

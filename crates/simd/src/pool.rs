@@ -24,9 +24,9 @@
 //!
 //! * *panic isolation* — the chunk computation runs under `catch_unwind`;
 //!   a panicking chunk is quarantined and its unfinished sequences are
-//!   recomputed on the scalar Farrar oracle, so one poisoned alignment
-//!   can no longer abort the whole search (`cudasw.simd.pool.panics` /
-//!   `quarantines`);
+//!   recomputed on the scalar oracle ([`oracle_score`]), so one poisoned
+//!   alignment can no longer abort the whole search
+//!   (`cudasw.simd.pool.panics` / `quarantines`);
 //! * *cooperative cancellation* — an optional [`CancelToken`] is polled at
 //!   every chunk boundary and, inside the kernels, every
 //!   [`crate::cancel::CANCEL_CHECK_COLS`] stripe columns; a cancelled
@@ -56,10 +56,8 @@
 //! parallel section ends, for the same reason.
 
 use crate::budget::HostMemoryBudget;
-use crate::byte_mode::AdaptiveStats;
 use crate::cancel::{CancelToken, Cancelled};
-use crate::engine::{Precision, QueryEngine};
-use crate::farrar::sw_striped_score;
+use crate::engine::{oracle_score, AdaptiveStats, Precision, QueryEngine};
 use crate::fault::{HostFaultInjector, HostFaultKind, HostFaultPlan};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -279,59 +277,6 @@ pub fn search_sequences(
     ))
 }
 
-/// Score every sequence with an explicit chunking of the database.
-///
-/// [`search_sequences`] is this with [`length_aware_chunks`]; the explicit
-/// form exists so tests can pin reassembly correctness for *arbitrary*
-/// chunk boundaries and benches can compare granularity policies. `chunks`
-/// must be non-empty, contiguous, in order, and cover `0..seqs.len()`
-/// exactly (debug-asserted).
-pub fn search_with_chunks(
-    engine: &QueryEngine,
-    seqs: &[Sequence],
-    threads: usize,
-    precision: Precision,
-    chunks: &[Range<usize>],
-) -> HostSearchResult {
-    into_infallible(search_protected_with_chunks(
-        engine,
-        seqs,
-        &PoolConfig::new(threads, precision),
-        chunks,
-    ))
-}
-
-/// Cancellable pooled search: either the complete result (bit-identical
-/// to the uncancelled run) or [`Cancelled`], never partial scores.
-pub fn search_with_cancel(
-    engine: &QueryEngine,
-    seqs: &[Sequence],
-    threads: usize,
-    precision: Precision,
-    cancel: &CancelToken,
-) -> Result<HostSearchResult, Cancelled> {
-    search_protected(
-        engine,
-        seqs,
-        &PoolConfig::new(threads, precision).with_cancel(cancel.clone()),
-    )
-}
-
-/// Protected search with any cancel token stripped from the config:
-/// infallible, for callers (like the serve ladder's host lanes) that want
-/// the fault domain but must always get an answer.
-pub fn search_uncancelled(
-    engine: &QueryEngine,
-    seqs: &[Sequence],
-    cfg: &PoolConfig,
-) -> HostSearchResult {
-    let cfg = PoolConfig {
-        cancel: None,
-        ..cfg.clone()
-    };
-    into_infallible(search_protected(engine, seqs, &cfg))
-}
-
 /// Fully configured protected search over [`length_aware_chunks`].
 pub fn search_protected(
     engine: &QueryEngine,
@@ -353,7 +298,10 @@ pub fn search_protected(
     search_protected_with_chunks(engine, seqs, &cfg, &chunks)
 }
 
-/// Fully configured protected search with an explicit chunking.
+/// Fully configured protected search with an explicit chunking, so tests
+/// can pin reassembly for *arbitrary* chunk boundaries and fault drills can
+/// aim at a known chunk. `chunks` must be non-empty, contiguous, in order,
+/// and cover `0..seqs.len()` exactly (debug-asserted).
 ///
 /// Unlike [`search_protected`], `cfg.threads` is honored literally
 /// (clamped only to the chunk count, never to the hardware): fault
@@ -693,16 +641,16 @@ impl<'a> RunShared<'a> {
             }
             Err(_) => {
                 // Quarantine: the chunk's unfinished sequences are
-                // recomputed on the scalar-validated Farrar oracle —
-                // independent code, bit-identical scores by the
-                // differential suites.
+                // recomputed on the scalar oracle — code the striped
+                // kernels share nothing with, so whatever made them panic
+                // cannot do it again out here, past the unwind boundary.
                 self.panics.fetch_add(1, Ordering::Relaxed);
                 self.quarantined_chunks.fetch_add(1, Ordering::Relaxed);
                 for i in range {
                     if self.committed[i].load(Ordering::Acquire) {
                         continue;
                     }
-                    let score = sw_striped_score(
+                    let score = oracle_score(
                         self.engine.params(),
                         self.engine.query(),
                         &self.seqs[i].residues,
@@ -737,6 +685,13 @@ impl<'a> RunShared<'a> {
             forced_admissions: self.forced_admissions.into_inner(),
         };
         record_pool_faults(&faults);
+        if steals > 0 {
+            obs::counter_add(
+                "cudasw.simd.pool.steals",
+                &[("backend", self.engine.kind().name())],
+                steals as f64,
+            );
+        }
         if self.cancelled.into_inner() && self.remaining.load(Ordering::Acquire) > 0 {
             obs::counter_add("cudasw.simd.pool.cancelled", &[], 1.0);
             return Err(Cancelled);
@@ -792,21 +747,24 @@ mod tests {
     }
 
     #[test]
-    fn pooled_scores_match_scalar_for_any_thread_count() {
+    fn pooled_scores_match_scalar_for_any_thread_count_and_backend() {
         let db = database_with_lengths("t", &[30, 50, 80, 120, 40, 66, 25, 90, 110, 35], 3);
         let query = make_query(48, 7);
-        let eng = engine(&query);
+        let params = SwParams::cudasw_default();
         let expected: Vec<i32> = db
             .sequences()
             .iter()
-            .map(|s| sw_score(eng.params(), &query, &s.residues))
+            .map(|s| sw_score(&params, &query, &s.residues))
             .collect();
-        for threads in [1, 2, 4, 7] {
-            let r = search_sequences(&eng, db.sequences(), threads, Precision::Adaptive);
-            assert_eq!(r.scores, expected, "threads={threads}");
-            assert!(r.faults.is_clean(), "threads={threads}");
-            let w = search_sequences(&eng, db.sequences(), threads, Precision::Word);
-            assert_eq!(w.scores, expected, "word mode, threads={threads}");
+        for kind in crate::BackendKind::available() {
+            let eng = QueryEngine::with_backend(params.clone(), &query, kind);
+            for threads in [1, 2, 4, 7] {
+                let r = search_sequences(&eng, db.sequences(), threads, Precision::Adaptive);
+                assert_eq!(r.scores, expected, "{kind}, threads={threads}");
+                assert!(r.faults.is_clean(), "{kind}, threads={threads}");
+                let w = search_sequences(&eng, db.sequences(), threads, Precision::Word);
+                assert_eq!(w.scores, expected, "{kind} word mode, threads={threads}");
+            }
         }
     }
 
@@ -931,6 +889,33 @@ mod tests {
     }
 
     #[test]
+    fn steals_are_published_by_the_pool_itself() {
+        let db = database_with_lengths("t", &[40; 16], 7);
+        let query = make_query(32, 1);
+        let eng = engine(&query);
+        let chunks: Vec<Range<usize>> = (0..db.len()).map(|i| i..i + 1).collect();
+        // Worker 0 sleeps on its first chunk with the watchdog off, so
+        // worker 1 runs dry and takes the rest of worker 0's deque.
+        let plan = HostFaultPlan::none()
+            .with_fault_at((0, 1), HostFaultKind::Stall)
+            .with_stall_ms(100);
+        let cfg = PoolConfig::new(2, Precision::Adaptive)
+            .with_fault_plan(plan)
+            .with_watchdog(0, 1);
+        let (r, run) = obs::capture(|| {
+            match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
+                Ok(r) => r,
+                Err(e) => panic!("not cancellable: {e}"),
+            }
+        });
+        assert!(r.steals > 0, "the idle worker must have stolen");
+        let published = run
+            .metrics
+            .counter("cudasw.simd.pool.steals", &[("backend", eng.kind().name())]);
+        assert_eq!(published, r.steals as f64);
+    }
+
+    #[test]
     fn budget_pressure_rechunks_and_still_covers_everything() {
         let db = database_with_lengths("t", &[30; 24], 9);
         let query = make_query(40, 2);
@@ -991,8 +976,8 @@ mod tests {
         let db = database_with_lengths("t", &[300; 8], 3);
         let query = make_query(80, 5);
         let eng = engine(&query);
-        let token = CancelToken::after_polls(3);
-        let r = search_with_cancel(&eng, db.sequences(), 1, Precision::Adaptive, &token);
+        let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(CancelToken::after_polls(3));
+        let r = search_protected(&eng, db.sequences(), &cfg);
         assert_eq!(r.err(), Some(Cancelled));
     }
 
@@ -1003,7 +988,8 @@ mod tests {
         let eng = engine(&query);
         let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
         let token = CancelToken::new();
-        let r = match search_with_cancel(&eng, db.sequences(), 1, Precision::Adaptive, &token) {
+        let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(token.clone());
+        let r = match search_protected(&eng, db.sequences(), &cfg) {
             Ok(r) => r,
             Err(e) => panic!("never cancelled: {e}"),
         };

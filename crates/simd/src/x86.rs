@@ -29,8 +29,7 @@
 ))]
 
 use crate::backend::{Backend, ByteSimd, ColumnCheck, WordSimd};
-use crate::byte_mode::AdaptiveStats;
-use crate::engine::{score_ladder, Precision, Profiles};
+use crate::engine::{score_ladder, AdaptiveStats, Precision, Profiles};
 use core::arch::x86_64::*;
 use sw_align::GapPenalties;
 
@@ -485,8 +484,7 @@ pub(crate) unsafe fn score_avx2<C: ColumnCheck>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::byte_mode::U8x16;
-    use crate::vector::I16x8;
+    use crate::portable::{I16x8, U8x16};
 
     fn bytes(vals: [u8; 16]) -> (U8x16Sse, U8x16) {
         (U8x16Sse::load(&vals), U8x16(vals))
@@ -524,7 +522,7 @@ mod tests {
         assert_eq!(a.any_gt(b), pa.any_gt(pb));
         assert_eq!(b.any_gt(a), pb.any_gt(pa));
         assert!(!a.any_gt(a));
-        assert_eq!(store_b(ByteSimd::shift(a)), pa.shift_in(0).0);
+        assert_eq!(store_b(ByteSimd::shift(a)), pa.shift().0);
         assert_eq!(ByteSimd::horizontal_max(a), pa.horizontal_max());
     }
 
@@ -539,7 +537,7 @@ mod tests {
         assert_eq!(store_w(WordSimd::max(a, b)), pa.max(pb).0);
         assert_eq!(a.any_gt(b), pa.any_gt(pb));
         assert_eq!(b.any_gt(a), pb.any_gt(pa));
-        assert_eq!(store_w(WordSimd::shift(a)), pa.shift_in(0).0);
+        assert_eq!(store_w(WordSimd::shift(a)), pa.shift().0);
         assert_eq!(WordSimd::horizontal_max(a), pa.horizontal_max());
     }
 

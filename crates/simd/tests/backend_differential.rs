@@ -5,11 +5,16 @@
 //! mode, and every backend available on this host (AVX2 / SSE2 / NEON /
 //! portable) must produce exactly the score of the `sw_align` scalar
 //! reference — and the byte-mode overflow verdict must not depend on the
-//! backend's lane count either.
+//! backend's lane count either. The fixed cases pin the edges the random
+//! ones rarely reach: queries shorter than one vector, `open == extend`
+//! (where the Lazy-F early exit is unsound) and true scores either side of
+//! the `i16` saturation point.
 
 use proptest::prelude::*;
+use sw_align::alphabet::encode_protein;
 use sw_align::smith_waterman::{sw_score, SwParams};
-use sw_simd::{AdaptiveStats, BackendKind, Precision, QueryEngine};
+use sw_align::GapPenalties;
+use sw_simd::{oracle_score, AdaptiveStats, BackendKind, Precision, QueryEngine};
 
 fn protein_seq(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..20, 1..=max_len)
@@ -17,6 +22,19 @@ fn protein_seq(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
 
 fn params() -> SwParams {
     SwParams::cudasw_default()
+}
+
+/// `q` against `d` on every available backend in both precisions.
+fn every_path(p: &SwParams, q: &[u8], d: &[u8]) -> Vec<(BackendKind, Precision, i32)> {
+    let mut out = Vec::new();
+    for kind in BackendKind::available() {
+        let engine = QueryEngine::with_backend(p.clone(), q, kind);
+        for precision in [Precision::Adaptive, Precision::Word] {
+            let mut stats = AdaptiveStats::default();
+            out.push((kind, precision, engine.score_with(d, precision, &mut stats)));
+        }
+    }
+    out
 }
 
 proptest! {
@@ -76,13 +94,75 @@ proptest! {
     ) {
         prop_assume!(open >= extend);
         let mut p = params();
-        p.gaps = sw_align::GapPenalties::new(open, extend).unwrap();
+        p.gaps = GapPenalties::new(open, extend).unwrap();
         let expected = sw_score(&p, &q, &d);
-        for kind in BackendKind::available() {
-            let engine = QueryEngine::with_backend(p.clone(), &q, kind);
-            let mut stats = AdaptiveStats::default();
-            let got = engine.score_with(&d, Precision::Adaptive, &mut stats);
-            prop_assert_eq!(got, expected, "gaps=({},{}) on {}", open, extend, kind);
+        for (kind, precision, got) in every_path(&p, &q, &d) {
+            prop_assert_eq!(
+                got, expected, "gaps=({},{}) on {} {:?}", open, extend, kind, precision
+            );
+        }
+    }
+}
+
+/// Hand-picked pairs: exact and gapped matches, no positive overlap, a
+/// one-residue query and a two-residue one (`seg_len = 1`, every lane past
+/// the query is padding on every backend).
+#[test]
+fn fixed_cases_agree_everywhere() {
+    let p = params();
+    let cases = [
+        ("MKVLAW", "MKVLAW"),
+        ("ACDEFG", "ACDXXEFG"),
+        ("WWWW", "PPPP"),
+        ("MSPARKLNQWETYCV", "MSPRKLNQWWETYCV"),
+        ("M", "MKVLLLLAW"),
+        ("MK", "MKMKMK"),
+        ("GGGMKVLAWGGGACDEFGMSPARKL", "PPPMKVLAWPPPACDXXEFGMSPRK"),
+    ];
+    for (q, d) in cases {
+        let qc = encode_protein(q).unwrap();
+        let dc = encode_protein(d).unwrap();
+        let expected = sw_score(&p, &qc, &dc);
+        for (kind, precision, got) in every_path(&p, &qc, &dc) {
+            assert_eq!(got, expected, "q={q} d={d} on {kind} {precision:?}");
+        }
+    }
+}
+
+/// Regression: with `open == extend` (linear gaps) the Lazy-F early exit
+/// dropped a propagation chain generated by a lazily-raised H. Found by
+/// the property tests; kept as a fixed case in both precisions.
+#[test]
+fn linear_gap_regression_agrees_everywhere() {
+    let q: Vec<u8> = vec![
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 9, 0, 0, 13, 0, 7, 1, 17, 0, 5, 0, 0, 0, 0, 0, 0,
+        0, 0, 0,
+    ];
+    let d: Vec<u8> = vec![4, 12, 7, 17];
+    let mut p = params();
+    p.gaps = GapPenalties::new(2, 2).unwrap();
+    let expected = sw_score(&p, &q, &d);
+    for (kind, precision, got) in every_path(&p, &q, &d) {
+        assert_eq!(got, expected, "{kind} {precision:?}");
+    }
+}
+
+/// Self-alignments whose true scores are 32766, 32767 and 32768: a run of
+/// 2,978 `W` (11 each under BLOSUM62) topped up with one or two other
+/// residues. Word mode saturates at `i16::MAX`, so the last one reads
+/// 32767 on every path — and the scalar oracle that fault recovery
+/// recomputes on is clamped to agree with it.
+#[test]
+fn scores_either_side_of_word_saturation_agree_with_the_oracle() {
+    let p = params();
+    for (tail, truth) in [("H", 32766), ("C", 32767), ("AG", 32768)] {
+        let mut q = encode_protein(&"W".repeat(2978)).unwrap();
+        q.extend(encode_protein(tail).unwrap());
+        assert_eq!(sw_score(&p, &q, &q), truth, "tail {tail}");
+        let expected = truth.min(i16::MAX as i32);
+        assert_eq!(oracle_score(&p, &q, &q), expected, "tail {tail}");
+        for (kind, precision, got) in every_path(&p, &q, &q) {
+            assert_eq!(got, expected, "tail {tail} on {kind} {precision:?}");
         }
     }
 }

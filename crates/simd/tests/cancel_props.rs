@@ -1,6 +1,7 @@
 //! Cooperative cancellation is all-or-nothing.
 //!
-//! The contract of `search_with_cancel` / `QueryEngine::score_with_cancel`:
+//! The contract of `search_protected` under a `CancelToken` and of
+//! `QueryEngine::score_with_cancel`:
 //! for *any* cancellation point, the search either completes with scores
 //! bit-identical to the uncancelled run or returns `Cancelled` — never a
 //! partial, reordered, or perturbed result. `CancelToken::after_polls`
@@ -13,12 +14,23 @@ use sw_align::smith_waterman::SwParams;
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_db::Sequence;
 use sw_simd::{
-    search_sequences, search_with_cancel, AdaptiveStats, BackendKind, CancelToken, Cancelled,
-    KernelMode, Precision, QueryEngine, CANCEL_CHECK_COLS,
+    search_protected, search_sequences, AdaptiveStats, BackendKind, CancelToken, Cancelled,
+    HostSearchResult, KernelMode, PoolConfig, Precision, QueryEngine, CANCEL_CHECK_COLS,
 };
 
 fn params() -> SwParams {
     SwParams::cudasw_default()
+}
+
+/// An adaptive pooled search that `token` can cancel.
+fn search_cancellable(
+    engine: &QueryEngine,
+    seqs: &[Sequence],
+    threads: usize,
+    token: &CancelToken,
+) -> Result<HostSearchResult, Cancelled> {
+    let cfg = PoolConfig::new(threads, Precision::Adaptive).with_cancel(token.clone());
+    search_protected(engine, seqs, &cfg)
 }
 
 fn protein_seq(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -44,7 +56,7 @@ proptest! {
         let engine = QueryEngine::new(params(), &q);
         let reference = search_sequences(&engine, &seqs, 1, Precision::Adaptive);
         let token = CancelToken::after_polls(budget);
-        match search_with_cancel(&engine, &seqs, 1, Precision::Adaptive, &token) {
+        match search_cancellable(&engine, &seqs, 1, &token) {
             Ok(r) => {
                 prop_assert_eq!(r.scores, reference.scores, "budget={}", budget);
                 prop_assert_eq!(r.stats, reference.stats, "budget={}", budget);
@@ -101,7 +113,7 @@ fn cancellation_is_honored_at_the_next_checkpoint() {
     let engine = QueryEngine::new(params(), &query);
 
     let full = CancelToken::new();
-    let complete = search_with_cancel(&engine, db.sequences(), 1, Precision::Adaptive, &full)
+    let complete = search_cancellable(&engine, db.sequences(), 1, &full)
         .unwrap_or_else(|e| panic!("uncancelled search must complete: {e}"));
     let full_polls = full.polls();
     assert!(
@@ -111,7 +123,7 @@ fn cancellation_is_honored_at_the_next_checkpoint() {
 
     let budget = 3u64;
     let token = CancelToken::after_polls(budget);
-    let r = search_with_cancel(&engine, db.sequences(), 1, Precision::Adaptive, &token);
+    let r = search_cancellable(&engine, db.sequences(), 1, &token);
     assert_eq!(r.err(), Some(Cancelled));
     assert!(
         token.polls() <= budget + 2,
@@ -182,7 +194,7 @@ fn pre_cancelled_token_short_circuits() {
     let token = CancelToken::new();
     token.cancel();
     let polls_before = token.polls();
-    let r = search_with_cancel(&engine, db.sequences(), 1, Precision::Adaptive, &token);
+    let r = search_cancellable(&engine, db.sequences(), 1, &token);
     assert_eq!(r.err(), Some(Cancelled));
     assert!(
         token.polls() <= polls_before + 1,
@@ -203,13 +215,7 @@ fn threaded_cancellation_is_all_or_nothing() {
     for budget in [0u64, 1, 5, 20, 100, 10_000_000] {
         for threads in [2usize, 4] {
             let token = CancelToken::after_polls(budget);
-            match search_with_cancel(
-                &engine,
-                db.sequences(),
-                threads,
-                Precision::Adaptive,
-                &token,
-            ) {
+            match search_cancellable(&engine, db.sequences(), threads, &token) {
                 Ok(r) => assert_eq!(
                     r.scores, reference.scores,
                     "budget={budget} threads={threads}"

@@ -13,8 +13,8 @@ use std::ops::Range;
 use sw_align::smith_waterman::SwParams;
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_simd::{
-    search_protected_with_chunks, search_sequences, HostFaultKind, HostFaultPlan, HostFaultRates,
-    HostMemoryBudget, HostSearchResult, PoolConfig, Precision, QueryEngine,
+    search_protected_with_chunks, search_sequences, BackendKind, HostFaultKind, HostFaultPlan,
+    HostFaultRates, HostMemoryBudget, HostSearchResult, PoolConfig, Precision, QueryEngine,
 };
 
 fn params() -> SwParams {
@@ -91,6 +91,33 @@ fn forced_fault_matrix_is_bit_identical() {
                 }
             }
         }
+    }
+}
+
+/// The quarantine recomputes on the scalar oracle, code the engine shares
+/// nothing with. The sharpest case is the portable backend in word
+/// precision, where any striped "oracle" would be the instantiation that
+/// had just panicked: a forced chunk panic there still yields the
+/// fault-free scores, every quarantined sequence from the oracle.
+#[test]
+fn portable_word_panic_is_recomputed_on_the_scalar_oracle() {
+    let lens: Vec<usize> = (0..24).map(|i| 40 + (i * 17) % 160).collect();
+    let mut seqs = database_with_lengths("t", &lens, 29).sequences().to_vec();
+    let query = make_query(300, 6);
+    // A self-match in the panicking chunk: far above the byte range, so
+    // the recompute has to agree with word mode's arithmetic.
+    seqs[9].residues = query.clone();
+    let engine = QueryEngine::with_backend(params(), &query, BackendKind::Portable);
+    let clean = search_sequences(&engine, &seqs, 1, Precision::Word);
+    assert!(clean.scores[9] > 255);
+    let chunks = fixed_chunks(seqs.len(), 4);
+    let plan = HostFaultPlan::none().with_fault_at((8, 4), HostFaultKind::Panic);
+    for threads in [1usize, 3] {
+        let cfg = PoolConfig::new(threads, Precision::Word).with_fault_plan(plan.clone());
+        let r = run(&engine, &seqs, &cfg, &chunks);
+        assert_eq!(r.scores, clean.scores, "threads={threads}");
+        assert_eq!(r.faults.panics, 1);
+        assert_eq!(r.faults.oracle_scored, 4, "the whole chunk was quarantined");
     }
 }
 

@@ -213,7 +213,7 @@ fn assert_prefix_is_inert<V: ByteSimd>(backend: &str) {
 
 #[test]
 fn the_prefix_is_inert_and_always_counted() {
-    assert_prefix_is_inert::<sw_simd::byte_mode::U8x16>("portable");
+    assert_prefix_is_inert::<sw_simd::portable::U8x16>("portable");
     #[cfg(all(
         target_arch = "x86_64",
         feature = "native-simd",

@@ -3,17 +3,33 @@
 //! The pool's contract is layout-independence: however the database is cut
 //! into chunks and however those chunks land on workers (including steals),
 //! the reassembled score vector must be bit-identical to the inline loop.
-//! These tests drive [`search_with_chunks`] with *arbitrary* valid chunk
-//! boundaries — not just the ones [`length_aware_chunks`] would pick — and
-//! pin the [`MIN_SEQS_PER_WORKER`] clamp at its documented thresholds.
+//! These tests drive [`search_protected_with_chunks`] with *arbitrary*
+//! valid chunk boundaries — not just the ones [`length_aware_chunks`] would
+//! pick — and pin the [`MIN_SEQS_PER_WORKER`] clamp at its documented
+//! thresholds.
 
 use proptest::prelude::*;
 use std::ops::Range;
 use sw_align::smith_waterman::SwParams;
 use sw_simd::{
-    effective_workers, length_aware_chunks, search_sequences, search_with_chunks, Precision,
-    QueryEngine, MIN_SEQS_PER_WORKER,
+    effective_workers, length_aware_chunks, search_protected_with_chunks, search_sequences,
+    HostSearchResult, PoolConfig, Precision, QueryEngine, MIN_SEQS_PER_WORKER,
 };
+
+/// A fault-free pooled search over an explicit chunking.
+fn search_chunked(
+    engine: &QueryEngine,
+    seqs: &[sw_db::Sequence],
+    threads: usize,
+    precision: Precision,
+    chunks: &[Range<usize>],
+) -> HostSearchResult {
+    let cfg = PoolConfig::new(threads, precision);
+    match search_protected_with_chunks(engine, seqs, &cfg, chunks) {
+        Ok(r) => r,
+        Err(e) => panic!("no cancel token configured: {e}"),
+    }
+}
 
 /// Turn a set of cut positions into contiguous covering ranges.
 fn ranges_from_cuts(n: usize, cuts: &[usize]) -> Vec<Range<usize>> {
@@ -46,9 +62,9 @@ proptest! {
         let query = sw_db::synth::make_query(40, seed.wrapping_add(7));
         let engine = QueryEngine::new(SwParams::cudasw_default(), &query);
         let whole = length_aware_chunks(db.sequences(), 1);
-        let inline = search_with_chunks(&engine, db.sequences(), 1, Precision::Adaptive, &whole);
+        let inline = search_chunked(&engine, db.sequences(), 1, Precision::Adaptive, &whole);
         let chunks = ranges_from_cuts(db.len(), &cuts);
-        let chunked = search_with_chunks(
+        let chunked = search_chunked(
             &engine, db.sequences(), threads, Precision::Adaptive, &chunks,
         );
         prop_assert_eq!(&chunked.scores, &inline.scores, "chunks {:?}", chunks);
@@ -129,7 +145,7 @@ fn word_precision_chunked_matches_inline() {
     let inline = search_sequences(&engine, db.sequences(), 1, Precision::Word);
     for target in [1, 3, 7, 48] {
         let chunks = length_aware_chunks(db.sequences(), target);
-        let r = search_with_chunks(&engine, db.sequences(), 4, Precision::Word, &chunks);
+        let r = search_chunked(&engine, db.sequences(), 4, Precision::Word, &chunks);
         assert_eq!(r.scores, inline.scores, "target={target}");
     }
 }

@@ -9,9 +9,10 @@
 
 use cudasw_core::{CudaSwConfig, CudaSwDriver};
 use gpu_sim::DeviceSpec;
+use sw_align::SwParams;
 use sw_db::catalog::PaperDb;
 use sw_db::synth::make_query;
-use sw_simd::Swps3Driver;
+use sw_simd::{search_sequences, Precision, QueryEngine};
 
 fn main() {
     let db = PaperDb::Swissprot.generate(1_200, 3);
@@ -76,13 +77,14 @@ fn main() {
     }
 
     // CPU baseline: real wall-clock throughput of the striped kernel.
-    let swps3 = Swps3Driver::new(4);
-    let r = swps3.search(&query, &db);
+    let engine = QueryEngine::new(SwParams::cudasw_default(), &query);
+    let r = search_sequences(&engine, db.sequences(), 4, Precision::Adaptive);
     println!(
-        "{:<28} {:>10.3} {:>9.2}   (host-measured, 4 threads)",
+        "{:<28} {:>10.3} {:>9.2}   (host-measured, {}, up to 4 threads)",
         "SWPS3-style CPU baseline",
         r.seconds * 1e3,
-        r.gcups()
+        db.total_cells(query.len()) as f64 / r.seconds / 1.0e9,
+        engine.kind()
     );
     assert_eq!(
         &r.scores,

@@ -32,9 +32,11 @@ cargo fmt --check
 cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cudasw-core \
   --lib -- -D warnings
 
-# Cross-feature matrix for the host SIMD backend: the emulated portable
-# path must keep building and passing with the native backends compiled
-# out, both ways of getting there. The prefix-scan differential suite is
+# Cross-feature matrix for the host SIMD backend: the portable backend
+# (the one engine instantiated on the array vectors of portable.rs, and
+# the only backend on a target without a native one) must keep building
+# and passing with the native backends compiled out, both ways of getting
+# there. The prefix-scan differential suite is
 # named explicitly so the Lazy-F scan route is pinned score-identical to
 # the correction loop under every feature combination, the hand-off
 # suite because the byte→word hand-off re-stripes between lane widths

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_align::Alphabet;
 use sw_db::{Database, Sequence};
-use sw_simd::farrar::sw_striped_score;
+use sw_simd::QueryEngine;
 
 fn protein_seq(min: usize, max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..20, min..=max)
@@ -53,7 +53,7 @@ proptest! {
         target in protein_seq(1, 200),
     ) {
         let params = SwParams::cudasw_default();
-        let simd = sw_striped_score(&params, &query, &target);
+        let simd = QueryEngine::new(params, &query).score(&target);
         let db = Database::new(
             "pair",
             Alphabet::Protein,

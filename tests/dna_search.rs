@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_align::{Alphabet, GapPenalties, ScoringMatrix};
 use sw_db::{Database, Sequence};
-use sw_simd::Swps3Driver;
+use sw_simd::{search_sequences, Precision, QueryEngine};
 
 fn dna_params() -> SwParams {
     SwParams {
@@ -82,12 +82,8 @@ fn gpu_driver_searches_dna() {
 fn simd_baseline_searches_dna() {
     let (db, query) = dna_db(13);
     let params = dna_params();
-    let driver = Swps3Driver {
-        params: params.clone(),
-        threads: 2,
-        backend: sw_simd::BackendKind::detect(),
-    };
-    let r = driver.search(&query, &db);
+    let engine = QueryEngine::new(params.clone(), &query);
+    let r = search_sequences(&engine, db.sequences(), 2, Precision::Adaptive);
     for (i, seq) in db.sequences().iter().enumerate() {
         assert_eq!(r.scores[i], sw_score(&params, &query, &seq.residues));
     }

@@ -8,7 +8,7 @@ use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_db::stats::LogNormalParams;
 use sw_db::synth::make_query;
 use sw_db::SynthConfig;
-use sw_simd::Swps3Driver;
+use sw_simd::{search_sequences, Precision, QueryEngine};
 
 fn test_db(seqs: usize, seed: u64) -> sw_db::Database {
     SynthConfig::new(
@@ -34,7 +34,8 @@ fn all_paths_agree_on_scores() {
         .collect();
 
     // CPU SIMD (SWPS3 role).
-    let simd = Swps3Driver::new(4).search(&query, &db);
+    let engine = QueryEngine::new(params.clone(), &query);
+    let simd = search_sequences(&engine, db.sequences(), 4, Precision::Adaptive);
     assert_eq!(simd.scores, expected, "striped SIMD diverged");
 
     // GPU driver, both kernels, both devices. A low threshold forces a
