@@ -274,3 +274,188 @@ fn simulated_counts_are_pinned() {
         digest.0
     );
 }
+
+impl Fnv {
+    /// Every number a launch counted: all of `LaunchStats.memory`, the
+    /// shared-memory counters, the block-cost totals and the cycle bits.
+    fn launch(&mut self, s: &gpu_sim::LaunchStats) {
+        let m = &s.memory;
+        let t = &s.totals;
+        for w in [
+            m.load_instructions,
+            m.store_instructions,
+            m.load_transactions,
+            m.store_transactions,
+            m.dram_read_bytes,
+            m.dram_write_bytes,
+            m.tex_instructions,
+            m.tex_transactions,
+            m.tex_dram_bytes,
+            m.tex_l2_stats.hits,
+            m.tex_l2_stats.misses,
+            m.l1.hits,
+            m.l1.misses,
+            m.l2.hits,
+            m.l2.misses,
+            m.tex_cache.hits,
+            m.tex_cache.misses,
+            s.shared.instructions,
+            s.shared.bank_cycles,
+            s.shared.conflicted_accesses,
+            t.warp_instructions,
+            t.near_hits,
+            t.l2_hits,
+            t.dram_bytes,
+            t.shared_cycles,
+            t.syncs,
+            t.latency_cycles,
+            t.hidden_latency_cycles,
+            t.cells,
+            s.cycles.to_bits(),
+            s.seconds.to_bits(),
+            s.max_block_cycles.to_bits(),
+            s.min_block_cycles.to_bits(),
+        ] {
+            self.word(w);
+        }
+    }
+}
+
+/// Digest of every counter gpu-sim keeps, kernel by kernel, computed at
+/// the commit *before* the simulator's warp-access analysis was rewritten
+/// by shape. Where [`PINNED_SIMULATED_DIGEST`] covers the driver paths on
+/// one device with single-strip queries, this one covers what a memory
+/// model change can move: three devices (16 and 32 banks; texture L2 vs
+/// L1/L2 vs no data cache), every intra-task variant over a five-strip
+/// query, and the inter-task kernel in the global-boundary, multi-panel
+/// and single-panel orders — with all four caches' hit/miss counts, DRAM
+/// bytes, bank cycles and the cycle bit patterns hashed.
+const PINNED_COUNTER_DIGEST: u64 = 0xb973_07dd_a729_0775;
+
+#[test]
+fn every_simulator_counter_is_pinned() {
+    use cudasw_core::seqstore::{pack_residues, GroupImage, ProfileImage, SeqImage};
+    use cudasw_core::variants::run_intra_variant;
+    use cudasw_core::{InterTaskKernel, IntraPair, OriginalIntraKernel};
+    use gpu_sim::GpuDevice;
+    use sw_align::PackedProfile;
+
+    let params = SwParams::cudasw_default();
+    let query = make_query(600, 31); // 5 strips at 32 × 4; its profile overflows the texture caches
+    let long = database_with_lengths("wide-long", &[97, 250, 333], 37);
+    // Unsorted lengths: per-column lane masks with holes, three blocks.
+    let lengths: Vec<usize> = (0..70).map(|i| 3 + (i * 37) % 150).collect();
+    let group = database_with_lengths("wide-group", &lengths, 41);
+    let max_cols = lengths.iter().copied().max().unwrap();
+    let mut digest = Fnv::new();
+
+    for spec in [
+        DeviceSpec::tesla_c1060(),
+        DeviceSpec::tesla_c2050(),
+        DeviceSpec::tesla_c2050_caches_off(),
+    ] {
+        // Original intra-task kernel, one block per pair.
+        let mut dev = GpuDevice::new(spec.clone());
+        let q_words = pack_residues(&query);
+        let q_ptr = dev.alloc(q_words.len()).unwrap();
+        dev.copy_to_device(q_ptr, &q_words).unwrap();
+        let pairs: Vec<IntraPair> = long
+            .sequences()
+            .iter()
+            .map(|seq| {
+                let (img, _) = SeqImage::upload(&mut dev, seq).unwrap();
+                IntraPair {
+                    tex: img.tex,
+                    len: img.len,
+                    score: img.score,
+                }
+            })
+            .collect();
+        let wavefront = dev
+            .alloc(OriginalIntraKernel::wavefront_words(
+                pairs.len(),
+                query.len(),
+            ))
+            .unwrap();
+        let kernel = OriginalIntraKernel {
+            pairs: &pairs,
+            query: dev.bind_texture(q_ptr, q_words.len()),
+            query_len: query.len(),
+            matrix: &params.matrix,
+            gaps: params.gaps,
+            wavefront,
+            threads_per_block: 256,
+            step_latency_cycles: spec.global_latency_cycles as u64,
+        };
+        let stats = dev.launch(&kernel, pairs.len() as u32, "orig").unwrap();
+        digest.launch(&stats);
+        for p in &pairs {
+            digest.word(u64::from(dev.copy_from_device(p.score, 1).unwrap().0[0]));
+        }
+
+        // Improved intra-task kernel: §III stages, §VI extensions, 8-row tiles.
+        let flag = |set: fn(&mut VariantConfig)| {
+            let mut v = VariantConfig::improved();
+            set(&mut v);
+            v
+        };
+        let variants = [
+            (4, VariantConfig::improved()),
+            (4, VariantConfig::naive()),
+            (4, VariantConfig::deep_swap()),
+            (4, flag(|v| v.coalesce_boundary = true)),
+            (4, flag(|v| v.boundary_in_shared = true)),
+            (4, flag(|v| v.continuous_pipeline = true)),
+            (8, VariantConfig::improved()),
+        ];
+        for (tile_height, variant) in variants {
+            let shape = ImprovedParams {
+                threads_per_block: 32,
+                tile_height,
+            };
+            let (scores, stats) =
+                run_intra_variant(&spec, long.sequences(), &query, shape, variant).unwrap();
+            digest.launch(&stats);
+            for s in scores {
+                digest.word(s as u32 as u64);
+            }
+        }
+
+        // Inter-task kernel: global boundary planes, 16-column panels
+        // (ten seams: `load_edge`/`store_edge` run), widest panels.
+        let widest = InterTaskKernel::panel_cols(32, spec.shared_mem_per_sm);
+        for panel_cols in [0, 16, widest] {
+            let mut dev = GpuDevice::new(spec.clone());
+            let packed = PackedProfile::build(&params.matrix, &query);
+            let (pimg, _) = ProfileImage::upload(&mut dev, &packed).unwrap();
+            let (gimg, _) = GroupImage::upload(&mut dev, group.sequences()).unwrap();
+            let boundary = dev
+                .alloc(InterTaskKernel::boundary_words(gimg.width, max_cols))
+                .unwrap();
+            let edge_words =
+                InterTaskKernel::edge_words(gimg.width, query.len(), panel_cols, max_cols);
+            let edge = (edge_words > 0).then(|| dev.alloc(edge_words).unwrap());
+            let kernel = InterTaskKernel {
+                group: &gimg,
+                profile: &pimg,
+                gaps: params.gaps,
+                boundary,
+                max_cols,
+                threads_per_block: 32,
+                panel_cols,
+                edge,
+            };
+            let stats = dev.launch(&kernel, kernel.grid_blocks(), "inter").unwrap();
+            digest.launch(&stats);
+            let (scores, _) = dev.copy_from_device(gimg.scores, gimg.width).unwrap();
+            for s in scores {
+                digest.word(u64::from(s));
+            }
+        }
+    }
+    assert_eq!(
+        digest.0, PINNED_COUNTER_DIGEST,
+        "simulator counters drifted: digest {:#018x}",
+        digest.0
+    );
+}
