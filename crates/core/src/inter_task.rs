@@ -35,12 +35,13 @@
 //! seam are exactly the registers the baseline carries.
 
 #![allow(clippy::needless_range_loop)] // lane loops mirror SIMT semantics
+use crate::column::{WarpRegs, NEG};
 use crate::seqstore::{unpack_residue, GroupImage, ProfileImage};
 use crate::CELL_INSTRUCTIONS;
-use gpu_sim::{BlockCtx, BlockKernel, DevicePtr, GpuError, LaunchConfig, WarpAccess, WARP_SIZE};
-use sw_align::{GapPenalties, PackedProfile};
-
-const NEG: i32 = i32::MIN / 2;
+use gpu_sim::{
+    lanes_in, BlockCtx, BlockKernel, DevicePtr, GpuError, LaunchConfig, WarpAccess, WARP_SIZE,
+};
+use sw_align::GapPenalties;
 
 /// Rows per register tile.
 pub const TILE_ROWS: usize = 8;
@@ -164,110 +165,36 @@ impl<'a> InterTaskKernel<'a> {
 
     /// Run one warp's lanes to completion (all strips, all tiles).
     fn run_warp(&self, ctx: &mut BlockCtx<'_>, warp: u32) -> Result<(), GpuError> {
-        let g0 = (ctx.block_idx * ctx.block_dim) as usize + warp as usize * WARP_SIZE;
-        let (open, extend) = (self.gaps.open, self.gaps.extend);
+        let t0 = warp as usize * WARP_SIZE;
+        let g0 = (ctx.block_idx * ctx.block_dim) as usize + t0;
 
-        // Lane -> sequence length (None = no sequence for this lane).
+        // Lanes that own a sequence, and its length (0 for the others, so
+        // a lane without a sequence is never active in any column).
         let mut lane_n = [0usize; WARP_SIZE];
-        let mut lane_live = [false; WARP_SIZE];
-        let mut max_n = 0usize;
+        let mut live = 0u32;
         for lane in 0..WARP_SIZE {
-            let tid = warp as usize * WARP_SIZE + lane;
-            let g = g0 + lane;
-            if tid < ctx.block_dim as usize && g < self.group.width {
-                lane_n[lane] = self.group.lengths[g];
-                lane_live[lane] = true;
-                max_n = max_n.max(lane_n[lane]);
+            if t0 + lane < ctx.block_dim as usize && g0 + lane < self.group.width {
+                lane_n[lane] = self.group.lengths[g0 + lane];
+                live |= 1 << lane;
             }
         }
-        if !lane_live.iter().any(|&l| l) {
+        if live == 0 {
             return Ok(());
         }
 
         let m = self.profile.query_len;
-        let strips = m.div_ceil(TILE_ROWS).max(1);
-        let max_tiles = max_n.div_ceil(TILE_COLS);
-        let mut best = [0i32; WARP_SIZE];
-
-        if m > 0 && self.panel_mode() {
-            self.run_warp_panels(ctx, warp, g0, &lane_n, &lane_live, max_tiles, &mut best)?;
-        } else if m > 0 {
-            for r in 0..strips {
-                let i0 = r * TILE_ROWS;
-                let rows_real = TILE_ROWS.min(m - i0);
-                let last_strip = r + 1 == strips;
-                // Per-lane register state for this strip.
-                let mut h_left = [[0i32; TILE_ROWS]; WARP_SIZE];
-                let mut e_left = [[NEG; TILE_ROWS]; WARP_SIZE];
-                let mut diag = [0i32; WARP_SIZE]; // H(i0-1, j-1)
-
-                for tile in 0..max_tiles {
-                    let j0 = tile * TILE_COLS;
-                    let mut tile_any = false;
-                    for lane in 0..WARP_SIZE {
-                        tile_any |= lane_live[lane] && j0 < lane_n[lane];
-                    }
-                    if !tile_any {
-                        break;
-                    }
-                    self.run_tile(
-                        ctx,
-                        TileArgs {
-                            g0,
-                            r,
-                            i0,
-                            j0,
-                            rows_real,
-                            last_strip,
-                            open,
-                            extend,
-                            t0: warp as usize * WARP_SIZE,
-                            panel_j0: 0,
-                            in_shared: false,
-                        },
-                        &lane_n,
-                        &lane_live,
-                        &mut h_left,
-                        &mut e_left,
-                        &mut diag,
-                        &mut best,
-                    )?;
-                }
-            }
-        }
-
-        // Write final scores, one word per live lane (coalesced).
-        let mut access = WarpAccess::empty();
-        let mut vals = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if lane_live[lane] {
-                access.set(lane, self.group.scores.addr() + g0 + lane);
-                vals[lane] = best[lane] as u32;
-            }
-        }
-        ctx.global_store(&access, &vals)?;
-        Ok(())
-    }
-
-    /// The §VII staged order: column panels outer, strips inner, with the
-    /// strip boundary held in shared memory and only the per-strip
-    /// left-edge registers crossing panel seams through global scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn run_warp_panels(
-        &self,
-        ctx: &mut BlockCtx<'_>,
-        warp: u32,
-        g0: usize,
-        lane_n: &[usize; WARP_SIZE],
-        lane_live: &[bool; WARP_SIZE],
-        max_tiles: usize,
-        best: &mut [i32; WARP_SIZE],
-    ) -> Result<(), GpuError> {
-        let m = self.profile.query_len;
         let strips = m.div_ceil(TILE_ROWS);
-        let (open, extend) = (self.gaps.open, self.gaps.extend);
-        let t0 = warp as usize * WARP_SIZE;
-        let panel_tiles = self.panel_cols / TILE_COLS;
+        let max_tiles = lane_n
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(0)
+            .div_ceil(TILE_COLS);
+        let panel_tiles = if self.panel_mode() {
+            self.panel_cols / TILE_COLS
+        } else {
+            max_tiles.max(1) // baseline order: one panel spans the subject
+        };
         let n_panels = max_tiles.div_ceil(panel_tiles).max(1);
         let edge = if n_panels > 1 {
             Some(self.edge.ok_or_else(|| GpuError::InvalidLaunch {
@@ -276,168 +203,102 @@ impl<'a> InterTaskKernel<'a> {
         } else {
             None
         };
+        let mut lanes = LaneState {
+            lane_n,
+            live,
+            regs: WarpRegs::new(),
+        };
 
+        // Column panels outer, strips inner. In the §VII staged order the
+        // strip boundary lives in shared memory and only the per-strip
+        // left-edge registers cross panel seams through global scratch;
+        // the baseline order is the one-panel case with the boundary rows
+        // in the global planes.
         for p in 0..n_panels {
             let tile0 = p * panel_tiles;
             let tile1 = (tile0 + panel_tiles).min(max_tiles);
             let panel_j0 = tile0 * TILE_COLS;
-            let mut panel_any = false;
-            for lane in 0..WARP_SIZE {
-                panel_any |= lane_live[lane] && panel_j0 < lane_n[lane];
-            }
-            if !panel_any {
+            if lanes.columns(panel_j0)[0] == 0 {
                 break;
             }
             for r in 0..strips {
                 let i0 = r * TILE_ROWS;
-                let rows_real = TILE_ROWS.min(m - i0);
-                let last_strip = r + 1 == strips;
-                let mut h_left = [[0i32; TILE_ROWS]; WARP_SIZE];
-                let mut e_left = [[NEG; TILE_ROWS]; WARP_SIZE];
-                let mut diag = [0i32; WARP_SIZE];
-                if p > 0 {
-                    if let Some(edge) = edge {
-                        self.load_edge(
-                            ctx,
-                            edge,
-                            r,
-                            g0,
-                            lane_live,
-                            &mut h_left,
-                            &mut e_left,
-                            &mut diag,
-                        )?;
-                    }
+                lanes.regs.start_strip();
+                if let (Some(edge), true) = (edge, p > 0) {
+                    self.load_edge(ctx, edge, r, g0, &mut lanes)?;
                 }
                 for tile in tile0..tile1 {
                     let j0 = tile * TILE_COLS;
-                    let mut tile_any = false;
-                    for lane in 0..WARP_SIZE {
-                        tile_any |= lane_live[lane] && j0 < lane_n[lane];
-                    }
-                    if !tile_any {
+                    let cols = lanes.columns(j0);
+                    if cols[0] == 0 {
                         break;
                     }
-                    self.run_tile(
-                        ctx,
-                        TileArgs {
-                            g0,
-                            r,
-                            i0,
-                            j0,
-                            rows_real,
-                            last_strip,
-                            open,
-                            extend,
-                            t0,
-                            panel_j0,
-                            in_shared: true,
-                        },
-                        lane_n,
-                        lane_live,
-                        &mut h_left,
-                        &mut e_left,
-                        &mut diag,
-                        best,
-                    )?;
+                    let args = TileArgs {
+                        g0,
+                        r,
+                        i0,
+                        j0,
+                        rows_real: TILE_ROWS.min(m - i0),
+                        last_strip: r + 1 == strips,
+                        t0,
+                        panel_j0,
+                        in_shared: self.panel_mode(),
+                        cols,
+                    };
+                    self.run_tile(ctx, args, &mut lanes)?;
                 }
-                if tile1 < max_tiles {
-                    if let Some(edge) = edge {
-                        self.store_edge(ctx, edge, r, g0, lane_live, &h_left, &e_left, &diag)?;
-                    }
+                if let (Some(edge), true) = (edge, tile1 < max_tiles) {
+                    self.store_edge(ctx, edge, r, g0, &mut lanes)?;
                 }
             }
         }
-        Ok(())
+
+        // Write final scores, one word per live lane (coalesced).
+        let scores = WarpAccess::run_masked(live, self.group.scores.addr() + g0);
+        ctx.global_store(&scores, &lanes.regs.best.map(|b| b as u32))
     }
 
     /// Restore a strip's left-edge registers from the panel-seam scratch
     /// (17 coalesced loads; lanes finished earlier read stale words that
-    /// the `active` guard never uses).
-    #[allow(clippy::too_many_arguments)]
+    /// no active column ever uses).
     fn load_edge(
         &self,
         ctx: &mut BlockCtx<'_>,
         edge: DevicePtr,
         r: usize,
         g0: usize,
-        lane_live: &[bool; WARP_SIZE],
-        h_left: &mut [[i32; TILE_ROWS]; WARP_SIZE],
-        e_left: &mut [[i32; TILE_ROWS]; WARP_SIZE],
-        diag: &mut [i32; WARP_SIZE],
+        lanes: &mut LaneState,
     ) -> Result<(), GpuError> {
         for k in 0..EDGE_WORDS_PER_STRIP {
-            let mut access = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if lane_live[lane] {
-                    access.set(lane, self.edge_addr(edge, r, k, g0 + lane));
-                }
-            }
-            let vals = ctx.global_load(&access)?;
-            for lane in 0..WARP_SIZE {
-                if !lane_live[lane] {
-                    continue;
-                }
-                let v = vals[lane] as i32;
-                if k < TILE_ROWS {
-                    h_left[lane][k] = v;
-                } else if k < 2 * TILE_ROWS {
-                    e_left[lane][k - TILE_ROWS] = v;
-                } else {
-                    diag[lane] = v;
-                }
-            }
+            let access = WarpAccess::run_masked(lanes.live, self.edge_addr(edge, r, k, g0));
+            *lanes.edge_row(k) = ctx.global_load(&access)?.map(|v| v as i32);
         }
         Ok(())
     }
 
     /// Save a strip's left-edge registers to the panel-seam scratch
     /// (17 coalesced stores).
-    #[allow(clippy::too_many_arguments)]
     fn store_edge(
         &self,
         ctx: &mut BlockCtx<'_>,
         edge: DevicePtr,
         r: usize,
         g0: usize,
-        lane_live: &[bool; WARP_SIZE],
-        h_left: &[[i32; TILE_ROWS]; WARP_SIZE],
-        e_left: &[[i32; TILE_ROWS]; WARP_SIZE],
-        diag: &[i32; WARP_SIZE],
+        lanes: &mut LaneState,
     ) -> Result<(), GpuError> {
         for k in 0..EDGE_WORDS_PER_STRIP {
-            let mut access = WarpAccess::empty();
-            let mut vals = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if !lane_live[lane] {
-                    continue;
-                }
-                access.set(lane, self.edge_addr(edge, r, k, g0 + lane));
-                vals[lane] = if k < TILE_ROWS {
-                    h_left[lane][k] as u32
-                } else if k < 2 * TILE_ROWS {
-                    e_left[lane][k - TILE_ROWS] as u32
-                } else {
-                    diag[lane] as u32
-                };
-            }
-            ctx.global_store(&access, &vals)?;
+            let access = WarpAccess::run_masked(lanes.live, self.edge_addr(edge, r, k, g0));
+            ctx.global_store(&access, &lanes.edge_row(k).map(|v| v as u32))?;
         }
         Ok(())
     }
 
     /// One 8×4 tile for every active lane of a warp.
-    #[allow(clippy::too_many_arguments)]
     fn run_tile(
         &self,
         ctx: &mut BlockCtx<'_>,
         args: TileArgs,
-        lane_n: &[usize; WARP_SIZE],
-        lane_live: &[bool; WARP_SIZE],
-        h_left: &mut [[i32; TILE_ROWS]; WARP_SIZE],
-        e_left: &mut [[i32; TILE_ROWS]; WARP_SIZE],
-        diag: &mut [i32; WARP_SIZE],
-        best: &mut [i32; WARP_SIZE],
+        lanes: &mut LaneState,
     ) -> Result<(), GpuError> {
         let TileArgs {
             g0,
@@ -446,85 +307,65 @@ impl<'a> InterTaskKernel<'a> {
             j0,
             rows_real,
             last_strip,
-            open,
-            extend,
             t0,
             panel_j0,
             in_shared,
+            cols,
         } = args;
-
-        let active = |lane: usize, c: usize| lane_live[lane] && j0 + c < lane_n[lane];
+        // Boundary row slots of column `c`, H then F: the shared slab in
+        // staged mode (per-thread slots, free of bank conflicts), else the
+        // interleaved global planes. Either way a warp's lanes are adjacent.
+        let boundary = |c: usize| {
+            let (h, f) = if in_shared {
+                let pc = j0 + c - panel_j0;
+                (self.shared_h_addr(pc, t0), self.shared_f_addr(pc, t0))
+            } else {
+                (
+                    self.boundary_h_addr(j0 + c, g0),
+                    self.boundary_f_addr(j0 + c, g0),
+                )
+            };
+            (
+                WarpAccess::run_masked(cols[c], h),
+                WarpAccess::run_masked(cols[c], f),
+            )
+        };
 
         // 1. Database residues: one packed word per lane, fetched through
         // the texture path (CUDASW++ binds the database to texture); the
         // interleaved layout keeps the addresses adjacent.
-        let mut db_access = WarpAccess::empty();
-        for lane in 0..WARP_SIZE {
-            if active(lane, 0) {
-                db_access.set(lane, self.group.word_addr(g0 + lane, j0 / 4));
-            }
-        }
+        let db_access = WarpAccess::run_masked(cols[0], self.group.word_addr(g0, j0 / 4));
         let db_words = ctx.tex_load(self.group.tex, &db_access)?;
 
         // 2. Boundary H/F from the strip above (or constants for strip 0).
-        // Staged mode reads the shared slab (per-thread slots, free of
-        // bank conflicts); baseline reads the interleaved global planes.
-        let mut top_h = [[0i32; TILE_COLS]; WARP_SIZE];
-        let mut top_f = [[NEG; TILE_COLS]; WARP_SIZE];
+        let mut top_h = [[0u32; WARP_SIZE]; TILE_COLS];
+        let mut top_f = [[NEG as u32; WARP_SIZE]; TILE_COLS];
         if r > 0 {
-            for c in 0..TILE_COLS {
-                let mut h_acc = WarpAccess::empty();
-                let mut f_acc = WarpAccess::empty();
-                for lane in 0..WARP_SIZE {
-                    if active(lane, c) {
-                        if in_shared {
-                            let pc = j0 + c - panel_j0;
-                            h_acc.set(lane, self.shared_h_addr(pc, t0 + lane));
-                            f_acc.set(lane, self.shared_f_addr(pc, t0 + lane));
-                        } else {
-                            h_acc.set(lane, self.boundary_h_addr(j0 + c, g0 + lane));
-                            f_acc.set(lane, self.boundary_f_addr(j0 + c, g0 + lane));
-                        }
-                    }
-                }
-                if h_acc.active_lanes() == 0 {
-                    continue;
-                }
-                let (hv, fv) = if in_shared {
+            for c in (0..TILE_COLS).filter(|&c| cols[c] != 0) {
+                let (h_acc, f_acc) = boundary(c);
+                (top_h[c], top_f[c]) = if in_shared {
                     (ctx.shared_load(&h_acc), ctx.shared_load(&f_acc))
                 } else {
                     (ctx.global_load(&h_acc)?, ctx.global_load(&f_acc)?)
                 };
-                for lane in 0..WARP_SIZE {
-                    if h_acc.is_active(lane) {
-                        top_h[lane][c] = hv[lane] as i32;
-                        top_f[lane][c] = fv[lane] as i32;
-                    }
-                }
             }
         }
 
         // 3. Column-major DP through the tile.
-        let mut bottom_h = [[0i32; TILE_COLS]; WARP_SIZE];
-        let mut bottom_f = [[NEG; TILE_COLS]; WARP_SIZE];
-        let mut cells = 0u64;
-        for c in 0..TILE_COLS {
+        let mut bottom_h = [[0u32; WARP_SIZE]; TILE_COLS];
+        let mut bottom_f = [[0u32; WARP_SIZE]; TILE_COLS];
+        for c in (0..TILE_COLS).filter(|&c| cols[c] != 0) {
             // Texture fetch: up to two packed-profile words cover the 8
             // rows of this column.
             let mut tex_lo = WarpAccess::empty();
             let mut tex_hi = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if active(lane, c) {
-                    let d = unpack_residue(db_words[lane], c);
-                    let w0 = self.profile.word_index(d, i0 / 4);
-                    tex_lo.set(lane, self.profile.tex.addr(w0));
-                    if rows_real > 4 {
-                        tex_hi.set(lane, self.profile.tex.addr(w0 + 1));
-                    }
+            for lane in lanes_in(cols[c]) {
+                let d = unpack_residue(db_words[lane], c);
+                let w0 = self.profile.word_index(d, i0 / 4);
+                tex_lo.set(lane, self.profile.tex.addr(w0));
+                if rows_real > 4 {
+                    tex_hi.set(lane, self.profile.tex.addr(w0 + 1));
                 }
-            }
-            if tex_lo.active_lanes() == 0 {
-                continue;
             }
             let w_lo = ctx.tex_load(self.profile.tex, &tex_lo)?;
             let w_hi = if rows_real > 4 {
@@ -533,78 +374,69 @@ impl<'a> InterTaskKernel<'a> {
                 [0u32; WARP_SIZE]
             };
 
-            for lane in 0..WARP_SIZE {
-                if !active(lane, c) {
-                    continue;
-                }
-                let lo = PackedProfile::unpack(w_lo[lane]);
-                let hi = PackedProfile::unpack(w_hi[lane]);
-                let mut f = (top_f[lane][c] - extend).max(top_h[lane][c] - open);
-                let mut diag_k = diag[lane];
-                let mut h = 0i32;
-                for k in 0..rows_real {
-                    let w = if k < 4 {
-                        lo[k] as i32
-                    } else {
-                        hi[k - 4] as i32
-                    };
-                    let e = (e_left[lane][k] - extend).max(h_left[lane][k] - open);
-                    if k > 0 {
-                        f = (f - extend).max(h - open);
-                    }
-                    h = (diag_k + w).max(e).max(f).max(0);
-                    diag_k = h_left[lane][k];
-                    h_left[lane][k] = h;
-                    e_left[lane][k] = e;
-                    if h > best[lane] {
-                        best[lane] = h;
-                    }
-                }
-                // The diagonal for the next column is H(i0-1, col).
-                diag[lane] = top_h[lane][c];
-                bottom_h[lane][c] = h_left[lane][TILE_ROWS - 1];
-                bottom_f[lane][c] = f;
-                cells += rows_real as u64;
-            }
+            let rows = [cols[c]; TILE_ROWS];
+            bottom_f[c] = lanes.regs.step(
+                self.gaps,
+                &rows[..rows_real],
+                &[w_lo, w_hi],
+                &top_h[c],
+                &top_f[c],
+            );
+            bottom_h[c] = lanes.regs.h_left[TILE_ROWS - 1].map(|h| h as u32);
         }
-        ctx.count_cells(cells);
+        let active_cells: u32 = cols.iter().map(|mask| mask.count_ones()).sum();
+        ctx.count_cells(u64::from(active_cells) * rows_real as u64);
         ctx.charge(CELL_INSTRUCTIONS * (rows_real * TILE_COLS) as u64);
 
-        // 4. Store the bottom row (H and F) for the next strip — to the
-        // shared slab in staged mode, to the global planes otherwise.
+        // 4. Store the bottom row (H and F) for the next strip.
         if !last_strip {
-            for c in 0..TILE_COLS {
-                let mut h_acc = WarpAccess::empty();
-                let mut f_acc = WarpAccess::empty();
-                let mut h_vals = [0u32; WARP_SIZE];
-                let mut f_vals = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if active(lane, c) {
-                        if in_shared {
-                            let pc = j0 + c - panel_j0;
-                            h_acc.set(lane, self.shared_h_addr(pc, t0 + lane));
-                            f_acc.set(lane, self.shared_f_addr(pc, t0 + lane));
-                        } else {
-                            h_acc.set(lane, self.boundary_h_addr(j0 + c, g0 + lane));
-                            f_acc.set(lane, self.boundary_f_addr(j0 + c, g0 + lane));
-                        }
-                        h_vals[lane] = bottom_h[lane][c] as u32;
-                        f_vals[lane] = bottom_f[lane][c] as u32;
-                    }
-                }
-                if h_acc.active_lanes() == 0 {
-                    continue;
-                }
+            for c in (0..TILE_COLS).filter(|&c| cols[c] != 0) {
+                let (h_acc, f_acc) = boundary(c);
                 if in_shared {
-                    ctx.shared_store(&h_acc, &h_vals);
-                    ctx.shared_store(&f_acc, &f_vals);
+                    ctx.shared_store(&h_acc, &bottom_h[c]);
+                    ctx.shared_store(&f_acc, &bottom_f[c]);
                 } else {
-                    ctx.global_store(&h_acc, &h_vals)?;
-                    ctx.global_store(&f_acc, &f_vals)?;
+                    ctx.global_store(&h_acc, &bottom_h[c])?;
+                    ctx.global_store(&f_acc, &bottom_f[c])?;
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// One warp's lanes: which own a sequence, how long, and their registers.
+struct LaneState {
+    /// Sequence length per lane (0 where the lane has no sequence).
+    lane_n: [usize; WARP_SIZE],
+    /// Lanes that own a sequence.
+    live: u32,
+    regs: WarpRegs,
+}
+
+impl LaneState {
+    /// Per tile column `c`, the lanes whose subject still has column
+    /// `j0 + c` (a subset of the column before it).
+    fn columns(&self, j0: usize) -> [u32; TILE_COLS] {
+        let mut cols = [0u32; TILE_COLS];
+        for (lane, &n) in self.lane_n.iter().enumerate() {
+            for (c, mask) in cols.iter_mut().enumerate() {
+                *mask |= u32::from(j0 + c < n) << lane;
+            }
+        }
+        cols
+    }
+
+    /// Word `k` of every lane's panel-seam record: the rows of `h_left`,
+    /// then of `e_left`, then the diagonal.
+    fn edge_row(&mut self, k: usize) -> &mut [i32; WARP_SIZE] {
+        if k < TILE_ROWS {
+            &mut self.regs.h_left[k]
+        } else if k < 2 * TILE_ROWS {
+            &mut self.regs.e_left[k - TILE_ROWS]
+        } else {
+            &mut self.regs.diag
+        }
     }
 }
 
@@ -617,14 +449,14 @@ struct TileArgs {
     j0: usize,
     rows_real: usize,
     last_strip: bool,
-    open: i32,
-    extend: i32,
     /// First thread-in-block index of the running warp (shared-slab slot).
     t0: usize,
     /// First column of the current panel (staged mode only).
     panel_j0: usize,
     /// Boundary rows go through the shared slab instead of global planes.
     in_shared: bool,
+    /// Active lanes per tile column.
+    cols: [u32; TILE_COLS],
 }
 
 impl BlockKernel for InterTaskKernel<'_> {
@@ -654,6 +486,7 @@ mod tests {
     use crate::seqstore::{GroupImage, ProfileImage};
     use gpu_sim::{DeviceSpec, GpuDevice};
     use sw_align::smith_waterman::{sw_score, SwParams};
+    use sw_align::PackedProfile;
     use sw_db::synth::{database_with_lengths, make_query};
 
     /// Stage a group + profile, launch the kernel (optionally in §VII

@@ -22,15 +22,18 @@
 //! boundary in shared memory, continuous pipeline), so ablation benches
 //! can replay the paper's development story.
 
+use crate::column::{WarpRegs, MAX_ROWS, NEG};
 use crate::intra_orig::IntraPair;
 use crate::seqstore::{unpack_residue, ProfileImage};
 use crate::CELL_INSTRUCTIONS;
-use gpu_sim::{BlockCtx, BlockKernel, DevicePtr, GpuError, LaunchConfig, WarpAccess, WARP_SIZE};
-use sw_align::{GapPenalties, PackedProfile};
+use gpu_sim::{
+    lane_bits, lanes_in, BlockCtx, BlockKernel, DevicePtr, GpuError, LaunchConfig, WarpAccess,
+    WARP_SIZE,
+};
+use sw_align::GapPenalties;
 
-const NEG: i32 = i32::MIN / 2;
 /// Maximum supported tile height (the paper evaluates 4 and 8).
-pub const MAX_TILE_HEIGHT: usize = 8;
+pub const MAX_TILE_HEIGHT: usize = MAX_ROWS;
 
 /// Launch-shape parameters of the improved kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,94 +240,62 @@ impl ImprovedIntraKernel<'_> {
         let n_th = layout.n_th;
         let strip_rows = self.params.strip_rows();
         let strips = m.div_ceil(strip_rows);
-        let (open, extend) = (self.gaps.open, self.gaps.extend);
         let bound_h = self.boundary.addr() + pair_idx * 2 * self.boundary_stride;
         let bound_f = bound_h + self.boundary_stride;
-        let spill_base = self.local_spill.addr() + pair_idx * n_th * 2 * th;
 
-        // Per-thread "register" state (block-wide views for the simulator).
-        let mut h_left = vec![[0i32; MAX_TILE_HEIGHT]; n_th];
-        let mut e_left = vec![[NEG; MAX_TILE_HEIGHT]; n_th];
-        let mut diag = vec![0i32; n_th];
-        let mut db_word = vec![0u32; n_th];
-        let mut best = 0i32;
+        // Per-thread "register" state, one entry per warp of the block.
+        let mut warps: Vec<WarpState> = (0..n_th.div_ceil(WARP_SIZE))
+            .map(|_| WarpState {
+                regs: WarpRegs::new(),
+                db_word: [0; WARP_SIZE],
+            })
+            .collect();
 
         for r in 0..strips {
             let i_base = r * strip_rows;
-            let last_strip = r + 1 == strips;
-            // Threads that have at least one real row this strip.
+            // Threads that have at least one real row this strip; only
+            // the last of them can own fewer than `th`.
             let active_max = ((m - i_base).div_ceil(th)).min(n_th);
-            let rows_of = |t: usize| th.min(m.saturating_sub(i_base + t * th));
-            for t in 0..n_th {
-                h_left[t] = [0i32; MAX_TILE_HEIGHT];
-                e_left[t] = [NEG; MAX_TILE_HEIGHT];
-                diag[t] = 0;
+            for warp in &mut warps {
+                warp.regs.start_strip();
             }
 
             let steps = n + active_max - 1;
             for s in 0..steps {
                 let t_lo = s.saturating_sub(n - 1);
                 let t_hi = (active_max - 1).min(s);
-                let parity = s % 2;
-                let prev_parity = 1 - parity;
 
                 // Coalesced boundary prefetch: warp 0 pulls the next 32
                 // columns of the previous strip's bottom row into shared
                 // staging whenever thread 0 is about to need them.
                 if self.variant.coalesce_boundary && r > 0 && t_lo == 0 && s % 32 == 0 {
                     let cols = 32.min(n - s);
-                    let mut h_acc = WarpAccess::empty();
-                    let mut f_acc = WarpAccess::empty();
-                    for k in 0..cols {
-                        h_acc.set(k, bound_h + s + k);
-                        f_acc.set(k, bound_f + s + k);
-                    }
-                    let hv = ctx.global_load(&h_acc)?;
-                    let fv = ctx.global_load(&f_acc)?;
-                    let mut st_h = WarpAccess::empty();
-                    let mut st_f = WarpAccess::empty();
-                    for k in 0..cols {
-                        st_h.set(k, layout.stage_base + k);
-                        st_f.set(k, layout.stage_base + 32 + k);
-                    }
-                    ctx.shared_store(&st_h, &hv);
-                    ctx.shared_store(&st_f, &fv);
+                    let hv = ctx.global_load(&WarpAccess::run(0, cols, bound_h + s))?;
+                    let fv = ctx.global_load(&WarpAccess::run(0, cols, bound_f + s))?;
+                    ctx.shared_store(&WarpAccess::run(0, cols, layout.stage_base), &hv);
+                    ctx.shared_store(&WarpAccess::run(0, cols, layout.stage_base + 32), &fv);
                 }
 
-                let warp_lo = t_lo / WARP_SIZE;
-                let warp_hi = t_hi / WARP_SIZE;
-                for w in warp_lo..=warp_hi {
-                    self.run_step_warp(
-                        ctx,
-                        StepArgs {
-                            pair,
-                            layout,
-                            r,
-                            s,
-                            w,
-                            t_lo,
-                            t_hi,
-                            i_base,
-                            n,
-                            th,
-                            open,
-                            extend,
-                            parity,
-                            prev_parity,
-                            last_strip,
-                            bound_h,
-                            bound_f,
-                            spill_base,
-                            n_th,
-                            active_max,
-                        },
-                        &rows_of,
-                        &mut h_left,
-                        &mut e_left,
-                        &mut diag,
-                        &mut db_word,
-                        &mut best,
-                    )?;
+                let in_flight = t_lo / WARP_SIZE..=t_hi / WARP_SIZE;
+                for (w, warp) in warps[in_flight.clone()].iter_mut().enumerate() {
+                    let t0 = (in_flight.start() + w) * WARP_SIZE;
+                    let step = StepArgs {
+                        pair,
+                        layout,
+                        r,
+                        i_base,
+                        s,
+                        t0,
+                        mask: lane_bits(t_lo.saturating_sub(t0), t_hi.min(t0 + WARP_SIZE - 1) - t0),
+                        last_rows: th.min(m - i_base - (active_max - 1) * th),
+                        n,
+                        last_strip: r + 1 == strips,
+                        bound_h,
+                        bound_f,
+                        spill_base: self.local_spill.addr() + pair_idx * n_th * 2 * th,
+                        writer: active_max - 1,
+                    };
+                    self.run_step_warp(ctx, step, warp)?;
                 }
 
                 // Barrier per pipeline step; the continuous-pipeline
@@ -344,171 +315,141 @@ impl ImprovedIntraKernel<'_> {
         }
 
         // Block-wide max reduction and final store.
+        let best = warps.iter().flat_map(|warp| warp.regs.best).max();
         ctx.charge(64);
         ctx.syncthreads();
-        ctx.write_word(pair.score, best as u32)?;
+        ctx.write_word(pair.score, best.unwrap_or(0) as u32)?;
         Ok(())
     }
 }
 
-/// Per-step, per-warp parameters.
+/// One warp's registers: the DP tile and the current packed database word.
+struct WarpState {
+    regs: WarpRegs,
+    db_word: [u32; WARP_SIZE],
+}
+
+/// Per-step, per-warp parameters; lane `l` is thread `t0 + l`.
 struct StepArgs<'p> {
     pair: &'p IntraPair,
     layout: SharedLayout,
     r: usize,
-    s: usize,
-    w: usize,
-    t_lo: usize,
-    t_hi: usize,
     i_base: usize,
+    s: usize,
+    t0: usize,
+    /// The warp's threads in the pipeline this step (consecutive lanes).
+    mask: u32,
+    /// Rows owned by thread `writer`, the strip's last (others own `th`).
+    last_rows: usize,
     n: usize,
-    th: usize,
-    open: i32,
-    extend: i32,
-    parity: usize,
-    prev_parity: usize,
     last_strip: bool,
     bound_h: usize,
     bound_f: usize,
     spill_base: usize,
-    n_th: usize,
-    active_max: usize,
+    /// The strip's last thread with a row; it writes the boundary.
+    writer: usize,
 }
 
 impl ImprovedIntraKernel<'_> {
-    /// One pipeline step for the lanes of warp `w`.
-    #[allow(clippy::too_many_arguments)]
+    /// One pipeline step for the lanes of one warp.
     fn run_step_warp(
         &self,
         ctx: &mut BlockCtx<'_>,
         a: StepArgs<'_>,
-        rows_of: &dyn Fn(usize) -> usize,
-        h_left: &mut [[i32; MAX_TILE_HEIGHT]],
-        e_left: &mut [[i32; MAX_TILE_HEIGHT]],
-        diag: &mut [i32],
-        db_word: &mut [u32],
-        best: &mut i32,
+        warp: &mut WarpState,
     ) -> Result<(), GpuError> {
-        let lane_t = |lane: usize| a.w * WARP_SIZE + lane;
-        let active = |lane: usize| {
-            let t = lane_t(lane);
-            t >= a.t_lo && t <= a.t_hi
-        };
-
-        // 1. Database residues: lanes needing a fresh packed word, fetched
-        // through the texture path (the database is texture-bound, so
-        // these never show up as Table-I global transactions).
-        {
-            let mut acc = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if active(lane) {
-                    let t = lane_t(lane);
-                    let j = a.s - t;
-                    if j.is_multiple_of(4) {
-                        acc.set(lane, a.pair.tex.addr(j / 4));
-                    }
-                }
+        let th = self.params.tile_height;
+        let n_th = a.layout.n_th;
+        let (parity, prev_parity) = (a.s % 2, 1 - a.s % 2);
+        let mask = a.mask;
+        // The coalesced access of the active lanes to a thread-indexed
+        // array whose thread-0 slot is `of_thread_0`.
+        let active = |of_thread_0: usize| WarpAccess::run_masked(mask, of_thread_0 + a.t0);
+        // Lanes per tile row: all of them, less the strip's last thread
+        // below its last row.
+        let writer_lane = a.writer.checked_sub(a.t0).filter(|&l| l < WARP_SIZE);
+        let mut rows = [mask; MAX_TILE_HEIGHT];
+        if let Some(lane) = writer_lane {
+            for row in &mut rows[a.last_rows..] {
+                *row &= !(1 << lane);
             }
-            if acc.active_lanes() > 0 {
-                let words = ctx.tex_load(a.pair.tex, &acc)?;
-                for lane in 0..WARP_SIZE {
-                    if acc.is_active(lane) {
-                        db_word[lane_t(lane)] = words[lane];
-                    }
-                }
+        }
+        let rows = &rows[..th];
+
+        // 1. Database residues: lanes needing a fresh packed word (column
+        // `s - t` a multiple of 4), fetched through the texture path (the
+        // database is texture-bound, so these never show up as Table-I
+        // global transactions).
+        let fresh = mask & (0x1111_1111 << (a.s % 4));
+        if fresh != 0 {
+            let acc = WarpAccess::from_lanes(
+                lanes_in(fresh).map(|lane| (lane, a.pair.tex.addr((a.s - a.t0 - lane) / 4))),
+            );
+            let words = ctx.tex_load(a.pair.tex, &acc)?;
+            for lane in lanes_in(fresh) {
+                warp.db_word[lane] = words[lane];
             }
         }
 
         // 2. Top dependencies: shared pipe from thread t-1, or the strip
         // boundary for thread 0.
-        let mut top_h = [0i32; WARP_SIZE];
-        let mut top_f = [NEG; WARP_SIZE];
-        {
-            let mut h_acc = WarpAccess::empty();
-            let mut f_acc = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if active(lane) && lane_t(lane) > 0 {
-                    let t = lane_t(lane);
-                    h_acc.set(lane, a.layout.pipe_h(a.prev_parity, t - 1));
-                    f_acc.set(lane, a.layout.pipe_f(a.prev_parity, t - 1));
-                }
-            }
-            if h_acc.active_lanes() > 0 {
-                let hv = ctx.shared_load(&h_acc);
-                let fv = ctx.shared_load(&f_acc);
-                for lane in 0..WARP_SIZE {
-                    if h_acc.is_active(lane) {
-                        top_h[lane] = hv[lane] as i32;
-                        top_f[lane] = fv[lane] as i32;
-                    }
-                }
-            }
+        let mut top_h = [0u32; WARP_SIZE];
+        let mut top_f = [NEG as u32; WARP_SIZE];
+        let thread_0 = a.t0 == 0 && mask & 1 != 0;
+        let below = mask & !u32::from(thread_0);
+        if below != 0 {
+            let above = |of_thread_0: usize| {
+                WarpAccess::run_masked(below, (of_thread_0 + a.t0).wrapping_sub(1))
+            };
+            top_h = ctx.shared_load(&above(a.layout.pipe_h(prev_parity, 0)));
+            top_f = ctx.shared_load(&above(a.layout.pipe_f(prev_parity, 0)));
+        }
+        if thread_0 {
             // Thread 0 reads the previous strip's bottom row.
-            if a.w == 0 && active(0) && a.r > 0 {
-                let j = a.s; // t == 0 ⇒ column == step
-                let (hv, fv) = if self.variant.boundary_in_shared {
-                    let acc_h = WarpAccess::from_lanes([(0usize, a.layout.bound_base + j)]);
-                    let acc_f = WarpAccess::from_lanes([(
-                        0usize,
-                        a.layout.bound_base + self.boundary_stride + j,
-                    )]);
-                    (ctx.shared_load(&acc_h)[0], ctx.shared_load(&acc_f)[0])
-                } else if self.variant.coalesce_boundary {
-                    let acc_h = WarpAccess::from_lanes([(0usize, a.layout.stage_base + j % 32)]);
-                    let acc_f =
-                        WarpAccess::from_lanes([(0usize, a.layout.stage_base + 32 + j % 32)]);
-                    (ctx.shared_load(&acc_h)[0], ctx.shared_load(&acc_f)[0])
-                } else {
-                    // The paper's layout: one word at a time, uncoalesced.
-                    (
-                        ctx.read_word(DevicePtr(a.bound_h + j))?,
-                        ctx.read_word(DevicePtr(a.bound_f + j))?,
-                    )
-                };
-                top_h[0] = hv as i32;
-                top_f[0] = fv as i32;
-            }
+            let j = a.s; // t == 0 ⇒ column == step
+            (top_h[0], top_f[0]) = if a.r == 0 {
+                (0, NEG as u32)
+            } else if self.variant.boundary_in_shared {
+                let acc_h = WarpAccess::run(0, 1, a.layout.bound_base + j);
+                let acc_f = WarpAccess::run(0, 1, a.layout.bound_base + self.boundary_stride + j);
+                (ctx.shared_load(&acc_h)[0], ctx.shared_load(&acc_f)[0])
+            } else if self.variant.coalesce_boundary {
+                let acc_h = WarpAccess::run(0, 1, a.layout.stage_base + j % 32);
+                let acc_f = WarpAccess::run(0, 1, a.layout.stage_base + 32 + j % 32);
+                (ctx.shared_load(&acc_h)[0], ctx.shared_load(&acc_f)[0])
+            } else {
+                // The paper's layout: one word at a time, uncoalesced.
+                (
+                    ctx.read_word(DevicePtr(a.bound_h + j))?,
+                    ctx.read_word(DevicePtr(a.bound_f + j))?,
+                )
+            };
         }
 
-        // 3. Query-profile fetch.
-        let words_needed = if self.variant.per_row_profile_fetch {
-            a.th // one (redundant) fetch per row — §III-B "before"
+        // 3. Query-profile fetch: one packed word per four rows, or one
+        // (redundant) fetch per row — §III-B "before".
+        let rows_per_fetch = if self.variant.per_row_profile_fetch {
+            1
         } else {
-            a.th / 4 // one packed word per four rows
+            4
         };
-        let mut prof = [[0u32; MAX_TILE_HEIGHT]; WARP_SIZE]; // packed words per lane
-        for widx in 0..words_needed {
-            let mut acc = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if active(lane) {
-                    let t = lane_t(lane);
-                    let rows = rows_of(t);
-                    let i_t = a.i_base + t * a.th;
-                    let d = unpack_residue(db_word[t], (a.s - t) % 4);
-                    if self.variant.per_row_profile_fetch {
-                        if widx < rows {
-                            let word = self.profile.word_index(d, (i_t + widx) / 4);
-                            acc.set(lane, self.profile.tex.addr(word));
-                        }
-                    } else if widx * 4 < rows {
-                        let word = self.profile.word_index(d, i_t / 4 + widx);
-                        acc.set(lane, self.profile.tex.addr(word));
-                    }
-                }
-            }
-            if acc.active_lanes() == 0 {
+        let mut scores = [[0u32; WARP_SIZE]; MAX_TILE_HEIGHT / 4];
+        for row in (0..th).step_by(rows_per_fetch) {
+            if rows[row] == 0 {
                 continue;
             }
+            let acc = WarpAccess::from_lanes(lanes_in(rows[row]).map(|lane| {
+                let t = a.t0 + lane;
+                let d = unpack_residue(warp.db_word[lane], (a.s - t) % 4);
+                let i = a.i_base + t * th + row;
+                (
+                    lane,
+                    self.profile.tex.addr(self.profile.word_index(d, i / 4)),
+                )
+            }));
             let words = ctx.tex_load(self.profile.tex, &acc)?;
-            for lane in 0..WARP_SIZE {
-                if acc.is_active(lane) {
-                    prof[lane][widx
-                        / if self.variant.per_row_profile_fetch {
-                            4
-                        } else {
-                            1
-                        }] = words[lane];
-                }
+            for lane in lanes_in(rows[row]) {
+                scores[row / 4][lane] = words[lane];
             }
         }
 
@@ -518,120 +459,52 @@ impl ImprovedIntraKernel<'_> {
         // the accesses coalesce — the cost is the sheer volume (the paper
         // measured ~2x once the deep swap moved these back to registers).
         if self.variant.spill_register_arrays {
-            for k in 0..a.th {
+            for k in 0..th {
                 for plane in 0..2 {
-                    let mut ld = WarpAccess::empty();
-                    let vals = [0u32; WARP_SIZE];
-                    for lane in 0..WARP_SIZE {
-                        if active(lane) {
-                            let t = lane_t(lane);
-                            ld.set(lane, a.spill_base + (plane * a.th + k) * a.n_th + t);
-                        }
-                    }
-                    if ld.active_lanes() > 0 {
-                        ctx.global_load(&ld)?;
-                        ctx.global_store(&ld, &vals)?;
-                    }
+                    let ld = active(a.spill_base + (plane * th + k) * n_th);
+                    ctx.global_load(&ld)?;
+                    ctx.global_store(&ld, &[0u32; WARP_SIZE])?;
                 }
             }
         }
 
         // 5. The 4×1 (or 8×1) column of DP cells per lane.
-        let mut bot_h = [0u32; WARP_SIZE];
-        let mut bot_f = [0u32; WARP_SIZE];
-        let mut cells = 0u64;
-        let mut max_rows = 0usize;
-        for lane in 0..WARP_SIZE {
-            if !active(lane) {
-                continue;
-            }
-            let t = lane_t(lane);
-            let rows = rows_of(t);
-            max_rows = max_rows.max(rows);
-            let mut f = (top_f[lane] - a.extend).max(top_h[lane] - a.open);
-            let mut diag_k = diag[t];
-            let mut h = 0i32;
-            for k in 0..rows {
-                let scores = PackedProfile::unpack(prof[lane][k / 4]);
-                let wscore = scores[k % 4] as i32;
-                let e = (e_left[t][k] - a.extend).max(h_left[t][k] - a.open);
-                if k > 0 {
-                    f = (f - a.extend).max(h - a.open);
-                }
-                h = (diag_k + wscore).max(e).max(f).max(0);
-                diag_k = h_left[t][k];
-                h_left[t][k] = h;
-                e_left[t][k] = e;
-                if h > *best {
-                    *best = h;
-                }
-            }
-            diag[t] = top_h[lane];
-            bot_h[lane] = h_left[t][a.th - 1] as u32;
-            bot_f[lane] = f as u32;
-            cells += rows as u64;
-        }
-        ctx.count_cells(cells);
-        ctx.charge(CELL_INSTRUCTIONS * max_rows as u64);
+        let bot_f = warp.regs.step(self.gaps, rows, &scores, &top_h, &top_f);
+        let bot_h = warp.regs.h_left[th - 1].map(|h| h as u32);
+        ctx.count_cells(rows.iter().map(|row| u64::from(row.count_ones())).sum());
+        ctx.charge(CELL_INSTRUCTIONS * rows.iter().filter(|&&row| row != 0).count() as u64);
 
         // 6. Publish bottom row to the shared pipe for thread t+1.
-        {
-            let mut h_acc = WarpAccess::empty();
-            let mut f_acc = WarpAccess::empty();
-            for lane in 0..WARP_SIZE {
-                if active(lane) {
-                    let t = lane_t(lane);
-                    h_acc.set(lane, a.layout.pipe_h(a.parity, t));
-                    f_acc.set(lane, a.layout.pipe_f(a.parity, t));
-                }
-            }
-            ctx.shared_store(&h_acc, &bot_h);
-            ctx.shared_store(&f_acc, &bot_f);
-        }
+        ctx.shared_store(&active(a.layout.pipe_h(parity, 0)), &bot_h);
+        ctx.shared_store(&active(a.layout.pipe_f(parity, 0)), &bot_f);
 
         // 7. The strip's bottom row goes to the boundary store (the last
         // fully-tiled thread of the strip writes it).
-        let writer = a.active_max - 1;
-        if !a.last_strip && a.w == writer / WARP_SIZE {
-            let lane = writer % WARP_SIZE;
-            if active(lane) {
-                let j = a.s - writer;
-                if self.variant.boundary_in_shared {
-                    let acc_h = WarpAccess::from_lanes([(lane, a.layout.bound_base + j)]);
-                    let acc_f = WarpAccess::from_lanes([(
-                        lane,
-                        a.layout.bound_base + self.boundary_stride + j,
-                    )]);
-                    ctx.shared_store(&acc_h, &bot_h);
-                    ctx.shared_store(&acc_f, &bot_f);
-                } else if self.variant.coalesce_boundary {
-                    // Stage in shared; flush 32 columns coalesced.
-                    let acc_h = WarpAccess::from_lanes([(lane, a.layout.stage_base + 64 + j % 32)]);
-                    let acc_f = WarpAccess::from_lanes([(lane, a.layout.stage_base + 96 + j % 32)]);
-                    ctx.shared_store(&acc_h, &bot_h);
-                    ctx.shared_store(&acc_f, &bot_f);
-                    if j % 32 == 31 || j == a.n - 1 {
-                        let cols = j % 32 + 1;
-                        let mut ld_h = WarpAccess::empty();
-                        let mut ld_f = WarpAccess::empty();
-                        let mut st_h = WarpAccess::empty();
-                        let mut st_f = WarpAccess::empty();
-                        for k in 0..cols {
-                            ld_h.set(k, a.layout.stage_base + 64 + k);
-                            ld_f.set(k, a.layout.stage_base + 96 + k);
-                            st_h.set(k, a.bound_h + (j + 1 - cols) + k);
-                            st_f.set(k, a.bound_f + (j + 1 - cols) + k);
-                        }
-                        let hv = ctx.shared_load(&ld_h);
-                        let fv = ctx.shared_load(&ld_f);
-                        ctx.global_store(&st_h, &hv)?;
-                        ctx.global_store(&st_f, &fv)?;
-                    }
-                } else {
-                    // The paper's behaviour: one word at a time.
-                    ctx.write_word(DevicePtr(a.bound_h + j), bot_h[lane])?;
-                    ctx.write_word(DevicePtr(a.bound_f + j), bot_f[lane])?;
+        if let (false, Some(lane)) = (a.last_strip, writer_lane.filter(|&l| mask & (1 << l) != 0)) {
+            let j = a.s - a.writer;
+            if self.variant.boundary_in_shared {
+                let acc_h = WarpAccess::run(lane, 1, a.layout.bound_base + j);
+                let acc_f =
+                    WarpAccess::run(lane, 1, a.layout.bound_base + self.boundary_stride + j);
+                ctx.shared_store(&acc_h, &bot_h);
+                ctx.shared_store(&acc_f, &bot_f);
+            } else if self.variant.coalesce_boundary {
+                // Stage in shared; flush 32 columns coalesced.
+                let acc_h = WarpAccess::run(lane, 1, a.layout.stage_base + 64 + j % 32);
+                let acc_f = WarpAccess::run(lane, 1, a.layout.stage_base + 96 + j % 32);
+                ctx.shared_store(&acc_h, &bot_h);
+                ctx.shared_store(&acc_f, &bot_f);
+                if j % 32 == 31 || j == a.n - 1 {
+                    let cols = j % 32 + 1;
+                    let hv = ctx.shared_load(&WarpAccess::run(0, cols, a.layout.stage_base + 64));
+                    let fv = ctx.shared_load(&WarpAccess::run(0, cols, a.layout.stage_base + 96));
+                    ctx.global_store(&WarpAccess::run(0, cols, a.bound_h + j + 1 - cols), &hv)?;
+                    ctx.global_store(&WarpAccess::run(0, cols, a.bound_f + j + 1 - cols), &fv)?;
                 }
+            } else {
+                // The paper's behaviour: one word at a time.
+                ctx.write_word(DevicePtr(a.bound_h + j), bot_h[lane])?;
+                ctx.write_word(DevicePtr(a.bound_f + j), bot_f[lane])?;
             }
         }
         Ok(())
@@ -644,6 +517,7 @@ mod tests {
     use crate::seqstore::SeqImage;
     use gpu_sim::{DeviceSpec, GpuDevice, LaunchStats};
     use sw_align::smith_waterman::{sw_score, SwParams};
+    use sw_align::PackedProfile;
     use sw_db::synth::{database_with_lengths, make_query};
 
     fn run_kernel(

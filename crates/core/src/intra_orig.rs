@@ -14,6 +14,7 @@
 //! depend on this step's stores, so a store→load round-trip latency is
 //! charged per step (`step_latency_cycles`).
 
+use crate::column::NEG;
 use crate::seqstore::{unpack_residue, SeqImage};
 use crate::CELL_INSTRUCTIONS;
 use gpu_sim::{
@@ -22,8 +23,6 @@ use gpu_sim::{
 };
 use sw_align::{GapPenalties, ScoringMatrix};
 use sw_db::Sequence;
-
-const NEG: i32 = i32::MIN / 2;
 
 /// One query/database pair staged for an intra-task launch (block ↔ pair).
 #[derive(Debug, Clone)]
@@ -110,86 +109,70 @@ impl OriginalIntraKernel<'_> {
         lanes: usize,
         best: &mut i32,
     ) -> Result<(), GpuError> {
-        let m = self.query_len;
         let (open, extend) = (self.gaps.open, self.gaps.extend);
 
         // Residues: packed query words over consecutive rows, packed
         // database words over consecutive columns — both coalesce.
-        let mut q_acc = WarpAccess::empty();
-        let mut d_acc = WarpAccess::empty();
-        for lane in 0..lanes {
-            let i = i0 + lane;
-            q_acc.set(lane, self.query.addr(i / 4));
-            d_acc.set(lane, pair.tex.addr((d - i) / 4));
-        }
+        let q_acc = WarpAccess::from_lanes((0..lanes).map(|l| (l, self.query.addr((i0 + l) / 4))));
+        let d_acc =
+            WarpAccess::from_lanes((0..lanes).map(|l| (l, pair.tex.addr((d - i0 - l) / 4))));
         let q_words = ctx.tex_load(self.query, &q_acc)?;
         let d_words = ctx.tex_load(pair.tex, &d_acc)?;
 
         // Five wavefront loads: H(d-1)[i], E(d-1)[i], H(d-1)[i-1],
-        // F(d-1)[i-1], H(d-2)[i-1].
-        let gather = |base: usize, off: isize| {
-            let mut acc = WarpAccess::empty();
-            for lane in 0..lanes {
-                let idx = i0 as isize + lane as isize + off;
-                if idx >= 0 && (idx as usize) < m {
-                    acc.set(lane, base + idx as usize);
-                }
-            }
-            acc
+        // F(d-1)[i-1], H(d-2)[i-1]. Row 0 has no row above it.
+        let left = |base: usize| WarpAccess::run(0, lanes, base + i0);
+        let up = |base: usize| {
+            let skip = usize::from(i0 == 0);
+            WarpAccess::run(skip, lanes - skip, base + i0 + skip - 1)
         };
-        let v_h_left = ctx.global_load(&gather(bufs.h1, 0))?;
-        let v_e_left = ctx.global_load(&gather(bufs.e1, 0))?;
-        let v_h_up = ctx.global_load(&gather(bufs.h1, -1))?;
-        let v_f_up = ctx.global_load(&gather(bufs.f1, -1))?;
-        let v_h_diag = ctx.global_load(&gather(bufs.h2, -1))?;
+        let mut v_h_left = ctx.global_load(&left(bufs.h1))?;
+        let mut v_e_left = ctx.global_load(&left(bufs.e1))?;
+        let mut v_h_up = ctx.global_load(&up(bufs.h1))?;
+        let mut v_f_up = ctx.global_load(&up(bufs.f1))?;
+        let mut v_h_diag = ctx.global_load(&up(bufs.h2))?;
 
+        // Boundary semantics: missing neighbours mean H = 0 and
+        // E/F = -inf. Never-written device words read as 0; a 0 in E/F
+        // decays under the gap penalties and can never beat H's
+        // 0-clamp, so it is equivalent (same argument as for the SIMD
+        // vector initialisation).
+        if i0 == 0 {
+            (v_h_up[0], v_f_up[0], v_h_diag[0]) = (0, NEG as u32, 0);
+        }
+        if let Some(lane) = d.checked_sub(i0).filter(|&lane| lane < lanes) {
+            // Column 0 is on this chunk: row `d`.
+            (v_h_left[lane], v_e_left[lane], v_h_diag[lane]) = (0, NEG as u32, 0);
+        }
+        let w: [i32; WARP_SIZE] = std::array::from_fn(|lane| {
+            if lane >= lanes {
+                return 0;
+            }
+            let (i, j) = (i0 + lane, d - i0 - lane);
+            let q_res = unpack_residue(q_words[lane], i % 4);
+            let d_res = unpack_residue(d_words[lane], j % 4);
+            self.matrix.score(q_res, d_res)
+        });
+
+        // All 32 lanes, branch-free: a lane past the chunk computes H = 0
+        // from the zeros it loaded and is not stored.
         let mut h_out = [0u32; WARP_SIZE];
         let mut e_out = [0u32; WARP_SIZE];
         let mut f_out = [0u32; WARP_SIZE];
-        for lane in 0..lanes {
-            let i = i0 + lane;
-            let j = d - i;
-            // Boundary semantics: missing neighbours mean H = 0 and
-            // E/F = -inf. Never-written device words read as 0; a 0 in E/F
-            // decays under the gap penalties and can never beat H's
-            // 0-clamp, so it is equivalent (same argument as for the SIMD
-            // vector initialisation).
-            let h_left = if j == 0 { 0 } else { v_h_left[lane] as i32 };
-            let e_left = if j == 0 { NEG } else { v_e_left[lane] as i32 };
-            let h_up = if i == 0 { 0 } else { v_h_up[lane] as i32 };
-            let f_up = if i == 0 { NEG } else { v_f_up[lane] as i32 };
-            let h_diag = if i == 0 || j == 0 {
-                0
-            } else {
-                v_h_diag[lane] as i32
-            };
-            let q_res = unpack_residue(q_words[lane], i % 4);
-            let d_res = unpack_residue(d_words[lane], j % 4);
-            let w = self.matrix.score(q_res, d_res);
-            let e = (e_left - extend).max(h_left - open);
-            let f = (f_up - extend).max(h_up - open);
-            let h = (h_diag + w).max(e).max(f).max(0);
+        for lane in 0..WARP_SIZE {
+            let e = (v_e_left[lane] as i32 - extend).max(v_h_left[lane] as i32 - open);
+            let f = (v_f_up[lane] as i32 - extend).max(v_h_up[lane] as i32 - open);
+            let h = (v_h_diag[lane] as i32 + w[lane]).max(e).max(f).max(0);
             h_out[lane] = h as u32;
             e_out[lane] = e.max(NEG) as u32;
             f_out[lane] = f.max(NEG) as u32;
-            if h > *best {
-                *best = h;
-            }
+            *best = (*best).max(h);
         }
 
         // Three wavefront stores (H, E, F), coalesced over rows.
-        let mut sh = WarpAccess::empty();
-        let mut se = WarpAccess::empty();
-        let mut sf = WarpAccess::empty();
-        for lane in 0..lanes {
-            let i = i0 + lane;
-            sh.set(lane, bufs.h0 + i);
-            se.set(lane, bufs.e0 + i);
-            sf.set(lane, bufs.f0 + i);
-        }
-        ctx.global_store(&sh, &h_out)?;
-        ctx.global_store(&se, &e_out)?;
-        ctx.global_store(&sf, &f_out)?;
+        ctx.global_store(&left(bufs.h0), &h_out)?;
+        ctx.global_store(&left(bufs.e0), &e_out)?;
+        ctx.global_store(&left(bufs.f0), &f_out)?;
 
         ctx.count_cells(lanes as u64);
         ctx.charge(CELL_INSTRUCTIONS);

@@ -33,6 +33,7 @@
 
 pub mod balance;
 pub mod checkpoint;
+mod column;
 pub mod driver;
 pub mod extensions;
 pub mod inter_task;

@@ -98,13 +98,11 @@ impl<'a> BlockCtx<'a> {
         tex: TexRef,
         access: &WarpAccess,
     ) -> Result<[u32; WARP_SIZE], GpuError> {
-        for (_, addr) in access.iter_active() {
-            if !tex.contains(addr) {
-                return Err(GpuError::BadAccess {
-                    addr,
-                    mem_words: tex.words(),
-                });
-            }
+        if let Some(addr) = access.first_outside(tex.span()) {
+            return Err(GpuError::BadAccess {
+                addr,
+                mem_words: tex.words(),
+            });
         }
         let (vals, cost) = self.mem.warp_tex_load(self.sm, access)?;
         self.cost.warp_instructions += 1;
@@ -166,16 +164,14 @@ impl<'a> BlockCtx<'a> {
     /// costs a full warp instruction + 1 transaction, like a divergent
     /// access would).
     pub fn read_word(&mut self, ptr: DevicePtr) -> Result<u32, GpuError> {
-        let access = WarpAccess::from_lanes([(0usize, ptr.addr())]);
-        Ok(self.global_load(&access)?[0])
+        Ok(self.global_load(&WarpAccess::run(0, 1, ptr.addr()))?[0])
     }
 
     /// Single-lane global store.
     pub fn write_word(&mut self, ptr: DevicePtr, value: u32) -> Result<(), GpuError> {
-        let access = WarpAccess::from_lanes([(0usize, ptr.addr())]);
         let mut vals = [0u32; WARP_SIZE];
         vals[0] = value;
-        self.global_store(&access, &vals)
+        self.global_store(&WarpAccess::run(0, 1, ptr.addr()), &vals)
     }
 
     /// Counters accumulated so far (mainly for tests).

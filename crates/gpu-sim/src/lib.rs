@@ -59,5 +59,5 @@ pub use memory::{DevicePtr, MemoryStats};
 pub use stats::LaunchStats;
 pub use texture::TexRef;
 pub use timing::TimingModel;
-pub use warp::{WarpAccess, WARP_SIZE};
+pub use warp::{lane_bits, lanes_in, WarpAccess, WARP_SIZE};
 pub use xfer::{crc32, crc32_words, TransferModel, TransferStats};

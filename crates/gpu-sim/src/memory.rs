@@ -140,6 +140,8 @@ pub struct MemorySystem {
     l2: Option<Cache>,
     tex: Vec<Cache>,
     tex_l2: Option<Cache>,
+    /// Instruction, transaction and DRAM-byte counters only; the four cache
+    /// aggregates stay zero here and are summed in [`MemorySystem::stats`].
     stats: MemoryStats,
     epoch: u64,
 }
@@ -327,12 +329,7 @@ impl MemorySystem {
         self.stats.load_instructions += 1;
         self.stats.load_transactions += cost.transactions as u64;
         self.stats.dram_read_bytes += cost.dram_bytes as u64;
-        self.sync_cache_stats();
-        let mut out = [0u32; WARP_SIZE];
-        for (lane, addr) in access.iter_active() {
-            out[lane] = self.data[addr];
-        }
-        Ok((out, cost))
+        Ok((access.load_from(&self.data), cost))
     }
 
     /// Warp-collective global store on SM `sm`.
@@ -361,10 +358,7 @@ impl MemorySystem {
         self.stats.store_instructions += 1;
         self.stats.store_transactions += cost.transactions as u64;
         self.stats.dram_write_bytes += cost.dram_bytes as u64;
-        self.sync_cache_stats();
-        for (lane, addr) in access.iter_active() {
-            self.data[addr] = values[lane];
-        }
+        access.store_to(&mut self.data, values);
         Ok(cost)
     }
 
@@ -413,32 +407,27 @@ impl MemorySystem {
         self.stats.tex_instructions += 1;
         self.stats.tex_transactions += cost.transactions as u64;
         self.stats.tex_dram_bytes += cost.dram_bytes as u64;
-        self.sync_cache_stats();
-        let mut out = [0u32; WARP_SIZE];
-        for (lane, addr) in access.iter_active() {
-            out[lane] = self.data[addr];
-        }
-        Ok((out, cost))
+        Ok((access.load_from(&self.data), cost))
     }
 
-    fn sync_cache_stats(&mut self) {
-        let mut l1 = CacheStats::default();
-        for c in &self.l1 {
-            l1.merge(&c.stats());
-        }
-        self.stats.l1 = l1;
-        self.stats.l2 = self.l2.as_ref().map(|c| c.stats()).unwrap_or_default();
-        let mut tex = CacheStats::default();
-        for c in &self.tex {
-            tex.merge(&c.stats());
-        }
-        self.stats.tex_cache = tex;
-        self.stats.tex_l2_stats = self.tex_l2.as_ref().map(|c| c.stats()).unwrap_or_default();
-    }
-
-    /// Cumulative counters.
+    /// Cumulative counters. The per-cache aggregates are summed here, from
+    /// the caches' own counters, rather than kept current per access.
     pub fn stats(&self) -> MemoryStats {
-        self.stats
+        let sum = |caches: &[Cache]| {
+            let mut total = CacheStats::default();
+            for c in caches {
+                total.merge(&c.stats());
+            }
+            total
+        };
+        let one = |cache: &Option<Cache>| cache.as_ref().map(Cache::stats).unwrap_or_default();
+        MemoryStats {
+            l1: sum(&self.l1),
+            l2: one(&self.l2),
+            tex_cache: sum(&self.tex),
+            tex_l2_stats: one(&self.tex_l2),
+            ..self.stats
+        }
     }
 }
 

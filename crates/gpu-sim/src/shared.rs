@@ -43,29 +43,8 @@ impl SharedMem {
         self.data.len()
     }
 
-    /// Serialization factor of one warp access: the maximum, over banks, of
-    /// the number of *distinct* addresses hitting that bank.
-    fn conflict_degree(&self, access: &WarpAccess) -> u32 {
-        let mut max_degree = 0u32;
-        // For <= 32 lanes a quadratic scan beats allocating bank maps.
-        for (lane, addr) in access.iter_active() {
-            let bank = addr % self.banks;
-            let mut degree = 1u32;
-            for (other_lane, other_addr) in access.iter_active() {
-                if other_lane >= lane {
-                    break;
-                }
-                if other_addr % self.banks == bank && other_addr != addr {
-                    degree += 1;
-                }
-            }
-            max_degree = max_degree.max(degree);
-        }
-        max_degree.max(1)
-    }
-
     fn account(&mut self, access: &WarpAccess) -> u32 {
-        let degree = self.conflict_degree(access);
+        let degree = access.bank_conflict_degree(self.banks);
         self.stats.instructions += 1;
         self.stats.bank_cycles += degree as u64;
         if degree > 1 {
@@ -81,21 +60,13 @@ impl SharedMem {
     /// moral equivalent of a CUDA shared-memory overrun, and tests rely on
     /// it being loud.
     pub fn warp_load(&mut self, access: &WarpAccess) -> ([u32; WARP_SIZE], u32) {
-        let cycles = self.account(access);
-        let mut out = [0u32; WARP_SIZE];
-        for (lane, addr) in access.iter_active() {
-            out[lane] = self.data[addr];
-        }
-        (out, cycles)
+        (access.load_from(&self.data), self.account(access))
     }
 
     /// Warp-collective store. Returns serialization cycles.
     pub fn warp_store(&mut self, access: &WarpAccess, values: &[u32; WARP_SIZE]) -> u32 {
-        let cycles = self.account(access);
-        for (lane, addr) in access.iter_active() {
-            self.data[addr] = values[lane];
-        }
-        cycles
+        access.store_to(&mut self.data, values);
+        self.account(access)
     }
 
     /// Counters accumulated so far.

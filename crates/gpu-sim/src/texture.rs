@@ -6,6 +6,7 @@
 //! through [`crate::kernel::BlockCtx::tex_load`].
 
 use crate::memory::DevicePtr;
+use std::ops::Range;
 
 /// A texture binding over `[base, base + words)` of global memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,9 +38,15 @@ impl TexRef {
         self.words
     }
 
+    /// The bound (absolute) word addresses.
+    #[inline]
+    pub fn span(&self) -> Range<usize> {
+        self.base.addr()..self.base.addr() + self.words
+    }
+
     /// True when `addr` (absolute) is inside the binding.
     pub fn contains(&self, addr: usize) -> bool {
-        addr >= self.base.addr() && addr < self.base.addr() + self.words
+        self.span().contains(&addr)
     }
 }
 

@@ -1,8 +1,12 @@
 //! Property-based tests for the device simulator's invariants.
 
-use gpu_sim::memory::LINE_WORDS;
-use gpu_sim::{Cache, CacheConfig, DeviceSpec, GpuDevice, WarpAccess, WARP_SIZE};
+use gpu_sim::memory::{MemoryStats, MemorySystem, LINE_WORDS, TEX_SEGMENT_WORDS};
+use gpu_sim::{
+    Cache, CacheConfig, CacheStats, DeviceSpec, GpuDevice, GpuError, TexRef, WarpAccess, WARP_SIZE,
+};
 use proptest::prelude::*;
+use proptest::TestRng;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn warp_access(max_addr: usize) -> impl Strategy<Value = WarpAccess> {
     proptest::collection::vec((0usize..WARP_SIZE, 0usize..max_addr), 0..=WARP_SIZE)
@@ -135,5 +139,347 @@ proptest! {
         let max = blocks.iter().cloned().fold(0.0, f64::max);
         prop_assert!(t + 1e-9 >= total / spec.sm_count as f64);
         prop_assert!(t + 1e-9 >= max);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shape-mixing differential tests: the simulator analyses a warp access
+// by its shape (run or gather); the lane-by-lane analysis it replaced is
+// kept here as the oracle. Every case is rebuilt from one `u64`, printed
+// by each assertion, because the proptest shim does not shrink.
+// ---------------------------------------------------------------------
+
+/// Words of device memory the cases address (some shapes overrun it).
+const MEM_WORDS: usize = 1 << 16;
+
+/// The oracle: one address per lane under a mask, analysed lane by lane.
+#[derive(Clone)]
+struct RefAccess {
+    mask: u32,
+    addr: [usize; WARP_SIZE],
+}
+
+impl RefAccess {
+    fn active(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..WARP_SIZE)
+            .filter(|&l| self.mask & (1 << l) != 0)
+            .map(|l| (l, self.addr[l]))
+    }
+
+    /// Distinct lines in first-appearance order, by linear scan.
+    fn lines(&self, line_words: usize) -> Vec<usize> {
+        let mut lines = Vec::new();
+        for (_, addr) in self.active() {
+            if !lines.contains(&(addr / line_words)) {
+                lines.push(addr / line_words);
+            }
+        }
+        lines
+    }
+
+    /// Most distinct addresses on one bank (1 when empty): the module
+    /// doc's definition, computed the slow way.
+    fn conflict_degree(&self, banks: usize) -> u32 {
+        let mut per_bank: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+        for (_, addr) in self.active() {
+            per_bank.entry(addr % banks).or_default().insert(addr);
+        }
+        per_bank.values().map(|a| a.len() as u32).max().unwrap_or(1)
+    }
+}
+
+/// One access of a seeded shape, built both ways.
+fn shaped_access(seed: u64) -> (WarpAccess, RefAccess) {
+    let mut rng = TestRng::deterministic(&format!("shape {seed}"));
+    let lanes = 1 + rng.below(WARP_SIZE);
+    let first = rng.below(WARP_SIZE - lanes + 1);
+    let base = rng.below(MEM_WORDS - 2048);
+    // `(lane, addr)` in the order the lanes are set; a later pair wins.
+    let mut sets: Vec<(usize, usize)> = Vec::new();
+    let mut direct = None; // the same access through a run constructor
+    match rng.below(12) {
+        0 => {
+            let aligned = base / LINE_WORDS * LINE_WORDS;
+            sets.extend((0..WARP_SIZE).map(|l| (l, aligned + l)));
+            direct = Some(WarpAccess::contiguous(aligned));
+        }
+        1 => {
+            sets.extend((first..first + lanes).map(|l| (l, base + l - first)));
+            direct = Some(WarpAccess::run(first, lanes, base));
+        }
+        2 => {
+            // A run with holes.
+            let mask = (rng.next_u64() as u32) | (1 << rng.below(WARP_SIZE));
+            sets.extend(
+                (0..WARP_SIZE)
+                    .filter(|l| mask & (1 << l) != 0)
+                    .map(|l| (l, base + l)),
+            );
+            direct = Some(WarpAccess::run_masked(mask, base));
+        }
+        3 => {
+            // A run whose lanes are set in a scrambled order.
+            sets.extend((first..first + lanes).map(|l| (l, base + l)));
+            for i in (1..sets.len()).rev() {
+                sets.swap(i, rng.below(i + 1));
+            }
+        }
+        4 => {
+            let stride = [0, 2, 4, 32][rng.below(4)];
+            sets.extend((first..first + lanes).map(|l| (l, base + l * stride)));
+        }
+        5 => sets.extend((first..first + lanes).map(|l| (l, base + WARP_SIZE - l))),
+        6 => sets.extend((first..first + lanes).map(|l| (l, base + l / 4))),
+        7 => {
+            // Lanes set twice: to the same address, or off the run.
+            sets.extend((first..first + lanes).map(|l| (l, base + l)));
+            for _ in 0..1 + rng.below(3) {
+                let l = first + rng.below(lanes);
+                sets.push((l, base + l + [0, 0, 1, 700][rng.below(4)]));
+            }
+        }
+        8 => sets.push((first, base)),
+        9 => {}
+        10 => {
+            // A random gather inside a few lines.
+            sets.extend((0..lanes).map(|_| (rng.below(WARP_SIZE), base + rng.below(512))));
+        }
+        _ => {
+            // A random gather over (and sometimes past) the whole memory.
+            sets.extend((0..lanes).map(|_| (rng.below(WARP_SIZE), rng.below(MEM_WORDS + 64))));
+        }
+    }
+    let mut oracle = RefAccess {
+        mask: 0,
+        addr: [0; WARP_SIZE],
+    };
+    for &(lane, addr) in &sets {
+        oracle.mask |= 1 << lane;
+        oracle.addr[lane] = addr;
+    }
+    let built = WarpAccess::from_lanes(sets);
+    if let Some(direct) = direct {
+        assert!(
+            direct.iter_active().eq(built.iter_active()),
+            "seed {seed:#x}: constructor and `set` disagree"
+        );
+        return (direct, oracle);
+    }
+    (built, oracle)
+}
+
+/// The memory system as it was: lane-by-lane analysis, every per-cache
+/// aggregate re-summed after each access.
+struct RefSystem {
+    data: Vec<u32>,
+    l1: Vec<Cache>,
+    l2: Option<Cache>,
+    tex: Vec<Cache>,
+    tex_l2: Option<Cache>,
+    stats: MemoryStats,
+}
+
+impl RefSystem {
+    fn new(spec: &DeviceSpec) -> Self {
+        let per_sm = |cfg: Option<CacheConfig>| -> Vec<Cache> {
+            cfg.map(|c| (0..spec.sm_count).map(|_| Cache::new(c)).collect())
+                .unwrap_or_default()
+        };
+        Self {
+            data: vec![0; MEM_WORDS],
+            l1: per_sm(spec.l1),
+            l2: spec.l2.map(Cache::new),
+            tex: per_sm(spec.tex_cache),
+            tex_l2: spec.tex_l2.map(Cache::new),
+            stats: MemoryStats::default(),
+        }
+    }
+
+    fn check(&self, a: &RefAccess) -> Result<(), GpuError> {
+        match a.active().map(|(_, addr)| addr).max() {
+            Some(addr) if addr >= self.data.len() => Err(GpuError::BadAccess {
+                addr,
+                mem_words: self.data.len(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    fn sync(&mut self) {
+        let sum = |caches: &[Cache]| {
+            let mut total = CacheStats::default();
+            caches.iter().for_each(|c| total.merge(&c.stats()));
+            total
+        };
+        self.stats.l1 = sum(&self.l1);
+        self.stats.tex_cache = sum(&self.tex);
+        self.stats.l2 = self.l2.as_ref().map(Cache::stats).unwrap_or_default();
+        self.stats.tex_l2_stats = self.tex_l2.as_ref().map(Cache::stats).unwrap_or_default();
+    }
+
+    fn read(&self, a: &RefAccess) -> [u32; WARP_SIZE] {
+        let mut out = [0; WARP_SIZE];
+        a.active()
+            .for_each(|(lane, addr)| out[lane] = self.data[addr]);
+        out
+    }
+
+    fn load(&mut self, sm: usize, a: &RefAccess) -> Result<[u32; WARP_SIZE], GpuError> {
+        self.check(a)?;
+        let lines = a.lines(LINE_WORDS);
+        self.stats.load_instructions += 1;
+        self.stats.load_transactions += lines.len() as u64;
+        for line in lines {
+            let l1_hit = self.l1.get_mut(sm).is_some_and(|c| c.access(line));
+            if !l1_hit && !self.l2.as_mut().is_some_and(|c| c.access(line)) {
+                self.stats.dram_read_bytes += 128;
+            }
+        }
+        self.sync();
+        Ok(self.read(a))
+    }
+
+    fn store(&mut self, a: &RefAccess, values: &[u32; WARP_SIZE]) -> Result<(), GpuError> {
+        self.check(a)?;
+        let lines = a.lines(LINE_WORDS);
+        self.stats.store_instructions += 1;
+        self.stats.store_transactions += lines.len() as u64;
+        for line in lines {
+            if let Some(l2) = &mut self.l2 {
+                l2.access(line);
+            }
+            self.stats.dram_write_bytes += 128;
+        }
+        self.sync();
+        a.active()
+            .for_each(|(lane, addr)| self.data[addr] = values[lane]);
+        Ok(())
+    }
+
+    fn tex_load(&mut self, sm: usize, a: &RefAccess) -> Result<[u32; WARP_SIZE], GpuError> {
+        self.check(a)?;
+        let lines = a.lines(TEX_SEGMENT_WORDS);
+        self.stats.tex_instructions += 1;
+        self.stats.tex_transactions += lines.len() as u64;
+        for line in lines {
+            if self.tex.get_mut(sm).is_some_and(|c| c.access(line)) {
+                continue;
+            }
+            let second_hit = if let Some(t2) = &mut self.tex_l2 {
+                t2.access(line)
+            } else if let Some(l2) = &mut self.l2 {
+                l2.access(line * TEX_SEGMENT_WORDS / LINE_WORDS)
+            } else {
+                false
+            };
+            if !second_hit {
+                self.stats.tex_dram_bytes += 32;
+            }
+        }
+        self.sync();
+        Ok(self.read(a))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn shaped_analysis_matches_the_lane_walk(seed in any::<u64>()) {
+        let (access, oracle) = shaped_access(seed);
+        prop_assert!(access.iter_active().eq(oracle.active()), "seed {seed:#x}: lanes");
+        prop_assert_eq!(access.active_lanes(), oracle.mask.count_ones(), "seed {seed:#x}");
+        for line_words in [LINE_WORDS, TEX_SEGMENT_WORDS] {
+            let lines: Vec<usize> = access.distinct_lines(line_words).iter().collect();
+            prop_assert_eq!(
+                lines,
+                oracle.lines(line_words),
+                "seed {seed:#x}: {line_words}-word lines, order included"
+            );
+        }
+        for banks in [16, 32] {
+            prop_assert_eq!(
+                access.bank_conflict_degree(banks),
+                oracle.conflict_degree(banks),
+                "seed {seed:#x}: degree over {banks} banks"
+            );
+        }
+        prop_assert_eq!(
+            access.max_addr(),
+            oracle.active().map(|(_, a)| a).max(),
+            "seed {seed:#x}: bounds"
+        );
+        // Texture-binding verdict, reported address included, for a
+        // binding that cuts the access at either end or holds all of it.
+        let mut rng = TestRng::deterministic(&format!("binding {seed}"));
+        let tex = TexRef::new(
+            gpu_sim::DevicePtr(rng.below(MEM_WORDS)),
+            [16, 600, MEM_WORDS][rng.below(3)],
+        );
+        prop_assert_eq!(
+            access.first_outside(tex.span()),
+            oracle.active().map(|(_, a)| a).find(|&a| !tex.contains(a)),
+            "seed {seed:#x}: binding {tex:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn memory_system_matches_the_eager_reference(seed in any::<u64>()) {
+        let mut rng = TestRng::deterministic(&format!("system {seed}"));
+        // Three SMs; caches shrunk so that lines are evicted and every
+        // later hit depends on the order the earlier lines arrived in.
+        let mut spec = [
+            DeviceSpec::tesla_c1060(),
+            DeviceSpec::tesla_c2050(),
+            DeviceSpec::tesla_c2050_caches_off(),
+        ][rng.below(3)]
+        .clone();
+        spec.sm_count = 3;
+        let caches = [&mut spec.l1, &mut spec.l2, &mut spec.tex_cache, &mut spec.tex_l2];
+        for cfg in caches.into_iter().flatten() {
+            cfg.capacity_bytes = cfg.capacity_bytes.min(4 * 1024);
+        }
+        let mut mem = MemorySystem::new(&spec);
+        mem.alloc(MEM_WORDS).unwrap();
+        let mut oracle = RefSystem::new(&spec);
+        let mut snapshot = (mem.stats(), oracle.stats);
+        for step in 0..48 {
+            let (access, lanes) = shaped_access(rng.next_u64());
+            let sm = rng.below(3);
+            let at = format!("seed {seed:#x}, step {step}");
+            match rng.below(3) {
+                0 => {
+                    let got = mem.warp_load(sm, &access).map(|(words, _)| words);
+                    prop_assert_eq!(got, oracle.load(sm, &lanes), "{at}: load");
+                }
+                1 => {
+                    let values: [u32; WARP_SIZE] = std::array::from_fn(|_| rng.next_u64() as u32);
+                    let got = mem.warp_store(sm, &access, &values).map(|_| ());
+                    prop_assert_eq!(got, oracle.store(&lanes, &values), "{at}: store");
+                }
+                _ => {
+                    let got = mem.warp_tex_load(sm, &access).map(|(words, _)| words);
+                    prop_assert_eq!(got, oracle.tex_load(sm, &lanes), "{at}: texture fetch");
+                }
+            }
+            prop_assert_eq!(mem.stats(), oracle.stats, "{at}: stats");
+            prop_assert_eq!(
+                mem.stats().since(&snapshot.0),
+                oracle.stats.since(&snapshot.1),
+                "{at}: stats since the last snapshot"
+            );
+            if rng.below(8) == 0 {
+                snapshot = (mem.stats(), oracle.stats);
+            }
+        }
+        prop_assert_eq!(
+            mem.host_read(gpu_sim::DevicePtr(0), MEM_WORDS).unwrap(),
+            &oracle.data[..],
+            "seed {seed:#x}: stored words"
+        );
     }
 }

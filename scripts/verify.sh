@@ -13,11 +13,17 @@ cargo build --release --offline --workspace --examples
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --workspace
 
-# The paper-claims regression suite and the crash matrix, named
-# explicitly so a workspace filter can never silently drop them (see
-# EXPERIMENTS.md).
+# The paper-claims regression suite, the crash matrix and the simulator's
+# safety net (both pinned count digests, the cross-cutting invariants and
+# the shape-mixing differential proptests), named explicitly so a
+# workspace filter can never silently drop them (see EXPERIMENTS.md).
+# Every one of them is bound by gpu-sim's host speed, so the step's wall
+# time is printed: the first place that speed shows outside benchmark/.
+named_t0=$SECONDS
 cargo test -q --offline --test paper_claims --test observability --test differential \
-  --test crash_matrix
+  --test crash_matrix --test device_opt --test simulator_invariants
+cargo test -q --offline -p gpu-sim --test proptests
+echo "verify: named simulator suites took $((SECONDS - named_t0)) s"
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
