@@ -28,8 +28,29 @@ pub(crate) struct WarpRegs {
     pub best: [i32; WARP_SIZE],
 }
 
+/// Runs `body` — one call to an `#[inline(always)]` function — in a copy
+/// compiled for AVX2 on a host that reports it, so that its 32-lane loops
+/// take 8 lanes (4 addresses) an instruction; any other host runs the same
+/// body compiled for the baseline. Not for [`WarpRegs::step`], whose
+/// references must arrive as parameters for it to vectorize at all.
+#[inline(always)]
+pub(crate) fn with_avx2<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        unsafe fn enabled<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU reports AVX2, all `enabled` asks for.
+            return unsafe { enabled(body) };
+        }
+    }
+    body()
+}
+
 /// All-ones for the lanes in `mask`, zero for the others.
-#[inline]
+#[inline(always)]
 fn lane_select(mask: u32) -> [i32; WARP_SIZE] {
     std::array::from_fn(|lane| -i32::from(mask & (1 << lane) != 0))
 }
@@ -61,11 +82,48 @@ impl WarpRegs {
     /// a row's mask keep every register. Returns `F` below each lane's
     /// last row.
     ///
-    /// Kept out of line on purpose: inlined into a kernel's frame the lane
-    /// loops lose the no-alias facts of these parameters and stay scalar
-    /// (measured on the inter-task kernel: 5,300 against 870 cycles a column).
+    /// One body, compiled here for the baseline and in
+    /// [`WarpRegs::step_avx2`] for a host that reports AVX2; integer
+    /// arithmetic, so the two cannot differ. Kept out of line on purpose:
+    /// inlined into a kernel's frame the lane loops lose the no-alias facts
+    /// of these parameters and stay scalar (measured on the inter-task
+    /// kernel: 5,300 against 870 cycles a column).
     #[inline(never)]
     pub fn step(
+        &mut self,
+        gaps: GapPenalties,
+        rows: &[u32],
+        scores: &[[u32; WARP_SIZE]; MAX_ROWS / 4],
+        top_h: &[u32; WARP_SIZE],
+        top_f: &[u32; WARP_SIZE],
+    ) -> [u32; WARP_SIZE] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU reports AVX2, all `step_avx2` asks for.
+            return unsafe { self.step_avx2(gaps, rows, scores, top_h, top_f) };
+        }
+        self.step_body(gaps, rows, scores, top_h, top_f)
+    }
+
+    /// [`WarpRegs::step`] with eight lanes and one `max` an instruction.
+    ///
+    /// # Safety
+    /// The executing CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn step_avx2(
+        &mut self,
+        gaps: GapPenalties,
+        rows: &[u32],
+        scores: &[[u32; WARP_SIZE]; MAX_ROWS / 4],
+        top_h: &[u32; WARP_SIZE],
+        top_f: &[u32; WARP_SIZE],
+    ) -> [u32; WARP_SIZE] {
+        self.step_body(gaps, rows, scores, top_h, top_f)
+    }
+
+    #[inline(always)]
+    fn step_body(
         &mut self,
         gaps: GapPenalties,
         rows: &[u32],
@@ -102,5 +160,70 @@ impl WarpRegs {
             self.diag[l] = (top_h[l] as i32 & keep[l]) | (self.diag[l] & !keep[l]);
         }
         f.map(|f| f as u32)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Whether every register of two warps is equal.
+    fn same(a: &WarpRegs, b: &WarpRegs) -> bool {
+        a.h_left == b.h_left && a.e_left == b.e_left && a.diag == b.diag && a.best == b.best
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn both_instantiations_of_step_agree() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: no AVX2 on this host, `step` has one instantiation here");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x57E9);
+        let mut pick = |n: usize| rng.gen_range(0..n);
+        let (mut base, mut wide) = (WarpRegs::new(), WarpRegs::new());
+        for col in 0..4_000 {
+            let gaps = GapPenalties {
+                open: 4 + pick(16) as i32,
+                extend: pick(4) as i32,
+            };
+            // 1..=8 rows; the first mask has holes, each later row owns a
+            // subset of the row above (often all of it).
+            let mut rows = [0u32; MAX_ROWS];
+            let mut mask = (pick(1 << 32) | pick(1 << 32)) as u32;
+            for row in &mut rows {
+                *row = mask;
+                mask &= [u32::MAX, u32::MAX, pick(1 << 32) as u32, 0][pick(4)];
+            }
+            let rows = &rows[..1 + pick(MAX_ROWS)];
+            // Score bytes over the whole `i8` range, ±127 and -128 forced in.
+            let mut scores = [[0u32; WARP_SIZE]; MAX_ROWS / 4];
+            for word in scores.iter_mut().flatten() {
+                *word = pick(1 << 32) as u32 | [0, 0x7f, 0x8100, 0x80_0000][pick(4)];
+            }
+            // The row above: real scores, zeros, or the `NEG` of a table edge.
+            let mut top_h = [0u32; WARP_SIZE];
+            let mut top_f = [NEG as u32; WARP_SIZE];
+            for lane in 0..WARP_SIZE {
+                top_h[lane] = [0, pick(1 << 20) as u32, NEG as u32][pick(3)];
+                if pick(2) == 0 {
+                    top_f[lane] = (pick(1 << 20) as i32 - (1 << 19)) as u32;
+                }
+            }
+            if col % 257 == 0 {
+                base.start_strip();
+                wide.start_strip();
+            }
+            let f_base = base.step_body(gaps, rows, &scores, &top_h, &top_f);
+            // SAFETY: AVX2 was detected above.
+            let f_wide = unsafe { wide.step_avx2(gaps, rows, &scores, &top_h, &top_f) };
+            assert!(f_base == f_wide && same(&base, &wide), "column {col}");
+        }
+        assert!(
+            base.best.iter().any(|&b| b > 0),
+            "the columns scored nothing"
+        );
     }
 }

@@ -35,12 +35,10 @@
 //! seam are exactly the registers the baseline carries.
 
 #![allow(clippy::needless_range_loop)] // lane loops mirror SIMT semantics
-use crate::column::{WarpRegs, NEG};
+use crate::column::{with_avx2, WarpRegs, NEG};
 use crate::seqstore::{unpack_residue, GroupImage, ProfileImage};
 use crate::CELL_INSTRUCTIONS;
-use gpu_sim::{
-    lanes_in, BlockCtx, BlockKernel, DevicePtr, GpuError, LaunchConfig, WarpAccess, WARP_SIZE,
-};
+use gpu_sim::{BlockCtx, BlockKernel, DevicePtr, GpuError, LaunchConfig, WarpAccess, WARP_SIZE};
 use sw_align::GapPenalties;
 
 /// Rows per register tile.
@@ -245,7 +243,7 @@ impl<'a> InterTaskKernel<'a> {
                         in_shared: self.panel_mode(),
                         cols,
                     };
-                    self.run_tile(ctx, args, &mut lanes)?;
+                    with_avx2(|| self.run_tile(ctx, args, &mut lanes))?;
                 }
                 if let (Some(edge), true) = (edge, tile1 < max_tiles) {
                     self.store_edge(ctx, edge, r, g0, &mut lanes)?;
@@ -294,6 +292,7 @@ impl<'a> InterTaskKernel<'a> {
     }
 
     /// One 8×4 tile for every active lane of a warp.
+    #[inline(always)]
     fn run_tile(
         &self,
         ctx: &mut BlockCtx<'_>,
@@ -356,20 +355,18 @@ impl<'a> InterTaskKernel<'a> {
         let mut bottom_f = [[0u32; WARP_SIZE]; TILE_COLS];
         for c in (0..TILE_COLS).filter(|&c| cols[c] != 0) {
             // Texture fetch: up to two packed-profile words cover the 8
-            // rows of this column.
-            let mut tex_lo = WarpAccess::empty();
-            let mut tex_hi = WarpAccess::empty();
-            for lane in lanes_in(cols[c]) {
+            // rows of this column. Every lane forms its addresses (from a
+            // zero word, outside the column); the mask picks the fetched.
+            let mut tex_lo = [0usize; WARP_SIZE];
+            let mut tex_hi = [0usize; WARP_SIZE];
+            for lane in 0..WARP_SIZE {
                 let d = unpack_residue(db_words[lane], c);
-                let w0 = self.profile.word_index(d, i0 / 4);
-                tex_lo.set(lane, self.profile.tex.addr(w0));
-                if rows_real > 4 {
-                    tex_hi.set(lane, self.profile.tex.addr(w0 + 1));
-                }
+                tex_lo[lane] = self.profile.tex.addr(self.profile.word_index(d, i0 / 4));
+                tex_hi[lane] = tex_lo[lane] + 1;
             }
-            let w_lo = ctx.tex_load(self.profile.tex, &tex_lo)?;
+            let w_lo = ctx.tex_load(self.profile.tex, &WarpAccess::gather(cols[c], tex_lo))?;
             let w_hi = if rows_real > 4 {
-                ctx.tex_load(self.profile.tex, &tex_hi)?
+                ctx.tex_load(self.profile.tex, &WarpAccess::gather(cols[c], tex_hi))?
             } else {
                 [0u32; WARP_SIZE]
             };

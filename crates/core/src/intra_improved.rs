@@ -22,7 +22,7 @@
 //! boundary in shared memory, continuous pipeline), so ablation benches
 //! can replay the paper's development story.
 
-use crate::column::{WarpRegs, MAX_ROWS, NEG};
+use crate::column::{with_avx2, WarpRegs, MAX_ROWS, NEG};
 use crate::intra_orig::IntraPair;
 use crate::seqstore::{unpack_residue, ProfileImage};
 use crate::CELL_INSTRUCTIONS;
@@ -295,7 +295,7 @@ impl ImprovedIntraKernel<'_> {
                         spill_base: self.local_spill.addr() + pair_idx * n_th * 2 * th,
                         writer: active_max - 1,
                     };
-                    self.run_step_warp(ctx, step, warp)?;
+                    with_avx2(|| self.run_step_warp(ctx, step, warp))?;
                 }
 
                 // Barrier per pipeline step; the continuous-pipeline
@@ -352,6 +352,7 @@ struct StepArgs<'p> {
 
 impl ImprovedIntraKernel<'_> {
     /// One pipeline step for the lanes of one warp.
+    #[inline(always)]
     fn run_step_warp(
         &self,
         ctx: &mut BlockCtx<'_>,
@@ -382,10 +383,13 @@ impl ImprovedIntraKernel<'_> {
         // global transactions).
         let fresh = mask & (0x1111_1111 << (a.s % 4));
         if fresh != 0 {
-            let acc = WarpAccess::from_lanes(
-                lanes_in(fresh).map(|lane| (lane, a.pair.tex.addr((a.s - a.t0 - lane) / 4))),
-            );
-            let words = ctx.tex_load(a.pair.tex, &acc)?;
+            // Lane `l` is on column `s - t0 - l` (wrapped, outside `fresh`).
+            let (base, col0) = (a.pair.tex.base().addr(), a.s - a.t0);
+            let mut addrs = [0usize; WARP_SIZE];
+            for (lane, addr) in addrs.iter_mut().enumerate() {
+                *addr = base.wrapping_add(col0.wrapping_sub(lane) / 4);
+            }
+            let words = ctx.tex_load(a.pair.tex, &WarpAccess::gather(fresh, addrs))?;
             for lane in lanes_in(fresh) {
                 warp.db_word[lane] = words[lane];
             }
@@ -438,16 +442,16 @@ impl ImprovedIntraKernel<'_> {
             if rows[row] == 0 {
                 continue;
             }
-            let acc = WarpAccess::from_lanes(lanes_in(rows[row]).map(|lane| {
+            // Every lane forms an address; only the row's are fetched.
+            let base = self.profile.tex.base().addr();
+            let mut addrs = [0usize; WARP_SIZE];
+            for (lane, addr) in addrs.iter_mut().enumerate() {
                 let t = a.t0 + lane;
-                let d = unpack_residue(warp.db_word[lane], (a.s - t) % 4);
+                let d = unpack_residue(warp.db_word[lane], a.s.wrapping_sub(t) % 4);
                 let i = a.i_base + t * th + row;
-                (
-                    lane,
-                    self.profile.tex.addr(self.profile.word_index(d, i / 4)),
-                )
-            }));
-            let words = ctx.tex_load(self.profile.tex, &acc)?;
+                *addr = base + self.profile.word_index(d, i / 4);
+            }
+            let words = ctx.tex_load(self.profile.tex, &WarpAccess::gather(rows[row], addrs))?;
             for lane in lanes_in(rows[row]) {
                 scores[row / 4][lane] = words[lane];
             }

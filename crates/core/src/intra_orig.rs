@@ -14,12 +14,12 @@
 //! depend on this step's stores, so a store→load round-trip latency is
 //! charged per step (`step_latency_cycles`).
 
-use crate::column::NEG;
+use crate::column::{with_avx2, NEG};
 use crate::seqstore::{unpack_residue, SeqImage};
 use crate::CELL_INSTRUCTIONS;
 use gpu_sim::{
-    BlockCtx, BlockKernel, DevicePtr, GpuDevice, GpuError, LaunchConfig, TexRef, WarpAccess,
-    WARP_SIZE,
+    lane_bits, BlockCtx, BlockKernel, DevicePtr, GpuDevice, GpuError, LaunchConfig, TexRef,
+    WarpAccess, WARP_SIZE,
 };
 use sw_align::{GapPenalties, ScoringMatrix};
 use sw_db::Sequence;
@@ -99,6 +99,7 @@ impl OriginalIntraKernel<'_> {
 
     /// One warp-wide slice of an anti-diagonal: rows `i0 .. i0+lanes`.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn run_chunk(
         &self,
         ctx: &mut BlockCtx<'_>,
@@ -112,12 +113,18 @@ impl OriginalIntraKernel<'_> {
         let (open, extend) = (self.gaps.open, self.gaps.extend);
 
         // Residues: packed query words over consecutive rows, packed
-        // database words over consecutive columns — both coalesce.
-        let q_acc = WarpAccess::from_lanes((0..lanes).map(|l| (l, self.query.addr((i0 + l) / 4))));
-        let d_acc =
-            WarpAccess::from_lanes((0..lanes).map(|l| (l, pair.tex.addr((d - i0 - l) / 4))));
-        let q_words = ctx.tex_load(self.query, &q_acc)?;
-        let d_words = ctx.tex_load(pair.tex, &d_acc)?;
+        // database words over consecutive columns — both coalesce. Lanes
+        // past the chunk form (wrapped) addresses too, outside the mask.
+        let chunk = lane_bits(0, lanes - 1);
+        let (q_base, d_base) = (self.query.base().addr(), pair.tex.base().addr());
+        let mut q_acc = [0usize; WARP_SIZE];
+        let mut d_acc = [0usize; WARP_SIZE];
+        for lane in 0..WARP_SIZE {
+            q_acc[lane] = q_base + (i0 + lane) / 4;
+            d_acc[lane] = d_base.wrapping_add((d - i0).wrapping_sub(lane) / 4);
+        }
+        let q_words = ctx.tex_load(self.query, &WarpAccess::gather(chunk, q_acc))?;
+        let d_words = ctx.tex_load(pair.tex, &WarpAccess::gather(chunk, d_acc))?;
 
         // Five wavefront loads: H(d-1)[i], E(d-1)[i], H(d-1)[i-1],
         // F(d-1)[i-1], H(d-2)[i-1]. Row 0 has no row above it.
@@ -144,15 +151,13 @@ impl OriginalIntraKernel<'_> {
             // Column 0 is on this chunk: row `d`.
             (v_h_left[lane], v_e_left[lane], v_h_diag[lane]) = (0, NEG as u32, 0);
         }
-        let w: [i32; WARP_SIZE] = std::array::from_fn(|lane| {
-            if lane >= lanes {
-                return 0;
-            }
+        let mut w = [0i32; WARP_SIZE];
+        for lane in 0..lanes {
             let (i, j) = (i0 + lane, d - i0 - lane);
             let q_res = unpack_residue(q_words[lane], i % 4);
             let d_res = unpack_residue(d_words[lane], j % 4);
-            self.matrix.score(q_res, d_res)
-        });
+            w[lane] = self.matrix.score(q_res, d_res);
+        }
 
         // All 32 lanes, branch-free: a lane past the chunk computes H = 0
         // from the zeros it loaded and is not stored.
@@ -224,7 +229,7 @@ impl BlockKernel for OriginalIntraKernel<'_> {
             let mut chunk = i_lo;
             while chunk <= i_hi {
                 let lanes = WARP_SIZE.min(i_hi - chunk + 1);
-                self.run_chunk(ctx, pair, &bufs, d, chunk, lanes, &mut best)?;
+                with_avx2(|| self.run_chunk(ctx, pair, &bufs, d, chunk, lanes, &mut best))?;
                 chunk += WARP_SIZE;
             }
             ctx.syncthreads();

@@ -28,7 +28,8 @@ pub fn pack_residues(residues: &[u8]) -> Vec<u32> {
 /// Extract residue `k` (0..4) from a packed word.
 #[inline]
 pub fn unpack_residue(word: u32, k: usize) -> u8 {
-    word.to_le_bytes()[k]
+    debug_assert!(k < 4);
+    (word >> (8 * k)) as u8
 }
 
 /// An inter-task group staged on the device in interleaved layout.

@@ -125,38 +125,38 @@ impl CacheStats {
 pub struct Cache {
     enabled: bool,
     sets: usize,
+    /// `⌈2¹²⁸ / sets⌉` (wrapped to 0 for one set), see [`Cache::set_of`].
+    sets_reciprocal: u128,
     ways: usize,
-    /// `tags[set * ways + way]`; `usize::MAX` = invalid.
-    tags: Vec<usize>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
+    /// `slots[set * ways + way]` is the way's `(tag, stamp)` — the resident
+    /// line and the clock at its last touch — side by side, so that a probe
+    /// reads one stretch of host memory. An invalid way is [`INVALID`].
+    slots: Vec<(usize, u64)>,
     clock: u64,
     stats: CacheStats,
 }
 
+/// No line, and older than any touch (the clock starts at 1).
+const INVALID: (usize, u64) = (usize::MAX, 0);
+
 impl Cache {
     /// Build an enabled cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
-        Self {
-            enabled: true,
-            sets,
-            ways: config.ways,
-            tags: vec![usize::MAX; sets * config.ways],
-            stamps: vec![0; sets * config.ways],
-            clock: 0,
-            stats: CacheStats::default(),
-        }
+        Self::with_geometry(true, config.sets(), config.ways)
     }
 
     /// A cache that always misses (Figure 6's "caches turned off").
     pub fn disabled() -> Self {
+        Self::with_geometry(false, 1, 1)
+    }
+
+    fn with_geometry(enabled: bool, sets: usize, ways: usize) -> Self {
         Self {
-            enabled: false,
-            sets: 1,
-            ways: 1,
-            tags: vec![usize::MAX],
-            stamps: vec![0],
+            enabled,
+            sets,
+            sets_reciprocal: (u128::MAX / sets as u128).wrapping_add(1),
+            ways,
+            slots: vec![INVALID; sets * ways],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -167,6 +167,17 @@ impl Cache {
         self.enabled
     }
 
+    /// `line % sets` in four multiplies, no hardware divide (Lemire, Kaser
+    /// & Kurz 2019, "Faster remainder by direct computation"): the low 128
+    /// bits of `⌈2¹²⁸ / sets⌉ · line` are the fraction `line / sets` leaves,
+    /// and `sets` times that is the remainder, exact for all 64-bit inputs.
+    #[inline]
+    fn set_of(&self, line: usize) -> usize {
+        let fraction = self.sets_reciprocal.wrapping_mul(line as u128);
+        let sets = self.sets as u128;
+        (((fraction >> 64) * sets + ((fraction as u64 as u128 * sets) >> 64)) >> 64) as usize
+    }
+
     /// Access one line; returns `true` on hit. Misses allocate (LRU evict).
     pub fn access(&mut self, line: usize) -> bool {
         if !self.enabled {
@@ -174,29 +185,30 @@ impl Cache {
             return false;
         }
         self.clock += 1;
-        let set = line % self.sets;
-        let base = set * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
-        if let Some(way) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.clock;
+        let base = self.set_of(line) * self.ways;
+        let set = &mut self.slots[base..base + self.ways];
+        // A line is resident in at most one way, so the search compares
+        // every way and has no branch on which of them matched.
+        let mut hit = usize::MAX;
+        for (way, slot) in set.iter().enumerate() {
+            if slot.0 == line {
+                hit = way;
+            }
+        }
+        if let Some(slot) = set.get_mut(hit) {
+            slot.1 = self.clock;
             self.stats.hits += 1;
             return true;
         }
-        // Miss: evict the LRU way of this set.
+        // Miss: the first way with the oldest stamp, which is the first
+        // invalid way while there is one and the LRU way after.
         let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for way in 0..self.ways {
-            if self.tags[base + way] == usize::MAX {
-                victim = way;
-                break;
-            }
-            if self.stamps[base + way] < oldest {
-                oldest = self.stamps[base + way];
+        for (way, slot) in set.iter().enumerate() {
+            if slot.1 < set[victim].1 {
                 victim = way;
             }
         }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
+        set[victim] = (line, self.clock);
         self.stats.misses += 1;
         false
     }
@@ -208,9 +220,7 @@ impl Cache {
 
     /// Drop all resident lines but keep counters.
     pub fn invalidate(&mut self) {
-        for t in &mut self.tags {
-            *t = usize::MAX;
-        }
+        self.slots.fill(INVALID);
     }
 
     /// Reset counters but keep contents.

@@ -10,6 +10,7 @@
 //! than pattern-matching variants.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Where in the device pipeline a fault was raised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,6 +58,13 @@ pub enum GpuError {
         addr: usize,
         /// Size of the device memory in words.
         mem_words: usize,
+    },
+    /// A texture fetch left the binding it went through (above or below).
+    OutsideBinding {
+        /// Offending (absolute) word address.
+        addr: usize,
+        /// The bound word addresses.
+        binding: Range<usize>,
     },
     /// The launch configuration is not executable on this device.
     InvalidLaunch {
@@ -126,8 +134,8 @@ impl GpuError {
     /// every transient fault (retry), [`GpuError::OutOfMemory`]
     /// (re-chunk the working set) and [`GpuError::DeviceLost`] (fall back
     /// to another device or the CPU path). Host programming mistakes
-    /// (`BadAccess`, `InvalidLaunch`, `SizeMismatch`) are not recoverable:
-    /// retrying a wrong program cannot make it right.
+    /// (`BadAccess`, `OutsideBinding`, `InvalidLaunch`, `SizeMismatch`) are
+    /// not recoverable: retrying a wrong program cannot make it right.
     pub fn is_recoverable(&self) -> bool {
         self.is_transient() || matches!(self, GpuError::OutOfMemory { .. } | GpuError::DeviceLost)
     }
@@ -146,6 +154,11 @@ impl fmt::Display for GpuError {
             GpuError::BadAccess { addr, mem_words } => {
                 write!(f, "device access out of bounds: word {addr} >= {mem_words}")
             }
+            GpuError::OutsideBinding { addr, binding } => write!(
+                f,
+                "texture fetch outside its binding: word {addr} not in [{}, {})",
+                binding.start, binding.end
+            ),
             GpuError::InvalidLaunch { reason } => write!(f, "invalid launch: {reason}"),
             GpuError::SizeMismatch { expected, got } => {
                 write!(f, "size mismatch: expected {expected} words, got {got}")
@@ -253,6 +266,11 @@ mod tests {
             mem_words: 1
         }
         .is_recoverable());
+        assert!(!GpuError::OutsideBinding {
+            addr: 1,
+            binding: 2..3
+        }
+        .is_recoverable());
         assert!(!GpuError::InvalidLaunch {
             reason: "zero blocks".into()
         }
@@ -274,6 +292,10 @@ mod tests {
             GpuError::BadAccess {
                 addr: 0,
                 mem_words: 0,
+            },
+            GpuError::OutsideBinding {
+                addr: 0,
+                binding: 1..2,
             },
             GpuError::InvalidLaunch { reason: "r".into() },
             GpuError::SizeMismatch {

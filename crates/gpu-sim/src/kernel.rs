@@ -99,9 +99,9 @@ impl<'a> BlockCtx<'a> {
         access: &WarpAccess,
     ) -> Result<[u32; WARP_SIZE], GpuError> {
         if let Some(addr) = access.first_outside(tex.span()) {
-            return Err(GpuError::BadAccess {
+            return Err(GpuError::OutsideBinding {
                 addr,
-                mem_words: tex.words(),
+                binding: tex.span(),
             });
         }
         let (vals, cost) = self.mem.warp_tex_load(self.sm, access)?;
@@ -742,14 +742,12 @@ mod tests {
         fn run_block(&self, ctx: &mut BlockCtx<'_>) -> Result<(), GpuError> {
             let base = (ctx.block_idx * ctx.block_dim) as usize;
             for w in 0..ctx.warp_count() {
-                let mut access = WarpAccess::empty();
+                let t0 = w as usize * WARP_SIZE;
+                let lanes = WARP_SIZE.min(ctx.block_dim as usize - t0);
+                let access = WarpAccess::run(0, lanes, self.out.addr() + base + t0);
                 let mut vals = [0u32; WARP_SIZE];
-                for (lane, val) in vals.iter_mut().enumerate() {
-                    let tid = w as usize * WARP_SIZE + lane;
-                    if tid < ctx.block_dim as usize {
-                        access.set(lane, self.out.addr() + base + tid);
-                        *val = (base + tid) as u32;
-                    }
+                for (lane, val) in vals.iter_mut().enumerate().take(lanes) {
+                    *val = (base + t0 + lane) as u32;
                 }
                 ctx.charge(2); // index arithmetic
                 ctx.global_store(&access, &vals)?;
@@ -832,6 +830,68 @@ mod tests {
         assert_eq!(data, expected);
         assert_eq!(stats.totals.syncs, 1);
         assert_eq!(stats.shared.instructions, 2);
+    }
+
+    /// One texture fetch of `access` through `tex`.
+    struct Fetch {
+        tex: TexRef,
+        access: WarpAccess,
+    }
+
+    impl BlockKernel for Fetch {
+        fn config(&self) -> LaunchConfig {
+            LaunchConfig {
+                threads_per_block: 32,
+                regs_per_thread: 8,
+                shared_words: 0,
+            }
+        }
+
+        fn run_block(&self, ctx: &mut BlockCtx<'_>) -> Result<(), GpuError> {
+            ctx.tex_load(self.tex, &self.access).map(|_| ())
+        }
+    }
+
+    #[test]
+    fn fetch_outside_the_binding_names_its_span() {
+        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
+        let buf = dev.alloc(8192).unwrap();
+        let tex = dev.bind_texture(buf.offset(4096), 94);
+        let base = tex.base().addr();
+        let mut fetch = |first: usize| {
+            let access = WarpAccess::run(0, 8, first);
+            dev.launch(&Fetch { tex, access }, 1, "fetch")
+        };
+        fetch(base + 86).unwrap();
+        // Eight words from 90: the first one past the 94 bound is reported.
+        let over = fetch(base + 90).unwrap_err();
+        let binding = base..base + 94;
+        assert_eq!(
+            over,
+            GpuError::OutsideBinding {
+                addr: base + 94,
+                binding: binding.clone()
+            }
+        );
+        assert_eq!(
+            over.to_string(),
+            format!(
+                "texture fetch outside its binding: word {} not in [{base}, {})",
+                base + 94,
+                base + 94
+            )
+        );
+        // Below the binding but inside device memory: the same error (a
+        // "word >= size" message would state something false here).
+        let under = fetch(base - 3).unwrap_err();
+        assert_eq!(
+            under,
+            GpuError::OutsideBinding {
+                addr: base - 3,
+                binding
+            }
+        );
+        assert!(!under.is_transient() && !under.is_recoverable());
     }
 
     #[test]

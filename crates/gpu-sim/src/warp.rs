@@ -9,12 +9,14 @@
 //! so its bounds, its lines and (when the mask has no hole) its
 //! bank-conflict degree and its data movement are closed forms over the
 //! mask; a run with holes moves its words, and if it is wider than the
-//! banks counts its degree, lane by lane like a gather. Anything else is a
-//! **gather**, analysed by one walk over the active lanes. Every analysis
-//! lives in this module, and both shapes give the same answer for the same
-//! lane addresses: lines come out in first-appearance (lane) order, which
-//! the LRU caches downstream depend on, and the bank degree is a property
-//! of the address set alone.
+//! banks counts its degree, lane by lane like a gather. A **gather** is an
+//! address array under a mask, its span measured once when it is built and
+//! the rest analysed by one walk over the active lanes. The constructor
+//! picks the shape — a gather whose addresses happen to be consecutive
+//! stays a gather — and every analysis lives in this module, where both
+//! shapes give the same answer for the same lane addresses: lines come out
+//! in first-appearance (lane) order, which the LRU caches downstream depend
+//! on, and the bank degree is a property of the address set alone.
 
 use std::ops::Range;
 
@@ -38,7 +40,7 @@ enum Addrs {
     /// sit "below zero" when the low lanes are inactive.
     Run { lane0: usize },
     /// Word address per lane (meaningless for inactive lanes), with the
-    /// smallest and largest active address.
+    /// smallest and largest active address (of no lane: `usize::MAX`, 0).
     Gather {
         addrs: [usize; WARP_SIZE],
         lo: usize,
@@ -101,64 +103,37 @@ impl WarpAccess {
         Self::run_masked(u32::MAX, base)
     }
 
-    /// Activate lane `lane` with word address `addr`. The access stays a
-    /// run for as long as every lane set so far fits one; the first lane
-    /// that does not turns it into a gather for good.
+    /// The lanes of `mask` touching `addrs[lane]` each, in any pattern.
+    /// Entries of lanes outside the mask are never read as addresses and
+    /// may hold anything. The span is measured here, in one pass with no
+    /// branch on the mask or the addresses.
     #[inline]
-    pub fn set(&mut self, lane: usize, addr: usize) {
-        debug_assert!(lane < WARP_SIZE);
-        let fresh = !self.is_active(lane);
-        self.mask |= 1 << lane;
-        match &mut self.addrs {
-            Addrs::Gather { addrs, lo, hi } if fresh => {
-                addrs[lane] = addr;
-                (*lo, *hi) = ((*lo).min(addr), (*hi).max(addr));
-            }
-            _ => self.set_reshaping(lane, addr),
+    pub fn gather(mask: u32, addrs: [usize; WARP_SIZE]) -> Self {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for (lane, &addr) in addrs.iter().enumerate() {
+            // All-ones for an active lane: an inactive one offers the
+            // identity of each fold.
+            let active = ((mask >> lane) as usize & 1).wrapping_neg();
+            lo = lo.min(addr | !active);
+            hi = hi.max(addr & active);
+        }
+        Self {
+            mask,
+            addrs: Addrs::Gather { addrs, lo, hi },
         }
     }
 
-    /// [`WarpAccess::set`] where the lane may change the shape or shrink
-    /// the span: any lane of a run, an overwritten lane of a gather.
-    fn set_reshaping(&mut self, lane: usize, addr: usize) {
-        let mut addrs = match self.addrs {
-            Addrs::Run { .. } if self.mask == 1 << lane => {
-                self.addrs = Addrs::Run {
-                    lane0: addr.wrapping_sub(lane),
-                };
-                return;
-            }
-            Addrs::Run { lane0 } if lane0 == addr.wrapping_sub(lane) => return,
-            Addrs::Run { lane0 } => std::array::from_fn(|l| lane0.wrapping_add(l)),
-            Addrs::Gather { addrs, .. } => addrs,
-        };
-        addrs[lane] = addr;
-        self.addrs = Self::gather_of(self.mask, addrs);
-    }
-
-    /// A gather over the lanes of (non-empty) `mask`, its span measured.
-    fn gather_of(mask: u32, addrs: [usize; WARP_SIZE]) -> Addrs {
-        let active = || lanes_in(mask).map(|l| addrs[l]);
-        Addrs::Gather {
-            addrs,
-            lo: active().min().unwrap_or(0),
-            hi: active().max().unwrap_or(0),
-        }
-    }
-
-    /// Build an access from an iterator of `(lane, addr)` pairs.
+    /// Build a gather from an iterator of `(lane, addr)` pairs; a later
+    /// pair for the same lane replaces the earlier one.
     pub fn from_lanes(lanes: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut a = Self::empty();
+        let mut mask = 0;
+        let mut addrs = [0; WARP_SIZE];
         for (lane, addr) in lanes {
-            a.set(lane, addr);
+            debug_assert!(lane < WARP_SIZE);
+            mask |= 1 << lane;
+            addrs[lane] = addr;
         }
-        a
-    }
-
-    /// True when lane `lane` is active.
-    #[inline]
-    pub fn is_active(&self, lane: usize) -> bool {
-        self.mask & (1 << lane) != 0
+        Self::gather(mask, addrs)
     }
 
     /// Number of active lanes.
@@ -167,18 +142,19 @@ impl WarpAccess {
         self.mask.count_ones()
     }
 
+    /// The word address lane `lane` touches, if it is active.
+    #[inline]
+    fn addr_of(&self, lane: usize) -> usize {
+        match &self.addrs {
+            Addrs::Run { lane0 } => lane0.wrapping_add(lane),
+            Addrs::Gather { addrs, .. } => addrs[lane],
+        }
+    }
+
     /// Iterate active `(lane, addr)` pairs in lane order.
     #[inline]
     pub fn iter_active(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        lanes_in(self.mask).map(move |lane| {
-            (
-                lane,
-                match &self.addrs {
-                    Addrs::Run { lane0 } => lane0.wrapping_add(lane),
-                    Addrs::Gather { addrs, .. } => addrs[lane],
-                },
-            )
-        })
+        lanes_in(self.mask).map(move |lane| (lane, self.addr_of(lane)))
     }
 
     /// A non-empty run as `(first lane, last lane, lane0)`.
@@ -208,7 +184,7 @@ impl WarpAccess {
     #[inline]
     fn span(&self) -> Option<(usize, usize)> {
         match self.addrs {
-            Addrs::Gather { lo, hi, .. } => Some((lo, hi)),
+            Addrs::Gather { lo, hi, .. } => (self.mask != 0).then_some((lo, hi)),
             Addrs::Run { .. } => self
                 .as_run()
                 .map(|(first, last, lane0)| (lane0.wrapping_add(first), lane0.wrapping_add(last))),
@@ -220,54 +196,72 @@ impl WarpAccess {
     /// global-memory transactions this access costs on both GT200 (compute
     /// 1.3 coalescing rules for 4-byte words) and Fermi (128-byte cache
     /// lines), and the order the caches see them in.
+    ///
+    /// # Panics
+    /// Panics unless `line_words` is a power of two, as every line and
+    /// segment of the modelled hardware is: an address finds its line by a
+    /// shift, not a division per lane.
     #[inline]
-    pub fn distinct_lines(&self, line_words: usize) -> LineSet {
-        let Some((first, last, lane0)) = self.as_run() else {
-            return self.gathered_lines(line_words);
-        };
-        // Addresses ascend with the lane, so the lines do too; a line
-        // inside the span counts only if the mask has a lane on it.
-        let mut lines = LineSet::new();
-        let (lo, hi) = (lane0.wrapping_add(first), lane0.wrapping_add(last));
-        for line in lo / line_words..=hi / line_words {
-            let from = (line * line_words).max(lo).wrapping_sub(lane0);
-            let to = (line * line_words + line_words - 1)
-                .min(hi)
-                .wrapping_sub(lane0);
-            if self.mask & lane_bits(from, to) != 0 {
-                lines.push(line);
+    pub fn distinct_lines(&self, line_words: usize) -> LineSet<'_> {
+        assert!(line_words.is_power_of_two(), "line of {line_words} words");
+        let shift = line_words.trailing_zeros();
+        let mut first = 0;
+        if let Some((first_lane, last_lane, lane0)) = self.as_run() {
+            // Addresses ascend with the lane, so the lines do too; a line
+            // inside the span counts only if the mask has a lane on it.
+            let lo = lane0.wrapping_add(first_lane);
+            let hi = lane0.wrapping_add(last_lane);
+            for line in lo >> shift..=hi >> shift {
+                let from = (line << shift).max(lo).wrapping_sub(lane0);
+                let to = ((line << shift) + line_words - 1)
+                    .min(hi)
+                    .wrapping_sub(lane0);
+                let on_line = self.mask & lane_bits(from, to);
+                first |= on_line & on_line.wrapping_neg();
             }
+        } else if let Some((lo, hi)) = self.span() {
+            first = self.first_touches(shift, lo >> shift, hi >> shift);
         }
-        lines
+        LineSet {
+            access: self,
+            shift,
+            first,
+        }
     }
 
-    /// [`WarpAccess::distinct_lines`] by one walk over the active lanes.
-    fn gathered_lines(&self, line_words: usize) -> LineSet {
-        let Some((lo, hi)) = self.span() else {
-            return LineSet::new();
-        };
-        let first_line = lo / line_words;
-        if hi / line_words - first_line >= SEEN_BITS {
-            let mut seen = Dedup::new();
-            for (_, addr) in self.iter_active() {
-                seen.insert(addr / line_words);
+    /// The lanes of a gather that touch a line of `1 << shift` words before
+    /// any lower lane does. The lines span `first_line ..= last_line`: one
+    /// bitmap word when that is narrow enough (it then stays in a register,
+    /// where neighbouring lanes on one line do not wait on each other's
+    /// stores), eight for the width of a profile gather, a hash set beyond.
+    fn first_touches(&self, shift: u32, first_line: usize, last_line: usize) -> u32 {
+        match last_line - first_line {
+            0..64 => self.first_touches_in::<1>(shift, first_line),
+            64..SEEN_BITS => self.first_touches_in::<{ SEEN_BITS / 64 }>(shift, first_line),
+            _ => {
+                let mut seen = Dedup::new();
+                let touch = |(lane, addr)| u32::from(seen.insert(addr >> shift).1) << lane;
+                self.iter_active()
+                    .map(touch)
+                    .fold(0, |first, bit| first | bit)
             }
-            return seen.set;
         }
-        // A span this narrow fits a bitmap. Every lane writes its line at
-        // the end of the set and only a new line advances the end, so the
-        // walk has no branch on the addresses.
-        let mut seen = [0u64; SEEN_BITS / 64];
-        let mut lines = LineSet::new();
-        for (_, addr) in self.iter_active() {
-            let line = addr / line_words;
-            let at = line - first_line;
+    }
+
+    /// [`WarpAccess::first_touches`] over a bitmap of `64 * WORDS` lines
+    /// from `first_line`: one walk over the active lanes with no branch on
+    /// the addresses.
+    #[inline]
+    fn first_touches_in<const WORDS: usize>(&self, shift: u32, first_line: usize) -> u32 {
+        let mut seen = [0u64; WORDS];
+        let mut first = 0;
+        for (lane, addr) in self.iter_active() {
+            let at = (addr >> shift) - first_line;
             let (word, bit) = (&mut seen[at / 64], 1 << (at % 64));
-            lines.lines[lines.n] = line;
-            lines.n += usize::from(*word & bit == 0);
+            first |= u32::from(*word & bit == 0) << lane;
             *word |= bit;
         }
-        lines
+        first
     }
 
     /// Largest active word address, for bounds checking.
@@ -355,48 +349,37 @@ impl WarpAccess {
 /// Widest span of lines a gather dedupes with a bitmap (wider: [`Dedup`]).
 const SEEN_BITS: usize = 512;
 
-/// Up to 32 distinct memory lines touched by one warp access, in
-/// first-appearance order.
-#[derive(Debug, Clone)]
-pub struct LineSet {
-    lines: [usize; WARP_SIZE],
-    n: usize,
+/// The distinct memory lines one warp access touches, in first-appearance
+/// order — which is lane order, so the set is the mask of the lanes that
+/// touch a line before any lower lane does.
+#[derive(Debug, Clone, Copy)]
+pub struct LineSet<'a> {
+    access: &'a WarpAccess,
+    /// A line is `1 << shift` words.
+    shift: u32,
+    first: u32,
 }
 
-impl LineSet {
-    #[inline]
-    fn new() -> Self {
-        Self {
-            lines: [0; WARP_SIZE],
-            n: 0,
-        }
-    }
-
+impl LineSet<'_> {
     /// Number of distinct lines (= transactions).
     #[inline]
     pub fn count(&self) -> usize {
-        self.n
+        self.first.count_ones() as usize
     }
 
     /// The line indices.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.lines[..self.n].iter().copied()
-    }
-
-    #[inline]
-    fn push(&mut self, line: usize) -> usize {
-        self.lines[self.n] = line;
-        self.n += 1;
-        self.n - 1
+        lanes_in(self.first).map(|lane| self.access.addr_of(lane) >> self.shift)
     }
 }
 
-/// Insertion-ordered set of at most [`WARP_SIZE`] keys: a [`LineSet`] plus
-/// an open-addressed index over it (never more than half full).
+/// Insertion-ordered set of at most [`WARP_SIZE`] keys with an
+/// open-addressed index over them (never more than half full).
 struct Dedup {
-    set: LineSet,
-    /// `0` = free, else 1 + position in `set`.
+    keys: [usize; WARP_SIZE],
+    n: usize,
+    /// `0` = free, else 1 + position in `keys`.
     slots: [u8; 2 * WARP_SIZE],
 }
 
@@ -404,7 +387,8 @@ impl Dedup {
     #[inline]
     fn new() -> Self {
         Self {
-            set: LineSet::new(),
+            keys: [0; WARP_SIZE],
+            n: 0,
             slots: [0; 2 * WARP_SIZE],
         }
     }
@@ -413,19 +397,20 @@ impl Dedup {
     #[inline]
     fn insert(&mut self, key: usize) -> (usize, bool) {
         // Neighbouring lanes mostly share a line: try the newest key first.
-        if self.set.n > 0 && self.set.lines[self.set.n - 1] == key {
-            return (self.set.n - 1, false);
+        if self.n > 0 && self.keys[self.n - 1] == key {
+            return (self.n - 1, false);
         }
         // Fibonacci hashing down to the 6 slot-index bits.
         let mut slot = key.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) >> (usize::BITS - 6);
         loop {
             match self.slots[slot] {
                 0 => {
-                    let at = self.set.push(key);
-                    self.slots[slot] = at as u8 + 1;
-                    return (at, true);
+                    self.keys[self.n] = key;
+                    self.n += 1;
+                    self.slots[slot] = self.n as u8;
+                    return (self.n - 1, true);
                 }
-                taken if self.set.lines[taken as usize - 1] == key => {
+                taken if self.keys[taken as usize - 1] == key => {
                     return (taken as usize - 1, false)
                 }
                 _ => slot = (slot + 1) % self.slots.len(),
@@ -437,6 +422,10 @@ impl Dedup {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lanes_of(a: &WarpAccess) -> Vec<(usize, usize)> {
+        a.iter_active().collect()
+    }
 
     #[test]
     fn contiguous_access_is_one_line_when_aligned() {
@@ -474,18 +463,11 @@ mod tests {
 
     #[test]
     fn partial_mask() {
-        let mut a = WarpAccess::empty();
-        a.set(0, 0);
-        a.set(5, 100);
-        assert!(a.is_active(5));
-        assert!(!a.is_active(1));
+        let a = WarpAccess::from_lanes([(0, 0), (5, 100)]);
+        assert_eq!(lanes_of(&a), [(0, 0), (5, 100)]);
         assert_eq!(a.active_lanes(), 2);
         assert_eq!(a.max_addr(), Some(100));
         assert_eq!(a.distinct_lines(32).count(), 2);
-    }
-
-    fn lanes_of(a: &WarpAccess) -> Vec<(usize, usize)> {
-        a.iter_active().collect()
     }
 
     #[test]
@@ -501,18 +483,20 @@ mod tests {
     }
 
     #[test]
-    fn set_keeps_a_run_until_a_lane_breaks_it() {
-        let mut a = WarpAccess::empty();
-        a.set(9, 50);
-        a.set(4, 45);
-        a.set(9, 50); // same lane, same address: still a run
-        assert!(matches!(a.addrs, Addrs::Run { .. }));
-        assert_eq!(lanes_of(&a), [(4, 45), (9, 50)]);
-        a.set(4, 46); // overwritten with an address off the run
-        assert!(matches!(a.addrs, Addrs::Gather { .. }));
+    fn gather_ignores_what_inactive_lanes_hold() {
+        let mut addrs = [usize::MAX; WARP_SIZE];
+        (addrs[4], addrs[9]) = (46, 50);
+        let a = WarpAccess::gather(1 << 4 | 1 << 9, addrs);
         assert_eq!(lanes_of(&a), [(4, 46), (9, 50)]);
-        a.set(10, 51);
-        assert!(matches!(a.addrs, Addrs::Gather { .. }), "never turns back");
+        assert_eq!(a.max_addr(), Some(50));
+        assert_eq!(a.first_outside(47..60), Some(46));
+        let none = WarpAccess::gather(0, addrs);
+        assert_eq!(none.max_addr(), None);
+        assert_eq!(none.first_outside(0..1), None);
+        assert_eq!(none.distinct_lines(8).count(), 0);
+        // A later pair for a lane replaces the earlier one.
+        let twice = WarpAccess::from_lanes([(4, 45), (9, 50), (4, 46)]);
+        assert_eq!(lanes_of(&twice), lanes_of(&a));
     }
 
     #[test]

@@ -146,7 +146,10 @@ proptest! {
 // Shape-mixing differential tests: the simulator analyses a warp access
 // by its shape (run or gather); the lane-by-lane analysis it replaced is
 // kept here as the oracle. Every case is rebuilt from one `u64`, printed
-// by each assertion, because the proptest shim does not shrink.
+// by each assertion, because the proptest shim does not shrink, and is
+// built every way the crate offers — a run constructor where the pattern
+// has one, `from_lanes`, and `gather` over an address array whose
+// inactive lanes hold garbage.
 // ---------------------------------------------------------------------
 
 /// Words of device memory the cases address (some shapes overrun it).
@@ -188,8 +191,8 @@ impl RefAccess {
     }
 }
 
-/// One access of a seeded shape, built both ways.
-fn shaped_access(seed: u64) -> (WarpAccess, RefAccess) {
+/// One access of a seeded shape, built every way, and its oracle.
+fn shaped_access(seed: u64) -> (Vec<WarpAccess>, RefAccess) {
     let mut rng = TestRng::deterministic(&format!("shape {seed}"));
     let lanes = 1 + rng.below(WARP_SIZE);
     let first = rng.below(WARP_SIZE - lanes + 1);
@@ -257,40 +260,174 @@ fn shaped_access(seed: u64) -> (WarpAccess, RefAccess) {
         oracle.mask |= 1 << lane;
         oracle.addr[lane] = addr;
     }
-    let built = WarpAccess::from_lanes(sets);
-    if let Some(direct) = direct {
-        assert!(
-            direct.iter_active().eq(built.iter_active()),
-            "seed {seed:#x}: constructor and `set` disagree"
-        );
-        return (direct, oracle);
+    // What the inactive lanes of the array hold: anything.
+    let mut addrs = oracle.addr;
+    for (lane, addr) in addrs.iter_mut().enumerate() {
+        if oracle.mask & (1 << lane) == 0 {
+            *addr = [usize::MAX, 0, base + lane, rng.next_u64() as usize][rng.below(4)];
+        }
     }
+    let mut built = vec![
+        WarpAccess::from_lanes(sets),
+        WarpAccess::gather(oracle.mask, addrs),
+    ];
+    built.extend(direct);
     (built, oracle)
 }
 
+/// One of the equivalent accesses of a seeded shape, and its oracle.
+fn one_shaped_access(rng: &mut TestRng) -> (WarpAccess, RefAccess) {
+    let (mut built, oracle) = shaped_access(rng.next_u64());
+    (built.swap_remove(rng.below(built.len())), oracle)
+}
+
+type RefSet = Vec<Option<(usize, u64)>>;
+
+/// The reference cache, sharing no code with `gpu_sim::Cache`: plain
+/// `line % sets`, a `(tag, stamp)` list per set, and on a miss the first
+/// invalid way, else the lowest stamp.
+struct RefCache {
+    /// Per set, per way: the resident `(tag, stamp)`. `None`: a disabled
+    /// cache.
+    sets: Option<Vec<RefSet>>,
+    clock: u64,
+    stats: CacheStats,
+}
+
+impl RefCache {
+    fn new(cfg: CacheConfig) -> Self {
+        let sets = (cfg.capacity_bytes / cfg.line_bytes / cfg.ways).max(1);
+        Self {
+            sets: Some(vec![vec![None; cfg.ways]; sets]),
+            clock: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn disabled() -> Self {
+        Self {
+            sets: None,
+            clock: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn access(&mut self, line: usize) -> bool {
+        let Some(sets) = &mut self.sets else {
+            self.stats.misses += 1;
+            return false;
+        };
+        self.clock += 1;
+        let n = sets.len();
+        let set = &mut sets[line % n];
+        if let Some(way) = set.iter_mut().flatten().find(|way| way.0 == line) {
+            way.1 = self.clock;
+            self.stats.hits += 1;
+            return true;
+        }
+        let victim = set.iter().position(Option::is_none).unwrap_or_else(|| {
+            let stamp = |w: &usize| set[*w].unwrap().1;
+            (0..set.len()).min_by_key(stamp).unwrap()
+        });
+        set[victim] = Some((line, self.clock));
+        self.stats.misses += 1;
+        false
+    }
+
+    fn invalidate(&mut self) {
+        for set in self.sets.iter_mut().flatten() {
+            set.fill(None);
+        }
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.stats
+    }
+}
+
+/// Every preset geometry (64, 32, 384, 64, 1024 and 96 sets), plus shapes
+/// the presets do not have: few sets, an odd count, one way, one set.
+fn cache_geometries() -> Vec<CacheConfig> {
+    let shaped = |capacity_bytes, line_bytes, ways| CacheConfig {
+        capacity_bytes,
+        line_bytes,
+        ways,
+    };
+    vec![
+        CacheConfig::fermi_l1_48k(),
+        CacheConfig::fermi_l1_16k(),
+        CacheConfig::fermi_l2(),
+        CacheConfig::gt200_tex(),
+        CacheConfig::gt200_tex_l2(),
+        CacheConfig::fermi_tex(),
+        shaped(4 * 1024, 128, 6),  // 5 sets
+        shaped(7 * 3 * 32, 32, 3), // 7 sets
+        shaped(13 * 128, 128, 1),  // 13 sets, direct-mapped
+        shaped(256, 128, 2),       // one set
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cache_matches_the_naive_lru(seed in any::<u64>()) {
+        let mut rng = TestRng::deterministic(&format!("cache {seed}"));
+        let geometries = cache_geometries();
+        let pick = rng.below(geometries.len() + 1);
+        let (mut cache, mut oracle, sets) = match geometries.get(pick) {
+            Some(&cfg) => (Cache::new(cfg), RefCache::new(cfg), cfg.sets()),
+            None => (Cache::disabled(), RefCache::disabled(), 1),
+        };
+        // Where the stream lives: low lines, or far above `u32::MAX`.
+        let origin = [0, 5_000, (1 << 32) - 40, 0xDEAD_BEEF_0000, usize::MAX / 8 - (1 << 20)]
+            [rng.below(5)];
+        for step in 0..3_000 {
+            let line = origin + match rng.below(4) {
+                // A working set that fits, lines that fight over a few
+                // sets, a sweep, and anywhere.
+                0 => rng.below(48),
+                1 => rng.below(3) + sets * rng.below(40),
+                2 => step,
+                _ => rng.below(1 << 20),
+            };
+            prop_assert_eq!(
+                cache.access(line),
+                oracle.access(line),
+                "seed {seed:#x}, step {step}: line {line:#x} over {sets} sets"
+            );
+            if rng.below(600) == 0 {
+                cache.invalidate();
+                oracle.invalidate();
+            }
+        }
+        prop_assert_eq!(cache.stats(), oracle.stats(), "seed {seed:#x}");
+    }
+}
+
 /// The memory system as it was: lane-by-lane analysis, every per-cache
-/// aggregate re-summed after each access.
+/// aggregate re-summed after each access, over the naive caches above.
 struct RefSystem {
     data: Vec<u32>,
-    l1: Vec<Cache>,
-    l2: Option<Cache>,
-    tex: Vec<Cache>,
-    tex_l2: Option<Cache>,
+    l1: Vec<RefCache>,
+    l2: Option<RefCache>,
+    tex: Vec<RefCache>,
+    tex_l2: Option<RefCache>,
     stats: MemoryStats,
 }
 
 impl RefSystem {
     fn new(spec: &DeviceSpec) -> Self {
-        let per_sm = |cfg: Option<CacheConfig>| -> Vec<Cache> {
-            cfg.map(|c| (0..spec.sm_count).map(|_| Cache::new(c)).collect())
+        let per_sm = |cfg: Option<CacheConfig>| -> Vec<RefCache> {
+            cfg.map(|c| (0..spec.sm_count).map(|_| RefCache::new(c)).collect())
                 .unwrap_or_default()
         };
         Self {
             data: vec![0; MEM_WORDS],
             l1: per_sm(spec.l1),
-            l2: spec.l2.map(Cache::new),
+            l2: spec.l2.map(RefCache::new),
             tex: per_sm(spec.tex_cache),
-            tex_l2: spec.tex_l2.map(Cache::new),
+            tex_l2: spec.tex_l2.map(RefCache::new),
             stats: MemoryStats::default(),
         }
     }
@@ -306,15 +443,17 @@ impl RefSystem {
     }
 
     fn sync(&mut self) {
-        let sum = |caches: &[Cache]| {
+        let sum = |caches: &[RefCache]| {
             let mut total = CacheStats::default();
             caches.iter().for_each(|c| total.merge(&c.stats()));
             total
         };
+        let one =
+            |cache: &Option<RefCache>| cache.as_ref().map(RefCache::stats).unwrap_or_default();
         self.stats.l1 = sum(&self.l1);
         self.stats.tex_cache = sum(&self.tex);
-        self.stats.l2 = self.l2.as_ref().map(Cache::stats).unwrap_or_default();
-        self.stats.tex_l2_stats = self.tex_l2.as_ref().map(Cache::stats).unwrap_or_default();
+        self.stats.l2 = one(&self.l2);
+        self.stats.tex_l2_stats = one(&self.tex_l2);
     }
 
     fn read(&self, a: &RefAccess) -> [u32; WARP_SIZE] {
@@ -386,41 +525,105 @@ proptest! {
 
     #[test]
     fn shaped_analysis_matches_the_lane_walk(seed in any::<u64>()) {
-        let (access, oracle) = shaped_access(seed);
-        prop_assert!(access.iter_active().eq(oracle.active()), "seed {seed:#x}: lanes");
-        prop_assert_eq!(access.active_lanes(), oracle.mask.count_ones(), "seed {seed:#x}");
-        for line_words in [LINE_WORDS, TEX_SEGMENT_WORDS] {
-            let lines: Vec<usize> = access.distinct_lines(line_words).iter().collect();
+        let (built, oracle) = shaped_access(seed);
+        for access in &built {
+            prop_assert!(access.iter_active().eq(oracle.active()), "seed {seed:#x}: lanes");
+            prop_assert_eq!(access.active_lanes(), oracle.mask.count_ones(), "seed {seed:#x}");
+            for line_words in [LINE_WORDS, TEX_SEGMENT_WORDS] {
+                let lines: Vec<usize> = access.distinct_lines(line_words).iter().collect();
+                prop_assert_eq!(
+                    lines,
+                    oracle.lines(line_words),
+                    "seed {seed:#x}: {line_words}-word lines, order included"
+                );
+            }
+            for banks in [16, 32] {
+                prop_assert_eq!(
+                    access.bank_conflict_degree(banks),
+                    oracle.conflict_degree(banks),
+                    "seed {seed:#x}: degree over {banks} banks"
+                );
+            }
             prop_assert_eq!(
-                lines,
-                oracle.lines(line_words),
-                "seed {seed:#x}: {line_words}-word lines, order included"
+                access.max_addr(),
+                oracle.active().map(|(_, a)| a).max(),
+                "seed {seed:#x}: bounds"
             );
-        }
-        for banks in [16, 32] {
+            // Texture-binding verdict, reported address included, for a
+            // binding that cuts the access at either end or holds all of it.
+            let mut rng = TestRng::deterministic(&format!("binding {seed}"));
+            let tex = TexRef::new(
+                gpu_sim::DevicePtr(rng.below(MEM_WORDS)),
+                [16, 600, MEM_WORDS][rng.below(3)],
+            );
             prop_assert_eq!(
-                access.bank_conflict_degree(banks),
-                oracle.conflict_degree(banks),
-                "seed {seed:#x}: degree over {banks} banks"
+                access.first_outside(tex.span()),
+                oracle.active().map(|(_, a)| a).find(|&a| !tex.contains(a)),
+                "seed {seed:#x}: binding {tex:?}"
             );
+            // Data movement, where the access is inside the memory: every
+            // active lane's word, zeros elsewhere, the higher lane winning a
+            // store two lanes share.
+            if oracle.active().all(|(_, a)| a < MEM_WORDS) {
+                let mut mem: Vec<u32> = (0..MEM_WORDS).map(|_| rng.next_u64() as u32).collect();
+                let mut expect = [0u32; WARP_SIZE];
+                oracle.active().for_each(|(lane, a)| expect[lane] = mem[a]);
+                prop_assert_eq!(access.load_from(&mem), expect, "seed {seed:#x}: load");
+                let values: [u32; WARP_SIZE] = std::array::from_fn(|_| rng.next_u64() as u32);
+                let mut stored = mem.clone();
+                oracle.active().for_each(|(lane, a)| stored[a] = values[lane]);
+                access.store_to(&mut mem, &values);
+                prop_assert!(mem == stored, "seed {seed:#x}: store");
+            }
         }
-        prop_assert_eq!(
-            access.max_addr(),
-            oracle.active().map(|(_, a)| a).max(),
-            "seed {seed:#x}: bounds"
-        );
-        // Texture-binding verdict, reported address included, for a
-        // binding that cuts the access at either end or holds all of it.
-        let mut rng = TestRng::deterministic(&format!("binding {seed}"));
-        let tex = TexRef::new(
-            gpu_sim::DevicePtr(rng.below(MEM_WORDS)),
-            [16, 600, MEM_WORDS][rng.below(3)],
-        );
-        prop_assert_eq!(
-            access.first_outside(tex.span()),
-            oracle.active().map(|(_, a)| a).find(|&a| !tex.contains(a)),
-            "seed {seed:#x}: binding {tex:?}"
-        );
+    }
+}
+
+/// One texture fetch of `access` through `tex`, as a kernel.
+struct Fetch {
+    tex: TexRef,
+    access: WarpAccess,
+}
+
+impl gpu_sim::BlockKernel for Fetch {
+    fn config(&self) -> gpu_sim::LaunchConfig {
+        gpu_sim::LaunchConfig {
+            threads_per_block: 32,
+            regs_per_thread: 4,
+            shared_words: 0,
+        }
+    }
+
+    fn run_block(&self, ctx: &mut gpu_sim::BlockCtx<'_>) -> Result<(), GpuError> {
+        ctx.tex_load(self.tex, &self.access).map(|_| ())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn texture_fetch_verdict_matches_the_lane_walk(seed in any::<u64>()) {
+        let mut rng = TestRng::deterministic(&format!("fetch {seed}"));
+        let (access, oracle) = one_shaped_access(&mut rng);
+        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
+        prop_assert_eq!(dev.alloc(MEM_WORDS).unwrap().addr(), 0);
+        let (base, words) = (rng.below(MEM_WORDS), [16, 600, MEM_WORDS][rng.below(3)]);
+        let tex = TexRef::new(gpu_sim::DevicePtr(base), words);
+        // The first lane outside the binding is the error, naming the
+        // binding's span; inside it, an address past the memory is.
+        let binding = base..base + words;
+        let outside = oracle.active().map(|(_, a)| a).find(|a| !binding.contains(a));
+        let expect = match (outside, oracle.active().map(|(_, a)| a).max()) {
+            (Some(addr), _) => Err(GpuError::OutsideBinding { addr, binding }),
+            (None, Some(addr)) if addr >= MEM_WORDS => Err(GpuError::BadAccess {
+                addr,
+                mem_words: MEM_WORDS,
+            }),
+            _ => Ok(()),
+        };
+        let got = dev.launch(&Fetch { tex, access }, 1, "fetch").map(|_| ());
+        prop_assert_eq!(got, expect, "seed {seed:#x}");
     }
 }
 
@@ -448,7 +651,7 @@ proptest! {
         let mut oracle = RefSystem::new(&spec);
         let mut snapshot = (mem.stats(), oracle.stats);
         for step in 0..48 {
-            let (access, lanes) = shaped_access(rng.next_u64());
+            let (access, lanes) = one_shaped_access(&mut rng);
             let sm = rng.below(3);
             let at = format!("seed {seed:#x}, step {step}");
             match rng.below(3) {

@@ -3,9 +3,10 @@
 //! intra-task kernel on the Tesla C2050 *as shipped* — 14 SMs, 256-thread
 //! blocks — over the benchmark's `device_fermi` database recipe scaled to
 //! one full inter-task group (14,336 subjects below the threshold) plus
-//! its seven long subjects: about 1.9 × 10⁹ cells, against 5 × 10⁷ on
-//! the benchmark's 4-SM × 32-thread trim. Prints the two counted ratios
-//! and the wall time (EXPERIMENTS.md, "Simulator host speed").
+//! its seven long subjects: 1.43 × 10⁹ cells per search (the first line
+//! printed), against 5 × 10⁷ on the benchmark's 4-SM × 32-thread trim.
+//! Prints the two counted ratios and the wall time (EXPERIMENTS.md,
+//! "Simulator host speed").
 //!
 //! ```sh
 //! cargo run --release --offline --example untrimmed_fermi

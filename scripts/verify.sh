@@ -19,10 +19,16 @@ cargo test -q --offline --workspace
 # workspace filter can never silently drop them (see EXPERIMENTS.md).
 # Every one of them is bound by gpu-sim's host speed, so the step's wall
 # time is printed: the first place that speed shows outside benchmark/.
+# The digests and invariants run in the release profile too — the AVX2
+# instantiations and the inlining they rest on only exist with
+# optimizations — and the column update's two instantiations are held to
+# each other by name.
 named_t0=$SECONDS
 cargo test -q --offline --test paper_claims --test observability --test differential \
   --test crash_matrix --test device_opt --test simulator_invariants
+cargo test --release -q --offline --test device_opt --test simulator_invariants
 cargo test -q --offline -p gpu-sim --test proptests
+cargo test -q --offline -p cudasw-core --lib column::
 echo "verify: named simulator suites took $((SECONDS - named_t0)) s"
 
 cargo clippy --workspace --all-targets --offline -- -D warnings

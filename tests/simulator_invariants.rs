@@ -4,7 +4,8 @@
 
 use cudasw_core::variants::run_intra_variant;
 use cudasw_core::{CudaSwConfig, CudaSwDriver, ImprovedParams, VariantConfig};
-use gpu_sim::DeviceSpec;
+use gpu_sim::memory::MemorySystem;
+use gpu_sim::{DeviceSpec, WarpAccess};
 use sw_db::synth::{database_with_lengths, make_query};
 
 /// Improved-kernel global transactions grow (about) linearly with the
@@ -153,4 +154,27 @@ fn tile_height_is_functionally_invisible_through_the_driver() {
         results.push(driver.search(&query, &db).unwrap().scores);
     }
     assert_eq!(results[0], results[1]);
+}
+
+/// **A known divergence, pinned so that fixing it is a deliberate re-pin**
+/// (EXPERIMENTS.md "Known divergences" 5, ROADMAP scoreboard (ii)).
+/// Fermi's L1 is write-evict: a global store drops the line from the
+/// issuing SM's L1, and the next load of it is an L2 hit. The model's
+/// `warp_store` goes around L1 and leaves a line an earlier load brought in
+/// resident there, so the reload counts as a near hit — which is what the
+/// original intra-task kernel's wavefront reloads are made of.
+#[test]
+fn known_divergence_a_store_leaves_its_line_in_the_issuing_l1() {
+    let mut mem = MemorySystem::new(&DeviceSpec::tesla_c2050());
+    let line = WarpAccess::contiguous(mem.alloc(32).unwrap().addr());
+    let (_, first) = mem.warp_load(0, &line).unwrap();
+    assert_eq!((first.near_hits, first.dram_bytes), (0, 128));
+    mem.warp_store(0, &line, &[7; 32]).unwrap();
+    let (words, reload) = mem.warp_load(0, &line).unwrap();
+    assert_eq!(words, [7; 32]);
+    assert_eq!(
+        (reload.near_hits, reload.l2_hits),
+        (1, 0),
+        "on hardware: (0, 1) — re-pin the digests of tests/device_opt.rs with this"
+    );
 }
