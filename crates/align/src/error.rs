@@ -28,11 +28,6 @@ pub enum AlignError {
         /// Gap-extension penalty σ.
         extend: i32,
     },
-    /// A band width of zero (or otherwise unusable geometry) was requested.
-    InvalidBand {
-        /// Requested band half-width.
-        width: usize,
-    },
 }
 
 impl fmt::Display for AlignError {
@@ -53,9 +48,6 @@ impl fmt::Display for AlignError {
                 f,
                 "invalid gap penalties: open={open}, extend={extend} (need open >= extend >= 0)"
             ),
-            AlignError::InvalidBand { width } => {
-                write!(f, "invalid band half-width {width}")
-            }
         }
     }
 }

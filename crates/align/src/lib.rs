@@ -8,8 +8,6 @@
 //! * [`smith_waterman`] — the exact scalar Smith-Waterman recurrence
 //!   (equation (1) of the paper), score-only in linear space and
 //!   full-matrix with traceback;
-//! * [`needleman_wunsch`] — global (Gotoh) alignment as an extra baseline;
-//! * [`banded`] — banded local alignment;
 //! * [`profile`] — the Rognes–Seeberg query profile, including the packed
 //!   4-scores-per-word layout that the improved intra-task kernel reads
 //!   from texture memory;
@@ -22,12 +20,10 @@
 //! in the paper as literally as possible.
 
 pub mod alphabet;
-pub mod banded;
 pub mod error;
 pub mod evalue;
 pub mod gaps;
 pub mod matrix;
-pub mod needleman_wunsch;
 pub mod profile;
 pub mod smith_waterman;
 pub mod traceback;

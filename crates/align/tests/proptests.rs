@@ -1,8 +1,6 @@
 //! Property-based tests for the alignment substrate.
 
 use proptest::prelude::*;
-use sw_align::banded::sw_score_banded;
-use sw_align::needleman_wunsch::nw_score;
 use sw_align::smith_waterman::{sw_score, sw_score_full};
 use sw_align::traceback::{rescore, sw_align};
 use sw_align::{GapPenalties, PackedProfile, QueryProfile, ScoringMatrix, SwParams};
@@ -43,23 +41,6 @@ proptest! {
         let aln = sw_align(&p, &q, &d);
         prop_assert_eq!(aln.score, sw_score(&p, &q, &d));
         prop_assert_eq!(rescore(&p, &q, &d, &aln), aln.score);
-    }
-
-    #[test]
-    fn banded_is_monotone_and_bounded(q in protein_seq(24), d in protein_seq(24), band in 1usize..8) {
-        prop_assume!(!q.is_empty() && !d.is_empty());
-        let p = params();
-        let exact = sw_score(&p, &q, &d);
-        let narrow = sw_score_banded(&p, &q, &d, band).unwrap();
-        let wide = sw_score_banded(&p, &q, &d, band + q.len() + d.len()).unwrap();
-        prop_assert!(narrow <= exact);
-        prop_assert_eq!(wide, exact);
-    }
-
-    #[test]
-    fn global_never_exceeds_local(q in protein_seq(32), d in protein_seq(32)) {
-        let p = params();
-        prop_assert!(nw_score(&p, &q, &d) <= sw_score(&p, &q, &d));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! repro host [--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]
 //! repro soak [--smoke] [--out <file.json>]
 //! repro host-chaos [--seeds <a,b,c>] [--out <file.json>]
-//! repro serve-rt [--smoke] [--requests <n>] [--out <file.json>] [--baseline <file>]
 //! repro device-opt [--smoke] [--out <file.json>] [--baseline <file>]
 //! repro gate <doc.json> [--baseline <committed.json>]
 //! ```
@@ -28,14 +27,18 @@
 //! count appears in the result table. Scores are bit-identical either
 //! way.
 //!
-//! `host`, `serve-rt` and `device-opt` record into the append-only
-//! trajectories (`BENCH_{host,serve,device}.json`, see
-//! `cudasw_bench::trajectory`) through one path: `--out` writes the run as
-//! an entry keyed by git rev (`+dirty` from a modified tree) + workload
-//! config + measuring host or device; `--baseline <file>` first merges it
-//! into that committed trajectory and compares it against the latest
-//! comparable entry. The entry's own gates always run. Exit code 0 is a
-//! pass, 1 a failed gate or an I/O error, 2 a usage error.
+//! `host` and `device-opt` record into the append-only trajectories
+//! (`BENCH_{host,device}.json`, see `cudasw_bench::trajectory`) through
+//! one path: `--out` writes the run as an entry keyed by git rev (`+dirty`
+//! from a modified tree) + workload config + measuring host or device;
+//! `--baseline <file>` first merges it into that committed trajectory and
+//! compares it against the latest comparable entry. The entry's own gates
+//! always run. Exit code 0 is a pass, 1 a failed gate or an I/O error, 2 a
+//! usage error.
+//!
+//! Serving is reported on the simulated clock only (`serve`, `soak`);
+//! wall-clock serving and simulator host speed are the repo benchmark's
+//! (`benchmark/`: `serve_steady`, `serve_small`, `device_fermi`).
 //!
 //! `host` benchmarks the real host compute backend (runtime-dispatched
 //! SIMD, both Lazy-F kernel modes, work-stealing thread pool) in *real*
@@ -50,15 +53,6 @@
 //! chaos storm per seed) over the protected SIMD pool, also in real time,
 //! and gates on bit-identical scores with zero lost or duplicated
 //! sequences; `--out` writes `BENCH_host_chaos.json`.
-//!
-//! `serve-rt` runs the wall-clock serving gateway (`sw-gateway`): real
-//! worker threads per shard lane, an in-process multi-tenant front-end,
-//! and a seeded open-loop load generator replaying steady, bursty and
-//! overload arrival schedules in real time (10⁵ requests per profile, CI
-//! scale with `--smoke`); latency is front-end enqueue to response.
-//! Gates against the baseline: shed and deadline-miss rates always,
-//! latency tails only on hosts with ≥ 4 hardware threads (a 1-core box
-//! time-slices the lanes and certifies nothing about tails).
 //!
 //! `device-opt` runs the §VII device-kernel optimization matrix
 //! (baseline, each optimization alone, all together) through the
@@ -96,8 +90,7 @@ use std::sync::OnceLock;
 
 use cudasw_bench::experiments::{
     ablation, chaos, device_opt, device_trajectory, extensions, fig2, fig3, fig5, fig6, fig7, host,
-    host_chaos, integrity, multigpu, retune, serve, serve_rt, serve_trajectory, soak, strips,
-    table1, table2, validation,
+    host_chaos, integrity, multigpu, retune, serve, soak, strips, table1, table2, validation,
 };
 use cudasw_bench::gate;
 use cudasw_bench::trajectory::{rev_key, Entry, Trajectory};
@@ -132,7 +125,6 @@ const KNOWN: &[(&str, fn())] = &[
     ("integrity", run_integrity),
     ("serve", run_serve),
     ("soak", run_soak_smoke),
-    ("serve-rt", run_serve_rt_smoke),
     ("host", run_host_smoke),
     ("host-chaos", run_host_chaos_smoke),
     ("device-opt", run_device_opt_smoke),
@@ -158,11 +150,6 @@ const SUBCOMMANDS: &[(&str, &str, Subcommand)] = &[
         "host-chaos",
         "[--seeds <a,b,c>] [--out <file.json>]",
         run_host_chaos,
-    ),
-    (
-        "serve-rt",
-        "[--smoke] [--requests <n>] [--out <file.json>] [--baseline <file>]",
-        run_serve_rt,
     ),
     (
         "device-opt",
@@ -706,9 +693,6 @@ fn print_host_result(r: &host::HostBenchResult) {
         "host has {} hardware thread(s); scaling beyond that is not measurable here.",
         r.host_threads
     );
-    for (backend, s) in &r.speedup_vs_emulated {
-        println!("  {backend}: {s:.2}x vs emulated word-mode baseline (1 thread, adaptive)");
-    }
     for (backend, s) in &r.thread_scaling {
         println!("  {backend}: {s:.2}x self-scaling at max measured thread count");
     }
@@ -727,62 +711,5 @@ fn run_serve() {
         steady.waves,
         steady.queries_per_second,
         overload.shed_rate * 100.0
-    );
-}
-
-/// `repro all` entry: the CI-scale wall-clock serving run, no file
-/// output.
-fn run_serve_rt_smoke() {
-    let smoke = serve_rt::ServeRtOpts {
-        smoke: true,
-        requests: None,
-    };
-    print_serve_rt_result(&serve_rt::run(&DeviceSpec::tesla_c1060(), &smoke));
-}
-
-/// `repro serve-rt [--smoke] [--requests <n>] [--out <file.json>]
-/// [--baseline <file>]`
-fn run_serve_rt(mut rest: Vec<String>, usage: &str) {
-    let opts = serve_rt::ServeRtOpts {
-        smoke: take_flag(&mut rest, "--smoke"),
-        requests: take_value::<NonZeroUsize>(&mut rest, "--requests", "a positive integer")
-            .map(NonZeroUsize::get),
-    };
-    let out_path = take_value(&mut rest, "--out", "a file path");
-    let baseline_path: Option<String> = take_value(&mut rest, "--baseline", "a file path");
-    expect_no_more(&rest, usage);
-    let mut r = serve_rt::run(&DeviceSpec::tesla_c1060(), &opts);
-    print_serve_rt_result(&r);
-    if baseline_path.is_some() && r.host_threads < serve_trajectory::LATENCY_GATE_MIN_THREADS {
-        println!(
-            "latency tail gate not applicable on {} host thread(s); \
-             shed/deadline-miss rates gated only",
-            r.host_threads
-        );
-    }
-    r.rev = git_rev();
-    run_gated(r, out_path, baseline_path, "serve-rt SLO gate");
-}
-
-fn print_serve_rt_result(r: &serve_rt::ServeRtResult) {
-    r.table().print();
-    for p in &r.profiles {
-        println!(
-            "  {}: {}/{} served, shed rate {:.1}%, miss rate {:.1}%, \
-             p50/p99/p999 {:.1}/{:.1}/{:.1} ms at {:.0} q/s",
-            p.profile,
-            p.served,
-            p.requests,
-            p.shed_rate * 100.0,
-            p.deadline_miss_rate * 100.0,
-            p.p50_ms,
-            p.p99_ms,
-            p.p999_ms,
-            p.queries_per_second,
-        );
-    }
-    println!(
-        "wall-clock end-to-end latency (enqueue → response) on real lane \
-         worker threads; gates conditional on host parallelism.\n"
     );
 }

@@ -10,10 +10,10 @@
 //! 4 threads slower than 1. The smoke run is the *same* code path at
 //! reduced size, so CI exercises exactly what the full run measures.
 //!
-//! The baseline row is the pre-backend host path — the portable emulated
-//! vectors in word-only mode on one thread — so the numbers directly
-//! answer "what did the native byte-mode backend buy over the old code".
-//! Every backend is additionally measured in both Lazy-F kernel modes
+//! The first row is the pre-backend host path — the portable emulated
+//! vectors in word-only mode on one thread — beside which each native
+//! adaptive row reads as "what the byte-mode backend buys over the old
+//! code". Every backend is measured in both Lazy-F kernel modes
 //! (the default per-column choice between correction loop and prefix scan
 //! vs the scan forced on every column), with the `cudasw.simd.lazy_f.*`
 //! counts carried per row.
@@ -92,9 +92,6 @@ pub struct HostBenchResult {
     /// `std::thread::available_parallelism` of this host — thread-scaling
     /// numbers are only meaningful up to this count.
     pub host_threads: usize,
-    /// Best single-thread adaptive GCUPS per backend (correction-loop
-    /// mode), divided by the emulated baseline (portable word, 1 thread).
-    pub speedup_vs_emulated: Vec<(String, f64)>,
     /// Per backend: correction-loop adaptive GCUPS at the highest measured
     /// thread count divided by its own single-thread GCUPS.
     pub thread_scaling: Vec<(String, f64)>,
@@ -246,9 +243,9 @@ pub fn run(opts: &HostBenchOpts) -> HostBenchResult {
         (gcups, lazy_f)
     };
 
-    // The emulated baseline: the exact pre-backend host path (portable
+    // The emulated row: the exact pre-backend host path (portable
     // word-only vectors, correction loop, one thread).
-    let (baseline_gcups, _) = push_row(
+    push_row(
         BackendKind::Portable,
         KernelMode::CorrectionLoop,
         Precision::Word,
@@ -257,7 +254,6 @@ pub fn run(opts: &HostBenchOpts) -> HostBenchResult {
     );
 
     let backends = BackendKind::available();
-    let mut speedup_vs_emulated = Vec::new();
     let mut thread_scaling = Vec::new();
     let mut lazy_f_delta = Vec::new();
     for &backend in &backends {
@@ -285,12 +281,6 @@ pub fn run(opts: &HostBenchOpts) -> HostBenchResult {
                 }
             }
         }
-        if baseline_gcups > 0.0 {
-            speedup_vs_emulated.push((
-                backend.name().to_string(),
-                loop_one_thread_gcups / baseline_gcups,
-            ));
-        }
         if loop_one_thread_gcups > 0.0 {
             thread_scaling.push((
                 backend.name().to_string(),
@@ -313,7 +303,6 @@ pub fn run(opts: &HostBenchOpts) -> HostBenchResult {
         query_len: w.query.len(),
         config,
         host_threads,
-        speedup_vs_emulated,
         thread_scaling,
         lazy_f_delta,
     }
@@ -334,7 +323,7 @@ mod tests {
         });
         assert_eq!(r.db_size, 200);
         assert_eq!(r.config, format!("swissprot-synth-200x{}", r.query_len));
-        // Baseline row first, then adaptive rows per backend × mode.
+        // Emulated row first, then adaptive rows per backend × mode.
         assert_eq!(r.rows[0].backend, "portable");
         assert_eq!(r.rows[0].precision, "word");
         assert_eq!(r.rows[0].kernel_mode, "correction-loop");
@@ -354,7 +343,6 @@ mod tests {
         for (backend, delta) in &r.lazy_f_delta {
             assert!(*delta > 0.0, "{backend}: lazy-F delta must be positive");
         }
-        assert!(!r.speedup_vs_emulated.is_empty());
         assert!(!r.thread_scaling.is_empty());
         assert!(r.host_threads >= 1);
     }

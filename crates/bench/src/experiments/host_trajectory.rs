@@ -93,7 +93,6 @@ impl Entry for TrajectoryEntry {
             ("cells", self.cells.to_string()),
             ("host_threads", self.host_threads.to_string()),
             ("rows", rows_array(rows)),
-            ("speedup_vs_emulated", pairs(&self.speedup_vs_emulated)),
             ("thread_scaling", pairs(&self.thread_scaling)),
             ("lazy_f_delta", pairs(&self.lazy_f_delta)),
         ]
@@ -188,7 +187,6 @@ fn measurement_from_json(v: &Json) -> Result<TrajectoryEntry, String> {
         cells: num(v, "cells")? as u64,
         host_threads: num(v, "host_threads")? as usize,
         rows: rows(v, "rows", row_from_json)?,
-        speedup_vs_emulated: pairs_from_json(v.get("speedup_vs_emulated"))?,
         thread_scaling: pairs_from_json(v.get("thread_scaling"))?,
         lazy_f_delta: Vec::new(),
     })
@@ -284,7 +282,6 @@ mod tests {
                 sample_row("avx2", "correction-loop", 4, gcups_at_4),
                 sample_row("avx2", "prefix-scan", 1, 5.5),
             ],
-            speedup_vs_emulated: vec![("avx2".to_string(), 11.0)],
             thread_scaling: vec![("avx2".to_string(), gcups_at_4 / 5.0)],
             lazy_f_delta: vec![("avx2".to_string(), 7.5)],
         }
@@ -329,7 +326,6 @@ mod tests {
     {"backend": "portable", "precision": "word", "threads": 1, "seconds": 0.09, "gcups": 0.67, "byte_mode": 0, "word_fallbacks": 800, "steals": 0},
     {"backend": "avx2", "precision": "adaptive", "threads": 1, "seconds": 0.008, "gcups": 7.6, "byte_mode": 798, "word_fallbacks": 2, "steals": 0}
   ],
-  "speedup_vs_emulated": {"avx2": 11.367},
   "thread_scaling": {"avx2": 0.944}
 }"#;
         let mut t = Trajectory::parse(v1).expect("v1 upgrades");

@@ -17,8 +17,6 @@ pub mod integrity;
 pub mod multigpu;
 pub mod retune;
 pub mod serve;
-pub mod serve_rt;
-pub mod serve_trajectory;
 pub mod soak;
 pub mod strips;
 pub mod table1;

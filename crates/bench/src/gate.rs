@@ -6,9 +6,7 @@
 //! host-chaos snapshots are checked field by field; a document without a
 //! `schema` must be a valid Chrome trace.
 
-use crate::experiments::{
-    device_trajectory, host_chaos, host_trajectory, serve_rt, serve_trajectory, soak,
-};
+use crate::experiments::{device_trajectory, host_chaos, host_trajectory, soak};
 use crate::trajectory::{num, Entry, Trajectory};
 use obs::json::{parse, Json};
 
@@ -51,7 +49,6 @@ pub fn gate(text: &str, baseline: Option<&str>) -> Result<String, Vec<String>> {
             )]
         }
         Some(host_trajectory::SCHEMA) => trajectory::<host_trajectory::TrajectoryEntry>(text),
-        Some(serve_rt::SCHEMA) => trajectory::<serve_trajectory::ServeEntry>(text),
         Some(device_trajectory::SCHEMA) => trajectory::<device_trajectory::TrajectoryEntry>(text),
         Some(soak::SCHEMA) => {
             let mut failures = snapshot(&doc, &SOAK_FIELDS);
@@ -133,7 +130,6 @@ mod tests {
     use super::*;
 
     const HOST: &str = include_str!("../../../BENCH_host.json");
-    const SERVE: &str = include_str!("../../../BENCH_serve.json");
     const DEVICE: &str = include_str!("../../../BENCH_device.json");
     const SOAK: &str = include_str!("../../../BENCH_soak.json");
     const HOST_CHAOS: &str = include_str!("../../../BENCH_host_chaos.json");
@@ -169,7 +165,6 @@ mod tests {
     fn every_committed_document_passes() {
         for (doc, baseline) in [
             (HOST, None),
-            (SERVE, None),
             (DEVICE, None),
             (SOAK, Some(SOAK)),
             (HOST_CHAOS, None),
@@ -192,15 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_trajectory_needs_every_profile() {
-        let doc = edited::<serve_trajectory::ServeEntry>(SERVE, |e| {
-            e.profiles.retain(|p| p.profile != "overload")
-        });
-        let msg = rejection(&doc, None);
-        assert!(msg.contains("\"profile\": \"overload\""), "{msg}");
-    }
-
-    #[test]
     fn device_trajectory_needs_the_staging_row() {
         let doc = edited::<device_trajectory::TrajectoryEntry>(DEVICE, |e| {
             e.rows.retain(|r| r.label != "staging")
@@ -213,8 +199,8 @@ mod tests {
     fn a_row_missing_a_field_does_not_parse() {
         let doc = DEVICE.replace("\"score_crc\"", "\"crc\"");
         assert!(rejection(&doc, None).contains("\"score_crc\""));
-        let doc = SERVE.replace("\"p999_ms\"", "\"p9999_ms\"");
-        assert!(rejection(&doc, None).contains("\"p999_ms\""));
+        let doc = HOST.replace("\"word_fallbacks\"", "\"word_reruns\"");
+        assert!(rejection(&doc, None).contains("\"word_fallbacks\""));
     }
 
     #[test]
@@ -254,7 +240,9 @@ mod tests {
         assert!(rejection("{}", None).contains("missing traceEvents array"));
         assert!(rejection("[1, 2", None).contains("not a JSON document"));
         assert!(rejection(HOST, Some(HOST)).contains("--baseline only applies"));
-        let empty = r#"{"schema": "cudasw.bench.serve/v1", "entries": []}"#;
+        let empty = r#"{"schema": "cudasw.bench.host/v2", "entries": []}"#;
         assert!(rejection(empty, None).contains("\"entries\" is empty"));
+        let retired = r#"{"schema": "cudasw.bench.serve/v1", "entries": []}"#;
+        assert!(rejection(retired, None).contains("unknown \"schema\" \"cudasw.bench.serve/v1\""));
     }
 }

@@ -1,12 +1,12 @@
 //! The one append-only benchmark *trajectory*: the `{schema, entries}`
-//! document behind `BENCH_host.json`, `BENCH_serve.json` and
-//! `BENCH_device.json`. The policy lives here and nowhere else: one entry
-//! per measured run, oldest first; a run **replaces** only the entry with
-//! its own key (same git rev, same workload, same measuring host or device
-//! — a re-run) and otherwise **appends**, so the committed file *is* the
-//! performance history of the repo; a fresh run is compared against the
-//! **latest comparable** committed entry. A schema is an [`Entry`] impl
-//! (`experiments::{host,serve,device}_trajectory`).
+//! document behind `BENCH_host.json` and `BENCH_device.json`. The policy
+//! lives here and nowhere else: one entry per measured run, oldest first; a
+//! run **replaces** only the entry with its own key (same git rev, same
+//! workload, same measuring host or device — a re-run) and otherwise
+//! **appends**, so the committed file *is* the performance history of the
+//! repo; a fresh run is compared against the **latest comparable** committed
+//! entry. A schema is an [`Entry`] impl
+//! (`experiments::{host,device}_trajectory`).
 
 use obs::json::{escape, parse, Json};
 
@@ -354,7 +354,7 @@ mod tests {
     /// merging a fresh run can never rewrite history it did not measure.
     #[test]
     fn committed_trajectories_round_trip_byte_identically() {
-        use crate::experiments::{device_trajectory, host_trajectory, serve_trajectory};
+        use crate::experiments::{device_trajectory, host_trajectory};
         fn check<E: Entry>(name: &str, text: &str) {
             let t = Trajectory::<E>::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(!t.entries.is_empty(), "{name} has no entries");
@@ -363,10 +363,6 @@ mod tests {
         check::<host_trajectory::TrajectoryEntry>(
             "BENCH_host.json",
             include_str!("../../../BENCH_host.json"),
-        );
-        check::<serve_trajectory::ServeEntry>(
-            "BENCH_serve.json",
-            include_str!("../../../BENCH_serve.json"),
         );
         check::<device_trajectory::TrajectoryEntry>(
             "BENCH_device.json",

@@ -1,4 +1,4 @@
-//! Standard workloads shared by the experiments and benches.
+//! Standard workloads shared by the experiments.
 //!
 //! Sizes follow the scaling policy of DESIGN.md §5: analytic experiments
 //! run at realistic database scale (lengths only), functional experiments
@@ -73,30 +73,10 @@ pub fn fig2_lengths(std_dev: f64, s: usize, median: f64) -> Vec<usize> {
         .collect()
 }
 
-/// Functional variant of the Figure 2 database.
-pub fn fig2_database(std_dev: f64, s: usize, median: f64) -> Database {
-    let params = LogNormalParams::from_median_and_std(median, std_dev);
-    SynthConfig::new(
-        format!("lognormal(median={median}, std={std_dev})"),
-        s,
-        params,
-        SEED ^ std_dev.to_bits(),
-    )
-    .generate()
-}
-
 /// The query of the threshold experiments (the paper uses lengths 567,
 /// 572 and 576 across Figures 2/3/5; one deterministic query per length).
 pub fn query(len: usize) -> Vec<u8> {
     make_query(len, SEED)
-}
-
-/// The paper's Figure 7 / Table II query lengths.
-pub fn paper_queries() -> Vec<Vec<u8>> {
-    sw_db::catalog::paper_query_lengths()
-        .iter()
-        .map(|&l| query(l))
-        .collect()
 }
 
 /// Long-sequence workload for intra-task kernel experiments: `count`
@@ -135,8 +115,7 @@ mod tests {
     #[test]
     fn queries_are_deterministic() {
         assert_eq!(query(567), query(567));
-        assert_eq!(paper_queries().len(), 15);
-        assert_eq!(paper_queries()[0].len(), 144);
+        assert_eq!(query(144).len(), 144);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Load-generator determinism properties: a schedule is a pure function
 //! of its config — equal configs (seed included) produce byte-identical
 //! schedules under every profile; different seeds diverge. Without this,
-//! `repro serve-rt` runs would not be reproducible across hosts.
+//! the load the gateway tests replay would not be reproducible across
+//! hosts.
 
 use proptest::prelude::*;
 use sw_gateway::{LoadConfig, LoadProfile};

@@ -3,8 +3,8 @@
 # workspace total — the figures CHANGES.md entries carry and the ROADMAP's
 # size target is judged by.
 #
-# Test lines are whole files under a `tests/` or `benches/` directory and,
-# inside `src/`, everything from a file's `#[cfg(test)]` line to its end
+# Test lines are whole files under a `tests/` directory and, inside `src/`,
+# everything from a file's `#[cfg(test)]` line to its end
 # (the convention every module here follows). `benchmark/` is a workspace of
 # its own and is listed but kept out of the total, as in the ROADMAP.
 set -euo pipefail
@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 count() {
   find "$@" -name '*.rs' -not -path '*/target/*' -print0 2>/dev/null |
     xargs -0 -r awk '
-      FNR == 1 { in_test = (FILENAME ~ /(^|\/)(tests|benches)\//) }
+      FNR == 1 { in_test = (FILENAME ~ /(^|\/)tests\//) }
       /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
       { if (in_test) test++; else code++ }
       END { printf "%d %d\n", code, test }'

@@ -166,20 +166,6 @@ if [[ -f BENCH_soak.json ]]; then
 fi
 repro "${soak_gate_args[@]}"
 
-# Wall-clock serving gate: the sw-gateway smoke (real lane worker
-# threads, open-loop load generator, end-to-end latency) must resolve
-# every request exactly once across all three profiles (asserted inside
-# the experiment) and emit a well-formed cudasw.bench.serve/v1
-# trajectory (steady, bursty and overload rows in every entry). Against
-# the committed baseline the run is gated: shed and deadline-miss rates
-# always; latency tails only on hosts with >=4 hardware threads.
-serve_rt_args=(serve-rt --smoke --out "$tmp/BENCH_serve.json")
-if [[ -f BENCH_serve.json ]]; then
-  serve_rt_args+=(--baseline BENCH_serve.json)
-fi
-repro "${serve_rt_args[@]}" >/dev/null
-repro gate "$tmp/BENCH_serve.json"
-
 # Device-optimization gate: the §VII optimization matrix (boundary
 # staging, shared-only kernel, cross-strip fusion, streamed H2D, SaLoBa
 # balance) on the trimmed Fermi. The invariant gates always run inside
@@ -195,5 +181,8 @@ if [[ -f BENCH_device.json ]]; then
 fi
 repro "${device_args[@]}" >/dev/null
 repro gate "$tmp/BENCH_device.json"
+
+# The size the ROADMAP's "ends smaller" target is judged by.
+bash scripts/loc.sh | tail -n 1
 
 echo "verify: OK"

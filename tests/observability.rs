@@ -80,7 +80,7 @@ fn search_trace_has_nested_phase_kernel_and_transfer_spans() {
     }
 }
 
-/// Acceptance criterion: the Chrome-trace JSON export (what
+/// Acceptance check: the Chrome-trace JSON export (what
 /// `repro trace --out` writes) is schema-valid and structurally nested.
 #[test]
 fn chrome_trace_export_is_schema_valid() {
