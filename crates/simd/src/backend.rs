@@ -8,6 +8,21 @@
 //! (AVX2, SSE2, NEON, and the portable emulated vectors) instantiates the
 //! same kernel with its own vector type.
 //!
+//! **Nine vector operations a stripe.** A byte lane holds a score *level*
+//! `0..=255` in an encoding its vector type owns, and the byte loop adds a
+//! profile score through [`ByteSimd::add_score`] — "floored at level 0" is
+//! part of the operation. Farrar's biased unsigned bytes (SSE2, NEON,
+//! portable) spend two instructions there, `paddusb` then `psubusb bias`,
+//! ten a stripe; AVX2's offset-binary signed bytes spend one `vpaddsb`,
+//! because a signed saturating add floors at its own minimum, and that loop
+//! runs close to its issue rate (two such operations a cycle), so the
+//! tenth was most of a tenth of its time. Three of the nine form the
+//! F → H → F chain one stripe hands the next (`max(H, F)`, `⊖ open`,
+//! `max` into F); the running maximum is folded before F joins H so that
+//! it stays three. A Lazy-F repair step is four operations on
+//! every backend and in both precisions (see `repair_step!` for why it
+//! leaves the running maximum alone). `tests/op_budget.rs` counts both.
+//!
 //! **One bounded Lazy-F repair.** In the striped layout lane `k` covers the
 //! contiguous query chunk `[k·seg_len, (k+1)·seg_len)`, so the F value
 //! leaving lane `k`'s chunk feeds lane `k+1`'s — a linear recurrence in the
@@ -37,7 +52,9 @@
 //!
 //! **Byte→word hand-off.** The byte kernel stops as soon as the running
 //! maximum *could* saturate during the next column's biased add — one
-//! column before anything does — so its H, E and maximum are still exact.
+//! column before anything does, in either encoding (AVX2 keeps the biased
+//! threshold although its add has `bias` more headroom: every backend must
+//! hand off at the same column) — so its H, E and maximum are still exact.
 //! It returns them de-striped as a [`Handoff`]; the word kernel re-stripes
 //! that to its own lane count and continues at the next column instead of
 //! column 0 (see [`Handoff`] for why floored E and padding rows are
@@ -95,46 +112,104 @@ impl ColumnCheck for CancelToken {
     }
 }
 
-/// Vector of unsigned 8-bit lanes with SSE2 `paddusb`-style semantics.
+/// Vector of 8-bit lanes, each holding a score *level* `0..=255` in an
+/// encoding its implementor owns.
 ///
-/// Implementations must behave lane-wise exactly like `u8::saturating_*`;
-/// the generic kernels rely on that for cross-backend score identity.
+/// The byte kernel never reads a lane's bits. It builds level vectors with
+/// [`level`](Self::level), adds profile bytes written by
+/// [`encode_score`](Self::encode_score) through
+/// [`add_score`](Self::add_score), subtracts gap penalties as amounts, and
+/// reads levels back through `store` + [`decode`](Self::decode) or
+/// [`horizontal_max`](Self::horizontal_max). Every provided method is
+/// Farrar's biased unsigned byte (the level *is* the byte, `paddusb` then
+/// `psubusb bias`), so an implementor of the required methods alone behaves
+/// lane-wise exactly like `u8::saturating_*`; one that overrides them (AVX2,
+/// offset-binary signed bytes) must leave every level-valued result the
+/// same — `tests/vector_contract.rs` holds each implementor to that over
+/// all 256 × 256 operand pairs, and cross-backend score identity rests on
+/// it.
 pub trait ByteSimd: Copy + Send + Sync + 'static {
-    /// Number of `u8` lanes.
+    /// Number of 8-bit lanes.
     const LANES: usize;
 
-    /// All lanes equal to `v`.
+    /// Largest amount one [`sat_sub`](Self::sat_sub) operand can carry; the
+    /// byte kernel declines gap penalties above it to the word kernel.
+    const SUB_LIMIT: u8 = 255;
+
+    /// All lanes equal to the raw byte `v`: the amount operand of
+    /// [`sat_sub`](Self::sat_sub), never a level.
     fn splat(v: u8) -> Self;
 
-    /// All-zero vector.
-    fn zero() -> Self {
-        Self::splat(0)
+    /// All lanes at level `v`.
+    #[inline(always)]
+    fn level(v: u8) -> Self {
+        Self::splat(v)
     }
 
-    /// Load `Self::LANES` lanes from `lanes` (lane 0 first).
+    /// All lanes at level 0.
+    #[inline(always)]
+    fn zero() -> Self {
+        Self::level(0)
+    }
+
+    /// Load `Self::LANES` raw bytes from `lanes` (lane 0 first).
     fn load(lanes: &[u8]) -> Self;
 
-    /// Store `Self::LANES` lanes into `out` (lane 0 first).
+    /// Store `Self::LANES` raw bytes into `out` (lane 0 first);
+    /// [`decode`](Self::decode) turns one into its level.
     fn store(self, out: &mut [u8]);
 
-    /// Lane-wise unsigned saturating addition (`paddusb`).
+    /// The level a stored lane holds.
+    #[inline(always)]
+    fn decode(lane: u8) -> u8 {
+        lane
+    }
+
+    /// The profile byte for substitution score `score` under `bias =
+    /// −min_score`: the operand [`add_score`](Self::add_score) adds.
+    /// Encodable scores are `−bias ..= 127` (matrix scores are `i8`).
+    #[inline(always)]
+    fn encode_score(score: i32, bias: u8) -> u8 {
+        (score + bias as i32) as u8
+    }
+
+    /// The primitive saturating addition (`paddusb`) the provided
+    /// [`add_score`](Self::add_score) is built from.
     fn sat_add(self, rhs: Self) -> Self;
 
-    /// Lane-wise unsigned saturating subtraction (`psubusb`).
-    fn sat_sub(self, rhs: Self) -> Self;
+    /// Levels plus profile scores, floored at level 0: lane-wise
+    /// `max(level + score, 0)`, exact while `level + score + bias ≤ 255` —
+    /// the headroom [`ByteProfileOf::overflow_at`] keeps. `bias` is
+    /// `splat(bias)`.
+    #[inline(always)]
+    fn add_score(self, scores: Self, bias: Self) -> Self {
+        self.sat_add(scores).sat_sub(bias)
+    }
 
-    /// Lane-wise maximum (`pmaxub`).
+    /// Levels minus `amount = splat(n)` with `n ≤ SUB_LIMIT`, floored at
+    /// level 0 (`psubusb`).
+    fn sat_sub(self, amount: Self) -> Self;
+
+    /// Levels minus any `n` in `0..=255`, floored at level 0 (the Lazy-F
+    /// scan's clamped decays exceed [`SUB_LIMIT`](Self::SUB_LIMIT)).
+    #[inline(always)]
+    fn sub_amount(self, n: u8) -> Self {
+        self.sat_sub(Self::splat(n))
+    }
+
+    /// Lane-wise maximum of levels (`pmaxub`).
     fn max(self, rhs: Self) -> Self;
 
-    /// True when any lane of `self` is strictly greater than `rhs`.
+    /// True when any lane of `self` holds a strictly higher level than the
+    /// same lane of `rhs`.
     fn any_gt(self, rhs: Self) -> bool;
 
-    /// Shift lanes towards higher indices by one, inserting zero at lane 0
-    /// (`pslldq` by 1 byte).
+    /// Shift lanes towards higher indices by one, inserting level 0 at
+    /// lane 0 (`pslldq` by 1 byte).
     fn shift(self) -> Self;
 
-    /// Shift lanes towards higher indices by `n`, zero-filling the bottom
-    /// `n` lanes. Used by the Lazy-F scan with power-of-two `n`;
+    /// Shift lanes towards higher indices by `n`, filling the bottom `n`
+    /// lanes with level 0. Used by the Lazy-F scan with power-of-two `n`;
     /// backends override the default (repeated [`shift`](Self::shift))
     /// with constant-shift instructions.
     #[inline(always)]
@@ -146,7 +221,7 @@ pub trait ByteSimd: Copy + Send + Sync + 'static {
         v
     }
 
-    /// Maximum over all lanes.
+    /// Highest level over all lanes.
     fn horizontal_max(self) -> u8;
 }
 
@@ -213,8 +288,8 @@ pub trait Backend {
     fn available() -> bool;
 }
 
-/// Striped byte profile for vector type `V`: biased scores, `V::LANES`
-/// query positions per segment vector.
+/// Striped byte profile for vector type `V`: scores in `V`'s profile
+/// encoding, `V::LANES` query positions per segment vector.
 #[derive(Debug, Clone)]
 pub struct ByteProfileOf<V: ByteSimd> {
     seg_len: usize,
@@ -225,11 +300,11 @@ pub struct ByteProfileOf<V: ByteSimd> {
 }
 
 impl<V: ByteSimd> ByteProfileOf<V> {
-    /// Build the biased byte profile of `query` under `params`.
+    /// Build the byte profile of `query` under `params`.
     ///
-    /// Padding lanes (query positions `>= m`) carry biased score 0 — the
-    /// true matrix minimum — so they sink towards zero and never win the
-    /// running maximum.
+    /// Padding lanes (query positions `>= m`) carry the matrix minimum
+    /// `−bias` (biased: the byte 0), so they sink towards zero and never
+    /// win the running maximum.
     pub fn build(params: &SwParams, query: &[u8]) -> Self {
         let m = query.len();
         let seg_len = m.div_ceil(V::LANES).max(1);
@@ -242,11 +317,12 @@ impl<V: ByteSimd> ByteProfileOf<V> {
             for j in 0..seg_len {
                 for (k, slot) in lanes.iter_mut().enumerate() {
                     let pos = j + k * seg_len;
-                    *slot = if pos < m {
-                        (row[query[pos] as usize] as i32 + bias as i32) as u8
+                    let score = if pos < m {
+                        row[query[pos] as usize] as i32
                     } else {
-                        0
+                        -(bias as i32)
                     };
+                    *slot = V::encode_score(score, bias);
                 }
                 vectors.push(V::load(&lanes));
             }
@@ -383,7 +459,7 @@ impl Handoff {
             for (j, v) in segments.iter().enumerate() {
                 v.store(&mut lanes);
                 for (k, &x) in lanes.iter().enumerate() {
-                    out[j + k * seg_len] = x as i16;
+                    out[j + k * seg_len] = V::decode(x) as i16;
                 }
             }
             out
@@ -410,17 +486,24 @@ fn restripe<V: WordSimd>(values: &[i16], out: &mut [V]) {
     }
 }
 
-/// One Lazy-F repair step at segment `j` for either vector trait; evaluates
-/// to the repaired H. A raised H also raises the next column's E, which
-/// the main loop derived from the unrepaired H.
+/// One Lazy-F repair step at segment `j` for either vector trait: four
+/// vector operations. Evaluates to the repaired `H ⊖ open`, which the
+/// early-exit test compares the decayed F against. A raised H also raises
+/// the next column's E, which the main loop derived from the unrepaired H.
 macro_rules! repair_step {
-    ($hs:ident, $e:ident, $j:ident, $v_f:ident, $v_max:ident, $v_open:ident, $v_extend:ident) => {{
+    ($hs:ident, $e:ident, $j:ident, $v_f:ident, $v_open:ident, $v_extend:ident) => {{
         let h = $hs[$j].max($v_f);
         $hs[$j] = h;
-        $v_max = $v_max.max(h);
-        $e[$j] = $e[$j].max(h.sat_sub($v_open));
+        // The running maximum is not updated: a carried F is some H of this
+        // column — one the main loop folded into the maximum, or inductively
+        // a repaired one — minus `open + k·extend ≥ 0`, on either Lazy-F
+        // route (the scan only shifts, decays and maximises such values).
+        // So `h` never exceeds the maximum's highest lane, and only that
+        // lane is ever read (`any_gt(v_limit)`, `horizontal_max`).
+        let opened = h.sat_sub($v_open);
+        $e[$j] = $e[$j].max(opened);
         $v_f = $v_f.sat_sub($v_extend);
-        h
+        opened
     }};
 }
 
@@ -461,10 +544,12 @@ pub struct WordKernelResult {
 /// [`CANCEL_CHECK_COLS`] columns; `None` means the alignment was abandoned
 /// mid-flight and produced no score.
 ///
-/// Scores are kept non-negative by the profile bias; the result is a
+/// [`ByteSimd::add_score`] keeps levels non-negative; the result is a
 /// [`Handoff`] as soon as the running maximum could saturate during the
-/// next column's biased add. `force_scan` takes the scan route of the
-/// Lazy-F repair on every column (see the module docs).
+/// next column's biased add, or before the first column when the profile
+/// leaves no headroom or a gap penalty exceeds [`ByteSimd::SUB_LIMIT`].
+/// `force_scan` takes the scan route of the Lazy-F repair on every column
+/// (see the module docs).
 ///
 /// `#[inline(always)]` so backend-specific `#[target_feature]` wrappers can
 /// inline the whole kernel (and, transitively, the intrinsics) into a
@@ -479,23 +564,26 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
     check: &C,
 ) -> Option<ByteKernelResult> {
     const { assert!(V::LANES <= 2 * SCAN_STEPS[4]) };
-    if profile.overflow_at() == 0 {
-        // Even the first column's biased add could saturate.
+    let open = gaps.open.clamp(0, 255) as u8;
+    let extend = gaps.extend.clamp(0, 255) as u8;
+    if profile.overflow_at() == 0 || open.max(extend) > V::SUB_LIMIT {
+        // Even the first column's add could saturate, or one `sat_sub`
+        // cannot carry a gap penalty: the word kernel takes the pair.
         return Some(ByteKernelResult {
             score: Err(Handoff::default()),
             lazy_f: 0,
         });
     }
     let seg_len = profile.seg_len();
-    let v_open = V::splat(gaps.open.clamp(0, 255) as u8);
-    let v_extend = V::splat(gaps.extend.clamp(0, 255) as u8);
+    let v_open = V::splat(open);
+    let v_extend = V::splat(extend);
     let v_bias = V::splat(profile.bias());
-    let v_limit = V::splat(profile.overflow_at() - 1);
-    // One chunk's decay: `seg_len` extensions. u8 saturating subtraction
+    let v_limit = V::level(profile.overflow_at() - 1);
+    // One chunk's decay: `seg_len` extensions. Level subtraction
     // composes (x ⊖ a ⊖ b = x ⊖ min(255, a + b)), so clamping at 255 loses
     // nothing — any F minus 255 is 0 either way.
     let chunk_decay = seg_len as u64 * gaps.extend.max(0) as u64;
-    let v_chunk = V::splat(chunk_decay.min(255) as u8);
+    let v_chunk = V::level(chunk_decay.min(255) as u8);
     // The repair's early exit is sound only for strictly affine gaps: with
     // open == extend, a lazily-raised H generates an F chain exactly equal
     // to the exit threshold, which the cutoff would drop. Those gap models
@@ -522,19 +610,25 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
         let mut v_h = h_store[seg_len - 1].shift();
         std::mem::swap(&mut h_store, &mut h_load);
         // Four views of exactly `seg_len` vectors, cut once per column: the
-        // loop body is ten vector operations and no bounds checks. Loads
+        // loop body is nine vector operations where `add_score` is one
+        // instruction (AVX2) and ten where it is Farrar's biased pair, with
+        // no bounds checks (`tests/op_budget.rs` holds it to that). Loads
         // precede stores because the thirds of `state` are not provably
         // disjoint and the portable vectors only vectorise that way.
         let row = &profile.vectors[d as usize * seg_len..][..seg_len];
         let (hs, hl) = (&mut h_store[..seg_len], &h_load[..seg_len]);
         let e = &mut e[..seg_len];
         for j in 0..seg_len {
-            // Biased add, then remove the bias: H + w = (H +sat (w + bias))
-            // -sat bias.
             let (e_j, h_next) = (e[j], hl[j]);
-            v_h = v_h.sat_add(row[j]).sat_sub(v_bias);
-            v_h = v_h.max(e_j).max(v_f);
+            v_h = v_h.add_score(row[j], v_bias).max(e_j);
+            // The running maximum takes H before F joins it. F is an
+            // earlier H of this lane and column less `open + k·extend`,
+            // already folded in, so nothing is lost; and `max(H, E)` now has
+            // two uses, so it cannot be re-associated into `max(H, max(E,
+            // F))`, a fourth operation on the F → H → F chain each stripe
+            // waits for (AVX2 measured 1–5% slower that way, portable 4–6%).
             v_max = v_max.max(v_h);
+            v_h = v_h.max(v_f);
             hs[j] = v_h;
             let opened = v_h.sat_sub(v_open);
             e[j] = opened.max(e_j.sat_sub(v_extend));
@@ -557,8 +651,8 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
             // otherwise fall back to a variable-length copy through memory).
             for step in SCAN_STEPS {
                 if step < V::LANES {
-                    let decay = V::splat((step as u64 * chunk_decay).min(255) as u8);
-                    v_f = v_f.max(v_f.shift_lanes(step).sat_sub(decay));
+                    let decay = (step as u64 * chunk_decay).min(255) as u8;
+                    v_f = v_f.max(v_f.shift_lanes(step).sub_amount(decay));
                     lazy_f += 1;
                 }
             }
@@ -568,13 +662,13 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
         v_f = v_f.shift();
         // The first `peel` steps run untested (see `PEEL`); after them a
         // step runs only if the one before left an F that can raise an H.
-        let mut h = V::zero();
+        let mut opened = V::zero();
         for j in 0..peel {
-            h = repair_step!(hs, e, j, v_f, v_max, v_open, v_extend);
+            opened = repair_step!(hs, e, j, v_f, v_open, v_extend);
         }
         let mut j = peel;
         lazy_f += peel as u64;
-        while !early_exit || v_f.any_gt(h.sat_sub(v_open)) {
+        while !early_exit || v_f.any_gt(opened) {
             if j == seg_len {
                 passes -= 1;
                 if passes == 0 {
@@ -583,7 +677,7 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
                 v_f = v_f.shift();
                 j = 0;
             }
-            h = repair_step!(hs, e, j, v_f, v_max, v_open, v_extend);
+            opened = repair_step!(hs, e, j, v_f, v_open, v_extend);
             j += 1;
             lazy_f += 1;
         }
@@ -673,13 +767,13 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
             passes = 1;
         }
         v_f = v_f.shift();
-        let mut h = V::zero();
+        let mut opened = V::zero();
         for j in 0..peel {
-            h = repair_step!(hs, e, j, v_f, v_max, v_open, v_extend);
+            opened = repair_step!(hs, e, j, v_f, v_open, v_extend);
         }
         let mut j = peel;
         lazy_f += peel as u64;
-        while !early_exit || v_f.any_gt(h.sat_sub(v_open)) {
+        while !early_exit || v_f.any_gt(opened) {
             if j == seg_len {
                 passes -= 1;
                 if passes == 0 {
@@ -688,7 +782,7 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
                 v_f = v_f.shift();
                 j = 0;
             }
-            h = repair_step!(hs, e, j, v_f, v_max, v_open, v_extend);
+            opened = repair_step!(hs, e, j, v_f, v_open, v_extend);
             j += 1;
             lazy_f += 1;
         }

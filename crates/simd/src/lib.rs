@@ -40,8 +40,11 @@
 //! differential proptests in `tests/backend_differential.rs` pin byte
 //! mode, word mode and every available backend to identical scores under
 //! random gap models, at `open == extend` and at the `i16` saturation
-//! boundary, `tests/handoff_differential.rs` the byte→word hand-off, and
-//! `tests/peel_differential.rs` the untested Lazy-F prefix.
+//! boundary, `tests/handoff_differential.rs` the byte→word hand-off,
+//! `tests/peel_differential.rs` the untested Lazy-F prefix,
+//! `tests/bounded_exhaustive.rs` every pair of short sequences on every
+//! path, and `tests/vector_contract.rs` each byte vector's lane encoding
+//! (biased unsigned, or offset-binary on AVX2) to one arithmetic.
 
 // Crash-only discipline: library code may not panic through `unwrap` /
 // `expect` — every fallible path must recover or return a typed error.

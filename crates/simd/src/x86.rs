@@ -17,10 +17,23 @@
 //!    inline into a feature-enabled context and compile to straight-line
 //!    AVX2 code.
 //!
+//! **AVX2 byte lanes are offset-binary.** [`U8x32Avx`] stores level `v`
+//! as the byte `v ^ 0x80`, i.e. the signed byte `v − 128`, and the profile
+//! holds raw `i8` scores. `vpaddsb` then floors `level + score` at level 0
+//! (−128) and saturates it at level 255 (127) by itself, so Farrar's
+//! `⊖ bias` never issues; `vpsubsb` / `vpmaxsb` do the rest, `vpcmpgtb` is
+//! the unsigned-level compare SSE2 has to build from `max` + `cmpeq`, and
+//! every lane shift fills with `0x80`. The price is the operand range of
+//! `vpsubsb`: an amount is a non-negative signed byte, so
+//! [`ByteSimd::SUB_LIMIT`] is 127 (the byte kernel declines larger gap
+//! penalties to the word kernel) and the scan's decays of up to 255 go
+//! through `sub_amount`, which adds them as two negative bytes. SSE2 keeps
+//! the biased bytes: its loop is the trait's provided methods, unchanged.
+//!
 //! The one non-obvious idiom is the 256-bit lane shift: `_mm256_slli_si256`
 //! shifts each 128-bit half independently, so the byte crossing the middle
-//! is recovered with `_mm256_permute2x128_si256::<0x08>` (lower half ←
-//! zero, upper half ← old lower half) + `_mm256_alignr_epi8`.
+//! is recovered with `_mm256_permute2x128_si256::<0x02>` (lower half ←
+//! the fill, upper half ← old lower half) + `_mm256_alignr_epi8`.
 
 #![cfg(all(
     target_arch = "x86_64",
@@ -244,32 +257,47 @@ impl Backend for Sse2Backend {
 
 // ---------------------------------------------------------------- AVX2 ----
 
-/// 32 × u8 in an `__m256i` (AVX2).
+/// 32 score levels in an `__m256i` (AVX2), offset-binary: level `v` is the
+/// byte `v ^ 0x80` (see the module docs).
 #[derive(Clone, Copy)]
 pub struct U8x32Avx(__m256i);
 
 /// Shift a 256-bit vector towards higher lanes by `16 - ALIGN` bytes
-/// (`ALIGN` = 15 shifts one byte, 14 shifts one word), feeding zero in at
-/// lane 0 and carrying bytes across the 128-bit boundary.
+/// (`ALIGN` = 15 shifts one byte, 14 shifts one word), feeding `fill`'s
+/// bytes in at the bottom and carrying bytes across the 128-bit boundary.
 ///
 /// SAFETY: caller must ensure AVX2 is available.
 #[inline(always)]
-unsafe fn shift_256<const ALIGN: i32>(v: __m256i) -> __m256i {
+unsafe fn shift_256<const ALIGN: i32>(v: __m256i, fill: __m256i) -> __m256i {
     // SAFETY: AVX2 availability is the caller's contract.
-    unsafe {
-        // tmp = [zero, v.low]: donates v.low's tail to the upper lane.
-        let tmp = _mm256_permute2x128_si256::<0x08>(v, v);
-        _mm256_alignr_epi8::<ALIGN>(v, tmp)
-    }
+    unsafe { _mm256_alignr_epi8::<ALIGN>(v, low_half_up(v, fill)) }
+}
+
+/// `[fill.low, v.low]`: `v` shifted up by a whole 128-bit half — and, as
+/// `alignr`'s donor, the tail of `v.low` that crosses into the upper half.
+///
+/// SAFETY: caller must ensure AVX2 is available.
+#[inline(always)]
+unsafe fn low_half_up(v: __m256i, fill: __m256i) -> __m256i {
+    // SAFETY: AVX2 availability is the caller's contract.
+    unsafe { _mm256_permute2x128_si256::<0x02>(v, fill) }
 }
 
 impl ByteSimd for U8x32Avx {
     const LANES: usize = 32;
 
+    /// `vpsubsb` reads its amount as a signed byte.
+    const SUB_LIMIT: u8 = 127;
+
     #[inline(always)]
     fn splat(v: u8) -> Self {
         // SAFETY: only constructed after the dispatcher verified AVX2.
         Self(unsafe { _mm256_set1_epi8(v as i8) })
+    }
+
+    #[inline(always)]
+    fn level(v: u8) -> Self {
+        Self::splat(v ^ 0x80)
     }
 
     #[inline(always)]
@@ -289,51 +317,79 @@ impl ByteSimd for U8x32Avx {
     }
 
     #[inline(always)]
-    fn sat_add(self, rhs: Self) -> Self {
-        // SAFETY: AVX2 verified by the dispatcher.
-        Self(unsafe { _mm256_adds_epu8(self.0, rhs.0) })
+    fn decode(lane: u8) -> u8 {
+        lane ^ 0x80
+    }
+
+    /// The raw score: `vpaddsb` needs no bias.
+    #[inline(always)]
+    fn encode_score(score: i32, _bias: u8) -> u8 {
+        score as i8 as u8
     }
 
     #[inline(always)]
-    fn sat_sub(self, rhs: Self) -> Self {
+    fn sat_add(self, rhs: Self) -> Self {
         // SAFETY: AVX2 verified by the dispatcher.
-        Self(unsafe { _mm256_subs_epu8(self.0, rhs.0) })
+        Self(unsafe { _mm256_adds_epi8(self.0, rhs.0) })
+    }
+
+    /// One `vpaddsb`: floored at level 0 and saturated at level 255 by the
+    /// signed range itself.
+    #[inline(always)]
+    fn add_score(self, scores: Self, _bias: Self) -> Self {
+        self.sat_add(scores)
+    }
+
+    #[inline(always)]
+    fn sat_sub(self, amount: Self) -> Self {
+        // SAFETY: AVX2 verified by the dispatcher.
+        Self(unsafe { _mm256_subs_epi8(self.0, amount.0) })
+    }
+
+    #[inline(always)]
+    fn sub_amount(self, n: u8) -> Self {
+        // `n as i8` is negative past 127 and `vpsubsb` would add it. Adding
+        // negatives reaches further, −128 being a signed byte: two `vpaddsb`
+        // carry 128 + 127. No branch on `n`, so the scan's rounds unroll.
+        let first = n.min(128);
+        self.sat_add(Self::splat(first.wrapping_neg()))
+            .sat_add(Self::splat((n - first).wrapping_neg()))
     }
 
     #[inline(always)]
     fn max(self, rhs: Self) -> Self {
         // SAFETY: AVX2 verified by the dispatcher.
-        Self(unsafe { _mm256_max_epu8(self.0, rhs.0) })
+        Self(unsafe { _mm256_max_epi8(self.0, rhs.0) })
     }
 
     #[inline(always)]
     fn any_gt(self, rhs: Self) -> bool {
+        // Offset-binary keeps the order of levels under a signed compare.
         // SAFETY: AVX2 verified by the dispatcher.
-        unsafe {
-            _mm256_movemask_epi8(_mm256_cmpeq_epi8(_mm256_max_epu8(self.0, rhs.0), rhs.0)) != -1
-        }
+        unsafe { _mm256_movemask_epi8(_mm256_cmpgt_epi8(self.0, rhs.0)) != 0 }
     }
 
     #[inline(always)]
     fn shift(self) -> Self {
         // SAFETY: AVX2 verified by the dispatcher.
-        Self(unsafe { shift_256::<15>(self.0) })
+        Self(unsafe { shift_256::<15>(self.0, Self::zero().0) })
     }
 
     #[inline(always)]
     fn shift_lanes(self, n: usize) -> Self {
         // `shift_256::<ALIGN>` shifts by 16 − ALIGN bytes with the
         // boundary carry; a full-half shift is the bare permute.
+        let floor = Self::zero().0;
         // SAFETY: AVX2 verified by the dispatcher.
         unsafe {
             match n {
                 0 => self,
-                1 => Self(shift_256::<15>(self.0)),
-                2 => Self(shift_256::<14>(self.0)),
-                4 => Self(shift_256::<12>(self.0)),
-                8 => Self(shift_256::<8>(self.0)),
-                16 => Self(_mm256_permute2x128_si256::<0x08>(self.0, self.0)),
-                n if n >= 32 => Self::splat(0),
+                1 => Self(shift_256::<15>(self.0, floor)),
+                2 => Self(shift_256::<14>(self.0, floor)),
+                4 => Self(shift_256::<12>(self.0, floor)),
+                8 => Self(shift_256::<8>(self.0, floor)),
+                16 => Self(low_half_up(self.0, floor)),
+                n if n >= 32 => Self::zero(),
                 n => {
                     let mut v = self;
                     for _ in 0..n {
@@ -347,10 +403,13 @@ impl ByteSimd for U8x32Avx {
 
     #[inline(always)]
     fn horizontal_max(self) -> u8 {
+        // Flip the offset bit (level 0 is 0x80 in every byte): plain
+        // unsigned bytes, where SSE2 already has the fold.
         // SAFETY: AVX2 verified by the dispatcher.
         unsafe {
-            let lo = _mm256_castsi256_si128(self.0);
-            let hi = _mm256_extracti128_si256::<1>(self.0);
+            let levels = _mm256_xor_si256(self.0, Self::zero().0);
+            let lo = _mm256_castsi256_si128(levels);
+            let hi = _mm256_extracti128_si256::<1>(levels);
             U8x16Sse(_mm_max_epu8(lo, hi)).horizontal_max()
         }
     }
@@ -412,7 +471,7 @@ impl WordSimd for I16x16Avx {
     #[inline(always)]
     fn shift(self) -> Self {
         // SAFETY: AVX2 verified by the dispatcher.
-        Self(unsafe { shift_256::<14>(self.0) })
+        Self(unsafe { shift_256::<14>(self.0, _mm256_setzero_si256()) })
     }
 
     #[inline(always)]
@@ -420,12 +479,13 @@ impl WordSimd for I16x16Avx {
         // See `U8x32Avx::shift_lanes`; one lane is two bytes here.
         // SAFETY: AVX2 verified by the dispatcher.
         unsafe {
+            let zero = _mm256_setzero_si256();
             match n {
                 0 => self,
-                1 => Self(shift_256::<14>(self.0)),
-                2 => Self(shift_256::<12>(self.0)),
-                4 => Self(shift_256::<8>(self.0)),
-                8 => Self(_mm256_permute2x128_si256::<0x08>(self.0, self.0)),
+                1 => Self(shift_256::<14>(self.0, zero)),
+                2 => Self(shift_256::<12>(self.0, zero)),
+                4 => Self(shift_256::<8>(self.0, zero)),
+                8 => Self(low_half_up(self.0, zero)),
                 n if n >= 16 => Self::splat(0),
                 n => {
                     let mut v = self;
@@ -541,22 +601,15 @@ mod tests {
         assert_eq!(WordSimd::horizontal_max(a), pa.horizontal_max());
     }
 
+    // `U8x32Avx`'s shifts, maxima and compares are tested in levels by
+    // `tests/vector_contract.rs`: its raw bytes are offset-binary and mean
+    // nothing by themselves.
+
     #[test]
     fn avx_shift_crosses_the_lane_boundary() {
         if !Avx2Backend::available() {
             return;
         }
-        let mut vals = [0u8; 32];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = i as u8 + 1;
-        }
-        let v = U8x32Avx::load(&vals);
-        let shifted = ByteSimd::shift(v);
-        let mut out = [0u8; 32];
-        shifted.store(&mut out);
-        assert_eq!(out[0], 0);
-        assert_eq!(&out[1..32], &vals[0..31], "byte 15 must carry into lane 1");
-
         let mut wvals = [0i16; 16];
         for (i, v) in wvals.iter_mut().enumerate() {
             *v = i as i16 + 1;
@@ -651,13 +704,6 @@ mod tests {
         if !Avx2Backend::available() {
             return;
         }
-        let mut vals = [7u8; 32];
-        vals[29] = 201;
-        let v = U8x32Avx::load(&vals);
-        assert_eq!(ByteSimd::horizontal_max(v), 201);
-        assert!(v.any_gt(U8x32Avx::splat(200)));
-        assert!(!v.any_gt(U8x32Avx::splat(201)));
-
         let mut wvals = [-5i16; 16];
         wvals[3] = 999;
         let v = I16x16Avx::load(&wvals);

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sw_align::alphabet::Alphabet;
+use sw_align::alphabet::{encode_protein, Alphabet};
 use sw_align::matrix::ScoringMatrix;
 use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_align::GapPenalties;
@@ -67,10 +67,11 @@ fn check_everywhere(p: &SwParams, q: &[u8], d: &[u8]) -> u64 {
     verdicts[0]
 }
 
-/// Length of the shortest prefix of `d` on which byte mode overflows (the
-/// running maximum only grows, so the verdict is monotone in the prefix).
-fn overflow_column(p: &SwParams, q: &[u8], d: &[u8]) -> usize {
-    let engine = QueryEngine::with_backend(p.clone(), q, BackendKind::Portable);
+/// Length of the shortest prefix of `d` on which `kind`'s byte mode
+/// overflows (the running maximum only grows, so the verdict is monotone in
+/// the prefix).
+fn overflow_column(p: &SwParams, q: &[u8], d: &[u8], kind: BackendKind) -> usize {
+    let engine = QueryEngine::with_backend(p.clone(), q, kind);
     let overflows = |len: usize| {
         run(&engine, &d[..len], Precision::Adaptive)
             .1
@@ -110,7 +111,7 @@ fn overflow_early_mid_subject_and_on_the_last_column() {
             for prefix in [0usize, 300] {
                 let d = homolog(&q, 0..qlen, prefix, 200, seed + 10);
                 assert_eq!(check_everywhere(p, &q, &d), 1, "q={qlen} prefix={prefix}");
-                let col = overflow_column(p, &q, &d);
+                let col = overflow_column(p, &q, &d, BackendKind::Portable);
                 assert!(
                     col > prefix && col < prefix + qlen,
                     "overflow inside the planted region"
@@ -167,7 +168,8 @@ fn hand_off_at_every_threshold_including_inside_an_open_gap() {
             gaps: GapPenalties::cudasw_default(),
         };
         assert_eq!(check_everywhere(&p, &q, &d), 1, "bias {bias}");
-        inside_gap += usize::from(gap_cols.contains(&(overflow_column(&p, &q, &d) - 1)));
+        let col = overflow_column(&p, &q, &d, BackendKind::Portable);
+        inside_gap += usize::from(gap_cols.contains(&(col - 1)));
     }
     assert!(inside_gap > 0, "no threshold landed inside the open gap");
 }
@@ -204,8 +206,119 @@ fn query_past_the_byte_decay_clamp() {
     let q = make_query(4200, 11);
     let d = homolog(&q, 1000..1400, 100, 100, 12);
     assert_eq!(check_everywhere(&p, &q, &d), 1);
-    let col = overflow_column(&p, &q, &d);
+    let col = overflow_column(&p, &q, &d, BackendKind::Portable);
     assert_eq!(check_everywhere(&p, &q, &d[..col]), 1);
+}
+
+#[test]
+fn chunk_decays_either_side_of_the_signed_byte_limit() {
+    // AVX2 subtracts with `vpsubsb`, whose amount is a signed byte, so its
+    // scan splits a chunk decay (`seg_len × extend` on 32 lanes) past 127:
+    // 94·2 = 188 goes as 127 + 61, 127·2 = 254 is the most two
+    // subtractions carry, and 85·3 = 255 empties every level, as does
+    // 132·2 = 264 once clamped. (On 16 lanes all four are past the clamp.)
+    // A self-alignment scans from its first columns and hands off within
+    // thirty; the 40-residue homolog keeps byte mode to the end with F
+    // crossing chunk boundaries. `check_everywhere` runs both routes.
+    let cases = [
+        (3000usize, 2, 188),
+        (4064, 2, 254),
+        (2720, 3, 255),
+        (4200, 2, 264),
+    ];
+    for (qlen, extend, decay) in cases {
+        let p = SwParams {
+            matrix: ScoringMatrix::blosum62(),
+            gaps: GapPenalties::new(10, extend).unwrap(),
+        };
+        let (q, seed) = (make_query(qlen, decay), decay + 10);
+        assert_eq!(qlen.div_ceil(32) as u64 * extend as u64, decay);
+        assert_eq!(check_everywhere(&p, &q, &q[..200]), 1, "q={qlen} self");
+        let d = homolog(&q, 500..540, 100, 100, seed);
+        assert_eq!(check_everywhere(&p, &q, &d), 0, "q={qlen} homolog");
+    }
+}
+
+#[test]
+fn gap_penalties_past_the_signed_byte_limit_decline_to_word_mode() {
+    // One `vpsubsb` cannot carry a penalty above 127, so there the AVX2
+    // byte pass declines before its first column — the way a profile with
+    // no headroom does — and the word pass scores every pair alone. The
+    // biased backends carry 255 in one `psubusb` (a clamped penalty beyond
+    // that floors every H it is taken from, as the true one would) and
+    // keep their byte pass.
+    let q = make_query(100, 51);
+    let subjects = [make_query(150, 52), homolog(&q, 0..100, 30, 30, 53)];
+    let cases = [
+        (127, 1, true),
+        (127, 127, true),
+        (128, 1, false),
+        (200, 2, false),
+        (200, 130, false),
+        (300, 256, false),
+    ];
+    for (open, extend, avx2_byte_pass) in cases {
+        let p = SwParams {
+            matrix: ScoringMatrix::blosum62(),
+            gaps: GapPenalties::new(open, extend).unwrap(),
+        };
+        for kind in BackendKind::available() {
+            for mode in KernelMode::ALL {
+                let engine = QueryEngine::with_backend_and_mode(p.clone(), &q, kind, mode);
+                let mut stats = AdaptiveStats::default();
+                for d in &subjects {
+                    let expected = sw_score(&p, &q, d);
+                    let what = format!("gaps ({open}, {extend}) on {kind} / {mode}");
+                    let adaptive = engine.score_with(d, Precision::Adaptive, &mut stats);
+                    assert_eq!(adaptive, expected, "adaptive, {what}");
+                    assert_eq!(run(&engine, d, Precision::Word).0, expected, "word, {what}");
+                }
+                if kind == BackendKind::Avx2 && !avx2_byte_pass {
+                    assert_eq!(
+                        stats.lazy_f_byte, 0,
+                        "({open}, {extend}): no byte column ran"
+                    );
+                    assert_eq!(stats.byte_mode, 0);
+                    assert_eq!(stats.word_fallbacks, subjects.len() as u64);
+                } else {
+                    assert!(stats.lazy_f_byte > 0, "({open}, {extend}) on {kind}");
+                    assert!(stats.byte_mode > 0, "({open}, {extend}) on {kind}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn scores_either_side_of_the_overflow_threshold_hand_off_at_one_column() {
+    // Under BLOSUM62 `overflow_at` is 255 − 4 − 11 = 240 and byte mode
+    // gives up once the running maximum reaches it. 21 tryptophans (231)
+    // topped up to a true score of exactly 239, 240 and 241: the first
+    // resolves in byte mode, the other two hand off — on the column where
+    // the maximum gets there, whatever the backend's lanes or encoding.
+    let p = SwParams::cudasw_default();
+    for (tail, truth, hand_off) in [
+        ("H", 239, None),
+        ("C", 240, Some(22)),
+        ("AG", 241, Some(23)),
+    ] {
+        let mut q = encode_protein(&"W".repeat(21)).unwrap();
+        q.extend(encode_protein(tail).unwrap());
+        let mut d = q.clone();
+        d.extend(make_query(20, 71));
+        assert_eq!(sw_score(&p, &q, &d), truth, "tail {tail}");
+        let verdict = check_everywhere(&p, &q, &d);
+        assert_eq!(verdict, u64::from(hand_off.is_some()), "tail {tail}");
+        if let Some(col) = hand_off {
+            for kind in BackendKind::available() {
+                assert_eq!(
+                    overflow_column(&p, &q, &d, kind),
+                    col,
+                    "tail {tail} on {kind}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -54,16 +54,23 @@ cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cud
 # suite because the byte→word hand-off re-stripes between lane widths
 # that differ per backend, and the peel suite because the portable
 # instantiation of the column loop is the one the native runs never take.
+# The byte-lane contract, the bounded-exhaustive conformance run and the
+# column loop's operation budget ride the same lines: the first two hold
+# whichever byte encodings the feature set compiles to one set of scores,
+# the third counts the generic loop on the portable vector.
 cargo build -q --release --offline -p sw-simd --no-default-features
 cargo test -q --offline -p sw-simd --no-default-features
 cargo test -q --offline -p sw-simd --no-default-features --test prefix_scan_differential \
-  --test handoff_differential --test peel_differential
+  --test handoff_differential --test peel_differential --test vector_contract \
+  --test bounded_exhaustive --test op_budget
 cargo build -q --release --offline -p sw-simd --features force-portable
 cargo test -q --offline -p sw-simd --features force-portable
 cargo test -q --offline -p sw-simd --features force-portable --test prefix_scan_differential \
-  --test handoff_differential --test peel_differential
+  --test handoff_differential --test peel_differential --test vector_contract \
+  --test bounded_exhaustive --test op_budget
 cargo test -q --offline -p sw-simd --test prefix_scan_differential --test handoff_differential \
-  --test peel_differential --test pool_chunking
+  --test peel_differential --test pool_chunking --test vector_contract --test bounded_exhaustive \
+  --test op_budget
 
 # Crash-only host engine: the seeded host-fault matrix (>=3 seeds x
 # {panic, stall, alloc-fail}, chaos storms, budget starvation) and the
