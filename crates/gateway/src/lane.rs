@@ -17,12 +17,14 @@
 //!   staged handle faults; an unrecoverable lane death reports the
 //!   remaining queries as unserved (`None`) and the dispatcher re-owes
 //!   them to the host lane;
-//! * the host lane runs every search under
-//!   [`sw_simd::search_protected`] with the gateway's shared
-//!   [`CancelToken`] installed — injected host faults (panics, stalls,
-//!   alloc failures) are absorbed bit-identically, and shutdown
-//!   cancellation makes queued chunks exit at their first poll instead
-//!   of stalling the drain.
+//! * the host lane posts each wave as one
+//!   [`sw_simd::search_wave_protected`] job — the shard walked once,
+//!   every chunk scored against all of the wave's queries — with the
+//!   gateway's shared [`CancelToken`] installed: injected host faults
+//!   (panics, stalls, alloc failures; drawn once per chunk per wave) are
+//!   absorbed bit-identically, and shutdown cancellation makes queued
+//!   chunks exit at their first poll instead of stalling the drain. A
+//!   cancelled wave serves none of its requests.
 //!
 //! Scores are exact on every path, so which lane (or fallback) served a
 //! shard never changes a response byte.
@@ -34,7 +36,9 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 use sw_db::Database;
 use sw_serve::Wave;
-use sw_simd::{search_protected, CancelToken, HostFaultPlan, PoolConfig, Precision, QueryEngine};
+use sw_simd::{
+    search_wave_protected, CancelToken, HostFaultPlan, PoolConfig, Precision, QueryEngine,
+};
 
 /// A command from the dispatcher to a lane worker.
 pub(crate) enum LaneCmd {
@@ -340,41 +344,35 @@ fn host_lane_loop(worker: &HostLaneWorker, rx: &Receiver<LaneCmd>, out: &Sender<
 }
 
 impl HostLaneWorker {
-    /// Compute shard `shard_of` for every request of `wave` on the
-    /// protected pool. A cancelled search (gateway shutdown) reports the
-    /// remaining requests as unserved.
+    /// Compute shard `shard_of` for every request of `wave` as one job on
+    /// the protected pool: the wave's engines in `exec_order`, the shard
+    /// walked once. A cancelled wave (gateway shutdown) serves none of its
+    /// requests.
     fn exec(&self, wave_id: u64, wave: &Wave, shard_of: usize) -> LaneDone {
         let t0 = Instant::now();
-        let n = wave.requests.len();
-        let mut scores: Vec<Option<Vec<i32>>> = vec![None; n];
+        let mut scores: Vec<Option<Vec<i32>>> = vec![None; wave.requests.len()];
         let mut cells = 0u64;
-        let mut cancelled = false;
-        let params = wave.requests[0].params.clone();
+        let params = &wave.requests[0].params;
         let shard = &self.shards[shard_of.min(self.shards.len().saturating_sub(1))];
-        for &q in &wave.exec_order {
-            if self.cancel.is_cancelled() {
-                cancelled = true;
-                break;
-            }
-            let req = &wave.requests[q];
-            if shard.is_empty() {
-                scores[q] = Some(Vec::new());
-                continue;
-            }
-            let engine = QueryEngine::new(params.clone(), &req.query);
+        let mut cancelled = self.cancel.is_cancelled();
+        if !cancelled {
+            let engines: Vec<QueryEngine> = wave
+                .exec_order
+                .iter()
+                .map(|&q| QueryEngine::new(params.clone(), &wave.requests[q].query))
+                .collect();
             let cfg = PoolConfig::new(self.threads, Precision::Adaptive)
                 .with_fault_plan(self.faults.clone())
                 .with_cancel(self.cancel.clone());
-            match search_protected(&engine, shard.sequences(), &cfg) {
+            match search_wave_protected(&engines, shard.sequences(), &cfg) {
                 Ok(r) => {
-                    sw_simd::record_stats(engine.kind(), &r.stats);
-                    cells += shard.total_cells(req.query.len());
-                    scores[q] = Some(r.scores);
+                    sw_simd::record_stats(engines[0].kind(), &r.stats);
+                    for (&q, part) in wave.exec_order.iter().zip(r.scores) {
+                        cells += shard.total_cells(wave.requests[q].query.len());
+                        scores[q] = Some(part);
+                    }
                 }
-                Err(_cancelled) => {
-                    cancelled = true;
-                    break;
-                }
+                Err(_cancelled) => cancelled = true,
             }
         }
         LaneDone {

@@ -15,8 +15,8 @@
 //! * [`lane`] — the execution backend: one worker thread per gpu-sim
 //!   shard lane (device-resident staging fast path, resilient fallback,
 //!   lane-death reporting) plus one host lane running shard work on the
-//!   crash-only work-stealing SIMD pool
-//!   ([`sw_simd::search_protected`], multi-threaded). Work owed by dead
+//!   crash-only work-stealing SIMD pool, one job per wave
+//!   ([`sw_simd::search_wave_protected`], multi-threaded). Work owed by dead
 //!   or breaker-quarantined device lanes is re-dispatched to the host
 //!   lane — the wall-clock analogue of the simulated redispatch ladder.
 //! * [`loadgen`] — a seeded open-loop load generator: deterministic

@@ -4,7 +4,9 @@
 //! [`sw_simd::CancelToken`] (the crash-only pool polls it at every chunk
 //! start, *before* the injected stall sleep). The exactly-once contract
 //! holds throughout: offered = served + shed + aborted, every ticket
-//! resolves once.
+//! resolves once. A wave is one pool job, so a cancel landing inside a
+//! multi-request wave serves none of its requests: every ticket of the
+//! wave resolves `Aborted`, once.
 
 use cudasw_core::{CudaSwConfig, ImprovedParams};
 use gpu_sim::DeviceSpec;
@@ -12,7 +14,21 @@ use std::time::Instant;
 use sw_db::synth::database_with_lengths;
 use sw_gateway::loadgen::drive;
 use sw_gateway::{Gateway, GatewayConfig, LoadConfig, Outcome};
+use sw_serve::BatchPolicy;
 use sw_simd::{HostFaultPlan, HostFaultRates};
+
+/// Most chunks sleep 150 ms before computing.
+fn stall_storm() -> HostFaultPlan {
+    HostFaultPlan::random(
+        0xD5A1,
+        HostFaultRates {
+            panic: 0.0,
+            stall: 0.9,
+            alloc_fail: 0.0,
+        },
+    )
+    .with_stall_ms(150)
+}
 
 #[test]
 fn forced_drain_cancels_stalled_host_chunks_and_resolves_every_ticket() {
@@ -21,18 +37,9 @@ fn forced_drain_cancels_stalled_host_chunks_and_resolves_every_ticket() {
         &[20, 35, 45, 60, 80, 95, 110, 120, 150, 300],
         71,
     );
-    // Stall storm on the host lane: most chunks sleep 150 ms before
-    // computing. With a ~0.2 s drain grace, queued waves cannot finish
-    // politely — shutdown must take the cancel path.
-    let stall_plan = HostFaultPlan::random(
-        0xD5A1,
-        HostFaultRates {
-            panic: 0.0,
-            stall: 0.9,
-            alloc_fail: 0.0,
-        },
-    )
-    .with_stall_ms(150);
+    // Stall storm on the host lane. With a ~0.2 s drain grace, queued
+    // waves cannot finish politely — shutdown must take the cancel path.
+    let stall_plan = stall_storm();
     let cfg = GatewayConfig {
         devices: 1,
         host_threads: 1,
@@ -113,4 +120,59 @@ fn forced_drain_cancels_stalled_host_chunks_and_resolves_every_ticket() {
         !report.aborted.is_empty(),
         "expected in-flight or queued work to be cut short"
     );
+}
+
+/// Eight requests submitted at once ride one wave (it dispatches when
+/// full); its single pool job stalls chunk after chunk, so the 0.2 s drain
+/// grace expires inside it. The cancelled job returns no score vector for
+/// any query, and all eight tickets resolve `Aborted`, exactly once.
+#[test]
+fn forced_cancel_inside_a_multi_request_wave_aborts_all_of_its_tickets_once() {
+    const WAVE: usize = 8;
+    let db = database_with_lengths(
+        "storm-db",
+        &[20, 35, 45, 60, 80, 95, 110, 120, 150, 300],
+        71,
+    );
+    let cfg = GatewayConfig {
+        devices: 0,
+        host_threads: 1,
+        batch: BatchPolicy {
+            max_wave: WAVE,
+            max_linger_seconds: 1.0,
+            ..BatchPolicy::default()
+        },
+        host_faults: stall_storm(),
+        drain_grace_seconds: 0.2,
+        ..GatewayConfig::default()
+    };
+    let schedule = LoadConfig {
+        mean_interarrival_seconds: 1.0e-5,
+        deadline_slack_seconds: (30.0, 60.0),
+        ..LoadConfig::small(WAVE, 78)
+    }
+    .schedule();
+
+    let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
+    let tickets = drive(&gateway.handle(), &schedule);
+    let report = gateway.shutdown();
+
+    assert_eq!(report.waves, 1, "the burst must have formed one wave");
+    assert!(report.forced_cancel, "the grace expired inside the wave");
+    assert!(
+        report.responses.is_empty(),
+        "a cancelled wave serves nobody"
+    );
+    assert_eq!(report.aborted.len(), WAVE);
+    assert_eq!(
+        report
+            .metrics
+            .counter("cudasw.gateway.duplicate_commits", &[]),
+        0.0
+    );
+    for t in tickets {
+        let (outcome, extra) = t.wait_counting_duplicates();
+        assert_eq!(extra, 0, "no ticket resolves twice");
+        assert!(matches!(outcome, Outcome::Aborted));
+    }
 }

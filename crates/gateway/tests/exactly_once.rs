@@ -3,15 +3,18 @@
 //! with one gpu-sim lane plus the host lane, must account for every
 //! request once — offered = served + shed + aborted, nothing aborted by a
 //! graceful drain, no duplicate commit, one [`Outcome`] per ticket — and
-//! the overload schedule must shed explicitly. Nothing here reads a
-//! latency or a rate: wall-clock serving numbers are the repo benchmark's
+//! the overload schedule must shed explicitly. A closed loop on the host
+//! lane alone then forms multi-request waves — each one pool job — and
+//! every reply must equal a direct search. Nothing here reads a latency or
+//! a rate: wall-clock serving numbers are the repo benchmark's
 //! (`serve_steady`, `serve_small`).
 
 use gpu_sim::DeviceSpec;
 use sw_db::synth::database_with_lengths;
 use sw_gateway::loadgen::drive;
 use sw_gateway::{Gateway, GatewayConfig, GatewayReport, LoadConfig, LoadProfile, Outcome};
-use sw_serve::ShedReason;
+use sw_serve::{BatchPolicy, ShedReason};
+use sw_simd::{search_sequences, Precision, QueryEngine};
 
 const REQUESTS: usize = 300;
 
@@ -112,4 +115,62 @@ fn overload_schedule_sheds_with_a_reason_and_resolves_every_request_once() {
             s.reason.as_str()
         );
     }
+}
+
+/// Closed loop, host lane only: four clients each send their next request
+/// on the reply, so replies and resubmissions move in step and the batcher
+/// coalesces them. A multi-request wave is one database-major pool job;
+/// whichever wave a request rode in, its reply is the direct search's.
+#[test]
+fn closed_loop_waves_reply_exactly_and_exactly_once() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 12;
+    let lens: Vec<usize> = (0..40).map(|i| 20 + (i * 37) % 140).collect();
+    let db = database_with_lengths("closed-loop-db", &lens, 71);
+    let cfg = GatewayConfig {
+        devices: 0,
+        host_threads: 2,
+        batch: BatchPolicy {
+            max_wave: 16,
+            ..BatchPolicy::default()
+        },
+        ..GatewayConfig::default()
+    };
+    let schedule = LoadConfig::small(CLIENTS * PER_CLIENT, 0x434C).schedule();
+
+    let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
+    std::thread::scope(|scope| {
+        for mine in schedule.chunks(PER_CLIENT) {
+            let handle = gateway.handle();
+            let db = &db;
+            scope.spawn(move || {
+                for req in mine {
+                    let (outcome, extra) = handle.submit(req.clone()).wait_counting_duplicates();
+                    assert_eq!(extra, 0, "request {}: one Outcome per ticket", req.id);
+                    let Outcome::Served(resp) = outcome else {
+                        panic!("request {} was not served", req.id);
+                    };
+                    let engine = QueryEngine::new(req.params.clone(), &req.query);
+                    let direct = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
+                    assert_eq!(resp.scores, direct.scores, "request {}", req.id);
+                }
+            });
+        }
+    });
+    let report = gateway.shutdown();
+
+    assert_eq!(report.responses.len(), schedule.len());
+    assert!(report.sheds.is_empty() && report.aborted.is_empty());
+    assert!(
+        report.waves < schedule.len() as u64,
+        "{} waves for {} requests: no wave held more than one",
+        report.waves,
+        schedule.len()
+    );
+    assert_eq!(
+        report
+            .metrics
+            .counter("cudasw.gateway.duplicate_commits", &[]),
+        0.0
+    );
 }

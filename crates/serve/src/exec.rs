@@ -151,7 +151,10 @@ impl WaveExecutor {
     /// Pool config for host-lane work: single worker (the service loop is
     /// a deterministic discrete-event simulation), full fault domain, and
     /// no cancel token — so a `search_protected` under it never returns
-    /// `Err` and a host lane always has an answer.
+    /// `Err` and a host lane always has an answer. Hedges and owed shards
+    /// stay single-query jobs, not waves: one thread on a simulated clock
+    /// has no per-job cost to share, and `BENCH_soak.json`'s host fault
+    /// counts are drawn per (query, chunk).
     fn host_pool_config(&self) -> PoolConfig {
         PoolConfig::new(1, Precision::Adaptive).with_fault_plan(self.host_faults.clone())
     }

@@ -70,6 +70,7 @@ pub use engine::{oracle_score, record_stats, AdaptiveStats, Precision, QueryEngi
 pub use fault::{ChunkId, HostFaultInjector, HostFaultKind, HostFaultPlan, HostFaultRates};
 pub use pool::{
     effective_workers, length_aware_chunks, search_protected, search_protected_with_chunks,
-    search_sequences, HostSearchResult, PoolConfig, PoolFaultReport, CHUNKS_PER_WORKER,
-    MIN_SEQS_PER_WORKER, SEQ_ADMISSION_BYTES,
+    search_sequences, search_wave_protected, search_wave_protected_with_chunks, HostSearchResult,
+    HostWaveResult, PoolConfig, PoolFaultReport, CHUNKS_PER_WORKER, MIN_SEQS_PER_WORKER,
+    SEQ_ADMISSION_BYTES,
 };

@@ -46,7 +46,16 @@
 //!   chunk identity, so the chaos tests can assert bit-identical scores
 //!   with zero lost or duplicated sequences.
 //!
-//! All workers share one read-only [`QueryEngine`] — the striped profiles
+//! **One job shape: a wave.** [`search_wave_protected`] scores `seqs`
+//! against `k` engines in one job, database-major: a chunk is claimed,
+//! admitted, fault-injected, heart-beaten, re-dispatched and cancel-polled
+//! once, and scored against all `k` profiles while its subjects are in
+//! cache, so the job's fixed cost (the scope, the watchdog and its poll
+//! tick) is paid once per wave. The commit table, the score slots and the
+//! quarantine recompute key on the (query, sequence) cell. Every other
+//! entry point is the wave of one.
+//!
+//! All workers share the read-only [`QueryEngine`]s — the striped profiles
 //! are built once per query and reused by every thread (that sharing is
 //! what amortizes the per-query profile build across the whole database).
 //! Worker-local [`AdaptiveStats`] are merged and returned to the caller,
@@ -72,27 +81,31 @@ use sw_db::Sequence;
 /// 4 threads.
 pub const CHUNKS_PER_WORKER: usize = 8;
 
-/// Minimum sequences per worker before the pool pays for itself. Thread
+/// Minimum alignments per worker before the pool pays for itself. Thread
 /// spawn plus result merging costs tens of microseconds while a typical
-/// sequence scores in about one, so a worker with less than this much
+/// alignment scores in about one, so a worker with less than this much
 /// work makes the pooled pass *slower* than the inline loop. The worker
 /// count is clamped so every worker clears this bar — small databases
 /// degrade gracefully to fewer workers and finally to the inline path.
 pub const MIN_SEQS_PER_WORKER: usize = 16;
 
-/// Admission bytes charged per sequence in a chunk on top of the engine's
-/// kernel working set (score slot, commit flag, queue bookkeeping).
+/// Admission bytes charged per alignment in a chunk on top of the engines'
+/// kernel working sets (score slot, commit flag, queue bookkeeping).
 pub const SEQ_ADMISSION_BYTES: u64 = 32;
 
-/// Workers actually worth spawning for `n` sequences on this machine:
-/// never more than the hardware can run concurrently (oversubscribing
-/// CPU-bound scoring only adds scheduler churn), never so many that a
-/// worker's share drops under [`MIN_SEQS_PER_WORKER`].
-pub fn effective_workers(threads: usize, n: usize) -> usize {
+/// Workers actually worth spawning for `alignments` (sequences × queries
+/// of the wave; the sequence count for one query) on this machine: never
+/// more than the hardware can run concurrently (oversubscribing CPU-bound
+/// scoring only adds scheduler churn), never so many that a worker's
+/// share drops under [`MIN_SEQS_PER_WORKER`].
+pub fn effective_workers(threads: usize, alignments: usize) -> usize {
     let hardware = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    threads.min(hardware).min(n / MIN_SEQS_PER_WORKER).max(1)
+    threads
+        .min(hardware)
+        .min(alignments / MIN_SEQS_PER_WORKER)
+        .max(1)
 }
 
 /// Cut `seqs` into at most `target_chunks` contiguous ranges of roughly
@@ -143,11 +156,12 @@ pub struct PoolFaultReport {
     pub panics: u64,
     /// Chunks quarantined to the scalar oracle after a panic.
     pub quarantined_chunks: u64,
-    /// Sequences whose committed score came from the oracle recompute.
+    /// (Query, sequence) cells whose committed score came from the oracle
+    /// recompute.
     pub oracle_scored: u64,
     /// Chunks the watchdog re-dispatched away from a silent worker.
     pub redispatches: u64,
-    /// Sequence commits that lost the exactly-once race (duplicate work
+    /// Cell commits that lost the exactly-once race (duplicate work
     /// absorbed, never duplicate answers).
     pub duplicates_suppressed: u64,
     /// Memory-budget reservations denied (real pressure, not injected).
@@ -187,14 +201,43 @@ pub struct HostSearchResult {
     pub faults: PoolFaultReport,
 }
 
-impl HostSearchResult {
-    fn empty() -> Self {
+/// Result of a pooled wave: `k` queries scored in one job.
+#[derive(Debug, Clone)]
+pub struct HostWaveResult {
+    /// One score vector per engine, in `engines` order, each indexed like
+    /// `seqs`.
+    pub scores: Vec<Vec<i32>>,
+    /// Counts merged across workers and queries: what `k` separate
+    /// searches would have summed to. Cells scored by the quarantine
+    /// oracle are counted in `faults.oracle_scored`, not here.
+    pub stats: AdaptiveStats,
+    /// Wall-clock seconds of the parallel section.
+    pub seconds: f64,
+    /// Chunks a worker took from a sibling's deque.
+    pub steals: u64,
+    /// Faults absorbed (all zero for a clean run).
+    pub faults: PoolFaultReport,
+}
+
+impl HostWaveResult {
+    fn empty(k: usize) -> Self {
         Self {
-            scores: Vec::new(),
+            scores: vec![Vec::new(); k],
             stats: AdaptiveStats::default(),
             seconds: 0.0,
             steals: 0,
             faults: PoolFaultReport::default(),
+        }
+    }
+
+    /// The wave of one, as the single-query entry points return it.
+    fn into_single(mut self) -> HostSearchResult {
+        HostSearchResult {
+            scores: self.scores.pop().unwrap_or_default(),
+            stats: self.stats,
+            seconds: self.seconds,
+            steals: self.steals,
+            faults: self.faults,
         }
     }
 }
@@ -223,7 +266,7 @@ pub struct PoolConfig {
 
 impl PoolConfig {
     /// Defaults: no cancellation, no faults, unlimited memory, watchdog
-    /// armed at one second (generous enough that per-sequence heartbeats
+    /// armed at one second (generous enough that per-alignment heartbeats
     /// never false-trip on realistic chunks, cheap enough to always run).
     pub fn new(threads: usize, precision: Precision) -> Self {
         Self {
@@ -270,24 +313,46 @@ pub fn search_sequences(
     threads: usize,
     precision: Precision,
 ) -> HostSearchResult {
-    into_infallible(search_protected(
-        engine,
-        seqs,
-        &PoolConfig::new(threads, precision),
-    ))
+    match search_protected(engine, seqs, &PoolConfig::new(threads, precision)) {
+        Ok(r) => r,
+        // Unreachable: only a configured CancelToken produces Err.
+        Err(Cancelled) => HostWaveResult::empty(1).into_single(),
+    }
 }
 
-/// Fully configured protected search over [`length_aware_chunks`].
+/// Fully configured protected search over [`length_aware_chunks`]: the
+/// wave of one.
 pub fn search_protected(
     engine: &QueryEngine,
     seqs: &[Sequence],
     cfg: &PoolConfig,
 ) -> Result<HostSearchResult, Cancelled> {
-    let n = seqs.len();
-    if n == 0 {
-        return Ok(HostSearchResult::empty());
-    }
-    let threads = effective_workers(cfg.threads.max(1), n);
+    search_wave_protected(std::slice::from_ref(engine), seqs, cfg).map(HostWaveResult::into_single)
+}
+
+/// [`search_protected`] with an explicit chunking (see
+/// [`search_wave_protected_with_chunks`]): the wave of one.
+pub fn search_protected_with_chunks(
+    engine: &QueryEngine,
+    seqs: &[Sequence],
+    cfg: &PoolConfig,
+    chunks: &[Range<usize>],
+) -> Result<HostSearchResult, Cancelled> {
+    search_wave_protected_with_chunks(std::slice::from_ref(engine), seqs, cfg, chunks)
+        .map(HostWaveResult::into_single)
+}
+
+/// Score `seqs` against every engine of a wave in one protected job over
+/// [`length_aware_chunks`]. Workers are clamped by alignments
+/// (`seqs.len() × engines.len()`), so a shard too small to pool under one
+/// query still gets its second worker under sixteen. A cancelled wave
+/// returns [`Cancelled`] and no score vector for any of its queries.
+pub fn search_wave_protected(
+    engines: &[QueryEngine],
+    seqs: &[Sequence],
+    cfg: &PoolConfig,
+) -> Result<HostWaveResult, Cancelled> {
+    let threads = effective_workers(cfg.threads.max(1), seqs.len() * engines.len());
     let chunks = length_aware_chunks(seqs, threads * CHUNKS_PER_WORKER);
     // Forward the *clamped* worker count: oversubscribing a small host
     // with real OS threads thrashes the wall clock instead of scaling.
@@ -295,155 +360,49 @@ pub fn search_protected(
         threads,
         ..cfg.clone()
     };
-    search_protected_with_chunks(engine, seqs, &cfg, &chunks)
+    search_wave_protected_with_chunks(engines, seqs, &cfg, &chunks)
 }
 
-/// Fully configured protected search with an explicit chunking, so tests
+/// Fully configured protected wave with an explicit chunking, so tests
 /// can pin reassembly for *arbitrary* chunk boundaries and fault drills can
 /// aim at a known chunk. `chunks` must be non-empty, contiguous, in order,
 /// and cover `0..seqs.len()` exactly (debug-asserted).
 ///
-/// Unlike [`search_protected`], `cfg.threads` is honored literally
+/// Unlike [`search_wave_protected`], `cfg.threads` is honored literally
 /// (clamped only to the chunk count, never to the hardware): fault
 /// drills deliberately oversubscribe small hosts to force multi-worker
 /// interleavings, stalls and re-dispatches.
-pub fn search_protected_with_chunks(
-    engine: &QueryEngine,
+pub fn search_wave_protected_with_chunks(
+    engines: &[QueryEngine],
     seqs: &[Sequence],
     cfg: &PoolConfig,
     chunks: &[Range<usize>],
-) -> Result<HostSearchResult, Cancelled> {
+) -> Result<HostWaveResult, Cancelled> {
     let n = seqs.len();
-    if n == 0 {
-        return Ok(HostSearchResult::empty());
+    if n == 0 || engines.is_empty() {
+        return Ok(HostWaveResult::empty(engines.len()));
     }
     debug_assert_eq!(chunks.first().map(|c| c.start), Some(0));
     debug_assert_eq!(chunks.last().map(|c| c.end), Some(n));
     debug_assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
     let threads = cfg.threads.clamp(1, chunks.len());
-    let shared = RunShared::new(engine, seqs, cfg);
+    let job = Job::new(engines, seqs, cfg, chunks, threads);
     let start = Instant::now();
-    let steals = AtomicU64::new(0);
-
     if threads == 1 {
-        // Caller's thread only: no queues, no watchdog, deterministic.
-        let mut queue: VecDeque<Range<usize>> = chunks.iter().cloned().collect();
-        while let Some(range) = queue.pop_front() {
-            if !shared.run_chunk(range, &mut |r| queue.push_front(r), None) {
-                break;
+        // Caller's thread only: no spawn, no watchdog, deterministic.
+        job.work(0);
+    } else {
+        std::thread::scope(|scope| {
+            let job = &job;
+            for w in 0..threads {
+                scope.spawn(move || job.work(w));
             }
-        }
-        return shared.finish(start, steals.into_inner());
+            if cfg.stall_after_ms > 0 {
+                scope.spawn(move || job.watch());
+            }
+        });
     }
-
-    let queues: Vec<Mutex<VecDeque<Range<usize>>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, range) in chunks.iter().enumerate() {
-        queues[i % threads].lock().push_back(range.clone());
-    }
-    let hearts: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let claims: Vec<Mutex<Option<Claim>>> = (0..threads).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let shared = &shared;
-            let queues = &queues;
-            let hearts = &hearts;
-            let claims = &claims;
-            let steals = &steals;
-            scope.spawn(move || loop {
-                if shared.cancel_observed() || shared.remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                // Own deque first (front), then sweep siblings (back). The
-                // own-deque guard must drop before the sweep: two idle
-                // workers each holding their own lock while reaching for
-                // the other's would deadlock.
-                let own = queues[w].lock().pop_front();
-                let next = own.or_else(|| {
-                    (1..threads).find_map(|d| {
-                        let victim = (w + d) % threads;
-                        let stolen = queues[victim].lock().pop_back();
-                        if stolen.is_some() {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                        }
-                        stolen
-                    })
-                });
-                let Some(range) = next else {
-                    // Uncommitted work exists but is claimed elsewhere
-                    // (or about to be re-dispatched): wait for it.
-                    std::thread::sleep(Duration::from_micros(200));
-                    continue;
-                };
-                *claims[w].lock() = Some(Claim {
-                    range: range.clone(),
-                    redispatched: false,
-                });
-                let proceed = shared.run_chunk(
-                    range,
-                    &mut |r| queues[w].lock().push_front(r),
-                    Some(&hearts[w]),
-                );
-                *claims[w].lock() = None;
-                if !proceed {
-                    break;
-                }
-            });
-        }
-
-        if cfg.stall_after_ms > 0 {
-            let shared = &shared;
-            let queues = &queues;
-            let hearts = &hearts;
-            let claims = &claims;
-            let stall_after = Duration::from_millis(cfg.stall_after_ms);
-            let poll = Duration::from_millis(cfg.watchdog_poll_ms.max(1));
-            scope.spawn(move || {
-                let mut last: Vec<(u64, Instant)> = hearts
-                    .iter()
-                    .map(|h| (h.load(Ordering::Relaxed), Instant::now()))
-                    .collect();
-                loop {
-                    if shared.cancel_observed() || shared.remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    std::thread::sleep(poll);
-                    for w in 0..threads {
-                        let beat = hearts[w].load(Ordering::Relaxed);
-                        if beat != last[w].0 {
-                            last[w] = (beat, Instant::now());
-                            continue;
-                        }
-                        if last[w].1.elapsed() < stall_after {
-                            continue;
-                        }
-                        // Silent worker holding a claim: hand its chunk to
-                        // a survivor (any queue works — stealing finds it).
-                        let mut claim = claims[w].lock();
-                        if let Some(c) = claim.as_mut() {
-                            if !c.redispatched {
-                                c.redispatched = true;
-                                queues[(w + 1) % threads].lock().push_back(c.range.clone());
-                                shared.redispatches.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    shared.finish(start, steals.into_inner())
-}
-
-/// Unwrap a protected result that cannot be `Err` (no cancel token).
-fn into_infallible(result: Result<HostSearchResult, Cancelled>) -> HostSearchResult {
-    match result {
-        Ok(r) => r,
-        // Unreachable: only a configured CancelToken produces Err.
-        Err(Cancelled) => HostSearchResult::empty(),
-    }
+    job.shared.finish(start, job.steals.into_inner())
 }
 
 /// A worker's in-flight chunk, visible to the watchdog.
@@ -453,20 +412,145 @@ struct Claim {
     redispatched: bool,
 }
 
+/// One posted wave: the chunk deques, what the watchdog reads, and the
+/// commit state. [`Job::work`] is a worker's whole life and
+/// [`Job::watch`] the watchdog's; who runs them (today a `thread::scope`
+/// per job, or the caller alone at one thread) is not their concern.
+struct Job<'a> {
+    shared: RunShared<'a>,
+    queues: Vec<Mutex<VecDeque<Range<usize>>>>,
+    hearts: Vec<AtomicU64>,
+    claims: Vec<Mutex<Option<Claim>>>,
+    steals: AtomicU64,
+    stall_after: Duration,
+    poll: Duration,
+}
+
+impl<'a> Job<'a> {
+    /// Deal `chunks` round-robin onto `threads` deques.
+    fn new(
+        engines: &'a [QueryEngine],
+        seqs: &'a [Sequence],
+        cfg: &'a PoolConfig,
+        chunks: &[Range<usize>],
+        threads: usize,
+    ) -> Self {
+        let mut deques = vec![VecDeque::new(); threads];
+        for (i, range) in chunks.iter().enumerate() {
+            deques[i % threads].push_back(range.clone());
+        }
+        Self {
+            shared: RunShared::new(engines, seqs, cfg),
+            queues: deques.into_iter().map(Mutex::new).collect(),
+            hearts: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+            claims: (0..threads).map(|_| Mutex::new(None)).collect(),
+            steals: AtomicU64::new(0),
+            stall_after: Duration::from_millis(cfg.stall_after_ms),
+            poll: Duration::from_millis(cfg.watchdog_poll_ms.max(1)),
+        }
+    }
+
+    /// Nothing left to do: every cell committed, or the wave cancelled.
+    fn done(&self) -> bool {
+        self.shared.cancel_observed() || self.shared.remaining.load(Ordering::Acquire) == 0
+    }
+
+    /// Worker `w`: drain the own deque, steal, run each chunk through the
+    /// fault domain, until the job is done.
+    fn work(&self, w: usize) {
+        let threads = self.queues.len();
+        while !self.done() {
+            // Own deque first (front), then sweep siblings (back). The
+            // own-deque guard must drop before the sweep: two idle
+            // workers each holding their own lock while reaching for
+            // the other's would deadlock.
+            let own = self.queues[w].lock().pop_front();
+            let next = own.or_else(|| {
+                (1..threads).find_map(|d| {
+                    let victim = (w + d) % threads;
+                    let stolen = self.queues[victim].lock().pop_back();
+                    if stolen.is_some() {
+                        self.steals.fetch_add(1, Ordering::Relaxed);
+                    }
+                    stolen
+                })
+            });
+            let Some(range) = next else {
+                // Uncommitted work exists but is claimed elsewhere
+                // (or about to be re-dispatched): wait for it.
+                std::thread::sleep(Duration::from_micros(200));
+                continue;
+            };
+            *self.claims[w].lock() = Some(Claim {
+                range: range.clone(),
+                redispatched: false,
+            });
+            let proceed = self.shared.run_chunk(
+                range,
+                &mut |r| self.queues[w].lock().push_front(r),
+                &self.hearts[w],
+            );
+            *self.claims[w].lock() = None;
+            if !proceed {
+                break;
+            }
+        }
+    }
+
+    /// The watchdog: every poll, hand the claimed chunk of a worker whose
+    /// heart has been flat for `stall_after` to a survivor.
+    fn watch(&self) {
+        let threads = self.queues.len();
+        let mut last: Vec<(u64, Instant)> = self
+            .hearts
+            .iter()
+            .map(|h| (h.load(Ordering::Relaxed), Instant::now()))
+            .collect();
+        while !self.done() {
+            std::thread::sleep(self.poll);
+            for (w, seen) in last.iter_mut().enumerate() {
+                let beat = self.hearts[w].load(Ordering::Relaxed);
+                if beat != seen.0 {
+                    *seen = (beat, Instant::now());
+                    continue;
+                }
+                if seen.1.elapsed() < self.stall_after {
+                    continue;
+                }
+                // Silent worker holding a claim: hand its chunk to
+                // a survivor (any queue works — stealing finds it).
+                let mut claim = self.claims[w].lock();
+                if let Some(c) = claim.as_mut() {
+                    if !c.redispatched {
+                        c.redispatched = true;
+                        self.queues[(w + 1) % threads]
+                            .lock()
+                            .push_back(c.range.clone());
+                        self.shared.redispatches.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// How one chunk computation ended inside the unwind boundary.
 enum ChunkRun {
     Done,
     Cancelled,
 }
 
-/// State shared by workers, watchdog and the finishing caller.
+/// State shared by workers, watchdog and the finishing caller. A *cell*
+/// is one (query, sequence) alignment, at index `q × n + i`.
 struct RunShared<'a> {
-    engine: &'a QueryEngine,
+    engines: &'a [QueryEngine],
     seqs: &'a [Sequence],
     precision: Precision,
     cancel: Option<&'a CancelToken>,
     budget: &'a HostMemoryBudget,
     stall_ms: u64,
+    /// Sum of the engines' kernel working sets (admission cost).
+    working_set: u64,
     injector: HostFaultInjector,
     cancelled: AtomicBool,
     committed: Vec<AtomicBool>,
@@ -484,20 +568,21 @@ struct RunShared<'a> {
 }
 
 impl<'a> RunShared<'a> {
-    fn new(engine: &'a QueryEngine, seqs: &'a [Sequence], cfg: &'a PoolConfig) -> Self {
-        let n = seqs.len();
+    fn new(engines: &'a [QueryEngine], seqs: &'a [Sequence], cfg: &'a PoolConfig) -> Self {
+        let cells = seqs.len() * engines.len();
         Self {
-            engine,
+            engines,
             seqs,
             precision: cfg.precision,
             cancel: cfg.cancel.as_ref(),
             budget: &cfg.budget,
             stall_ms: cfg.fault_plan.stall_ms,
+            working_set: engines.iter().map(QueryEngine::working_set_bytes).sum(),
             injector: HostFaultInjector::new(cfg.fault_plan.clone()),
             cancelled: AtomicBool::new(false),
-            committed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            slots: (0..n).map(|_| AtomicI32::new(0)).collect(),
-            remaining: AtomicUsize::new(n),
+            committed: (0..cells).map(|_| AtomicBool::new(false)).collect(),
+            slots: (0..cells).map(|_| AtomicI32::new(0)).collect(),
+            remaining: AtomicUsize::new(cells),
             stats: Mutex::new(AdaptiveStats::default()),
             panics: AtomicU64::new(0),
             quarantined_chunks: AtomicU64::new(0),
@@ -525,14 +610,15 @@ impl<'a> RunShared<'a> {
         false
     }
 
-    /// Exactly-once commit of sequence `i`. Returns whether this caller
+    /// Exactly-once commit of cell (`q`, `i`). Returns whether this caller
     /// won the race; losers are counted, their work discarded.
-    fn commit(&self, i: usize, score: i32) -> bool {
-        if self.committed[i]
+    fn commit(&self, q: usize, i: usize, score: i32) -> bool {
+        let cell = q * self.seqs.len() + i;
+        if self.committed[cell]
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            self.slots[i].store(score, Ordering::Release);
+            self.slots[cell].store(score, Ordering::Release);
             self.remaining.fetch_sub(1, Ordering::AcqRel);
             true
         } else {
@@ -541,18 +627,21 @@ impl<'a> RunShared<'a> {
         }
     }
 
-    /// Admission bytes for a chunk of `len` sequences.
+    /// Admission bytes for a chunk of `len` sequences: every engine's
+    /// working set plus the per-alignment overhead of `len × k` cells.
     fn chunk_cost(&self, len: usize) -> u64 {
-        self.engine.working_set_bytes() + len as u64 * SEQ_ADMISSION_BYTES
+        self.working_set + (len * self.engines.len()) as u64 * SEQ_ADMISSION_BYTES
     }
 
-    /// Execute one chunk through the full fault domain. Returns `false`
-    /// when the worker should stop (cancellation observed).
+    /// Execute one chunk through the full fault domain — claimed,
+    /// admitted and fault-injected once, then scored against every engine
+    /// of the wave. Returns `false` when the worker should stop
+    /// (cancellation observed).
     fn run_chunk(
         &self,
         range: Range<usize>,
         requeue: &mut dyn FnMut(Range<usize>),
-        heart: Option<&AtomicU64>,
+        heart: &AtomicU64,
     ) -> bool {
         if self.poll_cancel() {
             return false;
@@ -603,30 +692,30 @@ impl<'a> RunShared<'a> {
             }
             let mut chunk_stats = AdaptiveStats::default();
             for i in range.clone() {
-                if self.cancel_observed() {
-                    return ChunkRun::Cancelled;
-                }
                 let residues = &self.seqs[i].residues;
-                let mut delta = AdaptiveStats::default();
-                let score = match self.cancel {
-                    Some(token) => {
-                        match self.engine.score_with_cancel(
-                            residues,
-                            self.precision,
-                            &mut delta,
-                            token,
-                        ) {
-                            Ok(score) => score,
-                            Err(Cancelled) => return ChunkRun::Cancelled,
-                        }
+                for (q, engine) in self.engines.iter().enumerate() {
+                    if self.cancel_observed() {
+                        return ChunkRun::Cancelled;
                     }
-                    None => self.engine.score_with(residues, self.precision, &mut delta),
-                };
-                if self.commit(i, score) {
-                    chunk_stats.merge(&delta);
-                }
-                if let Some(h) = heart {
-                    h.fetch_add(1, Ordering::Relaxed);
+                    let mut delta = AdaptiveStats::default();
+                    let score = match self.cancel {
+                        Some(token) => {
+                            match engine.score_with_cancel(
+                                residues,
+                                self.precision,
+                                &mut delta,
+                                token,
+                            ) {
+                                Ok(score) => score,
+                                Err(Cancelled) => return ChunkRun::Cancelled,
+                            }
+                        }
+                        None => engine.score_with(residues, self.precision, &mut delta),
+                    };
+                    if self.commit(q, i, score) {
+                        chunk_stats.merge(&delta);
+                    }
+                    heart.fetch_add(1, Ordering::Relaxed);
                 }
             }
             self.stats.lock().merge(&chunk_stats);
@@ -640,26 +729,24 @@ impl<'a> RunShared<'a> {
                 false
             }
             Err(_) => {
-                // Quarantine: the chunk's unfinished sequences are
+                // Quarantine: the chunk's uncommitted cells are
                 // recomputed on the scalar oracle — code the striped
                 // kernels share nothing with, so whatever made them panic
                 // cannot do it again out here, past the unwind boundary.
                 self.panics.fetch_add(1, Ordering::Relaxed);
                 self.quarantined_chunks.fetch_add(1, Ordering::Relaxed);
+                let n = self.seqs.len();
                 for i in range {
-                    if self.committed[i].load(Ordering::Acquire) {
-                        continue;
-                    }
-                    let score = oracle_score(
-                        self.engine.params(),
-                        self.engine.query(),
-                        &self.seqs[i].residues,
-                    );
-                    if self.commit(i, score) {
-                        self.oracle_scored.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(h) = heart {
-                        h.fetch_add(1, Ordering::Relaxed);
+                    for (q, engine) in self.engines.iter().enumerate() {
+                        if self.committed[q * n + i].load(Ordering::Acquire) {
+                            continue;
+                        }
+                        let score =
+                            oracle_score(engine.params(), engine.query(), &self.seqs[i].residues);
+                        if self.commit(q, i, score) {
+                            self.oracle_scored.fetch_add(1, Ordering::Relaxed);
+                        }
+                        heart.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 true
@@ -669,7 +756,7 @@ impl<'a> RunShared<'a> {
 
     /// Assemble the result (or the cancellation) and publish counters on
     /// the calling thread.
-    fn finish(self, start: Instant, steals: u64) -> Result<HostSearchResult, Cancelled> {
+    fn finish(self, start: Instant, steals: u64) -> Result<HostWaveResult, Cancelled> {
         let seconds = start.elapsed().as_secs_f64();
         let faults = PoolFaultReport {
             injected_panics: self.injector.panics(),
@@ -688,7 +775,7 @@ impl<'a> RunShared<'a> {
         if steals > 0 {
             obs::counter_add(
                 "cudasw.simd.pool.steals",
-                &[("backend", self.engine.kind().name())],
+                &[("backend", self.engines[0].kind().name())],
                 steals as f64,
             );
         }
@@ -696,9 +783,15 @@ impl<'a> RunShared<'a> {
             obs::counter_add("cudasw.simd.pool.cancelled", &[], 1.0);
             return Err(Cancelled);
         }
-        debug_assert_eq!(self.remaining.into_inner(), 0, "lost sequences");
-        let scores = self.slots.into_iter().map(|s| s.into_inner()).collect();
-        Ok(HostSearchResult {
+        debug_assert_eq!(self.remaining.into_inner(), 0, "lost cells");
+        let n = self.seqs.len();
+        let mut slots = self.slots.into_iter().map(AtomicI32::into_inner);
+        let scores = self
+            .engines
+            .iter()
+            .map(|_| slots.by_ref().take(n).collect())
+            .collect();
+        Ok(HostWaveResult {
             scores,
             stats: self.stats.into_inner(),
             seconds,
@@ -808,6 +901,64 @@ mod tests {
             .unwrap_or(1);
         assert_eq!(effective_workers(4, 10_000), 4.min(hardware));
         assert!(effective_workers(usize::MAX, 10_000) <= hardware.max(1));
+        // A wave counts alignments: a 20-sequence shard is inline under one
+        // query and worth a second worker under sixteen.
+        assert_eq!(effective_workers(2, 20), 1);
+        assert_eq!(effective_workers(2, 20 * 16), 2.min(hardware));
+    }
+
+    #[test]
+    fn chunk_cost_charges_every_engine_and_every_alignment() {
+        let db = database_with_lengths("t", &[40; 8], 3);
+        let engines: Vec<QueryEngine> = [30usize, 64, 200]
+            .iter()
+            .map(|&len| engine(&make_query(len, len as u64)))
+            .collect();
+        let cfg = PoolConfig::new(1, Precision::Adaptive);
+        // k = 1 is what a single-query search has always been charged.
+        let one = RunShared::new(&engines[..1], db.sequences(), &cfg);
+        assert_eq!(
+            one.chunk_cost(5),
+            engines[0].working_set_bytes() + 5 * SEQ_ADMISSION_BYTES
+        );
+        let wave = RunShared::new(&engines, db.sequences(), &cfg);
+        let working_sets: u64 = engines.iter().map(|e| e.working_set_bytes()).sum();
+        assert_eq!(
+            wave.chunk_cost(5),
+            working_sets + 3 * 5 * SEQ_ADMISSION_BYTES
+        );
+    }
+
+    #[test]
+    fn quarantine_recomputes_only_uncommitted_cells() {
+        let db = database_with_lengths("t", &[40, 50, 60, 70, 80, 90], 5);
+        let engines: Vec<QueryEngine> = (0..3u64)
+            .map(|j| engine(&make_query(40 + 9 * j as usize, j)))
+            .collect();
+        let clean: Vec<Vec<i32>> = engines
+            .iter()
+            .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+            .collect();
+        let plan = HostFaultPlan::none().with_fault_at((2, 3), HostFaultKind::Panic);
+        let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
+        let shared = RunShared::new(&engines, db.sequences(), &cfg);
+        // Two cells of the doomed chunk were committed before the panic
+        // (a re-dispatched copy got that far): the oracle must skip them.
+        assert!(shared.commit(1, 3, clean[1][3]));
+        assert!(shared.commit(2, 4, clean[2][4]));
+        let heart = AtomicU64::new(0);
+        for range in [0..2, 2..5, 5..6] {
+            assert!(shared.run_chunk(range, &mut |_| unreachable!("no budget"), &heart));
+        }
+        let r = shared
+            .finish(Instant::now(), 0)
+            .unwrap_or_else(|e| panic!("not cancellable: {e}"));
+        assert_eq!(r.scores, clean);
+        assert_eq!(r.faults.quarantined_chunks, 1);
+        assert_eq!(r.faults.oracle_scored, 3 * 3 - 2);
+        assert_eq!(r.faults.duplicates_suppressed, 0);
+        // Winners only: kernel stats cover the two healthy chunks.
+        assert_eq!(r.stats.byte_mode + r.stats.word_fallbacks, 3 * 3);
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //! makes the cancellation point deterministic (the poll sequence of a
 //! single-threaded search is a pure function of the workload), so the
 //! property is exhaustive over poll budgets, backends, and kernel modes.
+//! A wave is cancelled as a whole: a token that fires anywhere inside it
+//! yields `Cancelled` and no score vector for any of its queries.
 
 use proptest::prelude::*;
 use sw_align::smith_waterman::SwParams;
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_db::Sequence;
 use sw_simd::{
-    search_protected, search_sequences, AdaptiveStats, BackendKind, CancelToken, Cancelled,
-    HostSearchResult, KernelMode, PoolConfig, Precision, QueryEngine, CANCEL_CHECK_COLS,
+    search_protected, search_sequences, search_wave_protected, AdaptiveStats, BackendKind,
+    CancelToken, Cancelled, HostSearchResult, KernelMode, PoolConfig, Precision, QueryEngine,
+    CANCEL_CHECK_COLS,
 };
 
 fn params() -> SwParams {
@@ -220,6 +223,69 @@ fn threaded_cancellation_is_all_or_nothing() {
                     r.scores, reference.scores,
                     "budget={budget} threads={threads}"
                 ),
+                Err(Cancelled) => assert!(token.is_cancelled()),
+            }
+        }
+    }
+}
+
+/// A wave is all-or-nothing across its queries. With one thread the poll
+/// sequence is a pure function of the workload, so every budget that
+/// trips inside the wave — after some queries' cells of early chunks are
+/// already committed — must return `Cancelled` (the `Err` carries no score
+/// vector), and the first budget past the wave's last poll must return all
+/// k vectors, bit-identical to k separate searches.
+#[test]
+fn a_token_firing_mid_wave_serves_none_of_its_queries() {
+    let lens: Vec<usize> = (0..24).map(|i| 90 + (i * 13) % 200).collect();
+    let db = database_with_lengths("t", &lens, 7);
+    let engines: Vec<QueryEngine> = (0..4usize)
+        .map(|j| QueryEngine::new(params(), &make_query(48 + 20 * j, j as u64)))
+        .collect();
+    let reference: Vec<Vec<i32>> = engines
+        .iter()
+        .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+        .collect();
+    let wave = |token: &CancelToken| {
+        let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(token.clone());
+        search_wave_protected(&engines, db.sequences(), &cfg)
+    };
+
+    let full = CancelToken::new();
+    let complete = wave(&full).unwrap_or_else(|e| panic!("uncancelled wave must complete: {e}"));
+    assert_eq!(complete.scores, reference);
+    let polls = full.polls();
+    assert!(polls > 100, "the wave polls at chunk starts and in-kernel");
+
+    for budget in (1..=polls).step_by(7).chain([polls]) {
+        let token = CancelToken::after_polls(budget);
+        assert_eq!(wave(&token).err(), Some(Cancelled), "budget {budget}");
+        assert!(token.polls() <= budget + 1, "stops at the tripping poll");
+    }
+    let late = CancelToken::after_polls(polls + 1);
+    let r = wave(&late).unwrap_or_else(|e| panic!("budget past the last poll: {e}"));
+    assert_eq!(r.scores, reference);
+    assert_eq!(r.stats, complete.stats);
+}
+
+/// Threaded waves: `Cancelled`, or every vector complete and exact.
+#[test]
+fn threaded_wave_cancellation_is_all_or_nothing() {
+    let lens: Vec<usize> = (0..64).map(|i| 200 + (i * 13) % 300).collect();
+    let db = database_with_lengths("t", &lens, 7);
+    let engines: Vec<QueryEngine> = (0..3usize)
+        .map(|j| QueryEngine::new(params(), &make_query(40 + 24 * j, j as u64)))
+        .collect();
+    let reference: Vec<Vec<i32>> = engines
+        .iter()
+        .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+        .collect();
+    for budget in [0u64, 1, 5, 20, 100, 1000, 10_000_000] {
+        for threads in [2usize, 4] {
+            let token = CancelToken::after_polls(budget);
+            let cfg = PoolConfig::new(threads, Precision::Adaptive).with_cancel(token.clone());
+            match search_wave_protected(&engines, db.sequences(), &cfg) {
+                Ok(r) => assert_eq!(r.scores, reference, "budget={budget} threads={threads}"),
                 Err(Cancelled) => assert!(token.is_cancelled()),
             }
         }

@@ -8,13 +8,18 @@
 //! * zero duplicated answers (CAS losers are suppressed and counted);
 //! * the fault plan demonstrably fired (a chaos run that injected nothing
 //!   proves nothing).
+//!
+//! The wave cases hold the same invariants per (query, sequence) cell: a
+//! fault is drawn once per chunk per wave, and every cell is accounted for
+//! exactly once — by a winning kernel commit or by the quarantine oracle.
 
 use std::ops::Range;
 use sw_align::smith_waterman::SwParams;
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_simd::{
-    search_protected_with_chunks, search_sequences, BackendKind, HostFaultKind, HostFaultPlan,
-    HostFaultRates, HostMemoryBudget, HostSearchResult, PoolConfig, Precision, QueryEngine,
+    search_protected_with_chunks, search_sequences, search_wave_protected_with_chunks, BackendKind,
+    HostFaultKind, HostFaultPlan, HostFaultRates, HostMemoryBudget, HostSearchResult,
+    HostWaveResult, PoolConfig, Precision, QueryEngine,
 };
 
 fn params() -> SwParams {
@@ -201,4 +206,116 @@ fn budget_starvation_under_chaos_stays_correct() {
         assert!(r.faults.rechunks > 0, "starved budget must split chunks");
         assert!(r.faults.forced_admissions > 0, "progress is guaranteed");
     }
+}
+
+/// A five-query wave over `db` and its fault-free reference (k separate
+/// searches).
+fn wave_fixture(db: &sw_db::Database) -> (Vec<QueryEngine>, Vec<Vec<i32>>) {
+    let engines: Vec<QueryEngine> = (0..5usize)
+        .map(|j| QueryEngine::new(params(), &make_query(40 + 17 * j, j as u64)))
+        .collect();
+    let clean = engines
+        .iter()
+        .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+        .collect();
+    (engines, clean)
+}
+
+fn run_wave(
+    engines: &[QueryEngine],
+    seqs: &[sw_db::Sequence],
+    cfg: &PoolConfig,
+    chunks: &[Range<usize>],
+) -> HostWaveResult {
+    match search_wave_protected_with_chunks(engines, seqs, cfg, chunks) {
+        Ok(r) => r,
+        Err(e) => panic!("no cancel token configured: {e}"),
+    }
+}
+
+/// Every cell exactly once: kernel stats are merged by commit winners
+/// only, so winners plus oracle recomputes must count the whole wave.
+fn assert_every_cell_once(r: &HostWaveResult, what: &str) {
+    let cells: usize = r.scores.iter().map(Vec::len).sum();
+    assert_eq!(
+        r.stats.byte_mode + r.stats.word_fallbacks + r.faults.oracle_scored,
+        cells as u64,
+        "{what}: lost or doubled cells"
+    );
+}
+
+/// Chaos storms over a wave: scores equal k fault-free searches, no
+/// (query, sequence) cell lost or doubled, at one and three workers.
+#[test]
+fn wave_chaos_storms_lose_and_double_no_cell() {
+    let lens: Vec<usize> = (0..48).map(|i| 25 + (i * 7) % 100).collect();
+    let db = database_with_lengths("t", &lens, 23);
+    let (engines, clean) = wave_fixture(&db);
+    let chunks = fixed_chunks(db.len(), 4);
+    let mut total_injected = 0u64;
+    for seed in [1u64, 2, 3] {
+        let plan = HostFaultPlan::random(seed, HostFaultRates::chaos()).with_stall_ms(30);
+        for threads in [1usize, 3] {
+            let cfg = PoolConfig::new(threads, Precision::Adaptive)
+                .with_fault_plan(plan.clone())
+                .with_watchdog(20, 2);
+            let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
+            let what = format!("seed={seed} threads={threads}");
+            assert_eq!(r.scores, clean, "{what}");
+            assert_every_cell_once(&r, &what);
+            total_injected += r.faults.injected();
+        }
+    }
+    assert!(total_injected > 0, "the storms must inject something");
+}
+
+/// A pinned chunk panic under a wave quarantines that chunk for every
+/// query: the oracle recomputes exactly its uncommitted cells (all of
+/// them — an injected panic fires before the first alignment).
+#[test]
+fn wave_pinned_panic_quarantines_the_chunk_for_every_query() {
+    let lens: Vec<usize> = (0..36).map(|i| 30 + (i * 11) % 120).collect();
+    let db = database_with_lengths("t", &lens, 17);
+    let (engines, clean) = wave_fixture(&db);
+    let chunks = fixed_chunks(db.len(), 4);
+    let plan = HostFaultPlan::none().with_fault_at((8, 4), HostFaultKind::Panic);
+    for threads in [1usize, 3] {
+        let cfg = PoolConfig::new(threads, Precision::Adaptive)
+            .with_fault_plan(plan.clone())
+            .with_watchdog(20, 2);
+        let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
+        assert_eq!(r.scores, clean, "threads={threads}");
+        assert_eq!(r.faults.injected_panics, 1, "drawn once for the wave");
+        assert_eq!(r.faults.panics, 1);
+        assert_eq!(r.faults.quarantined_chunks, 1);
+        assert_eq!(r.faults.oracle_scored, 4 * engines.len() as u64);
+        assert_every_cell_once(&r, "pinned panic");
+    }
+}
+
+/// A pinned 100 ms stall: the watchdog hands the silent worker's chunk to
+/// the survivor, which commits it for every query; the stalled worker's
+/// late finish loses every commit race and is absorbed as duplicates.
+#[test]
+fn wave_pinned_stall_is_redispatched_and_its_late_finish_absorbed() {
+    let db = database_with_lengths("t", &[80; 24], 31);
+    let (engines, clean) = wave_fixture(&db);
+    let chunks = fixed_chunks(db.len(), 6);
+    let plan = HostFaultPlan::none()
+        .with_fault_at((6, 6), HostFaultKind::Stall)
+        .with_stall_ms(100);
+    let cfg = PoolConfig::new(2, Precision::Adaptive)
+        .with_fault_plan(plan)
+        .with_watchdog(20, 2);
+    let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
+    assert_eq!(r.scores, clean);
+    assert_eq!(r.faults.injected_stalls, 1, "drawn once for the wave");
+    assert!(r.faults.redispatches >= 1, "watchdog must act");
+    assert_every_cell_once(&r, "pinned stall");
+    let chunk_cells = 6 * engines.len() as u64;
+    assert!(
+        (1..=r.faults.redispatches * chunk_cells).contains(&r.faults.duplicates_suppressed),
+        "the late finish races at most the re-dispatched chunks' cells, saw {}",
+        r.faults.duplicates_suppressed
+    );
 }

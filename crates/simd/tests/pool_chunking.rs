@@ -6,13 +6,16 @@
 //! These tests drive [`search_protected_with_chunks`] with *arbitrary*
 //! valid chunk boundaries — not just the ones [`length_aware_chunks`] would
 //! pick — and pin the [`MIN_SEQS_PER_WORKER`] clamp at its documented
-//! thresholds.
+//! thresholds. The wave differential holds the one job shape,
+//! [`search_wave_protected_with_chunks`], to `k` separate searches: the
+//! same score vectors in engine order and the same merged stats.
 
 use proptest::prelude::*;
 use std::ops::Range;
 use sw_align::smith_waterman::SwParams;
 use sw_simd::{
     effective_workers, length_aware_chunks, search_protected_with_chunks, search_sequences,
+    search_wave_protected, search_wave_protected_with_chunks, AdaptiveStats, BackendKind,
     HostSearchResult, PoolConfig, Precision, QueryEngine, MIN_SEQS_PER_WORKER,
 };
 
@@ -73,6 +76,42 @@ proptest! {
             chunked.stats.byte_mode + chunked.stats.word_fallbacks,
             db.len() as u64
         );
+    }
+
+    // A wave of k queries is k searches, bit for bit: score vectors in
+    // engine order, stats summed, on every backend this machine has.
+    #[test]
+    fn wave_equals_k_separate_searches(
+        lens in proptest::collection::vec(10usize..120, 4..40),
+        cuts in proptest::collection::vec(0usize..1000, 0..12),
+        k in 0usize..4,
+        threads in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let (k, threads) = ([1usize, 2, 5, 16][k], [1usize, 2, 7][threads]);
+        let db = sw_db::synth::database_with_lengths("prop", &lens, seed);
+        let chunks = ranges_from_cuts(db.len(), &cuts);
+        for kind in BackendKind::available() {
+            let engines: Vec<QueryEngine> = (0..k)
+                .map(|j| {
+                    let query = sw_db::synth::make_query(12 + (j * 29) % 70, seed + j as u64);
+                    QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind)
+                })
+                .collect();
+            let mut scores = Vec::with_capacity(k);
+            let mut stats = AdaptiveStats::default();
+            for engine in &engines {
+                let r = search_sequences(engine, db.sequences(), 1, Precision::Adaptive);
+                scores.push(r.scores);
+                stats.merge(&r.stats);
+            }
+            let cfg = PoolConfig::new(threads, Precision::Adaptive);
+            let wave = search_wave_protected_with_chunks(&engines, db.sequences(), &cfg, &chunks)
+                .unwrap_or_else(|e| panic!("no cancel token configured: {e}"));
+            prop_assert_eq!(&wave.scores, &scores, "{} k={} chunks {:?}", kind, k, chunks);
+            prop_assert_eq!(wave.stats, stats, "{} k={}", kind, k);
+            prop_assert!(wave.faults.is_clean());
+        }
     }
 
     #[test]
@@ -148,4 +187,39 @@ fn word_precision_chunked_matches_inline() {
         let r = search_chunked(&engine, db.sequences(), 4, Precision::Word, &chunks);
         assert_eq!(r.scores, inline.scores, "target={target}");
     }
+}
+
+/// `search_protected` is the wave of one — same scores, stats and fault
+/// report — and a wave over the default chunking clamps its workers by
+/// alignments, not subjects.
+#[test]
+fn single_query_search_is_the_wave_of_one() {
+    let lens: Vec<usize> = (0..20).map(|i| 20 + (i * 13) % 150).collect();
+    let db = sw_db::synth::database_with_lengths("w", &lens, 23);
+    let engines: Vec<QueryEngine> = (0..16)
+        .map(|j| {
+            QueryEngine::new(
+                SwParams::cudasw_default(),
+                &sw_db::synth::make_query(30 + j, j as u64),
+            )
+        })
+        .collect();
+    let cfg = PoolConfig::new(2, Precision::Adaptive);
+    let wave = search_wave_protected(&engines, db.sequences(), &cfg)
+        .unwrap_or_else(|e| panic!("no cancel token configured: {e}"));
+    assert_eq!(wave.scores.len(), engines.len());
+    for (engine, scores) in engines.iter().zip(&wave.scores) {
+        let single = search_sequences(engine, db.sequences(), 2, Precision::Adaptive);
+        assert_eq!(&single.scores, scores);
+        let one = search_wave_protected(std::slice::from_ref(engine), db.sequences(), &cfg)
+            .unwrap_or_else(|e| panic!("no cancel token configured: {e}"));
+        assert_eq!(one.scores, vec![single.scores]);
+        assert_eq!(one.stats, single.stats);
+        assert_eq!(one.faults, single.faults);
+    }
+    // Degenerate waves: no queries, no subjects.
+    let none = search_wave_protected(&[], db.sequences(), &cfg);
+    assert!(matches!(none, Ok(r) if r.scores.is_empty()));
+    let empty = search_wave_protected(&engines[..3], &[], &cfg);
+    assert!(matches!(empty, Ok(r) if r.scores == vec![Vec::<i32>::new(); 3]));
 }

@@ -78,6 +78,16 @@ cargo test -q --offline -p sw-simd --test prefix_scan_differential --test handof
 # can never silently drop them (see DESIGN.md §15).
 cargo test -q --offline -p sw-simd --test host_faults --test cancel_props
 
+# One job shape: the wave cases, named so a filter cannot drop them. The
+# pool's wave differential (k queries in one job equal k searches, scores
+# and stats, every backend; `pool_chunking` runs on the line above the
+# fault matrix too), the (query, sequence) exactly-once and mid-wave
+# cancellation cases of the two suites just run, and the gateway's
+# closed-loop multi-request waves and the forced cancel landing inside
+# one.
+cargo test -q --offline -p sw-simd --test pool_chunking --test host_faults --test cancel_props wave
+cargo test -q --offline -p sw-gateway --test exactly_once --test drain_storm
+
 # Every #[ignore] must carry a triage tag with an EXPERIMENTS.md entry:
 #   #[ignore = "triage: <slug>"]
 bad=0
