@@ -5,7 +5,7 @@
 //! space, exactly as the paper's kernels do ("for comparisons of a query
 //! sequence to an entire database, we are generally only concerned with the
 //! score and not the actual alignment"). [`sw_score_full`] materializes the
-//! whole `H` table (used by tests and by the traceback module).
+//! whole `H` table (used by tests).
 
 use crate::gaps::GapPenalties;
 use crate::matrix::ScoringMatrix;
@@ -89,7 +89,7 @@ pub fn sw_score(params: &SwParams, query: &[u8], db: &[u8]) -> i32 {
 /// Full `H` table (dimensions `(m+1) × (n+1)`, row 0 and column 0 are the
 /// zero boundary), plus the optimal score.
 ///
-/// Memory is `O(n·m)`; intended for tests, tracebacks, and small inputs.
+/// Memory is `O(n·m)`; intended for tests and small inputs.
 pub fn sw_score_full(params: &SwParams, query: &[u8], db: &[u8]) -> (Vec<Vec<i32>>, i32) {
     let m = query.len();
     let n = db.len();

@@ -113,6 +113,17 @@ pub fn shard_database(db: &Database, k: usize) -> Vec<Database> {
         .collect()
 }
 
+/// The inverse of [`shard_database`]'s deal: write shard `s` of `k`'s
+/// scores into database order. A sorted list dealt round-robin leaves
+/// every shard sorted, so a shard's own `Database` keeps the dealt order
+/// and position `j` of shard `s` is database index `s + j·k`. Dealing
+/// shard `s` again over `m` makes sub-shard `t` shard `s + t·k` of `m·k`.
+pub fn unshard_scores(scores: &mut [i32], s: usize, k: usize, shard_scores: &[i32]) {
+    for (j, &score) in shard_scores.iter().enumerate() {
+        scores[s + j * k] = score;
+    }
+}
+
 /// Run `query` against `db` on `k` simulated devices of the same spec.
 pub fn multi_gpu_search(
     spec: &DeviceSpec,
@@ -124,22 +135,11 @@ pub fn multi_gpu_search(
     let k = k.max(1);
     let shards = shard_database(db, k);
     let mut per_device = Vec::with_capacity(k);
-    let mut shard_scores = Vec::with_capacity(k);
+    let mut scores = vec![0i32; db.len()];
     for (i, shard) in shards.iter().enumerate() {
         let r = run_shard(i, spec, config, |driver| driver.search(query, shard))?;
-        shard_scores.push(r.scores.clone());
+        unshard_scores(&mut scores, i, k, &r.scores);
         per_device.push(r);
-    }
-    // Merge shard scores back into database order. Shard s received the
-    // database's sorted sequences at positions s, s+k, s+2k, ... — and a
-    // shard's own `Database` re-sorts them, but dealing a sorted list
-    // round-robin keeps each shard's order sorted too, so position j of
-    // shard s corresponds to database index s + j·k.
-    let mut scores = vec![0i32; db.len()];
-    for (s, shard) in shard_scores.iter().enumerate() {
-        for (j, &score) in shard.iter().enumerate() {
-            scores[s + j * k] = score;
-        }
     }
     Ok(MultiGpuResult {
         scores,
@@ -259,9 +259,7 @@ pub fn multi_gpu_search_resilient_checkpointed(
         obs::set_lane(prev_lane);
         match outcome {
             Ok(rr) => {
-                for (j, &score) in rr.result.scores.iter().enumerate() {
-                    scores[s + j * k] = score;
-                }
+                unshard_scores(&mut scores, s, k, &rr.result.scores);
                 report.merge(&rr.recovery);
                 per_device[s] = Some(rr.result);
             }
@@ -283,13 +281,13 @@ pub fn multi_gpu_search_resilient_checkpointed(
             let m = survivors.len();
             for &s in &failed {
                 // Re-deal the dead device's shard round-robin across the
-                // survivors. Sub-shard position h on survivor t is shard
-                // position t + h·m, which is database index s + (t + h·m)·k
-                // (round-robin dealing of a sorted list stays sorted, so
-                // the sub-shard databases preserve positions).
+                // survivors: sub-shard `t` is shard `s + t·k` of `m·k`.
                 let sub = shard_database(&shards[s], m);
                 for (t, subshard) in sub.iter().enumerate() {
                     let dev_idx = survivors[t];
+                    let mut merge = |sub_scores: &[i32]| {
+                        unshard_scores(&mut scores, s + t * k, m * k, sub_scores)
+                    };
                     if subshard.is_empty() {
                         continue;
                     }
@@ -302,9 +300,7 @@ pub fn multi_gpu_search_resilient_checkpointed(
                     {
                         let mut sub_scores = vec![0i32; subshard.len()];
                         cpu_scores(&config.params, query, subshard.sequences(), &mut sub_scores);
-                        for (h, &score) in sub_scores.iter().enumerate() {
-                            scores[s + (t + h * m) * k] = score;
-                        }
+                        merge(&sub_scores);
                         report.note_cpu_fallback(subshard.len());
                         continue;
                     }
@@ -320,9 +316,7 @@ pub fn multi_gpu_search_resilient_checkpointed(
                     obs::set_lane(prev_lane);
                     match outcome {
                         Ok(rr) => {
-                            for (h, &score) in rr.result.scores.iter().enumerate() {
-                                scores[s + (t + h * m) * k] = score;
-                            }
+                            merge(&rr.result.scores);
                             report.merge(&rr.recovery);
                             report.note_redispatch(s, dev_idx, subshard.len());
                         }
@@ -336,9 +330,7 @@ pub fn multi_gpu_search_resilient_checkpointed(
                                 subshard.sequences(),
                                 &mut sub_scores,
                             );
-                            for (h, &score) in sub_scores.iter().enumerate() {
-                                scores[s + (t + h * m) * k] = score;
-                            }
+                            merge(&sub_scores);
                             report.note_cpu_fallback(subshard.len());
                         }
                         Err(e) => return Err(e),

@@ -8,13 +8,13 @@
 //!                  returns a Ticket)                │  │    ──► host SIMD lane
 //!                                                   ▼  │
 //!                                      admission / EDF batcher / health
-//!                                      (same sw-serve types, WallClock)
+//!                                      (same sw-serve types, wall clock)
 //! ```
 //!
 //! The dispatcher owns the [`AdmissionQueue`], [`Batcher`] and
 //! [`HealthTracker`] — the exact types the simulated service uses — and
 //! replaces the discrete-event `run_trace` loop with a channel loop on
-//! the monotonic [`WallClock`]: `recv_timeout` until the batcher's next
+//! monotonic wall time: `recv_timeout` until the batcher's next
 //! dispatch instant, fan each wave's shard parts out to lane workers,
 //! and assemble full-database scores as parts come back. Waves pipeline:
 //! up to [`GatewayConfig::max_inflight_waves`] waves may be in flight
@@ -35,15 +35,14 @@
 //! columns) and aborts whatever remains. No path joins indefinitely.
 
 use crate::lane::{spawn_device_lane, spawn_host_lane, LaneCmd, LaneDone, LaneHandle};
-use cudasw_core::multi_gpu::shard_database;
+use cudasw_core::multi_gpu::{shard_database, unshard_scores};
 use cudasw_core::{CudaSwConfig, RecoveryPolicy};
 use gpu_sim::{DeviceSpec, FaultPlan};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use sw_db::Database;
-use sw_serve::clock::{ServiceClock, WallClock};
 use sw_serve::{
     AdmissionConfig, AdmissionQueue, BatchPolicy, Batcher, HealthPolicy, HealthTracker,
     SearchRequest, Shed, ShedReason, Wave,
@@ -54,6 +53,23 @@ use sw_simd::{CancelToken, HostFaultPlan};
 /// unresponsive workers, seconds. Generous: a cancelled host chunk exits
 /// at its first poll and device waves are bounded compute.
 const ABANDON_AFTER_CANCEL_SECONDS: f64 = 10.0;
+
+/// Monotonic wall seconds since the gateway started: the timebase the
+/// sw-serve queue, batcher and breakers run on here.
+#[derive(Clone, Copy)]
+struct WallClock(Instant);
+
+impl WallClock {
+    fn now(&self) -> f64 {
+        self.0.elapsed().as_secs_f64()
+    }
+
+    fn wait_until(&self, instant: f64) {
+        if let Ok(d) = Duration::try_from_secs_f64(instant - self.now()) {
+            std::thread::sleep(d);
+        }
+    }
+}
 
 /// Gateway configuration.
 #[derive(Debug, Clone)]
@@ -298,7 +314,7 @@ pub(crate) enum FrontMsg {
 #[derive(Clone)]
 pub struct GatewayHandle {
     tx: Sender<FrontMsg>,
-    clock: Arc<WallClock>,
+    clock: WallClock,
 }
 
 impl GatewayHandle {
@@ -352,7 +368,7 @@ impl Gateway {
         let devices = cfg.devices;
         let k = devices + 1;
         let shards = shard_database(db, k);
-        let clock = Arc::new(WallClock::new());
+        let clock = WallClock(Instant::now());
         let cancel = CancelToken::new();
         let (tx, rx) = std::sync::mpsc::channel();
 
@@ -379,7 +395,7 @@ impl Gateway {
 
         let dispatcher = Dispatcher {
             cfg: cfg.clone(),
-            clock: clock.clone(),
+            clock,
             cancel: cancel.clone(),
             rx,
             queue: AdmissionQueue::new(cfg.admission.clone()),
@@ -466,7 +482,7 @@ struct Inflight {
 
 struct Dispatcher {
     cfg: GatewayConfig,
-    clock: Arc<WallClock>,
+    clock: WallClock,
     cancel: CancelToken,
     rx: Receiver<FrontMsg>,
     queue: AdmissionQueue,
@@ -799,9 +815,7 @@ impl Dispatcher {
             let mut scores = vec![0i32; self.db_len];
             for (s, per_shard) in inf.shard_scores.iter().enumerate() {
                 if let Some(part) = &per_shard[q] {
-                    for (j, &v) in part.iter().enumerate() {
-                        scores[s + j * self.k] = v;
-                    }
+                    unshard_scores(&mut scores, s, self.k, part);
                 }
             }
             let latency = now - req.arrival_seconds;

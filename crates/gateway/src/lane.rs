@@ -9,14 +9,15 @@
 //! through channels, so a wave's shard parts genuinely execute in
 //! parallel on the wall clock.
 //!
-//! Failure semantics mirror the simulated executor, scoped to what a
-//! worker thread can do on its own:
+//! Failure semantics, scoped to what a worker thread can do on its own:
 //!
-//! * a device lane serves each query from the device-resident staging
-//!   fast path, dropping to [`CudaSwDriver::search_resilient`] when the
-//!   staged handle faults; an unrecoverable lane death reports the
-//!   remaining queries as unserved (`None`) and the dispatcher re-owes
-//!   them to the host lane;
+//! * a device lane is a loop over [`sw_serve::DeviceLane`] — the same
+//!   staging, resident fast path and resilient rerun the simulated
+//!   executor climbs, with no deadline budget (wall-clock tails are
+//!   bounded by admission, cancellation and the breakers, not by the
+//!   simulated device clock); a lane death reports the remaining queries
+//!   as unserved (`None`) and the dispatcher re-owes them to the host
+//!   lane;
 //! * the host lane posts each wave as one
 //!   [`sw_simd::search_wave_protected`] job — the shard walked once,
 //!   every chunk scored against all of the wave's queries — with the
@@ -30,12 +31,12 @@
 //! shard never changes a response byte.
 
 use crate::gateway::FrontMsg;
-use cudasw_core::{CudaSwConfig, CudaSwDriver, RecoveryPolicy, StagedDatabase};
+use cudasw_core::{CudaSwConfig, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 use sw_db::Database;
-use sw_serve::Wave;
+use sw_serve::{DeviceLane, Wave};
 use sw_simd::{
     search_wave_protected, CancelToken, HostFaultPlan, PoolConfig, Precision, QueryEngine,
 };
@@ -83,6 +84,24 @@ pub(crate) struct LaneDone {
     pub seconds: f64,
 }
 
+impl LaneDone {
+    /// A part of `wave` that served nothing and took no time.
+    fn unserved(lane: usize, wave_id: u64, shard_of: usize, wave: &Wave) -> Self {
+        Self {
+            lane,
+            wave_id,
+            shard_of,
+            scores: vec![None; wave.requests.len()],
+            cells: 0,
+            degraded: false,
+            faulted: false,
+            died: false,
+            cancelled: false,
+            seconds: 0.0,
+        }
+    }
+}
+
 /// A spawned worker: its command channel and join handle.
 pub(crate) struct LaneHandle {
     pub tx: Sender<LaneCmd>,
@@ -90,7 +109,6 @@ pub(crate) struct LaneHandle {
 }
 
 /// Spawn a gpu-sim device lane worker over `shard`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_device_lane(
     lane: usize,
     spec: &DeviceSpec,
@@ -101,30 +119,11 @@ pub(crate) fn spawn_device_lane(
     out: Sender<FrontMsg>,
 ) -> LaneHandle {
     let (tx, rx) = std::sync::mpsc::channel();
-    let spec = spec.clone();
-    let config = config.clone();
-    let policy = policy.clone();
+    let mut device = DeviceLane::new(spec, config, shard, plan, policy);
     let join = std::thread::spawn(move || {
-        let mut driver = CudaSwDriver::new(spec, config);
-        driver.dev.inject_faults(plan);
-        driver.dev.set_integrity_checks(policy.integrity_checks);
-        driver.dev.set_watchdog_cycles(policy.watchdog_cycles);
-        let mut worker = DeviceLaneWorker {
-            lane,
-            driver,
-            shard,
-            staged: None,
-            alive: true,
-            policy,
-        };
         while let Ok(cmd) = rx.recv() {
-            match cmd {
-                LaneCmd::Exec { wave_id, wave } => {
-                    let done = worker.exec(wave_id, &wave);
-                    if out.send(FrontMsg::Done(done)).is_err() {
-                        break;
-                    }
-                }
+            let done = match cmd {
+                LaneCmd::Exec { wave_id, wave } => exec_device(lane, &mut device, wave_id, &wave),
                 // Device lanes never receive owed work (the dispatcher
                 // routes it to the host lane); acknowledge defensively so
                 // a routing bug cannot wedge a wave.
@@ -132,165 +131,53 @@ pub(crate) fn spawn_device_lane(
                     wave_id,
                     wave,
                     shard_of,
-                } => {
-                    let n = wave.requests.len();
-                    let done = LaneDone {
-                        lane,
-                        wave_id,
-                        shard_of,
-                        scores: vec![None; n],
-                        cells: 0,
-                        degraded: false,
-                        faulted: false,
-                        died: false,
-                        cancelled: false,
-                        seconds: 0.0,
-                    };
-                    if out.send(FrontMsg::Done(done)).is_err() {
-                        break;
-                    }
-                }
+                } => LaneDone::unserved(lane, wave_id, shard_of, &wave),
                 LaneCmd::Stop => break,
+            };
+            if out.send(FrontMsg::Done(done)).is_err() {
+                break;
             }
         }
     });
     LaneHandle { tx, join }
 }
 
-struct DeviceLaneWorker {
-    lane: usize,
-    driver: CudaSwDriver,
-    shard: Database,
-    staged: Option<StagedDatabase>,
-    alive: bool,
-    policy: RecoveryPolicy,
-}
-
-impl DeviceLaneWorker {
-    /// The per-lane recovery policy: no CPU fallback (the dispatcher
-    /// owns re-dispatch) and no modeled deadline budget — in wall-clock
-    /// mode tail control comes from admission, cancellation and the
-    /// breakers, not from the simulated device clock.
-    fn lane_policy(&self) -> RecoveryPolicy {
-        RecoveryPolicy {
-            cpu_fallback: false,
-            deadline_seconds: None,
-            ..self.policy.clone()
+/// Serve `device`'s shard of `wave`, query by query, until the wave ends
+/// or the lane dies. A non-recoverable device error kills the lane too:
+/// the worker cannot propagate it, and the dispatcher re-owes the work.
+fn exec_device(lane: usize, device: &mut DeviceLane, wave_id: u64, wave: &Wave) -> LaneDone {
+    let t0 = Instant::now();
+    let mut done = LaneDone::unserved(lane, wave_id, lane, wave);
+    let faults_before = device.faults_seen();
+    if device.alive() {
+        device.set_params(&wave.requests[0].params);
+        // Staging backoff is modelled on the worker's thread-local device
+        // clock: a simulated retry pause must not stall a real wave.
+        if device
+            .stage(None, &mut RecoveryReport::default(), &mut 0.0)
+            .is_err()
+        {
+            device.kill();
         }
     }
-
-    /// Stage the shard, retrying transient faults. Backoff is modeled on
-    /// the worker's thread-local simulated device clock (no wall sleep —
-    /// a simulated device's retry pause must not stall a real wave).
-    fn stage(&mut self) {
-        let mut attempt = 0u32;
-        loop {
-            let shard = self.shard.clone();
-            match self.driver.stage_database(&shard) {
-                Ok(staged) => {
-                    self.staged = Some(staged);
-                    obs::counter_add("cudasw.gateway.db_stagings", &[], 1.0);
-                    return;
-                }
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
-                    let backoff =
-                        self.policy.backoff_base_seconds * f64::from(1u32 << attempt.min(20));
-                    obs::advance(backoff);
-                    obs::counter_add("cudasw.gateway.staging_retries", &[], 1.0);
-                }
-                Err(gpu_sim::GpuError::DeviceLost) => {
-                    self.alive = false;
-                    return;
-                }
-                Err(_) => {
-                    // OOM or retries exhausted: serve un-staged (the
-                    // resilient path re-chunks around OOM itself).
-                    obs::counter_add("cudasw.gateway.staging_fallbacks", &[], 1.0);
-                    return;
-                }
+    for &q in &wave.exec_order {
+        if !device.alive() {
+            break;
+        }
+        match device.serve(&wave.requests[q].query, None, None) {
+            Ok(Some(r)) => {
+                done.cells += r.cells;
+                done.degraded |= r.recovery.degraded;
+                done.scores[q] = Some(r.scores);
             }
+            Ok(None) => {}
+            Err(_) => device.kill(),
         }
     }
-
-    fn exec(&mut self, wave_id: u64, wave: &Wave) -> LaneDone {
-        let t0 = Instant::now();
-        let n = wave.requests.len();
-        let mut scores: Vec<Option<Vec<i32>>> = vec![None; n];
-        let mut cells = 0u64;
-        let mut degraded = false;
-        let alive_at_start = self.alive;
-        let faults_before = self.driver.dev.fault_stats().total();
-        if alive_at_start {
-            self.driver.config.params = wave.requests[0].params.clone();
-            if self.staged.is_none() {
-                self.stage();
-            }
-            for &q in &wave.exec_order {
-                if !self.alive {
-                    break;
-                }
-                let req = &wave.requests[q];
-                let mut served = false;
-                // Fast path: the device-resident shard.
-                if let Some(staged) = self.staged.clone() {
-                    match self.driver.search_staged(&req.query, &staged) {
-                        Ok(r) => {
-                            cells += r.total_cells();
-                            scores[q] = Some(r.scores);
-                            served = true;
-                        }
-                        Err(e) if e.is_recoverable() => {
-                            // Handle invalidated by recovery machinery:
-                            // drop it, take the resilient path.
-                            self.staged = None;
-                            obs::counter_add("cudasw.gateway.staged_faults", &[], 1.0);
-                        }
-                        Err(_) => {
-                            // Non-recoverable device error: the worker
-                            // cannot propagate it, so the lane dies and
-                            // the dispatcher re-owes the work.
-                            self.alive = false;
-                        }
-                    }
-                }
-                if !served && self.alive {
-                    let shard = self.shard.clone();
-                    match self
-                        .driver
-                        .search_resilient(&req.query, &shard, &self.lane_policy())
-                    {
-                        Ok(rr) => {
-                            cells += rr.result.total_cells();
-                            scores[q] = Some(rr.result.scores);
-                            if rr.recovery.degraded {
-                                degraded = true;
-                            }
-                            // search_resilient reset the allocator; any
-                            // staged handle is stale now.
-                            self.staged = None;
-                        }
-                        Err(_) => {
-                            self.alive = false;
-                        }
-                    }
-                }
-            }
-        }
-        let faulted = self.driver.dev.fault_stats().total() > faults_before;
-        LaneDone {
-            lane: self.lane,
-            wave_id,
-            shard_of: self.lane,
-            scores,
-            cells,
-            degraded,
-            faulted,
-            died: !self.alive,
-            cancelled: false,
-            seconds: t0.elapsed().as_secs_f64(),
-        }
-    }
+    done.faulted = device.faults_seen() > faults_before;
+    done.died = !device.alive();
+    done.seconds = t0.elapsed().as_secs_f64();
+    done
 }
 
 /// Spawn the host SIMD lane worker. It owns shard `lane` (the last
@@ -350,12 +237,11 @@ impl HostLaneWorker {
     /// requests.
     fn exec(&self, wave_id: u64, wave: &Wave, shard_of: usize) -> LaneDone {
         let t0 = Instant::now();
-        let mut scores: Vec<Option<Vec<i32>>> = vec![None; wave.requests.len()];
-        let mut cells = 0u64;
+        let mut done = LaneDone::unserved(self.lane, wave_id, shard_of, wave);
         let params = &wave.requests[0].params;
         let shard = &self.shards[shard_of.min(self.shards.len().saturating_sub(1))];
-        let mut cancelled = self.cancel.is_cancelled();
-        if !cancelled {
+        done.cancelled = self.cancel.is_cancelled();
+        if !done.cancelled {
             let engines: Vec<QueryEngine> = wave
                 .exec_order
                 .iter()
@@ -368,24 +254,14 @@ impl HostLaneWorker {
                 Ok(r) => {
                     sw_simd::record_stats(engines[0].kind(), &r.stats);
                     for (&q, part) in wave.exec_order.iter().zip(r.scores) {
-                        cells += shard.total_cells(wave.requests[q].query.len());
-                        scores[q] = Some(part);
+                        done.cells += shard.total_cells(wave.requests[q].query.len());
+                        done.scores[q] = Some(part);
                     }
                 }
-                Err(_cancelled) => cancelled = true,
+                Err(_cancelled) => done.cancelled = true,
             }
         }
-        LaneDone {
-            lane: self.lane,
-            wave_id,
-            shard_of,
-            scores,
-            cells,
-            degraded: false,
-            faulted: false,
-            died: false,
-            cancelled,
-            seconds: t0.elapsed().as_secs_f64(),
-        }
+        done.seconds = t0.elapsed().as_secs_f64();
+        done
     }
 }

@@ -3,8 +3,8 @@
 //! Every sw-serve number before this crate came from the discrete-event
 //! simulated clock. The gateway is the other execution mode: the *same*
 //! admission queue, EDF batcher, deadline semantics and lane-health
-//! breakers, but driven by [`sw_serve::clock::WallClock`] with waves
-//! executing **concurrently** on real worker threads:
+//! breakers, but driven by monotonic wall time with waves executing
+//! **concurrently** on real worker threads:
 //!
 //! * [`gateway`] — the in-process front-end and dispatcher. Tenants
 //!   submit through a cloneable [`GatewayHandle`] and get a [`Ticket`]
@@ -13,12 +13,13 @@
 //!   (front-end enqueue → response), so tail percentiles include
 //!   queueing delay under overload — not just per-wave service time.
 //! * [`lane`] — the execution backend: one worker thread per gpu-sim
-//!   shard lane (device-resident staging fast path, resilient fallback,
-//!   lane-death reporting) plus one host lane running shard work on the
-//!   crash-only work-stealing SIMD pool, one job per wave
-//!   ([`sw_simd::search_wave_protected`], multi-threaded). Work owed by dead
-//!   or breaker-quarantined device lanes is re-dispatched to the host
-//!   lane — the wall-clock analogue of the simulated redispatch ladder.
+//!   shard lane, each a loop over [`sw_serve::DeviceLane`] (the one
+//!   recovery ladder, here with no deadline budget), plus one host lane
+//!   running shard work on the crash-only work-stealing SIMD pool, one
+//!   job per wave ([`sw_simd::search_wave_protected`], multi-threaded).
+//!   Work owed by dead or breaker-quarantined device lanes is
+//!   re-dispatched to the host lane — the wall-clock analogue of the
+//!   simulated redispatch ladder.
 //! * [`loadgen`] — a seeded open-loop load generator: deterministic
 //!   arrival schedules under steady, bursty and overload profiles
 //!   (Poisson arrivals; the bursty profile alternates hot and cold
@@ -41,9 +42,10 @@
 //! `breaker_skips`, `duplicate_commits` (always 0),
 //! `drain.forced_cancels`; plus the shared end-to-end
 //! `cudasw.serve.latency_seconds` histogram on
-//! [`obs::LATENCY_SECONDS_BOUNDS`]. Worker-thread metrics stay on the
-//! worker's thread-local recorder; the dispatcher snapshot in
-//! [`gateway::GatewayReport::metrics`] covers the front-end view.
+//! [`obs::LATENCY_SECONDS_BOUNDS`]. Worker-thread metrics (a device
+//! lane's `cudasw.serve.*` ladder counters, the pool's `cudasw.simd.*`)
+//! stay on the worker's thread-local recorder; the dispatcher snapshot
+//! in [`gateway::GatewayReport::metrics`] covers the front-end view.
 // Crash-only discipline: library code may not panic through `unwrap` /
 // `expect` — every fallible path must recover or return a typed error.
 // (Unit tests, compiled with `cfg(test)`, are exempt.)

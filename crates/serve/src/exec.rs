@@ -1,35 +1,29 @@
-//! Wave execution over resilient multi-GPU shard lanes.
+//! Wave scheduling over [`DeviceLane`]s on the simulated clock.
 //!
-//! One [`Lane`] per simulated device, each owning one round-robin shard
-//! of the database ([`cudasw_core::multi_gpu::shard_database`] layout:
-//! shard `s` position `j` is database sequence `s + j·k`). The fast path
-//! keeps the shard device-resident ([`StagedDatabase`]) so a wave of `N`
-//! compatible queries stages the database **once** and pays only two
-//! per-query H2D transfers each; every fault path inherits the resilient
-//! driver's recovery ladder:
+//! One lane per simulated device, each owning one round-robin shard of
+//! the database ([`shard_database`]; [`unshard_scores`] is its inverse).
+//! The per-query recovery ladder lives in [`crate::lane`]; this module
+//! decides what happens around it:
 //!
-//! * a fault inside a staged search drops the handle and reruns the
-//!   query through [`CudaSwDriver::search_resilient`] (retry, backoff,
-//!   OOM re-chunking, quarantine);
 //! * a lane whose device dies has its shard re-dispatched to a survivor;
 //! * with no survivors left the shard is computed on the host SIMD
 //!   oracle (when the policy allows CPU fallback).
 //!
-//! On top of the per-query ladder sits cross-query service resilience
-//! (see [`crate::health`]):
+//! On top of that sits cross-query service resilience (see
+//! [`crate::health`]):
 //!
 //! * every lane carries a circuit breaker fed by its wave-level fault
 //!   deltas — an open breaker routes the lane's shard work through the
 //!   owed machinery instead of paying the retry ladder every wave;
 //! * a *dead* lane's breaker paces revival probes
-//!   ([`gpu_sim::GpuDevice::try_revive`]); a revived lane restages and
+//!   ([`DeviceLane::try_revive`]); a revived lane restages and
 //!   re-earns trust through half-open;
 //! * a straggling lane (latency EWMA past the hedge threshold) has its
 //!   queries speculatively re-issued on the host SIMD engine —
 //!   first-result-wins, committed exactly once;
 //! * with deadline propagation on, every device dispatch carries the
-//!   query's remaining EDF budget ([`RecoveryPolicy::deadline_seconds`])
-//!   so retries and redispatches degrade instead of overrunning it.
+//!   query's remaining EDF budget so retries and redispatches degrade
+//!   instead of overrunning it.
 //!
 //! Scores are exact integer Smith-Waterman scores on every path, so a
 //! served result is bit-identical to a standalone resilient search no
@@ -38,23 +32,13 @@
 use crate::batch::Wave;
 use crate::cache::ProfileCache;
 use crate::health::{HealthPolicy, HealthTracker};
+use crate::lane::DeviceLane;
 use crate::request::SearchRequest;
-use cudasw_core::multi_gpu::shard_database;
-use cudasw_core::{
-    CudaSwConfig, CudaSwDriver, RecoveryEvent, RecoveryPolicy, RecoveryReport, StagedDatabase,
-};
+use cudasw_core::multi_gpu::{shard_database, unshard_scores};
+use cudasw_core::{CudaSwConfig, RecoveryEvent, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_db::Database;
 use sw_simd::{search_protected, HostFaultPlan, PoolConfig, Precision, QueryEngine};
-
-/// One device lane: a driver bound to one database shard.
-struct Lane {
-    device: usize,
-    driver: CudaSwDriver,
-    shard: Database,
-    staged: Option<StagedDatabase>,
-    alive: bool,
-}
 
 /// Host SIMD throughput the hedge cost model assumes, cells/second. The
 /// hedge only needs a *relative* cost to decide the first finisher, and
@@ -88,7 +72,7 @@ pub struct WaveOutcome {
 
 /// The scheduler's execution backend: a farm of resilient shard lanes.
 pub struct WaveExecutor {
-    lanes: Vec<Lane>,
+    lanes: Vec<DeviceLane>,
     policy: RecoveryPolicy,
     db_len: usize,
     health: HealthTracker,
@@ -118,23 +102,12 @@ impl WaveExecutor {
     ) -> Self {
         let devices = devices.max(1);
         let shards = shard_database(db, devices);
-        let lanes: Vec<Lane> = shards
+        let lanes: Vec<DeviceLane> = shards
             .into_iter()
             .enumerate()
             .map(|(device, shard)| {
-                let mut driver = CudaSwDriver::new(spec.clone(), config.clone());
-                driver
-                    .dev
-                    .inject_faults(plans.get(device).cloned().unwrap_or_else(FaultPlan::none));
-                driver.dev.set_integrity_checks(policy.integrity_checks);
-                driver.dev.set_watchdog_cycles(policy.watchdog_cycles);
-                Lane {
-                    device,
-                    driver,
-                    shard,
-                    staged: None,
-                    alive: true,
-                }
+                let plan = plans.get(device).cloned().unwrap_or_else(FaultPlan::none);
+                DeviceLane::new(spec, config, shard, plan, policy)
             })
             .collect();
         let health = HealthTracker::new(lanes.len(), health.clone());
@@ -161,7 +134,7 @@ impl WaveExecutor {
 
     /// Number of lanes still alive.
     pub fn lanes_alive(&self) -> usize {
-        self.lanes.iter().filter(|l| l.alive).count()
+        self.lanes.iter().filter(|l| l.alive()).count()
     }
 
     /// Number of lanes the executor started with.
@@ -174,16 +147,12 @@ impl WaveExecutor {
         &self.health
     }
 
-    /// The absolute simulated-clock deadline for a device dispatch that
-    /// starts `service_elapsed` seconds into the wave: the query's
-    /// remaining EDF budget mapped onto the device clock. `None` when
-    /// deadline propagation is off or the request carries no meaningful
-    /// budget.
-    fn query_deadline(&self, req: &SearchRequest, service_elapsed: f64) -> Option<f64> {
-        if !self.propagate_deadlines {
-            return None;
-        }
-        Some(obs::now() + (req.deadline_seconds - service_elapsed).max(0.0))
+    /// The query's remaining EDF budget at service time `elapsed`, the
+    /// seconds a device dispatch starting then may spend. `None` when
+    /// deadline propagation is off.
+    fn budget(&self, req: &SearchRequest, elapsed: f64) -> Option<f64> {
+        self.propagate_deadlines
+            .then(|| (req.deadline_seconds - elapsed).max(0.0))
     }
 
     /// Serve every request of `wave` (single parameter class, enforced by
@@ -229,13 +198,18 @@ impl WaveExecutor {
         let mut owed: Vec<(usize, usize)> = Vec::new();
 
         for (s, seconds) in lane_seconds.iter_mut().enumerate() {
-            if !self.lanes[s].alive {
+            if !self.lanes[s].alive() {
                 // The breaker paces revival probes against the dead
-                // device; until one succeeds the shard work is owed.
-                if self.health.admits(s, now) && !self.try_revive_lane(s, now) {
-                    self.health.observe_death(s, now);
+                // device; until one succeeds the shard work is owed. A
+                // revived lane re-enters the breaker through half-open.
+                if self.health.admits(s, now) {
+                    if self.lanes[s].try_revive() {
+                        self.health.note_revival(s, now);
+                    } else {
+                        self.health.observe_death(s, now);
+                    }
                 }
-                if !self.lanes[s].alive {
+                if !self.lanes[s].alive() {
                     owed.extend(wave.exec_order.iter().map(|&q| (s, q)));
                     continue;
                 }
@@ -245,8 +219,8 @@ impl WaveExecutor {
                 owed.extend(wave.exec_order.iter().map(|&q| (s, q)));
                 continue;
             }
-            let faults_before = self.lanes[s].driver.dev.fault_stats().total();
-            let prev_lane = obs::set_lane(self.lanes[s].device as u32 + 1);
+            let faults_before = self.lanes[s].faults_seen();
+            let prev_lane = obs::set_lane(s as u32 + 1);
             let outcome = self.run_lane_wave(
                 s,
                 wave,
@@ -261,8 +235,8 @@ impl WaveExecutor {
             );
             obs::set_lane(prev_lane);
             outcome?;
-            if self.lanes[s].alive {
-                let faulted = self.lanes[s].driver.dev.fault_stats().total() > faults_before;
+            if self.lanes[s].alive() {
+                let faulted = self.lanes[s].faults_seen() > faults_before;
                 self.health.observe_wave(s, faulted, now);
             } else {
                 self.health.observe_death(s, now);
@@ -293,21 +267,6 @@ impl WaveExecutor {
         })
     }
 
-    /// One revival probe against dead lane `s`: on success the lane comes
-    /// back alive with no staged handle (the reset wiped device memory)
-    /// and re-enters the breaker through half-open.
-    fn try_revive_lane(&mut self, s: usize, now: f64) -> bool {
-        if self.lanes[s].driver.dev.try_revive() {
-            self.lanes[s].alive = true;
-            self.lanes[s].staged = None;
-            self.health.note_revival(s, now);
-            obs::counter_add("cudasw.serve.lane_revivals", &[], 1.0);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Run every wave query on lane `s`, staged fast path first. Pushes
     /// un-served (lane died) work onto `owed`. Queries on a straggling
     /// lane are hedged on the host SIMD engine, first-result-wins.
@@ -326,92 +285,44 @@ impl WaveExecutor {
         owed: &mut Vec<(usize, usize)>,
     ) -> Result<(), GpuError> {
         let k = self.lanes.len();
-        self.lanes[s].driver.config.params = params.clone();
-        if self.lanes[s].staged.is_none() {
-            self.stage_lane(s, wave, now, recovery, lane_seconds)?;
-        }
+        self.lanes[s].set_params(params);
+        // The wave is EDF-sorted, so requests[0] carries the tightest
+        // deadline — the budget staging must respect.
+        let staging_budget = self.budget(&wave.requests[0], now);
+        self.lanes[s].stage(staging_budget, recovery, lane_seconds)?;
+        // A lane that died staging still takes the first query: a hedge
+        // may cover it, the device attempt fails at once (counting
+        // `lane_deaths` again), and the rest is owed.
         for (pos, &q) in wave.exec_order.iter().enumerate() {
             let req = &wave.requests[q];
+            let elapsed = now + *lane_seconds;
             // Hedged dispatch: a straggling lane gets a speculative host
             // twin for this query before the device attempt, budgeted
             // against the query's remaining deadline.
-            let hedge = self.issue_hedge(s, req, params, now + *lane_seconds, recovery);
+            let hedge = self.issue_hedge(s, req, params, elapsed, recovery);
             let gpu_start = *lane_seconds;
-            let mut served_secs: Option<f64> = None;
-            // Fast path: the resident shard plus the cached profile.
-            if let Some(staged) = self.lanes[s].staged.clone() {
-                match self.lanes[s].driver.search_staged_with_profile(
-                    &req.query,
-                    &profiles[q],
-                    &staged,
-                ) {
-                    Ok(r) => {
-                        for (j, &v) in r.scores.iter().enumerate() {
-                            scores[q][s + j * k] = v;
-                        }
-                        served_secs = Some(r.kernel_seconds() + r.transfer_seconds);
-                        *total_cells += r.total_cells();
-                    }
-                    Err(e) if e.is_recoverable() => {
-                        // The handle may have been invalidated by recovery
-                        // machinery; drop it and take the resilient path.
-                        self.lanes[s].staged = None;
-                        obs::counter_add("cudasw.serve.staged_faults", &[], 1.0);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if served_secs.is_none() {
-                // Resilient path: full recovery ladder on this lane's
-                // shard, bounded by the query's remaining deadline budget.
-                let shard = self.lanes[s].shard.clone();
-                let policy = RecoveryPolicy {
-                    deadline_seconds: self.query_deadline(req, now + *lane_seconds),
-                    ..self.lane_policy()
+            let budget = self.budget(req, elapsed);
+            let Some(served) = self.lanes[s].serve(&req.query, Some(&profiles[q]), budget)? else {
+                // Lane is gone. If a hedge is in flight it covers this
+                // query; the rest of the wave is owed to the survivors
+                // either way.
+                let rest = if let Some(h) = hedge {
+                    self.commit_hedge(s, q, &h, scores, recovery);
+                    *lane_seconds = gpu_start + h.seconds;
+                    pos + 1
+                } else {
+                    pos
                 };
-                match self.lanes[s]
-                    .driver
-                    .search_resilient(&req.query, &shard, &policy)
-                {
-                    Ok(rr) => {
-                        for (j, &v) in rr.result.scores.iter().enumerate() {
-                            scores[q][s + j * k] = v;
-                        }
-                        served_secs = Some(
-                            rr.result.kernel_seconds()
-                                + rr.result.transfer_seconds
-                                + rr.recovery.backoff_seconds,
-                        );
-                        *total_cells += rr.result.total_cells();
-                        recovery.merge(&rr.recovery);
-                    }
-                    Err(e) if e.is_recoverable() => {
-                        // Lane is gone. If a hedge is in flight it covers
-                        // this query; the rest of the wave is owed to the
-                        // survivors either way.
-                        self.lanes[s].alive = false;
-                        obs::counter_add("cudasw.serve.lane_deaths", &[], 1.0);
-                        let rest = if let Some(h) = hedge {
-                            self.commit_hedge(s, q, &h, scores, recovery);
-                            *lane_seconds = gpu_start + h.seconds;
-                            pos + 1
-                        } else {
-                            pos
-                        };
-                        owed.extend(wave.exec_order[rest..].iter().map(|&qq| (s, qq)));
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
+                owed.extend(wave.exec_order[rest..].iter().map(|&qq| (s, qq)));
+                return Ok(());
+            };
+            unshard_scores(&mut scores[q], s, k, &served.scores);
+            *total_cells += served.cells;
+            recovery.merge(&served.recovery);
+            let gpu_secs = served.seconds;
             // Exactly-once commitment: the first finisher's result stands.
             // Scores are bit-identical on both paths, so "which won" only
             // decides the lane's clock (and the degraded flag).
-            // Unreachable fallback: every path above either set
-            // `served_secs` or returned.
-            let Some(gpu_secs) = served_secs else {
-                continue;
-            };
             match hedge {
                 Some(h) if h.seconds < gpu_secs => {
                     self.commit_hedge(s, q, &h, scores, recovery);
@@ -442,10 +353,10 @@ impl WaveExecutor {
         service_elapsed: f64,
         recovery: &mut RecoveryReport,
     ) -> Option<HedgeResult> {
-        if !self.health.should_hedge(s) || self.lanes[s].shard.is_empty() {
+        let shard = self.lanes[s].shard();
+        if !self.health.should_hedge(s) || shard.is_empty() {
             return None;
         }
-        let shard = &self.lanes[s].shard;
         let seconds = shard.total_cells(req.query.len()) as f64 / HEDGE_HOST_CUPS;
         if self.propagate_deadlines {
             let left = req.deadline_seconds - service_elapsed;
@@ -475,81 +386,9 @@ impl WaveExecutor {
         scores: &mut [Vec<i32>],
         recovery: &mut RecoveryReport,
     ) {
-        let k = self.lanes.len();
-        for (j, &v) in hedge.scores.iter().enumerate() {
-            scores[q][s + j * k] = v;
-        }
+        unshard_scores(&mut scores[q], s, self.lanes.len(), &hedge.scores);
         recovery.degraded = true;
         obs::counter_add("cudasw.serve.hedge.wins", &[("winner", "host")], 1.0);
-    }
-
-    /// Stage lane `s`'s shard, retrying transient faults with backoff.
-    /// On persistent failure the lane either dies (device loss / retries
-    /// exhausted) or falls back to un-staged per-query searches (OOM and
-    /// everything else) — both leave `staged` as `None`. Staging retries
-    /// are budgeted against the wave's most urgent deadline: a denied
-    /// retry serves the wave un-staged instead of backing off.
-    fn stage_lane(
-        &mut self,
-        s: usize,
-        wave: &Wave,
-        now: f64,
-        recovery: &mut RecoveryReport,
-        lane_seconds: &mut f64,
-    ) -> Result<(), GpuError> {
-        let mut attempt = 0u32;
-        // The wave is EDF-sorted, so requests[0] carries the tightest
-        // deadline — the budget staging must respect.
-        let deadline = self.query_deadline(&wave.requests[0], now);
-        loop {
-            let shard = self.lanes[s].shard.clone();
-            match self.lanes[s].driver.stage_database(&shard) {
-                Ok(staged) => {
-                    *lane_seconds += staged.staging_seconds();
-                    self.lanes[s].staged = Some(staged);
-                    obs::counter_add("cudasw.serve.db_stagings", &[], 1.0);
-                    return Ok(());
-                }
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    let backoff =
-                        self.policy.backoff_base_seconds * f64::from(1u32 << attempt.min(20));
-                    if deadline.is_some_and(|d| obs::now() + backoff > d) {
-                        // Budget exhausted: no more staging retries — the
-                        // wave runs un-staged (per-query searches still
-                        // respect their own budgets).
-                        recovery.budget_denied_retries += 1;
-                        recovery.events.push(RecoveryEvent::BudgetDenied {
-                            error: e.to_string(),
-                        });
-                        obs::counter_add("cudasw.serve.budget_denied_stagings", &[], 1.0);
-                        obs::counter_add("cudasw.serve.staging_fallbacks", &[], 1.0);
-                        return Ok(());
-                    }
-                    attempt += 1;
-                    recovery.retries += 1;
-                    recovery.backoff_seconds += backoff;
-                    recovery.events.push(RecoveryEvent::Retry {
-                        error: e.to_string(),
-                        attempt,
-                    });
-                    *lane_seconds += backoff;
-                    obs::counter_add("cudasw.serve.staging_retries", &[], 1.0);
-                    obs::advance(backoff);
-                }
-                Err(GpuError::DeviceLost) => {
-                    self.lanes[s].alive = false;
-                    obs::counter_add("cudasw.serve.lane_deaths", &[], 1.0);
-                    return Ok(());
-                }
-                Err(e) if e.is_recoverable() => {
-                    // OOM or retries exhausted: serve this wave un-staged
-                    // (search_resilient re-chunks around OOM itself).
-                    obs::counter_add("cudasw.serve.staging_fallbacks", &[], 1.0);
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Serve shard work owed by dead or quarantined lanes: re-dispatch to
@@ -570,70 +409,53 @@ impl WaveExecutor {
         let k = self.lanes.len();
         for (dead, q) in owed {
             let req = &wave.requests[q];
-            let shard = self.lanes[dead].shard.clone();
+            let shard = self.lanes[dead].shard().clone();
             if shard.is_empty() {
                 continue;
             }
             let mut served = false;
-            // Absolute budget for this query; once spent, stop burning
+            // Absolute deadline for this query; once passed, stop burning
             // device time on redispatch and degrade straight to the host.
-            let budget = if self.policy.cpu_fallback {
-                self.query_deadline(req, now)
+            let deadline = if self.policy.cpu_fallback {
+                self.budget(req, now).map(|b| obs::now() + b)
             } else {
                 None
             };
-            while !budget.is_some_and(|d| obs::now() >= d) {
+            while !deadline.is_some_and(|d| obs::now() >= d) {
                 // The health tracker ranks survivors by fault score;
                 // lanes with open breakers only take owed work when
                 // nothing healthier remains (better a suspect device
                 // than a guaranteed host-speed answer).
-                let alive: Vec<bool> = self.lanes.iter().map(|l| l.alive).collect();
+                let alive: Vec<bool> = self.lanes.iter().map(DeviceLane::alive).collect();
                 let Some(t) = self
                     .health
                     .preferred(&alive, dead)
-                    .or_else(|| (0..k).find(|&t| t != dead && self.lanes[t].alive))
+                    .or_else(|| (0..k).find(|&t| t != dead && alive[t]))
                 else {
                     break;
                 };
-                let prev_lane = obs::set_lane(self.lanes[t].device as u32 + 1);
-                let policy = RecoveryPolicy {
-                    deadline_seconds: self.query_deadline(req, now + lane_seconds[t]),
-                    ..self.lane_policy()
-                };
-                self.lanes[t].driver.config.params = params.clone();
-                let attempt = self.lanes[t]
-                    .driver
-                    .search_resilient(&req.query, &shard, &policy);
+                let prev_lane = obs::set_lane(t as u32 + 1);
+                let budget = self.budget(req, now + lane_seconds[t]);
+                self.lanes[t].set_params(params);
+                let attempt = self.lanes[t].serve_foreign(&req.query, &shard, budget);
                 obs::set_lane(prev_lane);
-                match attempt {
-                    Ok(rr) => {
-                        // search_resilient reset the survivor's allocator.
-                        self.lanes[t].staged = None;
-                        for (j, &v) in rr.result.scores.iter().enumerate() {
-                            scores[q][dead + j * k] = v;
-                        }
-                        lane_seconds[t] += rr.result.kernel_seconds()
-                            + rr.result.transfer_seconds
-                            + rr.recovery.backoff_seconds;
-                        *total_cells += rr.result.total_cells();
-                        recovery.merge(&rr.recovery);
-                        recovery.shard_redispatches += 1;
-                        recovery.events.push(RecoveryEvent::ShardRedispatch {
-                            from_device: self.lanes[dead].device,
-                            to_device: self.lanes[t].device,
-                            sequences: shard.len(),
-                        });
-                        obs::counter_add("cudasw.serve.redispatches", &[], 1.0);
-                        served = true;
-                        break;
-                    }
-                    Err(e) if e.is_recoverable() => {
-                        self.lanes[t].alive = false;
-                        obs::counter_add("cudasw.serve.lane_deaths", &[], 1.0);
-                        self.health.observe_death(t, now);
-                    }
-                    Err(e) => return Err(e),
-                }
+                let Some(r) = attempt? else {
+                    self.health.observe_death(t, now);
+                    continue;
+                };
+                unshard_scores(&mut scores[q], dead, k, &r.scores);
+                lane_seconds[t] += r.seconds;
+                *total_cells += r.cells;
+                recovery.merge(&r.recovery);
+                recovery.shard_redispatches += 1;
+                recovery.events.push(RecoveryEvent::ShardRedispatch {
+                    from_device: dead,
+                    to_device: t,
+                    sequences: shard.len(),
+                });
+                obs::counter_add("cudasw.serve.redispatches", &[], 1.0);
+                served = true;
+                break;
             }
             if served {
                 continue;
@@ -650,9 +472,7 @@ impl WaveExecutor {
             let engine = QueryEngine::new(params.clone(), &req.query);
             let r = search_protected(&engine, shard.sequences(), &self.host_pool_config())
                 .map_err(|_| GpuError::DeviceLost)?;
-            for (j, &v) in r.scores.iter().enumerate() {
-                scores[q][dead + j * k] = v;
-            }
+            unshard_scores(&mut scores[q], dead, k, &r.scores);
             sw_simd::record_stats(engine.kind(), &r.stats);
             recovery.cpu_fallback_seqs += shard.len() as u64;
             recovery.degraded = true;
@@ -662,15 +482,5 @@ impl WaveExecutor {
             obs::counter_add("cudasw.serve.cpu_fallback_seqs", &[], shard.len() as f64);
         }
         Ok(())
-    }
-
-    /// The per-lane recovery policy: like the service policy, but a dead
-    /// device surfaces as `Err` so the executor can re-dispatch the shard
-    /// instead of silently computing it on the CPU.
-    fn lane_policy(&self) -> RecoveryPolicy {
-        RecoveryPolicy {
-            cpu_fallback: false,
-            ..self.policy.clone()
-        }
     }
 }

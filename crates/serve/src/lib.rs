@@ -3,7 +3,9 @@
 //!
 //! The paper's kernels answer one query; a production deployment answers
 //! a *stream*. This crate adds the layer between the two, entirely on
-//! the simulated clock so every run is reproducible:
+//! the simulated clock so every run is reproducible (the `sw-gateway`
+//! crate runs the same queue, batcher, health tracker and lane on wall
+//! time):
 //!
 //! * [`admission`] — a bounded request queue with per-tenant quotas and
 //!   explicit shed reasons (backpressure an open-loop arrival stream can
@@ -13,15 +15,13 @@
 //!   ([`sw_db::sort_by_length`]);
 //! * [`cache`] — an LRU cache of packed query profiles keyed by
 //!   `(matrix, query)`;
-//! * [`clock`] — the [`clock::ServiceClock`] timebase abstraction:
-//!   the discrete-event [`clock::SimulatedClock`] (this crate's native
-//!   mode) and the monotonic [`clock::WallClock`] the `sw-gateway`
-//!   crate serves real time on;
-//! * [`exec`] — wave execution over per-device shard lanes that keep the
-//!   database device-resident
-//!   ([`cudasw_core::CudaSwDriver::stage_database`]) and inherit the
-//!   resilient driver's full recovery ladder, shard re-dispatch and host
-//!   fallback included;
+//! * [`lane`] — [`lane::DeviceLane`], the one device lane both serving
+//!   stacks run: a shard kept device-resident
+//!   ([`cudasw_core::CudaSwDriver::stage_database`]) and the recovery
+//!   ladder under it (stage with retry → resident fast path → drop the
+//!   handle → `search_resilient` → lane death);
+//! * [`exec`] — this crate's scheduler over those lanes: health,
+//!   hedging, shard re-dispatch and host fallback;
 //! * [`health`] — cross-query lane health: EWMA fault/latency scores,
 //!   per-lane circuit breakers (closed → open → half-open → closed),
 //!   dead-lane revival probes, and the hedged-dispatch trigger;
@@ -34,7 +34,7 @@
 //! `staging_retries`, `staging_fallbacks`, `staged_faults`,
 //! `lane_deaths`, `lane_revivals`, `redispatches`, `cpu_fallback_seqs`,
 //! `recovery.degraded{cause}`, `budget_denied_stagings`,
-//! `breaker_skips`, `hedge.issued`, `hedge.wins{winner}`,
+//! `breaker_skips`, `urgent_waves`, `hedge.issued`, `hedge.wins{winner}`,
 //! `health.fault_score{lane}` / `health.latency_ewma{lane}` /
 //! `health.breaker{lane}` (gauges),
 //! `health.breaker_transitions{lane,to}`. Spans: `run_trace`, `wave`
@@ -47,17 +47,17 @@
 pub mod admission;
 pub mod batch;
 pub mod cache;
-pub mod clock;
 pub mod exec;
 pub mod health;
+pub mod lane;
 pub mod request;
 pub mod service;
 
 pub use admission::{AdmissionConfig, AdmissionQueue, ShedReason};
 pub use batch::{BatchPolicy, Batcher, Wave};
 pub use cache::ProfileCache;
-pub use clock::{ServiceClock, SimulatedClock, WallClock};
 pub use exec::{WaveExecutor, WaveOutcome};
 pub use health::{BreakerState, HealthPolicy, HealthTracker, LaneHealth};
+pub use lane::{DeviceLane, LaneServed};
 pub use request::{ParamsKey, SearchRequest, TraceConfig};
 pub use service::{Response, SearchService, ServeConfig, ServeReport, Shed};

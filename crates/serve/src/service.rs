@@ -11,7 +11,6 @@
 use crate::admission::{AdmissionConfig, AdmissionQueue, ShedReason};
 use crate::batch::{BatchPolicy, Batcher};
 use crate::cache::ProfileCache;
-use crate::clock::{ServiceClock, SimulatedClock};
 use crate::exec::WaveExecutor;
 use crate::health::{HealthPolicy, HealthTracker};
 use crate::request::SearchRequest;
@@ -227,25 +226,11 @@ impl SearchService {
     }
 
     /// Replay `trace` (sorted by arrival; [`crate::request::TraceConfig`]
-    /// generates it that way) to completion and report, on the
-    /// discrete-event [`SimulatedClock`]. This is the pinned-contract
-    /// entry point: bit-identical to the pre-[`ServiceClock`] scheduler.
+    /// generates it that way) to completion and report. `now` is the
+    /// discrete-event clock: a wave advances it by its service time, an
+    /// idle scheduler jumps it to the next event, and no wall time is
+    /// ever read, so a replay is bit-reproducible.
     pub fn run_trace(&mut self, trace: &[SearchRequest]) -> Result<ServeReport, GpuError> {
-        let clock = SimulatedClock::starting_at(trace.first().map_or(0.0, |r| r.arrival_seconds));
-        self.run_trace_on(&clock, trace)
-    }
-
-    /// Replay `trace` to completion on an explicit [`ServiceClock`].
-    ///
-    /// On [`SimulatedClock`] this is the deterministic discrete-event
-    /// loop (`wait_until` jumps to the next event). On a wall clock the
-    /// same loop blocks in real time — correct but single-threaded; the
-    /// `sw-gateway` crate provides the concurrent wall-clock executor.
-    pub fn run_trace_on(
-        &mut self,
-        clock: &dyn ServiceClock,
-        trace: &[SearchRequest],
-    ) -> Result<ServeReport, GpuError> {
         debug_assert!(
             trace
                 .windows(2)
@@ -257,7 +242,8 @@ impl SearchService {
             .iter()
             .cloned()
             .collect::<std::collections::VecDeque<_>>();
-        let start = clock.now();
+        let start = trace.first().map_or(0.0, |r| r.arrival_seconds);
+        let mut now = start;
         let mut responses = Vec::new();
         let mut sheds = Vec::new();
         let mut waves = 0u64;
@@ -265,7 +251,6 @@ impl SearchService {
         let mut recovery = RecoveryReport::default();
 
         loop {
-            let now = clock.now();
             // Admit everything that has arrived by `now`.
             while pending.front().is_some_and(|r| r.arrival_seconds <= now) {
                 let Some(req) = pending.pop_front() else {
@@ -293,8 +278,7 @@ impl SearchService {
             let flush = pending.is_empty();
             if let Some(wave) = self.batcher.next_wave(&mut self.queue, now, flush) {
                 let outcome = self.executor.execute_wave(&wave, &mut self.cache, now)?;
-                clock.advance(outcome.service_seconds);
-                let now = clock.now();
+                now += outcome.service_seconds;
                 waves += 1;
                 total_cells += outcome.total_cells;
                 if outcome.recovery.degraded {
@@ -324,22 +308,21 @@ impl SearchService {
                     });
                 }
             } else if let Some(next) = pending.front() {
-                // Nothing dispatchable yet: wait for the next event — the
+                // Nothing dispatchable yet: jump to the next event — the
                 // next arrival or the head's linger expiry, whichever is
-                // sooner. (On the simulated clock this is the
-                // `linger.min(arrival).max(now)` jump of the original
-                // scheduler, bit for bit.)
+                // sooner.
                 let arrival = next.arrival_seconds;
-                match self.batcher.next_dispatch_at(&self.queue, now) {
-                    Some(linger) => clock.wait_until(linger.min(arrival)),
-                    None => clock.wait_until(arrival),
-                }
+                let next_event = match self.batcher.next_dispatch_at(&self.queue, now) {
+                    Some(linger) => linger.min(arrival),
+                    None => arrival,
+                };
+                now = next_event.max(now);
             } else if self.queue.is_empty() {
                 break;
             }
         }
 
-        let makespan = (clock.now() - start).max(0.0);
+        let makespan = (now - start).max(0.0);
         sp.end_with(&[
             ("responses", &responses.len().to_string()),
             ("sheds", &sheds.len().to_string()),

@@ -1,4 +1,4 @@
-//! Quickstart: align two protein sequences, then search a small database
+//! Quickstart: score two protein sequences, then search a small database
 //! on the simulated Tesla C1060.
 //!
 //! ```sh
@@ -8,25 +8,16 @@
 use cudasw_core::{CudaSwConfig, CudaSwDriver};
 use cudasw_repro::prelude::*;
 use gpu_sim::DeviceSpec;
-use sw_align::traceback::sw_align;
 use sw_align::Alphabet;
 use sw_db::{Database, Sequence};
 
 fn main() {
-    // 1. Pairwise alignment with the scalar reference.
+    // 1. Pairwise score with the scalar reference.
     let params = SwParams::cudasw_default(); // BLOSUM62, gap open 10 / extend 2
     let query = encode_protein("MKVLAWGGSCRDWLQAHKEE").expect("valid residues");
     let target = encode_protein("MKVLWGGSCRDWAAALQAHKEE").expect("valid residues");
     let score = sw_score(&params, &query, &target);
     println!("Smith-Waterman score: {score}");
-
-    let alignment = sw_align(&params, &query, &target);
-    println!(
-        "local alignment (query {:?} vs target {:?}):\n{}\n",
-        alignment.query_range,
-        alignment.db_range,
-        alignment.render(&query, &target, |c| Alphabet::Protein.decode_code(c))
-    );
 
     // 2. Database search on the simulated GPU.
     let db = Database::new(

@@ -88,6 +88,13 @@ cargo test -q --offline -p sw-simd --test host_faults --test cancel_props
 cargo test -q --offline -p sw-simd --test pool_chunking --test host_faults --test cancel_props wave
 cargo test -q --offline -p sw-gateway --test exactly_once --test drain_storm
 
+# One device-lane ladder under both schedulers, named for the same
+# reason: the `DeviceLane` rung cases, the one serve run where hedges
+# fire, and the gateway's device lanes under injected device faults.
+cargo test -q --offline -p sw-serve --lib lane::
+cargo test -q --offline -p sw-serve --test hedging
+cargo test -q --offline -p sw-gateway --test device_faults
+
 # Every #[ignore] must carry a triage tag with an EXPERIMENTS.md entry:
 #   #[ignore = "triage: <slug>"]
 bad=0
@@ -175,13 +182,12 @@ repro gate "$tmp/BENCH_host_chaos.json"
 # bit-identically to the fault-free replay; the gate pins
 # scores_match_reference, duplicate_answers == 0, host_injected_faults > 0
 # and, against the committed baseline, smoke availability no more than
-# half a percentage point lower.
+# half a percentage point lower. The document carries no wall-clock or
+# revision field, so it must also equal the committed one byte for byte:
+# a changed recovery ladder shows here whether or not availability moves.
 repro soak --smoke --out "$tmp/BENCH_soak.json" >/dev/null
-soak_gate_args=(gate "$tmp/BENCH_soak.json")
-if [[ -f BENCH_soak.json ]]; then
-  soak_gate_args+=(--baseline BENCH_soak.json)
-fi
-repro "${soak_gate_args[@]}"
+repro gate "$tmp/BENCH_soak.json" --baseline BENCH_soak.json
+cmp "$tmp/BENCH_soak.json" BENCH_soak.json
 
 # Device-optimization gate: the §VII optimization matrix (boundary
 # staging, shared-only kernel, cross-strip fusion, streamed H2D, SaLoBa
