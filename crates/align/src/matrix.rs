@@ -11,11 +11,7 @@
 //! scores per 32-bit word exactly as the paper describes.
 //!
 //! BLOSUM62 and BLOSUM50 are shipped as the full authentic 24×24 NCBI
-//! tables. BLOSUM45/80/90 and PAM250 are shipped as their standard 20×20
-//! cores and extended to the 24-code alphabet with the conventional
-//! ambiguity rules (B ≈ avg(N,D), Z ≈ avg(Q,E), X ≈ row mean, `*` = matrix
-//! minimum, `w(*,*) = 1`), which is documented behaviour of
-//! [`ScoringMatrix::from_20x20`].
+//! tables; any other matrix goes through [`ScoringMatrix::from_raw`].
 
 use crate::alphabet::{Alphabet, PROTEIN_ALPHABET_SIZE};
 use crate::error::AlignError;
@@ -142,64 +138,6 @@ impl ScoringMatrix {
         true
     }
 
-    /// Extend a standard 20×20 protein matrix (ARNDCQEGHILKMFPSTWYV order)
-    /// to the full 24-code alphabet.
-    ///
-    /// Ambiguity rows follow the usual convention: `B` is the rounded mean
-    /// of the `N` and `D` rows, `Z` of `Q` and `E`, `X` the rounded mean of
-    /// each column over the 20 standard residues, `*` the matrix minimum
-    /// everywhere except `w(*,*) = 1`.
-    pub fn from_20x20(name: impl Into<String>, core: &[[i8; 20]; 20]) -> Self {
-        const N: usize = PROTEIN_ALPHABET_SIZE;
-        let mut m = vec![0i8; N * N];
-        let round = |x: f64| -> i8 {
-            if x >= 0.0 {
-                (x + 0.5) as i8
-            } else {
-                (x - 0.5) as i8
-            }
-        };
-        // Each code maps to the set of standard residues it stands for.
-        // Codes in PROTEIN_ALPHABET order: N = 2, D = 3, Q = 5, E = 6.
-        let all: Vec<usize> = (0..20).collect();
-        let members = |code: usize| -> &[usize] {
-            match code {
-                20 => &[2, 3], // B = Asn | Asp
-                21 => &[5, 6], // Z = Gln | Glu
-                22 => &all,    // X = any
-                c => std::slice::from_ref(&all[c]),
-            }
-        };
-        let min = core
-            .iter()
-            .flat_map(|r| r.iter().copied())
-            .min()
-            .unwrap_or(-4);
-        let stop = 23usize;
-        for a in 0..N {
-            for b in 0..N {
-                m[a * N + b] = if a == stop && b == stop {
-                    1
-                } else if a == stop || b == stop {
-                    min
-                } else {
-                    let (sa, sb) = (members(a), members(b));
-                    let sum: f64 = sa
-                        .iter()
-                        .flat_map(|&x| sb.iter().map(move |&y| core[x][y] as f64))
-                        .sum();
-                    round(sum / (sa.len() * sb.len()) as f64)
-                };
-            }
-        }
-        Self {
-            name: name.into(),
-            alphabet: Alphabet::Protein,
-            size: N,
-            scores: m,
-        }
-    }
-
     /// The NCBI BLOSUM62 matrix (full 24×24). Default for this workspace.
     pub fn blosum62() -> Self {
         Self::parse_24("BLOSUM62", BLOSUM62_TEXT)
@@ -208,39 +146,6 @@ impl ScoringMatrix {
     /// The NCBI BLOSUM50 matrix (full 24×24).
     pub fn blosum50() -> Self {
         Self::parse_24("BLOSUM50", BLOSUM50_TEXT)
-    }
-
-    /// BLOSUM45 (20×20 core, ambiguity codes derived).
-    pub fn blosum45() -> Self {
-        Self::from_20x20("BLOSUM45", &BLOSUM45_CORE)
-    }
-
-    /// BLOSUM80 (20×20 core, ambiguity codes derived).
-    pub fn blosum80() -> Self {
-        Self::from_20x20("BLOSUM80", &BLOSUM80_CORE)
-    }
-
-    /// BLOSUM90 (20×20 core, ambiguity codes derived).
-    pub fn blosum90() -> Self {
-        Self::from_20x20("BLOSUM90", &BLOSUM90_CORE)
-    }
-
-    /// PAM250 (20×20 core, ambiguity codes derived).
-    pub fn pam250() -> Self {
-        Self::from_20x20("PAM250", &PAM250_CORE)
-    }
-
-    /// Look a matrix up by (case-insensitive) name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name.to_ascii_uppercase().as_str() {
-            "BLOSUM62" => Some(Self::blosum62()),
-            "BLOSUM50" => Some(Self::blosum50()),
-            "BLOSUM45" => Some(Self::blosum45()),
-            "BLOSUM80" => Some(Self::blosum80()),
-            "BLOSUM90" => Some(Self::blosum90()),
-            "PAM250" => Some(Self::pam250()),
-            _ => None,
-        }
     }
 
     fn parse_24(name: &str, text: &str) -> Self {
@@ -324,272 +229,13 @@ const BLOSUM50_TEXT: &str = "
 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5 -5  1
 ";
 
-const BLOSUM45_CORE: [[i8; 20]; 20] = [
-    [
-        5, -2, -1, -2, -1, -1, -1, 0, -2, -1, -1, -1, -1, -2, -1, 1, 0, -2, -2, 0,
-    ],
-    [
-        -2, 7, 0, -1, -3, 1, 0, -2, 0, -3, -2, 3, -1, -2, -2, -1, -1, -2, -1, -2,
-    ],
-    [
-        -1, 0, 6, 2, -2, 0, 0, 0, 1, -2, -3, 0, -2, -2, -2, 1, 0, -4, -2, -3,
-    ],
-    [
-        -2, -1, 2, 7, -3, 0, 2, -1, 0, -4, -3, 0, -3, -4, -1, 0, -1, -4, -2, -3,
-    ],
-    [
-        -1, -3, -2, -3, 12, -3, -3, -3, -3, -3, -2, -3, -2, -2, -4, -1, -1, -5, -3, -1,
-    ],
-    [
-        -1, 1, 0, 0, -3, 6, 2, -2, 1, -2, -2, 1, 0, -4, -1, 0, -1, -2, -1, -3,
-    ],
-    [
-        -1, 0, 0, 2, -3, 2, 6, -2, 0, -3, -2, 1, -2, -3, 0, 0, -1, -3, -2, -3,
-    ],
-    [
-        0, -2, 0, -1, -3, -2, -2, 7, -2, -4, -3, -2, -2, -3, -2, 0, -2, -2, -3, -3,
-    ],
-    [
-        -2, 0, 1, 0, -3, 1, 0, -2, 10, -3, -2, -1, 0, -2, -2, -1, -2, -3, 2, -3,
-    ],
-    [
-        -1, -3, -2, -4, -3, -2, -3, -4, -3, 5, 2, -3, 2, 0, -2, -2, -1, -2, 0, 3,
-    ],
-    [
-        -1, -2, -3, -3, -2, -2, -2, -3, -2, 2, 5, -3, 2, 1, -3, -3, -1, -2, 0, 1,
-    ],
-    [
-        -1, 3, 0, 0, -3, 1, 1, -2, -1, -3, -3, 5, -1, -3, -1, -1, -1, -2, -1, -2,
-    ],
-    [
-        -1, -1, -2, -3, -2, 0, -2, -2, 0, 2, 2, -1, 6, 0, -2, -2, -1, -2, 0, 1,
-    ],
-    [
-        -2, -2, -2, -4, -2, -4, -3, -3, -2, 0, 1, -3, 0, 8, -3, -2, -1, 1, 3, 0,
-    ],
-    [
-        -1, -2, -2, -1, -4, -1, 0, -2, -2, -2, -3, -1, -2, -3, 9, -1, -1, -3, -3, -3,
-    ],
-    [
-        1, -1, 1, 0, -1, 0, 0, 0, -1, -2, -3, -1, -2, -2, -1, 4, 2, -4, -2, -1,
-    ],
-    [
-        0, -1, 0, -1, -1, -1, -1, -2, -2, -1, -1, -1, -1, -1, -1, 2, 5, -3, -1, 0,
-    ],
-    [
-        -2, -2, -4, -4, -5, -2, -3, -2, -3, -2, -2, -2, -2, 1, -3, -4, -3, 15, 3, -3,
-    ],
-    [
-        -2, -1, -2, -2, -3, -1, -2, -3, 2, 0, 0, -1, 0, 3, -3, -2, -1, 3, 8, -1,
-    ],
-    [
-        0, -2, -3, -3, -1, -3, -3, -3, -3, 3, 1, -2, 1, 0, -3, -1, 0, -3, -1, 5,
-    ],
-];
-
-const BLOSUM80_CORE: [[i8; 20]; 20] = [
-    [
-        5, -2, -2, -2, -1, -1, -1, 0, -2, -2, -2, -1, -1, -3, -1, 1, 0, -3, -2, 0,
-    ],
-    [
-        -2, 6, -1, -2, -4, 1, -1, -3, 0, -3, -3, 2, -2, -4, -2, -1, -1, -4, -3, -3,
-    ],
-    [
-        -2, -1, 6, 1, -3, 0, -1, -1, 0, -4, -4, 0, -3, -4, -3, 0, 0, -4, -3, -4,
-    ],
-    [
-        -2, -2, 1, 6, -4, -1, 1, -2, -2, -4, -5, -1, -4, -4, -2, -1, -1, -6, -4, -4,
-    ],
-    [
-        -1, -4, -3, -4, 9, -4, -5, -4, -4, -2, -2, -4, -2, -3, -4, -2, -1, -3, -3, -1,
-    ],
-    [
-        -1, 1, 0, -1, -4, 6, 2, -2, 1, -3, -3, 1, 0, -4, -2, 0, -1, -3, -2, -3,
-    ],
-    [
-        -1, -1, -1, 1, -5, 2, 6, -3, 0, -4, -4, 1, -2, -4, -2, 0, -1, -4, -3, -3,
-    ],
-    [
-        0, -3, -1, -2, -4, -2, -3, 6, -3, -5, -4, -2, -4, -4, -3, -1, -2, -4, -4, -4,
-    ],
-    [
-        -2, 0, 0, -2, -4, 1, 0, -3, 8, -4, -3, -1, -2, -2, -3, -1, -2, -3, 2, -4,
-    ],
-    [
-        -2, -3, -4, -4, -2, -3, -4, -5, -4, 5, 1, -3, 1, -1, -4, -3, -1, -3, -2, 3,
-    ],
-    [
-        -2, -3, -4, -5, -2, -3, -4, -4, -3, 1, 4, -3, 2, 0, -3, -3, -2, -2, -2, 1,
-    ],
-    [
-        -1, 2, 0, -1, -4, 1, 1, -2, -1, -3, -3, 5, -2, -4, -1, -1, -1, -4, -3, -3,
-    ],
-    [
-        -1, -2, -3, -4, -2, 0, -2, -4, -2, 1, 2, -2, 6, 0, -3, -2, -1, -2, -2, 1,
-    ],
-    [
-        -3, -4, -4, -4, -3, -4, -4, -4, -2, -1, 0, -4, 0, 6, -4, -3, -2, 0, 3, -1,
-    ],
-    [
-        -1, -2, -3, -2, -4, -2, -2, -3, -3, -4, -3, -1, -3, -4, 8, -1, -2, -5, -4, -3,
-    ],
-    [
-        1, -1, 0, -1, -2, 0, 0, -1, -1, -3, -3, -1, -2, -3, -1, 5, 1, -4, -2, -2,
-    ],
-    [
-        0, -1, 0, -1, -1, -1, -1, -2, -2, -1, -2, -1, -1, -2, -2, 1, 5, -4, -2, 0,
-    ],
-    [
-        -3, -4, -4, -6, -3, -3, -4, -4, -3, -3, -2, -4, -2, 0, -5, -4, -4, 11, 2, -3,
-    ],
-    [
-        -2, -3, -3, -4, -3, -2, -3, -4, 2, -2, -2, -3, -2, 3, -4, -2, -2, 2, 7, -2,
-    ],
-    [
-        0, -3, -4, -4, -1, -3, -3, -4, -4, 3, 1, -3, 1, -1, -3, -2, 0, -3, -2, 4,
-    ],
-];
-
-const BLOSUM90_CORE: [[i8; 20]; 20] = [
-    [
-        5, -2, -2, -3, -1, -1, -1, 0, -2, -2, -2, -1, -2, -3, -1, 1, 0, -4, -3, -1,
-    ],
-    [
-        -2, 6, -1, -3, -5, 1, -1, -3, 0, -4, -3, 2, -2, -4, -3, -1, -2, -4, -3, -3,
-    ],
-    [
-        -2, -1, 7, 1, -4, 0, -1, -1, 0, -4, -4, 0, -3, -4, -3, 0, 0, -5, -3, -4,
-    ],
-    [
-        -3, -3, 1, 7, -5, -1, 1, -2, -2, -5, -5, -1, -4, -5, -3, -1, -2, -6, -4, -5,
-    ],
-    [
-        -1, -5, -4, -5, 9, -4, -6, -4, -5, -2, -2, -4, -2, -3, -4, -2, -2, -4, -4, -2,
-    ],
-    [
-        -1, 1, 0, -1, -4, 7, 2, -3, 1, -4, -3, 1, 0, -4, -2, -1, -1, -3, -3, -3,
-    ],
-    [
-        -1, -1, -1, 1, -6, 2, 6, -3, -1, -4, -4, 0, -3, -5, -2, -1, -1, -5, -4, -3,
-    ],
-    [
-        0, -3, -1, -2, -4, -3, -3, 6, -3, -5, -5, -2, -4, -5, -3, -1, -3, -4, -5, -5,
-    ],
-    [
-        -2, 0, 0, -2, -5, 1, -1, -3, 8, -4, -4, -1, -3, -2, -3, -2, -2, -3, 1, -4,
-    ],
-    [
-        -2, -4, -4, -5, -2, -4, -4, -5, -4, 5, 1, -4, 1, -1, -4, -3, -1, -4, -2, 3,
-    ],
-    [
-        -2, -3, -4, -5, -2, -3, -4, -5, -4, 1, 5, -3, 2, 0, -4, -3, -2, -3, -2, 0,
-    ],
-    [
-        -1, 2, 0, -1, -4, 1, 0, -2, -1, -4, -3, 6, -2, -4, -2, -1, -1, -5, -3, -3,
-    ],
-    [
-        -2, -2, -3, -4, -2, 0, -3, -4, -3, 1, 2, -2, 7, -1, -3, -2, -1, -2, -2, 0,
-    ],
-    [
-        -3, -4, -4, -5, -3, -4, -5, -5, -2, -1, 0, -4, -1, 7, -4, -3, -3, 0, 3, -2,
-    ],
-    [
-        -1, -3, -3, -3, -4, -2, -2, -3, -3, -4, -4, -2, -3, -4, 8, -2, -2, -5, -4, -3,
-    ],
-    [
-        1, -1, 0, -1, -2, -1, -1, -1, -2, -3, -3, -1, -2, -3, -2, 5, 1, -4, -3, -2,
-    ],
-    [
-        0, -2, 0, -2, -2, -1, -1, -3, -2, -1, -2, -1, -1, -3, -2, 1, 6, -4, -2, -1,
-    ],
-    [
-        -4, -4, -5, -6, -4, -3, -5, -4, -3, -4, -3, -5, -2, 0, -5, -4, -4, 11, 2, -3,
-    ],
-    [
-        -3, -3, -3, -4, -4, -3, -4, -5, 1, -2, -2, -3, -2, 3, -4, -3, -2, 2, 8, -3,
-    ],
-    [
-        -1, -3, -4, -5, -2, -3, -3, -5, -4, 3, 0, -3, 0, -2, -3, -2, -1, -3, -3, 5,
-    ],
-];
-
-const PAM250_CORE: [[i8; 20]; 20] = [
-    [
-        2, -2, 0, 0, -2, 0, 0, 1, -1, -1, -2, -1, -1, -3, 1, 1, 1, -6, -3, 0,
-    ],
-    [
-        -2, 6, 0, -1, -4, 1, -1, -3, 2, -2, -3, 3, 0, -4, 0, 0, -1, 2, -4, -2,
-    ],
-    [
-        0, 0, 2, 2, -4, 1, 1, 0, 2, -2, -3, 1, -2, -3, 0, 1, 0, -4, -2, -2,
-    ],
-    [
-        0, -1, 2, 4, -5, 2, 3, 1, 1, -2, -4, 0, -3, -6, -1, 0, 0, -7, -4, -2,
-    ],
-    [
-        -2, -4, -4, -5, 12, -5, -5, -3, -3, -2, -6, -5, -5, -4, -3, 0, -2, -8, 0, -2,
-    ],
-    [
-        0, 1, 1, 2, -5, 4, 2, -1, 3, -2, -2, 1, -1, -5, 0, -1, -1, -5, -4, -2,
-    ],
-    [
-        0, -1, 1, 3, -5, 2, 4, 0, 1, -2, -3, 0, -2, -5, -1, 0, 0, -7, -4, -2,
-    ],
-    [
-        1, -3, 0, 1, -3, -1, 0, 5, -2, -3, -4, -2, -3, -5, 0, 1, 0, -7, -5, -1,
-    ],
-    [
-        -1, 2, 2, 1, -3, 3, 1, -2, 6, -2, -2, 0, -2, -2, 0, -1, -1, -3, 0, -2,
-    ],
-    [
-        -1, -2, -2, -2, -2, -2, -2, -3, -2, 5, 2, -2, 2, 1, -2, -1, 0, -5, -1, 4,
-    ],
-    [
-        -2, -3, -3, -4, -6, -2, -3, -4, -2, 2, 6, -3, 4, 2, -3, -3, -2, -2, -1, 2,
-    ],
-    [
-        -1, 3, 1, 0, -5, 1, 0, -2, 0, -2, -3, 5, 0, -5, -1, 0, 0, -3, -4, -2,
-    ],
-    [
-        -1, 0, -2, -3, -5, -1, -2, -3, -2, 2, 4, 0, 6, 0, -2, -2, -1, -4, -2, 2,
-    ],
-    [
-        -3, -4, -3, -6, -4, -5, -5, -5, -2, 1, 2, -5, 0, 9, -5, -3, -3, 0, 7, -1,
-    ],
-    [
-        1, 0, 0, -1, -3, 0, -1, 0, 0, -2, -3, -1, -2, -5, 6, 1, 0, -6, -5, -1,
-    ],
-    [
-        1, 0, 1, 0, 0, -1, 0, 1, -1, -1, -3, 0, -2, -3, 1, 2, 1, -2, -3, -1,
-    ],
-    [
-        1, -1, 0, 0, -2, -1, 0, 0, -1, 0, -2, 0, -1, -3, 0, 1, 3, -5, -3, 0,
-    ],
-    [
-        -6, 2, -4, -7, -8, -5, -7, -7, -3, -5, -2, -3, -4, 0, -6, -2, -5, 17, 0, -6,
-    ],
-    [
-        -3, -4, -2, -4, 0, -4, -4, -5, 0, -1, -1, -4, -2, 7, -5, -3, -3, 0, 10, -2,
-    ],
-    [
-        0, -2, -2, -2, -2, -2, -2, -1, -2, 4, 2, -2, 2, -1, -1, -1, 0, -6, -2, 4,
-    ],
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alphabet::encode_protein;
 
     fn all_matrices() -> Vec<ScoringMatrix> {
-        vec![
-            ScoringMatrix::blosum62(),
-            ScoringMatrix::blosum50(),
-            ScoringMatrix::blosum45(),
-            ScoringMatrix::blosum80(),
-            ScoringMatrix::blosum90(),
-            ScoringMatrix::pam250(),
-        ]
+        vec![ScoringMatrix::blosum62(), ScoringMatrix::blosum50()]
     }
 
     #[test]
@@ -651,16 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn by_name_lookup() {
-        assert_eq!(
-            ScoringMatrix::by_name("blosum62").unwrap().name(),
-            "BLOSUM62"
-        );
-        assert_eq!(ScoringMatrix::by_name("PAM250").unwrap().name(), "PAM250");
-        assert!(ScoringMatrix::by_name("BLOSUM999").is_none());
-    }
-
-    #[test]
     fn try_score_bounds() {
         let m = ScoringMatrix::blosum62();
         assert!(m.try_score(0, 23).is_ok());
@@ -682,20 +318,6 @@ mod tests {
             let row = m.row(a);
             for b in 0..24u8 {
                 assert_eq!(row[b as usize] as i32, m.score(a, b));
-            }
-        }
-    }
-
-    #[test]
-    fn derived_ambiguity_rows_are_bounded() {
-        // B/Z/X rows of derived matrices must stay within the core's range.
-        for m in [ScoringMatrix::blosum80(), ScoringMatrix::pam250()] {
-            let (lo, hi) = (m.min_score(), m.max_score());
-            for a in 20..24u8 {
-                for b in 0..24u8 {
-                    let s = m.score(a, b);
-                    assert!(s >= lo && s <= hi, "{}: w({a},{b}) = {s}", m.name());
-                }
             }
         }
     }

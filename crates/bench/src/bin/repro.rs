@@ -4,7 +4,7 @@
 //! repro all                 # everything below, in order
 //! repro fig2 | fig3 | fig5 | fig6 | fig7
 //! repro table1 | table2
-//! repro ablation | strips | retune | extensions | validation
+//! repro ablation | strips | retune | validation
 //! repro chaos [--inject-faults <seed>] [--checkpoint <dir>] [--resume]
 //! repro integrity               # silent-corruption detection smoke
 //! repro serve                   # batch-scheduling search service replay
@@ -80,7 +80,7 @@
 //! from the same metrics registry.
 //!
 //! Sweep curves are produced by the validated analytic models at paper
-//! scale; Table I, the ablations, the extension measurements and the
+//! scale; Table I, the ablation (§III stages and §VI extensions) and the
 //! anchors marked "functional" execute every DP cell through the
 //! simulator. See DESIGN.md §4–5 and EXPERIMENTS.md.
 
@@ -89,11 +89,12 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 use cudasw_bench::experiments::{
-    ablation, chaos, device_opt, device_trajectory, extensions, fig2, fig3, fig5, fig6, fig7, host,
-    host_chaos, integrity, multigpu, retune, serve, soak, strips, table1, table2, validation,
+    ablation, chaos, device_opt, device_trajectory, fig2, fig3, fig5, fig6, fig7, host, host_chaos,
+    integrity, multigpu, retune, serve, soak, strips, table1, table2, validation,
 };
 use cudasw_bench::gate;
 use cudasw_bench::trajectory::{rev_key, Entry, Trajectory};
+use cudasw_core::variants::{development_stages, FINAL_KERNEL_STAGE};
 use gpu_sim::DeviceSpec;
 
 /// Seed from `--inject-faults <seed>`; read by the chaos experiment.
@@ -118,7 +119,6 @@ const KNOWN: &[(&str, fn())] = &[
     ("ablation", run_ablation),
     ("strips", run_strips),
     ("retune", run_retune),
-    ("extensions", run_extensions),
     ("multigpu", run_multigpu),
     ("validation", run_validation),
     ("chaos", run_chaos),
@@ -388,12 +388,21 @@ fn run_table2() {
 }
 
 fn run_ablation() {
-    let r = ablation::run(&DeviceSpec::tesla_c1060(), 6, 4000, 567);
+    let stages = development_stages();
+    let (section3, section6) = (
+        &stages[..=FINAL_KERNEL_STAGE],
+        &stages[FINAL_KERNEL_STAGE..],
+    );
+    let r = ablation::run(&DeviceSpec::tesla_c1060(), section3, 6, 4000, 567);
     r.table().print();
     println!(
         "total speedup naive → improved: {:.1}x\n",
         r.total_speedup()
     );
+    // §VI: a multi-strip query, so there is a strip boundary to move, on
+    // the device whose shared memory can hold it.
+    let r = ablation::run(&DeviceSpec::tesla_c2050(), section6, 6, 4000, 2200);
+    r.table_extensions().print();
 }
 
 fn run_strips() {
@@ -408,12 +417,6 @@ fn run_retune() {
         "mean gain from re-tuning: {:+.1} GCUPs (paper: ≈ +4)\n",
         r.mean_gain()
     );
-}
-
-fn run_extensions() {
-    let r = extensions::run(&DeviceSpec::tesla_c2050(), 6, 4000, 2200);
-    r.table_kernels().print();
-    r.table_streaming().print();
 }
 
 fn run_multigpu() {

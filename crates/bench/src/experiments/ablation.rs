@@ -1,18 +1,22 @@
 //! §III ablation — replay the incremental development of the improved
-//! kernel (functional).
+//! kernel, then each §VI future-work idea applied to it (functional).
 //!
 //! §III-A: fixing the register spill (deep swap + hand unrolling)
 //! "yielded about a two-fold performance increase". §III-B: the packed
 //! query profile makes "only a single read required for every four
-//! cells, reducing these memory operations by a factor of four".
+//! cells, reducing these memory operations by a factor of four". §VI:
+//! coalesced strip-boundary I/O, a shared-memory boundary, one pipeline
+//! fill/flush across strips. (§VI's fourth idea, the streamed host→device
+//! copy, is not a kernel stage: it is the counted `stream` row of
+//! `repro device-opt`.)
 
 use crate::report::Table;
 use crate::workloads;
-use cudasw_core::variants::{development_stages, run_intra_variant};
+use cudasw_core::variants::{run_intra_variant, AblationStage};
 use cudasw_core::ImprovedParams;
 use gpu_sim::DeviceSpec;
 
-/// One development stage's measurements.
+/// One stage's measurements.
 #[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Stage name.
@@ -23,6 +27,8 @@ pub struct AblationRow {
     pub global_transactions: u64,
     /// Texture fetch instructions.
     pub tex_instructions: u64,
+    /// Barrier count.
+    pub syncs: u64,
     /// Speedup over the previous stage.
     pub speedup_vs_previous: f64,
 }
@@ -30,12 +36,12 @@ pub struct AblationRow {
 /// The ablation's data.
 #[derive(Debug, Clone)]
 pub struct AblationResult {
-    /// Rows in development order.
+    /// Rows in stage order.
     pub rows: Vec<AblationRow>,
 }
 
 impl AblationResult {
-    /// Render as a table.
+    /// The §III development story as a table.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             "§III ablation — incremental development of the improved kernel",
@@ -59,16 +65,39 @@ impl AblationResult {
         t
     }
 
-    /// End-to-end speedup from the naive stage to the final kernel.
+    /// The final kernel against each §VI idea as a table.
+    pub fn table_extensions(&self) -> Table {
+        let mut t = Table::new(
+            "§VI kernel extensions on long sequences (functional)",
+            &["variant", "GCUPs", "global transactions", "syncs"],
+        );
+        for r in &self.rows {
+            t.push_row(vec![
+                r.name.to_string(),
+                format!("{:.2}", r.gcups),
+                r.global_transactions.to_string(),
+                r.syncs.to_string(),
+            ]);
+        }
+        t
+    }
+
+    /// End-to-end speedup from the first stage to the last.
     pub fn total_speedup(&self) -> f64 {
         self.rows.iter().map(|r| r.speedup_vs_previous).product()
     }
+
+    /// Row by stage name.
+    pub fn row(&self, name: &str) -> Option<&AblationRow> {
+        self.rows.iter().find(|r| r.name == name)
+    }
 }
 
-/// Run the ablation functionally over `long_seqs` over-threshold
-/// sequences.
+/// Run `stages` functionally over `long_seqs` over-threshold sequences
+/// (functionally validated: all stages must agree on scores).
 pub fn run(
     spec: &DeviceSpec,
+    stages: &[AblationStage],
     long_seqs: usize,
     mean_len: usize,
     query_len: usize,
@@ -77,15 +106,19 @@ pub fn run(
     let query = workloads::query(query_len);
     let mut rows = Vec::new();
     let mut prev_seconds: Option<f64> = None;
-    for stage in development_stages() {
-        let (_, stats) = run_intra_variant(
+    let mut reference: Option<Vec<i32>> = None;
+    for stage in stages {
+        let (scores, stats) = run_intra_variant(
             spec,
             db.sequences(),
             &query,
             ImprovedParams::default(),
             stage.variant,
+            stage.device,
         )
-        .expect("variant run");
+        .expect("stage run");
+        let reference = reference.get_or_insert_with(|| scores.clone());
+        assert_eq!(&scores, reference, "stage {} changed scores", stage.name);
         let speedup = prev_seconds.map(|p| p / stats.seconds).unwrap_or(1.0);
         prev_seconds = Some(stats.seconds);
         rows.push(AblationRow {
@@ -93,6 +126,7 @@ pub fn run(
             gcups: stats.gcups(),
             global_transactions: stats.global_transactions(),
             tex_instructions: stats.memory.tex_instructions,
+            syncs: stats.totals.syncs,
             speedup_vs_previous: speedup,
         });
     }
@@ -102,10 +136,27 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cudasw_core::variants::{development_stages, FINAL_KERNEL_STAGE};
+
+    fn section3(long_seqs: usize, mean_len: usize, query_len: usize) -> AblationResult {
+        let stages = &development_stages()[..=FINAL_KERNEL_STAGE];
+        run(
+            &DeviceSpec::tesla_c1060(),
+            stages,
+            long_seqs,
+            mean_len,
+            query_len,
+        )
+    }
+
+    fn section6(spec: &DeviceSpec, query_len: usize) -> AblationResult {
+        let stages = &development_stages()[FINAL_KERNEL_STAGE..];
+        run(spec, stages, 2, 3300, query_len)
+    }
 
     #[test]
     fn every_stage_improves() {
-        let r = run(&DeviceSpec::tesla_c1060(), 3, 3300, 300);
+        let r = section3(3, 3300, 300);
         assert_eq!(r.rows.len(), 3);
         for row in &r.rows[1..] {
             assert!(
@@ -120,7 +171,7 @@ mod tests {
 
     #[test]
     fn deep_swap_removes_spill_traffic() {
-        let r = run(&DeviceSpec::tesla_c1060(), 2, 3200, 256);
+        let r = section3(2, 3200, 256);
         let naive = &r.rows[0];
         let deep = &r.rows[1];
         assert!(deep.global_transactions < naive.global_transactions);
@@ -128,7 +179,7 @@ mod tests {
 
     #[test]
     fn profile_packing_quarters_tex_fetches() {
-        let r = run(&DeviceSpec::tesla_c1060(), 2, 3200, 256);
+        let r = section3(2, 3200, 256);
         let deep = &r.rows[1];
         let improved = &r.rows[2];
         // Texture ops cover profile fetches (4x in the per-row variant)
@@ -136,5 +187,42 @@ mod tests {
         // around 2.5x.
         let ratio = deep.tex_instructions as f64 / improved.tex_instructions.max(1) as f64;
         assert!((2.0..=3.0).contains(&ratio), "tex ratio {ratio:.2}");
+    }
+
+    #[test]
+    fn section6_rows_are_complete_and_consistent() {
+        // Query of 300 rows with default n_th=256 is single-strip: no
+        // boundary traffic, so no stage may add any.
+        let r = section6(&DeviceSpec::tesla_c2050(), 300);
+        assert_eq!(r.rows.len(), 5);
+        assert_eq!(r.rows[0].name, "improved");
+        let base = r.rows[0].global_transactions;
+        for row in &r.rows {
+            assert!(row.gcups > 0.0, "{} has zero GCUPs", row.name);
+            assert!(
+                row.global_transactions <= base,
+                "{} added global traffic",
+                row.name
+            );
+        }
+        let rendered = r.table_extensions().render();
+        for row in &r.rows {
+            assert!(rendered.contains(row.name), "{} missing", row.name);
+        }
+    }
+
+    #[test]
+    fn coalesced_io_improves_gcups_on_multi_strip_queries() {
+        // A long query, so boundary traffic exists to coalesce.
+        let r = section6(&DeviceSpec::tesla_c1060(), 2200);
+        let base = r.row("improved").unwrap();
+        let coal = r.row("+coalesced-io").unwrap();
+        assert!(coal.global_transactions < base.global_transactions);
+        assert!(coal.gcups >= base.gcups * 0.95);
+        // The fused pipeline saves barriers, the shared boundary (which
+        // does not fit the C1060's 16 KB at this length) falls back.
+        assert!(r.row("+continuous-pipeline").unwrap().syncs < base.syncs);
+        let fallback = r.row("+shared-boundary").unwrap();
+        assert_eq!(fallback.global_transactions, base.global_transactions);
     }
 }

@@ -11,9 +11,7 @@ use std::path::Path;
 
 use crate::report::Table;
 use crate::workloads;
-use cudasw_core::{
-    multi_gpu_search, multi_gpu_search_resilient_checkpointed, CudaSwConfig, RecoveryPolicy,
-};
+use cudasw_core::{multi_gpu_search, multi_gpu_search_resilient, CudaSwConfig, RecoveryPolicy};
 use gpu_sim::{DeviceSpec, FaultPlan, FaultRates, FaultSite};
 use sw_db::catalog::PaperDb;
 use sw_db::{Database, SynthConfig};
@@ -107,13 +105,12 @@ pub fn run_with_options(
     ];
     let policy = RecoveryPolicy {
         watchdog_cycles: Some(WATCHDOG_CYCLES),
+        checkpoint: ckpt_dir.map(Path::to_path_buf),
         ..RecoveryPolicy::default()
     };
     let before = obs::snapshot_metrics();
-    let r = multi_gpu_search_resilient_checkpointed(
-        spec, &cfg, &query, &db, 2, &plans, &policy, ckpt_dir,
-    )
-    .expect("chaos search");
+    let r = multi_gpu_search_resilient(spec, &cfg, &query, &db, 2, &plans, &policy)
+        .expect("chaos search");
     let delta = obs::snapshot_metrics().diff(&before);
 
     ChaosResult {

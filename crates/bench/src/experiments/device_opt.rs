@@ -5,7 +5,10 @@
 //! records the *counted* metric each optimization claims to move:
 //! inter-task global transactions (shared-memory staging), hidden
 //! pipeline latency (cross-strip fusion), hidden H2D seconds (streamed
-//! copy), and intra-task block-cycle imbalance (SaLoBa balance). Every
+//! copy), and intra-task block-cycle imbalance (SaLoBa balance). The two
+//! §VI boundary flags move intra-task global transactions, which this
+//! schema has no column for (`repro ablation` prints them); their rows
+//! hold them to the same scores, cells and inter-task traffic. Every
 //! row also records a CRC of the scores: the optimizations must be
 //! bit-identical, and the trajectory gates hold them to it.
 //!
@@ -133,6 +136,14 @@ pub fn bench_configs() -> Vec<DeviceKernelConfig> {
         },
         DeviceKernelConfig {
             balanced_intra: true,
+            ..base
+        },
+        DeviceKernelConfig {
+            coalesced_boundary: true,
+            ..base
+        },
+        DeviceKernelConfig {
+            shared_boundary: true,
             ..base
         },
         DeviceKernelConfig::all_on(),
@@ -278,6 +289,14 @@ mod tests {
         assert!(row("stream").h2d_hidden_seconds > 0.0);
         assert!(row("stream").h2d_seconds < none.h2d_seconds);
         assert!(row("balance").intra_imbalance < none.intra_imbalance);
+        // The §VI boundary flags are intra-task only.
+        for label in ["coalesce", "shared-boundary"] {
+            assert_eq!(
+                row(label).inter_global_transactions,
+                none.inter_global_transactions
+            );
+        }
+        assert!(row("shared-boundary").kernel_seconds <= none.kernel_seconds);
         assert!(row("all").kernel_seconds <= none.kernel_seconds);
     }
 

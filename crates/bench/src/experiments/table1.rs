@@ -13,7 +13,10 @@
 use crate::report::Table;
 use crate::workloads;
 use cudasw_core::variants::run_intra_variant;
-use cudasw_core::{CudaSwConfig, CudaSwDriver, ImprovedParams, IntraKernelChoice, VariantConfig};
+use cudasw_core::{
+    CudaSwConfig, CudaSwDriver, DeviceKernelConfig, ImprovedParams, IntraKernelChoice,
+    VariantConfig,
+};
 use gpu_sim::DeviceSpec;
 
 /// One Table I cell set.
@@ -102,6 +105,7 @@ pub fn run(
             &query,
             ImprovedParams::default(),
             VariantConfig::improved(),
+            DeviceKernelConfig::default(),
         )
         .expect("improved kernel");
         rows.push(Table1Row {

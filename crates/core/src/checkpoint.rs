@@ -3,8 +3,9 @@
 //! A whole-database scan is a long linear pass; a fatal device loss or a
 //! process crash mid-scan should not throw away every completed chunk.
 //! This module implements the on-disk log that makes
-//! [`CudaSwDriver::search_resilient_checkpointed`](crate::CudaSwDriver::search_resilient_checkpointed)
-//! resumable:
+//! [`CudaSwDriver::search_resilient`](crate::CudaSwDriver::search_resilient)
+//! resumable when its policy names a log
+//! ([`RecoveryPolicy::checkpoint`](crate::RecoveryPolicy::checkpoint)):
 //!
 //! * **Append-only records.** Every completed chunk appends one
 //!   [`ChunkRecord`] carrying the chunk cursor (phase + half-open
@@ -39,38 +40,6 @@ use std::path::{Path, PathBuf};
 use gpu_sim::crc32;
 use obs::{Histogram, MetricsRegistry};
 use sw_db::Database;
-
-/// How (and whether) a resilient search checkpoints its progress.
-///
-/// The default policy is disabled: the search runs exactly as before,
-/// with zero extra work. With a path set, every completed chunk is
-/// appended to the log there, and a restarted search replays the log,
-/// skips completed chunks, and produces a bit-identical
-/// [`SearchResult`](crate::SearchResult).
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointPolicy {
-    /// Path of the chunk-completion log. `None` disables checkpointing.
-    pub path: Option<PathBuf>,
-}
-
-impl CheckpointPolicy {
-    /// No checkpointing (the default).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Checkpoint to (and resume from) the log at `path`.
-    pub fn at(path: impl Into<PathBuf>) -> Self {
-        Self {
-            path: Some(path.into()),
-        }
-    }
-
-    /// True when a log path is configured.
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-}
 
 /// Log file magic (8 bytes).
 pub const MAGIC: [u8; 8] = *b"CSWCKPT\n";

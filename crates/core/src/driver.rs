@@ -57,11 +57,13 @@ pub(crate) fn phase_run_stats(delta: &MetricsRegistry, phase: &str) -> RunStats 
     }
 }
 
-/// §VII device-level optimization toggles. All default **off**, which is
-/// the paper's published kernel behaviour; every flag is independently
-/// switchable and every combination computes bit-identical scores (held
-/// by the differential suite) — the flags change *where traffic flows and
-/// when*, never *what is computed*.
+/// Every optimization beyond the published kernels: the paper's §VI
+/// future-work ideas and the §VII device-level ones. All default **off**,
+/// which is the paper's published kernel behaviour; every flag is
+/// independently switchable and every combination computes bit-identical
+/// scores (held by the differential suite) — the flags change *where
+/// traffic flows and when*, never *what is computed*. The last four and
+/// `pipeline_fusion` only touch the improved intra-task kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceKernelConfig {
     /// Stage inter-task strip-boundary H/F traffic in shared memory by
@@ -81,6 +83,13 @@ pub struct DeviceKernelConfig {
     /// SaLoBa-style residue-balanced assignment of long subjects to
     /// intra-task blocks (arXiv:2301.09310), replacing one-block-per-pair.
     pub balanced_intra: bool,
+    /// §VI: stage the improved intra-task kernel's strip-boundary rows in
+    /// shared memory and flush/prefetch them in coalesced 32-column bursts.
+    pub coalesced_boundary: bool,
+    /// §VI: keep that strip boundary entirely in shared memory (Fermi's
+    /// larger shared memory). A launch whose longest sequence does not fit
+    /// falls back to the global boundary, coalesced if that is on.
+    pub shared_boundary: bool,
 }
 
 impl DeviceKernelConfig {
@@ -92,19 +101,24 @@ impl DeviceKernelConfig {
             pipeline_fusion: true,
             streamed_h2d: true,
             balanced_intra: true,
+            coalesced_boundary: true,
+            shared_boundary: true,
         }
     }
 
-    /// All 32 flag combinations, baseline first — the differential-test
-    /// and bench matrix.
+    /// All 128 flag combinations, baseline first — the differential-test
+    /// matrix. The §VII flags sit on the low bits, so the first 32 leave
+    /// both §VI boundary flags off.
     pub fn all_combinations() -> Vec<Self> {
-        (0u8..32)
+        (0u8..128)
             .map(|bits| Self {
                 boundary_staging: bits & 1 != 0,
                 shared_only: bits & 2 != 0,
                 pipeline_fusion: bits & 4 != 0,
                 streamed_h2d: bits & 8 != 0,
                 balanced_intra: bits & 16 != 0,
+                coalesced_boundary: bits & 32 != 0,
+                shared_boundary: bits & 64 != 0,
             })
             .collect()
     }
@@ -118,6 +132,8 @@ impl DeviceKernelConfig {
             (self.pipeline_fusion, "fusion"),
             (self.streamed_h2d, "stream"),
             (self.balanced_intra, "balance"),
+            (self.coalesced_boundary, "coalesce"),
+            (self.shared_boundary, "shared-boundary"),
         ];
         let on: Vec<&str> = names.iter().filter(|(f, _)| *f).map(|&(_, n)| n).collect();
         if on.is_empty() {
@@ -135,7 +151,7 @@ impl DeviceKernelConfig {
 pub enum IntraKernelChoice {
     /// The original CUDASW++ wavefront kernel.
     Original,
-    /// The paper's improved kernel, with a behaviour variant.
+    /// The paper's improved kernel, at a §III development stage.
     Improved(VariantConfig),
 }
 
@@ -152,7 +168,7 @@ pub struct CudaSwConfig {
     pub improved: ImprovedParams,
     /// Selected intra-task kernel.
     pub intra: IntraKernelChoice,
-    /// §VII device-level optimization toggles (default all off).
+    /// §VI / §VII optimization toggles (default all off).
     pub device: DeviceKernelConfig,
 }
 

@@ -12,15 +12,16 @@
 //!   **shared memory** (double-buffered per step);
 //! * only the strip's bottom row (`H`, `F`) touches **global memory**, and
 //!   the paper notes the last thread writes it "one at a time"
-//!   (uncoalesced) — fixed by the `coalesce_boundary` future-work variant;
+//!   (uncoalesced) — fixed by [`BoundaryStore::Coalesced`];
 //! * similarity scores come from the **packed query profile in texture
 //!   memory**: one fetch per four cells (§III-B).
 //!
 //! [`VariantConfig`] recreates the incremental stages of §III (register
-//! spill from the shallow swap, per-row profile fetches before packing)
-//! and the future-work extensions of §VI (coalesced boundary I/O,
-//! boundary in shared memory, continuous pipeline), so ablation benches
-//! can replay the paper's development story.
+//! spill from the shallow swap, per-row profile fetches before packing) so
+//! ablation benches can replay the paper's development story. The
+//! future-work ideas of §VI are switched in [`crate::DeviceKernelConfig`]
+//! with every other optimisation; the launch path resolves them into the
+//! kernel's [`BoundaryStore`] and `fuse_strips`.
 
 use crate::column::{with_avx2, WarpRegs, MAX_ROWS, NEG};
 use crate::intra_orig::IntraPair;
@@ -62,7 +63,7 @@ impl Default for ImprovedParams {
     }
 }
 
-/// Behavioural variants: development stages (§III) and extensions (§VI).
+/// The development stages of §III that `table1` and the ablation replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VariantConfig {
     /// §III-A: the shallow pointer swap made nvcc spill the register
@@ -72,15 +73,6 @@ pub struct VariantConfig {
     /// §III-B inverted: fetch one profile word per *row* instead of one
     /// packed word per *four* rows (4× the texture operations).
     pub per_row_profile_fetch: bool,
-    /// §VI: stage boundary rows in shared memory and flush/prefetch them
-    /// in coalesced 32-column bursts.
-    pub coalesce_boundary: bool,
-    /// §VI: keep the strip boundary entirely in shared memory (Fermi's
-    /// larger shared memory; valid when the sequence fits).
-    pub boundary_in_shared: bool,
-    /// §VI: one pipeline fill/flush for the whole alignment instead of one
-    /// per strip (a thread starts its next strip immediately).
-    pub continuous_pipeline: bool,
 }
 
 impl VariantConfig {
@@ -95,7 +87,6 @@ impl VariantConfig {
         Self {
             spill_register_arrays: true,
             per_row_profile_fetch: true,
-            ..Self::default()
         }
     }
 
@@ -103,11 +94,31 @@ impl VariantConfig {
     /// fetched per row.
     pub fn deep_swap() -> Self {
         Self {
+            spill_register_arrays: false,
             per_row_profile_fetch: true,
-            ..Self::default()
         }
     }
 }
+
+/// Where a strip's bottom row (`H`, `F`) waits for the strip below it: what
+/// the launch path made of the two §VI boundary flags
+/// ([`ImprovedIntraKernel::boundary_store`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BoundaryStore {
+    /// The paper's layout: global memory, one word at a time.
+    #[default]
+    Global,
+    /// Global memory, staged in shared memory and flushed/prefetched in
+    /// coalesced 32-column bursts.
+    Coalesced,
+    /// Entirely in shared memory (Fermi's larger shared memory; only when
+    /// the longest sequence fits).
+    Shared,
+}
+
+/// Words of the coalesced-I/O staging area (prefetch 32×H, 32×F,
+/// write-back 32×H, 32×F).
+const STAGE_WORDS: usize = 128;
 
 /// The improved intra-task kernel over a batch of long sequences.
 pub struct ImprovedIntraKernel<'a> {
@@ -127,8 +138,13 @@ pub struct ImprovedIntraKernel<'a> {
     pub local_spill: DevicePtr,
     /// Launch shape.
     pub params: ImprovedParams,
-    /// Behaviour variant.
+    /// §III development stage.
     pub variant: VariantConfig,
+    /// Where the strip boundary lives.
+    pub boundary_store: BoundaryStore,
+    /// One pipeline fill/flush for the whole alignment instead of one per
+    /// strip (a thread starts its next strip immediately).
+    pub fuse_strips: bool,
     /// Shared-memory dependency round-trip charged per pipeline step.
     pub step_latency_cycles: u64,
     /// SaLoBa-style residue-balanced work assignment (arXiv:2301.09310):
@@ -152,23 +168,35 @@ impl ImprovedIntraKernel<'_> {
     }
 
     fn shared_layout(&self) -> SharedLayout {
-        let n_th = self.params.threads_per_block as usize;
-        let pipe_words = 4 * n_th; // 2 parities × (H plane + F plane)
-        let stage_words = if self.variant.coalesce_boundary {
-            128
-        } else {
-            0
+        SharedLayout::new(
+            self.params.threads_per_block as usize,
+            self.boundary_store,
+            self.boundary_stride,
+        )
+    }
+
+    /// The boundary store a launch over sequences up to `max_len` long gets
+    /// when the coalesced and the shared boundary are asked for
+    /// (`coalesced`, `shared`) on a device with `shared_mem_bytes` per SM:
+    /// the shared boundary when the block's whole layout fits, else the
+    /// coalesced one, else the paper's — asking never fails a launch.
+    pub fn boundary_store(
+        coalesced: bool,
+        shared: bool,
+        params: &ImprovedParams,
+        max_len: usize,
+        shared_mem_bytes: u32,
+    ) -> BoundaryStore {
+        let fits = |store| {
+            let layout = SharedLayout::new(params.threads_per_block as usize, store, max_len);
+            layout.total * 4 <= shared_mem_bytes as usize
         };
-        let bound_words = if self.variant.boundary_in_shared {
-            2 * self.boundary_stride
+        if shared && fits(BoundaryStore::Shared) {
+            BoundaryStore::Shared
+        } else if coalesced && fits(BoundaryStore::Coalesced) {
+            BoundaryStore::Coalesced
         } else {
-            0
-        };
-        SharedLayout {
-            n_th,
-            stage_base: pipe_words,
-            bound_base: pipe_words + stage_words,
-            total: pipe_words + stage_words + bound_words,
+            BoundaryStore::Global
         }
     }
 }
@@ -177,15 +205,29 @@ impl ImprovedIntraKernel<'_> {
 #[derive(Clone, Copy)]
 struct SharedLayout {
     n_th: usize,
-    /// Base of the coalesced-I/O staging area (prefetch 32×H, 32×F,
-    /// write-back 32×H, 32×F).
-    stage_base: usize,
-    /// Base of the in-shared boundary (H plane then F plane).
-    bound_base: usize,
+    /// Base of the boundary area behind the pipe: the coalesced-I/O
+    /// staging area ([`STAGE_WORDS`]) or the in-shared boundary (H plane
+    /// then F plane), whichever the store uses.
+    area_base: usize,
     total: usize,
 }
 
 impl SharedLayout {
+    /// The pipe, then whichever boundary area `store` uses.
+    fn new(n_th: usize, store: BoundaryStore, boundary_stride: usize) -> Self {
+        let pipe_words = 4 * n_th; // 2 parities × (H plane + F plane)
+        let area_words = match store {
+            BoundaryStore::Global => 0,
+            BoundaryStore::Coalesced => STAGE_WORDS,
+            BoundaryStore::Shared => 2 * boundary_stride,
+        };
+        Self {
+            n_th,
+            area_base: pipe_words,
+            total: pipe_words + area_words,
+        }
+    }
+
     #[inline]
     fn pipe_h(&self, parity: usize, t: usize) -> usize {
         parity * 2 * self.n_th + t
@@ -268,12 +310,16 @@ impl ImprovedIntraKernel<'_> {
                 // Coalesced boundary prefetch: warp 0 pulls the next 32
                 // columns of the previous strip's bottom row into shared
                 // staging whenever thread 0 is about to need them.
-                if self.variant.coalesce_boundary && r > 0 && t_lo == 0 && s % 32 == 0 {
+                if self.boundary_store == BoundaryStore::Coalesced
+                    && r > 0
+                    && t_lo == 0
+                    && s % 32 == 0
+                {
                     let cols = 32.min(n - s);
                     let hv = ctx.global_load(&WarpAccess::run(0, cols, bound_h + s))?;
                     let fv = ctx.global_load(&WarpAccess::run(0, cols, bound_f + s))?;
-                    ctx.shared_store(&WarpAccess::run(0, cols, layout.stage_base), &hv);
-                    ctx.shared_store(&WarpAccess::run(0, cols, layout.stage_base + 32), &fv);
+                    ctx.shared_store(&WarpAccess::run(0, cols, layout.area_base), &hv);
+                    ctx.shared_store(&WarpAccess::run(0, cols, layout.area_base + 32), &fv);
                 }
 
                 let in_flight = t_lo / WARP_SIZE..=t_hi / WARP_SIZE;
@@ -298,10 +344,10 @@ impl ImprovedIntraKernel<'_> {
                     with_avx2(|| self.run_step_warp(ctx, step, warp))?;
                 }
 
-                // Barrier per pipeline step; the continuous-pipeline
-                // variant overlaps each strip's fill with the previous
-                // strip's flush, saving those steps' barriers.
-                let overlapped = self.variant.continuous_pipeline && r > 0 && s < active_max;
+                // Barrier per pipeline step; a fused pipeline overlaps
+                // each strip's fill with the previous strip's flush,
+                // saving those steps' barriers.
+                let overlapped = self.fuse_strips && r > 0 && s < active_max;
                 if !overlapped {
                     ctx.syncthreads();
                     ctx.add_latency(self.step_latency_cycles);
@@ -411,22 +457,20 @@ impl ImprovedIntraKernel<'_> {
         if thread_0 {
             // Thread 0 reads the previous strip's bottom row.
             let j = a.s; // t == 0 ⇒ column == step
-            (top_h[0], top_f[0]) = if a.r == 0 {
-                (0, NEG as u32)
-            } else if self.variant.boundary_in_shared {
-                let acc_h = WarpAccess::run(0, 1, a.layout.bound_base + j);
-                let acc_f = WarpAccess::run(0, 1, a.layout.bound_base + self.boundary_stride + j);
+            let base = a.layout.area_base;
+            let mut shared_pair = |h: usize, f: usize| {
+                let (acc_h, acc_f) = (WarpAccess::run(0, 1, h), WarpAccess::run(0, 1, f));
                 (ctx.shared_load(&acc_h)[0], ctx.shared_load(&acc_f)[0])
-            } else if self.variant.coalesce_boundary {
-                let acc_h = WarpAccess::run(0, 1, a.layout.stage_base + j % 32);
-                let acc_f = WarpAccess::run(0, 1, a.layout.stage_base + 32 + j % 32);
-                (ctx.shared_load(&acc_h)[0], ctx.shared_load(&acc_f)[0])
-            } else {
+            };
+            (top_h[0], top_f[0]) = match self.boundary_store {
+                _ if a.r == 0 => (0, NEG as u32),
+                BoundaryStore::Shared => shared_pair(base + j, base + self.boundary_stride + j),
+                BoundaryStore::Coalesced => shared_pair(base + j % 32, base + 32 + j % 32),
                 // The paper's layout: one word at a time, uncoalesced.
-                (
+                BoundaryStore::Global => (
                     ctx.read_word(DevicePtr(a.bound_h + j))?,
                     ctx.read_word(DevicePtr(a.bound_f + j))?,
-                )
+                ),
             };
         }
 
@@ -486,29 +530,33 @@ impl ImprovedIntraKernel<'_> {
         // fully-tiled thread of the strip writes it).
         if let (false, Some(lane)) = (a.last_strip, writer_lane.filter(|&l| mask & (1 << l) != 0)) {
             let j = a.s - a.writer;
-            if self.variant.boundary_in_shared {
-                let acc_h = WarpAccess::run(lane, 1, a.layout.bound_base + j);
-                let acc_f =
-                    WarpAccess::run(lane, 1, a.layout.bound_base + self.boundary_stride + j);
-                ctx.shared_store(&acc_h, &bot_h);
-                ctx.shared_store(&acc_f, &bot_f);
-            } else if self.variant.coalesce_boundary {
-                // Stage in shared; flush 32 columns coalesced.
-                let acc_h = WarpAccess::run(lane, 1, a.layout.stage_base + 64 + j % 32);
-                let acc_f = WarpAccess::run(lane, 1, a.layout.stage_base + 96 + j % 32);
-                ctx.shared_store(&acc_h, &bot_h);
-                ctx.shared_store(&acc_f, &bot_f);
-                if j % 32 == 31 || j == a.n - 1 {
-                    let cols = j % 32 + 1;
-                    let hv = ctx.shared_load(&WarpAccess::run(0, cols, a.layout.stage_base + 64));
-                    let fv = ctx.shared_load(&WarpAccess::run(0, cols, a.layout.stage_base + 96));
-                    ctx.global_store(&WarpAccess::run(0, cols, a.bound_h + j + 1 - cols), &hv)?;
-                    ctx.global_store(&WarpAccess::run(0, cols, a.bound_f + j + 1 - cols), &fv)?;
+            let base = a.layout.area_base;
+            match self.boundary_store {
+                BoundaryStore::Shared => {
+                    let acc_h = WarpAccess::run(lane, 1, base + j);
+                    let acc_f = WarpAccess::run(lane, 1, base + self.boundary_stride + j);
+                    ctx.shared_store(&acc_h, &bot_h);
+                    ctx.shared_store(&acc_f, &bot_f);
                 }
-            } else {
+                BoundaryStore::Coalesced => {
+                    // Stage in shared; flush 32 columns coalesced.
+                    let acc_h = WarpAccess::run(lane, 1, base + 64 + j % 32);
+                    let acc_f = WarpAccess::run(lane, 1, base + 96 + j % 32);
+                    ctx.shared_store(&acc_h, &bot_h);
+                    ctx.shared_store(&acc_f, &bot_f);
+                    if j % 32 == 31 || j == a.n - 1 {
+                        let cols = j % 32 + 1;
+                        let hv = ctx.shared_load(&WarpAccess::run(0, cols, base + 64));
+                        let fv = ctx.shared_load(&WarpAccess::run(0, cols, base + 96));
+                        ctx.global_store(&WarpAccess::run(0, cols, a.bound_h + j + 1 - cols), &hv)?;
+                        ctx.global_store(&WarpAccess::run(0, cols, a.bound_f + j + 1 - cols), &fv)?;
+                    }
+                }
                 // The paper's behaviour: one word at a time.
-                ctx.write_word(DevicePtr(a.bound_h + j), bot_h[lane])?;
-                ctx.write_word(DevicePtr(a.bound_f + j), bot_f[lane])?;
+                BoundaryStore::Global => {
+                    ctx.write_word(DevicePtr(a.bound_h + j), bot_h[lane])?;
+                    ctx.write_word(DevicePtr(a.bound_f + j), bot_f[lane])?;
+                }
             }
         }
         Ok(())
@@ -530,6 +578,26 @@ mod tests {
         seqs: &[sw_db::Sequence],
         params: ImprovedParams,
         variant: VariantConfig,
+    ) -> (Vec<i32>, LaunchStats) {
+        run_kernel_with(
+            dev,
+            query,
+            seqs,
+            params,
+            variant,
+            BoundaryStore::Global,
+            false,
+        )
+    }
+
+    fn run_kernel_with(
+        dev: &mut GpuDevice,
+        query: &[u8],
+        seqs: &[sw_db::Sequence],
+        params: ImprovedParams,
+        variant: VariantConfig,
+        boundary_store: BoundaryStore,
+        fuse_strips: bool,
     ) -> (Vec<i32>, LaunchStats) {
         let sw = SwParams::cudasw_default();
         let packed = PackedProfile::build(&sw.matrix, query);
@@ -559,6 +627,8 @@ mod tests {
             local_spill,
             params,
             variant,
+            boundary_store,
+            fuse_strips,
             step_latency_cycles: 30,
             schedule: None,
         };
@@ -645,22 +715,15 @@ mod tests {
 
     #[test]
     fn all_variants_compute_identical_scores() {
+        let improved = VariantConfig::improved();
         let variants = [
-            VariantConfig::improved(),
-            VariantConfig::naive(),
-            VariantConfig::deep_swap(),
-            VariantConfig {
-                coalesce_boundary: true,
-                ..VariantConfig::improved()
-            },
-            VariantConfig {
-                boundary_in_shared: true,
-                ..VariantConfig::improved()
-            },
-            VariantConfig {
-                continuous_pipeline: true,
-                ..VariantConfig::improved()
-            },
+            (improved, BoundaryStore::Global, false),
+            (VariantConfig::naive(), BoundaryStore::Global, false),
+            (VariantConfig::deep_swap(), BoundaryStore::Global, false),
+            (improved, BoundaryStore::Coalesced, false),
+            (improved, BoundaryStore::Shared, false),
+            (improved, BoundaryStore::Global, true),
+            (VariantConfig::naive(), BoundaryStore::Coalesced, true),
         ];
         let db = database_with_lengths("long", &[97, 250], 51);
         let query = make_query(300, 14);
@@ -671,7 +734,8 @@ mod tests {
         let mut reference: Option<Vec<i32>> = None;
         for v in variants {
             let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
-            let (scores, _) = run_kernel(&mut dev, &query, db.sequences(), params, v);
+            let (scores, _) =
+                run_kernel_with(&mut dev, &query, db.sequences(), params, v.0, v.1, v.2);
             check_scores(&query, db.sequences(), &scores);
             match &reference {
                 None => reference = Some(scores),
@@ -833,15 +897,14 @@ mod tests {
             VariantConfig::improved(),
         );
         let mut dev_b = GpuDevice::new(DeviceSpec::tesla_c1060());
-        let (_, coalesced) = run_kernel(
+        let (_, coalesced) = run_kernel_with(
             &mut dev_b,
             &query,
             db.sequences(),
             params,
-            VariantConfig {
-                coalesce_boundary: true,
-                ..VariantConfig::improved()
-            },
+            VariantConfig::improved(),
+            BoundaryStore::Coalesced,
+            false,
         );
         assert!(
             coalesced.global_transactions() < plain.global_transactions() / 2,
@@ -852,7 +915,7 @@ mod tests {
     }
 
     #[test]
-    fn continuous_pipeline_reduces_syncs() {
+    fn fused_pipeline_reduces_syncs() {
         let query = make_query(300, 19);
         let db = database_with_lengths("long", &[200], 61);
         let params = ImprovedParams {
@@ -868,15 +931,14 @@ mod tests {
             VariantConfig::improved(),
         );
         let mut dev_b = GpuDevice::new(DeviceSpec::tesla_c1060());
-        let (_, cont) = run_kernel(
+        let (_, cont) = run_kernel_with(
             &mut dev_b,
             &query,
             db.sequences(),
             params,
-            VariantConfig {
-                continuous_pipeline: true,
-                ..VariantConfig::improved()
-            },
+            VariantConfig::improved(),
+            BoundaryStore::Global,
+            true,
         );
         assert!(cont.totals.syncs < plain.totals.syncs);
         // §VII: every removed stall is *counted*, not silently dropped —
@@ -943,6 +1005,8 @@ mod tests {
                 local_spill,
                 params,
                 variant: VariantConfig::improved(),
+                boundary_store: BoundaryStore::Global,
+                fuse_strips: false,
                 step_latency_cycles: 30,
                 schedule,
             };
@@ -995,18 +1059,45 @@ mod tests {
             VariantConfig::improved(),
         );
         let mut dev_b = GpuDevice::new(DeviceSpec::tesla_c2050());
-        let (_, shared) = run_kernel(
+        let (_, shared) = run_kernel_with(
             &mut dev_b,
             &query,
             db.sequences(),
             params,
-            VariantConfig {
-                boundary_in_shared: true,
-                ..VariantConfig::improved()
-            },
+            VariantConfig::improved(),
+            BoundaryStore::Shared,
+            false,
         );
         assert!(shared.global_transactions() < plain.global_transactions());
         assert!(shared.shared.instructions > plain.shared.instructions);
+    }
+
+    #[test]
+    fn boundary_store_is_what_fits() {
+        // C2050, n_th 256: pipe 4 KB + boundary 2 × 4 B per residue fills
+        // the SM's 48 KB at 5,632 residues.
+        let params = ImprovedParams::default();
+        let shared_mem = DeviceSpec::tesla_c2050().shared_mem_per_sm;
+        let store = |coalesced, shared, max_len| {
+            ImprovedIntraKernel::boundary_store(coalesced, shared, &params, max_len, shared_mem)
+        };
+        assert_eq!(store(false, false, 100), BoundaryStore::Global);
+        assert_eq!(store(true, false, 100_000), BoundaryStore::Coalesced);
+        for coalesced in [false, true] {
+            assert_eq!(store(coalesced, true, 5632), BoundaryStore::Shared);
+        }
+        assert_eq!(store(false, true, 5633), BoundaryStore::Global);
+        assert_eq!(store(true, true, 5633), BoundaryStore::Coalesced);
+        // A pipe that fills shared memory leaves no room for the stage.
+        let c1060 = DeviceSpec::tesla_c1060().shared_mem_per_sm;
+        let wide = ImprovedParams {
+            threads_per_block: c1060 / 16,
+            tile_height: 4,
+        };
+        assert_eq!(
+            ImprovedIntraKernel::boundary_store(true, true, &wide, 100, c1060),
+            BoundaryStore::Global
+        );
     }
 
     #[test]

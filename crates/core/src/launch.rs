@@ -5,9 +5,10 @@
 //! [`crate::variants::run_intra_variant`] — reaches the device through the
 //! three functions here. They are the only non-test code that builds an
 //! [`InterTaskKernel`], [`OriginalIntraKernel`] or [`ImprovedIntraKernel`],
-//! and the only code that reads a [`crate::DeviceKernelConfig`] kernel flag
-//! or a [`crate::VariantConfig`] flag, so a launch decision (panel width,
-//! shared-boundary fit, fusion, SaLoBa bins) is made once for all paths.
+//! and the only code that reads a [`crate::DeviceKernelConfig`] kernel
+//! flag, so a launch decision (panel width, boundary store, fusion, SaLoBa
+//! bins) is made once for all paths and the kernel is handed what was
+//! decided.
 //!
 //! Callers keep what truly differs between them: who uploads the database
 //! images, which allocator mark is rolled back after a launch, and how long
@@ -146,16 +147,17 @@ impl CudaSwDriver {
                 };
                 self.dev.launch(&kernel, pairs.len() as u32, "intra_orig")?
             }
-            IntraKernelChoice::Improved(mut variant) => {
+            IntraKernelChoice::Improved(variant) => {
                 let params = self.config.improved;
                 // The shared-memory boundary only fits small sequences;
                 // fall back transparently when it does not.
-                let shared_boundary_bytes =
-                    (4 * params.threads_per_block as usize + 2 * max_len) * 4;
-                variant.boundary_in_shared &=
-                    shared_boundary_bytes <= self.dev.spec.shared_mem_per_sm as usize;
-                // §VII fusion: one fill/flush per alignment.
-                variant.continuous_pipeline |= dc.pipeline_fusion;
+                let boundary_store = ImprovedIntraKernel::boundary_store(
+                    dc.coalesced_boundary,
+                    dc.shared_boundary,
+                    &params,
+                    max_len,
+                    self.dev.spec.shared_mem_per_sm,
+                );
                 let boundary = self
                     .dev
                     .alloc(ImprovedIntraKernel::boundary_words(pairs.len(), max_len))?;
@@ -178,6 +180,9 @@ impl CudaSwDriver {
                     local_spill,
                     params,
                     variant,
+                    boundary_store,
+                    // One fill/flush per alignment.
+                    fuse_strips: dc.pipeline_fusion,
                     step_latency_cycles: IMPROVED_STEP_LATENCY_CYCLES,
                     schedule: schedule.as_deref(),
                 };

@@ -15,9 +15,10 @@
 //!   profile ("a single read for every four cells").
 //!
 //! [`driver`] stitches them into the full application (threshold split,
-//!   occupancy-sized groups, per-kernel time accounting). [`variants`]
-//! recreates the incremental development stages of §III for ablation
-//! benches; [`extensions`] implements the future-work items of §VI;
+//!   occupancy-sized groups, per-kernel time accounting) and holds the
+//! one optimization surface, [`DeviceKernelConfig`] (the §VI future-work
+//! items and the §VII device optimizations). [`variants`] names the
+//! development stages of §III and the §VI ideas for ablation benches;
 //! [`threshold`] implements automatic threshold selection; [`model`]
 //! provides closed-form counter predictions validated against functional
 //! runs.
@@ -35,7 +36,6 @@ pub mod balance;
 pub mod checkpoint;
 mod column;
 pub mod driver;
-pub mod extensions;
 pub mod inter_task;
 pub mod intra_improved;
 pub mod intra_orig;
@@ -50,16 +50,14 @@ pub mod variants;
 
 pub use balance::{bin_imbalance, residue_balanced_bins};
 pub use checkpoint::{
-    run_fingerprint, CheckpointFile, CheckpointPolicy, ChunkPhase, ChunkRecord, LoadIssue,
-    LoadedLog,
+    run_fingerprint, CheckpointFile, ChunkPhase, ChunkRecord, LoadIssue, LoadedLog,
 };
 pub use driver::{CudaSwConfig, CudaSwDriver, DeviceKernelConfig, IntraKernelChoice, SearchResult};
 pub use inter_task::InterTaskKernel;
-pub use intra_improved::{ImprovedIntraKernel, ImprovedParams, VariantConfig};
+pub use intra_improved::{BoundaryStore, ImprovedIntraKernel, ImprovedParams, VariantConfig};
 pub use intra_orig::{IntraPair, OriginalIntraKernel};
 pub use multi_gpu::{
-    multi_gpu_search, multi_gpu_search_resilient, multi_gpu_search_resilient_checkpointed,
-    MultiGpuResult, ResilientMultiGpuResult,
+    multi_gpu_search, multi_gpu_search_resilient, MultiGpuResult, ResilientMultiGpuResult,
 };
 pub use recovery::{RecoveryEvent, RecoveryPolicy, RecoveryReport, ResilientSearchResult};
 pub use staged::StagedDatabase;

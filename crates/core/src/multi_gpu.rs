@@ -13,9 +13,6 @@
 //! device runs a full search over its shard concurrently, and the wall
 //! time is the slowest device's time.
 
-use std::path::Path;
-
-use crate::checkpoint::CheckpointPolicy;
 use crate::driver::{CudaSwConfig, CudaSwDriver, SearchResult};
 use crate::recovery::{cpu_scores, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
@@ -189,6 +186,12 @@ impl ResilientMultiGpuResult {
 /// dies anyway forfeits its shard, which is re-dealt round-robin across
 /// the surviving devices. Only when every device is gone does the CPU
 /// fallback of `policy` take over (if enabled).
+///
+/// With [`RecoveryPolicy::checkpoint`] a directory, device `s` checkpoints
+/// its shard to `<dir>/shard-<s>.ckpt`, and a sub-shard re-dispatched from
+/// dead device `s` to survivor slot `t` checkpoints to
+/// `<dir>/redispatch-<s>-<t>.ckpt` — a crashed multi-GPU search restarted
+/// with the same directory resumes every shard from its own log.
 pub fn multi_gpu_search_resilient(
     spec: &DeviceSpec,
     config: &CudaSwConfig,
@@ -198,32 +201,7 @@ pub fn multi_gpu_search_resilient(
     plans: &[FaultPlan],
     policy: &RecoveryPolicy,
 ) -> Result<ResilientMultiGpuResult, GpuError> {
-    multi_gpu_search_resilient_checkpointed(spec, config, query, db, k, plans, policy, None)
-}
-
-/// [`multi_gpu_search_resilient`] with a per-shard chunk-completion log.
-///
-/// With `ckpt_dir` set, device `s` checkpoints its shard to
-/// `<dir>/shard-<s>.ckpt`, and a sub-shard re-dispatched from dead device
-/// `s` to survivor slot `t` checkpoints to `<dir>/redispatch-<s>-<t>.ckpt`
-/// — a crashed multi-GPU search restarted with the same directory resumes
-/// every shard from its own log.
-#[allow(clippy::too_many_arguments)]
-pub fn multi_gpu_search_resilient_checkpointed(
-    spec: &DeviceSpec,
-    config: &CudaSwConfig,
-    query: &[u8],
-    db: &Database,
-    k: usize,
-    plans: &[FaultPlan],
-    policy: &RecoveryPolicy,
-    ckpt_dir: Option<&Path>,
-) -> Result<ResilientMultiGpuResult, GpuError> {
     let k = k.max(1);
-    let shard_ckpt = |name: String| match ckpt_dir {
-        Some(dir) => CheckpointPolicy::at(dir.join(name)),
-        None => CheckpointPolicy::disabled(),
-    };
     let shards = shard_database(db, k);
     let mut drivers: Vec<CudaSwDriver> = (0..k)
         .map(|i| {
@@ -235,9 +213,10 @@ pub fn multi_gpu_search_resilient_checkpointed(
         })
         .collect();
     // Shards never CPU-fall-back individually: a dead device's work is
-    // first offered to the surviving devices.
-    let shard_policy = RecoveryPolicy {
+    // first offered to the surviving devices. Each logs under its own name.
+    let shard_policy = |log_name: String| RecoveryPolicy {
         cpu_fallback: false,
+        checkpoint: policy.checkpoint.as_ref().map(|dir| dir.join(log_name)),
         ..policy.clone()
     };
 
@@ -249,12 +228,8 @@ pub fn multi_gpu_search_resilient_checkpointed(
     for (s, shard) in shards.iter().enumerate() {
         let prev_lane = obs::set_lane(s as u32 + 1);
         let sp = obs::span("shard", "phase");
-        let outcome = drivers[s].search_resilient_checkpointed(
-            query,
-            shard,
-            &shard_policy,
-            &shard_ckpt(format!("shard-{s}.ckpt")),
-        );
+        let outcome =
+            drivers[s].search_resilient(query, shard, &shard_policy(format!("shard-{s}.ckpt")));
         sp.end_with(&[("device", &s.to_string())]);
         obs::set_lane(prev_lane);
         match outcome {
@@ -306,11 +281,10 @@ pub fn multi_gpu_search_resilient_checkpointed(
                     }
                     let prev_lane = obs::set_lane(dev_idx as u32 + 1);
                     let sp = obs::span("shard_redispatch", "phase");
-                    let outcome = drivers[dev_idx].search_resilient_checkpointed(
+                    let outcome = drivers[dev_idx].search_resilient(
                         query,
                         subshard,
-                        &shard_policy,
-                        &shard_ckpt(format!("redispatch-{s}-{t}.ckpt")),
+                        &shard_policy(format!("redispatch-{s}-{t}.ckpt")),
                     );
                     sp.end_with(&[("device", &dev_idx.to_string())]);
                     obs::set_lane(prev_lane);

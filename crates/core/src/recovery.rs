@@ -23,8 +23,8 @@
 //!   quarantines the affected chunk, whose scores are recomputed on the
 //!   host SIMD engine instead of trusting a retry on a path that just
 //!   corrupted data;
-//! * **process crashes** — [`CudaSwDriver::search_resilient_checkpointed`]
-//!   appends every completed chunk to an on-disk log
+//! * **process crashes** — with [`RecoveryPolicy::checkpoint`] set, every
+//!   completed chunk is appended to an on-disk log
 //!   ([`crate::checkpoint`]); a restarted search replays the log, skips
 //!   completed chunks, and produces a bit-identical
 //!   [`SearchResult`](crate::SearchResult).
@@ -38,9 +38,9 @@
 //! (and the multi-GPU layer, which re-dispatches a dead device's shard to
 //! the survivors) can reason about what the numbers mean.
 
-use crate::checkpoint::{
-    CheckpointFile, CheckpointPolicy, ChunkPhase, ChunkRecord, Intervals, LoadIssue,
-};
+use std::path::PathBuf;
+
+use crate::checkpoint::{CheckpointFile, ChunkPhase, ChunkRecord, Intervals, LoadIssue};
 use crate::driver::{note_phase_launch, phase_run_stats, CudaSwDriver, SearchResult};
 use crate::intra_orig::IntraPair;
 use crate::launch::StagedQuery;
@@ -81,6 +81,12 @@ pub struct RecoveryPolicy {
     /// progress instead of burning budget on the same failing operation.
     /// `None` (the default) never denies.
     pub deadline_seconds: Option<f64>,
+    /// Where the chunk-completion log lives ([`crate::checkpoint`]); `None`
+    /// (the default) checkpoints nothing and costs nothing.
+    /// [`CudaSwDriver::search_resilient`] takes it as the log's file path;
+    /// [`crate::multi_gpu_search_resilient`] as a directory holding one log
+    /// per shard.
+    pub checkpoint: Option<PathBuf>,
 }
 
 impl Default for RecoveryPolicy {
@@ -93,6 +99,7 @@ impl Default for RecoveryPolicy {
             watchdog_cycles: None,
             integrity_checks: true,
             deadline_seconds: None,
+            checkpoint: None,
         }
     }
 }
@@ -533,31 +540,19 @@ impl CudaSwDriver {
     /// on the device, or on the CPU once the device is gone). `Err` is
     /// only returned for unrecoverable host-side errors, or for device
     /// failure when `policy.cpu_fallback` is off.
-    pub fn search_resilient(
-        &mut self,
-        query: &[u8],
-        db: &Database,
-        policy: &RecoveryPolicy,
-    ) -> Result<ResilientSearchResult, GpuError> {
-        self.search_resilient_checkpointed(query, db, policy, &CheckpointPolicy::disabled())
-    }
-
-    /// [`CudaSwDriver::search_resilient`] with an on-disk chunk-completion
-    /// log ([`crate::checkpoint`]).
     ///
-    /// With [`CheckpointPolicy::at`] a path, every completed chunk is
-    /// appended to the log; a restarted search with the same
+    /// With [`RecoveryPolicy::checkpoint`] a path, every completed chunk
+    /// is appended to the log there; a restarted search with the same
     /// configuration, query and database replays the log, skips completed
     /// chunks, and finishes with a [`SearchResult`] *bit-identical* to an
     /// uninterrupted checkpointed run started from the same observability
     /// state. Checkpoint I/O is best-effort: a filesystem error downgrades
     /// to an un-checkpointed search, it never fails the search itself.
-    pub fn search_resilient_checkpointed(
+    pub fn search_resilient(
         &mut self,
         query: &[u8],
         db: &Database,
         policy: &RecoveryPolicy,
-        ckpt: &CheckpointPolicy,
     ) -> Result<ResilientSearchResult, GpuError> {
         let sp_search = obs::span("search", "phase");
         let metrics_before = obs::snapshot_metrics();
@@ -568,7 +563,7 @@ impl CudaSwDriver {
         let fraction_long = partition.fraction_long();
 
         // --- Open the chunk-completion log, if asked for.
-        let log = ckpt.path.as_deref().and_then(|path| {
+        let log = policy.checkpoint.as_deref().and_then(|path| {
             let setup = format!("{:?}|{:?}", self.config, self.dev.spec);
             let fp = crate::checkpoint::run_fingerprint(&setup, query, db);
             match CheckpointFile::open(path, fp) {
@@ -1228,8 +1223,7 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_checkpointed_search_resumes_bit_identically() {
-        use crate::checkpoint::CheckpointPolicy;
+    fn interrupted_search_resumes_from_its_checkpoint_bit_identically() {
         let mut spec = DeviceSpec::tesla_c1060();
         spec.sm_count = 1;
         spec.max_threads_per_sm = 64;
@@ -1239,30 +1233,26 @@ mod tests {
         let db = database_with_lengths("ckpt", &[30; 200], 79);
         let query = make_query(24, 41);
         let dir = std::env::temp_dir().join(format!("cswckpt-resume-{}", std::process::id()));
-        let policy = RecoveryPolicy {
+        let logging_to = |name: &str| RecoveryPolicy {
             cpu_fallback: false,
+            checkpoint: Some(dir.join(name)),
             ..RecoveryPolicy::default()
         };
 
         // Baseline: an uninterrupted checkpointed run.
         let (baseline, _) = obs::capture(|| {
             let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
-            d.search_resilient_checkpointed(
-                &query,
-                &db,
-                &policy,
-                &CheckpointPolicy::at(dir.join("baseline.ckpt")),
-            )
-            .unwrap()
+            d.search_resilient(&query, &db, &logging_to("baseline.ckpt"))
+                .unwrap()
         });
 
         // Crash after the second of several inter launches...
-        let ckpt = CheckpointPolicy::at(dir.join("resume.ckpt"));
+        let policy = logging_to("resume.ckpt");
         let (crashed, _) = obs::capture(|| {
             let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
             d.dev
                 .inject_faults(FaultPlan::none().with_device_loss(FaultSite::Launch, 2));
-            d.search_resilient_checkpointed(&query, &db, &policy, &ckpt)
+            d.search_resilient(&query, &db, &policy)
         });
         assert!(matches!(crashed, Err(GpuError::DeviceLost)));
 
@@ -1271,8 +1261,7 @@ mod tests {
         // the last bit of every float.
         let (resumed, run) = obs::capture(|| {
             let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
-            d.search_resilient_checkpointed(&query, &db, &policy, &ckpt)
-                .unwrap()
+            d.search_resilient(&query, &db, &policy).unwrap()
         });
         assert_eq!(resumed.result, baseline.result);
         assert_eq!(

@@ -27,6 +27,8 @@
 //! longer matches the device state ([`GpuError::BadAccess`] would follow
 //! otherwise). The single-query path is unchanged.
 
+use std::borrow::Cow;
+
 use crate::driver::{note_phase_launch, phase_run_stats, CudaSwDriver, SearchResult};
 use crate::intra_orig::IntraPair;
 use crate::seqstore::GroupImage;
@@ -148,25 +150,20 @@ impl CudaSwDriver {
     /// database images are reused in place. Scores are identical to the
     /// un-staged search; `transfer_seconds` covers the per-query traffic
     /// only.
+    ///
+    /// `profile`, when given, must be built from `query` and the driver's
+    /// current scoring matrix (the serve layer's profile cache skips
+    /// re-building it for repeated queries); `None` builds it here.
     pub fn search_staged(
         &mut self,
         query: &[u8],
+        profile: Option<&PackedProfile>,
         staged: &StagedDatabase,
     ) -> Result<SearchResult, GpuError> {
-        let packed = PackedProfile::build(&self.config.params.matrix, query);
-        self.search_staged_with_profile(query, &packed, staged)
-    }
-
-    /// [`CudaSwDriver::search_staged`] with a caller-supplied packed
-    /// profile (the serve layer's profile cache skips re-building it for
-    /// repeated queries). `packed` must be built from `query` and the
-    /// driver's current scoring matrix.
-    pub fn search_staged_with_profile(
-        &mut self,
-        query: &[u8],
-        packed: &PackedProfile,
-        staged: &StagedDatabase,
-    ) -> Result<SearchResult, GpuError> {
+        let packed = profile.map_or_else(
+            || Cow::Owned(PackedProfile::build(&self.config.params.matrix, query)),
+            Cow::Borrowed,
+        );
         assert_eq!(
             packed.query_len(),
             query.len(),
@@ -184,7 +181,7 @@ impl CudaSwDriver {
         let mut scores = vec![0i32; staged.len()];
 
         let sp_stage = obs::span("stage_query", "phase");
-        let (staged_query, mut transfer_seconds) = self.stage_query(query, packed)?;
+        let (staged_query, mut transfer_seconds) = self.stage_query(query, &packed)?;
         sp_stage.end_with(&[]);
         let query_mark = self.dev.mark();
 
@@ -270,7 +267,7 @@ mod tests {
             let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c1060(), config(intra));
             let staged = driver.stage_database(&db).unwrap();
             assert!(staged.staging_seconds() > 0.0);
-            let got = driver.search_staged(&query, &staged).unwrap();
+            let got = driver.search_staged(&query, None, &staged).unwrap();
             assert_eq!(got.scores, expect.scores, "{intra:?}");
             assert_eq!(got.total_cells(), expect.total_cells());
             assert_eq!(got.fraction_long, expect.fraction_long);
@@ -289,9 +286,9 @@ mod tests {
         let staged = driver.stage_database(&db).unwrap();
         let q1 = make_query(57, 33);
         let q2 = make_query(64, 34);
-        driver.search_staged(&q1, &staged).unwrap();
+        driver.search_staged(&q1, None, &staged).unwrap();
         let before = obs::snapshot_metrics();
-        let r = driver.search_staged(&q2, &staged).unwrap();
+        let r = driver.search_staged(&q2, None, &staged).unwrap();
         let delta = obs::snapshot_metrics().diff(&before);
         // Exactly two H2D transfers per staged search: the packed profile
         // and the packed query residues. No database re-upload.
@@ -315,7 +312,7 @@ mod tests {
         let query = make_query(24, 41);
         let mut driver = CudaSwDriver::new(spec, cfg);
         let staged = driver.stage_database(&db).unwrap();
-        let r = driver.search_staged(&query, &staged).unwrap();
+        let r = driver.search_staged(&query, None, &staged).unwrap();
         assert_eq!(r.inter.launches, 4);
         // Swap the scoring matrix: the resident residues are reusable, the
         // profile is per-query anyway.
@@ -323,7 +320,7 @@ mod tests {
             matrix: sw_align::ScoringMatrix::blosum50(),
             ..SwParams::cudasw_default()
         };
-        let r50 = driver.search_staged(&query, &staged).unwrap();
+        let r50 = driver.search_staged(&query, None, &staged).unwrap();
         for (i, seq) in db.sequences().iter().enumerate() {
             assert_eq!(
                 r50.scores[i],
@@ -343,7 +340,7 @@ mod tests {
         let staged = driver.stage_database(&db).unwrap();
         // A plain search resets the allocator and re-stages everything.
         driver.search(&make_query(30, 1), &db).unwrap();
-        let err = driver.search_staged(&make_query(30, 1), &staged);
+        let err = driver.search_staged(&make_query(30, 1), None, &staged);
         assert!(matches!(err, Err(GpuError::InvalidLaunch { .. })));
     }
 
@@ -356,12 +353,14 @@ mod tests {
         let empty = sw_db::Database::new("empty", sw_align::Alphabet::Protein, vec![]);
         let staged = driver.stage_database(&empty).unwrap();
         assert!(staged.is_empty());
-        let r = driver.search_staged(&make_query(10, 1), &staged).unwrap();
+        let r = driver
+            .search_staged(&make_query(10, 1), None, &staged)
+            .unwrap();
         assert!(r.scores.is_empty());
 
         let db = db();
         let staged = driver.stage_database(&db).unwrap();
-        let r = driver.search_staged(&[], &staged).unwrap();
+        let r = driver.search_staged(&[], None, &staged).unwrap();
         assert!(r.scores.iter().all(|&s| s == 0));
     }
 }

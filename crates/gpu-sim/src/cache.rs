@@ -162,11 +162,6 @@ impl Cache {
         }
     }
 
-    /// Whether the cache participates at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// `line % sets` in four multiplies, no hardware divide (Lemire, Kaser
     /// & Kurz 2019, "Faster remainder by direct computation"): the low 128
     /// bits of `⌈2¹²⁸ / sets⌉ · line` are the fraction `line / sets` leaves,

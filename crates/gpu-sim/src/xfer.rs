@@ -4,7 +4,9 @@
 //! Two things matter to the paper's future-work section: the plain copy
 //! cost of staging the whole database before any alignment starts, and the
 //! *streamed* alternative that copies a chunk, starts computing on it, and
-//! hides the rest of the copy behind kernel execution.
+//! hides the rest of the copy behind kernel execution — counted copy by
+//! copy in a [`crate::GpuDevice::begin_h2d_stream`] session, not estimated
+//! here.
 //!
 //! The integrity layer ([`crc32`], [`crc32_words`]) models what a
 //! production scan does on hardware whose bus can corrupt data past ECC:
@@ -70,27 +72,6 @@ impl TransferModel {
     /// Seconds for one synchronous transfer of `bytes`.
     pub fn transfer_seconds(&self, bytes: usize) -> f64 {
         self.latency_seconds + bytes as f64 / self.bytes_per_second
-    }
-
-    /// Total seconds when `bytes` are copied in `chunk_bytes` pieces and
-    /// computation (taking `compute_seconds` overall, spread uniformly over
-    /// the data) starts as soon as the first chunk has landed.
-    ///
-    /// This is the streamed host→device copy of §VI: the first chunk is
-    /// exposed, the rest overlaps with compute. The result is
-    /// `first_chunk + max(rest_of_copy, compute)` — with compute-bound
-    /// workloads nearly all of the copy disappears.
-    pub fn streamed_seconds(&self, bytes: usize, chunk_bytes: usize, compute_seconds: f64) -> f64 {
-        if bytes == 0 {
-            return compute_seconds;
-        }
-        let chunk = chunk_bytes.clamp(1, bytes);
-        let chunks = bytes.div_ceil(chunk);
-        let first = self.transfer_seconds(chunk.min(bytes));
-        let rest_bytes = bytes - chunk.min(bytes);
-        let rest_copy =
-            rest_bytes as f64 / self.bytes_per_second + (chunks - 1) as f64 * self.latency_seconds;
-        first + rest_copy.max(compute_seconds)
     }
 }
 
@@ -180,32 +161,6 @@ mod tests {
     fn zero_bytes_costs_only_latency() {
         let m = model();
         assert!((m.transfer_seconds(0) - m.latency_seconds).abs() < 1e-15);
-    }
-
-    #[test]
-    fn streaming_hides_copy_behind_compute() {
-        let m = model();
-        let bytes = 100 << 20; // 100 MB
-        let sync_then_compute = m.transfer_seconds(bytes) + 1.0;
-        let streamed = m.streamed_seconds(bytes, 1 << 20, 1.0);
-        assert!(streamed < sync_then_compute);
-        // Compute (1 s) dominates the hidden copy (~18 ms), so streamed time
-        // is roughly first-chunk + compute.
-        assert!(streamed < 1.01);
-    }
-
-    #[test]
-    fn streaming_degenerates_to_sync_when_compute_is_zero() {
-        let m = model();
-        let bytes = 10 << 20;
-        let streamed = m.streamed_seconds(bytes, bytes, 0.0);
-        assert!((streamed - m.transfer_seconds(bytes)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn streaming_with_zero_bytes() {
-        let m = model();
-        assert_eq!(m.streamed_seconds(0, 1024, 0.5), 0.5);
     }
 
     #[test]

@@ -41,7 +41,6 @@ impl CounterSel {
 
 enum MetricCheck {
     Ge(CounterSel, f64),
-    Le(CounterSel, f64),
     EqApprox(CounterSel, f64, f64),
     RatioGe(CounterSel, CounterSel, f64),
     SumEq(Vec<CounterSel>, CounterSel, f64),
@@ -63,13 +62,6 @@ impl MetricsAssert {
     pub fn counter_ge(mut self, name: &str, labels: &[(&str, &str)], min: f64) -> Self {
         self.checks
             .push(MetricCheck::Ge(CounterSel::new(name, labels), min));
-        self
-    }
-
-    /// Require `counter <= max`.
-    pub fn counter_le(mut self, name: &str, labels: &[(&str, &str)], max: f64) -> Self {
-        self.checks
-            .push(MetricCheck::Le(CounterSel::new(name, labels), max));
         self
     }
 
@@ -134,12 +126,6 @@ impl MetricsAssert {
                     let v = sel.value(reg);
                     if v < *min {
                         failures.push(format!("{} = {v}, expected >= {min}", sel.name));
-                    }
-                }
-                MetricCheck::Le(sel, max) => {
-                    let v = sel.value(reg);
-                    if v > *max {
-                        failures.push(format!("{} = {v}, expected <= {max}", sel.name));
                     }
                 }
                 MetricCheck::EqApprox(sel, expected, tol) => {

@@ -137,11 +137,6 @@ impl WaveExecutor {
         self.lanes.iter().filter(|l| l.alive()).count()
     }
 
-    /// Number of lanes the executor started with.
-    pub fn lanes_total(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The cross-query health tracker (breaker states, fault scores).
     pub fn health(&self) -> &HealthTracker {
         &self.health

@@ -188,11 +188,7 @@ impl DeviceLane {
         budget: Option<f64>,
     ) -> Result<Option<LaneServed>, GpuError> {
         if let Some(staged) = self.staged.take() {
-            let attempt = match profile {
-                Some(p) => self.driver.search_staged_with_profile(query, p, &staged),
-                None => self.driver.search_staged(query, &staged),
-            };
-            match attempt {
+            match self.driver.search_staged(query, profile, &staged) {
                 Ok(r) => {
                     self.staged = Some(staged);
                     return Ok(Some(LaneServed {

@@ -205,6 +205,25 @@ fi
 repro "${device_args[@]}" >/dev/null
 repro gate "$tmp/BENCH_device.json"
 
+# Simulated numbers only move on purpose: these experiments print nothing
+# but counts and seconds off the simulated clock, so their stdout must
+# equal the files captured under tests/golden/ by the last change that
+# meant to move one (regenerate with `repro <exp> > tests/golden/<exp>.txt`
+# and say why in CHANGES.md).
+for exp in table1 fig3 fig5 fig6 strips retune multigpu validation; do
+  repro "$exp" | diff "tests/golden/$exp.txt" -
+done
+
+# A retired subcommand is a usage error (exit 2), not a silent no-op.
+for retired in extensions serve-rt; do
+  rc=0
+  repro "$retired" >/dev/null 2>&1 || rc=$?
+  if [[ "$rc" -ne 2 ]]; then
+    echo "verify: FAILED (repro $retired exited $rc, expected usage error 2)" >&2
+    exit 1
+  fi
+done
+
 # The size the ROADMAP's "ends smaller" target is judged by.
 bash scripts/loc.sh | tail -n 1
 

@@ -10,8 +10,8 @@
 //! recomputed on the host oracle.
 
 use cudasw_core::{
-    multi_gpu_search, multi_gpu_search_resilient_checkpointed, CheckpointPolicy, CudaSwConfig,
-    CudaSwDriver, ImprovedParams, IntraKernelChoice, RecoveryPolicy, VariantConfig,
+    multi_gpu_search, multi_gpu_search_resilient, CudaSwConfig, CudaSwDriver, ImprovedParams,
+    IntraKernelChoice, RecoveryPolicy, VariantConfig,
 };
 use gpu_sim::{DeviceSpec, FaultPlan, FaultSite, GpuError};
 use sw_align::smith_waterman::sw_score;
@@ -49,9 +49,11 @@ fn matrix_db() -> Database {
     database_with_lengths("crash-matrix", &lengths, 79)
 }
 
-fn no_fallback() -> RecoveryPolicy {
+/// No CPU fallback (a dead device is a crash), logging chunks to `log`.
+fn no_fallback(log: std::path::PathBuf) -> RecoveryPolicy {
     RecoveryPolicy {
         cpu_fallback: false,
+        checkpoint: Some(log),
         ..RecoveryPolicy::default()
     }
 }
@@ -74,17 +76,11 @@ fn every_launch_kill_point_resumes_bit_identically() {
     let db = matrix_db();
     let query = make_query(24, 41);
     let dir = temp_dir("launch");
-    let policy = no_fallback();
 
     let (baseline, base_run) = obs::capture(|| {
         let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
-        d.search_resilient_checkpointed(
-            &query,
-            &db,
-            &policy,
-            &CheckpointPolicy::at(dir.join("baseline.ckpt")),
-        )
-        .unwrap()
+        d.search_resilient(&query, &db, &no_fallback(dir.join("baseline.ckpt")))
+            .unwrap()
     });
     let launches = counter_sum(&base_run, "cudasw.gpu_sim.launch.calls") as u64;
     assert!(
@@ -93,12 +89,12 @@ fn every_launch_kill_point_resumes_bit_identically() {
     );
 
     for kill in 0..launches {
-        let ckpt = CheckpointPolicy::at(dir.join(format!("kill-{kill}.ckpt")));
+        let policy = no_fallback(dir.join(format!("kill-{kill}.ckpt")));
         let (crashed, _) = obs::capture(|| {
             let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
             d.dev
                 .inject_faults(FaultPlan::none().with_device_loss(FaultSite::Launch, kill));
-            d.search_resilient_checkpointed(&query, &db, &policy, &ckpt)
+            d.search_resilient(&query, &db, &policy)
         });
         assert!(
             matches!(crashed, Err(GpuError::DeviceLost)),
@@ -107,8 +103,7 @@ fn every_launch_kill_point_resumes_bit_identically() {
 
         let (resumed, _) = obs::capture(|| {
             let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
-            d.search_resilient_checkpointed(&query, &db, &policy, &ckpt)
-                .unwrap()
+            d.search_resilient(&query, &db, &policy).unwrap()
         });
         assert_eq!(
             resumed.result, baseline.result,
@@ -134,17 +129,11 @@ fn torn_or_corrupt_checkpoint_tail_resumes_from_the_intact_prefix() {
     let db = matrix_db();
     let query = make_query(24, 41);
     let dir = temp_dir("torn");
-    let policy = no_fallback();
 
     let (baseline, _) = obs::capture(|| {
         let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
-        d.search_resilient_checkpointed(
-            &query,
-            &db,
-            &policy,
-            &CheckpointPolicy::at(dir.join("baseline.ckpt")),
-        )
-        .unwrap()
+        d.search_resilient(&query, &db, &no_fallback(dir.join("baseline.ckpt")))
+            .unwrap()
     });
 
     for (tag, damage) in [
@@ -161,12 +150,12 @@ fn torn_or_corrupt_checkpoint_tail_resumes_from_the_intact_prefix() {
         }),
     ] {
         let path = dir.join(format!("{tag}.ckpt"));
-        let ckpt = CheckpointPolicy::at(&path);
+        let policy = no_fallback(path.clone());
         let (crashed, _) = obs::capture(|| {
             let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
             d.dev
                 .inject_faults(FaultPlan::none().with_device_loss(FaultSite::Launch, 3));
-            d.search_resilient_checkpointed(&query, &db, &policy, &ckpt)
+            d.search_resilient(&query, &db, &policy)
         });
         assert!(matches!(crashed, Err(GpuError::DeviceLost)));
 
@@ -178,8 +167,7 @@ fn torn_or_corrupt_checkpoint_tail_resumes_from_the_intact_prefix() {
 
         let (resumed, run) = obs::capture(|| {
             let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
-            d.search_resilient_checkpointed(&query, &db, &policy, &ckpt)
-                .unwrap()
+            d.search_resilient(&query, &db, &policy).unwrap()
         });
         assert_eq!(
             resumed.result, baseline.result,
@@ -211,36 +199,19 @@ fn multi_gpu_restart_replays_per_shard_logs() {
         FaultPlan::none().with_device_loss(FaultSite::Launch, 0),
         FaultPlan::none(),
     ];
-    let policy = RecoveryPolicy::default();
+    let policy = RecoveryPolicy {
+        checkpoint: Some(dir.clone()),
+        ..RecoveryPolicy::default()
+    };
 
     let (first, _) = obs::capture(|| {
-        multi_gpu_search_resilient_checkpointed(
-            &spec,
-            &cfg,
-            &query,
-            &db,
-            2,
-            &plans,
-            &policy,
-            Some(&dir),
-        )
-        .unwrap()
+        multi_gpu_search_resilient(&spec, &cfg, &query, &db, 2, &plans, &policy).unwrap()
     });
     assert_eq!(first.scores, clean.scores);
     assert!(first.recovery.shard_redispatches >= 1);
 
     let (second, run) = obs::capture(|| {
-        multi_gpu_search_resilient_checkpointed(
-            &spec,
-            &cfg,
-            &query,
-            &db,
-            2,
-            &plans,
-            &policy,
-            Some(&dir),
-        )
-        .unwrap()
+        multi_gpu_search_resilient(&spec, &cfg, &query, &db, 2, &plans, &policy).unwrap()
     });
     assert_eq!(second.scores, clean.scores);
     assert!(

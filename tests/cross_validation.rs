@@ -2,7 +2,7 @@
 //! workloads through the full stack.
 
 use cudasw_core::variants::run_intra_variant;
-use cudasw_core::{CudaSwConfig, CudaSwDriver, ImprovedParams, VariantConfig};
+use cudasw_core::{CudaSwConfig, CudaSwDriver, DeviceKernelConfig, ImprovedParams, VariantConfig};
 use gpu_sim::DeviceSpec;
 use proptest::prelude::*;
 use sw_align::smith_waterman::{sw_score, SwParams};
@@ -65,6 +65,7 @@ proptest! {
             &query,
             ImprovedParams { threads_per_block: 32, tile_height: 4 },
             VariantConfig::improved(),
+            DeviceKernelConfig::default(),
         )
         .expect("kernel run");
         prop_assert_eq!(scores[0], simd);
@@ -90,6 +91,7 @@ proptest! {
             &query,
             ImprovedParams { threads_per_block: n_th, tile_height: th },
             VariantConfig::improved(),
+            DeviceKernelConfig::default(),
         )
         .expect("kernel run");
         prop_assert_eq!(scores[0], expected, "n_th={} th={}", n_th, th);

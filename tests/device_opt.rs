@@ -1,10 +1,10 @@
-//! Differential matrix for the §VII device-kernel optimizations.
+//! Differential matrix for the §VI / §VII device-kernel optimizations.
 //!
 //! Every [`DeviceKernelConfig`] combination must compute **bit-identical**
 //! scores: the flags move traffic between memory spaces and overlap
 //! copies with compute, but the DP arithmetic — and therefore every score
 //! and every overflow/degradation verdict — is untouched. This suite pins
-//! that across the full 32-combination matrix, with and without injected
+//! that across the full 128-combination matrix, with and without injected
 //! faults, and pins the exact H2D call/byte accounting of the streamed
 //! staged path.
 
@@ -42,7 +42,7 @@ fn mixed_db() -> Database {
 }
 
 #[test]
-fn all_32_combinations_score_bit_identically() {
+fn all_128_combinations_score_bit_identically() {
     let db = mixed_db();
     let query = make_query(50, 19);
     let params = SwParams::cudasw_default();
@@ -74,7 +74,7 @@ fn staged_path_matches_unstaged_for_every_combination() {
         let staged = staged_drv.stage_database(&db).unwrap();
         for query in &queries {
             let a = plain.search(query, &db).unwrap();
-            let b = staged_drv.search_staged(query, &staged).unwrap();
+            let b = staged_drv.search_staged(query, None, &staged).unwrap();
             assert_eq!(a.scores, b.scores, "config {}", dc.label());
         }
     }
@@ -126,6 +126,81 @@ fn fault_matrix_is_invariant_across_the_flag_matrix() {
     }
 }
 
+/// The original intra-task kernel has no strips to fuse, no strip boundary
+/// to move and one block per pair by construction: the four flags that
+/// only touch the improved kernel must leave its whole `SearchResult` —
+/// scores, counts and the bits of every simulated second — where it was.
+#[test]
+fn intra_only_flags_leave_the_original_kernel_bit_identical() {
+    let db = mixed_db();
+    let query = make_query(50, 19);
+    let search = |device: DeviceKernelConfig| {
+        let cfg = CudaSwConfig {
+            intra: IntraKernelChoice::Original,
+            ..config(device)
+        };
+        // A fresh registry per search: phase seconds are registry deltas.
+        let (r, _) = obs::capture(|| {
+            CudaSwDriver::new(DeviceSpec::tesla_c2050(), cfg)
+                .search(&query, &db)
+                .unwrap()
+        });
+        r
+    };
+    let baseline = search(DeviceKernelConfig::default());
+    for bits in 1u8..16 {
+        let dc = DeviceKernelConfig {
+            pipeline_fusion: bits & 1 != 0,
+            balanced_intra: bits & 2 != 0,
+            coalesced_boundary: bits & 4 != 0,
+            shared_boundary: bits & 8 != 0,
+            ..DeviceKernelConfig::default()
+        };
+        assert_eq!(search(dc), baseline, "config {}", dc.label());
+    }
+}
+
+/// The shared boundary falls back at every length, whatever else is on:
+/// on the C2050 at `n_th` 256 it fits up to 5,632 residues. A fit rule
+/// that forgets any shared word the block reserves (here the coalescing
+/// stage, 5,569–5,632) turns the fallback into a failed launch.
+#[test]
+fn shared_boundary_falls_back_at_every_length() {
+    use cudasw_core::variants::run_intra_variant;
+
+    let params = SwParams::cudasw_default();
+    let query = make_query(1030, 43); // two strips at 256 × 4
+    let device = DeviceKernelConfig {
+        coalesced_boundary: true,
+        shared_boundary: true,
+        ..DeviceKernelConfig::default()
+    };
+    for len in [5560, 5600, 5632, 5633] {
+        let db = database_with_lengths("fit-edge", &[len], 47);
+        let (scores, stats) = run_intra_variant(
+            &DeviceSpec::tesla_c2050(),
+            db.sequences(),
+            &query,
+            ImprovedParams::default(),
+            VariantConfig::improved(),
+            device,
+        )
+        .unwrap_or_else(|e| panic!("length {len}: {e}"));
+        assert_eq!(
+            scores[0],
+            sw_score(&params, &query, &db.sequences()[0].residues),
+            "length {len}"
+        );
+        // In shared memory nothing of the boundary reaches global memory;
+        // past the fit the coalesced global boundary takes over.
+        assert_eq!(
+            stats.global_transactions() > 100,
+            len > 5632,
+            "length {len}"
+        );
+    }
+}
+
 /// The streamed staged path: the database uploads exactly once, every
 /// query still costs exactly two H2D calls (profile + packed residues),
 /// bytes moved are identical to the synchronous path, and a measurable
@@ -141,7 +216,7 @@ fn streamed_staging_uploads_once_and_hides_copy_time() {
             let staged = driver.stage_database(&db).unwrap();
             let mut out = Vec::new();
             for q in &queries {
-                out.push(driver.search_staged(q, &staged).unwrap());
+                out.push(driver.search_staged(q, None, &staged).unwrap());
             }
             let xfer = driver.dev.transfer_stats();
             (out, xfer)
@@ -219,8 +294,9 @@ impl Fnv {
 }
 
 /// Digest of every simulated number the four driver paths produce over the
-/// whole flag matrix, computed at the commit *before* the launch paths
-/// were merged into `cudasw_core::launch`. Scores, per-phase launches /
+/// §VII flag matrix (the first 32 combinations: both §VI boundary flags
+/// off), computed at the commit *before* the launch paths were merged into
+/// `cudasw_core::launch`. Scores, per-phase launches /
 /// cells / global transactions, and the bit patterns of the simulated
 /// kernel and transfer seconds all feed it, so any drift in allocation
 /// order, copy order, launch shape or float accumulation order on any
@@ -233,14 +309,14 @@ fn simulated_counts_are_pinned() {
     let queries = [make_query(50, 19), make_query(37, 23)];
     let policy = RecoveryPolicy::default();
     let mut digest = Fnv::new();
-    for dc in DeviceKernelConfig::all_combinations() {
+    for dc in &DeviceKernelConfig::all_combinations()[..32] {
         for intra in [
             IntraKernelChoice::Original,
             IntraKernelChoice::Improved(VariantConfig::improved()),
         ] {
             let cfg = CudaSwConfig {
                 intra,
-                ..config(dc)
+                ..config(*dc)
             };
             let driver = || CudaSwDriver::new(DeviceSpec::tesla_c2050(), cfg.clone());
             // Each path runs in its own capture scope: phase seconds are
@@ -252,7 +328,7 @@ fn simulated_counts_are_pinned() {
                 let staged = d.stage_database(&db).unwrap();
                 queries
                     .each_ref()
-                    .map(|q| d.search_staged(q, &staged).unwrap())
+                    .map(|q| d.search_staged(q, None, &staged).unwrap())
             });
             for r in &staged_results {
                 digest.result(r);
@@ -394,27 +470,28 @@ fn every_simulator_counter_is_pinned() {
         }
 
         // Improved intra-task kernel: §III stages, §VI extensions, 8-row tiles.
-        let flag = |set: fn(&mut VariantConfig)| {
-            let mut v = VariantConfig::improved();
-            set(&mut v);
-            v
+        let flag = |set: fn(&mut DeviceKernelConfig)| {
+            let mut dc = DeviceKernelConfig::default();
+            set(&mut dc);
+            dc
         };
+        let (improved, off) = (VariantConfig::improved(), DeviceKernelConfig::default());
         let variants = [
-            (4, VariantConfig::improved()),
-            (4, VariantConfig::naive()),
-            (4, VariantConfig::deep_swap()),
-            (4, flag(|v| v.coalesce_boundary = true)),
-            (4, flag(|v| v.boundary_in_shared = true)),
-            (4, flag(|v| v.continuous_pipeline = true)),
-            (8, VariantConfig::improved()),
+            (4, improved, off),
+            (4, VariantConfig::naive(), off),
+            (4, VariantConfig::deep_swap(), off),
+            (4, improved, flag(|dc| dc.coalesced_boundary = true)),
+            (4, improved, flag(|dc| dc.shared_boundary = true)),
+            (4, improved, flag(|dc| dc.pipeline_fusion = true)),
+            (8, improved, off),
         ];
-        for (tile_height, variant) in variants {
+        for (tile_height, variant, device) in variants {
             let shape = ImprovedParams {
                 threads_per_block: 32,
                 tile_height,
             };
             let (scores, stats) =
-                run_intra_variant(&spec, long.sequences(), &query, shape, variant).unwrap();
+                run_intra_variant(&spec, long.sequences(), &query, shape, variant, device).unwrap();
             digest.launch(&stats);
             for s in scores {
                 digest.word(s as u32 as u64);

@@ -4,7 +4,10 @@
 //! walls, lengths at and straddling the 3072 kernel threshold).
 
 use cudasw_core::variants::run_intra_variant;
-use cudasw_core::{CudaSwConfig, CudaSwDriver, ImprovedParams, IntraKernelChoice, VariantConfig};
+use cudasw_core::{
+    CudaSwConfig, CudaSwDriver, DeviceKernelConfig, ImprovedParams, IntraKernelChoice,
+    VariantConfig,
+};
 use gpu_sim::DeviceSpec;
 use sw_align::{encode_protein, sw_score, SwParams};
 use sw_db::synth::{database_with_lengths, make_query};
@@ -29,6 +32,7 @@ fn improved_scores(query: &[u8], db: &Database) -> Vec<i32> {
             tile_height: 4,
         },
         VariantConfig::improved(),
+        DeviceKernelConfig::default(),
     )
     .unwrap();
     scores

@@ -3,7 +3,7 @@
 //! true if the constants are ever re-tuned.
 
 use cudasw_core::variants::run_intra_variant;
-use cudasw_core::{CudaSwConfig, CudaSwDriver, ImprovedParams, VariantConfig};
+use cudasw_core::{CudaSwConfig, CudaSwDriver, DeviceKernelConfig, ImprovedParams, VariantConfig};
 use gpu_sim::memory::MemorySystem;
 use gpu_sim::{DeviceSpec, WarpAccess};
 use sw_db::synth::{database_with_lengths, make_query};
@@ -24,6 +24,7 @@ fn improved_kernel_traffic_scales_with_columns() {
         &query,
         params,
         VariantConfig::improved(),
+        DeviceKernelConfig::default(),
     )
     .unwrap();
     let (_, t_long) = run_intra_variant(
@@ -32,6 +33,7 @@ fn improved_kernel_traffic_scales_with_columns() {
         &query,
         params,
         VariantConfig::improved(),
+        DeviceKernelConfig::default(),
     )
     .unwrap();
     let ratio = t_long.global_transactions() as f64 / t_short.global_transactions() as f64;
