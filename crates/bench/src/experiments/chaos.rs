@@ -11,7 +11,7 @@ use std::path::Path;
 
 use crate::report::Table;
 use crate::workloads;
-use cudasw_core::{multi_gpu_search, multi_gpu_search_resilient, CudaSwConfig, RecoveryPolicy};
+use cudasw_core::{multi_gpu_search_resilient, CudaSwConfig, RecoveryPolicy};
 use gpu_sim::{DeviceSpec, FaultPlan, FaultRates, FaultSite};
 use sw_db::catalog::PaperDb;
 use sw_db::{Database, SynthConfig};
@@ -95,7 +95,9 @@ pub fn run_with_options(
     let mut cfg = CudaSwConfig::improved();
     cfg.inter_threads_per_block = 64;
 
-    let clean = multi_gpu_search(spec, &cfg, &query, &db, 2).expect("clean search");
+    let fault_free = RecoveryPolicy::default();
+    let clean = multi_gpu_search_resilient(spec, &cfg, &query, &db, 2, &[], &fault_free)
+        .expect("clean search");
 
     // At this scale a shard's short side is a single inter-task launch, so
     // the scripted loss must hit launch 0 to fire at all.

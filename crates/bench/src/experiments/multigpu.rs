@@ -7,8 +7,7 @@
 
 use crate::report::Table;
 use crate::workloads;
-use cudasw_core::multi_gpu::multi_gpu_search;
-use cudasw_core::CudaSwConfig;
+use cudasw_core::{multi_gpu_search_resilient, CudaSwConfig, RecoveryPolicy};
 use gpu_sim::DeviceSpec;
 use sw_db::catalog::PaperDb;
 use sw_db::{Database, SynthConfig};
@@ -75,7 +74,9 @@ pub fn run(spec: &DeviceSpec, db_size: usize, query_len: usize) -> MultiGpuResul
     let mut rows = Vec::new();
     let mut base = 0.0;
     for k in [1usize, 2, 4] {
-        let r = multi_gpu_search(spec, &cfg, &query, &db, k).expect("multi-gpu search");
+        let policy = RecoveryPolicy::default();
+        let r = multi_gpu_search_resilient(spec, &cfg, &query, &db, k, &[], &policy)
+            .expect("multi-gpu search");
         if k == 1 {
             base = r.wall_seconds();
         }

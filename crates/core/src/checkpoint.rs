@@ -10,8 +10,9 @@
 //! * **Append-only records.** Every completed chunk appends one
 //!   [`ChunkRecord`] carrying the chunk cursor (phase + half-open
 //!   sequence range), the chunk's scores (of which the top-k are a view,
-//!   [`ChunkRecord::top_hits`]), its transfer seconds, and the
-//!   metrics-registry delta the chunk produced — enough to replay the
+//!   [`ChunkRecord::top_hits`]), its transfer seconds, the
+//!   metrics-registry delta the chunk produced, and the overlap credit it
+//!   left in the search's `streamed_h2d` session — enough to replay the
 //!   chunk's entire observable effect without re-running it.
 //! * **Versioned, fingerprinted header.** The header binds the log to one
 //!   exact run ([`run_fingerprint`] over the configuration, query and
@@ -44,8 +45,9 @@ use sw_db::Database;
 /// Log file magic (8 bytes).
 pub const MAGIC: [u8; 8] = *b"CSWCKPT\n";
 
-/// Current log format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current log format version. Version 1 records had no
+/// [`ChunkRecord::stream_credit`]; such a log is a [`LoadIssue::BadHeader`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Which driver phase a chunk belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,6 +90,11 @@ pub struct ChunkRecord {
     pub transfer_seconds: f64,
     /// Metrics-registry delta recorded while the chunk ran.
     pub metrics: MetricsRegistry,
+    /// Unspent overlap credit of the search's `streamed_h2d` session once
+    /// the chunk was done (0 with the flag off): what the next chunk's
+    /// uploads may hide behind, so a resumed search restores it after
+    /// replaying this record.
+    pub stream_credit: f64,
 }
 
 impl ChunkRecord {
@@ -311,6 +318,7 @@ fn encode_payload(rec: &ChunkRecord) -> Vec<u8> {
     }
     put_f64(&mut p, rec.transfer_seconds);
     encode_metrics(&mut p, &rec.metrics);
+    put_f64(&mut p, rec.stream_credit);
     p
 }
 
@@ -329,6 +337,7 @@ fn decode_payload(payload: &[u8]) -> Option<ChunkRecord> {
     }
     let transfer_seconds = r.f64()?;
     let metrics = decode_metrics(&mut r)?;
+    let stream_credit = r.f64()?;
     if !r.done() {
         return None; // trailing garbage inside a checksummed frame
     }
@@ -339,6 +348,7 @@ fn decode_payload(payload: &[u8]) -> Option<ChunkRecord> {
         scores,
         transfer_seconds,
         metrics,
+        stream_credit,
     })
 }
 
@@ -614,6 +624,7 @@ mod tests {
                 scores: vec![10, -3, 0, 99],
                 transfer_seconds: 1.5e-4,
                 metrics: m1,
+                stream_credit: 3.25e-5,
             },
             ChunkRecord {
                 phase: ChunkPhase::Intra,
@@ -622,6 +633,7 @@ mod tests {
                 scores: vec![123, 456],
                 transfer_seconds: 2.5e-5,
                 metrics: m2,
+                stream_credit: 0.0,
             },
         ]
     }
@@ -662,6 +674,15 @@ mod tests {
         assert_eq!(decode_log(&bytes, 42).issue, Some(LoadIssue::BadHeader));
 
         assert_eq!(decode_log(b"short", 42).issue, Some(LoadIssue::BadHeader));
+
+        // A log an older build wrote: intact header, right run, version 1.
+        let mut bytes = encode_log(42, &sample_records());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&bytes[..HEADER_LEN - 4]);
+        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        let loaded = decode_log(&bytes, 42);
+        assert_eq!(loaded.issue, Some(LoadIssue::BadHeader));
+        assert!(loaded.records.is_empty());
     }
 
     #[test]

@@ -11,19 +11,20 @@
 //! what Figure 5(b) plots, and accumulates host→device transfer time for
 //! the streamed-copy experiment of §VI.
 //!
-//! [`CudaSwDriver::search`] owns the partition, the per-search database
-//! uploads, the allocator mark and the per-search `streamed_h2d` session;
-//! every kernel is built and launched by the shared launch path in
-//! `launch.rs`, which is also where each [`DeviceKernelConfig`] kernel
-//! flag is read.
+//! This module holds the configuration, the result type and the entry
+//! point; the walk itself — partition, per-search database uploads,
+//! allocator mark, the per-search `streamed_h2d` session — is the chunk
+//! loop in `recovery.rs`, of which [`CudaSwDriver::search`] is the
+//! fault-free case. Every kernel is built and launched by the shared
+//! launch path in `launch.rs`, which is also where each
+//! [`DeviceKernelConfig`] kernel flag is read.
 
 use crate::intra_improved::{ImprovedParams, VariantConfig};
-use crate::intra_orig::IntraPair;
-use crate::seqstore::GroupImage;
+use crate::recovery::RecoveryPolicy;
 use gpu_sim::stats::{LaunchStats, RunStats};
 use gpu_sim::{DeviceSpec, GpuDevice, GpuError};
 use obs::MetricsRegistry;
-use sw_align::{PackedProfile, SwParams};
+use sw_align::SwParams;
 use sw_db::Database;
 
 /// Record one kernel launch under its driver phase (`"inter"` /
@@ -46,7 +47,7 @@ pub(crate) fn note_phase_launch(phase: &str, stats: &LaunchStats) {
 ///
 /// Counter values are exact for the integer fields (every count in this
 /// workspace is far below 2^53), so the reconstruction is lossless.
-pub(crate) fn phase_run_stats(delta: &MetricsRegistry, phase: &str) -> RunStats {
+fn phase_run_stats(delta: &MetricsRegistry, phase: &str) -> RunStats {
     let labels = [("phase", phase)];
     RunStats {
         launches: delta.counter_sum("cudasw.core.phase.launches", &labels) as u32,
@@ -54,6 +55,45 @@ pub(crate) fn phase_run_stats(delta: &MetricsRegistry, phase: &str) -> RunStats 
         seconds: delta.counter_sum("cudasw.core.phase.seconds", &labels),
         global_transactions: delta.counter_sum("cudasw.core.phase.global_transactions", &labels)
             as u64,
+    }
+}
+
+/// One search's `search` span and the registry snapshot its result is
+/// measured against. Phase accounting lives in the metrics registry; the
+/// [`RunStats`] fields of a [`SearchResult`] are views reconstructed from
+/// the delta between [`SearchScope::begin`] and [`SearchScope::finish`].
+pub(crate) struct SearchScope {
+    span: obs::SpanGuard,
+    metrics_before: MetricsRegistry,
+}
+
+impl SearchScope {
+    pub(crate) fn begin() -> Self {
+        Self {
+            span: obs::span("search", "phase"),
+            metrics_before: obs::snapshot_metrics(),
+        }
+    }
+
+    pub(crate) fn finish(
+        self,
+        scores: Vec<i32>,
+        transfer_seconds: f64,
+        fraction_long: f64,
+        threshold: usize,
+        query_len: usize,
+    ) -> SearchResult {
+        let delta = obs::snapshot_metrics().diff(&self.metrics_before);
+        self.span.end_with(&[("query_len", &query_len.to_string())]);
+        SearchResult {
+            scores,
+            inter: phase_run_stats(&delta, "inter"),
+            intra: phase_run_stats(&delta, "intra"),
+            transfer_seconds,
+            fraction_long,
+            threshold,
+            query_len,
+        }
     }
 }
 
@@ -287,81 +327,13 @@ impl CudaSwDriver {
             .max(1)
     }
 
-    /// Compare `query` against every database sequence.
+    /// Compare `query` against every database sequence: the chunk loop of
+    /// `recovery.rs` with nothing to recover — the first device error is
+    /// returned as it is. The device's integrity-check and watchdog
+    /// settings are used as found, not set.
     pub fn search(&mut self, query: &[u8], db: &Database) -> Result<SearchResult, GpuError> {
-        let sp_search = obs::span("search", "phase");
-        let metrics_before = obs::snapshot_metrics();
-        self.dev.free_all();
-        let streamed = self.config.device.streamed_h2d;
-        if streamed {
-            // §VII streamed copy: one stream session per search; every
-            // kernel launch deposits overlap credit that hides the body
-            // of subsequent H2D copies. Bytes moved are unchanged.
-            self.dev.begin_h2d_stream();
-        }
-        let partition = db.partition(self.config.threshold);
-        let fraction_long = partition.fraction_long();
-        let mut scores = vec![0i32; db.len()];
-
-        // Stage the query artefacts once (profile for both kernels, packed
-        // residues for the original intra kernel).
-        let sp_stage = obs::span("stage_query", "phase");
-        let packed = PackedProfile::build(&self.config.params.matrix, query);
-        let (staged_query, mut transfer_seconds) = self.stage_query(query, &packed)?;
-        sp_stage.end_with(&[]);
-
-        // Inter-task: groups of `s` sequences, one launch per group, with
-        // per-group images and scratch released between launches.
-        let s = self.group_size();
-        let sp_inter = obs::span("inter_task", "phase");
-        let mark = self.dev.mark();
-        let mut offset = 0usize;
-        for group in partition.groups(s) {
-            let (gimg, secs) = GroupImage::upload(&mut self.dev, group)?;
-            transfer_seconds += secs;
-            let (stats, group_scores) =
-                self.launch_inter_group(&gimg, &staged_query.profile, &mut transfer_seconds)?;
-            note_phase_launch("inter", &stats);
-            scores[offset..offset + group.len()].copy_from_slice(&group_scores);
-            offset += group.len();
-            self.dev.free_to(mark);
-        }
-        sp_inter.end_with(&[]);
-
-        // Intra-task: every long sequence staged, then one launch for all.
-        if !partition.long.is_empty() {
-            let sp_intra = obs::span("intra_task", "phase");
-            let pairs = IntraPair::stage(&mut self.dev, partition.long, &mut transfer_seconds)?;
-            let (stats, long_scores) = self.launch_intra(
-                &pairs,
-                &staged_query,
-                "intra_improved",
-                &mut transfer_seconds,
-            )?;
-            note_phase_launch("intra", &stats);
-            scores[offset..].copy_from_slice(&long_scores);
-            sp_intra.end_with(&[]);
-        }
-
-        if streamed {
-            self.dev.end_h2d_stream();
-        }
-        // Phase accounting lives in the metrics registry; the RunStats
-        // fields of the result are views reconstructed from this search's
-        // delta.
-        let delta = obs::snapshot_metrics().diff(&metrics_before);
-        let inter = phase_run_stats(&delta, "inter");
-        let intra = phase_run_stats(&delta, "intra");
-        sp_search.end_with(&[("query_len", &query.len().to_string())]);
-        Ok(SearchResult {
-            scores,
-            inter,
-            intra,
-            transfer_seconds,
-            fraction_long,
-            threshold: self.config.threshold,
-            query_len: query.len(),
-        })
+        self.search_with(query, db, &RecoveryPolicy::fail_fast())
+            .map(|searched| searched.result)
     }
 }
 

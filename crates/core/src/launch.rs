@@ -1,9 +1,10 @@
 //! The driver's one device launch path.
 //!
-//! Every driver entry point — [`CudaSwDriver::search`], the staged search,
-//! the resilient chunk loop and the ablation helper
-//! [`crate::variants::run_intra_variant`] — reaches the device through the
-//! three functions here. They are the only non-test code that builds an
+//! Both searches — the chunk loop of `recovery.rs`, which
+//! [`CudaSwDriver::search`], the resilient search, the multi-GPU shards
+//! and the ablation helper [`crate::variants::run_intra_variant`] all run,
+//! and the staged search — reach the device through the three functions
+//! here. They are the only non-test code that builds an
 //! [`InterTaskKernel`], [`OriginalIntraKernel`] or [`ImprovedIntraKernel`],
 //! and the only code that reads a [`crate::DeviceKernelConfig`] kernel
 //! flag, so a launch decision (panel width, boundary store, fusion, SaLoBa
@@ -12,11 +13,11 @@
 //!
 //! Callers keep what truly differs between them: who uploads the database
 //! images, which allocator mark is rolled back after a launch, and how long
-//! a `streamed_h2d` session lives (per search, per staged database, per
-//! recovery chunk). Each function performs its device allocations, launch
-//! and score read-back in one fixed order, and adds copy seconds to the
-//! caller's running total one copy at a time, so every path's simulated
-//! counts and seconds are reproducible to the bit.
+//! a `streamed_h2d` session lives — one search in the chunk loop, the
+//! staged database's lifetime in `staged.rs`. Each function performs its
+//! device allocations, launch and score read-back in one fixed order, and
+//! adds copy seconds to the caller's running total one copy at a time, so
+//! every path's simulated counts and seconds are reproducible to the bit.
 
 use crate::balance::residue_balanced_bins;
 use crate::driver::{CudaSwDriver, IntraKernelChoice};
@@ -116,14 +117,11 @@ impl CudaSwDriver {
 
     /// Launch the configured intra-task kernel over `pairs` and read one
     /// score per pair back (one attempt; the caller owns the allocator
-    /// mark). `improved_name` labels the
-    /// improved kernel's launch span and counters: the driver paths pass
-    /// `"intra_improved"`, the ablation helper keeps its launches apart.
+    /// mark).
     pub(crate) fn launch_intra(
         &mut self,
         pairs: &[IntraPair],
         query: &StagedQuery,
-        improved_name: &str,
         transfer_seconds: &mut f64,
     ) -> Result<(LaunchStats, Vec<i32>), GpuError> {
         let dc = self.config.device;
@@ -187,7 +185,7 @@ impl CudaSwDriver {
                     schedule: schedule.as_deref(),
                 };
                 let blocks = schedule.as_ref().map_or(pairs.len(), Vec::len) as u32;
-                self.dev.launch(&kernel, blocks, improved_name)?
+                self.dev.launch(&kernel, blocks, "intra_improved")?
             }
         };
         if dc.streamed_h2d {

@@ -56,9 +56,7 @@ pub use driver::{CudaSwConfig, CudaSwDriver, DeviceKernelConfig, IntraKernelChoi
 pub use inter_task::InterTaskKernel;
 pub use intra_improved::{BoundaryStore, ImprovedIntraKernel, ImprovedParams, VariantConfig};
 pub use intra_orig::{IntraPair, OriginalIntraKernel};
-pub use multi_gpu::{
-    multi_gpu_search, multi_gpu_search_resilient, MultiGpuResult, ResilientMultiGpuResult,
-};
+pub use multi_gpu::{multi_gpu_search_resilient, ResilientMultiGpuResult};
 pub use recovery::{RecoveryEvent, RecoveryPolicy, RecoveryReport, ResilientSearchResult};
 pub use staged::StagedDatabase;
 

@@ -11,83 +11,25 @@
 //! length-sorted database is dealt round-robin across `k` identical
 //! devices (so every device sees the same length distribution), each
 //! device runs a full search over its shard concurrently, and the wall
-//! time is the slowest device's time.
+//! time is the slowest device's time. There is one multi-GPU function,
+//! [`multi_gpu_search_resilient`]; the fault-free search is that function
+//! given no fault plans.
 
 use crate::driver::{CudaSwConfig, CudaSwDriver, SearchResult};
 use crate::recovery::{cpu_scores, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_db::{Database, Sequence};
 
-/// Result of a search fanned out over `k` devices.
-#[derive(Debug, Clone)]
-pub struct MultiGpuResult {
-    /// Scores aligned with `db.sequences()` order (merged from all shards).
-    pub scores: Vec<i32>,
-    /// Per-device results, in device order.
-    pub per_device: Vec<SearchResult>,
-    /// Devices used.
-    pub devices: usize,
-}
-
-impl MultiGpuResult {
-    /// Total cells across all devices.
-    pub fn total_cells(&self) -> u64 {
-        self.per_device.iter().map(|r| r.total_cells()).sum()
-    }
-
-    /// Wall-clock seconds: devices run concurrently, so the slowest shard
-    /// defines the search time.
-    pub fn wall_seconds(&self) -> f64 {
-        self.per_device
-            .iter()
-            .map(|r| r.kernel_seconds())
-            .fold(0.0, f64::max)
-    }
-
-    /// Aggregate GCUPs over the wall time.
-    pub fn gcups(&self) -> f64 {
-        let s = self.wall_seconds();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.total_cells() as f64 / s / 1.0e9
-        }
-    }
-
-    /// Load balance: slowest device time / mean device time (1.0 = perfect).
-    pub fn imbalance(&self) -> f64 {
-        if self.per_device.is_empty() {
-            return 1.0;
-        }
-        let mean: f64 = self
-            .per_device
-            .iter()
-            .map(|r| r.kernel_seconds())
-            .sum::<f64>()
-            / self.per_device.len() as f64;
-        if mean <= 0.0 {
-            1.0
-        } else {
-            self.wall_seconds() / mean
-        }
-    }
-}
-
-/// Run one shard's search on a fresh device, scoped for observability:
-/// the trace lane is the device index (so each device gets its own row in
-/// the Chrome trace viewer), a `shard` span wraps the work, and per-device
-/// counters record what the shard handled. Shards run sequentially on the
-/// host; lanes reconstruct the concurrency the timing model assumes.
-fn run_shard<R>(
-    device: usize,
-    spec: &DeviceSpec,
-    config: &CudaSwConfig,
-    body: impl FnOnce(&mut CudaSwDriver) -> Result<R, GpuError>,
-) -> Result<R, GpuError> {
+/// Run `body` as device `device`'s share of the search, scoped for
+/// observability: the trace lane is the device index (so each device gets
+/// its own row in the Chrome trace viewer), a span named `span` wraps the
+/// work, and a per-device counter records that the device searched. Shards
+/// run sequentially on the host; lanes reconstruct the concurrency the
+/// timing model assumes.
+fn on_device_lane<R>(device: usize, span: &str, body: impl FnOnce() -> R) -> R {
     let prev_lane = obs::set_lane(device as u32 + 1);
-    let sp = obs::span("shard", "phase");
-    let mut driver = CudaSwDriver::new(spec.clone(), config.clone());
-    let result = body(&mut driver);
+    let sp = obs::span(span, "phase");
+    let result = body();
     let dev_label = device.to_string();
     obs::counter_add("cudasw.core.shard.searches", &[("device", &dev_label)], 1.0);
     sp.end_with(&[("device", &dev_label)]);
@@ -121,31 +63,7 @@ pub fn unshard_scores(scores: &mut [i32], s: usize, k: usize, shard_scores: &[i3
     }
 }
 
-/// Run `query` against `db` on `k` simulated devices of the same spec.
-pub fn multi_gpu_search(
-    spec: &DeviceSpec,
-    config: &CudaSwConfig,
-    query: &[u8],
-    db: &Database,
-    k: usize,
-) -> Result<MultiGpuResult, GpuError> {
-    let k = k.max(1);
-    let shards = shard_database(db, k);
-    let mut per_device = Vec::with_capacity(k);
-    let mut scores = vec![0i32; db.len()];
-    for (i, shard) in shards.iter().enumerate() {
-        let r = run_shard(i, spec, config, |driver| driver.search(query, shard))?;
-        unshard_scores(&mut scores, i, k, &r.scores);
-        per_device.push(r);
-    }
-    Ok(MultiGpuResult {
-        scores,
-        per_device,
-        devices: k,
-    })
-}
-
-/// Result of a fault-tolerant multi-GPU search.
+/// Result of a search fanned out over `k` devices.
 #[derive(Debug, Clone)]
 pub struct ResilientMultiGpuResult {
     /// Scores aligned with `db.sequences()` order (merged from all shards,
@@ -166,21 +84,49 @@ impl ResilientMultiGpuResult {
         self.per_device.iter().filter(|r| r.is_some()).count()
     }
 
-    /// Wall-clock seconds over the surviving devices (re-dispatched work
-    /// runs serially after the first pass on the device that claims it,
-    /// and is already included in that device's aggregate).
+    /// Per-device kernel seconds of the devices that survived.
+    fn device_seconds(&self) -> impl Iterator<Item = f64> + '_ {
+        self.per_device.iter().flatten().map(|r| r.kernel_seconds())
+    }
+
+    /// Total cells the surviving devices updated on their own shards.
+    pub fn total_cells(&self) -> u64 {
+        let results = self.per_device.iter().flatten();
+        results.map(SearchResult::total_cells).sum()
+    }
+
+    /// Wall-clock seconds: devices run concurrently, so the slowest
+    /// surviving device's own shard defines the search time.
     pub fn wall_seconds(&self) -> f64 {
-        self.per_device
-            .iter()
-            .flatten()
-            .map(|r| r.kernel_seconds())
-            .fold(0.0, f64::max)
+        self.device_seconds().fold(0.0, f64::max)
+    }
+
+    /// Aggregate GCUPs over the wall time.
+    pub fn gcups(&self) -> f64 {
+        let s = self.wall_seconds();
+        if s <= 0.0 {
+            0.0
+        } else {
+            self.total_cells() as f64 / s / 1.0e9
+        }
+    }
+
+    /// Load balance: slowest device time / mean device time (1.0 = perfect).
+    pub fn imbalance(&self) -> f64 {
+        let mean = self.device_seconds().sum::<f64>() / self.surviving_devices().max(1) as f64;
+        if mean <= 0.0 {
+            1.0
+        } else {
+            self.wall_seconds() / mean
+        }
     }
 }
 
-/// [`multi_gpu_search`] with fault injection and recovery.
+/// Run `query` against `db` on `k` simulated devices of the same spec,
+/// with fault injection and recovery.
 ///
-/// `plans[i]` (when present) is installed on device `i` before the search.
+/// `plans[i]` (when present) is installed on device `i` before the search;
+/// no plans is the fault-free search.
 /// Each shard first runs resiliently on its own device (retries and OOM
 /// re-chunking happen there, but *without* CPU fallback); a device that
 /// dies anyway forfeits its shard, which is re-dealt round-robin across
@@ -226,12 +172,9 @@ pub fn multi_gpu_search_resilient(
     let mut failed = Vec::new();
 
     for (s, shard) in shards.iter().enumerate() {
-        let prev_lane = obs::set_lane(s as u32 + 1);
-        let sp = obs::span("shard", "phase");
-        let outcome =
-            drivers[s].search_resilient(query, shard, &shard_policy(format!("shard-{s}.ckpt")));
-        sp.end_with(&[("device", &s.to_string())]);
-        obs::set_lane(prev_lane);
+        let outcome = on_device_lane(s, "shard", || {
+            drivers[s].search_resilient(query, shard, &shard_policy(format!("shard-{s}.ckpt")))
+        });
         match outcome {
             Ok(rr) => {
                 unshard_scores(&mut scores, s, k, &rr.result.scores);
@@ -268,46 +211,36 @@ pub fn multi_gpu_search_resilient(
                     }
                     // Budget-exhausted degrade: once the deadline has
                     // passed, a device re-dispatch (staging + kernels +
-                    // possible retries) only digs the hole deeper — the
-                    // host absorbs the sub-shard directly.
-                    if policy.cpu_fallback
-                        && policy.deadline_seconds.is_some_and(|d| obs::now() >= d)
-                    {
-                        let mut sub_scores = vec![0i32; subshard.len()];
-                        cpu_scores(&config.params, query, subshard.sequences(), &mut sub_scores);
-                        merge(&sub_scores);
-                        report.note_cpu_fallback(subshard.len());
-                        continue;
-                    }
-                    let prev_lane = obs::set_lane(dev_idx as u32 + 1);
-                    let sp = obs::span("shard_redispatch", "phase");
-                    let outcome = drivers[dev_idx].search_resilient(
-                        query,
-                        subshard,
-                        &shard_policy(format!("redispatch-{s}-{t}.ckpt")),
-                    );
-                    sp.end_with(&[("device", &dev_idx.to_string())]);
-                    obs::set_lane(prev_lane);
+                    // possible retries) only digs the hole deeper.
+                    let out_of_time = policy.cpu_fallback
+                        && policy.deadline_seconds.is_some_and(|d| obs::now() >= d);
+                    let outcome = (!out_of_time).then(|| {
+                        on_device_lane(dev_idx, "shard_redispatch", || {
+                            drivers[dev_idx].search_resilient(
+                                query,
+                                subshard,
+                                &shard_policy(format!("redispatch-{s}-{t}.ckpt")),
+                            )
+                        })
+                    });
                     match outcome {
-                        Ok(rr) => {
+                        Some(Ok(rr)) => {
                             merge(&rr.result.scores);
                             report.merge(&rr.recovery);
                             report.note_redispatch(s, dev_idx, subshard.len());
                         }
-                        Err(e) if e.is_recoverable() && policy.cpu_fallback => {
-                            // The survivor died too; the host absorbs this
-                            // sub-shard.
+                        Some(Err(e)) if !(e.is_recoverable() && policy.cpu_fallback) => {
+                            return Err(e)
+                        }
+                        // No time left, or the survivor died too: the host
+                        // absorbs this sub-shard.
+                        _ => {
                             let mut sub_scores = vec![0i32; subshard.len()];
-                            cpu_scores(
-                                &config.params,
-                                query,
-                                subshard.sequences(),
-                                &mut sub_scores,
-                            );
+                            let seqs = subshard.sequences();
+                            cpu_scores(&config.params, query, seqs, &mut sub_scores);
                             merge(&sub_scores);
                             report.note_cpu_fallback(subshard.len());
                         }
-                        Err(e) => return Err(e),
                     }
                 }
             }
@@ -341,6 +274,14 @@ mod tests {
         .generate()
     }
 
+    /// The fault-free search: no plans, and a ledger with nothing in it.
+    fn search(cfg: &CudaSwConfig, q: &[u8], db: &Database, k: usize) -> ResilientMultiGpuResult {
+        let (spec, policy) = (DeviceSpec::tesla_c1060(), RecoveryPolicy::default());
+        let r = multi_gpu_search_resilient(&spec, cfg, q, db, k, &[], &policy).unwrap();
+        assert_eq!(r.recovery, RecoveryReport::default());
+        r
+    }
+
     #[test]
     fn sharding_preserves_all_sequences() {
         let d = db(37);
@@ -361,16 +302,16 @@ mod tests {
         let params = SwParams::cudasw_default();
         let mut cfg = CudaSwConfig::improved();
         cfg.threshold = 200;
-        let r = multi_gpu_search(&DeviceSpec::tesla_c1060(), &cfg, &query, &d, 3).unwrap();
-        for (i, seq) in d.sequences().iter().enumerate() {
-            assert_eq!(
-                r.scores[i],
-                sw_score(&params, &query, &seq.residues),
-                "seq {i}"
-            );
+        let seqs = d.sequences().iter();
+        let expect: Vec<i32> = seqs
+            .map(|seq| sw_score(&params, &query, &seq.residues))
+            .collect();
+        for k in [1, 2, 3, 4] {
+            let r = search(&cfg, &query, &d, k);
+            assert_eq!(r.scores, expect, "k={k}");
+            assert_eq!((r.devices, r.surviving_devices()), (k, k));
+            assert_eq!(r.total_cells(), d.total_cells(72), "k={k}");
         }
-        assert_eq!(r.devices, 3);
-        assert_eq!(r.total_cells(), d.total_cells(72));
     }
 
     #[test]
@@ -381,9 +322,8 @@ mod tests {
         let d = db(1200);
         let query = make_query(144, 5);
         let cfg = CudaSwConfig::improved();
-        let spec = DeviceSpec::tesla_c1060();
-        let one = multi_gpu_search(&spec, &cfg, &query, &d, 1).unwrap();
-        let two = multi_gpu_search(&spec, &cfg, &query, &d, 2).unwrap();
+        let one = search(&cfg, &query, &d, 1);
+        let two = search(&cfg, &query, &d, 2);
         assert_eq!(one.scores, two.scores);
         let speedup = one.wall_seconds() / two.wall_seconds();
         assert!(
@@ -429,7 +369,7 @@ mod tests {
         let d = db(3);
         let query = make_query(24, 7);
         let cfg = CudaSwConfig::improved();
-        let r = multi_gpu_search(&DeviceSpec::tesla_c2050(), &cfg, &query, &d, 8).unwrap();
+        let r = search(&cfg, &query, &d, 8);
         assert_eq!(r.scores.len(), 3);
         let params = SwParams::cudasw_default();
         for (i, seq) in d.sequences().iter().enumerate() {

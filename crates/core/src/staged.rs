@@ -15,8 +15,10 @@
 //! same profile, the same launch shapes; only the transfer accounting
 //! moves (database bytes live in [`StagedDatabase::staging_seconds`], not
 //! in every result). This module owns what is specific to residency: the
-//! one-time uploads, the staged/query allocator marks, and a
-//! `streamed_h2d` session that lives as long as the staged database.
+//! one-time uploads, the staged/query allocator marks, and the second of
+//! the driver's two `streamed_h2d` session lifetimes — one that lives as
+//! long as the staged database, where the chunk loop's (`recovery.rs`)
+//! lives as long as one search.
 //!
 //! The handle borrows nothing but is only valid while its allocations
 //! live: any call that resets the allocator ([`gpu_sim::GpuDevice::free_all`],
@@ -29,7 +31,7 @@
 
 use std::borrow::Cow;
 
-use crate::driver::{note_phase_launch, phase_run_stats, CudaSwDriver, SearchResult};
+use crate::driver::{note_phase_launch, CudaSwDriver, SearchResult, SearchScope};
 use crate::intra_orig::IntraPair;
 use crate::seqstore::GroupImage;
 use gpu_sim::GpuError;
@@ -153,7 +155,17 @@ impl CudaSwDriver {
     ///
     /// `profile`, when given, must be built from `query` and the driver's
     /// current scoring matrix (the serve layer's profile cache skips
-    /// re-building it for repeated queries); `None` builds it here.
+    /// re-building it for repeated queries); `None` builds it here. One
+    /// whose length is not the query's is a [`GpuError::InvalidLaunch`].
+    ///
+    /// This is not a case of the chunk loop every other search runs
+    /// (`recovery.rs`), and stays apart from it: which of the two runs is
+    /// decided by the input (the caller holds a [`StagedDatabase`] or does
+    /// not), the `streamed_h2d` session here outlives the search with the
+    /// staged images, and a retry inside it would change what the serve
+    /// lane's ladder does on a fault — drop the handle and rerun through
+    /// the loop — which `BENCH_soak.json` pins. The two share the launch
+    /// path and the result assembly.
     pub fn search_staged(
         &mut self,
         query: &[u8],
@@ -164,18 +176,21 @@ impl CudaSwDriver {
             || Cow::Owned(PackedProfile::build(&self.config.params.matrix, query)),
             Cow::Borrowed,
         );
-        assert_eq!(
-            packed.query_len(),
-            query.len(),
-            "profile must be built from the query"
-        );
+        if packed.query_len() != query.len() {
+            return Err(GpuError::InvalidLaunch {
+                reason: format!(
+                    "profile of a {}-residue query given for a {}-residue one",
+                    packed.query_len(),
+                    query.len()
+                ),
+            });
+        }
         if !self.staged_valid(staged) {
             return Err(GpuError::InvalidLaunch {
                 reason: "stale StagedDatabase handle: device allocations were released".into(),
             });
         }
-        let sp_search = obs::span("search", "phase");
-        let metrics_before = obs::snapshot_metrics();
+        let scope = SearchScope::begin();
         // Release the previous query's scratch, keep the database.
         self.dev.free_to(staged.mark);
         let mut scores = vec![0i32; staged.len()];
@@ -200,31 +215,21 @@ impl CudaSwDriver {
         // Intra-task: one launch over all resident long sequences.
         if !staged.long.is_empty() {
             let sp_intra = obs::span("intra_task", "phase");
-            let (stats, long_scores) = self.launch_intra(
-                &staged.long,
-                &staged_query,
-                "intra_improved",
-                &mut transfer_seconds,
-            )?;
+            let (stats, long_scores) =
+                self.launch_intra(&staged.long, &staged_query, &mut transfer_seconds)?;
             note_phase_launch("intra", &stats);
             scores[staged.n_short..].copy_from_slice(&long_scores);
             sp_intra.end_with(&[]);
         }
 
         self.dev.free_to(staged.mark);
-        let delta = obs::snapshot_metrics().diff(&metrics_before);
-        let inter = phase_run_stats(&delta, "inter");
-        let intra = phase_run_stats(&delta, "intra");
-        sp_search.end_with(&[("query_len", &query.len().to_string())]);
-        Ok(SearchResult {
+        Ok(scope.finish(
             scores,
-            inter,
-            intra,
             transfer_seconds,
-            fraction_long: staged.fraction_long(),
-            threshold: staged.threshold,
-            query_len: query.len(),
-        })
+            staged.fraction_long(),
+            staged.threshold,
+            query.len(),
+        ))
     }
 }
 
@@ -331,13 +336,19 @@ mod tests {
     }
 
     #[test]
-    fn stale_handle_is_rejected() {
+    fn a_foreign_profile_and_a_stale_handle_are_rejected() {
         let db = db();
         let mut driver = CudaSwDriver::new(
             DeviceSpec::tesla_c1060(),
             config(IntraKernelChoice::Improved(VariantConfig::improved())),
         );
         let staged = driver.stage_database(&db).unwrap();
+        // A profile built from another query is refused, not a panic, and
+        // the handle survives the refusal.
+        let other = PackedProfile::build(&driver.config.params.matrix, &make_query(31, 2));
+        let err = driver.search_staged(&make_query(30, 1), Some(&other), &staged);
+        assert!(matches!(err, Err(GpuError::InvalidLaunch { .. })));
+        assert!(driver.staged_valid(&staged));
         // A plain search resets the allocator and re-stages everything.
         driver.search(&make_query(30, 1), &db).unwrap();
         let err = driver.search_staged(&make_query(30, 1), None, &staged);

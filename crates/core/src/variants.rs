@@ -7,9 +7,9 @@
 //! provides a staging helper so benches and the `repro` binary can run any
 //! stage over a workload with one call.
 
+use crate::checkpoint::ChunkPhase;
 use crate::driver::{CudaSwConfig, CudaSwDriver, DeviceKernelConfig, IntraKernelChoice};
 use crate::intra_improved::{ImprovedParams, VariantConfig};
-use crate::intra_orig::IntraPair;
 use crate::launch::StagedQuery;
 use crate::seqstore::ProfileImage;
 use gpu_sim::{DeviceSpec, GpuError, LaunchStats, TexRef};
@@ -111,9 +111,10 @@ pub fn development_stages() -> Vec<AblationStage> {
 
 /// Stage `sequences` and `query` on a fresh device described by `spec` and
 /// run the improved kernel at development stage `variant` with the `device`
-/// optimizations through the driver's launch path (so the shared-memory
-/// boundary falls back transparently when a sequence does not fit, same
-/// policy as every search). Returns the scores and the launch statistics.
+/// optimizations as one intra-task chunk of the driver's chunk loop (so the
+/// shared-memory boundary falls back transparently when a sequence does
+/// not fit, same policy as every search). Returns the scores and the
+/// launch statistics.
 pub fn run_intra_variant(
     spec: &DeviceSpec,
     sequences: &[Sequence],
@@ -138,10 +139,7 @@ pub fn run_intra_variant(
         q_tex: TexRef::new(profile.tex.base(), 0),
         profile,
     };
-    let mut transfer_seconds = 0.0;
-    let pairs = IntraPair::stage(&mut driver.dev, sequences, &mut transfer_seconds)?;
-    let (stats, scores) =
-        driver.launch_intra(&pairs, &staged, "intra_variant", &mut transfer_seconds)?;
+    let (stats, scores, _) = driver.run_chunk(ChunkPhase::Intra, sequences, &staged)?;
     Ok((scores, stats))
 }
 

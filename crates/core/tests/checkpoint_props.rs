@@ -23,8 +23,9 @@ fn record_strategy() -> impl Strategy<Value = ChunkRecord> {
         proptest::collection::vec(any::<i32>(), 1..40),
         any::<u32>(),
         proptest::collection::vec((0usize..COUNTER_NAMES.len(), any::<u32>()), 0..5),
+        any::<u32>(),
     )
-        .prop_map(|(intra, start, scores, secs, counters)| {
+        .prop_map(|(intra, start, scores, secs, counters, credit)| {
             let mut metrics = MetricsRegistry::new();
             for (i, v) in counters {
                 metrics.counter_add(COUNTER_NAMES[i], &[("phase", "inter")], f64::from(v) / 7.0);
@@ -41,6 +42,9 @@ fn record_strategy() -> impl Strategy<Value = ChunkRecord> {
                 scores,
                 transfer_seconds: f64::from(secs) * 1.0e-9,
                 metrics,
+                // The payload's last field: a cut or flip here must not
+                // leave a record that still parses.
+                stream_credit: f64::from(credit) * 1.0e-10,
             }
         })
 }

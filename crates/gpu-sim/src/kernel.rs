@@ -309,6 +309,22 @@ impl GpuDevice {
         }
     }
 
+    /// Kernel-execution seconds the open stream session has not yet spent
+    /// hiding copies (0 when no session is open) — with
+    /// [`GpuDevice::set_h2d_overlap_credit`], what a checkpointed search
+    /// carries across a chunk it replays instead of running.
+    pub fn h2d_overlap_credit(&self) -> f64 {
+        self.h2d_stream.map_or(0.0, |stream| stream.credit)
+    }
+
+    /// Overwrite the open session's unspent credit. No-op when no session
+    /// is open.
+    pub fn set_h2d_overlap_credit(&mut self, seconds: f64) {
+        if let Some(stream) = self.h2d_stream.as_mut() {
+            stream.credit = seconds.max(0.0);
+        }
+    }
+
     /// Close the streamed-H2D session (idempotent). Copies go back to
     /// synchronous accounting.
     pub fn end_h2d_stream(&mut self) {
@@ -1240,8 +1256,18 @@ mod tests {
         let _ = dev.copy_to_device(buf, &data).unwrap(); // pays setup
         let body = full - 10.0e-6;
         dev.add_h2d_overlap_credit(body / 2.0);
+        assert_eq!(dev.h2d_overlap_credit(), body / 2.0);
         let exposed = dev.copy_to_device(buf, &data).unwrap();
         assert!((exposed - body / 2.0).abs() < 1e-12, "{exposed} vs {body}");
+        // Spent to the last bit; put back as recorded, the next copy costs
+        // the same; outside a session there is nothing to put back.
+        assert_eq!(dev.h2d_overlap_credit(), 0.0);
+        dev.set_h2d_overlap_credit(body / 2.0);
+        let again = dev.copy_to_device(buf, &data).unwrap();
+        assert_eq!(again.to_bits(), exposed.to_bits());
+        dev.end_h2d_stream();
+        dev.set_h2d_overlap_credit(1.0);
+        assert_eq!(dev.h2d_overlap_credit(), 0.0);
     }
 
     #[test]

@@ -22,9 +22,7 @@
 //! the device clock ([`obs::now`]) at the moment a rung starts, so time a
 //! failed rung burned is charged. `None` never denies.
 
-use cudasw_core::{
-    CudaSwConfig, CudaSwDriver, RecoveryEvent, RecoveryPolicy, RecoveryReport, StagedDatabase,
-};
+use cudasw_core::{CudaSwConfig, CudaSwDriver, RecoveryPolicy, RecoveryReport, StagedDatabase};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_align::{PackedProfile, SwParams};
 use sw_db::Database;
@@ -139,29 +137,18 @@ impl DeviceLane {
                     return Ok(());
                 }
                 Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    let backoff =
-                        self.policy.backoff_base_seconds * f64::from(1u32 << attempt.min(20));
-                    if deadline.is_some_and(|d| obs::now() + backoff > d) {
+                    let backoff = self.policy.backoff_seconds(attempt + 1);
+                    if let Some(d) = deadline.filter(|d| obs::now() + backoff > *d) {
                         // Budget exhausted: the wave runs un-staged
                         // (per-query searches respect their own budgets).
-                        report.budget_denied_retries += 1;
-                        report.events.push(RecoveryEvent::BudgetDenied {
-                            error: e.to_string(),
-                        });
+                        report.note_budget_denied(&e, d);
                         obs::counter_add("cudasw.serve.budget_denied_stagings", &[], 1.0);
                         obs::counter_add("cudasw.serve.staging_fallbacks", &[], 1.0);
                         return Ok(());
                     }
                     attempt += 1;
-                    report.retries += 1;
-                    report.backoff_seconds += backoff;
-                    report.events.push(RecoveryEvent::Retry {
-                        error: e.to_string(),
-                        attempt,
-                    });
-                    *seconds += backoff;
+                    *seconds += report.note_retry(&e, attempt, &self.policy);
                     obs::counter_add("cudasw.serve.staging_retries", &[], 1.0);
-                    obs::advance(backoff);
                 }
                 Err(GpuError::DeviceLost) => {
                     self.kill();
@@ -253,7 +240,7 @@ impl DeviceLane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cudasw_core::ImprovedParams;
+    use cudasw_core::{ImprovedParams, RecoveryEvent};
     use gpu_sim::FaultSite;
     use sw_align::sw_score;
     use sw_db::synth::{database_with_lengths, make_query};
@@ -302,6 +289,12 @@ mod tests {
         assert_eq!(counter(&run, "cudasw.serve.staging_retries"), 1.0);
         assert_eq!(counter(&run, "cudasw.serve.db_stagings"), 1.0);
         assert!(seconds > base, "backoff plus the staging transfer");
+        // The ledger and the registry are written in one breath.
+        assert_eq!(counter(&run, "cudasw.core.recovery.retries"), 1.0);
+        assert_eq!(
+            counter(&run, "cudasw.core.recovery.backoff_seconds"),
+            report.backoff_seconds
+        );
     }
 
     #[test]
@@ -351,6 +344,7 @@ mod tests {
         ));
         assert!(lane.alive());
         assert_eq!(counter(&run, "cudasw.serve.budget_denied_stagings"), 1.0);
+        assert_eq!(counter(&run, "cudasw.core.recovery.budget_denied"), 1.0);
         assert_eq!(counter(&run, "cudasw.serve.db_stagings"), 0.0);
         assert_eq!(counter(&run, "cudasw.serve.staged_faults"), 0.0);
     }

@@ -29,6 +29,18 @@ cargo test -q --offline --test paper_claims --test observability --test differen
 cargo test --release -q --offline --test device_opt --test simulator_invariants
 cargo test -q --offline -p gpu-sim --test proptests
 cargo test -q --offline -p cudasw-core --lib column::
+# One search loop, by name: plain and resilient search agree in every
+# field over the flag matrix; every kill point, damaged log and lost shard
+# resumes bit-identically with the optimizations off and all on; the one
+# multi-GPU function counts each shard search under its device lane and a
+# plain search's span tree is what it was.
+cargo test -q --offline --test device_opt --test crash_matrix --test observability -- \
+  all_128_combinations_score_bit_identically \
+  every_launch_kill_point_resumes_bit_identically \
+  torn_or_corrupt_checkpoint_tail_resumes_from_the_intact_prefix \
+  multi_gpu_restart_replays_per_shard_logs \
+  multi_gpu_counts_each_shard_search_under_its_device_lane \
+  search_trace_has_nested_phase_kernel_and_transfer_spans
 echo "verify: named simulator suites took $((SECONDS - named_t0)) s"
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -210,7 +222,7 @@ repro gate "$tmp/BENCH_device.json"
 # equal the files captured under tests/golden/ by the last change that
 # meant to move one (regenerate with `repro <exp> > tests/golden/<exp>.txt`
 # and say why in CHANGES.md).
-for exp in table1 fig3 fig5 fig6 strips retune multigpu validation; do
+for exp in table1 fig3 fig5 fig6 strips retune multigpu validation chaos integrity; do
   repro "$exp" | diff "tests/golden/$exp.txt" -
 done
 

@@ -10,7 +10,7 @@
 //! recomputed on the host oracle.
 
 use cudasw_core::{
-    multi_gpu_search, multi_gpu_search_resilient, CudaSwConfig, CudaSwDriver, ImprovedParams,
+    multi_gpu_search_resilient, CudaSwConfig, CudaSwDriver, DeviceKernelConfig, ImprovedParams,
     IntraKernelChoice, RecoveryPolicy, VariantConfig,
 };
 use gpu_sim::{DeviceSpec, FaultPlan, FaultSite, GpuError};
@@ -28,7 +28,7 @@ fn small_spec() -> DeviceSpec {
     spec
 }
 
-fn config() -> CudaSwConfig {
+fn config(device: DeviceKernelConfig) -> CudaSwConfig {
     CudaSwConfig {
         threshold: 100,
         improved: ImprovedParams {
@@ -37,7 +37,25 @@ fn config() -> CudaSwConfig {
         },
         intra: IntraKernelChoice::Improved(VariantConfig::improved()),
         inter_threads_per_block: 32,
+        device,
         ..CudaSwConfig::improved()
+    }
+}
+
+/// Run `case` on the published kernels and with every §VI / §VII
+/// optimization at once (with `streamed_h2d` on, what a chunk's uploads cost
+/// depends on the credit the chunks before it left, replayed or not), each
+/// in a checkpoint directory of its own.
+fn with_flags_off_and_all_on(tag: &str, case: fn(&str, CudaSwConfig, &std::path::Path)) {
+    let all_on = DeviceKernelConfig::all_on();
+    for (flags, device) in [("none", DeviceKernelConfig::default()), ("all", all_on)] {
+        let dir = std::env::temp_dir().join(format!(
+            "csw-crash-matrix-{tag}-{flags}-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        case(flags, config(device), &dir);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -58,10 +76,6 @@ fn no_fallback(log: std::path::PathBuf) -> RecoveryPolicy {
     }
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("csw-crash-matrix-{tag}-{}", std::process::id()))
-}
-
 fn counter_sum(run: &obs::Obs, name: &str) -> f64 {
     run.metrics.counter_sum(name, &[])
 }
@@ -71,11 +85,13 @@ fn counter_sum(run: &obs::Obs, name: &str) -> f64 {
 /// uninterrupted result down to the last float bit.
 #[test]
 fn every_launch_kill_point_resumes_bit_identically() {
+    with_flags_off_and_all_on("launch", every_launch_kill_point_resumes);
+}
+
+fn every_launch_kill_point_resumes(flags: &str, cfg: CudaSwConfig, dir: &std::path::Path) {
     let spec = small_spec();
-    let cfg = config();
     let db = matrix_db();
     let query = make_query(24, 41);
-    let dir = temp_dir("launch");
 
     let (baseline, base_run) = obs::capture(|| {
         let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
@@ -85,7 +101,7 @@ fn every_launch_kill_point_resumes_bit_identically() {
     let launches = counter_sum(&base_run, "cudasw.gpu_sim.launch.calls") as u64;
     assert!(
         launches >= 4,
-        "want several kill points, got {launches} launches"
+        "{flags}: want several kill points, got {launches} launches"
     );
 
     for kill in 0..launches {
@@ -98,37 +114,43 @@ fn every_launch_kill_point_resumes_bit_identically() {
         });
         assert!(
             matches!(crashed, Err(GpuError::DeviceLost)),
-            "kill point {kill} did not crash"
+            "{flags}: kill point {kill} did not crash"
         );
 
-        let (resumed, _) = obs::capture(|| {
+        let (resumed, run) = obs::capture(|| {
             let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
             d.search_resilient(&query, &db, &policy).unwrap()
         });
+        // A chunk is one launch: everything before the kill replays.
+        let replayed = counter_sum(&run, "cudasw.core.checkpoint.replayed_chunks");
+        assert_eq!(replayed as u64, kill, "{flags}: kill point {kill}");
         assert_eq!(
             resumed.result, baseline.result,
-            "kill point {kill}: resumed result diverged"
+            "{flags}: kill point {kill}: resumed result diverged"
         );
         assert_eq!(
             resumed.result.transfer_seconds.to_bits(),
             baseline.result.transfer_seconds.to_bits(),
-            "kill point {kill}: transfer seconds not bit-identical"
+            "{flags}: kill point {kill}: transfer seconds not bit-identical"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Kill point: mid-checkpoint-write. A crash during the log append leaves
 /// a torn tail (truncation) or a damaged one (bit flip); the loader must
 /// keep the intact prefix, flag the damage, and the restart must still
-/// finish bit-identically.
+/// finish bit-identically. A log in the previous format version (intact
+/// header, version 1) has no prefix worth keeping: it is a bad header and
+/// the search starts over.
 #[test]
 fn torn_or_corrupt_checkpoint_tail_resumes_from_the_intact_prefix() {
+    with_flags_off_and_all_on("torn", damaged_log_resumes);
+}
+
+fn damaged_log_resumes(flags: &str, cfg: CudaSwConfig, dir: &std::path::Path) {
     let spec = small_spec();
-    let cfg = config();
     let db = matrix_db();
     let query = make_query(24, 41);
-    let dir = temp_dir("torn");
 
     let (baseline, _) = obs::capture(|| {
         let mut d = CudaSwDriver::new(spec.clone(), cfg.clone());
@@ -136,17 +158,25 @@ fn torn_or_corrupt_checkpoint_tail_resumes_from_the_intact_prefix() {
             .unwrap()
     });
 
-    for (tag, damage) in [
+    for (tag, issue, replays, damage) in [
         (
             "torn",
+            "corrupt_tail",
+            true,
             (|bytes: &mut Vec<u8>| {
                 let keep = bytes.len() - 7;
                 bytes.truncate(keep);
             }) as fn(&mut Vec<u8>),
         ),
-        ("flipped", |bytes: &mut Vec<u8>| {
+        ("flipped", "corrupt_tail", true, |bytes: &mut Vec<u8>| {
             let last = bytes.len() - 3;
             bytes[last] ^= 0x10;
+        }),
+        ("v1", "bad_header", false, |bytes: &mut Vec<u8>| {
+            // magic (8) · version (4) · fingerprint (8) · header CRC (4)
+            bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+            let crc = gpu_sim::crc32(&bytes[..20]);
+            bytes[20..24].copy_from_slice(&crc.to_le_bytes());
         }),
     ] {
         let path = dir.join(format!("{tag}.ckpt"));
@@ -171,14 +201,18 @@ fn torn_or_corrupt_checkpoint_tail_resumes_from_the_intact_prefix() {
         });
         assert_eq!(
             resumed.result, baseline.result,
-            "{tag} tail: resumed result diverged"
+            "{flags}, {tag} log: resumed result diverged"
         );
-        assert!(
-            counter_sum(&run, "cudasw.core.checkpoint.load_issues") >= 1.0,
-            "{tag} tail: damage was not reported"
+        let reported = run
+            .metrics
+            .counter("cudasw.core.checkpoint.load_issues", &[("issue", issue)]);
+        assert_eq!(reported, 1.0, "{flags}, {tag} log: not reported {issue}");
+        assert_eq!(
+            counter_sum(&run, "cudasw.core.checkpoint.replayed_chunks") > 0.0,
+            replays,
+            "{flags}, {tag} log"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Kill point: between shards of a multi-GPU search. The first run loses a
@@ -187,20 +221,22 @@ fn torn_or_corrupt_checkpoint_tail_resumes_from_the_intact_prefix() {
 /// and still merges to the clean scores.
 #[test]
 fn multi_gpu_restart_replays_per_shard_logs() {
+    with_flags_off_and_all_on("shards", multi_gpu_restart_replays);
+}
+
+fn multi_gpu_restart_replays(flags: &str, cfg: CudaSwConfig, dir: &std::path::Path) {
     let spec = small_spec();
-    let cfg = config();
     let db = matrix_db();
     let query = make_query(24, 41);
-    let dir = temp_dir("shards");
-    std::fs::create_dir_all(&dir).unwrap();
 
-    let clean = multi_gpu_search(&spec, &cfg, &query, &db, 2).unwrap();
+    let fault_free = RecoveryPolicy::default();
+    let clean = multi_gpu_search_resilient(&spec, &cfg, &query, &db, 2, &[], &fault_free).unwrap();
     let plans = vec![
         FaultPlan::none().with_device_loss(FaultSite::Launch, 0),
         FaultPlan::none(),
     ];
     let policy = RecoveryPolicy {
-        checkpoint: Some(dir.clone()),
+        checkpoint: Some(dir.to_path_buf()),
         ..RecoveryPolicy::default()
     };
 
@@ -214,11 +250,13 @@ fn multi_gpu_restart_replays_per_shard_logs() {
         multi_gpu_search_resilient(&spec, &cfg, &query, &db, 2, &plans, &policy).unwrap()
     });
     assert_eq!(second.scores, clean.scores);
+    // The survivor's own shard comes back whole from its log, equal to the
+    // run that wrote it down to the float bits.
+    assert_eq!(second.per_device, first.per_device, "{flags}");
     assert!(
         counter_sum(&run, "cudasw.core.checkpoint.replayed_chunks") >= 1.0,
-        "restart did not replay any shard chunks"
+        "{flags}: restart did not replay any shard chunks"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Silent transfer corruption: every injected event is detected and
@@ -227,7 +265,7 @@ fn multi_gpu_restart_replays_per_shard_logs() {
 #[test]
 fn every_corruption_event_is_quarantined_and_scores_match_the_oracle() {
     let spec = small_spec();
-    let cfg = config();
+    let cfg = config(DeviceKernelConfig::default());
     let db = matrix_db();
     let query = make_query(24, 41);
 

@@ -41,6 +41,11 @@ fn mixed_db() -> Database {
     )
 }
 
+/// Every combination scores what the oracle scores, under both intra
+/// kernels — and there is one loop: a fault-free `search_resilient` under
+/// the default policy is the same walk as `search`, so the whole
+/// `SearchResult` agrees, every simulated second to the bit, with nothing
+/// in the ledger.
 #[test]
 fn all_128_combinations_score_bit_identically() {
     let db = mixed_db();
@@ -51,16 +56,35 @@ fn all_128_combinations_score_bit_identically() {
         .iter()
         .map(|s| sw_score(&params, &query, &s.residues))
         .collect();
+    let policy = RecoveryPolicy::default();
+    let seconds = |r: &cudasw_core::SearchResult| {
+        [r.inter.seconds, r.intra.seconds, r.transfer_seconds].map(f64::to_bits)
+    };
     for dc in DeviceKernelConfig::all_combinations() {
-        let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c2050(), config(dc));
-        let r = driver.search(&query, &db).unwrap();
-        assert_eq!(r.scores, oracle, "config {}", dc.label());
-        assert_eq!(
-            r.total_cells(),
-            db.total_cells(query.len()),
-            "config {}: optimization must not change the DP work",
-            dc.label()
-        );
+        for intra in [
+            IntraKernelChoice::Original,
+            IntraKernelChoice::Improved(VariantConfig::improved()),
+        ] {
+            let tag = format!("config {}, {intra:?}", dc.label());
+            let cfg = CudaSwConfig {
+                intra,
+                ..config(dc)
+            };
+            let driver = || CudaSwDriver::new(DeviceSpec::tesla_c2050(), cfg.clone());
+            // A fresh registry per search: phase seconds are registry deltas.
+            let (r, _) = obs::capture(|| driver().search(&query, &db).unwrap());
+            assert_eq!(r.scores, oracle, "{tag}");
+            assert_eq!(
+                r.total_cells(),
+                db.total_cells(query.len()),
+                "{tag}: optimization must not change the DP work"
+            );
+            let (resilient, _) =
+                obs::capture(|| driver().search_resilient(&query, &db, &policy).unwrap());
+            assert_eq!(resilient.result, r, "{tag}");
+            assert_eq!(seconds(&resilient.result), seconds(&r), "{tag}");
+            assert_eq!(resilient.recovery, Default::default(), "{tag}");
+        }
     }
 }
 

@@ -6,8 +6,11 @@
 //! returns.
 
 use cudasw_core::intra_improved::{ImprovedParams, VariantConfig};
-use cudasw_core::{CudaSwConfig, CudaSwDriver, IntraKernelChoice, SearchResult};
-use gpu_sim::DeviceSpec;
+use cudasw_core::{
+    multi_gpu_search_resilient, CudaSwConfig, CudaSwDriver, IntraKernelChoice, RecoveryPolicy,
+    SearchResult,
+};
+use gpu_sim::{DeviceSpec, FaultPlan, FaultSite};
 use obs::{chrome, json, prom, MetricsAssert, TraceAssert};
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_db::Database;
@@ -58,6 +61,12 @@ fn search_trace_has_nested_phase_kernel_and_transfer_spans() {
         .all_closed()
         .check(&run.trace)
         .unwrap();
+    // The whole phase tree, in order: the chunk loop a plain search runs
+    // on opens no span of its own and records no recovery instant.
+    let phases = run.trace.spans_in_cat("phase").map(|s| s.name.as_str());
+    let expected = ["search", "stage_query", "inter_task", "intra_task"];
+    assert_eq!(phases.collect::<Vec<_>>(), expected);
+    assert!(run.trace.instants.is_empty(), "{:?}", run.trace.instants);
     // The inter-task kernel span exists and sits under its phase. (The
     // kernel span and the phase span share the name "inter_task"; check
     // by category to avoid the self-containment degenerate case.)
@@ -78,6 +87,33 @@ fn search_trace_has_nested_phase_kernel_and_transfer_spans() {
             parent.name
         );
     }
+}
+
+/// The one multi-GPU function counts every search a device ran — its own
+/// shard in the first pass, and each sub-shard re-dispatched to it — and
+/// puts each under that device's trace lane.
+#[test]
+fn multi_gpu_counts_each_shard_search_under_its_device_lane() {
+    let db = mixed_db();
+    let query = make_query(48, 5);
+    // Device 0 dies on its first launch; device 1 takes its shard over.
+    let plans = [FaultPlan::none().with_device_loss(FaultSite::Launch, 0)];
+    let (r, run) = obs::capture(|| {
+        let spec = DeviceSpec::tesla_c1060();
+        let policy = RecoveryPolicy::default();
+        multi_gpu_search_resilient(&spec, &config(), &query, &db, 2, &plans, &policy).unwrap()
+    });
+    assert_eq!(r.recovery.shard_redispatches, 1);
+    let searches = |d| {
+        run.metrics
+            .counter("cudasw.core.shard.searches", &[("device", d)])
+    };
+    assert_eq!((searches("0"), searches("1")), (1.0, 2.0));
+    // Lane 0 is the host, lane 1 + i device i.
+    let lanes = |name: &str| -> Vec<u32> { run.trace.spans_named(name).map(|s| s.tid).collect() };
+    assert_eq!(lanes("shard"), [1, 2]);
+    assert_eq!(lanes("shard_redispatch"), [2]);
+    assert_eq!(lanes("search"), [1, 2, 2]);
 }
 
 /// Acceptance check: the Chrome-trace JSON export (what
