@@ -1,102 +1,9 @@
 //! Distribution sampling (the subset the workspace uses).
 
 use crate::RngCore;
-use std::borrow::Borrow;
 
 /// Types that can draw values of `T` from a generator.
 pub trait Distribution<T> {
     /// Draw one sample.
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
-}
-
-/// Error building a [`WeightedIndex`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WeightedError {
-    /// No weights were supplied.
-    NoItem,
-    /// A weight was negative or non-finite.
-    InvalidWeight,
-    /// All weights are zero.
-    AllWeightsZero,
-}
-
-/// Samples indices proportionally to a weight table.
-#[derive(Debug, Clone)]
-pub struct WeightedIndex {
-    cumulative: Vec<f64>,
-    total: f64,
-}
-
-impl WeightedIndex {
-    /// Build from any iterator of (borrowed) `f64` weights.
-    pub fn new<I>(weights: I) -> Result<Self, WeightedError>
-    where
-        I: IntoIterator,
-        I::Item: Borrow<f64>,
-    {
-        let mut cumulative = Vec::new();
-        let mut total = 0.0f64;
-        for w in weights {
-            let w = *w.borrow();
-            if !w.is_finite() || w < 0.0 {
-                return Err(WeightedError::InvalidWeight);
-            }
-            total += w;
-            cumulative.push(total);
-        }
-        if cumulative.is_empty() {
-            return Err(WeightedError::NoItem);
-        }
-        if total <= 0.0 {
-            return Err(WeightedError::AllWeightsZero);
-        }
-        Ok(Self { cumulative, total })
-    }
-}
-
-impl Distribution<usize> for WeightedIndex {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        let x = crate::unit_f64(rng) * self.total;
-        // First cumulative weight strictly greater than x.
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&x).expect("finite weights"))
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rngs::StdRng;
-    use crate::SeedableRng;
-
-    #[test]
-    fn weighted_index_tracks_weights() {
-        let dist = WeightedIndex::new([1.0, 3.0]).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 40_000;
-        let ones = (0..n).filter(|_| dist.sample(&mut rng) == 1).count();
-        let frac = ones as f64 / n as f64;
-        assert!((frac - 0.75).abs() < 0.02, "frac = {frac}");
-    }
-
-    #[test]
-    fn invalid_weights_rejected() {
-        assert_eq!(
-            WeightedIndex::new(std::iter::empty::<f64>()).unwrap_err(),
-            WeightedError::NoItem
-        );
-        assert_eq!(
-            WeightedIndex::new([0.0, 0.0]).unwrap_err(),
-            WeightedError::AllWeightsZero
-        );
-        assert_eq!(
-            WeightedIndex::new([-1.0]).unwrap_err(),
-            WeightedError::InvalidWeight
-        );
-    }
 }
