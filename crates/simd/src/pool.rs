@@ -73,6 +73,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use sw_db::Sequence;
 
@@ -99,9 +100,13 @@ pub const SEQ_ADMISSION_BYTES: u64 = 32;
 /// scoring only adds scheduler churn), never so many that a worker's
 /// share drops under [`MIN_SEQS_PER_WORKER`].
 pub fn effective_workers(threads: usize, alignments: usize) -> usize {
-    let hardware = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    // Read once per process: each call re-reads the cgroup CPU quota.
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    let hardware = *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    });
     threads
         .min(hardware)
         .min(alignments / MIN_SEQS_PER_WORKER)
