@@ -13,6 +13,18 @@ cargo build --release --offline --workspace --examples
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --workspace
 
+# Every synthetic database, named so a filter cannot drop it: the
+# residue and id digests over every generator, the bucketed residue
+# sampler held to the binary search it replaced, and the FASTA round trip
+# of every preset (with the headers write_fasta must refuse).
+cargo test -q --offline -p sw-db --test synth_digest
+cargo test -q --offline -p sw-db --lib -- \
+  every_clean_bucket_answers_the_reference_at_both_ends \
+  draws_around_every_cumulative_weight_match_the_reference \
+  seeded_draws_match_the_reference \
+  every_preset_round_trips_through_fasta \
+  headers_that_would_not_parse_back_are_refused
+
 # The paper-claims regression suite, the crash matrix and the simulator's
 # safety net (both pinned count digests, the cross-cutting invariants and
 # the shape-mixing differential proptests), named explicitly so a
