@@ -13,10 +13,10 @@
 //!
 //! * a device lane is a loop over [`sw_serve::DeviceLane`] — the same
 //!   staging, resident fast path and resilient rerun the simulated
-//!   executor climbs, with no deadline budget (wall-clock tails are
+//!   service climbs, with no deadline budget (wall-clock tails are
 //!   bounded by admission, cancellation and the breakers, not by the
 //!   simulated device clock); a lane death reports the remaining queries
-//!   as unserved (`None`) and the dispatcher re-owes them to the host
+//!   as unserved (`None`), and the wave machine owes them to the host
 //!   lane;
 //! * the host lane posts each wave as one
 //!   [`sw_simd::search_wave_protected`] job — the shard walked once,
@@ -33,31 +33,13 @@
 use crate::gateway::FrontMsg;
 use cudasw_core::{CudaSwConfig, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::time::Instant;
 use sw_db::Database;
-use sw_serve::{DeviceLane, Wave};
+use sw_serve::{DeviceLane, Part};
 use sw_simd::{
     search_wave_protected, CancelToken, HostFaultPlan, PoolConfig, Precision, QueryEngine,
 };
-
-/// A command from the dispatcher to a lane worker.
-pub(crate) enum LaneCmd {
-    /// Execute the worker's own shard of `wave`.
-    Exec {
-        wave_id: u64,
-        wave: std::sync::Arc<Wave>,
-    },
-    /// Host lane only: compute shard `shard_of` of `wave` on behalf of a
-    /// dead or quarantined device lane.
-    Owed {
-        wave_id: u64,
-        wave: std::sync::Arc<Wave>,
-        shard_of: usize,
-    },
-    /// Drain and exit the worker thread.
-    Stop,
-}
 
 /// One lane's result for one wave's shard part.
 pub(crate) struct LaneDone {
@@ -78,34 +60,50 @@ pub(crate) struct LaneDone {
     pub faulted: bool,
     /// True when the lane is (now) dead.
     pub died: bool,
-    /// True when shutdown cancellation interrupted the part.
-    pub cancelled: bool,
     /// Wall seconds this part occupied the worker.
     pub seconds: f64,
 }
 
 impl LaneDone {
-    /// A part of `wave` that served nothing and took no time.
-    fn unserved(lane: usize, wave_id: u64, shard_of: usize, wave: &Wave) -> Self {
+    /// A part that served nothing and took no time.
+    fn unserved(lane: usize, part: &Part) -> Self {
         Self {
             lane,
-            wave_id,
-            shard_of,
-            scores: vec![None; wave.requests.len()],
+            wave_id: part.wave_id,
+            shard_of: part.shard,
+            scores: vec![None; part.wave.requests.len()],
             cells: 0,
             degraded: false,
             faulted: false,
             died: false,
-            cancelled: false,
             seconds: 0.0,
         }
     }
 }
 
-/// A spawned worker: its command channel and join handle.
+/// A spawned worker: its channel of parts and join handle. A device lane
+/// only ever gets its own shard; the host lane gets its own and the
+/// shards owed by dead or quarantined device lanes. The worker exits once
+/// the dispatcher drops its sender and the queued parts are done.
 pub(crate) struct LaneHandle {
-    pub tx: Sender<LaneCmd>,
+    pub tx: Sender<Part>,
     pub join: std::thread::JoinHandle<()>,
+}
+
+/// Spawn a worker thread that runs `exec` on every part it gets.
+fn spawn_lane(
+    mut exec: impl FnMut(&Part) -> LaneDone + Send + 'static,
+    out: Sender<FrontMsg>,
+) -> LaneHandle {
+    let (tx, rx) = std::sync::mpsc::channel::<Part>();
+    let join = std::thread::spawn(move || {
+        for part in rx {
+            if out.send(FrontMsg::Done(exec(&part))).is_err() {
+                break;
+            }
+        }
+    });
+    LaneHandle { tx, join }
 }
 
 /// Spawn a gpu-sim device lane worker over `shard`.
@@ -118,36 +116,17 @@ pub(crate) fn spawn_device_lane(
     policy: &RecoveryPolicy,
     out: Sender<FrontMsg>,
 ) -> LaneHandle {
-    let (tx, rx) = std::sync::mpsc::channel();
     let mut device = DeviceLane::new(spec, config, shard, plan, policy);
-    let join = std::thread::spawn(move || {
-        while let Ok(cmd) = rx.recv() {
-            let done = match cmd {
-                LaneCmd::Exec { wave_id, wave } => exec_device(lane, &mut device, wave_id, &wave),
-                // Device lanes never receive owed work (the dispatcher
-                // routes it to the host lane); acknowledge defensively so
-                // a routing bug cannot wedge a wave.
-                LaneCmd::Owed {
-                    wave_id,
-                    wave,
-                    shard_of,
-                } => LaneDone::unserved(lane, wave_id, shard_of, &wave),
-                LaneCmd::Stop => break,
-            };
-            if out.send(FrontMsg::Done(done)).is_err() {
-                break;
-            }
-        }
-    });
-    LaneHandle { tx, join }
+    spawn_lane(move |part| exec_device(lane, &mut device, part), out)
 }
 
-/// Serve `device`'s shard of `wave`, query by query, until the wave ends
-/// or the lane dies. A non-recoverable device error kills the lane too:
-/// the worker cannot propagate it, and the dispatcher re-owes the work.
-fn exec_device(lane: usize, device: &mut DeviceLane, wave_id: u64, wave: &Wave) -> LaneDone {
+/// Serve `device`'s shard of the wave, query by query, until the wave
+/// ends or the lane dies. A non-recoverable device error kills the lane
+/// too: the worker cannot propagate it, and the machine owes the work.
+fn exec_device(lane: usize, device: &mut DeviceLane, part: &Part) -> LaneDone {
     let t0 = Instant::now();
-    let mut done = LaneDone::unserved(lane, wave_id, lane, wave);
+    let wave = &part.wave;
+    let mut done = LaneDone::unserved(lane, part);
     let faults_before = device.faults_seen();
     if device.alive() {
         device.set_params(&wave.requests[0].params);
@@ -182,7 +161,9 @@ fn exec_device(lane: usize, device: &mut DeviceLane, wave_id: u64, wave: &Wave) 
 
 /// Spawn the host SIMD lane worker. It owns shard `lane` (the last
 /// round-robin shard) and keeps every shard so it can absorb owed work
-/// from dead device lanes.
+/// from dead device lanes. Each part is one job on the protected pool:
+/// the wave's engines in `exec_order`, the shard walked once. A cancelled
+/// job (gateway shutdown) serves none of its requests.
 pub(crate) fn spawn_host_lane(
     lane: usize,
     shards: Vec<Database>,
@@ -191,77 +172,29 @@ pub(crate) fn spawn_host_lane(
     cancel: CancelToken,
     out: Sender<FrontMsg>,
 ) -> LaneHandle {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let join = std::thread::spawn(move || {
-        let worker = HostLaneWorker {
-            lane,
-            shards,
-            threads,
-            faults,
-            cancel,
-        };
-        host_lane_loop(&worker, &rx, &out);
-    });
-    LaneHandle { tx, join }
-}
-
-struct HostLaneWorker {
-    lane: usize,
-    shards: Vec<Database>,
-    threads: usize,
-    faults: HostFaultPlan,
-    cancel: CancelToken,
-}
-
-fn host_lane_loop(worker: &HostLaneWorker, rx: &Receiver<LaneCmd>, out: &Sender<FrontMsg>) {
-    while let Ok(cmd) = rx.recv() {
-        let done = match cmd {
-            LaneCmd::Exec { wave_id, wave } => worker.exec(wave_id, &wave, worker.lane),
-            LaneCmd::Owed {
-                wave_id,
-                wave,
-                shard_of,
-            } => worker.exec(wave_id, &wave, shard_of),
-            LaneCmd::Stop => break,
-        };
-        if out.send(FrontMsg::Done(done)).is_err() {
-            break;
-        }
-    }
-}
-
-impl HostLaneWorker {
-    /// Compute shard `shard_of` for every request of `wave` as one job on
-    /// the protected pool: the wave's engines in `exec_order`, the shard
-    /// walked once. A cancelled wave (gateway shutdown) serves none of its
-    /// requests.
-    fn exec(&self, wave_id: u64, wave: &Wave, shard_of: usize) -> LaneDone {
+    let cfg = PoolConfig::new(threads, Precision::Adaptive)
+        .with_fault_plan(faults)
+        .with_cancel(cancel.clone());
+    let exec = move |part: &Part| {
         let t0 = Instant::now();
-        let mut done = LaneDone::unserved(self.lane, wave_id, shard_of, wave);
-        let params = &wave.requests[0].params;
-        let shard = &self.shards[shard_of.min(self.shards.len().saturating_sub(1))];
-        done.cancelled = self.cancel.is_cancelled();
-        if !done.cancelled {
-            let engines: Vec<QueryEngine> = wave
-                .exec_order
-                .iter()
+        let wave = &part.wave;
+        let mut done = LaneDone::unserved(lane, part);
+        let shard = &shards[part.shard.min(shards.len().saturating_sub(1))];
+        if !cancel.is_cancelled() {
+            let params = &wave.requests[0].params;
+            let engines: Vec<QueryEngine> = (wave.exec_order.iter())
                 .map(|&q| QueryEngine::new(params.clone(), &wave.requests[q].query))
                 .collect();
-            let cfg = PoolConfig::new(self.threads, Precision::Adaptive)
-                .with_fault_plan(self.faults.clone())
-                .with_cancel(self.cancel.clone());
-            match search_wave_protected(&engines, shard.sequences(), &cfg) {
-                Ok(r) => {
-                    sw_simd::record_stats(engines[0].kind(), &r.stats);
-                    for (&q, part) in wave.exec_order.iter().zip(r.scores) {
-                        done.cells += shard.total_cells(wave.requests[q].query.len());
-                        done.scores[q] = Some(part);
-                    }
+            if let Ok(r) = search_wave_protected(&engines, shard.sequences(), &cfg) {
+                sw_simd::record_stats(engines[0].kind(), &r.stats);
+                for (&q, part) in wave.exec_order.iter().zip(r.scores) {
+                    done.cells += shard.total_cells(wave.requests[q].query.len());
+                    done.scores[q] = Some(part);
                 }
-                Err(_cancelled) => done.cancelled = true,
             }
         }
         done.seconds = t0.elapsed().as_secs_f64();
         done
-    }
+    };
+    spawn_lane(exec, out)
 }

@@ -8,10 +8,12 @@
 //!
 //! * [`gateway`] — the in-process front-end and dispatcher. Tenants
 //!   submit through a cloneable [`GatewayHandle`] and get a [`Ticket`]
-//!   per request; a dispatcher thread owns admission/batching/health and
-//!   fans waves out over channels; latency is accounted **end-to-end**
-//!   (front-end enqueue → response), so tail percentiles include
-//!   queueing delay under overload — not just per-wave service time.
+//!   per request; a dispatcher thread pumps events between
+//!   [`sw_serve::WaveMachine`] (the simulated service's wave protocol:
+//!   admission, batching, owed shards, exactly-once responses) and the
+//!   lane channels; latency is accounted **end-to-end** (front-end
+//!   enqueue → response), so tail percentiles include queueing delay
+//!   under overload — not just per-wave service time.
 //! * [`lane`] — the execution backend: one worker thread per gpu-sim
 //!   shard lane, each a loop over [`sw_serve::DeviceLane`] (the one
 //!   recovery ladder, here with no deadline budget), plus one host lane
@@ -20,32 +22,27 @@
 //!   Work owed by dead or breaker-quarantined device lanes is
 //!   re-dispatched to the host lane — the wall-clock analogue of the
 //!   simulated redispatch ladder.
-//! * [`loadgen`] — a seeded open-loop load generator: deterministic
-//!   arrival schedules under steady, bursty and overload profiles
-//!   (Poisson arrivals; the bursty profile alternates hot and cold
-//!   phases) and a driver that replays a schedule against a gateway in
-//!   real time.
 //!
 //! Shutdown is crash-only friendly: [`gateway::Gateway::shutdown`]
 //! drains gracefully, and when the drain grace expires it cancels
 //! in-flight and queued host chunks through the PR 8
 //! [`sw_simd::CancelToken`] path instead of joining indefinitely —
 //! every outstanding request still resolves exactly once (as
-//! [`gateway::Outcome::Aborted`]).
+//! [`Outcome::Aborted`]).
 //!
 //! Scores are exact integer Smith-Waterman scores on every path, so a
 //! gateway response is bit-identical to the simulated service's answer
 //! for the same query — the property the both-clock-modes test pins.
 //!
-//! Metrics (`cudasw.gateway.*`): `submitted`, `admitted`, `shed{reason}`,
-//! `waves`, `completed`, `aborted`, `lane_deaths`, `owed_to_host`,
-//! `breaker_skips`, `duplicate_commits` (always 0),
-//! `drain.forced_cancels`; plus the shared end-to-end
-//! `cudasw.serve.latency_seconds` histogram on
+//! Metrics (`cudasw.gateway.*`): `submitted`, `lane_deaths`,
+//! `owed_to_host`, `breaker_skips`, `duplicate_commits` (always 0),
+//! `drain.forced_cancels`; plus the machine's `cudasw.serve.*` front-end
+//! counters (`admitted`, `shed{reason}`, `waves`, `completed`, `aborted`)
+//! and the end-to-end `cudasw.serve.latency_seconds` histogram on
 //! [`obs::LATENCY_SECONDS_BOUNDS`]. Worker-thread metrics (a device
 //! lane's `cudasw.serve.*` ladder counters, the pool's `cudasw.simd.*`)
 //! stay on the worker's thread-local recorder; the dispatcher snapshot
-//! in [`gateway::GatewayReport::metrics`] covers the front-end view.
+//! in [`ServeReport::metrics`] covers the front-end view.
 // Crash-only discipline: library code may not panic through `unwrap` /
 // `expect` — every fallible path must recover or return a typed error.
 // (Unit tests, compiled with `cfg(test)`, are exempt.)
@@ -53,10 +50,6 @@
 
 pub mod gateway;
 pub mod lane;
-pub mod loadgen;
 
-pub use gateway::{
-    Gateway, GatewayConfig, GatewayHandle, GatewayReport, GatewayResponse, Outcome,
-    ResponseSummary, Ticket,
-};
-pub use loadgen::{drive, LoadConfig, LoadProfile};
+pub use gateway::{Gateway, GatewayConfig, GatewayHandle, Ticket};
+pub use sw_serve::{Outcome, ServeReport};

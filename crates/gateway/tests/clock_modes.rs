@@ -9,11 +9,13 @@
 //! outcomes (scores, exactly-once resolution, shed-free under light
 //! load) must not.
 
+mod loadgen;
+
 use cudasw_core::{CudaSwConfig, CudaSwDriver, ImprovedParams, RecoveryPolicy};
 use gpu_sim::DeviceSpec;
+use loadgen::drive;
 use sw_db::synth::database_with_lengths;
 use sw_db::Database;
-use sw_gateway::loadgen::drive;
 use sw_gateway::{Gateway, GatewayConfig, Outcome};
 use sw_serve::{SearchService, ServeConfig, TraceConfig};
 

@@ -5,9 +5,12 @@
 //! served, bit-identically to a direct search, with the lost lane's shard
 //! work owed to the host lane and every ticket resolved once.
 
+mod loadgen;
+
 use gpu_sim::{DeviceSpec, FaultPlan, FaultRates, FaultSite};
+use loadgen::LoadConfig;
 use sw_db::synth::database_with_lengths;
-use sw_gateway::{Gateway, GatewayConfig, LoadConfig, Outcome};
+use sw_gateway::{Gateway, GatewayConfig, Outcome};
 use sw_simd::{search_sequences, Precision, QueryEngine};
 
 #[test]

@@ -8,12 +8,14 @@
 //! multi-request wave serves none of its requests: every ticket of the
 //! wave resolves `Aborted`, once.
 
+mod loadgen;
+
 use cudasw_core::{CudaSwConfig, ImprovedParams};
 use gpu_sim::DeviceSpec;
+use loadgen::{drive, LoadConfig};
 use std::time::Instant;
 use sw_db::synth::database_with_lengths;
-use sw_gateway::loadgen::drive;
-use sw_gateway::{Gateway, GatewayConfig, LoadConfig, Outcome};
+use sw_gateway::{Gateway, GatewayConfig, Outcome};
 use sw_serve::BatchPolicy;
 use sw_simd::{HostFaultPlan, HostFaultRates};
 
@@ -162,6 +164,10 @@ fn forced_cancel_inside_a_multi_request_wave_aborts_all_of_its_tickets_once() {
     assert!(
         report.responses.is_empty(),
         "a cancelled wave serves nobody"
+    );
+    assert_eq!(
+        report.makespan_seconds, 0.0,
+        "the span ends at the last served response, and none was served"
     );
     assert_eq!(report.aborted.len(), WAVE);
     assert_eq!(

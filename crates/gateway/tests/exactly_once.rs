@@ -9,18 +9,20 @@
 //! a rate: wall-clock serving numbers are the repo benchmark's
 //! (`serve_steady`, `serve_small`).
 
+mod loadgen;
+
 use gpu_sim::DeviceSpec;
+use loadgen::{drive, LoadConfig, LoadProfile};
 use sw_db::synth::database_with_lengths;
-use sw_gateway::loadgen::drive;
-use sw_gateway::{Gateway, GatewayConfig, GatewayReport, LoadConfig, LoadProfile, Outcome};
-use sw_serve::{BatchPolicy, ShedReason};
+use sw_gateway::{Gateway, GatewayConfig, Outcome};
+use sw_serve::{BatchPolicy, ServeReport, ShedReason};
 use sw_simd::{search_sequences, Precision, QueryEngine};
 
 const REQUESTS: usize = 300;
 
 /// Replay one `profile` schedule, drain gracefully, and check the
 /// exactly-once ledger against the tickets.
-fn replay(profile: LoadProfile) -> GatewayReport {
+fn replay(profile: LoadProfile) -> ServeReport {
     let db = database_with_lengths(
         "exactly-once-db",
         &[20, 30, 40, 50, 60, 80, 100, 110, 120, 150],

@@ -2,10 +2,13 @@
 //! of its config — equal configs (seed included) produce byte-identical
 //! schedules under every profile; different seeds diverge. Without this,
 //! the load the gateway tests replay would not be reproducible across
-//! hosts.
+//! hosts. The profiles' names and rates are pinned here too.
 
+mod loadgen;
+
+use loadgen::{LoadConfig, LoadProfile};
 use proptest::prelude::*;
-use sw_gateway::{LoadConfig, LoadProfile};
+use sw_serve::SearchRequest;
 
 fn profile_of(tag: u8) -> LoadProfile {
     match tag % 3 {
@@ -67,4 +70,43 @@ proptest! {
                 .any(|(x, y)| x.query != y.query || x.arrival_seconds != y.arrival_seconds)
         );
     }
+}
+
+#[test]
+fn profiles_have_stable_names() {
+    assert_eq!(LoadProfile::Steady.as_str(), "steady");
+    assert_eq!(LoadProfile::Bursty.as_str(), "bursty");
+    assert_eq!(LoadProfile::Overload.as_str(), "overload");
+}
+
+#[test]
+fn overload_schedule_arrives_faster() {
+    let steady = LoadConfig::small(200, 9).schedule();
+    let overload = LoadConfig {
+        profile: LoadProfile::Overload,
+        ..LoadConfig::small(200, 9)
+    }
+    .schedule();
+    let last = |s: &[SearchRequest]| s.last().map_or(0.0, |r| r.arrival_seconds);
+    assert!(last(&overload) < last(&steady) / 2.0);
+}
+
+#[test]
+fn bursty_alternates_rates() {
+    let cfg = LoadConfig {
+        profile: LoadProfile::Bursty,
+        ..LoadConfig::small(2_000, 11)
+    };
+    // Count arrivals in hot vs cold phases; hot must dominate.
+    let sched = cfg.schedule();
+    let period = cfg.burst_period_seconds;
+    let (mut hot, mut cold) = (0usize, 0usize);
+    for r in &sched {
+        if ((r.arrival_seconds / period) as u64).is_multiple_of(2) {
+            hot += 1;
+        } else {
+            cold += 1;
+        }
+    }
+    assert!(hot > cold * 2, "hot {hot} cold {cold}");
 }

@@ -20,17 +20,20 @@
 //!   ([`cudasw_core::CudaSwDriver::stage_database`]) and the recovery
 //!   ladder under it (stage with retry → resident fast path → drop the
 //!   handle → `search_resilient` → lane death);
-//! * [`exec`] — this crate's scheduler over those lanes: health,
-//!   hedging, shard re-dispatch and host fallback;
+//! * [`machine`] — [`machine::WaveMachine`], the wave protocol both
+//!   serving stacks drive: admission, batching, waves over k shards, a
+//!   shard owed once when its lane fails, and exactly one response per
+//!   request, with no threads, channels, clock or lanes inside;
 //! * [`health`] — cross-query lane health: EWMA fault/latency scores,
 //!   per-lane circuit breakers (closed → open → half-open → closed),
 //!   dead-lane revival probes, and the hedged-dispatch trigger;
-//! * [`service`] — the discrete-event scheduler tying them together and
+//! * [`service`] — the discrete-event loop driving the machine over the
+//!   lanes (health, hedging, shard re-dispatch and host fallback) and
 //!   replaying seeded arrival traces ([`request::TraceConfig`]).
 //!
 //! Metrics (`cudasw.serve.*`): `admitted`, `shed{reason}`, `queue_depth`
-//! (gauge), `waves`, `wave_requests`, `completed`, `latency_seconds`
-//! (histogram), `cache.hits/misses/evictions`, `db_stagings`,
+//! (gauge), `waves`, `wave_requests`, `completed`, `aborted`,
+//! `latency_seconds` (histogram), `cache.hits/misses/evictions`, `db_stagings`,
 //! `staging_retries`, `staging_fallbacks`, `staged_faults`,
 //! `lane_deaths`, `lane_revivals`, `redispatches`, `cpu_fallback_seqs`,
 //! `recovery.degraded{cause}`, `budget_denied_stagings`,
@@ -47,17 +50,17 @@
 pub mod admission;
 pub mod batch;
 pub mod cache;
-pub mod exec;
 pub mod health;
 pub mod lane;
+pub mod machine;
 pub mod request;
 pub mod service;
 
 pub use admission::{AdmissionConfig, AdmissionQueue, ShedReason};
 pub use batch::{BatchPolicy, Batcher, Wave};
 pub use cache::ProfileCache;
-pub use exec::{WaveExecutor, WaveOutcome};
 pub use health::{BreakerState, HealthPolicy, HealthTracker, LaneHealth};
 pub use lane::{DeviceLane, LaneServed};
+pub use machine::{Action, Event, Outcome, Part, Response, ServeReport, Shed, WaveMachine};
 pub use request::{ParamsKey, SearchRequest, TraceConfig};
-pub use service::{Response, SearchService, ServeConfig, ServeReport, Shed};
+pub use service::{SearchService, ServeConfig};

@@ -1,22 +1,57 @@
-//! The search service: admission → batching → wave execution, on the
-//! simulated clock.
+//! The search service: the [`WaveMachine`] driven by a discrete-event
+//! loop on the simulated clock.
 //!
-//! [`SearchService::run_trace`] is a deterministic discrete-event loop
-//! over an open-loop arrival trace: arrivals are admitted (or shed) the
-//! instant the clock passes them, the batcher forms waves, and each
-//! dispatched wave advances the clock by its service time. Every
-//! admitted request is answered exactly once; a request's latency is
-//! `completion − arrival` on the simulated clock.
+//! [`SearchService::run_trace`] replays an open-loop arrival trace:
+//! arrivals are submitted the instant the clock passes them, the machine
+//! seals one wave at a time, and the loop carries out its actions
+//! synchronously over one [`DeviceLane`] per simulated device, each owning
+//! one round-robin shard of the database ([`shard_database`]). A wave
+//! advances the clock by its service time, the slowest lane's staging +
+//! kernel + transfer + backoff seconds (lanes run concurrently), and an
+//! idle loop jumps to the next event. No wall time is ever read, so a
+//! replay is bit-reproducible.
+//!
+//! Around the per-query ladder in [`crate::lane`] the loop decides where
+//! work runs, with the cross-query health of [`crate::health`]:
+//!
+//! * a lane whose breaker is open reports its shard dead, so the machine
+//!   owes it instead of the lane paying the retry ladder every wave;
+//! * a dead lane's breaker paces revival probes
+//!   ([`DeviceLane::try_revive`]); a revived lane restages and re-earns
+//!   trust through half-open;
+//! * owed work goes to the healthiest admitted survivor, and to the host
+//!   SIMD oracle when no lane is left or the query's deadline budget is
+//!   spent (when the policy allows CPU fallback);
+//! * a straggling lane (latency EWMA past the hedge threshold) has its
+//!   queries speculatively re-issued on the host SIMD engine, first
+//!   result wins;
+//! * with deadline propagation on, every device dispatch carries the
+//!   query's remaining EDF budget so retries and redispatches degrade
+//!   instead of overrunning it.
+//!
+//! Scores are exact integer Smith-Waterman scores on every path, so a
+//! served result is bit-identical to a standalone resilient search no
+//! matter which rung or lane produced it.
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, ShedReason};
-use crate::batch::{BatchPolicy, Batcher};
+use crate::admission::AdmissionConfig;
+use crate::batch::{BatchPolicy, Wave};
 use crate::cache::ProfileCache;
-use crate::exec::WaveExecutor;
 use crate::health::{HealthPolicy, HealthTracker};
+use crate::lane::DeviceLane;
+use crate::machine::{Action, Event, Outcome, Part, ServeReport, WaveMachine};
 use crate::request::SearchRequest;
-use cudasw_core::{CudaSwConfig, RecoveryPolicy, RecoveryReport};
+use cudasw_core::multi_gpu::shard_database;
+use cudasw_core::{CudaSwConfig, RecoveryEvent, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
+use std::rc::Rc;
+use sw_align::{PackedProfile, SwParams};
 use sw_db::Database;
+use sw_simd::{search_protected, PoolConfig, Precision, QueryEngine};
+
+/// Host SIMD throughput the hedge cost model assumes, cells/second. The
+/// hedge only needs a *relative* cost to decide the first finisher, and
+/// a fixed constant keeps replays deterministic.
+const HEDGE_HOST_CUPS: f64 = 1.0e9;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -66,147 +101,65 @@ impl Default for ServeConfig {
     }
 }
 
-/// One answered request.
-#[derive(Debug, Clone)]
-pub struct Response {
-    /// The request id.
-    pub id: u64,
-    /// The tenant it belonged to.
-    pub tenant: String,
-    /// Full-database scores, `db.sequences()` order.
-    pub scores: Vec<i32>,
-    /// `completion − arrival`, simulated seconds.
-    pub latency_seconds: f64,
-    /// True when the response missed its deadline (served anyway).
-    pub deadline_missed: bool,
-    /// True when part of this response's wave was served off-device
-    /// (CPU fallback, quarantine recompute, or a winning host hedge).
-    pub degraded: bool,
+/// A speculative host-side result for one query's shard work.
+struct HedgeResult {
+    /// Shard-order scores from the host SIMD engine.
+    scores: Vec<i32>,
+    /// Modelled host completion time, service seconds.
+    seconds: f64,
 }
 
-/// One shed request.
-#[derive(Debug, Clone)]
-pub struct Shed {
-    /// The request id.
-    pub id: u64,
-    /// The tenant it belonged to.
-    pub tenant: String,
-    /// Why admission refused it.
-    pub reason: crate::admission::ShedReason,
+/// The simulated side of the wave in flight.
+struct WaveRun {
+    /// Service clock at dispatch: breaker cooldowns, revival probes and
+    /// deadline budgets read it.
+    start: f64,
+    /// One profile per request, cache-shared across all lanes.
+    profiles: Vec<Rc<PackedProfile>>,
+    /// Service seconds each lane has been busy this wave.
+    lane_seconds: Vec<f64>,
+    /// Aggregated recovery story (all lanes, redispatch and CPU fallback
+    /// included).
+    recovery: RecoveryReport,
+    span: obs::SpanGuard,
 }
 
-/// Everything a trace replay produced.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// Answered requests, completion order.
-    pub responses: Vec<Response>,
-    /// Refused requests, arrival order.
-    pub sheds: Vec<Shed>,
-    /// Waves dispatched.
-    pub waves: u64,
-    /// DP cells computed across all waves.
-    pub total_cells: u64,
-    /// Simulated time from first arrival processing to last completion.
-    pub makespan_seconds: f64,
-    /// Aggregated recovery story across all waves.
-    pub recovery: RecoveryReport,
-}
-
-impl ServeReport {
-    /// Aggregate device throughput over the makespan, GCUPS.
-    pub fn gcups(&self) -> f64 {
-        if self.makespan_seconds <= 0.0 {
-            0.0
-        } else {
-            self.total_cells as f64 / self.makespan_seconds / 1.0e9
-        }
-    }
-
-    /// Completed queries per simulated second of makespan.
-    pub fn queries_per_second(&self) -> f64 {
-        if self.makespan_seconds <= 0.0 {
-            0.0
-        } else {
-            self.responses.len() as f64 / self.makespan_seconds
-        }
-    }
-
-    /// Fraction of offered requests that were shed.
-    pub fn shed_rate(&self) -> f64 {
-        let offered = self.responses.len() + self.sheds.len();
-        if offered == 0 {
-            0.0
-        } else {
-            self.sheds.len() as f64 / offered as f64
-        }
-    }
-
-    /// Latency at percentile `p` ∈ [0, 100] (nearest-rank on exact
-    /// simulated latencies; 0 when nothing completed).
-    pub fn latency_percentile(&self, p: f64) -> f64 {
-        if self.responses.is_empty() {
-            return 0.0;
-        }
-        let mut lat: Vec<f64> = self.responses.iter().map(|r| r.latency_seconds).collect();
-        lat.sort_by(f64::total_cmp);
-        let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-        lat[rank.clamp(1, lat.len()) - 1]
-    }
-
-    /// Fraction of answered requests that missed their deadline.
-    pub fn deadline_miss_rate(&self) -> f64 {
-        if self.responses.is_empty() {
-            return 0.0;
-        }
-        let missed = self.responses.iter().filter(|r| r.deadline_missed).count();
-        missed as f64 / self.responses.len() as f64
-    }
-
-    /// Answered requests whose wave was partly served off-device.
-    pub fn degraded_responses(&self) -> usize {
-        self.responses.iter().filter(|r| r.degraded).count()
-    }
-
-    /// Fraction of answered requests that were degraded.
-    pub fn degraded_rate(&self) -> f64 {
-        if self.responses.is_empty() {
-            0.0
-        } else {
-            self.degraded_responses() as f64 / self.responses.len() as f64
-        }
+impl WaveRun {
+    /// The service clock once the busiest lane is done.
+    fn now(&self) -> f64 {
+        self.start + self.lane_seconds.iter().cloned().fold(0.0, f64::max)
     }
 }
 
-/// The serving subsystem: admission queue, batcher, profile cache, and
-/// the lane executor, advanced by a discrete-event scheduler.
+/// The serving subsystem: profile cache, lanes and health tracker around
+/// a [`WaveMachine`] advanced by a discrete-event loop.
 pub struct SearchService {
-    queue: AdmissionQueue,
-    batcher: Batcher,
+    cfg: ServeConfig,
     cache: ProfileCache,
-    executor: WaveExecutor,
-    shed_expired: bool,
+    lanes: Vec<DeviceLane>,
+    health: HealthTracker,
+    db_len: usize,
 }
 
 impl SearchService {
     /// Bring up the service over `db` on `cfg.devices` simulated devices
-    /// of `spec`, installing `plans[i]` on device `i`.
+    /// of `spec` (at least one), installing `plans[i]` on device `i`
+    /// (missing entries get [`FaultPlan::none`]).
     pub fn new(spec: &DeviceSpec, cfg: &ServeConfig, db: &Database, plans: &[FaultPlan]) -> Self {
+        let lanes: Vec<DeviceLane> = shard_database(db, cfg.devices.max(1))
+            .into_iter()
+            .enumerate()
+            .map(|(device, shard)| {
+                let plan = plans.get(device).cloned().unwrap_or_else(FaultPlan::none);
+                DeviceLane::new(spec, &cfg.search, shard, plan, &cfg.recovery)
+            })
+            .collect();
         Self {
-            queue: AdmissionQueue::new(cfg.admission.clone()),
-            batcher: Batcher::new(cfg.batch.clone()),
+            cfg: cfg.clone(),
             cache: ProfileCache::new(cfg.cache_capacity),
-            executor: WaveExecutor::new(
-                spec,
-                &cfg.search,
-                db,
-                cfg.devices,
-                plans,
-                &cfg.recovery,
-                &cfg.health,
-                cfg.propagate_deadlines,
-                &cfg.host_faults,
-            ),
-            shed_expired: cfg.shed_expired,
+            health: HealthTracker::new(lanes.len(), cfg.health.clone()),
+            lanes,
+            db_len: db.len(),
         }
     }
 
@@ -217,19 +170,17 @@ impl SearchService {
 
     /// Lanes still alive.
     pub fn lanes_alive(&self) -> usize {
-        self.executor.lanes_alive()
-    }
-
-    /// Cross-query lane health (breaker states, EWMA scores).
-    pub fn health(&self) -> &HealthTracker {
-        self.executor.health()
+        self.lanes.iter().filter(|l| l.alive()).count()
     }
 
     /// Replay `trace` (sorted by arrival; [`crate::request::TraceConfig`]
-    /// generates it that way) to completion and report. `now` is the
-    /// discrete-event clock: a wave advances it by its service time, an
-    /// idle scheduler jumps it to the next event, and no wall time is
-    /// ever read, so a replay is bit-reproducible.
+    /// generates it that way) to completion and report, responses with
+    /// their scores. `now` is the discrete-event clock: a wave advances it
+    /// by its service time and an idle loop jumps it to the next event.
+    ///
+    /// `Err` is reserved for unrecoverable conditions: a non-recoverable
+    /// device error (a program bug), or every lane dead with CPU fallback
+    /// disabled by the policy.
     pub fn run_trace(&mut self, trace: &[SearchRequest]) -> Result<ServeReport, GpuError> {
         debug_assert!(
             trace
@@ -238,102 +189,377 @@ impl SearchService {
             "trace must be arrival-sorted"
         );
         let sp = obs::span("run_trace", "serve");
-        let mut pending = trace
-            .iter()
-            .cloned()
-            .collect::<std::collections::VecDeque<_>>();
-        let start = trace.first().map_or(0.0, |r| r.arrival_seconds);
-        let mut now = start;
+        // One wave in flight: the loop runs each wave to completion.
+        let mut machine = WaveMachine::new(
+            self.lanes.len(),
+            self.db_len,
+            1,
+            self.cfg.admission.clone(),
+            self.cfg.batch.clone(),
+            self.cfg.shed_expired,
+        );
+        let mut pending = trace.iter().peekable();
+        let mut now = trace.first().map_or(0.0, |r| r.arrival_seconds);
         let mut responses = Vec::new();
-        let mut sheds = Vec::new();
-        let mut waves = 0u64;
-        let mut total_cells = 0u64;
         let mut recovery = RecoveryReport::default();
 
         loop {
-            // Admit everything that has arrived by `now`.
-            while pending.front().is_some_and(|r| r.arrival_seconds <= now) {
-                let Some(req) = pending.pop_front() else {
-                    break;
-                };
-                if let Err(reason) = self.queue.offer(req.clone()) {
-                    sheds.push(Shed {
-                        id: req.id,
-                        tenant: req.tenant,
-                        reason,
-                    });
+            while let Some(req) = pending.next_if(|r| r.arrival_seconds <= now) {
+                machine.handle(now, Event::Submit(req.clone()));
+            }
+            if pending.peek().is_none() {
+                machine.handle(now, Event::Drain);
+            }
+            machine.handle(now, Event::Tick);
+            let mut run = None;
+            while let Some(action) = machine.next_action() {
+                match action {
+                    Action::Run(part) => {
+                        let run = run.get_or_insert_with(|| self.start_wave(&part.wave, now));
+                        let event = self.run_shard(run, &part)?;
+                        machine.handle(run.now(), event);
+                    }
+                    Action::Owe(part, requests) => {
+                        let run = run.get_or_insert_with(|| self.start_wave(&part.wave, now));
+                        let event = self.settle_owed(run, &part, &requests)?;
+                        machine.handle(run.now(), event);
+                    }
+                    Action::Respond {
+                        outcome: Outcome::Served(response),
+                        ..
+                    } => responses.push(response),
+                    Action::Respond { .. } => {}
                 }
             }
-            // Optionally shed queued work whose deadline already passed
-            // (load-shedding mode; off by default — see `shed_expired`).
-            if self.shed_expired {
-                for req in self.queue.take_expired(now) {
-                    sheds.push(Shed {
-                        id: req.id,
-                        tenant: req.tenant,
-                        reason: ShedReason::DeadlineExpired,
-                    });
-                }
-            }
-            let flush = pending.is_empty();
-            if let Some(wave) = self.batcher.next_wave(&mut self.queue, now, flush) {
-                let outcome = self.executor.execute_wave(&wave, &mut self.cache, now)?;
-                now += outcome.service_seconds;
-                waves += 1;
-                total_cells += outcome.total_cells;
-                if outcome.recovery.degraded {
+            if let Some(run) = run {
+                now = run.now();
+                run.span.end_with(&[
+                    ("requests", &run.profiles.len().to_string()),
+                    ("lanes", &self.lanes_alive().to_string()),
+                ]);
+                if run.recovery.degraded {
                     // Label by the dominant cause so dashboards can tell
                     // budget-driven degradation from fault-driven.
-                    let cause = if outcome.recovery.cpu_fallback_seqs > 0 {
+                    let cause = if run.recovery.cpu_fallback_seqs > 0 {
                         "cpu_fallback"
-                    } else if outcome.recovery.quarantined_chunks > 0 {
+                    } else if run.recovery.quarantined_chunks > 0 {
                         "quarantine"
                     } else {
                         "hedge"
                     };
                     obs::counter_add("cudasw.serve.recovery.degraded", &[("cause", cause)], 1.0);
                 }
-                recovery.merge(&outcome.recovery);
-                for (req, scores) in wave.requests.iter().zip(outcome.scores) {
-                    let latency = now - req.arrival_seconds;
-                    obs::observe_latency("cudasw.serve.latency_seconds", &[], latency);
-                    obs::counter_add("cudasw.serve.completed", &[], 1.0);
-                    responses.push(Response {
-                        id: req.id,
-                        tenant: req.tenant.clone(),
-                        scores,
-                        latency_seconds: latency,
-                        deadline_missed: now > req.deadline_seconds,
-                        degraded: outcome.recovery.degraded,
-                    });
-                }
-            } else if let Some(next) = pending.front() {
+                recovery.merge(&run.recovery);
+            } else if let Some(next) = pending.peek() {
                 // Nothing dispatchable yet: jump to the next event — the
                 // next arrival or the head's linger expiry, whichever is
                 // sooner.
                 let arrival = next.arrival_seconds;
-                let next_event = match self.batcher.next_dispatch_at(&self.queue, now) {
+                let next_event = match machine.next_dispatch_at(now) {
                     Some(linger) => linger.min(arrival),
                     None => arrival,
                 };
                 now = next_event.max(now);
-            } else if self.queue.is_empty() {
+            } else if machine.is_idle() {
                 break;
             }
         }
 
-        let makespan = (now - start).max(0.0);
+        let mut report = machine.into_report();
+        report.responses = responses;
+        report.recovery = recovery;
         sp.end_with(&[
-            ("responses", &responses.len().to_string()),
-            ("sheds", &sheds.len().to_string()),
+            ("responses", &report.responses.len().to_string()),
+            ("sheds", &report.sheds.len().to_string()),
         ]);
-        Ok(ServeReport {
-            responses,
-            sheds,
-            waves,
-            total_cells,
-            makespan_seconds: makespan,
-            recovery,
+        Ok(report)
+    }
+
+    /// Open the wave: build its profiles through the cache and start
+    /// every lane's clock at zero.
+    fn start_wave(&mut self, wave: &Wave, now: f64) -> WaveRun {
+        let span = obs::span("wave", "serve");
+        let matrix = &wave.requests[0].params.matrix;
+        WaveRun {
+            start: now,
+            profiles: (wave.requests.iter())
+                .map(|r| self.cache.get_or_build(matrix, &r.query))
+                .collect(),
+            lane_seconds: vec![0.0; self.lanes.len()],
+            recovery: RecoveryReport::default(),
+            span,
+        }
+    }
+
+    /// Pool config for host-lane work: single worker (the service loop is
+    /// a deterministic discrete-event simulation), full fault domain, and
+    /// no cancel token — so a `search_protected` under it never returns
+    /// `Err` and a host lane always has an answer. Hedges and owed shards
+    /// stay single-query jobs, not waves: one thread on a simulated clock
+    /// has no per-job cost to share, and `BENCH_soak.json`'s host fault
+    /// counts are drawn per (query, chunk).
+    fn host_pool_config(&self) -> PoolConfig {
+        PoolConfig::new(1, Precision::Adaptive).with_fault_plan(self.cfg.host_faults.clone())
+    }
+
+    /// The query's remaining EDF budget at service time `elapsed`, the
+    /// seconds a device dispatch starting then may spend. `None` when
+    /// deadline propagation is off.
+    fn budget(&self, req: &SearchRequest, elapsed: f64) -> Option<f64> {
+        self.cfg
+            .propagate_deadlines
+            .then(|| (req.deadline_seconds - elapsed).max(0.0))
+    }
+
+    /// Carry out [`Action::Run`] on the part's own lane: revive or skip the
+    /// lane as its breaker says, else run the wave on it. Returns the
+    /// event to report.
+    fn run_shard(&mut self, run: &mut WaveRun, part: &Part) -> Result<Event, GpuError> {
+        let (wave_id, s) = (part.wave_id, part.shard);
+        let now = run.start;
+        if !self.lanes[s].alive() {
+            // The breaker paces revival probes against the dead device;
+            // until one succeeds the shard work is owed. A revived lane
+            // re-enters the breaker through half-open.
+            if self.health.admits(s, now) {
+                if self.lanes[s].try_revive() {
+                    self.health.note_revival(s, now);
+                } else {
+                    self.health.observe_death(s, now);
+                }
+            }
+        } else if !self.health.admits(s, now) {
+            // Quarantined: route around the lane, no device traffic.
+            obs::counter_add("cudasw.serve.breaker_skips", &[], 1.0);
+            return Ok(Event::ShardDead { wave_id, shard: s });
+        }
+        if !self.lanes[s].alive() {
+            return Ok(Event::ShardDead { wave_id, shard: s });
+        }
+        let faults_before = self.lanes[s].faults_seen();
+        let prev_lane = obs::set_lane(s as u32 + 1);
+        let served = self.run_lane_wave(s, &part.wave, run);
+        obs::set_lane(prev_lane);
+        let (scores, cells) = served?;
+        if self.lanes[s].alive() {
+            let faulted = self.lanes[s].faults_seen() > faults_before;
+            self.health.observe_wave(s, faulted, now);
+        } else {
+            self.health.observe_death(s, now);
+        }
+        Ok(Event::ShardDone {
+            wave_id,
+            shard: s,
+            scores,
+            cells,
+            degraded: run.recovery.degraded,
+        })
+    }
+
+    /// Run every wave query on lane `s`, staged fast path first, until the
+    /// wave ends or the lane dies. Queries on a straggling lane are hedged
+    /// on the host SIMD engine, first-result-wins. Returns shard scores
+    /// per request (`None` where the lane died first) and device cells.
+    #[allow(clippy::type_complexity)]
+    fn run_lane_wave(
+        &mut self,
+        s: usize,
+        wave: &Wave,
+        run: &mut WaveRun,
+    ) -> Result<(Vec<Option<Vec<i32>>>, u64), GpuError> {
+        let params = &wave.requests[0].params;
+        self.lanes[s].set_params(params);
+        // The wave is EDF-sorted, so requests[0] carries the tightest
+        // deadline — the budget staging must respect.
+        let staging_budget = self.budget(&wave.requests[0], run.start);
+        self.lanes[s].stage(staging_budget, &mut run.recovery, &mut run.lane_seconds[s])?;
+        let mut scores = vec![None; wave.requests.len()];
+        let mut cells = 0;
+        // A lane that died staging still takes the first query: a hedge
+        // may cover it, the device attempt fails at once (counting
+        // `lane_deaths` again), and the rest is owed.
+        for &q in &wave.exec_order {
+            let req = &wave.requests[q];
+            let elapsed = run.start + run.lane_seconds[s];
+            // Hedged dispatch: a straggling lane gets a speculative host
+            // twin for this query before the device attempt, budgeted
+            // against the query's remaining deadline.
+            let hedge = self.issue_hedge(s, req, params, elapsed, &mut run.recovery);
+            let gpu_start = run.lane_seconds[s];
+            let budget = self.budget(req, elapsed);
+            let Some(served) = self.lanes[s].serve(&req.query, Some(&run.profiles[q]), budget)?
+            else {
+                // Lane is gone. If a hedge is in flight it covers this
+                // query; the rest of the wave is owed either way.
+                if let Some(h) = hedge {
+                    run.lane_seconds[s] = gpu_start + h.seconds;
+                    scores[q] = Some(Self::commit_hedge(h, &mut run.recovery));
+                }
+                return Ok((scores, cells));
+            };
+            cells += served.cells;
+            run.recovery.merge(&served.recovery);
+            // Exactly-once commitment: the first finisher's result stands.
+            // Scores are bit-identical on both paths, so "which won" only
+            // decides the lane's clock (and the degraded flag).
+            scores[q] = Some(match hedge {
+                Some(h) if h.seconds < served.seconds => {
+                    run.lane_seconds[s] = gpu_start + h.seconds;
+                    Self::commit_hedge(h, &mut run.recovery)
+                }
+                hedge => {
+                    if hedge.is_some() {
+                        obs::counter_add("cudasw.serve.hedge.wins", &[("winner", "lane")], 1.0);
+                    }
+                    run.lane_seconds[s] = gpu_start + served.seconds;
+                    served.scores
+                }
+            });
+            self.health
+                .observe_latency(s, run.lane_seconds[s] - gpu_start);
+        }
+        Ok((scores, cells))
+    }
+
+    /// Speculatively compute `req`'s shard scores on the host SIMD engine
+    /// when lane `s` is straggling. Returns `None` when the hedge trigger
+    /// is quiet — or when the modelled host cost would overrun the
+    /// query's remaining deadline budget (a hedge that cannot finish in
+    /// budget only burns CPU; the denial is the host-lane twin of the
+    /// device ladder's `BudgetDenied`).
+    fn issue_hedge(
+        &mut self,
+        s: usize,
+        req: &SearchRequest,
+        params: &SwParams,
+        service_elapsed: f64,
+        recovery: &mut RecoveryReport,
+    ) -> Option<HedgeResult> {
+        let shard = self.lanes[s].shard();
+        if !self.health.should_hedge(s) || shard.is_empty() {
+            return None;
+        }
+        let seconds = shard.total_cells(req.query.len()) as f64 / HEDGE_HOST_CUPS;
+        if self.cfg.propagate_deadlines {
+            let left = req.deadline_seconds - service_elapsed;
+            if seconds > left {
+                recovery.note_host_budget_denied(seconds, left);
+                return None;
+            }
+        }
+        obs::counter_add("cudasw.serve.hedge.issued", &[], 1.0);
+        // The hedge runs inside the crash-only pool: panic quarantine,
+        // admission, and any injected host faults, bit-identical scores.
+        let engine = QueryEngine::new(params.clone(), &req.query);
+        let r = search_protected(&engine, shard.sequences(), &self.host_pool_config()).ok()?;
+        sw_simd::record_stats(engine.kind(), &r.stats);
+        Some(HedgeResult {
+            scores: r.scores,
+            seconds,
+        })
+    }
+
+    /// Commit a winning hedge: its scores stand and the wave is degraded.
+    fn commit_hedge(hedge: HedgeResult, recovery: &mut RecoveryReport) -> Vec<i32> {
+        recovery.degraded = true;
+        obs::counter_add("cudasw.serve.hedge.wins", &[("winner", "host")], 1.0);
+        hedge.scores
+    }
+
+    /// Carry out [`Action::Owe`] for the part of a dead or quarantined
+    /// lane: re-dispatch each owed query to the healthiest admitted
+    /// survivor, falling back to the host SIMD oracle when no lane is left
+    /// (or the deadline budget is spent).
+    fn settle_owed(
+        &mut self,
+        run: &mut WaveRun,
+        part: &Part,
+        requests: &[usize],
+    ) -> Result<Event, GpuError> {
+        let (wave, dead) = (&part.wave, part.shard);
+        let k = self.lanes.len();
+        let params = &wave.requests[0].params;
+        let shard = self.lanes[dead].shard().clone();
+        let mut scores = vec![None; wave.requests.len()];
+        let mut cells = 0;
+        for &q in requests {
+            if shard.is_empty() {
+                scores[q] = Some(Vec::new());
+                continue;
+            }
+            let req = &wave.requests[q];
+            // Absolute deadline for this query; once passed, stop burning
+            // device time on redispatch and degrade straight to the host.
+            let deadline = if self.cfg.recovery.cpu_fallback {
+                self.budget(req, run.start).map(|b| obs::now() + b)
+            } else {
+                None
+            };
+            while !deadline.is_some_and(|d| obs::now() >= d) {
+                // The health tracker ranks survivors by fault score;
+                // lanes with open breakers only take owed work when
+                // nothing healthier remains (better a suspect device
+                // than a guaranteed host-speed answer).
+                let alive: Vec<bool> = self.lanes.iter().map(DeviceLane::alive).collect();
+                let Some(t) = self
+                    .health
+                    .preferred(&alive, dead)
+                    .or_else(|| (0..k).find(|&t| t != dead && alive[t]))
+                else {
+                    break;
+                };
+                let prev_lane = obs::set_lane(t as u32 + 1);
+                let budget = self.budget(req, run.start + run.lane_seconds[t]);
+                self.lanes[t].set_params(params);
+                let attempt = self.lanes[t].serve_foreign(&req.query, &shard, budget);
+                obs::set_lane(prev_lane);
+                let Some(r) = attempt? else {
+                    self.health.observe_death(t, run.start);
+                    continue;
+                };
+                run.lane_seconds[t] += r.seconds;
+                cells += r.cells;
+                run.recovery.merge(&r.recovery);
+                run.recovery.shard_redispatches += 1;
+                run.recovery.events.push(RecoveryEvent::ShardRedispatch {
+                    from_device: dead,
+                    to_device: t,
+                    sequences: shard.len(),
+                });
+                obs::counter_add("cudasw.serve.redispatches", &[], 1.0);
+                scores[q] = Some(r.scores);
+                break;
+            }
+            if scores[q].is_some() {
+                continue;
+            }
+            // No survivors (or no budget left for device work): host SIMD
+            // oracle, if the policy allows it.
+            if !self.cfg.recovery.cpu_fallback {
+                return Err(GpuError::DeviceLost);
+            }
+            // One dispatched engine per owed query: the profile is built
+            // once and reused across the shard's sequences. The fallback
+            // runs in the crash-only pool — the service's last line of
+            // defence must itself survive panics and pressure.
+            let engine = QueryEngine::new(params.clone(), &req.query);
+            let r = search_protected(&engine, shard.sequences(), &self.host_pool_config())
+                .map_err(|_| GpuError::DeviceLost)?;
+            sw_simd::record_stats(engine.kind(), &r.stats);
+            run.recovery.cpu_fallback_seqs += shard.len() as u64;
+            run.recovery.degraded = true;
+            run.recovery.events.push(RecoveryEvent::CpuFallback {
+                sequences: shard.len(),
+            });
+            obs::counter_add("cudasw.serve.cpu_fallback_seqs", &[], shard.len() as f64);
+            scores[q] = Some(r.scores);
+        }
+        Ok(Event::ShardDone {
+            wave_id: part.wave_id,
+            shard: dead,
+            scores,
+            cells,
+            degraded: run.recovery.degraded,
         })
     }
 }
