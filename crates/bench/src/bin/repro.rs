@@ -11,7 +11,6 @@
 //! repro trace <experiment> [--out <file.json>] [--metrics <file.prom>]
 //! repro host [--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]
 //! repro soak [--smoke] [--out <file.json>]
-//! repro host-chaos [--seeds <a,b,c>] [--out <file.json>]
 //! repro device-opt [--smoke] [--out <file.json>] [--baseline <file>]
 //! repro gate <doc.json> [--baseline <committed.json>]
 //! ```
@@ -48,12 +47,6 @@
 //! GCUPS regressions against the baseline and, at `n = min(4, hardware
 //! threads) ≥ 2` on a large database, the `0.75 × n` thread-scaling floor.
 //!
-//! `host-chaos` runs the crash-only host engine's seeded fault matrix
-//! (every seed × {panic, stall, alloc-fail} forced faults, plus a full
-//! chaos storm per seed) over the protected SIMD pool, also in real time,
-//! and gates on bit-identical scores with zero lost or duplicated
-//! sequences; `--out` writes `BENCH_host_chaos.json`.
-//!
 //! `device-opt` runs the §VII device-kernel optimization matrix
 //! (baseline, each optimization alone, all together) through the
 //! simulator on a trimmed Fermi and records the counted metric each
@@ -64,8 +57,8 @@
 //! against the baseline, a per-row GCUPs floor and transaction ceiling.
 //!
 //! `gate` parses a written document — a trajectory, `BENCH_soak.json`
-//! (`--baseline`: availability at most 0.005 under the committed one),
-//! `BENCH_host_chaos.json` or a Chrome trace — and runs its schema's
+//! (`--baseline`: availability at most 0.005 under the committed one) or
+//! a Chrome trace — and runs its schema's
 //! checks on typed values (`cudasw_bench::gate`), as `verify.sh` and CI do.
 //!
 //! `trace` runs any experiment under the observability recorder and dumps
@@ -89,8 +82,8 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 use cudasw_bench::experiments::{
-    ablation, chaos, device_opt, device_trajectory, fig2, fig3, fig5, fig6, fig7, host, host_chaos,
-    integrity, multigpu, retune, serve, soak, strips, table1, table2, validation,
+    ablation, chaos, device_opt, device_trajectory, fig2, fig3, fig5, fig6, fig7, host, integrity,
+    multigpu, retune, serve, soak, strips, table1, table2, validation,
 };
 use cudasw_bench::gate;
 use cudasw_bench::trajectory::{rev_key, Entry, Trajectory};
@@ -126,7 +119,6 @@ const KNOWN: &[(&str, fn())] = &[
     ("serve", run_serve),
     ("soak", run_soak_smoke),
     ("host", run_host_smoke),
-    ("host-chaos", run_host_chaos_smoke),
     ("device-opt", run_device_opt_smoke),
 ];
 
@@ -146,11 +138,6 @@ const SUBCOMMANDS: &[(&str, &str, Subcommand)] = &[
         run_host,
     ),
     ("soak", "[--smoke] [--out <file.json>]", run_soak),
-    (
-        "host-chaos",
-        "[--seeds <a,b,c>] [--out <file.json>]",
-        run_host_chaos,
-    ),
     (
         "device-opt",
         "[--smoke] [--out <file.json>] [--baseline <file>]",
@@ -509,56 +496,6 @@ fn print_soak_result(r: &soak::SoakResult) {
         r.breaker_opens,
         r.host_injected_faults,
         r.host_quarantines,
-    );
-}
-
-/// `repro all` entry: the host-lane fault matrix at CI scale, no file
-/// output.
-fn run_host_chaos_smoke() {
-    print_host_chaos_result(&host_chaos::run(&host_chaos::DEFAULT_SEEDS, 120, 64));
-}
-
-/// `repro host-chaos [--seeds <a,b,c>] [--out <file.json>]`
-fn run_host_chaos(mut rest: Vec<String>, usage: &str) {
-    let seeds_what = "a comma-separated list of integers";
-    let seeds = match take_value::<String>(&mut rest, "--seeds", seeds_what) {
-        None => host_chaos::DEFAULT_SEEDS.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|x| x.trim().parse::<u64>())
-            .collect::<Result<Vec<u64>, _>>()
-            .unwrap_or_else(|_| usage_error(format!("--seeds needs {seeds_what}"))),
-    };
-    let out_path: Option<String> = take_value(&mut rest, "--out", "a file path");
-    expect_no_more(&rest, usage);
-    let (r, run) = obs::capture(|| host_chaos::run(&seeds, 120, 64));
-    print_host_chaos_result(&r);
-    let m = &run.metrics;
-    println!(
-        "[run report] host-chaos: {} injected, {} panics caught, {} oracle recomputes, \
-         {} redispatches, {} rechunks (real wall-clock run)",
-        m.counter_sum("cudasw.simd.pool.faults_injected", &[]) as u64,
-        m.counter_sum("cudasw.simd.pool.panics", &[]) as u64,
-        m.counter_sum("cudasw.simd.pool.oracle_recomputes", &[]) as u64,
-        m.counter_sum("cudasw.simd.pool.redispatches", &[]) as u64,
-        m.counter_sum("cudasw.simd.pool.rechunks", &[]) as u64,
-    );
-    if let Some(out_path) = out_path {
-        write_or_fail(&out_path, &r.to_json());
-        println!(
-            "wrote host-chaos result ({}) to {out_path}",
-            host_chaos::SCHEMA
-        );
-    }
-}
-
-fn print_host_chaos_result(r: &host_chaos::HostChaosResult) {
-    r.table().print();
-    println!(
-        "Host fault matrix: {} cells, {} injected faults, every cell bit-identical \
-         to the clean run, zero lost or duplicated sequences.\n",
-        r.cells.len(),
-        r.total_injected,
     );
 }
 

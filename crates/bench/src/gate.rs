@@ -2,11 +2,11 @@
 //! and CI check a written benchmark document with, on the parsed JSON
 //! rather than by `grep` over its text. The document's `schema` picks the
 //! checks: a trajectory must parse (every field of every row present and
-//! typed) and hold no entry with [`Entry::missing_rows`]; the soak and
-//! host-chaos snapshots are checked field by field; a document without a
-//! `schema` must be a valid Chrome trace.
+//! typed) and hold no entry with [`Entry::missing_rows`]; the soak
+//! snapshot is checked field by field; a document without a `schema` must
+//! be a valid Chrome trace.
 
-use crate::experiments::{device_trajectory, host_chaos, host_trajectory, soak};
+use crate::experiments::{device_trajectory, host_trajectory, soak};
 use crate::trajectory::{num, Entry, Trajectory};
 use obs::json::{parse, Json};
 
@@ -29,13 +29,6 @@ const SOAK_FIELDS: [(&str, Want); 3] = [
     ("host_injected_faults", Want::Positive),
 ];
 
-/// All scores match, nothing lost, faults actually injected.
-const HOST_CHAOS_FIELDS: [(&str, Want); 3] = [
-    ("all_scores_match", Want::True),
-    ("lost_sequences", Want::Zero),
-    ("total_injected", Want::Positive),
-];
-
 /// Gate the document `text`. Returns what passed (the schema), or the
 /// human-readable failures, each naming the offending field.
 pub fn gate(text: &str, baseline: Option<&str>) -> Result<String, Vec<String>> {
@@ -55,7 +48,6 @@ pub fn gate(text: &str, baseline: Option<&str>) -> Result<String, Vec<String>> {
             failures.extend(availability_drop(&doc, baseline));
             failures
         }
-        Some(host_chaos::SCHEMA) => snapshot(&doc, &HOST_CHAOS_FIELDS),
         Some(other) => vec![format!("unknown \"schema\" {other:?}")],
         None => match obs::chrome::validate_chrome_trace(text) {
             Ok(_) => Vec::new(),
@@ -132,7 +124,6 @@ mod tests {
     const HOST: &str = include_str!("../../../BENCH_host.json");
     const DEVICE: &str = include_str!("../../../BENCH_device.json");
     const SOAK: &str = include_str!("../../../BENCH_soak.json");
-    const HOST_CHAOS: &str = include_str!("../../../BENCH_host_chaos.json");
 
     /// The single failure `doc` is rejected with.
     fn rejection(doc: &str, baseline: Option<&str>) -> String {
@@ -167,7 +158,6 @@ mod tests {
             (HOST, None),
             (DEVICE, None),
             (SOAK, Some(SOAK)),
-            (HOST_CHAOS, None),
             (r#"{"traceEvents":[]}"#, None),
         ] {
             assert_eq!(gate(doc, baseline).err(), None);
@@ -205,15 +195,12 @@ mod tests {
 
     #[test]
     fn snapshots_gate_each_field() {
-        for (doc, key, broken) in [
-            (HOST_CHAOS, "all_scores_match", "false"),
-            (HOST_CHAOS, "lost_sequences", "1"),
-            (HOST_CHAOS, "total_injected", "0"),
-            (SOAK, "host_injected_faults", "0"),
-            (SOAK, "duplicate_answers", "2"),
-            (SOAK, "scores_match_reference", "1"),
+        for (key, broken) in [
+            ("host_injected_faults", "0"),
+            ("duplicate_answers", "2"),
+            ("scores_match_reference", "1"),
         ] {
-            let msg = rejection(&set(doc, key, broken), None);
+            let msg = rejection(&set(SOAK, key, broken), None);
             assert!(msg.contains(&format!("\"{key}\" is {broken}")), "{msg}");
         }
         let doc = with(SOAK, "  \"duplicate_answers\": 0,\n", "");
@@ -242,7 +229,10 @@ mod tests {
         assert!(rejection(HOST, Some(HOST)).contains("--baseline only applies"));
         let empty = r#"{"schema": "cudasw.bench.host/v2", "entries": []}"#;
         assert!(rejection(empty, None).contains("\"entries\" is empty"));
-        let retired = r#"{"schema": "cudasw.bench.serve/v1", "entries": []}"#;
-        assert!(rejection(retired, None).contains("unknown \"schema\" \"cudasw.bench.serve/v1\""));
+        for retired in ["cudasw.bench.serve/v1", "cudasw.bench.host_chaos/v1"] {
+            let doc = format!(r#"{{"schema": "{retired}", "all_scores_match": true}}"#);
+            let unknown = format!("unknown \"schema\" \"{retired}\"");
+            assert!(rejection(&doc, None).contains(&unknown));
+        }
     }
 }

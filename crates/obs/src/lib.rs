@@ -39,14 +39,12 @@
 //! [`capture`] and off otherwise, so deeply nested library code does not
 //! grow an unbounded span vector when nobody is going to read it.
 
-pub mod assert;
 pub mod chrome;
 pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod span;
 
-pub use assert::{MetricsAssert, TraceAssert};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};
 pub use span::{InstantEvent, Span, SpanId, Trace};
 

@@ -97,9 +97,11 @@ cargo test -q --offline -p sw-simd --test prefix_scan_differential --test handof
   --test op_budget
 
 # Crash-only host engine: the seeded host-fault matrix (>=3 seeds x
-# {panic, stall, alloc-fail}, chaos storms, budget starvation) and the
-# all-or-nothing cancellation properties, named explicitly so a filter
-# can never silently drop them (see DESIGN.md §15).
+# {panic, stall, alloc-fail}, each cell's published cudasw.simd.pool.*
+# counters equal to its fault report, chaos storms that land on every
+# seed, budget starvation) and the all-or-nothing cancellation
+# properties, named explicitly so a filter can never silently drop them
+# (see DESIGN.md §15).
 cargo test -q --offline -p sw-simd --test host_faults --test cancel_props
 
 # One job shape: the wave cases, named so a filter cannot drop them. The
@@ -188,15 +190,6 @@ fi
 repro "${host_args[@]}" >/dev/null
 repro gate "$tmp/BENCH_host.json"
 
-# Host-chaos gate: the seeded host-fault matrix (every seed x
-# {panic, stall, alloc-fail} forced faults plus a full chaos storm per
-# seed) over the protected SIMD pool. Bit-identical scores, zero lost or
-# duplicated sequences, and every recovery path provably taken are all
-# asserted inside the experiment; the gate pins all_scores_match,
-# lost_sequences == 0 and total_injected > 0 in the document.
-repro host-chaos --seeds 11,22,33 --out "$tmp/BENCH_host_chaos.json" >/dev/null
-repro gate "$tmp/BENCH_host_chaos.json"
-
 # Chaos-soak gate: rolling faults across every lane (one full device loss
 # with revival included) plus the host-lane fault storm riding the hedges
 # and CPU fallbacks must hold the availability SLO and answer
@@ -236,7 +229,7 @@ for exp in table1 fig3 fig5 fig6 strips retune multigpu validation chaos integri
 done
 
 # A retired subcommand is a usage error (exit 2), not a silent no-op.
-for retired in extensions serve-rt; do
+for retired in extensions serve-rt host-chaos; do
   rc=0
   repro "$retired" >/dev/null 2>&1 || rc=$?
   if [[ "$rc" -ne 2 ]]; then

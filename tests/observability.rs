@@ -3,7 +3,10 @@
 //! search → phase → kernel/transfer span structure (the `repro trace`
 //! output format), a loadable Prometheus snapshot, and a metrics registry
 //! whose phase accounting agrees with the `RunStats` view the driver
-//! returns.
+//! returns. The last cases hold the assertion harness these checks are
+//! written in (`obs_assert`) to failing when it should, NaN included.
+
+mod obs_assert;
 
 use cudasw_core::intra_improved::{ImprovedParams, VariantConfig};
 use cudasw_core::{
@@ -11,7 +14,8 @@ use cudasw_core::{
     SearchResult,
 };
 use gpu_sim::{DeviceSpec, FaultPlan, FaultSite};
-use obs::{chrome, json, prom, MetricsAssert, TraceAssert};
+use obs::{chrome, json, prom, MetricsRegistry, Trace};
+use obs_assert::{MetricsAssert, TraceAssert};
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_db::Database;
 
@@ -253,4 +257,139 @@ fn counters_are_monotone_across_searches() {
         );
     });
     drop(run);
+}
+
+#[test]
+fn ratio_check_reads_counters_across_label_subsets() {
+    let mut r = MetricsRegistry::new();
+    r.counter_add("tx", &[("variant", "original"), ("device", "0")], 80.0);
+    r.counter_add("tx", &[("variant", "original"), ("device", "1")], 20.0);
+    r.counter_add("tx", &[("variant", "improved")], 2.0);
+    let ok = MetricsAssert::new().ratio_ge(
+        "tx",
+        &[("variant", "original")],
+        "tx",
+        &[("variant", "improved")],
+        40.0,
+    );
+    assert!(ok.check(&r).is_ok());
+    let too_high = MetricsAssert::new().ratio_ge(
+        "tx",
+        &[("variant", "original")],
+        "tx",
+        &[("variant", "improved")],
+        60.0,
+    );
+    assert!(too_high.check(&r).is_err());
+}
+
+#[test]
+fn zero_denominator_fails_rather_than_passing() {
+    let mut r = MetricsRegistry::new();
+    r.counter_add("a", &[], 5.0);
+    let res = MetricsAssert::new()
+        .ratio_ge("a", &[], "missing", &[], 1.0)
+        .check(&r);
+    assert!(res.unwrap_err().contains("zero"));
+}
+
+#[test]
+fn failures_accumulate() {
+    let r = MetricsRegistry::new();
+    let err = MetricsAssert::new()
+        .counter_ge("x", &[], 1.0)
+        .counter_ge("y", &[], 2.0)
+        .check(&r)
+        .unwrap_err();
+    assert_eq!(err.lines().count(), 2);
+}
+
+#[test]
+fn parts_sum_check() {
+    let mut r = MetricsRegistry::new();
+    r.counter_add("s", &[("phase", "inter")], 3.0);
+    r.counter_add("s", &[("phase", "intra")], 7.0);
+    r.counter_add("total", &[], 10.0);
+    let a = MetricsAssert::new().parts_sum_to(
+        &[("s", &[("phase", "inter")]), ("s", &[("phase", "intra")])],
+        "total",
+        &[],
+        1e-9,
+    );
+    assert!(a.check(&r).is_ok());
+}
+
+#[test]
+fn trace_shape_checks() {
+    let mut t = Trace::default();
+    let search = t.begin("search", "phase", 0.0, 0);
+    let intra = t.begin("intra_task", "phase", 1.0, 0);
+    t.instant("fault", "fault", 1.5, 0, &[]);
+    t.end(intra, 2.0, &[]);
+    t.end(search, 3.0, &[]);
+
+    assert!(TraceAssert::new()
+        .has_span("search", 1)
+        .span_within("intra_task", "search")
+        .has_instant("fault", 1)
+        .all_closed()
+        .check(&t)
+        .is_ok());
+    assert!(TraceAssert::new()
+        .span_within("search", "intra_task")
+        .check(&t)
+        .is_err());
+}
+
+/// A registry holding `value` under counter `name`.
+fn registry_with(name: &str, value: f64) -> MetricsRegistry {
+    let mut r = MetricsRegistry::new();
+    r.counter_add(name, &[], value);
+    r
+}
+
+#[test]
+fn nan_counter_fails_counter_ge() {
+    let r = registry_with("x", f64::NAN);
+    let err = MetricsAssert::new()
+        .counter_ge("x", &[], 1.0)
+        .check(&r)
+        .unwrap_err();
+    assert!(err.contains("x = NaN"), "{err}");
+}
+
+#[test]
+fn nan_counter_fails_counter_eq() {
+    let r = registry_with("x", f64::NAN);
+    let err = MetricsAssert::new()
+        .counter_eq("x", &[], 1.0, 0.5)
+        .check(&r)
+        .unwrap_err();
+    assert!(err.contains("x = NaN"), "{err}");
+}
+
+#[test]
+fn nan_numerator_or_denominator_fails_ratio_ge() {
+    for (num, den) in [(f64::NAN, 1.0), (1.0, f64::NAN)] {
+        let mut r = registry_with("num", num);
+        r.counter_add("den", &[], den);
+        let err = MetricsAssert::new()
+            .ratio_ge("num", &[], "den", &[], 0.5)
+            .check(&r)
+            .unwrap_err();
+        assert!(err.contains("num / den = NaN"), "{err}");
+    }
+}
+
+#[test]
+fn nan_part_or_whole_fails_parts_sum_to() {
+    for (part, whole) in [(f64::NAN, 1.0), (1.0, f64::NAN)] {
+        let mut r = registry_with("part", part);
+        r.counter_add("whole", &[], whole);
+        let err = MetricsAssert::new()
+            .parts_sum_to(&[("part", &[])], "whole", &[], 0.5)
+            .check(&r)
+            .unwrap_err();
+        assert!(err.contains("sum(part)"), "{err}");
+    }
 }

@@ -2,6 +2,8 @@
 //! paper scale (via the validated analytic models) and at reduced
 //! functional scale. EXPERIMENTS.md discusses each band.
 
+mod obs_assert;
+
 use cudasw_bench::experiments::{fig2, fig3, fig5, fig6, predict, table2};
 use cudasw_bench::workloads;
 use cudasw_core::model::{
@@ -12,7 +14,7 @@ use cudasw_core::{
     ImprovedParams, IntraKernelChoice, VariantConfig,
 };
 use gpu_sim::{DeviceSpec, TimingModel};
-use obs::MetricsAssert;
+use obs_assert::MetricsAssert;
 use sw_db::catalog::PaperDb;
 use sw_db::synth::{database_with_lengths, make_query};
 
