@@ -11,8 +11,8 @@
 //! repro trace <experiment> [--out <file.json>] [--metrics <file.prom>]
 //! repro host [--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]
 //! repro soak [--smoke] [--out <file.json>]
-//! repro device-opt [--smoke] [--out <file.json>] [--baseline <file>]
-//! repro gate <doc.json> [--baseline <committed.json>]
+//! repro device-opt [--out <file.json>]
+//! repro gate <doc.json>
 //! ```
 //!
 //! `--inject-faults <seed>` selects the random fault seed for the chaos
@@ -26,14 +26,19 @@
 //! count appears in the result table. Scores are bit-identical either
 //! way.
 //!
-//! `host` and `device-opt` record into the append-only trajectories
-//! (`BENCH_{host,device}.json`, see `cudasw_bench::trajectory`) through
-//! one path: `--out` writes the run as an entry keyed by git rev (`+dirty`
-//! from a modified tree) + workload config + measuring host or device;
-//! `--baseline <file>` first merges it into that committed trajectory and
-//! compares it against the latest comparable entry. The entry's own gates
-//! always run. Exit code 0 is a pass, 1 a failed gate or an I/O error, 2 a
-//! usage error.
+//! `host` records wall-clock numbers into the append-only trajectory
+//! `BENCH_host.json` (see `cudasw_bench::trajectory`): `--out` writes the
+//! run as an entry keyed by git rev (`+dirty` from a modified tree) +
+//! workload config + host thread count; `--baseline <file>` first merges
+//! it into that committed trajectory and compares it against the latest
+//! comparable entry. The entry's own gates always run.
+//!
+//! `soak` and `device-opt` print only simulated-clock numbers, so their
+//! `--out` documents (`BENCH_{soak,device}.json`) are snapshots: no rev,
+//! one run per config, checked with `cmp` against the committed file. Each
+//! experiment asserts its own claims on every run.
+//!
+//! Exit code 0 is a pass, 1 a failed gate or an I/O error, 2 a usage error.
 //!
 //! Serving is reported on the simulated clock only (`serve`, `soak`);
 //! wall-clock serving and simulator host speed are the repo benchmark's
@@ -49,17 +54,16 @@
 //!
 //! `device-opt` runs the §VII device-kernel optimization matrix
 //! (baseline, each optimization alone, all together) through the
-//! simulator on a trimmed Fermi and records the counted metric each
-//! optimization claims to move, plus a CRC of the scores. Gates: the
-//! invariants on every run (score/byte/cell identity, the ≥ 4× staging
-//! transaction cut, fusion hiding stalls the baseline exposes, the
-//! streamed-copy accounting identity, balance never worsening skew) and,
-//! against the baseline, a per-row GCUPs floor and transaction ceiling.
+//! simulator on a trimmed Fermi, at full and at smoke scale, and records
+//! the counted metric each optimization claims to move, plus a CRC of the
+//! scores. Gates, on both runs' measured values: score/byte/cell identity,
+//! the ≥ 4× staging transaction cut, fusion hiding stalls the baseline
+//! exposes, the streamed-copy accounting identity, balance never worsening
+//! skew.
 //!
-//! `gate` parses a written document — a trajectory, `BENCH_soak.json`
-//! (`--baseline`: availability at most 0.005 under the committed one) or
-//! a Chrome trace — and runs its schema's
-//! checks on typed values (`cudasw_bench::gate`), as `verify.sh` and CI do.
+//! `gate` parses a written document — the host trajectory or a Chrome
+//! trace — and runs its schema's checks on typed values
+//! (`cudasw_bench::gate`), as `verify.sh` and CI do.
 //!
 //! `trace` runs any experiment under the observability recorder and dumps
 //! its span timeline as a Chrome `trace_event` JSON file — load it in
@@ -82,11 +86,11 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 use cudasw_bench::experiments::{
-    ablation, chaos, device_opt, device_trajectory, fig2, fig3, fig5, fig6, fig7, host, integrity,
+    ablation, chaos, device_opt, fig2, fig3, fig5, fig6, fig7, host, host_trajectory, integrity,
     multigpu, retune, serve, soak, strips, table1, table2, validation,
 };
 use cudasw_bench::gate;
-use cudasw_bench::trajectory::{rev_key, Entry, Trajectory};
+use cudasw_bench::trajectory::{rev_key, Trajectory};
 use cudasw_core::variants::{development_stages, FINAL_KERNEL_STAGE};
 use gpu_sim::DeviceSpec;
 
@@ -100,7 +104,8 @@ static CHECKPOINT_DIR: OnceLock<String> = OnceLock::new();
 static RESUME: OnceLock<bool> = OnceLock::new();
 
 /// Every experiment, in `repro all` order. The subcommands that take
-/// arguments of their own appear here with their CI-scale, no-file entry.
+/// arguments of their own appear here with their no-file entry (CI scale
+/// where they have a `--smoke`).
 const KNOWN: &[(&str, fn())] = &[
     ("fig2", run_fig2),
     ("fig3", run_fig3),
@@ -119,7 +124,7 @@ const KNOWN: &[(&str, fn())] = &[
     ("serve", run_serve),
     ("soak", run_soak_smoke),
     ("host", run_host_smoke),
-    ("device-opt", run_device_opt_smoke),
+    ("device-opt", || run_device_opt(Vec::new(), "")),
 ];
 
 /// A subcommand's entry point: its arguments, and its usage line.
@@ -138,12 +143,8 @@ const SUBCOMMANDS: &[(&str, &str, Subcommand)] = &[
         run_host,
     ),
     ("soak", "[--smoke] [--out <file.json>]", run_soak),
-    (
-        "device-opt",
-        "[--smoke] [--out <file.json>] [--baseline <file>]",
-        run_device_opt,
-    ),
-    ("gate", "<doc.json> [--baseline <committed.json>]", run_gate),
+    ("device-opt", "[--out <file.json>]", run_device_opt),
+    ("gate", "<doc.json>", run_gate),
 ];
 
 fn main() {
@@ -523,29 +524,30 @@ fn git_rev() -> String {
     rev_key(head.as_deref(), &porcelain)
 }
 
-/// The one gated-run path: load the committed trajectory, gate the fresh
-/// `entry` on its own and against its latest comparable entry,
-/// append it, write the merged document, then exit 1 if any gate failed.
-fn run_gated<E: Entry>(
-    entry: E,
+/// The gated-run path of the host trajectory: load the committed
+/// trajectory, gate the fresh `entry` on its own and against its latest
+/// comparable entry, append it, write the merged document, then exit 1 if
+/// any gate failed.
+fn run_gated(
+    entry: host::HostBenchResult,
     out_path: Option<String>,
     baseline_path: Option<String>,
-    gate: &str,
 ) {
     let mut trajectory = match &baseline_path {
-        Some(p) => Trajectory::<E>::parse(&read_or_fail("baseline ", p))
+        Some(p) => Trajectory::parse(&read_or_fail("baseline ", p))
             .unwrap_or_else(|e| fail(format!("cannot parse baseline {p}: {e}"))),
         None => Trajectory::default(),
     };
     let mut failures = entry.standalone_gates();
-    let (config, on) = entry.workload();
+    let (config, threads) = entry.workload();
+    let on = format!("{threads} host threads");
     match trajectory.baseline_for(&entry) {
         Some(base) => {
             println!(
                 "comparing against committed entry (rev {}, config {config}, {on})",
-                base.rev()
+                base.rev
             );
-            failures.extend(E::regressions(base, &entry));
+            failures.extend(host_trajectory::regressions(base, &entry));
         }
         None if baseline_path.is_some() => {
             println!("no comparable committed entry (config {config}, {on}): recording only");
@@ -558,12 +560,12 @@ fn run_gated<E: Entry>(
         println!(
             "wrote trajectory ({} entries, {}) to {out_path}",
             trajectory.entries.len(),
-            E::SCHEMA
+            host_trajectory::SCHEMA
         );
     }
-    fail_if_any(gate, &failures);
+    fail_if_any("host perf gate", &failures);
     let compared = baseline_path.map_or("", |_| " + committed-baseline comparison");
-    println!("{gate} passed (the entry's own gates{compared}).");
+    println!("host perf gate passed (the entry's own gates{compared}).");
 }
 
 /// `repro host [--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]`
@@ -585,43 +587,37 @@ fn run_host(mut rest: Vec<String>, usage: &str) {
         selected as u64, reruns as u64
     );
     r.rev = git_rev();
-    run_gated(r, out_path, baseline_path, "host perf gate");
+    run_gated(r, out_path, baseline_path);
 }
 
-/// `repro device-opt` inside `repro all`: smoke scale, invariant gates
-/// only (no trajectory file involved).
-fn run_device_opt_smoke() {
-    let r = device_opt::run(true);
-    r.table().print();
-    fail_if_any(
-        "device optimization invariant gates",
-        &device_trajectory::invariant_gates(&r),
-    );
-    println!("device optimization invariant gates passed (smoke scale).");
-}
-
-/// `repro device-opt [--smoke] [--out <file.json>] [--baseline <file>]`
+/// `repro device-opt [--out <file.json>]`: the full and the smoke matrix,
+/// each held to the invariant gates on its measured values.
 fn run_device_opt(mut rest: Vec<String>, usage: &str) {
-    let smoke = take_flag(&mut rest, "--smoke");
-    let out_path = take_value(&mut rest, "--out", "a file path");
-    let baseline_path = take_value(&mut rest, "--baseline", "a file path");
+    let out_path: Option<String> = take_value(&mut rest, "--out", "a file path");
     expect_no_more(&rest, usage);
-    let mut r = device_opt::run(smoke);
-    r.table().print();
-    r.rev = git_rev();
-    // The counted per-optimization claims gate every run, baseline or not.
-    run_gated(r, out_path, baseline_path, "device perf gate");
+    let runs = [device_opt::run(false), device_opt::run(true)];
+    let mut failures = Vec::new();
+    for r in &runs {
+        r.table().print();
+        failures.extend(device_opt::invariant_gates(r));
+    }
+    if let Some(out_path) = out_path {
+        write_or_fail(&out_path, &device_opt::to_json(&runs));
+        println!(
+            "wrote device snapshot ({}) to {out_path}",
+            device_opt::SCHEMA
+        );
+    }
+    fail_if_any("device perf gate", &failures);
+    println!("device perf gate passed (the invariant gates, full and smoke).");
 }
 
-/// `repro gate <doc.json> [--baseline <committed.json>]`
-fn run_gate(mut rest: Vec<String>, usage: &str) {
-    let baseline_path: Option<String> = take_value(&mut rest, "--baseline", "a file path");
+/// `repro gate <doc.json>`
+fn run_gate(rest: Vec<String>, usage: &str) {
     let [doc_path] = rest.as_slice() else {
         usage_error(format!("usage: {usage}"));
     };
-    let doc = read_or_fail("", doc_path);
-    let baseline = baseline_path.map(|p| read_or_fail("baseline ", &p));
-    match gate::gate(&doc, baseline.as_deref()) {
+    match gate::gate(&read_or_fail("", doc_path)) {
         Ok(summary) => println!("gate passed: {doc_path} ({summary})"),
         Err(failures) => fail_if_any(&format!("gate on {doc_path}"), &failures),
     }

@@ -2,9 +2,8 @@
 //! `cudasw.bench.host/v2`): one entry per measured `repro host` run,
 //! keyed by `(git rev, workload config, host_threads)`. The append-only
 //! document, the merge-by-key and the baseline lookup are
-//! [`crate::trajectory`]'s; this module is the schema's [`Entry`] impl
-//! and its gates. Legacy v1 documents (a snapshot each run overwrote)
-//! parse into a single `pre-v2` entry that every merge preserves.
+//! [`crate::trajectory`]'s; this module is the entry's fields, their
+//! parser and its gates:
 //!
 //! * **regression comparator** ([`regressions`]) — the freshly measured
 //!   entry is compared against the most recent committed entry with the
@@ -16,20 +15,18 @@
 //!   [`MIN_SCALING_PER_THREAD`]` × n` self-scaling on its widest backend.
 //!   The gate is conditional on the recorded `host_threads`: a 1-core CI
 //!   box cannot measure scaling and must not fake a pass or a failure.
-//! * **coverage** ([`Entry::missing_rows`]) — a v2 entry must hold a
-//!   `portable` backend row and a `prefix-scan` kernel-mode row.
+//! * **coverage** ([`HostBenchResult::missing_rows`]) — an entry must hold
+//!   a `portable` backend row and a `prefix-scan` kernel-mode row.
 
 use super::host::{HostBenchResult, HostRow};
-use crate::trajectory::{inline_object, num, quoted, rows, rows_array, text, Entry};
+use crate::trajectory::{inline_object, num, quoted, rows, rows_array, text};
 use obs::json::Json;
 
 /// JSON schema tag of the trajectory document.
 pub const SCHEMA: &str = "cudasw.bench.host/v2";
 
-/// Schema tag of the legacy single-snapshot document.
-pub const SCHEMA_V1: &str = "cudasw.bench.host/v1";
-
-/// Rev of the entry a legacy v1 document upgrades to.
+/// Rev of the oldest committed entry, upgraded from the single snapshot
+/// the v1 bench overwrote; it predates kernel modes.
 pub const LEGACY_REV: &str = "pre-v2";
 
 /// Allowed fractional GCUPS drop vs the committed baseline row before the
@@ -49,21 +46,15 @@ pub const SCALING_GATE_MAX_THREADS: usize = 4;
 /// sequences — small databases legitimately collapse to one worker.
 pub const SCALING_GATE_MIN_DB: usize = 10_000;
 
-/// One measured run in the trajectory.
-pub type TrajectoryEntry = HostBenchResult;
-
-impl Entry for TrajectoryEntry {
-    const SCHEMA: &'static str = SCHEMA;
-
-    fn rev(&self) -> &str {
-        &self.rev
+impl HostBenchResult {
+    /// `(workload config, host threads)`: entries are comparable when both
+    /// match; with `rev`, the replace-vs-append key.
+    pub fn workload(&self) -> (&str, usize) {
+        (&self.config, self.host_threads)
     }
 
-    fn workload(&self) -> (&str, String) {
-        (&self.config, format!("{} host threads", self.host_threads))
-    }
-
-    fn fields(&self) -> Vec<(&'static str, String)> {
+    /// The entry's JSON fields in document order, values serialized.
+    pub fn fields(&self) -> Vec<(&'static str, String)> {
         // Per-backend pairs are written sorted by name — the order the
         // parser returns — so a document is a fixed point of parse → write.
         let pairs = |pairs: &[(String, f64)]| {
@@ -98,32 +89,26 @@ impl Entry for TrajectoryEntry {
         ]
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
+    /// Parse one element of the `entries` array; every field is required.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
         Ok(Self {
             rev: text(v, "rev")?,
             config: text(v, "config")?,
-            lazy_f_delta: pairs_from_json(v.get("lazy_f_delta"))?,
-            ..measurement_from_json(v)?
+            db_size: num(v, "db_size")? as usize,
+            query_len: num(v, "query_len")? as usize,
+            cells: num(v, "cells")? as u64,
+            host_threads: num(v, "host_threads")? as usize,
+            rows: rows(v, "rows", row_from_json)?,
+            thread_scaling: pairs_from_json(v, "thread_scaling")?,
+            lazy_f_delta: pairs_from_json(v, "lazy_f_delta")?,
         })
     }
 
-    /// Upgrade a legacy v1 snapshot into one trajectory entry. The v1
-    /// bench ran a uniform toy database, so the config label records that
-    /// shape — it will never match a Swissprot-shaped config, which keeps
-    /// the comparator from comparing across workloads.
-    fn from_legacy(schema: &str, doc: &Json) -> Option<Result<Self, String>> {
-        (schema == SCHEMA_V1).then(|| {
-            let mut entry = measurement_from_json(doc)?;
-            entry.rev = LEGACY_REV.to_string();
-            entry.config = format!("uniform-{}x{}", entry.db_size, entry.query_len);
-            Ok(entry)
-        })
-    }
-
-    /// Every v2 run measures the portable backend (the one every machine
-    /// has) and forces the prefix-scan kernel mode once; the upgraded v1
-    /// entry predates kernel modes.
-    fn missing_rows(&self) -> Vec<String> {
+    /// Every run measures the portable backend (the one every machine
+    /// has) and forces the prefix-scan kernel mode once; the
+    /// [`LEGACY_REV`] entry predates kernel modes. One failure per missing
+    /// row; what `repro gate` checks on a written document.
+    pub fn missing_rows(&self) -> Vec<String> {
         let mut failures = Vec::new();
         if !self.rows.iter().any(|r| r.backend == "portable") {
             failures.push("no row with \"backend\": \"portable\"".to_string());
@@ -134,25 +119,25 @@ impl Entry for TrajectoryEntry {
         failures
     }
 
-    fn standalone_gates(&self) -> Vec<String> {
+    /// Failures of the gates a fresh measurement must pass on its own.
+    pub fn standalone_gates(&self) -> Vec<String> {
         let mut failures = self.missing_rows();
         failures.extend(scaling_gate(self));
         failures
     }
-
-    fn regressions(baseline: &Self, new: &Self) -> Vec<String> {
-        regressions(baseline, new)
-    }
 }
 
-fn pairs_from_json(v: Option<&Json>) -> Result<Vec<(String, f64)>, String> {
-    match v {
-        None => Ok(Vec::new()),
-        Some(Json::Obj(m)) => Ok(m
+/// A required object of backend name → number.
+fn pairs_from_json(v: &Json, key: &str) -> Result<Vec<(String, f64)>, String> {
+    match v.get(key) {
+        Some(Json::Obj(m)) => m
             .iter()
-            .map(|(k, v)| (k.clone(), v.as_f64().unwrap_or(0.0)))
-            .collect()),
-        Some(_) => Err("expected an object of name → number".to_string()),
+            .map(|(name, n)| match n.as_f64() {
+                Some(n) => Ok((name.clone(), n)),
+                None => Err(format!("{key:?}: {name:?} is not a number")),
+            })
+            .collect(),
+        _ => Err(format!("missing object field {key:?} (name → number)")),
     }
 }
 
@@ -160,42 +145,21 @@ fn row_from_json(v: &Json) -> Result<HostRow, String> {
     Ok(HostRow {
         backend: text(v, "backend")?,
         precision: text(v, "precision")?,
-        // v1 rows predate kernel modes: they all ran the correction loop.
-        kernel_mode: v
-            .get("kernel_mode")
-            .and_then(|s| s.as_str())
-            .unwrap_or("correction-loop")
-            .to_string(),
+        kernel_mode: text(v, "kernel_mode")?,
         threads: num(v, "threads")? as usize,
         seconds: num(v, "seconds")?,
         gcups: num(v, "gcups")?,
         byte_mode: num(v, "byte_mode")? as u64,
         word_fallbacks: num(v, "word_fallbacks")? as u64,
-        lazy_f: v.get("lazy_f").and_then(|n| n.as_f64()).unwrap_or(0.0) as u64,
+        lazy_f: num(v, "lazy_f")? as u64,
         steals: num(v, "steals")? as u64,
-    })
-}
-
-/// The fields a v2 entry and a v1 document share; `rev`, `config` and
-/// `lazy_f_delta` (v2 only) are left empty for the caller.
-fn measurement_from_json(v: &Json) -> Result<TrajectoryEntry, String> {
-    Ok(TrajectoryEntry {
-        rev: String::new(),
-        config: String::new(),
-        db_size: num(v, "db_size")? as usize,
-        query_len: num(v, "query_len")? as usize,
-        cells: num(v, "cells")? as u64,
-        host_threads: num(v, "host_threads")? as usize,
-        rows: rows(v, "rows", row_from_json)?,
-        thread_scaling: pairs_from_json(v.get("thread_scaling"))?,
-        lazy_f_delta: Vec::new(),
     })
 }
 
 /// Compare a fresh entry against its committed baseline: every row key
 /// present in both must not have lost more than [`GCUPS_TOLERANCE`] of its
 /// GCUPS. Returns human-readable failures (empty = pass).
-pub fn regressions(baseline: &TrajectoryEntry, new: &TrajectoryEntry) -> Vec<String> {
+pub fn regressions(baseline: &HostBenchResult, new: &HostBenchResult) -> Vec<String> {
     let mut failures = Vec::new();
     for old in &baseline.rows {
         let Some(fresh) = new.rows.iter().find(|r| {
@@ -226,7 +190,7 @@ pub fn regressions(baseline: &TrajectoryEntry, new: &TrajectoryEntry) -> Vec<Str
 /// scaling are gated: a large-enough database, `n = min(4, host_threads)`
 /// of at least 2, and an `n`-thread row actually present. Returns failures
 /// (empty = pass or not applicable).
-pub fn scaling_gate(entry: &TrajectoryEntry) -> Vec<String> {
+pub fn scaling_gate(entry: &HostBenchResult) -> Vec<String> {
     let n = entry.host_threads.min(SCALING_GATE_MAX_THREADS);
     if entry.db_size < SCALING_GATE_MIN_DB || n < 2 || !entry.rows.iter().any(|r| r.threads >= n) {
         return Vec::new();
@@ -252,7 +216,7 @@ pub fn scaling_gate(entry: &TrajectoryEntry) -> Vec<String> {
 mod tests {
     use super::*;
 
-    type Trajectory = crate::trajectory::Trajectory<TrajectoryEntry>;
+    use crate::trajectory::Trajectory;
 
     fn sample_row(backend: &str, mode: &str, threads: usize, gcups: f64) -> HostRow {
         HostRow {
@@ -269,8 +233,8 @@ mod tests {
         }
     }
 
-    fn sample_entry(rev: &str, gcups_at_4: f64) -> TrajectoryEntry {
-        TrajectoryEntry {
+    fn sample_entry(rev: &str, gcups_at_4: f64) -> HostBenchResult {
+        HostBenchResult {
             rev: rev.to_string(),
             config: "swissprot-synth-100000x256".to_string(),
             db_size: 100_000,
@@ -311,39 +275,6 @@ mod tests {
             assert_eq!(a.thread_scaling.len(), b.thread_scaling.len());
             assert_eq!(a.lazy_f_delta.len(), b.lazy_f_delta.len());
         }
-    }
-
-    #[test]
-    fn v1_documents_upgrade_and_survive_a_merge() {
-        // A faithful miniature of the legacy snapshot format.
-        let v1 = r#"{
-  "schema": "cudasw.bench.host/v1",
-  "db_size": 800,
-  "query_len": 256,
-  "cells": 61069056,
-  "host_threads": 1,
-  "rows": [
-    {"backend": "portable", "precision": "word", "threads": 1, "seconds": 0.09, "gcups": 0.67, "byte_mode": 0, "word_fallbacks": 800, "steals": 0},
-    {"backend": "avx2", "precision": "adaptive", "threads": 1, "seconds": 0.008, "gcups": 7.6, "byte_mode": 798, "word_fallbacks": 2, "steals": 0}
-  ],
-  "thread_scaling": {"avx2": 0.944}
-}"#;
-        let mut t = Trajectory::parse(v1).expect("v1 upgrades");
-        assert_eq!(t.entries.len(), 1);
-        let legacy = &t.entries[0];
-        assert_eq!(legacy.rev, "pre-v2");
-        assert_eq!(legacy.config, "uniform-800x256");
-        assert_eq!(legacy.rows.len(), 2);
-        assert_eq!(legacy.rows[0].kernel_mode, "correction-loop");
-        assert_eq!(legacy.rows[0].lazy_f, 0);
-        // Merging a new v2 entry keeps the legacy row (append-only).
-        t.append(sample_entry("new1234", 15.0));
-        assert_eq!(t.entries.len(), 2);
-        assert_eq!(t.entries[0].rev, "pre-v2");
-        // And the merged doc round-trips as v2.
-        let reparsed = Trajectory::parse(&t.to_json()).expect("merged doc parses");
-        assert_eq!(reparsed.entries.len(), 2);
-        assert_eq!(reparsed.entries[0].config, "uniform-800x256");
     }
 
     #[test]

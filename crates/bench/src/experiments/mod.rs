@@ -3,7 +3,6 @@
 pub mod ablation;
 pub mod chaos;
 pub mod device_opt;
-pub mod device_trajectory;
 pub mod fig2;
 pub mod fig3;
 pub mod fig5;

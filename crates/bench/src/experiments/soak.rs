@@ -23,8 +23,8 @@
 //! their own seeded chaos plan — chunk panics, stalls and admission
 //! failures — which the pool must absorb without changing any served
 //! score. All seeded — the run is deterministic and the JSON it emits
-//! (`BENCH_soak.json`, schema `cudasw.bench.soak/v1`) is reproducible
-//! byte-for-byte, which is what lets CI regression-gate on availability.
+//! (`BENCH_soak.json`, schema `cudasw.bench.soak/v1`) is a snapshot,
+//! reproducible byte-for-byte, which CI checks with `cmp`.
 
 use crate::report::Table;
 use crate::workloads;

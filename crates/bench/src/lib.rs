@@ -13,8 +13,10 @@
 //!   Table II).
 //!
 //! The `repro` binary drives everything: `repro all` regenerates the whole
-//! evaluation section; its benchmarks append to the committed
-//! `BENCH_*.json` documents through [`trajectory`], checked by [`gate`].
+//! evaluation section. Its one wall-clock benchmark appends to the
+//! committed `BENCH_host.json` through [`trajectory`], checked by
+//! [`gate`]; its simulated-clock documents (`BENCH_device.json`,
+//! `BENCH_soak.json`) are snapshots, checked with `cmp`.
 
 pub mod experiments;
 pub mod gate;

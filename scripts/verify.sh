@@ -149,9 +149,14 @@ repro() {
   cargo run -q --release --offline -p cudasw-bench --bin repro -- "$@"
 }
 
-# Every document a step below writes is checked by `repro gate <doc>`,
-# which parses it and runs its schema's checks on typed values
-# (crates/bench/src/gate.rs) — no grep over JSON text.
+# Two kinds of document are written below, each checked one way, with no
+# grep over JSON text. The Chrome trace and the host trajectory (wall-clock
+# numbers) are checked by `repro gate <doc>`, which parses them and runs
+# their schema's checks on typed values (crates/bench/src/gate.rs). A
+# document of simulated-clock numbers has no wall-clock or revision field
+# and one run per config, so it is a snapshot: it must equal the committed
+# file byte for byte (`cmp`), and its experiment asserts its own claims on
+# every run.
 
 # Trace-export smoke: `repro trace` must produce a valid Chrome
 # trace_event file and a Prometheus text dump.
@@ -190,48 +195,43 @@ fi
 repro "${host_args[@]}" >/dev/null
 repro gate "$tmp/BENCH_host.json"
 
-# Chaos-soak gate: rolling faults across every lane (one full device loss
-# with revival included) plus the host-lane fault storm riding the hedges
-# and CPU fallbacks must hold the availability SLO and answer
-# bit-identically to the fault-free replay; the gate pins
-# scores_match_reference, duplicate_answers == 0, host_injected_faults > 0
-# and, against the committed baseline, smoke availability no more than
-# half a percentage point lower. The document carries no wall-clock or
-# revision field, so it must also equal the committed one byte for byte:
-# a changed recovery ladder shows here whether or not availability moves.
+# Chaos-soak snapshot: rolling faults across every lane (one full device
+# loss with revival included) plus the host-lane fault storm riding the
+# hedges and CPU fallbacks. The experiment asserts its SLOs on every run
+# (availability, bit-identical replay, no duplicate answer, a storm that
+# landed); the snapshot must equal the committed one byte for byte, so a
+# changed recovery ladder shows here whether or not availability moves.
 repro soak --smoke --out "$tmp/BENCH_soak.json" >/dev/null
-repro gate "$tmp/BENCH_soak.json" --baseline BENCH_soak.json
 cmp "$tmp/BENCH_soak.json" BENCH_soak.json
 
-# Device-optimization gate: the §VII optimization matrix (boundary
+# Device-optimization snapshot: the §VII optimization matrix (boundary
 # staging, shared-only kernel, cross-strip fusion, streamed H2D, SaLoBa
-# balance) on the trimmed Fermi. The invariant gates always run inside
-# the experiment — identical score CRCs/bytes/cells across the matrix,
-# the >=4x staging transaction cut, fusion hiding stalls the baseline
-# exposes, the streamed-copy accounting identity, balance never
-# worsening block skew — and `repro device-opt` exits non-zero if any
-# fails. Against the committed trajectory the smoke entry is also
-# compared row by row (GCUPs floor, global-transaction ceiling).
-device_args=(device-opt --smoke --out "$tmp/BENCH_device.json")
-if [[ -f BENCH_device.json ]]; then
-  device_args+=(--baseline BENCH_device.json)
-fi
-repro "${device_args[@]}" >/dev/null
-repro gate "$tmp/BENCH_device.json"
+# balance) on the trimmed Fermi, full and smoke scale. The invariant gates
+# run inside the experiment on both runs' measured values — identical
+# score CRCs/bytes/cells across the matrix, the >=4x staging transaction
+# cut, fusion hiding stalls the baseline exposes, the streamed-copy
+# accounting identity, balance never worsening block skew — and
+# `repro device-opt` exits non-zero if any fails. Every counted number
+# must equal the committed snapshot byte for byte.
+repro device-opt --out "$tmp/BENCH_device.json" >/dev/null
+cmp "$tmp/BENCH_device.json" BENCH_device.json
 
 # Simulated numbers only move on purpose: these experiments print nothing
 # but counts and seconds off the simulated clock, so their stdout must
 # equal the files captured under tests/golden/ by the last change that
 # meant to move one (regenerate with `repro <exp> > tests/golden/<exp>.txt`
 # and say why in CHANGES.md).
-for exp in table1 fig3 fig5 fig6 strips retune multigpu validation chaos integrity serve; do
+for exp in table1 table2 fig2 fig3 fig5 fig6 strips retune multigpu validation chaos integrity \
+  serve ablation; do
   repro "$exp" | diff "tests/golden/$exp.txt" -
 done
 
-# A retired subcommand is a usage error (exit 2), not a silent no-op.
-for retired in extensions serve-rt host-chaos; do
+# A retired subcommand or flag is a usage error (exit 2), not a silent
+# no-op. Each entry is a command line, split into words on purpose.
+for retired in extensions serve-rt host-chaos "device-opt --smoke" \
+  "device-opt --baseline BENCH_device.json" "gate BENCH_soak.json --baseline BENCH_soak.json"; do
   rc=0
-  repro "$retired" >/dev/null 2>&1 || rc=$?
+  repro $retired >/dev/null 2>&1 || rc=$?
   if [[ "$rc" -ne 2 ]]; then
     echo "verify: FAILED (repro $retired exited $rc, expected usage error 2)" >&2
     exit 1
