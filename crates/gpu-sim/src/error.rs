@@ -66,6 +66,15 @@ pub enum GpuError {
         /// The bound word addresses.
         binding: Range<usize>,
     },
+    /// A block touched a word another block of the same launch wrote, or
+    /// wrote a word another block of it touched. CUDA leaves the outcome
+    /// undefined; a debug build of the simulator refuses the launch.
+    CrossBlockAccess {
+        /// The lowest such word of the block.
+        addr: usize,
+        /// The higher-numbered of the two blocks.
+        block: u32,
+    },
     /// The launch configuration is not executable on this device.
     InvalidLaunch {
         /// Human-readable reason (block too large, zero blocks, ...).
@@ -135,7 +144,8 @@ impl GpuError {
     /// (re-chunk the working set) and [`GpuError::DeviceLost`] (fall back
     /// to another device or the CPU path). Host programming mistakes
     /// (`BadAccess`, `OutsideBinding`, `InvalidLaunch`, `SizeMismatch`) are
-    /// not recoverable: retrying a wrong program cannot make it right.
+    /// not recoverable, nor is `CrossBlockAccess`: retrying a wrong program
+    /// cannot make it right.
     pub fn is_recoverable(&self) -> bool {
         self.is_transient() || matches!(self, GpuError::OutOfMemory { .. } | GpuError::DeviceLost)
     }
@@ -158,6 +168,11 @@ impl fmt::Display for GpuError {
                 f,
                 "texture fetch outside its binding: word {addr} not in [{}, {})",
                 binding.start, binding.end
+            ),
+            GpuError::CrossBlockAccess { addr, block } => write!(
+                f,
+                "block {block} shares word {addr} with an earlier block of its launch, \
+                 and one of them wrote it"
             ),
             GpuError::InvalidLaunch { reason } => write!(f, "invalid launch: {reason}"),
             GpuError::SizeMismatch { expected, got } => {

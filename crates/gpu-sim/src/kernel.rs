@@ -1,27 +1,57 @@
 //! Kernel execution: the [`BlockKernel`] trait, the per-block context, and
 //! the device launch loop.
 //!
-//! A kernel is run one block at a time (functional execution is
-//! sequential; *timing* concurrency is reconstructed by the scheduler in
-//! [`crate::timing`]). Blocks are assigned to SMs round-robin, so per-SM
-//! caches see a realistic interleaving.
-//!
 //! Kernels are written warp-collectively: they build a [`WarpAccess`] per
 //! memory instruction and call the typed accessors on [`BlockCtx`]. The
-//! context tracks every cost counter the timing model consumes.
+//! context tracks every cost counter the timing model consumes; *timing*
+//! concurrency is reconstructed from those counters by [`crate::timing`].
+//!
+//! **Execution model.** Block `b` of a launch runs on SM `b mod sm_count`,
+//! as in one serial run. The blocks run on `min(host threads, SMs, blocks)`
+//! workers, the launching thread one of them (a one-core host runs every
+//! block there). A worker owns whole SMs — those `≡ w (mod workers)` —
+//! with their L1 and texture caches, and runs their blocks in index order,
+//! so each of those caches sees exactly what it sees serially. The
+//! device-wide caches (the data L2, GT200's texture L2) see every block, so
+//! they take their accesses in block order: the oldest unfinished block
+//! applies its own at once; a later block logs them (about a byte each)
+//! and replays the log the moment it becomes the oldest. A block retires —
+//! handing the level to the next — only as the oldest, and its `l2_hits`,
+//! `dram_bytes` and cycles, and the launch's totals, are summed in block
+//! order. No counter moves from the serial simulator's.
+//!
+//! Global memory is shared by every worker as relaxed atomic words, so no
+//! data race is possible, under CUDA's rule: no block touches a word
+//! another block of the same launch wrote. Debug builds (and so every
+//! test run) check the rule: a retiring block's read and written words are
+//! checked against the earlier blocks', and a kernel that breaks it fails
+//! with [`GpuError::CrossBlockAccess`] whatever the interleaving; release
+//! builds skip the marking, about a twentieth of a block's time. A failed
+//! launch returns its lowest failing block's error, or re-raises its
+//! panic; what the later blocks did to memory and caches is then, as on
+//! CUDA, unspecified.
 
 use crate::device::DeviceSpec;
 use crate::error::{FaultSite, GpuError};
 use crate::fault::{
     fault_error, FaultInjector, FaultKind, FaultPlan, FaultStats, HANG_CYCLE_MULTIPLIER,
 };
-use crate::memory::{DevicePtr, MemoryStats, MemorySystem};
-use crate::shared::SharedMem;
+use crate::memory::{
+    AccessCost, BlockMem, DeviceCaches, DevicePtr, LaunchParts, Level2, MemoryStats, MemorySystem,
+    Reach, Settled, SmCaches, Touched,
+};
+use crate::shared::{SharedMem, SharedStats};
 use crate::stats::LaunchStats;
 use crate::texture::TexRef;
 use crate::timing::{BlockCost, TimingModel};
 use crate::warp::{WarpAccess, WARP_SIZE};
 use crate::xfer::{crc32_words, TransferModel, TransferStats};
+use std::any::Any;
+use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread;
 
 /// Static launch resources of a kernel (its "PTX header").
 #[derive(Debug, Clone, Copy)]
@@ -34,8 +64,9 @@ pub struct LaunchConfig {
     pub shared_words: u32,
 }
 
-/// A kernel executable on the simulated device.
-pub trait BlockKernel {
+/// A kernel executable on the simulated device. `Sync` because the blocks
+/// of one launch run on several host threads at once.
+pub trait BlockKernel: Sync {
     /// Launch resources.
     fn config(&self) -> LaunchConfig;
 
@@ -50,7 +81,7 @@ pub struct BlockCtx<'a> {
     /// Threads per block.
     pub block_dim: u32,
     sm: usize,
-    mem: &'a mut MemorySystem,
+    mem: BlockMem<'a>,
     shared: SharedMem,
     cost: BlockCost,
 }
@@ -66,14 +97,20 @@ impl<'a> BlockCtx<'a> {
         self.sm
     }
 
-    /// Warp-collective global load. Costs one warp instruction plus the
-    /// coalesced transactions.
-    pub fn global_load(&mut self, access: &WarpAccess) -> Result<[u32; WARP_SIZE], GpuError> {
-        let (vals, cost) = self.mem.warp_load(self.sm, access)?;
+    /// Charge one memory instruction and what its lines cost so far.
+    fn account(&mut self, cost: AccessCost) {
         self.cost.warp_instructions += 1;
         self.cost.near_hits += cost.near_hits as u64;
         self.cost.l2_hits += cost.l2_hits as u64;
         self.cost.dram_bytes += cost.dram_bytes as u64;
+    }
+
+    /// Warp-collective global load. Costs one warp instruction plus the
+    /// coalesced transactions.
+    pub fn global_load(&mut self, access: &WarpAccess) -> Result<[u32; WARP_SIZE], GpuError> {
+        let mut vals = [0; WARP_SIZE];
+        let cost = self.mem.load(access, &mut vals)?;
+        self.account(cost);
         Ok(vals)
     }
 
@@ -83,11 +120,8 @@ impl<'a> BlockCtx<'a> {
         access: &WarpAccess,
         values: &[u32; WARP_SIZE],
     ) -> Result<(), GpuError> {
-        let cost = self.mem.warp_store(self.sm, access, values)?;
-        self.cost.warp_instructions += 1;
-        self.cost.near_hits += cost.near_hits as u64;
-        self.cost.l2_hits += cost.l2_hits as u64;
-        self.cost.dram_bytes += cost.dram_bytes as u64;
+        let cost = self.mem.store(access, values)?;
+        self.account(cost);
         Ok(())
     }
 
@@ -104,11 +138,9 @@ impl<'a> BlockCtx<'a> {
                 binding: tex.span(),
             });
         }
-        let (vals, cost) = self.mem.warp_tex_load(self.sm, access)?;
-        self.cost.warp_instructions += 1;
-        self.cost.near_hits += cost.near_hits as u64;
-        self.cost.l2_hits += cost.l2_hits as u64;
-        self.cost.dram_bytes += cost.dram_bytes as u64;
+        let mut vals = [0; WARP_SIZE];
+        let cost = self.mem.tex_load(access, &mut vals)?;
+        self.account(cost);
         Ok(vals)
     }
 
@@ -173,10 +205,401 @@ impl<'a> BlockCtx<'a> {
         vals[0] = value;
         self.global_store(&WarpAccess::run(0, 1, ptr.addr()), &vals)
     }
+}
 
-    /// Counters accumulated so far (mainly for tests).
-    pub fn cost(&self) -> &BlockCost {
-        &self.cost
+/// Host threads a launch may use: the host's parallelism, read once.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Lock `mutex`, whether or not a panicking holder poisoned it. A block's
+/// own panic never poisons one: it is caught inside the worker, whose port
+/// keeps the guard until the block is done with. A poisoned lock therefore
+/// means the simulator itself panicked, and that panic reaches the caller
+/// (see [`StopOnUnwind`]) whatever the other workers then see.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What only the oldest unfinished block of a launch may touch.
+struct Oldest<'m> {
+    caches: &'m mut DeviceCaches,
+    /// The words every retired block touched (debug builds).
+    touched: Option<Touched>,
+}
+
+/// The hand-off of the device-wide level from block to block, in index
+/// order. Aligned so that no worker's own writes share a host cache line
+/// with `next`, which a logging block reads on every access it logs.
+#[repr(align(128))]
+struct Turn<'m> {
+    oldest: Mutex<Oldest<'m>>,
+    /// The oldest block that has not retired. Stored (`Release`) after the
+    /// retiring block drops its guard; the block that loads (`Acquire`) its
+    /// own index then takes the lock, which orders the caches' state.
+    next: AtomicU32,
+    /// The lowest block that failed (`u32::MAX`: none has).
+    stop: AtomicU32,
+    /// Signalled whenever `next` or `stop` moves.
+    moved: Condvar,
+    moved_lock: Mutex<()>,
+    /// Replayed log chunks, empty.
+    pool: Mutex<Vec<Vec<u8>>>,
+}
+
+impl Turn<'_> {
+    fn notify(&self) {
+        drop(lock(&self.moved_lock));
+        self.moved.notify_all();
+    }
+
+    fn fail(&self, block: u32) {
+        self.stop.fetch_min(block, Ordering::AcqRel);
+        self.notify();
+    }
+}
+
+/// A block's device-wide accesses, kept while an earlier block runs.
+///
+/// A kernel's accesses form a few streams per kind (one per array it
+/// walks), each advancing by a steady stride. The log follows four streams
+/// per kind and records an access as one LEB128 number: the kind in the low
+/// two bits, a stream in the two above, and above those the zigzagged miss
+/// from that stream's next line — one byte for a miss of −4 to +3 lines.
+/// An access near the nearest stream's next line moves that stream
+/// and sets its stride; any other restarts the least recently used stream
+/// there. Bytes go into fixed-size chunks, which go back to the launch's
+/// pool once replayed: the log never copies itself to grow, and the
+/// launch holds about as many chunks as its longest log at any moment.
+struct AccessLog<'t> {
+    /// Filled chunks, the last one being filled.
+    chunks: Vec<Vec<u8>>,
+    /// Empty chunks, for any block's log.
+    pool: &'t Mutex<Vec<Vec<u8>>>,
+    streams: Streams,
+}
+
+/// Bytes per log chunk.
+const LOG_CHUNK: usize = 16 * 1024;
+
+/// Per access kind, four streams: each one's last line, stride and last
+/// use.
+#[derive(Default)]
+struct Streams {
+    at: [[(usize, usize); 4]; 3],
+    used: [[u64; 4]; 3],
+    clock: u64,
+}
+
+/// Lines a stream may miss by and still move rather than restart.
+const NEAR_LINES: u64 = 16;
+
+fn near(miss: i64) -> bool {
+    miss.unsigned_abs() <= NEAR_LINES
+}
+
+fn zigzag(miss: i64) -> u64 {
+    ((miss << 1) ^ (miss >> 63)) as u64
+}
+
+impl Streams {
+    fn miss(&self, kind: usize, stream: usize, line: usize) -> i64 {
+        let (last, stride) = self.at[kind][stream];
+        line.wrapping_sub(last.wrapping_add(stride)) as i64
+    }
+
+    /// The stream `line` is logged against, and its miss.
+    fn choose(&self, kind: usize, line: usize) -> (usize, i64) {
+        let nearest = (0..4)
+            .map(|stream| (stream, self.miss(kind, stream, line)))
+            .min_by_key(|(_, miss)| miss.unsigned_abs())
+            .unwrap_or((0, 0));
+        if near(nearest.1) {
+            return nearest;
+        }
+        let oldest = (0..4)
+            .min_by_key(|&stream| self.used[kind][stream])
+            .unwrap_or(0);
+        (oldest, self.miss(kind, oldest, line))
+    }
+
+    /// The line `miss` away from `stream`'s next one. The stream moves
+    /// there, or restarts there when the miss is not near.
+    fn advance(&mut self, kind: usize, stream: usize, miss: i64) -> usize {
+        self.clock += 1;
+        self.used[kind][stream] = self.clock;
+        let (last, stride) = &mut self.at[kind][stream];
+        let line = last.wrapping_add(*stride).wrapping_add(miss as usize);
+        *stride = if near(miss) {
+            line.wrapping_sub(*last)
+        } else {
+            0
+        };
+        *last = line;
+        line
+    }
+}
+
+impl<'t> AccessLog<'t> {
+    fn new(pool: &'t Mutex<Vec<Vec<u8>>>) -> Self {
+        Self {
+            chunks: Vec::new(),
+            pool,
+            streams: Streams::default(),
+        }
+    }
+
+    fn push(&mut self, reach: Reach, line: usize) {
+        let kind = reach as usize;
+        let (stream, miss) = self.streams.choose(kind, line);
+        self.streams.advance(kind, stream, miss);
+        let mut v = zigzag(miss) << 4 | (stream as u64) << 2 | kind as u64;
+        let chunk = match self.chunks.last_mut() {
+            // Ten bytes hold any number.
+            Some(chunk) if chunk.len() + 10 <= LOG_CHUNK => chunk,
+            _ => {
+                let fresh = lock(self.pool)
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(LOG_CHUNK));
+                self.chunks.push(fresh);
+                let last = self.chunks.len() - 1;
+                &mut self.chunks[last]
+            }
+        };
+        while v >= 0x80 {
+            chunk.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        chunk.push(v as u8);
+    }
+
+    /// Hand every access to `apply`, in order; the log is empty afterwards.
+    fn replay(&mut self, mut apply: impl FnMut(Reach, usize)) {
+        let mut streams = Streams::default();
+        let mut bytes = self.chunks.iter().flatten().copied();
+        'accesses: loop {
+            let (mut v, mut shift) = (0u64, 0);
+            loop {
+                let Some(byte) = bytes.next() else {
+                    break 'accesses;
+                };
+                v |= u64::from(byte & 0x7f) << shift;
+                shift += 7;
+                if byte < 0x80 {
+                    break;
+                }
+            }
+            let (kind, stream, zigzag) = ((v & 3) as usize, (v >> 2 & 3) as usize, v >> 4);
+            let miss = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+            let reach = [Reach::Load, Reach::Store, Reach::Tex][kind];
+            apply(reach, streams.advance(kind, stream, miss));
+        }
+        self.streams = Streams::default();
+        lock(self.pool).extend(self.chunks.drain(..).map(|mut chunk| {
+            chunk.clear();
+            chunk
+        }));
+    }
+}
+
+/// Why a block did not retire.
+enum Unretired {
+    /// A lower block failed first; this one's effects do not count.
+    Abandoned,
+    /// It touched a word another block wrote, or wrote one another block
+    /// touched: the lowest such word.
+    Clash(usize),
+}
+
+/// One block's way to the device-wide level: straight through while it is
+/// the oldest unfinished block, into its log before, replayed in order the
+/// moment it becomes the oldest.
+struct Port<'t, 'm> {
+    turn: &'t Turn<'m>,
+    block: u32,
+    held: Option<MutexGuard<'t, Oldest<'m>>>,
+    log: AccessLog<'t>,
+    settled: Settled,
+}
+
+impl<'t, 'm> Port<'t, 'm> {
+    /// Become the oldest block: apply the log, then go straight through.
+    fn take_turn(&mut self) {
+        let mut oldest = lock(&self.turn.oldest);
+        let settled = &mut self.settled;
+        self.log
+            .replay(|reach, line| settled.add(reach, oldest.caches.apply(reach, line)));
+        self.held = Some(oldest);
+    }
+
+    /// Wait to be the oldest block, apply what is left, check the words it
+    /// touched against those of the blocks before it, and hand the level
+    /// to the next block.
+    fn retire(&mut self, touched: Option<&mut Touched>) -> Result<Settled, Unretired> {
+        if self.held.is_none() {
+            let mut moved = lock(&self.turn.moved_lock);
+            while self.turn.next.load(Ordering::Acquire) != self.block {
+                if self.turn.stop.load(Ordering::Acquire) < self.block {
+                    return Err(Unretired::Abandoned);
+                }
+                moved = self
+                    .turn
+                    .moved
+                    .wait(moved)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            drop(moved);
+            self.take_turn();
+        }
+        let Some(mut oldest) = self.held.take() else {
+            return Err(Unretired::Abandoned);
+        };
+        if let (Some(mine), Some(earlier)) = (touched, oldest.touched.as_mut()) {
+            if let Some(addr) = mine.retire_into(earlier) {
+                return Err(Unretired::Clash(addr));
+            }
+        }
+        drop(oldest);
+        self.turn.next.store(self.block + 1, Ordering::Release);
+        self.turn.notify();
+        Ok(std::mem::take(&mut self.settled))
+    }
+}
+
+impl Level2 for Port<'_, '_> {
+    #[inline]
+    fn reach(&mut self, reach: Reach, line: usize) -> Option<bool> {
+        if self.held.is_none() && self.turn.next.load(Ordering::Acquire) == self.block {
+            self.take_turn();
+        }
+        if let Some(oldest) = &mut self.held {
+            return Some(oldest.caches.apply(reach, line));
+        }
+        self.log.push(reach, line);
+        None
+    }
+}
+
+/// Stops a launch's other workers, which might otherwise wait for a turn
+/// that never comes, when the simulator itself panics in a worker (a
+/// block's own panic is caught and handed to the caller instead).
+struct StopOnUnwind<'t, 'm>(&'t Turn<'m>);
+
+impl Drop for StopOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.fail(0);
+        }
+    }
+}
+
+/// What a retired block counted.
+struct Retired {
+    block: u32,
+    cost: BlockCost,
+    shared: SharedStats,
+    mem: MemoryStats,
+}
+
+/// How a block failed: its error, or the payload it panicked with.
+enum Failure {
+    Error(GpuError),
+    Panic(Box<dyn Any + Send>),
+}
+
+/// What one worker did: its retired blocks, and its failed one if any.
+#[derive(Default)]
+struct WorkerOut {
+    retired: Vec<Retired>,
+    failed: Option<(u32, Failure)>,
+}
+
+/// The fixed inputs of every worker of one launch.
+struct Grid<'k, 't, 'm> {
+    kernel: &'k dyn BlockKernel,
+    cfg: LaunchConfig,
+    blocks: u32,
+    sm_count: usize,
+    workers: usize,
+    shared_banks: u32,
+    data: &'m [AtomicU32],
+    reaches: [bool; 3],
+    turn: &'t Turn<'m>,
+}
+
+impl Grid<'_, '_, '_> {
+    /// Run worker `w`'s blocks — those of the SMs `sm ≡ w (mod workers)`,
+    /// whose caches are `caches[sm / workers]` — in index order, up to the
+    /// first failure of the launch.
+    fn work(&self, w: usize, mut caches: Vec<&mut SmCaches>) -> WorkerOut {
+        let _stop = StopOnUnwind(self.turn);
+        let mut out = WorkerOut::default();
+        let mut touched = cfg!(debug_assertions).then(|| Touched::new(self.data.len()));
+        let mine = (0..self.blocks).filter(|b| (*b as usize % self.sm_count) % self.workers == w);
+        for block in mine {
+            if block > self.turn.stop.load(Ordering::Acquire) {
+                break;
+            }
+            let sm = block as usize % self.sm_count;
+            let mut port = Port {
+                turn: self.turn,
+                block,
+                held: None,
+                log: AccessLog::new(&self.turn.pool),
+                settled: Settled::default(),
+            };
+            let mut ctx = BlockCtx {
+                block_idx: block,
+                block_dim: self.cfg.threads_per_block,
+                sm,
+                mem: BlockMem {
+                    data: self.data,
+                    caches: &mut *caches[sm / self.workers],
+                    level: &mut port,
+                    reaches: self.reaches,
+                    touched: touched.as_mut(),
+                    stats: MemoryStats::default(),
+                },
+                shared: SharedMem::new(self.cfg.shared_words as usize, self.shared_banks),
+                cost: BlockCost::default(),
+            };
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| self.kernel.run_block(&mut ctx)));
+            let BlockCtx {
+                mut cost,
+                shared,
+                mem: BlockMem { mut stats, .. },
+                ..
+            } = ctx;
+            let failure = match ran {
+                Ok(Ok(())) => match port.retire(touched.as_mut()) {
+                    Ok(settled) => {
+                        cost.l2_hits += settled.l2_hits;
+                        cost.dram_bytes += settled.dram_read_bytes + settled.tex_dram_bytes;
+                        stats.dram_read_bytes += settled.dram_read_bytes;
+                        stats.tex_dram_bytes += settled.tex_dram_bytes;
+                        out.retired.push(Retired {
+                            block,
+                            cost,
+                            shared: shared.stats(),
+                            mem: stats,
+                        });
+                        continue;
+                    }
+                    Err(Unretired::Abandoned) => break,
+                    Err(Unretired::Clash(addr)) => {
+                        Failure::Error(GpuError::CrossBlockAccess { addr, block })
+                    }
+                },
+                Ok(Err(e)) => Failure::Error(e),
+                Err(payload) => Failure::Panic(payload),
+            };
+            drop(port);
+            self.turn.fail(block);
+            out.failed = Some((block, failure));
+            break;
+        }
+        out
     }
 }
 
@@ -482,7 +905,7 @@ impl GpuDevice {
         if self.integrity_checks {
             self.xfer_stats.record_integrity_check();
             obs::counter_add("cudasw.gpu_sim.integrity.checked", &[("site", "h2d")], 1.0);
-            let landed = crc32_words(self.mem.host_read(ptr, words.len())?);
+            let landed = crc32_words(&self.mem.host_read(ptr, words.len())?);
             if landed != crc32_words(words) {
                 self.xfer_stats.record_integrity_mismatch();
                 self.xfer_stats.record_h2d_fault();
@@ -563,7 +986,7 @@ impl GpuDevice {
                 ));
             }
         }
-        let mut data = self.mem.host_read(ptr, words)?.to_vec();
+        let mut data = self.mem.host_read(ptr, words)?;
         // Checksum of the device-side truth, taken before the bus.
         let device_crc = self.integrity_checks.then(|| crc32_words(&data));
         if silent {
@@ -651,40 +1074,30 @@ impl GpuDevice {
                 ),
             });
         }
-        if cfg.shared_words * 4 > self.spec.shared_mem_per_sm {
+        let shared_bytes = u64::from(cfg.shared_words) * 4;
+        if shared_bytes > u64::from(self.spec.shared_mem_per_sm) {
             return Err(GpuError::InvalidLaunch {
                 reason: format!(
-                    "block needs {} B shared, SM has {}",
-                    cfg.shared_words * 4,
+                    "block needs {shared_bytes} B shared, SM has {}",
                     self.spec.shared_mem_per_sm
                 ),
             });
         }
 
         let mem_before = self.mem.stats();
+        let retired = self.run_blocks(kernel, cfg, blocks)?;
         let mut totals = BlockCost::default();
-        let mut shared_totals = crate::shared::SharedStats::default();
+        let mut shared_totals = SharedStats::default();
         let mut block_cycles = Vec::with_capacity(blocks as usize);
         let mut max_block = 0f64;
         let mut min_block = f64::INFINITY;
-
-        for block_idx in 0..blocks {
-            let sm = (block_idx % self.spec.sm_count) as usize;
-            let mut ctx = BlockCtx {
-                block_idx,
-                block_dim: cfg.threads_per_block,
-                sm,
-                mem: &mut self.mem,
-                shared: SharedMem::new(cfg.shared_words as usize, self.spec.shared_banks),
-                cost: BlockCost::default(),
-            };
-            kernel.run_block(&mut ctx)?;
-            let cycles = self.timing.block_cycles(&self.spec, &ctx.cost);
-            totals.merge(&ctx.cost);
-            let s = ctx.shared.stats();
-            shared_totals.instructions += s.instructions;
-            shared_totals.bank_cycles += s.bank_cycles;
-            shared_totals.conflicted_accesses += s.conflicted_accesses;
+        for block in &retired {
+            self.mem.absorb(&block.mem);
+            let cycles = self.timing.block_cycles(&self.spec, &block.cost);
+            totals.merge(&block.cost);
+            shared_totals.instructions += block.shared.instructions;
+            shared_totals.bank_cycles += block.shared.bank_cycles;
+            shared_totals.conflicted_accesses += block.shared.conflicted_accesses;
             block_cycles.push(cycles);
             max_block = max_block.max(cycles);
             min_block = min_block.min(cycles);
@@ -732,6 +1145,78 @@ impl GpuDevice {
             ),
         ]);
         Ok(stats)
+    }
+
+    /// Run every block of a launch as the module's execution model says
+    /// and return what each counted, in block order — or the lowest failing
+    /// block's error, or re-raise its panic.
+    fn run_blocks(
+        &mut self,
+        kernel: &dyn BlockKernel,
+        cfg: LaunchConfig,
+        blocks: u32,
+    ) -> Result<Vec<Retired>, GpuError> {
+        let sm_count = self.spec.sm_count.max(1) as usize;
+        let workers = host_threads().min(sm_count).min(blocks as usize).max(1);
+        let LaunchParts { data, sms, device } = self.mem.launch_parts();
+        let reaches = device.reaches();
+        let turn = Turn {
+            oldest: Mutex::new(Oldest {
+                caches: device,
+                touched: cfg!(debug_assertions).then(|| Touched::new(data.len())),
+            }),
+            next: AtomicU32::new(0),
+            stop: AtomicU32::new(u32::MAX),
+            moved: Condvar::new(),
+            moved_lock: Mutex::new(()),
+            pool: Mutex::new(Vec::new()),
+        };
+        let grid = Grid {
+            kernel,
+            cfg,
+            blocks,
+            sm_count,
+            workers,
+            shared_banks: self.spec.shared_banks,
+            data,
+            reaches,
+            turn: &turn,
+        };
+        let mut owned: Vec<Vec<&mut SmCaches>> = (0..workers).map(|_| Vec::new()).collect();
+        for (sm, caches) in sms.iter_mut().enumerate() {
+            owned[sm % workers].push(caches);
+        }
+        let grid = &grid;
+        let mut outs = thread::scope(|scope| {
+            let mut owned = owned.into_iter().enumerate();
+            let mine = owned.next();
+            let others: Vec<_> = owned
+                .map(|(w, caches)| scope.spawn(move || grid.work(w, caches)))
+                .collect();
+            let mut outs = vec![mine.map_or_else(WorkerOut::default, |(w, c)| grid.work(w, c))];
+            for other in others {
+                // A worker catches its blocks' panics, so a join error is
+                // the simulator's own: pass it on as it is.
+                outs.push(other.join().unwrap_or_else(|p| panic::resume_unwind(p)));
+            }
+            outs
+        });
+        let failed = outs
+            .iter_mut()
+            .filter_map(|out| out.failed.take())
+            .min_by_key(|(block, _)| *block);
+        let mut retired: Vec<Retired> = outs.into_iter().flat_map(|out| out.retired).collect();
+        retired.sort_unstable_by_key(|r| r.block);
+        match failed {
+            None => Ok(retired),
+            Some((_, Failure::Error(e))) => {
+                for block in &retired {
+                    self.mem.absorb(&block.mem);
+                }
+                Err(e)
+            }
+            Some((_, Failure::Panic(payload))) => panic::resume_unwind(payload),
+        }
     }
 }
 
@@ -1268,6 +1753,195 @@ mod tests {
         dev.end_h2d_stream();
         dev.set_h2d_overlap_credit(1.0);
         assert_eq!(dev.h2d_overlap_credit(), 0.0);
+    }
+
+    /// Block `block` (of four, one word each) writes its word; every
+    /// block reads word `read_of(block)`, if any.
+    struct Neighbours {
+        out: DevicePtr,
+        read_of: fn(u32) -> Option<u32>,
+    }
+
+    impl BlockKernel for Neighbours {
+        fn config(&self) -> LaunchConfig {
+            LaunchConfig {
+                threads_per_block: 32,
+                regs_per_thread: 8,
+                shared_words: 0,
+            }
+        }
+
+        fn run_block(&self, ctx: &mut BlockCtx<'_>) -> Result<(), GpuError> {
+            ctx.write_word(self.out.offset(ctx.block_idx as usize), ctx.block_idx)?;
+            if let Some(other) = (self.read_of)(ctx.block_idx) {
+                ctx.read_word(self.out.offset(other as usize))?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn touching_a_word_another_block_wrote_fails_the_launch() {
+        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
+        let out = dev.alloc(64).unwrap();
+        // Each block reads back its own word: legal.
+        let own = Neighbours { out, read_of: Some };
+        dev.launch(&own, 4, "own").unwrap();
+        // Block 2 reads block 1's word, whichever of the two ran first.
+        let later = Neighbours {
+            out,
+            read_of: |b| (b == 2).then_some(1),
+        };
+        // Block 1 reads block 2's word: the same clash, found on block 2.
+        let earlier = Neighbours {
+            out,
+            read_of: |b| (b == 1).then_some(2),
+        };
+        for kernel in [&later, &earlier] {
+            for _ in 0..20 {
+                let err = dev.launch(kernel, 4, "clash").unwrap_err();
+                let addr = out.addr() + if std::ptr::eq(kernel, &later) { 1 } else { 2 };
+                assert_eq!(err, GpuError::CrossBlockAccess { addr, block: 2 });
+                assert!(!err.is_recoverable(), "{err}");
+            }
+        }
+    }
+
+    /// Fails (block 1 with an error, block 2 by panicking) or runs
+    /// cleanly, per block.
+    struct Failing {
+        panics: bool,
+    }
+
+    impl BlockKernel for Failing {
+        fn config(&self) -> LaunchConfig {
+            LaunchConfig {
+                threads_per_block: 32,
+                regs_per_thread: 8,
+                shared_words: 0,
+            }
+        }
+
+        fn run_block(&self, ctx: &mut BlockCtx<'_>) -> Result<(), GpuError> {
+            match ctx.block_idx {
+                1 if !self.panics => Err(GpuError::BadAccess {
+                    addr: 1,
+                    mem_words: 0,
+                }),
+                2 => panic!("block 2 gives up"),
+                b if b > 2 && !self.panics => Err(GpuError::BadAccess {
+                    addr: b as usize,
+                    mem_words: 0,
+                }),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_launch_reports_its_lowest_failing_block() {
+        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
+        for _ in 0..20 {
+            let err = dev
+                .launch(&Failing { panics: false }, 9, "fail")
+                .unwrap_err();
+            assert_eq!(
+                err,
+                GpuError::BadAccess {
+                    addr: 1,
+                    mem_words: 0
+                }
+            );
+        }
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dev.launch(&Failing { panics: true }, 9, "panic")
+        }))
+        .unwrap_err();
+        assert_eq!(panicked.downcast_ref::<&str>(), Some(&"block 2 gives up"));
+        // The device is usable afterwards.
+        let out = dev.alloc(256).unwrap();
+        dev.launch(&IotaKernel { out, threads: 64 }, 4, "iota")
+            .unwrap();
+    }
+
+    #[test]
+    fn the_access_log_replays_what_it_logged() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let pool = Mutex::new(Vec::new());
+        let mut log = AccessLog::new(&pool);
+        for round in 0..3 {
+            // Strided streams interleaved with jumps anywhere.
+            let mut streams = [(0usize, 1usize), (900, 4), (40, 0), (1 << 40, 3)];
+            let mut logged = Vec::new();
+            for _ in 0..20_000 {
+                let r = next();
+                let reach = [Reach::Load, Reach::Store, Reach::Tex][(r % 3) as usize];
+                let line = if r % 11 == 0 {
+                    (r >> 8) as usize
+                } else {
+                    let (at, stride) = &mut streams[(r >> 4) as usize % 4];
+                    *at = at.wrapping_add(*stride);
+                    *at
+                };
+                log.push(reach, line);
+                logged.push((reach, line));
+            }
+            let bytes = log.chunks.iter().map(Vec::len).sum::<usize>();
+            assert!(bytes < 3 * logged.len(), "round {round}: {bytes} bytes");
+            let mut replayed = Vec::new();
+            log.replay(|reach, line| replayed.push((reach, line)));
+            assert_eq!(replayed, logged, "round {round}");
+            assert!(log.chunks.is_empty() && !lock(&pool).is_empty());
+        }
+    }
+
+    /// Asks for `words` words of shared memory per block.
+    struct SharedHungry {
+        words: u32,
+    }
+
+    impl BlockKernel for SharedHungry {
+        fn config(&self) -> LaunchConfig {
+            LaunchConfig {
+                threads_per_block: 32,
+                regs_per_thread: 8,
+                shared_words: self.words,
+            }
+        }
+
+        fn run_block(&self, _: &mut BlockCtx<'_>) -> Result<(), GpuError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn public_arithmetic_is_checked() {
+        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
+        dev.alloc(64).unwrap();
+        assert!(matches!(
+            dev.alloc(usize::MAX),
+            Err(GpuError::OutOfMemory { .. })
+        ));
+        let end = DevicePtr(usize::MAX);
+        assert!(matches!(
+            dev.copy_to_device(end, &[1, 2]),
+            Err(GpuError::BadAccess { .. })
+        ));
+        assert!(matches!(
+            dev.copy_from_device(end, 2),
+            Err(GpuError::BadAccess { .. })
+        ));
+        assert!(matches!(
+            dev.launch(&SharedHungry { words: 1 << 30 }, 1, "hungry"),
+            Err(GpuError::InvalidLaunch { .. })
+        ));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::cache::{Cache, CacheStats};
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
 use crate::warp::{WarpAccess, WARP_SIZE};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Words per 128-byte line/segment.
 pub const LINE_WORDS: usize = 32;
@@ -118,6 +119,11 @@ impl MemoryStats {
 }
 
 /// Cost of one warp access, as seen by the issuing block (for timing).
+///
+/// Inside a launch, a line that reaches the device-wide level while an
+/// earlier block still runs has no outcome yet: it is counted in neither
+/// `l2_hits` nor `dram_bytes` here, but in the block's totals once it is
+/// applied.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AccessCost {
     /// Segment transactions issued.
@@ -130,20 +136,203 @@ pub struct AccessCost {
     pub dram_bytes: u32,
 }
 
+/// The caches one SM owns: its L1 and its texture cache. A launch worker
+/// owns whole SMs, so only the blocks of this SM, in index order, ever
+/// touch them. Aligned so that two SMs' counters, written on every access,
+/// never share a host cache line.
+#[derive(Debug)]
+#[repr(align(128))]
+pub(crate) struct SmCaches {
+    l1: Option<Cache>,
+    tex: Option<Cache>,
+}
+
+/// An access that reaches the device-wide level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reach {
+    /// A global load that missed L1 (or found none): one 128-byte line.
+    Load = 0,
+    /// A global store: one 128-byte line, allocated in L2.
+    Store = 1,
+    /// A texture fetch that missed the texture cache: one 32-byte segment.
+    Tex = 2,
+}
+
+/// The device-wide caches: the data L2 and GT200's texture L2. Their
+/// state depends on the order every block's accesses arrive in, so a
+/// launch applies those accesses in block order.
+#[derive(Debug)]
+pub(crate) struct DeviceCaches {
+    l2: Option<Cache>,
+    tex_l2: Option<Cache>,
+}
+
+impl DeviceCaches {
+    /// Per [`Reach`], whether such an access touches a device-wide cache
+    /// at all (when not, it is a DRAM access, known at once).
+    pub(crate) fn reaches(&self) -> [bool; 3] {
+        let l2 = self.l2.is_some();
+        [l2, l2, l2 || self.tex_l2.is_some()]
+    }
+
+    /// Apply one access; `true` on a hit.
+    pub(crate) fn apply(&mut self, reach: Reach, line: usize) -> bool {
+        match (reach, &mut self.tex_l2, &mut self.l2) {
+            (Reach::Tex, Some(t2), _) => t2.access(line),
+            // Fermi: the 32-byte tex segment maps into its 128-byte
+            // data-L2 line.
+            (Reach::Tex, None, Some(l2)) => l2.access(line * TEX_SEGMENT_WORDS / LINE_WORDS),
+            (Reach::Load | Reach::Store, _, Some(l2)) => l2.access(line),
+            _ => false,
+        }
+    }
+}
+
+/// Where a block's device-wide accesses go.
+pub(crate) trait Level2 {
+    /// Apply `line`'s access now and return whether it hit, or keep it for
+    /// later (`None`): its outcome is then counted in [`Settled`].
+    fn reach(&mut self, reach: Reach, line: usize) -> Option<bool>;
+}
+
+impl Level2 for DeviceCaches {
+    fn reach(&mut self, reach: Reach, line: usize) -> Option<bool> {
+        Some(self.apply(reach, line))
+    }
+}
+
+/// Device-wide outcomes counted after the access that caused them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Settled {
+    /// Loads and fetches that hit a device-wide cache.
+    pub l2_hits: u64,
+    /// Load bytes DRAM served.
+    pub dram_read_bytes: u64,
+    /// Texture bytes DRAM served.
+    pub tex_dram_bytes: u64,
+}
+
+impl Settled {
+    /// Count one applied access. A store's outcome costs nothing: it was
+    /// charged its DRAM write when issued.
+    pub(crate) fn add(&mut self, reach: Reach, hit: bool) {
+        match (reach, hit) {
+            (Reach::Store, _) => {}
+            (_, true) => self.l2_hits += 1,
+            (Reach::Load, false) => self.dram_read_bytes += LINE_WORDS as u64 * 4,
+            (Reach::Tex, false) => self.tex_dram_bytes += TEX_SEGMENT_WORDS as u64 * 4,
+        }
+    }
+}
+
+/// The words one block read and wrote, for CUDA's rule that no block of a
+/// launch touches a word another block of it wrote. A texture fetch reads
+/// its whole 32-byte segment: the texture cache holds segments, and is not
+/// kept coherent with the launch's own stores.
+#[derive(Debug)]
+pub(crate) struct Touched {
+    /// Per 64-word chunk of device memory: the read and the written bits.
+    bits: Vec<[u64; 2]>,
+    /// One bit per chunk that has a bit set.
+    dirty: Vec<u64>,
+}
+
+impl Touched {
+    /// Nothing touched, over `words` words of device memory.
+    pub(crate) fn new(words: usize) -> Self {
+        let chunks = words.div_ceil(64);
+        Self {
+            bits: vec![[0; 2]; chunks],
+            dirty: vec![0; chunks.div_ceil(64)],
+        }
+    }
+
+    /// Mark the words `lo ..= hi`, which must be inside memory.
+    #[inline]
+    fn mark_span(&mut self, lo: usize, hi: usize, side: usize) {
+        for chunk in lo / 64..=hi / 64 {
+            let from = lo.max(chunk * 64) % 64;
+            let to = hi.min(chunk * 64 + 63) % 64;
+            self.set(chunk, side, (u64::MAX >> (63 - to)) & (u64::MAX << from));
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, chunk: usize, side: usize, bits: u64) {
+        self.bits[chunk][side] |= bits;
+        self.dirty[chunk / 64] |= 1 << (chunk % 64);
+    }
+
+    /// Mark the words a global access touches, which must be inside
+    /// memory.
+    fn mark(&mut self, access: &WarpAccess, write: bool) {
+        let side = usize::from(write);
+        if let Some((_, _, lo, hi)) = access.as_solid_run() {
+            self.mark_span(lo, hi, side);
+        } else {
+            for (_, addr) in access.iter_active() {
+                self.set(addr / 64, side, 1 << (addr % 64));
+            }
+        }
+    }
+
+    /// Fold this block's words into `earlier`, the words of the blocks
+    /// before it, and forget them. Returns the lowest word this block
+    /// shares with an earlier one against the rule: one that either side
+    /// wrote.
+    pub(crate) fn retire_into(&mut self, earlier: &mut Touched) -> Option<usize> {
+        let mut clash: Option<usize> = None;
+        for (at, dirty) in self.dirty.iter_mut().enumerate() {
+            let mut chunks = std::mem::take(dirty);
+            while chunks != 0 {
+                let chunk = at * 64 + chunks.trailing_zeros() as usize;
+                chunks &= chunks - 1;
+                let [read, written] = std::mem::take(&mut self.bits[chunk]);
+                let [was_read, was_written] = earlier.bits[chunk];
+                let shared = (was_written & (read | written)) | (was_read & written);
+                if shared != 0 && clash.is_none() {
+                    clash = Some(chunk * 64 + shared.trailing_zeros() as usize);
+                }
+                earlier.set(chunk, 0, read);
+                earlier.set(chunk, 1, written);
+            }
+        }
+        clash
+    }
+}
+
 /// Global memory plus the device's cache hierarchy.
 #[derive(Debug)]
 pub struct MemorySystem {
-    data: Vec<u32>,
+    /// Device memory: word `i` is `store[base + i]`, for the `cursor`
+    /// allocated words; every other word of `store` is zero. Atomic (and
+    /// accessed relaxed) because a launch's blocks run on several host
+    /// threads; CUDA's rule that no block touches a word another block of
+    /// the launch wrote is what makes the values deterministic.
+    store: Vec<AtomicU32>,
+    /// Where device word 0 sits in `store`: on a 128-byte host boundary, so
+    /// that each 128-byte device line is whole host cache lines. Blocks on
+    /// different host threads write neighbouring device lines (the
+    /// inter-task kernel's boundary rows interleave every block's), and a
+    /// host cache line two of them shared would bounce between the cores.
+    base: usize,
     cursor: usize,
     capacity_words: usize,
-    l1: Vec<Cache>,
-    l2: Option<Cache>,
-    tex: Vec<Cache>,
-    tex_l2: Option<Cache>,
+    sms: Vec<SmCaches>,
+    device: DeviceCaches,
     /// Instruction, transaction and DRAM-byte counters only; the four cache
     /// aggregates stay zero here and are summed in [`MemorySystem::stats`].
     stats: MemoryStats,
     epoch: u64,
+}
+
+/// What a launch splits a [`MemorySystem`] into: the words every worker
+/// shares, the per-SM caches each worker owns some of, and the device-wide
+/// caches the blocks take turns at.
+pub(crate) struct LaunchParts<'m> {
+    pub data: &'m [AtomicU32],
+    pub sms: &'m mut [SmCaches],
+    pub device: &'m mut DeviceCaches,
 }
 
 impl MemorySystem {
@@ -152,24 +341,22 @@ impl MemorySystem {
     /// The backing store grows lazily; `capacity_words` only bounds the
     /// allocator (so a 4 GB device does not reserve 4 GB of host RAM).
     pub fn new(spec: &DeviceSpec) -> Self {
-        let l1 = match spec.l1 {
-            Some(cfg) => (0..spec.sm_count).map(|_| Cache::new(cfg)).collect(),
-            None => Vec::new(),
-        };
-        let l2 = spec.l2.map(Cache::new);
-        let tex = match spec.tex_cache {
-            Some(cfg) => (0..spec.sm_count).map(|_| Cache::new(cfg)).collect(),
-            None => Vec::new(),
-        };
-        let tex_l2 = spec.tex_l2.map(Cache::new);
+        let sms = (0..spec.sm_count)
+            .map(|_| SmCaches {
+                l1: spec.l1.map(Cache::new),
+                tex: spec.tex_cache.map(Cache::new),
+            })
+            .collect();
         Self {
-            data: Vec::new(),
+            store: Vec::new(),
+            base: 0,
             cursor: 0,
             capacity_words: (spec.global_mem_bytes / 4) as usize,
-            l1,
-            l2,
-            tex,
-            tex_l2,
+            sms,
+            device: DeviceCaches {
+                l2: spec.l2.map(Cache::new),
+                tex_l2: spec.tex_l2.map(Cache::new),
+            },
             stats: MemoryStats::default(),
             epoch: 0,
         }
@@ -178,17 +365,48 @@ impl MemorySystem {
     /// Allocate `words` words, 128-byte aligned like `cudaMalloc`.
     pub fn alloc(&mut self, words: usize) -> Result<DevicePtr, GpuError> {
         let aligned = self.cursor.next_multiple_of(LINE_WORDS);
-        if aligned + words > self.capacity_words {
+        let end = aligned
+            .checked_add(words)
+            .filter(|&end| end <= self.capacity_words);
+        let Some(end) = end else {
             return Err(GpuError::OutOfMemory {
                 requested_words: words,
                 available_words: self.capacity_words.saturating_sub(aligned),
             });
+        };
+        // A line of slack, for the realignment a reallocation may need.
+        let room = end + LINE_WORDS;
+        if self.store.len() < room {
+            let before = self.store.as_ptr();
+            self.store.resize_with(room, AtomicU32::default);
+            if self.store.as_ptr() != before {
+                self.realign();
+            }
         }
-        self.cursor = aligned + words;
-        if self.data.len() < self.cursor {
-            self.data.resize(self.cursor, 0);
-        }
+        self.cursor = end;
         Ok(DevicePtr(aligned))
+    }
+
+    /// Move the allocated words to the first 128-byte host boundary of a
+    /// reallocated `store`, zeroing the words they leave.
+    fn realign(&mut self) {
+        let base = (self.store.as_ptr() as usize).wrapping_neg() % 128 / 4;
+        let (from, len) = (self.base, self.cursor);
+        let moved = |i: usize| self.store[from + i].load(Relaxed);
+        if base < from {
+            for i in 0..len {
+                self.store[base + i].store(moved(i), Relaxed);
+            }
+        } else {
+            for i in (0..len).rev() {
+                self.store[base + i].store(moved(i), Relaxed);
+            }
+        }
+        let (kept, total) = (base..base + len, self.store.len());
+        for i in (from..from + len).filter(|i| !kept.contains(i) && *i < total) {
+            self.store[i].store(0, Relaxed);
+        }
+        self.base = base;
     }
 
     /// Release every allocation (bump-allocator reset). Cache contents are
@@ -217,20 +435,21 @@ impl MemorySystem {
     /// Caches are invalidated because freed lines may be re-allocated.
     pub fn free_to(&mut self, mark: usize) {
         debug_assert!(mark <= self.cursor, "free_to above the watermark");
+        // A later allocation finds the freed words zero, as a fresh one.
+        for word in &mut self.store[self.base + mark..self.base + self.cursor] {
+            *word.get_mut() = 0;
+        }
         self.cursor = mark;
-        self.data.truncate(mark);
-        for c in &mut self.l1 {
-            c.invalidate();
+        let sm_caches = self.sms.iter_mut().flat_map(|sm| [&mut sm.l1, &mut sm.tex]);
+        let device = [&mut self.device.l2, &mut self.device.tex_l2];
+        for cache in sm_caches.chain(device).flatten() {
+            cache.invalidate();
         }
-        if let Some(l2) = &mut self.l2 {
-            l2.invalidate();
-        }
-        for c in &mut self.tex {
-            c.invalidate();
-        }
-        if let Some(t2) = &mut self.tex_l2 {
-            t2.invalidate();
-        }
+    }
+
+    /// The allocated words.
+    fn words(&self) -> &[AtomicU32] {
+        &self.store[self.base..self.base + self.cursor]
     }
 
     /// Words currently allocated.
@@ -251,32 +470,154 @@ impl MemorySystem {
         self.capacity_words = self.capacity_words.min(words);
     }
 
+    /// The words `[ptr, ptr + len)`, or the error naming the last of them
+    /// (or the first, when the end does not exist) if they are not all in
+    /// memory.
+    fn host_span(&self, ptr: DevicePtr, len: usize) -> Result<&[AtomicU32], GpuError> {
+        let bad = || GpuError::BadAccess {
+            addr: ptr
+                .0
+                .checked_add(len)
+                .map_or(ptr.0, |end| end.saturating_sub(1)),
+            mem_words: self.cursor,
+        };
+        let end = ptr.0.checked_add(len).ok_or_else(bad)?;
+        self.words().get(ptr.0..end).ok_or_else(bad)
+    }
+
     /// Direct host-side write (used by transfer modelling; not a kernel
     /// access, so it is not counted as global traffic).
     pub fn host_write(&mut self, ptr: DevicePtr, words: &[u32]) -> Result<(), GpuError> {
-        let end = ptr.0 + words.len();
-        if end > self.data.len() {
-            return Err(GpuError::BadAccess {
-                addr: end.saturating_sub(1),
-                mem_words: self.data.len(),
-            });
+        for (word, &value) in self.host_span(ptr, words.len())?.iter().zip(words) {
+            word.store(value, Relaxed);
         }
-        self.data[ptr.0..end].copy_from_slice(words);
         Ok(())
     }
 
     /// Direct host-side read.
-    pub fn host_read(&self, ptr: DevicePtr, len: usize) -> Result<&[u32], GpuError> {
-        let end = ptr.0 + len;
-        if end > self.data.len() {
-            return Err(GpuError::BadAccess {
-                addr: end.saturating_sub(1),
-                mem_words: self.data.len(),
-            });
-        }
-        Ok(&self.data[ptr.0..end])
+    pub fn host_read(&self, ptr: DevicePtr, len: usize) -> Result<Vec<u32>, GpuError> {
+        Ok(self
+            .host_span(ptr, len)?
+            .iter()
+            .map(|word| word.load(Relaxed))
+            .collect())
     }
 
+    /// Split for a launch (see [`LaunchParts`]).
+    pub(crate) fn launch_parts(&mut self) -> LaunchParts<'_> {
+        LaunchParts {
+            data: &self.store[self.base..self.base + self.cursor],
+            sms: &mut self.sms,
+            device: &mut self.device,
+        }
+    }
+
+    /// Add a block's instruction, transaction and DRAM-byte counters.
+    pub(crate) fn absorb(&mut self, block: &MemoryStats) {
+        let s = &mut self.stats;
+        s.load_instructions += block.load_instructions;
+        s.store_instructions += block.store_instructions;
+        s.load_transactions += block.load_transactions;
+        s.store_transactions += block.store_transactions;
+        s.dram_read_bytes += block.dram_read_bytes;
+        s.dram_write_bytes += block.dram_write_bytes;
+        s.tex_instructions += block.tex_instructions;
+        s.tex_transactions += block.tex_transactions;
+        s.tex_dram_bytes += block.tex_dram_bytes;
+    }
+
+    /// One access issued outside any launch, as a block on SM `sm` whose
+    /// device-wide accesses apply at once.
+    fn direct<R>(&mut self, sm: usize, access: impl FnOnce(&mut BlockMem<'_>) -> R) -> R {
+        let mut none = SmCaches {
+            l1: None,
+            tex: None,
+        };
+        let mut block = BlockMem {
+            data: &self.store[self.base..self.base + self.cursor],
+            caches: self.sms.get_mut(sm).unwrap_or(&mut none),
+            reaches: self.device.reaches(),
+            level: &mut self.device,
+            touched: None,
+            stats: MemoryStats::default(),
+        };
+        let out = access(&mut block);
+        let stats = block.stats;
+        self.absorb(&stats);
+        out
+    }
+
+    /// Warp-collective global load on SM `sm`.
+    pub fn warp_load(
+        &mut self,
+        sm: usize,
+        access: &WarpAccess,
+    ) -> Result<([u32; WARP_SIZE], AccessCost), GpuError> {
+        let mut out = [0; WARP_SIZE];
+        let cost = self.direct(sm, |block| block.load(access, &mut out))?;
+        Ok((out, cost))
+    }
+
+    /// Warp-collective global store on SM `sm`.
+    pub fn warp_store(
+        &mut self,
+        sm: usize,
+        access: &WarpAccess,
+        values: &[u32; WARP_SIZE],
+    ) -> Result<AccessCost, GpuError> {
+        self.direct(sm, |block| block.store(access, values))
+    }
+
+    /// Warp-collective texture fetch on SM `sm`.
+    pub fn warp_tex_load(
+        &mut self,
+        sm: usize,
+        access: &WarpAccess,
+    ) -> Result<([u32; WARP_SIZE], AccessCost), GpuError> {
+        let mut out = [0; WARP_SIZE];
+        let cost = self.direct(sm, |block| block.tex_load(access, &mut out))?;
+        Ok((out, cost))
+    }
+
+    /// Cumulative counters. The per-cache aggregates are summed here, from
+    /// the caches' own counters, rather than kept current per access.
+    pub fn stats(&self) -> MemoryStats {
+        let sum = |caches: &mut dyn Iterator<Item = &Option<Cache>>| {
+            let mut total = CacheStats::default();
+            for c in caches.flatten() {
+                total.merge(&c.stats());
+            }
+            total
+        };
+        let one = |cache: &Option<Cache>| cache.as_ref().map(Cache::stats).unwrap_or_default();
+        MemoryStats {
+            l1: sum(&mut self.sms.iter().map(|sm| &sm.l1)),
+            l2: one(&self.device.l2),
+            tex_cache: sum(&mut self.sms.iter().map(|sm| &sm.tex)),
+            tex_l2_stats: one(&self.device.tex_l2),
+            ..self.stats
+        }
+    }
+}
+
+/// One block's view of the memory system: the shared words, its SM's
+/// caches, and wherever its device-wide accesses go.
+pub(crate) struct BlockMem<'a> {
+    pub data: &'a [AtomicU32],
+    pub caches: &'a mut SmCaches,
+    pub level: &'a mut dyn Level2,
+    /// [`DeviceCaches::reaches`] of the device.
+    pub reaches: [bool; 3],
+    /// The words this block touched, when the launch checks the rule.
+    pub touched: Option<&'a mut Touched>,
+    /// This block's instruction, transaction and DRAM-byte counters (the
+    /// DRAM bytes of device-wide accesses applied later are in
+    /// [`Settled`]).
+    pub stats: MemoryStats,
+}
+
+impl BlockMem<'_> {
+    #[inline]
     fn check(&self, access: &WarpAccess) -> Result<(), GpuError> {
         if let Some(max) = access.max_addr() {
             if max >= self.data.len() {
@@ -289,145 +630,161 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Route one set of lines through (L1 →) L2 → DRAM, returning the cost.
-    fn route_load(&mut self, sm: usize, access: &WarpAccess) -> AccessCost {
+    /// Check a global access and mark the words it touches.
+    #[inline]
+    fn check_global(&mut self, access: &WarpAccess, write: bool) -> Result<(), GpuError> {
+        self.check(access)?;
+        if let Some(touched) = self.touched.as_deref_mut() {
+            touched.mark(access, write);
+        }
+        Ok(())
+    }
+
+    /// The outcome of one device-wide access, if known now: a miss at
+    /// once when the device has no cache at that level.
+    #[inline]
+    fn reach(&mut self, reach: Reach, line: usize, device: bool) -> Option<bool> {
+        if device {
+            self.level.reach(reach, line)
+        } else {
+            Some(false)
+        }
+    }
+
+    /// Every active lane's word into `out` (inactive lanes keep theirs).
+    fn read(&self, access: &WarpAccess, out: &mut [u32; WARP_SIZE]) {
+        if let Some((first, last, lo, hi)) = access.as_solid_run() {
+            // A whole warp is a fixed-length copy the compiler unrolls.
+            let words = &self.data[lo..=hi];
+            if let Ok(words) = <&[AtomicU32; WARP_SIZE]>::try_from(words) {
+                for (value, word) in out.iter_mut().zip(words) {
+                    *value = word.load(Relaxed);
+                }
+            } else {
+                for (value, word) in out[first..=last].iter_mut().zip(words) {
+                    *value = word.load(Relaxed);
+                }
+            }
+        } else {
+            for (lane, addr) in access.iter_active() {
+                out[lane] = self.data[addr].load(Relaxed);
+            }
+        }
+    }
+
+    /// Warp-collective global load into `out`: through this SM's L1 (if
+    /// any), then the device-wide L2 (if any), then DRAM.
+    pub(crate) fn load(
+        &mut self,
+        access: &WarpAccess,
+        out: &mut [u32; WARP_SIZE],
+    ) -> Result<AccessCost, GpuError> {
+        self.check_global(access, false)?;
         let lines = access.distinct_lines(LINE_WORDS);
         let mut cost = AccessCost {
             transactions: lines.count() as u32,
             ..Default::default()
         };
+        let device = self.reaches[Reach::Load as usize];
         for line in lines.iter() {
-            let l1_hit = match self.l1.get_mut(sm) {
-                Some(l1) => l1.access(line),
-                None => false,
-            };
-            if l1_hit {
+            if self.caches.l1.as_mut().is_some_and(|l1| l1.access(line)) {
                 cost.near_hits += 1;
                 continue;
             }
-            let l2_hit = match &mut self.l2 {
-                Some(l2) => l2.access(line),
-                None => false,
-            };
-            if l2_hit {
-                cost.l2_hits += 1;
-            } else {
-                cost.dram_bytes += LINE_WORDS as u32 * 4;
+            match self.reach(Reach::Load, line, device) {
+                Some(true) => cost.l2_hits += 1,
+                Some(false) => cost.dram_bytes += LINE_WORDS as u32 * 4,
+                None => {}
             }
         }
-        cost
-    }
-
-    /// Warp-collective global load on SM `sm`.
-    pub fn warp_load(
-        &mut self,
-        sm: usize,
-        access: &WarpAccess,
-    ) -> Result<([u32; WARP_SIZE], AccessCost), GpuError> {
-        self.check(access)?;
-        let cost = self.route_load(sm, access);
         self.stats.load_instructions += 1;
         self.stats.load_transactions += cost.transactions as u64;
         self.stats.dram_read_bytes += cost.dram_bytes as u64;
-        Ok((access.load_from(&self.data), cost))
+        self.read(access, out);
+        Ok(cost)
     }
 
-    /// Warp-collective global store on SM `sm`.
+    /// Warp-collective global store.
     ///
     /// Stores are modelled write-through to DRAM with allocation in L2
     /// (Fermi L1 is write-evict for global stores, so L1 is bypassed).
-    pub fn warp_store(
+    pub(crate) fn store(
         &mut self,
-        sm: usize,
         access: &WarpAccess,
         values: &[u32; WARP_SIZE],
     ) -> Result<AccessCost, GpuError> {
-        let _ = sm;
-        self.check(access)?;
+        self.check_global(access, true)?;
         let lines = access.distinct_lines(LINE_WORDS);
-        let mut cost = AccessCost {
+        let cost = AccessCost {
             transactions: lines.count() as u32,
+            dram_bytes: lines.count() as u32 * LINE_WORDS as u32 * 4,
             ..Default::default()
         };
-        for line in lines.iter() {
-            if let Some(l2) = &mut self.l2 {
-                l2.access(line);
+        if self.reaches[Reach::Store as usize] {
+            for line in lines.iter() {
+                self.level.reach(Reach::Store, line);
             }
-            cost.dram_bytes += LINE_WORDS as u32 * 4;
         }
         self.stats.store_instructions += 1;
         self.stats.store_transactions += cost.transactions as u64;
         self.stats.dram_write_bytes += cost.dram_bytes as u64;
-        access.store_to(&mut self.data, values);
+        if let Some((first, last, lo, hi)) = access.as_solid_run() {
+            if let Ok(words) = <&[AtomicU32; WARP_SIZE]>::try_from(&self.data[lo..=hi]) {
+                for (word, &value) in words.iter().zip(values) {
+                    word.store(value, Relaxed);
+                }
+            } else {
+                for (word, &value) in self.data[lo..=hi].iter().zip(&values[first..=last]) {
+                    word.store(value, Relaxed);
+                }
+            }
+        } else {
+            for (lane, addr) in access.iter_active() {
+                self.data[addr].store(values[lane], Relaxed);
+            }
+        }
         Ok(cost)
     }
 
-    /// Warp-collective texture fetch on SM `sm`.
+    /// Warp-collective texture fetch into `out`.
     ///
     /// Texture fetches move 32-byte segments through the per-SM texture
     /// cache, then a second level: GT200's dedicated texture L2, or the
     /// data L2 on Fermi (which is why Figure 6's cache disable affects
     /// Fermi texture misses but not the texture cache itself). Texture
     /// traffic is never counted as a Table-I global transaction.
-    pub fn warp_tex_load(
+    pub(crate) fn tex_load(
         &mut self,
-        sm: usize,
         access: &WarpAccess,
-    ) -> Result<([u32; WARP_SIZE], AccessCost), GpuError> {
+        out: &mut [u32; WARP_SIZE],
+    ) -> Result<AccessCost, GpuError> {
         self.check(access)?;
         let lines = access.distinct_lines(TEX_SEGMENT_WORDS);
         let mut cost = AccessCost {
             transactions: lines.count() as u32,
             ..Default::default()
         };
+        let device = self.reaches[Reach::Tex as usize];
         for line in lines.iter() {
-            let near_hit = match self.tex.get_mut(sm) {
-                Some(t) => t.access(line),
-                None => false,
-            };
-            if near_hit {
+            if let Some(touched) = self.touched.as_deref_mut() {
+                let first = line * TEX_SEGMENT_WORDS;
+                touched.mark_span(first, first + TEX_SEGMENT_WORDS - 1, 0);
+            }
+            if self.caches.tex.as_mut().is_some_and(|t| t.access(line)) {
                 cost.near_hits += 1;
                 continue;
             }
-            let second_hit = if let Some(t2) = &mut self.tex_l2 {
-                t2.access(line)
-            } else if let Some(l2) = &mut self.l2 {
-                // Fermi: the 32-byte tex segment maps into its 128-byte
-                // data-L2 line.
-                l2.access(line * TEX_SEGMENT_WORDS / LINE_WORDS)
-            } else {
-                false
-            };
-            if second_hit {
-                cost.l2_hits += 1;
-            } else {
-                cost.dram_bytes += TEX_SEGMENT_WORDS as u32 * 4;
+            match self.reach(Reach::Tex, line, device) {
+                Some(true) => cost.l2_hits += 1,
+                Some(false) => cost.dram_bytes += TEX_SEGMENT_WORDS as u32 * 4,
+                None => {}
             }
         }
         self.stats.tex_instructions += 1;
         self.stats.tex_transactions += cost.transactions as u64;
         self.stats.tex_dram_bytes += cost.dram_bytes as u64;
-        Ok((access.load_from(&self.data), cost))
-    }
-
-    /// Cumulative counters. The per-cache aggregates are summed here, from
-    /// the caches' own counters, rather than kept current per access.
-    pub fn stats(&self) -> MemoryStats {
-        let sum = |caches: &[Cache]| {
-            let mut total = CacheStats::default();
-            for c in caches {
-                total.merge(&c.stats());
-            }
-            total
-        };
-        let one = |cache: &Option<Cache>| cache.as_ref().map(Cache::stats).unwrap_or_default();
-        MemoryStats {
-            l1: sum(&self.l1),
-            l2: one(&self.l2),
-            tex_cache: sum(&self.tex),
-            tex_l2_stats: one(&self.tex_l2),
-            ..self.stats
-        }
+        self.read(access, out);
+        Ok(cost)
     }
 }
 
@@ -577,6 +934,35 @@ mod tests {
             m.alloc(too_big),
             Err(GpuError::OutOfMemory { .. })
         ));
+    }
+
+    #[test]
+    fn freed_words_come_back_zero() {
+        let mut m = c1060_mem();
+        let a = m.alloc(40).unwrap();
+        m.host_write(a, &[7; 40]).unwrap();
+        m.free_to(a.addr() + 5);
+        // The next allocation starts on the next line; the words between
+        // are allocated again too, and every one of them reads zero.
+        let b = m.alloc(8).unwrap();
+        assert_eq!(b.addr(), a.addr() + 32);
+        assert_eq!(m.host_read(a, 5).unwrap(), [7; 5]);
+        assert_eq!(m.host_read(a.offset(5), 35).unwrap(), [0; 35]);
+    }
+
+    #[test]
+    fn growth_keeps_the_words_and_their_host_alignment() {
+        let mut m = c2050_mem();
+        let mut expect = Vec::new();
+        for n in [1, 31, 100, 1000, 5000, 40_000, 7, 300_000] {
+            let p = m.alloc(n).unwrap();
+            let fill: Vec<u32> = (0..n as u32).map(|i| i ^ n as u32).collect();
+            m.host_write(p, &fill).unwrap();
+            expect.resize(p.addr(), 0);
+            expect.extend(&fill);
+            assert_eq!(m.words().as_ptr() as usize % 128, 0, "after {n} words");
+            assert_eq!(m.host_read(DevicePtr(0), expect.len()).unwrap(), expect);
+        }
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl WarpAccess {
     /// A non-empty run whose mask has no hole, as `(first lane, last lane,
     /// first address, last address)`: the shape that moves data by slice.
     #[inline]
-    fn as_solid_run(&self) -> Option<(usize, usize, usize, usize)> {
+    pub(crate) fn as_solid_run(&self) -> Option<(usize, usize, usize, usize)> {
         let (first, last, _) = self.as_run()?;
         let (lo, hi) = self.span()?;
         (self.mask == lane_bits(first, last)).then_some((first, last, lo, hi))

@@ -44,7 +44,10 @@ pub struct VecStrategy<S> {
     size: SizeRange,
 }
 
-impl<S: Strategy> Strategy for VecStrategy<S> {
+impl<S: Strategy> Strategy for VecStrategy<S>
+where
+    S::Value: Clone,
+{
     type Value = Vec<S::Value>;
     fn sample(&self, rng: &mut TestRng) -> Self::Value {
         let n = if self.size.lo == self.size.hi {
@@ -53,6 +56,25 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
             self.size.lo + rng.below(self.size.hi - self.size.lo + 1)
         };
         (0..n).map(|_| self.element.sample(rng)).collect()
+    }
+
+    /// Each half, then the vector less one element, for every element —
+    /// never shorter than the size range allows.
+    fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+        let n = value.len();
+        let mut smaller = Vec::new();
+        if n / 2 >= self.size.lo && n >= 2 {
+            smaller.push(value[..n / 2].to_vec());
+            smaller.push(value[n / 2..].to_vec());
+        }
+        if n > self.size.lo {
+            for i in 0..n {
+                let mut less = value.clone();
+                less.remove(i);
+                smaller.push(less);
+            }
+        }
+        smaller
     }
 }
 

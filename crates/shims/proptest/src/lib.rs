@@ -4,9 +4,10 @@
 //! strategies (ranges, tuples, `collection::vec`, `prop_map`, `Just`,
 //! `prop_oneof!`, `any`) and the `prop_assert*` family. Inputs are drawn
 //! from a SplitMix64 stream seeded by the test name, so every run explores
-//! the same cases. There is **no shrinking**: a failing case panics with
-//! the case number, which is reproducible because generation is
-//! deterministic.
+//! the same cases. A failing case is shrunk — `Vec`s by halving and by
+//! dropping one element, tuples one component at a time — and the
+//! property panics with the minimal input and the seed of its case
+//! ([`test_runner::run`]).
 
 pub mod collection;
 pub mod strategy;
@@ -30,6 +31,17 @@ impl TestRng {
         let mut rng = TestRng { state: h };
         rng.next_u64();
         rng
+    }
+
+    /// The generator whose stream starts where this one stands: what a
+    /// failing case reports, and [`TestRng::from_seed`] takes back.
+    pub fn seed(&self) -> u64 {
+        self.state
+    }
+
+    /// The generator a failing case reported as `seed`.
+    pub fn from_seed(seed: u64) -> Self {
+        TestRng { state: seed }
     }
 
     /// Next 64 random bits (SplitMix64).
@@ -122,12 +134,12 @@ macro_rules! prop_assert_ne {
 macro_rules! prop_assume {
     ($cond:expr) => {
         if !($cond) {
-            continue;
+            return;
         }
     };
     ($cond:expr, $($fmt:tt)*) => {
         if !($cond) {
-            continue;
+            return;
         }
     };
 }
@@ -168,13 +180,14 @@ macro_rules! proptest {
         $(
             #[test]
             fn $name() {
-                let __config = $cfg;
-                let mut __rng = $crate::TestRng::deterministic(concat!(module_path!(), "::", stringify!($name)));
-                for __case in 0..__config.cases {
-                    $(let $arg = $crate::strategy::Strategy::sample(&($strat), &mut __rng);)+
-                    // The block runs per case; prop_assume! skips via `continue`.
-                    $body
-                }
+                // The body runs per case as a closure; prop_assume! skips
+                // a case by returning from it.
+                $crate::test_runner::run(
+                    concat!(module_path!(), "::", stringify!($name)),
+                    $cfg,
+                    ($($strat,)+),
+                    |($($arg,)+)| $body,
+                );
             }
         )*
     };

@@ -12,6 +12,14 @@ pub trait Strategy {
     /// Draw one value.
     fn sample(&self, rng: &mut TestRng) -> Self::Value;
 
+    /// Smaller values to try in place of `value` when it fails a property,
+    /// most aggressive first. None by default: a value shrinks only through
+    /// a strategy that knows how.
+    fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+        let _ = value;
+        Vec::new()
+    }
+
     /// Transform generated values with `f`.
     fn prop_map<O, F>(self, f: F) -> Map<Self, F>
     where
@@ -28,6 +36,9 @@ impl<S: Strategy + ?Sized> Strategy for &S {
     type Value = S::Value;
     fn sample(&self, rng: &mut TestRng) -> Self::Value {
         (**self).sample(rng)
+    }
+    fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+        (**self).shrink(value)
     }
 }
 
@@ -122,25 +133,41 @@ impl Strategy for Range<f64> {
     }
 }
 
+/// A tuple shrinks one component at a time, the others held.
 macro_rules! impl_tuple_strategy {
-    ($(($($name:ident),+)),+ $(,)?) => {$(
-        impl<$($name: Strategy),+> Strategy for ($($name,)+) {
+    ($(($($name:ident $index:tt),+)),+ $(,)?) => {$(
+        impl<$($name: Strategy),+> Strategy for ($($name,)+)
+        where
+            $($name::Value: Clone),+
+        {
             type Value = ($($name::Value,)+);
             #[allow(non_snake_case)]
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)
             }
+            fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+                let mut smaller = Vec::new();
+                $(
+                    for part in self.$index.shrink(&value.$index) {
+                        let mut candidate = value.clone();
+                        candidate.$index = part;
+                        smaller.push(candidate);
+                    }
+                )+
+                smaller
+            }
         }
     )+};
 }
 
 impl_tuple_strategy!(
-    (A, B),
-    (A, B, C),
-    (A, B, C, D),
-    (A, B, C, D, E),
-    (A, B, C, D, E, F)
+    (A 0),
+    (A 0, B 1),
+    (A 0, B 1, C 2),
+    (A 0, B 1, C 2, D 3),
+    (A 0, B 1, C 2, D 3, E 4),
+    (A 0, B 1, C 2, D 3, E 4, F 5)
 );
 
 /// A boxed sampling closure producing values of type `V`.

@@ -53,6 +53,16 @@ cargo test -q --offline --test device_opt --test crash_matrix --test observabili
   multi_gpu_restart_replays_per_shard_logs \
   multi_gpu_counts_each_shard_search_under_its_device_lane \
   search_trace_has_nested_phase_kernel_and_transfer_spans
+# A launch's blocks run on several host threads, by name: twenty repeats
+# of every kernel's multi-block launch agree in every counter, score and
+# device word (in the release profile too, where the AVX2 instantiations
+# run); gpu-sim's public arithmetic refuses what would overflow; Table I's
+# global counts depend on the lengths alone.
+cargo test -q --offline --test simulator_invariants repeated_multi_block_launches_are_bit_identical
+cargo test --release -q --offline --test simulator_invariants \
+  repeated_multi_block_launches_are_bit_identical
+cargo test -q --offline -p gpu-sim --lib kernel::tests::public_arithmetic_is_checked
+cargo test -q --offline --test simulator_invariants table1_counts_depend_on_lengths_only
 echo "verify: named simulator suites took $((SECONDS - named_t0)) s"
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
