@@ -174,10 +174,23 @@ impl Cache {
     }
 
     /// Access one line; returns `true` on hit. Misses allocate (LRU evict).
+    #[inline]
     pub fn access(&mut self, line: usize) -> bool {
+        self.access_stamped(line).is_some()
+    }
+
+    /// The cache's clock, which every access of an enabled cache advances
+    /// and stamps the line with.
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// Access one line, as [`Cache::access`]; a hit returns the line's
+    /// stamp from before it: the [`Cache::clock`] of its previous touch.
+    pub fn access_stamped(&mut self, line: usize) -> Option<u64> {
         if !self.enabled {
             self.stats.misses += 1;
-            return false;
+            return None;
         }
         self.clock += 1;
         let base = self.set_of(line) * self.ways;
@@ -191,9 +204,9 @@ impl Cache {
             }
         }
         if let Some(slot) = set.get_mut(hit) {
-            slot.1 = self.clock;
+            let before = std::mem::replace(&mut slot.1, self.clock);
             self.stats.hits += 1;
-            return true;
+            return Some(before);
         }
         // Miss: the first way with the oldest stamp, which is the first
         // invalid way while there is one and the LRU way after.
@@ -205,7 +218,7 @@ impl Cache {
         }
         set[victim] = (line, self.clock);
         self.stats.misses += 1;
-        false
+        None
     }
 
     /// Counters accumulated so far.

@@ -68,7 +68,7 @@ pub enum GpuError {
     },
     /// A block touched a word another block of the same launch wrote, or
     /// wrote a word another block of it touched. CUDA leaves the outcome
-    /// undefined; a debug build of the simulator refuses the launch.
+    /// undefined; the simulator refuses the launch.
     CrossBlockAccess {
         /// The lowest such word of the block.
         addr: usize,

@@ -14,7 +14,7 @@
 //! so each of those caches sees exactly what it sees serially. The
 //! device-wide caches (the data L2, GT200's texture L2) see every block, so
 //! they take their accesses in block order: the oldest unfinished block
-//! applies its own at once; a later block logs them (about a byte each)
+//! applies its own at once; a later block logs them (a byte or two each)
 //! and replays the log the moment it becomes the oldest. A block retires —
 //! handing the level to the next — only as the oldest, and its `l2_hits`,
 //! `dram_bytes` and cycles, and the launch's totals, are summed in block
@@ -22,11 +22,10 @@
 //!
 //! Global memory is shared by every worker as relaxed atomic words, so no
 //! data race is possible, under CUDA's rule: no block touches a word
-//! another block of the same launch wrote. Debug builds (and so every
-//! test run) check the rule: a retiring block's read and written words are
-//! checked against the earlier blocks', and a kernel that breaks it fails
-//! with [`GpuError::CrossBlockAccess`] whatever the interleaving; release
-//! builds skip the marking, about a twentieth of a block's time. A failed
+//! another block of the same launch wrote. Every build checks the rule: a
+//! retiring block's read and written words are checked against the earlier
+//! blocks', and a kernel that breaks it fails with
+//! [`GpuError::CrossBlockAccess`] whatever the interleaving. A failed
 //! launch returns its lowest failing block's error, or re-raises its
 //! panic; what the later blocks did to memory and caches is then, as on
 //! CUDA, unspecified.
@@ -225,8 +224,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// What only the oldest unfinished block of a launch may touch.
 struct Oldest<'m> {
     caches: &'m mut DeviceCaches,
-    /// The words every retired block touched (debug builds).
-    touched: Option<Touched>,
+    /// The words every retired block touched.
+    touched: Touched,
 }
 
 /// The hand-off of the device-wide level from block to block, in index
@@ -262,99 +261,39 @@ impl Turn<'_> {
 
 /// A block's device-wide accesses, kept while an earlier block runs.
 ///
-/// A kernel's accesses form a few streams per kind (one per array it
-/// walks), each advancing by a steady stride. The log follows four streams
-/// per kind and records an access as one LEB128 number: the kind in the low
-/// two bits, a stream in the two above, and above those the zigzagged miss
-/// from that stream's next line — one byte for a miss of −4 to +3 lines.
-/// An access near the nearest stream's next line moves that stream
-/// and sets its stride; any other restarts the least recently used stream
-/// there. Bytes go into fixed-size chunks, which go back to the launch's
-/// pool once replayed: the log never copies itself to grow, and the
-/// launch holds about as many chunks as its longest log at any moment.
+/// Each access is one LEB128 number: the kind in the low two bits and,
+/// above them, the zigzagged distance from the previous line of the same
+/// kind (lines are word addresses over at least eight, so the distance
+/// fits). Kernels walk their arrays in short steps, so an access takes one
+/// or two bytes. Bytes go into fixed-size chunks, which go back to the
+/// launch's pool once replayed: the log never copies itself to grow, and
+/// the launch holds about as many chunks as its longest log at any moment.
 struct AccessLog<'t> {
     /// Filled chunks, the last one being filled.
     chunks: Vec<Vec<u8>>,
     /// Empty chunks, for any block's log.
     pool: &'t Mutex<Vec<Vec<u8>>>,
-    streams: Streams,
+    /// The previous line of each kind.
+    last: [usize; 3],
 }
 
 /// Bytes per log chunk.
 const LOG_CHUNK: usize = 16 * 1024;
-
-/// Per access kind, four streams: each one's last line, stride and last
-/// use.
-#[derive(Default)]
-struct Streams {
-    at: [[(usize, usize); 4]; 3],
-    used: [[u64; 4]; 3],
-    clock: u64,
-}
-
-/// Lines a stream may miss by and still move rather than restart.
-const NEAR_LINES: u64 = 16;
-
-fn near(miss: i64) -> bool {
-    miss.unsigned_abs() <= NEAR_LINES
-}
-
-fn zigzag(miss: i64) -> u64 {
-    ((miss << 1) ^ (miss >> 63)) as u64
-}
-
-impl Streams {
-    fn miss(&self, kind: usize, stream: usize, line: usize) -> i64 {
-        let (last, stride) = self.at[kind][stream];
-        line.wrapping_sub(last.wrapping_add(stride)) as i64
-    }
-
-    /// The stream `line` is logged against, and its miss.
-    fn choose(&self, kind: usize, line: usize) -> (usize, i64) {
-        let nearest = (0..4)
-            .map(|stream| (stream, self.miss(kind, stream, line)))
-            .min_by_key(|(_, miss)| miss.unsigned_abs())
-            .unwrap_or((0, 0));
-        if near(nearest.1) {
-            return nearest;
-        }
-        let oldest = (0..4)
-            .min_by_key(|&stream| self.used[kind][stream])
-            .unwrap_or(0);
-        (oldest, self.miss(kind, oldest, line))
-    }
-
-    /// The line `miss` away from `stream`'s next one. The stream moves
-    /// there, or restarts there when the miss is not near.
-    fn advance(&mut self, kind: usize, stream: usize, miss: i64) -> usize {
-        self.clock += 1;
-        self.used[kind][stream] = self.clock;
-        let (last, stride) = &mut self.at[kind][stream];
-        let line = last.wrapping_add(*stride).wrapping_add(miss as usize);
-        *stride = if near(miss) {
-            line.wrapping_sub(*last)
-        } else {
-            0
-        };
-        *last = line;
-        line
-    }
-}
 
 impl<'t> AccessLog<'t> {
     fn new(pool: &'t Mutex<Vec<Vec<u8>>>) -> Self {
         Self {
             chunks: Vec::new(),
             pool,
-            streams: Streams::default(),
+            last: [0; 3],
         }
     }
 
     fn push(&mut self, reach: Reach, line: usize) {
         let kind = reach as usize;
-        let (stream, miss) = self.streams.choose(kind, line);
-        self.streams.advance(kind, stream, miss);
-        let mut v = zigzag(miss) << 4 | (stream as u64) << 2 | kind as u64;
+        let step = line.wrapping_sub(self.last[kind]) as i64;
+        self.last[kind] = line;
+        let mut v = (((step << 1) ^ (step >> 63)) as u64) << 2 | kind as u64;
         let chunk = match self.chunks.last_mut() {
             // Ten bytes hold any number.
             Some(chunk) if chunk.len() + 10 <= LOG_CHUNK => chunk,
@@ -376,7 +315,7 @@ impl<'t> AccessLog<'t> {
 
     /// Hand every access to `apply`, in order; the log is empty afterwards.
     fn replay(&mut self, mut apply: impl FnMut(Reach, usize)) {
-        let mut streams = Streams::default();
+        let mut last = [0usize; 3];
         let mut bytes = self.chunks.iter().flatten().copied();
         'accesses: loop {
             let (mut v, mut shift) = (0u64, 0);
@@ -390,12 +329,12 @@ impl<'t> AccessLog<'t> {
                     break;
                 }
             }
-            let (kind, stream, zigzag) = ((v & 3) as usize, (v >> 2 & 3) as usize, v >> 4);
-            let miss = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
-            let reach = [Reach::Load, Reach::Store, Reach::Tex][kind];
-            apply(reach, streams.advance(kind, stream, miss));
+            let (kind, zigzag) = ((v & 3) as usize, v >> 2);
+            let step = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+            last[kind] = last[kind].wrapping_add(step as usize);
+            apply([Reach::Load, Reach::Store, Reach::Tex][kind], last[kind]);
         }
-        self.streams = Streams::default();
+        self.last = [0; 3];
         lock(self.pool).extend(self.chunks.drain(..).map(|mut chunk| {
             chunk.clear();
             chunk
@@ -436,7 +375,7 @@ impl<'t, 'm> Port<'t, 'm> {
     /// Wait to be the oldest block, apply what is left, check the words it
     /// touched against those of the blocks before it, and hand the level
     /// to the next block.
-    fn retire(&mut self, touched: Option<&mut Touched>) -> Result<Settled, Unretired> {
+    fn retire(&mut self, touched: &mut Touched) -> Result<Settled, Unretired> {
         if self.held.is_none() {
             let mut moved = lock(&self.turn.moved_lock);
             while self.turn.next.load(Ordering::Acquire) != self.block {
@@ -455,10 +394,8 @@ impl<'t, 'm> Port<'t, 'm> {
         let Some(mut oldest) = self.held.take() else {
             return Err(Unretired::Abandoned);
         };
-        if let (Some(mine), Some(earlier)) = (touched, oldest.touched.as_mut()) {
-            if let Some(addr) = mine.retire_into(earlier) {
-                return Err(Unretired::Clash(addr));
-            }
+        if let Some(addr) = touched.retire_into(&mut oldest.touched) {
+            return Err(Unretired::Clash(addr));
         }
         drop(oldest);
         self.turn.next.store(self.block + 1, Ordering::Release);
@@ -535,13 +472,14 @@ impl Grid<'_, '_, '_> {
     fn work(&self, w: usize, mut caches: Vec<&mut SmCaches>) -> WorkerOut {
         let _stop = StopOnUnwind(self.turn);
         let mut out = WorkerOut::default();
-        let mut touched = cfg!(debug_assertions).then(|| Touched::new(self.data.len()));
+        let mut touched = Touched::new(self.data.len());
         let mine = (0..self.blocks).filter(|b| (*b as usize % self.sm_count) % self.workers == w);
         for block in mine {
             if block > self.turn.stop.load(Ordering::Acquire) {
                 break;
             }
             let sm = block as usize % self.sm_count;
+            let caches = &mut *caches[sm / self.workers];
             let mut port = Port {
                 turn: self.turn,
                 block,
@@ -555,10 +493,11 @@ impl Grid<'_, '_, '_> {
                 sm,
                 mem: BlockMem {
                     data: self.data,
-                    caches: &mut *caches[sm / self.workers],
+                    tex_since: caches.tex_clock(),
+                    caches,
                     level: &mut port,
                     reaches: self.reaches,
-                    touched: touched.as_mut(),
+                    touched: Some(&mut touched),
                     stats: MemoryStats::default(),
                 },
                 shared: SharedMem::new(self.cfg.shared_words as usize, self.shared_banks),
@@ -572,7 +511,7 @@ impl Grid<'_, '_, '_> {
                 ..
             } = ctx;
             let failure = match ran {
-                Ok(Ok(())) => match port.retire(touched.as_mut()) {
+                Ok(Ok(())) => match port.retire(&mut touched) {
                     Ok(settled) => {
                         cost.l2_hits += settled.l2_hits;
                         cost.dram_bytes += settled.dram_read_bytes + settled.tex_dram_bytes;
@@ -1163,7 +1102,7 @@ impl GpuDevice {
         let turn = Turn {
             oldest: Mutex::new(Oldest {
                 caches: device,
-                touched: cfg!(debug_assertions).then(|| Touched::new(data.len())),
+                touched: Touched::new(data.len()),
             }),
             next: AtomicU32::new(0),
             stop: AtomicU32::new(u32::MAX),
@@ -1781,7 +1720,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     fn touching_a_word_another_block_wrote_fails_the_launch() {
         let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
         let out = dev.alloc(64).unwrap();
@@ -1806,6 +1744,59 @@ mod tests {
                 assert!(!err.is_recoverable(), "{err}");
             }
         }
+    }
+
+    /// Block `block` (of four, one 32-byte segment each) writes its word if
+    /// `writes`; every block fetches word `read_of(block)` through the
+    /// texture twice, if any.
+    struct TexNeighbours {
+        tex: TexRef,
+        writes: bool,
+        read_of: fn(u32) -> Option<u32>,
+    }
+
+    impl BlockKernel for TexNeighbours {
+        fn config(&self) -> LaunchConfig {
+            LaunchConfig {
+                threads_per_block: 32,
+                regs_per_thread: 8,
+                shared_words: 0,
+            }
+        }
+
+        fn run_block(&self, ctx: &mut BlockCtx<'_>) -> Result<(), GpuError> {
+            let word = |block: u32| self.tex.base().offset(8 * block as usize);
+            if self.writes {
+                ctx.write_word(word(ctx.block_idx), ctx.block_idx)?;
+            }
+            if let Some(other) = (self.read_of)(ctx.block_idx) {
+                let access = WarpAccess::run(0, 1, word(other).addr());
+                ctx.tex_load(self.tex, &access)?;
+                ctx.tex_load(self.tex, &access)?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn fetching_a_word_another_block_wrote_fails_the_launch() {
+        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
+        let buf = dev.alloc(64).unwrap();
+        let tex = dev.bind_texture(buf, 32);
+        let clash = GpuError::CrossBlockAccess {
+            addr: buf.addr() + 8,
+            block: 2,
+        };
+        let fetch = |writes| TexNeighbours {
+            tex,
+            writes,
+            read_of: |b| (b == 2).then_some(1),
+        };
+        assert_eq!(dev.launch(&fetch(true), 4, "clash").unwrap_err(), clash);
+        // Block 2's SM caches the segment in a launch where nobody writes
+        // it; in the next one block 1 does, and the hit is still a clash.
+        dev.launch(&fetch(false), 4, "read only").unwrap();
+        assert_eq!(dev.launch(&fetch(true), 4, "clash").unwrap_err(), clash);
     }
 
     /// Fails (block 1 with an error, block 2 by panicking) or runs
@@ -1878,7 +1869,7 @@ mod tests {
         let mut log = AccessLog::new(&pool);
         for round in 0..3 {
             // Strided streams interleaved with jumps anywhere.
-            let mut streams = [(0usize, 1usize), (900, 4), (40, 0), (1 << 40, 3)];
+            let mut streams = [(0usize, 1usize), (900, 4), (40, 0), (1 << 58, 3)];
             let mut logged = Vec::new();
             for _ in 0..20_000 {
                 let r = next();
@@ -1893,13 +1884,18 @@ mod tests {
                 log.push(reach, line);
                 logged.push((reach, line));
             }
-            let bytes = log.chunks.iter().map(Vec::len).sum::<usize>();
-            assert!(bytes < 3 * logged.len(), "round {round}: {bytes} bytes");
             let mut replayed = Vec::new();
             log.replay(|reach, line| replayed.push((reach, line)));
             assert_eq!(replayed, logged, "round {round}");
             assert!(log.chunks.is_empty() && !lock(&pool).is_empty());
         }
+        // One short-stepping walk per kind: a byte an access.
+        for step in 0..30_000usize {
+            let reach = [Reach::Load, Reach::Store, Reach::Tex][step % 3];
+            log.push(reach, step / 3 * (step % 3 + 1));
+        }
+        assert_eq!(log.chunks.iter().map(Vec::len).sum::<usize>(), 30_000);
+        log.replay(|_, _| {});
     }
 
     /// Asks for `words` words of shared memory per block.

@@ -147,6 +147,13 @@ pub(crate) struct SmCaches {
     tex: Option<Cache>,
 }
 
+impl SmCaches {
+    /// The texture cache's [`Cache::clock`] (0 without one).
+    pub(crate) fn tex_clock(&self) -> u64 {
+        self.tex.as_ref().map_or(0, Cache::clock)
+    }
+}
+
 /// An access that reaches the device-wide level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reach {
@@ -233,34 +240,38 @@ impl Settled {
 pub(crate) struct Touched {
     /// Per 64-word chunk of device memory: the read and the written bits.
     bits: Vec<[u64; 2]>,
-    /// One bit per chunk that has a bit set.
-    dirty: Vec<u64>,
+    /// The chunks that have a bit set, each once.
+    chunks: Vec<usize>,
 }
 
 impl Touched {
     /// Nothing touched, over `words` words of device memory.
     pub(crate) fn new(words: usize) -> Self {
-        let chunks = words.div_ceil(64);
         Self {
-            bits: vec![[0; 2]; chunks],
-            dirty: vec![0; chunks.div_ceil(64)],
+            bits: vec![[0; 2]; words.div_ceil(64)],
+            chunks: Vec::new(),
         }
     }
 
-    /// Mark the words `lo ..= hi`, which must be inside memory.
+    /// Mark the words `lo ..= hi`, at most 64 of them, which must be
+    /// inside memory.
     #[inline]
     fn mark_span(&mut self, lo: usize, hi: usize, side: usize) {
-        for chunk in lo / 64..=hi / 64 {
-            let from = lo.max(chunk * 64) % 64;
-            let to = hi.min(chunk * 64 + 63) % 64;
-            self.set(chunk, side, (u64::MAX >> (63 - to)) & (u64::MAX << from));
+        let bits = (u128::MAX >> (127 - (hi - lo))) << (lo % 64);
+        self.set(lo / 64, side, bits as u64);
+        if bits >> 64 != 0 {
+            self.set(lo / 64 + 1, side, (bits >> 64) as u64);
         }
     }
 
+    /// Set `bits`, which are not all zero, in `chunk`'s `side`.
     #[inline]
     fn set(&mut self, chunk: usize, side: usize, bits: u64) {
-        self.bits[chunk][side] |= bits;
-        self.dirty[chunk / 64] |= 1 << (chunk % 64);
+        let marks = &mut self.bits[chunk];
+        if *marks == [0, 0] {
+            self.chunks.push(chunk);
+        }
+        marks[side] |= bits;
     }
 
     /// Mark the words a global access touches, which must be inside
@@ -282,20 +293,16 @@ impl Touched {
     /// wrote.
     pub(crate) fn retire_into(&mut self, earlier: &mut Touched) -> Option<usize> {
         let mut clash: Option<usize> = None;
-        for (at, dirty) in self.dirty.iter_mut().enumerate() {
-            let mut chunks = std::mem::take(dirty);
-            while chunks != 0 {
-                let chunk = at * 64 + chunks.trailing_zeros() as usize;
-                chunks &= chunks - 1;
-                let [read, written] = std::mem::take(&mut self.bits[chunk]);
-                let [was_read, was_written] = earlier.bits[chunk];
-                let shared = (was_written & (read | written)) | (was_read & written);
-                if shared != 0 && clash.is_none() {
-                    clash = Some(chunk * 64 + shared.trailing_zeros() as usize);
-                }
-                earlier.set(chunk, 0, read);
-                earlier.set(chunk, 1, written);
+        for chunk in self.chunks.drain(..) {
+            let [read, written] = std::mem::take(&mut self.bits[chunk]);
+            let [was_read, was_written] = &mut earlier.bits[chunk];
+            let shared = (*was_written & (read | written)) | (*was_read & written);
+            if shared != 0 {
+                let word = chunk * 64 + shared.trailing_zeros() as usize;
+                clash = Some(clash.map_or(word, |c| c.min(word)));
             }
+            *was_read |= read;
+            *was_written |= written;
         }
         clash
     }
@@ -304,18 +311,11 @@ impl Touched {
 /// Global memory plus the device's cache hierarchy.
 #[derive(Debug)]
 pub struct MemorySystem {
-    /// Device memory: word `i` is `store[base + i]`, for the `cursor`
-    /// allocated words; every other word of `store` is zero. Atomic (and
-    /// accessed relaxed) because a launch's blocks run on several host
-    /// threads; CUDA's rule that no block touches a word another block of
-    /// the launch wrote is what makes the values deterministic.
+    /// Device memory, the allocated words. Atomic (and accessed relaxed)
+    /// because a launch's blocks run on several host threads; CUDA's rule
+    /// that no block touches a word another block of the launch wrote is
+    /// what makes the values deterministic.
     store: Vec<AtomicU32>,
-    /// Where device word 0 sits in `store`: on a 128-byte host boundary, so
-    /// that each 128-byte device line is whole host cache lines. Blocks on
-    /// different host threads write neighbouring device lines (the
-    /// inter-task kernel's boundary rows interleave every block's), and a
-    /// host cache line two of them shared would bounce between the cores.
-    base: usize,
     cursor: usize,
     capacity_words: usize,
     sms: Vec<SmCaches>,
@@ -349,7 +349,6 @@ impl MemorySystem {
             .collect();
         Self {
             store: Vec::new(),
-            base: 0,
             cursor: 0,
             capacity_words: (spec.global_mem_bytes / 4) as usize,
             sms,
@@ -374,39 +373,11 @@ impl MemorySystem {
                 available_words: self.capacity_words.saturating_sub(aligned),
             });
         };
-        // A line of slack, for the realignment a reallocation may need.
-        let room = end + LINE_WORDS;
-        if self.store.len() < room {
-            let before = self.store.as_ptr();
-            self.store.resize_with(room, AtomicU32::default);
-            if self.store.as_ptr() != before {
-                self.realign();
-            }
+        if self.store.len() < end {
+            self.store.resize_with(end, AtomicU32::default);
         }
         self.cursor = end;
         Ok(DevicePtr(aligned))
-    }
-
-    /// Move the allocated words to the first 128-byte host boundary of a
-    /// reallocated `store`, zeroing the words they leave.
-    fn realign(&mut self) {
-        let base = (self.store.as_ptr() as usize).wrapping_neg() % 128 / 4;
-        let (from, len) = (self.base, self.cursor);
-        let moved = |i: usize| self.store[from + i].load(Relaxed);
-        if base < from {
-            for i in 0..len {
-                self.store[base + i].store(moved(i), Relaxed);
-            }
-        } else {
-            for i in (0..len).rev() {
-                self.store[base + i].store(moved(i), Relaxed);
-            }
-        }
-        let (kept, total) = (base..base + len, self.store.len());
-        for i in (from..from + len).filter(|i| !kept.contains(i) && *i < total) {
-            self.store[i].store(0, Relaxed);
-        }
-        self.base = base;
     }
 
     /// Release every allocation (bump-allocator reset). Cache contents are
@@ -435,21 +406,13 @@ impl MemorySystem {
     /// Caches are invalidated because freed lines may be re-allocated.
     pub fn free_to(&mut self, mark: usize) {
         debug_assert!(mark <= self.cursor, "free_to above the watermark");
-        // A later allocation finds the freed words zero, as a fresh one.
-        for word in &mut self.store[self.base + mark..self.base + self.cursor] {
-            *word.get_mut() = 0;
-        }
         self.cursor = mark;
+        self.store.truncate(mark);
         let sm_caches = self.sms.iter_mut().flat_map(|sm| [&mut sm.l1, &mut sm.tex]);
         let device = [&mut self.device.l2, &mut self.device.tex_l2];
         for cache in sm_caches.chain(device).flatten() {
             cache.invalidate();
         }
-    }
-
-    /// The allocated words.
-    fn words(&self) -> &[AtomicU32] {
-        &self.store[self.base..self.base + self.cursor]
     }
 
     /// Words currently allocated.
@@ -482,7 +445,7 @@ impl MemorySystem {
             mem_words: self.cursor,
         };
         let end = ptr.0.checked_add(len).ok_or_else(bad)?;
-        self.words().get(ptr.0..end).ok_or_else(bad)
+        self.store.get(ptr.0..end).ok_or_else(bad)
     }
 
     /// Direct host-side write (used by transfer modelling; not a kernel
@@ -506,7 +469,7 @@ impl MemorySystem {
     /// Split for a launch (see [`LaunchParts`]).
     pub(crate) fn launch_parts(&mut self) -> LaunchParts<'_> {
         LaunchParts {
-            data: &self.store[self.base..self.base + self.cursor],
+            data: &self.store,
             sms: &mut self.sms,
             device: &mut self.device,
         }
@@ -534,11 +497,12 @@ impl MemorySystem {
             tex: None,
         };
         let mut block = BlockMem {
-            data: &self.store[self.base..self.base + self.cursor],
+            data: &self.store,
             caches: self.sms.get_mut(sm).unwrap_or(&mut none),
             reaches: self.device.reaches(),
             level: &mut self.device,
             touched: None,
+            tex_since: 0,
             stats: MemoryStats::default(),
         };
         let out = access(&mut block);
@@ -608,8 +572,13 @@ pub(crate) struct BlockMem<'a> {
     pub level: &'a mut dyn Level2,
     /// [`DeviceCaches::reaches`] of the device.
     pub reaches: [bool; 3],
-    /// The words this block touched, when the launch checks the rule.
+    /// The words this block touched, inside a launch (host-issued
+    /// accesses have no other block to clash with).
     pub touched: Option<&'a mut Touched>,
+    /// [`SmCaches::tex_clock`] as the block began. A texture-cache hit on
+    /// a segment stamped after it is one this block fetched, and marked,
+    /// before.
+    pub tex_since: u64,
     /// This block's instruction, transaction and DRAM-byte counters (the
     /// DRAM bytes of device-wide accesses applied later are in
     /// [`Settled`]).
@@ -766,11 +735,19 @@ impl BlockMem<'_> {
         };
         let device = self.reaches[Reach::Tex as usize];
         for line in lines.iter() {
+            let near = self
+                .caches
+                .tex
+                .as_mut()
+                .and_then(|t| t.access_stamped(line));
             if let Some(touched) = self.touched.as_deref_mut() {
-                let first = line * TEX_SEGMENT_WORDS;
-                touched.mark_span(first, first + TEX_SEGMENT_WORDS - 1, 0);
+                // See `tex_since`: such a hit was marked when first fetched.
+                if near.is_none_or(|stamp| stamp <= self.tex_since) {
+                    let first = line * TEX_SEGMENT_WORDS;
+                    touched.mark_span(first, first + TEX_SEGMENT_WORDS - 1, 0);
+                }
             }
-            if self.caches.tex.as_mut().is_some_and(|t| t.access(line)) {
+            if near.is_some() {
                 cost.near_hits += 1;
                 continue;
             }
@@ -948,21 +925,6 @@ mod tests {
         assert_eq!(b.addr(), a.addr() + 32);
         assert_eq!(m.host_read(a, 5).unwrap(), [7; 5]);
         assert_eq!(m.host_read(a.offset(5), 35).unwrap(), [0; 35]);
-    }
-
-    #[test]
-    fn growth_keeps_the_words_and_their_host_alignment() {
-        let mut m = c2050_mem();
-        let mut expect = Vec::new();
-        for n in [1, 31, 100, 1000, 5000, 40_000, 7, 300_000] {
-            let p = m.alloc(n).unwrap();
-            let fill: Vec<u32> = (0..n as u32).map(|i| i ^ n as u32).collect();
-            m.host_write(p, &fill).unwrap();
-            expect.resize(p.addr(), 0);
-            expect.extend(&fill);
-            assert_eq!(m.words().as_ptr() as usize % 128, 0, "after {n} words");
-            assert_eq!(m.host_read(DevicePtr(0), expect.len()).unwrap(), expect);
-        }
     }
 
     #[test]

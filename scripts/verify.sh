@@ -56,12 +56,15 @@ cargo test -q --offline --test device_opt --test crash_matrix --test observabili
 # A launch's blocks run on several host threads, by name: twenty repeats
 # of every kernel's multi-block launch agree in every counter, score and
 # device word (in the release profile too, where the AVX2 instantiations
-# run); gpu-sim's public arithmetic refuses what would overflow; Table I's
+# run); a block that touches a word another block wrote, directly or
+# through the texture, fails its launch in the release profile too;
+# gpu-sim's public arithmetic refuses what would overflow; Table I's
 # global counts depend on the lengths alone.
 cargo test -q --offline --test simulator_invariants repeated_multi_block_launches_are_bit_identical
 cargo test --release -q --offline --test simulator_invariants \
   repeated_multi_block_launches_are_bit_identical
 cargo test -q --offline -p gpu-sim --lib kernel::tests::public_arithmetic_is_checked
+cargo test --release -q --offline -p gpu-sim --lib a_word_another_block_wrote_fails_the_launch
 cargo test -q --offline --test simulator_invariants table1_counts_depend_on_lengths_only
 echo "verify: named simulator suites took $((SECONDS - named_t0)) s"
 
