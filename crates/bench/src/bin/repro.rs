@@ -9,10 +9,8 @@
 //! repro integrity               # silent-corruption detection smoke
 //! repro serve                   # batch-scheduling search service replay
 //! repro trace <experiment> [--out <file.json>] [--metrics <file.prom>]
-//! repro host [--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]
 //! repro soak [--smoke] [--out <file.json>]
 //! repro device-opt [--out <file.json>]
-//! repro gate <doc.json>
 //! ```
 //!
 //! `--inject-faults <seed>` selects the random fault seed for the chaos
@@ -26,13 +24,6 @@
 //! count appears in the result table. Scores are bit-identical either
 //! way.
 //!
-//! `host` records wall-clock numbers into the append-only trajectory
-//! `BENCH_host.json` (see `cudasw_bench::trajectory`): `--out` writes the
-//! run as an entry keyed by git rev (`+dirty` from a modified tree) +
-//! workload config + host thread count; `--baseline <file>` first merges
-//! it into that committed trajectory and compares it against the latest
-//! comparable entry. The entry's own gates always run.
-//!
 //! `soak` and `device-opt` print only simulated-clock numbers, so their
 //! `--out` documents (`BENCH_{soak,device}.json`) are snapshots: no rev,
 //! one run per config, checked with `cmp` against the committed file. Each
@@ -40,17 +31,12 @@
 //!
 //! Exit code 0 is a pass, 1 a failed gate or an I/O error, 2 a usage error.
 //!
-//! Serving is reported on the simulated clock only (`serve`, `soak`);
-//! wall-clock serving and simulator host speed are the repo benchmark's
-//! (`benchmark/`: `serve_steady`, `serve_small`, `device_fermi`).
-//!
-//! `host` benchmarks the real host compute backend (runtime-dispatched
-//! SIMD, both Lazy-F kernel modes, work-stealing thread pool) in *real*
-//! wall-clock seconds on the current machine over a Swissprot-shaped
-//! synthetic database (10⁵ sequences; `--db-size <n>` overrides,
-//! `--smoke` shrinks to CI scale on the same code path). Gates: per-row
-//! GCUPS regressions against the baseline and, at `n = min(4, hardware
-//! threads) ≥ 2` on a large database, the `0.75 × n` thread-scaling floor.
+//! Serving is reported on the simulated clock only (`serve`, `soak`).
+//! Wall-clock speed — the host engine, the pool, serving and the
+//! simulator's own — is the repo benchmark's (`benchmark/`:
+//! `scan_swissprot`, `scan_homolog`, `serve_steady`, `serve_small`,
+//! `device_fermi`); `fig7`'s host series is the one wall-clock number
+//! `repro` prints.
 //!
 //! `device-opt` runs the §VII device-kernel optimization matrix
 //! (baseline, each optimization alone, all together) through the
@@ -61,14 +47,12 @@
 //! exposes, the streamed-copy accounting identity, balance never worsening
 //! skew.
 //!
-//! `gate` parses a written document — the host trajectory or a Chrome
-//! trace — and runs its schema's checks on typed values
-//! (`cudasw_bench::gate`), as `verify.sh` and CI do.
-//!
 //! `trace` runs any experiment under the observability recorder and dumps
 //! its span timeline as a Chrome `trace_event` JSON file — load it in
 //! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` to see the
-//! nested search → kernel → transfer spans on the simulated clock.
+//! nested search → kernel → transfer spans on the simulated clock. The
+//! trace is validated (`obs::chrome::validate_chrome_trace`) before it is
+//! written; an invalid one exits 1.
 //! `--metrics` additionally writes a Prometheus-style text snapshot of
 //! every counter, gauge and histogram the run recorded.
 //!
@@ -81,16 +65,13 @@
 //! anchors marked "functional" execute every DP cell through the
 //! simulator. See DESIGN.md §4–5 and EXPERIMENTS.md.
 
-use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
 use cudasw_bench::experiments::{
-    ablation, chaos, device_opt, fig2, fig3, fig5, fig6, fig7, host, host_trajectory, integrity,
-    multigpu, retune, serve, soak, strips, table1, table2, validation,
+    ablation, chaos, device_opt, fig2, fig3, fig5, fig6, fig7, integrity, multigpu, retune, serve,
+    soak, strips, table1, table2, validation,
 };
-use cudasw_bench::gate;
-use cudasw_bench::trajectory::{rev_key, Trajectory};
 use cudasw_core::variants::{development_stages, FINAL_KERNEL_STAGE};
 use gpu_sim::DeviceSpec;
 
@@ -123,7 +104,6 @@ const KNOWN: &[(&str, fn())] = &[
     ("integrity", run_integrity),
     ("serve", run_serve),
     ("soak", run_soak_smoke),
-    ("host", run_host_smoke),
     ("device-opt", || run_device_opt(Vec::new(), "")),
 ];
 
@@ -137,14 +117,8 @@ const SUBCOMMANDS: &[(&str, &str, Subcommand)] = &[
         "<experiment> [--out <file.json>] [--metrics <file.prom>]",
         run_trace,
     ),
-    (
-        "host",
-        "[--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]",
-        run_host,
-    ),
     ("soak", "[--smoke] [--out <file.json>]", run_soak),
     ("device-opt", "[--out <file.json>]", run_device_opt),
-    ("gate", "<doc.json>", run_gate),
 ];
 
 fn main() {
@@ -241,10 +215,6 @@ fn write_or_fail(path: &str, contents: &str) {
     }
 }
 
-fn read_or_fail(what: &str, path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {what}{path}: {e}")))
-}
-
 /// Print `failures` under "`gate` FAILED:" and exit 1, if there are any.
 fn fail_if_any(gate: &str, failures: &[String]) {
     if !failures.is_empty() {
@@ -292,10 +262,11 @@ fn run_trace(mut rest: Vec<String>, usage: &str) {
         usage_error(format!("usage: {usage}"));
     };
     let ((), run) = obs::capture(known(name));
-    write_or_fail(
-        &out_path,
-        &obs::chrome::to_chrome_json(&run.trace, run.clock),
-    );
+    let trace = obs::chrome::to_chrome_json(&run.trace, run.clock);
+    if let Err(e) = obs::chrome::validate_chrome_trace(&trace) {
+        fail(format!("{name}'s trace is not a valid Chrome trace: {e}"));
+    }
+    write_or_fail(&out_path, &trace);
     print_run_report(name, &run);
     println!(
         "wrote {} spans + {} instants ({:.4}s simulated) to {out_path}",
@@ -500,96 +471,6 @@ fn print_soak_result(r: &soak::SoakResult) {
     );
 }
 
-/// `repro all` entry: the CI-scale host benchmark, no file output.
-fn run_host_smoke() {
-    print_host_result(&host::run(&host::HostBenchOpts {
-        smoke: true,
-        db_size: None,
-    }));
-}
-
-/// The rev this run's trajectory entry is keyed by: short `HEAD`,
-/// `+dirty` when the working tree differs from it.
-fn git_rev() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-    };
-    let head = git(&["rev-parse", "--short", "HEAD"]);
-    let porcelain = git(&["status", "--porcelain"]).unwrap_or_default();
-    rev_key(head.as_deref(), &porcelain)
-}
-
-/// The gated-run path of the host trajectory: load the committed
-/// trajectory, gate the fresh `entry` on its own and against its latest
-/// comparable entry, append it, write the merged document, then exit 1 if
-/// any gate failed.
-fn run_gated(
-    entry: host::HostBenchResult,
-    out_path: Option<String>,
-    baseline_path: Option<String>,
-) {
-    let mut trajectory = match &baseline_path {
-        Some(p) => Trajectory::parse(&read_or_fail("baseline ", p))
-            .unwrap_or_else(|e| fail(format!("cannot parse baseline {p}: {e}"))),
-        None => Trajectory::default(),
-    };
-    let mut failures = entry.standalone_gates();
-    let (config, threads) = entry.workload();
-    let on = format!("{threads} host threads");
-    match trajectory.baseline_for(&entry) {
-        Some(base) => {
-            println!(
-                "comparing against committed entry (rev {}, config {config}, {on})",
-                base.rev
-            );
-            failures.extend(host_trajectory::regressions(base, &entry));
-        }
-        None if baseline_path.is_some() => {
-            println!("no comparable committed entry (config {config}, {on}): recording only");
-        }
-        None => {}
-    }
-    trajectory.append(entry);
-    if let Some(out_path) = out_path {
-        write_or_fail(&out_path, &trajectory.to_json());
-        println!(
-            "wrote trajectory ({} entries, {}) to {out_path}",
-            trajectory.entries.len(),
-            host_trajectory::SCHEMA
-        );
-    }
-    fail_if_any("host perf gate", &failures);
-    let compared = baseline_path.map_or("", |_| " + committed-baseline comparison");
-    println!("host perf gate passed (the entry's own gates{compared}).");
-}
-
-/// `repro host [--smoke] [--db-size <n>] [--out <file.json>] [--baseline <file>]`
-fn run_host(mut rest: Vec<String>, usage: &str) {
-    let opts = host::HostBenchOpts {
-        smoke: take_flag(&mut rest, "--smoke"),
-        db_size: take_value::<NonZeroUsize>(&mut rest, "--db-size", "a positive integer")
-            .map(NonZeroUsize::get),
-    };
-    let out_path = take_value(&mut rest, "--out", "a file path");
-    let baseline_path = take_value(&mut rest, "--baseline", "a file path");
-    expect_no_more(&rest, usage);
-    let (mut r, run) = obs::capture(|| host::run(&opts));
-    print_host_result(&r);
-    let selected = run.metrics.counter_sum("cudasw.simd.backend.selected", &[]);
-    let reruns = run.metrics.counter_sum("cudasw.simd.word_mode.reruns", &[]);
-    println!(
-        "[run report] host: {} backend selections, {} word-mode reruns (real wall-clock run)",
-        selected as u64, reruns as u64
-    );
-    r.rev = git_rev();
-    run_gated(r, out_path, baseline_path);
-}
-
 /// `repro device-opt [--out <file.json>]`: the full and the smoke matrix,
 /// each held to the invariant gates on its measured values.
 fn run_device_opt(mut rest: Vec<String>, usage: &str) {
@@ -610,29 +491,6 @@ fn run_device_opt(mut rest: Vec<String>, usage: &str) {
     }
     fail_if_any("device perf gate", &failures);
     println!("device perf gate passed (the invariant gates, full and smoke).");
-}
-
-/// `repro gate <doc.json>`
-fn run_gate(rest: Vec<String>, usage: &str) {
-    let [doc_path] = rest.as_slice() else {
-        usage_error(format!("usage: {usage}"));
-    };
-    match gate::gate(&read_or_fail("", doc_path)) {
-        Ok(summary) => println!("gate passed: {doc_path} ({summary})"),
-        Err(failures) => fail_if_any(&format!("gate on {doc_path}"), &failures),
-    }
-}
-
-fn print_host_result(r: &host::HostBenchResult) {
-    r.table().print();
-    println!(
-        "host has {} hardware thread(s); scaling beyond that is not measurable here.",
-        r.host_threads
-    );
-    for (backend, s) in &r.thread_scaling {
-        println!("  {backend}: {s:.2}x self-scaling at max measured thread count");
-    }
-    println!();
 }
 
 fn run_serve() {

@@ -22,12 +22,12 @@
 //! snapshot of the full and smoke runs, no rev, checked with `cmp`.
 
 use crate::report::Table;
-use crate::trajectory::{document, inline_object, quoted, rows_array};
 use cudasw_core::{
     CudaSwConfig, CudaSwDriver, DeviceKernelConfig, ImprovedParams, IntraKernelChoice,
     VariantConfig,
 };
 use gpu_sim::{crc32, DeviceSpec};
+use obs::json::escape;
 use sw_db::synth::{database_with_lengths, make_query};
 
 /// One measured optimization configuration.
@@ -447,6 +447,49 @@ pub fn to_json(runs: &[DeviceOptResult]) -> String {
         ]
     };
     document(SCHEMA, "runs", runs.iter().map(run))
+}
+
+/// A `{"schema": …, "<list>": [{…}, …]}` document: one object per
+/// element of `objects`, one field per line in the order given, values
+/// already serialized (see [`quoted`], [`rows_array`], [`inline_object`]).
+fn document(
+    schema: &str,
+    list: &str,
+    objects: impl Iterator<Item = Vec<(&'static str, String)>>,
+) -> String {
+    let objects: Vec<String> = objects
+        .map(|fields| {
+            let fields: Vec<String> = fields
+                .iter()
+                .map(|(k, v)| format!("      \"{k}\": {v}"))
+                .collect();
+            format!("    {{\n{}\n    }}", fields.join(",\n"))
+        })
+        .collect();
+    format!(
+        "{{\n  \"schema\": \"{schema}\",\n  \"{list}\": [\n{}\n  ]\n}}\n",
+        objects.join(",\n")
+    )
+}
+
+/// `"s"`, escaped: a JSON string value.
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
+
+/// A one-line object `{"k": v, "k": v}` of already-serialized values.
+fn inline_object(fields: &[(&str, String)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("{}: {v}", quoted(k)))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// The value of a run's rows field: an array of one row per line.
+fn rows_array(rows: impl Iterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.map(|row| format!("        {row}")).collect();
+    format!("[\n{}\n      ]", rows.join(",\n"))
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@ pub mod fig3;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod host;
-pub mod host_trajectory;
 pub mod integrity;
 pub mod multigpu;
 pub mod retune;

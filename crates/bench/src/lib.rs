@@ -13,15 +13,13 @@
 //!   Table II).
 //!
 //! The `repro` binary drives everything: `repro all` regenerates the whole
-//! evaluation section. Its one wall-clock benchmark appends to the
-//! committed `BENCH_host.json` through [`trajectory`], checked by
-//! [`gate`]; its simulated-clock documents (`BENCH_device.json`,
-//! `BENCH_soak.json`) are snapshots, checked with `cmp`.
+//! evaluation section. Its documents (`BENCH_device.json`,
+//! `BENCH_soak.json`) hold simulated-clock numbers only, so they are
+//! snapshots, checked with `cmp`. Apart from Figure 7's host series,
+//! wall-clock speed is measured by the repo benchmark (`benchmark/`).
 
 pub mod experiments;
-pub mod gate;
 pub mod report;
-pub mod trajectory;
 pub mod workloads;
 
 pub use report::{Series, Table};

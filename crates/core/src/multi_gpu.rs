@@ -16,7 +16,7 @@
 //! given no fault plans.
 
 use crate::driver::{CudaSwConfig, CudaSwDriver, SearchResult};
-use crate::recovery::{cpu_scores, RecoveryPolicy, RecoveryReport};
+use crate::recovery::{host_scores, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_db::{Database, Sequence};
 
@@ -193,7 +193,7 @@ pub fn multi_gpu_search_resilient(
             if !policy.cpu_fallback {
                 return Err(GpuError::DeviceLost);
             }
-            cpu_scores(&config.params, query, db.sequences(), &mut scores);
+            scores = host_scores(&config.params, query, db.sequences());
             report.note_cpu_fallback(db.len());
         } else {
             let m = survivors.len();
@@ -235,10 +235,7 @@ pub fn multi_gpu_search_resilient(
                         // No time left, or the survivor died too: the host
                         // absorbs this sub-shard.
                         _ => {
-                            let mut sub_scores = vec![0i32; subshard.len()];
-                            let seqs = subshard.sequences();
-                            cpu_scores(&config.params, query, seqs, &mut sub_scores);
-                            merge(&sub_scores);
+                            merge(&host_scores(&config.params, query, subshard.sequences()));
                             report.note_cpu_fallback(subshard.len());
                         }
                     }

@@ -17,9 +17,10 @@
 //!   watchdog so a hung launch comes back as a retryable
 //!   [`GpuError::LaunchTimeout`] instead of burning simulated hours;
 //! * **device loss / persistent failure** — graceful degradation: every
-//!   not-yet-scored sequence is computed on the host CPU with the striped
-//!   SIMD engine (`sw_simd::QueryEngine`), and the result is flagged
-//!   [`RecoveryReport::degraded`];
+//!   not-yet-scored sequence is computed on the host CPU by the SIMD pool
+//!   on the caller's thread (`sw_simd::search_sequences`, whose chunk
+//!   quarantine to `sw_score` is the unwind boundary), and the result is
+//!   flagged [`RecoveryReport::degraded`];
 //! * **silent transfer corruption** — with
 //!   [`RecoveryPolicy::integrity_checks`] (the default) the device
 //!   verifies an end-to-end checksum on every transfer; a mismatch
@@ -53,7 +54,7 @@ use crate::seqstore::GroupImage;
 use gpu_sim::{GpuError, LaunchStats};
 use sw_align::PackedProfile;
 use sw_db::{Database, Sequence};
-use sw_simd::{AdaptiveStats, Precision, QueryEngine};
+use sw_simd::{Precision, QueryEngine};
 
 /// Knobs of the recovery machinery.
 #[derive(Debug, Clone)]
@@ -482,34 +483,6 @@ fn classify(
     }
 }
 
-/// Score one CPU-fallback sequence with panic isolation: a panic inside
-/// the vectorized engine quarantines the sequence to the scalar oracle
-/// (`sw_align::sw_score`, the answer every path gives), so the
-/// degraded path can never abort a search the device already failed.
-/// Stats are only merged for clean runs — a panicking engine's partial
-/// counts are discarded.
-fn protected_fallback_score(
-    engine: &QueryEngine,
-    residues: &[u8],
-    stats: &mut AdaptiveStats,
-) -> i32 {
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut delta = AdaptiveStats::default();
-        let score = engine.score_with(residues, Precision::Adaptive, &mut delta);
-        (score, delta)
-    }));
-    match attempt {
-        Ok((score, delta)) => {
-            stats.merge(&delta);
-            score
-        }
-        Err(_) => {
-            obs::counter_add("cudasw.core.recovery.cpu_fallback_panics", &[], 1.0);
-            sw_align::sw_score(engine.params(), engine.query(), residues)
-        }
-    }
-}
-
 /// What one resilient search accumulates across staging, replay, both
 /// device phases and the CPU fallback.
 struct Run<'a> {
@@ -758,22 +731,19 @@ impl CudaSwDriver {
                 return Err(err);
             }
             let sp_cpu = obs::span("cpu_fallback", "phase");
-            // One engine for the whole fallback: the striped profiles are
-            // built once and reused for every remaining sequence. Scoring
-            // is panic-isolated per sequence (crash-only: a poisoned
-            // alignment in the vectorized engine quarantines to the
-            // scalar oracle instead of aborting the degraded search).
-            let engine = QueryEngine::new(self.config.params.clone(), query);
-            let mut simd_stats = AdaptiveStats::default();
-            let mut n = 0usize;
+            let mut slots = Vec::new();
+            let mut rest = Vec::new();
             for phase in [&inter, &intra] {
                 for i in (phase.done..phase.seqs.len()).filter(|&i| !phase.replayed.contains(i)) {
-                    run.scores[phase.out_base + i] =
-                        protected_fallback_score(&engine, &phase.seqs[i].residues, &mut simd_stats);
-                    n += 1;
+                    slots.push(phase.out_base + i);
+                    rest.push(phase.seqs[i].clone());
                 }
             }
-            sw_simd::record_stats(engine.kind(), &simd_stats);
+            let n = rest.len();
+            let scores = host_scores(&self.config.params, query, &rest);
+            for (slot, score) in slots.into_iter().zip(scores) {
+                run.scores[slot] = score;
+            }
             run.report.note_cpu_fallback(n);
             sp_cpu.end_with(&[("sequences", &n.to_string())]);
         }
@@ -847,7 +817,7 @@ impl CudaSwDriver {
                     // The device data cannot be trusted: recompute the
                     // chunk on the host SIMD engine.
                     let sp = obs::span("quarantine_recompute", "integrity");
-                    cpu_scores(&self.config.params, run.query, chunk, out);
+                    out.copy_from_slice(&host_scores(&self.config.params, run.query, chunk));
                     run.report.note_quarantine(&err, label, chunk.len());
                     sp.end_with(&[("phase", label), ("sequences", &chunk.len().to_string())]);
                     0.0
@@ -905,27 +875,28 @@ impl CudaSwDriver {
     }
 }
 
-/// Score `seqs` on the CPU SIMD path (used by the multi-GPU layer when
-/// every device is gone, and by the quarantine oracle).
+/// Score `seqs` on the host, wherever a device result is missing or
+/// untrusted: the CPU fallback, the quarantine recompute and the multi-GPU
+/// layer when every device, or a re-dispatch's survivor, is gone.
 ///
-/// Builds the dispatched [`QueryEngine`] once — profile construction is
-/// amortized over the batch instead of paid per sequence — and publishes
-/// the adaptive-precision counters when the batch is non-trivial.
-pub(crate) fn cpu_scores(
+/// This is the SIMD pool on the caller's thread (one engine, its striped
+/// profiles built once for the batch). The pool is the unwind boundary: a
+/// panicking chunk is quarantined to `sw_align::sw_score` and counted
+/// under `cudasw.simd.pool.*`, so a host stand-in can never abort a search
+/// the device already failed. The adaptive-precision counters are
+/// published when the batch is non-empty.
+pub(crate) fn host_scores(
     params: &sw_align::SwParams,
     query: &[u8],
     seqs: &[Sequence],
-    out: &mut [i32],
-) {
+) -> Vec<i32> {
     if seqs.is_empty() {
-        return;
+        return Vec::new();
     }
     let engine = QueryEngine::new(params.clone(), query);
-    let mut stats = AdaptiveStats::default();
-    for (i, seq) in seqs.iter().enumerate() {
-        out[i] = engine.score_with(&seq.residues, Precision::Adaptive, &mut stats);
-    }
-    sw_simd::record_stats(engine.kind(), &stats);
+    let r = sw_simd::search_sequences(&engine, seqs, 1, Precision::Adaptive);
+    sw_simd::record_stats(engine.kind(), &r.stats);
+    r.scores
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use cudasw_core::{
 };
 use gpu_sim::{DeviceSpec, FaultPlan, FaultSite};
 use proptest::prelude::*;
-use sw_align::{Alphabet, SwParams};
+use sw_align::{sw_score, Alphabet, SwParams};
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_db::{Database, Sequence};
 use sw_simd::QueryEngine;
@@ -171,6 +171,16 @@ fn all_devices_dead_degrades_to_cpu_with_identical_scores() {
     )
     .unwrap();
     assert_eq!(r.scores, expect);
+    // The host scored every sequence, and each answers to the oracle.
+    let params = SwParams::cudasw_default();
+    for (seq, &score) in db.sequences().iter().zip(&r.scores) {
+        assert_eq!(
+            score,
+            sw_score(&params, &query, &seq.residues),
+            "{}",
+            seq.id
+        );
+    }
     assert_eq!(r.surviving_devices(), 0);
     assert!(r.recovery.degraded);
     assert_eq!(r.recovery.cpu_fallback_seqs, db.len() as u64);

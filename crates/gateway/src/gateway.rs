@@ -18,7 +18,7 @@
 //! run or owed shard part to a lane worker, feeds the parts that come back
 //! into the machine, and resolves tickets as the machine responds. It
 //! `recv_timeout`s until the batcher's next dispatch instant. Waves
-//! pipeline: up to [`GatewayConfig::max_inflight_waves`] waves may be in
+//! pipeline: up to `MAX_INFLIGHT_WAVES` waves may be in
 //! flight across the lanes at once. What only the wall clock needs stays
 //! here: the lanes' circuit breakers, routing owed shards to the host
 //! lane, the drain grace, and cancellation.
@@ -98,11 +98,12 @@ pub struct GatewayConfig {
     /// Graceful-drain budget before shutdown cancels in-flight host
     /// chunks through the [`CancelToken`] path.
     pub drain_grace_seconds: f64,
-    /// Maximum waves dispatched-but-unfinished at once (pipelining depth
-    /// across the lane channels; also bounds how much queued work a
-    /// forced drain must wait out).
-    pub max_inflight_waves: usize,
 }
+
+/// Maximum waves dispatched-but-unfinished at once (pipelining depth
+/// across the lane channels; also bounds how much queued work a forced
+/// drain must wait out).
+const MAX_INFLIGHT_WAVES: usize = 4;
 
 impl Default for GatewayConfig {
     fn default() -> Self {
@@ -117,7 +118,6 @@ impl Default for GatewayConfig {
             shed_expired: false,
             host_faults: HostFaultPlan::none(),
             drain_grace_seconds: 5.0,
-            max_inflight_waves: 4,
         }
     }
 }
@@ -259,7 +259,7 @@ impl Gateway {
             machine: WaveMachine::new(
                 k,
                 db.len(),
-                cfg.max_inflight_waves,
+                MAX_INFLIGHT_WAVES,
                 cfg.admission.clone(),
                 cfg.batch.clone(),
                 cfg.shed_expired,

@@ -195,7 +195,12 @@ mod tests {
 
     #[test]
     fn validation_rejects_malformed_documents() {
-        assert!(validate_chrome_trace("{}").is_err());
+        assert!(validate_chrome_trace("[1, 2").is_err(), "not JSON");
+        // Any other document, a `BENCH_*.json` snapshot included.
+        for doc in ["{}", r#"{"schema": "cudasw.bench.device/v2", "runs": []}"#] {
+            let err = validate_chrome_trace(doc).unwrap_err();
+            assert!(err.contains("missing traceEvents array"), "{err}");
+        }
         assert!(validate_chrome_trace("{\"traceEvents\": [{\"ph\": \"X\"}]}").is_err());
         assert!(validate_chrome_trace(
             "{\"traceEvents\": [{\"name\":\"a\",\"ph\":\"Z\",\"ts\":0}]}"

@@ -11,7 +11,7 @@
 //!   ┌────────┐ ──────────────────────────────────────────▶ ┌────────┐
 //!   │ Closed │                                             │  Open  │
 //!   └────────┘ ◀──┐                                        └────────┘
-//!        ▲        │ close_after_probes                          │
+//!        ▲        │ CLOSE_AFTER_PROBES                          │
 //!        │        │ probe successes             cooldown_seconds│
 //!        │        │                             elapse          ▼
 //!        │   ┌──────────┐ ◀───────────────────────────── (next admit)
@@ -23,14 +23,14 @@
 //! to it (the owed/redispatch machinery covers its shard); after
 //! [`HealthPolicy::cooldown_seconds`] of service time the breaker
 //! half-opens and the lane earns re-admission with
-//! [`HealthPolicy::close_after_probes`] clean probe waves. A revived
+//! `CLOSE_AFTER_PROBES` clean probe waves. A revived
 //! device (see [`gpu_sim`] device-loss recovery) re-enters through
 //! half-open too — it must prove itself before the batcher trusts it.
 //!
 //! The tracker also powers **hedged dispatch**: per-query lane latencies
 //! feed a global histogram, and [`HealthTracker::should_hedge`] flags a
-//! lane whose latency EWMA exceeds `hedge_factor ×` the global
-//! `hedge_quantile` — the executor then speculatively re-issues the
+//! lane whose latency EWMA exceeds `HEDGE_FACTOR ×` the global
+//! `HEDGE_QUANTILE` — the executor then speculatively re-issues the
 //! query on the host SIMD engine, first result wins (exactly once).
 //!
 //! The breaker never moves `Closed → Open` without a failure signal in
@@ -40,7 +40,24 @@
 //! clock), passed in as `now`; the tracker never reads the global
 //! simulated clock.
 
-/// Health/breaker/hedging knobs.
+/// Clean probe waves a half-open lane must serve to close.
+const CLOSE_AFTER_PROBES: u32 = 2;
+
+/// Global latency quantile the hedge threshold is derived from: the
+/// **median**, because a persistently slow lane contributes `1/lanes` of
+/// the pooled samples, so a high quantile would chase the outlier's own
+/// tail and never fire.
+const HEDGE_QUANTILE: f64 = 0.5;
+
+/// A lane hedges when its latency EWMA exceeds `HEDGE_FACTOR ×` the
+/// `HEDGE_QUANTILE`.
+const HEDGE_FACTOR: f64 = 4.0;
+
+/// Minimum latency samples (global) before hedging can trigger — keeps
+/// cold starts and tiny traces hedge-free.
+const HEDGE_MIN_SAMPLES: u64 = 8;
+
+/// Health and breaker knobs.
 #[derive(Debug, Clone)]
 pub struct HealthPolicy {
     /// EWMA smoothing factor for the fault score and latency, in (0, 1];
@@ -53,21 +70,6 @@ pub struct HealthPolicy {
     pub open_fault_score: f64,
     /// Service seconds an open breaker waits before half-opening.
     pub cooldown_seconds: f64,
-    /// Clean probe waves a half-open lane must serve to close.
-    pub close_after_probes: u32,
-    /// Master switch for hedged dispatch.
-    pub hedging: bool,
-    /// Global latency quantile the hedge threshold is derived from. The
-    /// default is the **median**: a persistently slow lane contributes
-    /// `1/lanes` of the pooled samples, so a high quantile would chase
-    /// the outlier's own tail and never fire.
-    pub hedge_quantile: f64,
-    /// A lane hedges when its latency EWMA exceeds
-    /// `hedge_factor × quantile`.
-    pub hedge_factor: f64,
-    /// Minimum latency samples (global) before hedging can trigger —
-    /// keeps cold starts and tiny traces hedge-free.
-    pub hedge_min_samples: u64,
 }
 
 impl Default for HealthPolicy {
@@ -77,11 +79,6 @@ impl Default for HealthPolicy {
             open_after_consecutive: 3,
             open_fault_score: 0.6,
             cooldown_seconds: 2.0e-2,
-            close_after_probes: 2,
-            hedging: true,
-            hedge_quantile: 0.5,
-            hedge_factor: 4.0,
-            hedge_min_samples: 8,
         }
     }
 }
@@ -94,7 +91,7 @@ pub enum BreakerState {
     /// Quarantined: no waves until the cooldown elapses.
     Open,
     /// Probing: waves route here, but one failure re-opens and
-    /// [`HealthPolicy::close_after_probes`] successes close.
+    /// `CLOSE_AFTER_PROBES` successes close.
     HalfOpen,
 }
 
@@ -222,7 +219,7 @@ impl HealthTracker {
             lane.consecutive_failures = 0;
             if lane.state == BreakerState::HalfOpen {
                 lane.probe_successes += 1;
-                if lane.probe_successes >= self.policy.close_after_probes {
+                if lane.probe_successes >= CLOSE_AFTER_PROBES {
                     self.transition(s, BreakerState::Closed);
                 }
             }
@@ -261,15 +258,15 @@ impl HealthTracker {
     }
 
     /// Whether a query on lane `s` should be hedged on the host engine:
-    /// the lane's latency EWMA exceeds `hedge_factor ×` the global
-    /// `hedge_quantile`, with enough global samples to trust the
-    /// baseline.
+    /// the lane's latency EWMA exceeds `HEDGE_FACTOR ×` the global
+    /// `HEDGE_QUANTILE`, with `HEDGE_MIN_SAMPLES` global samples to
+    /// trust the baseline.
     pub fn should_hedge(&self, s: usize) -> bool {
-        if !self.policy.hedging || self.latencies.count < self.policy.hedge_min_samples {
+        if self.latencies.count < HEDGE_MIN_SAMPLES {
             return false;
         }
-        let baseline = self.latencies.quantile(self.policy.hedge_quantile);
-        baseline > 0.0 && self.lanes[s].latency_ewma > self.policy.hedge_factor * baseline
+        let baseline = self.latencies.quantile(HEDGE_QUANTILE);
+        baseline > 0.0 && self.lanes[s].latency_ewma > HEDGE_FACTOR * baseline
     }
 
     /// Record a successful device revival on lane `s`: the lane re-enters
@@ -367,7 +364,7 @@ mod tests {
         // After another cooldown, clean probes earn re-admission.
         let now = p.cooldown_seconds * 2.5;
         assert!(t.admits(0, now));
-        for _ in 0..p.close_after_probes {
+        for _ in 0..CLOSE_AFTER_PROBES {
             t.observe_wave(0, false, now);
         }
         assert_eq!(t.lane(0).state, BreakerState::Closed);
@@ -426,7 +423,7 @@ mod tests {
             t.observe_latency(0, 1.0e-4);
         }
         assert!(!t.should_hedge(0), "lane at the baseline");
-        // Lane 1 runs far past hedge_factor × p90.
+        // Lane 1 runs far past HEDGE_FACTOR × the median.
         for _ in 0..10 {
             t.observe_latency(1, 5.0e-2);
         }

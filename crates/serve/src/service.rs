@@ -53,6 +53,9 @@ use sw_simd::{search_protected, PoolConfig, Precision, QueryEngine};
 /// a fixed constant keeps replays deterministic.
 const HEDGE_HOST_CUPS: f64 = 1.0e9;
 
+/// Query-profile cache capacity (entries).
+const PROFILE_CACHE_CAPACITY: usize = 32;
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -62,17 +65,12 @@ pub struct ServeConfig {
     pub admission: AdmissionConfig,
     /// Wave-forming policy.
     pub batch: BatchPolicy,
-    /// Query-profile cache capacity (entries).
-    pub cache_capacity: usize,
     /// Recovery policy inherited by every lane.
     pub recovery: RecoveryPolicy,
     /// Driver configuration (threshold, kernel choice, launch shapes).
     pub search: CudaSwConfig,
-    /// Lane-health policy: circuit breakers, revival pacing, hedging.
+    /// Lane-health policy: circuit breakers and revival pacing.
     pub health: HealthPolicy,
-    /// Derive per-query deadline budgets and pass them down the recovery
-    /// ladder (retries/stagings/redispatch degrade instead of overrun).
-    pub propagate_deadlines: bool,
     /// Shed queued requests whose deadline has already passed instead of
     /// serving them late. Off by default: the pinned contract is that
     /// deadline misses are flagged, not dropped.
@@ -90,11 +88,9 @@ impl Default for ServeConfig {
             devices: 2,
             admission: AdmissionConfig::default(),
             batch: BatchPolicy::default(),
-            cache_capacity: 32,
             recovery: RecoveryPolicy::default(),
             search: CudaSwConfig::improved(),
             health: HealthPolicy::default(),
-            propagate_deadlines: true,
             shed_expired: false,
             host_faults: sw_simd::HostFaultPlan::none(),
         }
@@ -156,7 +152,7 @@ impl SearchService {
             .collect();
         Self {
             cfg: cfg.clone(),
-            cache: ProfileCache::new(cfg.cache_capacity),
+            cache: ProfileCache::new(PROFILE_CACHE_CAPACITY),
             health: HealthTracker::new(lanes.len(), cfg.health.clone()),
             lanes,
             db_len: db.len(),
@@ -303,12 +299,11 @@ impl SearchService {
     }
 
     /// The query's remaining EDF budget at service time `elapsed`, the
-    /// seconds a device dispatch starting then may spend. `None` when
-    /// deadline propagation is off.
-    fn budget(&self, req: &SearchRequest, elapsed: f64) -> Option<f64> {
-        self.cfg
-            .propagate_deadlines
-            .then(|| (req.deadline_seconds - elapsed).max(0.0))
+    /// seconds a device dispatch starting then may spend: deadlines are
+    /// passed down the recovery ladder, so retries, stagings and
+    /// re-dispatches degrade instead of overrunning.
+    fn budget(req: &SearchRequest, elapsed: f64) -> f64 {
+        (req.deadline_seconds - elapsed).max(0.0)
     }
 
     /// Carry out [`Action::Run`] on the part's own lane: revive or skip the
@@ -371,8 +366,12 @@ impl SearchService {
         self.lanes[s].set_params(params);
         // The wave is EDF-sorted, so requests[0] carries the tightest
         // deadline — the budget staging must respect.
-        let staging_budget = self.budget(&wave.requests[0], run.start);
-        self.lanes[s].stage(staging_budget, &mut run.recovery, &mut run.lane_seconds[s])?;
+        let staging_budget = Self::budget(&wave.requests[0], run.start);
+        self.lanes[s].stage(
+            Some(staging_budget),
+            &mut run.recovery,
+            &mut run.lane_seconds[s],
+        )?;
         let mut scores = vec![None; wave.requests.len()];
         let mut cells = 0;
         // A lane that died staging still takes the first query: a hedge
@@ -386,7 +385,7 @@ impl SearchService {
             // against the query's remaining deadline.
             let hedge = self.issue_hedge(s, req, params, elapsed, &mut run.recovery);
             let gpu_start = run.lane_seconds[s];
-            let budget = self.budget(req, elapsed);
+            let budget = Some(Self::budget(req, elapsed));
             let Some(served) = self.lanes[s].serve(&req.query, Some(&run.profiles[q]), budget)?
             else {
                 // Lane is gone. If a hedge is in flight it covers this
@@ -440,12 +439,10 @@ impl SearchService {
             return None;
         }
         let seconds = shard.total_cells(req.query.len()) as f64 / HEDGE_HOST_CUPS;
-        if self.cfg.propagate_deadlines {
-            let left = req.deadline_seconds - service_elapsed;
-            if seconds > left {
-                recovery.note_host_budget_denied(seconds, left);
-                return None;
-            }
+        let left = req.deadline_seconds - service_elapsed;
+        if seconds > left {
+            recovery.note_host_budget_denied(seconds, left);
+            return None;
         }
         obs::counter_add("cudasw.serve.hedge.issued", &[], 1.0);
         // The hedge runs inside the crash-only pool: panic quarantine,
@@ -490,11 +487,11 @@ impl SearchService {
             let req = &wave.requests[q];
             // Absolute deadline for this query; once passed, stop burning
             // device time on redispatch and degrade straight to the host.
-            let deadline = if self.cfg.recovery.cpu_fallback {
-                self.budget(req, run.start).map(|b| obs::now() + b)
-            } else {
-                None
-            };
+            let deadline = self
+                .cfg
+                .recovery
+                .cpu_fallback
+                .then(|| obs::now() + Self::budget(req, run.start));
             while !deadline.is_some_and(|d| obs::now() >= d) {
                 // The health tracker ranks survivors by fault score;
                 // lanes with open breakers only take owed work when
@@ -509,9 +506,9 @@ impl SearchService {
                     break;
                 };
                 let prev_lane = obs::set_lane(t as u32 + 1);
-                let budget = self.budget(req, run.start + run.lane_seconds[t]);
+                let budget = Self::budget(req, run.start + run.lane_seconds[t]);
                 self.lanes[t].set_params(params);
-                let attempt = self.lanes[t].serve_foreign(&req.query, &shard, budget);
+                let attempt = self.lanes[t].serve_foreign(&req.query, &shard, Some(budget));
                 obs::set_lane(prev_lane);
                 let Some(r) = attempt? else {
                     self.health.observe_death(t, run.start);

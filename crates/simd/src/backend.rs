@@ -511,7 +511,7 @@ macro_rules! repair_step {
 /// (fewer when the stripe is shorter). Of 1, 2, 3, 4, 6 and 8, 4 gave the
 /// best rate, or one within 3% of it, at each paper query length on AVX2,
 /// SSE2 and the portable vectors alike, so it is one constant and not one
-/// per lane count (EXPERIMENTS.md, "Host backend benchmark").
+/// per lane count (EXPERIMENTS.md, "PR 15").
 const PEEL: usize = 4;
 
 /// Lane distances of the Kogge-Stone rounds; covers vectors of up to 32

@@ -45,7 +45,7 @@ impl BackendKind {
     ];
 
     /// Stable lowercase name (used in metrics labels, env overrides, and
-    /// `BENCH_host.json`).
+    /// the repo benchmark's result line).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Avx2 => "avx2",
@@ -159,8 +159,8 @@ pub enum KernelMode {
     /// a Kogge-Stone max-scan over the lane-boundary F values (decay
     /// `seg_len × gap_extend` per lane step) yields every lane's exact
     /// incoming F at once, so a single repair pass over the segments
-    /// suffices. Kept for the trajectory's second column and to drive the
-    /// scan route in the differential suites.
+    /// suffices. Kept for the `SW_KERNEL_MODE=prefix-scan` override and to
+    /// drive the scan route in the differential and conformance suites.
     PrefixScan,
 }
 

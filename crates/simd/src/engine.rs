@@ -48,8 +48,9 @@ pub enum Precision {
     /// Saturating byte mode first; on overflow word mode takes over at the
     /// overflow column (SSW/SWPS3 production strategy, minus the restart).
     Adaptive,
-    /// Word mode only — the pre-backend behaviour, kept as the bench
-    /// baseline and for callers that want deterministic per-pair cost.
+    /// Word mode only — the pre-backend behaviour, kept for callers that
+    /// want deterministic per-pair cost: the integrity experiment's host
+    /// reference and the differential and conformance suites.
     Word,
 }
 

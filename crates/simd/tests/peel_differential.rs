@@ -23,9 +23,12 @@ use sw_align::alphabet::Alphabet;
 use sw_align::matrix::ScoringMatrix;
 use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_align::GapPenalties;
+use sw_db::catalog::PaperDb;
 use sw_db::synth::make_query;
 use sw_simd::backend::{sw_bytes_checked, ByteProfileOf, ByteSimd};
-use sw_simd::{AdaptiveStats, BackendKind, KernelMode, NeverCancel, Precision, QueryEngine};
+use sw_simd::{
+    search_sequences, AdaptiveStats, BackendKind, KernelMode, NeverCancel, Precision, QueryEngine,
+};
 
 /// The repair is bounded per column whichever route a column takes: the
 /// correction loop's early exit ends it within `seg_len + open/extend + 1`
@@ -71,6 +74,31 @@ fn lazy_f_per_column_is_bounded() {
                 }
             }
         }
+    }
+}
+
+/// On a Swissprot-shaped database the scan forced on every column spends
+/// more repair operations than the default correction loop, whose early
+/// exit ends most columns within the prefix — why the loop is the default.
+#[test]
+fn the_forced_scan_repairs_more_than_the_loop() {
+    let db = PaperDb::Swissprot.generate(200, 2011);
+    let q = make_query(128, 2011);
+    let p = params(ScoringMatrix::blosum62(), (10, 2));
+    for kind in BackendKind::available() {
+        let run = |mode| {
+            let engine = QueryEngine::with_backend_and_mode(p.clone(), &q, kind, mode);
+            let r = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
+            (r.scores, r.stats.lazy_f_byte + r.stats.lazy_f_word)
+        };
+        let (looped, scanned) = (run(KernelMode::CorrectionLoop), run(KernelMode::PrefixScan));
+        assert_eq!(looped.0, scanned.0, "{kind}: the modes disagree on a score");
+        assert!(
+            looped.1 > 0 && scanned.1 > looped.1,
+            "{kind}: forced scan {} repair ops, correction loop {}",
+            scanned.1,
+            looped.1
+        );
     }
 }
 
