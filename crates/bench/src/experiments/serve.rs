@@ -12,7 +12,7 @@
 //!
 //! The interesting outputs are the serving metrics the paper's
 //! single-query benchmarks cannot express: queries/s, p50/p99 latency,
-//! shed rate and profile-cache hit rate, next to the familiar GCUPS.
+//! and shed rate, next to the familiar GCUPS.
 
 use crate::report::Table;
 use crate::workloads;
@@ -44,8 +44,6 @@ pub struct ServeResult {
     pub p99_seconds: f64,
     /// Fraction of offered requests shed.
     pub shed_rate: f64,
-    /// Profile-cache hit fraction.
-    pub cache_hit_rate: f64,
     /// Database stagings across all lanes (device-resident reuse shows
     /// up as this staying at the lane count).
     pub db_stagings: u64,
@@ -68,7 +66,6 @@ impl ServeResult {
             ("p50 latency (s)", format!("{:.5}", self.p50_seconds)),
             ("p99 latency (s)", format!("{:.5}", self.p99_seconds)),
             ("shed rate", format!("{:.2}", self.shed_rate)),
-            ("cache hit rate", format!("{:.2}", self.cache_hit_rate)),
             ("database stagings", self.db_stagings.to_string()),
         ] {
             t.push_row(vec![name.to_string(), value]);
@@ -120,7 +117,6 @@ fn run_scenario(
         p50_seconds: report.latency_percentile(50.0),
         p99_seconds: report.latency_percentile(99.0),
         shed_rate: report.shed_rate(),
-        cache_hit_rate: service.cache_hit_rate(),
         db_stagings: delta.counter_sum("cudasw.serve.db_stagings", &[]) as u64,
     }
 }

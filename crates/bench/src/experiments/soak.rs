@@ -18,13 +18,13 @@
 //! The fault schedule (per lane): lane 0 carries light random faults plus
 //! a full device loss whose revival succeeds on the second probe; lane 1
 //! rides rolling transient/corruption bursts; lane 2 takes one later
-//! burst. On top of the GPU storm the **host lanes** (hedged dispatches
-//! and CPU fallback, both running on the crash-only SIMD pool) carry
-//! their own seeded chaos plan — chunk panics, stalls and admission
-//! failures — which the pool must absorb without changing any served
-//! score. All seeded — the run is deterministic and the JSON it emits
-//! (`BENCH_soak.json`, schema `cudasw.bench.soak/v1`) is a snapshot,
-//! reproducible byte-for-byte, which CI checks with `cmp`.
+//! burst. On top of the GPU storm the **CPU fallback** (running on the
+//! crash-only SIMD pool) carries its own seeded chaos plan — chunk
+//! panics, stalls and admission failures — which the pool must absorb
+//! without changing any served score. All seeded — the run is
+//! deterministic and the JSON it emits (`BENCH_soak.json`, schema
+//! `cudasw.bench.soak/v2`) is a snapshot, reproducible byte-for-byte,
+//! which CI checks with `cmp`.
 
 use crate::report::Table;
 use crate::workloads;
@@ -34,7 +34,7 @@ use sw_db::catalog::PaperDb;
 use sw_serve::{BatchPolicy, HealthPolicy, SearchService, ServeConfig, ServeReport, TraceConfig};
 
 /// JSON schema tag of `BENCH_soak.json`.
-pub const SCHEMA: &str = "cudasw.bench.soak/v1";
+pub const SCHEMA: &str = "cudasw.bench.soak/v2";
 
 /// Everything the soak run measured and asserted.
 #[derive(Debug, Clone)]
@@ -69,9 +69,6 @@ pub struct SoakResult {
     pub breaker_opens: u64,
     /// Waves routed around a quarantined lane.
     pub breaker_skips: u64,
-    /// Speculative host hedges issued / won.
-    pub hedges_issued: u64,
-    pub hedge_host_wins: u64,
     /// Retries and staging retries denied by the deadline budget.
     pub budget_denied_retries: u64,
     pub budget_denied_stagings: u64,
@@ -80,7 +77,7 @@ pub struct SoakResult {
     pub cpu_fallback_seqs: u64,
     /// Faults the simulator injected across all lanes.
     pub injected_faults: u64,
-    /// Faults the crash-only host pool injected into hedges/fallbacks.
+    /// Faults the crash-only host pool injected into the CPU fallback.
     pub host_injected_faults: u64,
     /// Host chunks quarantined to the scalar oracle after a panic.
     pub host_quarantines: u64,
@@ -116,10 +113,6 @@ impl SoakResult {
             ("breaker opens", self.breaker_opens.to_string()),
             ("breaker skips", self.breaker_skips.to_string()),
             (
-                "hedges issued/won",
-                format!("{}/{}", self.hedges_issued, self.hedge_host_wins),
-            ),
-            (
                 "budget-denied retries",
                 format!(
                     "{}+{} stagings",
@@ -138,7 +131,7 @@ impl SoakResult {
         t
     }
 
-    /// Serialize as the `cudasw.bench.soak/v1` JSON document.
+    /// Serialize as the `cudasw.bench.soak/v2` JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
@@ -159,8 +152,6 @@ impl SoakResult {
             ("lane_revivals", self.lane_revivals.to_string()),
             ("breaker_opens", self.breaker_opens.to_string()),
             ("breaker_skips", self.breaker_skips.to_string()),
-            ("hedges_issued", self.hedges_issued.to_string()),
-            ("hedge_host_wins", self.hedge_host_wins.to_string()),
             (
                 "budget_denied_retries",
                 self.budget_denied_retries.to_string(),
@@ -236,7 +227,7 @@ fn fault_plans(seed: u64) -> Vec<FaultPlan> {
 }
 
 /// The host-lane chaos plan: chunk panics, stalls and admission failures
-/// at storm rates inside every hedge and CPU fallback. Stalls are kept
+/// at storm rates inside every CPU fallback. Stalls are kept
 /// short — the serve host pool is single-threaded (discrete-event
 /// determinism), so a stalled chunk is simply absorbed, not re-dispatched,
 /// and the sleep is real wall-clock time.
@@ -349,8 +340,6 @@ pub fn run(spec: &DeviceSpec, smoke: bool) -> SoakResult {
             .counter_sum("cudasw.serve.health.breaker_transitions", &[("to", "open")])
             as u64,
         breaker_skips: counter("cudasw.serve.breaker_skips"),
-        hedges_issued: counter("cudasw.serve.hedge.issued"),
-        hedge_host_wins: delta.counter_sum("cudasw.serve.hedge.wins", &[("winner", "host")]) as u64,
         budget_denied_retries: report.recovery.budget_denied_retries,
         budget_denied_stagings: counter("cudasw.serve.budget_denied_stagings"),
         redispatches: report.recovery.shard_redispatches,
@@ -418,8 +407,6 @@ mod tests {
             "lane_revivals",
             "breaker_opens",
             "breaker_skips",
-            "hedges_issued",
-            "hedge_host_wins",
             "budget_denied_retries",
             "budget_denied_stagings",
             "redispatches",

@@ -169,16 +169,6 @@ pub enum RecoveryEvent {
         /// Display form of the error that would have been retried.
         error: String,
     },
-    /// Host-lane work (a speculative hedge or host fallback) was denied
-    /// because its modelled cost would overrun the query's remaining
-    /// deadline budget — the host-side twin of [`Self::BudgetDenied`].
-    HostBudgetDenied {
-        /// Modelled host milliseconds the work would have taken
-        /// (integral so the event log stays `Eq`/hashable).
-        millis_needed: u64,
-        /// Budget milliseconds the query had left.
-        millis_left: u64,
-    },
     /// A dead device's shard (or part of it) was re-run on a survivor.
     ShardRedispatch {
         /// Index of the failed device.
@@ -198,9 +188,6 @@ pub struct RecoveryReport {
     /// Retries *denied* because their backoff would overrun the deadline
     /// budget (the ladder degraded instead of waiting).
     pub budget_denied_retries: u64,
-    /// Host-lane work (hedges, host fallbacks) denied by the deadline
-    /// budget.
-    pub host_budget_denied: u64,
     /// OOM-driven window halvings.
     pub rechunks: u64,
     /// Sequences scored by the CPU fallback.
@@ -225,7 +212,6 @@ impl RecoveryReport {
     pub fn merge(&mut self, other: &RecoveryReport) {
         self.retries += other.retries;
         self.budget_denied_retries += other.budget_denied_retries;
-        self.host_budget_denied += other.host_budget_denied;
         self.rechunks += other.rechunks;
         self.cpu_fallback_seqs += other.cpu_fallback_seqs;
         self.shard_redispatches += other.shard_redispatches;
@@ -266,27 +252,6 @@ impl RecoveryReport {
             attempt,
         });
         backoff
-    }
-
-    /// Record a host-lane budget denial (hedge or host fallback refused
-    /// because its modelled cost overruns the query's remaining deadline
-    /// budget). Public because the denial originates in the serving
-    /// layer, but the ledger/trace pairing must stay in one place.
-    pub fn note_host_budget_denied(&mut self, seconds_needed: f64, seconds_left: f64) {
-        self.host_budget_denied += 1;
-        obs::counter_add("cudasw.serve.hedge.budget_denied", &[], 1.0);
-        obs::instant(
-            "host_budget_denied",
-            "recovery",
-            &[
-                ("seconds_needed", &format!("{seconds_needed:.6}")),
-                ("seconds_left", &format!("{seconds_left:.6}")),
-            ],
-        );
-        self.events.push(RecoveryEvent::HostBudgetDenied {
-            millis_needed: (seconds_needed * 1e3).ceil() as u64,
-            millis_left: (seconds_left.max(0.0) * 1e3) as u64,
-        });
     }
 
     /// Record a retry of `err` denied because its backoff would land past

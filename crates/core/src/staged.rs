@@ -29,8 +29,6 @@
 //! longer matches the device state ([`GpuError::BadAccess`] would follow
 //! otherwise). The single-query path is unchanged.
 
-use std::borrow::Cow;
-
 use crate::driver::{note_phase_launch, CudaSwDriver, SearchResult, SearchScope};
 use crate::intra_orig::IntraPair;
 use crate::seqstore::GroupImage;
@@ -153,11 +151,6 @@ impl CudaSwDriver {
     /// un-staged search; `transfer_seconds` covers the per-query traffic
     /// only.
     ///
-    /// `profile`, when given, must be built from `query` and the driver's
-    /// current scoring matrix (the serve layer's profile cache skips
-    /// re-building it for repeated queries); `None` builds it here. One
-    /// whose length is not the query's is a [`GpuError::InvalidLaunch`].
-    ///
     /// This is not a case of the chunk loop every other search runs
     /// (`recovery.rs`), and stays apart from it: which of the two runs is
     /// decided by the input (the caller holds a [`StagedDatabase`] or does
@@ -169,22 +162,8 @@ impl CudaSwDriver {
     pub fn search_staged(
         &mut self,
         query: &[u8],
-        profile: Option<&PackedProfile>,
         staged: &StagedDatabase,
     ) -> Result<SearchResult, GpuError> {
-        let packed = profile.map_or_else(
-            || Cow::Owned(PackedProfile::build(&self.config.params.matrix, query)),
-            Cow::Borrowed,
-        );
-        if packed.query_len() != query.len() {
-            return Err(GpuError::InvalidLaunch {
-                reason: format!(
-                    "profile of a {}-residue query given for a {}-residue one",
-                    packed.query_len(),
-                    query.len()
-                ),
-            });
-        }
         if !self.staged_valid(staged) {
             return Err(GpuError::InvalidLaunch {
                 reason: "stale StagedDatabase handle: device allocations were released".into(),
@@ -196,6 +175,7 @@ impl CudaSwDriver {
         let mut scores = vec![0i32; staged.len()];
 
         let sp_stage = obs::span("stage_query", "phase");
+        let packed = PackedProfile::build(&self.config.params.matrix, query);
         let (staged_query, mut transfer_seconds) = self.stage_query(query, &packed)?;
         sp_stage.end_with(&[]);
         let query_mark = self.dev.mark();
@@ -272,7 +252,7 @@ mod tests {
             let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c1060(), config(intra));
             let staged = driver.stage_database(&db).unwrap();
             assert!(staged.staging_seconds() > 0.0);
-            let got = driver.search_staged(&query, None, &staged).unwrap();
+            let got = driver.search_staged(&query, &staged).unwrap();
             assert_eq!(got.scores, expect.scores, "{intra:?}");
             assert_eq!(got.total_cells(), expect.total_cells());
             assert_eq!(got.fraction_long, expect.fraction_long);
@@ -291,9 +271,9 @@ mod tests {
         let staged = driver.stage_database(&db).unwrap();
         let q1 = make_query(57, 33);
         let q2 = make_query(64, 34);
-        driver.search_staged(&q1, None, &staged).unwrap();
+        driver.search_staged(&q1, &staged).unwrap();
         let before = obs::snapshot_metrics();
-        let r = driver.search_staged(&q2, None, &staged).unwrap();
+        let r = driver.search_staged(&q2, &staged).unwrap();
         let delta = obs::snapshot_metrics().diff(&before);
         // Exactly two H2D transfers per staged search: the packed profile
         // and the packed query residues. No database re-upload.
@@ -317,7 +297,7 @@ mod tests {
         let query = make_query(24, 41);
         let mut driver = CudaSwDriver::new(spec, cfg);
         let staged = driver.stage_database(&db).unwrap();
-        let r = driver.search_staged(&query, None, &staged).unwrap();
+        let r = driver.search_staged(&query, &staged).unwrap();
         assert_eq!(r.inter.launches, 4);
         // Swap the scoring matrix: the resident residues are reusable, the
         // profile is per-query anyway.
@@ -325,7 +305,7 @@ mod tests {
             matrix: sw_align::ScoringMatrix::blosum50(),
             ..SwParams::cudasw_default()
         };
-        let r50 = driver.search_staged(&query, None, &staged).unwrap();
+        let r50 = driver.search_staged(&query, &staged).unwrap();
         for (i, seq) in db.sequences().iter().enumerate() {
             assert_eq!(
                 r50.scores[i],
@@ -336,22 +316,17 @@ mod tests {
     }
 
     #[test]
-    fn a_foreign_profile_and_a_stale_handle_are_rejected() {
+    fn a_stale_handle_is_rejected() {
         let db = db();
         let mut driver = CudaSwDriver::new(
             DeviceSpec::tesla_c1060(),
             config(IntraKernelChoice::Improved(VariantConfig::improved())),
         );
         let staged = driver.stage_database(&db).unwrap();
-        // A profile built from another query is refused, not a panic, and
-        // the handle survives the refusal.
-        let other = PackedProfile::build(&driver.config.params.matrix, &make_query(31, 2));
-        let err = driver.search_staged(&make_query(30, 1), Some(&other), &staged);
-        assert!(matches!(err, Err(GpuError::InvalidLaunch { .. })));
         assert!(driver.staged_valid(&staged));
         // A plain search resets the allocator and re-stages everything.
         driver.search(&make_query(30, 1), &db).unwrap();
-        let err = driver.search_staged(&make_query(30, 1), None, &staged);
+        let err = driver.search_staged(&make_query(30, 1), &staged);
         assert!(matches!(err, Err(GpuError::InvalidLaunch { .. })));
     }
 
@@ -364,14 +339,12 @@ mod tests {
         let empty = sw_db::Database::new("empty", sw_align::Alphabet::Protein, vec![]);
         let staged = driver.stage_database(&empty).unwrap();
         assert!(staged.is_empty());
-        let r = driver
-            .search_staged(&make_query(10, 1), None, &staged)
-            .unwrap();
+        let r = driver.search_staged(&make_query(10, 1), &staged).unwrap();
         assert!(r.scores.is_empty());
 
         let db = db();
         let staged = driver.stage_database(&db).unwrap();
-        let r = driver.search_staged(&[], None, &staged).unwrap();
+        let r = driver.search_staged(&[], &staged).unwrap();
         assert!(r.scores.iter().all(|&s| s == 0));
     }
 }

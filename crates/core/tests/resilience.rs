@@ -142,7 +142,6 @@ fn chaos_run_obs_matches_recovery_ledger_exactly() {
             cudasw_core::RecoveryEvent::CpuFallback { .. } => "cpu_fallback",
             cudasw_core::RecoveryEvent::Quarantine { .. } => "quarantine",
             cudasw_core::RecoveryEvent::BudgetDenied { .. } => "budget_denied",
-            cudasw_core::RecoveryEvent::HostBudgetDenied { .. } => "host_budget_denied",
             cudasw_core::RecoveryEvent::ShardRedispatch { .. } => "shard_redispatch",
         })
         .collect();

@@ -462,7 +462,6 @@ impl Dispatcher {
                 self.health.observe_death(done.lane, now);
             } else {
                 self.health.observe_wave(done.lane, done.faulted, now);
-                self.health.observe_latency(done.lane, done.seconds);
             }
         }
         self.step(

@@ -34,7 +34,6 @@ use crate::gateway::FrontMsg;
 use cudasw_core::{CudaSwConfig, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan};
 use std::sync::mpsc::Sender;
-use std::time::Instant;
 use sw_db::Database;
 use sw_serve::{DeviceLane, Part};
 use sw_simd::{
@@ -60,12 +59,10 @@ pub(crate) struct LaneDone {
     pub faulted: bool,
     /// True when the lane is (now) dead.
     pub died: bool,
-    /// Wall seconds this part occupied the worker.
-    pub seconds: f64,
 }
 
 impl LaneDone {
-    /// A part that served nothing and took no time.
+    /// A part that served nothing.
     fn unserved(lane: usize, part: &Part) -> Self {
         Self {
             lane,
@@ -76,7 +73,6 @@ impl LaneDone {
             degraded: false,
             faulted: false,
             died: false,
-            seconds: 0.0,
         }
     }
 }
@@ -124,7 +120,6 @@ pub(crate) fn spawn_device_lane(
 /// ends or the lane dies. A non-recoverable device error kills the lane
 /// too: the worker cannot propagate it, and the machine owes the work.
 fn exec_device(lane: usize, device: &mut DeviceLane, part: &Part) -> LaneDone {
-    let t0 = Instant::now();
     let wave = &part.wave;
     let mut done = LaneDone::unserved(lane, part);
     let faults_before = device.faults_seen();
@@ -143,7 +138,7 @@ fn exec_device(lane: usize, device: &mut DeviceLane, part: &Part) -> LaneDone {
         if !device.alive() {
             break;
         }
-        match device.serve(&wave.requests[q].query, None, None) {
+        match device.serve(&wave.requests[q].query, None) {
             Ok(Some(r)) => {
                 done.cells += r.cells;
                 done.degraded |= r.recovery.degraded;
@@ -155,7 +150,6 @@ fn exec_device(lane: usize, device: &mut DeviceLane, part: &Part) -> LaneDone {
     }
     done.faulted = device.faults_seen() > faults_before;
     done.died = !device.alive();
-    done.seconds = t0.elapsed().as_secs_f64();
     done
 }
 
@@ -176,7 +170,6 @@ pub(crate) fn spawn_host_lane(
         .with_fault_plan(faults)
         .with_cancel(cancel.clone());
     let exec = move |part: &Part| {
-        let t0 = Instant::now();
         let wave = &part.wave;
         let mut done = LaneDone::unserved(lane, part);
         let shard = &shards[part.shard.min(shards.len().saturating_sub(1))];
@@ -193,7 +186,6 @@ pub(crate) fn spawn_host_lane(
                 }
             }
         }
-        done.seconds = t0.elapsed().as_secs_f64();
         done
     };
     spawn_lane(exec, out)

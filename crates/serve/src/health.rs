@@ -3,7 +3,7 @@
 //! PR 1/PR 4 gave every *query* a recovery ladder; this module gives the
 //! *service* cross-query memory about each device lane. A
 //! [`HealthTracker`] keeps, per lane, an EWMA fault score fed by wave
-//! outcomes, an EWMA service latency, and a circuit breaker:
+//! outcomes and a circuit breaker:
 //!
 //! ```text
 //!             consecutive failures ≥ open_after_consecutive
@@ -27,12 +27,6 @@
 //! device (see [`gpu_sim`] device-loss recovery) re-enters through
 //! half-open too — it must prove itself before the batcher trusts it.
 //!
-//! The tracker also powers **hedged dispatch**: per-query lane latencies
-//! feed a global histogram, and [`HealthTracker::should_hedge`] flags a
-//! lane whose latency EWMA exceeds `HEDGE_FACTOR ×` the global
-//! `HEDGE_QUANTILE` — the executor then speculatively re-issues the
-//! query on the host SIMD engine, first result wins (exactly once).
-//!
 //! The breaker never moves `Closed → Open` without a failure signal in
 //! the same observation — pinned by `tests/resilience_props.rs`.
 //!
@@ -43,24 +37,10 @@
 /// Clean probe waves a half-open lane must serve to close.
 const CLOSE_AFTER_PROBES: u32 = 2;
 
-/// Global latency quantile the hedge threshold is derived from: the
-/// **median**, because a persistently slow lane contributes `1/lanes` of
-/// the pooled samples, so a high quantile would chase the outlier's own
-/// tail and never fire.
-const HEDGE_QUANTILE: f64 = 0.5;
-
-/// A lane hedges when its latency EWMA exceeds `HEDGE_FACTOR ×` the
-/// `HEDGE_QUANTILE`.
-const HEDGE_FACTOR: f64 = 4.0;
-
-/// Minimum latency samples (global) before hedging can trigger — keeps
-/// cold starts and tiny traces hedge-free.
-const HEDGE_MIN_SAMPLES: u64 = 8;
-
 /// Health and breaker knobs.
 #[derive(Debug, Clone)]
 pub struct HealthPolicy {
-    /// EWMA smoothing factor for the fault score and latency, in (0, 1];
+    /// EWMA smoothing factor for the fault score, in (0, 1];
     /// higher weighs recent waves more.
     pub ewma_alpha: f64,
     /// Consecutive failed waves that open the breaker.
@@ -121,8 +101,6 @@ pub struct LaneHealth {
     pub state: BreakerState,
     /// EWMA of wave outcomes (0 = clean, 1 = faulted); starts clean.
     pub fault_score: f64,
-    /// EWMA of per-query service latency, seconds (0 until sampled).
-    pub latency_ewma: f64,
     /// Failed waves since the last clean one.
     pub consecutive_failures: u32,
     /// Service instant the breaker last opened.
@@ -136,7 +114,6 @@ impl LaneHealth {
         Self {
             state: BreakerState::Closed,
             fault_score: 0.0,
-            latency_ewma: 0.0,
             consecutive_failures: 0,
             opened_at: 0.0,
             probe_successes: 0,
@@ -144,20 +121,11 @@ impl LaneHealth {
     }
 }
 
-/// Latency-histogram bounds for the hedge quantile, seconds. Finer than
-/// the service report's buckets because per-query lane times are small.
-const HEDGE_LATENCY_BOUNDS: &[f64] = &[
-    1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0,
-];
-
 /// Cross-query health memory for a farm of lanes.
 #[derive(Debug)]
 pub struct HealthTracker {
     policy: HealthPolicy,
     lanes: Vec<LaneHealth>,
-    /// Global per-query lane latency distribution (all lanes pooled) —
-    /// the baseline [`HealthTracker::should_hedge`] compares against.
-    latencies: obs::Histogram,
 }
 
 impl HealthTracker {
@@ -166,7 +134,6 @@ impl HealthTracker {
         Self {
             policy,
             lanes: (0..lanes).map(|_| LaneHealth::new()).collect(),
-            latencies: obs::Histogram::new(HEDGE_LATENCY_BOUNDS),
         }
     }
 
@@ -237,36 +204,6 @@ impl HealthTracker {
             // Re-arm the cooldown: a failed revival probe starts a new wait.
             self.lanes[s].opened_at = now;
         }
-    }
-
-    /// Record one query's service latency on lane `s` (kernel + transfer
-    /// + backoff seconds): feeds the lane EWMA and the global histogram.
-    pub fn observe_latency(&mut self, s: usize, seconds: f64) {
-        let a = self.policy.ewma_alpha;
-        let lane = &mut self.lanes[s];
-        lane.latency_ewma = if lane.latency_ewma == 0.0 {
-            seconds
-        } else {
-            (1.0 - a) * lane.latency_ewma + a * seconds
-        };
-        self.latencies.observe(seconds);
-        obs::gauge_set(
-            "cudasw.serve.health.latency_ewma",
-            &[("lane", &s.to_string())],
-            self.lanes[s].latency_ewma,
-        );
-    }
-
-    /// Whether a query on lane `s` should be hedged on the host engine:
-    /// the lane's latency EWMA exceeds `HEDGE_FACTOR ×` the global
-    /// `HEDGE_QUANTILE`, with `HEDGE_MIN_SAMPLES` global samples to
-    /// trust the baseline.
-    pub fn should_hedge(&self, s: usize) -> bool {
-        if self.latencies.count < HEDGE_MIN_SAMPLES {
-            return false;
-        }
-        let baseline = self.latencies.quantile(HEDGE_QUANTILE);
-        baseline > 0.0 && self.lanes[s].latency_ewma > HEDGE_FACTOR * baseline
     }
 
     /// Record a successful device revival on lane `s`: the lane re-enters
@@ -413,22 +350,6 @@ mod tests {
         assert_eq!(t.lane(1).state, BreakerState::HalfOpen);
         t.observe_wave(1, false, 6.0);
         assert_eq!(t.lane(1).state, BreakerState::Closed);
-    }
-
-    #[test]
-    fn hedging_triggers_only_for_outlier_lanes_with_enough_samples() {
-        let mut t = tracker(2);
-        assert!(!t.should_hedge(0), "no samples, no hedge");
-        for _ in 0..20 {
-            t.observe_latency(0, 1.0e-4);
-        }
-        assert!(!t.should_hedge(0), "lane at the baseline");
-        // Lane 1 runs far past HEDGE_FACTOR × the median.
-        for _ in 0..10 {
-            t.observe_latency(1, 5.0e-2);
-        }
-        assert!(t.should_hedge(1), "ewma {:.5}", t.lane(1).latency_ewma);
-        assert!(!t.should_hedge(0));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use cudasw_core::{CudaSwConfig, CudaSwDriver, RecoveryPolicy, RecoveryReport, StagedDatabase};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
-use sw_align::{PackedProfile, SwParams};
+use sw_align::SwParams;
 use sw_db::Database;
 
 /// One query's shard scores off a lane.
@@ -165,17 +165,15 @@ impl DeviceLane {
         }
     }
 
-    /// Rung 2: `query` against this lane's shard. `profile`, when given,
-    /// must be built from `query` and the current matrix. `Ok(None)`
-    /// means the lane died; `Err` is a non-recoverable device error.
+    /// Rung 2: `query` against this lane's shard. `Ok(None)` means the
+    /// lane died; `Err` is a non-recoverable device error.
     pub fn serve(
         &mut self,
         query: &[u8],
-        profile: Option<&PackedProfile>,
         budget: Option<f64>,
     ) -> Result<Option<LaneServed>, GpuError> {
         if let Some(staged) = self.staged.take() {
-            match self.driver.search_staged(query, profile, &staged) {
+            match self.driver.search_staged(query, &staged) {
                 Ok(r) => {
                     self.staged = Some(staged);
                     return Ok(Some(LaneServed {
@@ -307,12 +305,12 @@ mod tests {
         let mut report = RecoveryReport::default();
         let ((), run) = obs::capture(|| {
             lane.stage(None, &mut report, &mut 0.0).unwrap();
-            let faulted = lane.serve(&query, None, None).unwrap().unwrap();
+            let faulted = lane.serve(&query, None).unwrap().unwrap();
             assert_eq!(faulted.scores, expect);
             // Next wave: the handle is gone, so `stage` uploads again and
             // the query comes off the resident shard.
             lane.stage(None, &mut report, &mut 0.0).unwrap();
-            let resident = lane.serve(&query, None, None).unwrap().unwrap();
+            let resident = lane.serve(&query, None).unwrap().unwrap();
             assert_eq!(resident.scores, expect);
             assert!(resident.recovery.events.is_empty());
         });
@@ -333,7 +331,7 @@ mod tests {
         let mut report = RecoveryReport::default();
         let ((), run) = obs::capture(|| {
             lane.stage(Some(base / 2.0), &mut report, &mut 0.0).unwrap();
-            let served = lane.serve(&query, None, None).unwrap().unwrap();
+            let served = lane.serve(&query, None).unwrap().unwrap();
             assert_eq!(served.scores, expect);
         });
 

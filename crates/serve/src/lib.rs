@@ -13,8 +13,6 @@
 //! * [`batch`] — the deadline-aware batcher: earliest-deadline-first
 //!   waves of parameter-compatible queries, length-sorted for execution
 //!   ([`sw_db::sort_by_length`]);
-//! * [`cache`] — an LRU cache of packed query profiles keyed by
-//!   `(matrix, query)`;
 //! * [`lane`] — [`lane::DeviceLane`], the one device lane both serving
 //!   stacks run: a shard kept device-resident
 //!   ([`cudasw_core::CudaSwDriver::stage_database`]) and the recovery
@@ -24,22 +22,20 @@
 //!   serving stacks drive: admission, batching, waves over k shards, a
 //!   shard owed once when its lane fails, and exactly one response per
 //!   request, with no threads, channels, clock or lanes inside;
-//! * [`health`] — cross-query lane health: EWMA fault/latency scores,
-//!   per-lane circuit breakers (closed → open → half-open → closed),
-//!   dead-lane revival probes, and the hedged-dispatch trigger;
+//! * [`health`] — cross-query lane health: an EWMA fault score,
+//!   per-lane circuit breakers (closed → open → half-open → closed) and
+//!   dead-lane revival probes;
 //! * [`service`] — the discrete-event loop driving the machine over the
-//!   lanes (health, hedging, shard re-dispatch and host fallback) and
-//!   replaying seeded arrival traces ([`request::TraceConfig`]).
+//!   lanes (health, shard re-dispatch and host fallback) and replaying
+//!   seeded arrival traces ([`request::TraceConfig`]).
 //!
 //! Metrics (`cudasw.serve.*`): `admitted`, `shed{reason}`, `queue_depth`
 //! (gauge), `waves`, `wave_requests`, `completed`, `aborted`,
-//! `latency_seconds` (histogram), `cache.hits/misses/evictions`, `db_stagings`,
-//! `staging_retries`, `staging_fallbacks`, `staged_faults`,
-//! `lane_deaths`, `lane_revivals`, `redispatches`, `cpu_fallback_seqs`,
-//! `recovery.degraded{cause}`, `budget_denied_stagings`,
-//! `breaker_skips`, `urgent_waves`, `hedge.issued`, `hedge.wins{winner}`,
-//! `health.fault_score{lane}` / `health.latency_ewma{lane}` /
-//! `health.breaker{lane}` (gauges),
+//! `latency_seconds` (histogram), `db_stagings`, `staging_retries`,
+//! `staging_fallbacks`, `staged_faults`, `lane_deaths`, `lane_revivals`,
+//! `redispatches`, `cpu_fallback_seqs`, `recovery.degraded{cause}`,
+//! `budget_denied_stagings`, `breaker_skips`, `urgent_waves`,
+//! `health.fault_score{lane}` / `health.breaker{lane}` (gauges),
 //! `health.breaker_transitions{lane,to}`. Spans: `run_trace`, `wave`
 //! (category `serve`). See DESIGN.md §11 and §13.
 // Crash-only discipline: library code may not panic through `unwrap` /
@@ -49,7 +45,6 @@
 
 pub mod admission;
 pub mod batch;
-pub mod cache;
 pub mod health;
 pub mod lane;
 pub mod machine;
@@ -58,7 +53,6 @@ pub mod service;
 
 pub use admission::{AdmissionConfig, AdmissionQueue, ShedReason};
 pub use batch::{BatchPolicy, Batcher, Wave};
-pub use cache::ProfileCache;
 pub use health::{BreakerState, HealthPolicy, HealthTracker, LaneHealth};
 pub use lane::{DeviceLane, LaneServed};
 pub use machine::{Action, Event, Outcome, Part, Response, ServeReport, Shed, WaveMachine};

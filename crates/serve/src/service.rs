@@ -22,12 +22,8 @@
 //! * owed work goes to the healthiest admitted survivor, and to the host
 //!   SIMD oracle when no lane is left or the query's deadline budget is
 //!   spent (when the policy allows CPU fallback);
-//! * a straggling lane (latency EWMA past the hedge threshold) has its
-//!   queries speculatively re-issued on the host SIMD engine, first
-//!   result wins;
-//! * with deadline propagation on, every device dispatch carries the
-//!   query's remaining EDF budget so retries and redispatches degrade
-//!   instead of overrunning it.
+//! * every device dispatch carries the query's remaining EDF budget so
+//!   retries and redispatches degrade instead of overrunning it.
 //!
 //! Scores are exact integer Smith-Waterman scores on every path, so a
 //! served result is bit-identical to a standalone resilient search no
@@ -35,7 +31,6 @@
 
 use crate::admission::AdmissionConfig;
 use crate::batch::{BatchPolicy, Wave};
-use crate::cache::ProfileCache;
 use crate::health::{HealthPolicy, HealthTracker};
 use crate::lane::DeviceLane;
 use crate::machine::{Action, Event, Outcome, Part, ServeReport, WaveMachine};
@@ -43,18 +38,8 @@ use crate::request::SearchRequest;
 use cudasw_core::multi_gpu::shard_database;
 use cudasw_core::{CudaSwConfig, RecoveryEvent, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
-use std::rc::Rc;
-use sw_align::{PackedProfile, SwParams};
 use sw_db::Database;
 use sw_simd::{search_protected, PoolConfig, Precision, QueryEngine};
-
-/// Host SIMD throughput the hedge cost model assumes, cells/second. The
-/// hedge only needs a *relative* cost to decide the first finisher, and
-/// a fixed constant keeps replays deterministic.
-const HEDGE_HOST_CUPS: f64 = 1.0e9;
-
-/// Query-profile cache capacity (entries).
-const PROFILE_CACHE_CAPACITY: usize = 32;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -75,10 +60,10 @@ pub struct ServeConfig {
     /// serving them late. Off by default: the pinned contract is that
     /// deadline misses are flagged, not dropped.
     pub shed_expired: bool,
-    /// Seeded fault schedule for host-lane work (hedges, CPU fallbacks):
-    /// inert by default, a storm in the chaos soak. Host lanes run inside
-    /// the crash-only SIMD pool, so injected faults are absorbed without
-    /// changing any served score.
+    /// Seeded fault schedule for the CPU fallback: inert by default, a
+    /// storm in the chaos soak. The fallback runs inside the crash-only
+    /// SIMD pool, so injected faults are absorbed without changing any
+    /// served score.
     pub host_faults: sw_simd::HostFaultPlan,
 }
 
@@ -97,21 +82,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// A speculative host-side result for one query's shard work.
-struct HedgeResult {
-    /// Shard-order scores from the host SIMD engine.
-    scores: Vec<i32>,
-    /// Modelled host completion time, service seconds.
-    seconds: f64,
-}
-
 /// The simulated side of the wave in flight.
 struct WaveRun {
     /// Service clock at dispatch: breaker cooldowns, revival probes and
     /// deadline budgets read it.
     start: f64,
-    /// One profile per request, cache-shared across all lanes.
-    profiles: Vec<Rc<PackedProfile>>,
+    /// Requests in the wave.
+    requests: usize,
     /// Service seconds each lane has been busy this wave.
     lane_seconds: Vec<f64>,
     /// Aggregated recovery story (all lanes, redispatch and CPU fallback
@@ -127,11 +104,10 @@ impl WaveRun {
     }
 }
 
-/// The serving subsystem: profile cache, lanes and health tracker around
-/// a [`WaveMachine`] advanced by a discrete-event loop.
+/// The serving subsystem: lanes and health tracker around a
+/// [`WaveMachine`] advanced by a discrete-event loop.
 pub struct SearchService {
     cfg: ServeConfig,
-    cache: ProfileCache,
     lanes: Vec<DeviceLane>,
     health: HealthTracker,
     db_len: usize,
@@ -152,16 +128,10 @@ impl SearchService {
             .collect();
         Self {
             cfg: cfg.clone(),
-            cache: ProfileCache::new(PROFILE_CACHE_CAPACITY),
             health: HealthTracker::new(lanes.len(), cfg.health.clone()),
             lanes,
             db_len: db.len(),
         }
-    }
-
-    /// Profile-cache hit fraction so far.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
     }
 
     /// Lanes still alive.
@@ -230,18 +200,16 @@ impl SearchService {
             if let Some(run) = run {
                 now = run.now();
                 run.span.end_with(&[
-                    ("requests", &run.profiles.len().to_string()),
+                    ("requests", &run.requests.to_string()),
                     ("lanes", &self.lanes_alive().to_string()),
                 ]);
                 if run.recovery.degraded {
-                    // Label by the dominant cause so dashboards can tell
-                    // budget-driven degradation from fault-driven.
+                    // Label by the dominant cause: the CPU fallback or an
+                    // integrity quarantine, the only ways a wave degrades.
                     let cause = if run.recovery.cpu_fallback_seqs > 0 {
                         "cpu_fallback"
-                    } else if run.recovery.quarantined_chunks > 0 {
-                        "quarantine"
                     } else {
-                        "hedge"
+                        "quarantine"
                     };
                     obs::counter_add("cudasw.serve.recovery.degraded", &[("cause", cause)], 1.0);
                 }
@@ -271,29 +239,25 @@ impl SearchService {
         Ok(report)
     }
 
-    /// Open the wave: build its profiles through the cache and start
-    /// every lane's clock at zero.
-    fn start_wave(&mut self, wave: &Wave, now: f64) -> WaveRun {
+    /// Open the wave: start every lane's clock at zero.
+    fn start_wave(&self, wave: &Wave, now: f64) -> WaveRun {
         let span = obs::span("wave", "serve");
-        let matrix = &wave.requests[0].params.matrix;
         WaveRun {
             start: now,
-            profiles: (wave.requests.iter())
-                .map(|r| self.cache.get_or_build(matrix, &r.query))
-                .collect(),
+            requests: wave.requests.len(),
             lane_seconds: vec![0.0; self.lanes.len()],
             recovery: RecoveryReport::default(),
             span,
         }
     }
 
-    /// Pool config for host-lane work: single worker (the service loop is
-    /// a deterministic discrete-event simulation), full fault domain, and
-    /// no cancel token — so a `search_protected` under it never returns
-    /// `Err` and a host lane always has an answer. Hedges and owed shards
-    /// stay single-query jobs, not waves: one thread on a simulated clock
-    /// has no per-job cost to share, and `BENCH_soak.json`'s host fault
-    /// counts are drawn per (query, chunk).
+    /// Pool config for the CPU fallback: single worker (the service loop
+    /// is a deterministic discrete-event simulation), full fault domain,
+    /// and no cancel token — so a `search_protected` under it never returns
+    /// `Err` and the fallback always has an answer. Owed shards stay
+    /// single-query jobs, not waves: one thread on a simulated clock has no
+    /// per-job cost to share, and `BENCH_soak.json`'s host fault counts are
+    /// drawn per (query, chunk).
     fn host_pool_config(&self) -> PoolConfig {
         PoolConfig::new(1, Precision::Adaptive).with_fault_plan(self.cfg.host_faults.clone())
     }
@@ -352,9 +316,8 @@ impl SearchService {
     }
 
     /// Run every wave query on lane `s`, staged fast path first, until the
-    /// wave ends or the lane dies. Queries on a straggling lane are hedged
-    /// on the host SIMD engine, first-result-wins. Returns shard scores
-    /// per request (`None` where the lane died first) and device cells.
+    /// wave ends or the lane dies. Returns shard scores per request
+    /// (`None` where the lane died first) and device cells.
     #[allow(clippy::type_complexity)]
     fn run_lane_wave(
         &mut self,
@@ -362,8 +325,7 @@ impl SearchService {
         wave: &Wave,
         run: &mut WaveRun,
     ) -> Result<(Vec<Option<Vec<i32>>>, u64), GpuError> {
-        let params = &wave.requests[0].params;
-        self.lanes[s].set_params(params);
+        self.lanes[s].set_params(&wave.requests[0].params);
         // The wave is EDF-sorted, so requests[0] carries the tightest
         // deadline — the budget staging must respect.
         let staging_budget = Self::budget(&wave.requests[0], run.start);
@@ -374,93 +336,21 @@ impl SearchService {
         )?;
         let mut scores = vec![None; wave.requests.len()];
         let mut cells = 0;
-        // A lane that died staging still takes the first query: a hedge
-        // may cover it, the device attempt fails at once (counting
-        // `lane_deaths` again), and the rest is owed.
+        // A lane that died staging still takes the first query: the device
+        // attempt fails at once (counting `lane_deaths` again), and the rest
+        // is owed.
         for &q in &wave.exec_order {
             let req = &wave.requests[q];
-            let elapsed = run.start + run.lane_seconds[s];
-            // Hedged dispatch: a straggling lane gets a speculative host
-            // twin for this query before the device attempt, budgeted
-            // against the query's remaining deadline.
-            let hedge = self.issue_hedge(s, req, params, elapsed, &mut run.recovery);
-            let gpu_start = run.lane_seconds[s];
-            let budget = Some(Self::budget(req, elapsed));
-            let Some(served) = self.lanes[s].serve(&req.query, Some(&run.profiles[q]), budget)?
-            else {
-                // Lane is gone. If a hedge is in flight it covers this
-                // query; the rest of the wave is owed either way.
-                if let Some(h) = hedge {
-                    run.lane_seconds[s] = gpu_start + h.seconds;
-                    scores[q] = Some(Self::commit_hedge(h, &mut run.recovery));
-                }
+            let budget = Self::budget(req, run.start + run.lane_seconds[s]);
+            let Some(served) = self.lanes[s].serve(&req.query, Some(budget))? else {
                 return Ok((scores, cells));
             };
             cells += served.cells;
             run.recovery.merge(&served.recovery);
-            // Exactly-once commitment: the first finisher's result stands.
-            // Scores are bit-identical on both paths, so "which won" only
-            // decides the lane's clock (and the degraded flag).
-            scores[q] = Some(match hedge {
-                Some(h) if h.seconds < served.seconds => {
-                    run.lane_seconds[s] = gpu_start + h.seconds;
-                    Self::commit_hedge(h, &mut run.recovery)
-                }
-                hedge => {
-                    if hedge.is_some() {
-                        obs::counter_add("cudasw.serve.hedge.wins", &[("winner", "lane")], 1.0);
-                    }
-                    run.lane_seconds[s] = gpu_start + served.seconds;
-                    served.scores
-                }
-            });
-            self.health
-                .observe_latency(s, run.lane_seconds[s] - gpu_start);
+            run.lane_seconds[s] += served.seconds;
+            scores[q] = Some(served.scores);
         }
         Ok((scores, cells))
-    }
-
-    /// Speculatively compute `req`'s shard scores on the host SIMD engine
-    /// when lane `s` is straggling. Returns `None` when the hedge trigger
-    /// is quiet — or when the modelled host cost would overrun the
-    /// query's remaining deadline budget (a hedge that cannot finish in
-    /// budget only burns CPU; the denial is the host-lane twin of the
-    /// device ladder's `BudgetDenied`).
-    fn issue_hedge(
-        &mut self,
-        s: usize,
-        req: &SearchRequest,
-        params: &SwParams,
-        service_elapsed: f64,
-        recovery: &mut RecoveryReport,
-    ) -> Option<HedgeResult> {
-        let shard = self.lanes[s].shard();
-        if !self.health.should_hedge(s) || shard.is_empty() {
-            return None;
-        }
-        let seconds = shard.total_cells(req.query.len()) as f64 / HEDGE_HOST_CUPS;
-        let left = req.deadline_seconds - service_elapsed;
-        if seconds > left {
-            recovery.note_host_budget_denied(seconds, left);
-            return None;
-        }
-        obs::counter_add("cudasw.serve.hedge.issued", &[], 1.0);
-        // The hedge runs inside the crash-only pool: panic quarantine,
-        // admission, and any injected host faults, bit-identical scores.
-        let engine = QueryEngine::new(params.clone(), &req.query);
-        let r = search_protected(&engine, shard.sequences(), &self.host_pool_config()).ok()?;
-        sw_simd::record_stats(engine.kind(), &r.stats);
-        Some(HedgeResult {
-            scores: r.scores,
-            seconds,
-        })
-    }
-
-    /// Commit a winning hedge: its scores stand and the wave is degraded.
-    fn commit_hedge(hedge: HedgeResult, recovery: &mut RecoveryReport) -> Vec<i32> {
-        recovery.degraded = true;
-        obs::counter_add("cudasw.serve.hedge.wins", &[("winner", "host")], 1.0);
-        hedge.scores
     }
 
     /// Carry out [`Action::Owe`] for the part of a dead or quarantined

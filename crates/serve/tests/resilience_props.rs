@@ -71,7 +71,7 @@ proptest! {
     // Every offered request gets exactly one terminal outcome, and every
     // answer is bit-identical to a clean standalone search, under
     // arbitrary per-lane fault schedules (breaker trips, revival probes,
-    // hedges, budget denials and all).
+    // budget denials and all).
     #[test]
     fn every_request_gets_exactly_one_terminal_outcome(
         n_requests in 1usize..=5,
@@ -133,7 +133,7 @@ proptest! {
     // the same observation, across arbitrary op interleavings.
     #[test]
     fn breaker_never_opens_from_closed_without_a_failure(
-        ops in proptest::collection::vec((0u8..=5, 0.0f64..0.1), 1..120),
+        ops in proptest::collection::vec((0u8..=4, 0.0f64..0.1), 1..120),
     ) {
         obs::capture(|| {
             let mut t = HealthTracker::new(2, HealthPolicy::default());
@@ -157,10 +157,6 @@ proptest! {
                         }
                         3 => {
                             t.admits(lane, now);
-                            false
-                        }
-                        4 => {
-                            t.observe_latency(lane, dt);
                             false
                         }
                         _ => {

@@ -102,7 +102,7 @@ fn staged_path_matches_unstaged_for_every_combination() {
         let staged = staged_drv.stage_database(&db).unwrap();
         for query in &queries {
             let a = plain.search(query, &db).unwrap();
-            let b = staged_drv.search_staged(query, None, &staged).unwrap();
+            let b = staged_drv.search_staged(query, &staged).unwrap();
             assert_eq!(a.scores, b.scores, "config {}", dc.label());
         }
     }
@@ -239,7 +239,7 @@ fn streamed_staging_uploads_once_and_hides_copy_time() {
             let staged = driver.stage_database(&db).unwrap();
             let mut out = Vec::new();
             for q in &queries {
-                out.push(driver.search_staged(q, None, &staged).unwrap());
+                out.push(driver.search_staged(q, &staged).unwrap());
             }
             let xfer = driver.dev.transfer_stats();
             (out, xfer)
@@ -353,7 +353,7 @@ fn simulated_counts_are_pinned() {
                 let staged = d.stage_database(&db).unwrap();
                 queries
                     .each_ref()
-                    .map(|q| d.search_staged(q, None, &staged).unwrap())
+                    .map(|q| d.search_staged(q, &staged).unwrap())
             });
             for r in &staged_results {
                 digest.result(r);
