@@ -208,6 +208,12 @@ impl<'a> Reader<'a> {
     fn done(&self) -> bool {
         self.pos == self.bytes.len()
     }
+
+    /// Bytes left to read: the most a count read from the input can hold,
+    /// so no reservation trusts the count beyond it.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
 }
 
 // --- metrics registry (de)serialization ---------------------------------
@@ -331,7 +337,7 @@ fn decode_payload(payload: &[u8]) -> Option<ChunkRecord> {
     if end <= start || end - start != n {
         return None;
     }
-    let mut scores = Vec::with_capacity(n);
+    let mut scores = Vec::with_capacity(n.min(r.remaining() / 4));
     for _ in 0..n {
         scores.push(r.i32()?);
     }
@@ -712,6 +718,26 @@ mod tests {
         // Flip one bit inside the second record: the first survives.
         let mut bytes = full;
         bytes[one.len() + 9] ^= 0x10;
+        let loaded = decode_log(&bytes, 42);
+        assert_eq!(loaded.records, records[..1]);
+        assert_eq!(loaded.issue, Some(LoadIssue::CorruptTail));
+    }
+
+    #[test]
+    fn a_record_claiming_more_scores_than_it_holds_is_a_corrupt_tail() {
+        let records = sample_records();
+        let mut bytes = encode_log(42, &records[..1]);
+        // A checksummed frame that claims u32::MAX scores and holds two:
+        // decoding must not reserve room for the claim before reading.
+        let mut payload = vec![ChunkPhase::Inter.to_byte()];
+        put_u64(&mut payload, 0);
+        put_u64(&mut payload, u64::from(u32::MAX));
+        put_u32(&mut payload, u32::MAX);
+        put_u32(&mut payload, 7);
+        put_u32(&mut payload, 9);
+        put_u32(&mut bytes, payload.len() as u32);
+        put_u32(&mut bytes, crc32(&payload));
+        bytes.extend_from_slice(&payload);
         let loaded = decode_log(&bytes, 42);
         assert_eq!(loaded.records, records[..1]);
         assert_eq!(loaded.issue, Some(LoadIssue::CorruptTail));
