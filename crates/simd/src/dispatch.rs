@@ -2,14 +2,13 @@
 //!
 //! [`BackendKind::detect`] picks the widest backend the running CPU
 //! supports: AVX2 (32-lane byte mode) > SSE2 (16-lane, x86-64 baseline) >
-//! NEON (16-lane, AArch64 baseline) > the portable emulated vectors. Two
-//! overrides exist:
-//!
-//! * the `force-portable` cargo feature pins the portable backend at
-//!   compile time (CI uses it to exercise the fallback path on any host);
-//! * the `SW_SIMD_BACKEND` environment variable (`avx2` / `sse2` / `neon` /
-//!   `portable`) requests a specific backend at run time and is ignored —
-//!   never trusted — when that backend is unavailable.
+//! NEON (16-lane, AArch64 baseline) > the portable emulated vectors. A
+//! build without the `native-simd` cargo feature compiles the native
+//! backends out, so only the portable one is left (CI uses it to exercise
+//! the fallback path on any host). The `SW_SIMD_BACKEND` environment
+//! variable (`avx2` / `sse2` / `neon` / `portable`) requests a specific
+//! backend at run time and is ignored — never trusted — when that backend
+//! is unavailable.
 //!
 //! [`KernelMode`] selects how cross-segment F propagation is repaired in
 //! the striped kernels. By default each column takes the classic Lazy-F
@@ -69,29 +68,17 @@ impl BackendKind {
     /// True when this build can execute the backend on the running CPU.
     pub fn is_available(self) -> bool {
         match self {
-            #[cfg(all(
-                target_arch = "x86_64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
+            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
             BackendKind::Avx2 => {
                 use crate::backend::Backend;
                 crate::x86::Avx2Backend::available()
             }
-            #[cfg(all(
-                target_arch = "x86_64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
+            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
             BackendKind::Sse2 => {
                 use crate::backend::Backend;
                 crate::x86::Sse2Backend::available()
             }
-            #[cfg(all(
-                target_arch = "aarch64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
+            #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
             BackendKind::Neon => {
                 use crate::backend::Backend;
                 crate::neon::NeonBackend::available()
@@ -235,19 +222,15 @@ mod tests {
         }
     }
 
-    #[cfg(all(
-        target_arch = "x86_64",
-        feature = "native-simd",
-        not(feature = "force-portable")
-    ))]
+    #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
     #[test]
     fn sse2_is_baseline_on_x86_64() {
         assert!(BackendKind::Sse2.is_available());
     }
 
-    #[cfg(feature = "force-portable")]
+    #[cfg(not(feature = "native-simd"))]
     #[test]
-    fn force_portable_pins_detection() {
+    fn a_build_without_native_backends_detects_portable() {
         assert_eq!(BackendKind::detect(), BackendKind::Portable);
     }
 

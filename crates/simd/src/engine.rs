@@ -28,18 +28,10 @@ use crate::portable::PortableBackend;
 use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_align::GapPenalties;
 
-#[cfg(all(
-    target_arch = "x86_64",
-    feature = "native-simd",
-    not(feature = "force-portable")
-))]
+#[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
 use crate::x86::{score_avx2, Avx2Backend, Sse2Backend};
 
-#[cfg(all(
-    target_arch = "aarch64",
-    feature = "native-simd",
-    not(feature = "force-portable")
-))]
+#[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
 use crate::neon::NeonBackend;
 
 /// Which precision ladder to run per alignment.
@@ -104,23 +96,11 @@ impl<K: Backend> Profiles<K> {
 /// The profiles of whichever backend the engine dispatched to.
 enum ProfileSet {
     Portable(Profiles<PortableBackend>),
-    #[cfg(all(
-        target_arch = "x86_64",
-        feature = "native-simd",
-        not(feature = "force-portable")
-    ))]
+    #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
     Sse2(Profiles<Sse2Backend>),
-    #[cfg(all(
-        target_arch = "x86_64",
-        feature = "native-simd",
-        not(feature = "force-portable")
-    ))]
+    #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
     Avx2(Profiles<Avx2Backend>),
-    #[cfg(all(
-        target_arch = "aarch64",
-        feature = "native-simd",
-        not(feature = "force-portable")
-    ))]
+    #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
     Neon(Profiles<NeonBackend>),
 }
 
@@ -180,23 +160,11 @@ impl QueryEngine {
             1.0,
         );
         let set = match kind {
-            #[cfg(all(
-                target_arch = "x86_64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
+            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
             BackendKind::Sse2 => ProfileSet::Sse2(Profiles::build(&params, query)),
-            #[cfg(all(
-                target_arch = "x86_64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
+            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
             BackendKind::Avx2 => ProfileSet::Avx2(Profiles::build(&params, query)),
-            #[cfg(all(
-                target_arch = "aarch64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
+            #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
             BackendKind::Neon => ProfileSet::Neon(Profiles::build(&params, query)),
             _ => ProfileSet::Portable(Profiles::build(&params, query)),
         };
@@ -281,29 +249,17 @@ impl QueryEngine {
             ProfileSet::Portable(p) => {
                 score_ladder(gaps, p, db, precision, force_scan, &mut local, check)
             }
-            #[cfg(all(
-                target_arch = "x86_64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
+            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
             ProfileSet::Sse2(p) => {
                 score_ladder(gaps, p, db, precision, force_scan, &mut local, check)
             }
-            #[cfg(all(
-                target_arch = "x86_64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
+            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
             // SAFETY: `with_backend_and_mode` asserted AVX2 availability
             // before this profile set was built.
             ProfileSet::Avx2(p) => unsafe {
                 score_avx2(gaps, p, db, precision, force_scan, &mut local, check)
             },
-            #[cfg(all(
-                target_arch = "aarch64",
-                feature = "native-simd",
-                not(feature = "force-portable")
-            ))]
+            #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
             ProfileSet::Neon(p) => {
                 score_ladder(gaps, p, db, precision, force_scan, &mut local, check)
             }

@@ -26,7 +26,7 @@
 //!   [`I16x8`](portable::I16x8) vectors: the always-available fallback
 //!   backend and the differential-test baseline;
 //! * [`dispatch`] — [`BackendKind`]: runtime detection, `SW_SIMD_BACKEND`
-//!   override, `force-portable` pin;
+//!   override;
 //! * [`engine`] — [`QueryEngine`]: profiles built once per query, scored
 //!   through the dispatched backend, with `cudasw.simd.*` metrics — the
 //!   only way this crate scores a pair (a pair whose word pass saturates

@@ -6,11 +6,7 @@
 //! `vextq_u8(zero, v, 15)` yields `[0, v0..v14]` — and the horizontal
 //! maxima use the across-lanes `vmaxvq` reductions.
 
-#![cfg(all(
-    target_arch = "aarch64",
-    feature = "native-simd",
-    not(feature = "force-portable")
-))]
+#![cfg(all(target_arch = "aarch64", feature = "native-simd"))]
 
 use crate::backend::{Backend, ByteSimd, WordSimd};
 use core::arch::aarch64::*;

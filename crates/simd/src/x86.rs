@@ -35,11 +35,7 @@
 //! is recovered with `_mm256_permute2x128_si256::<0x02>` (lower half ←
 //! the fill, upper half ← old lower half) + `_mm256_alignr_epi8`.
 
-#![cfg(all(
-    target_arch = "x86_64",
-    feature = "native-simd",
-    not(feature = "force-portable")
-))]
+#![cfg(all(target_arch = "x86_64", feature = "native-simd"))]
 
 use crate::backend::{Backend, ByteSimd, ColumnCheck, WordSimd};
 use crate::engine::{score_ladder, AdaptiveStats, Precision, Profiles};

@@ -140,11 +140,7 @@ fn portable_bytes_keep_the_contract() {
     contract::<U8x16>("portable");
 }
 
-#[cfg(all(
-    target_arch = "x86_64",
-    feature = "native-simd",
-    not(feature = "force-portable")
-))]
+#[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
 mod x86 {
     use super::contract;
     use sw_simd::backend::Backend;

@@ -84,8 +84,7 @@ cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cud
 # Cross-feature matrix for the host SIMD backend: the portable backend
 # (the one engine instantiated on the array vectors of portable.rs, and
 # the only backend on a target without a native one) must keep building
-# and passing with the native backends compiled out, both ways of getting
-# there. The hand-off suite is named explicitly because the byte→word
+# and passing with the native backends compiled out. The hand-off suite is named explicitly because the byte→word
 # hand-off re-stripes between lane widths that differ per backend (and
 # holds the overflow verdict to one answer across backends and kernel
 # modes), the peel suite because the portable instantiation of the column
@@ -98,10 +97,6 @@ cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cud
 cargo build -q --release --offline -p sw-simd --no-default-features
 cargo test -q --offline -p sw-simd --no-default-features
 cargo test -q --offline -p sw-simd --no-default-features --test handoff_differential \
-  --test peel_differential --test vector_contract --test bounded_exhaustive --test op_budget
-cargo build -q --release --offline -p sw-simd --features force-portable
-cargo test -q --offline -p sw-simd --features force-portable
-cargo test -q --offline -p sw-simd --features force-portable --test handoff_differential \
   --test peel_differential --test vector_contract --test bounded_exhaustive --test op_budget
 cargo test -q --offline -p sw-simd --test handoff_differential --test peel_differential \
   --test pool_chunking --test vector_contract --test bounded_exhaustive --test op_budget
@@ -124,11 +119,11 @@ cargo test -q --offline -p sw-simd --test pool_chunking --test host_faults --tes
 # One wave protocol and one device-lane ladder under both serving stacks,
 # named for the same reason: the state machine's property test (arbitrary
 # event orders, no threads) and unit cases, the `DeviceLane` rung cases,
-# the simulated service's suites (hedging is the one run where hedges
-# fire), and the gateway's (closed-loop multi-request waves, the forced
-# cancel inside one, device faults, both clocks giving one answer).
+# the simulated service's suites, and the gateway's (closed-loop
+# multi-request waves, the forced cancel inside one, device faults, both
+# clocks giving one answer).
 cargo test -q --offline -p sw-serve --lib -- machine:: lane::
-cargo test -q --offline -p sw-serve --test machine_props --test hedging --test resilience_props \
+cargo test -q --offline -p sw-serve --test machine_props --test resilience_props \
   --test batcher_props --test service_integration
 cargo test -q --offline -p sw-gateway --test exactly_once --test drain_storm --test device_faults \
   --test clock_modes
@@ -189,7 +184,7 @@ repro integrity >/dev/null
 
 # Chaos-soak snapshot: rolling faults across every lane (one full device
 # loss with revival included) plus the host-lane fault storm riding the
-# hedges and CPU fallbacks. The experiment asserts its SLOs on every run
+# CPU fallback. The experiment asserts its SLOs on every run
 # (availability, bit-identical replay, no duplicate answer, a storm that
 # landed); the snapshot must equal the committed one byte for byte, so a
 # changed recovery ladder shows here whether or not availability moves.
