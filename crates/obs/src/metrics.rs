@@ -96,33 +96,6 @@ impl Histogram {
         self.count += other.count;
     }
 
-    /// Estimate the `q`-quantile (`q` in `[0, 1]`, clamped) by linear
-    /// interpolation inside the bucket holding the rank. `0.0` when the
-    /// histogram is empty; ranks landing in the `+Inf` bucket report the
-    /// last finite bound (the histogram cannot resolve beyond it).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = q * self.count as f64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let next = seen + c;
-            if (next as f64) >= rank && c > 0 {
-                let Some(&hi) = self.bounds.get(i) else {
-                    // +Inf bucket: unbounded above, report the edge.
-                    return self.bounds.last().copied().unwrap_or(0.0);
-                };
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let frac = (rank - seen as f64) / c as f64;
-                return lo + (hi - lo) * frac.clamp(0.0, 1.0);
-            }
-            seen = next;
-        }
-        self.bounds.last().copied().unwrap_or(0.0)
-    }
-
     /// This histogram minus an `earlier` snapshot of it.
     fn since(&self, earlier: &Histogram) -> Histogram {
         assert_eq!(self.bounds, earlier.bounds, "histogram bounds must match");
@@ -342,27 +315,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("c", &[]), 3.0);
         assert_eq!(a.gauge("g", &[]), 5.0);
-    }
-
-    #[test]
-    fn histogram_quantiles_interpolate_within_buckets() {
-        let mut h = Histogram::new(&[1.0, 2.0, 4.0]);
-        assert_eq!(h.quantile(0.5), 0.0, "empty histogram");
-        // 10 observations uniform in (1, 2]: all land in the second bucket.
-        for i in 0..10 {
-            h.observe(1.05 + 0.1 * i as f64);
-        }
-        assert_eq!(h.quantile(0.0), 1.0, "0-quantile is the bucket floor");
-        let p50 = h.quantile(0.5);
-        assert!((p50 - 1.5).abs() < 1e-9, "p50 = {p50}");
-        assert_eq!(h.quantile(1.0), 2.0);
-        // An outlier beyond the last bound lands in +Inf: the p100 can
-        // only report the last finite bound.
-        h.observe(100.0);
-        assert_eq!(h.quantile(1.0), 4.0);
-        // Quantiles are monotone in q.
-        let qs: Vec<f64> = (0..=10).map(|i| h.quantile(i as f64 / 10.0)).collect();
-        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{qs:?}");
     }
 
     #[test]
