@@ -49,8 +49,8 @@ pub struct Response {
     /// True when the response missed its deadline (served anyway).
     pub deadline_missed: bool,
     /// True when part of the response was served off its device lane
-    /// (CPU fallback, quarantine recompute, a winning host hedge, or a
-    /// shard owed to the host lane).
+    /// (CPU fallback, quarantine recompute, or a shard owed to the host
+    /// lane).
     pub degraded: bool,
 }
 
