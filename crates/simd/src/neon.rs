@@ -174,6 +174,8 @@ impl Backend for NeonBackend {
     type Byte = U8x16Neon;
     type Word = I16x8Neon;
     const NAME: &'static str = "neon";
+    /// Not measured on AArch64 hardware: NEON keeps the striped pass.
+    const GROUPS: bool = false;
 
     fn available() -> bool {
         true

@@ -2,7 +2,8 @@
 //!
 //! Every ordered pair of sequences of length 1..=5 over a three-letter
 //! alphabet — 363 sequences, 131,769 pairs — on every available backend,
-//! in both Lazy-F kernel modes and both precisions, against the scalar
+//! in both Lazy-F kernel modes and both precisions, and through the
+//! grouped byte pass (`QueryEngine::score_group`), against the scalar
 //! `sw_score`. The random suites sample long sequences; this one leaves no
 //! short pair out, and short pairs are where one vector holds the whole
 //! query beside its padding lanes and the untested Lazy-F prefix is the
@@ -43,6 +44,7 @@ fn all_sequences(letters: &[u8]) -> Vec<Vec<u8>> {
 fn every_short_pair_matches_the_oracle_on_every_path() {
     let seqs = all_sequences(&encode_protein("ACW").unwrap());
     assert_eq!(seqs.len(), 363);
+    let refs: Vec<&[u8]> = seqs.iter().map(Vec::as_slice).collect();
     for (open, extend) in [(10, 2), (3, 1), (2, 2)] {
         let mut p = SwParams::cudasw_default();
         p.gaps = GapPenalties::new(open, extend).unwrap();
@@ -61,6 +63,18 @@ fn every_short_pair_matches_the_oracle_on_every_path() {
                                  {precision:?}"
                             );
                         }
+                    }
+                    // The grouped entry, every subject in the lanes of a
+                    // few groups.
+                    for ((d, &want), (score, _)) in seqs
+                        .iter()
+                        .zip(&expected)
+                        .zip(engine.score_group(&refs, None).unwrap())
+                    {
+                        assert_eq!(
+                            score, want,
+                            "q={q:?} d={d:?} gaps=({open},{extend}) on {kind} / {mode} / grouped"
+                        );
                     }
                 }
             }

@@ -16,7 +16,8 @@ use sw_align::matrix::ScoringMatrix;
 use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_align::GapPenalties;
 use sw_db::synth::make_query;
-use sw_simd::{AdaptiveStats, BackendKind, KernelMode, Precision, QueryEngine};
+use sw_simd::backend::{sw_bytes_checked, sw_bytes_grouped, ByteProfileOf, ByteSimd};
+use sw_simd::{AdaptiveStats, BackendKind, KernelMode, NeverCancel, Precision, QueryEngine};
 
 /// `prefix` random residues, a 70%-identity copy of `query[window]`, then
 /// `suffix` random residues.
@@ -376,4 +377,144 @@ fn a_profile_with_no_byte_headroom_overflows_up_front() {
         let (_, stats) = run(&engine, &d, Precision::Adaptive);
         assert_eq!(stats.lazy_f_byte, 0, "{kind}: no byte column ran");
     }
+}
+
+/// The raw byte kernels on one vector type: each lane of the grouped pass
+/// ends as the striped pass does on its subject — the same score, or the
+/// same `Handoff` (column, H, E, maximum). Returns the striped outcomes.
+fn same_lanes<V: ByteSimd>(p: &SwParams, q: &[u8], group: &[&[u8]], what: &str) -> Vec<usize> {
+    let profile = ByteProfileOf::<V>::build(p, q);
+    let mut cols = Vec::new();
+    for lanes in group.chunks(V::LANES) {
+        let grouped = sw_bytes_grouped(&p.gaps, &profile, lanes, &NeverCancel).unwrap();
+        for (d, lane) in lanes.iter().zip(grouped) {
+            let striped = sw_bytes_checked(&p.gaps, &profile, d, false, &NeverCancel).unwrap();
+            assert_eq!(
+                lane,
+                striped.score,
+                "{what}: lane {} of {}",
+                cols.len(),
+                V::LANES
+            );
+            cols.push(striped.score.err().map_or(0, |h| h.cols));
+        }
+    }
+    cols
+}
+
+/// `group` through the grouped pass on every vector type and through
+/// `score_group` on every backend and mode, each subject held to the
+/// striped pass. Returns each subject's hand-off column (0: none).
+fn check_group(p: &SwParams, q: &[u8], group: &[Vec<u8>]) -> Vec<usize> {
+    let refs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
+    let cols = same_lanes::<sw_simd::portable::U8x16>(p, q, &refs, "portable");
+    #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+    {
+        assert_eq!(
+            same_lanes::<sw_simd::x86::U8x16Sse>(p, q, &refs, "sse2"),
+            cols
+        );
+        if BackendKind::Avx2.is_available() {
+            assert_eq!(
+                same_lanes::<sw_simd::x86::U8x32Avx>(p, q, &refs, "avx2"),
+                cols
+            );
+        }
+    }
+    for kind in BackendKind::available() {
+        for mode in KernelMode::ALL {
+            let engine = QueryEngine::with_backend_and_mode(p.clone(), q, kind, mode);
+            for (k, (d, (score, grouped))) in group
+                .iter()
+                .zip(engine.score_group(&refs, None).unwrap())
+                .enumerate()
+            {
+                let (want, striped) = run(&engine, d, Precision::Adaptive);
+                assert_eq!(
+                    (score, want),
+                    (sw_score(p, q, d), want),
+                    "lane {k} on {kind} / {mode}"
+                );
+                assert_eq!(
+                    grouped,
+                    AdaptiveStats {
+                        lazy_f_byte: 0,
+                        ..striped
+                    },
+                    "lane {k} on {kind} / {mode}: the counts"
+                );
+            }
+        }
+    }
+    cols
+}
+
+/// `n` random subjects of lengths `len(k)` over the residues a query made
+/// of codes `0..10` never uses, so under a match/mismatch matrix they
+/// score no match and stay in byte mode.
+fn strangers(n: usize, len: impl Fn(usize) -> usize, seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|k| (0..len(k)).map(|_| rng.gen_range(10..20u8)).collect())
+        .collect()
+}
+
+#[test]
+fn a_lane_hands_off_at_column_one_and_on_its_last_column_among_byte_mode_neighbours() {
+    // Under +127/−4 one match passes `overflow_at` (255 − 4 − 127 = 124).
+    let p = SwParams {
+        matrix: ScoringMatrix::match_mismatch(Alphabet::Protein, 127, -4),
+        gaps: GapPenalties::cudasw_default(),
+    };
+    let q: Vec<u8> = make_query(60, 81).into_iter().map(|r| r % 10).collect();
+    for (size, lane) in [(1usize, 0usize), (15, 7), (31, 0), (31, 30)] {
+        for equal in [true, false] {
+            let len = |k: usize| if equal { 90 } else { 20 + 7 * k };
+            let mut group = strangers(size, len, size as u64);
+            // Column 1: the subject opens with a query residue.
+            group[lane][0] = q[0];
+            let cols = check_group(&p, &q, &group);
+            let want: Vec<usize> = (0..size).map(|k| usize::from(k == lane)).collect();
+            assert_eq!(cols, want, "{size} subjects, equal lengths {equal}");
+            // Its last column: the one match ends the subject.
+            group[lane] = [group[lane][1..].to_vec(), vec![q[0]]].concat();
+            let last = group[lane].len();
+            let cols = check_group(&p, &q, &group);
+            assert_eq!(cols[lane], last, "{size} subjects: on the last column");
+            assert_eq!(cols.iter().filter(|&&c| c > 0).count(), 1);
+        }
+    }
+}
+
+#[test]
+fn a_lane_hands_off_inside_an_open_gap_among_byte_mode_neighbours() {
+    // The subject of `hand_off_at_every_threshold_including_inside_an_open_gap`
+    // in lane 5 of 31 (and of 16 on the 16-lane vectors), beside random
+    // subjects of equal and unequal lengths: under BLOSUM62 the pairs of
+    // columns the grouped pass sweeps at once stop before any lane's
+    // maximum can pass its limit, so each threshold lands where the
+    // striped pass lands it.
+    let q = make_query(140, 41);
+    let mut d = make_query(30, 42);
+    d.extend_from_slice(&q[..20]);
+    d.extend_from_slice(&q[110..134]);
+    d.extend_from_slice(&q[20..]);
+    d.extend(make_query(30, 43));
+    let gap_cols = 50..74;
+    let mut inside_gap = 0;
+    for bias in (4..=128u8).step_by(4) {
+        let p = SwParams {
+            matrix: blosum62_with_bias(bias),
+            gaps: GapPenalties::cudasw_default(),
+        };
+        let equal = bias % 8 == 0;
+        let mut group: Vec<Vec<u8>> = (0..31)
+            .map(|k| make_query(if equal { d.len() } else { 150 + 9 * k }, 500 + k as u64))
+            .collect();
+        group[5] = d.clone();
+        let cols = check_group(&p, &q, &group);
+        assert!(cols[5] > 0, "bias {bias}: the planted subject hands off");
+        inside_gap += usize::from(gap_cols.contains(&(cols[5] - 1)));
+    }
+    assert!(inside_gap > 0, "no threshold landed inside the open gap");
 }

@@ -26,11 +26,15 @@
 //! hand, spent `10·seg_len` (the `⊖ bias` was a call of its own on every
 //! backend) and five per repair step (it re-folded the repaired H into the
 //! running maximum).
+//!
+//! The grouped byte pass (one subject a lane) spends the same nine calls a
+//! cell and nothing else arithmetic: no Lazy-F, and the column's score
+//! vectors come from `lookup`, which is not arithmetic.
 
 use std::cell::Cell;
 use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_db::synth::make_query;
-use sw_simd::backend::{sw_bytes_checked, ByteProfileOf, ByteSimd};
+use sw_simd::backend::{sw_bytes_checked, sw_bytes_grouped, ByteProfileOf, ByteSimd};
 use sw_simd::portable::U8x16;
 use sw_simd::NeverCancel;
 
@@ -171,4 +175,28 @@ fn the_column_loop_stays_inside_its_operation_budget() {
             calls.any_gt
         );
     }
+}
+
+#[test]
+fn the_grouped_loop_spends_nine_operations_a_cell() {
+    let p = SwParams::cudasw_default();
+    let query = make_query(375, 1);
+    let profile = ByteProfileOf::<Counted>::build(&p, &query);
+    // Random subjects of unequal lengths stay in byte mode.
+    let subjects: Vec<Vec<u8>> = (0..Counted::LANES)
+        .map(|k| make_query(300 + 5 * k, 10 + k as u64))
+        .collect();
+    let refs: Vec<&[u8]> = subjects.iter().map(Vec::as_slice).collect();
+    let cols = refs.iter().map(|s| s.len()).max().unwrap() as u64;
+    CALLS.with(|c| c.set(NO_CALLS));
+    let lanes = sw_bytes_grouped(&p.gaps, &profile, &refs, &NeverCancel).expect("never cancels");
+    let calls = CALLS.with(Cell::get);
+    for (d, lane) in refs.iter().zip(lanes) {
+        assert_eq!(lane, Ok(sw_score(&p, &query, d)));
+    }
+    assert_eq!(calls.arithmetic, 9 * query.len() as u64 * cols);
+    assert_eq!(calls.shift + calls.shift_lanes, 0, "no lane reads another");
+    // At most two tests a sweep of one or two columns: whether the next
+    // sweep may take two, and the hand-off limit.
+    assert!(calls.any_gt <= 2 * cols, "tests {}", calls.any_gt);
 }

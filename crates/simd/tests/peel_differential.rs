@@ -26,9 +26,7 @@ use sw_align::GapPenalties;
 use sw_db::catalog::PaperDb;
 use sw_db::synth::make_query;
 use sw_simd::backend::{sw_bytes_checked, ByteProfileOf, ByteSimd};
-use sw_simd::{
-    search_sequences, AdaptiveStats, BackendKind, KernelMode, NeverCancel, Precision, QueryEngine,
-};
+use sw_simd::{AdaptiveStats, BackendKind, KernelMode, NeverCancel, Precision, QueryEngine};
 
 /// The repair is bounded per column whichever route a column takes: the
 /// correction loop's early exit ends it within `seg_len + open/extend + 1`
@@ -80,6 +78,8 @@ fn lazy_f_per_column_is_bounded() {
 /// On a Swissprot-shaped database the scan forced on every column spends
 /// more repair operations than the default correction loop, whose early
 /// exit ends most columns within the prefix — why the loop is the default.
+/// The striped kernels are measured pair by pair (`score_with`): the
+/// pool's grouped byte pass has no Lazy-F.
 #[test]
 fn the_forced_scan_repairs_more_than_the_loop() {
     let db = PaperDb::Swissprot.generate(200, 2011);
@@ -88,8 +88,11 @@ fn the_forced_scan_repairs_more_than_the_loop() {
     for kind in BackendKind::available() {
         let run = |mode| {
             let engine = QueryEngine::with_backend_and_mode(p.clone(), &q, kind, mode);
-            let r = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
-            (r.scores, r.stats.lazy_f_byte + r.stats.lazy_f_word)
+            let mut stats = AdaptiveStats::default();
+            let scores: Vec<i32> = (db.sequences().iter())
+                .map(|s| engine.score_with(&s.residues, Precision::Adaptive, &mut stats))
+                .collect();
+            (scores, stats.lazy_f_byte + stats.lazy_f_word)
         };
         let (looped, scanned) = (run(KernelMode::CorrectionLoop), run(KernelMode::PrefixScan));
         assert_eq!(looped.0, scanned.0, "{kind}: the modes disagree on a score");

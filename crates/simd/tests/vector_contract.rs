@@ -8,7 +8,8 @@
 //! every level against every level, score and amount — is what makes the
 //! encodings interchangeable. It exists because the end-to-end suites did
 //! not notice a decay of 255 subtracted as `127` then `128`: `128 as i8` is
-//! negative and `vpsubsb` adds it.
+//! negative and `vpsubsb` adds it. The grouped pass's table lookup, which
+//! reads raw index bytes, is held to the scalar lookup over every index.
 
 use sw_simd::backend::ByteSimd;
 use sw_simd::portable::U8x16;
@@ -133,6 +134,18 @@ fn contract<V: ByteSimd>(name: &str) {
         levels(v.shift_lanes(1)),
         "{name}: shift()"
     );
+
+    // Lookups read raw bytes: every index 0..32 in every lane, from a
+    // table whose 32 bytes differ and span both signs and every nibble, so
+    // neither table half and no encoding can stand in for another.
+    let table: [u8; 32] = std::array::from_fn(|i| (i as u8).wrapping_mul(37).wrapping_add(200));
+    for first in 0..32 {
+        let idx: Vec<u8> = (0..lanes).map(|k| ((first + k) % 32) as u8).collect();
+        let mut got = vec![0u8; lanes];
+        V::load(&idx).lookup(&table).store(&mut got);
+        let want: Vec<u8> = idx.iter().map(|&i| table[i as usize]).collect();
+        assert_eq!(got, want, "{name}: lookup from index {first}");
+    }
 }
 
 #[test]
