@@ -37,7 +37,7 @@ cargo test -q --offline -p sw-db --lib -- \
 # each other by name.
 named_t0=$SECONDS
 cargo test -q --offline --test paper_claims --test observability --test conformance \
-  --test differential --test crash_matrix --test device_opt --test simulator_invariants
+  --test crash_matrix --test device_opt --test simulator_invariants
 cargo test --release -q --offline --test device_opt --test simulator_invariants
 cargo test -q --offline -p gpu-sim --test proptests
 cargo test -q --offline -p cudasw-core --lib column::
@@ -68,6 +68,12 @@ cargo test --release -q --offline -p gpu-sim --lib a_word_another_block_wrote_fa
 cargo test -q --offline --test simulator_invariants table1_counts_depend_on_lengths_only
 echo "verify: named simulator suites took $((SECONDS - named_t0)) s"
 
+# Decoders that cannot abort or over-allocate, by name: seeded truncations,
+# bit flips and inflated length fields of a checkpoint log, a FASTA file
+# and a JSON document, under an allocator that refuses any request over
+# 1 GiB.
+cargo test -q --offline --test decoders
+
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
 
@@ -84,20 +90,25 @@ cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cud
 # Cross-feature matrix for the host SIMD backend: the portable backend
 # (the one engine instantiated on the array vectors of portable.rs, and
 # the only backend on a target without a native one) must keep building
-# and passing with the native backends compiled out. The hand-off suite is named explicitly because the byte→word
-# hand-off re-stripes between lane widths that differ per backend (and
-# holds the overflow verdict to one answer across backends and kernel
-# modes), the peel suite because the portable instantiation of the column
-# loop is the one the native runs never take (and bounds the Lazy-F repair
-# per column on both routes). The byte-lane contract, the
-# bounded-exhaustive conformance run and the column loop's operation
-# budget ride the same lines: the first two hold whichever byte encodings
-# the feature set compiles to one set of scores, the third counts the
-# generic loop on the portable vector.
+# and passing with the native backends compiled out. The hand-off suite
+# is named explicitly because the byte→word hand-off re-stripes between
+# lane widths that differ per backend (and holds the overflow verdict to
+# one answer across backends and kernel modes), and holds each lane of
+# the grouped byte pass to the striped pass's hand-off; the peel suite
+# because the portable instantiation of the column loop is the one the
+# native runs never take (and bounds the Lazy-F repair per column on both
+# routes); the chunking suite because the pool's grouped pass runs on the
+# portable vectors there. The byte-lane contract (the grouped pass's
+# lookup included), the bounded-exhaustive conformance run (through the
+# striped and the grouped entries) and the operation budget of both
+# column loops ride the same lines: the first two hold whichever byte
+# encodings the feature set compiles to one set of scores, the third
+# counts the generic loops on the portable vector.
 cargo build -q --release --offline -p sw-simd --no-default-features
 cargo test -q --offline -p sw-simd --no-default-features
 cargo test -q --offline -p sw-simd --no-default-features --test handoff_differential \
-  --test peel_differential --test vector_contract --test bounded_exhaustive --test op_budget
+  --test peel_differential --test pool_chunking --test vector_contract \
+  --test bounded_exhaustive --test op_budget
 cargo test -q --offline -p sw-simd --test handoff_differential --test peel_differential \
   --test pool_chunking --test vector_contract --test bounded_exhaustive --test op_budget
 
