@@ -4,8 +4,13 @@
 //! Supports the full JSON grammar this workspace emits (objects, arrays,
 //! strings with `\uXXXX` escapes, numbers, booleans, null). Not a
 //! general-purpose parser: errors carry a byte offset but no recovery.
+//! Linear in the document's length, and nesting deeper than [`MAX_DEPTH`]
+//! is an error rather than a stack overflow.
 
 use std::collections::BTreeMap;
+
+/// Deepest nesting of arrays and objects [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +73,7 @@ impl Json {
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -91,11 +96,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -167,17 +175,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance by whole UTF-8 code points.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid utf-8")?;
-                let ch = s.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // The run up to the next quote or backslash, in one piece:
+                // both are ASCII, so in a document that came from a `&str`
+                // the run ends on a character boundary.
+                let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+                let end = run.map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|_| "invalid utf-8")?);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -186,7 +196,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -199,7 +209,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -212,7 +222,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        map.insert(key, parse_value(b, pos)?);
+        map.insert(key, parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -267,6 +277,33 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("{\"a\":").is_err());
         assert!(parse("[1, 2").is_err());
+    }
+
+    #[test]
+    fn many_strings_parse_in_linear_time() {
+        // 64k short strings, about 0.9 MB: the per-character re-validation
+        // of the rest of the document this replaced needed about 10 s.
+        let doc = format!(
+            "[{}]",
+            (0..1 << 16)
+                .map(|i| format!("\"s{i:08}é\""))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        assert!(doc.len() > 850_000);
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        assert!(t0.elapsed().as_secs_f64() < 1.0, "took {:?}", t0.elapsed());
+        assert_eq!(v.as_arr().unwrap()[65_535].as_str(), Some("s00065535é"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&deep(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
