@@ -15,6 +15,7 @@ use crate::workloads;
 use cudasw_core::variants::{run_intra_variant, AblationStage};
 use cudasw_core::ImprovedParams;
 use gpu_sim::DeviceSpec;
+use sw_align::SwParams;
 
 /// One stage's measurements.
 #[derive(Debug, Clone)]
@@ -112,6 +113,7 @@ pub fn run(
             spec,
             db.sequences(),
             &query,
+            &SwParams::cudasw_default(),
             ImprovedParams::default(),
             stage.variant,
             stage.device,

@@ -18,6 +18,7 @@ use cudasw_core::{
     VariantConfig,
 };
 use gpu_sim::DeviceSpec;
+use sw_align::SwParams;
 
 /// One Table I cell set.
 #[derive(Debug, Clone)]
@@ -103,6 +104,7 @@ pub fn run(
             spec,
             db.sequences(),
             &query,
+            &SwParams::cudasw_default(),
             ImprovedParams::default(),
             VariantConfig::improved(),
             DeviceKernelConfig::default(),

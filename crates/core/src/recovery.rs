@@ -31,7 +31,7 @@
 //!   completed chunk is appended to an on-disk log
 //!   ([`crate::checkpoint`]); a restarted search replays the log, skips
 //!   completed chunks, and produces a bit-identical
-//!   [`SearchResult`](crate::SearchResult).
+//!   [`SearchResult`].
 //!
 //! Both device phases (inter-task groups, intra-task chunks) run through
 //! one chunk loop, `run_phase`; one chunk attempt uploads the chunk's

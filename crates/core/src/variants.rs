@@ -13,7 +13,7 @@ use crate::intra_improved::{ImprovedParams, VariantConfig};
 use crate::launch::StagedQuery;
 use crate::seqstore::ProfileImage;
 use gpu_sim::{DeviceSpec, GpuError, LaunchStats, TexRef};
-use sw_align::PackedProfile;
+use sw_align::{PackedProfile, SwParams};
 use sw_db::Sequence;
 
 /// One named kernel stage.
@@ -111,14 +111,15 @@ pub fn development_stages() -> Vec<AblationStage> {
 
 /// Stage `sequences` and `query` on a fresh device described by `spec` and
 /// run the improved kernel at development stage `variant` with the `device`
-/// optimizations as one intra-task chunk of the driver's chunk loop (so the
-/// shared-memory boundary falls back transparently when a sequence does
-/// not fit, same policy as every search). Returns the scores and the
-/// launch statistics.
+/// optimizations, scoring under `scoring`, as one intra-task chunk of the
+/// driver's chunk loop (so the shared-memory boundary falls back
+/// transparently when a sequence does not fit, same policy as every
+/// search). Returns the scores and the launch statistics.
 pub fn run_intra_variant(
     spec: &DeviceSpec,
     sequences: &[Sequence],
     query: &[u8],
+    scoring: &SwParams,
     params: ImprovedParams,
     variant: VariantConfig,
     device: DeviceKernelConfig,
@@ -126,6 +127,7 @@ pub fn run_intra_variant(
     let mut driver = CudaSwDriver::new(
         spec.clone(),
         CudaSwConfig {
+            params: scoring.clone(),
             improved: params,
             intra: IntraKernelChoice::Improved(variant),
             device,
@@ -189,6 +191,7 @@ mod tests {
                 &spec,
                 db.sequences(),
                 &query,
+                &sw,
                 params,
                 stage.variant,
                 stage.device,
@@ -224,7 +227,8 @@ mod tests {
         };
         let run = |stage: &AblationStage| {
             let (variant, device) = (stage.variant, stage.device);
-            run_intra_variant(&spec, db.sequences(), &query, params, variant, device).unwrap()
+            let sw = SwParams::cudasw_default();
+            run_intra_variant(&spec, db.sequences(), &query, &sw, params, variant, device).unwrap()
         };
         let stages = development_stages();
         let (_, base) = run(&stages[FINAL_KERNEL_STAGE]);

@@ -5,7 +5,7 @@
 //! transfers, kernel launches, recovery actions — reports into an ambient
 //! per-thread [`Obs`] recorder. The recorder owns three things:
 //!
-//! - a **simulated clock** ([`Obs::now`]), advanced by the modeled
+//! - a **simulated clock** ([`now`]), advanced by the modeled
 //!   duration of each operation (never wall time, so runs are
 //!   deterministic and traces are reproducible bit-for-bit);
 //! - a **span timeline** ([`Trace`]) of nested phases / kernels /
@@ -17,7 +17,7 @@
 //!   ([`prom::to_prometheus_text`]).
 //!
 //! Instrumented code calls the free functions ([`counter_add`],
-//! [`span`], [`instant`], [`advance`], ...) which write to the current
+//! [`span()`], [`instant`], [`advance`], ...) which write to the current
 //! thread's recorder. Tests and the bench CLI wrap a run in [`capture`]
 //! to get back everything it recorded:
 //!

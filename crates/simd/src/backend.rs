@@ -60,9 +60,10 @@
 //! column 0 (see [`Handoff`] for why floored E and padding rows are
 //! harmless).
 //!
-//! **The grouped byte pass.** [`sw_bytes_grouped`] scores up to `LANES`
+//! **The grouped passes.** [`sw_bytes_grouped`] scores up to `LANES`
 //! subjects at once, one a lane (CUDASW++'s inter-task layout), with no
-//! Lazy-F; each lane hands off exactly where the striped kernel would.
+//! Lazy-F; each lane hands off exactly where the striped kernel would, and
+//! [`sw_words_grouped`] resumes up to `LANES` hand-offs the same way.
 //!
 //! **Bit-identical scores by construction.** The lane count only changes the
 //! striped *layout* (`seg_len = ceil(m / LANES)`), never the arithmetic any
@@ -84,6 +85,7 @@
 use crate::cancel::{CancelToken, CANCEL_CHECK_COLS};
 use std::any::Any;
 use std::cell::RefCell;
+use std::thread::LocalKey;
 use sw_align::smith_waterman::SwParams;
 use sw_align::GapPenalties;
 
@@ -266,6 +268,15 @@ pub trait WordSimd: Copy + Send + Sync + 'static {
     /// Lane-wise signed saturating subtraction (`psubsw`).
     fn sat_sub(self, rhs: Self) -> Self;
 
+    /// Lane-wise `max(self − rhs, 0)` where both lie in `0..=i16::MAX`
+    /// (`psubusw`, which the provided signed pair stands in for). The
+    /// portable vectors keep the pair: a `u16` lane loop there defeated the
+    /// vectoriser, and their grouped word pass ran 1.5× slower than striped.
+    #[inline(always)]
+    fn sub_floor(self, rhs: Self) -> Self {
+        self.sat_sub(rhs).max(Self::zero())
+    }
+
     /// Lane-wise maximum (`pmaxsw`).
     fn max(self, rhs: Self) -> Self;
 
@@ -289,6 +300,13 @@ pub trait WordSimd: Copy + Send + Sync + 'static {
 
     /// Maximum over all lanes.
     fn horizontal_max(self) -> i16;
+
+    /// Lane `k` becomes `table[codes[k]]` (every code below 32), widened.
+    #[inline(always)]
+    fn lookup(codes: &[u8; 32], table: &[i8; 32]) -> Self {
+        let lanes: [i16; 32] = std::array::from_fn(|k| table[codes[k] as usize % 32].into());
+        Self::load(&lanes)
+    }
 }
 
 /// One host compute backend: a byte-mode and a word-mode vector type plus
@@ -300,9 +318,10 @@ pub trait Backend {
     type Word: WordSimd;
     /// Stable lowercase name (matches [`crate::BackendKind::name`]).
     const NAME: &'static str;
-    /// Whether the pool's adaptive searches take the grouped byte pass
-    /// ([`sw_bytes_grouped`]); false where it measured slower than the
-    /// striped one (EXPERIMENTS.md, "Host engine and pool").
+    /// Whether the pool's adaptive searches take the grouped passes
+    /// ([`sw_bytes_grouped`], [`sw_words_grouped`]); false where the byte
+    /// pass measured slower than the striped one (EXPERIMENTS.md, "Host
+    /// engine and pool").
     const GROUPS: bool = true;
     /// True when this host can execute the backend's instructions.
     fn available() -> bool;
@@ -395,12 +414,16 @@ impl<V: ByteSimd> ByteProfileOf<V> {
     }
 }
 
-/// Striped word profile for vector type `V`.
+/// Striped word profile for vector type `V` (and per-code tables).
 #[derive(Debug, Clone)]
 pub struct WordProfileOf<V: WordSimd> {
     seg_len: usize,
     alphabet_size: usize,
     vectors: Vec<V>,
+    query: Vec<u8>,
+    /// `tables[a][b]`: query code `a` against subject code `b` (the matrix
+    /// minimum past the alphabet).
+    tables: Vec<[i8; 32]>,
 }
 
 impl<V: WordSimd> WordProfileOf<V> {
@@ -429,10 +452,21 @@ impl<V: WordSimd> WordProfileOf<V> {
                 vectors.push(V::load(&lanes));
             }
         }
+        let tables = (0..alphabet_size as u8)
+            .map(|a| {
+                let mut table = [pad as i8; 32];
+                for (b, slot) in table.iter_mut().enumerate().take(alphabet_size) {
+                    *slot = params.matrix.score(b as u8, a) as i8;
+                }
+                table
+            })
+            .collect();
         Self {
             seg_len,
             alphabet_size,
             vectors,
+            query: query.to_vec(),
+            tables,
         }
     }
 
@@ -739,23 +773,46 @@ const PAD_CODE: u8 = 31;
 /// Subject columns the grouped pass transposes at a time.
 const GROUP_BLOCK: usize = CANCEL_CHECK_COLS;
 
+/// This thread's H/E rows of one grouped pass, kept across groups: a fresh
+/// buffer per group left freed blocks resident (`peak_rss_mb` +8% on the
+/// scans).
+type RowCache = LocalKey<RefCell<Option<Box<dyn Any>>>>;
+
 thread_local! {
-    /// The grouped pass's H/E rows, kept across groups: a fresh buffer per
-    /// group left freed blocks resident (`peak_rss_mb` +8% on the scans).
     static GROUP_STATE: RefCell<Option<Box<dyn Any>>> = const { RefCell::new(None) };
+    static WORD_STATE: RefCell<Option<Box<dyn Any>>> = const { RefCell::new(None) };
 }
 
-/// One cell in every lane, from the diagonal H, the score, the entering E
-/// and the running F (advanced): H and the E leaving. The maximum takes H
-/// before F joins it, as in the striped loop; `$g` is `[open, extend, bias]`.
+/// `len` rows of `[zero; 2]`, in `cache`'s buffer when it holds one.
+fn cached_rows<V: Copy + 'static>(cache: &'static RowCache, len: usize, zero: V) -> Vec<[V; 2]> {
+    let cached = cache.with(|c| c.take()).and_then(|b| b.downcast().ok());
+    let mut rows = cached.map_or_else(Vec::new, |b: Box<Vec<[V; 2]>>| *b);
+    rows.clear();
+    rows.resize(len, [zero; 2]);
+    rows
+}
+
+/// Panics when a subject holds a code past a profile's `alphabet` tables.
+fn assert_codes(subjects: &[&[u8]], alphabet: usize) {
+    for s in subjects {
+        let top = s.iter().fold(0, |top: u8, &b| top.max(b));
+        assert!((top as usize) < alphabet, "code {top} past the alphabet");
+    }
+}
+
+/// One cell in every lane, from `$scored` (the diagonal H plus the score),
+/// the entering E and the running F (advanced): H and the E leaving. E and
+/// F never fall below zero (`$sub` floors there), so neither does H. The
+/// maximum takes H before F joins it, as in the striped loop; `$g` is
+/// `[open, extend, ..]`.
 macro_rules! group_cell {
-    ($g:ident, $diag:expr, $score:expr, $e:ident, $f:expr, $max:ident) => {{
-        let h = $diag.add_score($score, $g[2]).max($e);
+    ($g:ident, $sub:ident, $scored:expr, $e:ident, $f:expr, $max:ident) => {{
+        let h = $scored.max($e);
         $max = $max.max(h);
         let h = h.max($f);
-        let opened = h.sat_sub($g[0]);
-        $f = opened.max($f.sat_sub($g[1]));
-        (h, opened.max($e.sat_sub($g[1])))
+        let opened = h.$sub($g[0]);
+        $f = opened.max($f.$sub($g[1]));
+        (h, opened.max($e.$sub($g[1])))
     }};
 }
 
@@ -778,13 +835,7 @@ pub fn sw_bytes_grouped<V: ByteSimd, C: ColumnCheck>(
     check: &C,
 ) -> Option<Vec<Result<i32, Handoff>>> {
     assert!(subjects.len() <= V::LANES);
-    for s in subjects {
-        let top = s.iter().fold(0, |top: u8, &b| top.max(b));
-        assert!(
-            (top as usize) < profile.tables.len(),
-            "code {top} past the alphabet"
-        );
-    }
+    assert_codes(subjects, profile.tables.len());
     let open = gaps.open.clamp(0, 255) as u8;
     let extend = gaps.extend.clamp(0, 255) as u8;
     let (overflow_at, bias) = (profile.overflow_at(), profile.bias());
@@ -801,12 +852,7 @@ pub fn sw_bytes_grouped<V: ByteSimd, C: ColumnCheck>(
     V::level((overflow_at - 1).saturating_sub(max_score)).store(&mut limits[1]);
     let mut v_limits = limits.map(|l| V::load(&l));
     // H of the last column and E entering the next, per query row.
-    let cached = GROUP_STATE
-        .with(|c| c.take())
-        .and_then(|b| b.downcast().ok());
-    let mut state: Box<Vec<[V; 2]>> = cached.unwrap_or_default();
-    state.clear();
-    state.resize(profile.query.len(), [V::zero(); 2]);
+    let mut state = cached_rows(&GROUP_STATE, profile.query.len(), V::zero());
     let mut block = [[PAD_CODE; 32]; GROUP_BLOCK];
     let mut scores = [[V::zero(); 32]; 2];
     let mut v_max = V::zero();
@@ -836,14 +882,17 @@ pub fn sw_bytes_grouped<V: ByteSimd, C: ColumnCheck>(
             // two cells, and two F chains that overlap.
             for (row, &a) in rows {
                 let (a, e) = (a as usize % 32, row[1]);
-                let (h, e) = group_cell!(g, diag[0], scores[0][a], e, f[0], v_max);
-                let next = group_cell!(g, diag[1], scores[1][a], e, f[1], v_max);
+                let scored = diag[0].add_score(scores[0][a], g[2]);
+                let (h, e) = group_cell!(g, sat_sub, scored, e, f[0], v_max);
+                let scored = diag[1].add_score(scores[1][a], g[2]);
+                let next = group_cell!(g, sat_sub, scored, e, f[1], v_max);
                 (diag, *row) = ([row[0], h], [next.0, next.1]);
             }
         } else {
             for (row, &a) in rows {
                 let e = row[1];
-                let (h, e) = group_cell!(g, diag[0], scores[0][a as usize % 32], e, f[0], v_max);
+                let scored = diag[0].add_score(scores[0][a as usize % 32], g[2]);
+                let (h, e) = group_cell!(g, sat_sub, scored, e, f[0], v_max);
                 (diag[0], *row) = (row[0], [h, e]);
             }
         }
@@ -852,7 +901,7 @@ pub fn sw_bytes_grouped<V: ByteSimd, C: ColumnCheck>(
             v_limits = hand_off_lanes(col, &state, v_max, &mut limits, &mut handoffs);
         }
     }
-    GROUP_STATE.with(|c| c.replace(Some(state)));
+    GROUP_STATE.with(|c| c.replace(Some(Box::new(state))));
     let mut maxima = [0u8; 32];
     v_max.store(&mut maxima);
     let lane = |(h, x): (Option<Handoff>, u8)| h.map_or(Ok(V::decode(x) as i32), Err);
@@ -897,6 +946,80 @@ fn hand_off_lanes<V: ByteSimd>(
         }
     }
     limits.map(|l| V::load(&l))
+}
+
+/// Word-mode *inter-sequence* Smith-Waterman: lane `k` resumes
+/// `subjects[k]` (at most `V::LANES`) from `starts[k]` — its column, H/E
+/// rows and maximum — polling `check` every [`CANCEL_CHECK_COLS`] columns
+/// (`None`: abandoned). Per column one [`WordSimd::lookup`] per code, then
+/// `H = max(diag + s, E, F, 0)` in nine operations a cell with no Lazy-F,
+/// two columns a sweep (an odd last one beside a padded one). Each lane
+/// ends with [`sw_words_checked`]'s score from the same start, saturating
+/// at `i16::MAX` as it does.
+///
+/// # Panics
+///
+/// When `subjects` outnumber the lanes or differ in number from `starts`,
+/// or hold a code outside the alphabet.
+#[inline(always)]
+pub fn sw_words_grouped<V: WordSimd, C: ColumnCheck>(
+    gaps: &GapPenalties,
+    profile: &WordProfileOf<V>,
+    subjects: &[&[u8]],
+    starts: &[&Handoff],
+    check: &C,
+) -> Option<Vec<i32>> {
+    assert!(subjects.len() <= V::LANES && subjects.len() == starts.len());
+    assert_codes(subjects, profile.tables.len());
+    let zero = V::zero();
+    let g = [V::splat(gaps.open as i16), V::splat(gaps.extend as i16)];
+    // Each lane's columns past its start, and its rows and maximum there.
+    let rest: Vec<&[u8]> = (subjects.iter().zip(starts))
+        .map(|(s, h)| &s[h.cols..])
+        .collect();
+    let mut state = cached_rows(&WORD_STATE, profile.query.len(), zero);
+    let mut lanes = [[0i16; 32]; 2];
+    for (i, row) in state.iter_mut().enumerate() {
+        for (k, start) in starts.iter().enumerate() {
+            lanes[0][k] = start.h.get(i).copied().unwrap_or(0);
+            lanes[1][k] = start.e.get(i).copied().unwrap_or(0);
+        }
+        *row = lanes.map(|l| V::load(&l));
+    }
+    let mut maxima: [i16; 32] = std::array::from_fn(|k| starts.get(k).map_or(0, |s| s.max));
+    let mut v_max = V::load(&maxima);
+    let mut block = [[PAD_CODE; 32]; GROUP_BLOCK];
+    let mut scores = [[zero; 32]; 2];
+    let cols = rest.iter().map(|s| s.len()).max().unwrap_or(0);
+    const { assert!(GROUP_BLOCK.is_multiple_of(2)) };
+    for col in (0..cols).step_by(2) {
+        let at = col % GROUP_BLOCK;
+        if at == 0 {
+            if check.cancelled() {
+                return None;
+            }
+            transpose(&rest, col, &mut block);
+        }
+        for (codes, scores) in block[at..][..2].iter().zip(&mut scores) {
+            for (v, table) in scores.iter_mut().zip(&profile.tables) {
+                *v = V::lookup(codes, table);
+            }
+        }
+        // As in the grouped byte pass's two-column sweep.
+        let (mut diag, mut f) = ([zero; 2], [zero; 2]);
+        for (row, &a) in state.iter_mut().zip(&profile.query) {
+            let (a, [up, e]) = (a as usize % 32, *row);
+            // E and F floored at zero floor `diag + s` in the first `max`.
+            let scored = diag[0].sat_add(scores[0][a]);
+            let (h, e) = group_cell!(g, sub_floor, scored, e, f[0], v_max);
+            let scored = diag[1].sat_add(scores[1][a]);
+            let next = group_cell!(g, sub_floor, scored, e, f[1], v_max);
+            (diag, *row) = ([up, h], [next.0, next.1]);
+        }
+    }
+    WORD_STATE.with(|c| c.replace(Some(Box::new(state))));
+    v_max.store(&mut maxima);
+    Some(maxima[..subjects.len()].iter().map(|&x| x.into()).collect())
 }
 
 /// Word-mode striped Smith-Waterman continuing from `start` (the zero

@@ -19,8 +19,8 @@
 //! bumped inside worker threads would otherwise be lost.
 
 use crate::backend::{
-    sw_bytes_checked, sw_bytes_grouped, sw_words_checked, Backend, ByteProfileOf, ByteSimd,
-    ColumnCheck, Handoff, NeverCancel, WordProfileOf,
+    sw_bytes_checked, sw_bytes_grouped, sw_words_checked, sw_words_grouped, Backend, ByteProfileOf,
+    ByteSimd, ColumnCheck, Handoff, NeverCancel, WordProfileOf, WordSimd,
 };
 use crate::cancel::{CancelToken, Cancelled};
 use crate::dispatch::{BackendKind, KernelMode};
@@ -48,14 +48,17 @@ pub enum Precision {
 
 /// Statistics of an adaptive (byte-first) alignment batch.
 ///
-/// Lazy-F repair operations are counted **per precision mode**: byte-mode
-/// passes (including those of alignments that later overflowed) land in
-/// `lazy_f_byte`, resumed word-mode passes in `lazy_f_word`. Both count
-/// vector operations executed — scan rounds, the untested prefix of
-/// `min(PEEL, seg_len)` steps every column runs ([`crate::backend`]) and
-/// the tested steps after it, at most `seg_len + log2(LANES) +
-/// open/extend + 1` per column. They measure work, not time: the prefix
-/// executes more operations than the tests it replaced, and is faster.
+/// Lazy-F repair operations are counted **per precision mode**: striped
+/// byte-mode passes (including those of alignments that later overflowed)
+/// land in `lazy_f_byte`, resumed striped word-mode passes in
+/// `lazy_f_word`. Both count vector operations executed — scan rounds, the
+/// untested prefix of `min(PEEL, seg_len)` steps every column runs
+/// ([`crate::backend`]) and the tested steps after it, at most `seg_len +
+/// log2(LANES) + open/extend + 1` per column. They measure work, not time:
+/// the prefix executes more operations than the tests it replaced, and is
+/// faster. The grouped passes ([`QueryEngine::score_group`]) run no Lazy-F,
+/// so both read 0 there, while `byte_mode` and `word_fallbacks` are the
+/// striped path's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveStats {
     /// Alignments resolved in byte mode.
@@ -281,8 +284,10 @@ impl QueryEngine {
     }
 
     /// Score `subjects` adaptively, one a lane of the grouped byte pass
-    /// ([`crate::backend::sw_bytes_grouped`]), cancellable as `score_with_cancel`
-    /// is: each score and count but `lazy_f_byte` is `score_with`'s.
+    /// ([`crate::backend::sw_bytes_grouped`]) and each hand-off one a lane of
+    /// the grouped word pass ([`crate::backend::sw_words_grouped`]),
+    /// cancellable as `score_with_cancel` is: each score, `byte_mode` and
+    /// `word_fallbacks` is `score_with`'s, and neither Lazy-F count runs.
     pub fn score_group(
         &self,
         subjects: &[&[u8]],
@@ -317,10 +322,8 @@ impl QueryEngine {
         if self.query.is_empty() {
             return Some(vec![(0, AdaptiveStats::default()); subjects.len()]);
         }
-        let (gaps, force_scan) = (&self.params.gaps, self.mode == KernelMode::PrefixScan);
-        let mut out = on_profiles! {
-            &self.set, group_ladder / group_avx2, gaps, subjects, force_scan, check
-        }?;
+        let gaps = &self.params.gaps;
+        let mut out = on_profiles! { &self.set, group_ladder / group_avx2, gaps, subjects, check }?;
         for ((score, _), d) in out.iter_mut().zip(subjects) {
             *score = self.finish(d, *score);
         }
@@ -334,8 +337,11 @@ impl QueryEngine {
     /// freed before the word pass allocates its own, so the peak is the
     /// hand-off buffers plus the larger of the two stripe buffers. The
     /// pool's memory-budget admission charges this plus a per-sequence
-    /// overhead for each in-flight chunk. Where the pool groups, a group's
-    /// H and E bytes and an i16 hand-off per lane, `6·m` a lane, can be more.
+    /// overhead for each in-flight chunk. Where the pool groups, a call can
+    /// hold more: the byte group's H and E bytes (`2m` a lane), the word
+    /// group's i16 H and E (`4m` a lane), and the pending hand-offs, `4m`
+    /// bytes each — up to `PENDING_GROUPS` word groups' worth plus the byte
+    /// group that fills them.
     pub fn working_set_bytes(&self) -> u64 {
         let m = self.query.len().max(1) as u64;
         let byte_lanes = self.kind.byte_lanes() as u64;
@@ -343,7 +349,9 @@ impl QueryEngine {
         let byte_row = m.div_ceil(byte_lanes) * byte_lanes;
         let word_row = m.div_ceil(word_lanes) * word_lanes * 2;
         let striped = 3 * byte_row.max(word_row) + 2 * 2 * byte_row;
-        striped.max(u64::from(self.groups()) * 6 * m * byte_lanes)
+        let pending = PENDING_GROUPS as u64 * word_lanes + byte_lanes;
+        let grouped = 2 * m * byte_lanes + 4 * m * (word_lanes + pending);
+        striped.max(u64::from(self.groups()) * grouped)
     }
 }
 
@@ -386,19 +394,28 @@ pub(crate) fn score_ladder<K: Backend, C: ColumnCheck>(
     Some(word.score)
 }
 
-/// The grouped byte pass over `subjects`, then the word pass of each lane
-/// that handed off; `None` if cancelled. `#[inline(always)]` as
+/// Hand-offs, in word groups, a grouped call collects before its word pass
+/// runs them sorted by remaining columns: more fill fuller groups of like
+/// lengths, and each holds `4m` bytes meanwhile. On `scan_homolog`, one
+/// thread, AVX2: two groups ran 1% slower, and holding all of a 256-subject
+/// call's hand-offs 1–3% faster for up to four times the bytes.
+const PENDING_GROUPS: usize = 4;
+
+/// The grouped byte pass over `subjects`, then the grouped word pass over
+/// the lanes that handed off; `None` if cancelled. `#[inline(always)]` as
 /// [`score_ladder`] is.
 #[inline(always)]
 pub(crate) fn group_ladder<K: Backend, C: ColumnCheck>(
     gaps: &GapPenalties,
     profiles: &Profiles<K>,
     subjects: &[&[u8]],
-    force_scan: bool,
     check: &C,
 ) -> Option<Vec<(i32, AdaptiveStats)>> {
     let mut out = Vec::with_capacity(subjects.len());
-    for group in subjects.chunks(K::Byte::LANES) {
+    let mut pending = Vec::new();
+    let groups = subjects.chunks(K::Byte::LANES);
+    let last = groups.len();
+    for (n, group) in groups.enumerate() {
         let lanes = sw_bytes_grouped(gaps, &profiles.byte, group, check)?;
         for (d, lane) in group.iter().zip(lanes) {
             let mut stats = AdaptiveStats::default();
@@ -409,23 +426,51 @@ pub(crate) fn group_ladder<K: Backend, C: ColumnCheck>(
                     score
                 }
                 Err(start) => {
-                    let word =
-                        sw_words_checked(gaps, &profiles.word, d, force_scan, &start, check)?;
                     stats.word_fallbacks = 1;
-                    stats.lazy_f_word = word.lazy_f;
-                    word.score
+                    pending.push((out.len(), start));
+                    0
                 }
             };
             out.push((score, stats));
+        }
+        if n + 1 == last || pending.len() >= PENDING_GROUPS * K::Word::LANES {
+            let word = &profiles.word;
+            word_groups(gaps, word, subjects, &mut pending, &mut out, check)?;
         }
     }
     Some(out)
 }
 
+/// The grouped word pass over the `pending` (subject, hand-off) pairs,
+/// sorted by remaining columns, a part-full group the shortest; each score
+/// lands in its subject's slot of `out`.
+#[inline(always)]
+fn word_groups<V: WordSimd, C: ColumnCheck>(
+    gaps: &GapPenalties,
+    profile: &WordProfileOf<V>,
+    subjects: &[&[u8]],
+    pending: &mut Vec<(usize, Handoff)>,
+    out: &mut [(i32, AdaptiveStats)],
+    check: &C,
+) -> Option<()> {
+    pending.sort_by_key(|(i, start)| subjects[*i].len() - start.cols);
+    for group in pending.rchunks(V::LANES) {
+        let lanes: Vec<&[u8]> = group.iter().map(|(i, _)| subjects[*i]).collect();
+        let starts: Vec<&Handoff> = group.iter().map(|(_, start)| start).collect();
+        let scores = sw_words_grouped(gaps, profile, &lanes, &starts, check)?;
+        for ((i, _), score) in group.iter().zip(scores) {
+            out[*i].0 = score;
+        }
+    }
+    pending.clear();
+    Some(())
+}
+
 /// Publish a batch's adaptive-precision counters under `cudasw.simd.*`.
 ///
 /// Call from the thread that owns the metrics recorder (the thread-local
-/// one that started the search), after merging worker-local stats.
+/// one that started the search), after merging worker-local stats. The
+/// Lazy-F counts are the striped passes' alone ([`AdaptiveStats`]).
 pub fn record_stats(kind: BackendKind, stats: &AdaptiveStats) {
     let backend = kind.name();
     if stats.byte_mode > 0 {
@@ -555,11 +600,11 @@ mod tests {
     fn working_set_counts_stripes_and_hand_off_buffers() {
         let query = make_query(100, 1);
         let engine = |kind| QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind);
-        // The portable pool groups: H and E of 100 rows in 16 lanes, and a
-        // 100-row i16 hand-off of H and E in each lane.
+        // The portable pool groups: H and E of 100 rows in 16 byte lanes
+        // and, in i16, in 8 word lanes and 4·8 + 16 pending hand-offs.
         assert_eq!(
             engine(BackendKind::Portable).working_set_bytes(),
-            6 * 100 * 16
+            2 * 100 * 16 + 4 * 100 * (8 + 4 * 8 + 16)
         );
         // SSE2 keeps the striped pass. 16 byte lanes pad 100 to 112, 8 word
         // lanes to 104: the word pass's three-stripe buffer (the larger

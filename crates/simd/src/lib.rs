@@ -6,7 +6,7 @@
 //! on the machine's native vector unit, selected at run time, with SSW-style
 //! adaptive precision (saturating 8-bit byte mode first; pairs that
 //! overflow continue in exact 16-bit word mode from the overflow column)
-//! and a work-stealing thread pool (one subject a byte lane) across cores. The
+//! and a work-stealing thread pool (one subject a lane) across cores. The
 //! defining striped-SW cost — the **Lazy-F** correction, "the need of SWPS3
 //! to correct errors which are a result of a vertical traversal through the
 //! SW tables" — is bounded per column and counted *per precision mode*
@@ -19,7 +19,8 @@
 //!   kernels every backend shares (bit-identical scores by construction:
 //!   lane count changes the striping layout, never the per-cell
 //!   arithmetic);
-//! * [`x86`] / [`neon`] — `core::arch` backends: AVX2 (32×u8 / 16×i16,
+//! * `x86` / `neon` — `core::arch` backends, each built on its own
+//!   architecture under the `native-simd` feature: AVX2 (32×u8 / 16×i16,
 //!   `is_x86_feature_detected!`), SSE2 (16×u8 / 8×i16, x86-64 baseline),
 //!   NEON (16×u8 / 8×i16, AArch64 baseline);
 //! * [`portable`] — the emulated [`U8x16`](portable::U8x16) /

@@ -472,6 +472,12 @@ impl WordSimd for I16x16Avx {
     }
 
     #[inline(always)]
+    fn sub_floor(self, rhs: Self) -> Self {
+        // SAFETY: AVX2 verified by the dispatcher.
+        Self(unsafe { _mm256_subs_epu16(self.0, rhs.0) })
+    }
+
+    #[inline(always)]
     fn max(self, rhs: Self) -> Self {
         // SAFETY: AVX2 verified by the dispatcher.
         Self(unsafe { _mm256_max_epi16(self.0, rhs.0) })
@@ -522,6 +528,27 @@ impl WordSimd for I16x16Avx {
             I16x8Sse(_mm_max_epi16(lo, hi)).horizontal_max()
         }
     }
+
+    /// Two 128-bit `vpshufb` on the table's halves, a `vpblendvb` on bit 4
+    /// shifted to bit 7, and `vpmovsxbw` to sixteen words.
+    #[inline(always)]
+    fn lookup(codes: &[u8; 32], table: &[i8; 32]) -> Self {
+        // SAFETY: AVX2 verified by the dispatcher; every 16-byte load lies
+        // inside `codes` or `table`.
+        unsafe {
+            let idx = _mm_loadu_si128(codes.as_ptr() as *const __m128i);
+            let half = |at: usize| {
+                let bytes = _mm_loadu_si128(table.as_ptr().add(at) as *const __m128i);
+                _mm_shuffle_epi8(bytes, idx)
+            };
+            let high = _mm_slli_epi16::<3>(idx);
+            Self(_mm256_cvtepi8_epi16(_mm_blendv_epi8(
+                half(0),
+                half(16),
+                high,
+            )))
+        }
+    }
 }
 
 /// The AVX2 backend (runtime-detected).
@@ -567,10 +594,9 @@ pub(crate) unsafe fn group_avx2<C: ColumnCheck>(
     gaps: &GapPenalties,
     profiles: &Profiles<Avx2Backend>,
     subjects: &[&[u8]],
-    force_scan: bool,
     check: &C,
 ) -> Option<Vec<(i32, AdaptiveStats)>> {
-    group_ladder(gaps, profiles, subjects, force_scan, check)
+    group_ladder(gaps, profiles, subjects, check)
 }
 
 #[cfg(test)]

@@ -187,6 +187,48 @@ fn cancel_inside_a_resumed_word_pass_leaks_no_score_and_no_stats() {
     }
 }
 
+/// A cancel landing inside a *grouped* word pass leaks nothing either. The
+/// subject of the test above hands off before the grouped byte pass's
+/// second checkpoint, but that pass sweeps its group to the longest
+/// subject's end, polling once every [`CANCEL_CHECK_COLS`] columns; every
+/// later poll belongs to the grouped word pass that resumes the hand-off
+/// beside random subjects.
+#[test]
+fn cancel_inside_a_grouped_word_pass_leaks_no_score_and_no_stats() {
+    let p = params();
+    let query = make_query(200, 3);
+    let mut d = query.clone();
+    d.extend(make_query(1000, 4));
+    let mut subjects = vec![make_query(300, 5), d, make_query(700, 6)];
+    subjects.extend((0..4).map(|k| make_query(150 + 100 * k, 7 + k as u64)));
+    let refs: Vec<&[u8]> = subjects.iter().map(Vec::as_slice).collect();
+    let byte_polls = 1 + (1200 - 1) / CANCEL_CHECK_COLS as u64;
+    for kind in BackendKind::available() {
+        let engine = QueryEngine::with_backend(p.clone(), &query, kind);
+        let full = CancelToken::new();
+        let expected = engine.score_group(&refs, Some(&full)).unwrap();
+        assert_eq!(
+            expected.iter().map(|(_, s)| s.word_fallbacks).sum::<u64>(),
+            1
+        );
+        let polls = full.polls();
+        assert!(
+            polls > byte_polls + 10,
+            "{kind}: the word pass polls ({polls})"
+        );
+        for budget in byte_polls + 1..=polls + 1 {
+            let token = CancelToken::after_polls(budget);
+            let r = engine.score_group(&refs, Some(&token));
+            if budget <= polls {
+                assert_eq!(r, Err(Cancelled), "{kind} budget {budget}");
+                assert_eq!(token.polls(), budget, "stops at the tripping checkpoint");
+            } else {
+                assert_eq!(r.as_ref(), Ok(&expected), "{kind}");
+            }
+        }
+    }
+}
+
 /// A token cancelled before the search starts yields `Cancelled` without
 /// scoring anything.
 #[test]

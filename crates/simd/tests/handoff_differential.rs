@@ -16,7 +16,10 @@ use sw_align::matrix::ScoringMatrix;
 use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_align::GapPenalties;
 use sw_db::synth::make_query;
-use sw_simd::backend::{sw_bytes_checked, sw_bytes_grouped, ByteProfileOf, ByteSimd};
+use sw_simd::backend::{
+    sw_bytes_checked, sw_bytes_grouped, sw_words_checked, sw_words_grouped, ByteProfileOf,
+    ByteSimd, Handoff, WordProfileOf, WordSimd,
+};
 use sw_simd::{AdaptiveStats, BackendKind, KernelMode, NeverCancel, Precision, QueryEngine};
 
 /// `prefix` random residues, a 70%-identity copy of `query[window]`, then
@@ -402,25 +405,56 @@ fn same_lanes<V: ByteSimd>(p: &SwParams, q: &[u8], group: &[&[u8]], what: &str) 
     cols
 }
 
-/// `group` through the grouped pass on every vector type and through
+/// The raw word kernels on one vector type: every hand-off of `group`,
+/// resumed one a lane of the grouped word pass, scores what the striped
+/// word pass scores from the same start (saturating at `i16::MAX` alike).
+/// Returns the hand-offs.
+fn same_words<V: WordSimd>(p: &SwParams, q: &[u8], group: &[&[u8]], what: &str) -> usize {
+    let byte = ByteProfileOf::<sw_simd::portable::U8x16>::build(p, q);
+    let profile = WordProfileOf::<V>::build(p, q);
+    let striped = |d: &[u8]| sw_bytes_checked(&p.gaps, &byte, d, false, &NeverCancel).unwrap();
+    let handed: Vec<(&[u8], Handoff)> = (group.iter())
+        .filter_map(|&d| striped(d).score.err().map(|start| (d, start)))
+        .collect();
+    for (g, lanes) in handed.chunks(V::LANES).enumerate() {
+        let subjects: Vec<&[u8]> = lanes.iter().map(|(d, _)| *d).collect();
+        let starts: Vec<&Handoff> = lanes.iter().map(|(_, start)| start).collect();
+        let grouped = sw_words_grouped(&p.gaps, &profile, &subjects, &starts, &NeverCancel);
+        for (k, ((d, start), score)) in lanes.iter().zip(grouped.unwrap()).enumerate() {
+            let want = sw_words_checked(&p.gaps, &profile, d, false, start, &NeverCancel);
+            assert_eq!(
+                score,
+                want.unwrap().score,
+                "{what}: word group {g}, lane {k}"
+            );
+        }
+    }
+    handed.len()
+}
+
+/// `group` through the grouped passes on every vector type and through
 /// `score_group` on every backend and mode, each subject held to the
 /// striped pass. Returns each subject's hand-off column (0: none).
 fn check_group(p: &SwParams, q: &[u8], group: &[Vec<u8>]) -> Vec<usize> {
     let refs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
     let cols = same_lanes::<sw_simd::portable::U8x16>(p, q, &refs, "portable");
+    let handed = same_words::<sw_simd::portable::I16x8>(p, q, &refs, "portable");
     #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
     {
         assert_eq!(
             same_lanes::<sw_simd::x86::U8x16Sse>(p, q, &refs, "sse2"),
             cols
         );
+        same_words::<sw_simd::x86::I16x8Sse>(p, q, &refs, "sse2");
         if BackendKind::Avx2.is_available() {
             assert_eq!(
                 same_lanes::<sw_simd::x86::U8x32Avx>(p, q, &refs, "avx2"),
                 cols
             );
+            same_words::<sw_simd::x86::I16x16Avx>(p, q, &refs, "avx2");
         }
     }
+    assert_eq!(handed, cols.iter().filter(|&&c| c > 0).count());
     for kind in BackendKind::available() {
         for mode in KernelMode::ALL {
             let engine = QueryEngine::with_backend_and_mode(p.clone(), q, kind, mode);
@@ -435,10 +469,13 @@ fn check_group(p: &SwParams, q: &[u8], group: &[Vec<u8>]) -> Vec<usize> {
                     (sw_score(p, q, d), want),
                     "lane {k} on {kind} / {mode}"
                 );
+                // The grouped passes run no Lazy-F; the verdict is the
+                // striped pass's.
                 assert_eq!(
                     grouped,
                     AdaptiveStats {
                         lazy_f_byte: 0,
+                        lazy_f_word: 0,
                         ..striped
                     },
                     "lane {k} on {kind} / {mode}: the counts"
@@ -517,4 +554,63 @@ fn a_lane_hands_off_inside_an_open_gap_among_byte_mode_neighbours() {
         inside_gap += usize::from(gap_cols.contains(&(cols[5] - 1)));
     }
     assert!(inside_gap > 0, "no threshold landed inside the open gap");
+}
+
+#[test]
+fn hand_offs_fill_several_word_groups_of_unequal_remaining_columns() {
+    // Homologs of the query planted after prefixes of 0..400 residues and
+    // followed by tails of 0..300 hand off at different columns with
+    // different columns left; among them random subjects stay in byte
+    // mode. 1, 7, 9, 15 and 17 hand-offs straddle one word group of 8 and
+    // of 16 lanes; 100 fill several and pass the flush of four groups
+    // (32 on 8 lanes, 64 on 16) before the last byte group of the call.
+    let p = SwParams::cudasw_default();
+    let q = make_query(120, 61);
+    for handed in [1usize, 7, 9, 15, 17, 100] {
+        let n = handed + 20;
+        // Subject `k` is a homolog when `k·7919 mod n` (a prime, so a
+        // permutation of `0..n`) falls below `handed`.
+        let group: Vec<Vec<u8>> = (0..n)
+            .map(|k| {
+                let seed = 1000 * handed as u64 + k as u64;
+                if k * 7919 % n < handed {
+                    homolog(&q, 0..120, (k * 37) % 400, (k * 53) % 300, seed)
+                } else {
+                    make_query(100 + (k * 29) % 300, seed)
+                }
+            })
+            .collect();
+        let cols = check_group(&p, &q, &group);
+        let lefts: Vec<usize> = (group.iter().zip(&cols))
+            .filter(|(_, &c)| c > 0)
+            .map(|(d, &c)| d.len() - c)
+            .collect();
+        assert_eq!(lefts.len(), handed, "{handed} planted subjects hand off");
+        if handed > 1 {
+            assert!(
+                lefts.windows(2).any(|w| w[0] != w[1]),
+                "unequal columns left"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_lane_saturating_the_word_range_beside_exact_lanes() {
+    // Under +100/−4 the query against itself scores 40,000, past
+    // `i16::MAX`: its word lane saturates and the pair is finished on the
+    // scalar reference, while the homologs beside it stay exact.
+    let p = SwParams {
+        matrix: ScoringMatrix::match_mismatch(Alphabet::Protein, 100, -4),
+        gaps: GapPenalties::cudasw_default(),
+    };
+    let q = make_query(400, 21);
+    let mut group: Vec<Vec<u8>> = (0..6)
+        .map(|k| homolog(&q, 100..160, 50 * k, 40, 90 + k as u64))
+        .collect();
+    group.insert(3, q.clone());
+    let cols = check_group(&p, &q, &group);
+    assert!(cols.iter().all(|&c| c > 0), "every subject hands off");
+    assert!(sw_score(&p, &q, &q) > i32::from(i16::MAX));
+    assert!((group.iter()).all(|d| d == &q || sw_score(&p, &q, d) < i32::from(i16::MAX)));
 }

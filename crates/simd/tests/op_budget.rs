@@ -29,13 +29,21 @@
 //!
 //! The grouped byte pass (one subject a lane) spends the same nine calls a
 //! cell and nothing else arithmetic: no Lazy-F, and the column's score
-//! vectors come from `lookup`, which is not arithmetic.
+//! vectors come from `lookup`, which is not arithmetic. The grouped word
+//! pass spends nine too — `sat_add`, `max(E)`, `max` into the running
+//! maximum, `max(F)`, the floored `H ⊖ open`, `E ⊖ extend` and
+//! `F ⊖ extend` (`sub_floor`, one `vpsubusw` on AVX2) and the two `max`
+//! into E and F — on every column it sweeps, an odd last one's padded
+//! partner included.
 
 use std::cell::Cell;
 use sw_align::smith_waterman::{sw_score, SwParams};
 use sw_db::synth::make_query;
-use sw_simd::backend::{sw_bytes_checked, sw_bytes_grouped, ByteProfileOf, ByteSimd};
-use sw_simd::portable::U8x16;
+use sw_simd::backend::{
+    sw_bytes_checked, sw_bytes_grouped, sw_words_grouped, ByteProfileOf, ByteSimd, Handoff,
+    WordProfileOf, WordSimd,
+};
+use sw_simd::portable::{I16x8, U8x16};
 use sw_simd::NeverCancel;
 
 #[derive(Clone, Copy)]
@@ -199,4 +207,90 @@ fn the_grouped_loop_spends_nine_operations_a_cell() {
     // At most two tests a sweep of one or two columns: whether the next
     // sweep may take two, and the hand-off limit.
     assert!(calls.any_gt <= 2 * cols, "tests {}", calls.any_gt);
+}
+
+/// The portable word vector, counting as [`Counted`] does; `lookup` is
+/// not counted.
+#[derive(Clone, Copy)]
+struct CountedWord(I16x8);
+
+impl WordSimd for CountedWord {
+    const LANES: usize = I16x8::LANES;
+
+    fn splat(v: i16) -> Self {
+        Self(I16x8::splat(v))
+    }
+
+    fn load(lanes: &[i16]) -> Self {
+        Self(I16x8::load(lanes))
+    }
+
+    fn store(self, out: &mut [i16]) {
+        self.0.store(out)
+    }
+
+    fn sat_add(self, rhs: Self) -> Self {
+        tick(|c| c.arithmetic += 1);
+        Self(self.0.sat_add(rhs.0))
+    }
+
+    fn sat_sub(self, rhs: Self) -> Self {
+        tick(|c| c.arithmetic += 1);
+        Self(self.0.sat_sub(rhs.0))
+    }
+
+    fn sub_floor(self, rhs: Self) -> Self {
+        tick(|c| c.arithmetic += 1);
+        Self(self.0.sub_floor(rhs.0))
+    }
+
+    fn max(self, rhs: Self) -> Self {
+        tick(|c| c.arithmetic += 1);
+        Self(self.0.max(rhs.0))
+    }
+
+    fn any_gt(self, rhs: Self) -> bool {
+        tick(|c| c.any_gt += 1);
+        self.0.any_gt(rhs.0)
+    }
+
+    fn shift(self) -> Self {
+        tick(|c| c.shift += 1);
+        Self(self.0.shift())
+    }
+
+    fn shift_lanes(self, n: usize) -> Self {
+        tick(|c| c.shift_lanes += 1);
+        Self(self.0.shift_lanes(n))
+    }
+
+    fn horizontal_max(self) -> i16 {
+        self.0.horizontal_max()
+    }
+}
+
+#[test]
+fn the_grouped_word_loop_spends_nine_operations_a_cell() {
+    let p = SwParams::cudasw_default();
+    let query = make_query(375, 1);
+    let profile = WordProfileOf::<CountedWord>::build(&p, &query);
+    // From the zero state, unequal lengths with an odd longest: 309 columns
+    // are swept as 155 pairs.
+    let subjects: Vec<Vec<u8>> = (0..CountedWord::LANES)
+        .map(|k| make_query(301 + 5 * (k % 2) + k / 2, 10 + k as u64))
+        .collect();
+    let refs: Vec<&[u8]> = subjects.iter().map(Vec::as_slice).collect();
+    let zero = Handoff::default();
+    let starts = vec![&zero; refs.len()];
+    let cols = refs.iter().map(|s| s.len()).max().unwrap() as u64;
+    assert_eq!(cols % 2, 1);
+    CALLS.with(|c| c.set(NO_CALLS));
+    let scores = sw_words_grouped(&p.gaps, &profile, &refs, &starts, &NeverCancel).unwrap();
+    let calls = CALLS.with(Cell::get);
+    for (d, score) in refs.iter().zip(scores) {
+        assert_eq!(score, sw_score(&p, &query, d));
+    }
+    assert_eq!(calls.arithmetic, 9 * query.len() as u64 * (cols + 1));
+    assert_eq!(calls.shift + calls.shift_lanes, 0, "no lane reads another");
+    assert_eq!(calls.any_gt, 0, "no test: no hand-off and no Lazy-F");
 }

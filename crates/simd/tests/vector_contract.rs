@@ -10,9 +10,13 @@
 //! not notice a decay of 255 subtracted as `127` then `128`: `128 as i8` is
 //! negative and `vpsubsb` adds it. The grouped pass's table lookup, which
 //! reads raw index bytes, is held to the scalar lookup over every index.
+//!
+//! The [`WordSimd`] methods the grouped word pass adds are held the same
+//! way: its lookup over every index, widening both signs, and its floored
+//! subtraction over its whole operand range.
 
-use sw_simd::backend::ByteSimd;
-use sw_simd::portable::U8x16;
+use sw_simd::backend::{ByteSimd, WordSimd};
+use sw_simd::portable::{I16x8, U8x16};
 
 /// The levels of `v`'s lanes, read the way the hand-off reads them.
 fn levels<V: ByteSimd>(v: V) -> Vec<u8> {
@@ -153,11 +157,55 @@ fn portable_bytes_keep_the_contract() {
     contract::<U8x16>("portable");
 }
 
+fn words<V: WordSimd>(v: V) -> Vec<i16> {
+    let mut out = vec![0i16; V::LANES];
+    v.store(&mut out);
+    out
+}
+
+fn word_contract<V: WordSimd>(name: &str) {
+    let lanes = V::LANES;
+    // Every index 0..32 in every lane, from a table spanning both signs.
+    let table: [i8; 32] =
+        std::array::from_fn(|i| (i as u8).wrapping_mul(37).wrapping_add(200) as i8);
+    for first in 0..32 {
+        let codes: [u8; 32] = std::array::from_fn(|k| ((first + k) % 32) as u8);
+        let want: Vec<i16> = codes[..lanes]
+            .iter()
+            .map(|&i| table[i as usize].into())
+            .collect();
+        assert_eq!(
+            words(V::lookup(&codes, &table)),
+            want,
+            "{name}: lookup from index {first}"
+        );
+    }
+    // `max(x − n, 0)` over 0..=i16::MAX on both sides, the ends included.
+    let grid: Vec<i16> = (0..=i16::MAX)
+        .step_by(257)
+        .chain([1, 2, i16::MAX - 1, i16::MAX])
+        .collect();
+    for &n in &grid {
+        for xs in grid.chunks(lanes) {
+            let mut lane_vals = vec![0i16; lanes];
+            lane_vals[..xs.len()].copy_from_slice(xs);
+            let got = words(V::load(&lane_vals).sub_floor(V::splat(n)));
+            let want: Vec<i16> = lane_vals.iter().map(|&x| (x - n).max(0)).collect();
+            assert_eq!(got, want, "{name}: {lane_vals:?} floored minus {n}");
+        }
+    }
+}
+
+#[test]
+fn portable_words_keep_the_contract() {
+    word_contract::<I16x8>("portable");
+}
+
 #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
 mod x86 {
-    use super::contract;
+    use super::{contract, word_contract};
     use sw_simd::backend::Backend;
-    use sw_simd::x86::{Avx2Backend, U8x16Sse, U8x32Avx};
+    use sw_simd::x86::{Avx2Backend, I16x16Avx, I16x8Sse, U8x16Sse, U8x32Avx};
 
     #[test]
     fn sse2_bytes_keep_the_contract() {
@@ -168,6 +216,18 @@ mod x86 {
     fn avx2_bytes_keep_the_contract() {
         if Avx2Backend::available() {
             contract::<U8x32Avx>("avx2");
+        }
+    }
+
+    #[test]
+    fn sse2_words_keep_the_contract() {
+        word_contract::<I16x8Sse>("sse2");
+    }
+
+    #[test]
+    fn avx2_words_keep_the_contract() {
+        if Avx2Backend::available() {
+            word_contract::<I16x16Avx>("avx2");
         }
     }
 }

@@ -76,6 +76,8 @@ cargo test -q --offline --test decoders
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
+# The API docs build without a warning: every intra-doc link resolves.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 
 # Crash-only lint wall: sw-simd, sw-serve, sw-gateway, gpu-sim and
 # cudasw-core deny clippy::unwrap_used / clippy::expect_used in non-test

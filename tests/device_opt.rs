@@ -92,22 +92,6 @@ fn all_128_combinations_score_bit_identically() {
     }
 }
 
-#[test]
-fn staged_path_matches_unstaged_for_every_combination() {
-    let db = mixed_db();
-    let queries = [make_query(50, 19), make_query(37, 23)];
-    for dc in DeviceKernelConfig::all_combinations() {
-        let mut plain = CudaSwDriver::new(DeviceSpec::tesla_c2050(), config(dc));
-        let mut staged_drv = CudaSwDriver::new(DeviceSpec::tesla_c2050(), config(dc));
-        let staged = staged_drv.stage_database(&db).unwrap();
-        for query in &queries {
-            let a = plain.search(query, &db).unwrap();
-            let b = staged_drv.search_staged(query, &staged).unwrap();
-            assert_eq!(a.scores, b.scores, "config {}", dc.label());
-        }
-    }
-}
-
 /// Fault plans × the full flag matrix: scores stay equal to the fault-free
 /// oracle and the degradation verdict (did any score come from a non-device
 /// path?) is a property of the *plan*, never of the optimization flags.
@@ -204,6 +188,7 @@ fn shared_boundary_falls_back_at_every_length() {
             &DeviceSpec::tesla_c2050(),
             db.sequences(),
             &query,
+            &params,
             ImprovedParams::default(),
             VariantConfig::improved(),
             device,
@@ -515,8 +500,16 @@ fn every_simulator_counter_is_pinned() {
                 threads_per_block: 32,
                 tile_height,
             };
-            let (scores, stats) =
-                run_intra_variant(&spec, long.sequences(), &query, shape, variant, device).unwrap();
+            let (scores, stats) = run_intra_variant(
+                &spec,
+                long.sequences(),
+                &query,
+                &params,
+                shape,
+                variant,
+                device,
+            )
+            .unwrap();
             digest.launch(&stats);
             for s in scores {
                 digest.word(s as u32 as u64);

@@ -6,6 +6,7 @@ use cudasw_core::variants::run_intra_variant;
 use cudasw_core::{CudaSwConfig, CudaSwDriver, DeviceKernelConfig, ImprovedParams, VariantConfig};
 use gpu_sim::memory::MemorySystem;
 use gpu_sim::{DeviceSpec, WarpAccess};
+use sw_align::SwParams;
 use sw_db::synth::{database_with_lengths, make_query};
 
 /// Improved-kernel global transactions grow (about) linearly with the
@@ -22,6 +23,7 @@ fn improved_kernel_traffic_scales_with_columns() {
         &spec,
         short.sequences(),
         &query,
+        &SwParams::cudasw_default(),
         params,
         VariantConfig::improved(),
         DeviceKernelConfig::default(),
@@ -31,6 +33,7 @@ fn improved_kernel_traffic_scales_with_columns() {
         &spec,
         long.sequences(),
         &query,
+        &SwParams::cudasw_default(),
         params,
         VariantConfig::improved(),
         DeviceKernelConfig::default(),
@@ -207,7 +210,7 @@ fn launch_every_kernel(
         residue_balanced_bins, ImprovedIntraKernel, InterTaskKernel, IntraPair, OriginalIntraKernel,
     };
     use gpu_sim::{DevicePtr, GpuDevice};
-    use sw_align::{PackedProfile, SwParams};
+    use sw_align::PackedProfile;
 
     let params = SwParams::cudasw_default();
     let packed = PackedProfile::build(&params.matrix, query);
