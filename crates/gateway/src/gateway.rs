@@ -90,9 +90,6 @@ pub struct GatewayConfig {
     /// Cross-wave lane-health policy (breakers quarantine flaky lanes;
     /// their shard work routes to the host lane).
     pub health: HealthPolicy,
-    /// Shed queued requests whose deadline already passed instead of
-    /// serving them late.
-    pub shed_expired: bool,
     /// Seeded fault schedule for host-lane work.
     pub host_faults: HostFaultPlan,
     /// Graceful-drain budget before shutdown cancels in-flight host
@@ -115,7 +112,6 @@ impl Default for GatewayConfig {
             search: CudaSwConfig::improved(),
             recovery: RecoveryPolicy::default(),
             health: HealthPolicy::default(),
-            shed_expired: false,
             host_faults: HostFaultPlan::none(),
             drain_grace_seconds: 5.0,
         }
@@ -262,7 +258,9 @@ impl Gateway {
                 MAX_INFLIGHT_WAVES,
                 cfg.admission.clone(),
                 cfg.batch.clone(),
-                cfg.shed_expired,
+                // Wall-clock serving answers a late request late; only
+                // the simulated stack sheds expired ones.
+                false,
             ),
             health: HealthTracker::new(devices, cfg.health.clone()),
             lanes,

@@ -658,8 +658,9 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
     // The repair's early exit is sound only for strictly affine gaps: with
     // open == extend, a lazily-raised H generates an F chain exactly equal
     // to the exit threshold, which the cutoff would drop. Those gap models
-    // always scan, and their one repair pass runs to the end.
-    let early_exit = gaps.open > gaps.extend;
+    // always scan, and their one repair pass runs to the end. Judged on
+    // the clamped pair, which is what the kernel subtracts.
+    let early_exit = open > extend;
     let scan_always = force_scan || !early_exit;
     let peel = PEEL.min(seg_len);
     // H-store, H-load and E share one buffer; the two H thirds trade
@@ -972,7 +973,8 @@ pub fn sw_words_grouped<V: WordSimd, C: ColumnCheck>(
     assert!(subjects.len() <= V::LANES && subjects.len() == starts.len());
     assert_codes(subjects, profile.tables.len());
     let zero = V::zero();
-    let g = [V::splat(gaps.open as i16), V::splat(gaps.extend as i16)];
+    let (open, extend) = word_gaps(gaps);
+    let g = [V::splat(open), V::splat(extend)];
     // Each lane's columns past its start, and its rows and maximum there.
     let rest: Vec<&[u8]> = (subjects.iter().zip(starts))
         .map(|(s, h)| &s[h.cols..])
@@ -1022,6 +1024,14 @@ pub fn sw_words_grouped<V: WordSimd, C: ColumnCheck>(
     Some(maxima[..subjects.len()].iter().map(|&x| x.into()).collect())
 }
 
+/// The gap penalties as word lanes subtract them, clamped at `i16::MAX`
+/// as the byte kernels clamp at 255. Exact: H never exceeds `i16::MAX`, so
+/// H minus any larger penalty is at most 0 and inert either way.
+fn word_gaps(gaps: &GapPenalties) -> (i16, i16) {
+    let clamp = |p: i32| p.clamp(0, i16::MAX.into()) as i16;
+    (clamp(gaps.open), clamp(gaps.extend))
+}
+
 /// Word-mode striped Smith-Waterman continuing from `start` (the zero
 /// state, or what the byte kernel handed over), with a cancellation probe
 /// polled every [`CANCEL_CHECK_COLS`] columns; `None` means the alignment
@@ -1043,12 +1053,14 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
 ) -> Option<WordKernelResult> {
     const { assert!(V::LANES <= 2 * SCAN_STEPS[4]) };
     let seg_len = profile.seg_len();
-    let v_open = V::splat(gaps.open as i16);
-    let v_extend = V::splat(gaps.extend as i16);
-    let chunk_decay = seg_len as u64 * gaps.extend.max(0) as u64;
+    let (open, extend) = word_gaps(gaps);
+    let v_open = V::splat(open);
+    let v_extend = V::splat(extend);
+    let chunk_decay = seg_len as u64 * extend as u64;
     let v_chunk = V::splat(chunk_decay.min(i16::MAX as u64) as i16);
-    // See the byte kernel for why the cutoff needs strictly affine gaps.
-    let early_exit = gaps.open > gaps.extend;
+    // See the byte kernel for why the cutoff needs strictly affine gaps
+    // (judged, as there, on the clamped pair).
+    let early_exit = open > extend;
     let scan_always = force_scan || !early_exit;
     let peel = PEEL.min(seg_len);
     let mut state = vec![V::zero(); 3 * seg_len];

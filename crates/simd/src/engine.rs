@@ -329,30 +329,6 @@ impl QueryEngine {
         }
         Some(out)
     }
-
-    /// Estimated peak scratch bytes one alignment of this engine holds:
-    /// each pass allocates one buffer of `3 × seg_len` vectors (H-store,
-    /// H-load, E), and an overflowing byte pass de-stripes H and E into
-    /// two i16 hand-off buffers before it returns. The byte buffer is
-    /// freed before the word pass allocates its own, so the peak is the
-    /// hand-off buffers plus the larger of the two stripe buffers. The
-    /// pool's memory-budget admission charges this plus a per-sequence
-    /// overhead for each in-flight chunk. Where the pool groups, a call can
-    /// hold more: the byte group's H and E bytes (`2m` a lane), the word
-    /// group's i16 H and E (`4m` a lane), and the pending hand-offs, `4m`
-    /// bytes each — up to `PENDING_GROUPS` word groups' worth plus the byte
-    /// group that fills them.
-    pub fn working_set_bytes(&self) -> u64 {
-        let m = self.query.len().max(1) as u64;
-        let byte_lanes = self.kind.byte_lanes() as u64;
-        let word_lanes = self.kind.word_lanes() as u64;
-        let byte_row = m.div_ceil(byte_lanes) * byte_lanes;
-        let word_row = m.div_ceil(word_lanes) * word_lanes * 2;
-        let striped = 3 * byte_row.max(word_row) + 2 * 2 * byte_row;
-        let pending = PENDING_GROUPS as u64 * word_lanes + byte_lanes;
-        let grouped = 2 * m * byte_lanes + 4 * m * (word_lanes + pending);
-        striped.max(u64::from(self.groups()) * grouped)
-    }
 }
 
 /// The precision ladder over one backend's generic kernels: the byte pass,
@@ -594,27 +570,6 @@ mod tests {
         let mut params = SwParams::cudasw_default();
         params.gaps.extend = params.gaps.open + 1;
         QueryEngine::with_backend(params, &[1, 2, 3], BackendKind::Portable);
-    }
-
-    #[test]
-    fn working_set_counts_stripes_and_hand_off_buffers() {
-        let query = make_query(100, 1);
-        let engine = |kind| QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind);
-        // The portable pool groups: H and E of 100 rows in 16 byte lanes
-        // and, in i16, in 8 word lanes and 4·8 + 16 pending hand-offs.
-        assert_eq!(
-            engine(BackendKind::Portable).working_set_bytes(),
-            2 * 100 * 16 + 4 * 100 * (8 + 4 * 8 + 16)
-        );
-        // SSE2 keeps the striped pass. 16 byte lanes pad 100 to 112, 8 word
-        // lanes to 104: the word pass's three-stripe buffer (the larger
-        // one; the byte pass's is gone by then) beside the two i16 hand-off
-        // buffers.
-        #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
-        assert_eq!(
-            engine(BackendKind::Sse2).working_set_bytes(),
-            3 * (2 * 104) + 2 * 2 * 112
-        );
     }
 
     #[test]

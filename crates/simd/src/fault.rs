@@ -3,7 +3,7 @@
 //! The simulated GPU has had a seeded fault layer since PR 1; this is its
 //! host mirror. A [`HostFaultPlan`] decides — as a pure function of the
 //! plan seed and a chunk's identity `(start, len)` — whether scoring that
-//! chunk panics, stalls, or fails its memory admission. Determinism is the
+//! chunk panics, stalls, or fails its allocation. Determinism is the
 //! whole point: the same plan over the same chunking injects the same
 //! faults no matter which worker draws which chunk, which thread count
 //! runs, or how stealing interleaves, so chaos tests can assert exact
@@ -33,8 +33,9 @@ pub enum HostFaultKind {
     /// The worker goes silent (sleeps) without making progress; the
     /// watchdog must re-dispatch the chunk to a survivor.
     Stall,
-    /// The chunk's memory admission is refused; the pool must re-chunk
-    /// under pressure.
+    /// The chunk's allocation fails; the pool splits a chunk of more than
+    /// one sequence in half and requeues both halves, and runs a
+    /// one-sequence chunk as it is.
     AllocFail,
 }
 
@@ -69,7 +70,7 @@ pub struct HostFaultRates {
     pub panic: f64,
     /// Probability a chunk's worker stalls before computing.
     pub stall: f64,
-    /// Probability a chunk's memory admission fails.
+    /// Probability a chunk's allocation fails.
     pub alloc_fail: f64,
 }
 

@@ -33,9 +33,9 @@
 //!   only way this crate scores a pair (a pair whose word pass saturates
 //!   is finished on scalar `sw_align::sw_score`, so every score is exact);
 //! * [`pool`] — work-stealing database sharding across threads, a fault
-//!   domain of its own ([`fault`], [`budget`], [`cancel`]). Engine plus
-//!   pool is the multi-threaded whole-database search in the role SWPS3
-//!   plays in Figure 7.
+//!   domain of its own ([`fault`], [`cancel`]). Engine plus pool is the
+//!   multi-threaded whole-database search in the role SWPS3 plays in
+//!   Figure 7.
 //!
 //! Every backend is validated against `sw_align::sw_score`: the root
 //! conformance harness (`tests/conformance.rs`) holds every backend ×
@@ -52,7 +52,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod backend;
-pub mod budget;
 pub mod cancel;
 pub mod dispatch;
 pub mod engine;
@@ -63,7 +62,6 @@ pub mod portable;
 pub mod x86;
 
 pub use backend::{ColumnCheck, NeverCancel};
-pub use budget::{BudgetDenied, BudgetReservation, HostMemoryBudget};
 pub use cancel::{CancelToken, Cancelled, CANCEL_CHECK_COLS};
 pub use dispatch::{BackendKind, KernelMode};
 pub use engine::{record_stats, AdaptiveStats, Precision, QueryEngine};
@@ -72,5 +70,4 @@ pub use pool::{
     effective_workers, length_aware_chunks, search_protected, search_protected_with_chunks,
     search_sequences, search_wave_protected, search_wave_protected_with_chunks, HostSearchResult,
     HostWaveResult, PoolConfig, PoolFaultReport, CHUNKS_PER_WORKER, MIN_SEQS_PER_WORKER,
-    SEQ_ADMISSION_BYTES,
 };

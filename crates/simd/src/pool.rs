@@ -36,20 +36,18 @@
 //!   the survivors, and per-sequence compare-and-swap commits make
 //!   reassembly exactly-once even when the stalled worker eventually
 //!   finishes the same chunk;
-//! * *memory admission* — each chunk reserves its estimated working set
-//!   from a [`HostMemoryBudget`] before computing; a denied reservation
-//!   splits the chunk in half and retries (re-chunk-on-pressure,
-//!   mirroring the GPU OOM path), and a minimum-size chunk is
-//!   force-admitted so progress is guaranteed;
 //! * *deterministic chaos* — a seeded [`HostFaultPlan`] injects panics,
 //!   stalls and alloc failures at chunk granularity as a pure function of
 //!   chunk identity, so the chaos tests can assert bit-identical scores
-//!   with zero lost or duplicated sequences.
+//!   with zero lost or duplicated sequences. An injected alloc failure
+//!   splits a chunk of more than one sequence in half and requeues both
+//!   halves (mirroring the GPU OOM path); a one-sequence chunk simply
+//!   runs.
 //!
 //! **One job shape: a wave.** [`search_wave_protected`] scores `seqs`
 //! against `k` engines in one job, database-major: a chunk is claimed,
-//! admitted, fault-injected, heart-beaten, re-dispatched and cancel-polled
-//! once, and scored against all `k` profiles while its subjects are in
+//! fault-injected, heart-beaten, re-dispatched and cancel-polled once,
+//! and scored against all `k` profiles while its subjects are in
 //! cache, so the job's fixed cost (the scope, the watchdog and its poll
 //! tick) is paid once per wave. The commit table, the score slots and the
 //! quarantine recompute key on the (query, sequence) cell. Every other
@@ -68,7 +66,6 @@
 //! pool's own fault counters are published by the calling thread after the
 //! parallel section ends, for the same reason.
 
-use crate::budget::HostMemoryBudget;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::engine::{AdaptiveStats, Precision, QueryEngine};
 use crate::fault::{HostFaultInjector, HostFaultKind, HostFaultPlan};
@@ -101,10 +98,6 @@ pub const MIN_SEQS_PER_WORKER: usize = 16;
 /// word pass ran 1.3× and the whole search 1.06–1.10× faster than at 32
 /// (EXPERIMENTS.md, "one subject a lane").
 const GROUP_SUBJECTS: usize = 256;
-
-/// Admission bytes charged per alignment in a chunk on top of the engines'
-/// kernel working sets (score slot, commit flag, queue bookkeeping).
-pub const SEQ_ADMISSION_BYTES: u64 = 32;
 
 /// Workers actually worth spawning for `alignments` (sequences × queries
 /// of the wave; the sequence count for one query) on this machine: never
@@ -166,7 +159,7 @@ pub struct PoolFaultReport {
     pub injected_panics: u64,
     /// Injected worker stalls.
     pub injected_stalls: u64,
-    /// Injected admission failures.
+    /// Injected alloc failures.
     pub injected_alloc_fails: u64,
     /// Chunk computations that panicked (injected or real) and were
     /// caught.
@@ -181,12 +174,8 @@ pub struct PoolFaultReport {
     /// Cell commits that lost the exactly-once race (duplicate work
     /// absorbed, never duplicate answers).
     pub duplicates_suppressed: u64,
-    /// Memory-budget reservations denied (real pressure, not injected).
-    pub budget_denials: u64,
-    /// Chunks split in half under admission pressure.
+    /// Chunks split in half after an injected alloc failure.
     pub rechunks: u64,
-    /// Minimum-size chunks force-admitted past the budget.
-    pub forced_admissions: u64,
 }
 
 impl PoolFaultReport {
@@ -195,7 +184,7 @@ impl PoolFaultReport {
         self.injected_panics + self.injected_stalls + self.injected_alloc_fails
     }
 
-    /// True when the search saw no faults, pressure, or duplicate work.
+    /// True when the search saw no faults or duplicate work.
     pub fn is_clean(&self) -> bool {
         *self == Self::default()
     }
@@ -271,8 +260,6 @@ pub struct PoolConfig {
     pub cancel: Option<CancelToken>,
     /// Seeded fault schedule (inert by default).
     pub fault_plan: HostFaultPlan,
-    /// Memory admission gate (unlimited by default).
-    pub budget: HostMemoryBudget,
     /// Watchdog: a worker whose heartbeat is flat for this long has its
     /// claimed chunk re-dispatched to a survivor. `0` disables the
     /// watchdog.
@@ -282,16 +269,15 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// Defaults: no cancellation, no faults, unlimited memory, watchdog
-    /// armed at one second (generous enough that per-alignment heartbeats
-    /// never false-trip on realistic chunks, cheap enough to always run).
+    /// Defaults: no cancellation, no faults, watchdog armed at one second
+    /// (generous enough that per-alignment heartbeats never false-trip on
+    /// realistic chunks, cheap enough to always run).
     pub fn new(threads: usize, precision: Precision) -> Self {
         Self {
             threads,
             precision,
             cancel: None,
             fault_plan: HostFaultPlan::none(),
-            budget: HostMemoryBudget::unlimited(),
             stall_after_ms: 1000,
             watchdog_poll_ms: 50,
         }
@@ -306,12 +292,6 @@ impl PoolConfig {
     /// Builder: install a fault plan.
     pub fn with_fault_plan(mut self, plan: HostFaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Builder: install a memory budget.
-    pub fn with_budget(mut self, budget: HostMemoryBudget) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -564,10 +544,7 @@ struct RunShared<'a> {
     seqs: &'a [Sequence],
     precision: Precision,
     cancel: Option<&'a CancelToken>,
-    budget: &'a HostMemoryBudget,
     stall_ms: u64,
-    /// Sum of the engines' kernel working sets (admission cost).
-    working_set: u64,
     injector: HostFaultInjector,
     cancelled: AtomicBool,
     committed: Vec<AtomicBool>,
@@ -579,9 +556,7 @@ struct RunShared<'a> {
     oracle_scored: AtomicU64,
     redispatches: AtomicU64,
     duplicates_suppressed: AtomicU64,
-    budget_denials: AtomicU64,
     rechunks: AtomicU64,
-    forced_admissions: AtomicU64,
 }
 
 impl<'a> RunShared<'a> {
@@ -592,9 +567,7 @@ impl<'a> RunShared<'a> {
             seqs,
             precision: cfg.precision,
             cancel: cfg.cancel.as_ref(),
-            budget: &cfg.budget,
             stall_ms: cfg.fault_plan.stall_ms,
-            working_set: engines.iter().map(QueryEngine::working_set_bytes).sum(),
             injector: HostFaultInjector::new(cfg.fault_plan.clone()),
             cancelled: AtomicBool::new(false),
             committed: (0..cells).map(|_| AtomicBool::new(false)).collect(),
@@ -606,9 +579,7 @@ impl<'a> RunShared<'a> {
             oracle_scored: AtomicU64::new(0),
             redispatches: AtomicU64::new(0),
             duplicates_suppressed: AtomicU64::new(0),
-            budget_denials: AtomicU64::new(0),
             rechunks: AtomicU64::new(0),
-            forced_admissions: AtomicU64::new(0),
         }
     }
 
@@ -644,16 +615,10 @@ impl<'a> RunShared<'a> {
         }
     }
 
-    /// Admission bytes for a chunk of `len` sequences: every engine's
-    /// working set plus the per-alignment overhead of `len × k` cells.
-    fn chunk_cost(&self, len: usize) -> u64 {
-        self.working_set + (len * self.engines.len()) as u64 * SEQ_ADMISSION_BYTES
-    }
-
-    /// Execute one chunk through the full fault domain — claimed,
-    /// admitted and fault-injected once, then scored against every engine
-    /// of the wave. Returns `false` when the worker should stop
-    /// (cancellation observed).
+    /// Execute one chunk through the full fault domain — claimed and
+    /// fault-injected once, then scored against every engine of the wave.
+    /// Returns `false` when the worker should stop (cancellation
+    /// observed).
     fn run_chunk(
         &self,
         range: Range<usize>,
@@ -666,33 +631,16 @@ impl<'a> RunShared<'a> {
         let id = (range.start, range.len());
         let fault = self.injector.fault_for(id);
 
-        // Memory admission (a real denial and an injected alloc failure
-        // take the same recovery path: split and retry, force at minimum).
-        let admission = if matches!(fault, Some(HostFaultKind::AllocFail)) {
-            None
-        } else {
-            match self.budget.try_reserve(self.chunk_cost(range.len())) {
-                Ok(r) => Some(r),
-                Err(_) => {
-                    self.budget_denials.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            }
-        };
-        let _reservation = match admission {
-            Some(r) => r,
-            None if range.len() > 1 => {
-                let mid = range.start + range.len() / 2;
-                requeue(mid..range.end);
-                requeue(range.start..mid);
-                self.rechunks.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-            None => {
-                self.forced_admissions.fetch_add(1, Ordering::Relaxed);
-                self.budget.force_reserve(self.chunk_cost(range.len()))
-            }
-        };
+        // An injected alloc failure splits the chunk and requeues both
+        // halves, which draw their own faults; one sequence cannot split,
+        // so it runs.
+        if matches!(fault, Some(HostFaultKind::AllocFail)) && range.len() > 1 {
+            let mid = range.start + range.len() / 2;
+            requeue(mid..range.end);
+            requeue(range.start..mid);
+            self.rechunks.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
 
         if matches!(fault, Some(HostFaultKind::Stall)) {
             // Go silent without beating the heart: the watchdog's cue.
@@ -794,9 +742,7 @@ impl<'a> RunShared<'a> {
             oracle_scored: self.oracle_scored.into_inner(),
             redispatches: self.redispatches.into_inner(),
             duplicates_suppressed: self.duplicates_suppressed.into_inner(),
-            budget_denials: self.budget_denials.into_inner(),
             rechunks: self.rechunks.into_inner(),
-            forced_admissions: self.forced_admissions.into_inner(),
         };
         record_pool_faults(&faults);
         if steals > 0 {
@@ -831,7 +777,7 @@ impl<'a> RunShared<'a> {
 /// Publish the pool fault-domain counters under `cudasw.simd.pool.*`
 /// (calling thread only — the recorder is thread-local).
 fn record_pool_faults(faults: &PoolFaultReport) {
-    let pairs: [(&str, u64); 9] = [
+    let pairs: [(&str, u64); 7] = [
         ("cudasw.simd.pool.panics", faults.panics),
         ("cudasw.simd.pool.quarantines", faults.quarantined_chunks),
         ("cudasw.simd.pool.oracle_recomputes", faults.oracle_scored),
@@ -840,12 +786,7 @@ fn record_pool_faults(faults: &PoolFaultReport) {
             "cudasw.simd.pool.duplicates_suppressed",
             faults.duplicates_suppressed,
         ),
-        ("cudasw.simd.pool.budget_denied", faults.budget_denials),
         ("cudasw.simd.pool.rechunks", faults.rechunks),
-        (
-            "cudasw.simd.pool.forced_admissions",
-            faults.forced_admissions,
-        ),
         ("cudasw.simd.pool.faults_injected", faults.injected()),
     ];
     for (name, value) in pairs {
@@ -935,28 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_cost_charges_every_engine_and_every_alignment() {
-        let db = database_with_lengths("t", &[40; 8], 3);
-        let engines: Vec<QueryEngine> = [30usize, 64, 200]
-            .iter()
-            .map(|&len| engine(&make_query(len, len as u64)))
-            .collect();
-        let cfg = PoolConfig::new(1, Precision::Adaptive);
-        // k = 1 is what a single-query search has always been charged.
-        let one = RunShared::new(&engines[..1], db.sequences(), &cfg);
-        assert_eq!(
-            one.chunk_cost(5),
-            engines[0].working_set_bytes() + 5 * SEQ_ADMISSION_BYTES
-        );
-        let wave = RunShared::new(&engines, db.sequences(), &cfg);
-        let working_sets: u64 = engines.iter().map(|e| e.working_set_bytes()).sum();
-        assert_eq!(
-            wave.chunk_cost(5),
-            working_sets + 3 * 5 * SEQ_ADMISSION_BYTES
-        );
-    }
-
-    #[test]
     fn quarantine_recomputes_only_uncommitted_cells() {
         let db = database_with_lengths("t", &[40, 50, 60, 70, 80, 90], 5);
         let engines: Vec<QueryEngine> = (0..3u64)
@@ -975,7 +894,7 @@ mod tests {
         assert!(shared.commit(2, 4, clean[2][4]));
         let heart = AtomicU64::new(0);
         for range in [0..2, 2..5, 5..6] {
-            assert!(shared.run_chunk(range, &mut |_| unreachable!("no budget"), &heart));
+            assert!(shared.run_chunk(range, &mut |_| unreachable!("no alloc failure"), &heart));
         }
         let r = shared
             .finish(Instant::now(), 0)
@@ -1094,14 +1013,19 @@ mod tests {
     }
 
     #[test]
-    fn budget_pressure_rechunks_and_still_covers_everything() {
-        let db = database_with_lengths("t", &[30; 24], 9);
+    fn alloc_fail_splits_down_to_one_sequence_which_runs() {
+        let db = database_with_lengths("t", &[30, 45, 60, 75, 90, 105, 120, 135], 9);
         let query = make_query(40, 2);
         let eng = engine(&query);
         let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
-        // Budget below even one chunk's working set: every chunk splits
-        // down to single sequences, which are then force-admitted.
-        let cfg = PoolConfig::new(1, Precision::Adaptive).with_budget(HostMemoryBudget::bytes(8));
+        // The whole database, then each left half, fails its allocation:
+        // 8 → 4 → 2 → 1 is three splits, and the one-sequence chunk (0, 1)
+        // runs through its own fault.
+        let chain = [(0, 8), (0, 4), (0, 2), (0, 1)];
+        let plan = chain.iter().fold(HostFaultPlan::none(), |plan, &id| {
+            plan.with_fault_at(id, HostFaultKind::AllocFail)
+        });
+        let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
         // One chunk spanning the whole database (not a 0..n index list —
         // clippy::single_range_in_vec_init guards against that misread).
         let chunks = [Range {
@@ -1112,10 +1036,13 @@ mod tests {
             Ok(r) => r,
             Err(e) => panic!("not cancellable: {e}"),
         };
-        assert_eq!(r.scores, clean.scores);
-        assert!(r.faults.rechunks > 0, "pressure must split chunks");
-        assert!(r.faults.forced_admissions > 0, "minimum chunks forced");
-        assert!(r.faults.budget_denials > 0);
+        assert_eq!(r.scores, clean.scores, "bit-identical through the splits");
+        assert_eq!(r.faults.injected_alloc_fails, chain.len() as u64);
+        assert_eq!(r.faults.rechunks, chain.len() as u64 - 1);
+        // Every sequence, the faulted single one included, was scored by
+        // the kernels: none fell to the oracle.
+        assert_eq!(r.faults.oracle_scored, 0);
+        assert_eq!(r.stats.byte_mode + r.stats.word_fallbacks, db.len() as u64);
     }
 
     #[test]

@@ -117,8 +117,7 @@ cargo test -q --offline -p sw-simd --test handoff_differential --test peel_diffe
 # Crash-only host engine: the seeded host-fault matrix (>=3 seeds x
 # {panic, stall, alloc-fail}, each cell's published cudasw.simd.pool.*
 # counters equal to its fault report, chaos storms that land on every
-# seed, budget starvation) and the all-or-nothing cancellation
-# properties, named explicitly so a filter can never silently drop them
+# seed) and the all-or-nothing cancellation properties, named explicitly so a filter can never silently drop them
 # (see DESIGN.md §15).
 cargo test -q --offline -p sw-simd --test host_faults --test cancel_props
 

@@ -25,7 +25,8 @@
 //!   40,000, lengths 0 and 1, a query shorter than one vector and one longer
 //!   than one strip, subjects at the 3,072 threshold, the shared-only panel
 //!   and the shared-boundary fit, the codes B, Z, X and `*`,
-//!   `open == extend`, no positive overlap, gap walls and hand-picked pairs;
+//!   `open == extend`, an open penalty past `i16::MAX`, no positive
+//!   overlap, gap walls and hand-picked pairs;
 //! * **seeded** — random queries, databases and gap models, the mixed
 //!   database of the device suite, and subjects at the device kernels'
 //!   strip and tile boundaries under four query lengths and three seeds.
@@ -683,6 +684,23 @@ fn exhaustive_rows() -> Vec<Row> {
     seqs.iter().map(row).collect()
 }
 
+/// `count` copies of `seq`, each with one residue deleted (even copies) or
+/// one repeated (odd ones), at positions spread along it.
+fn indels(seq: &[u8], count: usize) -> Vec<Vec<u8>> {
+    (0..count)
+        .map(|i| {
+            let at = 10 + i * (seq.len() - 20) / count;
+            let mut s = seq.to_vec();
+            if i % 2 == 0 {
+                s.remove(at);
+            } else {
+                s.insert(at, seq[at]);
+            }
+            s
+        })
+        .collect()
+}
+
 /// The edges each kernel's exactness argument has to survive.
 fn adversarial_rows() -> Vec<Row> {
     let a = Category::Adversarial;
@@ -695,6 +713,12 @@ fn adversarial_rows() -> Vec<Row> {
         gaps: GapPenalties::new(2, 2).unwrap(),
         ..SwParams::cudasw_default()
     };
+    // An open penalty past `i16::MAX`, which a word lane cannot hold.
+    let wide_gaps = SwParams {
+        gaps: GapPenalties::new(65_546, 2).unwrap(),
+        ..SwParams::cudasw_default()
+    };
+    let gapped = make_query(200, 23);
     let protein = |s: &str| encode_protein(s).unwrap();
     let random = |lengths: &[usize], seed: u64| -> Vec<Vec<u8>> {
         (lengths.iter().enumerate())
@@ -809,6 +833,15 @@ fn adversarial_rows() -> Vec<Row> {
             ]
             .concat(),
             vec![vec![4, 12, 7, 17]],
+        ),
+        // 65,546 wrapped to an i16 is 10: each subject is the query with a
+        // residue deleted or inserted, so a wrapped penalty buys a gap.
+        Row::new(
+            a,
+            "gaps (65,546, 2): an open past i16::MAX",
+            &wide_gaps,
+            gapped.clone(),
+            [vec![gapped.clone()], indels(&gapped, 20)].concat(),
         ),
         // Glycine against tryptophan scores negative: the answer is 0.
         Row::new(

@@ -50,16 +50,16 @@ fn mixed_db() -> Database {
     )
 }
 
-/// Every combination scores what the oracle scores, under both intra
-/// kernels — and there is one loop: a fault-free `search_resilient` under
-/// the default policy is the same walk as `search`, so the whole
-/// `SearchResult` agrees, every simulated second to the bit, with nothing
-/// in the ledger.
+/// Every combination does the same DP work under both intra kernels — and
+/// there is one loop: a fault-free `search_resilient` under the default
+/// policy is the same walk as `search`, so the whole `SearchResult`
+/// agrees, every simulated second to the bit, with nothing in the ledger.
+/// That each combination scores what the oracle scores is the conformance
+/// harness's (`tests/conformance.rs`, the 128 × 2 matrix on this database).
 #[test]
 fn all_128_combinations_score_bit_identically() {
     let db = mixed_db();
     let query = make_query(50, 19);
-    let oracle = oracle(&query, &db);
     let policy = RecoveryPolicy::default();
     let seconds = |r: &cudasw_core::SearchResult| {
         [r.inter.seconds, r.intra.seconds, r.transfer_seconds].map(f64::to_bits)
@@ -77,7 +77,6 @@ fn all_128_combinations_score_bit_identically() {
             let driver = || CudaSwDriver::new(DeviceSpec::tesla_c2050(), cfg.clone());
             // A fresh registry per search: phase seconds are registry deltas.
             let (r, _) = obs::capture(|| driver().search(&query, &db).unwrap());
-            assert_eq!(r.scores, oracle, "{tag}");
             assert_eq!(
                 r.total_cells(),
                 db.total_cells(query.len()),
