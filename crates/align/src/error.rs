@@ -21,7 +21,7 @@ pub enum AlignError {
         /// Number of codes the matrix covers.
         alphabet_size: usize,
     },
-    /// Gap penalties must be non-negative and open >= extend.
+    /// Gap penalties must satisfy `2^30 >= open >= extend >= 0`.
     InvalidGapPenalties {
         /// Gap-open penalty ρ.
         open: i32,
@@ -46,7 +46,8 @@ impl fmt::Display for AlignError {
             ),
             AlignError::InvalidGapPenalties { open, extend } => write!(
                 f,
-                "invalid gap penalties: open={open}, extend={extend} (need open >= extend >= 0)"
+                "invalid gap penalties: open={open}, extend={extend} (need 2^30 >= open >= \
+                 extend >= 0; a larger penalty wraps the i32::MIN / 2 gap sentinel)"
             ),
         }
     }

@@ -14,6 +14,7 @@
 //! [`GapPenalties::cudasw_default`].
 
 use crate::error::AlignError;
+use crate::smith_waterman::NEG_INF;
 
 /// Affine gap penalties (stored as positive magnitudes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,10 +26,12 @@ pub struct GapPenalties {
 }
 
 impl GapPenalties {
-    /// Create a validated gap model. Requires `open >= extend >= 0` (a gap
-    /// must not get cheaper by splitting, and penalties are magnitudes).
+    /// Create a validated gap model. Requires `2^30 >= open >= extend >= 0`:
+    /// a gap must not get cheaper by splitting, penalties are magnitudes,
+    /// and every recurrence subtracts them from the [`NEG_INF`] sentinel
+    /// (`i32::MIN / 2`), which a penalty above its magnitude would wrap.
     pub fn new(open: i32, extend: i32) -> Result<Self, AlignError> {
-        if extend < 0 || open < extend {
+        if extend < 0 || open < extend || open > -NEG_INF {
             return Err(AlignError::InvalidGapPenalties { open, extend });
         }
         Ok(Self { open, extend })
@@ -82,6 +85,10 @@ mod tests {
             GapPenalties::new(5, -1).is_err(),
             "negative extend rejected"
         );
+        assert!(GapPenalties::new(1 << 30, 1 << 30).is_ok());
+        let wide = GapPenalties::new(i32::MAX, i32::MAX);
+        assert!(wide.is_err(), "a penalty that wraps the sentinel rejected");
+        assert!(wide.unwrap_err().to_string().contains("sentinel"));
     }
 
     #[test]

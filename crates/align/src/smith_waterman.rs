@@ -14,9 +14,9 @@ use crate::matrix::ScoringMatrix;
 ///
 /// Half of `i32::MIN` so that subtracting a gap penalty (or adding a
 /// substitution score) can never wrap around to a large positive value:
-/// the recurrences only ever *subtract* penalties from it, and one
-/// `debug_assert!` per search guards that substitution scores stay far
-/// above it (see [`sw_score`]).
+/// the recurrences only ever *subtract* penalties from it, which
+/// [`GapPenalties::new`] bounds by its magnitude (2^30), and one
+/// `debug_assert!` per search guards each bound (see [`sw_score`]).
 pub const NEG_INF: i32 = i32::MIN / 2;
 
 /// Parameters shared by every Smith-Waterman variant.
@@ -55,6 +55,10 @@ pub fn sw_score(params: &SwParams, query: &[u8], db: &[u8]) -> i32 {
     debug_assert!(
         params.matrix.min_score() > NEG_INF / 2,
         "substitution scores must not underflow the NEG_INF sentinel"
+    );
+    debug_assert!(
+        params.gaps.open <= -NEG_INF && params.gaps.extend <= -NEG_INF,
+        "gap penalties must not wrap the NEG_INF sentinel"
     );
     let (open, extend) = (params.gaps.open, params.gaps.extend);
     let m = query.len();
@@ -146,6 +150,20 @@ mod tests {
             &encode_protein(q).unwrap(),
             &encode_protein(d).unwrap(),
         )
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "gap penalties must not wrap the NEG_INF sentinel")]
+    fn gap_penalties_past_the_sentinel_are_refused() {
+        let params = SwParams {
+            gaps: GapPenalties {
+                open: i32::MAX,
+                extend: i32::MAX,
+            },
+            ..p()
+        };
+        sw_score(&params, &[1, 2], &[1, 2]);
     }
 
     #[test]

@@ -248,7 +248,6 @@ fn soak_config() -> ServeConfig {
             // Short cooldown so quarantine, probing and re-admission all
             // fit inside the simulated horizon.
             cooldown_seconds: 5.0e-3,
-            ..HealthPolicy::default()
         },
         batch: BatchPolicy {
             urgent_slack_seconds: 5.0e-2,

@@ -6,8 +6,8 @@
 //! outcomes and a circuit breaker:
 //!
 //! ```text
-//!             consecutive failures ≥ open_after_consecutive
-//!             or fault score ≥ open_fault_score, or lane death
+//!             consecutive failures ≥ OPEN_AFTER_CONSECUTIVE
+//!             or fault score ≥ OPEN_FAULT_SCORE, or lane death
 //!   ┌────────┐ ──────────────────────────────────────────▶ ┌────────┐
 //!   │ Closed │                                             │  Open  │
 //!   └────────┘ ◀──┐                                        └────────┘
@@ -37,17 +37,20 @@
 /// Clean probe waves a half-open lane must serve to close.
 const CLOSE_AFTER_PROBES: u32 = 2;
 
+/// EWMA smoothing factor of the fault score, in (0, 1]; higher weighs
+/// recent waves more.
+const EWMA_ALPHA: f64 = 0.3;
+
+/// Consecutive failed waves that open the breaker.
+const OPEN_AFTER_CONSECUTIVE: u32 = 3;
+
+/// Fault-score level (EWMA of 0/1 wave outcomes) that opens the breaker
+/// even without a consecutive run.
+const OPEN_FAULT_SCORE: f64 = 0.6;
+
 /// Health and breaker knobs.
 #[derive(Debug, Clone)]
 pub struct HealthPolicy {
-    /// EWMA smoothing factor for the fault score, in (0, 1];
-    /// higher weighs recent waves more.
-    pub ewma_alpha: f64,
-    /// Consecutive failed waves that open the breaker.
-    pub open_after_consecutive: u32,
-    /// Fault-score level (EWMA of 0/1 wave outcomes) that opens the
-    /// breaker even without a consecutive run.
-    pub open_fault_score: f64,
     /// Service seconds an open breaker waits before half-opening.
     pub cooldown_seconds: f64,
 }
@@ -55,9 +58,6 @@ pub struct HealthPolicy {
 impl Default for HealthPolicy {
     fn default() -> Self {
         Self {
-            ewma_alpha: 0.3,
-            open_after_consecutive: 3,
-            open_fault_score: 0.6,
             cooldown_seconds: 2.0e-2,
         }
     }
@@ -164,9 +164,9 @@ impl HealthTracker {
     /// on the lane's device during the wave (fault-stats delta), clean
     /// otherwise. Drives the EWMA fault score and the breaker.
     pub fn observe_wave(&mut self, s: usize, faulted: bool, now: f64) {
-        let a = self.policy.ewma_alpha;
         let lane = &mut self.lanes[s];
-        lane.fault_score = (1.0 - a) * lane.fault_score + a * f64::from(u8::from(faulted));
+        lane.fault_score =
+            (1.0 - EWMA_ALPHA) * lane.fault_score + EWMA_ALPHA * f64::from(u8::from(faulted));
         obs::gauge_set(
             "cudasw.serve.health.fault_score",
             &[("lane", &s.to_string())],
@@ -174,8 +174,8 @@ impl HealthTracker {
         );
         if faulted {
             lane.consecutive_failures += 1;
-            let trip = lane.consecutive_failures >= self.policy.open_after_consecutive
-                || lane.fault_score >= self.policy.open_fault_score;
+            let trip = lane.consecutive_failures >= OPEN_AFTER_CONSECUTIVE
+                || lane.fault_score >= OPEN_FAULT_SCORE;
             match lane.state {
                 // A half-open lane re-opens on its first failed probe.
                 BreakerState::HalfOpen => self.open(s, now),
@@ -281,10 +281,10 @@ mod tests {
     fn consecutive_failures_open_then_cooldown_half_opens() {
         let mut t = tracker(1);
         let p = t.policy().clone();
-        for i in 0..p.open_after_consecutive {
+        for i in 0..OPEN_AFTER_CONSECUTIVE {
             assert!(t.admits(0, 0.0));
             t.observe_wave(0, true, 0.0);
-            if i + 1 < p.open_after_consecutive {
+            if i + 1 < OPEN_AFTER_CONSECUTIVE {
                 assert_eq!(t.lane(0).state, BreakerState::Closed);
             }
         }
@@ -309,17 +309,9 @@ mod tests {
 
     #[test]
     fn fault_rate_threshold_opens_without_a_consecutive_run() {
-        let mut t = HealthTracker::new(
-            1,
-            HealthPolicy {
-                ewma_alpha: 0.5,
-                open_after_consecutive: 100,
-                open_fault_score: 0.6,
-                ..HealthPolicy::default()
-            },
-        );
-        // Alternating failures never build a consecutive run, but the
-        // EWMA climbs past the threshold.
+        let mut t = tracker(1);
+        // Fail, fail, ok never builds a run of OPEN_AFTER_CONSECUTIVE, but
+        // the EWMA climbs past the threshold (0.685 at the fifth wave).
         let mut opened = false;
         for i in 0..20 {
             let now = i as f64 * 1e-3;
@@ -334,6 +326,8 @@ mod tests {
             }
         }
         assert!(opened, "fault score {:.2}", t.lane(0).fault_score);
+        assert!(t.lane(0).consecutive_failures < OPEN_AFTER_CONSECUTIVE);
+        assert!(t.lane(0).fault_score >= OPEN_FAULT_SCORE);
     }
 
     #[test]

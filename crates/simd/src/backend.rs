@@ -5,13 +5,13 @@
 //! add/sub, max, lane shift, any-greater, horizontal max).
 //! [`sw_bytes_checked`] and [`sw_words_checked`] implement Farrar's kernel
 //! exactly once per precision, generically over those traits; every backend
-//! (AVX2, SSE2, NEON, and the portable emulated vectors) instantiates the
+//! (AVX2, SSE2 and the portable emulated vectors) instantiates the
 //! same kernel with its own vector type.
 //!
 //! **Nine vector operations a stripe.** A byte lane holds a score *level*
 //! `0..=255` in an encoding its vector type owns, and the byte loop adds a
 //! profile score through [`ByteSimd::add_score`] — "floored at level 0" is
-//! part of the operation. Farrar's biased unsigned bytes (SSE2, NEON,
+//! part of the operation. Farrar's biased unsigned bytes (SSE2 and
 //! portable) spend two instructions there, `paddusb` then `psubusb bias`,
 //! ten a stripe; AVX2's offset-binary signed bytes spend one `vpaddsb`,
 //! because a signed saturating add floors at its own minimum, and that loop

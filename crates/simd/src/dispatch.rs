@@ -2,13 +2,13 @@
 //!
 //! [`BackendKind::detect`] picks the widest backend the running CPU
 //! supports: AVX2 (32-lane byte mode) > SSE2 (16-lane, x86-64 baseline) >
-//! NEON (16-lane, AArch64 baseline) > the portable emulated vectors. A
-//! build without the `native-simd` cargo feature compiles the native
-//! backends out, so only the portable one is left (CI uses it to exercise
-//! the fallback path on any host). The `SW_SIMD_BACKEND` environment
-//! variable (`avx2` / `sse2` / `neon` / `portable`) requests a specific
-//! backend at run time and is ignored — never trusted — when that backend
-//! is unavailable.
+//! the portable emulated vectors. The x86 backends are compiled on x86-64
+//! only; any other target runs the portable one. The portable backend is
+//! available on every build, so tests reach it through
+//! [`QueryEngine::with_backend`](crate::QueryEngine::with_backend). The
+//! `SW_SIMD_BACKEND` environment variable (`avx2` / `sse2` / `portable`)
+//! requests a specific backend at run time and is ignored — never trusted
+//! — when that backend is unavailable.
 //!
 //! [`KernelMode`] selects how cross-segment F propagation is repaired in
 //! the striped kernels. By default each column takes the classic Lazy-F
@@ -26,8 +26,6 @@ pub enum BackendKind {
     Avx2,
     /// SSE2: 16 × u8 byte mode, 8 × i16 word mode (x86-64 baseline).
     Sse2,
-    /// NEON: 16 × u8 byte mode, 8 × i16 word mode (AArch64 baseline).
-    Neon,
     /// Emulated fixed-size-array vectors (any target).
     Portable,
 }
@@ -36,12 +34,7 @@ impl BackendKind {
     /// Every kind, widest first — the preference order of [`detect`].
     ///
     /// [`detect`]: BackendKind::detect
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Avx2,
-        BackendKind::Sse2,
-        BackendKind::Neon,
-        BackendKind::Portable,
-    ];
+    pub const ALL: [BackendKind; 3] = [BackendKind::Avx2, BackendKind::Sse2, BackendKind::Portable];
 
     /// Stable lowercase name (used in metrics labels, env overrides, and
     /// the repo benchmark's result line).
@@ -49,7 +42,6 @@ impl BackendKind {
         match self {
             BackendKind::Avx2 => "avx2",
             BackendKind::Sse2 => "sse2",
-            BackendKind::Neon => "neon",
             BackendKind::Portable => "portable",
         }
     }
@@ -59,7 +51,6 @@ impl BackendKind {
         match name.to_ascii_lowercase().as_str() {
             "avx2" => Some(BackendKind::Avx2),
             "sse2" => Some(BackendKind::Sse2),
-            "neon" => Some(BackendKind::Neon),
             "portable" => Some(BackendKind::Portable),
             _ => None,
         }
@@ -68,20 +59,15 @@ impl BackendKind {
     /// True when this build can execute the backend on the running CPU.
     pub fn is_available(self) -> bool {
         match self {
-            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+            #[cfg(target_arch = "x86_64")]
             BackendKind::Avx2 => {
                 use crate::backend::Backend;
                 crate::x86::Avx2Backend::available()
             }
-            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+            #[cfg(target_arch = "x86_64")]
             BackendKind::Sse2 => {
                 use crate::backend::Backend;
                 crate::x86::Sse2Backend::available()
-            }
-            #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
-            BackendKind::Neon => {
-                use crate::backend::Backend;
-                crate::neon::NeonBackend::available()
             }
             BackendKind::Portable => true,
             #[allow(unreachable_patterns)] // arms above are cfg-gated
@@ -216,22 +202,16 @@ mod tests {
     fn lane_counts() {
         assert_eq!(BackendKind::Avx2.byte_lanes(), 32);
         assert_eq!(BackendKind::Avx2.word_lanes(), 16);
-        for kind in [BackendKind::Sse2, BackendKind::Neon, BackendKind::Portable] {
+        for kind in [BackendKind::Sse2, BackendKind::Portable] {
             assert_eq!(kind.byte_lanes(), 16);
             assert_eq!(kind.word_lanes(), 8);
         }
     }
 
-    #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn sse2_is_baseline_on_x86_64() {
         assert!(BackendKind::Sse2.is_available());
-    }
-
-    #[cfg(not(feature = "native-simd"))]
-    #[test]
-    fn a_build_without_native_backends_detects_portable() {
-        assert_eq!(BackendKind::detect(), BackendKind::Portable);
     }
 
     #[test]

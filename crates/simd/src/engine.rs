@@ -25,14 +25,11 @@ use crate::backend::{
 use crate::cancel::{CancelToken, Cancelled};
 use crate::dispatch::{BackendKind, KernelMode};
 use crate::portable::PortableBackend;
-use sw_align::smith_waterman::{sw_score, SwParams};
+use sw_align::smith_waterman::{sw_score, SwParams, NEG_INF};
 use sw_align::GapPenalties;
 
-#[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+#[cfg(target_arch = "x86_64")]
 use crate::x86::{group_avx2, score_avx2, Avx2Backend, Sse2Backend};
-
-#[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
-use crate::neon::NeonBackend;
 
 /// Which precision ladder to run per alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,12 +96,10 @@ impl<K: Backend> Profiles<K> {
 /// The profiles of whichever backend the engine dispatched to.
 enum ProfileSet {
     Portable(Profiles<PortableBackend>),
-    #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+    #[cfg(target_arch = "x86_64")]
     Sse2(Profiles<Sse2Backend>),
-    #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+    #[cfg(target_arch = "x86_64")]
     Avx2(Profiles<Avx2Backend>),
-    #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
-    Neon(Profiles<NeonBackend>),
 }
 
 /// `$ladder(gaps, profiles, args…)` on the engine's backend's profiles;
@@ -113,14 +108,12 @@ macro_rules! on_profiles {
     ($set:expr, $ladder:ident / $avx2:ident, $gaps:expr, $($arg:expr),*) => {
         match $set {
             ProfileSet::Portable(p) => $ladder($gaps, p, $($arg),*),
-            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+            #[cfg(target_arch = "x86_64")]
             ProfileSet::Sse2(p) => $ladder($gaps, p, $($arg),*),
             // SAFETY: `with_backend_and_mode` asserted AVX2 availability
             // before this profile set was built.
-            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+            #[cfg(target_arch = "x86_64")]
             ProfileSet::Avx2(p) => unsafe { $avx2($gaps, p, $($arg),*) },
-            #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
-            ProfileSet::Neon(p) => $ladder($gaps, p, $($arg),*),
         }
     };
 }
@@ -157,9 +150,9 @@ impl QueryEngine {
     /// Panics when `kind` is not available on this host/build — the
     /// availability check is the safety gate for the `unsafe` intrinsic
     /// calls inside the native backends — and when the gap penalties break
-    /// `open >= extend >= 0` (the fields are public, so
-    /// [`GapPenalties::new`] can be bypassed), which the Lazy-F early exit
-    /// and scan both rest on.
+    /// `2^30 >= open >= extend >= 0` (the fields are public, so
+    /// [`GapPenalties::new`] can be bypassed): the Lazy-F early exit and
+    /// scan rest on the order, and the scalar finish on the bound.
     pub fn with_backend_and_mode(
         params: SwParams,
         query: &[u8],
@@ -172,8 +165,8 @@ impl QueryEngine {
         );
         let GapPenalties { open, extend } = params.gaps;
         assert!(
-            open >= extend && extend >= 0,
-            "gap penalties must satisfy open >= extend >= 0, got open {open}, extend {extend}"
+            -NEG_INF >= open && open >= extend && extend >= 0,
+            "gap penalties must satisfy 2^30 >= open >= extend >= 0, got open {open}, extend {extend}"
         );
         obs::counter_add(
             "cudasw.simd.backend.selected",
@@ -181,12 +174,10 @@ impl QueryEngine {
             1.0,
         );
         let set = match kind {
-            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+            #[cfg(target_arch = "x86_64")]
             BackendKind::Sse2 => ProfileSet::Sse2(Profiles::build(&params, query)),
-            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+            #[cfg(target_arch = "x86_64")]
             BackendKind::Avx2 => ProfileSet::Avx2(Profiles::build(&params, query)),
-            #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
-            BackendKind::Neon => ProfileSet::Neon(Profiles::build(&params, query)),
             _ => ProfileSet::Portable(Profiles::build(&params, query)),
         };
         Self {
@@ -305,12 +296,10 @@ impl QueryEngine {
     pub(crate) fn groups(&self) -> bool {
         match &self.set {
             ProfileSet::Portable(_) => PortableBackend::GROUPS,
-            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+            #[cfg(target_arch = "x86_64")]
             ProfileSet::Sse2(_) => Sse2Backend::GROUPS,
-            #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+            #[cfg(target_arch = "x86_64")]
             ProfileSet::Avx2(_) => Avx2Backend::GROUPS,
-            #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
-            ProfileSet::Neon(_) => NeonBackend::GROUPS,
         }
     }
 
@@ -573,53 +562,68 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "got open 1073741825")]
+    fn gap_penalties_past_the_sentinel_are_refused() {
+        let mut params = SwParams::cudasw_default();
+        params.gaps = GapPenalties {
+            open: (1 << 30) + 1,
+            extend: 2,
+        };
+        QueryEngine::with_backend(params, &[1, 2, 3], BackendKind::Portable);
+    }
+
+    #[test]
     fn empty_inputs_score_zero_without_stats() {
         let params = SwParams::cudasw_default();
-        let engine = QueryEngine::new(params.clone(), &[]);
-        let mut stats = AdaptiveStats::default();
-        assert_eq!(
-            engine.score_with(&[1, 2], Precision::Adaptive, &mut stats),
-            0
-        );
-        let engine = QueryEngine::new(params, &[1, 2]);
-        assert_eq!(engine.score_with(&[], Precision::Adaptive, &mut stats), 0);
-        assert_eq!(stats, AdaptiveStats::default());
+        for kind in BackendKind::available() {
+            let engine = QueryEngine::with_backend(params.clone(), &[], kind);
+            let mut stats = AdaptiveStats::default();
+            assert_eq!(
+                engine.score_with(&[1, 2], Precision::Adaptive, &mut stats),
+                0
+            );
+            let engine = QueryEngine::with_backend(params.clone(), &[1, 2], kind);
+            assert_eq!(engine.score_with(&[], Precision::Adaptive, &mut stats), 0);
+            assert_eq!(stats, AdaptiveStats::default(), "{kind}");
+        }
     }
 
     #[test]
     fn selection_and_stats_counters_are_emitted() {
         let params = SwParams::cudasw_default();
-        let (kind, run) = obs::capture(|| {
-            let query = make_query(300, 2);
-            let engine = QueryEngine::new(params, &query);
-            let mut stats = AdaptiveStats::default();
-            engine.score_with(&make_query(30, 7), Precision::Adaptive, &mut stats);
-            engine.score_with(&query, Precision::Adaptive, &mut stats);
-            record_stats(engine.kind(), &stats);
-            engine.kind()
-        });
-        let backend = [("backend", kind.name())];
-        assert_eq!(
-            run.metrics
-                .counter("cudasw.simd.backend.selected", &backend),
-            1.0
-        );
-        assert_eq!(
-            run.metrics
-                .counter("cudasw.simd.byte_mode.alignments", &backend),
-            1.0,
-            "short pair stays in byte mode"
-        );
-        assert_eq!(
-            run.metrics
-                .counter("cudasw.simd.word_mode.reruns", &backend),
-            1.0,
-            "self-alignment overflows"
-        );
-        assert!(
-            run.metrics
-                .counter_sum("cudasw.simd.lazy_f.iterations", &[("mode", "word")])
-                > 0.0
-        );
+        for kind in BackendKind::available() {
+            let (kind, run) = obs::capture(|| {
+                let query = make_query(300, 2);
+                let engine = QueryEngine::with_backend(params.clone(), &query, kind);
+                let mut stats = AdaptiveStats::default();
+                engine.score_with(&make_query(30, 7), Precision::Adaptive, &mut stats);
+                engine.score_with(&query, Precision::Adaptive, &mut stats);
+                record_stats(engine.kind(), &stats);
+                engine.kind()
+            });
+            let backend = [("backend", kind.name())];
+            assert_eq!(
+                run.metrics
+                    .counter("cudasw.simd.backend.selected", &backend),
+                1.0
+            );
+            assert_eq!(
+                run.metrics
+                    .counter("cudasw.simd.byte_mode.alignments", &backend),
+                1.0,
+                "short pair stays in byte mode"
+            );
+            assert_eq!(
+                run.metrics
+                    .counter("cudasw.simd.word_mode.reruns", &backend),
+                1.0,
+                "self-alignment overflows"
+            );
+            assert!(
+                run.metrics
+                    .counter_sum("cudasw.simd.lazy_f.iterations", &[("mode", "word")])
+                    > 0.0
+            );
+        }
     }
 }

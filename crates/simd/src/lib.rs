@@ -19,10 +19,9 @@
 //!   kernels every backend shares (bit-identical scores by construction:
 //!   lane count changes the striping layout, never the per-cell
 //!   arithmetic);
-//! * `x86` / `neon` — `core::arch` backends, each built on its own
-//!   architecture under the `native-simd` feature: AVX2 (32×u8 / 16×i16,
-//!   `is_x86_feature_detected!`), SSE2 (16×u8 / 8×i16, x86-64 baseline),
-//!   NEON (16×u8 / 8×i16, AArch64 baseline);
+//! * `x86` — the `core::arch` backends, compiled on x86-64 only: AVX2
+//!   (32×u8 / 16×i16, `is_x86_feature_detected!`) and SSE2 (16×u8 /
+//!   8×i16, x86-64 baseline);
 //! * [`portable`] — the emulated [`U8x16`](portable::U8x16) /
 //!   [`I16x8`](portable::I16x8) vectors: the always-available fallback
 //!   backend and the differential-test baseline;
@@ -56,7 +55,6 @@ pub mod cancel;
 pub mod dispatch;
 pub mod engine;
 pub mod fault;
-pub mod neon;
 pub mod pool;
 pub mod portable;
 pub mod x86;

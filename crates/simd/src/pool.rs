@@ -35,7 +35,12 @@
 //!   watchdog thread re-dispatches the claimed chunk of a silent worker to
 //!   the survivors, and per-sequence compare-and-swap commits make
 //!   reassembly exactly-once even when the stalled worker eventually
-//!   finishes the same chunk;
+//!   finishes the same chunk. It does not bound latency: the workers run
+//!   in a `thread::scope`, which joins the stalled worker too, and that
+//!   worker still scores its whole chunk once awake, so a search returns
+//!   no sooner than the stall plus that chunk's compute, and a true hang
+//!   hangs the search. Re-dispatch saves at most the chunk's compute
+//!   time, never the stall;
 //! * *deterministic chaos* — a seeded [`HostFaultPlan`] injects panics,
 //!   stalls and alloc failures at chunk granularity as a pure function of
 //!   chunk identity, so the chaos tests can assert bit-identical scores
@@ -803,8 +808,12 @@ mod tests {
     use sw_align::smith_waterman::{sw_score, SwParams};
     use sw_db::synth::{database_with_lengths, make_query};
 
-    fn engine(query: &[u8]) -> QueryEngine {
-        QueryEngine::new(SwParams::cudasw_default(), query)
+    /// One engine for `query` on each available backend.
+    fn engines(query: &[u8]) -> Vec<QueryEngine> {
+        crate::BackendKind::available()
+            .into_iter()
+            .map(|kind| QueryEngine::with_backend(SwParams::cudasw_default(), query, kind))
+            .collect()
     }
 
     #[test]
@@ -833,14 +842,15 @@ mod tests {
     fn stats_account_every_sequence_once() {
         let db = database_with_lengths("t", &[20, 30, 40, 50, 60, 70, 80, 90], 11);
         let query = make_query(64, 5);
-        let eng = engine(&query);
-        for threads in [1, 3] {
-            let r = search_sequences(&eng, db.sequences(), threads, Precision::Adaptive);
-            assert_eq!(
-                r.stats.byte_mode + r.stats.word_fallbacks,
-                db.len() as u64,
-                "threads={threads}"
-            );
+        for eng in engines(&query) {
+            for threads in [1, 3] {
+                let r = search_sequences(&eng, db.sequences(), threads, Precision::Adaptive);
+                assert_eq!(
+                    r.stats.byte_mode + r.stats.word_fallbacks,
+                    db.len() as u64,
+                    "threads={threads}"
+                );
+            }
         }
     }
 
@@ -848,13 +858,14 @@ mod tests {
     fn more_workers_than_sequences() {
         let db = database_with_lengths("t", &[15, 22], 1);
         let query = make_query(20, 9);
-        let eng = engine(&query);
-        let r = search_sequences(&eng, db.sequences(), 8, Precision::Adaptive);
-        assert_eq!(r.scores.len(), 2);
-        assert_eq!(
-            r.scores[0],
-            sw_score(eng.params(), &query, &db.sequences()[0].residues)
-        );
+        for eng in engines(&query) {
+            let r = search_sequences(&eng, db.sequences(), 8, Precision::Adaptive);
+            assert_eq!(r.scores.len(), 2);
+            assert_eq!(
+                r.scores[0],
+                sw_score(eng.params(), &query, &db.sequences()[0].residues)
+            );
+        }
     }
 
     #[test]
@@ -878,33 +889,38 @@ mod tests {
     #[test]
     fn quarantine_recomputes_only_uncommitted_cells() {
         let db = database_with_lengths("t", &[40, 50, 60, 70, 80, 90], 5);
-        let engines: Vec<QueryEngine> = (0..3u64)
-            .map(|j| engine(&make_query(40 + 9 * j as usize, j)))
-            .collect();
-        let clean: Vec<Vec<i32>> = engines
-            .iter()
-            .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
-            .collect();
-        let plan = HostFaultPlan::none().with_fault_at((2, 3), HostFaultKind::Panic);
-        let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
-        let shared = RunShared::new(&engines, db.sequences(), &cfg);
-        // Two cells of the doomed chunk were committed before the panic
-        // (a re-dispatched copy got that far): the oracle must skip them.
-        assert!(shared.commit(1, 3, clean[1][3]));
-        assert!(shared.commit(2, 4, clean[2][4]));
-        let heart = AtomicU64::new(0);
-        for range in [0..2, 2..5, 5..6] {
-            assert!(shared.run_chunk(range, &mut |_| unreachable!("no alloc failure"), &heart));
+        for kind in crate::BackendKind::available() {
+            let engines: Vec<QueryEngine> = (0..3u64)
+                .map(|j| {
+                    let query = make_query(40 + 9 * j as usize, j);
+                    QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind)
+                })
+                .collect();
+            let clean: Vec<Vec<i32>> = engines
+                .iter()
+                .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+                .collect();
+            let plan = HostFaultPlan::none().with_fault_at((2, 3), HostFaultKind::Panic);
+            let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
+            let shared = RunShared::new(&engines, db.sequences(), &cfg);
+            // Two cells of the doomed chunk were committed before the panic
+            // (a re-dispatched copy got that far): the oracle must skip them.
+            assert!(shared.commit(1, 3, clean[1][3]));
+            assert!(shared.commit(2, 4, clean[2][4]));
+            let heart = AtomicU64::new(0);
+            for range in [0..2, 2..5, 5..6] {
+                assert!(shared.run_chunk(range, &mut |_| unreachable!("no alloc failure"), &heart));
+            }
+            let r = shared
+                .finish(Instant::now(), 0)
+                .unwrap_or_else(|e| panic!("not cancellable: {e}"));
+            assert_eq!(r.scores, clean);
+            assert_eq!(r.faults.quarantined_chunks, 1);
+            assert_eq!(r.faults.oracle_scored, 3 * 3 - 2);
+            assert_eq!(r.faults.duplicates_suppressed, 0);
+            // Winners only: kernel stats cover the two healthy chunks.
+            assert_eq!(r.stats.byte_mode + r.stats.word_fallbacks, 3 * 3);
         }
-        let r = shared
-            .finish(Instant::now(), 0)
-            .unwrap_or_else(|e| panic!("not cancellable: {e}"));
-        assert_eq!(r.scores, clean);
-        assert_eq!(r.faults.quarantined_chunks, 1);
-        assert_eq!(r.faults.oracle_scored, 3 * 3 - 2);
-        assert_eq!(r.faults.duplicates_suppressed, 0);
-        // Winners only: kernel stats cover the two healthy chunks.
-        assert_eq!(r.stats.byte_mode + r.stats.word_fallbacks, 3 * 3);
     }
 
     #[test]
@@ -957,92 +973,96 @@ mod tests {
 
     #[test]
     fn empty_database() {
-        let eng = engine(&make_query(10, 1));
-        let r = search_sequences(&eng, &[], 4, Precision::Adaptive);
-        assert!(r.scores.is_empty());
-        assert_eq!(r.stats, AdaptiveStats::default());
-        assert_eq!(r.steals, 0);
-        assert!(r.faults.is_clean());
+        for eng in engines(&make_query(10, 1)) {
+            let r = search_sequences(&eng, &[], 4, Precision::Adaptive);
+            assert!(r.scores.is_empty());
+            assert_eq!(r.stats, AdaptiveStats::default());
+            assert_eq!(r.steals, 0);
+            assert!(r.faults.is_clean());
+        }
     }
 
     #[test]
     fn injected_panic_is_quarantined_to_the_oracle() {
         let db = database_with_lengths("t", &[40, 50, 60, 70, 80, 90], 5);
         let query = make_query(52, 3);
-        let eng = engine(&query);
-        let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
-        let chunks: Vec<Range<usize>> = (0..db.len()).map(|i| i..i + 1).collect();
-        let plan = HostFaultPlan::none().with_fault_at((2, 1), HostFaultKind::Panic);
-        let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
-        let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
-            Ok(r) => r,
-            Err(e) => panic!("not cancellable: {e}"),
-        };
-        assert_eq!(r.scores, clean.scores, "bit-identical through the panic");
-        assert_eq!(r.faults.panics, 1);
-        assert_eq!(r.faults.quarantined_chunks, 1);
-        assert_eq!(r.faults.oracle_scored, 1);
-        assert_eq!(r.faults.injected_panics, 1);
+        for eng in engines(&query) {
+            let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
+            let chunks: Vec<Range<usize>> = (0..db.len()).map(|i| i..i + 1).collect();
+            let plan = HostFaultPlan::none().with_fault_at((2, 1), HostFaultKind::Panic);
+            let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
+            let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
+                Ok(r) => r,
+                Err(e) => panic!("not cancellable: {e}"),
+            };
+            assert_eq!(r.scores, clean.scores, "bit-identical through the panic");
+            assert_eq!(r.faults.panics, 1);
+            assert_eq!(r.faults.quarantined_chunks, 1);
+            assert_eq!(r.faults.oracle_scored, 1);
+            assert_eq!(r.faults.injected_panics, 1);
+        }
     }
 
     #[test]
     fn steals_are_published_by_the_pool_itself() {
         let db = database_with_lengths("t", &[40; 16], 7);
         let query = make_query(32, 1);
-        let eng = engine(&query);
-        let chunks: Vec<Range<usize>> = (0..db.len()).map(|i| i..i + 1).collect();
-        // Worker 0 sleeps on its first chunk with the watchdog off, so
-        // worker 1 runs dry and takes the rest of worker 0's deque.
-        let plan = HostFaultPlan::none()
-            .with_fault_at((0, 1), HostFaultKind::Stall)
-            .with_stall_ms(100);
-        let cfg = PoolConfig::new(2, Precision::Adaptive)
-            .with_fault_plan(plan)
-            .with_watchdog(0, 1);
-        let (r, run) = obs::capture(|| {
-            match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
-                Ok(r) => r,
-                Err(e) => panic!("not cancellable: {e}"),
-            }
-        });
-        assert!(r.steals > 0, "the idle worker must have stolen");
-        let published = run
-            .metrics
-            .counter("cudasw.simd.pool.steals", &[("backend", eng.kind().name())]);
-        assert_eq!(published, r.steals as f64);
+        for eng in engines(&query) {
+            let chunks: Vec<Range<usize>> = (0..db.len()).map(|i| i..i + 1).collect();
+            // Worker 0 sleeps on its first chunk with the watchdog off, so
+            // worker 1 runs dry and takes the rest of worker 0's deque.
+            let plan = HostFaultPlan::none()
+                .with_fault_at((0, 1), HostFaultKind::Stall)
+                .with_stall_ms(100);
+            let cfg = PoolConfig::new(2, Precision::Adaptive)
+                .with_fault_plan(plan)
+                .with_watchdog(0, 1);
+            let (r, run) = obs::capture(|| {
+                match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
+                    Ok(r) => r,
+                    Err(e) => panic!("not cancellable: {e}"),
+                }
+            });
+            assert!(r.steals > 0, "the idle worker must have stolen");
+            let published = run
+                .metrics
+                .counter("cudasw.simd.pool.steals", &[("backend", eng.kind().name())]);
+            assert_eq!(published, r.steals as f64);
+        }
     }
 
     #[test]
     fn alloc_fail_splits_down_to_one_sequence_which_runs() {
         let db = database_with_lengths("t", &[30, 45, 60, 75, 90, 105, 120, 135], 9);
         let query = make_query(40, 2);
-        let eng = engine(&query);
-        let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
-        // The whole database, then each left half, fails its allocation:
-        // 8 → 4 → 2 → 1 is three splits, and the one-sequence chunk (0, 1)
-        // runs through its own fault.
-        let chain = [(0, 8), (0, 4), (0, 2), (0, 1)];
-        let plan = chain.iter().fold(HostFaultPlan::none(), |plan, &id| {
-            plan.with_fault_at(id, HostFaultKind::AllocFail)
-        });
-        let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
-        // One chunk spanning the whole database (not a 0..n index list —
-        // clippy::single_range_in_vec_init guards against that misread).
-        let chunks = [Range {
-            start: 0,
-            end: db.len(),
-        }];
-        let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
-            Ok(r) => r,
-            Err(e) => panic!("not cancellable: {e}"),
-        };
-        assert_eq!(r.scores, clean.scores, "bit-identical through the splits");
-        assert_eq!(r.faults.injected_alloc_fails, chain.len() as u64);
-        assert_eq!(r.faults.rechunks, chain.len() as u64 - 1);
-        // Every sequence, the faulted single one included, was scored by
-        // the kernels: none fell to the oracle.
-        assert_eq!(r.faults.oracle_scored, 0);
-        assert_eq!(r.stats.byte_mode + r.stats.word_fallbacks, db.len() as u64);
+        for eng in engines(&query) {
+            let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
+            // The whole database, then each left half, fails its allocation:
+            // 8 → 4 → 2 → 1 is three splits, and the one-sequence chunk (0, 1)
+            // runs through its own fault.
+            let chain = [(0, 8), (0, 4), (0, 2), (0, 1)];
+            let plan = chain.iter().fold(HostFaultPlan::none(), |plan, &id| {
+                plan.with_fault_at(id, HostFaultKind::AllocFail)
+            });
+            let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
+            // One chunk spanning the whole database (not a 0..n index list —
+            // clippy::single_range_in_vec_init guards against that misread).
+            let chunks = [Range {
+                start: 0,
+                end: db.len(),
+            }];
+            let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
+                Ok(r) => r,
+                Err(e) => panic!("not cancellable: {e}"),
+            };
+            assert_eq!(r.scores, clean.scores, "bit-identical through the splits");
+            assert_eq!(r.faults.injected_alloc_fails, chain.len() as u64);
+            assert_eq!(r.faults.rechunks, chain.len() as u64 - 1);
+            // Every sequence, the faulted single one included, was scored by
+            // the kernels: none fell to the oracle.
+            assert_eq!(r.faults.oracle_scored, 0);
+            assert_eq!(r.stats.byte_mode + r.stats.word_fallbacks, db.len() as u64);
+        }
     }
 
     #[test]
@@ -1051,27 +1071,29 @@ mod tests {
         lens.push(400);
         let db = database_with_lengths("t", &lens, 13);
         let query = make_query(64, 11);
-        let eng = engine(&query);
-        let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
-        for seed in [1u64, 2, 3] {
-            let plan = HostFaultPlan::random(seed, HostFaultRates::chaos()).with_stall_ms(5);
-            for threads in [1, 3] {
-                let cfg = PoolConfig::new(threads, Precision::Adaptive)
-                    .with_fault_plan(plan.clone())
-                    .with_watchdog(20, 2);
-                let chunks: Vec<Range<usize>> = (0..db.len())
-                    .step_by(4)
-                    .map(|s| s..(s + 4).min(db.len()))
-                    .collect();
-                let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
-                    Ok(r) => r,
-                    Err(e) => panic!("not cancellable: {e}"),
-                };
-                assert_eq!(
-                    r.scores, clean.scores,
-                    "seed {seed}, threads {threads}: scores must be bit-identical"
-                );
-                assert_eq!(r.scores.len(), db.len(), "zero lost sequences");
+        for eng in engines(&query) {
+            let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
+            for seed in [1u64, 2, 3] {
+                let plan = HostFaultPlan::random(seed, HostFaultRates::chaos()).with_stall_ms(5);
+                for threads in [1, 3] {
+                    let cfg = PoolConfig::new(threads, Precision::Adaptive)
+                        .with_fault_plan(plan.clone())
+                        .with_watchdog(20, 2);
+                    let chunks: Vec<Range<usize>> = (0..db.len())
+                        .step_by(4)
+                        .map(|s| s..(s + 4).min(db.len()))
+                        .collect();
+                    let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks)
+                    {
+                        Ok(r) => r,
+                        Err(e) => panic!("not cancellable: {e}"),
+                    };
+                    assert_eq!(
+                        r.scores, clean.scores,
+                        "seed {seed}, threads {threads}: scores must be bit-identical"
+                    );
+                    assert_eq!(r.scores.len(), db.len(), "zero lost sequences");
+                }
             }
         }
     }
@@ -1080,25 +1102,28 @@ mod tests {
     fn cancellation_returns_no_partial_scores() {
         let db = database_with_lengths("t", &[300; 8], 3);
         let query = make_query(80, 5);
-        let eng = engine(&query);
-        let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(CancelToken::after_polls(3));
-        let r = search_protected(&eng, db.sequences(), &cfg);
-        assert_eq!(r.err(), Some(Cancelled));
+        for eng in engines(&query) {
+            let cfg =
+                PoolConfig::new(1, Precision::Adaptive).with_cancel(CancelToken::after_polls(3));
+            let r = search_protected(&eng, db.sequences(), &cfg);
+            assert_eq!(r.err(), Some(Cancelled));
+        }
     }
 
     #[test]
     fn uncancelled_token_completes_bit_identically() {
         let db = database_with_lengths("t", &[40, 60, 80], 3);
         let query = make_query(48, 5);
-        let eng = engine(&query);
-        let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
-        let token = CancelToken::new();
-        let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(token.clone());
-        let r = match search_protected(&eng, db.sequences(), &cfg) {
-            Ok(r) => r,
-            Err(e) => panic!("never cancelled: {e}"),
-        };
-        assert_eq!(r.scores, clean.scores);
-        assert!(token.polls() > 0, "chunk boundaries and kernels polled");
+        for eng in engines(&query) {
+            let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
+            let token = CancelToken::new();
+            let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(token.clone());
+            let r = match search_protected(&eng, db.sequences(), &cfg) {
+                Ok(r) => r,
+                Err(e) => panic!("never cancelled: {e}"),
+            };
+            assert_eq!(r.scores, clean.scores);
+            assert!(token.polls() > 0, "chunk boundaries and kernels polled");
+        }
     }
 }

@@ -35,7 +35,7 @@
 //! is recovered with `_mm256_permute2x128_si256::<0x02>` (lower half ←
 //! the fill, upper half ← old lower half) + `_mm256_alignr_epi8`.
 
-#![cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+#![cfg(target_arch = "x86_64")]
 
 use crate::backend::{Backend, ByteSimd, ColumnCheck, WordSimd};
 use crate::engine::{group_ladder, score_ladder, AdaptiveStats, Precision, Profiles};

@@ -9,7 +9,8 @@
 //! single-threaded search is a pure function of the workload), so the
 //! property is exhaustive over poll budgets, backends, and kernel modes.
 //! A wave is cancelled as a whole: a token that fires anywhere inside it
-//! yields `Cancelled` and no score vector for any of its queries.
+//! yields `Cancelled` and no score vector for any of its queries. Every
+//! pool case runs on each available backend.
 
 use proptest::prelude::*;
 use sw_align::smith_waterman::SwParams;
@@ -56,15 +57,17 @@ proptest! {
             .enumerate()
             .map(|(i, residues)| Sequence::new(format!("s{i}"), residues))
             .collect();
-        let engine = QueryEngine::new(params(), &q);
-        let reference = search_sequences(&engine, &seqs, 1, Precision::Adaptive);
-        let token = CancelToken::after_polls(budget);
-        match search_cancellable(&engine, &seqs, 1, &token) {
-            Ok(r) => {
-                prop_assert_eq!(r.scores, reference.scores, "budget={}", budget);
-                prop_assert_eq!(r.stats, reference.stats, "budget={}", budget);
+        for kind in BackendKind::available() {
+            let engine = QueryEngine::with_backend(params(), &q, kind);
+            let reference = search_sequences(&engine, &seqs, 1, Precision::Adaptive);
+            let token = CancelToken::after_polls(budget);
+            match search_cancellable(&engine, &seqs, 1, &token) {
+                Ok(r) => {
+                    prop_assert_eq!(r.scores, reference.scores, "{} budget={}", kind, budget);
+                    prop_assert_eq!(r.stats, reference.stats, "{} budget={}", kind, budget);
+                }
+                Err(Cancelled) => prop_assert!(token.is_cancelled(), "{}", kind),
             }
-            Err(Cancelled) => prop_assert!(token.is_cancelled()),
         }
     }
 
@@ -113,28 +116,34 @@ fn cancellation_is_honored_at_the_next_checkpoint() {
     // One chunk of one long sequence: the full byte-mode scan alone has
     // ~len / CANCEL_CHECK_COLS in-kernel checkpoints.
     let db = database_with_lengths("t", &[20_000], 3);
-    let engine = QueryEngine::new(params(), &query);
+    for kind in BackendKind::available() {
+        let engine = QueryEngine::with_backend(params(), &query, kind);
 
-    let full = CancelToken::new();
-    let complete = search_cancellable(&engine, db.sequences(), 1, &full)
-        .unwrap_or_else(|e| panic!("uncancelled search must complete: {e}"));
-    let full_polls = full.polls();
-    assert!(
-        full_polls as usize >= 20_000 / CANCEL_CHECK_COLS,
-        "full scan must poll at least once per {CANCEL_CHECK_COLS} columns (saw {full_polls})"
-    );
+        let full = CancelToken::new();
+        let complete = search_cancellable(&engine, db.sequences(), 1, &full)
+            .unwrap_or_else(|e| panic!("{kind}: uncancelled search must complete: {e}"));
+        let full_polls = full.polls();
+        assert!(
+            full_polls as usize >= 20_000 / CANCEL_CHECK_COLS,
+            "{kind}: full scan must poll at least once per {CANCEL_CHECK_COLS} columns \
+             (saw {full_polls})"
+        );
 
-    let budget = 3u64;
-    let token = CancelToken::after_polls(budget);
-    let r = search_cancellable(&engine, db.sequences(), 1, &token);
-    assert_eq!(r.err(), Some(Cancelled));
-    assert!(
-        token.polls() <= budget + 2,
-        "cancelled at poll {budget} but {} polls ran — the kernel must stop at the next \
-         stripe-column checkpoint, not finish the chunk",
-        token.polls()
-    );
-    assert!(complete.scores[0] > 0, "sanity: the alignment scores");
+        let budget = 3u64;
+        let token = CancelToken::after_polls(budget);
+        let r = search_cancellable(&engine, db.sequences(), 1, &token);
+        assert_eq!(r.err(), Some(Cancelled), "{kind}");
+        assert!(
+            token.polls() <= budget + 2,
+            "{kind}: cancelled at poll {budget} but {} polls ran — the kernel must stop at \
+             the next stripe-column checkpoint, not finish the chunk",
+            token.polls()
+        );
+        assert!(
+            complete.scores[0] > 0,
+            "{kind}: sanity: the alignment scores"
+        );
+    }
 }
 
 /// A cancel landing inside a *resumed* word pass leaks nothing either. The
@@ -235,16 +244,18 @@ fn cancel_inside_a_grouped_word_pass_leaks_no_score_and_no_stats() {
 fn pre_cancelled_token_short_circuits() {
     let query = make_query(40, 1);
     let db = database_with_lengths("t", &[50, 60], 2);
-    let engine = QueryEngine::new(params(), &query);
-    let token = CancelToken::new();
-    token.cancel();
-    let polls_before = token.polls();
-    let r = search_cancellable(&engine, db.sequences(), 1, &token);
-    assert_eq!(r.err(), Some(Cancelled));
-    assert!(
-        token.polls() <= polls_before + 1,
-        "at most the boundary poll"
-    );
+    for kind in BackendKind::available() {
+        let engine = QueryEngine::with_backend(params(), &query, kind);
+        let token = CancelToken::new();
+        token.cancel();
+        let polls_before = token.polls();
+        let r = search_cancellable(&engine, db.sequences(), 1, &token);
+        assert_eq!(r.err(), Some(Cancelled), "{kind}");
+        assert!(
+            token.polls() <= polls_before + 1,
+            "{kind}: at most the boundary poll"
+        );
+    }
 }
 
 /// Multi-threaded cancellation: every worker observes the trip and the
@@ -255,17 +266,19 @@ fn threaded_cancellation_is_all_or_nothing() {
     let lens: Vec<usize> = (0..64).map(|i| 200 + (i * 13) % 300).collect();
     let db = database_with_lengths("t", &lens, 7);
     let query = make_query(64, 9);
-    let engine = QueryEngine::new(params(), &query);
-    let reference = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
-    for budget in [0u64, 1, 5, 20, 100, 10_000_000] {
-        for threads in [2usize, 4] {
-            let token = CancelToken::after_polls(budget);
-            match search_cancellable(&engine, db.sequences(), threads, &token) {
-                Ok(r) => assert_eq!(
-                    r.scores, reference.scores,
-                    "budget={budget} threads={threads}"
-                ),
-                Err(Cancelled) => assert!(token.is_cancelled()),
+    for kind in BackendKind::available() {
+        let engine = QueryEngine::with_backend(params(), &query, kind);
+        let reference = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
+        for budget in [0u64, 1, 5, 20, 100, 10_000_000] {
+            for threads in [2usize, 4] {
+                let token = CancelToken::after_polls(budget);
+                match search_cancellable(&engine, db.sequences(), threads, &token) {
+                    Ok(r) => assert_eq!(
+                        r.scores, reference.scores,
+                        "{kind} budget={budget} threads={threads}"
+                    ),
+                    Err(Cancelled) => assert!(token.is_cancelled(), "{kind}"),
+                }
             }
         }
     }
@@ -281,33 +294,46 @@ fn threaded_cancellation_is_all_or_nothing() {
 fn a_token_firing_mid_wave_serves_none_of_its_queries() {
     let lens: Vec<usize> = (0..24).map(|i| 90 + (i * 13) % 200).collect();
     let db = database_with_lengths("t", &lens, 7);
-    let engines: Vec<QueryEngine> = (0..4usize)
-        .map(|j| QueryEngine::new(params(), &make_query(48 + 20 * j, j as u64)))
-        .collect();
-    let reference: Vec<Vec<i32>> = engines
-        .iter()
-        .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
-        .collect();
-    let wave = |token: &CancelToken| {
-        let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(token.clone());
-        search_wave_protected(&engines, db.sequences(), &cfg)
-    };
+    for kind in BackendKind::available() {
+        let engines: Vec<QueryEngine> = (0..4usize)
+            .map(|j| QueryEngine::with_backend(params(), &make_query(48 + 20 * j, j as u64), kind))
+            .collect();
+        let reference: Vec<Vec<i32>> = engines
+            .iter()
+            .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+            .collect();
+        let wave = |token: &CancelToken| {
+            let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(token.clone());
+            search_wave_protected(&engines, db.sequences(), &cfg)
+        };
 
-    let full = CancelToken::new();
-    let complete = wave(&full).unwrap_or_else(|e| panic!("uncancelled wave must complete: {e}"));
-    assert_eq!(complete.scores, reference);
-    let polls = full.polls();
-    assert!(polls > 100, "the wave polls at chunk starts and in-kernel");
+        let full = CancelToken::new();
+        let complete =
+            wave(&full).unwrap_or_else(|e| panic!("{kind}: uncancelled wave must complete: {e}"));
+        assert_eq!(complete.scores, reference, "{kind}");
+        let polls = full.polls();
+        assert!(
+            polls > 100,
+            "{kind}: the wave polls at chunk starts and in-kernel"
+        );
 
-    for budget in (1..=polls).step_by(7).chain([polls]) {
-        let token = CancelToken::after_polls(budget);
-        assert_eq!(wave(&token).err(), Some(Cancelled), "budget {budget}");
-        assert!(token.polls() <= budget + 1, "stops at the tripping poll");
+        for budget in (1..=polls).step_by(7).chain([polls]) {
+            let token = CancelToken::after_polls(budget);
+            assert_eq!(
+                wave(&token).err(),
+                Some(Cancelled),
+                "{kind} budget {budget}"
+            );
+            assert!(
+                token.polls() <= budget + 1,
+                "{kind}: stops at the tripping poll"
+            );
+        }
+        let late = CancelToken::after_polls(polls + 1);
+        let r = wave(&late).unwrap_or_else(|e| panic!("{kind}: budget past the last poll: {e}"));
+        assert_eq!(r.scores, reference, "{kind}");
+        assert_eq!(r.stats, complete.stats, "{kind}");
     }
-    let late = CancelToken::after_polls(polls + 1);
-    let r = wave(&late).unwrap_or_else(|e| panic!("budget past the last poll: {e}"));
-    assert_eq!(r.scores, reference);
-    assert_eq!(r.stats, complete.stats);
 }
 
 /// Threaded waves: `Cancelled`, or every vector complete and exact.
@@ -315,20 +341,25 @@ fn a_token_firing_mid_wave_serves_none_of_its_queries() {
 fn threaded_wave_cancellation_is_all_or_nothing() {
     let lens: Vec<usize> = (0..64).map(|i| 200 + (i * 13) % 300).collect();
     let db = database_with_lengths("t", &lens, 7);
-    let engines: Vec<QueryEngine> = (0..3usize)
-        .map(|j| QueryEngine::new(params(), &make_query(40 + 24 * j, j as u64)))
-        .collect();
-    let reference: Vec<Vec<i32>> = engines
-        .iter()
-        .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
-        .collect();
-    for budget in [0u64, 1, 5, 20, 100, 1000, 10_000_000] {
-        for threads in [2usize, 4] {
-            let token = CancelToken::after_polls(budget);
-            let cfg = PoolConfig::new(threads, Precision::Adaptive).with_cancel(token.clone());
-            match search_wave_protected(&engines, db.sequences(), &cfg) {
-                Ok(r) => assert_eq!(r.scores, reference, "budget={budget} threads={threads}"),
-                Err(Cancelled) => assert!(token.is_cancelled()),
+    for kind in BackendKind::available() {
+        let engines: Vec<QueryEngine> = (0..3usize)
+            .map(|j| QueryEngine::with_backend(params(), &make_query(40 + 24 * j, j as u64), kind))
+            .collect();
+        let reference: Vec<Vec<i32>> = engines
+            .iter()
+            .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+            .collect();
+        for budget in [0u64, 1, 5, 20, 100, 1000, 10_000_000] {
+            for threads in [2usize, 4] {
+                let token = CancelToken::after_polls(budget);
+                let cfg = PoolConfig::new(threads, Precision::Adaptive).with_cancel(token.clone());
+                match search_wave_protected(&engines, db.sequences(), &cfg) {
+                    Ok(r) => assert_eq!(
+                        r.scores, reference,
+                        "{kind} budget={budget} threads={threads}"
+                    ),
+                    Err(Cancelled) => assert!(token.is_cancelled(), "{kind}"),
+                }
             }
         }
     }

@@ -439,7 +439,7 @@ fn check_group(p: &SwParams, q: &[u8], group: &[Vec<u8>]) -> Vec<usize> {
     let refs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
     let cols = same_lanes::<sw_simd::portable::U8x16>(p, q, &refs, "portable");
     let handed = same_words::<sw_simd::portable::I16x8>(p, q, &refs, "portable");
-    #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+    #[cfg(target_arch = "x86_64")]
     {
         assert_eq!(
             same_lanes::<sw_simd::x86::U8x16Sse>(p, q, &refs, "sse2"),

@@ -14,6 +14,9 @@
 //! The wave cases hold the same invariants per (query, sequence) cell: a
 //! fault is drawn once per chunk per wave, and every cell is accounted for
 //! exactly once — by a winning kernel commit or by the quarantine oracle.
+//!
+//! Every pool case runs once per available backend, so the portable
+//! vectors' grouped passes take the same faults as the native ones.
 
 use std::ops::Range;
 use sw_align::smith_waterman::SwParams;
@@ -68,16 +71,26 @@ fn assert_published(faults: &PoolFaultReport, metrics: &obs::MetricsRegistry, wh
 
 /// The full matrix the CI host-fault gate runs: ≥3 seeds × every fault
 /// kind, forced onto known chunks so each recovery path is provably
-/// exercised, at 1 and 3 threads, each cell publishing its fault report.
+/// exercised, at 1 and 3 threads on every backend, each cell publishing
+/// its fault report.
 #[test]
 fn forced_fault_matrix_is_bit_identical() {
     let lens: Vec<usize> = (0..36).map(|i| 30 + (i * 11) % 120).collect();
     let db = database_with_lengths("t", &lens, 17);
     let query = make_query(72, 4);
-    let engine = QueryEngine::new(params(), &query);
-    let clean = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
     let chunks = fixed_chunks(db.len(), 4);
+    for backend in BackendKind::available() {
+        forced_fault_matrix_on(
+            &QueryEngine::with_backend(params(), &query, backend),
+            &db,
+            &chunks,
+        );
+    }
+}
 
+fn forced_fault_matrix_on(engine: &QueryEngine, db: &sw_db::Database, chunks: &[Range<usize>]) {
+    let backend = engine.kind();
+    let clean = search_sequences(engine, db.sequences(), 1, Precision::Adaptive);
     for seed in [11u64, 22, 33] {
         for kind in HostFaultKind::ALL {
             // Force the drawn kind onto a mid-run chunk (identity (8, 4))
@@ -89,32 +102,31 @@ fn forced_fault_matrix_is_bit_identical() {
                 let cfg = PoolConfig::new(threads, Precision::Adaptive)
                     .with_fault_plan(plan.clone())
                     .with_watchdog(10, 2);
-                let (r, published) = obs::capture(|| run(&engine, db.sequences(), &cfg, &chunks));
-                let what = format!("seed={seed} kind={kind} threads={threads}");
+                let (r, published) = obs::capture(|| run(engine, db.sequences(), &cfg, chunks));
+                let what = format!("{backend}: seed={seed} kind={kind} threads={threads}");
                 assert_eq!(r.scores, clean.scores, "{what}");
                 assert_published(&r.faults, &published.metrics, &what);
-                assert_eq!(r.scores.len(), db.len(), "zero lost sequences");
-                assert_eq!(
-                    r.faults.injected(),
-                    1,
-                    "seed={seed} kind={kind} threads={threads}: the forced fault must fire"
-                );
+                assert_eq!(r.scores.len(), db.len(), "{what}: zero lost sequences");
+                assert_eq!(r.faults.injected(), 1, "{what}: the forced fault must fire");
                 match kind {
                     HostFaultKind::Panic => {
-                        assert_eq!(r.faults.panics, 1);
-                        assert_eq!(r.faults.quarantined_chunks, 1);
-                        assert!(r.faults.oracle_scored >= 1, "quarantine recomputed");
+                        assert_eq!(r.faults.panics, 1, "{what}");
+                        assert_eq!(r.faults.quarantined_chunks, 1, "{what}");
+                        assert!(r.faults.oracle_scored >= 1, "{what}: quarantine recomputed");
                     }
                     HostFaultKind::Stall => {
                         if threads > 1 {
                             assert!(
                                 r.faults.redispatches >= 1,
-                                "threads={threads}: watchdog must re-dispatch the stalled chunk"
+                                "{what}: watchdog must re-dispatch the stalled chunk"
                             );
                         }
                     }
                     HostFaultKind::AllocFail => {
-                        assert!(r.faults.rechunks >= 1, "an alloc failure must re-chunk");
+                        assert!(
+                            r.faults.rechunks >= 1,
+                            "{what}: an alloc failure must re-chunk"
+                        );
                     }
                 }
             }
@@ -150,31 +162,35 @@ fn portable_word_panic_is_recomputed_on_the_scalar_oracle() {
 }
 
 /// Random chaos storms: seeded rates over small chunks, every thread
-/// count, scores always bit-identical and every sequence accounted for.
-/// Every seed's storm lands at every thread count: the draw is a pure
-/// function of (seed, chunk), and every initial chunk is executed.
+/// count and backend, scores always bit-identical and every sequence
+/// accounted for. Every seed's storm lands at every thread count: the draw
+/// is a pure function of (seed, chunk), and every initial chunk is
+/// executed.
 #[test]
 fn seeded_chaos_storms_never_corrupt_results() {
     let lens: Vec<usize> = (0..60).map(|i| 25 + (i * 7) % 100).collect();
     let db = database_with_lengths("t", &lens, 23);
     let query = make_query(56, 8);
-    let engine = QueryEngine::new(params(), &query);
-    let clean = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
     let chunks = fixed_chunks(db.len(), 3);
 
-    for seed in [1u64, 2, 3, 4] {
-        let plan = HostFaultPlan::random(seed, HostFaultRates::chaos()).with_stall_ms(15);
-        for threads in [1usize, 2, 4] {
-            let cfg = PoolConfig::new(threads, Precision::Adaptive)
-                .with_fault_plan(plan.clone())
-                .with_watchdog(8, 2);
-            let r = run(&engine, db.sequences(), &cfg, &chunks);
-            assert_eq!(r.scores, clean.scores, "seed={seed} threads={threads}");
-            assert!(
-                r.faults.injected() > 0,
-                "seed={seed} threads={threads}: chaos rates over {} chunks must inject something",
-                chunks.len()
-            );
+    for backend in BackendKind::available() {
+        let engine = QueryEngine::with_backend(params(), &query, backend);
+        let clean = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
+        for seed in [1u64, 2, 3, 4] {
+            let plan = HostFaultPlan::random(seed, HostFaultRates::chaos()).with_stall_ms(15);
+            for threads in [1usize, 2, 4] {
+                let cfg = PoolConfig::new(threads, Precision::Adaptive)
+                    .with_fault_plan(plan.clone())
+                    .with_watchdog(8, 2);
+                let r = run(&engine, db.sequences(), &cfg, &chunks);
+                let what = format!("{backend}: seed={seed} threads={threads}");
+                assert_eq!(r.scores, clean.scores, "{what}");
+                assert!(
+                    r.faults.injected() > 0,
+                    "{what}: chaos rates over {} chunks must inject something",
+                    chunks.len()
+                );
+            }
         }
     }
 }
@@ -186,8 +202,6 @@ fn seeded_chaos_storms_never_corrupt_results() {
 fn stall_plus_redispatch_commits_exactly_once() {
     let db = database_with_lengths("t", &[80; 24], 31);
     let query = make_query(64, 6);
-    let engine = QueryEngine::new(params(), &query);
-    let clean = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
     let chunks = fixed_chunks(db.len(), 6);
     // Stall long enough that the watchdog fires and a survivor finishes
     // the chunk first; the stalled worker then loses every commit race.
@@ -197,23 +211,27 @@ fn stall_plus_redispatch_commits_exactly_once() {
     let cfg = PoolConfig::new(2, Precision::Adaptive)
         .with_fault_plan(plan)
         .with_watchdog(15, 3);
-    let r = run(&engine, db.sequences(), &cfg, &chunks);
-    assert_eq!(r.scores, clean.scores);
-    assert_eq!(r.faults.injected_stalls, 1);
-    assert!(r.faults.redispatches >= 1, "watchdog must act");
-    // The re-dispatched chunk is computed by two workers; one side's
-    // commits must have been suppressed (no duplicate answers).
-    assert!(
-        r.faults.duplicates_suppressed <= 6,
-        "at most the chunk's sequences race"
-    );
+    for backend in BackendKind::available() {
+        let engine = QueryEngine::with_backend(params(), &query, backend);
+        let clean = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
+        let r = run(&engine, db.sequences(), &cfg, &chunks);
+        assert_eq!(r.scores, clean.scores, "{backend}");
+        assert_eq!(r.faults.injected_stalls, 1, "{backend}");
+        assert!(r.faults.redispatches >= 1, "{backend}: watchdog must act");
+        // The re-dispatched chunk is computed by two workers; one side's
+        // commits must have been suppressed (no duplicate answers).
+        assert!(
+            r.faults.duplicates_suppressed <= 6,
+            "{backend}: at most the chunk's sequences race"
+        );
+    }
 }
 
-/// A five-query wave over `db` and its fault-free reference (k separate
-/// searches).
-fn wave_fixture(db: &sw_db::Database) -> (Vec<QueryEngine>, Vec<Vec<i32>>) {
+/// A five-query wave over `db` on `backend` and its fault-free reference
+/// (k separate searches).
+fn wave_fixture(db: &sw_db::Database, backend: BackendKind) -> (Vec<QueryEngine>, Vec<Vec<i32>>) {
     let engines: Vec<QueryEngine> = (0..5usize)
-        .map(|j| QueryEngine::new(params(), &make_query(40 + 17 * j, j as u64)))
+        .map(|j| QueryEngine::with_backend(params(), &make_query(40 + 17 * j, j as u64), backend))
         .collect();
     let clean = engines
         .iter()
@@ -246,28 +264,34 @@ fn assert_every_cell_once(r: &HostWaveResult, what: &str) {
 }
 
 /// Chaos storms over a wave: scores equal k fault-free searches, no
-/// (query, sequence) cell lost or doubled, at one and three workers.
+/// (query, sequence) cell lost or doubled, at one and three workers on
+/// every backend.
 #[test]
 fn wave_chaos_storms_lose_and_double_no_cell() {
     let lens: Vec<usize> = (0..48).map(|i| 25 + (i * 7) % 100).collect();
     let db = database_with_lengths("t", &lens, 23);
-    let (engines, clean) = wave_fixture(&db);
     let chunks = fixed_chunks(db.len(), 4);
-    let mut total_injected = 0u64;
-    for seed in [1u64, 2, 3] {
-        let plan = HostFaultPlan::random(seed, HostFaultRates::chaos()).with_stall_ms(30);
-        for threads in [1usize, 3] {
-            let cfg = PoolConfig::new(threads, Precision::Adaptive)
-                .with_fault_plan(plan.clone())
-                .with_watchdog(20, 2);
-            let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
-            let what = format!("seed={seed} threads={threads}");
-            assert_eq!(r.scores, clean, "{what}");
-            assert_every_cell_once(&r, &what);
-            total_injected += r.faults.injected();
+    for backend in BackendKind::available() {
+        let (engines, clean) = wave_fixture(&db, backend);
+        let mut total_injected = 0u64;
+        for seed in [1u64, 2, 3] {
+            let plan = HostFaultPlan::random(seed, HostFaultRates::chaos()).with_stall_ms(30);
+            for threads in [1usize, 3] {
+                let cfg = PoolConfig::new(threads, Precision::Adaptive)
+                    .with_fault_plan(plan.clone())
+                    .with_watchdog(20, 2);
+                let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
+                let what = format!("{backend}: seed={seed} threads={threads}");
+                assert_eq!(r.scores, clean, "{what}");
+                assert_every_cell_once(&r, &what);
+                total_injected += r.faults.injected();
+            }
         }
+        assert!(
+            total_injected > 0,
+            "{backend}: the storms must inject something"
+        );
     }
-    assert!(total_injected > 0, "the storms must inject something");
 }
 
 /// A pinned chunk panic under a wave quarantines that chunk for every
@@ -277,20 +301,26 @@ fn wave_chaos_storms_lose_and_double_no_cell() {
 fn wave_pinned_panic_quarantines_the_chunk_for_every_query() {
     let lens: Vec<usize> = (0..36).map(|i| 30 + (i * 11) % 120).collect();
     let db = database_with_lengths("t", &lens, 17);
-    let (engines, clean) = wave_fixture(&db);
     let chunks = fixed_chunks(db.len(), 4);
     let plan = HostFaultPlan::none().with_fault_at((8, 4), HostFaultKind::Panic);
-    for threads in [1usize, 3] {
-        let cfg = PoolConfig::new(threads, Precision::Adaptive)
-            .with_fault_plan(plan.clone())
-            .with_watchdog(20, 2);
-        let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
-        assert_eq!(r.scores, clean, "threads={threads}");
-        assert_eq!(r.faults.injected_panics, 1, "drawn once for the wave");
-        assert_eq!(r.faults.panics, 1);
-        assert_eq!(r.faults.quarantined_chunks, 1);
-        assert_eq!(r.faults.oracle_scored, 4 * engines.len() as u64);
-        assert_every_cell_once(&r, "pinned panic");
+    for backend in BackendKind::available() {
+        let (engines, clean) = wave_fixture(&db, backend);
+        for threads in [1usize, 3] {
+            let cfg = PoolConfig::new(threads, Precision::Adaptive)
+                .with_fault_plan(plan.clone())
+                .with_watchdog(20, 2);
+            let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
+            let what = format!("{backend}: threads={threads}");
+            assert_eq!(r.scores, clean, "{what}");
+            assert_eq!(
+                r.faults.injected_panics, 1,
+                "{what}: drawn once for the wave"
+            );
+            assert_eq!(r.faults.panics, 1, "{what}");
+            assert_eq!(r.faults.quarantined_chunks, 1, "{what}");
+            assert_eq!(r.faults.oracle_scored, 4 * engines.len() as u64, "{what}");
+            assert_every_cell_once(&r, &what);
+        }
     }
 }
 
@@ -300,7 +330,6 @@ fn wave_pinned_panic_quarantines_the_chunk_for_every_query() {
 #[test]
 fn wave_pinned_stall_is_redispatched_and_its_late_finish_absorbed() {
     let db = database_with_lengths("t", &[80; 24], 31);
-    let (engines, clean) = wave_fixture(&db);
     let chunks = fixed_chunks(db.len(), 6);
     let plan = HostFaultPlan::none()
         .with_fault_at((6, 6), HostFaultKind::Stall)
@@ -308,15 +337,21 @@ fn wave_pinned_stall_is_redispatched_and_its_late_finish_absorbed() {
     let cfg = PoolConfig::new(2, Precision::Adaptive)
         .with_fault_plan(plan)
         .with_watchdog(20, 2);
-    let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
-    assert_eq!(r.scores, clean);
-    assert_eq!(r.faults.injected_stalls, 1, "drawn once for the wave");
-    assert!(r.faults.redispatches >= 1, "watchdog must act");
-    assert_every_cell_once(&r, "pinned stall");
-    let chunk_cells = 6 * engines.len() as u64;
-    assert!(
-        (1..=r.faults.redispatches * chunk_cells).contains(&r.faults.duplicates_suppressed),
-        "the late finish races at most the re-dispatched chunks' cells, saw {}",
-        r.faults.duplicates_suppressed
-    );
+    for backend in BackendKind::available() {
+        let (engines, clean) = wave_fixture(&db, backend);
+        let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
+        assert_eq!(r.scores, clean, "{backend}");
+        assert_eq!(
+            r.faults.injected_stalls, 1,
+            "{backend}: drawn once for the wave"
+        );
+        assert!(r.faults.redispatches >= 1, "{backend}: watchdog must act");
+        assert_every_cell_once(&r, backend.name());
+        let chunk_cells = 6 * engines.len() as u64;
+        assert!(
+            (1..=r.faults.redispatches * chunk_cells).contains(&r.faults.duplicates_suppressed),
+            "{backend}: the late finish races at most the re-dispatched chunks' cells, saw {}",
+            r.faults.duplicates_suppressed
+        );
+    }
 }

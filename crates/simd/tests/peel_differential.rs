@@ -292,13 +292,11 @@ fn assert_prefix_is_inert<V: ByteSimd>(backend: &str) {
 #[test]
 fn the_prefix_is_inert_and_always_counted() {
     assert_prefix_is_inert::<sw_simd::portable::U8x16>("portable");
-    #[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+    #[cfg(target_arch = "x86_64")]
     {
         assert_prefix_is_inert::<sw_simd::x86::U8x16Sse>("sse2");
         if BackendKind::Avx2.is_available() {
             assert_prefix_is_inert::<sw_simd::x86::U8x32Avx>("avx2");
         }
     }
-    #[cfg(all(target_arch = "aarch64", feature = "native-simd"))]
-    assert_prefix_is_inert::<sw_simd::neon::U8x16Neon>("neon");
 }

@@ -8,7 +8,8 @@
 //! pick — and pin the [`MIN_SEQS_PER_WORKER`] clamp at its documented
 //! thresholds. The wave differential holds the one job shape,
 //! [`search_wave_protected_with_chunks`], to `k` separate searches: the
-//! same score vectors in engine order and the same merged stats.
+//! same score vectors in engine order and the same merged stats. Every
+//! pool case runs on each available backend.
 
 use proptest::prelude::*;
 use std::ops::Range;
@@ -63,19 +64,22 @@ proptest! {
     ) {
         let db = sw_db::synth::database_with_lengths("prop", &lens, seed);
         let query = sw_db::synth::make_query(40, seed.wrapping_add(7));
-        let engine = QueryEngine::new(SwParams::cudasw_default(), &query);
         let whole = length_aware_chunks(db.sequences(), 1);
-        let inline = search_chunked(&engine, db.sequences(), 1, Precision::Adaptive, &whole);
         let chunks = ranges_from_cuts(db.len(), &cuts);
-        let chunked = search_chunked(
-            &engine, db.sequences(), threads, Precision::Adaptive, &chunks,
-        );
-        prop_assert_eq!(&chunked.scores, &inline.scores, "chunks {:?}", chunks);
-        // Stats are merged across workers, never lost or double-counted.
-        prop_assert_eq!(
-            chunked.stats.byte_mode + chunked.stats.word_fallbacks,
-            db.len() as u64
-        );
+        for kind in BackendKind::available() {
+            let engine = QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind);
+            let inline = search_chunked(&engine, db.sequences(), 1, Precision::Adaptive, &whole);
+            let chunked = search_chunked(
+                &engine, db.sequences(), threads, Precision::Adaptive, &chunks,
+            );
+            prop_assert_eq!(&chunked.scores, &inline.scores, "{} chunks {:?}", kind, chunks);
+            // Stats are merged across workers, never lost or double-counted.
+            prop_assert_eq!(
+                chunked.stats.byte_mode + chunked.stats.word_fallbacks,
+                db.len() as u64,
+                "{}", kind
+            );
+        }
     }
 
     // A wave of k queries is k searches, bit for bit: score vectors in
@@ -139,10 +143,12 @@ proptest! {
     ) {
         let db = sw_db::synth::database_with_lengths("prop", &lens, 11);
         let query = sw_db::synth::make_query(33, 5);
-        let engine = QueryEngine::new(SwParams::cudasw_default(), &query);
-        let inline = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
-        let pooled = search_sequences(&engine, db.sequences(), threads, Precision::Adaptive);
-        prop_assert_eq!(&pooled.scores, &inline.scores);
+        for kind in BackendKind::available() {
+            let engine = QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind);
+            let inline = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
+            let pooled = search_sequences(&engine, db.sequences(), threads, Precision::Adaptive);
+            prop_assert_eq!(&pooled.scores, &inline.scores, "{}", kind);
+        }
     }
 }
 
@@ -180,12 +186,14 @@ fn word_precision_chunked_matches_inline() {
     let lens: Vec<usize> = (0..48).map(|i| 20 + (i * 13) % 150).collect();
     let db = sw_db::synth::database_with_lengths("w", &lens, 23);
     let query = sw_db::synth::make_query(64, 2);
-    let engine = QueryEngine::new(SwParams::cudasw_default(), &query);
-    let inline = search_sequences(&engine, db.sequences(), 1, Precision::Word);
-    for target in [1, 3, 7, 48] {
-        let chunks = length_aware_chunks(db.sequences(), target);
-        let r = search_chunked(&engine, db.sequences(), 4, Precision::Word, &chunks);
-        assert_eq!(r.scores, inline.scores, "target={target}");
+    for kind in BackendKind::available() {
+        let engine = QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind);
+        let inline = search_sequences(&engine, db.sequences(), 1, Precision::Word);
+        for target in [1, 3, 7, 48] {
+            let chunks = length_aware_chunks(db.sequences(), target);
+            let r = search_chunked(&engine, db.sequences(), 4, Precision::Word, &chunks);
+            assert_eq!(r.scores, inline.scores, "{kind} target={target}");
+        }
     }
 }
 
@@ -196,30 +204,33 @@ fn word_precision_chunked_matches_inline() {
 fn single_query_search_is_the_wave_of_one() {
     let lens: Vec<usize> = (0..20).map(|i| 20 + (i * 13) % 150).collect();
     let db = sw_db::synth::database_with_lengths("w", &lens, 23);
-    let engines: Vec<QueryEngine> = (0..16)
-        .map(|j| {
-            QueryEngine::new(
-                SwParams::cudasw_default(),
-                &sw_db::synth::make_query(30 + j, j as u64),
-            )
-        })
-        .collect();
     let cfg = PoolConfig::new(2, Precision::Adaptive);
-    let wave = search_wave_protected(&engines, db.sequences(), &cfg)
-        .unwrap_or_else(|e| panic!("no cancel token configured: {e}"));
-    assert_eq!(wave.scores.len(), engines.len());
-    for (engine, scores) in engines.iter().zip(&wave.scores) {
-        let single = search_sequences(engine, db.sequences(), 2, Precision::Adaptive);
-        assert_eq!(&single.scores, scores);
-        let one = search_wave_protected(std::slice::from_ref(engine), db.sequences(), &cfg)
+    for kind in BackendKind::available() {
+        let engines: Vec<QueryEngine> = (0..16)
+            .map(|j| {
+                QueryEngine::with_backend(
+                    SwParams::cudasw_default(),
+                    &sw_db::synth::make_query(30 + j, j as u64),
+                    kind,
+                )
+            })
+            .collect();
+        let wave = search_wave_protected(&engines, db.sequences(), &cfg)
             .unwrap_or_else(|e| panic!("no cancel token configured: {e}"));
-        assert_eq!(one.scores, vec![single.scores]);
-        assert_eq!(one.stats, single.stats);
-        assert_eq!(one.faults, single.faults);
+        assert_eq!(wave.scores.len(), engines.len(), "{kind}");
+        for (engine, scores) in engines.iter().zip(&wave.scores) {
+            let single = search_sequences(engine, db.sequences(), 2, Precision::Adaptive);
+            assert_eq!(&single.scores, scores, "{kind}");
+            let one = search_wave_protected(std::slice::from_ref(engine), db.sequences(), &cfg)
+                .unwrap_or_else(|e| panic!("no cancel token configured: {e}"));
+            assert_eq!(one.scores, vec![single.scores], "{kind}");
+            assert_eq!(one.stats, single.stats, "{kind}");
+            assert_eq!(one.faults, single.faults, "{kind}");
+        }
+        // Degenerate waves: no queries, no subjects.
+        let none = search_wave_protected(&[], db.sequences(), &cfg);
+        assert!(matches!(none, Ok(r) if r.scores.is_empty()));
+        let empty = search_wave_protected(&engines[..3], &[], &cfg);
+        assert!(matches!(empty, Ok(r) if r.scores == vec![Vec::<i32>::new(); 3]));
     }
-    // Degenerate waves: no queries, no subjects.
-    let none = search_wave_protected(&[], db.sequences(), &cfg);
-    assert!(matches!(none, Ok(r) if r.scores.is_empty()));
-    let empty = search_wave_protected(&engines[..3], &[], &cfg);
-    assert!(matches!(empty, Ok(r) if r.scores == vec![Vec::<i32>::new(); 3]));
 }

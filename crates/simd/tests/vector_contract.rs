@@ -201,7 +201,7 @@ fn portable_words_keep_the_contract() {
     word_contract::<I16x8>("portable");
 }
 
-#[cfg(all(target_arch = "x86_64", feature = "native-simd"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{contract, word_contract};
     use sw_simd::backend::Backend;

@@ -89,36 +89,31 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cudasw-core \
   --lib -- -D warnings
 
-# Cross-feature matrix for the host SIMD backend: the portable backend
-# (the one engine instantiated on the array vectors of portable.rs, and
-# the only backend on a target without a native one) must keep building
-# and passing with the native backends compiled out. The hand-off suite
-# is named explicitly because the byte→word hand-off re-stripes between
-# lane widths that differ per backend (and holds the overflow verdict to
-# one answer across backends and kernel modes), and holds each lane of
-# the grouped byte pass to the striped pass's hand-off; the peel suite
-# because the portable instantiation of the column loop is the one the
-# native runs never take (and bounds the Lazy-F repair per column on both
-# routes); the chunking suite because the pool's grouped pass runs on the
-# portable vectors there. The byte-lane contract (the grouped pass's
-# lookup included), the bounded-exhaustive conformance run (through the
-# striped and the grouped entries) and the operation budget of both
-# column loops ride the same lines: the first two hold whichever byte
-# encodings the feature set compiles to one set of scores, the third
-# counts the generic loops on the portable vector.
-cargo build -q --release --offline -p sw-simd --no-default-features
-cargo test -q --offline -p sw-simd --no-default-features
-cargo test -q --offline -p sw-simd --no-default-features --test handoff_differential \
-  --test peel_differential --test pool_chunking --test vector_contract \
-  --test bounded_exhaustive --test op_budget
+# The host SIMD backend's differential suites, by name. Every build
+# compiles the portable backend (the array vectors of portable.rs, the only
+# backend on a target without a native one) beside the native ones, and
+# each suite below runs it: the hand-off suite, because the byte→word
+# hand-off re-stripes between lane widths that differ per backend (and
+# holds the overflow verdict to one answer across backends and kernel
+# modes, and each lane of the grouped byte pass to the striped pass's
+# hand-off); the peel suite, because the portable instantiation of the
+# column loop is the one no native run takes (and it bounds the Lazy-F
+# repair per column on both routes); the chunking suite, because the
+# pool's grouped pass runs per available backend there. The byte-lane
+# contract (the grouped pass's lookup included), the bounded-exhaustive
+# conformance run (through the striped and the grouped entries) and the
+# operation budget of both column loops ride the same line: the first two
+# hold every byte encoding to one set of scores, the third counts the
+# generic loops on the portable vector.
 cargo test -q --offline -p sw-simd --test handoff_differential --test peel_differential \
   --test pool_chunking --test vector_contract --test bounded_exhaustive --test op_budget
 
 # Crash-only host engine: the seeded host-fault matrix (>=3 seeds x
 # {panic, stall, alloc-fail}, each cell's published cudasw.simd.pool.*
 # counters equal to its fault report, chaos storms that land on every
-# seed) and the all-or-nothing cancellation properties, named explicitly so a filter can never silently drop them
-# (see DESIGN.md §15).
+# seed) and the all-or-nothing cancellation properties, each on every
+# available backend, named explicitly so a filter can never silently drop
+# them (see DESIGN.md §15).
 cargo test -q --offline -p sw-simd --test host_faults --test cancel_props
 
 # One job shape: the wave cases, named so a filter cannot drop them. The

@@ -25,7 +25,8 @@
 //!   40,000, lengths 0 and 1, a query shorter than one vector and one longer
 //!   than one strip, subjects at the 3,072 threshold, the shared-only panel
 //!   and the shared-boundary fit, the codes B, Z, X and `*`,
-//!   `open == extend`, an open penalty past `i16::MAX`, no positive
+//!   `open == extend`, an open penalty past `i16::MAX`, both penalties at
+//!   2^30 (the largest `GapPenalties::new` admits), no positive
 //!   overlap, gap walls and hand-picked pairs;
 //! * **seeded** — random queries, databases and gap models, the mixed
 //!   database of the device suite, and subjects at the device kernels'
@@ -718,6 +719,12 @@ fn adversarial_rows() -> Vec<Row> {
         gaps: GapPenalties::new(65_546, 2).unwrap(),
         ..SwParams::cudasw_default()
     };
+    // The largest penalties `GapPenalties::new` admits: one step more and
+    // a recurrence would wrap its `i32::MIN / 2` sentinel.
+    let widest_gaps = SwParams {
+        gaps: GapPenalties::new(1 << 30, 1 << 30).unwrap(),
+        ..SwParams::cudasw_default()
+    };
     let gapped = make_query(200, 23);
     let protein = |s: &str| encode_protein(s).unwrap();
     let random = |lengths: &[usize], seed: u64| -> Vec<Vec<u8>> {
@@ -840,6 +847,13 @@ fn adversarial_rows() -> Vec<Row> {
             a,
             "gaps (65,546, 2): an open past i16::MAX",
             &wide_gaps,
+            gapped.clone(),
+            [vec![gapped.clone()], indels(&gapped, 20)].concat(),
+        ),
+        Row::new(
+            a,
+            "gaps (2^30, 2^30): the sentinel's bound",
+            &widest_gaps,
             gapped.clone(),
             [vec![gapped.clone()], indels(&gapped, 20)].concat(),
         ),
