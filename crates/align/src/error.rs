@@ -28,6 +28,12 @@ pub enum AlignError {
         /// Gap-extension penalty σ.
         extend: i32,
     },
+    /// A matrix with `w(a, b) != w(b, a)` for some pair: the scorers do not
+    /// agree on which argument is the query residue.
+    AsymmetricMatrix {
+        /// The matrix's name.
+        name: String,
+    },
 }
 
 impl fmt::Display for AlignError {
@@ -49,6 +55,9 @@ impl fmt::Display for AlignError {
                 "invalid gap penalties: open={open}, extend={extend} (need 2^30 >= open >= \
                  extend >= 0; a larger penalty wraps the i32::MIN / 2 gap sentinel)"
             ),
+            AlignError::AsymmetricMatrix { name } => {
+                write!(f, "matrix {name} is not symmetric")
+            }
         }
     }
 }

@@ -30,7 +30,10 @@ impl ScoringMatrix {
     /// Build a matrix from a row-major slice of scores.
     ///
     /// `scores.len()` must equal `size * size` and `size` must not exceed
-    /// the alphabet size.
+    /// the alphabet size. The matrix must be symmetric: the scalar
+    /// references, the host profiles and the device kernels each put the
+    /// query residue on a different side of `w`, which only symmetry makes
+    /// one answer.
     pub fn from_raw(
         name: impl Into<String>,
         alphabet: Alphabet,
@@ -43,12 +46,16 @@ impl ScoringMatrix {
                 alphabet_size: alphabet.size(),
             });
         }
-        Ok(Self {
+        let matrix = Self {
             name: name.into(),
             alphabet,
             size,
             scores,
-        })
+        };
+        if !matrix.is_symmetric() {
+            return Err(AlignError::AsymmetricMatrix { name: matrix.name });
+        }
+        Ok(matrix)
     }
 
     /// Simple match/mismatch matrix (useful for DNA).
@@ -124,6 +131,13 @@ impl ScoringMatrix {
     /// Smallest entry in the matrix.
     pub fn min_score(&self) -> i32 {
         self.scores.iter().copied().min().unwrap_or(0) as i32
+    }
+
+    /// The score every profile gives a padding position: the matrix
+    /// minimum, but never above 0, so that a padded row or column cannot
+    /// raise a local maximum under a matrix whose entries are all positive.
+    pub fn pad_score(&self) -> i32 {
+        self.min_score().min(0)
     }
 
     /// True when `w(a, b) == w(b, a)` for all pairs.
@@ -309,6 +323,19 @@ mod tests {
         assert!(ScoringMatrix::from_raw("bad", Alphabet::Dna, 5, vec![0; 24]).is_err());
         assert!(ScoringMatrix::from_raw("bad", Alphabet::Dna, 6, vec![0; 36]).is_err());
         assert!(ScoringMatrix::from_raw("ok", Alphabet::Dna, 5, vec![0; 25]).is_ok());
+    }
+
+    #[test]
+    fn asymmetric_matrices_are_refused() {
+        let mut scores = vec![0i8; 25];
+        scores[1] = 3; // w(0, 1) = 3, w(1, 0) = 0
+        let refused = ScoringMatrix::from_raw("skew", Alphabet::Dna, 5, scores);
+        assert_eq!(
+            refused,
+            Err(AlignError::AsymmetricMatrix {
+                name: "skew".into()
+            })
+        );
     }
 
     #[test]

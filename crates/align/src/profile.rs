@@ -74,9 +74,9 @@ impl QueryProfile {
 
 /// Packed query profile: four query positions per 32-bit word.
 ///
-/// The query is zero-padded to a multiple of 4 with a sentinel that scores
-/// the matrix minimum against everything, so padded cells can never win the
-/// local maximum.
+/// The query is padded to a multiple of 4 with a sentinel that scores
+/// [`ScoringMatrix::pad_score`] against everything, so padded cells can never
+/// win the local maximum.
 #[derive(Debug, Clone)]
 pub struct PackedProfile {
     alphabet_size: usize,
@@ -93,7 +93,7 @@ impl PackedProfile {
         let alphabet_size = matrix.size();
         let query_len = query.len();
         let words_per_row = query_len.div_ceil(4);
-        let pad_score = matrix.min_score() as i8;
+        let pad_score = matrix.pad_score() as i8;
         let mut words = vec![0u32; alphabet_size * words_per_row];
         for a in 0..alphabet_size {
             let row = matrix.row(a as u8);

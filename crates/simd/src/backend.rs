@@ -173,7 +173,7 @@ pub trait ByteSimd: Copy + Send + Sync + 'static {
     }
 
     /// The profile byte for substitution score `score` under `bias =
-    /// −min_score`: the operand [`add_score`](Self::add_score) adds.
+    /// −pad_score`: the operand [`add_score`](Self::add_score) adds.
     /// Encodable scores are `−bias ..= 127` (matrix scores are `i8`).
     #[inline(always)]
     fn encode_score(score: i32, bias: u8) -> u8 {
@@ -344,14 +344,15 @@ pub struct ByteProfileOf<V: ByteSimd> {
 impl<V: ByteSimd> ByteProfileOf<V> {
     /// Build the byte profile of `query` under `params`.
     ///
-    /// Padding lanes (query positions `>= m`) carry the matrix minimum
-    /// `−bias` (biased: the byte 0), so they sink towards zero and never
+    /// Padding lanes (query positions `>= m`) carry the pad score
+    /// [`ScoringMatrix::pad_score`](sw_align::ScoringMatrix::pad_score)
+    /// `= −bias` (biased: the byte 0), so they sink towards zero and never
     /// win the running maximum.
     pub fn build(params: &SwParams, query: &[u8]) -> Self {
         let m = query.len();
         let seg_len = m.div_ceil(V::LANES).max(1);
         let alphabet_size = params.matrix.size();
-        let bias = (-params.matrix.min_score()).max(0) as u8;
+        let bias = (-params.matrix.pad_score()) as u8;
         let mut vectors = Vec::with_capacity(alphabet_size * seg_len);
         let mut lanes = vec![0u8; V::LANES];
         for a in 0..alphabet_size as u8 {
@@ -421,21 +422,22 @@ pub struct WordProfileOf<V: WordSimd> {
     alphabet_size: usize,
     vectors: Vec<V>,
     query: Vec<u8>,
-    /// `tables[a][b]`: query code `a` against subject code `b` (the matrix
-    /// minimum past the alphabet).
+    /// `tables[a][b]`: query code `a` against subject code `b` (the pad
+    /// score past the alphabet).
     tables: Vec<[i8; 32]>,
 }
 
 impl<V: WordSimd> WordProfileOf<V> {
     /// Build the striped word profile of `query` under `params`.
     ///
-    /// Padding lanes score the matrix minimum so they can never win the
-    /// running maximum.
+    /// Padding lanes score
+    /// [`ScoringMatrix::pad_score`](sw_align::ScoringMatrix::pad_score) so
+    /// they can never win the running maximum.
     pub fn build(params: &SwParams, query: &[u8]) -> Self {
         let m = query.len();
         let seg_len = m.div_ceil(V::LANES).max(1);
         let alphabet_size = params.matrix.size();
-        let pad = params.matrix.min_score() as i16;
+        let pad = params.matrix.pad_score() as i16;
         let mut vectors = Vec::with_capacity(alphabet_size * seg_len);
         let mut lanes = vec![0i16; V::LANES];
         for a in 0..alphabet_size as u8 {
@@ -1146,14 +1148,14 @@ mod tests {
         let prof = WordProfileOf::<I16x8>::build(&p, &qc);
         assert_eq!(prof.seg_len(), 3);
         // Element k of segment j covers query position j + k*3; positions
-        // past the query end carry the matrix minimum.
+        // past the query end carry the pad score.
         let a = 0u8; // 'A'
         for (k, &val) in prof.get(a, 1).0.iter().enumerate() {
             let pos = 1 + k * 3;
             let expected = if pos < qc.len() {
                 p.matrix.score(a, qc[pos]) as i16
             } else {
-                p.matrix.min_score() as i16
+                p.matrix.pad_score() as i16
             };
             assert_eq!(val, expected, "lane {k}");
         }

@@ -474,31 +474,6 @@ mod tests {
     use sw_db::synth::make_query;
 
     #[test]
-    fn every_available_backend_matches_scalar() {
-        let params = SwParams::cudasw_default();
-        let query = make_query(72, 3);
-        let targets = [make_query(50, 4), make_query(90, 5), query.clone()];
-        for kind in BackendKind::available() {
-            let engine = QueryEngine::with_backend(params.clone(), &query, kind);
-            let mut stats = AdaptiveStats::default();
-            for t in &targets {
-                let expected = sw_score(&params, &query, t);
-                assert_eq!(
-                    engine.score_with(t, Precision::Adaptive, &mut stats),
-                    expected,
-                    "adaptive on {kind}"
-                );
-                assert_eq!(
-                    engine.score_with(t, Precision::Word, &mut stats),
-                    expected,
-                    "word on {kind}"
-                );
-            }
-            assert!(stats.byte_mode + stats.word_fallbacks > 0);
-        }
-    }
-
-    #[test]
     fn self_alignment_falls_back_to_word_mode_on_all_backends() {
         let params = SwParams::cudasw_default();
         let query = make_query(300, 9);

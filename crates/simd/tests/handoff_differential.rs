@@ -326,19 +326,6 @@ fn scores_either_side_of_the_overflow_threshold_hand_off_at_one_column() {
     }
 }
 
-/// A score past `i16::MAX` (40,000): the word pass saturates after the
-/// hand-off and the pair is finished exactly, in both precisions.
-#[test]
-fn a_score_past_the_word_lane_is_exact_after_a_hand_off() {
-    let p = SwParams {
-        matrix: ScoringMatrix::match_mismatch(Alphabet::Protein, 100, -4),
-        gaps: GapPenalties::cudasw_default(),
-    };
-    let q = make_query(400, 21);
-    assert_eq!(sw_score(&p, &q, &q), 40_000);
-    assert_eq!(check_everywhere(&p, &q, &q), 1);
-}
-
 // The byte pass's overflow verdict comes from the layout-independent
 // running maximum, so whether a pair handed off to word mode depends on
 // neither the backend's lane count nor the kernel mode.

@@ -204,7 +204,7 @@ fn stall_plus_redispatch_commits_exactly_once() {
     let query = make_query(64, 6);
     let chunks = fixed_chunks(db.len(), 6);
     // Stall long enough that the watchdog fires and a survivor finishes
-    // the chunk first; the stalled worker then loses every commit race.
+    // the chunk first; the stalled worker then skips what it committed.
     let plan = HostFaultPlan::none()
         .with_fault_at((6, 6), HostFaultKind::Stall)
         .with_stall_ms(120);
@@ -325,10 +325,11 @@ fn wave_pinned_panic_quarantines_the_chunk_for_every_query() {
 }
 
 /// A pinned 100 ms stall: the watchdog hands the silent worker's chunk to
-/// the survivor, which commits it for every query; the stalled worker's
-/// late finish loses every commit race and is absorbed as duplicates.
+/// the survivor, which commits it for every query; the stalled worker wakes
+/// to a chunk whose every group is committed and scores none of them, so
+/// no commit race is lost.
 #[test]
-fn wave_pinned_stall_is_redispatched_and_its_late_finish_absorbed() {
+fn wave_pinned_stall_is_redispatched_and_its_late_finish_skipped() {
     let db = database_with_lengths("t", &[80; 24], 31);
     let chunks = fixed_chunks(db.len(), 6);
     let plan = HostFaultPlan::none()
@@ -347,11 +348,9 @@ fn wave_pinned_stall_is_redispatched_and_its_late_finish_absorbed() {
         );
         assert!(r.faults.redispatches >= 1, "{backend}: watchdog must act");
         assert_every_cell_once(&r, backend.name());
-        let chunk_cells = 6 * engines.len() as u64;
-        assert!(
-            (1..=r.faults.redispatches * chunk_cells).contains(&r.faults.duplicates_suppressed),
-            "{backend}: the late finish races at most the re-dispatched chunks' cells, saw {}",
-            r.faults.duplicates_suppressed
+        assert_eq!(
+            r.faults.duplicates_suppressed, 0,
+            "{backend}: the late finisher scored a committed group"
         );
     }
 }

@@ -5,6 +5,27 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# `cargo test <args> -- <names>`, after checking that each name matches a
+# test of the selected targets: a filter that matches nothing runs no test
+# and passes, so a renamed or deleted test would drop out of its gate.
+named_tests() {
+  local args=() names=() listed name
+  while [[ $# -gt 0 && $1 != -- ]]; do
+    args+=("$1")
+    shift
+  done
+  shift
+  names=("$@")
+  listed=$(cargo test -q --offline "${args[@]}" -- --list 2>/dev/null | grep ': test$' || true)
+  for name in "${names[@]}"; do
+    if ! grep -qF -- "$name" <<<"$listed"; then
+      echo "verify: FAILED (no test matches '$name' in: cargo test ${args[*]})" >&2
+      exit 1
+    fi
+  done
+  cargo test -q --offline "${args[@]}" -- "${names[@]}"
+}
+
 cargo build --release --offline --workspace
 cargo build --release --offline --workspace --examples
 # The repo benchmark is a standalone crate (own workspace, path
@@ -18,7 +39,7 @@ cargo test -q --offline --workspace
 # sampler held to the binary search it replaced, and the FASTA round trip
 # of every preset (with the headers write_fasta must refuse).
 cargo test -q --offline -p sw-db --test synth_digest
-cargo test -q --offline -p sw-db --lib -- \
+named_tests -p sw-db --lib -- \
   every_clean_bucket_answers_the_reference_at_both_ends \
   draws_around_every_cumulative_weight_match_the_reference \
   seeded_draws_match_the_reference \
@@ -40,13 +61,13 @@ cargo test -q --offline --test paper_claims --test observability --test conforma
   --test crash_matrix --test device_opt --test simulator_invariants
 cargo test --release -q --offline --test device_opt --test simulator_invariants
 cargo test -q --offline -p gpu-sim --test proptests
-cargo test -q --offline -p cudasw-core --lib column::
+named_tests -p cudasw-core --lib -- column::
 # One search loop, by name: plain and resilient search agree in every
 # field over the flag matrix; every kill point, damaged log and lost shard
 # resumes bit-identically with the optimizations off and all on; the one
 # multi-GPU function counts each shard search under its device lane and a
 # plain search's span tree is what it was.
-cargo test -q --offline --test device_opt --test crash_matrix --test observability -- \
+named_tests --test device_opt --test crash_matrix --test observability -- \
   all_128_combinations_score_bit_identically \
   every_launch_kill_point_resumes_bit_identically \
   torn_or_corrupt_checkpoint_tail_resumes_from_the_intact_prefix \
@@ -60,12 +81,12 @@ cargo test -q --offline --test device_opt --test crash_matrix --test observabili
 # through the texture, fails its launch in the release profile too;
 # gpu-sim's public arithmetic refuses what would overflow; Table I's
 # global counts depend on the lengths alone.
-cargo test -q --offline --test simulator_invariants repeated_multi_block_launches_are_bit_identical
-cargo test --release -q --offline --test simulator_invariants \
+named_tests --test simulator_invariants -- repeated_multi_block_launches_are_bit_identical
+named_tests --release --test simulator_invariants -- \
   repeated_multi_block_launches_are_bit_identical
-cargo test -q --offline -p gpu-sim --lib kernel::tests::public_arithmetic_is_checked
-cargo test --release -q --offline -p gpu-sim --lib a_word_another_block_wrote_fails_the_launch
-cargo test -q --offline --test simulator_invariants table1_counts_depend_on_lengths_only
+named_tests -p gpu-sim --lib -- kernel::tests::public_arithmetic_is_checked
+named_tests --release -p gpu-sim --lib -- a_word_another_block_wrote_fails_the_launch
+named_tests --test simulator_invariants -- table1_counts_depend_on_lengths_only
 echo "verify: named simulator suites took $((SECONDS - named_t0)) s"
 
 # Decoders that cannot abort or over-allocate, by name: seeded truncations,
@@ -73,6 +94,10 @@ echo "verify: named simulator suites took $((SECONDS - named_t0)) s"
 # and a JSON document, under an allocator that refuses any request over
 # 1 GiB.
 cargo test -q --offline --test decoders
+
+# The mutant list still names one search string per entry and only tests
+# that exist (reads sources, builds nothing; scripts/mutants.sh runs it).
+bash scripts/mutants.sh --check
 
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
@@ -121,7 +146,7 @@ cargo test -q --offline -p sw-simd --test host_faults --test cancel_props
 # and stats, every backend; `pool_chunking` runs on the line above the
 # fault matrix too) and the (query, sequence) exactly-once and mid-wave
 # cancellation cases of the two suites just run.
-cargo test -q --offline -p sw-simd --test pool_chunking --test host_faults --test cancel_props wave
+named_tests -p sw-simd --test pool_chunking --test host_faults --test cancel_props -- wave
 
 # One wave protocol and one device-lane ladder under both serving stacks,
 # named for the same reason: the state machine's property test (arbitrary
@@ -129,7 +154,7 @@ cargo test -q --offline -p sw-simd --test pool_chunking --test host_faults --tes
 # the simulated service's suites, and the gateway's (closed-loop
 # multi-request waves, the forced cancel inside one, device faults, both
 # clocks giving one answer).
-cargo test -q --offline -p sw-serve --lib -- machine:: lane::
+named_tests -p sw-serve --lib -- machine:: lane::
 cargo test -q --offline -p sw-serve --test machine_props --test resilience_props \
   --test batcher_props --test service_integration
 cargo test -q --offline -p sw-gateway --test exactly_once --test drain_storm --test device_faults \

@@ -25,9 +25,9 @@
 //!   40,000, lengths 0 and 1, a query shorter than one vector and one longer
 //!   than one strip, subjects at the 3,072 threshold, the shared-only panel
 //!   and the shared-boundary fit, the codes B, Z, X and `*`,
-//!   `open == extend`, an open penalty past `i16::MAX`, both penalties at
-//!   2^30 (the largest `GapPenalties::new` admits), no positive
-//!   overlap, gap walls and hand-picked pairs;
+//!   `open == extend`, an all-positive matrix, an open penalty past
+//!   `i16::MAX`, both penalties at 2^30 (the largest `GapPenalties::new`
+//!   admits), no positive overlap, gap walls and hand-picked pairs;
 //! * **seeded** — random queries, databases and gap models, the mixed
 //!   database of the device suite, and subjects at the device kernels'
 //!   strip and tile boundaries under four query lengths and three seeds.
@@ -828,7 +828,8 @@ fn adversarial_rows() -> Vec<Row> {
                 protein("**"),
             ],
         ),
-        // A lazily raised H spawns an F chain the early exit once dropped.
+        // A lazily raised H spawns an F chain the early exit once dropped
+        // (the case a proptest of the host engine once shrank to).
         Row::new(
             a,
             "open == extend",
@@ -840,6 +841,29 @@ fn adversarial_rows() -> Vec<Row> {
             ]
             .concat(),
             vec![vec![4, 12, 7, 17]],
+        ),
+        // A 15-row gap in the query across row 40, a lane boundary of
+        // every striped layout of 320 rows: with open == extend each H the
+        // carried F raises sits exactly at the early exit's threshold, and
+        // the repair has to run past its untested prefix.
+        Row {
+            in_matrix: false,
+            ..Row::new(
+                a,
+                "open == extend: an F chain past the repair's prefix",
+                &linear,
+                [make_query(36, 24), vec![W; 15], make_query(269, 25)].concat(),
+                vec![[make_query(36, 24), make_query(269, 25)].concat()],
+            )
+        },
+        // Every entry positive: a padded query row or subject column
+        // scored the matrix minimum would raise the maximum.
+        Row::new(
+            a,
+            "an all-positive matrix: padding scores 0",
+            &with_matrix(ScoringMatrix::match_mismatch(Alphabet::Protein, 3, 1)),
+            make_query(21, 31),
+            random(&[1, 7, 30, 64], 32),
         ),
         // 65,546 wrapped to an i16 is 10: each subject is the query with a
         // residue deleted or inserted, so a wrapped penalty buys a gap.

@@ -142,25 +142,6 @@ fn cell_accounting_is_exact_for_all_kernels() {
     }
 }
 
-/// A bigger tile height must not change any score (only the schedule).
-#[test]
-fn tile_height_is_functionally_invisible_through_the_driver() {
-    let db = database_with_lengths("tiles", &[500, 900], 13);
-    let query = make_query(333, 6);
-    let mut results = Vec::new();
-    for tile_height in [4usize, 8] {
-        let mut cfg = CudaSwConfig::improved();
-        cfg.threshold = 1;
-        cfg.improved = ImprovedParams {
-            threads_per_block: 64,
-            tile_height,
-        };
-        let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c2050(), cfg);
-        results.push(driver.search(&query, &db).unwrap().scores);
-    }
-    assert_eq!(results[0], results[1]);
-}
-
 /// **A known divergence, pinned so that fixing it is a deliberate re-pin**
 /// (EXPERIMENTS.md "Known divergences" 5, ROADMAP scoreboard (ii)).
 /// Fermi's L1 is write-evict: a global store drops the line from the
