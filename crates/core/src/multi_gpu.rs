@@ -302,6 +302,10 @@ mod tests {
         let one = search(&cfg, &query, &d, 1);
         let two = search(&cfg, &query, &d, 2);
         assert_eq!(one.scores, two.scores);
+        for (k, r) in [(1, &one), (2, &two)] {
+            assert_eq!((r.devices, r.surviving_devices()), (k, k));
+            assert_eq!(r.total_cells(), d.total_cells(144), "k={k}");
+        }
         let speedup = one.wall_seconds() / two.wall_seconds();
         assert!(
             (1.6..=2.2).contains(&speedup),

@@ -242,11 +242,10 @@ mod tests {
     #[test]
     fn repeated_staged_searches_upload_only_query_artefacts() {
         let db = db();
-        let mut driver = CudaSwDriver::new(
-            DeviceSpec::tesla_c1060(),
-            config(IntraKernelChoice::Improved(VariantConfig::improved())),
-        );
+        let cfg = config(IntraKernelChoice::Improved(VariantConfig::improved()));
+        let mut driver = CudaSwDriver::new(DeviceSpec::tesla_c1060(), cfg.clone());
         let staged = driver.stage_database(&db).unwrap();
+        assert!(staged.staging_seconds() > 0.0);
         let q1 = make_query(57, 33);
         let q2 = make_query(64, 34);
         driver.search_staged(&q1, &staged).unwrap();
@@ -256,10 +255,18 @@ mod tests {
         // Exactly two H2D transfers per staged search: the packed profile
         // and the packed query residues. No database re-upload.
         assert_eq!(delta.counter_sum("cudasw.gpu_sim.h2d.calls", &[]), 2.0);
+        let mut plain = CudaSwDriver::new(DeviceSpec::tesla_c1060(), cfg);
+        let plain = plain.search(&q2, &db).unwrap();
         let params = SwParams::cudasw_default();
         for (i, seq) in db.sequences().iter().enumerate() {
             assert_eq!(r.scores[i], sw_score(&params, &q2, &seq.residues));
         }
+        assert_eq!(r.total_cells(), plain.total_cells());
+        assert_eq!(r.fraction_long, plain.fraction_long);
+        // Query staging is the only H2D traffic left per search: the
+        // database's upload moved into `staging_seconds`, once.
+        let paid = r.transfer_seconds + staged.staging_seconds();
+        assert!((paid - plain.transfer_seconds).abs() < 1e-12);
     }
 
     #[test]

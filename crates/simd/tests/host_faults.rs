@@ -204,7 +204,8 @@ fn stall_plus_redispatch_commits_exactly_once() {
     let query = make_query(64, 6);
     let chunks = fixed_chunks(db.len(), 6);
     // Stall long enough that the watchdog fires and a survivor finishes
-    // the chunk first; the stalled worker then skips what it committed.
+    // the chunk first; the stalled worker then skips what the survivor
+    // committed.
     let plan = HostFaultPlan::none()
         .with_fault_at((6, 6), HostFaultKind::Stall)
         .with_stall_ms(120);
@@ -324,17 +325,17 @@ fn wave_pinned_panic_quarantines_the_chunk_for_every_query() {
     }
 }
 
-/// A pinned 100 ms stall: the watchdog hands the silent worker's chunk to
-/// the survivor, which commits it for every query; the stalled worker wakes
-/// to a chunk whose every group is committed and scores none of them, so
-/// no commit race is lost.
+/// A pinned 400 ms stall, far longer than the survivor's work: the watchdog
+/// hands the silent worker's chunk to the survivor, which commits it for
+/// every query; the stalled worker wakes to a chunk whose every group is
+/// committed and scores none of them, so no commit race is lost.
 #[test]
 fn wave_pinned_stall_is_redispatched_and_its_late_finish_skipped() {
     let db = database_with_lengths("t", &[80; 24], 31);
     let chunks = fixed_chunks(db.len(), 6);
     let plan = HostFaultPlan::none()
         .with_fault_at((6, 6), HostFaultKind::Stall)
-        .with_stall_ms(100);
+        .with_stall_ms(400);
     let cfg = PoolConfig::new(2, Precision::Adaptive)
         .with_fault_plan(plan)
         .with_watchdog(20, 2);

@@ -135,21 +135,6 @@ proptest! {
         }
         prop_assert!(!chunks.last().unwrap().is_empty());
     }
-
-    #[test]
-    fn default_chunking_matches_inline(
-        lens in proptest::collection::vec(10usize..200, 1..50),
-        threads in 1usize..8,
-    ) {
-        let db = sw_db::synth::database_with_lengths("prop", &lens, 11);
-        let query = sw_db::synth::make_query(33, 5);
-        for kind in BackendKind::available() {
-            let engine = QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind);
-            let inline = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
-            let pooled = search_sequences(&engine, db.sequences(), threads, Precision::Adaptive);
-            prop_assert_eq!(&pooled.scores, &inline.scores, "{}", kind);
-        }
-    }
 }
 
 /// The `MIN_SEQS_PER_WORKER` clamp engages and disengages at exactly the
