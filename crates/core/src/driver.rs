@@ -14,13 +14,12 @@
 //! This module holds the configuration, the result type and the entry
 //! point; the walk itself — partition, per-search database uploads,
 //! allocator mark, the per-search `streamed_h2d` session — is the chunk
-//! loop in `recovery.rs`, of which [`CudaSwDriver::search`] is the
+//! loop in `chunk_loop.rs`, of which [`CudaSwDriver::search`] is the
 //! fault-free case. Every kernel is built and launched by the shared
 //! launch path in `launch.rs`, which is also where each
 //! [`DeviceKernelConfig`] kernel flag is read.
 
 use crate::intra_improved::{ImprovedParams, VariantConfig};
-use crate::recovery::RecoveryPolicy;
 use gpu_sim::stats::{LaunchStats, RunStats};
 use gpu_sim::{DeviceSpec, GpuDevice, GpuError};
 use obs::MetricsRegistry;
@@ -328,11 +327,11 @@ impl CudaSwDriver {
     }
 
     /// Compare `query` against every database sequence: the chunk loop of
-    /// `recovery.rs` with nothing to recover — the first device error is
+    /// `chunk_loop.rs` under no policy — the first device error is
     /// returned as it is. The device's integrity-check and watchdog
     /// settings are used as found, not set.
     pub fn search(&mut self, query: &[u8], db: &Database) -> Result<SearchResult, GpuError> {
-        self.search_with(query, db, &RecoveryPolicy::fail_fast())
+        self.search_with(query, db, None)
             .map(|searched| searched.result)
     }
 }

@@ -1,6 +1,6 @@
 //! The driver's one device launch path.
 //!
-//! Both searches — the chunk loop of `recovery.rs`, which
+//! Both searches — the chunk loop of `chunk_loop.rs`, which
 //! [`CudaSwDriver::search`], the resilient search, the multi-GPU shards
 //! and the ablation helper [`crate::variants::run_intra_variant`] all run,
 //! and the staged search — reach the device through the three functions

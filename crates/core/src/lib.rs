@@ -34,6 +34,7 @@
 
 pub mod balance;
 pub mod checkpoint;
+mod chunk_loop;
 mod column;
 pub mod driver;
 pub mod inter_task;

@@ -15,8 +15,9 @@
 //! [`multi_gpu_search_resilient`]; the fault-free search is that function
 //! given no fault plans.
 
+use crate::chunk_loop::host_scores;
 use crate::driver::{CudaSwConfig, CudaSwDriver, SearchResult};
-use crate::recovery::{host_scores, RecoveryPolicy, RecoveryReport};
+use crate::recovery::{RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_db::{Database, Sequence};
 

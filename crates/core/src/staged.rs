@@ -17,7 +17,7 @@
 //! in every result). This module owns what is specific to residency: the
 //! one-time uploads, the staged/query allocator marks, and the second of
 //! the driver's two `streamed_h2d` session lifetimes — one that lives as
-//! long as the staged database, where the chunk loop's (`recovery.rs`)
+//! long as the staged database, where the chunk loop's (`chunk_loop.rs`)
 //! lives as long as one search.
 //!
 //! The handle borrows nothing but is only valid while its allocations
@@ -113,7 +113,7 @@ impl CudaSwDriver {
         let s = self.group_size();
         let mut groups = Vec::new();
         let mut offset = 0usize;
-        for group in partition.groups(s) {
+        for group in partition.short.chunks(s) {
             let (img, secs) = GroupImage::upload(&mut self.dev, group)?;
             staging_seconds += secs;
             groups.push(StagedGroup { img, offset });
@@ -152,7 +152,7 @@ impl CudaSwDriver {
     /// only.
     ///
     /// This is not a case of the chunk loop every other search runs
-    /// (`recovery.rs`), and stays apart from it: which of the two runs is
+    /// (`chunk_loop.rs`), and stays apart from it: which of the two runs is
     /// decided by the input (the caller holds a [`StagedDatabase`] or does
     /// not), the `streamed_h2d` session here outlives the search with the
     /// staged images, and a retry inside it would change what the serve

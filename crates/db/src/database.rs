@@ -74,14 +74,6 @@ impl<'a> Partition<'a> {
             self.long.len() as f64 / total as f64
         }
     }
-
-    /// Inter-task groups of at most `group_size` sequences each, in sorted
-    /// order (so lengths within a group are as uniform as the distribution
-    /// allows — the paper's §II-C).
-    pub fn groups(&self, group_size: usize) -> impl Iterator<Item = &'a [Sequence]> + '_ {
-        assert!(group_size > 0, "group size must be positive");
-        self.short.chunks(group_size)
-    }
 }
 
 impl Database {
@@ -204,17 +196,6 @@ mod tests {
         let p = d.partition(3000);
         assert_eq!(p.short.len(), 2);
         assert_eq!(p.long.len(), 3);
-    }
-
-    #[test]
-    fn groups_chunk_in_sorted_order() {
-        let d = db();
-        let p = d.partition(10_000);
-        let groups: Vec<&[Sequence]> = p.groups(2).collect();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].len(), 2);
-        assert_eq!(groups[2].len(), 1);
-        assert!(groups[0][0].len() <= groups[0][1].len());
     }
 
     #[test]

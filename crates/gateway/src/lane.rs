@@ -33,6 +33,7 @@
 use crate::gateway::FrontMsg;
 use cudasw_core::{CudaSwConfig, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan};
+use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::Sender;
 use sw_db::Database;
 use sw_serve::{DeviceLane, Part};
@@ -86,15 +87,21 @@ pub(crate) struct LaneHandle {
     pub join: std::thread::JoinHandle<()>,
 }
 
-/// Spawn a worker thread that runs `exec` on every part it gets.
+/// Spawn worker `lane`, which runs `exec` on every part it gets. A part
+/// whose `exec` panics (outside the pool's chunk quarantine, e.g. a
+/// request whose parameters an engine refuses) reports unserved, so the
+/// machine owes it once and then aborts it: every request resolves.
 fn spawn_lane(
+    lane: usize,
     mut exec: impl FnMut(&Part) -> LaneDone + Send + 'static,
     out: Sender<FrontMsg>,
 ) -> LaneHandle {
     let (tx, rx) = std::sync::mpsc::channel::<Part>();
     let join = std::thread::spawn(move || {
         for part in rx {
-            if out.send(FrontMsg::Done(exec(&part))).is_err() {
+            let done = std::panic::catch_unwind(AssertUnwindSafe(|| exec(&part)))
+                .unwrap_or_else(|_| LaneDone::unserved(lane, &part));
+            if out.send(FrontMsg::Done(done)).is_err() {
                 break;
             }
         }
@@ -113,7 +120,7 @@ pub(crate) fn spawn_device_lane(
     out: Sender<FrontMsg>,
 ) -> LaneHandle {
     let mut device = DeviceLane::new(spec, config, shard, plan, policy);
-    spawn_lane(move |part| exec_device(lane, &mut device, part), out)
+    spawn_lane(lane, move |part| exec_device(lane, &mut device, part), out)
 }
 
 /// Serve `device`'s shard of the wave, query by query, until the wave
@@ -188,5 +195,5 @@ pub(crate) fn spawn_host_lane(
         }
         done
     };
-    spawn_lane(exec, out)
+    spawn_lane(lane, exec, out)
 }

@@ -5,14 +5,17 @@
 //! graceful drain, no duplicate commit, one [`Outcome`] per ticket — and
 //! the overload schedule must shed explicitly. A closed loop on the host
 //! lane alone then forms multi-request waves — each one pool job — and
-//! every reply must equal a direct search. Nothing here reads a latency or
-//! a rate: wall-clock serving numbers are the repo benchmark's
-//! (`serve_steady`, `serve_small`).
+//! every reply must equal a direct search, and a request that panics its
+//! lane must still resolve. Nothing here reads a latency or a rate:
+//! wall-clock serving numbers are the repo benchmark's (`serve_steady`,
+//! `serve_small`).
 
 mod loadgen;
 
 use gpu_sim::DeviceSpec;
 use loadgen::{drive, LoadConfig, LoadProfile};
+use std::time::Duration;
+use sw_align::GapPenalties;
 use sw_db::synth::database_with_lengths;
 use sw_gateway::{Gateway, GatewayConfig, Outcome};
 use sw_serve::{BatchPolicy, ServeReport, ShedReason};
@@ -175,4 +178,26 @@ fn closed_loop_waves_reply_exactly_and_exactly_once() {
             .counter("cudasw.gateway.duplicate_commits", &[]),
         0.0
     );
+}
+
+/// Gap penalties with `extend > open` make the host lane's engine build
+/// panic, outside the pool's chunk quarantine. The lane reports the part
+/// unserved, the machine owes it once and then aborts it: the ticket
+/// resolves (under a timeout, so a lost request fails instead of hanging).
+#[test]
+fn a_request_that_panics_its_lane_still_resolves() {
+    let db = database_with_lengths("panic-db", &[20, 40, 60], 71);
+    let cfg = GatewayConfig {
+        devices: 0,
+        ..GatewayConfig::default()
+    };
+    let mut req = LoadConfig::small(1, 0x5041).schedule().remove(0);
+    req.params.gaps = GapPenalties { open: 1, extend: 2 };
+    let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
+    let ticket = gateway.submit(req);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(ticket.wait()));
+    let outcome = rx.recv_timeout(Duration::from_secs(20));
+    assert!(matches!(outcome, Ok(Outcome::Aborted)), "{outcome:?}");
+    assert_eq!(gateway.shutdown().aborted.len(), 1);
 }

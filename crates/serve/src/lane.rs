@@ -6,8 +6,8 @@
 //! per-query H2D transfers each. Every rung below the fast path is here
 //! and nowhere else:
 //!
-//! 1. [`DeviceLane::stage`] retries transient staging faults with
-//!    doubling backoff (first retry `backoff_base_seconds`); a denied or
+//! 1. [`DeviceLane::stage`] retries transient staging faults by the
+//!    ledger's one retry rule ([`RecoveryReport::retry`]); a denied or
 //!    exhausted retry, or an OOM, serves the wave un-staged; only device
 //!    loss kills the lane.
 //! 2. [`DeviceLane::serve`] tries the resident shard; a recoverable
@@ -129,25 +129,19 @@ impl DeviceLane {
         let deadline = budget.map(|b| obs::now() + b);
         let mut attempt = 0u32;
         loop {
-            match self.driver.stage_database(&self.shard) {
+            let err = match self.driver.stage_database(&self.shard) {
                 Ok(staged) => {
                     *seconds += staged.staging_seconds();
                     self.staged = Some(staged);
                     obs::counter_add("cudasw.serve.db_stagings", &[], 1.0);
                     return Ok(());
                 }
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    let backoff = self.policy.backoff_seconds(attempt + 1);
-                    if let Some(d) = deadline.filter(|d| obs::now() + backoff > *d) {
-                        // Budget exhausted: the wave runs un-staged
-                        // (per-query searches respect their own budgets).
-                        report.note_budget_denied(&e, d);
-                        obs::counter_add("cudasw.serve.budget_denied_stagings", &[], 1.0);
-                        obs::counter_add("cudasw.serve.staging_fallbacks", &[], 1.0);
-                        return Ok(());
-                    }
-                    attempt += 1;
-                    *seconds += report.note_retry(&e, attempt, &self.policy);
+                Err(e) => e,
+            };
+            let denied = report.budget_denied_retries;
+            match report.retry(err, &mut attempt, deadline) {
+                Ok(backoff) => {
+                    *seconds += backoff;
                     obs::counter_add("cudasw.serve.staging_retries", &[], 1.0);
                 }
                 Err(GpuError::DeviceLost) => {
@@ -155,8 +149,12 @@ impl DeviceLane {
                     return Ok(());
                 }
                 Err(e) if e.is_recoverable() => {
-                    // OOM or retries exhausted: serve un-staged
-                    // (search_resilient re-chunks around OOM itself).
+                    // A denied or exhausted retry, or an OOM: serve
+                    // un-staged (per-query searches respect their own
+                    // budgets, and search_resilient re-chunks around OOM).
+                    if report.budget_denied_retries > denied {
+                        obs::counter_add("cudasw.serve.budget_denied_stagings", &[], 1.0);
+                    }
                     obs::counter_add("cudasw.serve.staging_fallbacks", &[], 1.0);
                     return Ok(());
                 }
@@ -269,24 +267,26 @@ mod tests {
         run.metrics.counter(name, &[])
     }
 
+    /// The ledger's first retry backoff.
+    const BASE: f64 = 1.0e-3;
+
     #[test]
     fn the_first_staging_retry_backs_off_the_base_exactly() {
         // Staging's first device operation is an allocation.
         let mut lane = lane(FaultPlan::none().with_transient(FaultSite::Alloc, 0));
-        let base = RecoveryPolicy::default().backoff_base_seconds;
         let mut report = RecoveryReport::default();
         let mut seconds = 0.0;
         let ((), run) = obs::capture(|| lane.stage(None, &mut report, &mut seconds).unwrap());
 
         assert_eq!(report.retries, 1);
-        assert_eq!(report.backoff_seconds, base);
+        assert_eq!(report.backoff_seconds, BASE);
         assert!(matches!(
             report.events[..],
             [RecoveryEvent::Retry { attempt: 1, .. }]
         ));
         assert_eq!(counter(&run, "cudasw.serve.staging_retries"), 1.0);
         assert_eq!(counter(&run, "cudasw.serve.db_stagings"), 1.0);
-        assert!(seconds > base, "backoff plus the staging transfer");
+        assert!(seconds > BASE, "backoff plus the staging transfer");
         // The ledger and the registry are written in one breath.
         assert_eq!(counter(&run, "cudasw.core.recovery.retries"), 1.0);
         assert_eq!(
@@ -325,12 +325,11 @@ mod tests {
     #[test]
     fn a_budget_the_first_backoff_overruns_is_denied_and_served_unstaged() {
         let mut lane = lane(FaultPlan::none().with_transient(FaultSite::Alloc, 0));
-        let base = RecoveryPolicy::default().backoff_base_seconds;
         let query = make_query(48, 5);
         let expect = oracle(&lane, &query);
         let mut report = RecoveryReport::default();
         let ((), run) = obs::capture(|| {
-            lane.stage(Some(base / 2.0), &mut report, &mut 0.0).unwrap();
+            lane.stage(Some(BASE / 2.0), &mut report, &mut 0.0).unwrap();
             let served = lane.serve(&query, None).unwrap().unwrap();
             assert_eq!(served.scores, expect);
         });

@@ -33,11 +33,12 @@
 //! (gauge), `waves`, `wave_requests`, `completed`, `aborted`,
 //! `latency_seconds` (histogram), `db_stagings`, `staging_retries`,
 //! `staging_fallbacks`, `staged_faults`, `lane_deaths`, `lane_revivals`,
-//! `redispatches`, `cpu_fallback_seqs`, `recovery.degraded{cause}`,
-//! `budget_denied_stagings`, `breaker_skips`, `urgent_waves`,
-//! `health.fault_score{lane}` / `health.breaker{lane}` (gauges),
-//! `health.breaker_transitions{lane,to}`. Spans: `run_trace`, `wave`
-//! (category `serve`). See DESIGN.md §11 and §13.
+//! `recovery.degraded{cause}`, `budget_denied_stagings`, `breaker_skips`,
+//! `urgent_waves`, `health.fault_score{lane}` / `health.breaker{lane}`
+//! (gauges), `health.breaker_transitions{lane,to}`. Shard re-dispatches and
+//! host-fallback sequences are recorded by the recovery ledger
+//! (`cudasw.core.recovery.*`). Spans: `run_trace`, `wave` (category
+//! `serve`). See DESIGN.md §11 and §13.
 // Crash-only discipline: library code may not panic through `unwrap` /
 // `expect` — every fallible path must recover or return a typed error.
 // (Unit tests, compiled with `cfg(test)`, are exempt.)

@@ -36,7 +36,7 @@ use crate::lane::DeviceLane;
 use crate::machine::{Action, Event, Outcome, Part, ServeReport, WaveMachine};
 use crate::request::SearchRequest;
 use cudasw_core::multi_gpu::shard_database;
-use cudasw_core::{CudaSwConfig, RecoveryEvent, RecoveryPolicy, RecoveryReport};
+use cudasw_core::{CudaSwConfig, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_db::Database;
 use sw_simd::{search_protected, PoolConfig, Precision, QueryEngine};
@@ -407,13 +407,7 @@ impl SearchService {
                 run.lane_seconds[t] += r.seconds;
                 cells += r.cells;
                 run.recovery.merge(&r.recovery);
-                run.recovery.shard_redispatches += 1;
-                run.recovery.events.push(RecoveryEvent::ShardRedispatch {
-                    from_device: dead,
-                    to_device: t,
-                    sequences: shard.len(),
-                });
-                obs::counter_add("cudasw.serve.redispatches", &[], 1.0);
+                run.recovery.note_redispatch(dead, t, shard.len());
                 scores[q] = Some(r.scores);
                 break;
             }
@@ -433,12 +427,7 @@ impl SearchService {
             let r = search_protected(&engine, shard.sequences(), &self.host_pool_config())
                 .map_err(|_| GpuError::DeviceLost)?;
             sw_simd::record_stats(engine.kind(), &r.stats);
-            run.recovery.cpu_fallback_seqs += shard.len() as u64;
-            run.recovery.degraded = true;
-            run.recovery.events.push(RecoveryEvent::CpuFallback {
-                sequences: shard.len(),
-            });
-            obs::counter_add("cudasw.serve.cpu_fallback_seqs", &[], shard.len() as f64);
+            run.recovery.note_cpu_fallback(shard.len());
             scores[q] = Some(r.scores);
         }
         Ok(Event::ShardDone {

@@ -6,7 +6,8 @@
 //! * a wave of compatible queries stages the database once (asserted on
 //!   the `cudasw.gpu_sim.h2d.calls` transfer counter);
 //! * overload sheds explicitly instead of queueing without bound;
-//! * a repeated query is answered once per request, with equal scores.
+//! * a repeated query is answered once per request, with equal scores;
+//! * the metrics registry counts what the recovery ledger reports.
 
 use cudasw_core::{CudaSwConfig, CudaSwDriver, ImprovedParams, RecoveryPolicy};
 use gpu_sim::{DeviceSpec, FaultPlan, FaultRates, FaultSite};
@@ -297,4 +298,35 @@ fn deadline_misses_are_flagged_not_dropped() {
         report.responses[0].scores,
         standalone_scores(&trace[0].query, &db)
     );
+}
+
+/// Re-dispatch and host fallback are recorded through the ledger's
+/// writers, so under the service `cudasw.core.recovery.*` counts exactly
+/// what `report.recovery` reports.
+#[test]
+fn the_registry_counts_what_the_ledger_reports() {
+    let db = test_db();
+    // Lane 0 dies at once, so its shard is re-dispatched to lane 1; lane 1
+    // dies later in the trace, so what is left runs on the host.
+    let plans = vec![
+        FaultPlan::none().with_device_loss(FaultSite::Launch, 0),
+        FaultPlan::none().with_device_loss(FaultSite::Launch, 30),
+    ];
+    let trace = TraceConfig::small(8, 23).generate();
+    let (report, run) = obs::capture(|| {
+        let mut service = SearchService::new(&spec(), &serve_config(2), &db, &plans);
+        service.run_trace(&trace).unwrap()
+    });
+    let ledger = &report.recovery;
+    let counter = |name: &str| run.metrics.counter_sum(name, &[]) as u64;
+    assert!(ledger.shard_redispatches > 0 && ledger.cpu_fallback_seqs > 0);
+    assert_eq!(
+        counter("cudasw.core.recovery.shard_redispatches"),
+        ledger.shard_redispatches
+    );
+    assert_eq!(
+        counter("cudasw.core.recovery.cpu_fallback_seqs"),
+        ledger.cpu_fallback_seqs
+    );
+    assert_eq!(counter("cudasw.core.recovery.retries"), ledger.retries);
 }

@@ -24,13 +24,15 @@
 //!   (239/240/241) and of `i16::MAX` (32,766/32,767/32,768), one of
 //!   40,000, lengths 0 and 1, a query shorter than one vector and one longer
 //!   than one strip, subjects at the 3,072 threshold, the shared-only panel
-//!   and the shared-boundary fit, the codes B, Z, X and `*`,
-//!   `open == extend`, an all-positive matrix, an open penalty past
-//!   `i16::MAX`, both penalties at 2^30 (the largest `GapPenalties::new`
-//!   admits), no positive overlap, gap walls and hand-picked pairs;
+//!   and the shared-boundary fit, a gap opened on the improved kernel's
+//!   strip boundary, the codes B, Z, X and `*`, `open == extend`, an
+//!   all-positive matrix, an open penalty past `i16::MAX`, both penalties
+//!   at 2^30 (the largest `GapPenalties::new` admits), no positive overlap,
+//!   gap walls and hand-picked pairs;
 //! * **seeded** — random queries, databases and gap models, the mixed
-//!   database of the device suite, and subjects at the device kernels'
-//!   strip and tile boundaries under four query lengths and three seeds.
+//!   database of the device suite, subjects at the device kernels'
+//!   strip and tile boundaries under four query lengths and three seeds,
+//!   and 64 generated rows, each a matrix class by a gap model.
 //!
 //! [`conform`] runs every scorer on every row it takes and fails naming the
 //! scorer, the row and both scores. It also fails when no scorer ran a
@@ -856,6 +858,16 @@ fn adversarial_rows() -> Vec<Row> {
                 vec![[make_query(36, 24), make_query(269, 25)].concat()],
             )
         },
+        // Query row 128 opens the improved kernel's second strip at 32 × 4.
+        // A W there that the subject lacks costs one gap opened across the
+        // strip boundary, so the F carried over it decides the score.
+        Row::new(
+            a,
+            "a gap opened on the improved kernel's strip boundary",
+            &blosum,
+            [make_query(128, 26), vec![W], make_query(20, 27)].concat(),
+            vec![[make_query(128, 26), make_query(20, 27)].concat()],
+        ),
         // Every entry positive: a padded query row or subject column
         // scored the matrix minimum would raise the maximum.
         Row::new(
@@ -969,6 +981,99 @@ fn seeded_rows() -> Vec<Row> {
     rows
 }
 
+/// Draws one matrix entry.
+type Draw = fn(&mut StdRng) -> i8;
+
+/// A symmetric matrix of one of the six classes the generator draws.
+fn drawn_matrix(rng: &mut StdRng, class: usize) -> ScoringMatrix {
+    let n = Alphabet::Protein.size();
+    let (name, off, diag): (_, Draw, Draw) = match class {
+        0 => return ScoringMatrix::blosum62(),
+        1 => (
+            "random signed",
+            |r| r.gen_range(-30..=30),
+            |r| r.gen_range(-30..=30),
+        ),
+        2 => ("±127/−128 extremes", extreme, extreme),
+        3 => (
+            "dominant diagonal",
+            |r| r.gen_range(-8..=2),
+            |r| r.gen_range(60..=127),
+        ),
+        4 => (
+            "none positive",
+            |r| r.gen_range(-40..=0),
+            |r| r.gen_range(-40..=0),
+        ),
+        _ => (
+            "all positive",
+            |r| r.gen_range(1..=20),
+            |r| r.gen_range(1..=20),
+        ),
+    };
+    let mut scores = vec![0i8; n * n];
+    for a in 0..n {
+        scores[a * n + a] = diag(rng);
+        for b in 0..a {
+            let v = off(rng);
+            (scores[a * n + b], scores[b * n + a]) = (v, v);
+        }
+    }
+    ScoringMatrix::from_raw(name, Alphabet::Protein, n, scores).unwrap()
+}
+
+/// −128 or 127, with a fifth of the draws anywhere between.
+fn extreme(rng: &mut StdRng) -> i8 {
+    match rng.gen_range(0..5) {
+        0 => rng.gen_range(-128..=127),
+        1 | 2 => -128,
+        _ => 127,
+    }
+}
+
+/// Log-uniform in `[0, hi]`: `2^u − 1` for `u` uniform in `[0, log2(hi + 1))`.
+fn log_uniform(rng: &mut StdRng, hi: i32) -> i32 {
+    let top = (f64::from(hi) + 1.0).log2();
+    ((2f64.powf(rng.gen_range(0.0..1.0) * top) - 1.0) as i32).min(hi)
+}
+
+/// The parameter generator: each row draws a matrix class and a gap model
+/// (log-uniform penalties in [0, 2^30], `extend ≤ open`; a third of each
+/// class's rows take `extend = 0` and a third `open == extend`) and scores a
+/// short random query against one or two random subjects, some past the
+/// flag matrix's threshold of 100.
+fn generated_rows() -> Vec<Row> {
+    let mut rng = StdRng::seed_from_u64(0x9e7e);
+    (0..64)
+        .map(|i| {
+            let matrix = drawn_matrix(&mut rng, i % 6);
+            let open = log_uniform(&mut rng, 1 << 30);
+            let extend = match i / 6 % 3 {
+                0 => 0,
+                1 => open,
+                _ => log_uniform(&mut rng, open),
+            };
+            let params = SwParams {
+                matrix,
+                gaps: GapPenalties::new(open, extend).unwrap(),
+            };
+            let qlen = rng.gen_range(1..=24usize);
+            let query = residues(&mut rng, qlen);
+            let subjects = (0..rng.gen_range(1..=2))
+                .map(|_| {
+                    let len = rng.gen_range(1..=110usize);
+                    residues(&mut rng, len)
+                })
+                .collect();
+            let name = format!(
+                "generated row {i}: {}, gaps ({open}, {extend})",
+                params.matrix.name()
+            );
+            Row::new(Category::Seeded, name, &params, query, subjects)
+        })
+        .collect()
+}
+
 #[test]
 fn every_short_pair_on_every_device_path() {
     conform(Category::Exhaustive, &exhaustive_rows());
@@ -1027,6 +1132,11 @@ fn every_seeded_row_on_every_path() {
 #[test]
 fn seeded_random_corpus_matches_scalar_oracle() {
     conform(Category::Seeded, &boundary_and_other_seeded_rows().0);
+}
+
+#[test]
+fn every_generated_row_on_every_path() {
+    conform(Category::Seeded, &generated_rows());
 }
 
 /// A Swissprot-shaped database in which every fifth subject, where it has
