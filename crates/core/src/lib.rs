@@ -21,7 +21,8 @@
 //! development stages of §III and the §VI ideas for ablation benches;
 //! [`threshold`] implements automatic threshold selection; [`model`]
 //! provides closed-form counter predictions validated against functional
-//! runs.
+//! runs (within 24% on a whole search; further off per kernel, see its
+//! docs).
 //!
 //! Every kernel is *functional*: it computes real Smith-Waterman scores
 //! through the simulated memory system, and is tested against

@@ -88,9 +88,10 @@ pub(crate) struct LaneHandle {
 }
 
 /// Spawn worker `lane`, which runs `exec` on every part it gets. A part
-/// whose `exec` panics (outside the pool's chunk quarantine, e.g. a
-/// request whose parameters an engine refuses) reports unserved, so the
-/// machine owes it once and then aborts it: every request resolves.
+/// whose `exec` panics outside the pool's chunk quarantine (a request the
+/// machine's admission checks let through but an engine refuses) reports
+/// unserved, so the machine owes it once and then aborts it: every
+/// request resolves.
 fn spawn_lane(
     lane: usize,
     mut exec: impl FnMut(&Part) -> LaneDone + Send + 'static,
@@ -196,4 +197,48 @@ pub(crate) fn spawn_host_lane(
         done
     };
     spawn_lane(lane, exec, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use sw_serve::{TraceConfig, Wave};
+
+    /// A part whose `exec` panics reports unserved; the worker goes on.
+    #[test]
+    fn a_panicking_part_reports_unserved_and_the_worker_lives_on() {
+        let requests = TraceConfig::small(1, 5).generate();
+        let (key, exec_order) = (requests[0].params_key(), vec![0]);
+        let wave = Arc::new(Wave {
+            key,
+            requests,
+            exec_order,
+        });
+        let exec = |part: &Part| match part.wave_id {
+            0 => panic!("an engine refused the part"),
+            _ => LaneDone::unserved(3, part),
+        };
+        let (out, rx) = std::sync::mpsc::channel();
+        let lane = spawn_lane(3, exec, out);
+        for wave_id in [0, 1] {
+            let part = Part {
+                wave_id,
+                wave: wave.clone(),
+                shard: 2,
+            };
+            lane.tx.send(part).unwrap();
+        }
+        drop(lane.tx);
+        let reports: Vec<_> = rx.iter().collect();
+        lane.join.join().unwrap();
+        let [FrontMsg::Done(first), FrontMsg::Done(next)] = &reports[..] else {
+            panic!("the worker reports each part once");
+        };
+        assert_eq!(
+            (first.wave_id, first.shard_of, &first.scores),
+            (0, 2, &vec![None])
+        );
+        assert_eq!(next.wave_id, 1);
+    }
 }

@@ -5,10 +5,10 @@
 //! graceful drain, no duplicate commit, one [`Outcome`] per ticket — and
 //! the overload schedule must shed explicitly. A closed loop on the host
 //! lane alone then forms multi-request waves — each one pool job — and
-//! every reply must equal a direct search, and a request that panics its
-//! lane must still resolve. Nothing here reads a latency or a rate:
-//! wall-clock serving numbers are the repo benchmark's (`serve_steady`,
-//! `serve_small`).
+//! every reply must equal a direct search, and a request with illegal gap
+//! penalties is shed before a lane runs it. Nothing here reads a latency
+//! or a rate: wall-clock serving numbers are the repo benchmark's
+//! (`serve_steady`, `serve_small`).
 
 mod loadgen;
 
@@ -185,7 +185,7 @@ fn closed_loop_waves_reply_exactly_and_exactly_once() {
 /// unserved, the machine owes it once and then aborts it: the ticket
 /// resolves (under a timeout, so a lost request fails instead of hanging).
 #[test]
-fn a_request_that_panics_its_lane_still_resolves() {
+fn an_illegal_gap_model_is_shed_before_any_lane_runs() {
     let db = database_with_lengths("panic-db", &[20, 40, 60], 71);
     let cfg = GatewayConfig {
         devices: 0,
@@ -198,6 +198,8 @@ fn a_request_that_panics_its_lane_still_resolves() {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || tx.send(ticket.wait()));
     let outcome = rx.recv_timeout(Duration::from_secs(20));
-    assert!(matches!(outcome, Ok(Outcome::Aborted)), "{outcome:?}");
-    assert_eq!(gateway.shutdown().aborted.len(), 1);
+    let shed = matches!(outcome, Ok(Outcome::Shed(ShedReason::InvalidParams)));
+    assert!(shed, "{outcome:?}");
+    let report = gateway.shutdown();
+    assert_eq!((report.sheds.len(), report.waves), (1, 0), "no lane ran it");
 }

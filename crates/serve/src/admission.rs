@@ -39,6 +39,9 @@ pub enum ShedReason {
     /// The request's deadline passed while it was still queued
     /// (load-shedding mode only — see `ServeConfig::shed_expired`).
     DeadlineExpired,
+    /// The request's gap penalties break `2^30 ≥ open ≥ extend ≥ 0`
+    /// ([`sw_align::GapPenalties::new`]), which no engine can score.
+    InvalidParams,
 }
 
 impl ShedReason {
@@ -48,14 +51,16 @@ impl ShedReason {
             ShedReason::QueueFull => "queue_full",
             ShedReason::TenantQuota => "tenant_quota",
             ShedReason::DeadlineExpired => "deadline_expired",
+            ShedReason::InvalidParams => "invalid_params",
         }
     }
 }
 
 /// The bounded request queue behind the admission controller.
 ///
-/// Emits `cudasw.serve.admitted` / `cudasw.serve.shed{reason}` counters
-/// and keeps the `cudasw.serve.queue_depth` gauge current.
+/// Emits the `cudasw.serve.admitted` counter and keeps the
+/// `cudasw.serve.queue_depth` gauge current; the machine that sheds a
+/// request counts it.
 #[derive(Debug)]
 pub struct AdmissionQueue {
     config: AdmissionConfig,
@@ -91,12 +96,10 @@ impl AdmissionQueue {
     /// Admit `request`, or shed it with a reason.
     pub fn offer(&mut self, request: SearchRequest) -> Result<(), ShedReason> {
         if self.queued.len() >= self.config.queue_capacity {
-            self.note_shed(ShedReason::QueueFull);
             return Err(ShedReason::QueueFull);
         }
         let tenant_depth = self.per_tenant.get(&request.tenant).copied().unwrap_or(0);
         if tenant_depth >= self.config.tenant_quota {
-            self.note_shed(ShedReason::TenantQuota);
             return Err(ShedReason::TenantQuota);
         }
         *self.per_tenant.entry(request.tenant.clone()).or_insert(0) += 1;
@@ -125,7 +128,7 @@ impl AdmissionQueue {
     }
 
     /// Remove and return every queued request whose deadline is at or
-    /// before `now`, releasing tenant quotas and emitting shed counters.
+    /// before `now`, releasing tenant quotas.
     /// The service calls this each scheduler step when load-shedding is
     /// enabled; with it off (the default) expired requests are served
     /// late and flagged instead.
@@ -138,7 +141,6 @@ impl AdmissionQueue {
                 if let Some(n) = self.per_tenant.get_mut(&req.tenant) {
                     *n -= 1;
                 }
-                self.note_shed(ShedReason::DeadlineExpired);
                 expired.push(req);
             } else {
                 i += 1;
@@ -148,10 +150,6 @@ impl AdmissionQueue {
             self.note_depth();
         }
         expired
-    }
-
-    fn note_shed(&self, reason: ShedReason) {
-        obs::counter_add("cudasw.serve.shed", &[("reason", reason.as_str())], 1.0);
     }
 
     fn note_depth(&self) {

@@ -23,7 +23,8 @@
 //! * When every part of a wave has reported, each request resolves:
 //!   served with its full-database scores, or aborted if a shard was lost.
 //! * Every submitted id gets exactly one [`Action::Respond`]: served, shed
-//!   (admission, or a deadline that passed in the queue), or aborted
+//!   (admission, illegal gap penalties, or a deadline that passed in the
+//!   queue), or aborted
 //!   ([`Event::Abort`], a lost shard, or a submission after
 //!   [`Event::Drain`]).
 
@@ -34,6 +35,7 @@ use cudasw_core::multi_gpu::unshard_scores;
 use cudasw_core::RecoveryReport;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+use sw_align::GapPenalties;
 
 /// One answered request.
 #[derive(Debug, Clone)]
@@ -330,7 +332,13 @@ impl WaveMachine {
             return;
         }
         let (id, tenant) = (req.id, req.tenant.clone());
-        if let Err(reason) = self.queue.offer(req) {
+        let gaps = req.params.gaps;
+        // Refused here, before any lane builds an engine that would panic.
+        let offered = match GapPenalties::new(gaps.open, gaps.extend) {
+            Ok(_) => self.queue.offer(req),
+            Err(_) => Err(ShedReason::InvalidParams),
+        };
+        if let Err(reason) = offered {
             self.shed(id, tenant, reason);
         }
     }
@@ -448,6 +456,7 @@ impl WaveMachine {
     }
 
     fn shed(&mut self, id: u64, tenant: String, reason: ShedReason) {
+        obs::counter_add("cudasw.serve.shed", &[("reason", reason.as_str())], 1.0);
         self.report.sheds.push(Shed { id, tenant, reason });
         self.respond(id, Outcome::Shed(reason));
     }

@@ -7,6 +7,7 @@
 //!   the `cudasw.gpu_sim.h2d.calls` transfer counter);
 //! * overload sheds explicitly instead of queueing without bound;
 //! * a repeated query is answered once per request, with equal scores;
+//! * a request with illegal gap penalties is shed at admission;
 //! * the metrics registry counts what the recovery ledger reports.
 
 use cudasw_core::{CudaSwConfig, CudaSwDriver, ImprovedParams, RecoveryPolicy};
@@ -329,4 +330,25 @@ fn the_registry_counts_what_the_ledger_reports() {
         ledger.cpu_fallback_seqs
     );
     assert_eq!(counter("cudasw.core.recovery.retries"), ledger.retries);
+}
+
+/// Gap penalties outside `2^30 ≥ open ≥ extend ≥ 0` are shed before a lane
+/// builds an engine that would panic on them; the rest is served.
+#[test]
+fn illegal_gap_penalties_are_shed_at_admission() {
+    let db = test_db();
+    let mut trace = TraceConfig::small(6, 31).generate();
+    trace[1].params.gaps.open = 1; // below extend
+    trace[4].params.gaps.extend = -1;
+    let (report, run) = obs::capture(|| {
+        let mut service = SearchService::new(&spec(), &serve_config(2), &db, &[]);
+        service.run_trace(&trace).unwrap()
+    });
+    let shed: Vec<_> = report.sheds.iter().map(|s| (s.id, s.reason)).collect();
+    let invalid = sw_serve::ShedReason::InvalidParams;
+    assert_eq!(shed, [(trace[1].id, invalid), (trace[4].id, invalid)]);
+    let served: Vec<u64> = [0, 2, 3, 5].iter().map(|&i| trace[i].id).collect();
+    assert_exactly_once(&report, &served);
+    let label = [("reason", "invalid_params")];
+    assert_eq!(run.metrics.counter_sum("cudasw.serve.shed", &label), 2.0);
 }

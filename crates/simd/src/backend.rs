@@ -320,8 +320,8 @@ pub trait Backend {
     const NAME: &'static str;
     /// Whether the pool's adaptive searches take the grouped passes
     /// ([`sw_bytes_grouped`], [`sw_words_grouped`]); false where the byte
-    /// pass measured slower than the striped one (EXPERIMENTS.md, "Host
-    /// engine and pool").
+    /// pass measured slower than the striped one (EXPERIMENTS.md, "Engine
+    /// constants").
     const GROUPS: bool = true;
     /// True when this host can execute the backend's instructions.
     fn available() -> bool;
@@ -584,7 +584,7 @@ macro_rules! repair_step {
 /// (fewer when the stripe is shorter). Of 1, 2, 3, 4, 6 and 8, 4 gave the
 /// best rate, or one within 3% of it, at each paper query length on AVX2,
 /// SSE2 and the portable vectors alike, so it is one constant and not one
-/// per lane count (EXPERIMENTS.md, "PR 15").
+/// per lane count (EXPERIMENTS.md, "Engine constants").
 const PEEL: usize = 4;
 
 /// Lane distances of the Kogge-Stone rounds; covers vectors of up to 32

@@ -101,7 +101,7 @@ pub const MIN_SEQS_PER_WORKER: usize = 16;
 /// widest byte groups, so the word pass sorts the hand-offs of 256 into
 /// fuller groups. On `scan_homolog`'s database, one thread, AVX2, the
 /// word pass ran 1.3× and the whole search 1.06–1.10× faster than at 32
-/// (EXPERIMENTS.md, "one subject a lane").
+/// (EXPERIMENTS.md, "Engine constants").
 const GROUP_SUBJECTS: usize = 256;
 
 /// Workers actually worth spawning for `alignments` (sequences × queries

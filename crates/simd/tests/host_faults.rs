@@ -95,12 +95,14 @@ fn forced_fault_matrix_on(engine: &QueryEngine, db: &sw_db::Database, chunks: &[
         for kind in HostFaultKind::ALL {
             // Force the drawn kind onto a mid-run chunk (identity (8, 4))
             // on top of the seeded background noise.
-            let plan = HostFaultPlan::random(seed, HostFaultRates::none())
-                .with_fault_at((8, 4), kind)
-                .with_stall_ms(30);
-            for threads in [1usize, 3] {
+            // At 3 threads the stall outlasts the 10 ms watchdog threshold
+            // forty-fold, however late a loaded host schedules the watchdog.
+            for (threads, stall_ms) in [(1usize, 30), (3, 400)] {
+                let plan = HostFaultPlan::random(seed, HostFaultRates::none())
+                    .with_fault_at((8, 4), kind)
+                    .with_stall_ms(stall_ms);
                 let cfg = PoolConfig::new(threads, Precision::Adaptive)
-                    .with_fault_plan(plan.clone())
+                    .with_fault_plan(plan)
                     .with_watchdog(10, 2);
                 let (r, published) = obs::capture(|| run(engine, db.sequences(), &cfg, chunks));
                 let what = format!("{backend}: seed={seed} kind={kind} threads={threads}");

@@ -3,7 +3,7 @@
 //! [`Counted`] is a [`ByteSimd`] implementor that delegates to the portable
 //! vector and counts the kernel's trait calls, so the one generic loop in
 //! `backend.rs` cannot grow an operation without this test changing. The
-//! AVX2 byte loop is issue-bound (EXPERIMENTS.md, "PR 20"): an operation
+//! AVX2 byte loop is issue-bound (EXPERIMENTS.md, "Engine constants"): an operation
 //! there costs what it looks like, 5.5–8.8% of the scan rate.
 //!
 //! Per column, with `add_score` counted once (it is one `vpaddsb` on AVX2

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, full test suite, lint wall, format check,
 # paper-claims suite, crash-matrix suite, host-fault matrix,
-# trace/checkpoint/integrity smokes, ignored-test triage gate.
+# trace/checkpoint/integrity smokes, ignored-test triage gate. The full
+# suite includes the docs budget, tests/docs_budget.rs: DESIGN.md and
+# EXPERIMENTS.md at most 40,000 bytes each, no change named by number in
+# them or README.md, and every citation of a DESIGN.md section or an
+# EXPERIMENTS.md heading in the tree resolving to a heading.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

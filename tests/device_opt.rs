@@ -309,7 +309,8 @@ impl Fnv {
 /// order on any path changes the constant. Pinned before the launch paths
 /// were merged into `cudasw_core::launch`; re-pinned once, when the search
 /// loops were merged: `transfer_seconds` of a resilient search with
-/// `streamed_h2d` on, 64 of 320 results (table in EXPERIMENTS.md, "PR 24").
+/// `streamed_h2d` on, 64 of 320 results (the per-field table is in git
+/// history).
 const PINNED_SIMULATED_DIGEST: u64 = 0x2c81_34c3_b837_d6e5;
 
 #[test]
