@@ -21,7 +21,7 @@ use crate::workloads;
 use sw_align::SwParams;
 use sw_db::catalog::{paper_query_lengths, PaperDb};
 use sw_simd::{
-    effective_workers, search_protected, BackendKind, PoolConfig, Precision, QueryEngine,
+    effective_workers, search_wave_protected, BackendKind, PoolConfig, Precision, QueryEngine,
 };
 
 /// Worker threads requested for the CPU baseline (the paper's four Xeon
@@ -116,9 +116,8 @@ pub fn run(threshold: usize, swps3_db_size: usize) -> Fig7Result {
         for &qlen in &queries {
             let query = workloads::query(qlen);
             let engine = QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind);
-            let r = search_protected(&engine, db.sequences(), &cfg)
+            let r = search_wave_protected(std::slice::from_ref(&engine), db.sequences(), &cfg)
                 .expect("no cancel token is configured");
-            sw_simd::record_stats(kind, &r.stats);
             s.push(qlen as f64, db.total_cells(qlen) as f64 / r.seconds / 1.0e9);
         }
         Some(s)

@@ -523,8 +523,8 @@ impl CudaSwDriver {
 /// profiles built once for the batch). The pool is the unwind boundary: a
 /// panicking chunk is quarantined to `sw_align::sw_score` and counted
 /// under `cudasw.simd.pool.*`, so a host stand-in can never abort a search
-/// the device already failed. The adaptive-precision counters are
-/// published when the batch is non-empty.
+/// the device already failed. The pool publishes the adaptive-precision
+/// counters of a non-empty batch itself.
 pub(crate) fn host_scores(
     params: &sw_align::SwParams,
     query: &[u8],
@@ -534,9 +534,7 @@ pub(crate) fn host_scores(
         return Vec::new();
     }
     let engine = QueryEngine::new(params.clone(), query);
-    let r = sw_simd::search_sequences(&engine, seqs, 1, Precision::Adaptive);
-    sw_simd::record_stats(engine.kind(), &r.stats);
-    r.scores
+    sw_simd::search_sequences(&engine, seqs, 1, Precision::Adaptive).scores
 }
 
 #[cfg(test)]
@@ -730,6 +728,8 @@ mod tests {
         assert!(matches!(rr.recovery.events[0], RecoveryEvent::Retry { .. }));
     }
 
+    /// The host stand-in scores the whole database, and the pool counts
+    /// each host-scored sequence once in the precision counters.
     #[test]
     fn device_loss_falls_back_to_cpu() {
         let db = db();
@@ -738,12 +738,17 @@ mod tests {
         driver
             .dev
             .inject_faults(FaultPlan::none().with_device_loss(FaultSite::Launch, 0));
-        let rr = driver
-            .search_resilient(&query, &db, &RecoveryPolicy::default())
-            .unwrap();
+        let (rr, run) = obs::capture(|| {
+            driver
+                .search_resilient(&query, &db, &RecoveryPolicy::default())
+                .unwrap()
+        });
         assert_eq!(rr.result.scores, fault_free_scores(&query, &db));
         assert!(rr.recovery.degraded);
         assert_eq!(rr.recovery.cpu_fallback_seqs, db.len() as u64);
+        let counted = ["byte_mode.alignments", "word_mode.reruns"]
+            .map(|name| run.metrics.counter_sum(&format!("cudasw.simd.{name}"), &[]));
+        assert_eq!(counted.iter().sum::<f64>(), db.len() as f64);
     }
 
     #[test]

@@ -187,10 +187,12 @@ pub(crate) fn spawn_host_lane(
                 .map(|&q| QueryEngine::new(params.clone(), &wave.requests[q].query))
                 .collect();
             if let Ok(r) = search_wave_protected(&engines, shard.sequences(), &cfg) {
-                sw_simd::record_stats(engines[0].kind(), &r.stats);
-                for (&q, part) in wave.exec_order.iter().zip(r.scores) {
+                // Query-major: the `j`-th engine's scores are one shard
+                // long, and an empty shard scores nothing.
+                let n = shard.len();
+                for (j, &q) in wave.exec_order.iter().enumerate() {
                     done.cells += shard.total_cells(wave.requests[q].query.len());
-                    done.scores[q] = Some(part);
+                    done.scores[q] = Some(r.scores[j * n..(j + 1) * n].to_vec());
                 }
             }
         }

@@ -40,9 +40,10 @@
 //! counters (`admitted`, `shed{reason}`, `waves`, `completed`, `aborted`)
 //! and the end-to-end `cudasw.serve.latency_seconds` histogram on
 //! [`obs::LATENCY_SECONDS_BOUNDS`]. Worker-thread metrics (a device
-//! lane's `cudasw.serve.*` ladder counters, the pool's `cudasw.simd.*`)
-//! stay on the worker's thread-local recorder; the dispatcher snapshot
-//! in [`ServeReport::metrics`] covers the front-end view.
+//! lane's `cudasw.serve.*` ladder counters, and the `cudasw.simd.*`
+//! counters the pool publishes on the host lane's thread) stay on that
+//! worker's thread-local recorder; the dispatcher snapshot in
+//! [`ServeReport::metrics`] covers the front-end view.
 // Crash-only discipline: library code may not panic through `unwrap` /
 // `expect` — every fallible path must recover or return a typed error.
 // (Unit tests, compiled with `cfg(test)`, are exempt.)

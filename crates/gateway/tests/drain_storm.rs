@@ -126,8 +126,8 @@ fn forced_drain_cancels_stalled_host_chunks_and_resolves_every_ticket() {
 
 /// Eight requests submitted at once ride one wave (it dispatches when
 /// full); its single pool job stalls chunk after chunk, so the 0.2 s drain
-/// grace expires inside it. The cancelled job returns no score vector for
-/// any query, and all eight tickets resolve `Aborted`, exactly once.
+/// grace expires inside it. The cancelled job returns no score for any
+/// query, and all eight tickets resolve `Aborted`, exactly once.
 #[test]
 fn forced_cancel_inside_a_multi_request_wave_aborts_all_of_its_tickets_once() {
     const WAVE: usize = 8;

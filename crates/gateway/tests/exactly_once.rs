@@ -6,17 +6,21 @@
 //! the overload schedule must shed explicitly. A closed loop on the host
 //! lane alone then forms multi-request waves — each one pool job — and
 //! every reply must equal a direct search, and a request with illegal gap
-//! penalties is shed before a lane runs it. Nothing here reads a latency
-//! or a rate: wall-clock serving numbers are the repo benchmark's
-//! (`serve_steady`, `serve_small`).
+//! penalties or a query code outside its matrix is shed before a lane runs
+//! it. A database with fewer sequences than lanes leaves a shard empty:
+//! whether the host lane scores its own empty shard or is owed one, every
+//! request resolves once with the direct search's scores. Nothing here
+//! reads a latency or a rate: wall-clock serving numbers are the repo
+//! benchmark's (`serve_steady`, `serve_small`).
 
 mod loadgen;
 
-use gpu_sim::DeviceSpec;
+use gpu_sim::{DeviceSpec, FaultPlan, FaultSite};
 use loadgen::{drive, LoadConfig, LoadProfile};
 use std::time::Duration;
 use sw_align::GapPenalties;
 use sw_db::synth::database_with_lengths;
+use sw_db::Database;
 use sw_gateway::{Gateway, GatewayConfig, Outcome};
 use sw_serve::{BatchPolicy, ServeReport, ShedReason};
 use sw_simd::{search_sequences, Precision, QueryEngine};
@@ -180,10 +184,10 @@ fn closed_loop_waves_reply_exactly_and_exactly_once() {
     );
 }
 
-/// Gap penalties with `extend > open` make the host lane's engine build
-/// panic, outside the pool's chunk quarantine. The lane reports the part
-/// unserved, the machine owes it once and then aborts it: the ticket
-/// resolves (under a timeout, so a lost request fails instead of hanging).
+/// Gap penalties with `extend > open` would make the host lane's engine
+/// build panic, outside the pool's chunk quarantine: the machine sheds the
+/// request at admission, so no lane runs it, and the ticket resolves
+/// (under a timeout, so a lost request fails instead of hanging).
 #[test]
 fn an_illegal_gap_model_is_shed_before_any_lane_runs() {
     let db = database_with_lengths("panic-db", &[20, 40, 60], 71);
@@ -202,4 +206,84 @@ fn an_illegal_gap_model_is_shed_before_any_lane_runs() {
     assert!(shed, "{outcome:?}");
     let report = gateway.shutdown();
     assert_eq!((report.sheds.len(), report.waves), (1, 0), "no lane ran it");
+}
+
+/// A query code past the matrix would index outside it while a lane builds
+/// its profile: the gateway sheds that request at admission and serves the
+/// rest.
+#[test]
+fn a_query_code_outside_the_matrix_is_shed_and_the_rest_served() {
+    let db = database_with_lengths("foreign-db", &[20, 40, 60], 71);
+    let cfg = GatewayConfig {
+        devices: 1,
+        ..GatewayConfig::default()
+    };
+    let mut schedule = LoadConfig::small(3, 0x4643).schedule();
+    schedule[1].query[0] = 200;
+    let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
+    for (i, req) in schedule.iter().enumerate() {
+        let (outcome, extra) = gateway.submit(req.clone()).wait_counting_duplicates();
+        assert_eq!(extra, 0, "request {}: one Outcome per ticket", req.id);
+        match outcome {
+            Outcome::Shed(ShedReason::InvalidParams) if i == 1 => {}
+            Outcome::Served(resp) if i != 1 => {
+                assert_eq!(resp.scores, direct_scores(&db, req), "request {}", req.id)
+            }
+            other => panic!("request {}: {other:?}", req.id),
+        }
+    }
+    let report = gateway.shutdown();
+    assert_eq!((report.sheds.len(), report.responses.len()), (1, 2));
+    let label = [("reason", "invalid_params")];
+    assert_eq!(report.metrics.counter("cudasw.serve.shed", &label), 1.0);
+}
+
+/// Two sequences over `devices + 1 ≥ 3` lanes leave the host lane's own
+/// shard empty; with `plans`, the device lanes fail as planned and owe
+/// their shards to the host lane. Every request resolves once, with the
+/// direct search's scores.
+fn serve_over_an_empty_shard(devices: usize, plans: &[FaultPlan]) -> ServeReport {
+    let db = database_with_lengths("empty-shard-db", &[30, 50], 71);
+    let cfg = GatewayConfig {
+        devices,
+        host_threads: 2,
+        ..GatewayConfig::default()
+    };
+    let schedule = LoadConfig::small(6, 0x4553).schedule();
+    let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, plans);
+    for req in &schedule {
+        let (outcome, extra) = gateway.submit(req.clone()).wait_counting_duplicates();
+        assert_eq!(extra, 0, "request {}: one Outcome per ticket", req.id);
+        let Outcome::Served(resp) = outcome else {
+            panic!("request {} was not served: {outcome:?}", req.id);
+        };
+        assert_eq!(resp.scores, direct_scores(&db, req), "request {}", req.id);
+    }
+    let report = gateway.shutdown();
+    assert_eq!(report.responses.len(), schedule.len());
+    assert!(report.sheds.is_empty() && report.aborted.is_empty());
+    report
+}
+
+#[test]
+fn an_empty_host_shard_serves_every_request_once() {
+    serve_over_an_empty_shard(2, &[]);
+}
+
+#[test]
+fn an_empty_shard_owed_to_the_host_serves_every_request_once() {
+    // Three device lanes over two sequences: device lane 2's shard is
+    // empty too, and every device is lost at its first allocation.
+    let lost = FaultPlan::none().with_device_loss(FaultSite::Alloc, 0);
+    let report = serve_over_an_empty_shard(3, &[lost.clone(), lost.clone(), lost]);
+    let deaths = report.metrics.counter("cudasw.gateway.lane_deaths", &[]);
+    let owed = report.metrics.counter("cudasw.gateway.owed_to_host", &[]);
+    assert_eq!(deaths, 3.0, "the lane of the empty shard died too");
+    assert!(owed >= 3.0, "every device lane owes its shard: {owed}");
+}
+
+/// The direct host search of `req` over the whole database.
+fn direct_scores(db: &Database, req: &sw_serve::SearchRequest) -> Vec<i32> {
+    let engine = QueryEngine::new(req.params.clone(), &req.query);
+    search_sequences(&engine, db.sequences(), 1, Precision::Adaptive).scores
 }

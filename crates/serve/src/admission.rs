@@ -40,7 +40,8 @@ pub enum ShedReason {
     /// (load-shedding mode only — see `ServeConfig::shed_expired`).
     DeadlineExpired,
     /// The request's gap penalties break `2^30 ≥ open ≥ extend ≥ 0`
-    /// ([`sw_align::GapPenalties::new`]), which no engine can score.
+    /// ([`sw_align::GapPenalties::new`]), or its query holds a residue
+    /// code outside its scoring matrix: no engine can score it.
     InvalidParams,
 }
 

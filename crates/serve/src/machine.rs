@@ -23,8 +23,8 @@
 //! * When every part of a wave has reported, each request resolves:
 //!   served with its full-database scores, or aborted if a shard was lost.
 //! * Every submitted id gets exactly one [`Action::Respond`]: served, shed
-//!   (admission, illegal gap penalties, or a deadline that passed in the
-//!   queue), or aborted
+//!   (admission, illegal gap penalties or query codes outside the matrix,
+//!   or a deadline that passed in the queue), or aborted
 //!   ([`Event::Abort`], a lost shard, or a submission after
 //!   [`Event::Drain`]).
 
@@ -332,11 +332,15 @@ impl WaveMachine {
             return;
         }
         let (id, tenant) = (req.id, req.tenant.clone());
-        let gaps = req.params.gaps;
-        // Refused here, before any lane builds an engine that would panic.
-        let offered = match GapPenalties::new(gaps.open, gaps.extend) {
-            Ok(_) => self.queue.offer(req),
-            Err(_) => Err(ShedReason::InvalidParams),
+        let (gaps, size) = (req.params.gaps, req.params.matrix.size());
+        // Refused here, before any lane builds an engine or a profile that
+        // would panic.
+        let legal_gaps = GapPenalties::new(gaps.open, gaps.extend).is_ok();
+        let codes_in_matrix = req.query.iter().all(|&c| usize::from(c) < size);
+        let offered = if legal_gaps && codes_in_matrix {
+            self.queue.offer(req)
+        } else {
+            Err(ShedReason::InvalidParams)
         };
         if let Err(reason) = offered {
             self.shed(id, tenant, reason);

@@ -39,7 +39,7 @@ use cudasw_core::multi_gpu::shard_database;
 use cudasw_core::{CudaSwConfig, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{DeviceSpec, FaultPlan, GpuError};
 use sw_db::Database;
-use sw_simd::{search_protected, PoolConfig, Precision, QueryEngine};
+use sw_simd::{search_wave_protected, PoolConfig, Precision, QueryEngine};
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -253,8 +253,8 @@ impl SearchService {
 
     /// Pool config for the CPU fallback: single worker (the service loop
     /// is a deterministic discrete-event simulation), full fault domain,
-    /// and no cancel token — so a `search_protected` under it never returns
-    /// `Err` and the fallback always has an answer. Owed shards stay
+    /// and no cancel token — so a `search_wave_protected` under it never
+    /// returns `Err` and the fallback always has an answer. Owed shards stay
     /// single-query jobs, not waves: one thread on a simulated clock has no
     /// per-job cost to share, and `BENCH_soak.json`'s host fault counts are
     /// drawn per (query, chunk).
@@ -423,10 +423,9 @@ impl SearchService {
             // once and reused across the shard's sequences. The fallback
             // runs in the crash-only pool — the service's last line of
             // defence must itself survive panics and pressure.
-            let engine = QueryEngine::new(params.clone(), &req.query);
-            let r = search_protected(&engine, shard.sequences(), &self.host_pool_config())
+            let engines = [QueryEngine::new(params.clone(), &req.query)];
+            let r = search_wave_protected(&engines, shard.sequences(), &self.host_pool_config())
                 .map_err(|_| GpuError::DeviceLost)?;
-            sw_simd::record_stats(engine.kind(), &r.stats);
             run.recovery.note_cpu_fallback(shard.len());
             scores[q] = Some(r.scores);
         }

@@ -352,3 +352,32 @@ fn illegal_gap_penalties_are_shed_at_admission() {
     let label = [("reason", "invalid_params")];
     assert_eq!(run.metrics.counter_sum("cudasw.serve.shed", &label), 2.0);
 }
+
+/// A query code outside the scoring matrix is shed at admission, before a
+/// lane builds the profile that would index past the matrix; every other
+/// request is served once, with its standalone scores.
+#[test]
+fn query_codes_outside_the_matrix_are_shed_at_admission() {
+    let db = test_db();
+    let mut trace = TraceConfig::small(5, 31).generate();
+    trace[2].query[0] = 200;
+    let (report, run) = obs::capture(|| {
+        let mut service = SearchService::new(&spec(), &serve_config(2), &db, &[]);
+        service.run_trace(&trace).unwrap()
+    });
+    let shed: Vec<_> = report.sheds.iter().map(|s| (s.id, s.reason)).collect();
+    assert_eq!(shed, [(trace[2].id, sw_serve::ShedReason::InvalidParams)]);
+    let served: Vec<u64> = [0, 1, 3, 4].iter().map(|&i| trace[i].id).collect();
+    assert_exactly_once(&report, &served);
+    for resp in &report.responses {
+        let req = trace.iter().find(|r| r.id == resp.id).unwrap();
+        assert_eq!(
+            resp.scores,
+            standalone_scores(&req.query, &db),
+            "{}",
+            req.id
+        );
+    }
+    let label = [("reason", "invalid_params")];
+    assert_eq!(run.metrics.counter_sum("cudasw.serve.shed", &label), 1.0);
+}

@@ -11,12 +11,13 @@
 //! share the read-only profiles instead of rebuilding them.
 //!
 //! Observability: backend selection emits
-//! `cudasw.simd.backend.selected{backend}` and [`record_stats`] publishes
-//! the adaptive-precision counters (`cudasw.simd.byte_mode.alignments`,
-//! `cudasw.simd.word_mode.reruns`, `cudasw.simd.lazy_f.iterations{mode}`).
-//! Stats are accumulated in plain [`AdaptiveStats`] structs and emitted by
-//! the *calling* thread — the metrics recorder is thread-local, so counts
-//! bumped inside worker threads would otherwise be lost.
+//! `cudasw.simd.backend.selected{backend}`. Scoring only accumulates plain
+//! [`AdaptiveStats`]; the pool publishes them as the adaptive-precision
+//! counters (`cudasw.simd.byte_mode.alignments`,
+//! `cudasw.simd.word_mode.reruns`, `cudasw.simd.lazy_f.iterations{mode}`)
+//! on the thread that called it, once per search — the metrics recorder is
+//! thread-local, so counts bumped inside worker threads would otherwise be
+//! lost.
 
 use crate::backend::{
     sw_bytes_checked, sw_bytes_grouped, sw_words_checked, sw_words_grouped, Backend, ByteProfileOf,
@@ -433,10 +434,11 @@ fn word_groups<V: WordSimd, C: ColumnCheck>(
 
 /// Publish a batch's adaptive-precision counters under `cudasw.simd.*`.
 ///
-/// Call from the thread that owns the metrics recorder (the thread-local
-/// one that started the search), after merging worker-local stats. The
-/// Lazy-F counts are the striped passes' alone ([`AdaptiveStats`]).
-pub fn record_stats(kind: BackendKind, stats: &AdaptiveStats) {
+/// Called by the pool on the thread that owns the metrics recorder (the
+/// thread-local one that started the search), after merging worker-local
+/// stats. The Lazy-F counts are the striped passes' alone
+/// ([`AdaptiveStats`]).
+pub(crate) fn record_stats(kind: BackendKind, stats: &AdaptiveStats) {
     let backend = kind.name();
     if stats.byte_mode > 0 {
         obs::counter_add(

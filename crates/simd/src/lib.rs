@@ -62,10 +62,10 @@ pub mod x86;
 pub use backend::{ColumnCheck, NeverCancel};
 pub use cancel::{CancelToken, Cancelled, CANCEL_CHECK_COLS};
 pub use dispatch::{BackendKind, KernelMode};
-pub use engine::{record_stats, AdaptiveStats, Precision, QueryEngine};
-pub use fault::{ChunkId, HostFaultInjector, HostFaultKind, HostFaultPlan, HostFaultRates};
+pub use engine::{AdaptiveStats, Precision, QueryEngine};
+pub use fault::{HostFaultKind, HostFaultPlan, HostFaultRates};
 pub use pool::{
-    effective_workers, length_aware_chunks, search_protected, search_protected_with_chunks,
-    search_sequences, search_wave_protected, search_wave_protected_with_chunks, HostSearchResult,
-    HostWaveResult, PoolConfig, PoolFaultReport, CHUNKS_PER_WORKER, MIN_SEQS_PER_WORKER,
+    effective_workers, length_aware_chunks, search_sequences, search_wave_protected,
+    search_wave_protected_with_chunks, HostSearchResult, PoolConfig, PoolFaultReport,
+    MIN_SEQS_PER_WORKER,
 };

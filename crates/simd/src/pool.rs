@@ -55,8 +55,9 @@
 //! and scored against all `k` profiles while its subjects are in
 //! cache, so the job's fixed cost (the scope, the watchdog and its poll
 //! tick) is paid once per wave. The commit table, the score slots and the
-//! quarantine recompute key on the (query, sequence) cell. Every other
-//! entry point is the wave of one.
+//! quarantine recompute key on the (query, sequence) cell, and the result
+//! keeps the slots' query-major order. [`search_sequences`] is the wave of
+//! one.
 //!
 //! A chunk is scored in length-sorted groups, one subject a lane of the
 //! grouped byte and word passes ([`QueryEngine::score_group`]) where the
@@ -65,14 +66,14 @@
 //! All workers share the read-only [`QueryEngine`]s — the profiles are
 //! built once per query and reused by every thread (that sharing is what
 //! amortizes the per-query profile build across the whole database).
-//! Worker-local [`AdaptiveStats`] are merged and returned to the caller,
-//! which is responsible for publishing them (the metrics recorder is
-//! thread-local; counts bumped on worker threads would be lost). The
-//! pool's own fault counters are published by the calling thread after the
-//! parallel section ends, for the same reason.
+//! Worker-local [`AdaptiveStats`] are merged and returned to the caller.
+//! The metrics recorder is thread-local, so counts bumped on worker threads
+//! would be lost: the pool publishes the merged `cudasw.simd.*` precision
+//! counters, its steals and its fault counters on the calling thread after
+//! the parallel section ends, and no caller publishes them again.
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::engine::{AdaptiveStats, Precision, QueryEngine};
+use crate::engine::{record_stats, AdaptiveStats, Precision, QueryEngine};
 use crate::fault::{HostFaultInjector, HostFaultKind, HostFaultPlan};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -87,7 +88,7 @@ use sw_db::Sequence;
 /// Chunks dealt per worker: more gives better tail balance, fewer gives
 /// less queue traffic. 8 keeps the largest chunk under ~2% of the work at
 /// 4 threads.
-pub const CHUNKS_PER_WORKER: usize = 8;
+const CHUNKS_PER_WORKER: usize = 8;
 
 /// Minimum alignments per worker before the pool pays for itself. Thread
 /// spawn plus result merging costs tens of microseconds while a typical
@@ -195,14 +196,15 @@ impl PoolFaultReport {
     }
 }
 
-/// Result of a pooled database search.
-#[derive(Debug, Clone)]
+/// Result of a pooled search: a wave of `k` queries over `n` sequences.
+#[derive(Debug, Clone, Default)]
 pub struct HostSearchResult {
-    /// Scores indexed like `seqs`.
+    /// Query-major scores: query `q`'s score for `seqs[i]` at `q·n + i`,
+    /// so a wave of one is indexed like `seqs`.
     pub scores: Vec<i32>,
-    /// Merged precision/Lazy-F counts across workers. Sequences scored by
-    /// the quarantine oracle are counted in `faults.oracle_scored`, not
-    /// here.
+    /// Precision/Lazy-F counts merged across workers and queries. Cells
+    /// scored by the quarantine oracle are counted in
+    /// `faults.oracle_scored`, not here.
     pub stats: AdaptiveStats,
     /// Wall-clock seconds of the parallel section.
     pub seconds: f64,
@@ -210,47 +212,6 @@ pub struct HostSearchResult {
     pub steals: u64,
     /// Faults absorbed (all zero for a clean run).
     pub faults: PoolFaultReport,
-}
-
-/// Result of a pooled wave: `k` queries scored in one job.
-#[derive(Debug, Clone)]
-pub struct HostWaveResult {
-    /// One score vector per engine, in `engines` order, each indexed like
-    /// `seqs`.
-    pub scores: Vec<Vec<i32>>,
-    /// Counts merged across workers and queries: what `k` separate
-    /// searches would have summed to. Cells scored by the quarantine
-    /// oracle are counted in `faults.oracle_scored`, not here.
-    pub stats: AdaptiveStats,
-    /// Wall-clock seconds of the parallel section.
-    pub seconds: f64,
-    /// Chunks a worker took from a sibling's deque.
-    pub steals: u64,
-    /// Faults absorbed (all zero for a clean run).
-    pub faults: PoolFaultReport,
-}
-
-impl HostWaveResult {
-    fn empty(k: usize) -> Self {
-        Self {
-            scores: vec![Vec::new(); k],
-            stats: AdaptiveStats::default(),
-            seconds: 0.0,
-            steals: 0,
-            faults: PoolFaultReport::default(),
-        }
-    }
-
-    /// The wave of one, as the single-query entry points return it.
-    fn into_single(mut self) -> HostSearchResult {
-        HostSearchResult {
-            scores: self.scores.pop().unwrap_or_default(),
-            stats: self.stats,
-            seconds: self.seconds,
-            steals: self.steals,
-            faults: self.faults,
-        }
-    }
 }
 
 /// Execution policy for a protected pool search.
@@ -308,52 +269,30 @@ impl PoolConfig {
     }
 }
 
-/// Score every sequence on `threads` workers sharing `engine`.
+/// Score every sequence on `threads` workers sharing `engine`: the wave
+/// of one.
 pub fn search_sequences(
     engine: &QueryEngine,
     seqs: &[Sequence],
     threads: usize,
     precision: Precision,
 ) -> HostSearchResult {
-    match search_protected(engine, seqs, &PoolConfig::new(threads, precision)) {
-        Ok(r) => r,
-        // Unreachable: only a configured CancelToken produces Err.
-        Err(Cancelled) => HostWaveResult::empty(1).into_single(),
-    }
-}
-
-/// Fully configured protected search over [`length_aware_chunks`]: the
-/// wave of one.
-pub fn search_protected(
-    engine: &QueryEngine,
-    seqs: &[Sequence],
-    cfg: &PoolConfig,
-) -> Result<HostSearchResult, Cancelled> {
-    search_wave_protected(std::slice::from_ref(engine), seqs, cfg).map(HostWaveResult::into_single)
-}
-
-/// [`search_protected`] with an explicit chunking (see
-/// [`search_wave_protected_with_chunks`]): the wave of one.
-pub fn search_protected_with_chunks(
-    engine: &QueryEngine,
-    seqs: &[Sequence],
-    cfg: &PoolConfig,
-    chunks: &[Range<usize>],
-) -> Result<HostSearchResult, Cancelled> {
-    search_wave_protected_with_chunks(std::slice::from_ref(engine), seqs, cfg, chunks)
-        .map(HostWaveResult::into_single)
+    let cfg = PoolConfig::new(threads, precision);
+    // Only a configured CancelToken produces Err.
+    search_wave_protected(std::slice::from_ref(engine), seqs, &cfg).unwrap_or_default()
 }
 
 /// Score `seqs` against every engine of a wave in one protected job over
-/// [`length_aware_chunks`]. Workers are clamped by alignments
+/// [`length_aware_chunks`]; the scores are query-major
+/// ([`HostSearchResult::scores`]). Workers are clamped by alignments
 /// (`seqs.len() × engines.len()`), so a shard too small to pool under one
 /// query still gets its second worker under sixteen. A cancelled wave
-/// returns [`Cancelled`] and no score vector for any of its queries.
+/// returns [`Cancelled`] and no score for any of its queries.
 pub fn search_wave_protected(
     engines: &[QueryEngine],
     seqs: &[Sequence],
     cfg: &PoolConfig,
-) -> Result<HostWaveResult, Cancelled> {
+) -> Result<HostSearchResult, Cancelled> {
     let threads = effective_workers(cfg.threads.max(1), seqs.len() * engines.len());
     let chunks = length_aware_chunks(seqs, threads * CHUNKS_PER_WORKER);
     // Forward the *clamped* worker count: oversubscribing a small host
@@ -379,10 +318,10 @@ pub fn search_wave_protected_with_chunks(
     seqs: &[Sequence],
     cfg: &PoolConfig,
     chunks: &[Range<usize>],
-) -> Result<HostWaveResult, Cancelled> {
+) -> Result<HostSearchResult, Cancelled> {
     let n = seqs.len();
     if n == 0 || engines.is_empty() {
-        return Ok(HostWaveResult::empty(engines.len()));
+        return Ok(HostSearchResult::default());
     }
     debug_assert_eq!(chunks.first().map(|c| c.start), Some(0));
     debug_assert_eq!(chunks.last().map(|c| c.end), Some(n));
@@ -743,9 +682,9 @@ impl<'a> RunShared<'a> {
         }
     }
 
-    /// Assemble the result (or the cancellation) and publish counters on
-    /// the calling thread.
-    fn finish(self, start: Instant, steals: u64) -> Result<HostWaveResult, Cancelled> {
+    /// Assemble the result (or the cancellation) and publish the pool's
+    /// and the kernels' counters on the calling thread.
+    fn finish(self, start: Instant, steals: u64) -> Result<HostSearchResult, Cancelled> {
         let seconds = start.elapsed().as_secs_f64();
         let faults = PoolFaultReport {
             injected_panics: self.injector.panics(),
@@ -771,16 +710,11 @@ impl<'a> RunShared<'a> {
             return Err(Cancelled);
         }
         debug_assert_eq!(self.remaining.into_inner(), 0, "lost cells");
-        let n = self.seqs.len();
-        let mut slots = self.slots.into_iter().map(AtomicI32::into_inner);
-        let scores = self
-            .engines
-            .iter()
-            .map(|_| slots.by_ref().take(n).collect())
-            .collect();
-        Ok(HostWaveResult {
-            scores,
-            stats: self.stats.into_inner(),
+        let stats = self.stats.into_inner();
+        record_stats(self.engines[0].kind(), &stats);
+        Ok(HostSearchResult {
+            scores: self.slots.into_iter().map(AtomicI32::into_inner).collect(),
+            stats,
             seconds,
             steals,
             faults,
@@ -823,6 +757,18 @@ mod tests {
             .into_iter()
             .map(|kind| QueryEngine::with_backend(SwParams::cudasw_default(), query, kind))
             .collect()
+    }
+
+    /// A protected wave of one over an explicit chunking, with no cancel
+    /// token.
+    fn search_chunked(
+        engine: &QueryEngine,
+        seqs: &[Sequence],
+        cfg: &PoolConfig,
+        chunks: &[Range<usize>],
+    ) -> HostSearchResult {
+        search_wave_protected_with_chunks(std::slice::from_ref(engine), seqs, cfg, chunks)
+            .unwrap_or_else(|e| panic!("not cancellable: {e}"))
     }
 
     #[test]
@@ -885,7 +831,7 @@ mod tests {
             let r = shared
                 .finish(Instant::now(), 0)
                 .unwrap_or_else(|e| panic!("not cancellable: {e}"));
-            assert_eq!(r.scores, clean);
+            assert_eq!(r.scores, clean.concat(), "query-major, like the slots");
             assert_eq!(r.faults.quarantined_chunks, 1);
             assert_eq!(r.faults.oracle_scored, 3 * 3 - 2);
             assert_eq!(r.faults.duplicates_suppressed, 0);
@@ -962,10 +908,7 @@ mod tests {
             let chunks: Vec<Range<usize>> = (0..db.len()).map(|i| i..i + 1).collect();
             let plan = HostFaultPlan::none().with_fault_at((2, 1), HostFaultKind::Panic);
             let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
-            let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
-                Ok(r) => r,
-                Err(e) => panic!("not cancellable: {e}"),
-            };
+            let r = search_chunked(&eng, db.sequences(), &cfg, &chunks);
             assert_eq!(r.scores, clean.scores, "bit-identical through the panic");
             assert_eq!(r.faults.panics, 1);
             assert_eq!(r.faults.quarantined_chunks, 1);
@@ -988,17 +931,45 @@ mod tests {
             let cfg = PoolConfig::new(2, Precision::Adaptive)
                 .with_fault_plan(plan)
                 .with_watchdog(0, 1);
-            let (r, run) = obs::capture(|| {
-                match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
-                    Ok(r) => r,
-                    Err(e) => panic!("not cancellable: {e}"),
-                }
-            });
+            let (r, run) = obs::capture(|| search_chunked(&eng, db.sequences(), &cfg, &chunks));
             assert!(r.steals > 0, "the idle worker must have stolen");
             let published = run
                 .metrics
                 .counter("cudasw.simd.pool.steals", &[("backend", eng.kind().name())]);
             assert_eq!(published, r.steals as f64);
+        }
+    }
+
+    /// The pool publishes the merged precision counters on the calling
+    /// thread, once per search: for one query and for a wave of three.
+    #[test]
+    fn adaptive_counters_are_published_by_the_pool_itself() {
+        let query = make_query(300, 2);
+        let mut db = database_with_lengths("t", &[30, 45, 60, 75, 90], 17)
+            .sequences()
+            .to_vec();
+        // A self-alignment overflows byte mode: the word counter moves too.
+        db.push(Sequence::new("self", query.clone()));
+        let cfg = PoolConfig::new(2, Precision::Adaptive);
+        for kind in crate::BackendKind::available() {
+            let wave: Vec<QueryEngine> = [300, 260, 220]
+                .map(|m| QueryEngine::with_backend(SwParams::cudasw_default(), &query[..m], kind))
+                .into();
+            let (rs, run) = obs::capture(|| {
+                [
+                    search_sequences(&wave[0], &db, 2, Precision::Adaptive),
+                    search_wave_protected(&wave, &db, &cfg)
+                        .unwrap_or_else(|e| panic!("not cancellable: {e}")),
+                ]
+            });
+            let published = |name: &str| run.metrics.counter(name, &[("backend", kind.name())]);
+            let sum = |f: fn(&AdaptiveStats) -> u64| rs.iter().map(|r| f(&r.stats)).sum::<u64>();
+            let reruns = rs.each_ref().map(|r| r.stats.word_fallbacks);
+            assert_eq!(reruns, [1, 3], "{kind}");
+            let byte_mode = published("cudasw.simd.byte_mode.alignments");
+            assert_eq!(byte_mode, sum(|s| s.byte_mode) as f64, "{kind}");
+            let word_mode = published("cudasw.simd.word_mode.reruns");
+            assert_eq!(word_mode, sum(|s| s.word_fallbacks) as f64, "{kind}");
         }
     }
 
@@ -1022,10 +993,7 @@ mod tests {
                 start: 0,
                 end: db.len(),
             }];
-            let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks) {
-                Ok(r) => r,
-                Err(e) => panic!("not cancellable: {e}"),
-            };
+            let r = search_chunked(&eng, db.sequences(), &cfg, &chunks);
             assert_eq!(r.scores, clean.scores, "bit-identical through the splits");
             assert_eq!(r.faults.injected_alloc_fails, chain.len() as u64);
             assert_eq!(r.faults.rechunks, chain.len() as u64 - 1);
@@ -1054,11 +1022,7 @@ mod tests {
                         .step_by(4)
                         .map(|s| s..(s + 4).min(db.len()))
                         .collect();
-                    let r = match search_protected_with_chunks(&eng, db.sequences(), &cfg, &chunks)
-                    {
-                        Ok(r) => r,
-                        Err(e) => panic!("not cancellable: {e}"),
-                    };
+                    let r = search_chunked(&eng, db.sequences(), &cfg, &chunks);
                     assert_eq!(
                         r.scores, clean.scores,
                         "seed {seed}, threads {threads}: scores must be bit-identical"
@@ -1076,7 +1040,7 @@ mod tests {
         for eng in engines(&query) {
             let cfg =
                 PoolConfig::new(1, Precision::Adaptive).with_cancel(CancelToken::after_polls(3));
-            let r = search_protected(&eng, db.sequences(), &cfg);
+            let r = search_wave_protected(std::slice::from_ref(&eng), db.sequences(), &cfg);
             assert_eq!(r.err(), Some(Cancelled));
         }
     }
@@ -1089,10 +1053,8 @@ mod tests {
             let clean = search_sequences(&eng, db.sequences(), 1, Precision::Adaptive);
             let token = CancelToken::new();
             let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(token.clone());
-            let r = match search_protected(&eng, db.sequences(), &cfg) {
-                Ok(r) => r,
-                Err(e) => panic!("never cancelled: {e}"),
-            };
+            let r = search_wave_protected(std::slice::from_ref(&eng), db.sequences(), &cfg)
+                .unwrap_or_else(|e| panic!("never cancelled: {e}"));
             assert_eq!(r.scores, clean.scores);
             assert!(token.polls() > 0, "chunk boundaries and kernels polled");
         }

@@ -1,6 +1,6 @@
 //! Cooperative cancellation is all-or-nothing.
 //!
-//! The contract of `search_protected` under a `CancelToken` and of
+//! The contract of `search_wave_protected` under a `CancelToken` and of
 //! `QueryEngine::score_with_cancel`:
 //! for *any* cancellation point, the search either completes with scores
 //! bit-identical to the uncancelled run or returns `Cancelled` — never a
@@ -9,7 +9,7 @@
 //! single-threaded search is a pure function of the workload), so the
 //! property is exhaustive over poll budgets, backends, and kernel modes.
 //! A wave is cancelled as a whole: a token that fires anywhere inside it
-//! yields `Cancelled` and no score vector for any of its queries. Every
+//! yields `Cancelled` and no score for any of its queries. Every
 //! pool case runs on each available backend.
 
 use proptest::prelude::*;
@@ -17,9 +17,8 @@ use sw_align::smith_waterman::SwParams;
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_db::Sequence;
 use sw_simd::{
-    search_protected, search_sequences, search_wave_protected, AdaptiveStats, BackendKind,
-    CancelToken, Cancelled, HostSearchResult, KernelMode, PoolConfig, Precision, QueryEngine,
-    CANCEL_CHECK_COLS,
+    search_sequences, search_wave_protected, AdaptiveStats, BackendKind, CancelToken, Cancelled,
+    HostSearchResult, KernelMode, PoolConfig, Precision, QueryEngine, CANCEL_CHECK_COLS,
 };
 
 fn params() -> SwParams {
@@ -34,7 +33,7 @@ fn search_cancellable(
     token: &CancelToken,
 ) -> Result<HostSearchResult, Cancelled> {
     let cfg = PoolConfig::new(threads, Precision::Adaptive).with_cancel(token.clone());
-    search_protected(engine, seqs, &cfg)
+    search_wave_protected(std::slice::from_ref(engine), seqs, &cfg)
 }
 
 fn protein_seq(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -287,9 +286,9 @@ fn threaded_cancellation_is_all_or_nothing() {
 /// A wave is all-or-nothing across its queries. With one thread the poll
 /// sequence is a pure function of the workload, so every budget that
 /// trips inside the wave — after some queries' cells of early chunks are
-/// already committed — must return `Cancelled` (the `Err` carries no score
-/// vector), and the first budget past the wave's last poll must return all
-/// k vectors, bit-identical to k separate searches.
+/// already committed — must return `Cancelled` (the `Err` carries no
+/// score), and the first budget past the wave's last poll must return all
+/// k queries' scores, bit-identical to k separate searches.
 #[test]
 fn a_token_firing_mid_wave_serves_none_of_its_queries() {
     let lens: Vec<usize> = (0..24).map(|i| 90 + (i * 13) % 200).collect();
@@ -298,9 +297,9 @@ fn a_token_firing_mid_wave_serves_none_of_its_queries() {
         let engines: Vec<QueryEngine> = (0..4usize)
             .map(|j| QueryEngine::with_backend(params(), &make_query(48 + 20 * j, j as u64), kind))
             .collect();
-        let reference: Vec<Vec<i32>> = engines
+        let reference: Vec<i32> = engines
             .iter()
-            .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+            .flat_map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
             .collect();
         let wave = |token: &CancelToken| {
             let cfg = PoolConfig::new(1, Precision::Adaptive).with_cancel(token.clone());
@@ -336,7 +335,7 @@ fn a_token_firing_mid_wave_serves_none_of_its_queries() {
     }
 }
 
-/// Threaded waves: `Cancelled`, or every vector complete and exact.
+/// Threaded waves: `Cancelled`, or every query's scores complete and exact.
 #[test]
 fn threaded_wave_cancellation_is_all_or_nothing() {
     let lens: Vec<usize> = (0..64).map(|i| 200 + (i * 13) % 300).collect();
@@ -345,9 +344,9 @@ fn threaded_wave_cancellation_is_all_or_nothing() {
         let engines: Vec<QueryEngine> = (0..3usize)
             .map(|j| QueryEngine::with_backend(params(), &make_query(40 + 24 * j, j as u64), kind))
             .collect();
-        let reference: Vec<Vec<i32>> = engines
+        let reference: Vec<i32> = engines
             .iter()
-            .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+            .flat_map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
             .collect();
         for budget in [0u64, 1, 5, 20, 100, 1000, 10_000_000] {
             for threads in [2usize, 4] {

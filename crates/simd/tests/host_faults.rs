@@ -22,9 +22,8 @@ use std::ops::Range;
 use sw_align::smith_waterman::SwParams;
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_simd::{
-    search_protected_with_chunks, search_sequences, search_wave_protected_with_chunks, BackendKind,
-    HostFaultKind, HostFaultPlan, HostFaultRates, HostSearchResult, HostWaveResult, PoolConfig,
-    PoolFaultReport, Precision, QueryEngine,
+    search_sequences, search_wave_protected_with_chunks, BackendKind, HostFaultKind, HostFaultPlan,
+    HostFaultRates, HostSearchResult, PoolConfig, PoolFaultReport, Precision, QueryEngine,
 };
 
 fn params() -> SwParams {
@@ -36,12 +35,12 @@ fn fixed_chunks(n: usize, per: usize) -> Vec<Range<usize>> {
 }
 
 fn run(
-    engine: &QueryEngine,
+    engines: &[QueryEngine],
     seqs: &[sw_db::Sequence],
     cfg: &PoolConfig,
     chunks: &[Range<usize>],
 ) -> HostSearchResult {
-    match search_protected_with_chunks(engine, seqs, cfg, chunks) {
+    match search_wave_protected_with_chunks(engines, seqs, cfg, chunks) {
         Ok(r) => r,
         Err(e) => panic!("no cancel token configured: {e}"),
     }
@@ -104,7 +103,9 @@ fn forced_fault_matrix_on(engine: &QueryEngine, db: &sw_db::Database, chunks: &[
                 let cfg = PoolConfig::new(threads, Precision::Adaptive)
                     .with_fault_plan(plan)
                     .with_watchdog(10, 2);
-                let (r, published) = obs::capture(|| run(engine, db.sequences(), &cfg, chunks));
+                let (r, published) = obs::capture(|| {
+                    run(std::slice::from_ref(engine), db.sequences(), &cfg, chunks)
+                });
                 let what = format!("{backend}: seed={seed} kind={kind} threads={threads}");
                 assert_eq!(r.scores, clean.scores, "{what}");
                 assert_published(&r.faults, &published.metrics, &what);
@@ -156,7 +157,7 @@ fn portable_word_panic_is_recomputed_on_the_scalar_oracle() {
     let plan = HostFaultPlan::none().with_fault_at((8, 4), HostFaultKind::Panic);
     for threads in [1usize, 3] {
         let cfg = PoolConfig::new(threads, Precision::Word).with_fault_plan(plan.clone());
-        let r = run(&engine, &seqs, &cfg, &chunks);
+        let r = run(std::slice::from_ref(&engine), &seqs, &cfg, &chunks);
         assert_eq!(r.scores, clean.scores, "threads={threads}");
         assert_eq!(r.faults.panics, 1);
         assert_eq!(r.faults.oracle_scored, 4, "the whole chunk was quarantined");
@@ -184,7 +185,7 @@ fn seeded_chaos_storms_never_corrupt_results() {
                 let cfg = PoolConfig::new(threads, Precision::Adaptive)
                     .with_fault_plan(plan.clone())
                     .with_watchdog(8, 2);
-                let r = run(&engine, db.sequences(), &cfg, &chunks);
+                let r = run(std::slice::from_ref(&engine), db.sequences(), &cfg, &chunks);
                 let what = format!("{backend}: seed={seed} threads={threads}");
                 assert_eq!(r.scores, clean.scores, "{what}");
                 assert!(
@@ -217,7 +218,7 @@ fn stall_plus_redispatch_commits_exactly_once() {
     for backend in BackendKind::available() {
         let engine = QueryEngine::with_backend(params(), &query, backend);
         let clean = search_sequences(&engine, db.sequences(), 1, Precision::Adaptive);
-        let r = run(&engine, db.sequences(), &cfg, &chunks);
+        let r = run(std::slice::from_ref(&engine), db.sequences(), &cfg, &chunks);
         assert_eq!(r.scores, clean.scores, "{backend}");
         assert_eq!(r.faults.injected_stalls, 1, "{backend}");
         assert!(r.faults.redispatches >= 1, "{backend}: watchdog must act");
@@ -231,37 +232,24 @@ fn stall_plus_redispatch_commits_exactly_once() {
 }
 
 /// A five-query wave over `db` on `backend` and its fault-free reference
-/// (k separate searches).
-fn wave_fixture(db: &sw_db::Database, backend: BackendKind) -> (Vec<QueryEngine>, Vec<Vec<i32>>) {
+/// (k separate searches, concatenated query-major like a wave's scores).
+fn wave_fixture(db: &sw_db::Database, backend: BackendKind) -> (Vec<QueryEngine>, Vec<i32>) {
     let engines: Vec<QueryEngine> = (0..5usize)
         .map(|j| QueryEngine::with_backend(params(), &make_query(40 + 17 * j, j as u64), backend))
         .collect();
     let clean = engines
         .iter()
-        .map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
+        .flat_map(|e| search_sequences(e, db.sequences(), 1, Precision::Adaptive).scores)
         .collect();
     (engines, clean)
 }
 
-fn run_wave(
-    engines: &[QueryEngine],
-    seqs: &[sw_db::Sequence],
-    cfg: &PoolConfig,
-    chunks: &[Range<usize>],
-) -> HostWaveResult {
-    match search_wave_protected_with_chunks(engines, seqs, cfg, chunks) {
-        Ok(r) => r,
-        Err(e) => panic!("no cancel token configured: {e}"),
-    }
-}
-
 /// Every cell exactly once: kernel stats are merged by commit winners
 /// only, so winners plus oracle recomputes must count the whole wave.
-fn assert_every_cell_once(r: &HostWaveResult, what: &str) {
-    let cells: usize = r.scores.iter().map(Vec::len).sum();
+fn assert_every_cell_once(r: &HostSearchResult, what: &str) {
     assert_eq!(
         r.stats.byte_mode + r.stats.word_fallbacks + r.faults.oracle_scored,
-        cells as u64,
+        r.scores.len() as u64,
         "{what}: lost or doubled cells"
     );
 }
@@ -283,7 +271,7 @@ fn wave_chaos_storms_lose_and_double_no_cell() {
                 let cfg = PoolConfig::new(threads, Precision::Adaptive)
                     .with_fault_plan(plan.clone())
                     .with_watchdog(20, 2);
-                let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
+                let r = run(&engines, db.sequences(), &cfg, &chunks);
                 let what = format!("{backend}: seed={seed} threads={threads}");
                 assert_eq!(r.scores, clean, "{what}");
                 assert_every_cell_once(&r, &what);
@@ -312,7 +300,7 @@ fn wave_pinned_panic_quarantines_the_chunk_for_every_query() {
             let cfg = PoolConfig::new(threads, Precision::Adaptive)
                 .with_fault_plan(plan.clone())
                 .with_watchdog(20, 2);
-            let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
+            let r = run(&engines, db.sequences(), &cfg, &chunks);
             let what = format!("{backend}: threads={threads}");
             assert_eq!(r.scores, clean, "{what}");
             assert_eq!(
@@ -343,7 +331,7 @@ fn wave_pinned_stall_is_redispatched_and_its_late_finish_skipped() {
         .with_watchdog(20, 2);
     for backend in BackendKind::available() {
         let (engines, clean) = wave_fixture(&db, backend);
-        let r = run_wave(&engines, db.sequences(), &cfg, &chunks);
+        let r = run(&engines, db.sequences(), &cfg, &chunks);
         assert_eq!(r.scores, clean, "{backend}");
         assert_eq!(
             r.faults.injected_stalls, 1,

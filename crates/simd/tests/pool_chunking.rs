@@ -3,21 +3,21 @@
 //! The pool's contract is layout-independence: however the database is cut
 //! into chunks and however those chunks land on workers (including steals),
 //! the reassembled score vector must be bit-identical to the inline loop.
-//! These tests drive [`search_protected_with_chunks`] with *arbitrary*
-//! valid chunk boundaries — not just the ones [`length_aware_chunks`] would
-//! pick — and pin the [`MIN_SEQS_PER_WORKER`] clamp at its documented
-//! thresholds. The wave differential holds the one job shape,
-//! [`search_wave_protected_with_chunks`], to `k` separate searches: the
-//! same score vectors in engine order and the same merged stats. Every
-//! pool case runs on each available backend.
+//! These tests drive [`search_wave_protected_with_chunks`] with
+//! *arbitrary* valid chunk boundaries — not just the ones
+//! [`length_aware_chunks`] would pick — and pin the [`MIN_SEQS_PER_WORKER`]
+//! clamp at its documented thresholds. The wave differential holds the one
+//! job shape to `k` separate searches: the same scores, query-major in
+//! engine order, and the same merged stats. Every pool case runs on each
+//! available backend.
 
 use proptest::prelude::*;
 use std::ops::Range;
 use sw_align::smith_waterman::SwParams;
 use sw_simd::{
-    effective_workers, length_aware_chunks, search_protected_with_chunks, search_sequences,
-    search_wave_protected, search_wave_protected_with_chunks, AdaptiveStats, BackendKind,
-    HostSearchResult, PoolConfig, Precision, QueryEngine, MIN_SEQS_PER_WORKER,
+    effective_workers, length_aware_chunks, search_sequences, search_wave_protected,
+    search_wave_protected_with_chunks, AdaptiveStats, BackendKind, HostSearchResult, PoolConfig,
+    Precision, QueryEngine, MIN_SEQS_PER_WORKER,
 };
 
 /// A fault-free pooled search over an explicit chunking.
@@ -29,7 +29,7 @@ fn search_chunked(
     chunks: &[Range<usize>],
 ) -> HostSearchResult {
     let cfg = PoolConfig::new(threads, precision);
-    match search_protected_with_chunks(engine, seqs, &cfg, chunks) {
+    match search_wave_protected_with_chunks(std::slice::from_ref(engine), seqs, &cfg, chunks) {
         Ok(r) => r,
         Err(e) => panic!("no cancel token configured: {e}"),
     }
@@ -82,8 +82,8 @@ proptest! {
         }
     }
 
-    // A wave of k queries is k searches, bit for bit: score vectors in
-    // engine order, stats summed, on every backend this machine has.
+    // A wave of k queries is k searches, bit for bit: scores query-major
+    // in engine order, stats summed, on every backend this machine has.
     #[test]
     fn wave_equals_k_separate_searches(
         lens in proptest::collection::vec(10usize..120, 4..40),
@@ -102,11 +102,11 @@ proptest! {
                     QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind)
                 })
                 .collect();
-            let mut scores = Vec::with_capacity(k);
+            let mut scores = Vec::with_capacity(k * db.len());
             let mut stats = AdaptiveStats::default();
             for engine in &engines {
                 let r = search_sequences(engine, db.sequences(), 1, Precision::Adaptive);
-                scores.push(r.scores);
+                scores.extend(r.scores);
                 stats.merge(&r.stats);
             }
             let cfg = PoolConfig::new(threads, Precision::Adaptive);
@@ -182,9 +182,9 @@ fn word_precision_chunked_matches_inline() {
     }
 }
 
-/// `search_protected` is the wave of one — same scores, stats and fault
-/// report — and a wave over the default chunking clamps its workers by
-/// alignments, not subjects.
+/// `search_sequences` is the wave of one — same scores, stats and fault
+/// report — a wave's scores are query-major, and a wave over the default
+/// chunking clamps its workers by alignments, not subjects.
 #[test]
 fn single_query_search_is_the_wave_of_one() {
     let lens: Vec<usize> = (0..20).map(|i| 20 + (i * 13) % 150).collect();
@@ -202,13 +202,14 @@ fn single_query_search_is_the_wave_of_one() {
             .collect();
         let wave = search_wave_protected(&engines, db.sequences(), &cfg)
             .unwrap_or_else(|e| panic!("no cancel token configured: {e}"));
-        assert_eq!(wave.scores.len(), engines.len(), "{kind}");
-        for (engine, scores) in engines.iter().zip(&wave.scores) {
+        let n = db.len();
+        assert_eq!(wave.scores.len(), engines.len() * n, "{kind}");
+        for (engine, scores) in engines.iter().zip(wave.scores.chunks(n)) {
             let single = search_sequences(engine, db.sequences(), 2, Precision::Adaptive);
-            assert_eq!(&single.scores, scores, "{kind}");
+            assert_eq!(single.scores, scores, "{kind}");
             let one = search_wave_protected(std::slice::from_ref(engine), db.sequences(), &cfg)
                 .unwrap_or_else(|e| panic!("no cancel token configured: {e}"));
-            assert_eq!(one.scores, vec![single.scores], "{kind}");
+            assert_eq!(one.scores, single.scores, "{kind}");
             assert_eq!(one.stats, single.stats, "{kind}");
             assert_eq!(one.faults, single.faults, "{kind}");
         }
@@ -216,6 +217,6 @@ fn single_query_search_is_the_wave_of_one() {
         let none = search_wave_protected(&[], db.sequences(), &cfg);
         assert!(matches!(none, Ok(r) if r.scores.is_empty()));
         let empty = search_wave_protected(&engines[..3], &[], &cfg);
-        assert!(matches!(empty, Ok(r) if r.scores == vec![Vec::<i32>::new(); 3]));
+        assert!(matches!(empty, Ok(r) if r.scores.is_empty()));
     }
 }

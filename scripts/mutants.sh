@@ -13,7 +13,10 @@
 #
 # The copy and its target directory live under ${TMPDIR:-/tmp}/sw-mutants
 # and persist between runs, so each mutant rebuilds only the crates below
-# the file it changes. The working tree is never written.
+# the file it changes. The working tree is never written, and is read only
+# once, before the first mutant: each mutated file is restored from the
+# copy's own contents, so one run measures one tree state however the
+# working tree is edited while it runs.
 #
 # An entry is a block of `key: value` lines, blocks separated by a blank
 # line, `#` starting a comment line:
@@ -31,7 +34,6 @@
 # In `find` and `replace`, `\n` stands for a line break.
 set -uo pipefail
 cd "$(dirname "$0")/.."
-root=$PWD
 list=scripts/mutants.txt
 
 ids=() files=() finds=() replaces=() killers=() equivs=()
@@ -190,11 +192,19 @@ sync_tree() {
     while IFS= read -r -d '' f; do rm -f "$tree/$f"; done
 }
 
-# Write the mutant `$1` (an index into the list) into the copy.
+# Write the mutant `$1` (an index into the list) into the copy, keeping
+# the unmutated file for `restore`.
 apply() {
   local content path=$tree/${files[$1]}
+  cp "$path" "$work/unmutated"
   IFS= read -r -d '' content <"$path"
   printf '%s' "${content/"${finds[$1]}"/"${replaces[$1]}"}" >"$path"
+}
+
+# Put back the file the mutant `$1` changed (a fresh mtime, so cargo
+# rebuilds it).
+restore() {
+  cp "$work/unmutated" "$tree/${files[$1]}"
 }
 
 # Map every test executable of the workspace to `<package>/<target>`.
@@ -288,7 +298,7 @@ for i in "${selected[@]}"; do
       verdict=SURVIVED
     fi
   fi
-  cp "$root/${files[i]}" "$tree/${files[i]}"
+  restore "$i"
   if [[ -n ${equivs[i]} ]]; then
     [[ $verdict == SURVIVED ]] && verdict="SURVIVED (equivalent)" || unexpected=$((unexpected + 1))
   elif [[ $verdict != KILLED ]]; then

@@ -54,8 +54,8 @@ use sw_db::{Database, Sequence};
 use sw_gateway::{Gateway, GatewayConfig};
 use sw_serve::{Outcome, SearchRequest, SearchService, ServeConfig};
 use sw_simd::{
-    search_protected_with_chunks, search_sequences, search_wave_protected, AdaptiveStats,
-    BackendKind, HostFaultKind, HostFaultPlan, KernelMode, PoolConfig, Precision, QueryEngine,
+    search_sequences, search_wave_protected_with_chunks, AdaptiveStats, BackendKind, HostFaultKind,
+    HostFaultPlan, KernelMode, PoolConfig, Precision, QueryEngine,
 };
 
 /// The part of the corpus a row belongs to.
@@ -217,15 +217,14 @@ impl Scorer for Grouped {
     }
 }
 
-/// The work-stealing pool: `search_sequences` (on the detected backend, or
-/// on one backend at two threads), the same search as a wave of one, or one
+/// The work-stealing pool: `search_sequences`, the wave of one (on the
+/// detected backend, or on one backend at two threads), or one
 /// whole-database chunk whose forced panic quarantines every cell to the
 /// scalar recompute. Adaptive pool searches take the grouped byte pass
 /// wherever the backend does (`Backend::GROUPS`).
 enum Pool {
     Search(usize),
     Backend(BackendKind),
-    Wave(usize),
     Quarantine,
 }
 
@@ -234,7 +233,6 @@ impl Scorer for Pool {
         match self {
             Pool::Search(threads) => format!("pool search on {threads} threads"),
             Pool::Backend(kind) => format!("pool search on {kind}, 2 threads"),
-            Pool::Wave(threads) => format!("pool wave on {threads} threads"),
             Pool::Quarantine => "pool quarantine".into(),
         }
     }
@@ -255,17 +253,12 @@ impl Scorer for Pool {
                 let engine = QueryEngine::with_backend(params.clone(), query, *kind);
                 search_sequences(&engine, seqs, 2, Precision::Adaptive).scores
             }
-            Pool::Wave(threads) => {
-                let cfg = PoolConfig::new(*threads, Precision::Adaptive);
-                (search_wave_protected(std::slice::from_ref(&engine), seqs, &cfg))
-                    .map(|r| r.scores.concat())
-                    .unwrap_or_default()
-            }
             Pool::Quarantine => {
                 let plan = HostFaultPlan::none().with_fault_at((0, n), HostFaultKind::Panic);
                 let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
                 let whole = std::iter::once(0..n).collect::<Vec<_>>();
-                (search_protected_with_chunks(&engine, seqs, &cfg, &whole))
+                let engines = std::slice::from_ref(&engine);
+                (search_wave_protected_with_chunks(engines, seqs, &cfg, &whole))
                     .map(|r| r.scores)
                     .unwrap_or_default()
             }
@@ -553,7 +546,6 @@ fn scorers() -> Vec<Box<dyn Scorer>> {
     }
     for threads in [1, 2] {
         out.push(Box::new(Pool::Search(threads)));
-        out.push(Box::new(Pool::Wave(threads)));
     }
     out.push(Box::new(Pool::Quarantine));
     out.push(Box::new(Tesla::Variant));
