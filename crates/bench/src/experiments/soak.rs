@@ -253,7 +253,6 @@ fn soak_config() -> ServeConfig {
             urgent_slack_seconds: 5.0e-2,
             ..BatchPolicy::default()
         },
-        shed_expired: true,
         ..ServeConfig::default()
     }
 }

@@ -258,9 +258,6 @@ impl Gateway {
                 MAX_INFLIGHT_WAVES,
                 cfg.admission.clone(),
                 cfg.batch.clone(),
-                // Wall-clock serving answers a late request late; only
-                // the simulated stack sheds expired ones.
-                false,
             ),
             health: HealthTracker::new(devices, cfg.health.clone()),
             lanes,

@@ -9,11 +9,11 @@
 //! outcomes (scores, exactly-once resolution, shed-free under light
 //! load) must not.
 
-mod loadgen;
+mod support;
 
 use cudasw_core::{CudaSwConfig, ImprovedParams};
 use gpu_sim::DeviceSpec;
-use loadgen::drive;
+use support::drive;
 use sw_db::synth::database_with_lengths;
 use sw_db::Database;
 use sw_gateway::{Gateway, GatewayConfig, Outcome};

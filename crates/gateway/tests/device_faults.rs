@@ -5,12 +5,10 @@
 //! served, bit-identically to a direct search, with the lost lane's shard
 //! work owed to the host lane and every ticket resolved once.
 
-mod loadgen;
-
 use gpu_sim::{DeviceSpec, FaultPlan, FaultRates, FaultSite};
-use loadgen::LoadConfig;
 use sw_db::synth::database_with_lengths;
 use sw_gateway::{Gateway, GatewayConfig, Outcome};
+use sw_serve::TraceConfig;
 use sw_simd::{search_sequences, Precision, QueryEngine};
 
 #[test]
@@ -26,7 +24,7 @@ fn device_loss_and_random_faults_are_absorbed_bit_identically() {
         FaultPlan::none().with_device_loss(FaultSite::Launch, 2),
         FaultPlan::random(0xFA17, FaultRates::default()),
     ];
-    let schedule = LoadConfig::small(12, 0x4446).schedule();
+    let schedule = TraceConfig::small(12, 0x4446).generate();
 
     let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &plans);
     for req in &schedule {

@@ -8,15 +8,15 @@
 //! multi-request wave serves none of its requests: every ticket of the
 //! wave resolves `Aborted`, once.
 
-mod loadgen;
+mod support;
 
 use cudasw_core::{CudaSwConfig, ImprovedParams};
 use gpu_sim::DeviceSpec;
-use loadgen::{drive, LoadConfig};
 use std::time::Instant;
+use support::drive;
 use sw_db::synth::database_with_lengths;
 use sw_gateway::{Gateway, GatewayConfig, Outcome};
-use sw_serve::BatchPolicy;
+use sw_serve::{BatchPolicy, TraceConfig};
 use sw_simd::{HostFaultPlan, HostFaultRates};
 
 /// Most chunks sleep 150 ms before computing.
@@ -59,12 +59,12 @@ fn forced_drain_cancels_stalled_host_chunks_and_resolves_every_ticket() {
     };
     // A quick burst of submissions, then immediate shutdown while the
     // stalled host lane still owes most of its shard parts.
-    let schedule = LoadConfig {
+    let schedule = TraceConfig {
         mean_interarrival_seconds: 1.0e-4,
         deadline_slack_seconds: (30.0, 60.0),
-        ..LoadConfig::small(30, 77)
+        ..TraceConfig::small(30, 77)
     }
-    .schedule();
+    .generate();
 
     let started = Instant::now();
     let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
@@ -148,12 +148,12 @@ fn forced_cancel_inside_a_multi_request_wave_aborts_all_of_its_tickets_once() {
         drain_grace_seconds: 0.2,
         ..GatewayConfig::default()
     };
-    let schedule = LoadConfig {
+    let schedule = TraceConfig {
         mean_interarrival_seconds: 1.0e-5,
         deadline_slack_seconds: (30.0, 60.0),
-        ..LoadConfig::small(WAVE, 78)
+        ..TraceConfig::small(WAVE, 78)
     }
-    .schedule();
+    .generate();
 
     let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
     let tickets = drive(&gateway.handle(), &schedule);

@@ -13,23 +13,33 @@
 //! reads a latency or a rate: wall-clock serving numbers are the repo
 //! benchmark's (`serve_steady`, `serve_small`).
 
-mod loadgen;
+mod support;
 
 use gpu_sim::{DeviceSpec, FaultPlan, FaultSite};
-use loadgen::{drive, LoadConfig, LoadProfile};
 use std::time::Duration;
+use support::drive;
 use sw_align::GapPenalties;
 use sw_db::synth::database_with_lengths;
 use sw_db::Database;
 use sw_gateway::{Gateway, GatewayConfig, Outcome};
-use sw_serve::{BatchPolicy, ServeReport, ShedReason};
+use sw_serve::{BatchPolicy, SearchRequest, ServeReport, ShedReason, TraceConfig};
 use sw_simd::{search_sequences, Precision, QueryEngine};
 
 const REQUESTS: usize = 300;
 
-/// Replay one `profile` schedule, drain gracefully, and check the
+/// A steady schedule of [`REQUESTS`] arrivals `mean` seconds apart.
+fn schedule(mean: f64) -> Vec<SearchRequest> {
+    TraceConfig {
+        mean_interarrival_seconds: mean,
+        query_len: (16, 32),
+        ..TraceConfig::small(REQUESTS, 0x52_54)
+    }
+    .generate()
+}
+
+/// Replay the `name`d schedule, drain gracefully, and check the
 /// exactly-once ledger against the tickets.
-fn replay(profile: LoadProfile) -> ServeReport {
+fn replay(name: &str, schedule: &[SearchRequest]) -> ServeReport {
     let db = database_with_lengths(
         "exactly-once-db",
         &[20, 30, 40, 50, 60, 80, 100, 110, 120, 150],
@@ -41,19 +51,10 @@ fn replay(profile: LoadProfile) -> ServeReport {
         drain_grace_seconds: 30.0,
         ..GatewayConfig::default()
     };
-    let schedule = LoadConfig {
-        profile,
-        mean_interarrival_seconds: 1.0e-3,
-        query_len: (16, 32),
-        ..LoadConfig::small(REQUESTS, 0x52_54)
-    }
-    .schedule();
-
     let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
-    let tickets = drive(&gateway.handle(), &schedule);
+    let tickets = drive(&gateway.handle(), schedule);
     let report = gateway.shutdown();
 
-    let name = profile.as_str();
     assert_eq!(
         report.offered(),
         REQUESTS,
@@ -100,22 +101,39 @@ fn replay(profile: LoadProfile) -> ServeReport {
 
 #[test]
 fn steady_schedule_resolves_every_request_once() {
-    replay(LoadProfile::Steady);
+    replay("steady", &schedule(1.0e-3));
 }
 
+/// The steady schedule time-warped into alternating phases of 50 ms of
+/// steady time, the first 4× as dense, the next 4× as sparse, and so on.
 #[test]
 fn bursty_schedule_resolves_every_request_once() {
-    replay(LoadProfile::Bursty);
+    const PHASE: f64 = 0.05;
+    let mut bursty = schedule(1.0e-3);
+    for req in &mut bursty {
+        let t = req.arrival_seconds;
+        let k = (t / PHASE).floor();
+        let into = t - k * PHASE;
+        let pairs = (k / 2.0).floor() * PHASE * (0.25 + 4.0);
+        let warped = if k % 2.0 == 0.0 {
+            pairs + into / 4.0
+        } else {
+            pairs + PHASE / 4.0 + into * 4.0
+        };
+        req.deadline_seconds += warped - t;
+        req.arrival_seconds = warped;
+    }
+    replay("bursty", &bursty);
 }
 
 #[test]
 fn overload_schedule_sheds_with_a_reason_and_resolves_every_request_once() {
-    let report = replay(LoadProfile::Overload);
+    let report = replay("overload", &schedule(1.0e-3 / 8.0));
     assert!(
         !report.sheds.is_empty(),
         "arrivals at 8x the steady rate must be shed, not queued without bound"
     );
-    // The deadline-expiry mode is off, so admission is the only shedder.
+    // Admission is the only shedder.
     for s in &report.sheds {
         assert!(
             matches!(s.reason, ShedReason::QueueFull | ShedReason::TenantQuota),
@@ -145,7 +163,7 @@ fn closed_loop_waves_reply_exactly_and_exactly_once() {
         },
         ..GatewayConfig::default()
     };
-    let schedule = LoadConfig::small(CLIENTS * PER_CLIENT, 0x434C).schedule();
+    let schedule = TraceConfig::small(CLIENTS * PER_CLIENT, 0x434C).generate();
 
     let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
     std::thread::scope(|scope| {
@@ -195,7 +213,7 @@ fn an_illegal_gap_model_is_shed_before_any_lane_runs() {
         devices: 0,
         ..GatewayConfig::default()
     };
-    let mut req = LoadConfig::small(1, 0x5041).schedule().remove(0);
+    let mut req = TraceConfig::small(1, 0x5041).generate().remove(0);
     req.params.gaps = GapPenalties { open: 1, extend: 2 };
     let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
     let ticket = gateway.submit(req);
@@ -218,7 +236,7 @@ fn a_query_code_outside_the_matrix_is_shed_and_the_rest_served() {
         devices: 1,
         ..GatewayConfig::default()
     };
-    let mut schedule = LoadConfig::small(3, 0x4643).schedule();
+    let mut schedule = TraceConfig::small(3, 0x4643).generate();
     schedule[1].query[0] = 200;
     let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, &[]);
     for (i, req) in schedule.iter().enumerate() {
@@ -249,7 +267,7 @@ fn serve_over_an_empty_shard(devices: usize, plans: &[FaultPlan]) -> ServeReport
         host_threads: 2,
         ..GatewayConfig::default()
     };
-    let schedule = LoadConfig::small(6, 0x4553).schedule();
+    let schedule = TraceConfig::small(6, 0x4553).generate();
     let gateway = Gateway::start(&DeviceSpec::tesla_c1060(), &cfg, &db, plans);
     for req in &schedule {
         let (outcome, extra) = gateway.submit(req.clone()).wait_counting_duplicates();
@@ -283,7 +301,7 @@ fn an_empty_shard_owed_to_the_host_serves_every_request_once() {
 }
 
 /// The direct host search of `req` over the whole database.
-fn direct_scores(db: &Database, req: &sw_serve::SearchRequest) -> Vec<i32> {
+fn direct_scores(db: &Database, req: &SearchRequest) -> Vec<i32> {
     let engine = QueryEngine::new(req.params.clone(), &req.query);
     search_sequences(&engine, db.sequences(), 1, Precision::Adaptive).scores
 }

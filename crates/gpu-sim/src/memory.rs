@@ -774,10 +774,6 @@ mod tests {
         MemorySystem::new(&DeviceSpec::tesla_c1060())
     }
 
-    fn c2050_mem() -> MemorySystem {
-        MemorySystem::new(&DeviceSpec::tesla_c2050())
-    }
-
     #[test]
     fn alloc_is_line_aligned() {
         let mut m = c1060_mem();
@@ -798,69 +794,12 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_load_is_one_transaction() {
-        let mut m = c1060_mem();
-        let p = m.alloc(64).unwrap();
-        let access = WarpAccess::contiguous(p.addr());
-        let (_, cost) = m.warp_load(0, &access).unwrap();
-        assert_eq!(cost.transactions, 1);
-        assert_eq!(m.stats().load_transactions, 1);
-        assert_eq!(m.stats().load_instructions, 1);
-    }
-
-    #[test]
     fn strided_load_is_many_transactions() {
         let mut m = c1060_mem();
         let p = m.alloc(32 * 32).unwrap();
         let access = WarpAccess::from_lanes((0..32).map(|l| (l, p.addr() + l * 32)));
         let (_, cost) = m.warp_load(0, &access).unwrap();
         assert_eq!(cost.transactions, 32);
-    }
-
-    #[test]
-    fn gt200_loads_all_go_to_dram() {
-        let mut m = c1060_mem();
-        let p = m.alloc(64).unwrap();
-        let access = WarpAccess::contiguous(p.addr());
-        let (_, c1) = m.warp_load(0, &access).unwrap();
-        let (_, c2) = m.warp_load(0, &access).unwrap();
-        assert_eq!(c1.dram_bytes, 128);
-        assert_eq!(c2.dram_bytes, 128, "no cache on GT200 globals");
-    }
-
-    #[test]
-    fn fermi_second_load_hits_l1() {
-        let mut m = c2050_mem();
-        let p = m.alloc(64).unwrap();
-        let access = WarpAccess::contiguous(p.addr());
-        let (_, c1) = m.warp_load(0, &access).unwrap();
-        let (_, c2) = m.warp_load(0, &access).unwrap();
-        assert_eq!(c1.dram_bytes, 128);
-        assert_eq!(c2.near_hits, 1);
-        assert_eq!(c2.dram_bytes, 0);
-        assert_eq!(m.stats().l1.hits, 1);
-    }
-
-    #[test]
-    fn fermi_cross_sm_load_hits_l2() {
-        let mut m = c2050_mem();
-        let p = m.alloc(64).unwrap();
-        let access = WarpAccess::contiguous(p.addr());
-        m.warp_load(0, &access).unwrap();
-        let (_, c2) = m.warp_load(1, &access).unwrap();
-        assert_eq!(c2.near_hits, 0, "different SM, different L1");
-        assert_eq!(c2.l2_hits, 1);
-    }
-
-    #[test]
-    fn store_then_load_hits_l2_on_fermi() {
-        let mut m = c2050_mem();
-        let p = m.alloc(64).unwrap();
-        let access = WarpAccess::contiguous(p.addr());
-        m.warp_store(0, &access, &[9; 32]).unwrap();
-        let (vals, cost) = m.warp_load(1, &access).unwrap();
-        assert_eq!(vals, [9; 32]);
-        assert_eq!(cost.l2_hits, 1);
     }
 
     #[test]

@@ -176,31 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_and_syncs_are_additive() {
-        let tm = TimingModel::default();
-        let base = tm.block_cycles(&spec(), &BlockCost::default());
-        let with = tm.block_cycles(
-            &spec(),
-            &BlockCost {
-                latency_cycles: 500,
-                syncs: 10,
-                ..Default::default()
-            },
-        );
-        assert!((with - base - 500.0 - 10.0 * tm.sync_cycles).abs() < 1e-6);
-    }
-
-    #[test]
-    fn makespan_balances_blocks() {
-        let tm = TimingModel::default();
-        let s = spec();
-        // 60 equal blocks over 30 SMs: two rounds.
-        let blocks = vec![100.0; 60];
-        let t = tm.launch_cycles(&s, &blocks, 0);
-        assert!((t - 200.0 - tm.launch_overhead_cycles).abs() < 1e-6);
-    }
-
-    #[test]
     fn one_huge_block_dominates() {
         let tm = TimingModel::default();
         let s = spec();

@@ -428,19 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_access_is_one_line_when_aligned() {
-        let a = WarpAccess::contiguous(64); // word 64 = byte 256, line-aligned
-        assert_eq!(a.active_lanes(), 32);
-        assert_eq!(a.distinct_lines(32).count(), 1);
-    }
-
-    #[test]
-    fn misaligned_contiguous_access_is_two_lines() {
-        let a = WarpAccess::contiguous(16);
-        assert_eq!(a.distinct_lines(32).count(), 2);
-    }
-
-    #[test]
     fn strided_access_is_many_lines() {
         let a = WarpAccess::from_lanes((0..32).map(|l| (l, l * 32)));
         assert_eq!(a.distinct_lines(32).count(), 32);

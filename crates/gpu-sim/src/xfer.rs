@@ -158,12 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_bytes_costs_only_latency() {
-        let m = model();
-        assert!((m.transfer_seconds(0) - m.latency_seconds).abs() < 1e-15);
-    }
-
-    #[test]
     fn crc32_matches_known_vectors() {
         // IEEE 802.3 check values ("123456789" → 0xCBF43926).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);

@@ -29,16 +29,14 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Why a request was shed instead of admitted.
+/// Why a request was shed instead of admitted. Only admission sheds: a
+/// request whose deadline passes in the queue is served late and flagged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The queue is at [`AdmissionConfig::queue_capacity`].
     QueueFull,
     /// The tenant is at [`AdmissionConfig::tenant_quota`].
     TenantQuota,
-    /// The request's deadline passed while it was still queued
-    /// (load-shedding mode only — see `ServeConfig::shed_expired`).
-    DeadlineExpired,
     /// The request's gap penalties break `2^30 ≥ open ≥ extend ≥ 0`
     /// ([`sw_align::GapPenalties::new`]), or its query holds a residue
     /// code outside its scoring matrix: no engine can score it.
@@ -51,7 +49,6 @@ impl ShedReason {
         match self {
             ShedReason::QueueFull => "queue_full",
             ShedReason::TenantQuota => "tenant_quota",
-            ShedReason::DeadlineExpired => "deadline_expired",
             ShedReason::InvalidParams => "invalid_params",
         }
     }
@@ -128,31 +125,6 @@ impl AdmissionQueue {
         taken
     }
 
-    /// Remove and return every queued request whose deadline is at or
-    /// before `now`, releasing tenant quotas.
-    /// The service calls this each scheduler step when load-shedding is
-    /// enabled; with it off (the default) expired requests are served
-    /// late and flagged instead.
-    pub fn take_expired(&mut self, now: f64) -> Vec<SearchRequest> {
-        let mut expired = Vec::new();
-        let mut i = 0;
-        while i < self.queued.len() {
-            if self.queued[i].deadline_seconds <= now {
-                let req = self.queued.remove(i);
-                if let Some(n) = self.per_tenant.get_mut(&req.tenant) {
-                    *n -= 1;
-                }
-                expired.push(req);
-            } else {
-                i += 1;
-            }
-        }
-        if !expired.is_empty() {
-            self.note_depth();
-        }
-        expired
-    }
-
     fn note_depth(&self) {
         obs::gauge_set("cudasw.serve.queue_depth", &[], self.queued.len() as f64);
     }
@@ -215,24 +187,6 @@ mod tests {
         // Quota was released: two more fit under a quota of 10 anyway,
         // but per-tenant accounting must reflect the removal.
         assert_eq!(q.depth(), 3);
-    }
-
-    #[test]
-    fn take_expired_sheds_only_past_deadlines_and_frees_quota() {
-        let mut q = AdmissionQueue::new(AdmissionConfig {
-            queue_capacity: 10,
-            tenant_quota: 2,
-        });
-        // req(id, _) has deadline id + 1.0.
-        q.offer(req(0, "t")).unwrap();
-        q.offer(req(5, "t")).unwrap();
-        let expired = q.take_expired(2.0);
-        assert_eq!(expired.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(q.requests().iter().map(|r| r.id).collect::<Vec<_>>(), [5]);
-        // Quota released: tenant "t" can queue another request.
-        assert!(q.offer(req(7, "t")).is_ok());
-        // Nothing else expires at the same instant.
-        assert!(q.take_expired(2.0).is_empty());
     }
 
     #[test]

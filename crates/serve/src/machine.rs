@@ -13,8 +13,7 @@
 //!
 //! The protocol:
 //!
-//! * [`Event::Tick`] sheds queued requests whose deadline passed (when
-//!   enabled) and seals waves while fewer than `depth` are in flight; a
+//! * [`Event::Tick`] seals waves while fewer than `depth` are in flight; a
 //!   sealed wave over `k` shards queues one [`Action::Run`] per shard.
 //! * A shard that reports requests without scores ([`Event::ShardDone`]
 //!   with `None`s, or [`Event::ShardDead`]) is owed once: [`Action::Owe`]
@@ -23,9 +22,8 @@
 //! * When every part of a wave has reported, each request resolves:
 //!   served with its full-database scores, or aborted if a shard was lost.
 //! * Every submitted id gets exactly one [`Action::Respond`]: served, shed
-//!   (admission, illegal gap penalties or query codes outside the matrix,
-//!   or a deadline that passed in the queue), or aborted
-//!   ([`Event::Abort`], a lost shard, or a submission after
+//!   (admission, illegal gap penalties or query codes outside the matrix),
+//!   or aborted ([`Event::Abort`], a lost shard, or a submission after
 //!   [`Event::Drain`]).
 
 use crate::admission::{AdmissionConfig, AdmissionQueue, ShedReason};
@@ -73,8 +71,7 @@ pub struct Shed {
 pub enum Outcome {
     /// Answered with full-database scores.
     Served(Response),
-    /// Refused by admission control, or shed when its deadline passed in
-    /// the queue.
+    /// Refused at admission.
     Shed(ShedReason),
     /// Aborted before it completed.
     Aborted,
@@ -179,7 +176,7 @@ fn fraction(part: usize, whole: usize) -> f64 {
 pub enum Event {
     /// A request arrives, its arrival already stamped.
     Submit(SearchRequest),
-    /// Shed expired requests (when enabled) and seal waves up to the depth.
+    /// Seal waves up to the depth.
     Tick,
     /// A part of shard `shard` of wave `wave_id` finished: shard-order
     /// scores per request, indexed like `wave.requests`, `None` where the
@@ -242,7 +239,6 @@ struct Inflight {
 pub struct WaveMachine {
     queue: AdmissionQueue,
     batcher: Batcher,
-    shed_expired: bool,
     shards: usize,
     db_len: usize,
     depth: usize,
@@ -257,20 +253,18 @@ pub struct WaveMachine {
 impl WaveMachine {
     /// A machine over `shards` round-robin shards of a `db_len`-sequence
     /// database, sealing a wave only while fewer than `depth` are in
-    /// flight. With `shed_expired` a queued request whose deadline passed
-    /// is shed instead of served late.
+    /// flight. A queued request whose deadline passed is served late,
+    /// never shed.
     pub fn new(
         shards: usize,
         db_len: usize,
         depth: usize,
         admission: AdmissionConfig,
         batch: BatchPolicy,
-        shed_expired: bool,
     ) -> Self {
         Self {
             queue: AdmissionQueue::new(admission),
             batcher: Batcher::new(batch),
-            shed_expired,
             shards,
             db_len,
             depth: depth.max(1),
@@ -348,11 +342,6 @@ impl WaveMachine {
     }
 
     fn tick(&mut self, now: f64) {
-        if self.shed_expired {
-            for req in self.queue.take_expired(now) {
-                self.shed(req.id, req.tenant, ShedReason::DeadlineExpired);
-            }
-        }
         while self.inflight.len() < self.depth {
             let Some(wave) = self.batcher.next_wave(&mut self.queue, now, self.draining) else {
                 break;
@@ -511,7 +500,6 @@ mod tests {
             1,
             AdmissionConfig::default(),
             BatchPolicy::default(),
-            false,
         )
     }
 

@@ -56,10 +56,6 @@ pub struct ServeConfig {
     pub search: CudaSwConfig,
     /// Lane-health policy: circuit breakers and revival pacing.
     pub health: HealthPolicy,
-    /// Shed queued requests whose deadline has already passed instead of
-    /// serving them late. Off by default: the pinned contract is that
-    /// deadline misses are flagged, not dropped.
-    pub shed_expired: bool,
     /// Seeded fault schedule for the CPU fallback: inert by default, a
     /// storm in the chaos soak. The fallback runs inside the crash-only
     /// SIMD pool, so injected faults are absorbed without changing any
@@ -76,7 +72,6 @@ impl Default for ServeConfig {
             recovery: RecoveryPolicy::default(),
             search: CudaSwConfig::improved(),
             health: HealthPolicy::default(),
-            shed_expired: false,
             host_faults: sw_simd::HostFaultPlan::none(),
         }
     }
@@ -162,7 +157,6 @@ impl SearchService {
             1,
             self.cfg.admission.clone(),
             self.cfg.batch.clone(),
-            self.cfg.shed_expired,
         );
         let mut pending = trace.iter().peekable();
         let mut now = trace.first().map_or(0.0, |r| r.arrival_seconds);

@@ -158,7 +158,6 @@ proptest! {
         depth in 1usize..4,
         max_wave in 1usize..5,
         queue_capacity in 2usize..8,
-        shed_expired in any::<bool>(),
     ) {
         let mut m = WaveMachine::new(
             SHARDS,
@@ -170,7 +169,6 @@ proptest! {
                 max_linger_seconds: 0.002,
                 ..BatchPolicy::default()
             },
-            shed_expired,
         );
         let mut ledger = Ledger::default();
         let mut now = 0.0;

@@ -51,15 +51,15 @@ named_tests -p sw-db --lib -- \
   headers_that_would_not_parse_back_are_refused
 
 # The paper-claims regression suite, the crash matrix and the simulator's
-# safety net (both pinned count digests, the cross-cutting invariants and
+# safety net (both pinned count snapshots, the cross-cutting invariants and
 # the shape-mixing differential proptests), named explicitly so a
 # workspace filter can never silently drop them (see EXPERIMENTS.md).
 # Every one of them is bound by gpu-sim's host speed, so the step's wall
 # time is printed: the first place that speed shows outside benchmark/.
-# The digests and invariants run in the release profile too — the AVX2
-# instantiations and the inlining they rest on only exist with
-# optimizations — and the column update's two instantiations are held to
-# each other by name.
+# The snapshots and invariants run in the release profile too, against the
+# same files under tests/snapshots/ — the AVX2 instantiations and the
+# inlining they rest on only exist with optimizations — and the column
+# update's two instantiations are held to each other by name.
 named_t0=$SECONDS
 cargo test -q --offline --test paper_claims --test observability --test conformance \
   --test crash_matrix --test device_opt --test simulator_invariants

@@ -217,50 +217,88 @@ impl Scorer for Grouped {
     }
 }
 
-/// The work-stealing pool: `search_sequences`, the wave of one (on the
-/// detected backend, or on one backend at two threads), or one
-/// whole-database chunk whose forced panic quarantines every cell to the
-/// scalar recompute. Adaptive pool searches take the grouped byte pass
+/// The work-stealing pool: `search_sequences` inline at one thread, or a
+/// job over one-subject chunks at 2 and 3 workers (3 oversubscribes a
+/// 2-core host on purpose), on each backend at 2, as a wave of the query and
+/// its reverse, and with its first chunk stalled past a 2 ms watchdog; or
+/// one whole-database chunk whose forced panic quarantines every cell to
+/// the scalar recompute. Adaptive pool searches take the grouped byte pass
 /// wherever the backend does (`Backend::GROUPS`).
 enum Pool {
+    Inline,
     Search(usize),
     Backend(BackendKind),
+    Wave,
+    Stall,
     Quarantine,
 }
 
 impl Scorer for Pool {
     fn name(&self) -> String {
         match self {
-            Pool::Search(threads) => format!("pool search on {threads} threads"),
-            Pool::Backend(kind) => format!("pool search on {kind}, 2 threads"),
+            Pool::Inline => "pool search on 1 thread".into(),
+            Pool::Search(threads) => format!("pool search on {threads} workers"),
+            Pool::Backend(kind) => format!("pool search on {kind}, 2 workers"),
+            Pool::Wave => "pool wave of the query and its reverse, 2 workers".into(),
+            Pool::Stall => "pool search with its first chunk stalled, 2 workers".into(),
             Pool::Quarantine => "pool quarantine".into(),
         }
     }
 
     fn takes(&self, row: &Row) -> bool {
-        row.category != Category::Exhaustive
+        let chunked = !matches!(self, Pool::Inline | Pool::Quarantine);
+        row.category != Category::Exhaustive && !(chunked && row.subjects.len() < 2)
     }
 
     fn scores(&self, params: &SwParams, query: &[u8], subjects: &Database) -> Vec<i32> {
         let engine = QueryEngine::new(params.clone(), query);
         let (seqs, n) = (subjects.sequences(), subjects.len());
-        // No cancel token is set, so no search below returns `Err`.
+        let one_each: Vec<_> = (0..n).map(|i| i..i + 1).collect();
+        // The watchdog's poll ends a multi-worker job no sooner than its
+        // first tick, so only the stall drill runs one.
+        let cfg = |threads| PoolConfig::new(threads, Precision::Adaptive).with_watchdog(0, 1);
+        let run = |engines: &[QueryEngine], cfg: PoolConfig, chunks: &[_]| {
+            assert!(
+                cfg.threads < 2 || chunks.len() >= 2,
+                "{}: one chunk",
+                self.name()
+            );
+            // No cancel token is set, so no search below returns `Err`.
+            search_wave_protected_with_chunks(engines, seqs, &cfg, chunks)
+                .map_or_else(|_| Vec::new(), |r| r.scores)
+        };
         match self {
-            Pool::Search(threads) => {
-                search_sequences(&engine, seqs, *threads, Precision::Adaptive).scores
-            }
+            Pool::Inline => search_sequences(&engine, seqs, 1, Precision::Adaptive).scores,
+            Pool::Search(threads) => run(&[engine], cfg(*threads), &one_each),
             Pool::Backend(kind) => {
                 let engine = QueryEngine::with_backend(params.clone(), query, *kind);
-                search_sequences(&engine, seqs, 2, Precision::Adaptive).scores
+                run(&[engine], cfg(2), &one_each)
+            }
+            Pool::Wave => {
+                let reverse: Vec<u8> = query.iter().rev().copied().collect();
+                let engines = [engine, QueryEngine::new(params.clone(), &reverse)];
+                let mut scores = run(&engines, cfg(2), &one_each);
+                let backwards = seqs.iter().map(|s| sw_score(params, &reverse, &s.residues));
+                assert!(
+                    scores.split_off(n).into_iter().eq(backwards),
+                    "{}: the reverse",
+                    self.name()
+                );
+                scores
+            }
+            Pool::Stall => {
+                let plan = HostFaultPlan::none()
+                    .with_fault_at((0, 1), HostFaultKind::Stall)
+                    .with_stall_ms(10);
+                let cfg = PoolConfig::new(2, Precision::Adaptive)
+                    .with_fault_plan(plan)
+                    .with_watchdog(2, 1);
+                run(&[engine], cfg, &one_each)
             }
             Pool::Quarantine => {
                 let plan = HostFaultPlan::none().with_fault_at((0, n), HostFaultKind::Panic);
                 let cfg = PoolConfig::new(1, Precision::Adaptive).with_fault_plan(plan);
-                let whole = std::iter::once(0..n).collect::<Vec<_>>();
-                let engines = std::slice::from_ref(&engine);
-                (search_wave_protected_with_chunks(engines, seqs, &cfg, &whole))
-                    .map(|r| r.scores)
-                    .unwrap_or_default()
+                run(&[engine], cfg, std::slice::from_ref(&(0..n)))
             }
         }
     }
@@ -544,8 +582,14 @@ fn scorers() -> Vec<Box<dyn Scorer>> {
         out.push(Box::new(Grouped(kind)));
         out.push(Box::new(Pool::Backend(kind)));
     }
-    for threads in [1, 2] {
-        out.push(Box::new(Pool::Search(threads)));
+    for pool in [
+        Pool::Inline,
+        Pool::Search(2),
+        Pool::Search(3),
+        Pool::Wave,
+        Pool::Stall,
+    ] {
+        out.push(Box::new(pool));
     }
     out.push(Box::new(Pool::Quarantine));
     out.push(Box::new(Tesla::Variant));
@@ -1129,6 +1173,62 @@ fn seeded_random_corpus_matches_scalar_oracle() {
 #[test]
 fn every_generated_row_on_every_path() {
     conform(Category::Seeded, &generated_rows());
+}
+
+/// The oracle answers to the definition: the Waterman–Smith–Beyer
+/// general-gap recurrence, where a run of `k` gaps costs
+/// `GapPenalties::cost(k)`, in `i64`, with no E/F state and no sentinel. It
+/// shares no code with `sw_score`'s Gotoh recurrence, only the convention.
+/// O(mn(m + n)): it takes the generated rows (six matrix classes by the gap
+/// lattice) and every pair of length ≤ 4 over A, C and W.
+#[test]
+fn sw_score_answers_the_general_gap_definition() {
+    let wsb = |params: &SwParams, q: &[u8], d: &[u8]| {
+        let g = |k: usize| params.gaps.cost(k);
+        let mut h = vec![vec![0i64; d.len() + 1]; q.len() + 1];
+        let mut best = 0;
+        for i in 1..=q.len() {
+            for j in 1..=d.len() {
+                let diagonal = h[i - 1][j - 1] + i64::from(params.matrix.score(q[i - 1], d[j - 1]));
+                let left = (1..=j).map(|k| h[i][j - k] - g(k)).max().unwrap();
+                let up = (1..=i).map(|k| h[i - k][j] - g(k)).max().unwrap();
+                h[i][j] = diagonal.max(left).max(up).max(0);
+                best = best.max(h[i][j]);
+            }
+        }
+        best
+    };
+    for row in generated_rows().iter().chain(&exhaustive_rows()) {
+        for (s, want) in row.subjects.sequences().iter().zip(row.oracle()) {
+            let got = wsb(&row.params, &row.query, &s.residues);
+            assert_eq!(
+                i64::from(want),
+                got,
+                "{}: subject {:?}",
+                row.name,
+                s.residues
+            );
+        }
+    }
+    // A gap worth more than 2^20 needs runs too long for the recurrence
+    // above: (WY)^(h/2) (CK)^(h/2) against the same with A between the
+    // runs, where only W/W, Y/Y, C/C and K/K score (127), so a diagonal
+    // holds one run. By the definition the best alignment is one run,
+    // h · 127, and joining the runs scores 2h · 127 − g(1) with g(1) = 2^21.
+    let n = Alphabet::Protein.size();
+    let mut scores = vec![-128i8; n * n];
+    for a in [17, 18, 4, 11] {
+        scores[a * (n + 1)] = 127;
+    }
+    let params = SwParams {
+        matrix: ScoringMatrix::from_raw("WYCK", Alphabet::Protein, n, scores).unwrap(),
+        gaps: GapPenalties::new(1 << 21, 0).unwrap(),
+    };
+    let h = (1 << 20) / 127 + 2; // the shortest even run worth more than 2^20
+    let (run1, run2) = ([17u8, 18].repeat(h / 2), [4u8, 11].repeat(h / 2));
+    let query = [run1.clone(), run2.clone()].concat();
+    let subject = [run1, vec![0], run2].concat();
+    assert_eq!(sw_score(&params, &query, &subject), h as i32 * 127);
 }
 
 /// A Swissprot-shaped database in which every fifth subject, where it has

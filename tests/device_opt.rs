@@ -13,6 +13,9 @@ use cudasw_core::{
     RecoveryPolicy, VariantConfig,
 };
 use gpu_sim::{DeviceSpec, FaultPlan, FaultSite};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
+use std::path::Path;
 use sw_align::{sw_score, SwParams};
 use sw_db::synth::{database_with_lengths, make_query};
 use sw_db::Database;
@@ -272,58 +275,144 @@ fn streamed_staging_uploads_once_and_hides_copy_time() {
     assert!((hidden_metric - str_xfer.h2d_hidden_seconds).abs() < 1e-12);
 }
 
-/// FNV-1a over little-endian words: a dependency-free, stable digest.
-struct Fnv(u64);
+/// Every simulated number of a run, one `<launch or path> <counter> <value>`
+/// line each (a result's scores on one line), compared line by line with a
+/// committed file under `tests/snapshots/`. Seconds and cycles are written
+/// with `{:?}`, which round-trips every `f64` bit.
+#[derive(Default)]
+struct Snapshot(String);
 
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
+impl Snapshot {
+    fn line(&mut self, key: &str, counter: &str, value: impl std::fmt::Display) {
+        writeln!(self.0, "{key} {counter} {value}").unwrap();
     }
 
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    fn scores<T: ToString>(&mut self, key: &str, scores: impl IntoIterator<Item = T>) {
+        let scores: Vec<String> = scores.into_iter().map(|s| s.to_string()).collect();
+        self.line(key, "scores", scores.join(" "));
+    }
+
+    fn result(&mut self, key: &str, r: &cudasw_core::SearchResult) {
+        self.scores(key, &r.scores);
+        for (phase, s) in [("inter", &r.inter), ("intra", &r.intra)] {
+            self.line(key, &format!("{phase}.launches"), s.launches);
+            self.line(key, &format!("{phase}.cells"), s.cells);
+            self.line(key, &format!("{phase}.transactions"), s.global_transactions);
+            self.line(key, &format!("{phase}.seconds"), format!("{:?}", s.seconds));
+        }
+        self.line(key, "transfer_seconds", format!("{:?}", r.transfer_seconds));
+    }
+
+    /// Every number a launch counted: all of `LaunchStats.memory`, the
+    /// shared-memory counters, the block-cost totals and the cycles.
+    fn launch(&mut self, key: &str, s: &gpu_sim::LaunchStats) {
+        let (m, t) = (&s.memory, &s.totals);
+        let counts = [
+            ("load_instructions", m.load_instructions),
+            ("store_instructions", m.store_instructions),
+            ("load_transactions", m.load_transactions),
+            ("store_transactions", m.store_transactions),
+            ("dram_read_bytes", m.dram_read_bytes),
+            ("dram_write_bytes", m.dram_write_bytes),
+            ("tex_instructions", m.tex_instructions),
+            ("tex_transactions", m.tex_transactions),
+            ("tex_dram_bytes", m.tex_dram_bytes),
+            ("tex_l2.hits", m.tex_l2_stats.hits),
+            ("tex_l2.misses", m.tex_l2_stats.misses),
+            ("l1.hits", m.l1.hits),
+            ("l1.misses", m.l1.misses),
+            ("l2.hits", m.l2.hits),
+            ("l2.misses", m.l2.misses),
+            ("tex_cache.hits", m.tex_cache.hits),
+            ("tex_cache.misses", m.tex_cache.misses),
+            ("shared.instructions", s.shared.instructions),
+            ("shared.bank_cycles", s.shared.bank_cycles),
+            ("shared.conflicted_accesses", s.shared.conflicted_accesses),
+            ("block.warp_instructions", t.warp_instructions),
+            ("block.near_hits", t.near_hits),
+            ("block.l2_hits", t.l2_hits),
+            ("block.dram_bytes", t.dram_bytes),
+            ("block.shared_cycles", t.shared_cycles),
+            ("block.syncs", t.syncs),
+            ("block.latency_cycles", t.latency_cycles),
+            ("block.hidden_latency_cycles", t.hidden_latency_cycles),
+            ("block.cells", t.cells),
+        ];
+        for (counter, value) in counts {
+            self.line(key, counter, value);
+        }
+        let times = [
+            ("cycles", s.cycles),
+            ("seconds", s.seconds),
+            ("max_block_cycles", s.max_block_cycles),
+            ("min_block_cycles", s.min_block_cycles),
+        ];
+        for (counter, value) in times {
+            self.line(key, counter, format!("{value:?}"));
         }
     }
 
-    fn result(&mut self, r: &cudasw_core::SearchResult) {
-        for &s in &r.scores {
-            self.word(s as u32 as u64);
+    /// Compare with `tests/snapshots/<name>`. A mismatch names every
+    /// `<launch or path> <counter>` whose value differs (or that only one
+    /// side has) and writes this snapshot to the test target's scratch
+    /// directory, ready to be committed when a count is meant to move.
+    fn check(&self, name: &str) {
+        let pinned_path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/snapshots")
+            .join(name);
+        let pinned = std::fs::read_to_string(&pinned_path).unwrap_or_default();
+        if pinned == self.0 {
+            return;
         }
-        for phase in [&r.inter, &r.intra] {
-            self.word(u64::from(phase.launches));
-            self.word(phase.cells);
-            self.word(phase.global_transactions);
-            self.word(phase.seconds.to_bits());
-        }
-        self.word(r.transfer_seconds.to_bits());
+        let fresh_path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&fresh_path, &self.0).unwrap();
+        // Key: the first two fields; value: the rest (a scores line).
+        let values = |text: &str| -> BTreeMap<String, String> {
+            let field = |l: &str| l.match_indices(' ').nth(1).map_or(l.len(), |(at, _)| at);
+            (text.lines().map(|l| l.split_at(field(l))))
+                .map(|(key, value)| (key.into(), value.trim().into()))
+                .collect()
+        };
+        let (old, new) = (values(&pinned), values(&self.0));
+        let show = |v: Option<&String>| v.map_or("-", String::as_str).to_string();
+        let keys: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
+        let diffs: Vec<String> = (keys.into_iter())
+            .filter(|k| old.get(*k) != new.get(*k))
+            .map(|k| format!("  {k}: {} -> {}", show(old.get(k)), show(new.get(k))))
+            .collect();
+        panic!(
+            "{} of {} counters differ from {} (fresh snapshot: {}):\n{}",
+            diffs.len(),
+            new.len(),
+            pinned_path.display(),
+            fresh_path.display(),
+            diffs[..diffs.len().min(40)].join("\n")
+        );
     }
 }
 
-/// Digest of every simulated number the three driver paths (plain, staged,
+/// Every simulated number the three driver paths (plain, staged,
 /// resilient — fault-free and under OOM) produce over the §VII flag matrix
-/// (the first 32 combinations: both §VI boundary flags off). Scores,
-/// per-phase launches / cells / global transactions, and the bit patterns
-/// of the simulated kernel and transfer seconds all feed it, so any drift
-/// in allocation order, copy order, launch shape or float accumulation
-/// order on any path changes the constant. Pinned before the launch paths
-/// were merged into `cudasw_core::launch`; re-pinned once, when the search
-/// loops were merged: `transfer_seconds` of a resilient search with
-/// `streamed_h2d` on, 64 of 320 results (the per-field table is in git
-/// history).
-const PINNED_SIMULATED_DIGEST: u64 = 0x2c81_34c3_b837_d6e5;
-
+/// (the first 32 combinations: both §VI boundary flags off): scores,
+/// per-phase launches / cells / global transactions and the simulated
+/// kernel and transfer seconds, so any drift in allocation order, copy
+/// order, launch shape or float accumulation order on any path names the
+/// path and the number that moved.
 #[test]
 fn simulated_counts_are_pinned() {
     let db = mixed_db();
     let queries = [make_query(50, 19), make_query(37, 23)];
     let policy = RecoveryPolicy::default();
-    let mut digest = Fnv::new();
+    let mut snapshot = Snapshot::default();
     for dc in &DeviceKernelConfig::all_combinations()[..32] {
-        for intra in [
-            IntraKernelChoice::Original,
-            IntraKernelChoice::Improved(VariantConfig::improved()),
+        for (name, intra) in [
+            ("orig", IntraKernelChoice::Original),
+            (
+                "improved",
+                IntraKernelChoice::Improved(VariantConfig::improved()),
+            ),
         ] {
+            let key = format!("{}/{name}", dc.label());
             let cfg = CudaSwConfig {
                 intra,
                 ..config(*dc)
@@ -332,7 +421,7 @@ fn simulated_counts_are_pinned() {
             // Each path runs in its own capture scope: phase seconds are
             // registry deltas, exact only against a fresh registry.
             let (plain, _) = obs::capture(|| driver().search(&queries[0], &db).unwrap());
-            digest.result(&plain);
+            snapshot.result(&format!("{key}/plain"), &plain);
             let (staged_results, _) = obs::capture(|| {
                 let mut d = driver();
                 let staged = d.stage_database(&db).unwrap();
@@ -340,84 +429,35 @@ fn simulated_counts_are_pinned() {
                     .each_ref()
                     .map(|q| d.search_staged(q, &staged).unwrap())
             });
-            for r in &staged_results {
-                digest.result(r);
+            for (i, r) in staged_results.iter().enumerate() {
+                snapshot.result(&format!("{key}/staged.{i}"), r);
             }
-            for plan in [FaultPlan::none(), FaultPlan::none().with_oom(3)] {
+            for (path, plan) in [
+                ("resilient", FaultPlan::none()),
+                ("resilient.oom", FaultPlan::none().with_oom(3)),
+            ] {
                 let (rr, _) = obs::capture(|| {
                     let mut d = driver();
                     d.dev.inject_faults(plan.clone());
                     d.search_resilient(&queries[0], &db, &policy).unwrap()
                 });
-                digest.result(&rr.result);
-                digest.word(rr.recovery.rechunks);
+                let key = format!("{key}/{path}");
+                snapshot.result(&key, &rr.result);
+                snapshot.line(&key, "rechunks", rr.recovery.rechunks);
             }
         }
     }
-    assert_eq!(
-        digest.0, PINNED_SIMULATED_DIGEST,
-        "simulated counts drifted: digest {:#018x}",
-        digest.0
-    );
+    snapshot.check("simulated_counts.txt");
 }
 
-impl Fnv {
-    /// Every number a launch counted: all of `LaunchStats.memory`, the
-    /// shared-memory counters, the block-cost totals and the cycle bits.
-    fn launch(&mut self, s: &gpu_sim::LaunchStats) {
-        let m = &s.memory;
-        let t = &s.totals;
-        for w in [
-            m.load_instructions,
-            m.store_instructions,
-            m.load_transactions,
-            m.store_transactions,
-            m.dram_read_bytes,
-            m.dram_write_bytes,
-            m.tex_instructions,
-            m.tex_transactions,
-            m.tex_dram_bytes,
-            m.tex_l2_stats.hits,
-            m.tex_l2_stats.misses,
-            m.l1.hits,
-            m.l1.misses,
-            m.l2.hits,
-            m.l2.misses,
-            m.tex_cache.hits,
-            m.tex_cache.misses,
-            s.shared.instructions,
-            s.shared.bank_cycles,
-            s.shared.conflicted_accesses,
-            t.warp_instructions,
-            t.near_hits,
-            t.l2_hits,
-            t.dram_bytes,
-            t.shared_cycles,
-            t.syncs,
-            t.latency_cycles,
-            t.hidden_latency_cycles,
-            t.cells,
-            s.cycles.to_bits(),
-            s.seconds.to_bits(),
-            s.max_block_cycles.to_bits(),
-            s.min_block_cycles.to_bits(),
-        ] {
-            self.word(w);
-        }
-    }
-}
-
-/// Digest of every counter gpu-sim keeps, kernel by kernel, computed at
-/// the commit *before* the simulator's warp-access analysis was rewritten
-/// by shape. Where [`PINNED_SIMULATED_DIGEST`] covers the driver paths on
-/// one device with single-strip queries, this one covers what a memory
-/// model change can move: three devices (16 and 32 banks; texture L2 vs
-/// L1/L2 vs no data cache), every intra-task variant over a five-strip
-/// query, and the inter-task kernel in the global-boundary, multi-panel
-/// and single-panel orders — with all four caches' hit/miss counts, DRAM
-/// bytes, bank cycles and the cycle bit patterns hashed.
-const PINNED_COUNTER_DIGEST: u64 = 0xb973_07dd_a729_0775;
-
+/// Every counter gpu-sim keeps, kernel by kernel. Where
+/// [`simulated_counts_are_pinned`] covers the driver paths on one device
+/// with single-strip queries, this one covers what a memory model change
+/// can move: three devices (16 and 32 banks; texture L2 vs L1/L2 vs no data
+/// cache), every intra-task variant over a five-strip query, and the
+/// inter-task kernel in the global-boundary, multi-panel and single-panel
+/// orders — with all four caches' hit/miss counts, DRAM bytes, bank cycles
+/// and the cycles.
 #[test]
 fn every_simulator_counter_is_pinned() {
     use cudasw_core::seqstore::{pack_residues, GroupImage, ProfileImage, SeqImage};
@@ -433,12 +473,12 @@ fn every_simulator_counter_is_pinned() {
     let lengths: Vec<usize> = (0..70).map(|i| 3 + (i * 37) % 150).collect();
     let group = database_with_lengths("wide-group", &lengths, 41);
     let max_cols = lengths.iter().copied().max().unwrap();
-    let mut digest = Fnv::new();
+    let mut snapshot = Snapshot::default();
 
-    for spec in [
-        DeviceSpec::tesla_c1060(),
-        DeviceSpec::tesla_c2050(),
-        DeviceSpec::tesla_c2050_caches_off(),
+    for (device, spec) in [
+        ("c1060", DeviceSpec::tesla_c1060()),
+        ("c2050", DeviceSpec::tesla_c2050()),
+        ("c2050-caches-off", DeviceSpec::tesla_c2050_caches_off()),
     ] {
         // Original intra-task kernel, one block per pair.
         let mut dev = GpuDevice::new(spec.clone());
@@ -474,10 +514,12 @@ fn every_simulator_counter_is_pinned() {
             step_latency_cycles: spec.global_latency_cycles as u64,
         };
         let stats = dev.launch(&kernel, pairs.len() as u32, "orig").unwrap();
-        digest.launch(&stats);
-        for p in &pairs {
-            digest.word(u64::from(dev.copy_from_device(p.score, 1).unwrap().0[0]));
-        }
+        let key = format!("{device}/orig");
+        snapshot.launch(&key, &stats);
+        let scores = pairs
+            .iter()
+            .map(|p| dev.copy_from_device(p.score, 1).unwrap().0[0]);
+        snapshot.scores(&key, scores);
 
         // Improved intra-task kernel: §III stages, §VI extensions, 8-row tiles.
         let flag = |set: fn(&mut DeviceKernelConfig)| {
@@ -487,15 +529,25 @@ fn every_simulator_counter_is_pinned() {
         };
         let (improved, off) = (VariantConfig::improved(), DeviceKernelConfig::default());
         let variants = [
-            (4, improved, off),
-            (4, VariantConfig::naive(), off),
-            (4, VariantConfig::deep_swap(), off),
-            (4, improved, flag(|dc| dc.coalesced_boundary = true)),
-            (4, improved, flag(|dc| dc.shared_boundary = true)),
-            (4, improved, flag(|dc| dc.pipeline_fusion = true)),
-            (8, improved, off),
+            ("improved", 4, improved, off),
+            ("naive", 4, VariantConfig::naive(), off),
+            ("deep-swap", 4, VariantConfig::deep_swap(), off),
+            (
+                "coalesce",
+                4,
+                improved,
+                flag(|dc| dc.coalesced_boundary = true),
+            ),
+            (
+                "shared-boundary",
+                4,
+                improved,
+                flag(|dc| dc.shared_boundary = true),
+            ),
+            ("fusion", 4, improved, flag(|dc| dc.pipeline_fusion = true)),
+            ("improved-t8", 8, improved, off),
         ];
-        for (tile_height, variant, device) in variants {
+        for (name, tile_height, variant, flags) in variants {
             let shape = ImprovedParams {
                 threads_per_block: 32,
                 tile_height,
@@ -507,13 +559,12 @@ fn every_simulator_counter_is_pinned() {
                 &params,
                 shape,
                 variant,
-                device,
+                flags,
             )
             .unwrap();
-            digest.launch(&stats);
-            for s in scores {
-                digest.word(s as u32 as u64);
-            }
+            let key = format!("{device}/{name}");
+            snapshot.launch(&key, &stats);
+            snapshot.scores(&key, scores);
         }
 
         // Inter-task kernel: global boundary planes, 16-column panels
@@ -541,16 +592,13 @@ fn every_simulator_counter_is_pinned() {
                 edge,
             };
             let stats = dev.launch(&kernel, kernel.grid_blocks(), "inter").unwrap();
-            digest.launch(&stats);
-            let (scores, _) = dev.copy_from_device(gimg.scores, gimg.width).unwrap();
-            for s in scores {
-                digest.word(u64::from(s));
-            }
+            let key = format!("{device}/inter-panel{panel_cols}");
+            snapshot.launch(&key, &stats);
+            snapshot.scores(
+                &key,
+                dev.copy_from_device(gimg.scores, gimg.width).unwrap().0,
+            );
         }
     }
-    assert_eq!(
-        digest.0, PINNED_COUNTER_DIGEST,
-        "simulator counters drifted: digest {:#018x}",
-        digest.0
-    );
+    snapshot.check("simulator_counters.txt");
 }

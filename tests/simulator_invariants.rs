@@ -161,7 +161,7 @@ fn known_divergence_a_store_leaves_its_line_in_the_issuing_l1() {
     assert_eq!(
         (reload.near_hits, reload.l2_hits),
         (1, 0),
-        "on hardware: (0, 1) — re-pin the digests of tests/device_opt.rs with this"
+        "on hardware: (0, 1) — re-pin the snapshots of tests/device_opt.rs with this"
     );
 }
 
@@ -327,7 +327,7 @@ fn table1_databases(seed: u64) -> [sw_db::Database; 3] {
 /// see them in block order, and nothing a launch counts or computes may
 /// depend on how the threads interleaved: twenty repeats of every kernel's
 /// multi-block launch agree in every `LaunchStats` field, every score and
-/// every word of device memory, on both presets. (The digests of
+/// every word of device memory, on both presets. (The snapshots of
 /// `device_opt.rs`, taken from the one-thread simulator, pin the values.)
 #[test]
 fn repeated_multi_block_launches_are_bit_identical() {
