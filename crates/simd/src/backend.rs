@@ -1,86 +1,56 @@
-//! The host-backend abstraction: lane-width-agnostic striped kernels.
+//! The host-backend abstraction: lane-width-agnostic kernels.
 //!
 //! [`ByteSimd`] and [`WordSimd`] describe the handful of SSE2-style vector
-//! operations the striped Smith-Waterman recurrence needs (saturating
-//! add/sub, max, lane shift, any-greater, horizontal max).
-//! [`sw_bytes_checked`] and [`sw_words_checked`] implement Farrar's kernel
-//! exactly once per precision, generically over those traits; every backend
-//! (AVX2, SSE2 and the portable emulated vectors) instantiates the
-//! same kernel with its own vector type.
+//! operations the Smith-Waterman recurrence needs (saturating add/sub, max,
+//! lane shift, any-greater, horizontal max); every backend (AVX2, SSE2 and
+//! the portable emulated vectors) instantiates the same generic kernels
+//! with its own vector types.
 //!
-//! **Nine vector operations a stripe.** A byte lane holds a score *level*
-//! `0..=255` in an encoding its vector type owns, and the byte loop adds a
-//! profile score through [`ByteSimd::add_score`] — "floored at level 0" is
-//! part of the operation. Farrar's biased unsigned bytes (SSE2 and
-//! portable) spend two instructions there, `paddusb` then `psubusb bias`,
-//! ten a stripe; AVX2's offset-binary signed bytes spend one `vpaddsb`,
-//! because a signed saturating add floors at its own minimum, and that loop
-//! runs close to its issue rate (two such operations a cycle), so the
-//! tenth was most of a tenth of its time. Three of the nine form the
-//! F → H → F chain one stripe hands the next (`max(H, F)`, `⊖ open`,
-//! `max` into F); the running maximum is folded before F joins H so that
-//! it stays three. A Lazy-F repair step is four operations on
-//! every backend and in both precisions (see `repair_step!` for why it
-//! leaves the running maximum alone). `tests/op_budget.rs` counts both.
+//! **One body per kernel shape.** Each of three shapes is written once for
+//! both precisions, which differ only in the few operations its macro
+//! arguments name (byte levels against signed words):
 //!
-//! **One bounded Lazy-F repair.** In the striped layout lane `k` covers the
-//! contiguous query chunk `[k·seg_len, (k+1)·seg_len)`, so the F value
-//! leaving lane `k`'s chunk feeds lane `k+1`'s — a linear recurrence in the
-//! (max, +) semiring with decay `seg_len × gap_extend` per lane step. After
-//! each column's main loop the kernels look at the exit-F vector once:
+//! * the profile striping (`stripe`): lane `k` of segment `j` holds query
+//!   position `j + k·seg_len`, and each query code has a score table for
+//!   the grouped passes;
+//! * Farrar's striped column loop with its bounded Lazy-F repair
+//!   (`striped_columns!`), run by [`sw_bytes_checked`] and
+//!   [`sw_words_checked`]: nine vector operations a stripe (`add_score` is
+//!   one `vpaddsb` on AVX2 and Farrar's biased pair elsewhere), then per
+//!   column either the correction loop with its SWAT-style early exit, when
+//!   no lane's F outlives a chunk, or a Kogge-Stone max-scan à la Snytsar
+//!   (arXiv:1909.00899) and one repair pass; the first `min(PEEL,
+//!   seg_len)` repair steps run untested (DESIGN.md §14);
+//! * the grouped sweep (`grouped_sweep!`), one subject a lane (CUDASW++'s
+//!   inter-task layout) and no Lazy-F, run by [`sw_bytes_grouped`] and
+//!   [`sw_words_grouped`].
 //!
-//! * no lane's F exceeds one chunk's decay: every carried F dies inside the
-//!   next chunk, so Farrar's correction loop with the SWAT-style early exit
-//!   ends within `seg_len + open/extend + 1` steps;
-//! * some lane's F is larger (a strong alignment column), or
-//!   `open == extend` (where the early exit is unsound): a Kogge-Stone
-//!   max-scan à la Snytsar (arXiv:1909.00899) resolves every lane's exact
-//!   incoming F in `log2(LANES)` steps and one repair pass applies it.
+//! The bodies are macros rather than generic functions over a closure: a
+//! closure handed into an AVX2 `#[target_feature]` context is not reliably
+//! inlined (see `x86.rs`), and each backend must compile to the same inner
+//! loops as before.
 //!
-//! Both routes reach the same fixpoint, so the choice is invisible in the
-//! scores; `force_scan` ([`crate::KernelMode::PrefixScan`]) takes the scan
-//! on every column.
+//! **Byte→word hand-off.** The byte passes stop as soon as the running
+//! maximum *could* saturate during the next column's add — one column
+//! before anything does, at the same column on every backend and in both
+//! layouts — so H, E and the maximum are still exact. They return them in
+//! query order as a [`Handoff`], and the word passes continue from the next
+//! column instead of column 0.
 //!
-//! On either route the first `min(PEEL, seg_len)` repair steps of a column
-//! run before the early-exit test is consulted: on random subjects the
-//! tested loop leaves after one to five steps with geometrically falling
-//! odds, a branch no predictor learns. Steps past the old exit change
-//! nothing — the state there is the fixpoint and every F is the score of
-//! a real gap, so `max(H, F)` and `max(E, H ⊖ open)` return what they were
-//! given (DESIGN.md §14) — and a column still spends at most `max(PEEL,
-//! exit) ≤ seg_len + log2(LANES) + open/extend + 1` repair operations.
+//! **Bit-identical scores by construction.** The lane count changes only
+//! the striped *layout* (`seg_len = ceil(m / LANES)`), never the arithmetic
+//! a cell sees: the repaired recurrence is exact, the overflow check reads
+//! the layout-independent running maximum, word mode saturates at
+//! `i16::MAX` everywhere, and both repair routes reach one fixpoint because
+//! saturating subtraction chains compose (`x ⊖ a ⊖ b = x ⊖ (a + b)`).
+//! `tests/handoff_differential.rs` and `tests/peel_differential.rs` pin
+//! these invariants; `tests/op_budget.rs` counts the operations.
 //!
-//! **Byte→word hand-off.** The byte kernel stops as soon as the running
-//! maximum *could* saturate during the next column's biased add — one
-//! column before anything does, in either encoding (AVX2 keeps the biased
-//! threshold although its add has `bias` more headroom: every backend must
-//! hand off at the same column) — so its H, E and maximum are still exact.
-//! It returns them de-striped as a [`Handoff`]; the word kernel re-stripes
-//! that to its own lane count and continues at the next column instead of
-//! column 0 (see [`Handoff`] for why floored E and padding rows are
-//! harmless).
-//!
-//! **The grouped passes.** [`sw_bytes_grouped`] scores up to `LANES`
-//! subjects at once, one a lane (CUDASW++'s inter-task layout), with no
-//! Lazy-F; each lane hands off exactly where the striped kernel would, and
-//! [`sw_words_grouped`] resumes up to `LANES` hand-offs the same way.
-//!
-//! **Bit-identical scores by construction.** The lane count only changes the
-//! striped *layout* (`seg_len = ceil(m / LANES)`), never the arithmetic any
-//! H/E/F cell sees: the post-Lazy-F recurrence is exact, byte-mode overflow
-//! detection triggers on the running maximum (which is layout-independent),
-//! and word mode saturates at `i16::MAX` identically everywhere. The same
-//! argument makes the two repair routes agree: saturating subtraction chains
-//! compose (`x ⊖ a ⊖ b = x ⊖ (a + b)`), so the scanned incoming-F values
-//! equal the correction loop's fixpoint exactly. `tests/handoff_differential.rs`
-//! and `tests/peel_differential.rs` pin these invariants.
-//!
-//! The kernels count the vector operations spent repairing F — scan steps
-//! and repair-loop steps alike, the untested prefix included — so the
-//! adaptive driver can report byte-mode and word-mode correction work
-//! separately per backend. The count is work executed, not time: the
-//! prefix raised it on random subjects (3.7 → 6.4 per thousand cells over
-//! the paper's query lengths) while the wall clock fell.
+//! The striped kernels count the vector operations spent repairing F —
+//! scan rounds and repair steps, the untested prefix included — per
+//! precision. The count is work executed, not time: the prefix raised it on
+//! random subjects (3.7 → 6.4 per thousand cells over the paper's query
+//! lengths) while the wall clock fell.
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_COLS};
 use std::any::Any;
@@ -319,9 +289,11 @@ pub trait Backend {
     /// Stable lowercase name (matches [`crate::BackendKind::name`]).
     const NAME: &'static str;
     /// Whether the pool's adaptive searches take the grouped passes
-    /// ([`sw_bytes_grouped`], [`sw_words_grouped`]); false where the byte
-    /// pass measured slower than the striped one (EXPERIMENTS.md, "Engine
-    /// constants").
+    /// ([`sw_bytes_grouped`], [`sw_words_grouped`]). SSE2 keeps the striped
+    /// ones: with no byte shuffle its lookups are scalar, its grouped byte
+    /// pass read 0.86–1.10× the striped one (EXPERIMENTS.md, "Engine
+    /// constants"), and Figure 7's SWPS3 series is the striped engine on
+    /// SSE2, so grouping there would change what that figure measures.
     const GROUPS: bool = true;
     /// True when this host can execute the backend's instructions.
     fn available() -> bool;
@@ -342,47 +314,15 @@ pub struct ByteProfileOf<V: ByteSimd> {
 }
 
 impl<V: ByteSimd> ByteProfileOf<V> {
-    /// Build the byte profile of `query` under `params`.
-    ///
-    /// Padding lanes (query positions `>= m`) carry the pad score
-    /// [`ScoringMatrix::pad_score`](sw_align::ScoringMatrix::pad_score)
-    /// `= −bias` (biased: the byte 0), so they sink towards zero and never
-    /// win the running maximum.
+    /// Build the byte profile of `query` under `params`. Padding lanes carry
+    /// the pad score `−bias` (biased: the byte 0), so they sink towards zero.
     pub fn build(params: &SwParams, query: &[u8]) -> Self {
-        let m = query.len();
-        let seg_len = m.div_ceil(V::LANES).max(1);
-        let alphabet_size = params.matrix.size();
         let bias = (-params.matrix.pad_score()) as u8;
-        let mut vectors = Vec::with_capacity(alphabet_size * seg_len);
-        let mut lanes = vec![0u8; V::LANES];
-        for a in 0..alphabet_size as u8 {
-            let row = params.matrix.row(a);
-            for j in 0..seg_len {
-                for (k, slot) in lanes.iter_mut().enumerate() {
-                    let pos = j + k * seg_len;
-                    let score = if pos < m {
-                        row[query[pos] as usize] as i32
-                    } else {
-                        -(bias as i32)
-                    };
-                    *slot = V::encode_score(score, bias);
-                }
-                vectors.push(V::load(&lanes));
-            }
-        }
+        let encode = |score| V::encode_score(score, bias);
+        let (seg_len, vectors, tables) = stripe(params, query, V::LANES, encode, V::load);
         let overflow_at = 255u8
             .saturating_sub(bias)
             .saturating_sub(params.matrix.max_score().clamp(0, 255) as u8);
-        debug_assert!(alphabet_size <= PAD_CODE as usize);
-        let tables = (0..alphabet_size as u8)
-            .map(|a| {
-                let mut table = [V::encode_score(-(bias as i32), bias); 32];
-                for (b, slot) in table.iter_mut().enumerate().take(alphabet_size) {
-                    *slot = V::encode_score(params.matrix.score(b as u8, a), bias);
-                }
-                table
-            })
-            .collect();
         Self {
             seg_len,
             bias,
@@ -419,7 +359,6 @@ impl<V: ByteSimd> ByteProfileOf<V> {
 #[derive(Debug, Clone)]
 pub struct WordProfileOf<V: WordSimd> {
     seg_len: usize,
-    alphabet_size: usize,
     vectors: Vec<V>,
     query: Vec<u8>,
     /// `tables[a][b]`: query code `a` against subject code `b` (the pad
@@ -429,43 +368,10 @@ pub struct WordProfileOf<V: WordSimd> {
 
 impl<V: WordSimd> WordProfileOf<V> {
     /// Build the striped word profile of `query` under `params`.
-    ///
-    /// Padding lanes score
-    /// [`ScoringMatrix::pad_score`](sw_align::ScoringMatrix::pad_score) so
-    /// they can never win the running maximum.
     pub fn build(params: &SwParams, query: &[u8]) -> Self {
-        let m = query.len();
-        let seg_len = m.div_ceil(V::LANES).max(1);
-        let alphabet_size = params.matrix.size();
-        let pad = params.matrix.pad_score() as i16;
-        let mut vectors = Vec::with_capacity(alphabet_size * seg_len);
-        let mut lanes = vec![0i16; V::LANES];
-        for a in 0..alphabet_size as u8 {
-            let row = params.matrix.row(a);
-            for j in 0..seg_len {
-                for (k, slot) in lanes.iter_mut().enumerate() {
-                    let pos = j + k * seg_len;
-                    *slot = if pos < m {
-                        row[query[pos] as usize] as i16
-                    } else {
-                        pad
-                    };
-                }
-                vectors.push(V::load(&lanes));
-            }
-        }
-        let tables = (0..alphabet_size as u8)
-            .map(|a| {
-                let mut table = [pad as i8; 32];
-                for (b, slot) in table.iter_mut().enumerate().take(alphabet_size) {
-                    *slot = params.matrix.score(b as u8, a) as i8;
-                }
-                table
-            })
-            .collect();
+        let (seg_len, vectors, tables) = stripe(params, query, V::LANES, |s| s as i8, V::load);
         Self {
             seg_len,
-            alphabet_size,
             vectors,
             query: query.to_vec(),
             tables,
@@ -485,8 +391,46 @@ impl<V: WordSimd> WordProfileOf<V> {
 
     /// Number of alphabet codes covered.
     pub fn alphabet_size(&self) -> usize {
-        self.alphabet_size
+        self.tables.len()
     }
+}
+
+/// The striped layout both profiles share, for vectors of `lanes` (at most
+/// 32) lanes: `tables[a][b]`, query code `a` against subject code `b` in
+/// the profile's encoding (`encode`); and per subject code and segment `j`
+/// one vector whose lane `k` holds `query[j + k·seg_len]`'s entry. Past
+/// the alphabet and past the query's end lies the pad score
+/// [`ScoringMatrix::pad_score`](sw_align::ScoringMatrix::pad_score), which
+/// can never win a running maximum. The lanes are a stack array: a heap
+/// buffer built the profiles 12–15% slower.
+fn stripe<V, T: Copy, L: Copy + Default + From<T>>(
+    params: &SwParams,
+    query: &[u8],
+    lanes: usize,
+    encode: impl Fn(i32) -> T,
+    load: impl Fn(&[L]) -> V,
+) -> (usize, Vec<V>, Vec<[T; 32]>) {
+    let seg_len = query.len().div_ceil(lanes).max(1);
+    let size = params.matrix.size();
+    debug_assert!(size <= PAD_CODE as usize);
+    let pad = encode(params.matrix.pad_score());
+    let score = |b: usize, a| (b < size).then(|| encode(params.matrix.score(b as u8, a)));
+    let tables: Vec<[T; 32]> = (0..size as u8)
+        .map(|a| std::array::from_fn(|b| score(b, a).unwrap_or(pad)))
+        .collect();
+    let mut vectors = Vec::with_capacity(size * seg_len);
+    let mut lane = [L::default(); 32];
+    for b in 0..size as u8 {
+        let row = params.matrix.row(b);
+        for j in 0..seg_len {
+            for (k, slot) in lane[..lanes].iter_mut().enumerate() {
+                let code = query.get(j + k * seg_len);
+                *slot = code.map_or(pad, |&a| encode(row[a as usize].into())).into();
+            }
+            vectors.push(load(&lane));
+        }
+    }
+    (seg_len, vectors, tables)
 }
 
 /// Exact byte-mode state at the column where byte mode gave up, in query
@@ -591,6 +535,106 @@ const PEEL: usize = 4;
 /// lanes (asserted at compile time in the kernels).
 const SCAN_STEPS: [usize; 5] = [1, 2, 4, 8, 16];
 
+/// The column loop of both striped kernels, over the `(column, code)` pairs
+/// `$cols` and the H-store, H-load and E thirds of `$state`: per column the
+/// cancel poll every [`CANCEL_CHECK_COLS`] columns (`return None`), the H
+/// wrap and the swap of the H thirds, the precision's own pass down the
+/// stripes (`$main`), the Lazy-F repair (its operations added to
+/// `$lazy_f`), then `$after`. `$main` gets the profile row `$row`, H to
+/// store `$hs`, H to load `$hl` and E `$e`, each exactly `seg_len` vectors
+/// so that its loop has no bounds checks, the wrapped H `$v_h` and a zero
+/// F `$v_f`, and leaves in lane k of `$v_f` the F leaving chunk k assuming
+/// zero F entered it. The precisions differ in their levels alone:
+/// `$level(n)` is level `n`, and `$decay` is `$f` less the amount `$n`.
+macro_rules! striped_columns {
+    (
+        $V:ty, $profile:ident, $cols:expr, $state:ident, $check:ident, $force_scan:ident,
+        $lazy_f:ident, [$open:ident, $extend:ident, $v_open:ident, $v_extend:ident],
+        $top:expr, $level:path, |$f:ident, $n:ident| $decay:expr,
+        |$col:ident, $row:ident, $hs:ident, $hl:ident, $e:ident, $v_h:ident, $v_f:ident| $main:block
+        $after:block
+    ) => {{
+        const { assert!(<$V>::LANES <= 2 * SCAN_STEPS[4]) };
+        let seg_len = $profile.seg_len;
+        // One chunk's decay: `seg_len` extensions. Decays are clamped at
+        // `$top`, the largest level, which loses nothing: subtraction
+        // composes (x ⊖ a ⊖ b = x ⊖ (a + b)), so any F less `$top` is 0
+        // either way, and an F at 0 is inert (H ≥ 0 wins the max and E
+        // never reads F).
+        let chunk_decay = seg_len as u64 * $extend as u64;
+        let v_chunk = $level(chunk_decay.min($top) as _);
+        // The repair's early exit is sound only for strictly affine gaps:
+        // with open == extend, a lazily-raised H generates an F chain
+        // exactly equal to the exit threshold, which the cutoff would drop.
+        // Those gap models always scan, and their one repair pass runs to
+        // the end. Judged on the clamped pair, which is what the kernels
+        // subtract.
+        let early_exit = $open > $extend;
+        let scan_always = $force_scan || !early_exit;
+        let peel = PEEL.min(seg_len);
+        let (h_both, e) = $state.split_at_mut(2 * seg_len);
+        let (mut h_store, mut h_load) = h_both.split_at_mut(seg_len);
+        for ($col, &d) in $cols {
+            if $col % CANCEL_CHECK_COLS == 0 && $check.cancelled() {
+                return None;
+            }
+            let mut $v_f = <$V>::zero();
+            let mut $v_h = h_store[seg_len - 1].shift();
+            std::mem::swap(&mut h_store, &mut h_load);
+            let $row = &$profile.vectors[d as usize * seg_len..][..seg_len];
+            let ($hs, $hl) = (&mut h_store[..seg_len], &h_load[..seg_len]);
+            let $e = &mut e[..seg_len];
+            $main
+            // Lazy-F: when one lane's F outlives a whole chunk, scan: after
+            // the Kogge-Stone rounds lane k holds max_{i<=k}(f_i −
+            // (k−i)·chunk_decay), the exact F leaving chunk k, and one pass
+            // applies it (F − open ≤ F − extend, so the scan needs no opening
+            // term). Otherwise the correction loop's early exit ends it
+            // within a chunk.
+            let mut passes = <$V>::LANES;
+            if scan_always || $v_f.any_gt(v_chunk) {
+                // A literal step list, not `while step < LANES`: it must
+                // unroll so every `shift_lanes` sees a constant (the portable
+                // vectors otherwise fall back to a variable-length copy
+                // through memory).
+                for step in SCAN_STEPS {
+                    if step < <$V>::LANES {
+                        let $f = $v_f.shift_lanes(step);
+                        let $n = (step as u64 * chunk_decay).min($top);
+                        $v_f = $v_f.max($decay);
+                        $lazy_f += 1;
+                    }
+                }
+                passes = 1;
+            }
+            // shift() hands lane k+1 its incoming F; lane 0 gets zero.
+            $v_f = $v_f.shift();
+            // The first `peel` steps run untested (see `PEEL`); after them a
+            // step runs only if the one before left an F that can raise an H.
+            let mut opened = <$V>::zero();
+            for j in 0..peel {
+                opened = repair_step!($hs, $e, j, $v_f, $v_open, $v_extend);
+            }
+            let mut j = peel;
+            $lazy_f += peel as u64;
+            while !early_exit || $v_f.any_gt(opened) {
+                if j == seg_len {
+                    passes -= 1;
+                    if passes == 0 {
+                        break;
+                    }
+                    $v_f = $v_f.shift();
+                    j = 0;
+                }
+                opened = repair_step!($hs, $e, j, $v_f, $v_open, $v_extend);
+                j += 1;
+                $lazy_f += 1;
+            }
+            $after
+        }
+    }};
+}
+
 /// Outcome of one byte-mode alignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ByteKernelResult {
@@ -636,7 +680,6 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
     force_scan: bool,
     check: &C,
 ) -> Option<ByteKernelResult> {
-    const { assert!(V::LANES <= 2 * SCAN_STEPS[4]) };
     let open = gaps.open.clamp(0, 255) as u8;
     let extend = gaps.extend.clamp(0, 255) as u8;
     if profile.overflow_at() == 0 || open.max(extend) > V::SUB_LIMIT {
@@ -648,119 +691,49 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
         });
     }
     let seg_len = profile.seg_len();
-    let v_open = V::splat(open);
-    let v_extend = V::splat(extend);
+    let (v_open, v_extend) = (V::splat(open), V::splat(extend));
     let v_bias = V::splat(profile.bias());
     let v_limit = V::level(profile.overflow_at() - 1);
-    // One chunk's decay: `seg_len` extensions. Level subtraction
-    // composes (x ⊖ a ⊖ b = x ⊖ min(255, a + b)), so clamping at 255 loses
-    // nothing — any F minus 255 is 0 either way.
-    let chunk_decay = seg_len as u64 * gaps.extend.max(0) as u64;
-    let v_chunk = V::level(chunk_decay.min(255) as u8);
-    // The repair's early exit is sound only for strictly affine gaps: with
-    // open == extend, a lazily-raised H generates an F chain exactly equal
-    // to the exit threshold, which the cutoff would drop. Those gap models
-    // always scan, and their one repair pass runs to the end. Judged on
-    // the clamped pair, which is what the kernel subtracts.
-    let early_exit = open > extend;
-    let scan_always = force_scan || !early_exit;
-    let peel = PEEL.min(seg_len);
-    // H-store, H-load and E share one buffer; the two H thirds trade
-    // places every column.
     let mut state = vec![V::zero(); 3 * seg_len];
-    let (h_both, e) = state.split_at_mut(2 * seg_len);
-    let (mut h_store, mut h_load) = h_both.split_at_mut(seg_len);
     let mut v_max = V::zero();
     let mut lazy_f = 0u64;
-
-    for (col, &d) in db.iter().enumerate() {
-        if col % CANCEL_CHECK_COLS == 0 && check.cancelled() {
-            return None;
-        }
-        let mut v_f = V::zero();
-        // H of the last segment, shifted one lane: the "wrap" of the
-        // striped layout (element k of the last segment precedes element
-        // k+1 of segment 0 in query order).
-        let mut v_h = h_store[seg_len - 1].shift();
-        std::mem::swap(&mut h_store, &mut h_load);
-        // Four views of exactly `seg_len` vectors, cut once per column: the
-        // loop body is nine vector operations where `add_score` is one
-        // instruction (AVX2) and ten where it is Farrar's biased pair, with
-        // no bounds checks (`tests/op_budget.rs` holds it to that). Loads
-        // precede stores because the thirds of `state` are not provably
-        // disjoint and the portable vectors only vectorise that way.
-        let row = &profile.vectors[d as usize * seg_len..][..seg_len];
-        let (hs, hl) = (&mut h_store[..seg_len], &h_load[..seg_len]);
-        let e = &mut e[..seg_len];
-        for j in 0..seg_len {
-            let (e_j, h_next) = (e[j], hl[j]);
-            v_h = v_h.add_score(row[j], v_bias).max(e_j);
-            // The running maximum takes H before F joins it. F is an
-            // earlier H of this lane and column less `open + k·extend`,
-            // already folded in, so nothing is lost; and `max(H, E)` now has
-            // two uses, so it cannot be re-associated into `max(H, max(E,
-            // F))`, a fourth operation on the F → H → F chain each stripe
-            // waits for (AVX2 measured 1–5% slower that way, portable 4–6%).
-            v_max = v_max.max(v_h);
-            v_h = v_h.max(v_f);
-            hs[j] = v_h;
-            let opened = v_h.sat_sub(v_open);
-            e[j] = opened.max(e_j.sat_sub(v_extend));
-            v_f = opened.max(v_f.sat_sub(v_extend));
-            v_h = h_next;
-        }
-        // Lazy-F: repair H values that should have been reached by F
-        // propagating across segment boundaries. Lane k of `v_f` is the F
-        // leaving chunk k assuming zero F entered it. When one of them
-        // outlives a whole chunk, scan: after the Kogge-Stone rounds lane k
-        // holds max_{i<=k}(f_i − (k−i)·chunk_decay), the exact F leaving
-        // chunk k, and a single pass applies it. (A gap opened from an
-        // F-raised H scores F − open ≤ F − extend, so pure extension
-        // dominates and the scan needs no opening term.) Otherwise the
-        // correction loop's early exit ends it within a chunk.
-        let mut passes = V::LANES;
-        if scan_always || v_f.any_gt(v_chunk) {
-            // A literal step list, not `while step < LANES`: it must unroll
-            // so every `shift_lanes` sees a constant (the portable vectors
-            // otherwise fall back to a variable-length copy through memory).
-            for step in SCAN_STEPS {
-                if step < V::LANES {
-                    let decay = (step as u64 * chunk_decay).min(255) as u8;
-                    v_f = v_f.max(v_f.shift_lanes(step).sub_amount(decay));
-                    lazy_f += 1;
-                }
+    striped_columns! {
+        V, profile, db.iter().enumerate(), state, check, force_scan,
+        lazy_f, [open, extend, v_open, v_extend],
+        255, V::level, |f, n| f.sub_amount(n as u8),
+        |col, row, hs, hl, e, v_h, v_f| {
+            // The loop body is nine vector operations where `add_score` is
+            // one instruction (AVX2) and ten where it is Farrar's biased
+            // pair. Loads precede stores because the thirds of `state` are
+            // not provably disjoint and the portable vectors only vectorise
+            // that way.
+            for j in 0..seg_len {
+                let (e_j, h_next) = (e[j], hl[j]);
+                v_h = v_h.add_score(row[j], v_bias).max(e_j);
+                // The running maximum takes H before F joins it. F is an
+                // earlier H of this lane and column less `open + k·extend`,
+                // already folded in, so nothing is lost; and `max(H, E)` now
+                // has two uses, so it cannot be re-associated into `max(H,
+                // max(E, F))`, a fourth operation on the F → H → F chain
+                // each stripe waits for (AVX2 measured 1–5% slower that
+                // way, portable 4–6%).
+                v_max = v_max.max(v_h);
+                v_h = v_h.max(v_f);
+                hs[j] = v_h;
+                let opened = v_h.sat_sub(v_open);
+                e[j] = opened.max(e_j.sat_sub(v_extend));
+                v_f = opened.max(v_f.sat_sub(v_extend));
+                v_h = h_next;
             }
-            passes = 1;
         }
-        // shift() hands lane k+1 its incoming F; lane 0 gets zero.
-        v_f = v_f.shift();
-        // The first `peel` steps run untested (see `PEEL`); after them a
-        // step runs only if the one before left an F that can raise an H.
-        let mut opened = V::zero();
-        for j in 0..peel {
-            opened = repair_step!(hs, e, j, v_f, v_open, v_extend);
-        }
-        let mut j = peel;
-        lazy_f += peel as u64;
-        while !early_exit || v_f.any_gt(opened) {
-            if j == seg_len {
-                passes -= 1;
-                if passes == 0 {
-                    break;
-                }
-                v_f = v_f.shift();
-                j = 0;
+        {
+            // Overflow check: once the running max could saturate during
+            // the next column's biased add, hand the still-exact state over.
+            if v_max.any_gt(v_limit) {
+                let (m, max) = (profile.query.len(), v_max.horizontal_max());
+                let score = Err(Handoff::at(col + 1, m, hs, e, max));
+                return Some(ByteKernelResult { score, lazy_f });
             }
-            opened = repair_step!(hs, e, j, v_f, v_open, v_extend);
-            j += 1;
-            lazy_f += 1;
-        }
-        // Overflow check: once the running max could saturate during the
-        // next column's biased add, hand the still-exact state over.
-        if v_max.any_gt(v_limit) {
-            let (m, max) = (profile.query.len(), v_max.horizontal_max());
-            let score = Err(Handoff::at(col + 1, m, hs, e, max));
-            return Some(ByteKernelResult { score, lazy_f });
         }
     }
     Some(ByteKernelResult {
@@ -819,6 +792,68 @@ macro_rules! group_cell {
     }};
 }
 
+/// The sweep of both grouped passes over `$subjects`, one a lane from its
+/// column 0, on `$state` (per query row H of the last column and E entering
+/// the next) and the lanes' maxima `$v_max`. [`GROUP_BLOCK`] columns are
+/// transposed at a time, with `$check` polled at each block and a lane past
+/// its subject reading [`PAD_CODE`]; a column's score vectors are `$lookup`
+/// of its lane codes `$codes` in each query code's `$table`. One pass down
+/// the query sweeps one column, or two while the second lies in the
+/// subjects and the block and `$pair` holds; a cell adds its score with
+/// `$add` and subtracts the gaps `$g` with `$sub`. `$after` follows each
+/// pass, `$col` counting the columns swept.
+macro_rules! grouped_sweep {
+    (
+        $V:ty, $profile:ident, $subjects:ident, $state:ident, $check:ident, $v_max:ident,
+        |$codes:ident, $table:ident| $lookup:expr, $g:ident, $sub:ident,
+        $add:ident($($arg:expr),*), $pair:expr, |$col:ident| $after:block
+    ) => {{
+        let mut block = [[PAD_CODE; 32]; GROUP_BLOCK];
+        let mut scores = [[<$V>::zero(); 32]; 2];
+        let cols = $subjects.iter().map(|s| s.len()).max().unwrap_or(0);
+        let mut $col = 0;
+        while $col < cols {
+            let at = $col % GROUP_BLOCK;
+            if at == 0 {
+                if $check.cancelled() {
+                    return None;
+                }
+                transpose(&$subjects, $col, &mut block);
+            }
+            let pair = $col + 1 < cols && at + 1 < GROUP_BLOCK && $pair;
+            for ($codes, scores) in block[at..][..1 + pair as usize].iter().zip(&mut scores) {
+                for (v, $table) in scores.iter_mut().zip(&$profile.tables) {
+                    *v = $lookup;
+                }
+            }
+            let (mut diag, mut f) = ([<$V>::zero(); 2], [<$V>::zero(); 2]);
+            let rows = $state.iter_mut().zip(&$profile.query);
+            if pair {
+                // The second column's cell takes the first's E at once and
+                // its H as the diagonal a row later: one load and store a row
+                // for two cells, and two F chains that overlap.
+                for (row, &a) in rows {
+                    let (a, e) = (a as usize % 32, row[1]);
+                    let scored = diag[0].$add(scores[0][a] $(, $arg)*);
+                    let (h, e) = group_cell!($g, $sub, scored, e, f[0], $v_max);
+                    let scored = diag[1].$add(scores[1][a] $(, $arg)*);
+                    let next = group_cell!($g, $sub, scored, e, f[1], $v_max);
+                    (diag, *row) = ([row[0], h], [next.0, next.1]);
+                }
+            } else {
+                for (row, &a) in rows {
+                    let (a, e) = (a as usize % 32, row[1]);
+                    let scored = diag[0].$add(scores[0][a] $(, $arg)*);
+                    let (h, e) = group_cell!($g, $sub, scored, e, f[0], $v_max);
+                    (diag[0], *row) = (row[0], [h, e]);
+                }
+            }
+            $col += 1 + pair as usize;
+            $after
+        }
+    }};
+}
+
 /// Byte-mode *inter-sequence* Smith-Waterman: lane `k` scores
 /// `subjects[k]` (at most `V::LANES`), polling `check` every
 /// [`CANCEL_CHECK_COLS`] columns (`None`: abandoned): per column one
@@ -854,54 +889,17 @@ pub fn sw_bytes_grouped<V: ByteSimd, C: ColumnCheck>(
     V::level(overflow_at - 1).store(&mut limits[0]);
     V::level((overflow_at - 1).saturating_sub(max_score)).store(&mut limits[1]);
     let mut v_limits = limits.map(|l| V::load(&l));
-    // H of the last column and E entering the next, per query row.
     let mut state = cached_rows(&GROUP_STATE, profile.query.len(), V::zero());
-    let mut block = [[PAD_CODE; 32]; GROUP_BLOCK];
-    let mut scores = [[V::zero(); 32]; 2];
     let mut v_max = V::zero();
     let mut handoffs = vec![None; subjects.len()];
-    let cols = subjects.iter().map(|s| s.len()).max().unwrap_or(0);
-    let mut col = 0;
-    while col < cols {
-        let at = col % GROUP_BLOCK;
-        if at == 0 {
-            if check.cancelled() {
-                return None;
+    grouped_sweep! {
+        V, profile, subjects, state, check, v_max,
+        |codes, table| V::load(codes).lookup(table), g, sat_sub,
+        add_score(g[2]), pairs && !v_max.any_gt(v_limits[1]),
+        |col| {
+            if v_max.any_gt(v_limits[0]) {
+                v_limits = hand_off_lanes(col, &state, v_max, &mut limits, &mut handoffs);
             }
-            transpose(subjects, col, &mut block);
-        }
-        let pair = pairs && col + 1 < cols && at + 1 < GROUP_BLOCK && !v_max.any_gt(v_limits[1]);
-        for (codes, scores) in block[at..][..1 + pair as usize].iter().zip(&mut scores) {
-            let codes = V::load(codes);
-            for (v, table) in scores.iter_mut().zip(&profile.tables) {
-                *v = codes.lookup(table);
-            }
-        }
-        let (mut diag, mut f) = ([V::zero(); 2], [V::zero(); 2]);
-        let rows = state.iter_mut().zip(&profile.query);
-        if pair {
-            // The second column's cell takes the first's E at once and its
-            // H as the diagonal a row later: one load and store a row for
-            // two cells, and two F chains that overlap.
-            for (row, &a) in rows {
-                let (a, e) = (a as usize % 32, row[1]);
-                let scored = diag[0].add_score(scores[0][a], g[2]);
-                let (h, e) = group_cell!(g, sat_sub, scored, e, f[0], v_max);
-                let scored = diag[1].add_score(scores[1][a], g[2]);
-                let next = group_cell!(g, sat_sub, scored, e, f[1], v_max);
-                (diag, *row) = ([row[0], h], [next.0, next.1]);
-            }
-        } else {
-            for (row, &a) in rows {
-                let e = row[1];
-                let scored = diag[0].add_score(scores[0][a as usize % 32], g[2]);
-                let (h, e) = group_cell!(g, sat_sub, scored, e, f[0], v_max);
-                (diag[0], *row) = (row[0], [h, e]);
-            }
-        }
-        col += 1 + pair as usize;
-        if v_max.any_gt(v_limits[0]) {
-            v_limits = hand_off_lanes(col, &state, v_max, &mut limits, &mut handoffs);
         }
     }
     GROUP_STATE.with(|c| c.replace(Some(Box::new(state))));
@@ -954,11 +952,10 @@ fn hand_off_lanes<V: ByteSimd>(
 /// Word-mode *inter-sequence* Smith-Waterman: lane `k` resumes
 /// `subjects[k]` (at most `V::LANES`) from `starts[k]` — its column, H/E
 /// rows and maximum — polling `check` every [`CANCEL_CHECK_COLS`] columns
-/// (`None`: abandoned). Per column one [`WordSimd::lookup`] per code, then
-/// `H = max(diag + s, E, F, 0)` in nine operations a cell with no Lazy-F,
-/// two columns a sweep (an odd last one beside a padded one). Each lane
-/// ends with [`sw_words_checked`]'s score from the same start, saturating
-/// at `i16::MAX` as it does.
+/// (`None`: abandoned). The sweep is [`sw_bytes_grouped`]'s with
+/// [`WordSimd::lookup`] and `H = max(diag + s, E, F, 0)`, two columns at a
+/// time but an odd last one. Each lane ends with [`sw_words_checked`]'s
+/// score from the same start, saturating at `i16::MAX` as it does.
 ///
 /// # Panics
 ///
@@ -974,14 +971,13 @@ pub fn sw_words_grouped<V: WordSimd, C: ColumnCheck>(
 ) -> Option<Vec<i32>> {
     assert!(subjects.len() <= V::LANES && subjects.len() == starts.len());
     assert_codes(subjects, profile.tables.len());
-    let zero = V::zero();
     let (open, extend) = word_gaps(gaps);
     let g = [V::splat(open), V::splat(extend)];
     // Each lane's columns past its start, and its rows and maximum there.
     let rest: Vec<&[u8]> = (subjects.iter().zip(starts))
         .map(|(s, h)| &s[h.cols..])
         .collect();
-    let mut state = cached_rows(&WORD_STATE, profile.query.len(), zero);
+    let mut state = cached_rows(&WORD_STATE, profile.query.len(), V::zero());
     let mut lanes = [[0i16; 32]; 2];
     for (i, row) in state.iter_mut().enumerate() {
         for (k, start) in starts.iter().enumerate() {
@@ -992,34 +988,11 @@ pub fn sw_words_grouped<V: WordSimd, C: ColumnCheck>(
     }
     let mut maxima: [i16; 32] = std::array::from_fn(|k| starts.get(k).map_or(0, |s| s.max));
     let mut v_max = V::load(&maxima);
-    let mut block = [[PAD_CODE; 32]; GROUP_BLOCK];
-    let mut scores = [[zero; 32]; 2];
-    let cols = rest.iter().map(|s| s.len()).max().unwrap_or(0);
-    const { assert!(GROUP_BLOCK.is_multiple_of(2)) };
-    for col in (0..cols).step_by(2) {
-        let at = col % GROUP_BLOCK;
-        if at == 0 {
-            if check.cancelled() {
-                return None;
-            }
-            transpose(&rest, col, &mut block);
-        }
-        for (codes, scores) in block[at..][..2].iter().zip(&mut scores) {
-            for (v, table) in scores.iter_mut().zip(&profile.tables) {
-                *v = V::lookup(codes, table);
-            }
-        }
-        // As in the grouped byte pass's two-column sweep.
-        let (mut diag, mut f) = ([zero; 2], [zero; 2]);
-        for (row, &a) in state.iter_mut().zip(&profile.query) {
-            let (a, [up, e]) = (a as usize % 32, *row);
-            // E and F floored at zero floor `diag + s` in the first `max`.
-            let scored = diag[0].sat_add(scores[0][a]);
-            let (h, e) = group_cell!(g, sub_floor, scored, e, f[0], v_max);
-            let scored = diag[1].sat_add(scores[1][a]);
-            let next = group_cell!(g, sub_floor, scored, e, f[1], v_max);
-            (diag, *row) = ([up, h], [next.0, next.1]);
-        }
+    // E and F floored at zero floor `diag + s` in the first `max`.
+    grouped_sweep! {
+        V, profile, rest, state, check, v_max,
+        |codes, table| V::lookup(codes, table), g, sub_floor,
+        sat_add(), true, |_col| {}
     }
     WORD_STATE.with(|c| c.replace(Some(Box::new(state))));
     v_max.store(&mut maxima);
@@ -1039,9 +1012,8 @@ fn word_gaps(gaps: &GapPenalties) -> (i16, i16) {
 /// polled every [`CANCEL_CHECK_COLS`] columns; `None` means the alignment
 /// was abandoned.
 ///
-/// Same Lazy-F repair as [`sw_bytes_checked`]; the i16 decay clamp at
-/// `i16::MAX` is equally lossless because any F value at or below zero is
-/// inert (H ≥ 0 always wins the max and E never reads F).
+/// Same Lazy-F repair as [`sw_bytes_checked`], its decays clamped at
+/// `i16::MAX`.
 ///
 /// `#[inline(always)]` for the same reason as [`sw_bytes_checked`].
 #[inline(always)]
@@ -1053,81 +1025,36 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
     start: &Handoff,
     check: &C,
 ) -> Option<WordKernelResult> {
-    const { assert!(V::LANES <= 2 * SCAN_STEPS[4]) };
     let seg_len = profile.seg_len();
     let (open, extend) = word_gaps(gaps);
-    let v_open = V::splat(open);
-    let v_extend = V::splat(extend);
-    let chunk_decay = seg_len as u64 * extend as u64;
-    let v_chunk = V::splat(chunk_decay.min(i16::MAX as u64) as i16);
-    // See the byte kernel for why the cutoff needs strictly affine gaps
-    // (judged, as there, on the clamped pair).
-    let early_exit = open > extend;
-    let scan_always = force_scan || !early_exit;
-    let peel = PEEL.min(seg_len);
+    let (v_open, v_extend) = (V::splat(open), V::splat(extend));
     let mut state = vec![V::zero(); 3 * seg_len];
-    let (h_both, e) = state.split_at_mut(2 * seg_len);
-    let (mut h_store, mut h_load) = h_both.split_at_mut(seg_len);
-    restripe(&start.h, h_store);
-    restripe(&start.e, e);
+    restripe(&start.h, &mut state[..seg_len]);
+    restripe(&start.e, &mut state[2 * seg_len..]);
     let mut v_max = V::splat(start.max);
     let mut lazy_f = 0u64;
-
-    for (col, &d) in db.iter().enumerate().skip(start.cols) {
-        if col % CANCEL_CHECK_COLS == 0 && check.cancelled() {
-            return None;
-        }
-        let mut v_f = V::zero();
-        let mut v_h = h_store[seg_len - 1].shift();
-        std::mem::swap(&mut h_store, &mut h_load);
-        let row = &profile.vectors[d as usize * seg_len..][..seg_len];
-        let (hs, hl) = (&mut h_store[..seg_len], &h_load[..seg_len]);
-        let e = &mut e[..seg_len];
-        // Unlike the byte loop this one reads `e[j]` and `hl[j]` where they
-        // are used: with both held in registers the compiler joins E and F
-        // first and lengthens the F → H → F chain by a `max` (word mode
-        // measured 4% slower on AVX2 and 10–14% on SSE2 that way).
-        for j in 0..seg_len {
-            v_h = v_h.sat_add(row[j]);
-            v_h = v_h.max(e[j]).max(v_f).max(V::zero());
-            v_max = v_max.max(v_h);
-            hs[j] = v_h;
-            let opened = v_h.sat_sub(v_open);
-            e[j] = opened.max(e[j].sat_sub(v_extend));
-            v_f = opened.max(v_f.sat_sub(v_extend));
-            v_h = hl[j];
-        }
-        let mut passes = V::LANES;
-        if scan_always || v_f.any_gt(v_chunk) {
-            for step in SCAN_STEPS {
-                if step < V::LANES {
-                    let decay = V::splat((step as u64 * chunk_decay).min(i16::MAX as u64) as i16);
-                    v_f = v_f.max(v_f.shift_lanes(step).sat_sub(decay));
-                    lazy_f += 1;
-                }
+    striped_columns! {
+        V, profile, db.iter().enumerate().skip(start.cols), state, check, force_scan,
+        lazy_f, [open, extend, v_open, v_extend],
+        i16::MAX as u64, V::splat, |f, n| f.sat_sub(V::splat(n as i16)),
+        |col, row, hs, hl, e, v_h, v_f| {
+            // Unlike the byte loop this one reads `e[j]` and `hl[j]` where
+            // they are used: with both held in registers the compiler joins
+            // E and F first and lengthens the F → H → F chain by a `max`
+            // (word mode measured 4% slower on AVX2 and 10–14% on SSE2 that
+            // way).
+            for j in 0..seg_len {
+                v_h = v_h.sat_add(row[j]);
+                v_h = v_h.max(e[j]).max(v_f).max(V::zero());
+                v_max = v_max.max(v_h);
+                hs[j] = v_h;
+                let opened = v_h.sat_sub(v_open);
+                e[j] = opened.max(e[j].sat_sub(v_extend));
+                v_f = opened.max(v_f.sat_sub(v_extend));
+                v_h = hl[j];
             }
-            passes = 1;
         }
-        v_f = v_f.shift();
-        let mut opened = V::zero();
-        for j in 0..peel {
-            opened = repair_step!(hs, e, j, v_f, v_open, v_extend);
-        }
-        let mut j = peel;
-        lazy_f += peel as u64;
-        while !early_exit || v_f.any_gt(opened) {
-            if j == seg_len {
-                passes -= 1;
-                if passes == 0 {
-                    break;
-                }
-                v_f = v_f.shift();
-                j = 0;
-            }
-            opened = repair_step!(hs, e, j, v_f, v_open, v_extend);
-            j += 1;
-            lazy_f += 1;
-        }
+        {}
     }
     Some(WordKernelResult {
         score: v_max.horizontal_max() as i32,
@@ -1142,38 +1069,29 @@ mod tests {
     use sw_align::alphabet::encode_protein;
 
     #[test]
-    fn word_profile_layout_is_striped() {
+    fn both_profiles_stripe_the_query_and_pad_with_the_pad_score() {
         let p = SwParams::cudasw_default();
         let qc = encode_protein("MKVLAWGGSCMKVLAWG").unwrap(); // 17 residues
-        let prof = WordProfileOf::<I16x8>::build(&p, &qc);
-        assert_eq!(prof.seg_len(), 3);
-        // Element k of segment j covers query position j + k*3; positions
-        // past the query end carry the pad score.
+        let word = WordProfileOf::<I16x8>::build(&p, &qc);
+        let byte = ByteProfileOf::<U8x16>::build(&p, &qc);
+        assert_eq!((word.seg_len(), byte.seg_len()), (3, 2));
+        assert_eq!(byte.bias() as i32, -p.matrix.min_score());
+        // Lane k of segment j holds query position j + k·seg_len; past the
+        // query's end lies the pad score (biased: the byte 0).
         let a = 0u8; // 'A'
-        for (k, &val) in prof.get(a, 1).0.iter().enumerate() {
-            let pos = 1 + k * 3;
-            let expected = if pos < qc.len() {
-                p.matrix.score(a, qc[pos]) as i16
-            } else {
-                p.matrix.pad_score() as i16
-            };
-            assert_eq!(val, expected, "lane {k}");
+        let score = |pos: usize| {
+            qc.get(pos)
+                .map_or(p.matrix.pad_score(), |&b| p.matrix.score(a, b))
+        };
+        for (k, &val) in word.get(a, 1).0.iter().enumerate() {
+            assert_eq!(val as i32, score(1 + k * 3), "word lane {k}");
         }
-    }
-
-    #[test]
-    fn byte_profile_bias_is_matrix_minimum() {
-        let p = SwParams::cudasw_default();
-        let q = encode_protein("MKV").unwrap();
-        let profile = ByteProfileOf::<U8x16>::build(&p, &q);
-        assert_eq!(profile.bias() as i32, -p.matrix.min_score());
-        assert_eq!(profile.seg_len(), 1);
-        // Biased scores: a real lane holds score + bias, padding holds 0.
-        let lanes = profile.get(q[0], 0).0;
-        assert_eq!(
-            lanes[0] as i32,
-            p.matrix.score(q[0], q[0]) + profile.bias() as i32
-        );
-        assert_eq!(lanes[3], 0);
+        for (k, &val) in byte.get(a, 1).0.iter().enumerate() {
+            assert_eq!(
+                val as i32 - byte.bias() as i32,
+                score(1 + k * 2),
+                "byte lane {k}"
+            );
+        }
     }
 }

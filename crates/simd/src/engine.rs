@@ -368,7 +368,8 @@ pub(crate) fn score_ladder<K: Backend, C: ColumnCheck>(
 const PENDING_GROUPS: usize = 4;
 
 /// The grouped byte pass over `subjects`, then the grouped word pass over
-/// the lanes that handed off; `None` if cancelled. `#[inline(always)]` as
+/// the lanes that handed off, sorted by remaining columns (a part-full word
+/// group the shortest); `None` if cancelled. `#[inline(always)]` as
 /// [`score_ladder`] is.
 #[inline(always)]
 pub(crate) fn group_ladder<K: Backend, C: ColumnCheck>(
@@ -378,7 +379,7 @@ pub(crate) fn group_ladder<K: Backend, C: ColumnCheck>(
     check: &C,
 ) -> Option<Vec<(i32, AdaptiveStats)>> {
     let mut out = Vec::with_capacity(subjects.len());
-    let mut pending = Vec::new();
+    let mut pending: Vec<(usize, Handoff)> = Vec::new();
     let groups = subjects.chunks(K::Byte::LANES);
     let last = groups.len();
     for (n, group) in groups.enumerate() {
@@ -399,37 +400,21 @@ pub(crate) fn group_ladder<K: Backend, C: ColumnCheck>(
             };
             out.push((score, stats));
         }
-        if n + 1 == last || pending.len() >= PENDING_GROUPS * K::Word::LANES {
-            let word = &profiles.word;
-            word_groups(gaps, word, subjects, &mut pending, &mut out, check)?;
+        if n + 1 < last && pending.len() < PENDING_GROUPS * K::Word::LANES {
+            continue;
         }
+        pending.sort_by_key(|(i, start)| subjects[*i].len() - start.cols);
+        for group in pending.rchunks(K::Word::LANES) {
+            let lanes: Vec<&[u8]> = group.iter().map(|(i, _)| subjects[*i]).collect();
+            let starts: Vec<&Handoff> = group.iter().map(|(_, start)| start).collect();
+            let scores = sw_words_grouped(gaps, &profiles.word, &lanes, &starts, check)?;
+            for ((i, _), score) in group.iter().zip(scores) {
+                out[*i].0 = score;
+            }
+        }
+        pending.clear();
     }
     Some(out)
-}
-
-/// The grouped word pass over the `pending` (subject, hand-off) pairs,
-/// sorted by remaining columns, a part-full group the shortest; each score
-/// lands in its subject's slot of `out`.
-#[inline(always)]
-fn word_groups<V: WordSimd, C: ColumnCheck>(
-    gaps: &GapPenalties,
-    profile: &WordProfileOf<V>,
-    subjects: &[&[u8]],
-    pending: &mut Vec<(usize, Handoff)>,
-    out: &mut [(i32, AdaptiveStats)],
-    check: &C,
-) -> Option<()> {
-    pending.sort_by_key(|(i, start)| subjects[*i].len() - start.cols);
-    for group in pending.rchunks(V::LANES) {
-        let lanes: Vec<&[u8]> = group.iter().map(|(i, _)| subjects[*i]).collect();
-        let starts: Vec<&Handoff> = group.iter().map(|(_, start)| start).collect();
-        let scores = sw_words_grouped(gaps, profile, &lanes, &starts, check)?;
-        for ((i, _), score) in group.iter().zip(scores) {
-            out[*i].0 = score;
-        }
-    }
-    pending.clear();
-    Some(())
 }
 
 /// Publish a batch's adaptive-precision counters under `cudasw.simd.*`.

@@ -15,10 +15,10 @@
 //! Layout:
 //!
 //! * [`backend`] — the [`ByteSimd`](backend::ByteSimd) /
-//!   [`WordSimd`](backend::WordSimd) traits and the generic striped
-//!   kernels every backend shares (bit-identical scores by construction:
-//!   lane count changes the striping layout, never the per-cell
-//!   arithmetic);
+//!   [`WordSimd`](backend::WordSimd) traits and the generic kernels every
+//!   backend shares, one body per shape for both precisions (bit-identical
+//!   scores by construction: lane count changes the striping layout, never
+//!   the per-cell arithmetic);
 //! * `x86` — the `core::arch` backends, compiled on x86-64 only: AVX2
 //!   (32×u8 / 16×i16, `is_x86_feature_detected!`) and SSE2 (16×u8 /
 //!   8×i16, x86-64 baseline);

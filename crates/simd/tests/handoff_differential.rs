@@ -601,3 +601,96 @@ fn a_lane_saturating_the_word_range_beside_exact_lanes() {
     assert!(sw_score(&p, &q, &q) > i32::from(i16::MAX));
     assert!((group.iter()).all(|d| d == &q || sw_score(&p, &q, d) < i32::from(i16::MAX)));
 }
+
+/// Thirty tryptophans (11 a match under BLOSUM62), then random residues.
+fn tryptophan_query() -> Vec<u8> {
+    [encode_protein(&"W".repeat(30)).unwrap(), make_query(60, 91)].concat()
+}
+
+/// `prefix` random residues, 25 tryptophans, `tail` random residues:
+/// against [`tryptophan_query`] the maximum reaches BLOSUM62's hand-off
+/// level 240 about 22 columns into the run.
+fn tryptophan_run(prefix: usize, tail: usize, seed: u64) -> Vec<u8> {
+    let run = encode_protein(&"W".repeat(25)).unwrap();
+    [make_query(prefix, seed), run, make_query(tail, seed ^ 0x7a)].concat()
+}
+
+#[test]
+fn a_two_column_sweep_never_straddles_a_block_boundary_in_either_precision() {
+    // A lane sweeps single columns once its maximum passes 228 (one
+    // column's largest score below the limit) until it hands off at 240.
+    // After a hand-off on an odd column the pairs resume on odd columns and
+    // reach column 63, the last of the first block, where one column fits.
+    // The word lane's 80-odd remaining columns cross a block of their own.
+    let (p, q) = (SwParams::cudasw_default(), tryptophan_query());
+    let mut odd = 0;
+    for prefix in 0..8 {
+        let mut group: Vec<Vec<u8>> = (0..20)
+            .map(|k| make_query(100 + 3 * k, 900 + k as u64))
+            .collect();
+        group[3] = tryptophan_run(prefix, 80, 95 + prefix as u64);
+        let cols = check_group(&p, &q, &group);
+        assert!(cols[3] > 0 && cols.iter().filter(|&&c| c > 0).count() == 1);
+        assert!(group[3].len() - cols[3] > 64, "a word block boundary");
+        odd += usize::from(cols[3] % 2 == 1 && cols[3] < 63);
+    }
+    assert!(odd > 0, "no hand-off on an odd column before column 63");
+}
+
+#[test]
+fn a_word_group_whose_longest_remaining_subject_is_odd() {
+    // Nine hand-offs with unequal columns left; over five tails the longest
+    // is odd at least once, and its last column is swept alone.
+    let (p, q) = (SwParams::cudasw_default(), tryptophan_query());
+    let mut odd = 0;
+    for tail in 40..45 {
+        let group: Vec<Vec<u8>> = (0..9)
+            .map(|k| tryptophan_run(k, tail + 2 * k, 300 + k as u64))
+            .collect();
+        let cols = check_group(&p, &q, &group);
+        assert!(cols.iter().all(|&c| c > 0), "every subject hands off");
+        let left = group.iter().zip(&cols).map(|(d, c)| d.len() - c);
+        odd += left.max().unwrap() % 2;
+    }
+    assert!(odd > 0, "no odd longest remainder");
+}
+
+#[test]
+fn a_matrix_whose_largest_score_leaves_no_room_for_two_column_sweeps() {
+    // `overflow_at = 255 − bias − max_score` is 126 under +126/−3, no more
+    // than one column's largest score, so no two columns are swept at once;
+    // under +125/−3 it is 127 and pairs run until a maximum passes 1. A
+    // match on columns 1 and 2 hands off after column 1, then after 2.
+    let q: Vec<u8> = make_query(40, 83).into_iter().map(|r| r % 10).collect();
+    for (hit, hand_off) in [(126, 1), (125, 2)] {
+        let p = SwParams {
+            matrix: ScoringMatrix::match_mismatch(Alphabet::Protein, hit, -3),
+            gaps: GapPenalties::cudasw_default(),
+        };
+        let mut group = strangers(20, |k| 30 + k, hit as u64);
+        group[6][..2].copy_from_slice(&q[..2]);
+        let want: Vec<usize> = (0..20).map(|k| if k == 6 { hand_off } else { 0 }).collect();
+        assert_eq!(check_group(&p, &q, &group), want, "+{hit}/−3");
+    }
+}
+
+#[test]
+fn every_lane_hands_off_on_the_same_column() {
+    // A full AVX2 group whose subjects share a prefix and a tryptophan run
+    // and differ after the column where every lane hands off.
+    let (p, q) = (SwParams::cudasw_default(), tryptophan_query());
+    let group: Vec<Vec<u8>> = (0..32)
+        .map(|k| {
+            [
+                &tryptophan_run(3, 0, 7)[..],
+                &make_query(20 + k, 700 + k as u64),
+            ]
+            .concat()
+        })
+        .collect();
+    let cols = check_group(&p, &q, &group);
+    assert!(
+        cols[0] > 0 && cols.iter().all(|&c| c == cols[0]),
+        "{cols:?}"
+    );
+}

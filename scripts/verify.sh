@@ -136,6 +136,12 @@ cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cud
 # generic loops on the portable vector.
 cargo test -q --offline -p sw-simd --test handoff_differential --test peel_differential \
   --test pool_chunking --test vector_contract --test bounded_exhaustive --test op_budget
+# The hand-off and bounded-exhaustive suites again in the release profile:
+# the AVX2 grouped passes the benchmark runs are inlined into `group_avx2`
+# (and the striped ones into `score_avx2`) only with optimizations, so this
+# is the run that holds the code the scans execute to the striped passes
+# and the oracle.
+cargo test --release -q --offline -p sw-simd --test handoff_differential --test bounded_exhaustive
 
 # Crash-only host engine: the seeded host-fault matrix (>=3 seeds x
 # {panic, stall, alloc-fail}, each cell's published cudasw.simd.pool.*

@@ -11,7 +11,10 @@
 //! 128 `DeviceKernelConfig` combinations under both intra-task kernels);
 //! both intra-task kernels on the C1060, the improved one through the
 //! direct variant runner; the staged, resilient (clean and under four
-//! fault plans), checkpoint-resumed and multi-GPU drivers; and the serving
+//! fault plans), checkpoint-resumed and multi-GPU drivers; the resilient
+//! driver under the device suite's four fault plans, all 128 flag sets on
+//! its mixed database and six pairwise-covering ones on the matrix's rows;
+//! and the serving
 //! protocol under both drivers — the simulated `run_trace` with a live and
 //! with a dead device lane, and the gateway's host lane. A [`Row`] of the
 //! corpus is a query, a database and the parameters to score them under, in
@@ -46,6 +49,7 @@ use cudasw_core::{
 use gpu_sim::{DeviceSpec, FaultPlan, FaultSite, GpuError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use sw_align::{encode_protein, sw_score, Alphabet, GapPenalties, ScoringMatrix, SwParams};
 use sw_db::catalog::PaperDb;
@@ -333,8 +337,45 @@ struct Device {
     label: String,
     cfg: CudaSwConfig,
     drive: Drive,
-    /// One of the 128-combination matrix.
-    matrix: bool,
+    /// The rows it takes.
+    rows: Rows,
+}
+
+/// Which rows of the corpus a device path takes.
+#[derive(Clone, Copy)]
+enum Rows {
+    Every,
+    /// The 128-combination matrix's: adversarial and seeded rows marked
+    /// `in_matrix`, of at most [`MATRIX_CELLS`] cells.
+    Matrix,
+    /// The device suite's mixed database alone.
+    Mixed,
+}
+
+/// The name of the seeded row that holds the device suite's mixed database.
+const MIXED: &str = "the device suite's mixed database";
+
+/// Six flag sets, as indices of `DeviceKernelConfig::all_combinations`, in
+/// which every pair of the seven flags takes all four value pairs.
+const PAIRWISE: [usize; 6] = [0, 63, 71, 89, 106, 52];
+
+/// The four fault plans of the device suite's flag-matrix fault test.
+fn fault_plans() -> [(&'static str, FaultPlan); 4] {
+    [
+        (
+            "a transient launch fault at launch 1",
+            FaultPlan::none().with_transient(FaultSite::Launch, 1),
+        ),
+        (
+            "a transient upload fault at upload 2",
+            FaultPlan::none().with_transient(FaultSite::HostToDevice, 2),
+        ),
+        ("an OOM at allocation 3", FaultPlan::none().with_oom(3)),
+        (
+            "device loss at launch 1 (CPU fallback)",
+            FaultPlan::none().with_device_loss(FaultSite::Launch, 1),
+        ),
+    ]
 }
 
 impl Scorer for Device {
@@ -350,10 +391,15 @@ impl Scorer for Device {
     }
 
     fn takes(&self, row: &Row) -> bool {
-        !self.matrix
-            || (row.category != Category::Exhaustive
-                && row.in_matrix
-                && row.subjects.total_cells(row.query.len()) <= MATRIX_CELLS)
+        match self.rows {
+            Rows::Every => true,
+            Rows::Matrix => {
+                row.category != Category::Exhaustive
+                    && row.in_matrix
+                    && row.subjects.total_cells(row.query.len()) <= MATRIX_CELLS
+            }
+            Rows::Mixed => row.name == MIXED,
+        }
     }
 
     fn scores(&self, params: &SwParams, query: &[u8], subjects: &Database) -> Vec<i32> {
@@ -596,12 +642,12 @@ fn scorers() -> Vec<Box<dyn Scorer>> {
     out.push(Box::new(Tesla::Original));
 
     let off = DeviceKernelConfig::default();
-    let device = |label: String, cfg, drive, matrix| -> Box<dyn Scorer> {
+    let device = |label: String, cfg, drive, rows| -> Box<dyn Scorer> {
         Box::new(Device {
             label,
             cfg,
             drive,
-            matrix,
+            rows,
         })
     };
     let inter = config(INTER, improved(), shape(32, 4), off);
@@ -609,28 +655,28 @@ fn scorers() -> Vec<Box<dyn Scorer>> {
         "inter-task kernel".into(),
         inter,
         Drive::Search,
-        false,
+        Rows::Every,
     ));
     let original = config(INTRA, IntraKernelChoice::Original, shape(32, 4), off);
     out.push(device(
         "original intra-task kernel".into(),
         original,
         Drive::Search,
-        false,
+        Rows::Every,
     ));
     for n_th in [32, 64, 96] {
         for th in [4, 8] {
             let cfg = config(INTRA, improved(), shape(n_th, th), off);
             let label = format!("improved intra-task kernel at {n_th} × {th}");
-            out.push(device(label, cfg, Drive::Search, false));
+            out.push(device(label, cfg, Drive::Search, Rows::Every));
         }
     }
     for threshold in [17, 64, 128, 199] {
         let cfg = config(threshold, improved(), shape(32, 4), off);
         let label = format!("improved intra-task kernel, threshold {threshold}");
-        out.push(device(label, cfg, Drive::Search, false));
+        out.push(device(label, cfg, Drive::Search, Rows::Every));
     }
-    for flags in DeviceKernelConfig::all_combinations() {
+    for (bits, flags) in (0..).zip(DeviceKernelConfig::all_combinations()) {
         for (name, intra) in [
             ("original", IntraKernelChoice::Original),
             ("improved", improved()),
@@ -640,14 +686,25 @@ fn scorers() -> Vec<Box<dyn Scorer>> {
                 flags.label()
             );
             let cfg = config(100, intra, shape(32, 4), flags);
-            out.push(device(label, cfg, Drive::Search, true));
+            out.push(device(label, cfg, Drive::Search, Rows::Matrix));
         }
         let label = format!(
             "improved intra-task kernel, threshold 100, flags {}",
             flags.label()
         );
         let cfg = config(100, improved(), shape(32, 4), flags);
-        out.push(device(label, cfg, Drive::Staged, true));
+        // Resilient under the device suite's plans: every flag set on its
+        // mixed database, the pairwise-covering ones on every matrix row.
+        let rows = if PAIRWISE.contains(&bits) {
+            Rows::Matrix
+        } else {
+            Rows::Mixed
+        };
+        for (plan, faults) in fault_plans() {
+            let drive = Drive::Resilient(plan, faults);
+            out.push(device(label.clone(), cfg.clone(), drive, rows));
+        }
+        out.push(device(label, cfg, Drive::Staged, Rows::Matrix));
     }
     for drive in [
         Drive::Staged,
@@ -669,7 +726,7 @@ fn scorers() -> Vec<Box<dyn Scorer>> {
         Drive::MultiGpu,
     ] {
         let cfg = config(SPLIT, improved(), shape(32, 4), off);
-        out.push(device("threshold 3".into(), cfg, drive, false));
+        out.push(device("threshold 3".into(), cfg, drive, Rows::Every));
     }
     for (gateway, dead) in [(false, false), (false, true), (true, false)] {
         out.push(Box::new(Serving { gateway, dead }));
@@ -988,7 +1045,7 @@ fn seeded_rows() -> Vec<Row> {
     let params = SwParams::cudasw_default();
     let mixed = Row::new(
         Category::Seeded,
-        "the device suite's mixed database",
+        MIXED,
         &params,
         make_query(50, 19),
         Vec::new(),
@@ -1108,6 +1165,14 @@ fn generated_rows() -> Vec<Row> {
             Row::new(Category::Seeded, name, &params, query, subjects)
         })
         .collect()
+}
+
+#[test]
+fn six_flag_sets_take_every_value_pair_of_every_two_flags() {
+    for (f, g) in (0..7).flat_map(|f| (f + 1..7).map(move |g| (f, g))) {
+        let pairs: HashSet<_> = PAIRWISE.iter().map(|b| (b >> f & 1, b >> g & 1)).collect();
+        assert_eq!(pairs.len(), 4, "flags {f} and {g}");
+    }
 }
 
 #[test]

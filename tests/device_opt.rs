@@ -36,15 +36,6 @@ fn config(device: DeviceKernelConfig) -> CudaSwConfig {
     }
 }
 
-/// The scalar `sw_score` of `query` against every subject of `db`.
-fn oracle(query: &[u8], db: &Database) -> Vec<i32> {
-    let params = SwParams::cudasw_default();
-    db.sequences()
-        .iter()
-        .map(|s| sw_score(&params, query, &s.residues))
-        .collect()
-}
-
 fn mixed_db() -> Database {
     database_with_lengths(
         "devopt",
@@ -94,14 +85,15 @@ fn all_128_combinations_score_bit_identically() {
     }
 }
 
-/// Fault plans × the full flag matrix: scores stay equal to the fault-free
-/// oracle and the degradation verdict (did any score come from a non-device
-/// path?) is a property of the *plan*, never of the optimization flags.
+/// Fault plans × the full flag matrix: the degradation verdict (did any
+/// score come from a non-device path?) is a property of the *plan*, never
+/// of the optimization flags. That every such search scores what the oracle
+/// scores is the conformance harness's (`tests/conformance.rs`, these plans
+/// × all 128 flag sets on this database).
 #[test]
 fn fault_matrix_is_invariant_across_the_flag_matrix() {
     let db = mixed_db();
     let query = make_query(50, 19);
-    let oracle = oracle(&query, &db);
     let plans: Vec<(&str, FaultPlan)> = vec![
         (
             "transient-launch",
@@ -125,7 +117,6 @@ fn fault_matrix_is_invariant_across_the_flag_matrix() {
             let r = driver
                 .search_resilient(&query, &db, &RecoveryPolicy::default())
                 .unwrap();
-            assert_eq!(r.result.scores, oracle, "plan {tag}, config {}", dc.label());
             verdicts.push(r.recovery.degraded);
         }
         assert!(
