@@ -12,7 +12,7 @@ use crate::driver::{CudaSwConfig, CudaSwDriver, DeviceKernelConfig, IntraKernelC
 use crate::intra_improved::{ImprovedParams, VariantConfig};
 use crate::launch::StagedQuery;
 use crate::seqstore::ProfileImage;
-use gpu_sim::{DeviceSpec, GpuError, LaunchStats, TexRef};
+use gpu_sim::{GpuDevice, GpuError, LaunchStats, TexRef};
 use sw_align::{PackedProfile, SwParams};
 use sw_db::Sequence;
 
@@ -109,14 +109,15 @@ pub fn development_stages() -> Vec<AblationStage> {
     ]
 }
 
-/// Stage `sequences` and `query` on a fresh device described by `spec` and
-/// run the improved kernel at development stage `variant` with the `device`
-/// optimizations, scoring under `scoring`, as one intra-task chunk of the
-/// driver's chunk loop (so the shared-memory boundary falls back
-/// transparently when a sequence does not fit, same policy as every
-/// search). Returns the scores and the launch statistics.
+/// Stage `sequences` and `query` on `dev` (a device, or a fresh one from a
+/// [`DeviceSpec`](gpu_sim::DeviceSpec)) and run the improved kernel at
+/// development stage `variant` with the `device` optimizations, scoring
+/// under `scoring`, as one intra-task chunk of the driver's chunk loop (so
+/// the shared-memory boundary falls back transparently when a sequence does
+/// not fit, same policy as every search). Returns the scores and the launch
+/// statistics.
 pub fn run_intra_variant(
-    spec: &DeviceSpec,
+    dev: impl Into<GpuDevice>,
     sequences: &[Sequence],
     query: &[u8],
     scoring: &SwParams,
@@ -124,16 +125,16 @@ pub fn run_intra_variant(
     variant: VariantConfig,
     device: DeviceKernelConfig,
 ) -> Result<(Vec<i32>, LaunchStats), GpuError> {
-    let mut driver = CudaSwDriver::new(
-        spec.clone(),
-        CudaSwConfig {
+    let mut driver = CudaSwDriver {
+        dev: dev.into(),
+        config: CudaSwConfig {
             params: scoring.clone(),
             improved: params,
             intra: IntraKernelChoice::Improved(variant),
             device,
             ..CudaSwConfig::improved()
         },
-    );
+    };
     let packed = PackedProfile::build(&driver.config.params.matrix, query);
     let (profile, _) = ProfileImage::upload(&mut driver.dev, &packed)?;
     // The improved kernel never reads the packed residues: bind none.

@@ -8,11 +8,12 @@
 //!
 //! **Execution model.** Block `b` of a launch runs on SM `b mod sm_count`,
 //! as in one serial run. The blocks run on `min(host threads, SMs, blocks)`
-//! workers, the launching thread one of them (a one-core host runs every
-//! block there). A worker owns whole SMs — those `≡ w (mod workers)` —
-//! with their L1 and texture caches, and runs their blocks in index order,
-//! so each of those caches sees exactly what it sees serially. The
-//! device-wide caches (the data L2, GT200's texture L2) see every block, so
+//! workers ([`GpuDevice::with_host_workers`] sets the first term), the
+//! launching thread one of them (a one-core host runs every block there).
+//! A worker owns whole SMs — those `≡ w (mod workers)` — with their L1 and
+//! texture caches, and runs their blocks in index order, so each of those
+//! caches sees exactly what it sees serially. The device-wide caches (the
+//! data L2, GT200's texture L2) see every block, so
 //! they take their accesses in block order: the oldest unfinished block
 //! applies its own at once; a later block logs them (a byte or two each)
 //! and replays the log the moment it becomes the oldest. A block retires —
@@ -629,6 +630,14 @@ pub struct GpuDevice {
     watchdog_cycles: Option<u64>,
     integrity_checks: bool,
     h2d_stream: Option<H2dStream>,
+    /// Host threads a launch may use (`None`: the host's parallelism).
+    host_workers: Option<usize>,
+}
+
+impl From<&DeviceSpec> for GpuDevice {
+    fn from(spec: &DeviceSpec) -> Self {
+        Self::new(spec.clone())
+    }
 }
 
 impl GpuDevice {
@@ -646,7 +655,17 @@ impl GpuDevice {
             watchdog_cycles: None,
             integrity_checks: false,
             h2d_stream: None,
+            host_workers: None,
         }
+    }
+
+    /// Run each launch's blocks on `min(n, SMs, blocks)` host threads (at
+    /// least one) instead of `min(host threads, SMs, blocks)`. Every count
+    /// gives the same counts and results (the module's execution model), so
+    /// this lets a test run a worker count its host does not have.
+    pub fn with_host_workers(mut self, n: usize) -> Self {
+        self.host_workers = Some(n);
+        self
     }
 
     /// Open a streamed-H2D session: until [`GpuDevice::end_h2d_stream`]
@@ -1096,7 +1115,10 @@ impl GpuDevice {
         blocks: u32,
     ) -> Result<Vec<Retired>, GpuError> {
         let sm_count = self.spec.sm_count.max(1) as usize;
-        let workers = host_threads().min(sm_count).min(blocks as usize).max(1);
+        let workers = (self.host_workers.unwrap_or_else(host_threads))
+            .min(sm_count)
+            .min(blocks as usize)
+            .max(1);
         let LaunchParts { data, sms, device } = self.mem.launch_parts();
         let reaches = device.reaches();
         let turn = Turn {
@@ -1719,29 +1741,36 @@ mod tests {
         }
     }
 
+    /// Worker counts every launch is run at by the tests that pin launches
+    /// (14 is the C2050's SM count).
+    const WORKERS: [usize; 5] = [1, 2, 3, 5, 14];
+
     #[test]
     fn touching_a_word_another_block_wrote_fails_the_launch() {
-        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
-        let out = dev.alloc(64).unwrap();
-        // Each block reads back its own word: legal.
-        let own = Neighbours { out, read_of: Some };
-        dev.launch(&own, 4, "own").unwrap();
-        // Block 2 reads block 1's word, whichever of the two ran first.
-        let later = Neighbours {
-            out,
-            read_of: |b| (b == 2).then_some(1),
-        };
-        // Block 1 reads block 2's word: the same clash, found on block 2.
-        let earlier = Neighbours {
-            out,
-            read_of: |b| (b == 1).then_some(2),
-        };
-        for kernel in [&later, &earlier] {
-            for _ in 0..20 {
-                let err = dev.launch(kernel, 4, "clash").unwrap_err();
-                let addr = out.addr() + if std::ptr::eq(kernel, &later) { 1 } else { 2 };
-                assert_eq!(err, GpuError::CrossBlockAccess { addr, block: 2 });
-                assert!(!err.is_recoverable(), "{err}");
+        for workers in WORKERS {
+            let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050()).with_host_workers(workers);
+            let out = dev.alloc(64).unwrap();
+            // Each block reads back its own word: legal.
+            let own = Neighbours { out, read_of: Some };
+            dev.launch(&own, 4, "own").unwrap();
+            // Block 2 reads block 1's word, whichever of the two ran first.
+            let later = Neighbours {
+                out,
+                read_of: |b| (b == 2).then_some(1),
+            };
+            // Block 1 reads block 2's word: the same clash, found on block 2.
+            let earlier = Neighbours {
+                out,
+                read_of: |b| (b == 1).then_some(2),
+            };
+            for kernel in [&later, &earlier] {
+                for _ in 0..20 {
+                    let err = dev.launch(kernel, 4, "clash").unwrap_err();
+                    let addr = out.addr() + if std::ptr::eq(kernel, &later) { 1 } else { 2 };
+                    let want = GpuError::CrossBlockAccess { addr, block: 2 };
+                    assert_eq!(err, want, "{workers} workers");
+                    assert!(!err.is_recoverable(), "{err}");
+                }
             }
         }
     }
@@ -1780,23 +1809,34 @@ mod tests {
 
     #[test]
     fn fetching_a_word_another_block_wrote_fails_the_launch() {
-        let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050());
-        let buf = dev.alloc(64).unwrap();
-        let tex = dev.bind_texture(buf, 32);
-        let clash = GpuError::CrossBlockAccess {
-            addr: buf.addr() + 8,
-            block: 2,
-        };
-        let fetch = |writes| TexNeighbours {
-            tex,
-            writes,
-            read_of: |b| (b == 2).then_some(1),
-        };
-        assert_eq!(dev.launch(&fetch(true), 4, "clash").unwrap_err(), clash);
-        // Block 2's SM caches the segment in a launch where nobody writes
-        // it; in the next one block 1 does, and the hit is still a clash.
-        dev.launch(&fetch(false), 4, "read only").unwrap();
-        assert_eq!(dev.launch(&fetch(true), 4, "clash").unwrap_err(), clash);
+        for workers in WORKERS {
+            let mut dev = GpuDevice::new(DeviceSpec::tesla_c2050()).with_host_workers(workers);
+            let buf = dev.alloc(64).unwrap();
+            let tex = dev.bind_texture(buf, 32);
+            let clash = GpuError::CrossBlockAccess {
+                addr: buf.addr() + 8,
+                block: 2,
+            };
+            let fetch = |writes| TexNeighbours {
+                tex,
+                writes,
+                read_of: |b| (b == 2).then_some(1),
+            };
+            let launch = |dev: &mut GpuDevice, writes| dev.launch(&fetch(writes), 4, "clash");
+            assert_eq!(
+                launch(&mut dev, true).unwrap_err(),
+                clash,
+                "{workers} workers"
+            );
+            // Block 2's SM caches the segment in a launch where nobody writes
+            // it; in the next one block 1 does, and the hit is still a clash.
+            launch(&mut dev, false).unwrap();
+            assert_eq!(
+                launch(&mut dev, true).unwrap_err(),
+                clash,
+                "{workers} workers"
+            );
+        }
     }
 
     /// Fails (block 1 with an error, block 2 by panicking) or runs

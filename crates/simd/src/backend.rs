@@ -746,11 +746,12 @@ pub fn sw_bytes_checked<V: ByteSimd, C: ColumnCheck>(
 /// 24 codes), scored `−bias ≤ 0`: a padded column cannot raise a maximum.
 const PAD_CODE: u8 = 31;
 
-/// Subject columns the grouped pass transposes at a time.
+/// Stream columns the grouped passes transpose at a time (even, so a
+/// two-column pass, which starts on an even column, never crosses a block).
 const GROUP_BLOCK: usize = CANCEL_CHECK_COLS;
 
-/// This thread's H/E rows of one grouped pass, kept across groups: a fresh
-/// buffer per group left freed blocks resident (`peak_rss_mb` +8% on the
+/// This thread's H/E rows of one grouped pass, kept across calls: a fresh
+/// buffer per call left freed blocks resident (`peak_rss_mb` +8% on the
 /// scans).
 type RowCache = LocalKey<RefCell<Option<Box<dyn Any>>>>;
 
@@ -776,6 +777,113 @@ fn assert_codes(subjects: &[&[u8]], alphabet: usize) {
     }
 }
 
+/// The scalar side of a grouped stream: its queue of subjects, the subject
+/// each lane holds and the column it entered on, the column each lane that
+/// holds none handed off on, the lanes' codes for the current block, and
+/// the lane-columns its subjects kept busy. A subject enters a lane
+/// only where a pass starts, so no pass sweeps two subjects in one lane.
+#[derive(Default)]
+struct Stream<'a> {
+    subjects: &'a [&'a [u8]],
+    lanes: usize,
+    next: usize,
+    held: [Option<usize>; 32],
+    from: [usize; 32],
+    handed: [Option<usize>; 32],
+    block: Vec<[u8; 32]>,
+    busy: u64,
+    /// One past the last column a held subject reaches.
+    horizon: usize,
+    /// The next column on which a subject ends or a lane can fill.
+    event: usize,
+}
+
+impl<'a> Stream<'a> {
+    fn new(subjects: &'a [&'a [u8]], lanes: usize) -> Self {
+        let block = vec![[PAD_CODE; 32]; GROUP_BLOCK];
+        Self {
+            subjects,
+            lanes,
+            block,
+            ..Self::default()
+        }
+    }
+
+    /// Lane `k`'s codes from column `col` to the end of its block: its
+    /// subject's, then [`PAD_CODE`].
+    fn write(&mut self, k: usize, col: usize) {
+        let rest = self.held[k].and_then(|i| self.subjects[i].get(col - self.from[k]..));
+        let mut codes = rest.unwrap_or_default().iter();
+        for row in &mut self.block[col % GROUP_BLOCK..] {
+            row[k] = codes.next().copied().unwrap_or(PAD_CODE);
+        }
+    }
+
+    /// Lane `k` gives up its subject if it has ended by column `col`.
+    fn ended(&mut self, k: usize, col: usize) -> Option<usize> {
+        let len = self.subjects[self.held[k]?].len();
+        if self.from[k] + len > col {
+            return None;
+        }
+        self.busy += len as u64;
+        self.held[k].take()
+    }
+
+    /// Free lane `k` takes the next non-empty subject at column `col`.
+    fn take(&mut self, k: usize, col: usize) -> Option<usize> {
+        self.next += (self.subjects[self.next..].iter())
+            .take_while(|s| s.is_empty())
+            .count();
+        if self.held[k].is_some() || self.next == self.subjects.len() {
+            return None;
+        }
+        (self.held[k], self.from[k], self.handed[k]) = (Some(self.next), col, None);
+        self.next += 1;
+        self.write(k, col);
+        self.held[k]
+    }
+
+    /// Lane `k` hands its subject off after column `col`: the subject and
+    /// the columns of it swept. The lane reads [`PAD_CODE`] from there on,
+    /// and the next event, at `col`, resets it.
+    fn hand_off(&mut self, k: usize, col: usize) -> Option<(usize, usize)> {
+        let i = self.held[k].take()?;
+        let cols = col - self.from[k];
+        (self.busy, self.handed[k], self.event) = (self.busy + cols as u64, Some(col), col);
+        self.write(k, col);
+        Some((i, cols))
+    }
+
+    /// The horizon, and the next event from column `col` on: the first end
+    /// of a held subject, or `col` itself while a lane is free and a subject
+    /// waits, or no lane holds one.
+    fn plan(&mut self, col: usize) {
+        let ends =
+            (0..self.lanes).filter_map(|k| Some(self.from[k] + self.subjects[self.held[k]?].len()));
+        (self.horizon, self.event) =
+            ends.fold((0, usize::MAX), |(h, e), end| (h.max(end), e.min(end)));
+        let free = self.held[..self.lanes].contains(&None) && self.next < self.subjects.len();
+        if free || self.horizon == 0 {
+            self.event = col;
+        }
+    }
+
+    /// Add the `[busy, pad, handed_off]` lane-columns of the stream's `cols`
+    /// columns to `sum`: a lane that handed off and took no other subject is
+    /// handed off to the end, and every other column not busy is pad.
+    fn finish(self, cols: usize, sum: &mut [u64; 3]) {
+        let waits = self.handed[..self.lanes]
+            .iter()
+            .flatten()
+            .map(|at| cols - at);
+        let (busy, handed) = (self.busy, waits.sum::<usize>() as u64);
+        let pad = (self.lanes * cols) as u64 - busy - handed;
+        for (sum, n) in sum.iter_mut().zip([busy, pad, handed]) {
+            *sum += n;
+        }
+    }
+}
+
 /// One cell in every lane, from `$scored` (the diagonal H plus the score),
 /// the entering E and the running F (advanced): H and the E leaving. E and
 /// F never fall below zero (`$sub` floors there), so neither does H. The
@@ -792,47 +900,83 @@ macro_rules! group_cell {
     }};
 }
 
-/// The sweep of both grouped passes over `$subjects`, one a lane from its
-/// column 0, on `$state` (per query row H of the last column and E entering
-/// the next) and the lanes' maxima `$v_max`. [`GROUP_BLOCK`] columns are
-/// transposed at a time, with `$check` polled at each block and a lane past
-/// its subject reading [`PAD_CODE`]; a column's score vectors are `$lookup`
-/// of its lane codes `$codes` in each query code's `$table`. One pass down
-/// the query sweeps one column, or two while the second lies in the
-/// subjects and the block and `$pair` holds; a cell adds its score with
-/// `$add` and subtracts the gaps `$g` with `$sub`. `$after` follows each
-/// pass, `$col` counting the columns swept.
+/// The sweep of both grouped passes over `$stream`, on `$state` (per query
+/// row H of the last column and E entering the next) and the maxima
+/// `$v_max`, stored as raw `$lane`s in `$maxima` on each event; it evaluates
+/// to the columns swept. On an event column each ended subject `$li` leaves
+/// with its raw maximum `$lx` (`$leave`), and once `$check` is polled,
+/// `$refill` resets each `(lane, subject taken)` of `$reset` that took a
+/// subject or handed off. Every [`GROUP_BLOCK`] columns `$check` is polled
+/// and the codes are transposed; a column's score vectors are `$lookup` of
+/// its lane codes `$codes` in each query code's `$table`. One pass down the
+/// query sweeps one column, or two from an even column while a held subject
+/// reaches the second and `$pair` holds; a cell adds its score with `$add`
+/// and subtracts the gaps `$g` with `$sub`. After a pass, when `$hands`
+/// holds, the maxima and the state (raw rows `$rows`: `[2i]` H and `[2i +
+/// 1]` E of query row `i`) are stored once and `$hand` runs for each lane
+/// `$hk` with its raw maximum `$hx` at `$col`. Every vector operation runs
+/// here, in the caller's (AVX2) context.
 macro_rules! grouped_sweep {
     (
-        $V:ty, $profile:ident, $subjects:ident, $state:ident, $check:ident, $v_max:ident,
+        $V:ty, $lane:ty, $profile:ident, $stream:ident, $state:ident, $check:ident, $v_max:ident,
         |$codes:ident, $table:ident| $lookup:expr, $g:ident, $sub:ident,
-        $add:ident($($arg:expr),*), $pair:expr, |$col:ident| $after:block
+        $add:ident($($arg:expr),*), $pair:expr, $rows:ident, $maxima:ident,
+        |$li:ident, $lx:ident| $leave:expr, |$reset:ident| $refill:block,
+        $hands:expr, |$col:ident, $hk:ident, $hx:ident| $hand:expr
     ) => {{
-        let mut block = [[PAD_CODE; 32]; GROUP_BLOCK];
         let mut scores = [[<$V>::zero(); 32]; 2];
-        let cols = $subjects.iter().map(|s| s.len()).max().unwrap_or(0);
+        let mut $maxima = [<$lane>::default(); 32];
+        let mut $rows = vec![[<$lane>::default(); 32]; 2 * $state.len()];
         let mut $col = 0;
-        while $col < cols {
+        loop {
+            if $col >= $stream.event {
+                $v_max.store(&mut $maxima);
+                let (mut reset, mut n) = ([(0, None); 32], 0);
+                for k in 0..<$V>::LANES {
+                    if let Some($li) = $stream.ended(k, $col) {
+                        let $lx = $maxima[k];
+                        $leave;
+                    }
+                    let handed = $stream.handed[k] == Some($col);
+                    let took = $stream.take(k, $col);
+                    if handed || took.is_some() {
+                        (reset[n], n) = ((k, took), n + 1);
+                    }
+                }
+                if n > 0 {
+                    if $check.cancelled() {
+                        return None;
+                    }
+                    let $reset = &reset[..n];
+                    $refill
+                }
+                $stream.plan($col);
+                if $stream.horizon <= $col {
+                    break $col;
+                }
+            }
             let at = $col % GROUP_BLOCK;
             if at == 0 {
                 if $check.cancelled() {
                     return None;
                 }
-                transpose(&$subjects, $col, &mut block);
+                for k in 0..<$V>::LANES {
+                    $stream.write(k, $col);
+                }
             }
-            let pair = $col + 1 < cols && at + 1 < GROUP_BLOCK && $pair;
-            for ($codes, scores) in block[at..][..1 + pair as usize].iter().zip(&mut scores) {
+            let pair = $col % 2 == 0 && $col + 1 < $stream.horizon && $pair;
+            for ($codes, scores) in $stream.block[at..][..1 + pair as usize].iter().zip(&mut scores) {
                 for (v, $table) in scores.iter_mut().zip(&$profile.tables) {
                     *v = $lookup;
                 }
             }
             let (mut diag, mut f) = ([<$V>::zero(); 2], [<$V>::zero(); 2]);
-            let rows = $state.iter_mut().zip(&$profile.query);
+            let cells = $state.iter_mut().zip(&$profile.query);
             if pair {
                 // The second column's cell takes the first's E at once and
                 // its H as the diagonal a row later: one load and store a row
                 // for two cells, and two F chains that overlap.
-                for (row, &a) in rows {
+                for (row, &a) in cells {
                     let (a, e) = (a as usize % 32, row[1]);
                     let scored = diag[0].$add(scores[0][a] $(, $arg)*);
                     let (h, e) = group_cell!($g, $sub, scored, e, f[0], $v_max);
@@ -841,7 +985,7 @@ macro_rules! grouped_sweep {
                     (diag, *row) = ([row[0], h], [next.0, next.1]);
                 }
             } else {
-                for (row, &a) in rows {
+                for (row, &a) in cells {
                     let (a, e) = (a as usize % 32, row[1]);
                     let scored = diag[0].$add(scores[0][a] $(, $arg)*);
                     let (h, e) = group_cell!($g, $sub, scored, e, f[0], $v_max);
@@ -849,30 +993,42 @@ macro_rules! grouped_sweep {
                 }
             }
             $col += 1 + pair as usize;
-            $after
+            if $hands {
+                $v_max.store(&mut $maxima);
+                for (row, raw) in $state.iter().zip($rows.chunks_exact_mut(2)) {
+                    row[0].store(&mut raw[0]);
+                    row[1].store(&mut raw[1]);
+                }
+                for ($hk, &$hx) in $maxima[..<$V>::LANES].iter().enumerate() {
+                    $hand;
+                }
+            }
         }
     }};
 }
 
-/// Byte-mode *inter-sequence* Smith-Waterman: lane `k` scores
-/// `subjects[k]` (at most `V::LANES`), polling `check` every
-/// [`CANCEL_CHECK_COLS`] columns (`None`: abandoned): per column one
-/// [`ByteSimd::lookup`] per code, then nine operations a cell and no Lazy-F.
-/// A lane's running maximum is [`sw_bytes_checked`]'s, so it hands off at
-/// the same column with the same [`Handoff`]. Two columns are swept at once
-/// while no lane is within one column's largest score of its limit.
+/// Byte-mode *inter-sequence* Smith-Waterman over any number of `subjects`,
+/// streamed through the lanes in order, one a lane (a lane whose subject
+/// ends or hands off takes the next at once), polling
+/// `check` every [`CANCEL_CHECK_COLS`] columns (`None`: abandoned): per
+/// column one [`ByteSimd::lookup`] per code, then nine operations a cell
+/// and no Lazy-F. A lane's running maximum is [`sw_bytes_checked`]'s, so it
+/// hands off at the same column with the same [`Handoff`]. Two columns are
+/// swept at once while no lane is within one column's largest score of its
+/// limit. Adds the stream's `[busy, pad, handed_off]` lane-columns to
+/// `lane_columns`.
 ///
 /// # Panics
 ///
-/// When `subjects` outnumber the lanes or hold a code outside the alphabet.
+/// When `subjects` hold a code outside the alphabet.
 #[inline(always)]
 pub fn sw_bytes_grouped<V: ByteSimd, C: ColumnCheck>(
     gaps: &GapPenalties,
     profile: &ByteProfileOf<V>,
     subjects: &[&[u8]],
     check: &C,
+    lane_columns: &mut [u64; 3],
 ) -> Option<Vec<Result<i32, Handoff>>> {
-    assert!(subjects.len() <= V::LANES);
     assert_codes(subjects, profile.tables.len());
     let open = gaps.open.clamp(0, 255) as u8;
     let extend = gaps.extend.clamp(0, 255) as u8;
@@ -881,86 +1037,84 @@ pub fn sw_bytes_grouped<V: ByteSimd, C: ColumnCheck>(
         return Some(vec![Err(Handoff::default()); subjects.len()]);
     }
     let g = [V::splat(open), V::splat(extend), V::splat(bias)];
-    // Raw per-lane limits: the hand-off level, and the level from which
-    // one column's largest score could reach it.
+    // The hand-off level, and the level from which one column's largest
+    // score could reach it.
     let max_score = 255 - bias - overflow_at;
     let pairs = overflow_at > max_score;
-    let mut limits = [[0u8; 32]; 2];
-    V::level(overflow_at - 1).store(&mut limits[0]);
-    V::level((overflow_at - 1).saturating_sub(max_score)).store(&mut limits[1]);
-    let mut v_limits = limits.map(|l| V::load(&l));
+    let limits = [overflow_at - 1, (overflow_at - 1).saturating_sub(max_score)].map(V::level);
     let mut state = cached_rows(&GROUP_STATE, profile.query.len(), V::zero());
     let mut v_max = V::zero();
-    let mut handoffs = vec![None; subjects.len()];
-    grouped_sweep! {
-        V, profile, subjects, state, check, v_max,
+    let mut out = vec![Ok(0); subjects.len()];
+    let mut stream = Stream::new(subjects, V::LANES);
+    let cols = grouped_sweep! {
+        V, u8, profile, stream, state, check, v_max,
         |codes, table| V::load(codes).lookup(table), g, sat_sub,
-        add_score(g[2]), pairs && !v_max.any_gt(v_limits[1]),
-        |col| {
-            if v_max.any_gt(v_limits[0]) {
-                v_limits = hand_off_lanes(col, &state, v_max, &mut limits, &mut handoffs);
+        add_score(g[2]), pairs && !v_max.any_gt(limits[1]), rows, maxima,
+        |i, x| out[i] = Ok(V::decode(x).into()),
+        |reset| {
+            let mut clear = [0; 32];
+            for &(k, _) in reset {
+                clear[k] = V::SUB_LIMIT;
+            }
+            let clear = V::load(&clear);
+            for [h, e] in state.iter_mut() {
+                (*h, *e) = (clear_lanes(*h, clear), clear_lanes(*e, clear));
+            }
+            v_max = clear_lanes(v_max, clear);
+        },
+        v_max.any_gt(limits[0]), |col, k, x| {
+            if V::decode(x) >= overflow_at {
+                if let Some((i, cols)) = stream.hand_off(k, col) {
+                    out[i] = Err(lane_handoff::<V>(cols, &rows, k, x));
+                }
             }
         }
-    }
+    };
+    stream.finish(cols, lane_columns);
     GROUP_STATE.with(|c| c.replace(Some(Box::new(state))));
-    let mut maxima = [0u8; 32];
-    v_max.store(&mut maxima);
-    let lane = |(h, x): (Option<Handoff>, u8)| h.map_or(Ok(V::decode(x) as i32), Err);
-    Some(handoffs.into_iter().zip(maxima).map(lane).collect())
+    Some(out)
 }
 
-/// Subject columns `col..col + GROUP_BLOCK` into `block`, one row of lane
-/// codes per column; a lane past its subject's end reads [`PAD_CODE`].
-fn transpose(subjects: &[&[u8]], col: usize, block: &mut [[u8; 32]; GROUP_BLOCK]) {
-    block.fill([PAD_CODE; 32]);
-    for (k, s) in subjects.iter().enumerate() {
-        for (row, &b) in block.iter_mut().zip(s.get(col..).unwrap_or_default()) {
-            row[k % 32] = b;
-        }
+/// `v` less the per-lane amounts `clear` (`0` or `SUB_LIMIT`), twice if one
+/// falls short of 254, the most a lane reaches before it hands off.
+#[inline(always)]
+fn clear_lanes<V: ByteSimd>(v: V, clear: V) -> V {
+    let v = v.sat_sub(clear);
+    if V::SUB_LIMIT < 254 {
+        v.sat_sub(clear)
+    } else {
+        v
     }
 }
 
-/// Hand over each lane past its limit after `cols` columns and raise its
-/// limits to level 255 (returned). Out of line as [`Handoff::at`] is.
+/// Lane `k`'s [`Handoff`] after `cols` columns, from the raw state rows and
+/// maximum `max`: out of line, so it touches bytes only.
 #[cold]
 #[inline(never)]
-fn hand_off_lanes<V: ByteSimd>(
-    cols: usize,
-    state: &[[V; 2]],
-    v_max: V,
-    limits: &mut [[u8; 32]; 2],
-    handoffs: &mut [Option<Handoff>],
-) -> [V; 2] {
-    let level = |v: V, k: usize| {
-        let mut raw = [0u8; 32];
-        v.store(&mut raw);
-        V::decode(raw[k]) as i16
-    };
-    let mut never = [0u8; 32];
-    V::level(u8::MAX).store(&mut never);
-    for (k, handoff) in handoffs.iter_mut().enumerate() {
-        if level(v_max, k) > V::decode(limits[0][k]) as i16 {
-            let rows = |i: usize| state.iter().map(|r| level(r[i], k)).collect();
-            let (h, e, max) = (rows(0), rows(1), level(v_max, k));
-            *handoff = Some(Handoff { cols, h, e, max });
-            (limits[0][k], limits[1][k]) = (never[0], never[0]);
-        }
+fn lane_handoff<V: ByteSimd>(cols: usize, rows: &[[u8; 32]], k: usize, max: u8) -> Handoff {
+    let level = |raw: &[u8; 32]| V::decode(raw[k]) as i16;
+    Handoff {
+        cols,
+        h: rows.iter().step_by(2).map(level).collect(),
+        e: rows.iter().skip(1).step_by(2).map(level).collect(),
+        max: V::decode(max).into(),
     }
-    limits.map(|l| V::load(&l))
 }
 
-/// Word-mode *inter-sequence* Smith-Waterman: lane `k` resumes
-/// `subjects[k]` (at most `V::LANES`) from `starts[k]` — its column, H/E
-/// rows and maximum — polling `check` every [`CANCEL_CHECK_COLS`] columns
-/// (`None`: abandoned). The sweep is [`sw_bytes_grouped`]'s with
+/// Word-mode *inter-sequence* Smith-Waterman over any number of `subjects`,
+/// streamed through the lanes in order as [`sw_bytes_grouped`] streams
+/// them, each resuming from `starts[i]` — its column, H/E rows and maximum —
+/// and polling `check` every [`CANCEL_CHECK_COLS`] columns (`None`:
+/// abandoned). The sweep is [`sw_bytes_grouped`]'s with
 /// [`WordSimd::lookup`] and `H = max(diag + s, E, F, 0)`, two columns at a
-/// time but an odd last one. Each lane ends with [`sw_words_checked`]'s
-/// score from the same start, saturating at `i16::MAX` as it does.
+/// time but an odd last one. Each subject ends with [`sw_words_checked`]'s
+/// score from the same start, saturating at `i16::MAX` as it does. Adds the
+/// stream's `[busy, pad, handed_off]` lane-columns to `lane_columns`.
 ///
 /// # Panics
 ///
-/// When `subjects` outnumber the lanes or differ in number from `starts`,
-/// or hold a code outside the alphabet.
+/// When `subjects` differ in number from `starts`, or hold a code outside
+/// the alphabet.
 #[inline(always)]
 pub fn sw_words_grouped<V: WordSimd, C: ColumnCheck>(
     gaps: &GapPenalties,
@@ -968,35 +1122,52 @@ pub fn sw_words_grouped<V: WordSimd, C: ColumnCheck>(
     subjects: &[&[u8]],
     starts: &[&Handoff],
     check: &C,
+    lane_columns: &mut [u64; 3],
 ) -> Option<Vec<i32>> {
-    assert!(subjects.len() <= V::LANES && subjects.len() == starts.len());
+    assert!(subjects.len() == starts.len());
     assert_codes(subjects, profile.tables.len());
     let (open, extend) = word_gaps(gaps);
     let g = [V::splat(open), V::splat(extend)];
-    // Each lane's columns past its start, and its rows and maximum there.
+    // Each subject's columns past its start; one with none scores its
+    // start's maximum.
     let rest: Vec<&[u8]> = (subjects.iter().zip(starts))
         .map(|(s, h)| &s[h.cols..])
         .collect();
+    let mut out: Vec<i32> = starts.iter().map(|s| s.max.into()).collect();
     let mut state = cached_rows(&WORD_STATE, profile.query.len(), V::zero());
-    let mut lanes = [[0i16; 32]; 2];
-    for (i, row) in state.iter_mut().enumerate() {
-        for (k, start) in starts.iter().enumerate() {
-            lanes[0][k] = start.h.get(i).copied().unwrap_or(0);
-            lanes[1][k] = start.e.get(i).copied().unwrap_or(0);
-        }
-        *row = lanes.map(|l| V::load(&l));
-    }
-    let mut maxima: [i16; 32] = std::array::from_fn(|k| starts.get(k).map_or(0, |s| s.max));
-    let mut v_max = V::load(&maxima);
+    let mut v_max = V::zero();
+    let mut stream = Stream::new(&rest, V::LANES);
     // E and F floored at zero floor `diag + s` in the first `max`.
-    grouped_sweep! {
-        V, profile, rest, state, check, v_max,
+    let cols = grouped_sweep! {
+        V, i16, profile, stream, state, check, v_max,
         |codes, table| V::lookup(codes, table), g, sub_floor,
-        sat_add(), true, |_col| {}
-    }
+        sat_add(), true, rows, maxima,
+        |i, x| out[i] = x.into(),
+        |reset| {
+            for (row, raw) in state.iter().zip(rows.chunks_exact_mut(2)) {
+                row[0].store(&mut raw[0]);
+                row[1].store(&mut raw[1]);
+            }
+            // Every lane reset took a subject: no word lane hands off.
+            for &(k, i) in reset {
+                let Some(i) = i else { continue };
+                let start = starts[i];
+                for (r, raw) in rows.chunks_exact_mut(2).enumerate() {
+                    raw[0][k] = start.h.get(r).copied().unwrap_or(0);
+                    raw[1][k] = start.e.get(r).copied().unwrap_or(0);
+                }
+                maxima[k] = start.max;
+            }
+            for (row, raw) in state.iter_mut().zip(rows.chunks_exact(2)) {
+                *row = [V::load(&raw[0]), V::load(&raw[1])];
+            }
+            v_max = V::load(&maxima);
+        },
+        false, |_col, _k, _x| {}
+    };
+    stream.finish(cols, lane_columns);
     WORD_STATE.with(|c| c.replace(Some(Box::new(state))));
-    v_max.store(&mut maxima);
-    Some(maxima[..subjects.len()].iter().map(|&x| x.into()).collect())
+    Some(out)
 }
 
 /// The gap penalties as word lanes subtract them, clamped at `i16::MAX`
@@ -1066,7 +1237,59 @@ pub fn sw_words_checked<V: WordSimd, C: ColumnCheck>(
 mod tests {
     use super::*;
     use crate::portable::{I16x8, U8x16};
-    use sw_align::alphabet::encode_protein;
+    use sw_align::alphabet::{encode_protein, Alphabet};
+    use sw_align::matrix::ScoringMatrix;
+
+    /// A hand-built stream on 16 byte lanes, under +127/−4 (one match hands
+    /// off, single columns only): sixteen 10-residue strangers, one of which
+    /// matches on its second column, then a 7-residue, an empty and a
+    /// one-residue subject. The seven takes the lane that hands off, on
+    /// column 2, and the one-residue subject follows it on column 9: every
+    /// lane ends on column 10, and no lane-column is pad. The word pass
+    /// resumes the hand-off's eight columns in one lane of eight.
+    #[test]
+    fn a_stream_counts_its_lane_columns_in_closed_form() {
+        let p = SwParams {
+            matrix: ScoringMatrix::match_mismatch(Alphabet::Protein, 127, -4),
+            gaps: GapPenalties::cudasw_default(),
+        };
+        let q: Vec<u8> = (0..30).map(|i| i % 10).collect();
+        let stranger = |len: usize| vec![10 + len as u8 % 10; len];
+        let mut subjects: Vec<Vec<u8>> = (0..16).map(|_| stranger(10)).collect();
+        subjects[3][1] = q[0];
+        subjects.extend([stranger(7), Vec::new(), stranger(1)]);
+        let refs: Vec<&[u8]> = subjects.iter().map(Vec::as_slice).collect();
+        let byte = ByteProfileOf::<U8x16>::build(&p, &q);
+        let count = |refs: &[&[u8]]| {
+            let mut columns = [0; 3];
+            let lanes = sw_bytes_grouped(&p.gaps, &byte, refs, &NeverCancel, &mut columns);
+            (lanes.unwrap(), columns)
+        };
+        let (lanes, columns) = count(&refs);
+        let busy = 15 * 10 + 2 + 7 + 1;
+        assert_eq!(columns, [busy, 0, 0], "[busy, pad, handed_off]");
+        let start = lanes[3].clone().unwrap_err();
+        assert_eq!((start.cols, &lanes[17]), (2, &Ok(0)));
+        let word = WordProfileOf::<I16x8>::build(&p, &q);
+        let mut columns = [0; 3];
+        let one = (&refs[3..4], &[&start]);
+        sw_words_grouped(&p.gaps, &word, one.0, one.1, &NeverCancel, &mut columns);
+        assert_eq!(columns, [8, 8 * 8 - 8, 0]);
+        // Fifteen strangers match on their first column, one does not, and
+        // one more subject waits: on column 1 fifteen lanes hand off and
+        // lane 0 takes the last subject, which ends the stream on column 11,
+        // a column after lane 15; the other fourteen wait to the end.
+        subjects = (0..17).map(|_| stranger(10)).collect();
+        for d in &mut subjects[..15] {
+            d[0] = q[0];
+        }
+        let refs: Vec<&[u8]> = subjects.iter().map(Vec::as_slice).collect();
+        assert_eq!(count(&refs).1, [15 + 10 + 10, 1, 14 * 10]);
+        // With lane 15 handing off too, it waits as well.
+        subjects[15][0] = q[0];
+        let refs: Vec<&[u8]> = subjects.iter().map(Vec::as_slice).collect();
+        assert_eq!(count(&refs).1, [16 + 10, 0, 15 * 10]);
+    }
 
     #[test]
     fn both_profiles_stripe_the_query_and_pad_with_the_pad_score() {

@@ -21,11 +21,12 @@
 
 use crate::backend::{
     sw_bytes_checked, sw_bytes_grouped, sw_words_checked, sw_words_grouped, Backend, ByteProfileOf,
-    ByteSimd, ColumnCheck, Handoff, NeverCancel, WordProfileOf, WordSimd,
+    ColumnCheck, Handoff, NeverCancel, WordProfileOf,
 };
 use crate::cancel::{CancelToken, Cancelled};
 use crate::dispatch::{BackendKind, KernelMode};
 use crate::portable::PortableBackend;
+use std::cmp::Reverse;
 use sw_align::smith_waterman::{sw_score, SwParams, NEG_INF};
 use sw_align::GapPenalties;
 
@@ -275,22 +276,23 @@ impl QueryEngine {
         score
     }
 
-    /// Score `subjects` adaptively, one a lane of the grouped byte pass
-    /// ([`crate::backend::sw_bytes_grouped`]) and each hand-off one a lane of
-    /// the grouped word pass ([`crate::backend::sw_words_grouped`]),
-    /// cancellable as `score_with_cancel` is: each score, `byte_mode` and
-    /// `word_fallbacks` is `score_with`'s, and neither Lazy-F count runs.
+    /// Score `subjects` adaptively, streamed in order through the lanes of
+    /// the grouped byte pass ([`crate::backend::sw_bytes_grouped`]) and each
+    /// hand-off through those of the grouped word pass
+    /// ([`crate::backend::sw_words_grouped`]), cancellable as
+    /// `score_with_cancel` is: each score, `byte_mode` and `word_fallbacks`
+    /// is `score_with`'s, and neither Lazy-F count runs.
     pub fn score_group(
         &self,
         subjects: &[&[u8]],
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<(i32, AdaptiveStats)>, Cancelled> {
-        let scored = match cancel {
-            Some(token) if token.is_cancelled() => None,
-            Some(token) => self.group_checked(subjects, token),
-            None => self.group_checked(subjects, &NeverCancel),
-        };
-        scored.ok_or(Cancelled)
+        let columns = &mut [[0; 3]; 2];
+        match cancel {
+            Some(token) if token.is_cancelled() => Err(Cancelled),
+            Some(token) => self.group_checked(subjects, token, columns),
+            None => self.group_checked(subjects, &NeverCancel, columns),
+        }
     }
 
     /// Whether the pool's adaptive searches group ([`Backend::GROUPS`]).
@@ -304,20 +306,26 @@ impl QueryEngine {
         }
     }
 
-    fn group_checked<C: ColumnCheck>(
+    /// [`QueryEngine::score_group`] polling `check`, its lane-columns added
+    /// to `columns` ([`group_ladder`]).
+    pub(crate) fn group_checked<C: ColumnCheck>(
         &self,
         subjects: &[&[u8]],
         check: &C,
-    ) -> Option<Vec<(i32, AdaptiveStats)>> {
+        columns: &mut [[u64; 3]; 2],
+    ) -> Result<Vec<(i32, AdaptiveStats)>, Cancelled> {
         if self.query.is_empty() {
-            return Some(vec![(0, AdaptiveStats::default()); subjects.len()]);
+            return Ok(vec![(0, AdaptiveStats::default()); subjects.len()]);
         }
         let gaps = &self.params.gaps;
-        let mut out = on_profiles! { &self.set, group_ladder / group_avx2, gaps, subjects, check }?;
+        let mut out = on_profiles! {
+            &self.set, group_ladder / group_avx2, gaps, subjects, check, columns
+        }
+        .ok_or(Cancelled)?;
         for ((score, _), d) in out.iter_mut().zip(subjects) {
             *score = self.finish(d, *score);
         }
-        Some(out)
+        Ok(out)
     }
 }
 
@@ -360,59 +368,47 @@ pub(crate) fn score_ladder<K: Backend, C: ColumnCheck>(
     Some(word.score)
 }
 
-/// Hand-offs, in word groups, a grouped call collects before its word pass
-/// runs them sorted by remaining columns: more fill fuller groups of like
-/// lengths, and each holds `4m` bytes meanwhile. On `scan_homolog`, one
-/// thread, AVX2: two groups ran 1% slower, and holding all of a 256-subject
-/// call's hand-offs 1–3% faster for up to four times the bytes.
-const PENDING_GROUPS: usize = 4;
-
-/// The grouped byte pass over `subjects`, then the grouped word pass over
-/// the lanes that handed off, sorted by remaining columns (a part-full word
-/// group the shortest); `None` if cancelled. `#[inline(always)]` as
-/// [`score_ladder`] is.
+/// The grouped byte pass streaming `subjects` through its lanes, then the
+/// grouped word pass streaming the subjects that handed off, longest
+/// remainder first; `None` if cancelled. Each pass adds its `[busy, pad,
+/// handed_off]` lane-columns to its row of `columns` (byte, word).
+/// `#[inline(always)]` as [`score_ladder`] is.
 #[inline(always)]
 pub(crate) fn group_ladder<K: Backend, C: ColumnCheck>(
     gaps: &GapPenalties,
     profiles: &Profiles<K>,
     subjects: &[&[u8]],
     check: &C,
+    columns: &mut [[u64; 3]; 2],
 ) -> Option<Vec<(i32, AdaptiveStats)>> {
+    let [byte, word] = columns;
+    let lanes = sw_bytes_grouped(gaps, &profiles.byte, subjects, check, byte)?;
+    let mut handed: Vec<(usize, Handoff)> = Vec::new();
     let mut out = Vec::with_capacity(subjects.len());
-    let mut pending: Vec<(usize, Handoff)> = Vec::new();
-    let groups = subjects.chunks(K::Byte::LANES);
-    let last = groups.len();
-    for (n, group) in groups.enumerate() {
-        let lanes = sw_bytes_grouped(gaps, &profiles.byte, group, check)?;
-        for (d, lane) in group.iter().zip(lanes) {
-            let mut stats = AdaptiveStats::default();
-            let score = match lane {
-                _ if d.is_empty() => 0,
-                Ok(score) => {
-                    stats.byte_mode = 1;
-                    score
-                }
-                Err(start) => {
-                    stats.word_fallbacks = 1;
-                    pending.push((out.len(), start));
-                    0
-                }
-            };
-            out.push((score, stats));
-        }
-        if n + 1 < last && pending.len() < PENDING_GROUPS * K::Word::LANES {
-            continue;
-        }
-        pending.sort_by_key(|(i, start)| subjects[*i].len() - start.cols);
-        for group in pending.rchunks(K::Word::LANES) {
-            let lanes: Vec<&[u8]> = group.iter().map(|(i, _)| subjects[*i]).collect();
-            let starts: Vec<&Handoff> = group.iter().map(|(_, start)| start).collect();
-            let scores = sw_words_grouped(gaps, &profiles.word, &lanes, &starts, check)?;
-            for ((i, _), score) in group.iter().zip(scores) {
-                out[*i].0 = score;
+    for (d, lane) in subjects.iter().zip(lanes) {
+        let mut stats = AdaptiveStats::default();
+        let score = match lane {
+            _ if d.is_empty() => 0,
+            Ok(score) => {
+                stats.byte_mode = 1;
+                score
             }
-        }
-        pending.clear();
+            Err(start) => {
+                stats.word_fallbacks = 1;
+                handed.push((out.len(), start));
+                0
+            }
+        };
+        out.push((score, stats));
+    }
+    handed.sort_by_key(|(i, start)| Reverse(subjects[*i].len() - start.cols));
+    let (lanes, starts): (Vec<&[u8]>, Vec<&Handoff>) = handed
+        .iter()
+        .map(|(i, start)| (subjects[*i], start))
+        .unzip();
+    let scores = sw_words_grouped(gaps, &profiles.word, &lanes, &starts, check, word)?;
+    for ((i, _), score) in handed.iter().zip(scores) {
+        out[*i].0 = score;
     }
     Some(out)
 }

@@ -59,9 +59,10 @@
 //! keeps the slots' query-major order. [`search_sequences`] is the wave of
 //! one.
 //!
-//! A chunk is scored in length-sorted groups, one subject a lane of the
-//! grouped byte and word passes ([`QueryEngine::score_group`]) where the
-//! backend has them.
+//! Where the backend has grouped passes, a chunk's subjects, longest first,
+//! stream through their lanes ([`QueryEngine::score_group`]) at most
+//! `STREAM_SUBJECTS` at a time, and the pool publishes the lane-columns
+//! they swept as `cudasw.simd.lane_columns{pass, state}`.
 //!
 //! All workers share the read-only [`QueryEngine`]s — the profiles are
 //! built once per query and reused by every thread (that sharing is what
@@ -72,10 +73,12 @@
 //! counters, its steals and its fault counters on the calling thread after
 //! the parallel section ends, and no caller publishes them again.
 
+use crate::backend::ColumnCheck;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::engine::{record_stats, AdaptiveStats, Precision, QueryEngine};
 use crate::fault::{HostFaultInjector, HostFaultKind, HostFaultPlan};
 use parking_lot::Mutex;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -98,12 +101,11 @@ const CHUNKS_PER_WORKER: usize = 8;
 /// degrade gracefully to fewer workers and finally to the inline path.
 pub const MIN_SEQS_PER_WORKER: usize = 16;
 
-/// Subjects a chunk hands the grouped passes at a time: eight of the
-/// widest byte groups, so the word pass sorts the hand-offs of 256 into
-/// fuller groups. On `scan_homolog`'s database, one thread, AVX2, the
-/// word pass ran 1.3× and the whole search 1.06–1.10× faster than at 32
-/// (EXPERIMENTS.md, "Engine constants").
-const GROUP_SUBJECTS: usize = 256;
+/// Subjects of a chunk one grouped stream takes at most: each hand-off
+/// holds `4m` bytes until the stream's word pass. Whole 2,500-subject chunks
+/// swept 1% fewer vector-columns on `scan_homolog` but raised its
+/// `peak_rss_mb` 23–32%, against 7% (EXPERIMENTS.md, "Engine constants").
+const STREAM_SUBJECTS: usize = 1024;
 
 /// Workers actually worth spawning for `alignments` (sequences × queries
 /// of the wave; the sequence count for one query) on this machine: never
@@ -495,6 +497,9 @@ struct RunShared<'a> {
     slots: Vec<AtomicI32>,
     remaining: AtomicUsize,
     stats: Mutex<AdaptiveStats>,
+    /// The grouped passes' `[busy, pad, handed_off]` lane-columns, byte and
+    /// word.
+    lane_columns: Mutex<[[u64; 3]; 2]>,
     panics: AtomicU64,
     quarantined_chunks: AtomicU64,
     oracle_scored: AtomicU64,
@@ -518,6 +523,7 @@ impl<'a> RunShared<'a> {
             slots: (0..cells).map(|_| AtomicI32::new(0)).collect(),
             remaining: AtomicUsize::new(cells),
             stats: Mutex::new(AdaptiveStats::default()),
+            lane_columns: Mutex::new([[0; 3]; 2]),
             panics: AtomicU64::new(0),
             quarantined_chunks: AtomicU64::new(0),
             oracle_scored: AtomicU64::new(0),
@@ -600,14 +606,16 @@ impl<'a> RunShared<'a> {
                 );
             }
             let mut chunk_stats = AdaptiveStats::default();
-            // Length-sorted groups of adjacent subjects: the grouped byte
-            // pass puts one in each lane, so no lane waits long on another.
+            let mut columns = [[0; 3]; 2];
+            // Longest first, so each stream's lanes take its shortest
+            // subjects last and finish together.
             let mut order: Vec<usize> = range.clone().collect();
-            order.sort_by_key(|&i| self.seqs[i].residues.len());
+            order.sort_by_key(|&i| Reverse(self.seqs[i].residues.len()));
+            let check = Beating(heart, self.cancel);
             let n = self.seqs.len();
-            for group in order.chunks(GROUP_SUBJECTS) {
+            for stream in order.chunks(STREAM_SUBJECTS) {
                 let subjects: Vec<&[u8]> =
-                    group.iter().map(|&i| &self.seqs[i].residues[..]).collect();
+                    stream.iter().map(|&i| &self.seqs[i].residues[..]).collect();
                 for (q, engine) in self.engines.iter().enumerate() {
                     if self.cancel_observed() {
                         return ChunkRun::Cancelled;
@@ -615,7 +623,7 @@ impl<'a> RunShared<'a> {
                     // Once the job has re-dispatched a chunk, a late
                     // finisher skips what another worker committed.
                     if self.redispatches.load(Ordering::Relaxed) > 0
-                        && (group.iter())
+                        && (stream.iter())
                             .all(|&i| self.committed[q * n + i].load(Ordering::Acquire))
                     {
                         continue;
@@ -631,20 +639,24 @@ impl<'a> RunShared<'a> {
                         Ok((score, delta))
                     };
                     let scored = if self.precision == Precision::Adaptive && engine.groups() {
-                        engine.score_group(&subjects, self.cancel)
+                        engine.group_checked(&subjects, &check, &mut columns)
                     } else {
                         subjects.iter().map(striped).collect()
                     };
                     let Ok(scored) = scored else {
                         return ChunkRun::Cancelled;
                     };
-                    for (&i, (score, delta)) in group.iter().zip(scored) {
+                    for (&i, (score, delta)) in stream.iter().zip(scored) {
                         if self.commit(q, i, score) {
                             chunk_stats.merge(&delta);
                         }
                         heart.fetch_add(1, Ordering::Relaxed);
                     }
                 }
+            }
+            let sums = columns.iter().flatten();
+            for (sum, n) in self.lane_columns.lock().iter_mut().flatten().zip(sums) {
+                *sum += n;
             }
             self.stats.lock().merge(&chunk_stats);
             ChunkRun::Done
@@ -712,6 +724,7 @@ impl<'a> RunShared<'a> {
         debug_assert_eq!(self.remaining.into_inner(), 0, "lost cells");
         let stats = self.stats.into_inner();
         record_stats(self.engines[0].kind(), &stats);
+        record_lane_columns(&self.lane_columns.into_inner());
         Ok(HostSearchResult {
             scores: self.slots.into_iter().map(AtomicI32::into_inner).collect(),
             stats,
@@ -719,6 +732,31 @@ impl<'a> RunShared<'a> {
             steals,
             faults,
         })
+    }
+}
+
+/// The kernels' cancellation probe: it beats the worker's heart on every
+/// poll, each [`crate::cancel::CANCEL_CHECK_COLS`] columns of a grouped
+/// stream and each column where a lane takes a subject.
+struct Beating<'a>(&'a AtomicU64, Option<&'a CancelToken>);
+
+impl ColumnCheck for Beating<'_> {
+    fn cancelled(&self) -> bool {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        self.1.is_some_and(CancelToken::poll)
+    }
+}
+
+/// Publish the grouped passes' lane-columns as
+/// `cudasw.simd.lane_columns{pass, state}` (calling thread only).
+fn record_lane_columns(columns: &[[u64; 3]; 2]) {
+    for (pass, counts) in ["byte", "word"].into_iter().zip(columns) {
+        for (state, &n) in ["busy", "pad", "handed_off"].into_iter().zip(counts) {
+            if n > 0 {
+                let labels = [("pass", pass), ("state", state)];
+                obs::counter_add("cudasw.simd.lane_columns", &labels, n as f64);
+            }
+        }
     }
 }
 
@@ -970,6 +1008,42 @@ mod tests {
             assert_eq!(byte_mode, sum(|s| s.byte_mode) as f64, "{kind}");
             let word_mode = published("cudasw.simd.word_mode.reruns");
             assert_eq!(word_mode, sum(|s| s.word_fallbacks) as f64, "{kind}");
+        }
+    }
+
+    /// One chunk of five subjects that stay in byte mode: they enter the
+    /// grouped lanes together, and every lane-column of the longest's 90
+    /// that is not a residue is pad.
+    #[test]
+    fn the_pool_publishes_its_lane_columns_in_closed_form() {
+        let query = make_query(120, 3);
+        let db = database_with_lengths("t", &[30, 45, 60, 75, 90], 19);
+        let cfg = PoolConfig::new(1, Precision::Adaptive);
+        for kind in crate::BackendKind::available() {
+            let engine = QueryEngine::with_backend(SwParams::cudasw_default(), &query, kind);
+            let (r, run) = obs::capture(|| {
+                let one = std::slice::from_ref(&engine);
+                let whole = std::slice::from_ref(&(0..5));
+                search_wave_protected_with_chunks(one, db.sequences(), &cfg, whole).unwrap()
+            });
+            assert_eq!(r.stats.byte_mode, 5, "{kind}");
+            let count = |pass, state| {
+                let labels = [("pass", pass), ("state", state)];
+                run.metrics.counter("cudasw.simd.lane_columns", &labels) as usize
+            };
+            let byte = ["busy", "pad", "handed_off"].map(|s| count("byte", s));
+            let word = ["busy", "pad", "handed_off"].map(|s| count("word", s));
+            let lanes = if engine.groups() {
+                kind.byte_lanes()
+            } else {
+                0
+            };
+            let busy = if engine.groups() { 300 } else { 0 };
+            assert_eq!(
+                (byte, word),
+                ([busy, lanes * 90 - busy, 0], [0; 3]),
+                "{kind}"
+            );
         }
     }
 

@@ -595,8 +595,9 @@ pub(crate) unsafe fn group_avx2<C: ColumnCheck>(
     profiles: &Profiles<Avx2Backend>,
     subjects: &[&[u8]],
     check: &C,
+    columns: &mut [[u64; 3]; 2],
 ) -> Option<Vec<(i32, AdaptiveStats)>> {
-    group_ladder(gaps, profiles, subjects, check)
+    group_ladder(gaps, profiles, subjects, check, columns)
 }
 
 #[cfg(test)]

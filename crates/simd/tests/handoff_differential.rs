@@ -20,7 +20,10 @@ use sw_simd::backend::{
     sw_bytes_checked, sw_bytes_grouped, sw_words_checked, sw_words_grouped, ByteProfileOf,
     ByteSimd, Handoff, WordProfileOf, WordSimd,
 };
-use sw_simd::{AdaptiveStats, BackendKind, KernelMode, NeverCancel, Precision, QueryEngine};
+use sw_simd::{
+    AdaptiveStats, BackendKind, CancelToken, Cancelled, KernelMode, NeverCancel, Precision,
+    QueryEngine,
+};
 
 /// `prefix` random residues, a 70%-identity copy of `query[window]`, then
 /// `suffix` random residues.
@@ -369,33 +372,32 @@ fn a_profile_with_no_byte_headroom_overflows_up_front() {
     }
 }
 
-/// The raw byte kernels on one vector type: each lane of the grouped pass
-/// ends as the striped pass does on its subject — the same score, or the
-/// same `Handoff` (column, H, E, maximum). Returns the striped outcomes.
+/// The raw byte kernels on one vector type: `group` streamed through the
+/// grouped pass in one call, each subject ending as the striped pass does on
+/// it — the same score, or the same `Handoff` (column, H, E, maximum).
+/// Returns the striped outcomes.
 fn same_lanes<V: ByteSimd>(p: &SwParams, q: &[u8], group: &[&[u8]], what: &str) -> Vec<usize> {
     let profile = ByteProfileOf::<V>::build(p, q);
+    let grouped = sw_bytes_grouped(&p.gaps, &profile, group, &NeverCancel, &mut [0; 3]).unwrap();
     let mut cols = Vec::new();
-    for lanes in group.chunks(V::LANES) {
-        let grouped = sw_bytes_grouped(&p.gaps, &profile, lanes, &NeverCancel).unwrap();
-        for (d, lane) in lanes.iter().zip(grouped) {
-            let striped = sw_bytes_checked(&p.gaps, &profile, d, false, &NeverCancel).unwrap();
-            assert_eq!(
-                lane,
-                striped.score,
-                "{what}: lane {} of {}",
-                cols.len(),
-                V::LANES
-            );
-            cols.push(striped.score.err().map_or(0, |h| h.cols));
-        }
+    for (d, lane) in group.iter().zip(grouped) {
+        let striped = sw_bytes_checked(&p.gaps, &profile, d, false, &NeverCancel).unwrap();
+        assert_eq!(
+            lane,
+            striped.score,
+            "{what}: subject {} on {} lanes",
+            cols.len(),
+            V::LANES
+        );
+        cols.push(striped.score.err().map_or(0, |h| h.cols));
     }
     cols
 }
 
 /// The raw word kernels on one vector type: every hand-off of `group`,
-/// resumed one a lane of the grouped word pass, scores what the striped
-/// word pass scores from the same start (saturating at `i16::MAX` alike).
-/// Returns the hand-offs.
+/// streamed through the grouped word pass in one call, scores what the
+/// striped word pass scores from the same start (saturating at `i16::MAX`
+/// alike). Returns the hand-offs.
 fn same_words<V: WordSimd>(p: &SwParams, q: &[u8], group: &[&[u8]], what: &str) -> usize {
     let byte = ByteProfileOf::<sw_simd::portable::U8x16>::build(p, q);
     let profile = WordProfileOf::<V>::build(p, q);
@@ -403,18 +405,19 @@ fn same_words<V: WordSimd>(p: &SwParams, q: &[u8], group: &[&[u8]], what: &str) 
     let handed: Vec<(&[u8], Handoff)> = (group.iter())
         .filter_map(|&d| striped(d).score.err().map(|start| (d, start)))
         .collect();
-    for (g, lanes) in handed.chunks(V::LANES).enumerate() {
-        let subjects: Vec<&[u8]> = lanes.iter().map(|(d, _)| *d).collect();
-        let starts: Vec<&Handoff> = lanes.iter().map(|(_, start)| start).collect();
-        let grouped = sw_words_grouped(&p.gaps, &profile, &subjects, &starts, &NeverCancel);
-        for (k, ((d, start), score)) in lanes.iter().zip(grouped.unwrap()).enumerate() {
-            let want = sw_words_checked(&p.gaps, &profile, d, false, start, &NeverCancel);
-            assert_eq!(
-                score,
-                want.unwrap().score,
-                "{what}: word group {g}, lane {k}"
-            );
-        }
+    let subjects: Vec<&[u8]> = handed.iter().map(|(d, _)| *d).collect();
+    let starts: Vec<&Handoff> = handed.iter().map(|(_, start)| start).collect();
+    let grouped = sw_words_grouped(
+        &p.gaps,
+        &profile,
+        &subjects,
+        &starts,
+        &NeverCancel,
+        &mut [0; 3],
+    );
+    for (k, ((d, start), score)) in handed.iter().zip(grouped.unwrap()).enumerate() {
+        let want = sw_words_checked(&p.gaps, &profile, d, false, start, &NeverCancel);
+        assert_eq!(score, want.unwrap().score, "{what}: hand-off {k}");
     }
     handed.len()
 }
@@ -693,4 +696,112 @@ fn every_lane_hands_off_on_the_same_column() {
         cols[0] > 0 && cols.iter().all(|&c| c == cols[0]),
         "{cols:?}"
     );
+}
+
+/// Under +127/−4 one match passes `overflow_at` (255 − 4 − 127 = 124), and
+/// no two columns are swept at once.
+fn one_match_hands_off() -> SwParams {
+    SwParams {
+        matrix: ScoringMatrix::match_mismatch(Alphabet::Protein, 127, -4),
+        gaps: GapPenalties::cudasw_default(),
+    }
+}
+
+/// A query of codes `0..10`, which [`strangers`] never use.
+fn low_query(len: usize, seed: u64) -> Vec<u8> {
+    make_query(len, seed).into_iter().map(|r| r % 10).collect()
+}
+
+#[test]
+fn streams_of_one_more_subject_than_lanes_with_empty_single_and_odd_subjects() {
+    // Past every lane count (8, 16, 32 and one more of each) subjects take
+    // freed lanes: empty ones never enter, one-residue and odd-length ones
+    // leave a pad column behind them, and a homolog or two hand off.
+    let p = SwParams::cudasw_default();
+    let q = make_query(90, 71);
+    for n in [9usize, 17, 33] {
+        let mut group: Vec<Vec<u8>> = (0..n)
+            .map(|k| make_query(40 + (k * 37) % 61, 700 + k as u64))
+            .collect();
+        group[n / 2] = Vec::new();
+        group[n / 3] = vec![q[0]];
+        group[2] = homolog(&q, 0..90, 5, 11, 72);
+        let cols = check_group(&p, &q, &group);
+        assert!(cols[2] > 0, "{n} subjects: the homolog hands off");
+        assert!(group.iter().any(|d| d.len() % 2 == 1), "an odd subject");
+    }
+}
+
+#[test]
+fn a_lane_refills_on_the_column_it_hands_off() {
+    // The match on a subject's second column hands it off after two columns,
+    // an even count: the next subject enters that lane on that column. Beside
+    // long strangers, with more subjects queued than any vector has lanes.
+    let (p, q) = (one_match_hands_off(), low_query(50, 73));
+    let mut group = strangers(40, |k| 60 + 3 * k, 74);
+    for k in [0, 5, 33] {
+        group[k][1] = q[0];
+    }
+    let cols = check_group(&p, &q, &group);
+    for k in [0, 5, 33] {
+        assert_eq!(cols[k], 2, "subject {k} hands off after two columns");
+    }
+}
+
+#[test]
+fn a_subject_enters_on_the_last_column_of_the_stream() {
+    // Every lane's subject ends on column 10 and a one-residue subject takes
+    // a freed lane there: the stream's last column holds it alone.
+    let (p, q) = (one_match_hands_off(), low_query(40, 75));
+    for lanes in [8usize, 16, 32] {
+        let mut group = strangers(lanes, |_| 10, 76);
+        group.push(vec![q[0]]);
+        let cols = check_group(&p, &q, &group);
+        assert_eq!(
+            cols[lanes], 1,
+            "{lanes} lanes: the last subject hands off at once"
+        );
+    }
+}
+
+#[test]
+fn every_lane_hands_off_on_one_column_and_refills_there() {
+    // All lanes of the widest vector hand off after two columns, and as many
+    // subjects again wait: every lane refills on the column it handed off.
+    let (p, q) = (one_match_hands_off(), low_query(50, 77));
+    let mut group = strangers(64, |k| 30 + k, 78);
+    for d in &mut group[..32] {
+        d[1] = q[0];
+    }
+    let cols = check_group(&p, &q, &group);
+    assert!(cols[..32].iter().all(|&c| c == 2), "{cols:?}");
+}
+
+#[test]
+fn a_cancel_mid_stream_leaks_no_score() {
+    // Every checkpoint of a stream of more subjects than lanes, in the byte
+    // pass and in the word pass, abandons the whole stream.
+    let p = SwParams::cudasw_default();
+    let q = make_query(120, 79);
+    let group: Vec<Vec<u8>> = (0..40)
+        .map(|k| match k % 5 {
+            0 => homolog(&q, 0..120, 20 + k, 150, 80 + k as u64),
+            _ => make_query(100 + 13 * k, 120 + k as u64),
+        })
+        .collect();
+    let refs: Vec<&[u8]> = group.iter().map(Vec::as_slice).collect();
+    for kind in BackendKind::available() {
+        let engine = QueryEngine::with_backend(p.clone(), &q, kind);
+        let full = CancelToken::new();
+        let expected = engine.score_group(&refs, Some(&full)).unwrap();
+        for (d, (score, _)) in group.iter().zip(&expected) {
+            assert_eq!(*score, sw_score(&p, &q, d), "{kind}");
+        }
+        assert!(full.polls() > 2, "{kind}: several checkpoints");
+        for budget in 1..=full.polls() {
+            let token = CancelToken::after_polls(budget);
+            let r = engine.score_group(&refs, Some(&token));
+            assert_eq!(r, Err(Cancelled), "{kind}: budget {budget}");
+        }
+    }
 }

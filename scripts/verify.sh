@@ -84,7 +84,10 @@ named_tests --test device_opt --test crash_matrix --test observability -- \
 # run); a block that touches a word another block wrote, directly or
 # through the texture, fails its launch in the release profile too;
 # gpu-sim's public arithmetic refuses what would overflow; Table I's
-# global counts depend on the lengths alone.
+# global counts depend on the lengths alone. The cross-block and Table I
+# cases, like both count snapshots above, run every launch on 1, 2, 3, 5
+# and 14 host workers (`GpuDevice::with_host_workers`), whatever this host
+# has.
 named_tests --test simulator_invariants -- repeated_multi_block_launches_are_bit_identical
 named_tests --release --test simulator_invariants -- \
   repeated_multi_block_launches_are_bit_identical
@@ -136,12 +139,14 @@ cargo clippy -q --offline -p sw-simd -p sw-serve -p sw-gateway -p gpu-sim -p cud
 # generic loops on the portable vector.
 cargo test -q --offline -p sw-simd --test handoff_differential --test peel_differential \
   --test pool_chunking --test vector_contract --test bounded_exhaustive --test op_budget
-# The hand-off and bounded-exhaustive suites again in the release profile:
-# the AVX2 grouped passes the benchmark runs are inlined into `group_avx2`
-# (and the striped ones into `score_avx2`) only with optimizations, so this
-# is the run that holds the code the scans execute to the striped passes
-# and the oracle.
-cargo test --release -q --offline -p sw-simd --test handoff_differential --test bounded_exhaustive
+# The hand-off, bounded-exhaustive and chunking suites again in the release
+# profile: the AVX2 grouped passes the benchmark runs are inlined into
+# `group_avx2` (and the striped ones into `score_avx2`) only with
+# optimizations, so this is the run that holds the code the scans execute
+# to the striped passes and the oracle, and the chunking suite runs the
+# streamed passes as the pool runs them, over whole chunks.
+cargo test --release -q --offline -p sw-simd --test handoff_differential --test bounded_exhaustive \
+  --test pool_chunking
 
 # Crash-only host engine: the seeded host-fault matrix (>=3 seeds x
 # {panic, stall, alloc-fail}, each cell's published cudasw.simd.pool.*

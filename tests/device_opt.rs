@@ -12,7 +12,7 @@ use cudasw_core::{
     CudaSwConfig, CudaSwDriver, DeviceKernelConfig, ImprovedParams, IntraKernelChoice,
     RecoveryPolicy, VariantConfig,
 };
-use gpu_sim::{DeviceSpec, FaultPlan, FaultSite};
+use gpu_sim::{DeviceSpec, FaultPlan, FaultSite, GpuDevice};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 use std::path::Path;
@@ -35,6 +35,10 @@ fn config(device: DeviceKernelConfig) -> CudaSwConfig {
         ..CudaSwConfig::improved()
     }
 }
+
+/// Host threads the pinned launches run on (14 is the C2050's SM count):
+/// the counts are the serial simulator's at every one.
+const WORKERS: [usize; 5] = [1, 2, 3, 5, 14];
 
 fn mixed_db() -> Database {
     database_with_lengths(
@@ -347,7 +351,7 @@ impl Snapshot {
     /// `<launch or path> <counter>` whose value differs (or that only one
     /// side has) and writes this snapshot to the test target's scratch
     /// directory, ready to be committed when a count is meant to move.
-    fn check(&self, name: &str) {
+    fn check(&self, name: &str, workers: usize) {
         let pinned_path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/snapshots")
             .join(name);
@@ -372,7 +376,7 @@ impl Snapshot {
             .map(|k| format!("  {k}: {} -> {}", show(old.get(k)), show(new.get(k))))
             .collect();
         panic!(
-            "{} of {} counters differ from {} (fresh snapshot: {}):\n{}",
+            "at {workers} host workers, {} of {} counters differ from {} (fresh snapshot: {}):\n{}",
             diffs.len(),
             new.len(),
             pinned_path.display(),
@@ -388,57 +392,62 @@ impl Snapshot {
 /// per-phase launches / cells / global transactions and the simulated
 /// kernel and transfer seconds, so any drift in allocation order, copy
 /// order, launch shape or float accumulation order on any path names the
-/// path and the number that moved.
+/// path and the number that moved — at each of [`WORKERS`].
 #[test]
 fn simulated_counts_are_pinned() {
     let db = mixed_db();
     let queries = [make_query(50, 19), make_query(37, 23)];
     let policy = RecoveryPolicy::default();
-    let mut snapshot = Snapshot::default();
-    for dc in &DeviceKernelConfig::all_combinations()[..32] {
-        for (name, intra) in [
-            ("orig", IntraKernelChoice::Original),
-            (
-                "improved",
-                IntraKernelChoice::Improved(VariantConfig::improved()),
-            ),
-        ] {
-            let key = format!("{}/{name}", dc.label());
-            let cfg = CudaSwConfig {
-                intra,
-                ..config(*dc)
-            };
-            let driver = || CudaSwDriver::new(DeviceSpec::tesla_c2050(), cfg.clone());
-            // Each path runs in its own capture scope: phase seconds are
-            // registry deltas, exact only against a fresh registry.
-            let (plain, _) = obs::capture(|| driver().search(&queries[0], &db).unwrap());
-            snapshot.result(&format!("{key}/plain"), &plain);
-            let (staged_results, _) = obs::capture(|| {
-                let mut d = driver();
-                let staged = d.stage_database(&db).unwrap();
-                queries
-                    .each_ref()
-                    .map(|q| d.search_staged(q, &staged).unwrap())
-            });
-            for (i, r) in staged_results.iter().enumerate() {
-                snapshot.result(&format!("{key}/staged.{i}"), r);
-            }
-            for (path, plan) in [
-                ("resilient", FaultPlan::none()),
-                ("resilient.oom", FaultPlan::none().with_oom(3)),
+    for workers in WORKERS {
+        let mut snapshot = Snapshot::default();
+        for dc in &DeviceKernelConfig::all_combinations()[..32] {
+            for (name, intra) in [
+                ("orig", IntraKernelChoice::Original),
+                (
+                    "improved",
+                    IntraKernelChoice::Improved(VariantConfig::improved()),
+                ),
             ] {
-                let (rr, _) = obs::capture(|| {
+                let key = format!("{}/{name}", dc.label());
+                let cfg = CudaSwConfig {
+                    intra,
+                    ..config(*dc)
+                };
+                let driver = || CudaSwDriver {
+                    dev: GpuDevice::new(DeviceSpec::tesla_c2050()).with_host_workers(workers),
+                    config: cfg.clone(),
+                };
+                // Each path runs in its own capture scope: phase seconds are
+                // registry deltas, exact only against a fresh registry.
+                let (plain, _) = obs::capture(|| driver().search(&queries[0], &db).unwrap());
+                snapshot.result(&format!("{key}/plain"), &plain);
+                let (staged_results, _) = obs::capture(|| {
                     let mut d = driver();
-                    d.dev.inject_faults(plan.clone());
-                    d.search_resilient(&queries[0], &db, &policy).unwrap()
+                    let staged = d.stage_database(&db).unwrap();
+                    queries
+                        .each_ref()
+                        .map(|q| d.search_staged(q, &staged).unwrap())
                 });
-                let key = format!("{key}/{path}");
-                snapshot.result(&key, &rr.result);
-                snapshot.line(&key, "rechunks", rr.recovery.rechunks);
+                for (i, r) in staged_results.iter().enumerate() {
+                    snapshot.result(&format!("{key}/staged.{i}"), r);
+                }
+                for (path, plan) in [
+                    ("resilient", FaultPlan::none()),
+                    ("resilient.oom", FaultPlan::none().with_oom(3)),
+                ] {
+                    let (rr, _) = obs::capture(|| {
+                        let mut d = driver();
+                        d.dev.inject_faults(plan.clone());
+                        d.search_resilient(&queries[0], &db, &policy).unwrap()
+                    });
+                    let key = format!("{key}/{path}");
+                    snapshot.result(&key, &rr.result);
+                    snapshot.line(&key, "rechunks", rr.recovery.rechunks);
+                }
             }
         }
+        snapshot.check("simulated_counts.txt", workers);
     }
-    snapshot.check("simulated_counts.txt");
 }
 
 /// Every counter gpu-sim keeps, kernel by kernel. Where
@@ -448,13 +457,12 @@ fn simulated_counts_are_pinned() {
 /// cache), every intra-task variant over a five-strip query, and the
 /// inter-task kernel in the global-boundary, multi-panel and single-panel
 /// orders — with all four caches' hit/miss counts, DRAM bytes, bank cycles
-/// and the cycles.
+/// and the cycles, at each of [`WORKERS`].
 #[test]
 fn every_simulator_counter_is_pinned() {
     use cudasw_core::seqstore::{pack_residues, GroupImage, ProfileImage, SeqImage};
     use cudasw_core::variants::run_intra_variant;
     use cudasw_core::{InterTaskKernel, IntraPair, OriginalIntraKernel};
-    use gpu_sim::GpuDevice;
     use sw_align::PackedProfile;
 
     let params = SwParams::cudasw_default();
@@ -464,132 +472,133 @@ fn every_simulator_counter_is_pinned() {
     let lengths: Vec<usize> = (0..70).map(|i| 3 + (i * 37) % 150).collect();
     let group = database_with_lengths("wide-group", &lengths, 41);
     let max_cols = lengths.iter().copied().max().unwrap();
-    let mut snapshot = Snapshot::default();
-
-    for (device, spec) in [
-        ("c1060", DeviceSpec::tesla_c1060()),
-        ("c2050", DeviceSpec::tesla_c2050()),
-        ("c2050-caches-off", DeviceSpec::tesla_c2050_caches_off()),
-    ] {
-        // Original intra-task kernel, one block per pair.
-        let mut dev = GpuDevice::new(spec.clone());
-        let q_words = pack_residues(&query);
-        let q_ptr = dev.alloc(q_words.len()).unwrap();
-        dev.copy_to_device(q_ptr, &q_words).unwrap();
-        let pairs: Vec<IntraPair> = long
-            .sequences()
-            .iter()
-            .map(|seq| {
-                let (img, _) = SeqImage::upload(&mut dev, seq).unwrap();
-                IntraPair {
-                    tex: img.tex,
-                    len: img.len,
-                    score: img.score,
-                }
-            })
-            .collect();
-        let wavefront = dev
-            .alloc(OriginalIntraKernel::wavefront_words(
-                pairs.len(),
-                query.len(),
-            ))
-            .unwrap();
-        let kernel = OriginalIntraKernel {
-            pairs: &pairs,
-            query: dev.bind_texture(q_ptr, q_words.len()),
-            query_len: query.len(),
-            matrix: &params.matrix,
-            gaps: params.gaps,
-            wavefront,
-            threads_per_block: 256,
-            step_latency_cycles: spec.global_latency_cycles as u64,
-        };
-        let stats = dev.launch(&kernel, pairs.len() as u32, "orig").unwrap();
-        let key = format!("{device}/orig");
-        snapshot.launch(&key, &stats);
-        let scores = pairs
-            .iter()
-            .map(|p| dev.copy_from_device(p.score, 1).unwrap().0[0]);
-        snapshot.scores(&key, scores);
-
-        // Improved intra-task kernel: §III stages, §VI extensions, 8-row tiles.
-        let flag = |set: fn(&mut DeviceKernelConfig)| {
-            let mut dc = DeviceKernelConfig::default();
-            set(&mut dc);
-            dc
-        };
-        let (improved, off) = (VariantConfig::improved(), DeviceKernelConfig::default());
-        let variants = [
-            ("improved", 4, improved, off),
-            ("naive", 4, VariantConfig::naive(), off),
-            ("deep-swap", 4, VariantConfig::deep_swap(), off),
-            (
-                "coalesce",
-                4,
-                improved,
-                flag(|dc| dc.coalesced_boundary = true),
-            ),
-            (
-                "shared-boundary",
-                4,
-                improved,
-                flag(|dc| dc.shared_boundary = true),
-            ),
-            ("fusion", 4, improved, flag(|dc| dc.pipeline_fusion = true)),
-            ("improved-t8", 8, improved, off),
-        ];
-        for (name, tile_height, variant, flags) in variants {
-            let shape = ImprovedParams {
-                threads_per_block: 32,
-                tile_height,
-            };
-            let (scores, stats) = run_intra_variant(
-                &spec,
-                long.sequences(),
-                &query,
-                &params,
-                shape,
-                variant,
-                flags,
-            )
-            .unwrap();
-            let key = format!("{device}/{name}");
-            snapshot.launch(&key, &stats);
-            snapshot.scores(&key, scores);
-        }
-
-        // Inter-task kernel: global boundary planes, 16-column panels
-        // (ten seams: `load_edge`/`store_edge` run), widest panels.
-        let widest = InterTaskKernel::panel_cols(32, spec.shared_mem_per_sm);
-        for panel_cols in [0, 16, widest] {
-            let mut dev = GpuDevice::new(spec.clone());
-            let packed = PackedProfile::build(&params.matrix, &query);
-            let (pimg, _) = ProfileImage::upload(&mut dev, &packed).unwrap();
-            let (gimg, _) = GroupImage::upload(&mut dev, group.sequences()).unwrap();
-            let boundary = dev
-                .alloc(InterTaskKernel::boundary_words(gimg.width, max_cols))
+    for workers in WORKERS {
+        let mut snapshot = Snapshot::default();
+        for (device, spec) in [
+            ("c1060", DeviceSpec::tesla_c1060()),
+            ("c2050", DeviceSpec::tesla_c2050()),
+            ("c2050-caches-off", DeviceSpec::tesla_c2050_caches_off()),
+        ] {
+            // Original intra-task kernel, one block per pair.
+            let mut dev = GpuDevice::new(spec.clone()).with_host_workers(workers);
+            let q_words = pack_residues(&query);
+            let q_ptr = dev.alloc(q_words.len()).unwrap();
+            dev.copy_to_device(q_ptr, &q_words).unwrap();
+            let pairs: Vec<IntraPair> = long
+                .sequences()
+                .iter()
+                .map(|seq| {
+                    let (img, _) = SeqImage::upload(&mut dev, seq).unwrap();
+                    IntraPair {
+                        tex: img.tex,
+                        len: img.len,
+                        score: img.score,
+                    }
+                })
+                .collect();
+            let wavefront = dev
+                .alloc(OriginalIntraKernel::wavefront_words(
+                    pairs.len(),
+                    query.len(),
+                ))
                 .unwrap();
-            let edge_words =
-                InterTaskKernel::edge_words(gimg.width, query.len(), panel_cols, max_cols);
-            let edge = (edge_words > 0).then(|| dev.alloc(edge_words).unwrap());
-            let kernel = InterTaskKernel {
-                group: &gimg,
-                profile: &pimg,
+            let kernel = OriginalIntraKernel {
+                pairs: &pairs,
+                query: dev.bind_texture(q_ptr, q_words.len()),
+                query_len: query.len(),
+                matrix: &params.matrix,
                 gaps: params.gaps,
-                boundary,
-                max_cols,
-                threads_per_block: 32,
-                panel_cols,
-                edge,
+                wavefront,
+                threads_per_block: 256,
+                step_latency_cycles: spec.global_latency_cycles as u64,
             };
-            let stats = dev.launch(&kernel, kernel.grid_blocks(), "inter").unwrap();
-            let key = format!("{device}/inter-panel{panel_cols}");
+            let stats = dev.launch(&kernel, pairs.len() as u32, "orig").unwrap();
+            let key = format!("{device}/orig");
             snapshot.launch(&key, &stats);
-            snapshot.scores(
-                &key,
-                dev.copy_from_device(gimg.scores, gimg.width).unwrap().0,
-            );
+            let scores = pairs
+                .iter()
+                .map(|p| dev.copy_from_device(p.score, 1).unwrap().0[0]);
+            snapshot.scores(&key, scores);
+
+            // Improved intra-task kernel: §III stages, §VI extensions, 8-row tiles.
+            let flag = |set: fn(&mut DeviceKernelConfig)| {
+                let mut dc = DeviceKernelConfig::default();
+                set(&mut dc);
+                dc
+            };
+            let (improved, off) = (VariantConfig::improved(), DeviceKernelConfig::default());
+            let variants = [
+                ("improved", 4, improved, off),
+                ("naive", 4, VariantConfig::naive(), off),
+                ("deep-swap", 4, VariantConfig::deep_swap(), off),
+                (
+                    "coalesce",
+                    4,
+                    improved,
+                    flag(|dc| dc.coalesced_boundary = true),
+                ),
+                (
+                    "shared-boundary",
+                    4,
+                    improved,
+                    flag(|dc| dc.shared_boundary = true),
+                ),
+                ("fusion", 4, improved, flag(|dc| dc.pipeline_fusion = true)),
+                ("improved-t8", 8, improved, off),
+            ];
+            for (name, tile_height, variant, flags) in variants {
+                let shape = ImprovedParams {
+                    threads_per_block: 32,
+                    tile_height,
+                };
+                let (scores, stats) = run_intra_variant(
+                    GpuDevice::new(spec.clone()).with_host_workers(workers),
+                    long.sequences(),
+                    &query,
+                    &params,
+                    shape,
+                    variant,
+                    flags,
+                )
+                .unwrap();
+                let key = format!("{device}/{name}");
+                snapshot.launch(&key, &stats);
+                snapshot.scores(&key, scores);
+            }
+
+            // Inter-task kernel: global boundary planes, 16-column panels
+            // (ten seams: `load_edge`/`store_edge` run), widest panels.
+            let widest = InterTaskKernel::panel_cols(32, spec.shared_mem_per_sm);
+            for panel_cols in [0, 16, widest] {
+                let mut dev = GpuDevice::new(spec.clone()).with_host_workers(workers);
+                let packed = PackedProfile::build(&params.matrix, &query);
+                let (pimg, _) = ProfileImage::upload(&mut dev, &packed).unwrap();
+                let (gimg, _) = GroupImage::upload(&mut dev, group.sequences()).unwrap();
+                let boundary = dev
+                    .alloc(InterTaskKernel::boundary_words(gimg.width, max_cols))
+                    .unwrap();
+                let edge_words =
+                    InterTaskKernel::edge_words(gimg.width, query.len(), panel_cols, max_cols);
+                let edge = (edge_words > 0).then(|| dev.alloc(edge_words).unwrap());
+                let kernel = InterTaskKernel {
+                    group: &gimg,
+                    profile: &pimg,
+                    gaps: params.gaps,
+                    boundary,
+                    max_cols,
+                    threads_per_block: 32,
+                    panel_cols,
+                    edge,
+                };
+                let stats = dev.launch(&kernel, kernel.grid_blocks(), "inter").unwrap();
+                let key = format!("{device}/inter-panel{panel_cols}");
+                snapshot.launch(&key, &stats);
+                snapshot.scores(
+                    &key,
+                    dev.copy_from_device(gimg.scores, gimg.width).unwrap().0,
+                );
+            }
         }
+        snapshot.check("simulator_counters.txt", workers);
     }
-    snapshot.check("simulator_counters.txt");
 }

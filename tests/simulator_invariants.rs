@@ -174,13 +174,15 @@ struct Launched {
     memory: Vec<u32>,
 }
 
-/// One multi-block launch of each kernel on a fresh `spec` device: the
+/// One multi-block launch of each kernel on a fresh `spec` device, on
+/// `workers` host threads (`None`: the host's parallelism): the
 /// original intra-task kernel, the improved one with SaLoBa bins and
 /// pipeline fusion, and the inter-task kernel with global boundary planes,
 /// with 16-column panels (seams through edge scratch) and shared-only (the
 /// short group in one panel).
 fn launch_every_kernel(
     spec: &DeviceSpec,
+    workers: Option<usize>,
     query: &[u8],
     long: &sw_db::Database,
     group: &sw_db::Database,
@@ -193,6 +195,13 @@ fn launch_every_kernel(
     use gpu_sim::{DevicePtr, GpuDevice};
     use sw_align::PackedProfile;
 
+    let device = || {
+        let dev = GpuDevice::new(spec.clone());
+        match workers {
+            Some(n) => dev.with_host_workers(n),
+            None => dev,
+        }
+    };
     let params = SwParams::cudasw_default();
     let packed = PackedProfile::build(&params.matrix, query);
     let finish = |dev: &mut GpuDevice, kernel: &str, stats, scores: Vec<u32>| Launched {
@@ -220,7 +229,7 @@ fn launch_every_kernel(
     };
     let mut out = Vec::new();
 
-    let mut dev = GpuDevice::new(spec.clone());
+    let mut dev = device();
     let q_words = pack_residues(query);
     let q_ptr = dev.alloc(q_words.len()).unwrap();
     dev.copy_to_device(q_ptr, &q_words).unwrap();
@@ -245,7 +254,7 @@ fn launch_every_kernel(
     let scores = read_scores(&mut dev, &pairs);
     out.push(finish(&mut dev, "orig", stats, scores));
 
-    let mut dev = GpuDevice::new(spec.clone());
+    let mut dev = device();
     let (profile, _) = ProfileImage::upload(&mut dev, &packed).unwrap();
     let pairs = stage_pairs(&mut dev);
     let shape = ImprovedParams {
@@ -285,7 +294,7 @@ fn launch_every_kernel(
 
     let widest = InterTaskKernel::panel_cols(32, spec.shared_mem_per_sm);
     for (panel_cols, db) in [(0, group), (16, group), (widest, short_group)] {
-        let mut dev = GpuDevice::new(spec.clone());
+        let mut dev = device();
         let (pimg, _) = ProfileImage::upload(&mut dev, &packed).unwrap();
         let (gimg, _) = GroupImage::upload(&mut dev, db.sequences()).unwrap();
         let max_cols = gimg.lengths.iter().copied().max().unwrap();
@@ -334,14 +343,14 @@ fn repeated_multi_block_launches_are_bit_identical() {
     let query = make_query(200, 29);
     let [long, group, short_group] = table1_databases(17);
     for spec in [DeviceSpec::tesla_c1060(), DeviceSpec::tesla_c2050()] {
-        let first = launch_every_kernel(&spec, &query, &long, &group, &short_group);
+        let first = launch_every_kernel(&spec, None, &query, &long, &group, &short_group);
         assert!(first.iter().all(|l| l.stats.blocks > 1));
         // Two strips: the improved kernel moves its boundary through global
         // memory; the short group never leaves shared memory.
         assert!(first[1].stats.memory.load_instructions > 0);
         assert_eq!(first[4].stats.memory.load_instructions, 0);
         for repeat in 1..20 {
-            let again = launch_every_kernel(&spec, &query, &long, &group, &short_group);
+            let again = launch_every_kernel(&spec, None, &query, &long, &group, &short_group);
             for (a, b) in first.iter().zip(&again) {
                 let at = format!("{}, {}, repeat {repeat}", spec.name, a.kernel);
                 // `Debug` prints every field, each float to the bit.
@@ -372,14 +381,25 @@ fn table1_counts_depend_on_lengths_only() {
         )
     };
     for spec in [DeviceSpec::tesla_c1060(), DeviceSpec::tesla_c2050()] {
-        let runs = [(17, 29), (71, 92)].map(|(seed, query_seed)| {
-            let [long, group, short_group] = table1_databases(seed);
-            let query = make_query(200, query_seed);
-            launch_every_kernel(&spec, &query, &long, &group, &short_group)
-        });
-        for (a, b) in runs[0].iter().zip(&runs[1]) {
-            assert_eq!(count(a), count(b), "{}, {}", spec.name, a.kernel);
-            assert_ne!(a.scores, b.scores, "{}: the residues differ", a.kernel);
+        let mut serial = None;
+        // 14 workers is one per C2050 SM.
+        for workers in [1, 2, 3, 5, 14] {
+            let runs = [(17, 29), (71, 92)].map(|(seed, query_seed)| {
+                let [long, group, short_group] = table1_databases(seed);
+                let query = make_query(200, query_seed);
+                launch_every_kernel(&spec, Some(workers), &query, &long, &group, &short_group)
+            });
+            for (a, b) in runs[0].iter().zip(&runs[1]) {
+                assert_eq!(count(a), count(b), "{}, {}", spec.name, a.kernel);
+                assert_ne!(a.scores, b.scores, "{}: the residues differ", a.kernel);
+            }
+            // And every worker count launches what one worker does.
+            let seen: Vec<_> = (runs.iter().flatten())
+                .map(|l| (count(l), l.stats.cycles, &l.scores, &l.memory))
+                .map(|(c, cycles, scores, memory)| format!("{c:?} {cycles} {scores:?} {memory:?}"))
+                .collect();
+            let serial = serial.get_or_insert_with(|| seen.clone());
+            assert!(*serial == seen, "{}: {workers} workers", spec.name);
         }
     }
 }
